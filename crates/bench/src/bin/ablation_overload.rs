@@ -1,19 +1,20 @@
 //! Ablation: overload behavior past the saturation point.
 //!
 //! Calibrates the cluster-3 LLM-PQ plan's serving capacity from the
-//! cost profile, then drives the admission + KV-guard + degradation
-//! serving loop at 0.5×/1×/2×/4× that capacity under each admission
-//! policy, reporting goodput, tail sojourn, shed/expired counts, and
-//! the degradation ladder's rung trajectory. The acceptance bar: at 4×
-//! capacity under deadline shedding, goodput stays within 90% of the
-//! 1× goodput (load shedding keeps useful work flowing instead of
-//! collapsing), and the ladder demonstrably steps down and recovers.
+//! cost profile, then drives the continuous-batching serving loop
+//! (admission + paged KV + degradation) at 0.5×/1×/2×/4× that capacity
+//! under each admission policy, reporting goodput, tail sojourn,
+//! shed/expired counts, and the degradation ladder's rung trajectory.
+//! The acceptance bar: at 4× capacity under deadline shedding, goodput
+//! stays within 90% of the 1× goodput (load shedding keeps useful work
+//! flowing instead of collapsing), and the ladder demonstrably steps
+//! down and recovers.
 //!
-//! `--soak <seconds>` instead runs the *real* supervised thread
-//! pipeline (tiny stand-in model) at 2× capacity with a fault plan
-//! active, checking request conservation and that RSS stays bounded —
-//! the CI overload-soak job drives this mode under a wall-clock
-//! watchdog.
+//! `--soak <seconds>` instead runs the same loop over the *real* stage
+//! ring (tiny stand-in model, one thread per stage) at 2× capacity with
+//! a crash fault in every round, checking request conservation and that
+//! RSS stays bounded — the CI overload-soak job drives this mode under
+//! a wall-clock watchdog.
 
 use llmpq_bench::quality::zoo_indicator;
 use llmpq_bench::serving::ServingSetup;
@@ -23,8 +24,9 @@ use llm_pq::{degradation_ladder, AssignerConfig, ExecutionPlan, DEFAULT_CAPS};
 use llmpq_cost::CostDb;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_runtime::{
-    poisson_requests, serve, AdmissionConfig, AdmissionPolicy, DegradationConfig, FaultPlan,
-    KvGuardConfig, PipelineEngine, Request, ServeConfig, SimEngine, SupervisorConfig,
+    poisson_requests, serve_continuous, AdmissionConfig, AdmissionPolicy, AdmissionStats,
+    ContinuousConfig, ContinuousScheduler, DegradationConfig, DistServeConfig, DistStepEngine,
+    FaultPlan, IterCost, KvPoolConfig, SimStepEngine,
 };
 use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
 use llmpq_workload::BatchJob;
@@ -92,29 +94,30 @@ fn sweep() {
         );
     }
 
-    // Affine per-rung batch cost, and capacity from rung 0 at full batch.
-    let rung_cost_s: Vec<(f64, f64)> = ladder
+    // Per-rung iteration cost fitted from the plan's batch cost at
+    // batch 1 and MAX_BATCH, and capacity from rung 0 at full batch.
+    let batch_costs: Vec<(f64, f64)> = ladder
         .rungs
         .iter()
-        .map(|r| {
-            let c1 = plan_cost(&r.plan, &setup, &db, 1);
-            let cb = plan_cost(&r.plan, &setup, &db, MAX_BATCH);
-            ((c1).max(1e-6), ((cb - c1) / (MAX_BATCH - 1) as f64).max(0.0))
-        })
+        .map(|r| (plan_cost(&r.plan, &setup, &db, 1), plan_cost(&r.plan, &setup, &db, MAX_BATCH)))
         .collect();
-    let (b0, p0) = rung_cost_s[0];
-    let capacity_rps = MAX_BATCH as f64 / (b0 + p0 * MAX_BATCH as f64);
+    let costs: Vec<IterCost> = batch_costs
+        .iter()
+        .map(|&(c1, cb)| IterCost::fit_batch(c1, cb, MAX_BATCH, PROMPT_LEN, N_GENERATE))
+        .collect();
+    let (c1, cb) = batch_costs[0];
+    let capacity_rps = MAX_BATCH as f64 / cb;
     println!("\ncalibrated capacity (rung 0, batch {MAX_BATCH}): {capacity_rps:.2} req/s\n");
 
-    // KV budget from the cost model: per-token KV bytes × sequence
-    // length × a small multiple of the batch size.
-    let kv_per_token =
-        setup.spec.kv_bytes_per_layer(1, 1, 16.0) * setup.spec.n_layers as f64;
-    let seq = (PROMPT_LEN + N_GENERATE) as f64;
-    let kv_budget = kv_per_token * seq * (2 * MAX_BATCH) as f64;
+    // KV pool: room for a small multiple of the batch at full length.
+    let block_tokens = 16;
+    let pool = KvPoolConfig {
+        n_blocks: 2 * MAX_BATCH * (PROMPT_LEN + N_GENERATE).div_ceil(block_tokens),
+        block_tokens,
+    };
 
     let n_requests = 200usize;
-    let deadline_s = 8.0 * (b0 + p0); // generous SLO: 8× single-request service
+    let deadline_s = 8.0 * c1; // generous SLO: 8× single-request service
     let policies =
         [AdmissionPolicy::Reject, AdmissionPolicy::DeadlineShed, AdmissionPolicy::QueueTimeout];
     let mut table = TextTable::new(&[
@@ -142,21 +145,26 @@ fn sweep() {
             requests.push(r);
         }
         for policy in policies {
-            let mut engine = SimEngine::new(rung_cost_s.clone(), MAX_BATCH, kv_per_token);
-            let cfg = ServeConfig {
+            let engine = SimStepEngine::new(pool, costs.clone(), 97, 17);
+            let cfg = ContinuousConfig {
                 admission: AdmissionConfig {
                     policy,
                     max_queue: 4 * MAX_BATCH,
                     default_deadline_s: Some(deadline_s),
                     queue_timeout_s: deadline_s,
                 },
-                kv_guard: Some(KvGuardConfig { budget_bytes: kv_budget, headroom: 0.1 }),
+                token_budget: MAX_BATCH * PROMPT_LEN,
+                max_batch: MAX_BATCH,
                 degradation: Some(DegradationConfig { high: 0.75, low: 0.25, dwell: 2 }),
-                max_inflight: 2,
-                max_retries: 2,
+                ..ContinuousConfig::default()
             };
-            let rep = serve(&mut engine, &requests, &cfg, None);
-            assert!(rep.stats.conserves(0), "conservation violated: {:?}", rep.stats);
+            let mut sched = ContinuousScheduler::new(engine, cfg).expect("scheduler");
+            let makespan = sched.run_trace(&requests).expect("trace");
+            let peak_rung = sched.transitions().iter().map(|t| t.to).max().unwrap_or(0);
+            let final_rung = sched.rung();
+            let rep = sched.into_report(makespan, "continuous");
+            assert!(rep.conserves(), "conservation violated: {:?}", rep.stats);
+            let sojourn = rep.sojourn.expect("something was served");
             table.row(vec![
                 format!("{mult:.1}x"),
                 policy.to_string(),
@@ -165,10 +173,10 @@ fn sweep() {
                 format!("{}", rep.stats.shed),
                 format!("{}", rep.stats.expired),
                 format!("{:.2}", rep.goodput_rps),
-                format!("{:.2}", rep.p50_sojourn_s),
-                format!("{:.2}", rep.p99_sojourn_s),
-                format!("{}", rep.peak_rung),
-                format!("{}", rep.final_rung),
+                format!("{:.2}", sojourn.p50),
+                format!("{:.2}", sojourn.p99),
+                format!("{peak_rung}"),
+                format!("{final_rung}"),
             ]);
             if policy == AdmissionPolicy::DeadlineShed {
                 if mult == 1.0 {
@@ -176,8 +184,8 @@ fn sweep() {
                 }
                 if mult == 4.0 {
                     goodput_4x_deadline = rep.goodput_rps;
-                    peak_rung_4x = rep.peak_rung;
-                    final_rung_4x = rep.final_rung;
+                    peak_rung_4x = peak_rung;
+                    final_rung_4x = final_rung;
                 }
             }
         }
@@ -201,14 +209,14 @@ fn sweep() {
     println!("PASS: goodput retained >= 90% at 4x, ladder engaged (peak rung {peak_rung_4x}) and recovered");
 }
 
-/// `--soak <seconds>`: the real pipeline under sustained 2× overload
-/// with faults injected, watching conservation and RSS.
+/// `--soak <seconds>`: the real stage ring under sustained 2× overload
+/// with a crash injected every round, watching conservation and RSS.
 fn soak(secs: u64) {
-    println!("Overload soak: real pipeline at 2x capacity with faults, {secs}s\n");
+    println!("Overload soak: real stage ring at 2x capacity with faults, {secs}s\n");
     let n_layers = 4usize;
     let checkpoint = RefModel::new(RefConfig::scaled_like(n_layers, 77));
     // Two rungs built by hand (full-quality and all-int4) — the soak
-    // exercises the serving loop and supervisor, not the solver.
+    // exercises the serving loop and ring recovery, not the solver.
     let mk_plan = |bits: llmpq_quant::Bitwidth| ExecutionPlan {
         model: "soak".into(),
         cluster: "duo".into(),
@@ -226,65 +234,56 @@ fn soak(secs: u64) {
         kv_bits: 16,
     };
     let plans = vec![mk_plan(llmpq_quant::Bitwidth::Fp16), mk_plan(llmpq_quant::Bitwidth::Int4)];
-    let sup = SupervisorConfig {
-        heartbeat_timeout_ms: 200,
-        progress_timeout_ms: 600,
-        tick_ms: 1,
-        max_restarts: 4,
-        backoff_base_ms: 1,
-        backoff_factor: 2.0,
-        backoff_cap_ms: 8,
-        max_queue: Some(2),
-        ..SupervisorConfig::default()
+    let max_batch = 4usize;
+    let ring = |faults: Option<FaultPlan>| {
+        DistStepEngine::over_channels(
+            &checkpoint,
+            plans.clone(),
+            llmpq_quant::Rounding::Deterministic,
+            0,
+            DistServeConfig { n_slots: max_batch, ..DistServeConfig::default() },
+            faults,
+        )
+        .expect("ring engine")
     };
 
-    // Calibrate real capacity with one warmup batch.
-    let mut engine = PipelineEngine::new(checkpoint, plans, sup);
-    engine.max_batch = 4;
-    let warm: Vec<Request> = (0..4)
-        .map(|id| Request {
-            id,
-            arrival_s: 0.0,
-            prompt: vec![1 + id, 2, 3, 4],
-            n_generate: 4,
-            deadline_s: None,
-            priority: 0,
-        })
-        .collect();
-    let warm_cfg = ServeConfig { degradation: None, ..ServeConfig::default() };
-    let warm_rep = serve(&mut engine, &warm, &warm_cfg, None);
-    let capacity_rps = (warm_rep.stats.served as f64 / warm_rep.makespan_s).max(1.0);
-    println!("calibrated capacity: {capacity_rps:.1} req/s");
+    // Calibrate capacity (on the engine's virtual clock) with one
+    // warmup batch arriving at once.
+    let warm = poisson_requests(max_batch, 1e6, 4, 4, 999).expect("warmup");
+    let warm_cfg = ContinuousConfig { max_batch, ..ContinuousConfig::default() };
+    let warm_rep = serve_continuous(ring(None), &warm, warm_cfg, None).expect("warmup run");
+    let capacity_rps = warm_rep.completed as f64 / warm_rep.makespan_s;
+    println!("calibrated capacity: {capacity_rps:.1} req/s (virtual clock)");
 
     let rss_start = rss_kib().unwrap_or(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
     let mut round = 0u64;
-    let mut total = llmpq_runtime::AdmissionStats::default();
+    let mut total = AdmissionStats::default();
+    let mut restarts = 0u64;
     while std::time::Instant::now() < deadline {
         round += 1;
-        engine.fault_plans = vec![
-            FaultPlan::crash_schedule(&[(round as usize % 2, 1)]),
-            FaultPlan::default(),
-        ];
-        engine.outputs.clear();
+        // One crash per round, alternating stages.
+        let engine = ring(Some(FaultPlan::crash_schedule(&[(round as usize % 2, 1)])));
         let requests =
             poisson_requests(24, capacity_rps * 2.0, 4, 4, 1000 + round).expect("arrivals");
-        let cfg = ServeConfig {
+        let cfg = ContinuousConfig {
             admission: AdmissionConfig {
                 policy: AdmissionPolicy::DeadlineShed,
                 max_queue: 12,
                 default_deadline_s: Some(24.0 / capacity_rps),
                 queue_timeout_s: 24.0 / capacity_rps,
             },
-            kv_guard: None,
+            max_batch,
             degradation: Some(DegradationConfig { high: 0.7, low: 0.2, dwell: 2 }),
-            max_inflight: 2,
-            max_retries: 2,
+            ..ContinuousConfig::default()
         };
-        let rep = serve(&mut engine, &requests, &cfg, None);
-        assert!(rep.stats.conserves(0), "round {round}: conservation violated: {:?}", rep.stats);
+        let mut sched = ContinuousScheduler::new(engine, cfg).expect("scheduler");
+        let makespan = sched.run_trace(&requests).expect("round");
+        restarts += sched.engine().restarts();
+        let rep = sched.into_report(makespan, "continuous");
+        assert!(rep.conserves(), "round {round}: conservation violated: {:?}", rep.stats);
         assert_eq!(
-            engine.outputs.len(),
+            rep.outputs.len(),
             rep.stats.served,
             "round {round}: served requests without outputs"
         );
@@ -292,24 +291,26 @@ fn soak(secs: u64) {
         total.served += rep.stats.served;
         total.shed += rep.stats.shed;
         total.expired += rep.stats.expired;
-        if round.is_multiple_of(5) {
+        total.recovered += rep.stats.recovered;
+        if round.is_multiple_of(50) {
             let rss = rss_kib().unwrap_or(0);
             println!(
-                "round {round}: offered {} served {} shed {} expired {} | restarts {} | rss {} KiB",
-                total.offered, total.served, total.shed, total.expired, engine.restarts, rss
+                "round {round}: offered {} served {} shed {} expired {} | restarts {restarts} | rss {rss} KiB",
+                total.offered, total.served, total.shed, total.expired
             );
         }
     }
     let rss_end = rss_kib().unwrap_or(0);
     assert!(total.conserves(0), "soak lost requests: {total:?}");
     assert!(total.served > 0, "soak made no progress");
+    assert!(restarts > 0, "the injected crashes never cost a ring restart");
     // RSS must stay bounded: allow generous slack for allocator noise,
     // but catch a real leak (unbounded queues would grow far past this).
     let growth = rss_end.saturating_sub(rss_start);
     assert!(growth < 256 * 1024, "RSS grew {growth} KiB during the soak — leak?");
     println!(
         "\nPASS: {round} rounds, {} offered / {} served / {} shed / {} expired, \
-         {} supervisor restarts, RSS {rss_start} -> {rss_end} KiB",
-        total.offered, total.served, total.shed, total.expired, engine.restarts
+         {restarts} ring restarts ({} requests requeued), RSS {rss_start} -> {rss_end} KiB",
+        total.offered, total.served, total.shed, total.expired, total.recovered
     );
 }

@@ -153,6 +153,9 @@ fn row(rate: f64, r: &ContinuousReport) -> Row {
 #[derive(Serialize)]
 struct BenchReport {
     bench: &'static str,
+    /// Every timing below is on the engines' modelled `iteration_cost_s`
+    /// clock, not wall time.
+    clock: &'static str,
     n_requests: usize,
     deadline_s: f64,
     static_batch: usize,
@@ -301,6 +304,7 @@ fn main() {
     );
     let report = BenchReport {
         bench: "ablation_serving",
+        clock: "virtual",
         n_requests: N_REQUESTS,
         deadline_s: DEADLINE_S,
         static_batch: STATIC_BATCH,

@@ -112,7 +112,7 @@ fn main() {
 
         // Warm path: the planner has already solved the full fleet
         // (steady state before the loss), then replans the survivors.
-        let mut warm = IncrementalPlanner::new(spec.clone(), job.clone(), cfg.clone());
+        let mut warm = IncrementalPlanner::new(spec.clone(), job, cfg);
         warm.plan(&full, &db, &ind).expect("full fleet plans");
         let t0 = Instant::now();
         let w = warm.plan(&shrunk, &db, &ind).expect("warm replan");

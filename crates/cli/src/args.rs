@@ -16,6 +16,8 @@ pub enum ArgError {
     },
     /// A required flag was absent.
     Required(String),
+    /// A flag the binary does not document (most likely a typo).
+    UnknownFlag(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -24,6 +26,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(k) => write!(f, "flag --{k} expects a value"),
             ArgError::BadValue { flag, value } => write!(f, "bad value '{value}' for --{flag}"),
             ArgError::Required(k) => write!(f, "missing required flag --{k}"),
+            ArgError::UnknownFlag(k) => write!(f, "unknown flag --{k}"),
         }
     }
 }
@@ -95,6 +98,15 @@ impl Args {
             i = j;
         }
         Ok(out)
+    }
+
+    /// Fail on the first flag or switch that is not in `known`, so a
+    /// typo exits with usage instead of silently running defaults.
+    pub fn reject_unknown(self, known: &[&str]) -> Result<Args, ArgError> {
+        match self.values.keys().chain(&self.switches).find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(ArgError::UnknownFlag(k.clone())),
+            None => Ok(self),
+        }
     }
 
     /// Whether a bare switch was present.
@@ -173,6 +185,23 @@ mod tests {
     fn defaults_apply_when_absent() {
         let a = parse("--s 512").unwrap();
         assert_eq!(a.get_parse("n", 100usize).unwrap(), 100);
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_known_flags_and_switches_pass() {
+        let known = ["admission", "max-queue", "help"];
+        assert_eq!(
+            parse("--admision deadline --max-queue 4").unwrap().reject_unknown(&known).unwrap_err(),
+            ArgError::UnknownFlag("admision".into())
+        );
+        // `--fit` parses as a switch everywhere but this binary does not take it.
+        assert_eq!(
+            parse("--fit").unwrap().reject_unknown(&known).unwrap_err(),
+            ArgError::UnknownFlag("fit".into())
+        );
+        let a = parse("--admission deadline --help").unwrap().reject_unknown(&known).unwrap();
+        assert_eq!(a.get("admission"), Some("deadline"));
+        assert!(a.switch("help"));
     }
 
     #[test]

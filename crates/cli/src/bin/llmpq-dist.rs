@@ -70,9 +70,10 @@ use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
     poisson_requests, run_master, run_pipeline_observed, run_pipeline_supervised_observed,
-    run_pipeline_with_swap, run_stage, serve, AdmissionConfig, AdmissionPolicy, DistMasterConfig,
-    DistStageConfig, FaultPlan, FoldReplanner, Replanner, ServeConfig, SimEngine,
-    SupervisorConfig, SwapRequest, Telemetry, WireFaultPlan,
+    run_pipeline_with_swap, run_stage, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
+    ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig, FaultPlan,
+    FoldReplanner, IterCost, KvPoolConfig, Replanner, SimStepEngine, SupervisorConfig,
+    SwapRequest, Telemetry, WireFaultPlan,
 };
 use llmpq_sim::{KernelEnv, PipelineWorkload};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
@@ -96,8 +97,16 @@ multi-process mode (one OS process per stage + a master, TCP loopback or LAN):
   (same strategy file / seed / batch / prompt-len everywhere; the master prints
    'listening on HOST:PORT' on stdout once ready)";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &[
+    "strat_file_name", "checkpoint", "n-generate", "batch", "prompt-len", "seed", "fault-plan",
+    "trace-out", "metrics-out", "online-rate", "online-requests", "online-failure", "max-queue",
+    "admission", "deadline-ms", "degrade-ladder", "swap-at", "swap-to", "listen", "stage",
+    "connect", "wire-fault", "help",
+];
+
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -791,23 +800,8 @@ fn run_online(
     let spec = zoo::by_name(&plan.model)
         .ok_or_else(|| format!("--online-rate needs a zoo model, got '{}'", plan.model))?;
     let db = CostDb::oracle(&KernelEnv::default());
-    let plan = plan.clone();
-    let batch_cost = move |s: usize, ngen: usize, b: usize| -> f64 {
-        let job = BatchJob { global_batch: b, prompt_len: s, n_generate: ngen };
-        let mut p = plan.clone();
-        p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-        p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-        p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-        p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-        let loads = stage_loads(&p, &cluster, &spec, &db, &job);
-        let wl = PipelineWorkload {
-            prefill_microbatches: p.microbatch.prefill_count,
-            decode_microbatches: p.microbatch.decode_count,
-            n_tokens: ngen,
-            master_prefill: 0.0,
-            master_decode: 0.0,
-        };
-        llmpq_sim::simulate_pipeline(&loads, &wl).total_latency
+    let batch_cost = |s: usize, ngen: usize, b: usize| -> f64 {
+        plan_batch_cost(plan, &cluster, &spec, &db, s, ngen, b)
     };
     let cfg = OnlineConfig {
         arrival_rate: rate,
@@ -820,7 +814,7 @@ fn run_online(
 }
 
 /// Predicted end-to-end latency of `plan` serving a batch of `b`
-/// sequences, from the cost profile (the same path `run_online` uses).
+/// sequences, from the cost profile.
 fn plan_batch_cost(
     plan: &ExecutionPlan,
     cluster: &llmpq_cluster::Cluster,
@@ -848,9 +842,9 @@ fn plan_batch_cost(
 }
 
 /// The `--admission` overload pass: drive the plan's cost profile with a
-/// Poisson arrival stream through the runtime's admission + KV-guard +
-/// degradation serving loop, and print shed/expired/goodput and the
-/// ladder's rung trajectory.
+/// Poisson arrival stream through the runtime's continuous-batching
+/// serving loop (admission + paged KV + degradation), and print
+/// shed/expired/goodput and the ladder's rung trajectory.
 #[allow(clippy::too_many_arguments)]
 fn run_overload(
     plan: &ExecutionPlan,
@@ -908,45 +902,59 @@ fn run_overload(
         }
     };
 
-    // Affine per-rung batch cost fitted from the cost profile.
+    // Per-rung iteration cost fitted from the cost profile's batch cost
+    // at batch 1 and the full batch.
     let max_batch = batch.max(1);
-    let rung_cost_s: Vec<(f64, f64)> = rung_plans
+    let costs: Vec<IterCost> = rung_plans
         .iter()
         .map(|p| {
             let c1 = plan_batch_cost(p, &cluster, &spec, &db, prompt_len, n_generate, 1);
             let cb = plan_batch_cost(p, &cluster, &spec, &db, prompt_len, n_generate, max_batch);
-            let per = if max_batch > 1 { (cb - c1) / (max_batch - 1) as f64 } else { 0.0 };
-            (c1.max(0.0), per.max(0.0))
+            IterCost::fit_batch(c1, cb, max_batch, prompt_len, n_generate)
         })
         .collect();
 
-    let mut engine = SimEngine::new(rung_cost_s, max_batch, 1.0);
+    // A pool that holds twice the batch at full length: the queue bound,
+    // not KV, is what this pass stresses.
+    let block_tokens = 16;
+    let pool = KvPoolConfig {
+        n_blocks: 2 * max_batch * (prompt_len + n_generate).div_ceil(block_tokens),
+        block_tokens,
+    };
     let requests = poisson_requests(n_requests, rate, prompt_len, n_generate, seed)?;
-    let cfg = ServeConfig {
+    let cfg = ContinuousConfig {
         admission: AdmissionConfig {
             policy,
             max_queue,
             default_deadline_s: Some(deadline_ms as f64 / 1000.0),
             queue_timeout_s: deadline_ms as f64 / 1000.0,
         },
-        ..ServeConfig::default()
+        token_budget: max_batch * prompt_len.max(1),
+        max_batch,
+        degradation: Some(DegradationConfig::default()),
+        ..ContinuousConfig::default()
     };
-    let rep = serve(&mut engine, &requests, &cfg, None);
+    let mut sched = ContinuousScheduler::new(SimStepEngine::new(pool, costs, 97, seed), cfg)?;
+    let makespan = sched.run_trace(&requests)?;
+    let transitions = sched.transitions().to_vec();
+    let final_rung = sched.rung();
+    let rep = sched.into_report(makespan, "continuous");
+    let (p50, p99) = rep.sojourn.map_or((0.0, 0.0), |s| (s.p50, s.p99));
     println!(
         "overload[{policy}]: offered {} served {} shed {} expired {} | goodput {:.2} req/s, \
-         p50 {:.2}s p99 {:.2}s | rung final {} peak {} ({} transitions)",
+         p50 {p50:.2}s p99 {p99:.2}s | rung final {final_rung} peak {} ({} transitions)",
         rep.stats.offered,
         rep.stats.served,
         rep.stats.shed,
         rep.stats.expired,
         rep.goodput_rps,
-        rep.p50_sojourn_s,
-        rep.p99_sojourn_s,
-        rep.final_rung,
-        rep.peak_rung,
-        rep.transitions.len(),
+        transitions.iter().map(|t| t.to).max().unwrap_or(0),
+        transitions.len(),
     );
-    for tr in &rep.transitions {
+    if !rep.conserves() {
+        return Err(format!("overload pass lost requests: {:?}", rep.stats));
+    }
+    for tr in &transitions {
         eprintln!(
             "  t={:.2}s rung {} -> {} (pressure {:.2})",
             tr.at_s, tr.from, tr.to, tr.pressure

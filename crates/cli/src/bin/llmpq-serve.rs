@@ -89,6 +89,15 @@ const USAGE: &str = "usage: llmpq-serve --mode serve|drive|soak
     (every 429/503 must carry a parseable Retry-After or the soak fails)
     [--help]";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &[
+    "mode", "engine", "rungs", "blocks", "block-tokens", "mem-budget-mb", "vocab", "seed",
+    "token-budget", "max-batch", "prefill-chunk", "policy", "max-queue", "admission",
+    "queue-timeout-s", "deadline-ms", "degrade", "swap-at", "swap-rung", "addr", "max-tokens-cap",
+    "requests", "rate", "workload", "duration", "prompt-len", "gen", "compare-static",
+    "batch-size", "max-wait-s", "keep-outputs", "clients", "per-client", "help",
+];
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!("{USAGE}");
@@ -552,7 +561,7 @@ fn run_soak(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Result
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => return fail(&e.to_string()),
     };

@@ -10,11 +10,12 @@
 //!
 //! Failure injection goes through the [`crate::fault::FaultPlan`] DSL
 //! (which replaced the earlier ad-hoc `fail_stage_after` /
-//! `fail_schedule` tuples). [`run_pipeline`] and
-//! [`run_pipeline_recoverable`] detect failures by channel disconnect
-//! only; [`crate::supervisor::run_pipeline_supervised`] adds heartbeat
-//! and progress timeouts so hung stages and dropped messages are caught
-//! too, plus replan-on-device-loss.
+//! `fail_schedule` tuples). [`run_pipeline`] detects failures by channel
+//! disconnect only and reports them;
+//! [`crate::supervisor::run_pipeline_supervised`] restarts from the
+//! lock-step token checkpoint and adds heartbeat and progress timeouts
+//! so hung stages and dropped messages are caught too, plus
+//! replan-on-device-loss.
 
 use crate::clock::{real_clock, Clock};
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
@@ -484,75 +485,6 @@ pub(crate) fn bits_label(stage: &StagePlan) -> Arc<str> {
     let joined =
         stage.bits.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(",");
     Arc::from(joined.as_str())
-}
-
-/// Like [`run_pipeline`], but recovers from stage-worker failures: on a
-/// crash the surviving progress is checkpointed (ragged sequences are
-/// truncated to lock-step), the failed stage's weights are reloaded via
-/// the on-the-fly quantizer — the fast-recovery path §5 motivates — and
-/// generation resumes by re-prefilling `prompt ++ generated-so-far`
-/// (greedy decoding makes the resume exact). Returns the output plus the
-/// number of restarts taken.
-///
-/// `faults` optionally injects failures (use
-/// [`FaultPlan::crash_schedule`] for the old per-attempt tuple
-/// semantics); real deployments pass `None`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_recoverable(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    rounding: Rounding,
-    seed: u64,
-    max_restarts: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<(RuntimeOutput, usize), RuntimeError> {
-    validate_inputs(checkpoint, plan, prompts, n_generate, faults)?;
-    let clock = real_clock();
-    let start = clock.now();
-    let (stage_weights, loader_stats) = load_all_stages(checkpoint, plan, rounding, seed);
-    let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
-    let sink: MetricsSink =
-        Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); plan.stages.len()]));
-    let injector = faults.map(FaultInjector::new);
-    let mut attempt = 0usize;
-    loop {
-        if let Some(inj) = &injector {
-            inj.begin_attempt(attempt);
-        }
-        let sup = AttemptSupervision {
-            injector: injector.clone(),
-            clock: clock.clone(),
-            ..AttemptSupervision::default()
-        };
-        match run_attempt(checkpoint, plan, prompts, &mut tokens, n_generate, &stage_weights, &sup, &sink, None) {
-            Ok(()) => {
-                let stage_metrics = sink.lock().clone();
-                return Ok((
-                    RuntimeOutput {
-                        tokens,
-                        loader_stats,
-                        wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics,
-                    },
-                    attempt,
-                ));
-            }
-            Err(e) => {
-                if attempt >= max_restarts {
-                    return Err(e);
-                }
-                // Checkpoint: truncate ragged progress to lock-step so the
-                // resume decodes every sequence from the same step.
-                checkpoint_lockstep(&mut tokens);
-                attempt += 1;
-                // In a real deployment only the dead stage reloads; the
-                // module-level loader makes that cheap. Here stage weights
-                // are immutable and shared, so reload is implicit.
-            }
-        }
-    }
 }
 
 /// Truncate ragged progress to the shortest sequence so every sequence
@@ -1048,100 +980,6 @@ mod tests {
             run_pipeline(&m, &good, &[vec![1]], 4, Rounding::Deterministic, 0, Some(&faults)),
             Err(RuntimeError::BadPlan(_))
         ));
-    }
-
-    #[test]
-    fn recovery_resumes_and_matches_sequential() {
-        // Stage 1 dies after two work items on the first attempt; the
-        // recoverable runner must restart, resume from the checkpoint,
-        // and still produce exactly the sequential reference tokens.
-        let m = model();
-        let bits = vec![Bitwidth::Int8, Bitwidth::Int4];
-        let prompts = vec![vec![1, 2, 3], vec![7, 8], vec![4, 5, 6]];
-        let faults = FaultPlan::crash_schedule(&[(1, 2)]); // attempt 0: stage 1 dies after 2 items
-        let (out, restarts) = run_pipeline_recoverable(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 3, 3)),
-            &prompts,
-            7,
-            Rounding::Deterministic,
-            0,
-            3,
-            Some(&faults),
-        )
-        .expect("recovered");
-        assert_eq!(restarts, 1, "exactly one restart");
-        let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
-        for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.tokens[i], qm.generate(p, 7, 0.0, 0).tokens, "sequence {i}");
-        }
-    }
-
-    #[test]
-    fn recovery_survives_repeated_failures() {
-        let m = model();
-        let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
-        let prompts = vec![vec![1, 2], vec![3, 4]];
-        let faults = FaultPlan::crash_schedule(&[(0, 1), (1, 3)]); // two consecutive crashes
-        let (out, restarts) = run_pipeline_recoverable(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 2, 2)),
-            &prompts,
-            6,
-            Rounding::Deterministic,
-            0,
-            5,
-            Some(&faults),
-        )
-        .expect("recovered");
-        assert_eq!(restarts, 2);
-        let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
-        assert_eq!(out.tokens[0], qm.generate(&prompts[0], 6, 0.0, 0).tokens);
-    }
-
-    #[test]
-    fn recovery_gives_up_after_max_restarts() {
-        let m = model();
-        let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
-        let prompts = vec![vec![1, 2]];
-        // Every attempt crashes, but only one restart is allowed.
-        let faults = FaultPlan::crash_schedule(&[(0, 0), (0, 0), (0, 0)]);
-        let res = run_pipeline_recoverable(
-            &m,
-            &plan(bits, 1, mb(1, 1, 1)),
-            &prompts,
-            6,
-            Rounding::Deterministic,
-            0,
-            1,
-            Some(&faults),
-        );
-        assert!(matches!(
-            res,
-            Err(RuntimeError::WorkerDied(_) | RuntimeError::StageDisconnected(_))
-        ));
-    }
-
-    #[test]
-    fn recovery_without_failures_is_plain_run() {
-        let m = model();
-        let bits = vec![Bitwidth::Int4, Bitwidth::Int8];
-        let prompts = vec![vec![9, 1, 2]];
-        let (out, restarts) = run_pipeline_recoverable(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 1, 1)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            3,
-            None,
-        )
-        .unwrap();
-        assert_eq!(restarts, 0);
-        let plain = run_pipeline(&m, &plan(bits, 1, mb(1, 1, 1)), &prompts, 5, Rounding::Deterministic, 0, None)
-            .unwrap();
-        assert_eq!(out.tokens, plain.tokens);
     }
 
     #[test]

@@ -21,11 +21,14 @@
 //!   recorders (latency histograms, queue depths, KV occupancy, restart
 //!   counters) and span-style micro-batch lifecycle traces, exportable
 //!   as a Chrome `trace_event` JSON or a plain-text metrics snapshot;
-//! * an **overload-control layer** ([`overload`]): bounded inter-stage
-//!   queues with backpressure to the master, an admission controller
-//!   (reject / deadline-shed / queue-timeout), a KV-cache pressure
-//!   guard that preempts-and-requeues rather than overrunning memory,
-//!   and a graceful-degradation controller that walks a precomputed
+//! * one **serving loop** ([`serve`]): iteration-level continuous
+//!   batching over a paged KV pool ([`kvpool`]) that preempts and
+//!   requeues rather than overrunning memory, driving any
+//!   [`StepEngine`] — analytic, local model, or the distributed stage
+//!   ring ([`serve_dist`]) — behind the HTTP front door ([`http`]);
+//! * the **overload controllers** it consults ([`overload`]): an
+//!   admission controller (reject / deadline-shed / queue-timeout) and
+//!   a graceful-degradation controller that walks a precomputed
 //!   quantization ladder under sustained pressure.
 //!
 //! The runtime executes the *real* reference transformer: its tokens are
@@ -55,9 +58,7 @@ pub use elastic::{
     FleetAlarms, FleetController, FleetEvent, FleetEventKind, FleetView, PlanFailure,
     PolicyVerdict, ReplanPolicy,
 };
-pub use engine::{
-    run_pipeline, run_pipeline_observed, run_pipeline_recoverable, RuntimeError, RuntimeOutput,
-};
+pub use engine::{run_pipeline, run_pipeline_observed, RuntimeError, RuntimeOutput};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, Heartbeats};
 pub use http::{
     parse_completion, read_request, run_http_server, CompletionRequest, HttpLimits, HttpParseError,
@@ -79,9 +80,8 @@ pub use net::fault::{WireDir, WireFaultEvent, WireFaultKind, WireFaultPlan};
 pub use net::transport::{ChannelTransport, TcpTransport, Transport};
 pub use net::wire::plan_fingerprint;
 pub use overload::{
-    poisson_requests, serve, AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats,
-    BatchEngine, DegradationConfig, DegradationController, KvGuardConfig, PipelineEngine, Request,
-    RungTransition, ServeConfig, ServeReport, SimEngine,
+    poisson_requests, AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats,
+    DegradationConfig, DegradationController, Request, RungTransition,
 };
 pub use serve::{
     serve_continuous, serve_static, sim_oracle_tokens, ContinuousConfig, ContinuousReport,

@@ -1,23 +1,18 @@
-//! Overload control: admission, KV-pressure guarding, and graceful
-//! degradation down a precomputed quantization ladder.
+//! Overload control: admission and graceful degradation down a
+//! precomputed quantization ladder.
 //!
 //! A serving deployment sized for the steady state will sooner or later
 //! see more offered load than it can clear. Without protection the
 //! arrival queue grows without bound, every request's latency diverges,
-//! and the KV cache eventually overruns device memory — the system does
-//! maximum work for zero goodput. This module keeps the pipeline stable
-//! past saturation with three cooperating mechanisms:
+//! and the system does maximum work for zero goodput. This module holds
+//! the two controllers the serving loop
+//! ([`ContinuousScheduler`](crate::serve::ContinuousScheduler)) consults
+//! every iteration to stay stable past saturation:
 //!
 //! * an **admission controller** in front of the arrival queue with a
 //!   pluggable [`AdmissionPolicy`]: hard rejection at a queue bound,
 //!   deadline-aware shedding (requests that would miss their SLO are
 //!   dropped *before* consuming compute), or queue-with-timeout;
-//! * a **KV-cache pressure guard**: batch assembly is gated on the KV
-//!   bytes each request will pin (from the `cost` crate's memory model,
-//!   supplied by the caller as a byte budget), and when a higher-
-//!   priority request cannot fit, the lowest-priority in-flight request
-//!   is *preempted* — requeued at the front, not lost — instead of
-//!   letting the cache overrun;
 //! * a **degradation controller** ([`DegradationController`]) that walks
 //!   a precomputed ladder of plans (`llm_pq::degradation_ladder` — each
 //!   rung re-runs Algorithm 1 with the bitwidth menu capped, trading ω
@@ -25,22 +20,13 @@
 //!   watermark, and walks back up when pressure clears, with dwell-based
 //!   hysteresis so a noisy queue doesn't make quality flap.
 //!
-//! The serving loop ([`serve`]) runs on a virtual clock, so tests and
-//! the `ablation_overload` bench are deterministic and fast; the
-//! [`BatchEngine`] trait abstracts what a "batch" costs, with
-//! [`SimEngine`] (closed-form rung costs) for sweeps and
-//! [`PipelineEngine`] (the real supervised thread pipeline per batch)
-//! for end-to-end soak tests.
+//! KV pressure is the scheduler's job (paged
+//! [`KvPool`](crate::kvpool::KvPool), priority-ordered
+//! preempt-and-recompute); [`poisson_requests`] generates the seeded
+//! arrival traces the tests and the `ablation_overload` bench replay.
 
-use crate::fault::FaultPlan;
-use crate::migrate::{run_pipeline_with_swap, SwapReport, SwapRequest};
-use crate::supervisor::{run_pipeline_supervised, FoldReplanner, SupervisorConfig};
-use crate::telemetry::Telemetry;
-use llm_pq::ExecutionPlan;
-use llmpq_model::RefModel;
-use llmpq_quant::Rounding;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// What the admission controller does when the queue is stressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,7 +87,7 @@ impl Default for AdmissionConfig {
 /// One serving request on the virtual clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
-    /// Caller-assigned id, unique within a [`serve`] run.
+    /// Caller-assigned id, unique within a serving run.
     pub id: usize,
     /// Arrival time, seconds on the virtual clock.
     pub arrival_s: f64,
@@ -111,7 +97,7 @@ pub struct Request {
     pub n_generate: usize,
     /// Absolute SLO deadline (virtual-clock seconds), if any.
     pub deadline_s: Option<f64>,
-    /// Larger = more important; the KV guard preempts the smallest.
+    /// Larger = more important; KV preemption evicts the smallest.
     pub priority: u32,
 }
 
@@ -126,8 +112,8 @@ pub struct AdmissionStats {
     pub admitted: usize,
     /// Requests that completed execution.
     pub served: usize,
-    /// Requests dropped by policy (queue full, KV force-shed, retries
-    /// exhausted).
+    /// Requests dropped by policy (queue full, infeasible for the KV
+    /// pool or model context).
     pub shed: usize,
     /// Requests dropped because their deadline or queue timeout passed.
     pub expired: usize,
@@ -238,7 +224,7 @@ impl AdmissionController {
         self.queue.pop_front()
     }
 
-    /// Put a preempted or retried request back at the *front* so it is
+    /// Put a preempted or recovered request back at the *front* so it is
     /// the next to run — preemption must not also cost queue position.
     pub fn requeue_front(&mut self, req: Request) {
         self.queue.push_front(req);
@@ -249,8 +235,8 @@ impl AdmissionController {
         self.stats.served += n;
     }
 
-    /// Record `n` requests dropped outside the queue (force-shed,
-    /// retries exhausted).
+    /// Record `n` requests dropped after leaving the queue (found
+    /// infeasible at join).
     pub fn note_shed(&mut self, n: usize) {
         self.stats.shed += n;
     }
@@ -278,24 +264,6 @@ impl AdmissionController {
     /// Counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
         self.stats
-    }
-}
-
-/// KV-cache budget the guard enforces during batch assembly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KvGuardConfig {
-    /// Total KV-cache byte budget across in-flight requests — derived
-    /// from the cost model's per-device memory ledger by the caller.
-    pub budget_bytes: f64,
-    /// Fraction of the budget held back as headroom (activation spikes,
-    /// fragmentation). `0.1` leaves 10% free.
-    pub headroom: f64,
-}
-
-impl KvGuardConfig {
-    /// The budget actually available to batch assembly.
-    pub fn effective_budget(&self) -> f64 {
-        self.budget_bytes * (1.0 - self.headroom.clamp(0.0, 1.0))
     }
 }
 
@@ -389,464 +357,6 @@ impl DegradationController {
     /// Every transition taken so far.
     pub fn transitions(&self) -> &[RungTransition] {
         &self.transitions
-    }
-}
-
-/// What executes a batch: the serving loop is generic over this so the
-/// same admission/guard/ladder logic drives both closed-form sweeps and
-/// the real thread pipeline.
-pub trait BatchEngine {
-    /// Rungs available (1 = no degradation possible).
-    fn n_rungs(&self) -> usize;
-    /// Largest batch the engine will take.
-    fn max_batch(&self) -> usize;
-    /// KV bytes this request pins while in flight.
-    fn kv_demand(&self, req: &Request) -> f64;
-    /// Execute `batch` at `rung`; returns the batch wall time in
-    /// virtual-clock seconds, or an error (the loop requeues and
-    /// retries the batch's requests).
-    fn run_batch(&mut self, rung: usize, batch: &[Request]) -> Result<f64, String>;
-}
-
-/// Closed-form engine for sweeps and property tests: each rung has a
-/// `(base_s, per_request_s)` affine cost, optionally failing every k-th
-/// call, and records exactly which request ids it executed.
-#[derive(Debug)]
-pub struct SimEngine {
-    /// Per-rung `(base_s, per_request_s)`; rung order must match the
-    /// ladder (faster at higher index).
-    pub rung_cost_s: Vec<(f64, f64)>,
-    /// Batch size cap.
-    pub max_batch: usize,
-    /// KV bytes pinned per token (prompt + generated).
-    pub kv_per_token: f64,
-    /// `Some(k)`: every k-th `run_batch` call fails (retry-path tests).
-    pub fail_every: Option<usize>,
-    calls: usize,
-    /// `(rung, ids)` of every batch that actually executed.
-    pub executed: Vec<(usize, Vec<usize>)>,
-}
-
-impl SimEngine {
-    /// Engine with the given per-rung costs and no failures.
-    pub fn new(rung_cost_s: Vec<(f64, f64)>, max_batch: usize, kv_per_token: f64) -> Self {
-        Self { rung_cost_s, max_batch, kv_per_token, fail_every: None, calls: 0, executed: Vec::new() }
-    }
-
-    /// Ids of every request ever executed (possibly with repeats if a
-    /// request was preempted mid-assembly and re-run — execution itself
-    /// is atomic, so no id repeats in practice).
-    pub fn executed_ids(&self) -> Vec<usize> {
-        self.executed.iter().flat_map(|(_, ids)| ids.iter().copied()).collect()
-    }
-}
-
-impl BatchEngine for SimEngine {
-    fn n_rungs(&self) -> usize {
-        self.rung_cost_s.len().max(1)
-    }
-    fn max_batch(&self) -> usize {
-        self.max_batch.max(1)
-    }
-    fn kv_demand(&self, req: &Request) -> f64 {
-        (req.prompt.len() + req.n_generate) as f64 * self.kv_per_token
-    }
-    fn run_batch(&mut self, rung: usize, batch: &[Request]) -> Result<f64, String> {
-        self.calls += 1;
-        if self.fail_every.is_some_and(|k| k > 0 && self.calls.is_multiple_of(k)) {
-            return Err(format!("injected engine failure on call {}", self.calls));
-        }
-        let (base, per) = self.rung_cost_s.get(rung).copied().unwrap_or((0.01, 0.001));
-        self.executed.push((rung, batch.iter().map(|r| r.id).collect()));
-        Ok(base + per * batch.len() as f64)
-    }
-}
-
-/// Engine that runs each batch through the *real* supervised thread
-/// pipeline (one plan per ladder rung), so overload control composes
-/// with fault injection and restarts end to end. Batch wall time on the
-/// virtual clock is the measured wall time of the supervised run.
-pub struct PipelineEngine {
-    /// Reference checkpoint.
-    pub checkpoint: RefModel,
-    /// One plan per ladder rung (rung 0 = full quality).
-    pub plans: Vec<ExecutionPlan>,
-    /// Supervisor tuning for each batch run.
-    pub supervisor: SupervisorConfig,
-    /// Fault plans applied round-robin to successive batches; empty for
-    /// a fault-free run.
-    pub fault_plans: Vec<FaultPlan>,
-    /// Weight rounding.
-    pub rounding: Rounding,
-    /// Quantization seed.
-    pub seed: u64,
-    /// Batch size cap.
-    pub max_batch: usize,
-    /// KV bytes per token for the guard.
-    pub kv_per_token: f64,
-    batches_run: usize,
-    /// Generated tokens per request id, for conservation checks.
-    pub outputs: HashMap<usize, Vec<usize>>,
-    /// Restarts the supervisor took across all batches.
-    pub restarts: usize,
-    /// Execute ladder transitions as *live* plan swaps: when the rung
-    /// changed since the previous batch, the batch starts on the old
-    /// rung's plan and hot-swaps to the new rung at the first token
-    /// boundary (two-phase protocol, KV handoff and all) instead of
-    /// cold-starting on the new plan. Falls back to a plain run when the
-    /// stage count differs (live swaps keep the pipeline shape).
-    pub live_swap: bool,
-    /// Two-phase swap reports from live rung transitions, in order.
-    pub swap_reports: Vec<SwapReport>,
-    last_rung: Option<usize>,
-}
-
-impl PipelineEngine {
-    /// New engine over `plans`; panics if `plans` is empty.
-    pub fn new(checkpoint: RefModel, plans: Vec<ExecutionPlan>, supervisor: SupervisorConfig) -> Self {
-        assert!(!plans.is_empty(), "PipelineEngine needs at least one plan");
-        Self {
-            checkpoint,
-            plans,
-            supervisor,
-            fault_plans: Vec::new(),
-            rounding: Rounding::Deterministic,
-            seed: 0,
-            max_batch: 4,
-            kv_per_token: 1.0,
-            batches_run: 0,
-            outputs: HashMap::new(),
-            restarts: 0,
-            live_swap: true,
-            swap_reports: Vec::new(),
-            last_rung: None,
-        }
-    }
-}
-
-impl BatchEngine for PipelineEngine {
-    fn n_rungs(&self) -> usize {
-        self.plans.len()
-    }
-    fn max_batch(&self) -> usize {
-        self.max_batch.max(1)
-    }
-    fn kv_demand(&self, req: &Request) -> f64 {
-        (req.prompt.len() + req.n_generate) as f64 * self.kv_per_token
-    }
-    fn run_batch(&mut self, rung: usize, batch: &[Request]) -> Result<f64, String> {
-        let plan = self.plans.get(rung).unwrap_or(&self.plans[0]).clone();
-        let prompts: Vec<Vec<usize>> = batch.iter().map(|r| r.prompt.clone()).collect();
-        let n_generate = batch.iter().map(|r| r.n_generate).max().unwrap_or(1);
-        let faults = if self.fault_plans.is_empty() {
-            None
-        } else {
-            Some(&self.fault_plans[self.batches_run % self.fault_plans.len()])
-        };
-        self.batches_run += 1;
-        let prev = self.last_rung.replace(rung);
-        let from_plan = prev
-            .filter(|&p| {
-                self.live_swap
-                    && p != rung
-                    && n_generate >= 2
-                    && self.plans.get(p).is_some_and(|fp| fp.stages.len() == plan.stages.len())
-            })
-            .map(|p| self.plans[p].clone());
-        if let Some(from) = from_plan {
-            // Ladder transition → live swap: the batch opens on the rung
-            // that was serving and commits the new rung's plan at the
-            // first token boundary via the two-phase protocol.
-            let out = run_pipeline_with_swap(
-                &self.checkpoint,
-                &from,
-                &prompts,
-                n_generate,
-                self.rounding,
-                self.seed,
-                &[SwapRequest { at_token: 1, plan }],
-                &self.supervisor,
-                faults,
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            self.restarts += out.restarts;
-            self.swap_reports.extend(out.swaps);
-            for (req, toks) in batch.iter().zip(&out.output.tokens) {
-                self.outputs.insert(req.id, toks.clone());
-            }
-            return Ok(out.output.wall_s);
-        }
-        let out = run_pipeline_supervised(
-            &self.checkpoint,
-            &plan,
-            &prompts,
-            n_generate,
-            self.rounding,
-            self.seed,
-            &self.supervisor,
-            faults,
-            Some(&FoldReplanner),
-        )
-        .map_err(|e| e.to_string())?;
-        self.restarts += out.restarts;
-        for (req, toks) in batch.iter().zip(&out.output.tokens) {
-            self.outputs.insert(req.id, toks.clone());
-        }
-        Ok(out.output.wall_s)
-    }
-}
-
-/// Serving-loop configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServeConfig {
-    /// Admission control.
-    pub admission: AdmissionConfig,
-    /// KV-cache guard; `None` disables KV gating and preemption.
-    pub kv_guard: Option<KvGuardConfig>,
-    /// Degradation hysteresis; `None` pins the engine to rung 0.
-    pub degradation: Option<DegradationConfig>,
-    /// Batches assembled per dispatch window (preemption needs ≥ 2 to
-    /// ever trigger across batches; within-batch it works at 1).
-    pub max_inflight: usize,
-    /// Engine failures tolerated per request before it is shed.
-    pub max_retries: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            admission: AdmissionConfig::default(),
-            kv_guard: None,
-            degradation: Some(DegradationConfig::default()),
-            max_inflight: 2,
-            max_retries: 2,
-        }
-    }
-}
-
-/// What a [`serve`] run did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeReport {
-    /// Final admission counters (`conserves(0)` holds on return).
-    pub stats: AdmissionStats,
-    /// On-time completed requests per second of makespan (requests with
-    /// no deadline count as on-time).
-    pub goodput_rps: f64,
-    /// All completed requests per second of makespan.
-    pub throughput_rps: f64,
-    /// Sojourn-time percentiles over served requests, seconds.
-    pub p50_sojourn_s: f64,
-    /// 95th percentile sojourn.
-    pub p95_sojourn_s: f64,
-    /// 99th percentile sojourn.
-    pub p99_sojourn_s: f64,
-    /// Every ladder transition taken.
-    pub transitions: Vec<RungTransition>,
-    /// Rung when the run ended.
-    pub final_rung: usize,
-    /// Deepest rung reached.
-    pub peak_rung: usize,
-    /// KV-guard preemptions (requeues, not losses).
-    pub preemptions: usize,
-    /// Virtual-clock end time.
-    pub makespan_s: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Run the overload-controlled serving loop on a virtual clock until
-/// every arrival has been served, shed, or expired.
-///
-/// Each iteration: admit arrivals up to *now*, reap expired waiters,
-/// sample queue pressure into the ladder controller (and telemetry),
-/// assemble a KV-gated dispatch window (preempting the lowest-priority
-/// selection when a higher-priority request doesn't fit), and execute
-/// the window's batches at the current rung. A request whose batch fails
-/// is requeued and retried up to [`ServeConfig::max_retries`] times,
-/// then shed. Termination is guaranteed: a request too large for the KV
-/// budget on its own is force-shed rather than spun on forever.
-pub fn serve(
-    engine: &mut dyn BatchEngine,
-    requests: &[Request],
-    cfg: &ServeConfig,
-    telemetry: Option<&Telemetry>,
-) -> ServeReport {
-    let mut arrivals: Vec<Request> = requests.to_vec();
-    arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-    let mut next = 0usize;
-
-    let mut admission = AdmissionController::new(cfg.admission);
-    let mut ladder = DegradationController::new(
-        cfg.degradation.unwrap_or(DegradationConfig { high: 2.0, low: -1.0, dwell: usize::MAX }),
-        engine.n_rungs(),
-    );
-    let mut now = 0.0f64;
-    let mut peak_rung = 0usize;
-    let mut preemptions = 0usize;
-    let mut retries: HashMap<usize, usize> = HashMap::new();
-    let mut sojourns: Vec<f64> = Vec::new();
-    let mut on_time = 0usize;
-
-    loop {
-        // 1. Admit everything that has arrived by now.
-        while next < arrivals.len() && arrivals[next].arrival_s <= now {
-            let req = arrivals[next].clone();
-            next += 1;
-            admission.offer(req, now);
-        }
-        // 2. Drop waiters the policy says are no longer worth serving.
-        admission.reap(now);
-        // Keep telemetry's view of shed/expired in sync with the
-        // controller's absolute counters.
-        if let Some(t) = telemetry {
-            let s = admission.stats();
-            t.sync_shed(s.shed as u64);
-            t.sync_expired(s.expired as u64);
-        }
-
-        // 3. Pressure sample → ladder + gauges.
-        let pressure = admission.pressure();
-        if let Some(t) = telemetry {
-            t.set_queue_pressure(pressure);
-        }
-        if cfg.degradation.is_some() {
-            ladder.observe(pressure, now);
-            peak_rung = peak_rung.max(ladder.rung());
-            if let Some(t) = telemetry {
-                t.set_rung(ladder.rung());
-            }
-        }
-
-        if admission.pending() == 0 {
-            match arrivals.get(next) {
-                // Idle: jump the virtual clock to the next arrival.
-                Some(r) => {
-                    now = now.max(r.arrival_s);
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        // 4. Assemble a KV-gated dispatch window.
-        let budget = cfg.kv_guard.map(|g| g.effective_budget());
-        let window_cap = engine.max_batch() * cfg.max_inflight.max(1);
-        let mut window: Vec<Request> = Vec::new();
-        let mut kv_used = 0.0f64;
-        while window.len() < window_cap {
-            let Some(candidate) = admission.take() else { break };
-            let demand = engine.kv_demand(&candidate);
-            let fits = budget.is_none_or(|b| kv_used + demand <= b);
-            if fits {
-                kv_used += demand;
-                window.push(candidate);
-                continue;
-            }
-            // Over budget. Preempt lower-priority selections to make
-            // room — requeue them at the front, never drop them.
-            let mut freed = false;
-            while let Some((idx, _)) = window
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.priority < candidate.priority)
-                .min_by_key(|(_, w)| w.priority)
-            {
-                let victim = window.remove(idx);
-                kv_used -= engine.kv_demand(&victim);
-                admission.requeue_front(victim);
-                preemptions += 1;
-                if let Some(t) = telemetry {
-                    t.note_preempted();
-                }
-                if budget.is_none_or(|b| kv_used + demand <= b) {
-                    freed = true;
-                    break;
-                }
-            }
-            if freed {
-                kv_used += demand;
-                window.push(candidate);
-            } else if window.is_empty() {
-                // The request exceeds the whole budget by itself: it can
-                // never run. Force-shed so the loop terminates.
-                admission.note_shed(1);
-                if let Some(t) = telemetry {
-                    let s = admission.stats();
-                    t.sync_shed(s.shed as u64);
-                }
-            } else {
-                // No preemptable room this window; run what we have.
-                admission.requeue_front(candidate);
-                break;
-            }
-        }
-
-        if window.is_empty() {
-            continue;
-        }
-
-        // 5. Execute the window batch by batch at the current rung.
-        for batch in window.chunks(engine.max_batch()) {
-            match engine.run_batch(ladder.rung(), batch) {
-                Ok(dt) => {
-                    now += dt.max(0.0);
-                    admission.note_served(batch.len());
-                    for r in batch {
-                        sojourns.push(now - r.arrival_s);
-                        if r.deadline_s.is_none_or(|d| now <= d) {
-                            on_time += 1;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Requeue (front, original order) and retry; shed a
-                    // request once it has burned its retry budget.
-                    for r in batch.iter().rev() {
-                        let tries = retries.entry(r.id).or_insert(0);
-                        *tries += 1;
-                        if *tries > cfg.max_retries {
-                            admission.note_shed(1);
-                        } else {
-                            admission.requeue_front(r.clone());
-                        }
-                    }
-                    if let Some(t) = telemetry {
-                        let s = admission.stats();
-                        t.sync_shed(s.shed as u64);
-                    }
-                }
-            }
-        }
-    }
-
-    sojourns.sort_by(f64::total_cmp);
-    let stats = admission.stats();
-    debug_assert!(stats.conserves(0), "request conservation violated: {stats:?}");
-    let makespan = now.max(f64::EPSILON);
-    if let Some(t) = telemetry {
-        t.sync_shed(stats.shed as u64);
-        t.sync_expired(stats.expired as u64);
-        t.set_rung(ladder.rung());
-    }
-    ServeReport {
-        stats,
-        goodput_rps: on_time as f64 / makespan,
-        throughput_rps: stats.served as f64 / makespan,
-        p50_sojourn_s: percentile(&sojourns, 0.50),
-        p95_sojourn_s: percentile(&sojourns, 0.95),
-        p99_sojourn_s: percentile(&sojourns, 0.99),
-        transitions: ladder.transitions().to_vec(),
-        final_rung: ladder.rung(),
-        peak_rung,
-        preemptions,
-        makespan_s: now,
     }
 }
 
@@ -971,124 +481,6 @@ mod tests {
         assert_eq!(c.rung(), 2, "clamped at the last rung");
         let t = c.transitions();
         assert!(t.iter().all(|tr| tr.from.abs_diff(tr.to) == 1), "single-rung steps only");
-    }
-
-    #[test]
-    fn serve_conserves_and_reports_sojourns() {
-        let reqs = poisson_requests(40, 10.0, 4, 4, 7).unwrap();
-        let mut eng = SimEngine::new(vec![(0.02, 0.01), (0.01, 0.004)], 4, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig { max_queue: 16, ..AdmissionConfig::default() },
-            ..ServeConfig::default()
-        };
-        let rep = serve(&mut eng, &reqs, &cfg, None);
-        assert!(rep.stats.conserves(0), "{:?}", rep.stats);
-        assert_eq!(rep.stats.offered, 40);
-        assert!(rep.stats.served > 0);
-        assert!(rep.p50_sojourn_s <= rep.p95_sojourn_s);
-        assert!(rep.p95_sojourn_s <= rep.p99_sojourn_s);
-        // Every served id was executed exactly once.
-        let ids = eng.executed_ids();
-        let mut uniq = ids.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(ids.len(), uniq.len(), "no request executed twice");
-        assert_eq!(ids.len(), rep.stats.served);
-    }
-
-    #[test]
-    fn overload_steps_down_and_recovers() {
-        // Rung 0 is far too slow for the offered rate; rung 1 clears it.
-        // The ladder must step down under pressure and step back up once
-        // the arrival burst has passed.
-        let mut reqs = poisson_requests(60, 50.0, 4, 4, 3).unwrap();
-        // A long quiet tail after the burst so pressure decays to zero
-        // while the loop still has observations to make.
-        for (i, r) in poisson_requests(10, 2.0, 4, 4, 4).unwrap().into_iter().enumerate() {
-            let mut r = r;
-            r.id = 100 + i;
-            r.arrival_s += 30.0;
-            reqs.push(r);
-        }
-        let mut eng = SimEngine::new(vec![(0.2, 0.05), (0.01, 0.002)], 4, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig { max_queue: 8, ..AdmissionConfig::default() },
-            degradation: Some(DegradationConfig { high: 0.7, low: 0.2, dwell: 2 }),
-            ..ServeConfig::default()
-        };
-        let rep = serve(&mut eng, &reqs, &cfg, None);
-        assert!(rep.peak_rung >= 1, "must have degraded: {:?}", rep.transitions);
-        assert_eq!(rep.final_rung, 0, "must recover when pressure clears: {:?}", rep.transitions);
-        assert!(rep.stats.conserves(0));
-        // Transitions are single-step and watermark-consistent.
-        for tr in &rep.transitions {
-            assert_eq!(tr.from.abs_diff(tr.to), 1);
-            if tr.to > tr.from {
-                assert!(tr.pressure >= 0.7, "step-down below high watermark: {tr:?}");
-            } else {
-                assert!(tr.pressure <= 0.2, "step-up above low watermark: {tr:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn kv_guard_preempts_low_priority_and_loses_nothing() {
-        // Budget fits two small requests; a high-priority arrival must
-        // push a low-priority one back into the queue, and everyone is
-        // eventually served.
-        let mut reqs = vec![
-            Request { id: 0, arrival_s: 0.0, prompt: vec![1; 4], n_generate: 4, deadline_s: None, priority: 0 },
-            Request { id: 1, arrival_s: 0.0, prompt: vec![1; 4], n_generate: 4, deadline_s: None, priority: 0 },
-            Request { id: 2, arrival_s: 0.0, prompt: vec![1; 4], n_generate: 4, deadline_s: None, priority: 5 },
-        ];
-        reqs[2].prompt = vec![1; 8]; // the VIP is also the biggest
-        let mut eng = SimEngine::new(vec![(0.01, 0.001)], 4, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig { max_queue: 8, ..AdmissionConfig::default() },
-            kv_guard: Some(KvGuardConfig { budget_bytes: 16.0, headroom: 0.0 }),
-            degradation: None,
-            max_inflight: 1,
-            max_retries: 2,
-        };
-        let rep = serve(&mut eng, &reqs, &cfg, None);
-        assert!(rep.preemptions >= 1, "the VIP must preempt a small request");
-        assert_eq!(rep.stats.served, 3, "preemption must not lose requests");
-        assert!(rep.stats.conserves(0));
-    }
-
-    #[test]
-    fn oversized_request_is_force_shed_not_spun_on() {
-        let reqs = vec![
-            Request { id: 0, arrival_s: 0.0, prompt: vec![1; 100], n_generate: 10, deadline_s: None, priority: 9 },
-            req(1, 0.0),
-        ];
-        let mut eng = SimEngine::new(vec![(0.01, 0.001)], 4, 1.0);
-        let cfg = ServeConfig {
-            kv_guard: Some(KvGuardConfig { budget_bytes: 20.0, headroom: 0.0 }),
-            degradation: None,
-            ..ServeConfig::default()
-        };
-        let rep = serve(&mut eng, &reqs, &cfg, None);
-        assert_eq!(rep.stats.shed, 1, "the whale is shed, the loop terminates");
-        assert_eq!(rep.stats.served, 1);
-        assert!(rep.stats.conserves(0));
-        assert!(!eng.executed_ids().contains(&0), "shed request never executes");
-    }
-
-    #[test]
-    fn engine_failures_retry_then_shed() {
-        let reqs: Vec<Request> = (0..6).map(|i| req(i, 0.0)).collect();
-        let mut eng = SimEngine::new(vec![(0.01, 0.001)], 2, 1.0);
-        eng.fail_every = Some(2); // every second batch call fails
-        let cfg = ServeConfig {
-            degradation: None,
-            max_retries: 3,
-            ..ServeConfig::default()
-        };
-        let rep = serve(&mut eng, &reqs, &cfg, None);
-        assert!(rep.stats.conserves(0), "{:?}", rep.stats);
-        assert_eq!(rep.stats.served + rep.stats.shed, 6);
-        assert!(rep.stats.served > 0, "retries must let some work through");
     }
 
     #[test]

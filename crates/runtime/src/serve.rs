@@ -39,7 +39,7 @@ use std::sync::Arc;
 use crate::kvpool::{KvPool, KvPoolConfig, PagedKvStore};
 use crate::overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, DegradationConfig,
-    DegradationController, Request,
+    DegradationController, Request, RungTransition,
 };
 use crate::telemetry::Telemetry;
 use llmpq_model::RefModel;
@@ -95,6 +95,23 @@ impl IterCost {
     /// Cost of an iteration with `p` prefill and `d` decode tokens.
     pub fn cost(&self, p: usize, d: usize) -> f64 {
         self.base_s + self.per_prefill_token_s * p as f64 + self.per_decode_token_s * d as f64
+    }
+
+    /// Fit the iteration cost of a plan from two points of its batch
+    /// cost: `c1` seconds to serve one request alone, `cb` seconds to
+    /// serve `b` together (each `prompt_len` prompt tokens, `n_generate`
+    /// generated). A batch replayed lock-step — one prefill iteration,
+    /// then `n_generate − 1` decode iterations — costs exactly the
+    /// affine `c1 + per·(batch − 1)` those points define: the intercept
+    /// spreads over the iterations, the slope over the request's tokens.
+    pub fn fit_batch(c1: f64, cb: f64, b: usize, prompt_len: usize, n_generate: usize) -> Self {
+        let per = if b > 1 { ((cb - c1) / (b - 1) as f64).max(0.0) } else { 0.0 };
+        let per_token = per / (prompt_len + n_generate).saturating_sub(1).max(1) as f64;
+        Self {
+            base_s: (c1 - per).max(1e-9) / n_generate.max(1) as f64,
+            per_prefill_token_s: per_token,
+            per_decode_token_s: per_token,
+        }
     }
 
     /// A degradation ladder of `n` rungs: rung 0 is full precision,
@@ -643,7 +660,7 @@ pub struct RungSwap {
 /// Continuous-batching scheduler parameters.
 #[derive(Debug, Clone)]
 pub struct ContinuousConfig {
-    /// Admission queue policy (shared with the batch serving loop).
+    /// Admission queue policy.
     pub admission: AdmissionConfig,
     /// Per-iteration token budget (prefill tokens + decode steps).
     pub token_budget: usize,
@@ -794,7 +811,7 @@ impl LatencySummary {
 }
 
 /// End-of-run summary for one serving run (continuous or static).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ContinuousReport {
     /// `"continuous"` or `"static"`.
     pub mode: String,
@@ -847,6 +864,48 @@ impl ContinuousReport {
     /// The conservation invariant: every offered request accounted for.
     pub fn conserves(&self) -> bool {
         self.stats.conserves(self.pending_end)
+    }
+
+    /// Everything derivable from the finished requests; the loop
+    /// counters (iterations, occupancy, KV peaks, preemptions, rung
+    /// changes) are left at zero for the caller to fill in.
+    fn from_finished(
+        mode: &str,
+        stats: AdmissionStats,
+        pending_end: usize,
+        makespan_s: f64,
+        outputs: Vec<FinishedRequest>,
+    ) -> Self {
+        let completed = outputs.len();
+        let on_time = outputs.iter().filter(|f| f.deadline_met).count();
+        let generated_tokens: u64 = outputs.iter().map(|f| f.tokens.len() as u64).sum();
+        let per_s = |n: f64| if makespan_s > 0.0 { n / makespan_s } else { 0.0 };
+        Self {
+            mode: mode.to_string(),
+            stats,
+            pending_end,
+            completed,
+            generated_tokens,
+            makespan_s,
+            throughput_tok_s: per_s(generated_tokens as f64),
+            goodput_rps: per_s(on_time as f64),
+            deadline_miss_rate: if completed > 0 {
+                (completed - on_time) as f64 / completed as f64
+            } else {
+                0.0
+            },
+            ttft: LatencySummary::from_samples(outputs.iter().map(|f| f.ttft_s).collect()),
+            tpot: LatencySummary::from_samples(
+                outputs
+                    .iter()
+                    .filter(|f| f.tokens.len() > 1)
+                    .map(|f| (f.sojourn_s - f.ttft_s).max(0.0) / (f.tokens.len() - 1) as f64)
+                    .collect(),
+            ),
+            sojourn: LatencySummary::from_samples(outputs.iter().map(|f| f.sojourn_s).collect()),
+            outputs,
+            ..Self::default()
+        }
     }
 }
 
@@ -978,6 +1037,12 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     /// Current degradation rung.
     pub fn rung(&self) -> usize {
         self.engine.rung()
+    }
+
+    /// Every degradation-ladder transition taken so far (empty when
+    /// degradation is off).
+    pub fn transitions(&self) -> &[RungTransition] {
+        self.degrade.as_ref().map_or(&[], |d| d.transitions())
     }
 
     /// One iteration: reap, join, interleave, reserve KV (preempting
@@ -1349,10 +1414,6 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             }
             true
         });
-        // Bump the preempt counter on the requeued request's future
-        // incarnation by remembering it in ttft_carry keyed bookkeeping:
-        // the count travels on the InFlight when it rejoins (see join —
-        // new InFlight starts at 0), so record globally instead.
     }
 
     fn sync_telemetry(&self) {
@@ -1367,45 +1428,45 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         }
     }
 
+    /// Replay `requests` (pre-sorted by `arrival_s`) on the virtual
+    /// clock until every one is served, shed or expired; returns the
+    /// makespan. Callers that need the live scheduler afterwards (rung
+    /// [`transitions`](Self::transitions), engine restart counters)
+    /// use this instead of [`serve_continuous`].
+    pub fn run_trace(&mut self, requests: &[Request]) -> Result<f64, String> {
+        let mut now = 0.0f64;
+        let mut idx = 0usize;
+        let mut makespan = 0.0f64;
+        loop {
+            while idx < requests.len() && requests[idx].arrival_s <= now + 1e-12 {
+                self.offer(requests[idx].clone(), now);
+                idx += 1;
+            }
+            let out = self.step(now).map_err(|e| e.to_string())?;
+            if out.idle {
+                if idx < requests.len() {
+                    now = requests[idx].arrival_s;
+                    continue;
+                }
+                if self.queued() == 0 && self.in_flight() == 0 {
+                    return Ok(makespan);
+                }
+                return Err(format!(
+                    "scheduler livelock: {} queued, {} in flight, nothing runnable",
+                    self.queued(),
+                    self.in_flight()
+                ));
+            }
+            now += out.cost_s;
+            makespan = now;
+        }
+    }
+
     /// Consume the scheduler into its end-of-run report.
     pub fn into_report(self, makespan_s: f64, mode: &str) -> ContinuousReport {
-        let stats = self.adm.stats();
-        let completed = self.finished_all.len();
-        let on_time = self.finished_all.iter().filter(|f| f.deadline_met).count();
-        let pending_end = self.adm.pending() + self.running.len();
-        let ttft = LatencySummary::from_samples(self.finished_all.iter().map(|f| f.ttft_s).collect());
-        let tpot = LatencySummary::from_samples(
-            self.finished_all
-                .iter()
-                .filter(|f| f.tokens.len() > 1)
-                .map(|f| (f.sojourn_s - f.ttft_s).max(0.0) / (f.tokens.len() - 1) as f64)
-                .collect(),
-        );
-        let sojourn =
-            LatencySummary::from_samples(self.finished_all.iter().map(|f| f.sojourn_s).collect());
         ContinuousReport {
-            mode: mode.to_string(),
-            stats,
-            pending_end,
-            completed,
-            generated_tokens: self.finished_all.iter().map(|f| f.tokens.len() as u64).sum(),
             prefill_tokens: self.prefill_tokens,
             iterations: self.iterations,
-            makespan_s,
-            throughput_tok_s: if makespan_s > 0.0 {
-                self.finished_all.iter().map(|f| f.tokens.len() as f64).sum::<f64>() / makespan_s
-            } else {
-                0.0
-            },
-            goodput_rps: if makespan_s > 0.0 { on_time as f64 / makespan_s } else { 0.0 },
-            deadline_miss_rate: if completed > 0 {
-                (completed - on_time) as f64 / completed as f64
-            } else {
-                0.0
-            },
-            ttft,
-            tpot,
-            sojourn,
             mean_batch_occupancy: if self.iterations > 0 {
                 self.occupancy_sum / self.iterations as f64
             } else {
@@ -1416,7 +1477,13 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             kv_peak_blocks: self.engine.pool().stats().peak_blocks,
             preemptions: self.preemptions,
             rung_transitions: self.rung_transitions,
-            outputs: self.finished_all,
+            ..ContinuousReport::from_finished(
+                mode,
+                self.adm.stats(),
+                self.adm.pending() + self.running.len(),
+                makespan_s,
+                self.finished_all,
+            )
         }
     }
 }
@@ -1435,32 +1502,7 @@ pub fn serve_continuous<E: StepEngine>(
     if let Some(t) = telemetry {
         sched = sched.with_telemetry(t);
     }
-    let mut now = 0.0f64;
-    let mut idx = 0usize;
-    let mut makespan = 0.0f64;
-    loop {
-        while idx < requests.len() && requests[idx].arrival_s <= now + 1e-12 {
-            sched.offer(requests[idx].clone(), now);
-            idx += 1;
-        }
-        let out = sched.step(now).map_err(|e| e.to_string())?;
-        if out.idle {
-            if idx < requests.len() {
-                now = requests[idx].arrival_s;
-                continue;
-            }
-            if sched.queued() == 0 && sched.in_flight() == 0 {
-                break;
-            }
-            return Err(format!(
-                "scheduler livelock: {} queued, {} in flight, nothing runnable",
-                sched.queued(),
-                sched.in_flight()
-            ));
-        }
-        now += out.cost_s;
-        makespan = now;
-    }
+    let makespan = sched.run_trace(requests)?;
     Ok(sched.into_report(makespan, "continuous"))
 }
 
@@ -1610,52 +1652,14 @@ pub fn serve_static<E: StepEngine>(
         makespan = end;
     }
 
-    let stats = adm.stats();
-    let completed = finished_all.len();
-    let on_time = finished_all.iter().filter(|f| f.deadline_met).count();
-    let ttft = LatencySummary::from_samples(finished_all.iter().map(|f| f.ttft_s).collect());
-    let tpot = LatencySummary::from_samples(
-        finished_all
-            .iter()
-            .filter(|f| f.tokens.len() > 1)
-            .map(|f| (f.sojourn_s - f.ttft_s).max(0.0) / (f.tokens.len() - 1) as f64)
-            .collect(),
-    );
-    let sojourn = LatencySummary::from_samples(finished_all.iter().map(|f| f.sojourn_s).collect());
     Ok(ContinuousReport {
-        mode: "static".to_string(),
-        stats,
-        pending_end: adm.pending(),
-        completed,
-        generated_tokens: finished_all.iter().map(|f| f.tokens.len() as u64).sum(),
         prefill_tokens,
         iterations,
-        makespan_s: makespan,
-        throughput_tok_s: if makespan > 0.0 {
-            finished_all.iter().map(|f| f.tokens.len() as f64).sum::<f64>() / makespan
-        } else {
-            0.0
-        },
-        goodput_rps: if makespan > 0.0 { on_time as f64 / makespan } else { 0.0 },
-        deadline_miss_rate: if completed > 0 {
-            (completed - on_time) as f64 / completed as f64
-        } else {
-            0.0
-        },
-        ttft,
-        tpot,
-        sojourn,
-        mean_batch_occupancy: if iterations > 0 {
-            occupancy_sum / iterations as f64
-        } else {
-            0.0
-        },
+        mean_batch_occupancy: if iterations > 0 { occupancy_sum / iterations as f64 } else { 0.0 },
         peak_batch,
         kv_peak_occupancy: kv_peak,
         kv_peak_blocks: engine.pool().stats().peak_blocks,
-        preemptions: 0,
-        rung_transitions: 0,
-        outputs: finished_all,
+        ..ContinuousReport::from_finished("static", adm.stats(), adm.pending(), makespan, finished_all)
     })
 }
 
@@ -1806,7 +1810,7 @@ mod tests {
     }
 
     #[test]
-    fn degradation_rungs_engage_under_overload() {
+    fn degradation_rungs_engage_under_overload_and_recover() {
         let cfg = ContinuousConfig {
             admission: AdmissionConfig { max_queue: 32, ..AdmissionConfig::default() },
             degradation: Some(DegradationConfig { high: 0.5, low: 0.1, dwell: 2 }),
@@ -1814,10 +1818,23 @@ mod tests {
             max_batch: 8,
             ..ContinuousConfig::default()
         };
-        let reqs = trace(400, 2000.0, 19);
-        let report = serve_continuous(sim_engine(2048), &reqs, cfg, None).unwrap();
+        // A burst far past capacity, then a quiet tail so pressure
+        // decays while the loop still has observations to make.
+        let mut reqs = trace(400, 2000.0, 19);
+        let burst_end = reqs.last().unwrap().arrival_s;
+        for (i, mut r) in trace(20, 5.0, 20).into_iter().enumerate() {
+            r.id = 400 + i;
+            r.arrival_s += burst_end + 1.0;
+            reqs.push(r);
+        }
+        let mut sched = ContinuousScheduler::new(sim_engine(2048), cfg).unwrap();
+        let makespan = sched.run_trace(&reqs).unwrap();
+        let peak = sched.transitions().iter().map(|t| t.to).max().unwrap_or(0);
+        assert!(peak >= 1, "sustained overload must climb the ladder");
+        assert_eq!(sched.rung(), 0, "must recover when pressure clears: {:?}", sched.transitions());
+        let report = sched.into_report(makespan, "continuous");
         assert!(report.conserves());
-        assert!(report.rung_transitions > 0, "sustained overload must climb the ladder");
+        assert!(report.rung_transitions >= 2, "down and back up");
     }
 
     #[test]
@@ -1969,6 +1986,15 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(err.contains("memory budget"), "{err}");
+    }
+
+    #[test]
+    fn fitted_iter_cost_reproduces_the_batch_costs() {
+        let (c1, cb, b, p, g) = (1.8, 2.5, 8usize, 32usize, 32usize);
+        let c = IterCost::fit_batch(c1, cb, b, p, g);
+        let lockstep = |n: usize| c.cost(n * p, 0) + (g - 1) as f64 * c.cost(0, n);
+        assert!((lockstep(1) - c1).abs() < 1e-9);
+        assert!((lockstep(b) - cb).abs() < 1e-9);
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //! no unseeded randomness. `engine::drive_generation` and
 //! `worker::run_worker_transport` — the actual production loops — run
 //! unchanged inside the simulation; only the transport and the clock
-//! are swapped. (`crate::overload::serve` already honors the
-//! contract by construction: it runs entirely on an `f64` virtual
-//! clock and never reads the wall clock.)
+//! are swapped. (The serving loop,
+//! [`ContinuousScheduler`](crate::serve::ContinuousScheduler), honors
+//! the contract by construction: every entry point takes `now` and it
+//! never reads a clock of its own.)
 
 mod conn;
 mod elastic;

@@ -1,11 +1,11 @@
 //! Pipeline supervision: heartbeat/timeout failure detection, bounded
 //! restarts with exponential backoff, and replan-on-device-loss.
 //!
-//! [`run_pipeline_recoverable`](crate::run_pipeline_recoverable) only
-//! notices failures when a channel disconnects — a *dead* worker. A
-//! production pipeline also sees workers that are alive but wedged
-//! (driver hang, network partition) and devices that are gone for good.
-//! The supervisor closes both gaps:
+//! [`run_pipeline`](crate::run_pipeline) only notices failures when a
+//! channel disconnects — a *dead* worker — and gives up. A production
+//! pipeline must resume, and also sees workers that are alive but
+//! wedged (driver hang, network partition) and devices that are gone
+//! for good. The supervisor covers all three:
 //!
 //! * every stage worker stamps a [`Heartbeats`] slot on each channel
 //!   tick; the master flags a stage whose stamp goes stale

@@ -689,8 +689,8 @@ impl Telemetry {
     }
 
     /// Overwrite the shed counter with an authoritative total — for
-    /// loops (like `overload::serve`) that own the canonical count and
-    /// mirror it into the hub rather than incrementing in two places.
+    /// loops (like `ContinuousScheduler`) that own the canonical count
+    /// and mirror it into the hub rather than incrementing in two places.
     pub fn sync_shed(&self, total: u64) {
         self.shed.store(total, Ordering::Relaxed);
     }

@@ -1,15 +1,19 @@
 //! Property tests for the overload-control layer: under arbitrary
-//! arrival traces, policies, KV budgets, and injected engine failures,
-//! the serving loop conserves requests (served + shed + expired ==
-//! offered), never executes a request it shed, and only moves the
-//! degradation ladder one watermark-consistent rung at a time.
+//! arrival traces, policies, queue bounds and KV pool sizes, the serving
+//! loop conserves requests (served + shed + expired == offered), never
+//! outputs a request it shed, and only moves the degradation ladder one
+//! watermark-consistent rung at a time.
 
 use llmpq_runtime::{
-    poisson_requests, serve, AdmissionConfig, AdmissionPolicy, DegradationConfig, KvGuardConfig,
-    Request, ServeConfig, SimEngine,
+    poisson_requests, serve_continuous, sim_oracle_tokens, AdmissionConfig, AdmissionPolicy,
+    ContinuousConfig, ContinuousScheduler, DegradationConfig, IterCost, KvPoolConfig, Request,
+    SimStepEngine,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+const VOCAB: usize = 97;
+const SEED: u64 = 42;
 
 fn policy_strategy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![
@@ -19,11 +23,27 @@ fn policy_strategy() -> impl Strategy<Value = AdmissionPolicy> {
     ]
 }
 
+/// Engine whose rung `r` costs `1/(r+1)` of rung 0: a lone 4+4-token
+/// request takes ~60 ms at rung 0, so the rates below straddle capacity.
+fn engine(n_rungs: usize, n_blocks: usize) -> SimStepEngine {
+    let costs = (0..n_rungs.max(1))
+        .map(|r| {
+            let f = 1.0 / (r + 1) as f64;
+            IterCost { base_s: 0.012 * f, per_prefill_token_s: 0.001 * f, per_decode_token_s: 0.002 * f }
+        })
+        .collect();
+    SimStepEngine::new(KvPoolConfig { n_blocks, block_tokens: 4 }, costs, VOCAB, SEED)
+}
+
+fn cfg(admission: AdmissionConfig, degradation: Option<DegradationConfig>) -> ContinuousConfig {
+    ContinuousConfig { admission, degradation, max_batch: 3, ..ContinuousConfig::default() }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every offered request ends up in exactly one terminal bucket, for
-    /// any policy, rate, queue bound, and failure cadence.
+    /// any policy, rate, queue bound, and KV pool size.
     #[test]
     fn serve_conserves_requests(
         seed in 0u64..500,
@@ -31,37 +51,33 @@ proptest! {
         n in 1usize..80,
         max_queue in 1usize..24,
         policy in policy_strategy(),
-        fail_every_raw in 0usize..6,
-        max_retries in 0usize..3,
+        n_blocks in 2usize..32,
     ) {
         let requests = poisson_requests(n, rate, 4, 4, seed).unwrap();
-        let mut engine = SimEngine::new(vec![(0.05, 0.01), (0.01, 0.002)], 3, 1.0);
-        // 0 and 1 mean "never fail"; 2..6 fail every k-th batch call.
-        engine.fail_every = (fail_every_raw >= 2).then_some(fail_every_raw);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig {
-                policy,
-                max_queue,
-                default_deadline_s: Some(0.5),
-                queue_timeout_s: 0.3,
-            },
-            kv_guard: None,
-            degradation: Some(DegradationConfig::default()),
-            max_inflight: 2,
-            max_retries,
+        let admission = AdmissionConfig {
+            policy,
+            max_queue,
+            default_deadline_s: Some(0.5),
+            queue_timeout_s: 0.3,
         };
-        let rep = serve(&mut engine, &requests, &cfg, None);
+        let rep = serve_continuous(
+            engine(2, n_blocks),
+            &requests,
+            cfg(admission, Some(DegradationConfig::default())),
+            None,
+        )
+        .unwrap();
         prop_assert_eq!(rep.stats.offered, n);
+        prop_assert_eq!(rep.pending_end, 0);
         prop_assert!(
-            rep.stats.conserves(0),
+            rep.conserves(),
             "offered {} != served {} + shed {} + expired {}",
             rep.stats.offered, rep.stats.served, rep.stats.shed, rep.stats.expired
         );
     }
 
-    /// A shed or expired request never reaches the engine's execute
-    /// path — shedding happens *before* compute is spent — and no served
-    /// request executes twice.
+    /// A shed or expired request never appears in the outputs, and no
+    /// served request is output twice.
     #[test]
     fn no_compute_after_shed(
         seed in 0u64..500,
@@ -71,61 +87,50 @@ proptest! {
         policy in policy_strategy(),
     ) {
         let requests = poisson_requests(n, rate, 4, 4, seed).unwrap();
-        let mut engine = SimEngine::new(vec![(0.1, 0.02)], 2, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig {
-                policy,
-                max_queue,
-                default_deadline_s: Some(0.2),
-                queue_timeout_s: 0.2,
-            },
-            kv_guard: None,
-            degradation: None,
-            max_inflight: 1,
-            max_retries: 1,
+        let admission = AdmissionConfig {
+            policy,
+            max_queue,
+            default_deadline_s: Some(0.2),
+            queue_timeout_s: 0.2,
         };
-        let rep = serve(&mut engine, &requests, &cfg, None);
-        let executed = engine.executed_ids();
-        let uniq: HashSet<usize> = executed.iter().copied().collect();
-        prop_assert_eq!(executed.len(), uniq.len(), "a request executed twice");
+        let rep = serve_continuous(engine(1, 64), &requests, cfg(admission, None), None).unwrap();
+        let uniq: HashSet<usize> = rep.outputs.iter().map(|f| f.id).collect();
+        prop_assert_eq!(rep.outputs.len(), uniq.len(), "a request was output twice");
         prop_assert_eq!(
-            executed.len(), rep.stats.served,
-            "executed set must be exactly the served set"
+            rep.outputs.len(), rep.stats.served,
+            "output set must be exactly the served set"
         );
-        // With no engine failures, anything the engine touched was
-        // served — dropped requests never reached run_batch.
+        // Everything that was not output was dropped, exactly once.
         prop_assert_eq!(uniq.len() + rep.stats.shed + rep.stats.expired, n);
     }
 
-    /// The KV guard preempts rather than loses: with a budget and mixed
-    /// priorities, conservation still holds and nothing executes twice.
+    /// KV preemption requeues rather than loses: with a pool too small
+    /// for the batch and mixed priorities, every request is still served
+    /// exactly once with oracle-exact tokens.
     #[test]
     fn kv_preemption_never_loses_requests(
         seed in 0u64..500,
         n in 2usize..40,
-        budget in 20.0f64..200.0,
+        n_blocks in 4usize..8,
     ) {
-        let mut requests = poisson_requests(n, 20.0, 4, 4, seed).unwrap();
+        let mut requests = poisson_requests(n, 200.0, 4, 4, seed).unwrap();
         for (i, r) in requests.iter_mut().enumerate() {
             r.priority = (i % 5) as u32;
             if i % 3 == 0 {
-                r.prompt = vec![1; 12]; // mix sizes so the budget binds
+                r.prompt = vec![1; 12]; // mix sizes so the pool binds
             }
         }
-        let mut engine = SimEngine::new(vec![(0.02, 0.005)], 4, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig { max_queue: 64, ..AdmissionConfig::default() },
-            kv_guard: Some(KvGuardConfig { budget_bytes: budget, headroom: 0.1 }),
-            degradation: None,
-            max_inflight: 2,
-            max_retries: 1,
-        };
-        let rep = serve(&mut engine, &requests, &cfg, None);
-        prop_assert!(rep.stats.conserves(0));
-        let executed = engine.executed_ids();
-        let uniq: HashSet<usize> = executed.iter().copied().collect();
-        prop_assert_eq!(executed.len(), uniq.len(), "preemption re-ran a request");
-        prop_assert_eq!(executed.len(), rep.stats.served);
+        let admission = AdmissionConfig { max_queue: 64, ..AdmissionConfig::default() };
+        let rep =
+            serve_continuous(engine(1, n_blocks), &requests, cfg(admission, None), None).unwrap();
+        prop_assert!(rep.conserves());
+        prop_assert_eq!(rep.stats.served, n, "preemption lost a request: {:?}", rep.stats);
+        let uniq: HashSet<usize> = rep.outputs.iter().map(|f| f.id).collect();
+        prop_assert_eq!(uniq.len(), n, "preemption output a request twice");
+        for fin in &rep.outputs {
+            let req = &requests[fin.id];
+            prop_assert_eq!(&fin.tokens, &sim_oracle_tokens(SEED, VOCAB, &req.prompt, req.n_generate));
+        }
     }
 
     /// Ladder transitions are monotone per pressure episode: every step
@@ -144,22 +149,18 @@ proptest! {
     ) {
         let low = high * low_frac; // keep low < high so the band exists
         let requests = poisson_requests(n, rate, 4, 4, seed).unwrap();
-        let costs: Vec<(f64, f64)> =
-            (0..n_rungs).map(|r| (0.1 / (r + 1) as f64, 0.02 / (r + 1) as f64)).collect();
-        let mut engine = SimEngine::new(costs, 3, 1.0);
-        let cfg = ServeConfig {
-            admission: AdmissionConfig { max_queue: 8, ..AdmissionConfig::default() },
-            kv_guard: None,
-            degradation: Some(DegradationConfig { high, low, dwell }),
-            max_inflight: 1,
-            max_retries: 1,
-        };
-        let rep = serve(&mut engine, &requests, &cfg, None);
+        let admission = AdmissionConfig { max_queue: 8, ..AdmissionConfig::default() };
+        let mut sched = ContinuousScheduler::new(
+            engine(n_rungs, 64),
+            cfg(admission, Some(DegradationConfig { high, low, dwell })),
+        )
+        .unwrap();
+        sched.run_trace(&requests).unwrap();
         let mut rung = 0usize;
-        for tr in &rep.transitions {
-            prop_assert_eq!(tr.from, rung, "transition chain broken: {:?}", rep.transitions);
+        for tr in sched.transitions() {
+            prop_assert_eq!(tr.from, rung, "transition chain broken: {:?}", sched.transitions());
             prop_assert_eq!(tr.from.abs_diff(tr.to), 1, "multi-rung jump: {:?}", tr);
-            prop_assert!(tr.to < n_rungs.max(1), "rung out of range: {:?}", tr);
+            prop_assert!(tr.to < n_rungs, "rung out of range: {:?}", tr);
             if tr.to > tr.from {
                 prop_assert!(tr.pressure >= high, "step-down below high watermark: {:?}", tr);
             } else {
@@ -167,8 +168,7 @@ proptest! {
             }
             rung = tr.to;
         }
-        prop_assert_eq!(rep.final_rung, rung);
-        prop_assert!(rep.peak_rung < n_rungs.max(1));
+        prop_assert_eq!(sched.rung(), rung);
     }
 
     /// Offering a hand-built adversarial trace (bursts, ties, identical

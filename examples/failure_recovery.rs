@@ -4,15 +4,15 @@
 //! cargo run --release --example failure_recovery
 //! ```
 //!
-//! Injects a stage-worker crash mid-generation and shows the recoverable
-//! runner checkpointing progress, reloading the stage through the
-//! on-the-fly quantizer (the fast-recovery path the paper's §5 loader
-//! was built for), and resuming to a bit-identical result.
+//! Injects a stage-worker crash mid-generation and shows the supervisor
+//! checkpointing progress, reloading the stage through the on-the-fly
+//! quantizer (the fast-recovery path the paper's §5 loader was built
+//! for), and resuming to a bit-identical result.
 
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
-use llmpq_runtime::{run_pipeline_recoverable, FaultPlan, RuntimeError};
+use llmpq_runtime::{run_pipeline_supervised, FaultPlan, RuntimeError, SupervisorConfig};
 use llmpq_workload::MicrobatchPlan;
 
 fn main() -> Result<(), RuntimeError> {
@@ -40,18 +40,26 @@ fn main() -> Result<(), RuntimeError> {
         (0..4).map(|i| (0..10).map(|j| (i * 31 + j * 7) % 256).collect()).collect();
 
     println!("running 24-token generation with stage 1 crashing after 8 work items…");
-    let (out, restarts) = run_pipeline_recoverable(
+    let sup = run_pipeline_supervised(
         &checkpoint,
         &plan,
         &prompts,
         24,
         Rounding::Deterministic,
         0,
-        3,
+        &SupervisorConfig::default(),
         // stage 1 dies mid-decode on the first attempt
         Some(&FaultPlan::crash(1, 8)),
+        None,
     )?;
-    println!("recovered with {restarts} restart(s); wall {:.3}s", out.wall_s);
+    let out = sup.output;
+    println!("recovered with {} restart(s); wall {:.3}s", sup.restarts, out.wall_s);
+    for ev in &sup.events {
+        println!(
+            "  attempt {}: {} -> {:?} ({} tokens checkpointed)",
+            ev.attempt, ev.error, ev.action, ev.checkpointed_tokens
+        );
+    }
     for (i, m) in out.stage_metrics.iter().enumerate() {
         println!("  stage {i}: {} items, {:.4}s busy", m.items, m.busy_s);
     }

@@ -7,7 +7,7 @@ use llmpq_cluster::paper_cluster;
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::{IndicatorTable, Rounding};
-use llmpq_runtime::{run_pipeline_recoverable, FaultPlan};
+use llmpq_runtime::{run_pipeline_supervised, FaultPlan, RecoveryPolicy, SupervisorConfig};
 use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
@@ -163,29 +163,29 @@ fn recovery_works_for_an_assigned_plan() {
     let prompts: Vec<Vec<usize>> =
         (0..4).map(|i| (0..8).map(|j| (i * 29 + j * 13) % 256).collect()).collect();
     let crash_stage = out.plan.stages.len() - 1;
-    let (rec, restarts) = run_pipeline_recoverable(
-        &checkpoint,
-        &out.plan,
-        &prompts,
-        10,
-        Rounding::Deterministic,
-        0,
-        2,
-        Some(&FaultPlan::crash(crash_stage, 3)),
-    )
-    .expect("recovered");
-    assert!(restarts >= 1);
-    let (clean, zero) = run_pipeline_recoverable(
-        &checkpoint,
-        &out.plan,
-        &prompts,
-        10,
-        Rounding::Deterministic,
-        0,
-        2,
-        None,
-    )
-    .unwrap();
-    assert_eq!(zero, 0);
-    assert_eq!(rec.tokens, clean.tokens, "recovery must not change tokens");
+    let sup = SupervisorConfig {
+        max_restarts: 2,
+        policy: RecoveryPolicy::RestartSamePlan,
+        ..SupervisorConfig::default()
+    };
+    let run = |faults: Option<&FaultPlan>| {
+        run_pipeline_supervised(
+            &checkpoint,
+            &out.plan,
+            &prompts,
+            10,
+            Rounding::Deterministic,
+            0,
+            &sup,
+            faults,
+            None,
+        )
+    };
+    // Two consecutive crashes: attempt 0 loses the last stage mid-decode,
+    // attempt 1 loses stage 0 right after resuming.
+    let rec = run(Some(&FaultPlan::crash_schedule(&[(crash_stage, 3), (0, 1)]))).expect("recovered");
+    assert_eq!(rec.restarts, 2);
+    let clean = run(None).unwrap();
+    assert_eq!(clean.restarts, 0);
+    assert_eq!(rec.output.tokens, clean.output.tokens, "recovery must not change tokens");
 }

@@ -1,8 +1,8 @@
-//! Integration: the overload-control layer driving the *real*
-//! supervised thread pipeline, end-to-end across `llm-pq` (degradation
-//! ladder from Algorithm 1), `llmpq-cost` (KV budget from the memory
-//! model), and `llmpq-runtime` (admission → KV guard → ladder →
-//! supervised execution with fault injection and bounded queues).
+//! Integration: overload control driving the *real* stage ring,
+//! end-to-end across `llm-pq` (degradation ladder from Algorithm 1) and
+//! `llmpq-runtime` (admission → paged-KV preemption → ladder → the
+//! continuous scheduler over `DistStepEngine` with fault injection,
+//! ring restarts and live rung swaps).
 
 use llm_pq::{degradation_ladder, AssignerConfig, ExecutionPlan, SolverChoice, DEFAULT_CAPS};
 use llmpq_cluster::{Cluster, GpuModel, Interconnect};
@@ -10,8 +10,9 @@ use llmpq_cost::CostDb;
 use llmpq_model::{ModelFamily, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, IndicatorTable, Rounding};
 use llmpq_runtime::{
-    poisson_requests, serve, AdmissionConfig, AdmissionPolicy, BatchEngine, DegradationConfig,
-    FaultPlan, KvGuardConfig, PipelineEngine, ServeConfig, SupervisorConfig,
+    poisson_requests, serve_continuous, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
+    ContinuousScheduler, DegradationConfig, DistServeConfig, DistStepEngine, FaultPlan,
+    KvPoolConfig, ModelStepEngine,
 };
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
@@ -52,163 +53,137 @@ fn quick_cfg() -> AssignerConfig {
     }
 }
 
-fn fast_supervisor() -> SupervisorConfig {
-    SupervisorConfig {
-        heartbeat_timeout_ms: 100,
-        progress_timeout_ms: 300,
-        tick_ms: 1,
-        max_restarts: 3,
-        backoff_base_ms: 1,
-        backoff_factor: 2.0,
-        backoff_cap_ms: 8,
-        max_queue: Some(2),
-        ..SupervisorConfig::default()
-    }
-}
+const PROMPT_LEN: usize = 4;
+const N_GENERATE: usize = 3;
 
-/// Build a real ladder with Algorithm 1 and serve an overload burst
-/// through the supervised pipeline, with fault injection active and
-/// bounded inter-stage queues — the full robustness stack in one run.
-#[test]
-fn overload_with_faults_conserves_and_degrades() {
-    let cluster = duo();
+/// The Algorithm-1 degradation ladder on the two-device cluster, cut to
+/// the rungs that share rung 0's stage count: the ring keeps a fixed
+/// shape across live swaps (`DistStepEngine::over_ring` rejects
+/// anything else).
+fn same_shape_ladder() -> Vec<ExecutionPlan> {
     let spec = tiny_spec();
     let db = CostDb::oracle(&KernelEnv::default());
-    let indicator = tiny_indicator(spec.n_layers);
-    let job = BatchJob { global_batch: 2, prompt_len: 4, n_generate: 3 };
-    let ladder =
-        degradation_ladder(&cluster, &spec, &job, &db, &indicator, &quick_cfg(), &DEFAULT_CAPS)
-            .expect("ladder");
-    assert!(!ladder.is_empty());
-    let plans: Vec<ExecutionPlan> = ladder.rungs.iter().map(|r| r.plan.clone()).collect();
+    let job = BatchJob { global_batch: 2, prompt_len: PROMPT_LEN, n_generate: N_GENERATE };
+    let ladder = degradation_ladder(
+        &duo(),
+        &spec,
+        &job,
+        &db,
+        &tiny_indicator(spec.n_layers),
+        &quick_cfg(),
+        &DEFAULT_CAPS,
+    )
+    .expect("ladder");
+    let n_stages = ladder.rungs[0].plan.stages.len();
+    ladder.rungs.into_iter().map(|r| r.plan).filter(|p| p.stages.len() == n_stages).collect()
+}
 
-    let checkpoint = RefModel::new(RefConfig::scaled_like(spec.n_layers, 11));
-    let mut engine = PipelineEngine::new(checkpoint, plans, fast_supervisor());
-    engine.max_batch = 2;
-    // Crash stage 0 after one item on the first batch and hang stage 1
-    // on the third — the supervisor must absorb both inside run_batch.
-    engine.fault_plans = vec![FaultPlan::crash_schedule(&[(0, 1)]), FaultPlan::default()];
+/// Ring engine over `plans` with a pool that holds ~4 of this file's
+/// requests, so KV pressure is live alongside queue pressure.
+fn ring_engine(
+    checkpoint: &RefModel,
+    plans: Vec<ExecutionPlan>,
+    faults: Option<FaultPlan>,
+) -> DistStepEngine {
+    let cfg = DistServeConfig {
+        n_slots: 4,
+        pool: KvPoolConfig { n_blocks: 8, block_tokens: 4 },
+        ..DistServeConfig::default()
+    };
+    DistStepEngine::over_channels(checkpoint, plans, Rounding::Deterministic, 0, cfg, faults)
+        .expect("engine")
+}
 
-    // KV budget from the cost model: what the tightest device can hold
-    // for this job's sequence length (coarse but cost-model-derived).
-    let seq = job.prompt_len + job.n_generate;
-    let kv_per_token_layer = spec.kv_bytes_per_layer(1, 1, 16.0);
-    let kv_per_token = kv_per_token_layer * spec.n_layers as f64;
-    engine.kv_per_token = kv_per_token;
-    let budget = kv_per_token * seq as f64 * 4.0; // room for ~4 requests
+/// Serve an overload burst down the real Algorithm-1 ladder on the
+/// stage ring, with a stage crash mid-run — admission, degradation,
+/// live swaps and restart recovery in one run.
+#[test]
+fn overload_with_faults_conserves_and_degrades() {
+    let plans = same_shape_ladder();
+    assert!(plans.len() >= 2, "need at least two same-shape rungs, got {}", plans.len());
+    let checkpoint = RefModel::new(RefConfig::scaled_like(tiny_spec().n_layers, 11));
+    // Stage 0 dies on its sixth work item of the first attempt.
+    let engine = ring_engine(&checkpoint, plans, Some(FaultPlan::crash(0, 5)));
 
+    // Everything arrives within a few virtual milliseconds against a
+    // tight queue: the bound sheds and pressure crosses `high` at once.
     let n = 12usize;
-    let requests = poisson_requests(n, 50.0, 4, 3, 9).expect("arrivals");
-    let cfg = ServeConfig {
+    let requests = poisson_requests(n, 5000.0, PROMPT_LEN, N_GENERATE, 9).expect("arrivals");
+    let cfg = ContinuousConfig {
         admission: AdmissionConfig {
             policy: AdmissionPolicy::Reject,
             max_queue: 6,
             default_deadline_s: None,
             queue_timeout_s: 1.0,
         },
-        kv_guard: Some(KvGuardConfig { budget_bytes: budget, headroom: 0.1 }),
         degradation: Some(DegradationConfig { high: 0.7, low: 0.2, dwell: 1 }),
-        max_inflight: 2,
-        max_retries: 2,
+        max_batch: 2,
+        ..ContinuousConfig::default()
     };
-    let rep = serve(&mut engine, &requests, &cfg, None);
+    let mut sched = ContinuousScheduler::new(engine, cfg).expect("scheduler");
+    let makespan = sched.run_trace(&requests).expect("served");
+    let restarts = sched.engine().restarts();
+    assert!(!sched.transitions().is_empty(), "the ladder must have moved");
+    let rep = sched.into_report(makespan, "continuous");
 
-    assert!(rep.stats.conserves(0), "{:?}", rep.stats);
+    assert!(rep.conserves(), "{:?}", rep.stats);
     assert_eq!(rep.stats.offered, n);
-    assert!(rep.stats.served > 0, "the pipeline must make progress under faults");
-    // Every served request produced real tokens through the pipeline.
-    assert_eq!(engine.outputs.len(), rep.stats.served);
-    for toks in engine.outputs.values() {
-        assert_eq!(toks.len(), 3, "served requests generate their full token budget");
+    assert!(rep.stats.shed > 0, "the queue bound must shed under the burst");
+    assert!(rep.stats.served > 0, "the ring must make progress under faults");
+    // Every served request produced its full token budget on the ring.
+    assert_eq!(rep.outputs.len(), rep.stats.served);
+    for fin in &rep.outputs {
+        assert_eq!(fin.tokens.len(), N_GENERATE);
     }
-    assert!(engine.restarts >= 1, "the injected crash must have cost a restart");
+    assert!(restarts >= 1, "the injected crash must have cost a restart");
+    assert!(rep.stats.recovered >= 1, "the restart requeued in-flight work");
 }
 
-/// Tokens served through the overload loop at rung 0 are bit-identical
-/// to sequential execution of the rung-0 quantized model — overload
+/// Tokens served through the loop at rung 0 are bit-identical to
+/// sequential execution of the rung-0 quantized model — overload
 /// control must not perturb generation.
 #[test]
 fn overload_served_tokens_match_reference() {
-    let cluster = duo();
-    let spec = tiny_spec();
-    let db = CostDb::oracle(&KernelEnv::default());
-    let indicator = tiny_indicator(spec.n_layers);
-    let job = BatchJob { global_batch: 2, prompt_len: 4, n_generate: 3 };
-    let ladder =
-        degradation_ladder(&cluster, &spec, &job, &db, &indicator, &quick_cfg(), &DEFAULT_CAPS)
-            .expect("ladder");
-    let rung0 = ladder.rungs[0].plan.clone();
-
-    let checkpoint = RefModel::new(RefConfig::scaled_like(spec.n_layers, 23));
+    let rung0 = same_shape_ladder().swap_remove(0);
+    let checkpoint = RefModel::new(RefConfig::scaled_like(tiny_spec().n_layers, 23));
     let reference = {
         let bits = rung0.bit_assignment();
         quantize_model(&checkpoint, &BitAssignment { bits: bits.bits }, Rounding::Deterministic, 0)
     };
 
-    let mut engine = PipelineEngine::new(checkpoint, vec![rung0], fast_supervisor());
-    engine.max_batch = 2;
-    let requests = poisson_requests(4, 2.0, 4, 3, 5).expect("arrivals");
-    let cfg = ServeConfig {
+    let requests = poisson_requests(4, 2.0, PROMPT_LEN, N_GENERATE, 5).expect("arrivals");
+    let cfg = ContinuousConfig {
         admission: AdmissionConfig { max_queue: 8, ..AdmissionConfig::default() },
-        kv_guard: None,
-        degradation: None,
-        max_inflight: 1,
-        max_retries: 1,
+        max_batch: 2,
+        ..ContinuousConfig::default()
     };
-    let rep = serve(&mut engine, &requests, &cfg, None);
+    let rep = serve_continuous(ring_engine(&checkpoint, vec![rung0], None), &requests, cfg, None)
+        .expect("served");
     assert_eq!(rep.stats.served, 4);
-    for req in &requests {
-        let got = &engine.outputs[&req.id];
+    for fin in &rep.outputs {
+        let req = &requests[fin.id];
         let want = reference.generate(&req.prompt, req.n_generate, 0.0, 0).tokens;
-        assert_eq!(got, &want, "request {} diverged from sequential reference", req.id);
+        assert_eq!(fin.tokens, want, "request {} diverged from sequential reference", fin.id);
     }
 }
 
-/// Sanity: the PipelineEngine reports KV demand consistent with the
-/// cost model's per-layer KV bytes, so guard budgets computed from
-/// `crates/cost` line up with what the loop gates on.
+/// Sanity: the served path's KV block size is the cost model's
+/// per-layer KV bytes (f32 cache) over every layer, so pool sizes
+/// computed from `ModelSpec` line up with what the scheduler gates on.
 #[test]
-fn pipeline_engine_kv_demand_tracks_cost_model() {
+fn kv_block_bytes_tracks_cost_model() {
     let spec = tiny_spec();
-    let checkpoint = RefModel::new(RefConfig::scaled_like(spec.n_layers, 3));
-    let plan_bits = vec![llmpq_quant::Bitwidth::Fp16; spec.n_layers];
-    let plan = ExecutionPlan {
-        model: "tiny-4l".into(),
-        cluster: "duo".into(),
-        stages: vec![llm_pq::StagePlan {
-            device: 0,
-            layer_start: 0,
-            layer_end: spec.n_layers,
-            bits: plan_bits,
-        }],
-        microbatch: llmpq_workload::MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 1,
-            decode_size: 1,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    };
-    let mut engine = PipelineEngine::new(checkpoint, vec![plan], fast_supervisor());
-    engine.kv_per_token = spec.kv_bytes_per_layer(1, 1, 16.0) * spec.n_layers as f64;
-    let req = llmpq_runtime::Request {
-        id: 0,
-        arrival_s: 0.0,
-        prompt: vec![1; 6],
-        n_generate: 4,
-        deadline_s: None,
-        priority: 0,
-    };
-    let want = spec.kv_bytes_per_layer(1, 1, 16.0) * spec.n_layers as f64 * 10.0;
-    assert!((engine.kv_demand(&req) - want).abs() < 1e-6);
+    let cfg = RefConfig::scaled_like(spec.n_layers, 3);
+    assert_eq!(cfg.hidden, spec.hidden);
+    let block_tokens = 16;
+    let want = spec.kv_bytes_per_layer(1, block_tokens, 32.0) * spec.n_layers as f64;
+    assert_eq!(ModelStepEngine::kv_block_bytes(&cfg, block_tokens) as f64, want);
 }
 
-/// Satellite of the live-migration PR: ladder transitions execute as
-/// *live* plan swaps (two-phase protocol inside `run_batch`) and the
-/// admission conservation invariant still holds across the epoch
-/// boundary — no request is counted twice or lost because its batch
-/// changed plans mid-decode.
+/// Ladder transitions execute as *live* plan swaps (the two-phase
+/// barrier between scheduler iterations) and the admission conservation
+/// invariant holds across the epoch boundary — no request is counted
+/// twice or lost because the ring changed plans while it was in flight.
 #[test]
 fn rung_transitions_run_as_live_swaps_and_conserve() {
     let spec = tiny_spec();
@@ -230,46 +205,40 @@ fn rung_transitions_run_as_live_swaps_and_conserve() {
         kv_bits: 16,
     };
     let plans = vec![mk_plan(llmpq_quant::Bitwidth::Fp16), mk_plan(llmpq_quant::Bitwidth::Int4)];
-    let mut engine = PipelineEngine::new(checkpoint, plans, fast_supervisor());
-    engine.max_batch = 2;
-    assert!(engine.live_swap, "live swaps are the default transition path");
 
     let n = 10usize;
     let n_generate = 4usize;
     // A burst: everything arrives inside ~10 ms against a tight queue,
-    // so pressure crosses `high` after the first batch.
-    let requests = poisson_requests(n, 1000.0, 4, n_generate, 31).expect("arrivals");
-    let cfg = ServeConfig {
+    // so pressure crosses `high` after the first iteration.
+    let requests = poisson_requests(n, 1000.0, PROMPT_LEN, n_generate, 31).expect("arrivals");
+    let cfg = ContinuousConfig {
         admission: AdmissionConfig {
             policy: AdmissionPolicy::Reject,
             max_queue: 5,
             default_deadline_s: None,
             queue_timeout_s: 5.0,
         },
-        kv_guard: None,
-        // dwell 1: one high-pressure sample climbs the ladder, so the
-        // next batch starts on rung 0's plan and live-swaps to rung 1's.
+        // dwell 1: one high-pressure sample climbs the ladder, with
+        // requests in flight on the ring.
         degradation: Some(DegradationConfig { high: 0.5, low: 0.05, dwell: 1 }),
-        max_inflight: 1,
-        max_retries: 1,
+        max_batch: 2,
+        ..ContinuousConfig::default()
     };
-    let rep = serve(&mut engine, &requests, &cfg, None);
+    let mut sched =
+        ContinuousScheduler::new(ring_engine(&checkpoint, plans, None), cfg).expect("scheduler");
+    let makespan = sched.run_trace(&requests).expect("served");
+    let n_transitions = sched.transitions().len() as u64;
+    assert!(n_transitions > 0, "the ladder must have moved");
+    // Fault-free swaps commit: one ring epoch per transition, no restart.
+    assert_eq!(sched.engine().restarts(), 0);
+    assert_eq!(sched.engine().epoch(), n_transitions, "every transition is a committed live swap");
+    let rep = sched.into_report(makespan, "continuous");
 
-    assert!(rep.stats.conserves(0), "conservation across live swaps: {:?}", rep.stats);
+    assert!(rep.conserves(), "conservation across live swaps: {:?}", rep.stats);
     assert_eq!(rep.stats.offered, n);
-    assert!(!rep.transitions.is_empty(), "the ladder must have moved");
-    assert!(
-        !engine.swap_reports.is_empty(),
-        "rung transitions must have gone through the live-swap path"
-    );
-    assert!(
-        engine.swap_reports.iter().all(|r| r.committed),
-        "fault-free swaps commit: {:?}",
-        engine.swap_reports
-    );
     // Served requests are whole: every one has its full token budget.
-    assert_eq!(engine.outputs.len(), rep.stats.served);
-    for toks in engine.outputs.values() {
-        assert_eq!(toks.len(), n_generate);
+    assert_eq!(rep.outputs.len(), rep.stats.served);
+    for fin in &rep.outputs {
+        assert_eq!(fin.tokens.len(), n_generate);
     }
 }
