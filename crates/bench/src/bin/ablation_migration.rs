@@ -4,7 +4,7 @@
 //! to an all-Int4 plan with one layer re-homed onto the next stage,
 //! mid-generation, with requests in flight:
 //!
-//! * **live swap** (`run_pipeline_with_swap`): the two-phase protocol —
+//! * **live swap** (`Pipeline::swaps`): the two-phase protocol —
 //!   workers requantize the target shard while the old plan keeps
 //!   serving, commit at the token boundary, and re-partitioned layers
 //!   ship their KV slices as bit-exact chunks. The switch costs one
@@ -22,9 +22,7 @@ use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
 use llmpq_bench::TextTable;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
-use llmpq_runtime::{
-    load_stage_weights, run_pipeline, run_pipeline_with_swap, SupervisorConfig, SwapRequest,
-};
+use llmpq_runtime::{load_stage_weights, Pipeline, SupervisorConfig, SwapRequest};
 use std::time::Instant;
 
 /// Evenly partition `n_layers` into `n_stages`, alternating Int8/Fp16.
@@ -103,19 +101,12 @@ fn main() {
 
     // --- live swap ------------------------------------------------------
     let t = Instant::now();
-    let live = run_pipeline_with_swap(
-        &checkpoint,
-        &base,
-        &prompts,
-        n_generate,
-        Rounding::Deterministic,
-        seed,
-        &[SwapRequest { at_token, plan: target.clone() }],
-        &SupervisorConfig::default(),
-        None,
-        None,
-    )
-    .expect("live swap run");
+    let live = Pipeline::new(&checkpoint, &base)
+        .quantizer(Rounding::Deterministic, seed)
+        .supervised(SupervisorConfig::default())
+        .swaps(&[SwapRequest { at_token, plan: target.clone() }])
+        .run(&prompts, n_generate)
+        .expect("live swap run");
     let live_wall_s = t.elapsed().as_secs_f64();
     let swap = live.swaps.first().expect("one swap scheduled");
     assert!(swap.committed, "fault-free live swap must commit");
@@ -123,7 +114,9 @@ fn main() {
     // --- restart-from-checkpoint baseline -------------------------------
     // Serve the prefix under the old plan, stop at the boundary.
     let t = Instant::now();
-    let prefix = run_pipeline(&checkpoint, &base, &prompts, at_token, Rounding::Deterministic, seed, None)
+    let prefix = Pipeline::new(&checkpoint, &base)
+        .quantizer(Rounding::Deterministic, seed)
+        .run(&prompts, at_token)
         .expect("prefix run");
     let prefix_s = t.elapsed().as_secs_f64();
     // Reload every stage's weights on the target plan (serving is down).
@@ -142,16 +135,10 @@ fn main() {
         .map(|(p, gen)| p.iter().chain(gen.iter()).copied().collect())
         .collect();
     let t = Instant::now();
-    let tail = run_pipeline(
-        &checkpoint,
-        &target,
-        &resumed_prompts,
-        n_generate - at_token,
-        Rounding::Deterministic,
-        seed,
-        None,
-    )
-    .expect("resumed run");
+    let tail = Pipeline::new(&checkpoint, &target)
+        .quantizer(Rounding::Deterministic, seed)
+        .run(&resumed_prompts, n_generate - at_token)
+        .expect("resumed run");
     let resume_s = t.elapsed().as_secs_f64();
     let baseline_wall_s = prefix_s + reload_s + resume_s;
     // KV the restart recomputes at the boundary: every cached position of
@@ -161,7 +148,7 @@ fn main() {
 
     // Same tokens either way is NOT expected (Int4 vs the hybrid history
     // differ) — but both must serve every request full-length.
-    assert!(live.output.tokens.iter().all(|t| t.len() == n_generate));
+    assert!(live.tokens.iter().all(|t| t.len() == n_generate));
     assert!(tail.tokens.iter().all(|t| t.len() == n_generate - at_token));
 
     let mut table = TextTable::new(&["mechanism", "total wall (s)", "switch cost", "KV moved/recomputed"]);

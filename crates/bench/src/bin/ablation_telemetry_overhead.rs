@@ -11,8 +11,8 @@
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_bench::TextTable;
 use llmpq_model::{RefConfig, RefModel};
-use llmpq_quant::{Bitwidth, Rounding};
-use llmpq_runtime::{run_pipeline, run_pipeline_observed, Telemetry};
+use llmpq_quant::Bitwidth;
+use llmpq_runtime::{Pipeline, Telemetry};
 use llmpq_workload::MicrobatchPlan;
 
 fn plan(n_layers: usize) -> ExecutionPlan {
@@ -66,21 +66,12 @@ fn main() {
     let mut spans_recorded = 0usize;
     for _ in 0..trials {
         let plain =
-            run_pipeline(&model, &p, &prompts, n_generate, Rounding::Deterministic, 0, None)
+            Pipeline::new(&model, &p).run(&prompts, n_generate)
                 .expect("plain run");
         off.push(plain.wall_s);
         let tel = Telemetry::new(p.stages.len());
-        let observed = run_pipeline_observed(
-            &model,
-            &p,
-            &prompts,
-            n_generate,
-            Rounding::Deterministic,
-            0,
-            None,
-            Some(tel.clone()),
-        )
-        .expect("observed run");
+        let observed = Pipeline::new(&model, &p).telemetry(tel.clone()).run(&prompts, n_generate)
+            .expect("observed run");
         assert_eq!(plain.tokens, observed.tokens, "telemetry must not perturb tokens");
         on.push(observed.wall_s);
         spans_recorded = tel.spans().len();

@@ -16,8 +16,7 @@ use llmpq_cost::{link_crosscheck, LinkObservation};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
 use llmpq_runtime::{
-    run_master, run_pipeline, run_stage, DistMasterConfig, DistStageConfig, Telemetry,
-    WireFaultPlan,
+    run_master, run_stage, DistMasterConfig, DistStageConfig, Pipeline, Telemetry, WireFaultPlan,
 };
 use llmpq_workload::MicrobatchPlan;
 use std::net::TcpListener;
@@ -62,7 +61,9 @@ fn main() {
     // (a) In-process channel transport.
     let t0 = Instant::now();
     let local =
-        run_pipeline(&checkpoint, &plan, &prompts, N_GENERATE, Rounding::Deterministic, SEED, None)
+        Pipeline::new(&checkpoint, &plan)
+            .quantizer(Rounding::Deterministic, SEED)
+            .run(&prompts, N_GENERATE)
             .expect("in-process run");
     let channel_wall = t0.elapsed().as_secs_f64();
 

@@ -27,6 +27,13 @@ const USAGE: &str = "usage: llmpq-algo --model-name <opt|bloom> --model_size <13
     [--shaq-efficient] [--fit | --use_profiler_prediction] [--kv8]
     [--omega_file indicator.json] [-o strategy.json]";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &[
+    "model-name", "model_size", "cluster", "cluster_file", "device-names", "device-numbers",
+    "global_bz", "s", "n", "theta", "group", "shaq-efficient", "fit", "use_profiler_prediction",
+    "kv8", "omega_file", "o", "help",
+];
+
 fn gpu_by_name(name: &str) -> Option<GpuModel> {
     let n = name.to_ascii_uppercase();
     GpuModel::ALL
@@ -35,7 +42,7 @@ fn gpu_by_name(name: &str) -> Option<GpuModel> {
 }
 
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");

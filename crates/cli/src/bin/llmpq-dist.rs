@@ -29,6 +29,13 @@
 //! comparing each stage's observed busy time against the analytical §4.1
 //! prediction.
 //!
+//! With `--swap-at N`, the run hot-swaps to a target plan at generated-
+//! token boundary N (live plan migration: two-phase commit, KV handoff).
+//! The in-process flags compose — one `Pipeline` is built from all of
+//! them, so a swap run is traced, bounded and fault-injected like any
+//! other; it is supervised (a post-commit failure restarts on the target
+//! plan) and runs without the replanner (a swap keeps the stage count).
+//!
 //! With `--online-rate`, the plan's cost profile additionally serves a
 //! Poisson online workload (paper §7) after the run, and the end-of-run
 //! summary surfaces the online stats — including batches that failed and
@@ -69,10 +76,9 @@ use llmpq_cost::{
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
-    poisson_requests, run_master, run_pipeline_observed, run_pipeline_supervised_observed,
-    run_pipeline_with_swap, run_stage, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
+    poisson_requests, run_master, run_stage, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
     ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig, FaultPlan,
-    FoldReplanner, IterCost, KvPoolConfig, Replanner, SimStepEngine, SupervisorConfig,
+    FoldReplanner, IterCost, KvPoolConfig, Pipeline, Replanner, SimStepEngine, SupervisorConfig,
     SwapRequest, Telemetry, WireFaultPlan,
 };
 use llmpq_sim::{KernelEnv, PipelineWorkload};
@@ -193,10 +199,6 @@ fn run(args: &Args) -> Result<(), String> {
     let telemetry = (trace_out.is_some() || metrics_out.is_some())
         .then(|| Telemetry::new(plan.stages.len()));
 
-    if args.get("swap-at").is_some() {
-        return run_with_swap(args, &plan, &checkpoint, &prompts, n_generate, seed, faults.as_ref());
-    }
-
     // `--max-queue` bounds every inter-stage channel so a slow stage
     // backpressures the master instead of queueing without limit; it is
     // also the admission queue bound of the overload pass below.
@@ -204,56 +206,63 @@ fn run(args: &Args) -> Result<(), String> {
         Some(_) => Some(args.get_parse("max-queue", 64usize).map_err(|e| e.to_string())?),
         None => None,
     };
-    let sup_cfg = SupervisorConfig { max_queue, ..SupervisorConfig::default() };
+    let swaps = swap_schedule(args, &plan)?;
 
     let replanner = DistReplanner::new(
         &plan,
         BatchJob { global_batch: batch, prompt_len, n_generate },
         telemetry.clone(),
     );
-    let (out, restarts, replans) = if faults.is_some() || max_queue.is_some() {
-        // Bounded queues ride on the supervised path, which owns the
-        // backpressure-aware master send loop.
-        let sup = run_pipeline_supervised_observed(
-            &checkpoint,
-            &plan,
-            &prompts,
-            n_generate,
-            Rounding::Deterministic,
-            seed,
-            &sup_cfg,
-            faults.as_ref(),
-            Some(&replanner),
-            telemetry.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        for ev in &sup.events {
-            eprintln!(
-                "attempt {}: {} -> {:?} (checkpointed {} tokens)",
-                ev.attempt, ev.error, ev.action, ev.checkpointed_tokens
-            );
+    let mut pipeline =
+        Pipeline::new(&checkpoint, &plan).quantizer(Rounding::Deterministic, seed).swaps(&swaps);
+    if let Some(f) = &faults {
+        pipeline = pipeline.faults(f);
+    }
+    if let Some(t) = &telemetry {
+        pipeline = pipeline.telemetry(t.clone());
+    }
+    // Fault recovery, bounded queues (the backpressure-aware master send
+    // loop) and live swaps all ride on the supervised run. A live swap
+    // keeps the stage count and a replan shrinks it, so a swap run goes
+    // without the replanner.
+    let supervised = faults.is_some() || max_queue.is_some() || !swaps.is_empty();
+    if supervised {
+        let cfg = SupervisorConfig { max_queue, ..SupervisorConfig::default() };
+        pipeline = pipeline.supervised(cfg);
+        if swaps.is_empty() {
+            pipeline = pipeline.replanner(&replanner);
         }
+    }
+    let out = pipeline.run(&prompts, n_generate).map_err(|e| e.to_string())?;
+    for ev in &out.events {
+        eprintln!(
+            "attempt {}: {} -> {:?} (checkpointed {} tokens)",
+            ev.attempt, ev.error, ev.action, ev.checkpointed_tokens
+        );
+    }
+    if supervised {
         eprintln!(
             "supervisor: {} restarts, {} replans, final plan has {} stages",
-            sup.restarts,
-            sup.replans,
-            sup.final_plan.stages.len()
+            out.restarts,
+            out.replans,
+            out.final_plan.stages.len()
         );
-        (sup.output, sup.restarts, sup.replans)
-    } else {
-        let out = run_pipeline_observed(
-            &checkpoint,
-            &plan,
-            &prompts,
-            n_generate,
-            Rounding::Deterministic,
-            seed,
-            None,
-            telemetry.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        (out, 0, 0)
-    };
+    }
+    for (i, r) in out.swaps.iter().enumerate() {
+        if r.committed {
+            println!(
+                "swap {i} (epoch {}) at token {}: committed in {} µs, {} KV bytes shipped",
+                r.epoch, r.at_token, r.latency_us, r.kv_bytes
+            );
+        } else {
+            println!(
+                "swap {i} (epoch {}) at token {}: aborted back to the old plan ({})",
+                r.epoch,
+                r.at_token,
+                r.reason.as_deref().unwrap_or("unknown")
+            );
+        }
+    }
 
     // Cost-model cross-check: analytical per-stage prediction vs the busy
     // time the run actually observed. Only resolvable for the paper
@@ -313,7 +322,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     println!(
         "generated {} tokens x {} sequences in {:.3}s wall ({} restarts, {} replans)",
-        n_generate, batch, out.wall_s, restarts, replans
+        n_generate, batch, out.wall_s, out.restarts, out.replans
     );
     let origins = replanner.origins();
     if !origins.is_empty() {
@@ -475,19 +484,14 @@ fn default_swap_target(base: &ExecutionPlan) -> ExecutionPlan {
     ExecutionPlan { stages, ..base.clone() }
 }
 
-/// `--swap-at N`: run the pipeline with a live plan migration scheduled
-/// at token boundary N — two-phase prepare/commit, KV handoff for
-/// re-partitioned layers, abort back to the old plan on any failure
-/// inside the prepare window.
-fn run_with_swap(
-    args: &Args,
-    plan: &ExecutionPlan,
-    checkpoint: &RefModel,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-) -> Result<(), String> {
+/// The swap schedule `--swap-at N [--swap-to target.json]` asks for: one
+/// live plan migration at token boundary N — two-phase prepare/commit,
+/// KV handoff for re-partitioned layers, abort back to the old plan on
+/// any failure inside the prepare window. Empty without `--swap-at`.
+fn swap_schedule(args: &Args, plan: &ExecutionPlan) -> Result<Vec<SwapRequest>, String> {
+    if args.get("swap-at").is_none() {
+        return Ok(Vec::new());
+    }
     let at_token = args.get_parse("swap-at", 1usize).map_err(|e| e.to_string())?;
     let target = match args.get("swap-to") {
         Some(path) => {
@@ -513,48 +517,7 @@ fn run_with_swap(
     eprintln!("swap scheduled at token {at_token}:");
     eprintln!("  from: {}", old_bits.join(" | "));
     eprintln!("  to:   {}", new_bits.join(" | "));
-
-    let swaps = vec![SwapRequest { at_token, plan: target }];
-    let out = run_pipeline_with_swap(
-        checkpoint,
-        plan,
-        prompts,
-        n_generate,
-        Rounding::Deterministic,
-        seed,
-        &swaps,
-        &SupervisorConfig::default(),
-        faults,
-        None,
-    )
-    .map_err(|e| e.to_string())?;
-
-    for (i, r) in out.swaps.iter().enumerate() {
-        if r.committed {
-            println!(
-                "swap {i} (epoch {}) at token {}: committed in {} µs, {} KV bytes shipped",
-                r.epoch, r.at_token, r.latency_us, r.kv_bytes
-            );
-        } else {
-            println!(
-                "swap {i} (epoch {}) at token {}: aborted back to the old plan ({})",
-                r.epoch,
-                r.at_token,
-                r.reason.as_deref().unwrap_or("unknown")
-            );
-        }
-    }
-    println!(
-        "generated {} tokens x {} sequences in {:.3}s wall ({} restarts), zero dropped requests",
-        n_generate,
-        prompts.len(),
-        out.output.wall_s,
-        out.restarts
-    );
-    for (i, toks) in out.output.tokens.iter().enumerate() {
-        println!("seq {i}: {toks:?}");
-    }
-    Ok(())
+    Ok(vec![SwapRequest { at_token, plan: target }])
 }
 
 /// Load `--wire-fault` (transport-level fault plan) if given.

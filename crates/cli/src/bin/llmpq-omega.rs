@@ -13,8 +13,11 @@ use llmpq_quant::{build_indicator, IndicatorKind, Rounding};
 const USAGE: &str = "usage: llmpq-omega --model-name <opt|bloom> --model_size <13b|...>
     [--method variance|hessian|random] [--rounding det|stoch] [-o omega.json]";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &["model-name", "model_size", "method", "rounding", "o"];
+
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");

@@ -17,8 +17,11 @@ use llmpq_sim::KernelEnv;
 const USAGE: &str =
     "usage: llmpq-profile --device <P100|T4|V100|A100|A800> --model-name <opt|bloom> --model_size <13b|...> [-o out.json]";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &["device", "model-name", "model_size", "o"];
+
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");

@@ -58,6 +58,12 @@ const USAGE: &str = "usage: llmpq-simnet
                              (elastic mode: double-serve the first request)
     [--trace]                print the deterministic event trace(s)";
 
+/// Every flag [`USAGE`] documents; anything else is a typo.
+const FLAGS: &[&str] = &[
+    "seeds", "seed", "stages", "n-generate", "max-restarts", "schedule", "out", "migrations",
+    "serving", "requests", "no-swaps", "elastic", "devices", "pool", "inject-bug", "trace", "help",
+];
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!("{USAGE}");
@@ -65,7 +71,7 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
         Ok(a) => a,
         Err(e) => return fail(&e.to_string()),
     };

@@ -519,15 +519,19 @@ pub fn log_softmax_at(logits: &[f32], target: usize) -> f64 {
     logits[target] as f64 - lse
 }
 
-/// Sample a token from raw logits at `temperature` (0 → argmax).
+/// Greedy token choice over a logits row — the one expression every
+/// engine and oracle shares, so "bit-identical to `generate`" rests on
+/// a single definition. `total_cmp` orders all floats (`-0.0 < 0.0`,
+/// positive NaN above `+inf`), so no comparison can panic; the last of
+/// equal maxima wins; an empty row argmaxes to 0.
+pub fn argmax(logits: &[f32]) -> usize {
+    logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
+}
+
+/// Sample a token from raw logits at `temperature` (0 → [`argmax`]).
 pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut SmallRng) -> usize {
     if temperature <= 0.0 {
-        return logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
+        return argmax(logits);
     }
     let max = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
     let weights: Vec<f64> = logits.iter().map(|&v| (((v - max) / temperature) as f64).exp()).collect();
@@ -545,6 +549,22 @@ pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut SmallRng) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_logits_ties_and_signed_zeros_have_a_defined_argmax() {
+        // A NaN logit must not take down the caller (the serving
+        // scheduler thread samples with this on every token).
+        assert_eq!(argmax(&[0.5, f32::NAN, 2.0]), 1, "positive NaN sorts above every number");
+        assert_eq!(argmax(&[f32::NAN; 3]), 2);
+        let mut rng = SmallRng::seed_from_u64(0);
+        assert_eq!(sample_from_logits(&[1.0, f32::NAN], 0.0, &mut rng), 1);
+        // Equal maxima: the last index wins.
+        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0, 3.0, 0.0]), 4);
+        // Signed zeros are ordered, not tied: -0.0 < 0.0.
+        assert_eq!(argmax(&[0.0, -0.0]), 0);
+        assert_eq!(argmax(&[-0.0, 0.0]), 1);
+        assert_eq!(argmax(&[]), 0);
+    }
 
     #[test]
     fn prefill_then_decode_matches_full_prefill() {

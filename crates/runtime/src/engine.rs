@@ -8,27 +8,33 @@
 //! asynchronous channels, mirroring the paper's per-GPU worker
 //! processes.
 //!
-//! Failure injection goes through the [`crate::fault::FaultPlan`] DSL
-//! (which replaced the earlier ad-hoc `fail_stage_after` /
-//! `fail_schedule` tuples). [`run_pipeline`] detects failures by channel
-//! disconnect only and reports them;
-//! [`crate::supervisor::run_pipeline_supervised`] restarts from the
-//! lock-step token checkpoint and adds heartbeat and progress timeouts
-//! so hung stages and dropped messages are caught too, plus
-//! replan-on-device-loss.
+//! [`Pipeline`] is the one way to run a plan offline: a builder whose
+//! options — quantizer settings, a [`FaultPlan`], a [`Telemetry`] hub,
+//! supervision, a replanner, a live-swap schedule — are properties of
+//! one run, and whose [`Pipeline::run`] holds the only attempt loop of
+//! the in-process engine. Unsupervised, a run is one attempt that
+//! detects failures by channel disconnect only and reports them;
+//! [`Pipeline::supervised`] adds heartbeat and progress timeouts (hung
+//! stages, dropped messages), bounded restarts from the lock-step token
+//! checkpoint, and replan-on-device-loss.
 
 use crate::clock::{real_clock, Clock};
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
 use crate::loader::{load_stage_weights, LoaderStats};
-use crate::migrate::{MigrationCoordinator, MigrationHost};
+use crate::migrate::{
+    validate_swaps, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest,
+};
 use crate::net::transport::{ChannelTransport, Transport, TransportRecvError, TransportSendError};
+use crate::supervisor::{
+    RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
+};
 use crate::telemetry::{Span, Telemetry};
 use crate::worker::{
     disconnect_board, run_worker_ctx, MetricsSink, StageMetrics, WorkItem, WorkerCtx, WorkerMsg,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use llm_pq::{ExecutionPlan, StagePlan};
-use llmpq_model::{Matrix, Phase, RefModel};
+use llmpq_model::{argmax, Matrix, Phase, RefModel};
 use llmpq_quant::Rounding;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -87,24 +93,25 @@ pub struct RuntimeOutput {
     pub loader_stats: Vec<LoaderStats>,
     /// Wall-clock seconds of the generation run (excluding loading).
     pub wall_s: f64,
-    /// Per-stage execution counters (busy time, items) from the workers.
+    /// Per-stage execution counters (busy time, items) from the workers,
+    /// under the final attempt's plan.
     pub stage_metrics: Vec<StageMetrics>,
+    /// Restarts taken (attempts − 1).
+    pub restarts: usize,
+    /// How many of those restarts replanned.
+    pub replans: usize,
+    /// The plan serving when the run finished: the input plan unless a
+    /// replan or a committed swap replaced it.
+    pub final_plan: ExecutionPlan,
+    /// The supervisor's decision log, one entry per restart.
+    pub events: Vec<RecoveryEvent>,
+    /// One report per resolved live swap, in schedule order.
+    pub swaps: Vec<SwapReport>,
 }
 
-/// Greedy argmax over a logits row. `total_cmp` gives a total order
-/// over floats (NaN sorts last), so no comparison can panic; an empty
-/// row — impossible for a well-formed model — argmaxes to 0.
-fn argmax(logits: &[f32]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i)
-}
-
-/// Detection and injection settings for one attempt. The plain entry
-/// points leave every timeout off (failure = disconnect, as before);
-/// the supervisor turns them on.
+/// Detection and injection settings for one attempt. An unsupervised
+/// run leaves every timeout off (failure = disconnect); supervision
+/// turns them on.
 #[derive(Clone)]
 pub(crate) struct AttemptSupervision {
     pub injector: Option<Arc<FaultInjector>>,
@@ -116,7 +123,7 @@ pub(crate) struct AttemptSupervision {
     /// Inter-stage queue capacity. `Some(k)` bounds every channel of the
     /// attempt to `k` in-flight messages, so a slow stage backpressures
     /// its upstream (and ultimately the master's admission) instead of
-    /// buffering unboundedly; `None` keeps the legacy unbounded queues.
+    /// buffering unboundedly; `None` leaves the queues unbounded.
     pub queue_cap: Option<usize>,
     /// Time source for every deadline and sleep of the attempt: wall
     /// clock in production, virtual under [`crate::simnet`].
@@ -427,56 +434,298 @@ impl<'m, T: Transport> Master<'m, T> {
     }
 }
 
-/// Execute `plan` on `checkpoint` over `prompts`, generating
-/// `n_generate` tokens per sequence with greedy decoding.
+/// One offline run of an execution plan on the in-process pipeline:
+/// the master on the calling thread, one worker thread per stage.
 ///
-/// `faults`: optional deterministic failure injection (tests and
-/// resilience experiments; pass `None` in production). Detection here is
-/// disconnect-only — fault kinds that require timeout detection (`Hang`,
-/// `DropMessage`) need [`crate::supervisor::run_pipeline_supervised`].
-pub fn run_pipeline(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
+/// ```text
+/// Pipeline::new(&checkpoint, &plan)
+///     .quantizer(rounding, seed)      // default: deterministic, seed 0
+///     .faults(&fault_plan)            // deterministic failure injection
+///     .telemetry(hub)                 // Telemetry::new(plan.stages.len())
+///     .supervised(SupervisorConfig::default())
+///     .replanner(&FoldReplanner)      // or .swaps(&schedule), not both
+///     .run(&prompts, n_generate)
+/// ```
+///
+/// Without [`supervised`](Self::supervised) the run is a single attempt
+/// with disconnect-only failure detection and unbounded inter-stage
+/// queues; fault kinds that need timeout detection (`Hang`,
+/// `DropMessage`) need supervision. A swap schedule needs supervision
+/// (a post-commit failure restarts on the target plan) and excludes a
+/// replanner (a live swap keeps the stage count, a replan shrinks it);
+/// [`run`](Self::run) rejects both combinations as
+/// [`RuntimeError::BadPlan`] before anything is loaded.
+pub struct Pipeline<'a> {
+    checkpoint: &'a RefModel,
+    plan: &'a ExecutionPlan,
     rounding: Rounding,
     seed: u64,
-    faults: Option<&FaultPlan>,
-) -> Result<RuntimeOutput, RuntimeError> {
-    run_pipeline_observed(checkpoint, plan, prompts, n_generate, rounding, seed, faults, None)
+    faults: Option<&'a FaultPlan>,
+    telemetry: Option<Arc<Telemetry>>,
+    supervisor: Option<SupervisorConfig>,
+    replanner: Option<&'a dyn Replanner>,
+    swaps: &'a [SwapRequest],
 }
 
-/// [`run_pipeline`] with an attached [`Telemetry`] hub: every stage
-/// records latency histograms, queue depths and lifecycle spans into it,
-/// ready for [`Telemetry::to_chrome_trace`] /
-/// [`Telemetry::metrics_text`] export after the run. Pass
-/// `Telemetry::new(plan.stages.len())`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_observed(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    rounding: Rounding,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-    telemetry: Option<Arc<Telemetry>>,
-) -> Result<RuntimeOutput, RuntimeError> {
-    validate_inputs(checkpoint, plan, prompts, n_generate, faults)?;
-    let (stage_weights, loader_stats) = load_all_stages(checkpoint, plan, rounding, seed);
-    let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
-    let sink: MetricsSink =
-        Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); plan.stages.len()]));
-    let sup = AttemptSupervision {
-        injector: faults.map(FaultInjector::new),
-        telemetry,
-        ..AttemptSupervision::default()
-    };
-    let start = sup.clock.now();
-    run_attempt(checkpoint, plan, prompts, &mut tokens, n_generate, &stage_weights, &sup, &sink, None)?;
-    let wall_s = sup.clock.now().saturating_sub(start).as_secs_f64();
-    let stage_metrics = sink.lock().clone();
-    Ok(RuntimeOutput { tokens, loader_stats, wall_s, stage_metrics })
+/// The stage shards loaded for one plan, and the metrics sink its
+/// workers flush into (one slot per stage of that plan).
+struct Shards {
+    weights: StageWeights,
+    loader_stats: Vec<LoaderStats>,
+    sink: MetricsSink,
+}
+
+impl<'a> Pipeline<'a> {
+    /// A run of `plan` over `checkpoint` with deterministic rounding,
+    /// seed 0, and every option off.
+    pub fn new(checkpoint: &'a RefModel, plan: &'a ExecutionPlan) -> Self {
+        Self {
+            checkpoint,
+            plan,
+            rounding: Rounding::Deterministic,
+            seed: 0,
+            faults: None,
+            telemetry: None,
+            supervisor: None,
+            replanner: None,
+            swaps: &[],
+        }
+    }
+
+    /// Rounding mode and seed of the on-the-fly quantizing loader.
+    pub fn quantizer(mut self, rounding: Rounding, seed: u64) -> Self {
+        self.rounding = rounding;
+        self.seed = seed;
+        self
+    }
+
+    /// Inject deterministic failures (tests and resilience experiments).
+    pub fn faults(mut self, faults: &'a FaultPlan) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Record into `telemetry`: every stage's latency histograms, queue
+    /// depths and lifecycle spans, the supervisor's restart and replan
+    /// decisions (a restart is attributed to the stage the failure
+    /// names), and swap commits and aborts. Size the hub for the input
+    /// plan — replans only shrink the pipeline and swaps keep its stage
+    /// count, so the recorders stay in range.
+    pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Run under supervision: heartbeat and progress timeouts, restarts
+    /// bounded by `cfg.max_restarts` with exponential backoff, queues
+    /// bounded by `cfg.max_queue`, and — policy permitting —
+    /// replan-on-device-loss through the [`replanner`](Self::replanner).
+    pub fn supervised(mut self, cfg: SupervisorConfig) -> Self {
+        self.supervisor = Some(cfg);
+        self
+    }
+
+    /// The replanner a supervised run consults when a device is lost
+    /// for good. Without one, such a loss ends the run as
+    /// [`RuntimeError::DeviceLost`].
+    pub fn replanner(mut self, replanner: &'a dyn Replanner) -> Self {
+        self.replanner = Some(replanner);
+        self
+    }
+
+    /// Live-swap to each scheduled target at its token boundary —
+    /// precision and/or partition change while requests stay in flight;
+    /// re-homed KV slices ship between stages as bit-exact chunks at
+    /// commit. A failure before a commit aborts back to the old plan; a
+    /// failure after it restarts *on the target plan* from the
+    /// lock-step checkpoint. Tokens are bit-identical to the
+    /// [`hybrid_oracle_tokens`](crate::migrate::hybrid_oracle_tokens)
+    /// oracle of whatever commits and aborts actually happened.
+    pub fn swaps(mut self, swaps: &'a [SwapRequest]) -> Self {
+        self.swaps = swaps;
+        self
+    }
+
+    fn load(&self, plan: &ExecutionPlan) -> Shards {
+        let (weights, loader_stats) =
+            load_all_stages(self.checkpoint, plan, self.rounding, self.seed);
+        let sink =
+            Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); plan.stages.len()]));
+        Shards { weights, loader_stats, sink }
+    }
+
+    /// Generate `n_generate` tokens per prompt with greedy decoding.
+    pub fn run(
+        &self,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
+    ) -> Result<RuntimeOutput, RuntimeError> {
+        let checkpoint = self.checkpoint;
+        validate_inputs(checkpoint, self.plan, prompts, n_generate, self.faults)?;
+        if !self.swaps.is_empty() {
+            if self.supervisor.is_none() {
+                return Err(RuntimeError::BadPlan(
+                    "a swap schedule needs a supervised run (a post-commit failure restarts on \
+                     the target plan)"
+                        .into(),
+                ));
+            }
+            if self.replanner.is_some() {
+                return Err(RuntimeError::BadPlan(
+                    "a swap schedule and a replanner cannot be combined (a live swap keeps the \
+                     stage count, a replan shrinks it)"
+                        .into(),
+                ));
+            }
+            validate_swaps(self.plan, self.swaps, checkpoint.cfg.n_layers)?;
+        }
+        let clock = real_clock();
+        let injector = self.faults.map(FaultInjector::new);
+        let mut coord = match &self.supervisor {
+            Some(cfg) if !self.swaps.is_empty() => {
+                let mut c = MigrationCoordinator::new(self.swaps.to_vec(), self.plan.stages.len());
+                c.prepare_timeout = Duration::from_millis(cfg.progress_timeout_ms);
+                c.commit_timeout = Duration::from_millis(cfg.progress_timeout_ms);
+                Some(c)
+            }
+            _ => None,
+        };
+        let host = coord
+            .is_some()
+            .then(|| Arc::new(MigrationHost::new(checkpoint.clone(), self.rounding, self.seed)));
+        let mut plan = self.plan.clone();
+        let mut shards = self.load(&plan);
+        let start = clock.now();
+        let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
+        let mut events = Vec::new();
+        let mut replans = 0usize;
+        loop {
+            let attempt = events.len();
+            if let Some(inj) = &injector {
+                inj.begin_attempt(attempt);
+            }
+            if let Some(c) = &mut coord {
+                // A swap that committed before the previous attempt
+                // failed made its target authoritative.
+                c.begin_attempt();
+                if c.attempt_plan(&plan) != &plan {
+                    plan = c.attempt_plan(&plan).clone();
+                    shards = self.load(&plan);
+                }
+            }
+            let sup = match &self.supervisor {
+                None => AttemptSupervision {
+                    injector: injector.clone(),
+                    telemetry: self.telemetry.clone(),
+                    ..AttemptSupervision::default()
+                },
+                Some(cfg) => {
+                    // A freshly spawned stage counts as alive: its slot
+                    // would otherwise read as stale since the run began
+                    // until the worker thread's first beat.
+                    let heartbeats = Heartbeats::with_clock(plan.stages.len(), clock.clone());
+                    (0..plan.stages.len()).for_each(|s| heartbeats.beat(s));
+                    AttemptSupervision {
+                        injector: injector.clone(),
+                        heartbeats: Some(heartbeats),
+                        heartbeat_timeout: Some(Duration::from_millis(cfg.heartbeat_timeout_ms)),
+                        progress_timeout: Some(Duration::from_millis(cfg.progress_timeout_ms)),
+                        tick: Some(Duration::from_millis(cfg.tick_ms.max(1))),
+                        telemetry: self.telemetry.clone(),
+                        queue_cap: cfg.max_queue,
+                        clock: clock.clone(),
+                        migration_host: host.clone(),
+                    }
+                }
+            };
+            let res = run_attempt(
+                checkpoint,
+                &plan,
+                prompts,
+                &mut tokens,
+                n_generate,
+                &shards.weights,
+                &sup,
+                &shards.sink,
+                coord.as_mut(),
+            );
+            let e = match res {
+                Ok(()) => {
+                    // A swap whose commit went out in the final decode
+                    // steps resolves here.
+                    if let Some(c) = &mut coord {
+                        c.begin_attempt();
+                        plan = c.attempt_plan(&plan).clone();
+                    }
+                    let stage_metrics = shards.sink.lock().clone();
+                    return Ok(RuntimeOutput {
+                        tokens,
+                        loader_stats: shards.loader_stats,
+                        wall_s: clock.now().saturating_sub(start).as_secs_f64(),
+                        stage_metrics,
+                        restarts: events.len(),
+                        replans,
+                        final_plan: plan,
+                        events,
+                        swaps: coord.map(|c| c.reports).unwrap_or_default(),
+                    });
+                }
+                Err(e) => e,
+            };
+            let Some(cfg) = &self.supervisor else { return Err(e) };
+            let lost: Vec<usize> = injector.as_ref().map(|i| i.lost_devices()).unwrap_or_default();
+            let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
+            if attempt >= cfg.max_restarts {
+                // Surface a permanent loss as such when restarting could
+                // never have succeeded.
+                return Err(lost_in_plan.map_or(e, RuntimeError::DeviceLost));
+            }
+            checkpoint_lockstep(&mut tokens);
+            let checkpointed_tokens = tokens.first().map_or(0, Vec::len);
+            let action = match lost_in_plan {
+                Some(d) if cfg.policy == RecoveryPolicy::Replan => {
+                    let Some(r) = self.replanner else { return Err(RuntimeError::DeviceLost(d)) };
+                    let new_plan = r
+                        .replan(&plan, &lost)
+                        .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
+                    new_plan.validate(checkpoint.cfg.n_layers).map_err(|m| {
+                        RuntimeError::BadPlan(format!("replanned plan invalid: {m}"))
+                    })?;
+                    if new_plan.stages.iter().any(|s| lost.contains(&s.device)) {
+                        return Err(RuntimeError::BadPlan(
+                            "replanned plan still uses a lost device".into(),
+                        ));
+                    }
+                    // Every shard reloads through the on-the-fly
+                    // quantizing loader (only the re-homed shards would
+                    // in a real deployment).
+                    shards = self.load(&new_plan);
+                    plan = new_plan;
+                    replans += 1;
+                    RecoveryAction::Replan { lost_devices: lost, new_stages: plan.stages.len() }
+                }
+                _ => {
+                    let backoff = cfg.backoff(attempt);
+                    clock.sleep(backoff);
+                    RecoveryAction::Restart { backoff_ms: backoff.as_millis() as u64 }
+                }
+            };
+            if let Some(t) = &self.telemetry {
+                // A restart is attributed to the stage the failure
+                // names; other failures only bump the global counter.
+                let failed_stage = match &e {
+                    RuntimeError::StageHung(s) | RuntimeError::StageDisconnected(s) => Some(*s),
+                    _ => None,
+                };
+                t.note_restart(failed_stage);
+                if matches!(action, RecoveryAction::Replan { .. }) {
+                    t.note_replan();
+                }
+            }
+            let error = e.to_string();
+            events.push(RecoveryEvent { attempt, error, checkpointed_tokens, action });
+        }
+    }
 }
 
 /// Comma-joined bitwidth label of a stage's shard (e.g. `"int4,fp16"`),
@@ -542,24 +791,6 @@ pub(crate) fn load_all_stages(
     (stage_weights, loader_stats)
 }
 
-/// The generation loop the master drives, transport-agnostic: prefill
-/// over `prompt ++ generated-prefix`, then lock-step decode with hybrid
-/// micro-batch sizing, finishing with a best-effort graceful `Shutdown`
-/// downstream. The same function serves the in-process engine (channel
-/// transport) and the multi-process runner (TCP transport), which is
-/// what makes a distributed loopback run bit-identical to a local one.
-/// `tokens` may hold a lock-step prefix (recovery resume).
-pub(crate) fn drive_generation<T: Transport>(
-    master: &Master<'_, T>,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    tokens: &mut [Vec<usize>],
-    n_generate: usize,
-    sup: &AttemptSupervision,
-) -> Result<(), RuntimeError> {
-    drive_generation_migrating(master, plan, prompts, tokens, n_generate, sup, None)
-}
-
 /// Sequence-chunking of the global batch for one phase.
 fn batch_chunks(n_seqs: usize, size: usize) -> Vec<Vec<usize>> {
     (0..n_seqs).collect::<Vec<_>>().chunks(size.max(1)).map(|c| c.to_vec()).collect()
@@ -584,16 +815,24 @@ fn swap_kv_payload_bytes(
     moved_layers * total_rows * hidden as u64 * 4 * 2 // K and V
 }
 
-/// [`drive_generation`] with an optional live-swap coordinator: swap
-/// proposals are opened as early as possible (prepare overlaps
-/// serving), and at each scheduled token boundary the master runs the
-/// two-phase barrier — wait for every stage's prepared `PlanReady`,
-/// send `PlanCommit`, forward migrating KV chunks, wait for every
-/// swapped `PlanReady` — before decoding under the target plan. Any
-/// pre-commit failure aborts back to the old plan and decoding
-/// continues uninterrupted; post-commit failures fail the attempt (the
-/// coordinator keeps the target plan authoritative for the restart).
-pub(crate) fn drive_generation_migrating<T: Transport>(
+/// The generation loop the master drives, transport-agnostic: prefill
+/// over `prompt ++ generated-prefix`, then lock-step decode with hybrid
+/// micro-batch sizing, finishing with a best-effort graceful `Shutdown`
+/// downstream. The same function serves the in-process engine (channel
+/// transport), the multi-process runner (TCP transport) and the simnet,
+/// which is what makes a distributed loopback run bit-identical to a
+/// local one. `tokens` may hold a lock-step prefix (recovery resume).
+///
+/// With a live-swap coordinator attached, swap proposals are opened as
+/// early as possible (prepare overlaps serving), and at each scheduled
+/// token boundary the master runs the two-phase barrier — wait for
+/// every stage's prepared `PlanReady`, send `PlanCommit`, forward
+/// migrating KV chunks, wait for every swapped `PlanReady` — before
+/// decoding under the target plan. Any pre-commit failure aborts back
+/// to the old plan and decoding continues uninterrupted; post-commit
+/// failures fail the attempt (the coordinator keeps the target plan
+/// authoritative for the restart).
+pub(crate) fn drive_generation<T: Transport>(
     master: &Master<'_, T>,
     plan: &ExecutionPlan,
     prompts: &[Vec<usize>],
@@ -830,7 +1069,7 @@ pub(crate) fn run_attempt(
         let master =
             Master::over_channels(checkpoint, to_first, from_last, sup.telemetry.clone(), n_stages);
         let res =
-            drive_generation_migrating(&master, plan, prompts, tokens, n_generate, sup, migration);
+            drive_generation(&master, plan, prompts, tokens, n_generate, sup, migration);
 
         // Un-wedge hung workers before the scope joins them. On the
         // success path the workers have already drained (or will see the
@@ -904,7 +1143,7 @@ mod tests {
         let m = model();
         let bits = vec![Bitwidth::Int8, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7, 6], vec![4, 4]];
-        let out = run_pipeline(&m, &plan(bits.clone(), 1, mb(2, 3, 3)), &prompts, 6, Rounding::Deterministic, 0, None)
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(2, 3, 3))).run(&prompts, 6)
             .expect("runtime ok");
 
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
@@ -919,9 +1158,13 @@ mod tests {
         let m = model();
         let bits = vec![Bitwidth::Int4, Bitwidth::Int4];
         let prompts = vec![vec![5, 6, 7], vec![8, 9], vec![10, 11, 12], vec![13]];
-        let a = run_pipeline(&m, &plan(bits.clone(), 1, mb(1, 4, 4)), &prompts, 5, Rounding::Deterministic, 3, None)
+        let a = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 4, 4)))
+            .quantizer(Rounding::Deterministic, 3)
+            .run(&prompts, 5)
             .unwrap();
-        let b = run_pipeline(&m, &plan(bits, 1, mb(4, 1, 4)), &prompts, 5, Rounding::Deterministic, 3, None)
+        let b = Pipeline::new(&m, &plan(bits, 1, mb(4, 1, 4)))
+            .quantizer(Rounding::Deterministic, 3)
+            .run(&prompts, 5)
             .unwrap();
         assert_eq!(a.tokens, b.tokens);
     }
@@ -932,15 +1175,7 @@ mod tests {
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2], vec![3, 4]];
         let faults = FaultPlan::crash(1, 1); // stage 1 dies after one item
-        let res = run_pipeline(
-            &m,
-            &plan(bits, 1, mb(1, 2, 2)),
-            &prompts,
-            4,
-            Rounding::Deterministic,
-            0,
-            Some(&faults),
-        );
+        let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 2, 2))).faults(&faults).run(&prompts, 4);
         // Depending on timing the master sees the crash directly
         // (WorkerDied) or an upstream stage reports the broken link
         // first (StageDisconnected) — both name the failure, not a hang.
@@ -956,28 +1191,28 @@ mod tests {
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let good = plan(bits.clone(), 1, mb(1, 1, 1));
         assert!(matches!(
-            run_pipeline(&m, &good, &[], 4, Rounding::Deterministic, 0, None),
+            Pipeline::new(&m, &good).run(&[], 4),
             Err(RuntimeError::BadPlan(_))
         ));
         assert!(matches!(
-            run_pipeline(&m, &good, &[vec![]], 4, Rounding::Deterministic, 0, None),
+            Pipeline::new(&m, &good).run(&[vec![]], 4),
             Err(RuntimeError::BadPlan(_))
         ));
         assert!(matches!(
-            run_pipeline(&m, &good, &[vec![1; 200]], 4, Rounding::Deterministic, 0, None),
+            Pipeline::new(&m, &good).run(&[vec![1; 200]], 4),
             Err(RuntimeError::BadPlan(_))
         ));
         let mut broken = plan(bits.clone(), 1, mb(1, 1, 1));
         broken.stages[1].layer_start = 2;
         assert!(matches!(
-            run_pipeline(&m, &broken, &[vec![1]], 4, Rounding::Deterministic, 0, None),
+            Pipeline::new(&m, &broken).run(&[vec![1]], 4),
             Err(RuntimeError::BadPlan(_))
         ));
         // A fault plan targeting a stage the plan doesn't have.
         let good = plan(bits, 1, mb(1, 1, 1));
         let faults = FaultPlan::crash(5, 0);
         assert!(matches!(
-            run_pipeline(&m, &good, &[vec![1]], 4, Rounding::Deterministic, 0, Some(&faults)),
+            Pipeline::new(&m, &good).faults(&faults).run(&[vec![1]], 4),
             Err(RuntimeError::BadPlan(_))
         ));
     }
@@ -997,9 +1232,11 @@ mod tests {
                 kind: crate::fault::FaultKind::Slowdown { factor: 3.0 },
             }],
         };
-        let slow = run_pipeline(&m, &plan(bits.clone(), 1, mb(1, 2, 2)), &prompts, 5, Rounding::Deterministic, 0, Some(&faults))
+        let slow = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 2, 2)))
+            .faults(&faults)
+            .run(&prompts, 5)
             .expect("slow but correct");
-        let plain = run_pipeline(&m, &plan(bits, 1, mb(1, 2, 2)), &prompts, 5, Rounding::Deterministic, 0, None)
+        let plain = Pipeline::new(&m, &plan(bits, 1, mb(1, 2, 2))).run(&prompts, 5)
             .unwrap();
         assert_eq!(slow.tokens, plain.tokens);
     }
@@ -1020,9 +1257,11 @@ mod tests {
                     kind: crate::fault::FaultKind::DuplicateMessage,
                 }],
             };
-            let dup = run_pipeline(&m, &plan(bits.clone(), 1, mb(1, 2, 2)), &prompts, 5, Rounding::Deterministic, 0, Some(&faults))
+            let dup = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 2, 2)))
+                .faults(&faults)
+                .run(&prompts, 5)
                 .expect("duplicate handled");
-            let plain = run_pipeline(&m, &plan(bits.clone(), 1, mb(1, 2, 2)), &prompts, 5, Rounding::Deterministic, 0, None)
+            let plain = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 2, 2))).run(&prompts, 5)
                 .unwrap();
             assert_eq!(dup.tokens, plain.tokens, "duplicating stage {stage}");
         }
@@ -1034,7 +1273,7 @@ mod tests {
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2, 3], vec![4, 5]];
         let n_gen = 5;
-        let out = run_pipeline(&m, &plan(bits, 1, mb(1, 2, 2)), &prompts, n_gen, Rounding::Deterministic, 0, None)
+        let out = Pipeline::new(&m, &plan(bits, 1, mb(1, 2, 2))).run(&prompts, n_gen)
             .unwrap();
         assert_eq!(out.stage_metrics.len(), 2);
         for (i, sm) in out.stage_metrics.iter().enumerate() {
@@ -1051,7 +1290,7 @@ mod tests {
         let m = model();
         let bits = vec![Bitwidth::Int3, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2, 3]];
-        let out = run_pipeline(&m, &plan(bits, 1, mb(1, 1, 1)), &prompts, 3, Rounding::Deterministic, 0, None)
+        let out = Pipeline::new(&m, &plan(bits, 1, mb(1, 1, 1))).run(&prompts, 3)
             .unwrap();
         assert_eq!(out.loader_stats.len(), 2);
         assert_eq!(out.loader_stats[0].quantized_modules, 6);

@@ -14,9 +14,15 @@
 //!   module, quantizing each linear operator as it streams in, so the
 //!   staging (CPU-RAM) footprint stays bounded by one module instead of
 //!   the whole model (§5, "On-The-Fly Quantizer");
-//! * a **supervisor** ([`supervisor`]) that detects crashed or hung
+//! * one **offline entry point**, [`Pipeline`]: a builder whose options
+//!   (quantizer, fault plan, telemetry, supervision, replanner, swap
+//!   schedule) are properties of one run and whose `run` holds the
+//!   in-process engine's only attempt loop;
+//! * **supervision** ([`supervisor`]) that detects crashed or hung
 //!   stages via heartbeats and restarts or replans the pipeline, with
-//!   deterministic fault injection ([`fault`]) for resilience tests;
+//!   deterministic fault injection ([`fault`]) for resilience tests,
+//!   and **live plan migration** ([`migrate`]) that swaps precision
+//!   and partition mid-run;
 //! * a **telemetry hub** ([`telemetry`]) of lock-free per-stage metric
 //!   recorders (latency histograms, queue depths, KV occupancy, restart
 //!   counters) and span-style micro-batch lifecycle traces, exportable
@@ -58,7 +64,7 @@ pub use elastic::{
     FleetAlarms, FleetController, FleetEvent, FleetEventKind, FleetView, PlanFailure,
     PolicyVerdict, ReplanPolicy,
 };
-pub use engine::{run_pipeline, run_pipeline_observed, RuntimeError, RuntimeOutput};
+pub use engine::{Pipeline, RuntimeError, RuntimeOutput};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, Heartbeats};
 pub use http::{
     parse_completion, read_request, run_http_server, CompletionRequest, HttpLimits, HttpParseError,
@@ -68,9 +74,9 @@ pub use http::{
 pub use kvpool::{KvPool, KvPoolConfig, KvPoolError, KvPoolStats, PagedKvStore};
 pub use loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};
 pub use migrate::{
-    hybrid_oracle_tokens, kv_to_chunks, run_pipeline_with_swap, swap_oracle_tokens,
-    CommitDecision, KvAssembler, KvChunkMsg, MigrationCoordinator, MigrationHost, MigrationOutput,
-    ProgressiveSchedule, ProgressiveStep, SwapReport, SwapRequest, WorkerSwap,
+    hybrid_oracle_tokens, kv_to_chunks, swap_oracle_tokens, CommitDecision, KvAssembler,
+    KvChunkMsg, MigrationCoordinator, MigrationHost, ProgressiveSchedule, ProgressiveStep,
+    SwapReport, SwapRequest, WorkerSwap,
 };
 pub use net::dist::{
     run_master, run_stage, DistMasterConfig, DistOutput, DistStageConfig, StageSummary,
@@ -100,8 +106,7 @@ pub use simnet::{
     VirtualClock, WireExchange, WireExchangeConfig,
 };
 pub use supervisor::{
-    run_pipeline_supervised, run_pipeline_supervised_observed, FoldReplanner, RecoveryAction,
-    RecoveryEvent, RecoveryPolicy, Replanner, SupervisedOutput, SupervisorConfig,
+    FoldReplanner, RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
 };
 pub use telemetry::{
     HistogramSnapshot, LatencyHistogram, Span, StageRecorder, Telemetry,

@@ -31,18 +31,11 @@
 //! observation that later decode steps tolerate lower precision —
 //! scored by ω via [`IndicatorTable::total`].
 
-use crate::engine::{
-    checkpoint_lockstep, load_all_stages, run_attempt, validate_inputs, AttemptSupervision,
-    RuntimeError, RuntimeOutput,
-};
-use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
-use crate::telemetry::Telemetry;
-use crate::worker::{MetricsSink, StageMetrics};
+use crate::engine::RuntimeError;
 use llm_pq::ExecutionPlan;
-use llmpq_model::{Matrix, RefModel};
+use llmpq_model::{argmax, Matrix, RefModel};
 use llmpq_quant::{Bitwidth, IndicatorTable, Rounding};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum KV rows per [`KvChunkMsg`] — keeps every chunk well under the
@@ -613,10 +606,6 @@ impl MigrationCoordinator {
 
 // --- oracles ------------------------------------------------------------
 
-fn argmax(logits: &[f32]) -> usize {
-    logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
-}
-
 /// Greedy generation under a *piecewise* model schedule, on one shared
 /// KV cache: `segments` is an ascending list of `(from_token, model)` —
 /// token index `t` is produced by the model of the segment containing
@@ -750,20 +739,7 @@ impl ProgressiveSchedule {
     }
 }
 
-// --- supervised runner ---------------------------------------------------
-
-/// Output of a supervised run with live swaps.
-#[derive(Debug, Clone)]
-pub struct MigrationOutput {
-    /// The generation output.
-    pub output: RuntimeOutput,
-    /// Restarts taken.
-    pub restarts: usize,
-    /// One report per resolved swap, in order.
-    pub swaps: Vec<SwapReport>,
-    /// The plan serving when the run finished.
-    pub final_plan: ExecutionPlan,
-}
+// --- swap schedule validation -------------------------------------------
 
 /// Validate a swap schedule against the base plan: same stage count and
 /// layer coverage, `at_token ≥ 1` (token 0 is produced by the prefill
@@ -794,105 +770,6 @@ pub fn validate_swaps(
         last = s.at_token;
     }
     Ok(())
-}
-
-/// Execute `plan` under supervision, live-swapping to each scheduled
-/// target at its token boundary — precision and/or partition change
-/// while requests stay in flight; re-homed KV slices ship between
-/// stages as bit-exact chunks at commit. Failures before a commit abort
-/// back to the old plan; failures after a commit restart *on the target
-/// plan* from the lock-step checkpoint. Tokens are bit-identical to the
-/// [`hybrid_oracle_tokens`] oracle of whatever sequence of commits and
-/// aborts actually happened.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_with_swap(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    rounding: Rounding,
-    seed: u64,
-    swaps: &[SwapRequest],
-    cfg: &crate::supervisor::SupervisorConfig,
-    faults: Option<&FaultPlan>,
-    telemetry: Option<Arc<Telemetry>>,
-) -> Result<MigrationOutput, RuntimeError> {
-    validate_inputs(checkpoint, plan, prompts, n_generate, faults)?;
-    validate_swaps(plan, swaps, checkpoint.cfg.n_layers)?;
-    let clock = crate::clock::real_clock();
-    let start = clock.now();
-    let injector = faults.map(FaultInjector::new);
-    let host = Arc::new(MigrationHost::new(checkpoint.clone(), rounding, seed));
-    let mut coord = MigrationCoordinator::new(swaps.to_vec(), plan.stages.len());
-    coord.prepare_timeout = Duration::from_millis(cfg.progress_timeout_ms);
-    coord.commit_timeout = Duration::from_millis(cfg.progress_timeout_ms);
-    let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
-    let sink: MetricsSink =
-        Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); plan.stages.len()]));
-    let mut restarts = 0usize;
-    let mut attempt = 0usize;
-    loop {
-        if let Some(inj) = &injector {
-            inj.begin_attempt(attempt);
-        }
-        coord.begin_attempt();
-        let current_plan = coord.attempt_plan(plan).clone();
-        let (stage_weights, loader_stats) = load_all_stages(checkpoint, &current_plan, rounding, seed);
-        let sup = AttemptSupervision {
-            injector: injector.clone(),
-            heartbeats: Some(Heartbeats::with_clock(current_plan.stages.len(), clock.clone())),
-            heartbeat_timeout: Some(Duration::from_millis(cfg.heartbeat_timeout_ms)),
-            progress_timeout: Some(Duration::from_millis(cfg.progress_timeout_ms)),
-            tick: Some(Duration::from_millis(cfg.tick_ms.max(1))),
-            telemetry: telemetry.clone(),
-            queue_cap: cfg.max_queue,
-            clock: clock.clone(),
-            migration_host: Some(host.clone()),
-        };
-        let res = run_attempt(
-            checkpoint,
-            &current_plan,
-            prompts,
-            &mut tokens,
-            n_generate,
-            &stage_weights,
-            &sup,
-            &sink,
-            Some(&mut coord),
-        );
-        match res {
-            Ok(()) => {
-                // A swap that committed in the final decode steps may
-                // still be pending resolution bookkeeping.
-                coord.begin_attempt();
-                let stage_metrics = sink.lock().clone();
-                let final_plan = coord.attempt_plan(plan).clone();
-                return Ok(MigrationOutput {
-                    output: RuntimeOutput {
-                        tokens,
-                        loader_stats,
-                        wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics,
-                    },
-                    restarts,
-                    swaps: coord.reports,
-                    final_plan,
-                });
-            }
-            Err(e) => {
-                if restarts >= cfg.max_restarts {
-                    return Err(e);
-                }
-                checkpoint_lockstep(&mut tokens);
-                if let Some(t) = &telemetry {
-                    t.note_restart(None);
-                }
-                clock.sleep(cfg.backoff(restarts));
-                restarts += 1;
-                attempt += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

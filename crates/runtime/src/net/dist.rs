@@ -22,7 +22,9 @@
 //! torn down by dropping the master's endpoints — the EOF cascades down
 //! the ring, every worker loop exits, and the stages circle back to
 //! accepting the next attempt, which resumes from the lock-step token
-//! checkpoint exactly like the in-process recoverable engine.
+//! checkpoint exactly like a supervised in-process
+//! [`Pipeline`](crate::Pipeline) run. The master keeps its own attempt
+//! loop: an attempt here is a TCP ring to dial, not threads to spawn.
 //!
 //! The generation loop itself is the engine's `drive_generation` — the
 //! same code the in-process engine runs, pointed at a TCP transport
@@ -590,7 +592,7 @@ fn master_attempt(
         clock: clock.clone(),
         migration_host: None,
     };
-    drive_generation(&master, plan, prompts, tokens, n_generate, &sup)
+    drive_generation(&master, plan, prompts, tokens, n_generate, &sup, None)
     // `master` (and its transport) drops here: both data endpoints
     // close, the EOF cascades down the ring, and the stages circle back
     // to accepting the next attempt.
@@ -1021,7 +1023,7 @@ pub fn run_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_pipeline;
+    use crate::engine::Pipeline;
     use llm_pq::StagePlan;
     use llmpq_model::RefConfig;
     use llmpq_quant::Bitwidth;
@@ -1085,10 +1087,9 @@ mod tests {
         let cfg = DistMasterConfig { telemetry: Some(telemetry.clone()), ..Default::default() };
         let out = run_master(&model(), &plan, &prompts, n_generate, &listener, &cfg)
             .expect("distributed run");
-        let local = run_pipeline(
-            &model(), &plan, &prompts, n_generate, Rounding::Deterministic, 0, None,
-        )
-        .expect("in-process run");
+        let local = Pipeline::new(&model(), &plan)
+            .run(&prompts, n_generate)
+            .expect("in-process run");
         assert_eq!(out.tokens, local.tokens, "must be bit-identical to the in-process engine");
         assert_eq!(out.restarts, 0);
         assert!(out.admission.conserves(0), "{:?}", out.admission);
@@ -1122,10 +1123,7 @@ mod tests {
         let out = run_master(&model(), &plan, &prompts, n_generate, &listener, &cfg)
             .expect("recovers from the injected drop");
         assert_eq!(out.restarts, 1, "exactly one restart");
-        let local = run_pipeline(
-            &model(), &plan, &prompts, n_generate, Rounding::Deterministic, 0, None,
-        )
-        .unwrap();
+        let local = Pipeline::new(&model(), &plan).run(&prompts, n_generate).unwrap();
         assert_eq!(out.tokens, local.tokens, "recovery must not perturb tokens");
         assert!(out.admission.conserves(0), "{:?}", out.admission);
         for h in stages {

@@ -42,7 +42,7 @@ use crate::overload::{
     DegradationController, Request, RungTransition,
 };
 use crate::telemetry::Telemetry;
-use llmpq_model::RefModel;
+use llmpq_model::{argmax, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Rounding};
 use serde::{Deserialize, Serialize};
 
@@ -500,18 +500,6 @@ impl ModelStepEngine {
     fn model(&self) -> &RefModel {
         &self.models[self.rung]
     }
-
-    fn argmax(logits: &[f32]) -> usize {
-        // Same expression as `sample_from_logits` at temperature 0, so
-        // tie-breaking (last max wins under `max_by`) matches `generate`
-        // bit-for-bit without a dependency on the rng machinery.
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap()
-    }
 }
 
 impl StepEngine for ModelStepEngine {
@@ -548,7 +536,7 @@ impl StepEngine for ModelStepEngine {
             return Ok(None);
         }
         let logits = self.model().project_logits(&x);
-        Ok(Some(Self::argmax(logits.row(logits.rows - 1))))
+        Ok(Some(argmax(logits.row(logits.rows - 1))))
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
@@ -567,7 +555,7 @@ impl StepEngine for ModelStepEngine {
             Ok(()) => {}
         }
         let logits = self.model().project_logits(&x);
-        Ok(Self::argmax(logits.row(logits.rows - 1)))
+        Ok(argmax(logits.row(logits.rows - 1)))
     }
 
     fn release(&mut self, seq: u64) {

@@ -38,7 +38,7 @@ use crate::serve::{IterCost, StepEngine, StepError};
 use crate::worker::{run_worker_ctx, WorkItem, WorkerCtx, WorkerMsg};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use llm_pq::ExecutionPlan;
-use llmpq_model::{Matrix, Phase, RefModel};
+use llmpq_model::{argmax, Matrix, Phase, RefModel};
 use llmpq_quant::Rounding;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -576,17 +576,6 @@ impl DistStepEngine {
             }
         }
     }
-}
-
-/// Same expression as `sample_from_logits` at temperature 0 (last max
-/// wins), so tokens match the offline engines bit-for-bit.
-fn argmax(logits: &[f32]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap()
 }
 
 impl StepEngine for DistStepEngine {

@@ -61,7 +61,7 @@ pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
 use crate::engine::{
-    bits_label, checkpoint_lockstep, drive_generation_migrating, load_all_stages,
+    bits_label, checkpoint_lockstep, drive_generation, load_all_stages,
     AttemptSupervision, Master, RuntimeError,
 };
 use crate::fault::Heartbeats;
@@ -533,7 +533,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                         clock: clock.clone(),
                         migration_host: None,
                     };
-                    let res = drive_generation_migrating(
+                    let res = drive_generation(
                         &master,
                         &cur_plan,
                         &prompts,

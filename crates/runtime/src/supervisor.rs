@@ -1,16 +1,20 @@
 //! Pipeline supervision: heartbeat/timeout failure detection, bounded
-//! restarts with exponential backoff, and replan-on-device-loss.
+//! restarts with exponential backoff, and replan-on-device-loss — the
+//! policy types [`Pipeline::supervised`](crate::Pipeline::supervised)
+//! runs under (the restart loop itself is
+//! [`Pipeline::run`](crate::Pipeline::run)).
 //!
-//! [`run_pipeline`](crate::run_pipeline) only notices failures when a
-//! channel disconnects — a *dead* worker — and gives up. A production
-//! pipeline must resume, and also sees workers that are alive but
-//! wedged (driver hang, network partition) and devices that are gone
-//! for good. The supervisor covers all three:
+//! An unsupervised run only notices failures when a channel
+//! disconnects — a *dead* worker — and gives up. A production pipeline
+//! must resume, and also sees workers that are alive but wedged (driver
+//! hang, network partition) and devices that are gone for good.
+//! Supervision covers all three:
 //!
-//! * every stage worker stamps a [`Heartbeats`] slot on each channel
-//!   tick; the master flags a stage whose stamp goes stale
-//!   ([`RuntimeError::StageHung`]) and a pipeline that produces nothing
-//!   within the progress timeout ([`RuntimeError::Stalled`]);
+//! * every stage worker stamps a [`Heartbeats`](crate::Heartbeats) slot
+//!   on each channel tick; the master flags a stage whose stamp goes stale
+//!   ([`StageHung`](crate::RuntimeError::StageHung)) and a pipeline that
+//!   produces nothing within the progress timeout
+//!   ([`Stalled`](crate::RuntimeError::Stalled));
 //! * failed attempts are retried up to
 //!   [`SupervisorConfig::max_restarts`] times with exponential backoff,
 //!   resuming from the lock-step token checkpoint;
@@ -23,19 +27,8 @@
 //!   — and generation resumes bit-identically to sequential execution
 //!   of the *new* plan from the resume point.
 
-use crate::clock::real_clock;
-use crate::engine::{
-    checkpoint_lockstep, load_all_stages, run_attempt, validate_inputs, AttemptSupervision,
-    RuntimeError, RuntimeOutput,
-};
-use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
-use crate::telemetry::Telemetry;
-use crate::worker::{MetricsSink, StageMetrics};
 use llm_pq::{ExecutionPlan, StagePlan};
-use llmpq_model::RefModel;
-use llmpq_quant::Rounding;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What to do after a failure.
@@ -179,201 +172,13 @@ pub struct RecoveryEvent {
     pub action: RecoveryAction,
 }
 
-/// Result of a supervised run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SupervisedOutput {
-    /// The generation output (under the final plan's metrics).
-    pub output: RuntimeOutput,
-    /// Restarts taken (attempts − 1).
-    pub restarts: usize,
-    /// How many of those restarts replanned.
-    pub replans: usize,
-    /// The plan that finished the run.
-    pub final_plan: ExecutionPlan,
-    /// The supervisor's decision log.
-    pub events: Vec<RecoveryEvent>,
-}
-
-/// Execute `plan` under full supervision: heartbeat + progress timeouts,
-/// bounded restarts with exponential backoff, and (policy permitting)
-/// replan-on-device-loss through `replanner`.
-///
-/// `faults` injects deterministic failures for tests and resilience
-/// experiments; pass `None` in production.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_supervised(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    rounding: Rounding,
-    seed: u64,
-    cfg: &SupervisorConfig,
-    faults: Option<&FaultPlan>,
-    replanner: Option<&dyn Replanner>,
-) -> Result<SupervisedOutput, RuntimeError> {
-    run_pipeline_supervised_observed(
-        checkpoint, plan, prompts, n_generate, rounding, seed, cfg, faults, replanner, None,
-    )
-}
-
-/// [`run_pipeline_supervised`] with an attached
-/// [`Telemetry`] hub: besides the per-stage recorders and spans of
-/// [`crate::run_pipeline_observed`], the supervisor feeds its restart and
-/// replan decisions into the hub's counters (a hung stage's restarts are
-/// attributed to that stage). Pass `Telemetry::new(plan.stages.len())` —
-/// replans only ever shrink the pipeline, so the recorders stay in range.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_supervised_observed(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    rounding: Rounding,
-    seed: u64,
-    cfg: &SupervisorConfig,
-    faults: Option<&FaultPlan>,
-    replanner: Option<&dyn Replanner>,
-    telemetry: Option<Arc<Telemetry>>,
-) -> Result<SupervisedOutput, RuntimeError> {
-    validate_inputs(checkpoint, plan, prompts, n_generate, faults)?;
-    let clock = real_clock();
-    let start = clock.now();
-    let injector = faults.map(FaultInjector::new);
-    let mut current_plan = plan.clone();
-    let (mut stage_weights, mut loader_stats) = load_all_stages(checkpoint, &current_plan, rounding, seed);
-    let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
-    let mut sink: MetricsSink = Arc::new(parking_lot::Mutex::new(vec![
-        StageMetrics::default();
-        current_plan.stages.len()
-    ]));
-    let mut events = Vec::new();
-    let mut restarts = 0usize;
-    let mut replans = 0usize;
-    let mut attempt = 0usize;
-    loop {
-        if let Some(inj) = &injector {
-            inj.begin_attempt(attempt);
-        }
-        let sup = AttemptSupervision {
-            injector: injector.clone(),
-            heartbeats: Some(Heartbeats::with_clock(current_plan.stages.len(), clock.clone())),
-            heartbeat_timeout: Some(Duration::from_millis(cfg.heartbeat_timeout_ms)),
-            progress_timeout: Some(Duration::from_millis(cfg.progress_timeout_ms)),
-            tick: Some(Duration::from_millis(cfg.tick_ms.max(1))),
-            telemetry: telemetry.clone(),
-            queue_cap: cfg.max_queue,
-            clock: clock.clone(),
-            migration_host: None,
-        };
-        match run_attempt(checkpoint, &current_plan, prompts, &mut tokens, n_generate, &stage_weights, &sup, &sink, None)
-        {
-            Ok(()) => {
-                let stage_metrics = sink.lock().clone();
-                return Ok(SupervisedOutput {
-                    output: RuntimeOutput {
-                        tokens,
-                        loader_stats,
-                        wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics,
-                    },
-                    restarts,
-                    replans,
-                    final_plan: current_plan,
-                    events,
-                });
-            }
-            Err(e) => {
-                let lost: Vec<usize> = injector.as_ref().map(|i| i.lost_devices()).unwrap_or_default();
-                let plan_hits_lost =
-                    current_plan.stages.iter().any(|s| lost.contains(&s.device));
-                if restarts >= cfg.max_restarts {
-                    // Surface a permanent loss as such when restarting
-                    // could never have succeeded.
-                    if plan_hits_lost {
-                        let d = current_plan
-                            .stages
-                            .iter()
-                            .map(|s| s.device)
-                            .find(|d| lost.contains(d))
-                            .unwrap_or(0);
-                        return Err(RuntimeError::DeviceLost(d));
-                    }
-                    return Err(e);
-                }
-                checkpoint_lockstep(&mut tokens);
-                let checkpointed = tokens.first().map_or(0, Vec::len);
-                let action = if plan_hits_lost && cfg.policy == RecoveryPolicy::Replan {
-                    match replanner {
-                        Some(r) => {
-                            let new_plan = r
-                                .replan(&current_plan, &lost)
-                                .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
-                            new_plan
-                                .validate(checkpoint.cfg.n_layers)
-                                .map_err(|m| RuntimeError::BadPlan(format!("replanned plan invalid: {m}")))?;
-                            if new_plan.stages.iter().any(|s| lost.contains(&s.device)) {
-                                return Err(RuntimeError::BadPlan(
-                                    "replanned plan still uses a lost device".into(),
-                                ));
-                            }
-                            // Reload every stage shard through the
-                            // on-the-fly quantizing loader (only the
-                            // re-homed shards would reload in a real
-                            // deployment).
-                            let (w, ls) = load_all_stages(checkpoint, &new_plan, rounding, seed);
-                            stage_weights = w;
-                            loader_stats = ls;
-                            sink = Arc::new(parking_lot::Mutex::new(vec![
-                                StageMetrics::default();
-                                new_plan.stages.len()
-                            ]));
-                            let new_stages = new_plan.stages.len();
-                            current_plan = new_plan;
-                            replans += 1;
-                            RecoveryAction::Replan { lost_devices: lost.clone(), new_stages }
-                        }
-                        None => {
-                            let d = lost.first().copied().unwrap_or(0);
-                            return Err(RuntimeError::DeviceLost(d));
-                        }
-                    }
-                } else {
-                    let backoff = cfg.backoff(restarts);
-                    clock.sleep(backoff);
-                    RecoveryAction::Restart { backoff_ms: backoff.as_millis() as u64 }
-                };
-                if let Some(t) = &telemetry {
-                    // A hung stage's restart is attributed to it; other
-                    // failures only bump the global counter.
-                    let failed_stage = match &e {
-                        RuntimeError::StageHung(s) | RuntimeError::StageDisconnected(s) => Some(*s),
-                        _ => None,
-                    };
-                    t.note_restart(failed_stage);
-                    if matches!(action, RecoveryAction::Replan { .. }) {
-                        t.note_replan();
-                    }
-                }
-                events.push(RecoveryEvent {
-                    attempt,
-                    error: e.to_string(),
-                    checkpointed_tokens: checkpointed,
-                    action,
-                });
-                restarts += 1;
-                attempt += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultEvent, FaultKind};
-    use llmpq_model::RefConfig;
-    use llmpq_quant::{quantize_model, BitAssignment, Bitwidth};
+    use crate::engine::{Pipeline, RuntimeError};
+    use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    use llmpq_model::{RefConfig, RefModel};
+    use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
     use llmpq_workload::MicrobatchPlan;
 
     fn model() -> RefModel {
@@ -424,24 +229,16 @@ mod tests {
         let m = model();
         let bits = vec![Bitwidth::Int8, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7]];
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(2, 2, 2)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            None,
-            None,
-        )
-        .expect("clean run");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(2, 2, 2)))
+            .supervised(test_cfg())
+            .run(&prompts, 5)
+            .expect("clean run");
         assert_eq!(out.restarts, 0);
         assert_eq!(out.replans, 0);
         assert!(out.events.is_empty());
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.output.tokens[i], qm.generate(p, 5, 0.0, 0).tokens, "sequence {i}");
+            assert_eq!(out.tokens[i], qm.generate(p, 5, 0.0, 0).tokens, "sequence {i}");
         }
     }
 
@@ -454,22 +251,14 @@ mod tests {
         let bits = vec![Bitwidth::Int8, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7], vec![4, 5], vec![6]];
         let cfg = SupervisorConfig { max_queue: Some(1), ..test_cfg() };
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 1, 4)),
-            &prompts,
-            6,
-            Rounding::Deterministic,
-            0,
-            &cfg,
-            None,
-            None,
-        )
-        .expect("bounded run");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 1, 4)))
+            .supervised(cfg)
+            .run(&prompts, 6)
+            .expect("bounded run");
         assert_eq!(out.restarts, 0, "backpressure must not look like a failure");
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.output.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");
+            assert_eq!(out.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");
         }
     }
 
@@ -483,22 +272,16 @@ mod tests {
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7]];
         let faults = FaultPlan::crash_schedule(&[(1, 2)]);
         let cfg = SupervisorConfig { max_queue: Some(1), ..test_cfg() };
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 1, 2)),
-            &prompts,
-            6,
-            Rounding::Deterministic,
-            0,
-            &cfg,
-            Some(&faults),
-            Some(&FoldReplanner),
-        )
-        .expect("recovered under backpressure");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 1, 2)))
+            .supervised(cfg)
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, 6)
+            .expect("recovered under backpressure");
         assert_eq!(out.restarts, 1);
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.output.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");
+            assert_eq!(out.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");
         }
     }
 
@@ -516,18 +299,12 @@ mod tests {
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7]];
         let n_gen = 7;
         let faults = FaultPlan::device_loss(1, 3); // prefill + 2 decode steps, then gone
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(2, 2, 2)),
-            &prompts,
-            n_gen,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            Some(&faults),
-            Some(&FoldReplanner),
-        )
-        .expect("recovered by replanning");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(2, 2, 2)))
+            .supervised(test_cfg())
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, n_gen)
+            .expect("recovered by replanning");
         assert_eq!(out.replans, 1);
         assert_eq!(out.restarts, 1);
         assert_eq!(out.final_plan.stages.len(), 1, "folded onto the survivor");
@@ -536,7 +313,7 @@ mod tests {
         assert_eq!(out.events[0].checkpointed_tokens, 3);
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.output.tokens[i], qm.generate(p, n_gen, 0.0, 0).tokens, "sequence {i}");
+            assert_eq!(out.tokens[i], qm.generate(p, n_gen, 0.0, 0).tokens, "sequence {i}");
         }
     }
 
@@ -567,18 +344,12 @@ mod tests {
         let prompts = vec![vec![1, 2, 3], vec![9, 8, 7]];
         let n_gen = 7;
         let faults = FaultPlan::device_loss(1, 3);
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(old_bits.clone(), 1, mb(2, 2, 2)),
-            &prompts,
-            n_gen,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            Some(&faults),
-            Some(&DegradingReplanner),
-        )
-        .expect("recovered with degraded bits");
+        let out = Pipeline::new(&m, &plan(old_bits.clone(), 1, mb(2, 2, 2)))
+            .supervised(test_cfg())
+            .faults(&faults)
+            .replanner(&DegradingReplanner)
+            .run(&prompts, n_gen)
+            .expect("recovered with degraded bits");
         assert_eq!(out.replans, 1);
         let done = out.events[0].checkpointed_tokens;
         assert_eq!(done, 3);
@@ -591,11 +362,11 @@ mod tests {
         );
         for (i, p) in prompts.iter().enumerate() {
             let old_full = qm_old.generate(p, n_gen, 0.0, 0).tokens;
-            assert_eq!(&out.output.tokens[i][..done], &old_full[..done], "prefix, sequence {i}");
+            assert_eq!(&out.tokens[i][..done], &old_full[..done], "prefix, sequence {i}");
             let mut resumed_prompt = p.clone();
             resumed_prompt.extend_from_slice(&old_full[..done]);
             let want_tail = qm_new.generate(&resumed_prompt, n_gen - done, 0.0, 0).tokens;
-            assert_eq!(&out.output.tokens[i][done..], &want_tail[..], "resume tail, sequence {i}");
+            assert_eq!(&out.tokens[i][done..], &want_tail[..], "resume tail, sequence {i}");
         }
     }
 
@@ -610,18 +381,12 @@ mod tests {
         let faults = FaultPlan {
             events: vec![FaultEvent { stage: 1, step: 2, attempt: None, kind: FaultKind::Hang }],
         };
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(2, 2, 2)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            Some(&faults),
-            Some(&FoldReplanner),
-        )
-        .expect("recovered from hang");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(2, 2, 2)))
+            .supervised(test_cfg())
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, 5)
+            .expect("recovered from hang");
         assert_eq!(out.restarts, 1);
         assert_eq!(out.replans, 0, "a hang is transient — no replan");
         assert!(
@@ -631,7 +396,7 @@ mod tests {
         );
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
-            assert_eq!(out.output.tokens[i], qm.generate(p, 5, 0.0, 0).tokens, "sequence {i}");
+            assert_eq!(out.tokens[i], qm.generate(p, 5, 0.0, 0).tokens, "sequence {i}");
         }
     }
 
@@ -643,22 +408,16 @@ mod tests {
         let faults = FaultPlan {
             events: vec![FaultEvent { stage: 0, step: 2, attempt: None, kind: FaultKind::DropMessage }],
         };
-        let out = run_pipeline_supervised(
-            &m,
-            &plan(bits.clone(), 1, mb(1, 2, 2)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            Some(&faults),
-            Some(&FoldReplanner),
-        )
-        .expect("recovered from dropped message");
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 2, 2)))
+            .supervised(test_cfg())
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, 5)
+            .expect("recovered from dropped message");
         assert_eq!(out.restarts, 1);
         assert!(out.events[0].error.contains("stalled"), "{}", out.events[0].error);
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
-        assert_eq!(out.output.tokens[0], qm.generate(&prompts[0], 5, 0.0, 0).tokens);
+        assert_eq!(out.tokens[0], qm.generate(&prompts[0], 5, 0.0, 0).tokens);
     }
 
     #[test]
@@ -671,17 +430,10 @@ mod tests {
         let prompts = vec![vec![1, 2]];
         let faults = FaultPlan::device_loss(1, 1);
         let cfg = SupervisorConfig { policy: RecoveryPolicy::RestartSamePlan, ..test_cfg() };
-        let res = run_pipeline_supervised(
-            &m,
-            &plan(bits, 1, mb(1, 1, 1)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            &cfg,
-            Some(&faults),
-            None,
-        );
+        let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 1, 1)))
+            .supervised(cfg)
+            .faults(&faults)
+            .run(&prompts, 5);
         assert!(matches!(res, Err(RuntimeError::DeviceLost(1))), "{res:?}");
     }
 
@@ -691,17 +443,10 @@ mod tests {
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2]];
         let faults = FaultPlan::device_loss(0, 0);
-        let res = run_pipeline_supervised(
-            &m,
-            &plan(bits, 1, mb(1, 1, 1)),
-            &prompts,
-            5,
-            Rounding::Deterministic,
-            0,
-            &test_cfg(),
-            Some(&faults),
-            None,
-        );
+        let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 1, 1)))
+            .supervised(test_cfg())
+            .faults(&faults)
+            .run(&prompts, 5);
         assert!(matches!(res, Err(RuntimeError::DeviceLost(0))), "{res:?}");
     }
 

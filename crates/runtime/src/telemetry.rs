@@ -445,9 +445,8 @@ impl Span {
 
 /// Shared observability hub for one pipeline run (plus its supervised
 /// restarts). Create with [`Telemetry::new`], pass to
-/// `run_pipeline_observed` / `run_pipeline_supervised_observed`, then
-/// export with [`Telemetry::to_chrome_trace`] and
-/// [`Telemetry::metrics_text`].
+/// [`Pipeline::telemetry`](crate::Pipeline::telemetry), then export with
+/// [`Telemetry::to_chrome_trace`] and [`Telemetry::metrics_text`].
 pub struct Telemetry {
     clock: Arc<dyn Clock>,
     stages: Vec<StageRecorder>,

@@ -8,8 +8,7 @@ use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
-    run_pipeline_supervised, FaultPlan, FoldReplanner, RecoveryPolicy, RuntimeError,
-    SupervisorConfig,
+    FaultPlan, FoldReplanner, Pipeline, RecoveryPolicy, RuntimeError, SupervisorConfig,
 };
 use llmpq_workload::MicrobatchPlan;
 use proptest::prelude::*;
@@ -61,17 +60,11 @@ proptest! {
             policy: RecoveryPolicy::Replan,
             max_queue: None,
         };
-        let res = run_pipeline_supervised(
-            &m,
-            &plan,
-            &prompts,
-            n_generate,
-            Rounding::Deterministic,
-            0,
-            &cfg,
-            Some(&faults),
-            Some(&FoldReplanner),
-        );
+        let res = Pipeline::new(&m, &plan)
+            .supervised(cfg)
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, n_generate);
         match res {
             Ok(out) => {
                 // Restart budget respected.
@@ -89,7 +82,7 @@ proptest! {
                 );
                 for (i, p) in prompts.iter().enumerate() {
                     let want = qm.generate(p, n_generate, 0.0, 0).tokens;
-                    prop_assert_eq!(&out.output.tokens[i], &want,
+                    prop_assert_eq!(&out.tokens[i], &want,
                         "sequence {} diverged under faults {:?}", i, faults);
                 }
             }

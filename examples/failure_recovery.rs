@@ -12,7 +12,7 @@
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
-use llmpq_runtime::{run_pipeline_supervised, FaultPlan, RuntimeError, SupervisorConfig};
+use llmpq_runtime::{FaultPlan, Pipeline, RuntimeError, SupervisorConfig};
 use llmpq_workload::MicrobatchPlan;
 
 fn main() -> Result<(), RuntimeError> {
@@ -40,21 +40,14 @@ fn main() -> Result<(), RuntimeError> {
         (0..4).map(|i| (0..10).map(|j| (i * 31 + j * 7) % 256).collect()).collect();
 
     println!("running 24-token generation with stage 1 crashing after 8 work items…");
-    let sup = run_pipeline_supervised(
-        &checkpoint,
-        &plan,
-        &prompts,
-        24,
-        Rounding::Deterministic,
-        0,
-        &SupervisorConfig::default(),
-        // stage 1 dies mid-decode on the first attempt
-        Some(&FaultPlan::crash(1, 8)),
-        None,
-    )?;
-    let out = sup.output;
-    println!("recovered with {} restart(s); wall {:.3}s", sup.restarts, out.wall_s);
-    for ev in &sup.events {
+    // stage 1 dies mid-decode on the first attempt
+    let faults = FaultPlan::crash(1, 8);
+    let out = Pipeline::new(&checkpoint, &plan)
+        .supervised(SupervisorConfig::default())
+        .faults(&faults)
+        .run(&prompts, 24)?;
+    println!("recovered with {} restart(s); wall {:.3}s", out.restarts, out.wall_s);
+    for ev in &out.events {
         println!(
             "  attempt {}: {} -> {:?} ({} tokens checkpointed)",
             ev.attempt, ev.error, ev.action, ev.checkpointed_tokens

@@ -15,7 +15,7 @@ use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{ModelFamily, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{calibrate, variance_indicator, Rounding};
-use llmpq_runtime::run_pipeline;
+use llmpq_runtime::Pipeline;
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
@@ -53,8 +53,8 @@ fn main() {
         .collect();
 
     let n_generate = 16; // runtime demo length (the plan covers n=100)
-    let run = run_pipeline(&checkpoint, &out.plan, &prompts, n_generate, Rounding::Deterministic, 0, None)
-        .expect("pipeline runs");
+    let run =
+        Pipeline::new(&checkpoint, &out.plan).run(&prompts, n_generate).expect("pipeline runs");
     println!("\ngenerated {n_generate} tokens per sequence in {:.3}s (wall):", run.wall_s);
     for (i, toks) in run.tokens.iter().enumerate() {
         println!("  seq {i}: {:?}", &toks[..8.min(toks.len())]);

@@ -7,7 +7,7 @@
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
-use llmpq_runtime::{run_pipeline, WireFaultPlan};
+use llmpq_runtime::{Pipeline, WireFaultPlan};
 use llmpq_workload::MicrobatchPlan;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -52,7 +52,9 @@ fn reference_tokens() -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect();
-    run_pipeline(&checkpoint, &plan, &prompts, N_GENERATE, Rounding::Deterministic, SEED, None)
+    Pipeline::new(&checkpoint, &plan)
+        .quantizer(Rounding::Deterministic, SEED)
+        .run(&prompts, N_GENERATE)
         .expect("in-process reference run")
         .tokens
 }

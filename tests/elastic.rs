@@ -1,7 +1,7 @@
 //! Integration: the elastic-fleet control loop driving the *real*
 //! pipeline ring. A device join debounces into one replan whose target
 //! is executed through the two-phase live-swap barrier
-//! (`run_pipeline_with_swap`), token-identical to the hybrid oracle;
+//! (`Pipeline::swaps`), token-identical to the hybrid oracle;
 //! a device loss mid-migration aborts the barrier cleanly back to the
 //! still-serving old plan with nothing dropped or duplicated.
 
@@ -9,9 +9,9 @@ use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
-    hybrid_oracle_tokens, run_pipeline_with_swap, ControllerCommand, ControllerState,
-    DebouncedPolicy, ElasticPlanner, FleetController, FleetEvent, FleetEventKind, FleetView,
-    PlanFailure, RecoveryPolicy, SupervisorConfig, SwapRequest, Telemetry,
+    hybrid_oracle_tokens, ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner,
+    FleetController, FleetEvent, FleetEventKind, FleetView, Pipeline, PlanFailure,
+    RecoveryPolicy, SupervisorConfig, SwapRequest, Telemetry,
 };
 
 const N_LAYERS: usize = 4;
@@ -148,19 +148,12 @@ fn scale_out_join_replans_and_live_swaps_on_the_ring() {
     let n_gen = 8;
     let swap_at = 3;
     let telemetry = Telemetry::new(N_STAGES);
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[SwapRequest { at_token: swap_at, plan: target.clone() }],
-        &fast_supervisor(),
-        None,
-        Some(telemetry.clone()),
-    )
-    .expect("elastic swap run ok");
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .telemetry(telemetry.clone())
+        .swaps(&[SwapRequest { at_token: swap_at, plan: target.clone() }])
+        .run(&prompts, n_gen)
+        .expect("elastic swap run ok");
 
     assert_eq!(out.restarts, 0);
     assert_eq!(out.swaps.len(), 1);
@@ -179,11 +172,11 @@ fn scale_out_join_replans_and_live_swaps_on_the_ring() {
     // n_gen tokens, bit-identical to the hybrid oracle.
     let qo = quantize_model(&ck, &base.bit_assignment(), Rounding::Deterministic, 0);
     let qn = quantize_model(&ck, &target.bit_assignment(), Rounding::Deterministic, 0);
-    assert_eq!(out.output.tokens.len(), prompts.len());
+    assert_eq!(out.tokens.len(), prompts.len());
     for (i, p) in prompts.iter().enumerate() {
         let want = hybrid_oracle_tokens(&[(0, &qo), (swap_at, &qn)], p, n_gen, None);
-        assert_eq!(out.output.tokens[i].len(), n_gen, "sequence {i} dropped tokens");
-        assert_eq!(out.output.tokens[i], want, "sequence {i} diverged from the oracle");
+        assert_eq!(out.tokens[i].len(), n_gen, "sequence {i} dropped tokens");
+        assert_eq!(out.tokens[i], want, "sequence {i} diverged from the oracle");
     }
 
     // Cooldown drains back to Idle with nothing pending.
@@ -220,19 +213,11 @@ fn device_loss_mid_migration_aborts_cleanly_to_the_old_plan() {
     // check bit-identity against the plain old-plan oracle.
     let prompts = prompts(2);
     let n_gen = 8;
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[],
-        &fast_supervisor(),
-        None,
-        None,
-    )
-    .expect("old plan keeps serving after the abort");
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .swaps(&[])
+        .run(&prompts, n_gen)
+        .expect("old plan keeps serving after the abort");
 
     assert_eq!(out.restarts, 0);
     assert!(out.swaps.is_empty());
@@ -240,8 +225,8 @@ fn device_loss_mid_migration_aborts_cleanly_to_the_old_plan() {
     let q = quantize_model(&ck, &base.bit_assignment(), Rounding::Deterministic, 0);
     for (i, p) in prompts.iter().enumerate() {
         let want = hybrid_oracle_tokens(&[(0, &q)], p, n_gen, None);
-        assert_eq!(out.output.tokens[i].len(), n_gen, "sequence {i} dropped tokens");
-        assert_eq!(out.output.tokens[i], want, "sequence {i} diverged on the held plan");
+        assert_eq!(out.tokens[i].len(), n_gen, "sequence {i} dropped tokens");
+        assert_eq!(out.tokens[i], want, "sequence {i} diverged on the held plan");
     }
 
     // The abort must not wedge the loop: a stable re-join replans and

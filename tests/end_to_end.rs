@@ -7,7 +7,7 @@ use llmpq_cluster::{paper_cluster, Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{ModelFamily, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{quantize_model, IndicatorTable, Rounding};
-use llmpq_runtime::run_pipeline;
+use llmpq_runtime::Pipeline;
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
@@ -63,7 +63,7 @@ fn assigner_plan_executes_on_live_runtime() {
     let checkpoint = RefModel::new(RefConfig::scaled_like(4, 42));
     let prompts: Vec<Vec<usize>> =
         (0..4).map(|i| (0..8).map(|j| (i * 31 + j * 7) % 256).collect()).collect();
-    let run = run_pipeline(&checkpoint, &out.plan, &prompts, 5, Rounding::Deterministic, 0, None)
+    let run = Pipeline::new(&checkpoint, &out.plan).run(&prompts, 5)
         .expect("runtime ok");
 
     let qm = quantize_model(
@@ -133,7 +133,9 @@ fn strategy_file_round_trips_through_runtime() {
 
     let checkpoint = RefModel::new(RefConfig::scaled_like(4, 7));
     let prompts = vec![vec![1, 2, 3, 4, 5, 6], vec![10, 20, 30, 40, 50, 60]];
-    let run = run_pipeline(&checkpoint, &parsed, &prompts, 4, Rounding::Deterministic, 1, None)
+    let run = Pipeline::new(&checkpoint, &parsed)
+        .quantizer(Rounding::Deterministic, 1)
+        .run(&prompts, 4)
         .expect("runtime ok");
     assert_eq!(run.tokens.len(), 2);
     assert!(run.tokens.iter().all(|t| t.len() == 4));

@@ -6,8 +6,8 @@ use llm_pq::{assign, tp_sweep, AssignerConfig, SolverChoice};
 use llmpq_cluster::paper_cluster;
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
-use llmpq_quant::{IndicatorTable, Rounding};
-use llmpq_runtime::{run_pipeline_supervised, FaultPlan, RecoveryPolicy, SupervisorConfig};
+use llmpq_quant::IndicatorTable;
+use llmpq_runtime::{FaultPlan, Pipeline, RecoveryPolicy, SupervisorConfig};
 use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
@@ -168,24 +168,13 @@ fn recovery_works_for_an_assigned_plan() {
         policy: RecoveryPolicy::RestartSamePlan,
         ..SupervisorConfig::default()
     };
-    let run = |faults: Option<&FaultPlan>| {
-        run_pipeline_supervised(
-            &checkpoint,
-            &out.plan,
-            &prompts,
-            10,
-            Rounding::Deterministic,
-            0,
-            &sup,
-            faults,
-            None,
-        )
-    };
+    let run = || Pipeline::new(&checkpoint, &out.plan).supervised(sup);
     // Two consecutive crashes: attempt 0 loses the last stage mid-decode,
     // attempt 1 loses stage 0 right after resuming.
-    let rec = run(Some(&FaultPlan::crash_schedule(&[(crash_stage, 3), (0, 1)]))).expect("recovered");
+    let faults = FaultPlan::crash_schedule(&[(crash_stage, 3), (0, 1)]);
+    let rec = run().faults(&faults).run(&prompts, 10).expect("recovered");
     assert_eq!(rec.restarts, 2);
-    let clean = run(None).unwrap();
+    let clean = run().run(&prompts, 10).unwrap();
     assert_eq!(clean.restarts, 0);
-    assert_eq!(rec.output.tokens, clean.output.tokens, "recovery must not change tokens");
+    assert_eq!(rec.tokens, clean.tokens, "recovery must not change tokens");
 }

@@ -9,9 +9,7 @@ use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{ModelFamily, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{quantize_model, IndicatorTable, Rounding};
-use llmpq_runtime::{
-    run_pipeline_supervised, FaultPlan, RecoveryPolicy, Replanner, SupervisorConfig,
-};
+use llmpq_runtime::{FaultPlan, Pipeline, RecoveryPolicy, Replanner, SupervisorConfig};
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
@@ -112,18 +110,12 @@ fn device_loss_recovers_via_assigner_replan_bit_identically() {
         indicator: &indicator,
         cfg: &cfg,
     };
-    let sup = run_pipeline_supervised(
-        &checkpoint,
-        &plan,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &fast_supervisor(),
-        Some(&faults),
-        Some(&replanner),
-    )
-    .expect("recovered via replan");
+    let sup = Pipeline::new(&checkpoint, &plan)
+        .supervised(fast_supervisor())
+        .faults(&faults)
+        .replanner(&replanner)
+        .run(&prompts, n_gen)
+        .expect("recovered via replan");
 
     assert_eq!(sup.replans, 1);
     let lost_device = plan.stages[1].device;
@@ -148,11 +140,11 @@ fn device_loss_recovers_via_assigner_replan_bit_identically() {
     );
     for (i, p) in prompts.iter().enumerate() {
         let old_full = qm_old.generate(p, n_gen, 0.0, 0).tokens;
-        assert_eq!(&sup.output.tokens[i][..done], &old_full[..done], "prefix, sequence {i}");
+        assert_eq!(&sup.tokens[i][..done], &old_full[..done], "prefix, sequence {i}");
         let mut resumed = p.clone();
         resumed.extend_from_slice(&old_full[..done]);
         let tail = qm_new.generate(&resumed, n_gen - done, 0.0, 0).tokens;
-        assert_eq!(&sup.output.tokens[i][done..], &tail[..], "resumed tail, sequence {i}");
+        assert_eq!(&sup.tokens[i][done..], &tail[..], "resumed tail, sequence {i}");
     }
 }
 

@@ -8,8 +8,8 @@ use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
-    hybrid_oracle_tokens, run_pipeline_with_swap, FaultPlan, RecoveryPolicy, SupervisorConfig,
-    SwapRequest, Telemetry,
+    hybrid_oracle_tokens, FaultEvent, FaultKind, FaultPlan, FoldReplanner, Pipeline,
+    RecoveryAction, RecoveryPolicy, RuntimeError, SupervisorConfig, SwapRequest, Telemetry,
 };
 
 const N_LAYERS: usize = 4;
@@ -89,19 +89,12 @@ fn mid_decode_bitwidth_swap_is_token_identical_to_oracle() {
     let swap_at = 3;
     let telemetry = Telemetry::new(3);
 
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[SwapRequest { at_token: swap_at, plan: target.clone() }],
-        &fast_supervisor(),
-        None,
-        Some(telemetry.clone()),
-    )
-    .expect("swap run ok");
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .telemetry(telemetry.clone())
+        .swaps(&[SwapRequest { at_token: swap_at, plan: target.clone() }])
+        .run(&prompts, n_gen)
+        .expect("swap run ok");
 
     assert_eq!(out.restarts, 0);
     assert_eq!(out.swaps.len(), 1);
@@ -117,7 +110,7 @@ fn mid_decode_bitwidth_swap_is_token_identical_to_oracle() {
 
     for (i, p) in prompts.iter().enumerate() {
         let want = oracle(&ck, &base, &target, swap_at, p, n_gen, None);
-        assert_eq!(out.output.tokens[i], want, "sequence {i}");
+        assert_eq!(out.tokens[i], want, "sequence {i}");
     }
 }
 
@@ -135,19 +128,12 @@ fn repartition_swap_ships_kv_and_is_token_identical_to_oracle() {
     let swap_at = 4;
     let telemetry = Telemetry::new(3);
 
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[SwapRequest { at_token: swap_at, plan: target.clone() }],
-        &fast_supervisor(),
-        None,
-        Some(telemetry.clone()),
-    )
-    .expect("repartition run ok");
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .telemetry(telemetry.clone())
+        .swaps(&[SwapRequest { at_token: swap_at, plan: target.clone() }])
+        .run(&prompts, n_gen)
+        .expect("repartition run ok");
 
     assert_eq!(out.restarts, 0);
     let report = &out.swaps[0];
@@ -160,7 +146,7 @@ fn repartition_swap_ships_kv_and_is_token_identical_to_oracle() {
 
     for (i, p) in prompts.iter().enumerate() {
         let want = oracle(&ck, &base, &target, swap_at, p, n_gen, None);
-        assert_eq!(out.output.tokens[i], want, "sequence {i}");
+        assert_eq!(out.tokens[i], want, "sequence {i}");
     }
 }
 
@@ -173,22 +159,14 @@ fn chained_swaps_walk_precision_down_then_repartition() {
     let prompts = prompts(2);
     let n_gen = 9;
 
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .swaps(&[
             SwapRequest { at_token: 2, plan: mid.clone() },
             SwapRequest { at_token: 5, plan: last.clone() },
-        ],
-        &fast_supervisor(),
-        None,
-        None,
-    )
-    .expect("chained swaps ok");
+        ])
+        .run(&prompts, n_gen)
+        .expect("chained swaps ok");
 
     assert_eq!(out.swaps.len(), 2);
     assert!(out.swaps.iter().all(|r| r.committed));
@@ -200,7 +178,7 @@ fn chained_swaps_walk_precision_down_then_repartition() {
     let ql = quantize_model(&ck, &last.bit_assignment(), Rounding::Deterministic, 0);
     for (i, p) in prompts.iter().enumerate() {
         let want = hybrid_oracle_tokens(&[(0, &qb), (2, &qm), (5, &ql)], p, n_gen, None);
-        assert_eq!(out.output.tokens[i], want, "sequence {i}");
+        assert_eq!(out.tokens[i], want, "sequence {i}");
     }
 }
 
@@ -217,23 +195,16 @@ fn mid_migration_crash_recovers_without_dropping_requests() {
     // Crash stage 1 somewhere around the swap boundary: prefill is 2
     // stage-local items, so item 4 lands inside decode near at_token.
     let faults = FaultPlan::crash(1, 4);
-    let out = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts,
-        n_gen,
-        Rounding::Deterministic,
-        0,
-        &[SwapRequest { at_token: swap_at, plan: target.clone() }],
-        &fast_supervisor(),
-        Some(&faults),
-        None,
-    )
-    .expect("supervised migration run recovers");
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .faults(&faults)
+        .swaps(&[SwapRequest { at_token: swap_at, plan: target.clone() }])
+        .run(&prompts, n_gen)
+        .expect("supervised migration run recovers");
 
     assert!(out.restarts >= 1, "the scheduled crash must have fired");
     // No dropped requests: every sequence finished all its tokens.
-    assert!(out.output.tokens.iter().all(|t| t.len() == n_gen));
+    assert!(out.tokens.iter().all(|t| t.len() == n_gen));
 
     // The run must be bit-identical to *some* legal recovery history:
     // the hybrid oracle resumed (re-prefilled) at the restart point, or
@@ -243,15 +214,15 @@ fn mid_migration_crash_recovers_without_dropping_requests() {
         .map(|resume| oracle(&ck, &base, &target, swap_at, &prompts[0], n_gen, resume))
         .collect();
     assert!(
-        legal.contains(&out.output.tokens[0]),
+        legal.contains(&out.tokens[0]),
         "recovered tokens match no legal oracle history: {:?}",
-        out.output.tokens[0]
+        out.tokens[0]
     );
     // Both sequences took the same history.
-    let k = legal.iter().position(|l| l == &out.output.tokens[0]).unwrap();
+    let k = legal.iter().position(|l| l == &out.tokens[0]).unwrap();
     let resume = if k == 0 { None } else { Some(k) };
     assert_eq!(
-        out.output.tokens[1],
+        out.tokens[1],
         oracle(&ck, &base, &target, swap_at, &prompts[1], n_gen, resume),
         "sequences disagree on the recovery history"
     );
@@ -262,18 +233,74 @@ fn swap_schedule_validation_rejects_stage_count_changes() {
     let ck = checkpoint();
     let base = plan(&[(0, 1), (1, 3), (3, 4)], &[Bitwidth::Fp16; N_LAYERS]);
     let two_stage = plan(&[(0, 2), (2, 4)], &[Bitwidth::Fp16; N_LAYERS]);
-    let err = run_pipeline_with_swap(
-        &ck,
-        &base,
-        &prompts(1),
-        4,
-        Rounding::Deterministic,
-        0,
-        &[SwapRequest { at_token: 2, plan: two_stage }],
-        &fast_supervisor(),
-        None,
-        None,
-    )
-    .unwrap_err();
+    let err = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .swaps(&[SwapRequest { at_token: 2, plan: two_stage }])
+        .run(&prompts(1), 4)
+        .unwrap_err();
     assert!(err.to_string().contains("stage count"), "got: {err}");
+}
+
+#[test]
+fn post_commit_failure_is_logged_and_attributed_like_any_supervised_restart() {
+    let ck = checkpoint();
+    let part = [(0, 1), (1, 3), (3, 4)];
+    let base = plan(&part, &[Bitwidth::Fp16; N_LAYERS]);
+    let target = plan(&part, &[Bitwidth::Int4; N_LAYERS]);
+    let prompts = prompts(2);
+    let (n_gen, swap_at) = (8, 2);
+    let telemetry = Telemetry::new(3);
+
+    // Stage 1 wedges on its sixth item: two prefill items, then one
+    // decode item per token, so tokens 0..4 are out and the swap at
+    // token 2 has committed. A hang rather than a crash because only
+    // the heartbeat timeout names the failed stage itself; a crash
+    // surfaces as a disconnect, which names at most the upstream stage
+    // that lost an item.
+    let faults = FaultPlan {
+        events: vec![FaultEvent { stage: 1, step: 5, attempt: None, kind: FaultKind::Hang }],
+    };
+    let out = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .swaps(&[SwapRequest { at_token: swap_at, plan: target.clone() }])
+        .faults(&faults)
+        .telemetry(telemetry.clone())
+        .run(&prompts, n_gen)
+        .expect("restarts on the target plan");
+
+    assert_eq!(out.restarts, 1, "{:?}", out.events);
+    assert_eq!(out.events.len(), 1, "one recovery event per restart");
+    let ev = &out.events[0];
+    assert_eq!(ev.attempt, 0);
+    assert_eq!(ev.checkpointed_tokens, 4);
+    assert!(ev.error.contains("stage 1 hung"), "{}", ev.error);
+    assert!(matches!(ev.action, RecoveryAction::Restart { .. }));
+    assert_eq!(telemetry.restarts(), 1);
+    assert_eq!(telemetry.stage(1).expect("stage recorder").restarts(), 1);
+    assert!(out.swaps.len() == 1 && out.swaps[0].committed, "{:?}", out.swaps);
+    assert_eq!(out.final_plan, target);
+
+    for (i, p) in prompts.iter().enumerate() {
+        let want = oracle(&ck, &base, &target, swap_at, p, n_gen, Some(ev.checkpointed_tokens));
+        assert_eq!(out.tokens[i], want, "sequence {i}");
+    }
+}
+
+#[test]
+fn swap_schedule_needs_supervision_and_excludes_a_replanner() {
+    let ck = checkpoint();
+    let part = [(0, 1), (1, 3), (3, 4)];
+    let base = plan(&part, &[Bitwidth::Fp16; N_LAYERS]);
+    let swaps = [SwapRequest { at_token: 2, plan: plan(&part, &[Bitwidth::Int4; N_LAYERS]) }];
+
+    let err = Pipeline::new(&ck, &base).swaps(&swaps).run(&prompts(1), 4).unwrap_err();
+    assert!(matches!(&err, RuntimeError::BadPlan(m) if m.contains("supervised")), "got: {err}");
+
+    let err = Pipeline::new(&ck, &base)
+        .supervised(fast_supervisor())
+        .replanner(&FoldReplanner)
+        .swaps(&swaps)
+        .run(&prompts(1), 4)
+        .unwrap_err();
+    assert!(matches!(&err, RuntimeError::BadPlan(m) if m.contains("replanner")), "got: {err}");
 }

@@ -6,11 +6,8 @@
 
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
-use llmpq_quant::{Bitwidth, Rounding};
-use llmpq_runtime::{
-    run_pipeline, run_pipeline_observed, run_pipeline_supervised_observed, FaultPlan,
-    FoldReplanner, SupervisorConfig, Telemetry,
-};
+use llmpq_quant::Bitwidth;
+use llmpq_runtime::{FaultPlan, FoldReplanner, Pipeline, SupervisorConfig, Telemetry};
 use serde_json::Value;
 
 fn tiny_plan() -> ExecutionPlan {
@@ -36,17 +33,8 @@ fn run_observed(n_generate: usize) -> (Telemetry01, f64) {
     let m = RefModel::new(RefConfig::tiny());
     let prompts = vec![vec![1, 2, 3], vec![9, 8], vec![4, 5, 6]];
     let tel = Telemetry::new(2);
-    let out = run_pipeline_observed(
-        &m,
-        &tiny_plan(),
-        &prompts,
-        n_generate,
-        Rounding::Deterministic,
-        0,
-        None,
-        Some(tel.clone()),
-    )
-    .expect("observed run");
+    let out = Pipeline::new(&m, &tiny_plan()).telemetry(tel.clone()).run(&prompts, n_generate)
+        .expect("observed run");
     (tel, out.wall_s)
 }
 
@@ -56,20 +44,11 @@ type Telemetry01 = std::sync::Arc<Telemetry>;
 fn observed_run_produces_identical_tokens() {
     let m = RefModel::new(RefConfig::tiny());
     let prompts = vec![vec![1, 2, 3], vec![9, 8], vec![4, 5, 6]];
-    let plain = run_pipeline(&m, &tiny_plan(), &prompts, 5, Rounding::Deterministic, 0, None)
+    let plain = Pipeline::new(&m, &tiny_plan()).run(&prompts, 5)
         .expect("plain run");
     let tel = Telemetry::new(2);
-    let observed = run_pipeline_observed(
-        &m,
-        &tiny_plan(),
-        &prompts,
-        5,
-        Rounding::Deterministic,
-        0,
-        None,
-        Some(tel.clone()),
-    )
-    .expect("observed run");
+    let observed = Pipeline::new(&m, &tiny_plan()).telemetry(tel.clone()).run(&prompts, 5)
+        .expect("observed run");
     assert_eq!(plain.tokens, observed.tokens, "telemetry must not perturb generation");
     assert!(tel.tokens() > 0);
 }
@@ -201,19 +180,13 @@ fn supervised_observed_run_counts_restarts() {
         ..SupervisorConfig::default()
     };
     let faults = FaultPlan::crash_schedule(&[(1, 2)]);
-    let out = run_pipeline_supervised_observed(
-        &m,
-        &tiny_plan(),
-        &prompts,
-        5,
-        Rounding::Deterministic,
-        0,
-        &cfg,
-        Some(&faults),
-        Some(&FoldReplanner),
-        Some(tel.clone()),
-    )
-    .expect("recovered");
+    let out = Pipeline::new(&m, &tiny_plan())
+        .supervised(cfg)
+        .faults(&faults)
+        .replanner(&FoldReplanner)
+        .telemetry(tel.clone())
+        .run(&prompts, 5)
+        .expect("recovered");
     assert_eq!(out.restarts, 1);
     assert_eq!(tel.restarts(), 1, "telemetry mirrors the supervisor's restart count");
     let text = tel.metrics_text();

@@ -5,7 +5,7 @@ use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{Matrix, RefConfig, RefModel};
 use llmpq_quant::{quantize_matrix, BitAssignment, Bitwidth, Rounding};
-use llmpq_runtime::run_pipeline;
+use llmpq_runtime::Pipeline;
 use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload, StageLoad};
 use llmpq_workload::{BatchJob, MicrobatchPlan};
 use proptest::prelude::*;
@@ -172,7 +172,7 @@ proptest! {
             scheme: "prop".into(),
             kv_bits: 16,
         };
-        let out = run_pipeline(&checkpoint, &plan, &prompts, n_gen, Rounding::Deterministic, 0, None)
+        let out = Pipeline::new(&checkpoint, &plan).run(&prompts, n_gen)
             .expect("runtime ok");
         let qm = llmpq_quant::quantize_model(
             &checkpoint,
