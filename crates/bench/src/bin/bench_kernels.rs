@@ -3,11 +3,14 @@
 //! Measures, on the host CPU, what Fig 5 measures on GPUs: sustained
 //! weight throughput of the serving GEMM at each precision, for both
 //! phases (prefill `m>1`, decode `m=1`), plus the dequantize-then-f32
-//! baseline the fused kernel must beat. All precisions are reported as
+//! baseline the fused kernel must beat. Decode is judged in
 //! **effective FP16-equivalent GB/s** — `(n·k·2 bytes) / time` — so a
 //! kernel that moves fewer physical bytes per weight shows up as a
 //! higher effective rate, exactly the quantity the planner's roofline
-//! tables model.
+//! tables model. Prefill is compute-bound and judged in **GFLOP/s**
+//! (`2·m·n·k / time`); the prefill shape is run at `m = 1`, the phase's
+//! usual `m`, and `m = 64` (one serving chunk), so the table shows how
+//! far staging each weight tile once per row block amortises.
 //!
 //! Also emits end-to-end tokens/s through the reference model at each
 //! precision ladder rung, the solver's wall-clock overhead (the other
@@ -17,9 +20,10 @@
 //! modeled device.
 //!
 //! Flags: `--quick` (small shapes, CI-friendly), `--check-ordering`
-//! (assert fused beats dequant-then-GEMM and effective GB/s orders
-//! int4 ≥ int8 ≥ fp16 in decode), `--out PATH` (default
-//! `BENCH_kernels.json`).
+//! (assert fused beats dequant-then-GEMM, effective GB/s orders
+//! int4 ≥ int8 ≥ fp16 in decode, and a fused `m = 64` prefill row costs
+//! at most a third of the `m = 1` call at the same shape), `--out PATH`
+//! (default `BENCH_kernels.json`).
 
 use llmpq_bench::quality::zoo_indicator;
 use llmpq_bench::serving::ServingSetup;
@@ -45,6 +49,8 @@ struct GemmRow {
     ms: f64,
     /// FP16-equivalent weight throughput: `n·k·2 bytes / time`.
     effective_gbs: f64,
+    /// Arithmetic rate: `2·m·n·k / time`.
+    gflops: f64,
 }
 
 #[derive(Serialize)]
@@ -75,6 +81,9 @@ struct Report {
     crosscheck: Vec<KernelCrosscheck>,
     fused_beats_dequant_decode: bool,
     decode_ordering_int4_int8_fp16: bool,
+    /// Fused `m = 64` time per row over fused `m = 1` time at the
+    /// prefill shape, per precision; the gate is ≤ 1/3.
+    prefill_amortisation: Vec<(String, f64)>,
 }
 
 /// A labeled closure the interleaved timer can re-run.
@@ -107,6 +116,9 @@ fn pack(w: &Matrix, bits: Bitwidth) -> PackedMatrix {
         .to_packed(llmpq_kernels::DEFAULT_GROUP)
 }
 
+/// Rows of one serving prefill chunk.
+const CHUNK_M: usize = 64;
+
 fn gemm_suite(quick: bool, rows: &mut Vec<GemmRow>) {
     // Decode is the memory-bound phase: m = 1, square weight sized to
     // spill L2 even in quick mode so the run measures sustained traffic
@@ -118,7 +130,12 @@ fn gemm_suite(quick: bool, rows: &mut Vec<GemmRow>) {
     let (dec_nk, pre_nk, pre_m) = if quick { (4096, 512, 16) } else { (4096, 1024, 32) };
     let (iters, rounds) = if quick { (2, 3) } else { (4, 5) };
 
-    for (phase, m, nk) in [("decode", 1usize, dec_nk), ("prefill", pre_m, pre_nk)] {
+    for (phase, m, nk) in [
+        ("decode", 1usize, dec_nk),
+        ("prefill", 1, pre_nk),
+        ("prefill", pre_m, pre_nk),
+        ("prefill", CHUNK_M, pre_nk),
+    ] {
         let w = Matrix::random(nk, nk, 0.2, 5);
         let x = Matrix::random(m, nk, 0.5, 9);
         let packs: Vec<(Bitwidth, PackedMatrix)> = [Bitwidth::Int8, Bitwidth::Int4, Bitwidth::Int3]
@@ -166,6 +183,7 @@ fn gemm_suite(quick: bool, rows: &mut Vec<GemmRow>) {
                 k: nk,
                 ms: s * 1e3,
                 effective_gbs: eq_bytes / s / 1e9,
+                gflops: (2 * m * nk * nk) as f64 / s / 1e9,
             });
         }
     }
@@ -261,7 +279,7 @@ fn main() {
     let mut gemm = Vec::new();
     gemm_suite(quick, &mut gemm);
 
-    let mut t = TextTable::new(&["phase", "kernel", "m", "n=k", "ms", "eff GB/s (fp16-eq)"]);
+    let mut t = TextTable::new(&["phase", "kernel", "m", "n=k", "ms", "eff GB/s (fp16-eq)", "GFLOP/s"]);
     for r in &gemm {
         t.row(vec![
             r.phase.into(),
@@ -270,6 +288,7 @@ fn main() {
             r.n.to_string(),
             format!("{:.3}", r.ms),
             format!("{:.2}", r.effective_gbs),
+            format!("{:.2}", r.gflops),
         ]);
     }
     println!("{}", t.render());
@@ -342,6 +361,24 @@ fn main() {
         if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
         if ordering { "holds (3% tie tolerance)" } else { "DOES NOT hold" },
     );
+    // A ratio of two timings of one kernel on one machine, so it holds
+    // wherever the weight tile is staged once per row block and fails
+    // (ratio ≈ 1) wherever it is staged once per row.
+    let prefill_ms = |kernel: &str, m: usize| {
+        gemm.iter()
+            .find(|r| r.phase == "prefill" && r.kernel == kernel && r.m == m)
+            .map(|r| r.ms)
+            .expect("prefill row present")
+    };
+    let prefill_amortisation: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
+        .iter()
+        .map(|b| {
+            let kernel = format!("fused-{b}");
+            let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
+            println!("{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
+            (kernel, ratio)
+        })
+        .collect();
 
     let report = Report {
         bench: "bench_kernels",
@@ -353,6 +390,7 @@ fn main() {
         crosscheck,
         fused_beats_dequant_decode: fused_beats_dequant,
         decode_ordering_int4_int8_fp16: ordering,
+        prefill_amortisation,
     };
     match std::fs::write(&out_path, serde_json::to_string_pretty(&report).expect("serializable") + "\n") {
         Ok(()) => println!("wrote {out_path}"),
@@ -367,5 +405,11 @@ fn main() {
             ordering,
             "decode effective GB/s must order int4 >= int8 >= fp16"
         );
+        for (kernel, ratio) in &report.prefill_amortisation {
+            assert!(
+                *ratio <= 1.0 / 3.0,
+                "{kernel}: a prefill row must cost at most 1/3 of an m = 1 call, got {ratio:.2}"
+            );
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests for the packed-weight subsystem: pack/unpack identity
-//! across odd shapes and group sizes, and bit-exactness of the fused
-//! dequant-GEMM against the scalar dequantize-then-`matmul_t` reference.
+//! across odd shapes and group sizes, bit-exactness of the blocked
+//! dequant-GEMM (packed and dense) against the scalar
+//! dequantize-then-`matmul_t` reference, and its defined behaviour on
+//! numeric edge cases.
 
-use llmpq_kernels::{qgemm_t, quantize_packed, PackBits, PackedMatrix};
+use llmpq_kernels::{gemm_t, qgemm_t, qgemm_t_into, quantize_packed, PackBits, PackedMatrix};
 use proptest::prelude::*;
 
 fn any_pack_bits() -> impl Strategy<Value = PackBits> {
@@ -29,22 +31,45 @@ fn pseudo_grid(n: usize, qmax: i32, seed: u64) -> Vec<i8> {
         .collect()
 }
 
-/// The repo's `Matrix::matmul_t` accumulation, applied to a dequantized
-/// copy of the packed weight: per output, ascending-k `acc += a * b`.
-fn dequant_then_matmul_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
-    let dq = w.unpack();
-    let (k, n) = (w.cols, w.rows);
+/// The repo's scalar `Matrix::matmul_t` accumulation over a dense
+/// `n × k` weight: per output, ascending-k `acc += a * b`.
+fn scalar_matmul_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += x[i * k + kk] * dq[j * k + kk];
+                acc += x[i * k + kk] * w[j * k + kk];
             }
             out[i * n + j] = acc;
         }
     }
     out
+}
+
+/// [`scalar_matmul_t`] against a dequantized copy of the packed weight.
+fn dequant_then_matmul_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
+    scalar_matmul_t(x, m, &w.unpack(), w.rows, w.cols)
+}
+
+/// Group lengths the blocked kernel must cross cleanly for a given `k`:
+/// tiny, sub-tile, the default, longer than the 128-step scratch tile,
+/// and one group spanning the row. With odd `k` every fixed length
+/// leaves a short last group.
+fn group_for(choice: usize, k: usize) -> usize {
+    [3, 16, 64, 192, k][choice]
+}
+
+/// NaN exactly where the reference is NaN, bit-equal everywhere else.
+fn assert_same_or_both_nan(got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if w.is_nan() {
+            assert!(g.is_nan(), "output {i}: reference is NaN, kernel gave {g}");
+        } else {
+            assert_eq!(g.to_bits(), w.to_bits(), "output {i}: {g} vs {w}");
+        }
+    }
 }
 
 proptest! {
@@ -146,4 +171,159 @@ proptest! {
             }
         }
     }
+
+    /// The blocked path at serving shapes: `m` crosses the 4-row register
+    /// block and the 64-row parallel block, `n` leaves a lane tail, `k`
+    /// is odd, and the group set includes a short last group and a group
+    /// longer than the scratch tile.
+    #[test]
+    fn blocked_qgemm_bit_identical_across_row_blocks(
+        bits in any_pack_bits(),
+        m in 1usize..=70,
+        lane_tiles in 0usize..4,
+        lane_tail in 1usize..8,
+        half_k in 0usize..135,
+        group_choice in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let (n, k) = (8 * lane_tiles + lane_tail, 2 * half_k + 1);
+        let w = quantize_packed(&pseudo(n * k, seed), n, k, bits, group_for(group_choice, k));
+        let x = pseudo(m * k, seed ^ 0x3C3C);
+        let fused = qgemm_t(&x, m, &w);
+        let reference = dequant_then_matmul_t(&x, m, &w);
+        for (i, (f, r)) in fused.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "output {}: {} vs {}", i, f, r);
+        }
+    }
+
+    /// The dense entry point runs the same kernel with a transposing
+    /// fill and must equal the scalar dot product bit-for-bit.
+    #[test]
+    fn blocked_dense_gemm_bit_identical_to_scalar_reference(
+        m in 1usize..=70,
+        lane_tiles in 0usize..4,
+        lane_tail in 1usize..8,
+        half_k in 0usize..135,
+        seed in 0u64..1000,
+    ) {
+        let (n, k) = (8 * lane_tiles + lane_tail, 2 * half_k + 1);
+        let w = pseudo(n * k, seed);
+        let x = pseudo(m * k, seed ^ 0x3C3C);
+        let blocked = gemm_t(&x, m, &w, n, k);
+        let reference = scalar_matmul_t(&x, m, &w, n, k);
+        for (i, (b, r)) in blocked.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(b.to_bits(), r.to_bits(), "output {}: {} vs {}", i, b, r);
+        }
+    }
+
+    /// What serving leans on for chunked prefill ≡ decode ≡
+    /// preempt-and-recompute: a row's outputs do not depend on which
+    /// other rows share its GEMM call.
+    #[test]
+    fn rows_are_independent_of_their_block(
+        bits in any_pack_bits(),
+        m in 1usize..=70,
+        n in 1usize..30,
+        k in 1usize..200,
+        group_choice in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let data = pseudo(n * k, seed);
+        let w = quantize_packed(&data, n, k, bits, group_for(group_choice, k));
+        let x = pseudo(m * k, seed ^ 0x0F0F);
+        let packed = qgemm_t(&x, m, &w);
+        let dense = gemm_t(&x, m, &data, n, k);
+        for i in 0..m {
+            let xi = &x[i * k..(i + 1) * k];
+            let (p1, d1) = (qgemm_t(xi, 1, &w), gemm_t(xi, 1, &data, n, k));
+            for j in 0..n {
+                prop_assert_eq!(packed[i * n + j].to_bits(), p1[j].to_bits(), "packed ({}, {})", i, j);
+                prop_assert_eq!(dense[i * n + j].to_bits(), d1[j].to_bits(), "dense ({}, {})", i, j);
+            }
+        }
+    }
+}
+
+// Numeric edge cases (ROADMAP item 5): defined behaviour, pinned through
+// the blocked kernel at a shape that has full and tail row blocks, a
+// lane tail, and a group length that does not divide k.
+
+const EDGE: (usize, usize, usize, usize) = (6, 11, 37, 16); // m, n, k, group
+
+#[test]
+fn zero_and_constant_weight_rows_match_reference() {
+    let (m, n, k, group) = EDGE;
+    let x = pseudo(m * k, 1);
+    for bits in [PackBits::Int3, PackBits::Int4, PackBits::Int8] {
+        // Row 0 all-zero, row 1 constant, the rest random — through the
+        // native quantizer (an all-zero group gets scale 1, grid 0) …
+        let mut data = pseudo(n * k, 2);
+        data[..k].fill(0.0);
+        data[k..2 * k].fill(0.75);
+        let w = quantize_packed(&data, n, k, bits, group);
+        let out = qgemm_t(&x, m, &w);
+        assert_same_or_both_nan(&out, &dequant_then_matmul_t(&x, m, &w));
+        for i in 0..m {
+            assert_eq!(out[i * n].to_bits(), 0.0f32.to_bits(), "zero row must give +0.0");
+        }
+        // … and with an explicit scale of 0 on a nonzero grid.
+        let gpr = k.div_ceil(group);
+        let q = pseudo_grid(n * k, bits.qmax(), 3);
+        let mut scales = vec![0.02f32; n * gpr];
+        scales[..gpr].fill(0.0);
+        let w0 = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &vec![0i8; n * gpr]);
+        assert_same_or_both_nan(&qgemm_t(&x, m, &w0), &dequant_then_matmul_t(&x, m, &w0));
+    }
+    let mut dense = pseudo(n * k, 4);
+    dense[..k].fill(0.0);
+    dense[k..2 * k].fill(0.75);
+    assert_same_or_both_nan(&gemm_t(&x, m, &dense, n, k), &scalar_matmul_t(&x, m, &dense, n, k));
+}
+
+#[test]
+fn non_finite_activations_propagate_like_the_reference() {
+    let (m, n, k, group) = EDGE;
+    let data = pseudo(n * k, 5);
+    // One poisoned element per row kind: +inf, −inf, NaN, and inf
+    // against a zero weight (inf · 0 = NaN); rows 4 and 5 stay finite
+    // and must stay bit-equal.
+    let mut x = pseudo(m * k, 6);
+    x[3] = f32::INFINITY;
+    x[k + 20] = f32::NEG_INFINITY;
+    x[2 * k + 36] = f32::NAN;
+    x[3 * k + 7] = f32::INFINITY;
+    let mut zeroed = data.clone();
+    for j in 0..n {
+        zeroed[j * k + 7] = 0.0;
+    }
+    for bits in [PackBits::Int3, PackBits::Int4, PackBits::Int8] {
+        for src in [&data, &zeroed] {
+            let w = quantize_packed(src, n, k, bits, group);
+            let out = qgemm_t(&x, m, &w);
+            let reference = dequant_then_matmul_t(&x, m, &w);
+            assert_same_or_both_nan(&out, &reference);
+            assert!(out[4 * n..].iter().all(|v| v.is_finite()), "finite rows stay finite");
+        }
+    }
+    for src in [&data, &zeroed] {
+        assert_same_or_both_nan(&gemm_t(&x, m, src, n, k), &scalar_matmul_t(&x, m, src, n, k));
+    }
+    // The zero-weight column turns row 3's +inf into NaN on every output.
+    let w = quantize_packed(&zeroed, n, k, PackBits::Int8, group);
+    assert!(qgemm_t(&x, m, &w)[3 * n..4 * n].iter().all(|v| v.is_nan()));
+}
+
+#[test]
+fn empty_shapes_are_defined() {
+    let w = quantize_packed(&pseudo(5 * 9, 7), 5, 9, PackBits::Int4, 4);
+    assert!(qgemm_t(&[], 0, &w).is_empty(), "m = 0");
+    let none = quantize_packed(&[], 0, 9, PackBits::Int4, 4);
+    assert!(qgemm_t(&pseudo(3 * 9, 8), 3, &none).is_empty(), "n = 0");
+    assert!(gemm_t(&[], 0, &pseudo(5 * 9, 9), 5, 9).is_empty(), "dense m = 0");
+    assert!(gemm_t(&pseudo(3 * 9, 8), 3, &[], 0, 9).is_empty(), "dense n = 0");
+    // k = 0: every output is the empty sum, and a dirty buffer is overwritten.
+    let flat = quantize_packed(&[], 4, 0, PackBits::Int8, 4);
+    let mut out = vec![f32::NAN; 2 * 4];
+    qgemm_t_into(&[], 2, &flat, &mut out);
+    assert!(out.iter().all(|v| v.to_bits() == 0));
 }

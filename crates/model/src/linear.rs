@@ -4,8 +4,8 @@
 //! Every projection in [`crate::reference::LayerWeights`] is a
 //! [`LinearOp`]. The FP path stores a plain [`Matrix`]; a quantized
 //! layer stores a [`PackedMatrix`] and never materializes `f32` weights
-//! in memory — [`LinearOp::forward_t`] dequantizes tiles in registers on
-//! the way into the multiply. Both variants produce bit-identical
+//! in memory — [`LinearOp::forward_t`] dequantizes one small tile at a
+//! time inside the blocked GEMM. Both variants produce bit-identical
 //! outputs to `x.matmul_t(dequantized_weight)`, so swapping the
 //! representation never changes served tokens.
 

@@ -289,6 +289,15 @@ impl RefModel {
         x.matmul_t(&self.embed)
     }
 
+    /// Logits of the last row of `x` only (`vocab` long) — what sampling
+    /// the next token needs. Rows of [`Self::project_logits`] are
+    /// independent, so this equals its last row bit-for-bit at `1/t` of
+    /// the LM-head work.
+    pub fn last_row_logits(&self, x: &Matrix) -> Vec<f32> {
+        let last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
+        self.project_logits(&last).data
+    }
+
     /// Prefill: run the whole prompt through all layers, returning logits
     /// for every position and the populated KV cache.
     pub fn prefill(&self, tokens: &[usize]) -> (Matrix, KvCache) {

@@ -3,10 +3,12 @@
 //! A row-major `f32` matrix with a rayon-parallel GEMM plus the handful of
 //! elementwise kernels a decoder layer needs (LayerNorm, softmax, GELU).
 //! This is deliberately simple — the reference model exists to propagate
-//! real quantization error, not to set GEMM speed records — but the GEMM
+//! real quantization error, not to set GEMM speed records — but `matmul`
 //! is cache-aware (ikj loop order) and parallel over output rows per the
-//! hpc guide idioms.
+//! hpc guide idioms, and `matmul_t` shares the kernels crate's
+//! register-blocked GEMM with the packed weights.
 
+use llmpq_kernels::gemm_t;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -79,25 +81,26 @@ impl Matrix {
     }
 
     /// `self · otherᵀ` — the natural layout for projection weights stored
-    /// as `(out_features, in_features)`.
+    /// as `(out_features, in_features)`. Every output is the scalar
+    /// ascending-k dot product. Two or more rows compute it in the
+    /// kernels crate's register-blocked GEMM (bit-identical; each weight
+    /// tile is staged once for all rows). A single row stays the plain
+    /// loop below: it is the scalar reference the workspace's
+    /// bit-identity tests hold the blocked kernel to.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
+        if self.rows > 1 {
+            let data = gemm_t(&self.data, self.rows, &other.data, other.rows, other.cols);
+            return Matrix { rows: self.rows, cols: other.rows, data };
+        }
         let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        out.data
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = self.row(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = other.row(j);
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            });
+        for (j, o) in out.data.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (&a, &b) in self.data.iter().zip(other.row(j)) {
+                acc += a * b;
+            }
+            *o = acc;
+        }
         out
     }
 

@@ -34,7 +34,7 @@ use crate::worker::{
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use llm_pq::{ExecutionPlan, StagePlan};
-use llmpq_model::{argmax, Matrix, Phase, RefModel};
+use llmpq_model::{argmax, Phase, RefModel};
 use llmpq_quant::Rounding;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -412,9 +412,7 @@ impl<'m, T: Transport> Master<'m, T> {
             .seqs
             .iter()
             .map(|(seq, h)| {
-                let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-                let logits = self.model.project_logits(&last);
-                (*seq, argmax(logits.row(0)))
+                (*seq, argmax(&self.model.last_row_logits(h)))
             })
             .collect();
         if let (Some(t), Some(ts)) = (&self.telemetry, start) {

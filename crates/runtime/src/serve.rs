@@ -535,8 +535,7 @@ impl StepEngine for ModelStepEngine {
         if !is_last {
             return Ok(None);
         }
-        let logits = self.model().project_logits(&x);
-        Ok(Some(argmax(logits.row(logits.rows - 1))))
+        Ok(Some(argmax(&self.model().last_row_logits(&x))))
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {

@@ -566,9 +566,7 @@ impl DistStepEngine {
                     .into_iter()
                     .next()
                     .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
-                let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-                let logits = self.master.project_logits(&last);
-                Ok(Some(argmax(logits.row(0))))
+                Ok(Some(argmax(&self.master.last_row_logits(&h))))
             }
             Err(RingLost(_)) => {
                 self.ring_down = true;
