@@ -26,7 +26,6 @@ fn main() {
         let solver = match setup.cfg.solver {
             SolverChoice::Dp { group } => format!("DP group={group}"),
             SolverChoice::Heuristic => "Heuristic".into(),
-            SolverChoice::Ilp { group, .. } => format!("ILP group={group}"),
         };
         match assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg) {
             Ok(out) => {

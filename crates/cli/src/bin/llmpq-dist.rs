@@ -64,7 +64,7 @@
 
 use llm_pq::evaluate::stage_loads;
 use llm_pq::{
-    degradation_ladder, replan_after_loss, AssignerConfig, DegradationLadder, ExecutionPlan,
+    degradation_ladder, AssignerConfig, DegradationLadder, ExecutionPlan, IncrementalPlanner,
     SolverChoice, DEFAULT_CAPS,
 };
 use llmpq_cli::Args;
@@ -362,24 +362,26 @@ fn run(args: &Args) -> Result<(), String> {
 
 /// Context for re-running Algorithm 1 on the surviving sub-cluster,
 /// resolvable only for paper-cluster ("cluster-N") plans over zoo
-/// models.
+/// models. The planner is kept for the whole run, so a second loss
+/// reuses the first's cost and evaluation caches and warm-starts from
+/// its plan.
 struct ResolvedPlanner {
     cluster: llmpq_cluster::Cluster,
-    spec: llmpq_model::ModelSpec,
-    job: BatchJob,
     db: CostDb,
     indicator: llmpq_quant::IndicatorTable,
-    cfg: AssignerConfig,
+    planner: std::sync::Mutex<IncrementalPlanner>,
 }
 
 /// Production-shaped replanner with provenance. When the plan's
 /// cluster and model resolve, permanent device loss re-runs Algorithm 1
-/// on the survivors (`llm_pq::replan_after_loss`) and records where
-/// each installed plan came from — the exact solver, or the Algorithm-2
-/// heuristic after a solver failure — instead of falling back
-/// silently. Unresolvable plans use the structural [`FoldReplanner`]
-/// (recorded as such). Origins feed telemetry (`plan_origin` in the
-/// metrics snapshot) and the end-of-run summary.
+/// on the survivors (`IncrementalPlanner::replan_after_loss`) and
+/// records where each installed plan came from — the configured solver
+/// (`ilp`), the same warm-started from the previous replan
+/// (`warm-start`), or the Algorithm-2 heuristic after a solver failure
+/// — instead of falling back silently. Unresolvable plans use the
+/// structural [`FoldReplanner`] (recorded as such). Origins feed
+/// telemetry (`plan_origin` in the metrics snapshot) and the end-of-run
+/// summary.
 struct DistReplanner {
     resolved: Option<ResolvedPlanner>,
     origins: std::sync::Mutex<Vec<String>>,
@@ -397,20 +399,22 @@ impl DistReplanner {
             .map(|(n, spec)| ResolvedPlanner {
                 cluster: paper_cluster(n),
                 indicator: random_indicator(spec.n_layers, 0xA11CE, 1.0),
-                spec,
-                job,
                 db: CostDb::oracle(&KernelEnv::default()),
                 // Recovery-path sizing: a lighter search than offline
                 // planning, so the pipeline is back before the
                 // heartbeat budget runs out.
-                cfg: AssignerConfig {
-                    theta: 0.1,
-                    solver: SolverChoice::Dp { group: 8 },
-                    xi: 2,
-                    max_orderings: 4,
-                    dp_grid: Some(12),
-                    ..AssignerConfig::default()
-                },
+                planner: std::sync::Mutex::new(IncrementalPlanner::new(
+                    spec,
+                    job,
+                    AssignerConfig {
+                        theta: 0.1,
+                        solver: SolverChoice::Dp { group: 8 },
+                        xi: 2,
+                        max_orderings: 4,
+                        dp_grid: Some(12),
+                        ..AssignerConfig::default()
+                    },
+                )),
             });
         Self { resolved, origins: std::sync::Mutex::new(Vec::new()), telemetry }
     }
@@ -430,7 +434,8 @@ impl Replanner for DistReplanner {
             self.origins.lock().unwrap().push("fold".into());
             return Ok(plan);
         };
-        match replan_after_loss(&r.cluster, lost, &r.spec, &r.job, &r.db, &r.indicator, &r.cfg) {
+        let mut planner = r.planner.lock().expect("a replan panicked while holding the planner");
+        match planner.replan_after_loss(&r.cluster, lost, &r.db, &r.indicator) {
             Ok(out) => {
                 let origin = out.origin.to_string();
                 if let Some(t) = &self.telemetry {

@@ -1,15 +1,20 @@
 //! Algorithm 1: the LLM-PQ assigner.
 //!
-//! Enumerates device-topology orderings and hybrid (prefill, decode)
-//! micro-batch pairs in the pruned search space; for each combination it
-//! builds the partition/bitwidth problem from the cost models and the
-//! variance indicator and solves it with the configured inner solver
-//! (exact DP, per-layer ILP, or the Algorithm-2 heuristic). The best
-//! plan by `latency + θ·Σω` wins.
+//! One search (`search`) enumerates device-topology orderings and
+//! hybrid (prefill, decode) micro-batch pairs in the pruned search
+//! space; for each combination it builds the partition/bitwidth problem
+//! from the cost models and the variance indicator and solves it with
+//! the configured inner solver (the exact DP or the Algorithm-2
+//! heuristic), then tries the uniform even-split seed plans. The best
+//! plan by `latency + θ·Σω` wins. Cost-model lookups and plan
+//! evaluations are memoised and seeds are pruned by a sound makespan
+//! lower bound for every caller: [`assign`] is the search on empty
+//! caches with no previous plan, [`crate::IncrementalPlanner`] the same
+//! search on caches it keeps between calls.
 
 use crate::config::{AssignerConfig, SolverChoice};
-use crate::evaluate::{evaluate_plan, representative_past, PlanReport};
-use crate::ilp::solve_ilp;
+use crate::evaluate::{representative_past, PlanReport};
+use crate::incremental::{repair_hint, CostCache, EvalCache, PlannerStats};
 use crate::plan::{ExecutionPlan, StagePlan};
 use crate::transfer::heuristic_solve;
 use llmpq_cluster::Cluster;
@@ -17,7 +22,7 @@ use llmpq_cost::{CostDb, FRAMEWORK_BYTES};
 use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
 use llmpq_quant::{Bitwidth, IndicatorTable};
 use llmpq_sim::layer_workspace_bytes;
-use llmpq_solver::{solve_partition, MilpConfig, PartitionProblem, PartitionSolution};
+use llmpq_solver::{solve_partition_warm_stats, PartitionProblem, PartitionSolution};
 use llmpq_workload::{microbatch_counts, BatchJob, MicrobatchPlan};
 use serde::{Deserialize, Serialize};
 
@@ -129,17 +134,16 @@ pub fn build_problem(
     dp_grid: Option<usize>,
     kv_bits: f64,
 ) -> (PartitionProblem, Vec<f64>, Vec<usize>) {
-    build_problem_with_cache(
+    build_problem_cached(
         cluster, ordering, spec, job, db, indicator, theta, mb, group, bits_set, phase_aware,
-        dp_grid, kv_bits, None,
+        dp_grid, kv_bits, &mut CostCache::default(),
     )
 }
 
-/// [`build_problem`] routed through the incremental planner's memoized
-/// cost cache when one is supplied (`None` hits the cost DB directly and
-/// is bit-identical to the cold path).
+/// [`build_problem`] with the cost-model and ω lookups routed through
+/// `cache` (a throw-away cache gives the uncached answer bit for bit).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_problem_with_cache(
+fn build_problem_cached(
     cluster: &Cluster,
     ordering: &[usize],
     spec: &ModelSpec,
@@ -153,7 +157,7 @@ pub(crate) fn build_problem_with_cache(
     phase_aware: bool,
     dp_grid: Option<usize>,
     kv_bits: f64,
-    mut cache: Option<&mut crate::incremental::CostCache>,
+    cache: &mut CostCache,
 ) -> (PartitionProblem, Vec<f64>, Vec<usize>) {
     let sizes = group_sizes(spec.n_layers, group);
     let l = sizes.len();
@@ -176,8 +180,8 @@ pub(crate) fn build_problem_with_cache(
     // and bits), per-layer bytes only on bits, and the ω group sum only
     // on (group, bits) — so hoist all three out of the l × n × nb fill
     // loop. At fleet scale this turns ~700k cost-model lookups per
-    // build into O(classes × bits), which is what keeps the elastic
-    // warm-replan path fast on 100+ device clusters.
+    // build into O(classes × bits), which is what keeps planning fast
+    // on 100+ device clusters.
     let mut class_lat: Vec<(llmpq_cluster::GpuModel, Vec<(f64, f64)>)> = Vec::new();
     for &dev_idx in ordering {
         let gpu = cluster.devices[dev_idx].gpu;
@@ -186,17 +190,10 @@ pub(crate) fn build_problem_with_cache(
         }
         let mut rows = Vec::with_capacity(nb);
         for &bits in bits_set {
-            let row = match cache.as_deref_mut() {
-                Some(c) => (
-                    c.layer_latency(db, gpu, spec, &pre_w, bits, kv_bits),
-                    c.layer_latency(db, gpu, spec, &dec_w, bits, kv_bits),
-                ),
-                None => (
-                    db.layer_latency_kv(gpu, spec, &pre_w, bits, kv_bits),
-                    db.layer_latency_kv(gpu, spec, &dec_w, bits, kv_bits),
-                ),
-            };
-            rows.push(row);
+            rows.push((
+                cache.layer_latency(db, gpu, spec, &pre_w, bits, kv_bits),
+                cache.layer_latency(db, gpu, spec, &dec_w, bits, kv_bits),
+            ));
         }
         class_lat.push((gpu, rows));
     }
@@ -223,14 +220,7 @@ pub(crate) fn build_problem_with_cache(
     for (g, &gsz) in sizes.iter().enumerate() {
         let mut omegas = Vec::with_capacity(nb);
         for &bits in bits_set {
-            let omega: f64 = match (indicator, cache.as_deref_mut()) {
-                (None, _) => 0.0,
-                (Some(ind), Some(c)) => c.omega_sum(ind, layer0, gsz, bits),
-                (Some(ind), None) => {
-                    (layer0..layer0 + gsz).map(|layer| ind.get(layer, bits)).sum()
-                }
-            };
-            omegas.push(omega);
+            omegas.push(indicator.map_or(0.0, |ind| cache.omega_sum(ind, layer0, gsz, bits)));
         }
         for (j, &cls) in dev_class.iter().enumerate() {
             let rows = &class_lat[cls].1;
@@ -339,8 +329,23 @@ pub fn solution_to_plan(
     }
 }
 
-/// The bitwidth menu the solver may draw from under `cfg.max_bits`.
-pub(crate) fn bit_menu(cfg: &AssignerConfig) -> Result<Vec<Bitwidth>, String> {
+/// The bitwidth menu the solver may draw from under `cfg.max_bits`
+/// (degradation ladders shrink the menu from above to force lower-bit,
+/// lighter plans), after checking the inputs the search cannot run
+/// without: a non-empty menu and an indicator row per decoder layer.
+pub(crate) fn checked_menu(
+    cfg: &AssignerConfig,
+    spec: &ModelSpec,
+    indicator: &IndicatorTable,
+) -> Result<Vec<Bitwidth>, String> {
+    if indicator.n_layers() != spec.n_layers {
+        return Err(format!(
+            "indicator covers {} layers but {} has {}",
+            indicator.n_layers(),
+            spec.name,
+            spec.n_layers
+        ));
+    }
     let menu: Vec<Bitwidth> = Bitwidth::ALL
         .into_iter()
         .filter(|b| cfg.max_bits.is_none_or(|cap| b.bits() <= cap.bits()))
@@ -351,64 +356,192 @@ pub(crate) fn bit_menu(cfg: &AssignerConfig) -> Result<Vec<Bitwidth>, String> {
     Ok(menu)
 }
 
-/// Run Algorithm 1 and return the best plan.
-pub fn assign(
+/// The uniform plan: an even contiguous layer split over the cluster's
+/// natural device order at one bitwidth, FP16 KV. Devices beyond the
+/// layer count get no stage.
+pub fn even_plan(
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    bits: Bitwidth,
+    mb: MicrobatchPlan,
+    scheme: &str,
+) -> ExecutionPlan {
+    let n = cluster.len();
+    let base = spec.n_layers / n;
+    let extra = spec.n_layers % n;
+    let mut stages = Vec::with_capacity(n);
+    let mut start = 0usize;
+    for device in 0..n {
+        let take = base + usize::from(device < extra);
+        if take == 0 {
+            break;
+        }
+        stages.push(StagePlan {
+            device,
+            layer_start: start,
+            layer_end: start + take,
+            bits: vec![bits; take],
+        });
+        start += take;
+    }
+    ExecutionPlan {
+        model: spec.name.clone(),
+        cluster: cluster.name.clone(),
+        stages,
+        microbatch: mb,
+        scheme: scheme.into(),
+        kv_bits: 16,
+    }
+}
+
+/// Sound lower bound on the simulated end-to-end latency of a plan with
+/// per-stage times `pre`/`dec`, boundary comm times, and master-engine
+/// times. Derived from the discrete-event semantics of
+/// [`llmpq_sim::simulate_pipeline`]:
+///
+/// * the master is a serial resource doing 2 half-cost ops per
+///   micro-batch per phase step;
+/// * every stage is a serial FIFO resource;
+/// * the last prefill micro-batch embeds after all others and must then
+///   traverse the full chain;
+/// * decode steps of one micro-batch are serialized by the
+///   autoregressive dependency.
+///
+/// Every term is a valid lower bound on its own, so the max is too.
+#[allow(clippy::too_many_arguments)]
+fn makespan_lower_bound(
+    pre: &[f64],
+    dec: &[f64],
+    comm_pre: &[f64],
+    comm_dec: &[f64],
+    master_pre: f64,
+    master_dec: f64,
+    mb: &MicrobatchPlan,
+    n_generate: usize,
+) -> f64 {
+    let hm = master_pre / 2.0;
+    let mup = mb.prefill_count as f64;
+    let sum_pre: f64 = pre.iter().sum::<f64>() + comm_pre.iter().sum::<f64>();
+    let max_pre = pre.iter().copied().fold(0.0f64, f64::max);
+    let lb_last_mb = (mup + 1.0) * hm + sum_pre;
+    let lb_straggler = 2.0 * hm + mup * max_pre;
+    let lb_master = mup * master_pre;
+    let prefill_lb = lb_last_mb.max(lb_straggler).max(lb_master);
+    let decode_lb = if n_generate > 1 {
+        let steps = ((n_generate - 1) * mb.decode_count) as f64;
+        let per_mb = (n_generate - 1) as f64;
+        let max_dec = dec.iter().copied().fold(0.0f64, f64::max);
+        let sum_dec: f64 = dec.iter().sum::<f64>() + comm_dec.iter().sum::<f64>();
+        (steps * max_dec)
+            .max(steps * master_dec)
+            .max(per_mb * (master_dec + sum_dec))
+    } else {
+        0.0
+    };
+    prefill_lb + decode_lb
+}
+
+/// Sound lower bound on the simulated latency of a plan whose stages
+/// each run one bitwidth (the seed plans), assembled from memoised
+/// per-layer and master latencies: never above what
+/// [`crate::evaluate_plan`] reports as `total_latency` for the plan.
+pub fn seed_lower_bound(
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    job: &BatchJob,
+    db: &CostDb,
+    cost: &mut CostCache,
+) -> f64 {
+    let mb = &plan.microbatch;
+    let kv = plan.kv_bits as f64;
+    let pw = PhaseWorkload::prefill(mb.prefill_size, job.prompt_len);
+    let dw = PhaseWorkload::decode(mb.decode_size, job.prompt_len, representative_past(job));
+    let n_stages = plan.stages.len();
+    let mut pre = Vec::with_capacity(n_stages);
+    let mut dec = Vec::with_capacity(n_stages);
+    let mut comm_pre = Vec::new();
+    let mut comm_dec = Vec::new();
+    for (i, s) in plan.stages.iter().enumerate() {
+        let gpu = cluster.devices[s.device].gpu;
+        let take = s.n_layers() as f64;
+        pre.push(take * cost.layer_latency(db, gpu, spec, &pw, s.bits[0], kv));
+        dec.push(take * cost.layer_latency(db, gpu, spec, &dw, s.bits[0], kv));
+        if i + 1 < n_stages {
+            let link = cluster.link_between(s.device, plan.stages[i + 1].device);
+            comm_pre.push(link.transfer_time(flops::boundary_activation_bytes(spec, &pw)));
+            comm_dec.push(link.transfer_time(flops::boundary_activation_bytes(spec, &dw)));
+        }
+    }
+    let first_gpu = cluster.devices[plan.stages[0].device].gpu;
+    let master_pre = cost.master_latency(db, first_gpu, spec, &pw);
+    let master_dec = cost.master_latency(db, first_gpu, spec, &dw);
+    makespan_lower_bound(
+        &pre, &dec, &comm_pre, &comm_dec, master_pre, master_dec, mb, job.n_generate,
+    )
+}
+
+/// Algorithm 1: the (ordering × micro-batch × KV width) enumeration
+/// around the inner solver, then the uniform seed pass. Costs and plan
+/// evaluations go through `cost` / `eval`; with `prev`, the previous
+/// winner is repaired onto each ordering and handed to the DP as its
+/// incumbent. Neither changes the best objective: memoised values are
+/// the values, the seed bound is sound, and the incumbent only prunes
+/// candidates that cannot beat it. `menu` comes from [`checked_menu`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search(
     cluster: &Cluster,
     spec: &ModelSpec,
     job: &BatchJob,
     db: &CostDb,
     indicator: &IndicatorTable,
     cfg: &AssignerConfig,
+    menu: &[Bitwidth],
+    cost: &mut CostCache,
+    eval: &mut EvalCache,
+    prev: Option<(&Cluster, &ExecutionPlan)>,
+    stats: &mut PlannerStats,
 ) -> Result<AssignOutcome, String> {
-    assert_eq!(
-        indicator.n_layers(),
-        spec.n_layers,
-        "indicator must cover every decoder layer"
-    );
     let start = std::time::Instant::now();
-    // Bitwidth menu the solver may draw from, optionally capped from
-    // above (degradation ladders shrink the menu to force lower-bit,
-    // lighter plans).
-    let menu = bit_menu(cfg)?;
     let orderings = device_orderings(cluster, cfg.max_orderings);
     let mut best: Option<(ExecutionPlan, PlanReport, f64, f64)> = None;
     let mut combos = 0usize;
 
+    let group = match cfg.solver {
+        SolverChoice::Dp { group } => group,
+        SolverChoice::Heuristic => 1,
+    };
     let kv_options: Vec<u32> = if cfg.search_kv8 { vec![16, 8] } else { vec![16] };
     for ordering in &orderings {
         let mb_plans = microbatch_counts(job, ordering.len(), cfg.xi);
         for mb in &mb_plans {
             for &kv in &kv_options {
                 combos += 1;
-                let (group, sol) = match cfg.solver {
-                    SolverChoice::Dp { group } => {
-                        let (problem, _q, sizes) = build_problem(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb,
-                            group, &menu, true, cfg.dp_grid, kv as f64,
-                        );
-                        (sizes, solve_partition(&problem))
+                let (problem, quality, sizes) = build_problem_cached(
+                    cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb, group,
+                    menu, true, cfg.dp_grid, kv as f64, cost,
+                );
+                let sol = match cfg.solver {
+                    SolverChoice::Dp { .. } => {
+                        let hint = prev.and_then(|(pc, pp)| {
+                            repair_hint(pc, pp, cluster, ordering, &sizes, menu)
+                        });
+                        let (sol, sstats) =
+                            solve_partition_warm_stats(&problem, hint.as_deref());
+                        if sstats.incumbent_used {
+                            stats.hints_applied += 1;
+                        }
+                        stats.dp_calls += sstats.dp_calls as u64;
+                        stats.pairs_pruned += sstats.pruned as u64;
+                        sol
                     }
-                    SolverChoice::Heuristic => {
-                        let (problem, q, sizes) = build_problem(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb, 1,
-                            &menu, true, cfg.dp_grid, kv as f64,
-                        );
-                        (sizes, heuristic_solve(&problem, &q, 400))
-                    }
-                    SolverChoice::Ilp { group, time_limit_s } => {
-                        let (problem, _q, sizes) = build_problem(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb,
-                            group, &menu, true, cfg.dp_grid, kv as f64,
-                        );
-                        let milp_cfg = MilpConfig { time_limit_s, ..Default::default() };
-                        (sizes, solve_ilp(&problem, &milp_cfg))
-                    }
+                    SolverChoice::Heuristic => heuristic_solve(&problem, &quality, 400),
                 };
                 let Some(sol) = sol else { continue };
                 let plan = solution_to_plan(
-                    cluster, ordering, spec, &group, &sol, mb, "LLM-PQ", &menu, kv,
+                    cluster, ordering, spec, &sizes, &sol, mb, "LLM-PQ", menu, kv,
                 );
-                let Ok(report) = evaluate_plan(&plan, cluster, spec, db, job) else {
+                let Ok(report) = eval.evaluate(&plan, cluster, spec, db, job) else {
                     continue;
                 };
                 let omega = indicator.total(&plan.bit_assignment().bits);
@@ -421,43 +554,28 @@ pub fn assign(
     }
 
     // Seed candidates the coarse DP grid / heuristic can miss but that
-    // the exact ILP's search space trivially contains: even partitions
-    // with uniform bits, over every micro-batch plan. This guarantees
-    // LLM-PQ never loses to the Uniform baseline, matching the paper's
-    // dominance (Uniform's plans are a subset of eq. 4–16's space).
+    // eq. 4–16's search space trivially contains: even partitions with
+    // uniform bits (FP16 KV), over every micro-batch plan. This
+    // guarantees LLM-PQ never loses to the Uniform baseline, matching
+    // the paper's dominance. A seed whose provable makespan floor plus
+    // its exactly computable ω term cannot beat the best objective so
+    // far cannot change the winner under the strict-improvement rule,
+    // so its full evaluation is skipped.
     for mb in microbatch_counts(job, cluster.len(), cfg.xi) {
         for bits in menu.iter().copied() {
-            let n = cluster.len();
-            let l = spec.n_layers;
-            let base = l / n;
-            let extra = l % n;
-            let mut stages = Vec::with_capacity(n);
-            let mut startl = 0usize;
-            for j in 0..n {
-                let take = base + usize::from(j < extra);
-                if take == 0 {
+            let plan = even_plan(cluster, spec, bits, mb, "LLM-PQ");
+            let omega = indicator.total(&plan.bit_assignment().bits);
+            if let Some((_, _, _, best_obj)) = best.as_ref() {
+                let lb = seed_lower_bound(&plan, cluster, spec, job, db, cost);
+                if lb + cfg.theta * omega >= *best_obj {
+                    stats.seeds_pruned += 1;
                     continue;
                 }
-                stages.push(StagePlan {
-                    device: j,
-                    layer_start: startl,
-                    layer_end: startl + take,
-                    bits: vec![bits; take],
-                });
-                startl += take;
             }
-            let plan = ExecutionPlan {
-                model: spec.name.clone(),
-                cluster: cluster.name.clone(),
-                stages,
-                microbatch: mb,
-                scheme: "LLM-PQ".into(),
-                kv_bits: 16,
-            };
-            let Ok(report) = evaluate_plan(&plan, cluster, spec, db, job) else {
+            stats.seeds_evaluated += 1;
+            let Ok(report) = eval.evaluate(&plan, cluster, spec, db, job) else {
                 continue;
             };
-            let omega = indicator.total(&plan.bit_assignment().bits);
             let objective = report.total_latency + cfg.theta * omega;
             if best.as_ref().is_none_or(|(_, _, _, o)| objective < *o) {
                 best = Some((plan, report, omega, objective));
@@ -476,13 +594,42 @@ pub fn assign(
     })
 }
 
+/// Run Algorithm 1 and return the best plan: `search` on empty caches
+/// with no previous plan to warm-start from. Errors (never panics) when
+/// the indicator does not cover the model's layers, the bitwidth cap
+/// leaves no candidates, or nothing fits the cluster.
+pub fn assign(
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    job: &BatchJob,
+    db: &CostDb,
+    indicator: &IndicatorTable,
+    cfg: &AssignerConfig,
+) -> Result<AssignOutcome, String> {
+    let menu = checked_menu(cfg, spec, indicator)?;
+    search(
+        cluster,
+        spec,
+        job,
+        db,
+        indicator,
+        cfg,
+        &menu,
+        &mut CostCache::default(),
+        &mut EvalCache::default(),
+        None,
+        &mut PlannerStats::default(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::evaluate_plan;
     use llmpq_cluster::paper_cluster;
+    use llmpq_model::zoo;
     use llmpq_quant::IndicatorTable;
     use llmpq_sim::KernelEnv;
-    use llmpq_model::zoo;
 
     /// A synthetic indicator: sensitivity decays with depth, scaled per
     /// bitwidth like the variance indicator would be.
@@ -599,6 +746,44 @@ mod tests {
         let job = llmpq_workload::BatchJob::paper_default();
         let indicator = synthetic_indicator(spec.n_layers);
         assert!(assign(&cluster, &spec, &job, &db, &indicator, &quick_cfg()).is_err());
+    }
+
+    #[test]
+    fn wrong_length_indicator_is_an_error_not_a_panic() {
+        // `llmpq-algo --omega_file` feeds a table from outside the
+        // program; one for another model must come back as a message.
+        let cluster = paper_cluster(3);
+        let spec = zoo::opt_30b();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let job = llmpq_workload::BatchJob::paper_default();
+        let err = assign(&cluster, &spec, &job, &db, &synthetic_indicator(3), &quick_cfg())
+            .unwrap_err();
+        assert!(err.contains("3 layers") && err.contains("opt-30b"), "{err}");
+    }
+
+    #[test]
+    fn seed_lower_bound_never_exceeds_simulated_latency() {
+        // The pruning bound must be sound: LB ≤ DES latency for every
+        // seed shape on a real cluster.
+        let cluster = paper_cluster(5);
+        let spec = zoo::opt_30b();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let job = BatchJob::paper_default();
+        let mut cost = CostCache::default();
+        for mb in microbatch_counts(&job, cluster.len(), 4) {
+            for bits in Bitwidth::ALL {
+                let plan = even_plan(&cluster, &spec, bits, mb, "LLM-PQ");
+                let Ok(report) = evaluate_plan(&plan, &cluster, &spec, &db, &job) else {
+                    continue;
+                };
+                let lb = seed_lower_bound(&plan, &cluster, &spec, &job, &db, &mut cost);
+                assert!(
+                    lb <= report.total_latency + 1e-9,
+                    "LB {lb} exceeds simulated {} for mb {mb:?} bits {bits:?}",
+                    report.total_latency
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! For PipeEdge and Uniform the bitwidth starts at FP16 and is lowered
 //! until the model fits or no feasible precision remains.
 
-use crate::assigner::{build_problem, solution_to_plan};
+use crate::assigner::{build_problem, even_plan, solution_to_plan};
 use crate::evaluate::{evaluate_plan, representative_past, PlanError, PlanReport};
-use crate::plan::{ExecutionPlan, StagePlan};
+use crate::plan::ExecutionPlan;
 use crate::transfer::adabits_seed;
 use llmpq_cluster::Cluster;
 use llmpq_cost::CostDb;
@@ -73,27 +73,6 @@ fn even_microbatch(job: &BatchJob, n_stages: usize) -> MicrobatchPlan {
     }
 }
 
-/// Even contiguous layer split over the cluster's natural device order.
-fn even_stages(cluster: &Cluster, spec: &ModelSpec, bits: Bitwidth) -> Vec<StagePlan> {
-    let n = cluster.len();
-    let l = spec.n_layers;
-    let base = l / n;
-    let extra = l % n;
-    let mut stages = Vec::with_capacity(n);
-    let mut start = 0usize;
-    for j in 0..n {
-        let take = base + usize::from(j < extra);
-        stages.push(StagePlan {
-            device: j,
-            layer_start: start,
-            layer_end: start + take,
-            bits: vec![bits; take],
-        });
-        start += take;
-    }
-    stages
-}
-
 /// PipeEdge: heterogeneous partition balancing *prefill only*, uniform
 /// quantization lowered until feasible.
 pub fn pipeedge_plan(
@@ -130,17 +109,9 @@ pub fn uniform_plan(
     db: &CostDb,
 ) -> Result<(ExecutionPlan, PlanReport), String> {
     for bits in LADDER {
-        let stages = even_stages(cluster, spec, bits);
         let mut best: Option<(ExecutionPlan, PlanReport)> = None;
         for mb in microbatch_counts(job, cluster.len(), 8) {
-            let plan = ExecutionPlan {
-                model: spec.name.clone(),
-                cluster: cluster.name.clone(),
-                stages: stages.clone(),
-                microbatch: mb,
-                scheme: "Uniform".into(),
-                kv_bits: 16,
-            };
+            let plan = even_plan(cluster, spec, bits, mb, "Uniform");
             if let Ok(report) = evaluate_plan(&plan, cluster, spec, db, job) {
                 if best.as_ref().is_none_or(|(_, r)| report.total_latency < r.total_latency) {
                     best = Some((plan, report));
@@ -175,7 +146,7 @@ pub fn flexgen_report(
     let pre_w = PhaseWorkload::prefill(mb.prefill_size, job.prompt_len);
     let dec_w = PhaseWorkload::decode(mb.decode_size, job.prompt_len, representative_past(job));
     let cfg = OffloadConfig::default();
-    let stages = even_stages(cluster, spec, bits);
+    let stages = even_plan(cluster, spec, bits, mb, "FlexGen").stages;
     let loads: Vec<StageLoad> = stages
         .iter()
         .enumerate()

@@ -4,7 +4,9 @@
 use llmpq_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
 
-/// Which inner solver Algorithm 1 uses for bitwidth + partition.
+/// Which inner solver Algorithm 1 uses for bitwidth + partition. (The
+/// per-layer ILP of [`crate::ilp`] is the reference the DP is checked
+/// against in `ablation_solver`, not a selectable inner solver.)
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SolverChoice {
     /// Exact DP over per-stage bitwidths with the given layer-group size
@@ -15,13 +17,6 @@ pub enum SolverChoice {
     },
     /// The bitwidth-transfer heuristic seeded by adabits (Algorithm 2).
     Heuristic,
-    /// The full per-layer ILP via branch-and-bound (small instances).
-    Ilp {
-        /// Layers per group.
-        group: usize,
-        /// Solver wall-clock limit, seconds.
-        time_limit_s: f64,
-    },
 }
 
 /// Full assigner configuration (the `llmpq-algo` command line).

@@ -1,12 +1,10 @@
-//! Incremental (warm-started) planning for an elastic fleet.
+//! The stateful planner for an elastic fleet.
 //!
 //! A fleet that scales while serving replans often — every device join,
-//! leave, or degrade re-runs Algorithm 1. A cold `assign` re-derives the
-//! full cost tensors, re-solves every (ordering, micro-batch) partition
-//! problem from scratch, and re-simulates every uniform seed plan; at
-//! the 50–200 device scale of ROADMAP item 5 that puts the solver on
-//! the serving critical path. This module makes replanning cheap after
-//! *small* cluster deltas:
+//! leave, or degrade re-runs Algorithm 1, and at the 50–200 device scale
+//! of ROADMAP item 5 that puts the solver on the serving critical path.
+//! There is one Algorithm 1 ([`crate::assigner`]'s search); this module
+//! holds what it memoises and what a planner keeps between calls:
 //!
 //! * [`CostCache`] memoizes the per-layer latency model and the ω
 //!   indicator sums keyed by (device class, workload shape, bitwidth) —
@@ -16,33 +14,31 @@
 //!   fingerprint (per-stage device class + layer count + precision,
 //!   boundary interconnect class, micro-batch shape), so re-evaluating
 //!   the same candidate shape on the churned cluster is a lookup.
-//! * [`IncrementalPlanner`] repairs the previous winning assignment
-//!   onto each new device ordering and feeds it to the partition
-//!   solver's incumbent-pruned warm path
-//!   ([`llmpq_solver::solve_partition_warm`]); uniform seed plans are
-//!   skipped through a *sound* pipeline-makespan lower bound, so the
-//!   warm pass provably returns the same objective the cold pass would.
+//! * [`IncrementalPlanner`] carries both caches and the previous
+//!   winning plan across calls. After a *small* membership delta it
+//!   repairs that plan onto each new device ordering and feeds it to
+//!   the partition solver as its incumbent
+//!   ([`llmpq_solver::solve_partition_warm_stats`]), which only prunes
+//!   candidates that cannot beat it. After a large delta (beyond
+//!   `WARM_MAX_ABS_DELTA` devices and `WARM_MAX_FRAC_DELTA` of the
+//!   previous fleet) the caches still help, the hint is not offered.
+//!   It also owns the one fallback ladder: configured solver, then the
+//!   Algorithm-2 heuristic, then a typed [`ReplanError::Infeasible`].
 //!
-//! Large deltas (more than [`WarmStartConfig`] allows) fall back to the
-//! cold path — the caches still help, the hint does not.
-//!
-//! All of this is deterministic: warm-vs-cold objective equivalence is
-//! asserted in unit tests here and in `tests/warm_props.rs` proptests.
+//! A fresh planner (empty caches, no previous plan) is exactly
+//! [`crate::assign`] plus that ladder. All of this is deterministic:
+//! warm-vs-fresh objective equivalence is asserted in unit tests here
+//! and in `tests/warm_props.rs` proptests.
 
-use crate::assigner::{
-    bit_menu, build_problem_with_cache, device_orderings, solution_to_plan, AssignOutcome,
-};
+use crate::assigner::{checked_menu, search, AssignOutcome};
 use crate::config::{AssignerConfig, SolverChoice};
-use crate::evaluate::{evaluate_plan, representative_past, PlanError, PlanReport};
-use crate::ilp::solve_ilp;
-use crate::plan::{ExecutionPlan, StagePlan};
-use crate::transfer::heuristic_solve;
+use crate::evaluate::{evaluate_plan, PlanError, PlanReport};
+use crate::plan::ExecutionPlan;
 use llmpq_cluster::{Cluster, GpuModel};
 use llmpq_cost::CostDb;
-use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
+use llmpq_model::{ModelSpec, Phase, PhaseWorkload};
 use llmpq_quant::{Bitwidth, IndicatorTable};
-use llmpq_solver::{solve_partition_warm_stats, MilpConfig};
-use llmpq_workload::{microbatch_counts, BatchJob, MicrobatchPlan};
+use llmpq_workload::BatchJob;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -53,13 +49,14 @@ use std::hash::{Hash, Hasher};
 /// quality and should be looked at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlanOrigin {
-    /// The configured exact solver (DP or MILP ladder), cold.
+    /// The configured solver, no incumbent (the variant name and its
+    /// `"ilp"` label predate the DP and are a metrics surface).
     Ilp,
     /// The Algorithm-2 heuristic — either configured, or the fallback
     /// after the exact solver failed.
     Heuristic,
-    /// The incremental planner's warm-started path (previous assignment
-    /// repaired and reused as the solver incumbent).
+    /// The configured DP seeded with the previous assignment, repaired
+    /// onto the new fleet, as its incumbent.
     WarmStart,
 }
 
@@ -90,7 +87,8 @@ pub enum ReplanError {
         /// Solver-level detail.
         reason: String,
     },
-    /// Bad planner configuration (e.g. an empty bitwidth menu).
+    /// Bad planner input (an empty bitwidth menu, an indicator table
+    /// for a different layer count).
     Config(String),
 }
 
@@ -140,7 +138,8 @@ type MasterKey = (GpuModel, Phase, usize, usize, usize);
 /// never enters, so every value survives joins/leaves that keep the
 /// class present, and a device-class change simply misses into fresh
 /// keys. The cache is pinned to one (model spec, cost DB) pair; a cost
-/// DB swap is detected by fingerprint probe and clears it.
+/// DB swap is detected by [`CostCache::sync_db`]'s fingerprint probe
+/// and clears it.
 #[derive(Debug, Default)]
 pub struct CostCache {
     layer: HashMap<LayerKey, f64>,
@@ -214,25 +213,36 @@ impl CostCache {
         v
     }
 
-    /// Detect a cost-DB swap by probing a handful of latencies the
-    /// planner is about to ask for anyway; clear everything if the
-    /// answers changed.
-    pub fn sync_db(&mut self, db: &CostDb, spec: &ModelSpec, cluster: &Cluster, menu: &[Bitwidth]) {
+    /// Detect a cost-DB swap (or refit) by probing one prefill and one
+    /// decode latency per (device class, bitwidth) of the fleet; clear
+    /// everything and return `true` if the answers changed. The caller
+    /// must then also drop whatever else it derived from the old DB
+    /// (the planner clears its [`EvalCache`], whose fingerprint does
+    /// not cover the DB).
+    pub fn sync_db(
+        &mut self,
+        db: &CostDb,
+        spec: &ModelSpec,
+        cluster: &Cluster,
+        menu: &[Bitwidth],
+    ) -> bool {
         let mut h = DefaultHasher::new();
         spec.name.hash(&mut h);
-        let w = PhaseWorkload::prefill(1, 16);
+        let probes = [PhaseWorkload::prefill(1, 16), PhaseWorkload::decode(1, 16, 16)];
         for (gpu, _) in cluster.model_counts() {
             for &bits in menu {
-                db.layer_latency_kv(gpu, spec, &w, bits, 16.0).to_bits().hash(&mut h);
+                for w in &probes {
+                    db.layer_latency_kv(gpu, spec, w, bits, 16.0).to_bits().hash(&mut h);
+                }
             }
         }
-        let stamp = h.finish();
-        if self.db_stamp != Some(stamp) {
-            self.layer.clear();
-            self.master.clear();
-            self.omega.clear();
-            self.db_stamp = Some(stamp);
+        let stamp = Some(h.finish());
+        let changed = self.db_stamp != stamp;
+        if changed {
+            self.clear();
+            self.db_stamp = stamp;
         }
+        changed
     }
 
     /// Drop every memoized value (counters survive).
@@ -372,33 +382,13 @@ pub fn cluster_delta(old: &Cluster, new: &Cluster) -> ClusterDelta {
     ClusterDelta { added, removed }
 }
 
-/// When the incremental planner may warm-start instead of solving cold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WarmStartConfig {
-    /// Absolute churn (added + removed devices) always allowed to warm.
-    pub max_abs_delta: usize,
-    /// Fraction of the previous fleet the churn may reach and still warm.
-    pub max_frac_delta: f64,
-}
-
-impl Default for WarmStartConfig {
-    fn default() -> Self {
-        // ±1–2 devices always warm; on big fleets up to a quarter may
-        // churn before the repaired hint stops resembling the optimum.
-        Self { max_abs_delta: 2, max_frac_delta: 0.25 }
-    }
-}
-
-impl WarmStartConfig {
-    /// Whether a delta against a previous fleet of `prev_len` devices is
-    /// small enough to warm-start from.
-    pub fn allows(&self, delta: ClusterDelta, prev_len: usize) -> bool {
-        let cap = self
-            .max_abs_delta
-            .max((prev_len as f64 * self.max_frac_delta).floor() as usize);
-        delta.magnitude() <= cap
-    }
-}
+/// Absolute churn (added + removed devices) always allowed to
+/// warm-start: ±1–2 devices.
+const WARM_MAX_ABS_DELTA: usize = 2;
+/// Fraction of the previous fleet the churn may reach and still
+/// warm-start; beyond a quarter the repaired hint stops resembling the
+/// optimum.
+const WARM_MAX_FRAC_DELTA: f64 = 0.25;
 
 /// Work counters for one `plan` call (and cumulatively, if summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -448,7 +438,6 @@ pub struct IncrementalPlanner {
     spec: ModelSpec,
     job: BatchJob,
     cfg: AssignerConfig,
-    warm_cfg: WarmStartConfig,
     cost: CostCache,
     eval: EvalCache,
     last: Option<(Cluster, ExecutionPlan)>,
@@ -457,25 +446,7 @@ pub struct IncrementalPlanner {
 impl IncrementalPlanner {
     /// A planner for one (model, job) pair under `cfg`.
     pub fn new(spec: ModelSpec, job: BatchJob, cfg: AssignerConfig) -> Self {
-        Self::with_warm_config(spec, job, cfg, WarmStartConfig::default())
-    }
-
-    /// [`IncrementalPlanner::new`] with an explicit warm-start policy.
-    pub fn with_warm_config(
-        spec: ModelSpec,
-        job: BatchJob,
-        cfg: AssignerConfig,
-        warm_cfg: WarmStartConfig,
-    ) -> Self {
-        Self {
-            spec,
-            job,
-            cfg,
-            warm_cfg,
-            cost: CostCache::default(),
-            eval: EvalCache::default(),
-            last: None,
-        }
+        Self { spec, job, cfg, cost: CostCache::default(), eval: EvalCache::default(), last: None }
     }
 
     /// The assigner configuration this planner runs.
@@ -511,9 +482,11 @@ impl IncrementalPlanner {
     }
 
     /// Plan for `cluster`, warm-starting from the previous round when
-    /// the membership delta is small. On failure the previous plan is
-    /// kept (the caller holds the old plan; [`IncrementalPlanner::last_plan`]
-    /// still answers).
+    /// the membership delta is small. If the configured solver finds
+    /// nothing, retries once with the always-feasible Algorithm-2
+    /// heuristic before declaring the fleet infeasible. On failure the
+    /// previous plan is kept (the caller holds the old plan;
+    /// [`IncrementalPlanner::last_plan`] still answers).
     pub fn plan(
         &mut self,
         cluster: &Cluster,
@@ -524,88 +497,54 @@ impl IncrementalPlanner {
             let total = self.last.as_ref().map_or(0, |(c, _)| c.len());
             return Err(ReplanError::AllDevicesLost { total });
         }
-        let menu = bit_menu(&self.cfg).map_err(ReplanError::Config)?;
-        self.cost.sync_db(db, &self.spec, cluster, &menu);
+        let menu = checked_menu(&self.cfg, &self.spec, indicator).map_err(ReplanError::Config)?;
+        if self.cost.sync_db(db, &self.spec, cluster, &menu) {
+            self.eval.clear();
+        }
 
         let delta = self.last.as_ref().map(|(c, _)| cluster_delta(c, cluster));
-        let warm_ok = matches!(self.cfg.solver, SolverChoice::Dp { .. })
-            && delta.is_some_and(|d| {
-                self.warm_cfg.allows(d, self.last.as_ref().map_or(0, |(c, _)| c.len()))
-            });
-        let prev = if warm_ok {
-            self.last.as_ref().map(|(c, p)| (c.clone(), p.clone()))
-        } else {
-            None
-        };
+        // The warm gate: the previous plan is offered as a hint only to
+        // the DP, and only after a small delta.
+        let prev = self.last.as_ref().zip(delta).and_then(|((c, p), d)| {
+            let cap = WARM_MAX_ABS_DELTA.max((c.len() as f64 * WARM_MAX_FRAC_DELTA).floor() as usize);
+            (matches!(self.cfg.solver, SolverChoice::Dp { .. }) && d.magnitude() <= cap)
+                .then_some((c, p))
+        });
 
         let cost0 = self.cost.layer_counters;
         let omega0 = self.cost.omega_counters;
         let eval0 = self.eval.counters;
         let mut stats = PlannerStats::default();
-        let primary = assign_warm(
-            cluster,
-            &self.spec,
-            &self.job,
-            db,
-            indicator,
-            &self.cfg,
-            &menu,
-            &mut self.cost,
-            &mut self.eval,
-            prev.as_ref().map(|(c, p)| (c, p)),
-            &mut stats,
-        );
-        let (outcome, origin) = match primary {
-            Ok(outcome) => {
-                let origin = if stats.hints_applied > 0 {
-                    PlanOrigin::WarmStart
-                } else if matches!(self.cfg.solver, SolverChoice::Heuristic) {
-                    PlanOrigin::Heuristic
-                } else {
-                    PlanOrigin::Ilp
-                };
-                (outcome, origin)
+        let mut run = |cfg: &AssignerConfig, prev, stats: &mut PlannerStats| {
+            search(
+                cluster, &self.spec, &self.job, db, indicator, cfg, &menu, &mut self.cost,
+                &mut self.eval, prev, stats,
+            )
+        };
+        let heuristic = matches!(self.cfg.solver, SolverChoice::Heuristic);
+        let (outcome, origin) = match run(&self.cfg, prev, &mut stats) {
+            Ok(outcome) if stats.hints_applied > 0 => (outcome, PlanOrigin::WarmStart),
+            Ok(outcome) if heuristic => (outcome, PlanOrigin::Heuristic),
+            Ok(outcome) => (outcome, PlanOrigin::Ilp),
+            Err(reason) if heuristic => {
+                return Err(ReplanError::Infeasible { devices: cluster.len(), reason });
             }
-            Err(primary) if !matches!(self.cfg.solver, SolverChoice::Heuristic) => {
-                // Same ladder as `replan_after_loss`: retry once with the
-                // always-feasible Algorithm-2 heuristic before declaring
-                // the fleet infeasible.
+            Err(primary) => {
                 let fallback = AssignerConfig { solver: SolverChoice::Heuristic, ..self.cfg };
-                let out = assign_warm(
-                    cluster,
-                    &self.spec,
-                    &self.job,
-                    db,
-                    indicator,
-                    &fallback,
-                    &menu,
-                    &mut self.cost,
-                    &mut self.eval,
-                    None,
-                    &mut stats,
-                )
-                .map_err(|h| ReplanError::Infeasible {
+                let out = run(&fallback, None, &mut stats).map_err(|h| ReplanError::Infeasible {
                     devices: cluster.len(),
                     reason: format!("solver: {primary}; heuristic fallback: {h}"),
                 })?;
                 (out, PlanOrigin::Heuristic)
             }
-            Err(e) => {
-                return Err(ReplanError::Infeasible { devices: cluster.len(), reason: e });
-            }
         };
-        stats.cost = CacheCounters {
-            hits: self.cost.layer_counters.hits - cost0.hits,
-            misses: self.cost.layer_counters.misses - cost0.misses,
+        let since = |now: CacheCounters, then: CacheCounters| CacheCounters {
+            hits: now.hits - then.hits,
+            misses: now.misses - then.misses,
         };
-        stats.omega = CacheCounters {
-            hits: self.cost.omega_counters.hits - omega0.hits,
-            misses: self.cost.omega_counters.misses - omega0.misses,
-        };
-        stats.eval = CacheCounters {
-            hits: self.eval.counters.hits - eval0.hits,
-            misses: self.eval.counters.misses - eval0.misses,
-        };
+        stats.cost = since(self.cost.layer_counters, cost0);
+        stats.omega = since(self.cost.omega_counters, omega0);
+        stats.eval = since(self.eval.counters, eval0);
         self.last = Some((cluster.clone(), outcome.plan.clone()));
         Ok(PlannedOutcome { outcome, origin, stats, delta })
     }
@@ -621,7 +560,7 @@ impl IncrementalPlanner {
 /// previously placed stage. The result is only a *hint* — the solver
 /// validates it against the new problem's memory and feasibility
 /// constraints and ignores it if it does not hold.
-fn repair_hint(
+pub(crate) fn repair_hint(
     prev_cluster: &Cluster,
     prev_plan: &ExecutionPlan,
     cluster: &Cluster,
@@ -677,256 +616,15 @@ fn repair_hint(
     Some(out)
 }
 
-/// Sound lower bound on the simulated end-to-end latency of a plan with
-/// per-stage times `pre`/`dec`, boundary comm times, and master-engine
-/// times. Derived from the discrete-event semantics of
-/// [`llmpq_sim::simulate_pipeline`]:
-///
-/// * the master is a serial resource doing 2 half-cost ops per
-///   micro-batch per phase step;
-/// * every stage is a serial FIFO resource;
-/// * the last prefill micro-batch embeds after all others and must then
-///   traverse the full chain;
-/// * decode steps of one micro-batch are serialized by the
-///   autoregressive dependency.
-///
-/// Every term is a valid lower bound on its own, so the max is too.
-#[allow(clippy::too_many_arguments)]
-fn makespan_lower_bound(
-    pre: &[f64],
-    dec: &[f64],
-    comm_pre: &[f64],
-    comm_dec: &[f64],
-    master_pre: f64,
-    master_dec: f64,
-    mb: &MicrobatchPlan,
-    n_generate: usize,
-) -> f64 {
-    let hm = master_pre / 2.0;
-    let mup = mb.prefill_count as f64;
-    let sum_pre: f64 = pre.iter().sum::<f64>() + comm_pre.iter().sum::<f64>();
-    let max_pre = pre.iter().copied().fold(0.0f64, f64::max);
-    let lb_last_mb = (mup + 1.0) * hm + sum_pre;
-    let lb_straggler = 2.0 * hm + mup * max_pre;
-    let lb_master = mup * master_pre;
-    let prefill_lb = lb_last_mb.max(lb_straggler).max(lb_master);
-    let decode_lb = if n_generate > 1 {
-        let steps = ((n_generate - 1) * mb.decode_count) as f64;
-        let per_mb = (n_generate - 1) as f64;
-        let max_dec = dec.iter().copied().fold(0.0f64, f64::max);
-        let sum_dec: f64 = dec.iter().sum::<f64>() + comm_dec.iter().sum::<f64>();
-        (steps * max_dec)
-            .max(steps * master_dec)
-            .max(per_mb * (master_dec + sum_dec))
-    } else {
-        0.0
-    };
-    prefill_lb + decode_lb
-}
-
-/// The uniform seed plans `assign` evaluates after the combo loop: even
-/// layer partition over all devices at one uniform bitwidth, per
-/// micro-batch plan (FP16 KV). Returns `None` for shapes that produce
-/// no stages.
-fn seed_plan(
-    cluster: &Cluster,
-    spec: &ModelSpec,
-    mb: MicrobatchPlan,
-    bits: Bitwidth,
-) -> Option<ExecutionPlan> {
-    let n = cluster.len();
-    let l = spec.n_layers;
-    let base = l / n;
-    let extra = l % n;
-    let mut stages = Vec::with_capacity(n);
-    let mut startl = 0usize;
-    for j in 0..n {
-        let take = base + usize::from(j < extra);
-        if take == 0 {
-            continue;
-        }
-        stages.push(StagePlan {
-            device: j,
-            layer_start: startl,
-            layer_end: startl + take,
-            bits: vec![bits; take],
-        });
-        startl += take;
-    }
-    if stages.is_empty() {
-        return None;
-    }
-    Some(ExecutionPlan {
-        model: spec.name.clone(),
-        cluster: cluster.name.clone(),
-        stages,
-        microbatch: mb,
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    })
-}
-
-/// Algorithm 1 through the incremental machinery: identical enumeration
-/// order and tie-breaking to [`crate::assign`], with memoized costs, an
-/// optional repaired incumbent per combo, and lower-bound pruning of
-/// the uniform seed pass. Returns the same best objective the cold path
-/// would (the seed bound is sound; the incumbent only prunes candidates
-/// that cannot beat it).
-#[allow(clippy::too_many_arguments)]
-fn assign_warm(
-    cluster: &Cluster,
-    spec: &ModelSpec,
-    job: &BatchJob,
-    db: &CostDb,
-    indicator: &IndicatorTable,
-    cfg: &AssignerConfig,
-    menu: &[Bitwidth],
-    cost: &mut CostCache,
-    eval: &mut EvalCache,
-    prev: Option<(&Cluster, &ExecutionPlan)>,
-    stats: &mut PlannerStats,
-) -> Result<AssignOutcome, String> {
-    assert_eq!(
-        indicator.n_layers(),
-        spec.n_layers,
-        "indicator must cover every decoder layer"
-    );
-    let start = std::time::Instant::now();
-    let orderings = device_orderings(cluster, cfg.max_orderings);
-    let mut best: Option<(ExecutionPlan, PlanReport, f64, f64)> = None;
-    let mut combos = 0usize;
-
-    let kv_options: Vec<u32> = if cfg.search_kv8 { vec![16, 8] } else { vec![16] };
-    for ordering in &orderings {
-        let mb_plans = microbatch_counts(job, ordering.len(), cfg.xi);
-        for mb in &mb_plans {
-            for &kv in &kv_options {
-                combos += 1;
-                let (group, sol) = match cfg.solver {
-                    SolverChoice::Dp { group } => {
-                        let (problem, _q, sizes) = build_problem_with_cache(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb,
-                            group, menu, true, cfg.dp_grid, kv as f64, Some(cost),
-                        );
-                        let hint = prev.and_then(|(pc, pp)| {
-                            repair_hint(pc, pp, cluster, ordering, &sizes, menu)
-                        });
-                        let (sol, sstats) =
-                            solve_partition_warm_stats(&problem, hint.as_deref());
-                        if sstats.incumbent_used {
-                            stats.hints_applied += 1;
-                        }
-                        stats.dp_calls += sstats.dp_calls as u64;
-                        stats.pairs_pruned += sstats.pruned as u64;
-                        (sizes, sol)
-                    }
-                    SolverChoice::Heuristic => {
-                        let (problem, q, sizes) = build_problem_with_cache(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb, 1,
-                            menu, true, cfg.dp_grid, kv as f64, Some(cost),
-                        );
-                        (sizes, heuristic_solve(&problem, &q, 400))
-                    }
-                    SolverChoice::Ilp { group, time_limit_s } => {
-                        let (problem, _q, sizes) = build_problem_with_cache(
-                            cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb,
-                            group, menu, true, cfg.dp_grid, kv as f64, Some(cost),
-                        );
-                        let milp_cfg = MilpConfig { time_limit_s, ..Default::default() };
-                        (sizes, solve_ilp(&problem, &milp_cfg))
-                    }
-                };
-                let Some(sol) = sol else { continue };
-                let plan = solution_to_plan(
-                    cluster, ordering, spec, &group, &sol, mb, "LLM-PQ", menu, kv,
-                );
-                let Ok(report) = eval.evaluate(&plan, cluster, spec, db, job) else {
-                    continue;
-                };
-                let omega = indicator.total(&plan.bit_assignment().bits);
-                let objective = report.total_latency + cfg.theta * omega;
-                if best.as_ref().is_none_or(|(_, _, _, o)| objective < *o) {
-                    best = Some((plan, report, omega, objective));
-                }
-            }
-        }
-    }
-
-    // Uniform seed pass, with sound lower-bound pruning: a seed whose
-    // provable makespan floor (plus its exactly computable ω term)
-    // cannot beat the best objective found so far cannot change the
-    // winner under the assigner's strict-improvement rule, so its full
-    // evaluation is skipped.
-    let pre_w = |mb: &MicrobatchPlan| PhaseWorkload::prefill(mb.prefill_size, job.prompt_len);
-    let dec_w = |mb: &MicrobatchPlan| {
-        PhaseWorkload::decode(mb.decode_size, job.prompt_len, representative_past(job))
-    };
-    for mb in microbatch_counts(job, cluster.len(), cfg.xi) {
-        for bits in menu.iter().copied() {
-            let Some(plan) = seed_plan(cluster, spec, mb, bits) else { continue };
-            let omega = indicator.total(&plan.bit_assignment().bits);
-            if let Some((_, _, _, best_obj)) = best.as_ref() {
-                let pw = pre_w(&mb);
-                let dw = dec_w(&mb);
-                let n_stages = plan.stages.len();
-                let mut pre = Vec::with_capacity(n_stages);
-                let mut dec = Vec::with_capacity(n_stages);
-                let mut comm_pre = Vec::new();
-                let mut comm_dec = Vec::new();
-                for (i, s) in plan.stages.iter().enumerate() {
-                    let gpu = cluster.devices[s.device].gpu;
-                    let take = (s.layer_end - s.layer_start) as f64;
-                    pre.push(take * cost.layer_latency(db, gpu, spec, &pw, bits, 16.0));
-                    dec.push(take * cost.layer_latency(db, gpu, spec, &dw, bits, 16.0));
-                    if i + 1 < n_stages {
-                        let link = cluster.link_between(s.device, plan.stages[i + 1].device);
-                        comm_pre
-                            .push(link.transfer_time(flops::boundary_activation_bytes(spec, &pw)));
-                        comm_dec
-                            .push(link.transfer_time(flops::boundary_activation_bytes(spec, &dw)));
-                    }
-                }
-                let first_gpu = cluster.devices[plan.stages[0].device].gpu;
-                let master_pre = cost.master_latency(db, first_gpu, spec, &pw);
-                let master_dec = cost.master_latency(db, first_gpu, spec, &dw);
-                let lb = makespan_lower_bound(
-                    &pre, &dec, &comm_pre, &comm_dec, master_pre, master_dec, &mb,
-                    job.n_generate,
-                );
-                if lb + cfg.theta * omega >= *best_obj {
-                    stats.seeds_pruned += 1;
-                    continue;
-                }
-            }
-            stats.seeds_evaluated += 1;
-            let Ok(report) = eval.evaluate(&plan, cluster, spec, db, job) else {
-                continue;
-            };
-            let objective = report.total_latency + cfg.theta * omega;
-            if best.as_ref().is_none_or(|(_, _, _, o)| objective < *o) {
-                best = Some((plan, report, omega, objective));
-            }
-        }
-    }
-
-    let (plan, report, omega, _) =
-        best.ok_or_else(|| "no feasible plan: model cannot fit this cluster".to_string())?;
-    Ok(AssignOutcome {
-        plan,
-        report,
-        omega_total: omega,
-        overhead_s: start.elapsed().as_secs_f64(),
-        combinations: combos,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assigner::assign;
-    use llmpq_cluster::{Interconnect, paper_cluster};
+    use crate::assigner::{assign, device_orderings, even_plan};
+    use llmpq_cluster::{paper_cluster, Interconnect};
+    use llmpq_cost::{profile_device, ProfilerConfig};
     use llmpq_model::zoo;
     use llmpq_sim::KernelEnv;
+    use llmpq_workload::MicrobatchPlan;
 
     fn synthetic_indicator(n_layers: usize) -> IndicatorTable {
         IndicatorTable {
@@ -1062,62 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_lower_bound_never_exceeds_simulated_latency() {
-        // The pruning bound must be sound: LB ≤ DES latency for every
-        // seed shape on a real cluster.
-        let cluster = paper_cluster(5);
-        let spec = zoo::opt_30b();
-        let db = CostDb::oracle(&KernelEnv::default());
-        let job = BatchJob::paper_default();
-        let mut cost = CostCache::default();
-        for mb in microbatch_counts(&job, cluster.len(), 4) {
-            for bits in Bitwidth::ALL {
-                let Some(plan) = seed_plan(&cluster, &spec, mb, bits) else { continue };
-                let Ok(report) = evaluate_plan(&plan, &cluster, &spec, &db, &job) else {
-                    continue;
-                };
-                let pw = PhaseWorkload::prefill(mb.prefill_size, job.prompt_len);
-                let dw = PhaseWorkload::decode(
-                    mb.decode_size,
-                    job.prompt_len,
-                    representative_past(&job),
-                );
-                let mut pre = Vec::new();
-                let mut dec = Vec::new();
-                let mut comm_pre = Vec::new();
-                let mut comm_dec = Vec::new();
-                for (i, s) in plan.stages.iter().enumerate() {
-                    let gpu = cluster.devices[s.device].gpu;
-                    let take = (s.layer_end - s.layer_start) as f64;
-                    pre.push(take * cost.layer_latency(&db, gpu, &spec, &pw, bits, 16.0));
-                    dec.push(take * cost.layer_latency(&db, gpu, &spec, &dw, bits, 16.0));
-                    if i + 1 < plan.stages.len() {
-                        let link = cluster.link_between(s.device, plan.stages[i + 1].device);
-                        comm_pre.push(
-                            link.transfer_time(flops::boundary_activation_bytes(&spec, &pw)),
-                        );
-                        comm_dec.push(
-                            link.transfer_time(flops::boundary_activation_bytes(&spec, &dw)),
-                        );
-                    }
-                }
-                let g0 = cluster.devices[plan.stages[0].device].gpu;
-                let master_pre = cost.master_latency(&db, g0, &spec, &pw);
-                let master_dec = cost.master_latency(&db, g0, &spec, &dw);
-                let lb = makespan_lower_bound(
-                    &pre, &dec, &comm_pre, &comm_dec, master_pre, master_dec, &mb,
-                    job.n_generate,
-                );
-                assert!(
-                    lb <= report.total_latency + 1e-9,
-                    "LB {lb} exceeds simulated {} for mb {mb:?} bits {bits:?}",
-                    report.total_latency
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cluster_delta_counts_multiset_changes() {
         let a = paper_cluster(3); // 3×T4 @node0 + 1×V100 @node1
         let (b, _) = a.without_devices(&[0]);
@@ -1147,7 +789,7 @@ mod tests {
             decode_size: 8,
             decode_count: 4,
         };
-        let plan = seed_plan(&cluster, &spec, mb, Bitwidth::Int4).unwrap();
+        let plan = even_plan(&cluster, &spec, Bitwidth::Int4, mb, "LLM-PQ");
         let mut cache = EvalCache::default();
         let r1 = cache.evaluate(&plan, &cluster, &spec, &db, &job).expect("ok");
         assert_eq!(cache.counters, CacheCounters { hits: 0, misses: 1 });
@@ -1155,7 +797,7 @@ mod tests {
         assert_eq!(cache.counters, CacheCounters { hits: 1, misses: 1 });
         assert_eq!(r1, r2);
         // A different precision is a different structure → miss.
-        let other = seed_plan(&cluster, &spec, mb, Bitwidth::Int8).unwrap();
+        let other = even_plan(&cluster, &spec, Bitwidth::Int8, mb, "LLM-PQ");
         let _ = cache.evaluate(&other, &cluster, &spec, &db, &job);
         assert_eq!(cache.counters.misses, 2);
     }
@@ -1179,6 +821,53 @@ mod tests {
         let db2 = CostDb::oracle(&env2);
         cache.sync_db(&db2, &spec, &cluster, &menu);
         assert_eq!(cache.len(), 0, "db swap must invalidate the cache");
+    }
+
+    #[test]
+    fn cost_cache_invalidates_on_decode_only_refit() {
+        // The online-refit case: new decode samples only. The stamp
+        // must cover the decode phase or the decode latencies go stale.
+        let cluster = paper_cluster(3);
+        let spec = zoo::opt_30b();
+        let menu = Bitwidth::ALL.to_vec();
+        let env = KernelEnv::default();
+        let pcfg = ProfilerConfig::default();
+        let devices: Vec<_> = cluster.model_counts().iter().map(|(g, _)| g.spec()).collect();
+        let mut db = CostDb::fit(&devices, &env, &spec, &pcfg);
+        let mut cache = CostCache::default();
+        assert!(cache.sync_db(&db, &spec, &cluster, &menu), "first sync stamps the cache");
+        let w = PhaseWorkload::decode(8, 512, 562);
+        let before = cache.layer_latency(&db, GpuModel::T4_16G, &spec, &w, Bitwidth::Int4, 16.0);
+        assert!(!cache.sync_db(&db, &spec, &cluster, &menu), "same DB: cache survives");
+        assert_eq!(cache.len(), 1);
+
+        let mut samples = profile_device(&GpuModel::T4_16G.spec(), &env, &spec, &pcfg);
+        for s in samples.iter_mut().filter(|s| s.phase == Phase::Decode) {
+            s.latency *= 2.0;
+        }
+        db.fit_from_samples(GpuModel::T4_16G, &spec, &samples);
+        assert!(
+            cache.sync_db(&db, &spec, &cluster, &menu),
+            "a decode-only refit must change the stamp"
+        );
+        assert_eq!(cache.len(), 0, "decode-only refit must invalidate the cache");
+        let after = cache.layer_latency(&db, GpuModel::T4_16G, &spec, &w, Bitwidth::Int4, 16.0);
+        assert!(after > 1.5 * before, "refitted decode latency {after} vs stale {before}");
+    }
+
+    #[test]
+    fn wrong_length_indicator_is_a_config_error_and_old_plan_held() {
+        let spec = zoo::opt_30b();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let ind = synthetic_indicator(spec.n_layers);
+        let mut planner = IncrementalPlanner::new(spec, BatchJob::paper_default(), quick_cfg());
+        let cluster = paper_cluster(3);
+        planner.plan(&cluster, &db, &ind).expect("plan");
+        match planner.plan(&cluster, &db, &synthetic_indicator(3)) {
+            Err(ReplanError::Config(msg)) => assert!(msg.contains("3 layers"), "{msg}"),
+            other => panic!("expected Config, got {other:?}"),
+        }
+        assert!(planner.last_plan().is_some());
     }
 
     #[test]

@@ -21,11 +21,18 @@
 //! * [`evaluate`] — plan evaluation: stage loads, memory checks, pipeline
 //!   simulation, throughput.
 //! * [`ilp`] — the paper's exact ILP (eq. 4–16) built for the
-//!   branch-and-bound MILP solver; used for small/grouped instances.
-//! * [`assigner`] — Algorithm 1: device-order × micro-batch enumeration
-//!   around the DP/ILP inner solver.
+//!   branch-and-bound MILP solver: the reference `ablation_solver`
+//!   checks the DP against, not an inner solver of Algorithm 1.
+//! * [`assigner`] — Algorithm 1: the one device-order × micro-batch
+//!   enumeration around the DP (or Algorithm-2) inner solver, with
+//!   memoised costs and evaluations; [`assign`] runs it on empty caches.
 //! * [`transfer`] — Algorithm 2: the adabits seed + bitwidth-transfer
 //!   heuristic.
+//! * [`incremental`] — the caches and [`IncrementalPlanner`], which
+//!   keeps them and the previous plan between calls (warm start) and
+//!   owns the solver → heuristic fallback ladder.
+//! * [`replan`] — planning around lost devices: the planner on the
+//!   survivors, ids remapped to the original cluster.
 //! * [`baselines`] — PipeEdge, Uniform, FlexGen(-int8) and pure-adaptive
 //!   (adabits) planners for the paper's comparison rows.
 
@@ -48,7 +55,7 @@ pub use degrade::{degradation_ladder, DegradationLadder, LadderRung, DEFAULT_CAP
 pub use evaluate::{evaluate_plan, PlanReport};
 pub use incremental::{
     cluster_delta, CacheCounters, ClusterDelta, CostCache, EvalCache, IncrementalPlanner,
-    PlanOrigin, PlannedOutcome, PlannerStats, ReplanError, WarmStartConfig,
+    PlanOrigin, PlannedOutcome, PlannerStats, ReplanError,
 };
 pub use plan::{ExecutionPlan, StagePlan};
 // Re-exported so downstream crates can construct `ExecutionPlan`s

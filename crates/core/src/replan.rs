@@ -3,20 +3,20 @@
 //! When the runtime supervisor reports a device as permanently gone, the
 //! remaining cluster is a *new* (smaller, usually still heterogeneous)
 //! cluster — exactly the input Algorithm 1 was built for. This module
-//! re-runs the assigner on the survivors and translates the resulting
-//! plan back into the original cluster's device numbering, so the
-//! runtime can keep addressing devices by their stable ids.
+//! runs the planner on the survivors and translates the resulting plan
+//! back into the original cluster's device numbering, so the runtime
+//! can keep addressing devices by their stable ids.
 //!
 //! The shrunken cluster may no longer fit the old precision mix; the
-//! assigner's inner solver then degrades bitwidths via the Algorithm-2
-//! transfer rules (or the DP's precision dimension) just as it would for
-//! a fresh plan. If the configured solver fails on the degraded
-//! topology, we retry once with the always-feasible Algorithm-2
-//! heuristic before giving up.
+//! inner solver then degrades bitwidths via the DP's precision
+//! dimension (or the Algorithm-2 transfer rules) just as it would for a
+//! fresh plan. The solver → heuristic → typed-error ladder is
+//! [`IncrementalPlanner::plan`]'s; a caller that keeps its planner
+//! across losses ([`IncrementalPlanner::replan_after_loss`]) gets the
+//! second loss warm-started from the first.
 
-use crate::assigner::assign;
-use crate::config::{AssignerConfig, SolverChoice};
-use crate::incremental::{PlanOrigin, ReplanError};
+use crate::config::AssignerConfig;
+use crate::incremental::{IncrementalPlanner, PlanOrigin, ReplanError};
 use crate::plan::ExecutionPlan;
 use llmpq_cluster::Cluster;
 use llmpq_cost::CostDb;
@@ -31,10 +31,10 @@ pub struct ReplanOutcome {
     pub plan: ExecutionPlan,
     /// The surviving sub-cluster the plan was computed on.
     pub surviving: Cluster,
-    /// Where the plan came from: the configured exact solver, or the
-    /// Algorithm-2 heuristic after the solver failed. Telemetry and the
-    /// `llmpq-dist` end-of-run summary surface this so operators can
-    /// see degraded planning quality.
+    /// Where the plan came from: the configured solver (with or without
+    /// a warm-start incumbent), or the Algorithm-2 heuristic after the
+    /// solver failed. Telemetry and the `llmpq-dist` end-of-run summary
+    /// surface this so operators can see degraded planning quality.
     pub origin: PlanOrigin,
     /// Assigner wall-clock, seconds (the recovery-path "Overhead").
     pub overhead_s: f64,
@@ -48,13 +48,42 @@ impl ReplanOutcome {
     }
 }
 
-/// Re-run Algorithm 1 on `cluster` minus `lost_devices` and remap the
-/// winning plan's device ids back to `cluster`'s numbering.
-///
-/// Errors (typed, never panics) if every device is lost
-/// ([`ReplanError::AllDevicesLost`]) or if neither the configured
-/// solver nor the heuristic fallback can fit the model on the
-/// survivors ([`ReplanError::Infeasible`]).
+impl IncrementalPlanner {
+    /// Plan onto `cluster` minus `lost_devices` and remap the winning
+    /// plan's device ids back to `cluster`'s numbering.
+    ///
+    /// Errors (typed, never panics) if every device is lost
+    /// ([`ReplanError::AllDevicesLost`]) or if neither the configured
+    /// solver nor the heuristic fallback can fit the model on the
+    /// survivors ([`ReplanError::Infeasible`]).
+    pub fn replan_after_loss(
+        &mut self,
+        cluster: &Cluster,
+        lost_devices: &[usize],
+        db: &CostDb,
+        indicator: &IndicatorTable,
+    ) -> Result<ReplanOutcome, ReplanError> {
+        let (surviving, new_to_old) = cluster.without_devices(lost_devices);
+        if surviving.is_empty() {
+            return Err(ReplanError::AllDevicesLost { total: cluster.len() });
+        }
+        let planned = self.plan(&surviving, db, indicator)?;
+        let mut plan = planned.outcome.plan;
+        for stage in &mut plan.stages {
+            stage.device = new_to_old[stage.device];
+        }
+        plan.cluster = cluster.name.clone();
+        Ok(ReplanOutcome {
+            plan,
+            surviving,
+            origin: planned.origin,
+            overhead_s: planned.outcome.overhead_s,
+        })
+    }
+}
+
+/// One-shot [`IncrementalPlanner::replan_after_loss`]: a fresh planner
+/// (empty caches, nothing to warm-start from) for one loss.
 pub fn replan_after_loss(
     cluster: &Cluster,
     lost_devices: &[usize],
@@ -64,49 +93,14 @@ pub fn replan_after_loss(
     indicator: &IndicatorTable,
     cfg: &AssignerConfig,
 ) -> Result<ReplanOutcome, ReplanError> {
-    let (surviving, new_to_old) = cluster.without_devices(lost_devices);
-    if surviving.is_empty() {
-        return Err(ReplanError::AllDevicesLost { total: cluster.len() });
-    }
-    let mut origin = match cfg.solver {
-        SolverChoice::Heuristic => PlanOrigin::Heuristic,
-        _ => PlanOrigin::Ilp,
-    };
-    let outcome = match assign(&surviving, spec, job, db, indicator, cfg) {
-        Ok(o) => o,
-        Err(primary) => {
-            if matches!(cfg.solver, SolverChoice::Heuristic) {
-                return Err(ReplanError::Infeasible {
-                    devices: surviving.len(),
-                    reason: primary,
-                });
-            }
-            origin = PlanOrigin::Heuristic;
-            let fallback = AssignerConfig { solver: SolverChoice::Heuristic, ..*cfg };
-            assign(&surviving, spec, job, db, indicator, &fallback).map_err(|h| {
-                ReplanError::Infeasible {
-                    devices: surviving.len(),
-                    reason: format!("solver: {primary}; heuristic fallback: {h}"),
-                }
-            })?
-        }
-    };
-    let mut plan = outcome.plan;
-    for stage in &mut plan.stages {
-        stage.device = new_to_old[stage.device];
-    }
-    plan.cluster = cluster.name.clone();
-    Ok(ReplanOutcome {
-        plan,
-        surviving,
-        origin,
-        overhead_s: outcome.overhead_s,
-    })
+    IncrementalPlanner::new(spec.clone(), *job, *cfg)
+        .replan_after_loss(cluster, lost_devices, db, indicator)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SolverChoice;
     use llmpq_cluster::{GpuModel, Interconnect};
     use llmpq_model::{ModelFamily, ModelSpec};
     use llmpq_quant::IndicatorTable;

@@ -1,22 +1,28 @@
-//! Property tests for the warm-started incremental planner: random
-//! small cluster deltas (±1–2 devices) must leave the warm objective
-//! exactly equal to a cold solve of the same fleet, caches must be
-//! reused across deltas and correctly invalidated when the cost
-//! database or device classes change.
+//! Property tests for the planner: random small cluster deltas (±1–2
+//! devices) must leave the warm-started objective exactly equal to a
+//! fresh planner's on the same fleet, caches must be reused across
+//! deltas and correctly invalidated when the cost database or device
+//! classes change. Algorithm 1 has one implementation, so there is no
+//! unpruned, unmemoised twin to compare it with; the two things its
+//! exactness rests on are properties here too — the seed lower bound
+//! never exceeds the simulated latency, and the evaluation cache
+//! answers exactly what `evaluate_plan` answers.
 //!
 //! Case counts are kept small (each case runs several full assigner
 //! passes); the properties are about *equivalence*, not coverage
 //! volume — any divergence at all is a bug.
 
+use llm_pq::assigner::{even_plan, seed_lower_bound};
 use llm_pq::{
-    AssignerConfig, IncrementalPlanner, PlanOrigin, SolverChoice,
+    evaluate_plan, AssignerConfig, CostCache, EvalCache, ExecutionPlan, IncrementalPlanner,
+    PlanOrigin, SolverChoice, StagePlan,
 };
-use llmpq_cluster::{Cluster, GpuModel, Interconnect};
+use llmpq_cluster::{paper_cluster, Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
-use llmpq_model::{ModelFamily, ModelSpec};
-use llmpq_quant::IndicatorTable;
+use llmpq_model::{zoo, ModelFamily, ModelSpec};
+use llmpq_quant::{Bitwidth, IndicatorTable};
 use llmpq_sim::KernelEnv;
-use llmpq_workload::BatchJob;
+use llmpq_workload::{microbatch_counts, BatchJob};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -194,36 +200,62 @@ proptest! {
         prop_assert!(second.stats.omega.hits > 0, "omega cache unused: {:?}", second.stats);
     }
 
-    /// Changing the cost database between rounds must invalidate the
-    /// memoized cost entries: the warm planner's answer on the new
-    /// database equals a cold solve on that database (stale entries
-    /// would skew the objective).
+    /// Changing the cost database between rounds must invalidate
+    /// everything derived from the old one — memoized cost entries
+    /// *and* memoized plan evaluations: the planner's answer on the new
+    /// database is the plan a fresh planner finds on that database.
+    /// `tiny_spec` is insensitive to `max_mfu`, so opt-30b on paper
+    /// cluster 3 (where stale evaluations picked a different plan) rides
+    /// along as a second input.
     #[test]
     fn cost_db_change_invalidates_the_cache(
         base in prop::collection::vec(gpu_strategy(), 3..=5)
     ) {
-        let spec = tiny_spec();
-        let indicator = tiny_indicator(spec.n_layers);
-        let cfg = quick_cfg();
-        let theta = cfg.theta;
-        let cluster = cluster_of("dbflip", &base);
         let db1 = CostDb::oracle(&KernelEnv::default());
         let db2 = CostDb::oracle(&KernelEnv { max_mfu: 0.1, ..KernelEnv::default() });
+        let opt30b = zoo::opt_30b();
+        let opt30b_indicator = IndicatorTable {
+            omega: (0..opt30b.n_layers)
+                .map(|l| {
+                    let base = 1.0 / (1.0 + l as f64 * 0.15);
+                    [base, base * 0.22, base * 0.01, 0.0]
+                })
+                .collect(),
+        };
+        let opt30b_cfg = AssignerConfig {
+            theta: 0.1,
+            solver: SolverChoice::Dp { group: 8 },
+            dp_grid: Some(8),
+            ..quick_cfg()
+        };
+        let inputs = [
+            (tiny_spec(), tiny_indicator(4), job(), quick_cfg(), cluster_of("dbflip", &base)),
+            (opt30b, opt30b_indicator, BatchJob::paper_default(), opt30b_cfg, paper_cluster(3)),
+        ];
+        for (spec, indicator, job, cfg, cluster) in inputs {
+            let theta = cfg.theta;
+            let mut warm = IncrementalPlanner::new(spec.clone(), job, cfg);
+            warm.plan(&cluster, &db1, &indicator).expect("plan on db1");
+            let switched = warm.plan(&cluster, &db2, &indicator).expect("plan on db2");
 
-        let mut warm = IncrementalPlanner::new(spec.clone(), job(), cfg.clone());
-        warm.plan(&cluster, &db1, &indicator).expect("plan on db1");
-        let switched = warm.plan(&cluster, &db2, &indicator).expect("plan on db2");
+            let mut cold = IncrementalPlanner::new(spec.clone(), job, cfg);
+            let fresh = cold.plan(&cluster, &db2, &indicator).expect("cold plan on db2");
 
-        let mut cold = IncrementalPlanner::new(spec, job(), cfg);
-        let fresh = cold.plan(&cluster, &db2, &indicator).expect("cold plan on db2");
-
-        prop_assert!(
-            (switched.objective(theta) - fresh.objective(theta)).abs()
-                <= 1e-9 * fresh.objective(theta).abs().max(1.0),
-            "stale cost entries leaked across the database change: warm {} vs cold {}",
-            switched.objective(theta),
-            fresh.objective(theta)
-        );
+            prop_assert!(
+                (switched.objective(theta) - fresh.objective(theta)).abs()
+                    <= 1e-9 * fresh.objective(theta).abs().max(1.0),
+                "{}: stale entries leaked across the database change: warm {} vs cold {}",
+                spec.name,
+                switched.objective(theta),
+                fresh.objective(theta)
+            );
+            prop_assert_eq!(
+                &switched.outcome.plan,
+                &fresh.outcome.plan,
+                "{}: plan after the database change differs from a fresh planner's",
+                spec.name
+            );
+        }
     }
 
     /// Swapping every device class between rounds must not let the old
@@ -266,5 +298,125 @@ proptest! {
             cold.cached_cost_entries(),
             "cache after the class swap must hold exactly the fresh fleet's entries"
         );
+    }
+
+    /// The seed pass skips a uniform even-split plan when its makespan
+    /// lower bound (plus its ω term) cannot beat the incumbent; that is
+    /// only sound if the bound never exceeds the latency the plan would
+    /// have been given. Every seed shape the search can draw — each
+    /// micro-batch plan × each bitwidth — on random fleets.
+    #[test]
+    fn seed_lower_bound_is_below_evaluated_latency(
+        fleet in prop::collection::vec(gpu_strategy(), 3..=6)
+    ) {
+        let db = CostDb::oracle(&KernelEnv::default());
+        let cluster = cluster_of("seeds", &fleet);
+        let mut evaluated = 0usize;
+        for (spec, job) in [(tiny_spec(), job()), (zoo::opt_30b(), BatchJob::paper_default())] {
+            let mut cost = CostCache::default();
+            for mb in microbatch_counts(&job, cluster.len(), 4) {
+                for bits in Bitwidth::ALL {
+                    let plan = even_plan(&cluster, &spec, bits, mb, "LLM-PQ");
+                    // Plans that do not fit are never compared with the bound.
+                    let Ok(report) = evaluate_plan(&plan, &cluster, &spec, &db, &job) else {
+                        continue;
+                    };
+                    evaluated += 1;
+                    let lb = seed_lower_bound(&plan, &cluster, &spec, &job, &db, &mut cost);
+                    prop_assert!(
+                        lb <= report.total_latency + 1e-9,
+                        "{} on {fleet:?}: bound {lb} exceeds simulated {} for {mb:?} at {bits:?}",
+                        spec.name,
+                        report.total_latency
+                    );
+                }
+            }
+        }
+        prop_assert!(evaluated > 0, "no seed plan fit {fleet:?}");
+    }
+
+    /// One `EvalCache` shared across a fleet and a churned copy of it
+    /// (device ids shift, so the same id may name another class) must
+    /// answer every plan exactly as `evaluate_plan` does — reports and
+    /// errors alike. A fingerprint that dropped something the
+    /// evaluation reads would serve one plan's verdict for another.
+    #[test]
+    fn eval_cache_answers_what_evaluate_plan_answers(
+        (base, raw_remove, raw_added, shapes) in (
+            prop::collection::vec(gpu_strategy(), 3..=6),
+            0usize..=2,
+            prop::collection::vec(gpu_strategy(), 0..=2),
+            prop::collection::vec(
+                (
+                    prop::collection::vec(1usize..40, 0..=2), // stage cuts
+                    prop::collection::vec(0usize..4, 40),     // per-layer bit index
+                    0usize..6,                                 // first device
+                    0usize..64,                                // micro-batch pick
+                    0usize..=1,                                // KV width pick
+                ),
+                1..=6,
+            ),
+        )
+    ) {
+        let (remove, added) = clamp_delta(&base, raw_remove, raw_added);
+        let spec = zoo::opt_13b();
+        prop_assert_eq!(spec.n_layers, 40);
+        let job = BatchJob::paper_default();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let old = cluster_of("old", &base);
+        let mut churned: Vec<GpuModel> = base[remove..].to_vec();
+        churned.extend_from_slice(&added);
+        let new = cluster_of("new", &churned);
+
+        let plans: Vec<ExecutionPlan> = shapes
+            .into_iter()
+            .map(|(mut cuts, bit_idx, first, mb_pick, kv_pick)| {
+                cuts.sort_unstable();
+                cuts.dedup();
+                cuts.push(spec.n_layers);
+                let mut start = 0usize;
+                let stages: Vec<StagePlan> = cuts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &end)| {
+                        let stage = StagePlan {
+                            device: (first + i) % old.len(),
+                            layer_start: start,
+                            layer_end: end,
+                            bits: bit_idx[start..end].iter().map(|&b| Bitwidth::ALL[b]).collect(),
+                        };
+                        start = end;
+                        stage
+                    })
+                    .collect();
+                let mbs = microbatch_counts(&job, stages.len(), 4);
+                ExecutionPlan {
+                    model: spec.name.clone(),
+                    cluster: old.name.clone(),
+                    stages,
+                    microbatch: mbs[mb_pick % mbs.len()],
+                    scheme: "LLM-PQ".into(),
+                    kv_bits: [16, 8][kv_pick],
+                }
+            })
+            .collect();
+
+        let mut cache = EvalCache::default();
+        // Twice over both fleets, so every plan is also answered from
+        // entries another fleet (or another plan) put there.
+        for _ in 0..2 {
+            for cluster in [&old, &new] {
+                for plan in &plans {
+                    prop_assert_eq!(
+                        cache.evaluate(plan, cluster, &spec, &db, &job),
+                        evaluate_plan(plan, cluster, &spec, &db, &job),
+                        "cached verdict differs for {:?} on {}",
+                        plan,
+                        &cluster.name
+                    );
+                }
+            }
+        }
+        prop_assert!(cache.counters.hits > 0, "second pass never hit the cache");
     }
 }

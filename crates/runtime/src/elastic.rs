@@ -24,10 +24,13 @@
 //!   keeps toggling join/leave inside the flap window is quarantined —
 //!   its events stop triggering replans (counted in
 //!   [`FleetAlarms::flap_suppressed`]) until it holds still.
-//! * **Planning** is delegated to an [`ElasticPlanner`]: the structural
-//!   [`EvenSplitPlanner`] for simulation, or the warm-started
-//!   incremental Algorithm-1 planner (`llm_pq::IncrementalPlanner`)
-//!   wired in by the CLI. A planner failure is *typed*
+//! * **Planning** is delegated to an [`ElasticPlanner`]. What is
+//!   wired in today is structural: [`EvenSplitPlanner`] (simulation)
+//!   and a test planner in `tests/elastic.rs`; an Algorithm-1
+//!   planner (`llm_pq::IncrementalPlanner`, which warm-starts across
+//!   membership deltas) fits the trait but no binary injects one yet —
+//!   its caller today is `llmpq-dist`'s device-loss replanner, behind
+//!   `supervisor::Replanner`. A planner failure is *typed*
 //!   ([`PlanFailure`]): the controller holds the old, still-serving
 //!   plan and raises [`FleetAlarms::infeasible_fleet`] — it never
 //!   panics and never commits a plan referencing a dead device.
@@ -107,12 +110,11 @@ pub struct FleetView<'a> {
     pub current: &'a ExecutionPlan,
 }
 
-/// Produces an execution plan for the current fleet. Implementations
-/// range from the structural [`EvenSplitPlanner`] (no cost model, used
-/// by the simulation) to the warm-started incremental Algorithm-1
-/// planner the CLI injects (`llm_pq::IncrementalPlanner` — kept behind
-/// this trait so the runtime crate stays decoupled from the cost
-/// database plumbing).
+/// Produces an execution plan for the current fleet. The structural
+/// [`EvenSplitPlanner`] (no cost model, used by the simulation) is the
+/// implementation wired in today; the trait is where an Algorithm-1
+/// planner (`llm_pq::IncrementalPlanner` plus the cost database and
+/// indicator it needs, which the controller does not carry) plugs in.
 pub trait ElasticPlanner {
     /// Plan onto exactly the live devices in `view`. The returned
     /// plan's device ids must be a subset of `view.live` — the

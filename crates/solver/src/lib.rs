@@ -21,7 +21,7 @@ pub mod simplex;
 
 pub use milp::{solve_milp, MilpConfig, MilpResult, MilpSpec};
 pub use partition::{
-    evaluate_assignment, solve_partition, solve_partition_warm, solve_partition_warm_stats,
-    PartitionProblem, PartitionSolution, PartitionSolveStats,
+    evaluate_assignment, solve_partition, solve_partition_warm_stats, PartitionProblem,
+    PartitionSolution, PartitionSolveStats,
 };
 pub use simplex::{solve_lp, Constraint, ConstraintOp, LinProg, LpResult, LpSolution};

@@ -177,7 +177,7 @@ const INF: f64 = f64::INFINITY;
 /// Solve the partition problem. Returns `None` when no feasible plan
 /// exists (e.g. the model cannot fit even at the lowest precision).
 pub fn solve_partition(p: &PartitionProblem) -> Option<PartitionSolution> {
-    solve_partition_warm(p, None)
+    solve_partition_warm_stats(p, None).0
 }
 
 /// Counters from one warm-started solve, for cache/pruning assertions.
@@ -194,25 +194,18 @@ pub struct PartitionSolveStats {
     pub incumbent_used: bool,
 }
 
-/// Warm-started [`solve_partition`]: `hint` — typically the previous
-/// solve's assignment repaired onto the new device ordering — is
-/// evaluated first and, when feasible, seeds the incumbent so the
-/// candidate loop prunes most `(T_pre, T_dec)` pairs before paying for
-/// their `O(N·L²·B)` DP. Exactness: the prune only skips pairs whose
-/// α-weighted lower bound already meets the incumbent, every achievable
-/// solution is re-discoverable at its own realized-maxima pair
-/// (`lin_cost ≥ 0`), and with exhaustive candidates those pairs are in
-/// the grid — so the returned objective equals the cold solve's. Under
-/// grid subsampling the incumbent's realized maxima are injected into
-/// the candidate lists to preserve that argument for the hint itself.
-pub fn solve_partition_warm(
-    p: &PartitionProblem,
-    hint: Option<&[(usize, usize)]>,
-) -> Option<PartitionSolution> {
-    solve_partition_warm_stats(p, hint).0
-}
-
-/// [`solve_partition_warm`] plus pruning counters.
+/// Warm-started [`solve_partition`], with pruning counters: `hint` —
+/// typically the previous solve's assignment repaired onto the new
+/// device ordering — is evaluated first and, when feasible, seeds the
+/// incumbent so the candidate loop prunes most `(T_pre, T_dec)` pairs
+/// before paying for their `O(N·L²·B)` DP. Exactness: the prune only
+/// skips pairs whose α-weighted lower bound already meets the
+/// incumbent, every achievable solution is re-discoverable at its own
+/// realized-maxima pair (`lin_cost ≥ 0`), and with exhaustive
+/// candidates those pairs are in the grid — so the returned objective
+/// equals the cold solve's. Under grid subsampling the incumbent's
+/// realized maxima are injected into the candidate lists to preserve
+/// that argument for the hint itself.
 pub fn solve_partition_warm_stats(
     p: &PartitionProblem,
     hint: Option<&[(usize, usize)]>,
@@ -786,7 +779,7 @@ mod tests {
             let mut p = random_problem(seed, 8, 3, 3, false);
             p.grid = Some(12);
             let Some(cold) = solve_partition(&p) else { continue };
-            let warm = solve_partition_warm(&p, Some(&cold.assignment)).expect("feasible");
+            let warm = solve_partition_warm_stats(&p, Some(&cold.assignment)).0.expect("feasible");
             assert!(
                 warm.objective <= cold.objective + 1e-9,
                 "seed {seed}: warm {} must not regress cold {}",
