@@ -10,6 +10,8 @@
 //! Run any experiment with
 //! `cargo run --release -p llmpq-bench --bin <name>`.
 
+#![forbid(unsafe_code)]
+
 pub mod quality;
 pub mod serving;
 pub mod table;

@@ -16,6 +16,8 @@
 //! `llmpq-algo` produces the strategy file; `llmpq-dist` executes one on
 //! the in-process pipeline runtime with a scaled stand-in checkpoint.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 
 pub use args::{ArgError, Args};

@@ -8,6 +8,8 @@
 //! production-cluster trace generator reproducing Figure 1's motivation
 //! (few high-calibre GPUs, heavily utilized; many low-calibre GPUs, idle).
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod economics;
 pub mod device;

@@ -36,6 +36,8 @@
 //! * [`baselines`] — PipeEdge, Uniform, FlexGen(-int8) and pure-adaptive
 //!   (adabits) planners for the paper's comparison rows.
 
+#![forbid(unsafe_code)]
+
 pub mod assigner;
 pub mod baselines;
 pub mod config;

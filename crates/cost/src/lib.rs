@@ -21,6 +21,8 @@
 //!   compares the analytical per-stage predictions against busy times
 //!   *observed* by the runtime's telemetry layer.
 
+#![forbid(unsafe_code)]
+
 pub mod fidelity;
 pub mod latency;
 pub mod memory;

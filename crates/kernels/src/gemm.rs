@@ -6,59 +6,88 @@
 //! The weight is never materialized as `f32` in memory: one small tile
 //! at a time is dequantized into an L1-resident scratch buffer, and that
 //! staged tile is then multiplied against *every* activation row of the
-//! block before the next tile is touched. Unpack-and-scale — the
-//! expensive part of a fused kernel on a CPU — is therefore paid once
-//! per weight per 64-row block, not once per weight per row, which is
-//! what separates compute-bound prefill from memory-bound decode.
-//! [`gemm_t`] is the same kernel over a dense `f32` weight, with a
-//! transposing copy as the tile fill.
+//! block before the next tile is touched. Unpack-and-scale is therefore
+//! paid once per weight per 64-row block, not once per weight per row,
+//! which is what separates compute-bound prefill from memory-bound
+//! decode. [`gemm_t`] is the same kernel over a dense `f32` weight, with
+//! a transposing copy as the tile fill.
 //!
 //! ## Loop structure
 //!
 //! ```text
 //! par over row blocks of ≤ ROW_BLOCK = 64 activation rows (disjoint chunks of out)
-//!   scratch[TILE_K × LANES]                            ← one 4 KB tile per block
-//!   for each lane-tile of LANES = 8 output features    ← f32x8-style unroll
+//!   dispatch: the AVX2 or the baseline instantiation of `row_block`
+//!   scratch: PANELS tiles of TILE_K × LANES f32 (4 KB each), the block's accumulators
+//!   for each panel of LANES = 8 output features        ← one f32x8 of accumulators per row
+//!     acc[rows][LANES] = 0                             ← block-local, carried between k-tiles
 //!     for each k-tile: one quant group, or TILE_K = 128 steps of a longer one
-//!       fill: scratch[kk][lane] = ((q − z) as f32) * s ← ONCE, scale/zero hoisted
+//!       fill: tile[kk][lane] = ((q − z) as f32) * s    ← ONCE, 16 weights per step
 //!       for each register block of MR = 4 rows (then the m % 4 tail, one row each):
-//!         acc[MR][LANES] = out[rows][lanes]            ← carried between k-tiles
+//!         reg[MR][LANES] = acc[rows]
 //!         for kk in tile:                              ← sequential k
-//!           for r, lane: acc[r][lane] += x[r][kk] * scratch[kk][lane]
-//!         out[rows][lanes] = acc
+//!           for r, lane: reg[r][lane] += x[r][kk] * tile[kk][lane]
+//!         acc[rows] = reg
+//!     out[rows][panel's lanes below n] = acc
 //! ```
 //!
-//! There is one such kernel for every `m`. Decode (`m == 1`) is the
-//! row tail of an empty set of full blocks: the same fill, the same
-//! inner loop with one accumulator row. The `MR × LANES` accumulators
+//! There is one such kernel for every `m`. The `MR × LANES` accumulators
 //! are *independent outputs*, which is what lets the CPU overlap f32 add
 //! latency — parallelism is never introduced within a single output's
-//! reduction.
+//! reduction. A block of fewer than `MR` rows (decode, `m == 1`) would
+//! leave a single add chain per vector, so it swaps the roles: `PANELS = 4`
+//! adjacent panels are filled together and each row sweeps all four
+//! tiles at once — the same register block turned on its side, the same
+//! ascending-k chain per output.
+//!
+//! ## The fill is whole vectors
+//!
+//! [`PackedMatrix`] stores each panel k-major / lane-minor (see
+//! [`crate::pack`]), so the 16 payload bytes of two k-steps are adjacent
+//! and in tile order, and the per-lane scale and zero point repeat with
+//! period 8. `dequant16` is therefore a fixed-size `[u8; 16] → [f32; 16]`
+//! body — widen, subtract, convert, multiply, store — that the compiler
+//! turns into straight vector code with no cross-lane move. Nibble
+//! precisions first unpack the tile's 16-byte units (4 k-steps each) with
+//! `b & 0x0F` / `b >> 4` over whole bytes into a byte scratch that has
+//! int8's shape, then run the same convert. A panel that reaches past `n`
+//! is padded in the weight (grid 0, scale 0) and only its valid lanes are
+//! copied out of the accumulators, so there is no narrow tail
+//! instantiation.
+//!
+//! ## Two instantiations of one body
+//!
+//! `row_block` is safe, intrinsic-free generic Rust. On `x86_64` it is
+//! compiled twice: as is (the build's baseline ISA), and inlined into
+//! `row_block_avx2`, a `#[target_feature(enable = "avx2")]` wrapper, so
+//! the same loops are emitted at 256-bit width. `row_block_dispatch`
+//! picks between them per row block with `is_x86_feature_detected!` —
+//! the workspace's only `unsafe` block, sound because the wrapper is
+//! reached only after the feature was detected on the running CPU. There
+//! is no flag, environment variable or cargo feature; [`isa`] reports
+//! the choice. Other targets compile the baseline only.
 //!
 //! ## Bit-exactness
 //!
 //! For every output `(i, j)` the accumulation is `acc += x[i][k] * w[j][k]`
 //! for `k = 0, 1, …` from `acc = 0`, where `w[j][k] = ((q − z) as f32) * s`
 //! — exactly the roundings of dequantizing the whole matrix first and
-//! running the scalar `matmul_t` reference. Tiling changes only *when* a
-//! dequantized value is produced and where the running sum rests between
-//! k-tiles (an `f32` store and reload of the same value), never a bit
-//! pattern or the order terms enter the sum, so the result is
-//! bit-identical for packed and dense weights alike. It also makes row
-//! `i` of an `m`-row call equal to the one-row call on `x[i]`, which is
+//! running the scalar ascending-k dot product. Tiling changes only *when*
+//! a dequantized value is produced and where the running sum rests
+//! between k-tiles (an `f32` store and reload of the same value), and
+//! sweeping four panels together only interleaves distinct outputs.
+//! Neither touches a bit pattern or the order terms enter a sum, so the
+//! result is bit-identical for packed and dense weights alike, and row
+//! `i` of an `m`-row call equals the one-row call on `x[i]` — which is
 //! what lets serving chunk, batch and recompute prefill freely.
 //!
-//! Nibble precisions unpack a payload byte into two consecutive k-steps
-//! with shifts and masks (`((u − 8 − z) as f32) * s`, int8's rounding
-//! chain), so int4/int3 stage a tile in about the time int8 does while
-//! reading half the payload bytes.
+//! Vector width does not change it either: lanes are distinct outputs,
+//! every operation is an IEEE-754 single-precision multiply, add or exact
+//! integer conversion, and FMA is not enabled, so no multiply-add is
+//! contracted — the AVX2 and baseline instantiations agree `to_bits()`
+//! for `to_bits()`.
 
-use crate::pack::{PackBits, PackedMatrix};
+use crate::pack::{PackBits, PackedMatrix, LANES, NIBBLE_BIAS, UNIT_BYTES, UNIT_K};
 use rayon::prelude::*;
-
-/// Output features per register tile: eight independent f32 accumulator
-/// chains per activation row, the stable-Rust stand-in for one `f32x8`.
-const LANES: usize = 8;
 
 /// Activation rows per register block: `MR × LANES` accumulators stay in
 /// registers while one weight tile streams past them.
@@ -69,10 +98,14 @@ const MR: usize = 4;
 /// ascending k.
 const TILE_K: usize = 128;
 
+/// Panels swept together when a block has fewer than `MR` rows.
+const PANELS: usize = 4;
+
 /// Activation rows per parallel chunk of `out`.
 const ROW_BLOCK: usize = 64;
 
-const NIBBLE_BIAS: i32 = 8;
+/// Values one [`dequant16`] call stages: two k-steps of a panel.
+const PAIR: usize = 2 * LANES;
 
 /// `out = x · wᵀ`, freshly allocated (`m × w.rows`, row-major).
 ///
@@ -85,7 +118,7 @@ pub fn qgemm_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
 
 /// [`qgemm_t`] into a caller-provided buffer of length `m * w.rows`.
 pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
-    gemm_blocked(x, m, w, out);
+    gemm_blocked(x, m, w, out, true);
 }
 
 /// Dense `out = x · wᵀ` through the same blocked kernel: `w` is `n × k`
@@ -95,8 +128,25 @@ pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
 pub fn gemm_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
     assert_eq!(w.len(), n * k, "weight shape mismatch");
     let mut out = vec![0.0f32; m * n];
-    gemm_blocked(x, m, &DenseWeight { data: w, n, k }, &mut out);
+    gemm_blocked(x, m, &DenseWeight { data: w, n, k }, &mut out, true);
     out
+}
+
+/// Which instantiation of the kernel this process runs: `"avx2"` where
+/// the CPU has it, `"baseline"` (the build's target features) otherwise.
+pub fn isa() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
 }
 
 /// What the blocked kernel needs from a weight: its shape, the k-spans
@@ -108,9 +158,27 @@ trait TileSource: Sync {
     fn k(&self) -> usize;
     /// A tile never straddles a multiple of this k-span.
     fn group(&self) -> usize;
-    /// Stage `w[j + lane][k_lo + kk]` at `tile[kk * NL + lane]` for the
-    /// `tile.len() / NL` k-steps from `k_lo`, all inside one group.
-    fn fill<const NL: usize>(&self, j: usize, k_lo: usize, tile: &mut [f32]);
+    /// Stage `w[panel * LANES + lane][k_lo + kk]` at `tile[kk * LANES + lane]`
+    /// for the `tile.len() / LANES ≤ TILE_K` k-steps from `k_lo`, all
+    /// inside one group. What lanes past `n` stage does not matter: their
+    /// outputs are discarded. `grid` is byte scratch for the nibble
+    /// precisions.
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], grid: &mut GridScratch);
+}
+
+/// A nibble tile's units unpacked to biased grid bytes: one unit more
+/// than `TILE_K` k-steps, for a tile that starts inside a unit.
+type GridScratch = [u8; (TILE_K + UNIT_K) * LANES];
+
+/// Per-row-block staging buffers, L1-resident. Cache-line aligned so
+/// that no vector load of a tile straddles two lines.
+#[repr(align(64))]
+struct Scratch {
+    /// Dequantized tiles, one per panel swept together.
+    tiles: [[f32; TILE_K * LANES]; PANELS],
+    /// The block's accumulators for the panels in flight.
+    acc: [f32; ROW_BLOCK * LANES],
+    grid: GridScratch,
 }
 
 struct DenseWeight<'a> {
@@ -132,13 +200,18 @@ impl TileSource for DenseWeight<'_> {
         TILE_K
     }
 
-    fn fill<const NL: usize>(&self, j: usize, k_lo: usize, tile: &mut [f32]) {
-        let klen = tile.len() / NL;
-        for lane in 0..NL {
-            let row = &self.data[(j + lane) * self.k + k_lo..][..klen];
-            for (kk, &v) in row.iter().enumerate() {
-                tile[kk * NL + lane] = v;
-            }
+    #[inline(always)]
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], _grid: &mut GridScratch) {
+        static ZEROS: [f32; TILE_K] = [0.0; TILE_K];
+        let (steps, _) = tile.as_chunks_mut::<LANES>();
+        let klen = steps.len();
+        // Lanes past `n` stage zeros.
+        let rows: [&[f32]; LANES] = std::array::from_fn(|lane| match panel * LANES + lane {
+            j if j < self.n => &self.data[j * self.k + k_lo..][..klen],
+            _ => &ZEROS[..klen],
+        });
+        for (kk, step) in steps.iter_mut().enumerate() {
+            *step = std::array::from_fn(|lane| rows[lane][kk]);
         }
     }
 }
@@ -156,128 +229,206 @@ impl TileSource for PackedMatrix {
         self.group
     }
 
-    fn fill<const NL: usize>(&self, j: usize, k_lo: usize, tile: &mut [f32]) {
-        let klen = tile.len() / NL;
-        let gpr = self.groups_per_row();
-        let g = k_lo / self.group;
-        let stride = self.row_stride();
-        for lane in 0..NL {
-            // Hoisted per-(lane, group) dequant state.
-            let s = self.scales[(j + lane) * gpr + g];
-            let z = self.zeros[(j + lane) * gpr + g] as i32;
-            let row = &self.payload[(j + lane) * stride..][..stride];
-            match self.bits {
-                PackBits::Int8 => {
-                    for (kk, &b) in row[k_lo..k_lo + klen].iter().enumerate() {
-                        tile[kk * NL + lane] = ((b as i8 as i32 - z) as f32) * s;
-                    }
+    #[inline(always)]
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], grid: &mut GridScratch) {
+        let klen = tile.len() / LANES;
+        let (scales, zeros) = self.panel_meta(panel, k_lo / self.group);
+        let payload = self.panel(panel);
+        // The tile's grid values as bytes, k-major / lane-minor, and what
+        // turns a byte into an unsigned `q + bias`: int8 payload bytes
+        // flip their sign bit (bias 128), unpacked nibbles already carry
+        // bias 8. Widening unsigned bytes is the cheap direction on
+        // every ISA, and `(q + bias) − (z + bias)` is `q − z` exactly.
+        let (flip, bias, bytes): (u8, i32, &[u8]) = match self.bits {
+            PackBits::Int8 => (0x80, 0x80, &payload[k_lo * LANES..][..klen * LANES]),
+            PackBits::Int3 | PackBits::Int4 => {
+                // Every unit the tile touches is unpacked whole; a tile
+                // that starts inside one (a group length that is not a
+                // multiple of 4) skips the k-steps it does not own.
+                let units = &payload.as_chunks::<UNIT_BYTES>().0[k_lo / UNIT_K..(k_lo + klen).div_ceil(UNIT_K)];
+                for (unit, out) in units.iter().zip(grid.as_chunks_mut::<{ 2 * UNIT_BYTES }>().0) {
+                    unpack_unit(*unit, out);
                 }
-                PackBits::Int3 | PackBits::Int4 => {
-                    // `((u − bias − z) as f32) * s`: int8's rounding
-                    // chain. Even k is a byte's low nibble. An odd
-                    // `k_lo` starts mid-byte and an odd end stops
-                    // mid-byte; between them whole bytes unpack two
-                    // k-steps at a time.
-                    let zb = NIBBLE_BIAS + z;
-                    let deq = |u: u8| ((u as i32 - zb) as f32) * s;
-                    let head = k_lo % 2;
-                    if head == 1 {
-                        tile[lane] = deq(row[k_lo / 2] >> 4);
-                    }
-                    let body = &mut tile[head * NL..];
-                    let bytes = &row[(k_lo + head) / 2..];
-                    for (pair, &b) in body.chunks_exact_mut(2 * NL).zip(bytes) {
-                        pair[lane] = deq(b & 0x0F);
-                        pair[NL + lane] = deq(b >> 4);
-                    }
-                    if (klen - head) % 2 == 1 {
-                        tile[(klen - 1) * NL + lane] = deq(row[(k_lo + klen - 1) / 2] & 0x0F);
-                    }
-                }
+                (0, NIBBLE_BIAS as i32, &grid[k_lo % UNIT_K * LANES..][..klen * LANES])
             }
+        };
+        // Per-(lane, group) dequant state, hoisted and laid out for two
+        // k-steps at a time.
+        let s: [f32; PAIR] = std::array::from_fn(|i| scales[i % LANES]);
+        let z: [i32; PAIR] = std::array::from_fn(|i| zeros[i % LANES] as i32 + bias);
+        let (pairs, last) = bytes.as_chunks::<PAIR>();
+        let (tile_pairs, tile_last) = tile.as_chunks_mut::<PAIR>();
+        for (q, t) in pairs.iter().zip(tile_pairs) {
+            dequant16(*q, flip, &z, &s, t);
+        }
+        // Odd `klen`: one k-step left, staged through a padded pair.
+        if !last.is_empty() {
+            let mut q = [0u8; PAIR];
+            q[..LANES].copy_from_slice(last);
+            let mut t = [0.0f32; PAIR];
+            dequant16(q, flip, &z, &s, &mut t);
+            tile_last.copy_from_slice(&t[..LANES]);
         }
     }
 }
 
+/// One nibble unit to 32 biased grid bytes in tile order: the low
+/// nibbles are its first two k-steps, the high nibbles its last two.
+#[inline(always)]
+fn unpack_unit(unit: [u8; UNIT_BYTES], out: &mut [u8; 2 * UNIT_BYTES]) {
+    for i in 0..UNIT_BYTES {
+        out[i] = unit[i] & 0x0F;
+        out[UNIT_BYTES + i] = unit[i] >> 4;
+    }
+}
+
+/// Two k-steps of a panel: `((q − z) as f32) * s` per value, with `q ^
+/// flip` the biased grid byte and `z` carrying the same bias. Fixed-size,
+/// and `q` by value so that all sixteen loads precede the first store
+/// (the payload may alias `out` as far as the optimiser can tell once
+/// this is inlined): that is what compiles it to whole-vector code.
+#[inline(always)]
+fn dequant16(q: [u8; PAIR], flip: u8, z: &[i32; PAIR], s: &[f32; PAIR], out: &mut [f32; PAIR]) {
+    for i in 0..PAIR {
+        out[i] = (((q[i] ^ flip) as i32 - z[i]) as f32) * s[i];
+    }
+}
+
 /// The one accumulation kernel: every `m`, packed or dense.
-fn gemm_blocked<W: TileSource>(x: &[f32], m: usize, w: &W, out: &mut [f32]) {
+/// `allow_avx2` is `true` outside the tests that pin the baseline
+/// instantiation to compare the two.
+fn gemm_blocked<W: TileSource>(x: &[f32], m: usize, w: &W, out: &mut [f32], allow_avx2: bool) {
     let (n, k) = (w.n(), w.k());
     assert_eq!(x.len(), m * k, "activation shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
     if m == 0 || n == 0 {
         return;
     }
-    // Accumulators are loaded from `out` at every tile, the first included.
-    out.fill(0.0);
     out.par_chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, oblk)| {
         let rows = oblk.len() / n;
-        let xblk = &x[b * ROW_BLOCK * k..][..rows * k];
-        let mut scratch = [0.0f32; TILE_K * LANES];
-        let mut j = 0;
-        while j + LANES <= n {
-            lane_panel::<LANES, W>(xblk, rows, w, j, oblk, &mut scratch);
-            j += LANES;
-        }
-        // Tail outputs (n % LANES): single-lane tiles — the same
-        // ascending-k accumulation per output.
-        while j < n {
-            lane_panel::<1, W>(xblk, rows, w, j, oblk, &mut scratch);
-            j += 1;
-        }
+        row_block_dispatch(allow_avx2, &x[b * ROW_BLOCK * k..][..rows * k], w, oblk);
     });
 }
 
-/// Outputs `[j, j + NL)` of every row in the block: stage each weight
-/// tile once, then sweep it over the rows `MR` at a time.
-fn lane_panel<const NL: usize, W: TileSource>(
+/// The single ISA dispatch point: the AVX2 instantiation where allowed
+/// and the CPU has it, the baseline one otherwise.
+#[allow(unsafe_code)]
+fn row_block_dispatch<W: TileSource>(allow_avx2: bool, x: &[f32], w: &W, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if allow_avx2 && avx2_detected() {
+        // SAFETY: `row_block_avx2` requires AVX2, which was just
+        // detected on the running CPU.
+        return unsafe { row_block_avx2(x, w, out) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = allow_avx2;
+    row_block(x, w, out)
+}
+
+/// [`row_block`] compiled with AVX2 enabled: the same safe body, inlined
+/// here so its loops are emitted at 256-bit width. FMA stays off, so
+/// every rounding is the baseline's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_block_avx2<W: TileSource>(x: &[f32], w: &W, out: &mut [f32]) {
+    row_block(x, w, out)
+}
+
+/// One block of ≤ `ROW_BLOCK` activation rows against every panel.
+#[inline(always)]
+fn row_block<W: TileSource>(x: &[f32], w: &W, out: &mut [f32]) {
+    let n = w.n();
+    let rows = out.len() / n;
+    let mut scratch = Scratch {
+        tiles: [[0.0; TILE_K * LANES]; PANELS],
+        acc: [0.0; ROW_BLOCK * LANES],
+        grid: [0; (TILE_K + UNIT_K) * LANES],
+    };
+    let mut j = 0;
+    // The register block is `MR` rows of one panel. A block with fewer
+    // rows than that (decode) would leave one add chain per vector, so
+    // it takes one row of `PANELS` panels instead: as many independent
+    // chains, and every output still sums in ascending k.
+    if rows < MR {
+        while j + PANELS * LANES <= n {
+            lane_panels::<1, PANELS, W>(x, w, j, out, &mut scratch);
+            j += PANELS * LANES;
+        }
+    }
+    // The last panel may reach past `n`; only its valid lanes exist in `out`.
+    while j < n {
+        lane_panels::<MR, 1, W>(x, w, j, out, &mut scratch);
+        j += LANES;
+    }
+}
+
+/// Outputs `[j, j + P * LANES)` (those below `n`) of every row in the
+/// block, `P` adjacent panels: stage each weight tile once, then sweep
+/// it over the rows `R` at a time.
+#[inline(always)]
+fn lane_panels<const R: usize, const P: usize, W: TileSource>(
     x: &[f32],
-    rows: usize,
     w: &W,
     j: usize,
     out: &mut [f32],
-    scratch: &mut [f32; TILE_K * LANES],
+    scratch: &mut Scratch,
 ) {
     let (n, k, group) = (w.n(), w.k(), w.group());
+    let rows = out.len() / n;
+    // Row `i`'s accumulators, carried here between k-tiles.
+    let width = P * LANES;
+    let acc = &mut scratch.acc[..rows * width];
+    acc.fill(0.0);
     let mut k_lo = 0;
     while k_lo < k {
         let k_hi = (k_lo + TILE_K).min((k_lo / group + 1) * group).min(k);
-        let tile = &mut scratch[..(k_hi - k_lo) * NL];
-        w.fill::<NL>(j, k_lo, tile);
-        let mut i = 0;
-        while i + MR <= rows {
-            mac_rows::<MR, NL>(&x[i * k + k_lo..], k, tile, &mut out[i * n + j..], n);
-            i += MR;
+        let len = (k_hi - k_lo) * LANES;
+        for p in 0..P {
+            w.fill(j / LANES + p, k_lo, &mut scratch.tiles[p][..len], &mut scratch.grid);
         }
-        // Row tail, and all of decode (`m == 1`): one-row blocks.
+        let tiles: [&[f32]; P] = std::array::from_fn(|p| &scratch.tiles[p][..len]);
+        let mut i = 0;
+        while i + R <= rows {
+            mac_rows::<R, P>(&x[i * k + k_lo..], k, tiles, &mut acc[i * width..]);
+            i += R;
+        }
+        // Row tail: one-row blocks.
         while i < rows {
-            mac_rows::<1, NL>(&x[i * k + k_lo..], k, tile, &mut out[i * n + j..], n);
+            mac_rows::<1, P>(&x[i * k + k_lo..], k, tiles, &mut acc[i * width..]);
             i += 1;
         }
         k_lo = k_hi;
     }
+    let valid = width.min(n - j);
+    for (orow, arow) in out.chunks_exact_mut(n).zip(acc.chunks_exact(width)) {
+        orow[j..j + valid].copy_from_slice(&arow[..valid]);
+    }
 }
 
-/// `R × NL` register block over one staged tile: ascending k, one
-/// independent chain per (row, lane), carried in `out` between tiles.
-/// Row `r` reads `x[r * k..]` and accumulates into `out[r * n..][..NL]`.
+/// `R × P × LANES` register block over `P` staged tiles: ascending k,
+/// one independent chain per (row, panel, lane), carried in `acc`
+/// (`R` rows of `P * LANES`) between tiles. Row `r` reads `x[r * k..]`.
 #[inline(always)]
-fn mac_rows<const R: usize, const NL: usize>(x: &[f32], k: usize, tile: &[f32], out: &mut [f32], n: usize) {
-    let klen = tile.len() / NL;
+fn mac_rows<const R: usize, const P: usize>(x: &[f32], k: usize, tiles: [&[f32]; P], acc: &mut [f32]) {
+    let klen = tiles[0].len() / LANES;
+    let tiles: [&[[f32; LANES]]; P] = tiles.map(|t| &t.as_chunks().0[..klen]);
     let xr: [&[f32]; R] = std::array::from_fn(|r| &x[r * k..][..klen]);
-    let mut acc = [[0.0f32; NL]; R];
-    for r in 0..R {
-        acc[r].copy_from_slice(&out[r * n..][..NL]);
-    }
-    for (kk, wk) in tile.chunks_exact(NL).enumerate() {
+    let (rows, _) = acc.as_chunks_mut::<LANES>();
+    let mut reg: [[[f32; LANES]; P]; R] = std::array::from_fn(|r| std::array::from_fn(|p| rows[r * P + p]));
+    for kk in 0..klen {
         for r in 0..R {
             let xv = xr[r][kk];
-            for lane in 0..NL {
-                acc[r][lane] += xv * wk[lane];
+            for p in 0..P {
+                for lane in 0..LANES {
+                    reg[r][p][lane] += xv * tiles[p][kk][lane];
+                }
             }
         }
     }
     for r in 0..R {
-        out[r * n..][..NL].copy_from_slice(&acc[r]);
+        for p in 0..P {
+            rows[r * P + p] = reg[r][p];
+        }
     }
 }
 
@@ -285,6 +436,7 @@ fn mac_rows<const R: usize, const NL: usize>(x: &[f32], k: usize, tile: &[f32], 
 mod tests {
     use super::*;
     use crate::pack::quantize_packed;
+    use proptest::prelude::*;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f32> {
         let mut s = seed;
@@ -362,6 +514,48 @@ mod tests {
         let w = quantize_packed(&pseudo(n * k, 41), n, k, PackBits::Int8, 512);
         let x = pseudo(k, 42);
         assert_bit_identical(&qgemm_t(&x, 1, &w), &reference(&x, 1, &w));
+    }
+
+    /// The whole GEMM with the baseline instantiation pinned, or not.
+    fn run<W: TileSource>(x: &[f32], m: usize, w: &W, allow_avx2: bool) -> Vec<f32> {
+        let mut out = vec![f32::NAN; m * w.n()];
+        gemm_blocked(x, m, w, &mut out, allow_avx2);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The two instantiations of `row_block` agree bit for bit, and
+        /// with the scalar oracle: `m` crosses the register and row
+        /// blocks, `n` leaves a partial panel, `k` is odd, and the groups
+        /// include one that splits nibble units and one longer than a tile.
+        #[test]
+        fn avx2_and_baseline_instantiations_are_bit_identical(
+            bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4), Just(PackBits::Int8)],
+            m in 1usize..=70,
+            panels in 0usize..6,
+            tail in 1usize..8,
+            half_k in 0usize..135,
+            group_choice in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            let (n, k) = (8 * panels + tail, 2 * half_k + 1);
+            let data = pseudo(n * k, seed);
+            let packed = quantize_packed(&data, n, k, bits, [3, 16, 64, 192, k][group_choice]);
+            let dense = DenseWeight { data: &data, n, k };
+            let x = pseudo(m * k, seed ^ 0x3C3C);
+            let base_packed = run(&x, m, &packed, false);
+            let base_dense = run(&x, m, &dense, false);
+            assert_bit_identical(&base_packed, &reference(&x, m, &packed));
+            if avx2_detected() {
+                assert_bit_identical(&run(&x, m, &packed, true), &base_packed);
+                assert_bit_identical(&run(&x, m, &dense, true), &base_dense);
+            } else {
+                static NOTE: std::sync::Once = std::sync::Once::new();
+                NOTE.call_once(|| eprintln!("skipped: AVX2 not detected, only the baseline instantiation was checked"));
+            }
+        }
     }
 
     #[test]

@@ -26,17 +26,28 @@
 //!    unchanged when a layer flips from the dense to the packed
 //!    representation, or when a row is computed alone or in a block.
 //!    [`gemm_t`] runs dense weights through the same kernel.
-//! 2. **Sequential k-access.** The payload is laid out row-major per
-//!    output feature, so the hot k-loop streams each lane's bytes in
-//!    order and per-group scales are hoisted out of the inner loop
-//!    (Opt4GPTQ's layout/loop co-design, scalar-CPU edition).
+//! 2. **Whole-vector fill.** The payload is stored as lane-interleaved
+//!    panels — eight output features, k-major / lane-minor — so staging a
+//!    tile is "load 16 bytes, widen, convert, scale, store 16 `f32`" with
+//!    per-group scales hoisted out of the loop and no cross-lane move
+//!    (Opt4GPTQ's layout/loop co-design, CPU edition). The layout is
+//!    private to this crate; callers address weights by `(row, col)`.
+//!
+//! The kernel is one safe, intrinsic-free body compiled twice on
+//! `x86_64` — for the build's baseline ISA and for AVX2 — and chosen once
+//! per row block by run-time feature detection ([`isa`] says which). That
+//! dispatch is the workspace's only `unsafe` block: this crate denies
+//! `unsafe_code` with one `#[allow]` on the dispatch function, and every
+//! other workspace crate forbids it.
 //!
 //! The crate is dependency-free (vendored `rayon`/`serde` only) so it
 //! sits *below* `llmpq-model` in the workspace graph: the reference
 //! transformer's `LinearOp` wraps [`PackedMatrix`] directly.
 
+#![deny(unsafe_code)]
+
 pub mod gemm;
 pub mod pack;
 
-pub use gemm::{gemm_t, qgemm_t, qgemm_t_into};
+pub use gemm::{gemm_t, isa, qgemm_t, qgemm_t_into};
 pub use pack::{quantize_packed, PackBits, PackedMatrix, DEFAULT_GROUP};

@@ -3,18 +3,38 @@
 //!
 //! ## Layout
 //!
-//! A [`PackedMatrix`] stores an `(out_features × in_features)` weight in
-//! row-major order — one contiguous run of payload bytes per output
-//! feature, ascending along `k` (the GEMM's reduction axis), so the
-//! fused kernel's inner loop streams each lane's bytes sequentially:
+//! A [`PackedMatrix`] stores an `(out_features × in_features)` weight as
+//! **lane-interleaved panels**. A panel is `LANES = 8` consecutive
+//! output features (the last panel is padded with grid zeros at scale 0),
+//! stored k-major / lane-minor, so the bytes the fused kernel needs for
+//! one k-step of all eight lanes are adjacent and a tile fill is "load 16
+//! bytes, widen, convert, scale, store 16 contiguous `f32`" — whole
+//! vectors, no cross-lane move:
 //!
 //! ```text
-//! payload  row 0: [k=0, 1, 2, …, cols-1]   int8   → 1 byte / weight
-//!          row 1: [k=0, 1, 2, …, cols-1]   int4/3 → 1 byte / 2 weights
-//!          …                                        (lo nibble = even k)
-//! scales   row-major `rows × groups_per_row`, one f32 per (row, group)
-//! zeros    row-major `rows × groups_per_row`, one i8 per (row, group)
+//! int8     panel p, k-step k, lane l  →  byte (p·K + k)·8 + l
+//!
+//!          | k=0: l0 l1 … l7 | k=1: l0 l1 … l7 | k=2: … |      1 byte / weight
+//!
+//! int4/3   panel p, unit u = k / 4 (16 bytes, 4 k-steps × 8 lanes):
+//!          byte b of the unit holds value b      in its low nibble
+//!                              and value b + 16  in its high nibble,
+//!          where value v of a unit is (k-step 4u + v / 8, lane v % 8)
+//!
+//!          lo: | k=4u: l0 … l7 | k=4u+1: l0 … l7 |               1 byte / 2 weights
+//!          hi: | k=4u+2: l0 … l7 | k=4u+3: l0 … l7 |
+//!
+//!          so `b & 0x0F` over the 16 bytes is k-steps 4u, 4u+1 and
+//!          `b >> 4` is k-steps 4u+2, 4u+3, each already in tile order.
+//!          K is padded to a multiple of 4 with grid zeros.
+//! scales   `[panel][group][lane]`, one f32 per (row, group)
+//! zeros    `[panel][group][lane]`, one i8  per (row, group)
 //! ```
+//!
+//! The layout is private to this crate: everything outside addresses a
+//! weight by `(row, col)` through [`PackedMatrix::get_q`],
+//! [`PackedMatrix::scale`], [`PackedMatrix::zero`] and
+//! [`PackedMatrix::unpack`].
 //!
 //! Each row is divided into `ceil(cols / group)` groups of `group`
 //! consecutive `k` positions (the last group may be short). A stored
@@ -92,9 +112,19 @@ impl std::fmt::Display for PackBits {
     }
 }
 
+/// Output features per panel: the eight independent accumulator chains
+/// the fused kernel keeps per activation row.
+pub(crate) const LANES: usize = 8;
+
+/// k-steps per nibble unit.
+pub(crate) const UNIT_K: usize = 4;
+
+/// Bytes per nibble unit: `UNIT_K × LANES` values at two per byte.
+pub(crate) const UNIT_BYTES: usize = UNIT_K * LANES / 2;
+
 /// Bias added when storing a signed nibble value: `q ∈ [-8, 7]` maps to
 /// `u = q + 8 ∈ [0, 15]`.
-const NIBBLE_BIAS: i32 = 8;
+pub(crate) const NIBBLE_BIAS: u8 = 8;
 
 /// A weight matrix stored on its integer grid: packed payload plus
 /// per-group scales and zero points. See the module docs for layout.
@@ -108,24 +138,19 @@ pub struct PackedMatrix {
     pub bits: PackBits,
     /// Group length along `k`; the last group of a row may be short.
     pub group: usize,
-    /// Packed payload, row-major (see module docs).
-    pub payload: Vec<u8>,
-    /// One scale per `(row, group)`, row-major.
-    pub scales: Vec<f32>,
-    /// One zero point per `(row, group)`, row-major. All zero for the
-    /// symmetric packers.
-    pub zeros: Vec<i8>,
+    /// Packed payload, one run per panel (see module docs).
+    payload: Vec<u8>,
+    /// One scale per `(row, group)`, `[panel][group][lane]`.
+    scales: Vec<f32>,
+    /// One zero point per `(row, group)`, `[panel][group][lane]`. All
+    /// zero for the symmetric packers.
+    zeros: Vec<i8>,
 }
 
 impl PackedMatrix {
     /// Number of groups along one row.
     pub fn groups_per_row(&self) -> usize {
         self.cols.div_ceil(self.group)
-    }
-
-    /// Payload bytes per row.
-    pub fn row_stride(&self) -> usize {
-        row_stride(self.cols, self.bits)
     }
 
     /// Pack raw grid values with explicit per-group scales and zeros.
@@ -147,37 +172,51 @@ impl PackedMatrix {
         assert_eq!(scales.len(), rows * gpr, "one scale per (row, group)");
         assert_eq!(zeros.len(), rows * gpr, "one zero per (row, group)");
         let qmax = bits.qmax();
-        let stride = row_stride(cols, bits);
-        let mut payload = vec![0u8; rows * stride];
-        for r in 0..rows {
-            let src = &q[r * cols..(r + 1) * cols];
-            let dst = &mut payload[r * stride..(r + 1) * stride];
+        if bits.is_nibble() {
+            for &v in q {
+                assert!((v as i32).abs() <= qmax, "value {v} off the {bits} grid");
+            }
+        } else {
+            debug_assert!(q.iter().all(|&v| (v as i32).abs() <= qmax), "value off the int8 grid");
+        }
+        // Grid value at `(r, c)`; the padding rows and k-steps hold 0.
+        let at = |r: usize, c: usize| if r < rows && c < cols { q[r * cols + c] } else { 0 };
+        let panels = rows.div_ceil(LANES);
+        let stride = panel_stride(cols, bits);
+        let mut payload = vec![0u8; panels * stride];
+        // (`cols == 0` makes the stride 0 and the payload empty.)
+        for (p, dst) in payload.chunks_exact_mut(stride.max(1)).enumerate() {
+            let r0 = p * LANES;
             match bits {
                 PackBits::Int8 => {
-                    for (d, &v) in dst.iter_mut().zip(src) {
-                        debug_assert!((v as i32).abs() <= qmax, "value off the int8 grid");
-                        *d = v as u8;
+                    for (c, step) in dst.chunks_exact_mut(LANES).enumerate() {
+                        for (lane, d) in step.iter_mut().enumerate() {
+                            *d = at(r0 + lane, c) as u8;
+                        }
                     }
                 }
                 PackBits::Int3 | PackBits::Int4 => {
-                    for (c, &v) in src.iter().enumerate() {
-                        let v = v as i32;
-                        assert!(v.abs() <= qmax, "value {v} off the {bits} grid");
-                        let u = (v + NIBBLE_BIAS) as u8;
-                        if c % 2 == 0 {
-                            dst[c / 2] = u; // low nibble; high filled by the odd pass
-                        } else {
-                            dst[c / 2] |= u << 4;
+                    for (u, unit) in dst.chunks_exact_mut(UNIT_BYTES).enumerate() {
+                        for (b, d) in unit.iter_mut().enumerate() {
+                            let (r, c) = (r0 + b % LANES, u * UNIT_K + b / LANES);
+                            let lo = (at(r, c) as u8).wrapping_add(NIBBLE_BIAS);
+                            let hi = (at(r, c + UNIT_K / 2) as u8).wrapping_add(NIBBLE_BIAS);
+                            *d = (lo & 0x0F) | (hi << 4);
                         }
-                    }
-                    if cols % 2 == 1 {
-                        // Odd tail: the dangling high nibble encodes 0.
-                        dst[stride - 1] |= (NIBBLE_BIAS as u8) << 4;
                     }
                 }
             }
         }
-        Self { rows, cols, bits, group, payload, scales: scales.to_vec(), zeros: zeros.to_vec() }
+        let mut panel_scales = vec![0.0f32; panels * gpr * LANES];
+        let mut panel_zeros = vec![0i8; panels * gpr * LANES];
+        for r in 0..rows {
+            for g in 0..gpr {
+                let i = meta_index(r, g, gpr);
+                panel_scales[i] = scales[r * gpr + g];
+                panel_zeros[i] = zeros[r * gpr + g];
+            }
+        }
+        Self { rows, cols, bits, group, payload, scales: panel_scales, zeros: panel_zeros }
     }
 
     /// Pack raw grid values that carry one scale per *row* (the repo's
@@ -205,25 +244,27 @@ impl PackedMatrix {
     /// Raw grid value at `(r, c)`.
     pub fn get_q(&self, r: usize, c: usize) -> i8 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
-        let stride = self.row_stride();
+        let panel = self.panel(r / LANES);
+        let lane = r % LANES;
         match self.bits {
-            PackBits::Int8 => self.payload[r * stride + c] as i8,
+            PackBits::Int8 => panel[c * LANES + lane] as i8,
             PackBits::Int3 | PackBits::Int4 => {
-                let byte = self.payload[r * stride + c / 2];
-                let u = if c.is_multiple_of(2) { byte & 0x0F } else { byte >> 4 };
-                (u as i32 - NIBBLE_BIAS) as i8
+                let step = c % UNIT_K;
+                let byte = panel[c / UNIT_K * UNIT_BYTES + step % (UNIT_K / 2) * LANES + lane];
+                let u = if step < UNIT_K / 2 { byte & 0x0F } else { byte >> 4 };
+                u.wrapping_sub(NIBBLE_BIAS) as i8
             }
         }
     }
 
     /// Scale of `(row, group)`.
     pub fn scale(&self, r: usize, g: usize) -> f32 {
-        self.scales[r * self.groups_per_row() + g]
+        self.scales[self.meta_index(r, g)]
     }
 
     /// Zero point of `(row, group)`.
     pub fn zero(&self, r: usize, g: usize) -> i8 {
-        self.zeros[r * self.groups_per_row() + g]
+        self.zeros[self.meta_index(r, g)]
     }
 
     /// Dequantized value at `(r, c)`: `((q − zero) as f32) * scale`.
@@ -239,15 +280,14 @@ impl PackedMatrix {
         for r in 0..self.rows {
             let row = &mut out[r * self.cols..(r + 1) * self.cols];
             for (c, slot) in row.iter_mut().enumerate() {
-                let g = c / self.group;
-                *slot = ((self.get_q(r, c) as i32 - self.zero(r, g) as i32) as f32)
-                    * self.scale(r, g);
+                *slot = self.dequant(r, c);
             }
         }
         out
     }
 
-    /// Resident bytes of this matrix: payload + scales + zeros.
+    /// Resident bytes of this matrix: payload + scales + zeros, padding
+    /// of the last panel (at most 7 rows) included.
     pub fn resident_bytes(&self) -> usize {
         self.payload.len() + self.scales.len() * 4 + self.zeros.len()
     }
@@ -257,13 +297,41 @@ impl PackedMatrix {
     pub fn f32_bytes(&self) -> usize {
         self.rows * self.cols * 4
     }
+
+    /// Payload of panel `p`: output features `[8p, 8p + 8)`.
+    #[inline(always)]
+    pub(crate) fn panel(&self, p: usize) -> &[u8] {
+        let stride = panel_stride(self.cols, self.bits);
+        &self.payload[p * stride..][..stride]
+    }
+
+    /// Per-lane scales and zero points of panel `p` in group `g`.
+    #[inline(always)]
+    pub(crate) fn panel_meta(&self, p: usize, g: usize) -> (&[f32; LANES], &[i8; LANES]) {
+        let i = (p * self.groups_per_row() + g) * LANES;
+        let scales = self.scales[i..].first_chunk().expect("one scale per lane");
+        let zeros = self.zeros[i..].first_chunk().expect("one zero per lane");
+        (scales, zeros)
+    }
+
+    fn meta_index(&self, r: usize, g: usize) -> usize {
+        let gpr = self.groups_per_row();
+        assert!(r < self.rows && g < gpr, "index out of bounds");
+        meta_index(r, g, gpr)
+    }
 }
 
-fn row_stride(cols: usize, bits: PackBits) -> usize {
+/// Payload bytes per panel.
+fn panel_stride(cols: usize, bits: PackBits) -> usize {
     match bits {
-        PackBits::Int8 => cols,
-        PackBits::Int3 | PackBits::Int4 => cols.div_ceil(2),
+        PackBits::Int8 => cols * LANES,
+        PackBits::Int3 | PackBits::Int4 => cols.div_ceil(UNIT_K) * UNIT_BYTES,
     }
+}
+
+/// Index of `(row, group)` in the `[panel][group][lane]` metadata.
+fn meta_index(r: usize, g: usize, gpr: usize) -> usize {
+    (r / LANES * gpr + g) * LANES + r % LANES
 }
 
 /// Quantize a row-major `f32` matrix directly to the packed format with
@@ -331,7 +399,7 @@ mod tests {
         let q = grid(3, 9, 7, 2);
         let scales = vec![0.02f32; 3];
         let p = PackedMatrix::from_rowwise(3, 9, PackBits::Int4, 4, &q, &scales);
-        assert_eq!(p.row_stride(), 5, "9 nibbles round up to 5 bytes");
+        assert_eq!(p.payload.len(), 3 * UNIT_BYTES, "one panel of three 4-step units");
         for r in 0..3 {
             for c in 0..9 {
                 assert_eq!(p.get_q(r, c), q[r * 9 + c], "({r},{c})");
@@ -343,7 +411,7 @@ mod tests {
     fn int3_shares_nibble_layout() {
         let q = grid(2, 7, 3, 3);
         let p = PackedMatrix::from_rowwise(2, 7, PackBits::Int3, 3, &q, &[0.1, 0.2]);
-        assert_eq!(p.payload.len(), 2 * 4);
+        assert_eq!(p.payload.len(), 2 * UNIT_BYTES);
         for r in 0..2 {
             for c in 0..7 {
                 assert_eq!(p.get_q(r, c), q[r * 7 + c]);
@@ -406,5 +474,33 @@ mod tests {
         let p = PackedMatrix::from_i8(1, 2, PackBits::Int4, 2, &[1, 3], &[0.5], &[1]);
         assert_eq!(p.dequant(0, 0), 0.0);
         assert_eq!(p.dequant(0, 1), 1.0);
+    }
+
+    #[test]
+    fn padding_holds_grid_zero_at_scale_zero() {
+        // 11 rows → a second panel with 5 padded lanes; 9 cols → a third
+        // nibble unit with 3 padded k-steps.
+        let q = grid(11, 9, 7, 5);
+        let p = PackedMatrix::from_rowwise(11, 9, PackBits::Int4, 4, &q, &[0.3f32; 11]);
+        let panel = p.panel(1);
+        for (u, unit) in panel.chunks_exact(UNIT_BYTES).enumerate() {
+            for (b, &byte) in unit.iter().enumerate() {
+                let (lane, step) = (b % LANES, u * UNIT_K + b / LANES);
+                if lane >= 3 || step >= 9 {
+                    assert_eq!(byte & 0x0F, NIBBLE_BIAS, "unit {u} byte {b} low nibble");
+                }
+                if lane >= 3 || step + 2 >= 9 {
+                    assert_eq!(byte >> 4, NIBBLE_BIAS, "unit {u} byte {b} high nibble");
+                }
+            }
+        }
+        for g in 0..p.groups_per_row() {
+            let (scales, zeros) = p.panel_meta(1, g);
+            assert!(scales[3..].iter().all(|&s| s == 0.0) && zeros[3..].iter().all(|&z| z == 0));
+        }
+        let p8 = PackedMatrix::from_rowwise(11, 9, PackBits::Int8, 4, &q, &[0.3f32; 11]);
+        for step in p8.panel(1).chunks_exact(LANES) {
+            assert!(step[3..].iter().all(|&b| b == 0));
+        }
     }
 }

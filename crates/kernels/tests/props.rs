@@ -99,6 +99,55 @@ proptest! {
         }
     }
 
+    /// Pack → `get_q` / `scale` / `zero` / `dequant` / `unpack` read back
+    /// what went in, at `(row, col)` addresses, whatever the storage
+    /// order: `n` leaves a padded last panel, odd `k` ends inside a nibble
+    /// unit, zero points are nonzero, and the group set includes lengths
+    /// that split units and one longer than a tile. The JSON form
+    /// round-trips to an equal matrix, and the GEMM agrees with the
+    /// reference on the asymmetric grid.
+    #[test]
+    fn pack_round_trips_through_accessors_and_json(
+        bits in any_pack_bits(),
+        panels in 0usize..4,
+        tail in 1usize..8,
+        half_k in 0usize..40,
+        group_choice in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let (n, k) = (8 * panels + tail, 2 * half_k + 1);
+        let group = group_for(group_choice, k);
+        let gpr = k.div_ceil(group);
+        let q = pseudo_grid(n * k, bits.qmax(), seed);
+        let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v.abs() + 1e-3).collect();
+        let zeros = pseudo_grid(n * gpr, 5, seed ^ 0xB2);
+        let p = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros);
+        prop_assert_eq!(p.groups_per_row(), gpr);
+        let dq = p.unpack();
+        prop_assert_eq!(dq.len(), n * k);
+        for r in 0..n {
+            for g in 0..gpr {
+                prop_assert_eq!(p.scale(r, g).to_bits(), scales[r * gpr + g].to_bits(), "scale ({}, {})", r, g);
+                prop_assert_eq!(p.zero(r, g), zeros[r * gpr + g], "zero ({}, {})", r, g);
+            }
+            for c in 0..k {
+                let g = c / group;
+                prop_assert_eq!(p.get_q(r, c), q[r * k + c], "grid value at ({}, {})", r, c);
+                let want = ((q[r * k + c] as i32 - zeros[r * gpr + g] as i32) as f32) * scales[r * gpr + g];
+                prop_assert_eq!(dq[r * k + c].to_bits(), want.to_bits(), "unpack at ({}, {})", r, c);
+                prop_assert_eq!(p.dequant(r, c).to_bits(), want.to_bits(), "dequant at ({}, {})", r, c);
+            }
+        }
+        let json = serde_json::to_string(&p).expect("serializable");
+        let back: PackedMatrix = serde_json::from_str(&json).expect("deserializable");
+        prop_assert_eq!(&back, &p);
+        let x = pseudo(3 * k, seed ^ 0xC3);
+        let (fused, reference) = (qgemm_t(&x, 3, &back), dequant_then_matmul_t(&x, 3, &p));
+        for (f, r) in fused.iter().zip(&reference) {
+            prop_assert_eq!(f.to_bits(), r.to_bits());
+        }
+    }
+
     /// Fused qgemm_t is bit-identical to scalar dequantize-then-matmul_t
     /// on random matrices, across grids, shapes (including lane-tile
     /// tails), and group sizes.
@@ -120,8 +169,8 @@ proptest! {
         }
     }
 
-    /// Odd `in_features` leave a dangling high nibble; it must encode an
-    /// exact zero and never leak into values, dequantization, or GEMM.
+    /// Odd `in_features` end inside a nibble unit; the padding k-steps
+    /// must never leak into values, dequantization, or GEMM.
     #[test]
     fn nibble_odd_tail_is_inert(
         bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4)],
@@ -134,11 +183,12 @@ proptest! {
         let q = pseudo_grid(n * k, bits.qmax(), seed);
         let scales = vec![0.017f32; n];
         let p = PackedMatrix::from_rowwise(n, k, bits, group, &q, &scales);
-        prop_assert_eq!(p.row_stride(), k / 2 + 1);
-        // The padding nibble decodes to grid value 0.
+        // The last real k-step reads back; nothing past it is addressable.
+        let dq = p.unpack();
+        prop_assert_eq!(dq.len(), n * k);
         for r in 0..n {
-            let last = p.payload[r * p.row_stride() + p.row_stride() - 1];
-            prop_assert_eq!(last >> 4, 8u8, "row {} tail nibble must encode 0", r);
+            prop_assert_eq!(p.get_q(r, k - 1), q[r * k + k - 1], "row {} last k-step", r);
+            prop_assert_eq!(dq[r * k + k - 1].to_bits(), (q[r * k + k - 1] as f32 * 0.017).to_bits());
         }
         // And the fused GEMM over the odd-k weight still matches.
         let x = pseudo(k, seed ^ 0x77);

@@ -21,6 +21,8 @@
 //! The split mirrors the paper's system: planning happens on metadata,
 //! quality measurement happens on a live model.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod flops;
 pub mod linear;

@@ -149,7 +149,7 @@ mod tests {
         let p = quantize_packed(&w.data, 10, 24, PackBits::Int4, 8);
         let op = LinearOp::Packed(p);
         let fused = op.forward_t(&x);
-        let reference = x.matmul_t(&op.to_matrix());
+        let reference = x.matmul_t_scalar(&op.to_matrix());
         assert_eq!(fused.rows, 2);
         assert_eq!(fused.cols, 10);
         for (a, b) in fused.data.iter().zip(&reference.data) {

@@ -82,24 +82,29 @@ impl Matrix {
 
     /// `self · otherᵀ` — the natural layout for projection weights stored
     /// as `(out_features, in_features)`. Every output is the scalar
-    /// ascending-k dot product. Two or more rows compute it in the
-    /// kernels crate's register-blocked GEMM (bit-identical; each weight
-    /// tile is staged once for all rows). A single row stays the plain
-    /// loop below: it is the scalar reference the workspace's
-    /// bit-identity tests hold the blocked kernel to.
+    /// ascending-k dot product, computed by the kernels crate's
+    /// register-blocked GEMM (bit-identical to [`Matrix::matmul_t_scalar`];
+    /// each weight tile is staged once for all rows).
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
-        if self.rows > 1 {
-            let data = gemm_t(&self.data, self.rows, &other.data, other.rows, other.cols);
-            return Matrix { rows: self.rows, cols: other.rows, data };
-        }
+        let data = gemm_t(&self.data, self.rows, &other.data, other.rows, other.cols);
+        Matrix { rows: self.rows, cols: other.rows, data }
+    }
+
+    /// [`Matrix::matmul_t`] as the plain loop: one dependent ascending-k
+    /// chain per output. The reference the workspace's bit-identity tests
+    /// hold the blocked kernel to.
+    pub fn matmul_t_scalar(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.cols, other.cols, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for (j, o) in out.data.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (&a, &b) in self.data.iter().zip(other.row(j)) {
-                acc += a * b;
+        for i in 0..self.rows {
+            for j in 0..other.rows {
+                let mut acc = 0.0f32;
+                for (&a, &b) in self.row(i).iter().zip(other.row(j)) {
+                    acc += a * b;
+                }
+                out.data[i * other.rows + j] = acc;
             }
-            *o = acc;
         }
         out
     }
@@ -226,6 +231,23 @@ mod tests {
         for (x, y) in c1.data.iter().zip(c2.data.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn matmul_t_is_bit_identical_to_the_scalar_reference() {
+        // One row (decode, the LM head) and several; 19 outputs leave a
+        // partial panel.
+        let b = Matrix::random(19, 37, 1.0, 6);
+        for rows in [1, 5] {
+            let a = Matrix::random(rows, 37, 1.0, 5);
+            let (blocked, scalar) = (a.matmul_t(&b), a.matmul_t_scalar(&b));
+            assert_eq!((blocked.rows, blocked.cols), (rows, 19));
+            for (x, y) in blocked.data.iter().zip(&scalar.data) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        assert!(Matrix::zeros(0, 37).matmul_t(&b).data.is_empty());
+        assert!(Matrix::zeros(0, 37).matmul_t_scalar(&b).data.is_empty());
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! is by construction the true distribution and quantization can only
 //! hurt) and with teacher-derived multiple-choice tasks.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod divergence;
 pub mod ppl;

@@ -15,6 +15,8 @@
 //!   orders of magnitude slower (Table 6's comparison);
 //! * a **random indicator** (the paper's ablation control).
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod bitwidth;
 pub mod calibrate;

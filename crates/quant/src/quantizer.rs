@@ -96,6 +96,18 @@ pub fn pack_operator(m: &Matrix, bits: Bitwidth, rounding: Rounding, seed: u64) 
 /// Quantize `m` row-wise to `bits` with the given `rounding`. The `seed`
 /// only matters for stochastic rounding.
 ///
+/// Every input has a defined result, carried unchanged through
+/// [`QuantizedMatrix::to_packed`] and the fused GEMM (pinned by
+/// `packed_edge_rows_have_defined_values`):
+///
+/// * an all-zero row gets scale 1 and grid 0 — it dequantizes to `+0.0`;
+/// * a constant row lands on `±qmax` at scale `|c| / qmax`;
+/// * a NaN weight is ignored by the row's range and stored as grid 0
+///   (it dequantizes to `0.0`); the rest of its row is unaffected;
+/// * a row holding `±inf` gets scale `+inf` and grid 0 throughout, so
+///   the whole row dequantizes to NaN (`0 · inf`) and so does every
+///   output computed from it — a poisoned row stays visibly poisoned.
+///
 /// FP16 is handled by the caller (no quantization); passing it here
 /// panics, keeping the `i8` payload honest.
 pub fn quantize_matrix(m: &Matrix, bits: Bitwidth, rounding: Rounding, seed: u64) -> QuantizedMatrix {
@@ -246,6 +258,55 @@ mod tests {
         let m = Matrix::zeros(2, 8);
         let qm = quantize_matrix(&m, Bitwidth::Int8, Rounding::Deterministic, 0);
         assert!(qm.dequantize().data.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn packed_edge_rows_have_defined_values() {
+        use llmpq_kernels::qgemm_t;
+        // k = 37 at group 16 leaves a short last group; 6 rows a padded panel.
+        let (k, group) = (37, 16);
+        let mut m = Matrix::random(6, k, 0.3, 7);
+        m.row_mut(0).fill(0.0);
+        m.row_mut(1).fill(-0.75);
+        m.row_mut(2)[5] = f32::NAN;
+        m.row_mut(3)[9] = f32::INFINITY;
+        m.row_mut(4)[0] = f32::NEG_INFINITY;
+        let x = Matrix::random(3, k, 0.5, 8);
+        for bits in [Bitwidth::Int3, Bitwidth::Int4, Bitwidth::Int8] {
+            for rounding in [Rounding::Deterministic, Rounding::Stochastic] {
+                let qm = quantize_matrix(&m, bits, rounding, 3);
+                let qmax = bits.qmax().unwrap() as i8;
+                assert!(qm.q.iter().all(|&v| (-qmax..=qmax).contains(&v)), "{bits}: grid stays in range");
+                let packed = qm.to_packed(group);
+                let dq = qm.dequantize();
+                // The packed form is the row-wise dequantization, NaN for NaN.
+                for (u, d) in packed.unpack().iter().zip(&dq.data) {
+                    assert!(u.to_bits() == d.to_bits() || (u.is_nan() && d.is_nan()), "{bits}: {u} vs {d}");
+                }
+                assert_eq!(qm.scales[0], 1.0);
+                assert!(dq.row(0).iter().all(|v| v.to_bits() == 0), "{bits}: zero row is +0.0");
+                if rounding == Rounding::Deterministic {
+                    assert!(qm.q[k..2 * k].iter().all(|&v| v == -qmax), "{bits}: constant row sits on -qmax");
+                    assert!(dq.row(1).iter().all(|v| (v + 0.75).abs() < 1e-6));
+                }
+                assert_eq!(qm.q[2 * k + 5], 0, "{bits}: NaN weight stores grid 0");
+                assert!(qm.scales[2].is_finite() && dq.row(2).iter().all(|v| v.is_finite()));
+                for r in [3, 4] {
+                    assert_eq!(qm.scales[r], f32::INFINITY);
+                    assert!(qm.q[r * k..(r + 1) * k].iter().all(|&v| v == 0));
+                    assert!(dq.row(r).iter().all(|v| v.is_nan()), "{bits}: inf row dequantizes to NaN");
+                }
+                // The fused GEMM agrees with the scalar product over the
+                // dequantized matrix: NaN exactly on the poisoned rows.
+                let fused = qgemm_t(&x.data, x.rows, &packed);
+                let reference = x.matmul_t_scalar(&dq);
+                for (i, (f, r)) in fused.iter().zip(&reference.data).enumerate() {
+                    let poisoned = matches!(i % m.rows, 3 | 4);
+                    assert_eq!(f.is_nan(), poisoned, "{bits}: output {i}");
+                    assert!(f.to_bits() == r.to_bits() || poisoned, "{bits}: output {i}: {f} vs {r}");
+                }
+            }
+        }
     }
 
     #[test]

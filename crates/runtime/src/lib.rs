@@ -41,6 +41,8 @@
 //! bit-identical to single-threaded execution of the same quantized
 //! model, which the tests assert.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod elastic;
 pub mod engine;

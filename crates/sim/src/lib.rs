@@ -17,6 +17,8 @@
 //! * [`memory`] — an allocator-level "measured" peak-memory accounting
 //!   used as the real-system side of the Fig 7 fidelity experiment.
 
+#![forbid(unsafe_code)]
+
 pub mod kernel;
 pub mod memory;
 pub mod offload;

@@ -15,6 +15,8 @@
 //!   an `O(N·L²·B)` feasibility DP per candidate. The MILP and the DP
 //!   cross-validate each other in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod milp;
 pub mod partition;
 pub mod simplex;

@@ -7,6 +7,8 @@
 //! observation that real prompt lengths vary substantially, plus the
 //! micro-batch arithmetic the assigner enumerates over.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod online;
 pub mod prompts;

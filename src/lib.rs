@@ -1,4 +1,7 @@
 //! llm-pq-suite: workspace umbrella re-exporting all crates for examples and integration tests.
+
+#![forbid(unsafe_code)]
+
 pub use llm_pq as core;
 pub use llmpq_cluster as cluster;
 pub use llmpq_cost as cost;
