@@ -19,9 +19,9 @@
 
 use llmpq_cli::Args;
 use llmpq_runtime::{
-    elastic_seed_sweep, run_elastic, run_serving_chaos, run_sim, seed_sweep, serving_seed_sweep,
-    shrink_elastic_plan, shrink_fault_plan, shrink_serving_plan, ElasticChurnPlan,
-    ElasticSimConfig, FaultPlan, ServingChaosConfig, SimConfig, SimFaultPlan,
+    run_elastic, run_serving_chaos, run_sim, seed_sweep, shrink_schedule, ElasticChurnPlan,
+    ElasticSimConfig, ElasticTally, FaultPlan, ServingChaosConfig, ServingTally, SimConfig,
+    SimFaultPlan, SimScenario, SimSchedule, SimTally, SweepReport,
 };
 use std::process::ExitCode;
 
@@ -135,10 +135,7 @@ fn main() -> ExitCode {
             return fail("--pool must be at least --devices");
         }
         ecfg.inject_double_serve = args.switch("inject-bug");
-        if let Some(path) = args.get("schedule") {
-            return elastic_replay(&ecfg, path, start_seed);
-        }
-        return elastic_sweep(&ecfg, start_seed, n_seeds, &out_path);
+        return run_mode(&ecfg, &args, start_seed, n_seeds, &out_path);
     }
 
     if args.switch("serving") {
@@ -152,36 +149,61 @@ fn main() -> ExitCode {
             Err(e) => return fail(&e.to_string()),
         };
         scfg.migration = !args.switch("no-swaps");
-        if let Some(path) = args.get("schedule") {
-            return serving_replay(&scfg, path, start_seed);
-        }
-        return serving_sweep(&scfg, start_seed, n_seeds, &out_path);
+        return run_mode(&scfg, &args, start_seed, n_seeds, &out_path);
     }
 
-    if let Some(path) = args.get("schedule") {
-        return replay(&cfg, path, args.switch("trace"));
-    }
+    run_mode(&cfg, &args, start_seed, n_seeds, &out_path)
+}
 
-    let report = seed_sweep(&cfg, start_seed, n_seeds);
-    println!(
-        "swept {} seeds ({}..{}) over master + {} stage(s): {} schedules carried faults, \
-         {} runs recovered via restart, {} failed over after exhausting restarts",
-        report.n_seeds,
-        report.start_seed,
-        report.start_seed + report.n_seeds,
-        cfg.n_stages,
-        report.runs_with_faults,
-        report.runs_with_restarts,
-        report.runs_failed_over,
-    );
-    if cfg.migration.is_some() {
-        println!(
-            "plan swaps: {} committed, {} aborted back to the old plan",
-            report.runs_committed, report.runs_aborted
-        );
+/// What a chaos mode adds to its [`SimScenario`] at the command line:
+/// how a schedule file parses, and the lines the mode prints.
+trait Mode: SimScenario {
+    /// The flag that selects this mode; empty for the plain sweep
+    /// (whose replay takes no `--seed` either).
+    const FLAG: &'static str;
+    /// The all-clear lines of a sweep and of a replay.
+    const SWEEP_HELD: &'static str;
+    const REPLAY_HELD: &'static str;
+    fn parse(&self, text: &str) -> Result<Self::Schedule, String>;
+    /// The summary line(s) of a sweep.
+    fn swept(&self, report: &SweepReport<Self::Tally>) -> String;
+    /// Replay `schedule` at `seed`: the summary line, the violations,
+    /// and the deterministic event trace if the mode records one.
+    fn replayed(
+        &self,
+        seed: u64,
+        schedule: &Self::Schedule,
+    ) -> (String, Vec<String>, Option<String>);
+}
+
+/// Replay `--schedule` if given, else sweep `n_seeds` seeds.
+fn run_mode<M: Mode>(
+    mode: &M,
+    args: &Args,
+    start_seed: u64,
+    n_seeds: u64,
+    out_path: &str,
+) -> ExitCode {
+    match args.get("schedule") {
+        Some(path) => replay(mode, path, start_seed, args.switch("trace")),
+        None => sweep(mode, start_seed, n_seeds, out_path, args.switch("trace")),
     }
+}
+
+/// Sweep consecutive seeds, one drawn schedule each; on a violation
+/// print every failing seed with its shrunk size and write the first
+/// minimized counterexample to `out_path`.
+fn sweep<M: Mode>(
+    mode: &M,
+    start_seed: u64,
+    n_seeds: u64,
+    out_path: &str,
+    show_trace: bool,
+) -> ExitCode {
+    let report = seed_sweep(mode, start_seed, n_seeds);
+    println!("{}", mode.swept(&report));
     if report.ok() {
-        println!("all invariants held on every schedule");
+        println!("{}", M::SWEEP_HELD);
         return ExitCode::SUCCESS;
     }
     for f in &report.failures {
@@ -189,18 +211,25 @@ fn main() -> ExitCode {
             "seed {} violated: {} (shrunk to {} event(s))",
             f.seed,
             f.violations.join("; "),
-            f.minimized.event_count()
+            f.minimized_events
         );
-        if args.switch("trace") {
-            let rerun = run_sim(&cfg, &f.minimized);
-            eprintln!("--- minimized trace (seed {}) ---\n{}", f.seed, rerun.trace_text());
+        if !show_trace {
+            continue;
+        }
+        let plan = mode.parse(&f.minimized_json).ok();
+        if let Some(t) = plan.and_then(|p| mode.replayed(f.seed, &p).2) {
+            eprintln!("--- minimized trace (seed {}) ---\n{t}", f.seed);
         }
     }
     let first = &report.failures[0];
-    match std::fs::write(&out_path, &first.minimized_json) {
+    let flags = match M::FLAG {
+        "" => String::new(),
+        flag => format!(" {flag} --seed {}", first.seed),
+    };
+    match std::fs::write(out_path, &first.minimized_json) {
         Ok(()) => eprintln!(
             "minimized counterexample for seed {} written to {out_path} — replay with: \
-             llmpq-simnet --schedule {out_path}",
+             llmpq-simnet{flags} --schedule {out_path}",
             first.seed
         ),
         Err(e) => eprintln!("could not write {out_path}: {e}"),
@@ -208,217 +237,182 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Serving-chaos sweep: the continuous-batching scheduler on the
-/// distributed engine, one seeded trace + swap + fault schedule per
-/// seed, token-checked against the local-engine oracle.
-fn serving_sweep(
-    cfg: &ServingChaosConfig,
-    start_seed: u64,
-    n_seeds: u64,
-    out_path: &str,
-) -> ExitCode {
-    let report = serving_seed_sweep(cfg, start_seed, n_seeds);
-    println!(
-        "served {} seeds ({}..{}) through the distributed ring: {} schedules carried faults, \
-         {} runs recovered via restart ({} in-flight sequences requeued), {} live swaps committed",
-        report.n_seeds,
-        report.start_seed,
-        report.start_seed + report.n_seeds,
-        report.runs_with_faults,
-        report.runs_with_restarts,
-        report.sequences_recovered,
-        report.runs_committed,
-    );
-    if report.ok() {
-        println!("all serving invariants held on every schedule (token equality vs local \
-                  oracle, admission conservation incl. recovered leg, restart bound)");
+/// Replay one schedule file at `seed`; a violating schedule is shrunk
+/// further if it can be.
+fn replay<M: Mode>(mode: &M, path: &str, seed: u64, show_trace: bool) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => return fail(&format!("cannot read {path}: {e}")),
+    };
+    let plan = match mode.parse(&text) {
+        Ok(p) => p,
+        Err(e) => return fail(&e),
+    };
+    let (summary, violations, trace) = mode.replayed(seed, &plan);
+    if let (true, Some(t)) = (show_trace, trace) {
+        println!("{t}");
+    }
+    println!("{summary}");
+    if violations.is_empty() {
+        println!("{}", M::REPLAY_HELD);
         return ExitCode::SUCCESS;
     }
-    for f in &report.failures {
-        eprintln!(
-            "seed {} violated: {} (shrunk to {} event(s))",
-            f.seed,
-            f.violations.join("; "),
-            f.minimized.events.len()
-        );
+    for v in &violations {
+        eprintln!("violation: {v}");
     }
-    let first = &report.failures[0];
-    match std::fs::write(out_path, &first.minimized_json) {
-        Ok(()) => eprintln!(
-            "minimized counterexample for seed {} written to {out_path} — replay with: \
-             llmpq-simnet --serving --seed {} --schedule {out_path}",
-            first.seed, first.seed
-        ),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
+    let minimized = shrink_schedule(mode, seed, &plan);
+    if minimized.events() < plan.events() {
+        eprintln!("shrinks further to {} event(s):\n{}", minimized.events(), minimized.to_json());
     }
     ExitCode::FAILURE
 }
 
-/// Elastic-fleet sweep: the autoscaling controller under seeded churn
-/// and seeded diurnal/bursty arrivals, one schedule per seed.
-fn elastic_sweep(
-    cfg: &ElasticSimConfig,
-    start_seed: u64,
-    n_seeds: u64,
-    out_path: &str,
-) -> ExitCode {
-    let report = elastic_seed_sweep(cfg, start_seed, n_seeds);
-    println!(
-        "churned {} seeds ({}..{}) through the fleet controller: {} runs committed replans, \
-         {} aborted a migration mid-barrier, {} quarantined a flapping device, {} hit the \
-         typed-infeasible path, {} in-flight request(s) recovered off dying devices",
-        report.n_seeds,
-        report.start_seed,
-        report.start_seed + report.n_seeds,
-        report.runs_with_commits,
-        report.runs_with_aborts,
-        report.runs_with_suppressions,
-        report.runs_infeasible,
-        report.requests_recovered,
-    );
-    if report.ok() {
-        println!(
-            "all elasticity invariants held on every schedule (committed plans reference only \
-             live devices; no request lost or double-served across scale events)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    for f in &report.failures {
-        eprintln!(
-            "seed {} violated: {} (shrunk to {} event(s))",
-            f.seed,
-            f.violations.join("; "),
-            f.minimized.events.len()
-        );
-    }
-    let first = &report.failures[0];
-    match std::fs::write(out_path, &first.minimized_json) {
-        Ok(()) => eprintln!(
-            "minimized counterexample for seed {} written to {out_path} — replay with: \
-             llmpq-simnet --elastic --seed {} --schedule {out_path}",
-            first.seed, first.seed
-        ),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
-    ExitCode::FAILURE
-}
+/// The master + stages protocol under the simulated network.
+impl Mode for SimConfig {
+    const FLAG: &'static str = "";
+    const SWEEP_HELD: &'static str = "all invariants held on every schedule";
+    const REPLAY_HELD: &'static str = "all invariants held";
 
-/// Replay one churn schedule (an [`ElasticChurnPlan`] JSON) at `seed`.
-fn elastic_replay(cfg: &ElasticSimConfig, path: &str, seed: u64) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let plan = match ElasticChurnPlan::from_json(&text) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let run = run_elastic(cfg, seed, &plan);
-    println!(
-        "replayed {} churn event(s) at seed {seed}: {} replan(s) committed, {} migration(s) \
-         aborted, {} event(s) flap-suppressed, {} infeasible alarm(s); {}/{} requests served \
-         ({} shed, {} recovered)",
-        run.churn_events,
-        run.commits,
-        run.aborts,
-        run.suppressed,
-        run.infeasible,
-        run.served,
-        run.offered,
-        run.shed,
-        run.recovered,
-    );
-    if run.violations.is_empty() {
-        println!("all elasticity invariants held");
-        ExitCode::SUCCESS
-    } else {
-        for v in &run.violations {
-            eprintln!("violation: {v}");
-        }
-        let minimized = shrink_elastic_plan(cfg, seed, &plan);
-        if minimized.events.len() < plan.events.len() {
-            eprintln!(
-                "shrinks further to {} event(s):\n{}",
-                minimized.events.len(),
-                minimized.to_json()
+    fn parse(&self, text: &str) -> Result<SimFaultPlan, String> {
+        SimFaultPlan::from_json(text)
+    }
+
+    fn swept(&self, report: &SweepReport<SimTally>) -> String {
+        let t = &report.tally;
+        let mut out = format!(
+            "swept {} seeds ({}..{}) over master + {} stage(s): {} schedules carried faults, \
+             {} runs recovered via restart, {} failed over after exhausting restarts",
+            report.n_seeds,
+            report.start_seed,
+            report.start_seed + report.n_seeds,
+            self.n_stages,
+            t.runs_with_faults,
+            t.runs_with_restarts,
+            t.runs_failed_over,
+        );
+        if self.migration.is_some() {
+            out += &format!(
+                "\nplan swaps: {} committed, {} aborted back to the old plan",
+                t.runs_committed, t.runs_aborted
             );
         }
-        ExitCode::FAILURE
+        out
+    }
+
+    fn replayed(
+        &self,
+        _seed: u64,
+        plan: &SimFaultPlan,
+    ) -> (String, Vec<String>, Option<String>) {
+        let report = run_sim(self, plan);
+        let summary = format!(
+            "replayed {} fault event(s): {} restart(s), {} stale frame(s) rejected, {} corrupt \
+             frame(s) detected, finished at {}µs virtual",
+            plan.event_count(),
+            report.restarts,
+            report.stale_drops,
+            report.corrupt_detected,
+            report.final_virtual_us
+        );
+        let trace = report.trace_text();
+        (summary, report.violations, Some(trace))
     }
 }
 
-/// Replay one serving fault schedule (a [`FaultPlan`] JSON) at `seed`.
-fn serving_replay(cfg: &ServingChaosConfig, path: &str, seed: u64) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let plan = match FaultPlan::from_json(&text) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let run = run_serving_chaos(cfg, seed, &plan);
-    println!(
-        "replayed {} fault event(s) at seed {seed}: {} restart(s), {} sequence(s) requeued, \
-         final epoch {}{}",
-        run.fault_events,
-        run.restarts,
-        run.recovered,
-        run.epoch,
-        run.swap_at.map_or(String::new(), |i| format!(", swap scheduled at iteration {i}")),
-    );
-    if run.violations.is_empty() {
-        println!("all serving invariants held");
-        ExitCode::SUCCESS
-    } else {
-        for v in &run.violations {
-            eprintln!("violation: {v}");
-        }
-        let minimized = shrink_serving_plan(cfg, seed, &plan);
-        if minimized.events.len() < plan.events.len() {
-            eprintln!(
-                "shrinks further to {} event(s):\n{}",
-                minimized.events.len(),
-                minimized.to_json()
-            );
-        }
-        ExitCode::FAILURE
+/// Serving chaos: the continuous-batching scheduler on the distributed
+/// engine, one seeded trace + swap + fault schedule per seed,
+/// token-checked against the local-engine oracle.
+impl Mode for ServingChaosConfig {
+    const FLAG: &'static str = "--serving";
+    const SWEEP_HELD: &'static str = "all serving invariants held on every schedule (token \
+        equality vs local oracle, admission conservation incl. recovered leg, restart bound)";
+    const REPLAY_HELD: &'static str = "all serving invariants held";
+
+    fn parse(&self, text: &str) -> Result<FaultPlan, String> {
+        FaultPlan::from_json(text)
+    }
+
+    fn swept(&self, report: &SweepReport<ServingTally>) -> String {
+        let t = &report.tally;
+        format!(
+            "served {} seeds ({}..{}) through the distributed ring: {} schedules carried faults, \
+             {} runs recovered via restart ({} in-flight sequences requeued), {} live swaps \
+             committed",
+            report.n_seeds,
+            report.start_seed,
+            report.start_seed + report.n_seeds,
+            t.runs_with_faults,
+            t.runs_with_restarts,
+            t.sequences_recovered,
+            t.runs_committed,
+        )
+    }
+
+    fn replayed(&self, seed: u64, plan: &FaultPlan) -> (String, Vec<String>, Option<String>) {
+        let run = run_serving_chaos(self, seed, plan);
+        let summary = format!(
+            "replayed {} fault event(s) at seed {seed}: {} restart(s), {} sequence(s) requeued, \
+             final epoch {}{}",
+            run.fault_events,
+            run.restarts,
+            run.recovered,
+            run.epoch,
+            run.swap_at.map_or(String::new(), |i| format!(", swap scheduled at iteration {i}")),
+        );
+        (summary, run.violations, None)
     }
 }
 
-fn replay(cfg: &SimConfig, path: &str, show_trace: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let plan = match SimFaultPlan::from_json(&text) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let report = run_sim(cfg, &plan);
-    if show_trace {
-        println!("{}", report.trace_text());
+/// Elastic fleet: the autoscaling controller under seeded churn and
+/// seeded diurnal/bursty arrivals, one schedule per seed.
+impl Mode for ElasticSimConfig {
+    const FLAG: &'static str = "--elastic";
+    const SWEEP_HELD: &'static str = "all elasticity invariants held on every schedule \
+        (committed plans reference only live devices; no request lost or double-served across \
+        scale events)";
+    const REPLAY_HELD: &'static str = "all elasticity invariants held";
+
+    fn parse(&self, text: &str) -> Result<ElasticChurnPlan, String> {
+        ElasticChurnPlan::from_json(text)
     }
-    println!(
-        "replayed {} fault event(s): {} restart(s), {} stale frame(s) rejected, {} corrupt \
-         frame(s) detected, finished at {}µs virtual",
-        plan.event_count(),
-        report.restarts,
-        report.stale_drops,
-        report.corrupt_detected,
-        report.final_virtual_us
-    );
-    if report.ok() {
-        println!("all invariants held");
-        ExitCode::SUCCESS
-    } else {
-        for v in &report.violations {
-            eprintln!("violation: {v}");
-        }
-        let minimized = shrink_fault_plan(cfg, &plan);
-        if minimized.event_count() < plan.event_count() {
-            eprintln!("shrinks further to {} event(s):\n{}", minimized.event_count(), minimized.to_json());
-        }
-        ExitCode::FAILURE
+
+    fn swept(&self, report: &SweepReport<ElasticTally>) -> String {
+        let t = &report.tally;
+        format!(
+            "churned {} seeds ({}..{}) through the fleet controller: {} runs committed replans, \
+             {} aborted a migration mid-barrier, {} quarantined a flapping device, {} hit the \
+             typed-infeasible path, {} in-flight request(s) recovered off dying devices",
+            report.n_seeds,
+            report.start_seed,
+            report.start_seed + report.n_seeds,
+            t.runs_with_commits,
+            t.runs_with_aborts,
+            t.runs_with_suppressions,
+            t.runs_infeasible,
+            t.requests_recovered,
+        )
+    }
+
+    fn replayed(
+        &self,
+        seed: u64,
+        plan: &ElasticChurnPlan,
+    ) -> (String, Vec<String>, Option<String>) {
+        let run = run_elastic(self, seed, plan);
+        let summary = format!(
+            "replayed {} churn event(s) at seed {seed}: {} replan(s) committed, {} migration(s) \
+             aborted, {} event(s) flap-suppressed, {} infeasible alarm(s); {}/{} requests served \
+             ({} shed, {} recovered)",
+            run.churn_events,
+            run.commits,
+            run.aborts,
+            run.suppressed,
+            run.infeasible,
+            run.served,
+            run.offered,
+            run.shed,
+            run.recovered,
+        );
+        (summary, run.violations, None)
     }
 }

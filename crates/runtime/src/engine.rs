@@ -8,15 +8,33 @@
 //! asynchronous channels, mirroring the paper's per-GPU worker
 //! processes.
 //!
-//! [`Pipeline`] is the one way to run a plan offline: a builder whose
-//! options — quantizer settings, a [`FaultPlan`], a [`Telemetry`] hub,
-//! supervision, a replanner, a live-swap schedule — are properties of
-//! one run, and whose [`Pipeline::run`] holds the only attempt loop of
-//! the in-process engine. Unsupervised, a run is one attempt that
-//! detects failures by channel disconnect only and reports them;
-//! [`Pipeline::supervised`] adds heartbeat and progress timeouts (hung
-//! stages, dropped messages), bounded restarts from the lock-step token
-//! checkpoint, and replan-on-device-loss.
+//! Three things live here, each exactly once in the runtime:
+//!
+//! * `Master` — the master's endpoint on a pipeline ring: send toward
+//!   stage 0 with backpressure, receive from the last stage with
+//!   duplicate suppression, and the master half of the two-phase
+//!   live-swap barrier. The offline generation loop
+//!   (`drive_generation`), the serving engine
+//!   ([`DistStepEngine`](crate::serve_dist::DistStepEngine)) and the
+//!   simulated master ([`crate::simnet`]) are three *drivers* of it —
+//!   a closed batch in lock step with several items in flight, one item
+//!   per scheduler call, the same under a virtual clock — over
+//!   channels, TCP or the simulated network alike. The first two stay
+//!   apart until the scheduler hands the engine a whole iteration
+//!   (ROADMAP item 1).
+//! * `AttemptLoop` — the restart loop over a [`ServingRing`]: dial an
+//!   attempt, drive generation, and on failure attribute, bound,
+//!   checkpoint, replan or back off, log. [`Pipeline::run`] runs it
+//!   over an in-process [`ChannelRing`],
+//!   [`run_master`](crate::net::dist::run_master) over the TCP fleet.
+//! * [`Pipeline`] — the one way to run a plan offline: a builder whose
+//!   options — quantizer settings, a [`FaultPlan`], a [`Telemetry`] hub,
+//!   supervision, a replanner, a live-swap schedule — are properties of
+//!   one run. Unsupervised, a run is one attempt that detects failures
+//!   by channel disconnect only and reports them;
+//!   [`Pipeline::supervised`] adds heartbeat and progress timeouts (hung
+//!   stages, dropped messages), bounded restarts from the lock-step
+//!   token checkpoint, and replan-on-device-loss.
 
 use crate::clock::{real_clock, Clock};
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
@@ -24,15 +42,13 @@ use crate::loader::{load_stage_weights, LoaderStats};
 use crate::migrate::{
     validate_swaps, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest,
 };
-use crate::net::transport::{ChannelTransport, Transport, TransportRecvError, TransportSendError};
+use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
+use crate::serve_dist::{ChannelRing, ServingRing};
 use crate::supervisor::{
     RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
 };
 use crate::telemetry::{Span, Telemetry};
-use crate::worker::{
-    disconnect_board, run_worker_ctx, MetricsSink, StageMetrics, WorkItem, WorkerCtx, WorkerMsg,
-};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::worker::{StageMetrics, WorkItem, WorkerMsg};
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{argmax, Phase, RefModel};
 use llmpq_quant::Rounding;
@@ -109,102 +125,77 @@ pub struct RuntimeOutput {
     pub swaps: Vec<SwapReport>,
 }
 
-/// Detection and injection settings for one attempt. An unsupervised
-/// run leaves every timeout off (failure = disconnect); supervision
-/// turns them on.
-#[derive(Clone)]
+/// Master-side failure detection for one attempt. An unsupervised run
+/// leaves every timeout off (failure = disconnect); supervision turns
+/// them on. The serving engine runs under the same settings with its
+/// op timeout as the progress timeout and no heartbeat board.
 pub(crate) struct AttemptSupervision {
-    pub injector: Option<Arc<FaultInjector>>,
     pub heartbeats: Option<Arc<Heartbeats>>,
     pub heartbeat_timeout: Option<Duration>,
     pub progress_timeout: Option<Duration>,
-    pub tick: Option<Duration>,
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// Inter-stage queue capacity. `Some(k)` bounds every channel of the
-    /// attempt to `k` in-flight messages, so a slow stage backpressures
-    /// its upstream (and ultimately the master's admission) instead of
-    /// buffering unboundedly; `None` leaves the queues unbounded.
-    pub queue_cap: Option<usize>,
+    /// Channel-poll granularity of every bounded wait.
+    pub tick: Duration,
     /// Time source for every deadline and sleep of the attempt: wall
     /// clock in production, virtual under [`crate::simnet`].
     pub clock: Arc<dyn Clock>,
-    /// Live-migration support handed to every worker of the attempt
-    /// (checkpoint + quantizer settings for preparing proposed plans).
-    /// `None` = workers refuse plan proposals with a typed abort.
-    pub migration_host: Option<Arc<MigrationHost>>,
-}
-
-impl Default for AttemptSupervision {
-    fn default() -> Self {
-        Self {
-            injector: None,
-            heartbeats: None,
-            heartbeat_timeout: None,
-            progress_timeout: None,
-            tick: None,
-            telemetry: None,
-            queue_cap: None,
-            clock: real_clock(),
-            migration_host: None,
-        }
-    }
 }
 
 impl AttemptSupervision {
-    fn tick(&self) -> Duration {
-        self.tick.unwrap_or(Duration::from_millis(5))
+    /// `StageHung` if the heartbeat board shows a stage stale past the
+    /// timeout — checked whenever the master finds itself waiting.
+    fn check_heartbeats(&self) -> Result<(), RuntimeError> {
+        if let (Some(hb), Some(t)) = (&self.heartbeats, self.heartbeat_timeout) {
+            if let Some(stage) = hb.stalest_over(t) {
+                return Err(RuntimeError::StageHung(stage));
+            }
+        }
+        Ok(())
     }
 }
 
-/// The master endpoint, generic over what carries its messages: a
-/// [`ChannelTransport`] for the in-process engine, a TCP transport for
-/// the multi-process runner in [`crate::net::dist`]. The generation
-/// loop ([`drive_generation`]) is identical either way — which is what
-/// makes the loopback run bit-identical to the in-process one.
-pub(crate) struct Master<'m, T: Transport> {
-    pub(crate) model: &'m RefModel,
-    /// Outbound edge to stage 0 + inbound edge from the last stage.
-    pub(crate) link: T,
+/// Channel-poll granularity of an unsupervised run.
+const DEFAULT_TICK: Duration = Duration::from_millis(5);
+
+/// The master's endpoint on a pipeline ring, generic over what carries
+/// its messages: the outbound edge to stage 0 and the inbound edge from
+/// the last stage of one attempt, dialled from a
+/// [`ServingRing`](crate::serve_dist::ServingRing) or built by the
+/// simnet. Every master in the runtime — offline, serving, simulated —
+/// sends, receives and swaps plans through this one type, which is what
+/// makes a loopback run bit-identical to an in-process one.
+pub(crate) struct Master<T: Transport> {
+    link: T,
     /// Last work-item id received — duplicates are discarded here when
     /// the final stage is the one duplicating.
-    pub(crate) last_step: Cell<Option<u64>>,
+    last_step: Cell<Option<u64>>,
     /// Observability hub of this run, if tracing is on.
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<Telemetry>>,
     /// Whether the stage-0 queue gauge lives in this process (in-process
     /// runs). A distributed master must not bump it: the dequeue side
     /// runs in another process and the gauge would only ever grow.
-    pub(crate) local_gauges: bool,
+    local_gauges: bool,
 }
 
-impl<'m> Master<'m, ChannelTransport> {
-    /// In-process master over a channel pair (with link accounting when
-    /// traced: outbound = link 0, inbound = link `n_stages`).
-    pub(crate) fn over_channels(
-        model: &'m RefModel,
-        to_first: Sender<WorkerMsg>,
-        from_last: Receiver<WorkerMsg>,
-        telemetry: Option<Arc<Telemetry>>,
-        n_stages: usize,
-    ) -> Self {
-        Master {
-            model,
-            link: ChannelTransport::observed(from_last, to_first, telemetry.clone(), n_stages, 0),
-            last_step: Cell::new(None),
-            telemetry,
-            local_gauges: true,
-        }
+impl<T: Transport> Master<T> {
+    pub(crate) fn new(link: T, telemetry: Option<Arc<Telemetry>>, local_gauges: bool) -> Self {
+        Master { link, last_step: Cell::new(None), telemetry, local_gauges }
     }
-}
 
-impl<'m, T: Transport> Master<'m, T> {
-    /// Send toward stage 0, blocking in `tick`-sized slices while the
-    /// (bounded) first queue is full. This is where backpressure reaches
-    /// the master: admission slows to the pipeline's pace instead of
-    /// buffering unboundedly. While blocked, the heartbeat and progress
-    /// checks still run, so a genuinely hung stage surfaces as
-    /// `StageHung`/`Stalled` rather than a silent deadlock.
-    fn send(&self, mut item: WorkItem, sup: &AttemptSupervision) -> Result<(), RuntimeError> {
-        if let Some(t) = &self.telemetry {
+    /// Send toward stage 0 — work items, and the control traffic the
+    /// master originates or re-forwards (plan proposals and commits,
+    /// aborts, in-transit KV chunks, slot resets) — blocking in
+    /// `tick`-sized slices while the (bounded) first queue is full. This
+    /// is where backpressure reaches the master: admission slows to the
+    /// pipeline's pace instead of buffering unboundedly. While blocked,
+    /// the heartbeat and progress checks still run, so a genuinely hung
+    /// stage surfaces as `StageHung`/`Stalled` rather than a silent
+    /// deadlock.
+    pub(crate) fn send(
+        &self,
+        mut msg: WorkerMsg,
+        sup: &AttemptSupervision,
+    ) -> Result<(), RuntimeError> {
+        if let (WorkerMsg::Work(item), Some(t)) = (&mut msg, &self.telemetry) {
             item.sent_us = t.now_us();
             if self.local_gauges {
                 if let Some(s0) = t.stage(0) {
@@ -213,20 +204,15 @@ impl<'m, T: Transport> Master<'m, T> {
             }
         }
         let deadline = sup.progress_timeout.map(|t| sup.clock.deadline(t));
-        let mut msg = WorkerMsg::Work(item);
         loop {
-            match self.link.send_msg(msg, sup.tick()) {
+            match self.link.send_msg(msg, sup.tick) {
                 Ok(()) => return Ok(()),
                 Err(TransportSendError::Disconnected) => {
                     return Err(RuntimeError::WorkerDied("first stage unreachable".into()))
                 }
                 Err(TransportSendError::Timeout(m)) => {
                     msg = m;
-                    if let (Some(hb), Some(t)) = (&sup.heartbeats, sup.heartbeat_timeout) {
-                        if let Some(stage) = hb.stalest_over(t) {
-                            return Err(RuntimeError::StageHung(stage));
-                        }
-                    }
+                    sup.check_heartbeats()?;
                     if deadline.is_some_and(|d| sup.clock.expired(d)) {
                         return Err(RuntimeError::Stalled(
                             "master blocked on stage-0 backpressure past the progress timeout"
@@ -238,28 +224,12 @@ impl<'m, T: Transport> Master<'m, T> {
         }
     }
 
-    /// Forward a control/migration message toward stage 0 (the master is
-    /// the ring's re-forwarder for KV chunks and abort broadcasts).
-    fn send_ctrl(&self, msg: WorkerMsg, sup: &AttemptSupervision) -> Result<(), RuntimeError> {
-        let deadline = sup.progress_timeout.map(|t| sup.clock.deadline(t));
-        let mut msg = msg;
-        loop {
-            match self.link.send_msg(msg, sup.tick()) {
-                Ok(()) => return Ok(()),
-                Err(TransportSendError::Disconnected) => {
-                    return Err(RuntimeError::WorkerDied("first stage unreachable".into()))
-                }
-                Err(TransportSendError::Timeout(m)) => {
-                    msg = m;
-                    if deadline.is_some_and(|d| sup.clock.expired(d)) {
-                        return Err(RuntimeError::Stalled(
-                            "master blocked forwarding migration traffic past the progress timeout"
-                                .into(),
-                        ));
-                    }
-                }
-            }
-        }
+    /// Best-effort graceful `Shutdown` downstream. A full (bounded)
+    /// queue may time this out; the workers then exit via channel
+    /// disconnect (or wire EOF) when the endpoint drops, which flushes
+    /// metrics all the same.
+    pub(crate) fn shutdown(&self, sup: &AttemptSupervision) {
+        let _ = self.link.send_msg(WorkerMsg::Shutdown, sup.tick);
     }
 
     /// Handle one non-`Work` ring message at the master: plan-swap
@@ -273,11 +243,11 @@ impl<'m, T: Transport> Master<'m, T> {
         &self,
         msg: WorkerMsg,
         sup: &AttemptSupervision,
-        migration: &mut Option<&mut MigrationCoordinator>,
+        migration: Option<&mut MigrationCoordinator>,
     ) -> Result<(), RuntimeError> {
         match msg {
             WorkerMsg::PlanReady { epoch, stage, swapped } => {
-                if let Some(c) = migration.as_deref_mut() {
+                if let Some(c) = migration {
                     c.on_ready(epoch, stage, swapped);
                 }
             }
@@ -285,7 +255,7 @@ impl<'m, T: Transport> Master<'m, T> {
                 // The master's own broadcast completed the circle: sink.
             }
             WorkerMsg::PlanAbort { epoch, reason } => {
-                if let Some(c) = migration.as_deref_mut() {
+                if let Some(c) = migration {
                     if c.on_worker_abort(epoch, &reason) {
                         // Post-commit abort: the target plan is already
                         // authoritative — fail the attempt so the
@@ -296,16 +266,15 @@ impl<'m, T: Transport> Master<'m, T> {
                     }
                     if !c.abort_seen(epoch) {
                         // Make sure every stage tears the proposal down.
-                        self.send_ctrl(WorkerMsg::PlanAbort { epoch, reason }, sup)?;
+                        self.send(WorkerMsg::PlanAbort { epoch, reason }, sup)?;
                     }
                 }
             }
             WorkerMsg::KvChunk(c) => {
                 let active = migration
-                    .as_deref()
                     .is_some_and(|m| m.pending.as_ref().is_some_and(|p| p.epoch == c.epoch));
                 if active {
-                    self.send_ctrl(WorkerMsg::KvChunk(c), sup)?;
+                    self.send(WorkerMsg::KvChunk(c), sup)?;
                 }
                 // else: stale chunk from a dead epoch — sink it.
             }
@@ -323,14 +292,14 @@ impl<'m, T: Transport> Master<'m, T> {
     /// Receive the next fresh work item, with live-migration handling:
     /// plan-swap traffic arriving between work items is dispatched to
     /// the coordinator instead of being treated as a protocol violation.
-    fn recv_m(
+    pub(crate) fn recv_m(
         &self,
         sup: &AttemptSupervision,
-        migration: &mut Option<&mut MigrationCoordinator>,
+        mut migration: Option<&mut MigrationCoordinator>,
     ) -> Result<WorkItem, RuntimeError> {
         let deadline = sup.progress_timeout.map(|t| sup.clock.deadline(t));
         loop {
-            match self.link.recv_msg(sup.tick()) {
+            match self.link.recv_msg(sup.tick) {
                 Ok(WorkerMsg::Work(item)) => {
                     if self.last_step.get() == Some(item.step) {
                         continue; // duplicated delivery
@@ -342,16 +311,12 @@ impl<'m, T: Transport> Master<'m, T> {
                     return Err(RuntimeError::WorkerDied("premature shutdown".into()))
                 }
                 Ok(WorkerMsg::Protocol(e)) => return Err(RuntimeError::Protocol(e)),
-                Ok(other) => self.on_ring_msg(other, sup, migration)?,
+                Ok(other) => self.on_ring_msg(other, sup, migration.as_deref_mut())?,
                 Err(TransportRecvError::Disconnected) => {
                     return Err(RuntimeError::WorkerDied("last stage disconnected".into()))
                 }
                 Err(TransportRecvError::Timeout) => {
-                    if let (Some(hb), Some(t)) = (&sup.heartbeats, sup.heartbeat_timeout) {
-                        if let Some(stage) = hb.stalest_over(t) {
-                            return Err(RuntimeError::StageHung(stage));
-                        }
-                    }
+                    sup.check_heartbeats()?;
                     if deadline.is_some_and(|d| sup.clock.expired(d)) {
                         return Err(RuntimeError::Stalled(
                             "no output from the last stage within the progress timeout".into(),
@@ -370,9 +335,9 @@ impl<'m, T: Transport> Master<'m, T> {
     fn pump_migration(
         &self,
         sup: &AttemptSupervision,
-        migration: &mut Option<&mut MigrationCoordinator>,
+        migration: &mut MigrationCoordinator,
     ) -> Result<bool, RuntimeError> {
-        match self.link.recv_msg(sup.tick()) {
+        match self.link.recv_msg(sup.tick) {
             Ok(WorkerMsg::Work(item)) => {
                 if self.last_step.get() == Some(item.step) {
                     return Ok(true); // fault-injected duplicate: drop
@@ -387,32 +352,111 @@ impl<'m, T: Transport> Master<'m, T> {
             }
             Ok(WorkerMsg::Protocol(e)) => Err(RuntimeError::Protocol(e)),
             Ok(other) => {
-                self.on_ring_msg(other, sup, migration)?;
+                self.on_ring_msg(other, sup, Some(migration))?;
                 Ok(true)
             }
             Err(TransportRecvError::Disconnected) => {
                 Err(RuntimeError::WorkerDied("last stage disconnected".into()))
             }
             Err(TransportRecvError::Timeout) => {
-                if let (Some(hb), Some(t)) = (&sup.heartbeats, sup.heartbeat_timeout) {
-                    if let Some(stage) = hb.stalest_over(t) {
-                        return Err(RuntimeError::StageHung(stage));
-                    }
-                }
+                sup.check_heartbeats()?;
                 Ok(false)
             }
         }
     }
 
+    /// Open the coordinator's next scheduled proposal, if none is
+    /// pending: phase 1 of a live swap starts here, and the workers'
+    /// prepare (requantize) overlaps whatever the ring serves until the
+    /// barrier.
+    pub(crate) fn propose(
+        &self,
+        sup: &AttemptSupervision,
+        c: &mut MigrationCoordinator,
+    ) -> Result<(), RuntimeError> {
+        match c.open_proposal() {
+            Some((epoch, plan_json)) => self.send(WorkerMsg::PlanPropose { epoch, plan_json }, sup),
+            None => Ok(()),
+        }
+    }
+
+    /// The master half of the two-phase live-swap barrier for the
+    /// coordinator's pending proposal, run while the ring is quiescent
+    /// (between lock-step decode iterations offline, between scheduler
+    /// iterations when serving): wait for every stage's prepared
+    /// `PlanReady`, send `PlanCommit`, keep migrating KV chunks moving,
+    /// wait for every swapped `PlanReady`.
+    ///
+    /// `Ok(Some(report))` — committed, the target plan serves from here.
+    /// `Ok(None)` — a worker abort or the prepare timeout cancelled the
+    /// proposal before commit: nothing was destroyed, the abort was
+    /// broadcast and recorded, and the old plan is still in place. What
+    /// that means is the caller's policy — the offline run keeps
+    /// decoding on the old plan, the serving engine treats it as a lost
+    /// ring and restarts onto the target rung. `Err` — the attempt is
+    /// dead; if the commit had gone out the coordinator keeps the target
+    /// authoritative for the restart.
+    pub(crate) fn swap_barrier(
+        &self,
+        sup: &AttemptSupervision,
+        c: &mut MigrationCoordinator,
+    ) -> Result<Option<SwapReport>, RuntimeError> {
+        // Phase 1 barrier: every stage prepared, or abort.
+        let deadline = sup.clock.deadline(c.prepare_timeout);
+        let abort_reason = loop {
+            if c.all_prepared() {
+                break None;
+            }
+            if let Some(r) = c.pending_abort() {
+                break Some(r);
+            }
+            if sup.clock.expired(deadline) {
+                break Some("prepare barrier timed out".into());
+            }
+            self.pump_migration(sup, c)?;
+        };
+        if let Some(reason) = abort_reason {
+            if let Some(e) = c.abort_pending(&reason) {
+                if !c.abort_seen(e) {
+                    self.send(WorkerMsg::PlanAbort { epoch: e, reason }, sup)?;
+                }
+            }
+            if let Some(t) = &self.telemetry {
+                t.note_migration_aborted();
+            }
+            return Ok(None);
+        }
+        // Phase 2: point of no return.
+        let e = c.pending.as_ref().expect("barrier passed").epoch;
+        c.mark_commit_sent(sup.clock.now().as_micros() as u64);
+        self.send(WorkerMsg::PlanCommit { epoch: e }, sup)?;
+        let commit_deadline = sup.clock.deadline(c.commit_timeout);
+        while !c.all_swapped() {
+            if sup.clock.expired(commit_deadline) {
+                return Err(RuntimeError::Stalled(format!(
+                    "plan swap epoch {e} commit window timed out"
+                )));
+            }
+            self.pump_migration(sup, c)?;
+        }
+        let now_us = sup.clock.now().as_micros() as u64;
+        let report = c.finish_commit(now_us).expect("pending resolved").clone();
+        if let Some(t) = &self.telemetry {
+            t.note_swap(report.latency_us, report.kv_bytes);
+            t.set_epoch(report.epoch);
+        }
+        Ok(Some(report))
+    }
+
     /// Logits for the last position of each sequence in a work item.
     /// Traced as a `"sample"` span on the master's trace thread.
-    fn sample_next(&self, item: &WorkItem) -> Vec<(usize, usize)> {
+    fn sample_next(&self, model: &RefModel, item: &WorkItem) -> Vec<(usize, usize)> {
         let start = self.telemetry.as_ref().map(|t| t.now_us());
         let out: Vec<(usize, usize)> = item
             .seqs
             .iter()
             .map(|(seq, h)| {
-                (*seq, argmax(&self.model.last_row_logits(h)))
+                (*seq, argmax(&model.last_row_logits(h)))
             })
             .collect();
         if let (Some(t), Some(ts)) = (&self.telemetry, start) {
@@ -463,14 +507,6 @@ pub struct Pipeline<'a> {
     supervisor: Option<SupervisorConfig>,
     replanner: Option<&'a dyn Replanner>,
     swaps: &'a [SwapRequest],
-}
-
-/// The stage shards loaded for one plan, and the metrics sink its
-/// workers flush into (one slot per stage of that plan).
-struct Shards {
-    weights: StageWeights,
-    loader_stats: Vec<LoaderStats>,
-    sink: MetricsSink,
 }
 
 impl<'a> Pipeline<'a> {
@@ -544,14 +580,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    fn load(&self, plan: &ExecutionPlan) -> Shards {
-        let (weights, loader_stats) =
-            load_all_stages(self.checkpoint, plan, self.rounding, self.seed);
-        let sink =
-            Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); plan.stages.len()]));
-        Shards { weights, loader_stats, sink }
-    }
-
     /// Generate `n_generate` tokens per prompt with greedy decoding.
     pub fn run(
         &self,
@@ -577,7 +605,6 @@ impl<'a> Pipeline<'a> {
             }
             validate_swaps(self.plan, self.swaps, checkpoint.cfg.n_layers)?;
         }
-        let clock = real_clock();
         let injector = self.faults.map(FaultInjector::new);
         let mut coord = match &self.supervisor {
             Some(cfg) if !self.swaps.is_empty() => {
@@ -588,90 +615,137 @@ impl<'a> Pipeline<'a> {
             }
             _ => None,
         };
+        // Workers can prepare a proposed plan only when swaps can happen.
         let host = coord
             .is_some()
             .then(|| Arc::new(MigrationHost::new(checkpoint.clone(), self.rounding, self.seed)));
-        let mut plan = self.plan.clone();
-        let mut shards = self.load(&plan);
+        // The in-process ring serving a plan: shards loaded through the
+        // on-the-fly quantizing loader (every shard, where a real
+        // deployment would reload only the re-homed ones), wired to this
+        // run's injector, telemetry hub and — supervised — a heartbeat
+        // board and the queue bound.
+        let ring_for = |plan: &ExecutionPlan| {
+            let n_stages = plan.stages.len();
+            let mut ring = ChannelRing::load(
+                checkpoint,
+                plan.clone(),
+                self.rounding,
+                self.seed,
+                prompts.len(),
+                tick_of(self.supervisor.as_ref()),
+            );
+            ring.injector = injector.clone();
+            ring.host = host.clone();
+            ring.telemetry = self.telemetry.clone();
+            ring.sink =
+                Some(Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); n_stages])));
+            if let Some(cfg) = &self.supervisor {
+                ring.heartbeats = Some(Heartbeats::new(n_stages));
+                ring.queue_cap = cfg.max_queue;
+            }
+            ring
+        };
+        let mut ring = ring_for(self.plan);
+        let out = AttemptLoop {
+            model: checkpoint,
+            prompts,
+            n_generate,
+            supervisor: self.supervisor.as_ref(),
+            telemetry: self.telemetry.clone(),
+            local_gauges: true,
+            replanner: self.replanner,
+        }
+        .run(&mut ring, self.plan.clone(), coord.as_mut(), |ring, plan| *ring = ring_for(plan))?;
+        Ok(RuntimeOutput {
+            loader_stats: ring.loader_stats.clone(),
+            stage_metrics: ring.sink.as_ref().map(|s| s.lock().clone()).unwrap_or_default(),
+            swaps: coord.map(|c| c.reports).unwrap_or_default(),
+            ..out
+        })
+    }
+}
+
+/// Channel-poll granularity of a run: the supervisor's tick, or the
+/// unsupervised default.
+fn tick_of(cfg: Option<&SupervisorConfig>) -> Duration {
+    cfg.map_or(DEFAULT_TICK, |c| Duration::from_millis(c.tick_ms.max(1)))
+}
+
+/// The restart loop every offline master runs, over whatever ring
+/// carries the attempt: in-process channels for [`Pipeline::run`], the
+/// TCP stage fleet for [`run_master`](crate::net::dist::run_master).
+/// (The simulated master in [`crate::simnet`] keeps its own loop: its
+/// trace lines and µs-granular virtual backoff are part of the
+/// byte-identical replay contract.)
+pub(crate) struct AttemptLoop<'a> {
+    pub model: &'a RefModel,
+    pub prompts: &'a [Vec<usize>],
+    pub n_generate: usize,
+    /// `None` = one attempt, disconnect-only detection, error returned
+    /// as is.
+    pub supervisor: Option<&'a SupervisorConfig>,
+    pub telemetry: Option<Arc<Telemetry>>,
+    /// See [`Master`]: whether stage 0's queue gauge is in this process.
+    pub local_gauges: bool,
+    pub replanner: Option<&'a dyn Replanner>,
+}
+
+impl AttemptLoop<'_> {
+    /// Run attempts on `ring` until one completes or the restart budget
+    /// is spent. `reload` re-targets the ring when the plan changes
+    /// under it — a replan, or a swap that committed before an attempt
+    /// failed — so the next dial boots on the new plan. The output's
+    /// `loader_stats`, `stage_metrics` and `swaps` are left for the
+    /// caller, who owns the ring and the coordinator, to fill in.
+    pub(crate) fn run<R: ServingRing>(
+        &self,
+        ring: &mut R,
+        mut plan: ExecutionPlan,
+        mut coord: Option<&mut MigrationCoordinator>,
+        mut reload: impl FnMut(&mut R, &ExecutionPlan),
+    ) -> Result<RuntimeOutput, RuntimeError> {
+        let clock = real_clock();
         let start = clock.now();
-        let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
+        let mut tokens: Vec<Vec<usize>> =
+            vec![Vec::with_capacity(self.n_generate); self.prompts.len()];
         let mut events = Vec::new();
         let mut replans = 0usize;
         loop {
             let attempt = events.len();
-            if let Some(inj) = &injector {
-                inj.begin_attempt(attempt);
-            }
-            if let Some(c) = &mut coord {
+            if let Some(c) = coord.as_deref_mut() {
                 // A swap that committed before the previous attempt
                 // failed made its target authoritative.
                 c.begin_attempt();
                 if c.attempt_plan(&plan) != &plan {
                     plan = c.attempt_plan(&plan).clone();
-                    shards = self.load(&plan);
+                    reload(ring, &plan);
                 }
             }
-            let sup = match &self.supervisor {
-                None => AttemptSupervision {
-                    injector: injector.clone(),
-                    telemetry: self.telemetry.clone(),
-                    ..AttemptSupervision::default()
-                },
-                Some(cfg) => {
-                    // A freshly spawned stage counts as alive: its slot
-                    // would otherwise read as stale since the run began
-                    // until the worker thread's first beat.
-                    let heartbeats = Heartbeats::with_clock(plan.stages.len(), clock.clone());
-                    (0..plan.stages.len()).for_each(|s| heartbeats.beat(s));
-                    AttemptSupervision {
-                        injector: injector.clone(),
-                        heartbeats: Some(heartbeats),
-                        heartbeat_timeout: Some(Duration::from_millis(cfg.heartbeat_timeout_ms)),
-                        progress_timeout: Some(Duration::from_millis(cfg.progress_timeout_ms)),
-                        tick: Some(Duration::from_millis(cfg.tick_ms.max(1))),
-                        telemetry: self.telemetry.clone(),
-                        queue_cap: cfg.max_queue,
-                        clock: clock.clone(),
-                        migration_host: host.clone(),
-                    }
-                }
-            };
-            let res = run_attempt(
-                checkpoint,
-                &plan,
-                prompts,
-                &mut tokens,
-                n_generate,
-                &shards.weights,
-                &sup,
-                &shards.sink,
-                coord.as_mut(),
-            );
+            let res = self.attempt(ring, attempt, &plan, &mut tokens, coord.as_deref_mut(), &clock);
             let e = match res {
                 Ok(()) => {
                     // A swap whose commit went out in the final decode
                     // steps resolves here.
-                    if let Some(c) = &mut coord {
+                    if let Some(c) = coord.as_deref_mut() {
                         c.begin_attempt();
                         plan = c.attempt_plan(&plan).clone();
                     }
-                    let stage_metrics = shards.sink.lock().clone();
                     return Ok(RuntimeOutput {
                         tokens,
-                        loader_stats: shards.loader_stats,
+                        loader_stats: Vec::new(),
                         wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics,
+                        stage_metrics: Vec::new(),
                         restarts: events.len(),
                         replans,
                         final_plan: plan,
                         events,
-                        swaps: coord.map(|c| c.reports).unwrap_or_default(),
+                        swaps: Vec::new(),
                     });
                 }
                 Err(e) => e,
             };
-            let Some(cfg) = &self.supervisor else { return Err(e) };
-            let lost: Vec<usize> = injector.as_ref().map(|i| i.lost_devices()).unwrap_or_default();
+            let Some(cfg) = self.supervisor else { return Err(e) };
+            let lost = ring.lost_devices();
             let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
             if attempt >= cfg.max_restarts {
                 // Surface a permanent loss as such when restarting could
@@ -686,7 +760,7 @@ impl<'a> Pipeline<'a> {
                     let new_plan = r
                         .replan(&plan, &lost)
                         .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
-                    new_plan.validate(checkpoint.cfg.n_layers).map_err(|m| {
+                    new_plan.validate(self.model.cfg.n_layers).map_err(|m| {
                         RuntimeError::BadPlan(format!("replanned plan invalid: {m}"))
                     })?;
                     if new_plan.stages.iter().any(|s| lost.contains(&s.device)) {
@@ -694,10 +768,7 @@ impl<'a> Pipeline<'a> {
                             "replanned plan still uses a lost device".into(),
                         ));
                     }
-                    // Every shard reloads through the on-the-fly
-                    // quantizing loader (only the re-homed shards would
-                    // in a real deployment).
-                    shards = self.load(&new_plan);
+                    reload(ring, &new_plan);
                     plan = new_plan;
                     replans += 1;
                     RecoveryAction::Replan { lost_devices: lost, new_stages: plan.stages.len() }
@@ -722,6 +793,62 @@ impl<'a> Pipeline<'a> {
             }
             let error = e.to_string();
             events.push(RecoveryEvent { attempt, error, checkpointed_tokens, action });
+        }
+    }
+
+    /// One generation attempt: dial the ring, drive generation over the
+    /// fresh endpoint, tear the attempt down. `tokens` may hold an
+    /// already-generated lock-step prefix (recovery resume); on failure
+    /// it retains whatever progress was made.
+    fn attempt(
+        &self,
+        ring: &mut dyn ServingRing,
+        attempt: usize,
+        plan: &ExecutionPlan,
+        tokens: &mut [Vec<usize>],
+        migration: Option<&mut MigrationCoordinator>,
+        clock: &Arc<dyn Clock>,
+    ) -> Result<(), RuntimeError> {
+        let done = tokens.iter().map(Vec::len).min().unwrap_or(0);
+        debug_assert!(tokens.iter().all(|t| t.len() == done), "resume requires lock-step prefix");
+        if done >= self.n_generate {
+            return Ok(());
+        }
+        let link = ring
+            .dial(attempt)
+            .map_err(|e| RuntimeError::WorkerDied(format!("dialing attempt {attempt}: {e}")))?;
+        let cfg = self.supervisor;
+        let sup = AttemptSupervision {
+            heartbeats: ring.heartbeats(),
+            heartbeat_timeout: cfg.map(|c| Duration::from_millis(c.heartbeat_timeout_ms)),
+            progress_timeout: cfg.map(|c| Duration::from_millis(c.progress_timeout_ms)),
+            tick: tick_of(cfg),
+            clock: clock.clone(),
+        };
+        let master = Master::new(link, self.telemetry.clone(), self.local_gauges);
+        let res = drive_generation(
+            &master,
+            self.model,
+            plan,
+            self.prompts,
+            tokens,
+            self.n_generate,
+            &sup,
+            migration,
+        );
+        // Dropping the endpoint starts the disconnect (or wire EOF)
+        // cascade down the ring; the ring then reaps what is its to reap.
+        drop(master);
+        ring.teardown();
+        // Root-cause attribution: if a stage recorded a dropped item on a
+        // downstream disconnect, the generic "worker died / stalled" the
+        // master saw is a symptom — surface the drop instead. Hangs and
+        // protocol violations keep their own, more specific, diagnosis.
+        match (res, ring.dropped_stage()) {
+            (Err(RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_)), Some(stage)) => {
+                Err(RuntimeError::StageDisconnected(stage))
+            }
+            (res, _) => res,
         }
     }
 }
@@ -823,15 +950,15 @@ fn swap_kv_payload_bytes(
 ///
 /// With a live-swap coordinator attached, swap proposals are opened as
 /// early as possible (prepare overlaps serving), and at each scheduled
-/// token boundary the master runs the two-phase barrier — wait for
-/// every stage's prepared `PlanReady`, send `PlanCommit`, forward
-/// migrating KV chunks, wait for every swapped `PlanReady` — before
-/// decoding under the target plan. Any pre-commit failure aborts back
-/// to the old plan and decoding continues uninterrupted; post-commit
-/// failures fail the attempt (the coordinator keeps the target plan
-/// authoritative for the restart).
+/// token boundary the master runs [`Master::swap_barrier`] before
+/// decoding under the target plan. A proposal that aborts before commit
+/// leaves the old plan decoding uninterrupted; post-commit failures fail
+/// the attempt (the coordinator keeps the target plan authoritative for
+/// the restart).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_generation<T: Transport>(
-    master: &Master<'_, T>,
+    master: &Master<T>,
+    model: &RefModel,
     plan: &ExecutionPlan,
     prompts: &[Vec<usize>],
     tokens: &mut [Vec<usize>],
@@ -862,17 +989,16 @@ pub(crate) fn drive_generation<T: Transport>(
             .map(|&s| {
                 let mut full = prompts[s].clone();
                 full.extend_from_slice(&tokens[s][..done]);
-                (s, master.model.embed_tokens(&full, 0))
+                (s, model.embed_tokens(&full, 0))
             })
             .collect();
-        master.send(
-            WorkItem { step: step(), epoch, microbatch: mb, phase: Phase::Prefill, sent_us: 0, seqs },
-            sup,
-        )?;
+        let item =
+            WorkItem { step: step(), epoch, microbatch: mb, phase: Phase::Prefill, sent_us: 0, seqs };
+        master.send(WorkerMsg::Work(item), sup)?;
     }
     for _ in &chunks {
-        let item = master.recv_m(sup, &mut migration)?;
-        for (seq, tok) in master.sample_next(&item) {
+        let item = master.recv_m(sup, migration.as_deref_mut())?;
+        for (seq, tok) in master.sample_next(model, &item) {
             tokens[seq].push(tok);
         }
     }
@@ -881,84 +1007,25 @@ pub(crate) fn drive_generation<T: Transport>(
     let mut cur_plan: Option<ExecutionPlan> = None; // Some(_) after a committed swap
     let mut dec_chunks = batch_chunks(n_seqs, plan.microbatch.decode_size);
     for _step in done + 1..n_generate {
-        // Open the next scheduled proposal as early as possible so the
-        // workers' prepare (requantize) overlaps serving.
-        if let Some((e, json)) = migration.as_deref_mut().and_then(|c| c.open_proposal()) {
-            master.send_ctrl(WorkerMsg::PlanPropose { epoch: e, plan_json: json }, sup)?;
-        }
-        // Swap boundary: the pipeline is quiescent between decode
-        // iterations, so tokens `0.._step` were produced by the old plan
-        // and everything from `_step` on belongs to the target.
-        let boundary_due = migration.as_deref().is_some_and(|c| {
-            c.pending
+        if let Some(c) = migration.as_deref_mut() {
+            master.propose(sup, c)?;
+            // Swap boundary: the pipeline is quiescent between decode
+            // iterations, so tokens `0.._step` were produced by the old
+            // plan and everything from `_step` on belongs to the target.
+            let due = c
+                .pending
                 .as_ref()
-                .is_some_and(|p| !p.commit_sent && _step >= c.schedule[p.idx].at_token)
-        });
-        if boundary_due {
-            // Phase 1 barrier: every stage prepared, or abort.
-            let deadline =
-                sup.clock.deadline(migration.as_deref().expect("checked").prepare_timeout);
-            let mut abort_reason: Option<String> = None;
-            loop {
-                let c = migration.as_deref().expect("checked");
-                if c.all_prepared() {
-                    break;
-                }
-                if let Some(r) = c.pending_abort() {
-                    abort_reason = Some(r);
-                    break;
-                }
-                if sup.clock.expired(deadline) {
-                    abort_reason = Some("prepare barrier timed out".into());
-                    break;
-                }
-                master.pump_migration(sup, &mut migration)?;
-            }
-            let c = migration.as_deref_mut().expect("checked");
-            if let Some(reason) = abort_reason {
-                // Abort path: nothing was destroyed — the old plan keeps
-                // serving this very iteration.
-                if let Some(e) = c.abort_pending(&reason) {
-                    if !c.abort_seen(e) {
-                        master.send_ctrl(WorkerMsg::PlanAbort { epoch: e, reason }, sup)?;
-                    }
-                }
-                if let Some(t) = &sup.telemetry {
-                    t.note_migration_aborted();
-                }
-            } else {
-                // Phase 2: point of no return.
-                let e = c.pending.as_ref().expect("barrier passed").epoch;
-                let t0 = sup.clock.now();
-                c.mark_commit_sent(t0.as_micros() as u64);
-                let target = c.schedule[c.pending.as_ref().expect("pending").idx].plan.clone();
+                .filter(|p| !p.commit_sent && _step >= c.schedule[p.idx].at_token)
+                .map(|p| p.idx);
+            if let Some(idx) = due {
+                let target = c.schedule[idx].plan.clone();
                 let old = cur_plan.as_ref().unwrap_or(plan);
-                let kv_bytes = swap_kv_payload_bytes(old, &target, &positions, master.model.cfg.hidden);
-                c.add_kv_bytes(kv_bytes);
-                master.send_ctrl(WorkerMsg::PlanCommit { epoch: e }, sup)?;
-                let commit_deadline = sup.clock.deadline(c.commit_timeout);
-                loop {
-                    let c = migration.as_deref().expect("checked");
-                    if c.all_swapped() {
-                        break;
-                    }
-                    if sup.clock.expired(commit_deadline) {
-                        return Err(RuntimeError::Stalled(format!(
-                            "plan swap epoch {e} commit window timed out"
-                        )));
-                    }
-                    master.pump_migration(sup, &mut migration)?;
+                c.add_kv_bytes(swap_kv_payload_bytes(old, &target, &positions, model.cfg.hidden));
+                if let Some(report) = master.swap_barrier(sup, c)? {
+                    epoch = report.epoch;
+                    dec_chunks = batch_chunks(n_seqs, target.microbatch.decode_size);
+                    cur_plan = Some(target);
                 }
-                let c = migration.as_deref_mut().expect("checked");
-                let now_us = sup.clock.now().as_micros() as u64;
-                let report = c.finish_commit(now_us).expect("pending resolved").clone();
-                if let Some(t) = &sup.telemetry {
-                    t.note_swap(report.latency_us, report.kv_bytes);
-                    t.set_epoch(report.epoch);
-                }
-                epoch = report.epoch;
-                dec_chunks = batch_chunks(n_seqs, target.microbatch.decode_size);
-                cur_plan = Some(target);
             }
         }
         for (mb, chunk) in dec_chunks.iter().enumerate() {
@@ -968,18 +1035,17 @@ pub(crate) fn drive_generation<T: Transport>(
                     // Infallible: the decode loop starts at done+1, so the
                     // prefill above pushed ≥1 token into every sequence.
                     let last = *tokens[s].last().expect("prefill produced a token");
-                    let x = master.model.embed_tokens(&[last], positions[s]);
+                    let x = model.embed_tokens(&[last], positions[s]);
                     (s, x)
                 })
                 .collect();
-            master.send(
-                WorkItem { step: step(), epoch, microbatch: mb, phase: Phase::Decode, sent_us: 0, seqs },
-                sup,
-            )?;
+            let item =
+                WorkItem { step: step(), epoch, microbatch: mb, phase: Phase::Decode, sent_us: 0, seqs };
+            master.send(WorkerMsg::Work(item), sup)?;
         }
         for chunk in &dec_chunks {
-            let item = master.recv_m(sup, &mut migration)?;
-            for (seq, tok) in master.sample_next(&item) {
+            let item = master.recv_m(sup, migration.as_deref_mut())?;
+            for (seq, tok) in master.sample_next(model, &item) {
                 tokens[seq].push(tok);
             }
             for &s in chunk {
@@ -988,112 +1054,8 @@ pub(crate) fn drive_generation<T: Transport>(
         }
     }
 
-    // Graceful shutdown. A full (bounded) queue may time this out; the
-    // workers then exit via channel disconnect (or wire EOF) when the
-    // master's endpoints drop, which flushes metrics all the same.
-    let _ = master.link.send_msg(WorkerMsg::Shutdown, sup.tick());
+    master.shutdown(sup);
     Ok(())
-}
-
-/// One generation attempt. `tokens` may hold an already-generated
-/// lock-step prefix (recovery resume); on failure it retains whatever
-/// progress was made. `migration` attaches a live plan-swap coordinator
-/// to the attempt (see [`crate::migrate`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_attempt(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    tokens: &mut [Vec<usize>],
-    n_generate: usize,
-    stage_weights: &StageWeights,
-    sup: &AttemptSupervision,
-    sink: &MetricsSink,
-    migration: Option<&mut MigrationCoordinator>,
-) -> Result<(), RuntimeError> {
-    let n_seqs = prompts.len();
-    let n_stages = plan.stages.len();
-    let done = tokens.iter().map(Vec::len).min().unwrap_or(0);
-    debug_assert!(tokens.iter().all(|t| t.len() == done), "resume requires lock-step prefix");
-    if done >= n_generate {
-        return Ok(());
-    }
-
-    // Attempt-local: records which stage dropped an item on a
-    // downstream disconnect, for root-cause attribution below.
-    let board = disconnect_board();
-
-    let res = std::thread::scope(|scope| {
-        // Channel chain: master → s0 → s1 → … → master, bounded when the
-        // supervision asks for backpressure.
-        let mut senders: Vec<Sender<WorkerMsg>> = Vec::new();
-        let mut receivers: Vec<Receiver<WorkerMsg>> = Vec::new();
-        for _ in 0..=n_stages {
-            let (tx, rx) = match sup.queue_cap {
-                Some(cap) => bounded(cap),
-                None => unbounded(),
-            };
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let to_first = senders[0].clone();
-        let from_last = receivers[n_stages].clone();
-        for (i, weights) in stage_weights.iter().enumerate() {
-            let rx = receivers[i].clone();
-            let tx = senders[i + 1].clone();
-            let ctx = WorkerCtx {
-                stage: i,
-                device: plan.stages[i].device,
-                n_heads: checkpoint.cfg.n_heads,
-                hidden: checkpoint.cfg.hidden,
-                alibi: checkpoint.cfg.alibi,
-                n_seqs,
-                injector: sup.injector.clone(),
-                heartbeats: sup.heartbeats.clone(),
-                sink: Some(sink.clone()),
-                telemetry: sup.telemetry.clone(),
-                bits: bits_label(&plan.stages[i]),
-                tick: sup.tick(),
-                disconnects: Some(board.clone()),
-                clock: sup.clock.clone(),
-                layer_start: plan.stages[i].layer_start,
-                migration: sup.migration_host.clone(),
-            };
-            scope.spawn(move || run_worker_ctx(weights, &ctx, rx, tx));
-        }
-        drop(senders);
-        drop(receivers);
-
-        let master =
-            Master::over_channels(checkpoint, to_first, from_last, sup.telemetry.clone(), n_stages);
-        let res =
-            drive_generation(&master, plan, prompts, tokens, n_generate, sup, migration);
-
-        // Un-wedge hung workers before the scope joins them. On the
-        // success path the workers have already drained (or will see the
-        // master's channels drop), so this is a no-op.
-        if res.is_err() {
-            if let Some(inj) = &sup.injector {
-                inj.set_abort();
-            }
-        }
-        res
-    });
-
-    // Root-cause attribution: if a stage recorded a dropped item on a
-    // downstream disconnect, the generic "worker died / stalled" the
-    // master saw is a symptom — surface the drop instead. Hangs and
-    // protocol violations keep their own, more specific, diagnosis.
-    match res {
-        Err(RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_)) => {
-            let dropped = board.lock().first().copied();
-            match dropped {
-                Some(stage) => Err(RuntimeError::StageDisconnected(stage)),
-                None => res,
-            }
-        }
-        _ => res,
-    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,12 @@
 //!   the whole model (§5, "On-The-Fly Quantizer");
 //! * one **offline entry point**, [`Pipeline`]: a builder whose options
 //!   (quantizer, fault plan, telemetry, supervision, replanner, swap
-//!   schedule) are properties of one run and whose `run` holds the
-//!   in-process engine's only attempt loop;
+//!   schedule) are properties of one run;
+//! * one **ring layer** under every master ([`engine`], [`serve_dist`]):
+//!   a [`ServingRing`] dials each attempt's ring (threads and channels,
+//!   or one TCP process per stage), one master endpoint sends, receives
+//!   and live-swaps on it, and one restart loop recovers in-process and
+//!   multi-process runs alike;
 //! * **supervision** ([`supervisor`]) that detects crashed or hung
 //!   stages via heartbeats and restarts or replans the pipeline, with
 //!   deterministic fault injection ([`fault`]) for resilience tests,
@@ -99,13 +103,12 @@ pub use serve::{
 pub use serve::{RungSwap, StepOutcome};
 pub use serve_dist::{ChannelRing, DistServeConfig, DistStepEngine, ServingRing};
 pub use simnet::{
-    elastic_arrivals, elastic_churn_plan, elastic_seed_sweep, run_elastic, run_serving_chaos,
-    run_sim, seed_sweep, serving_fault_plan, serving_seed_sweep, serving_swap, shrink_elastic_plan,
-    shrink_fault_plan, shrink_serving_plan, wire_exchange, ChurnEvent, ElasticChurnPlan,
-    ElasticRun, ElasticSimConfig, ElasticSweepFailure, ElasticSweepReport, ServingChaosConfig,
-    ServingChaosRun, ServingSweepFailure, ServingSweepReport, SimConfig, SimCrash, SimDeviceJoin,
-    SimFaultKind, SimFaultPlan, SimLinkEvent, SimPartition, SimReport, SweepFailure, SweepReport,
-    VirtualClock, WireExchange, WireExchangeConfig,
+    elastic_arrivals, elastic_churn_plan, run_elastic, run_serving_chaos, run_sim, seed_sweep,
+    serving_fault_plan, serving_swap, shrink_schedule, wire_exchange, ChurnEvent,
+    ElasticChurnPlan, ElasticRun, ElasticSimConfig, ElasticTally, ServingChaosConfig,
+    ServingChaosRun, ServingTally, SimConfig, SimCrash, SimDeviceJoin, SimFaultKind, SimFaultPlan,
+    SimLinkEvent, SimPartition, SimReport, SimScenario, SimSchedule, SimTally, SweepFailure,
+    SweepReport, VirtualClock, WireExchange, WireExchangeConfig,
 };
 pub use supervisor::{
     FoldReplanner, RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,

@@ -539,11 +539,6 @@ impl MigrationCoordinator {
         }
     }
 
-    /// Whether the pending swap has passed the point of no return.
-    pub fn commit_sent(&self) -> bool {
-        self.pending.as_ref().is_some_and(|p| p.commit_sent)
-    }
-
     /// Account KV bytes forwarded through the master during the commit
     /// window.
     pub fn add_kv_bytes(&mut self, n: u64) {

@@ -23,14 +23,16 @@
 //! the ring, every worker loop exits, and the stages circle back to
 //! accepting the next attempt, which resumes from the lock-step token
 //! checkpoint exactly like a supervised in-process
-//! [`Pipeline`](crate::Pipeline) run. The master keeps its own attempt
-//! loop: an attempt here is a TCP ring to dial, not threads to spawn.
+//! [`Pipeline`](crate::Pipeline) run.
 //!
-//! The generation loop itself is the engine's `drive_generation` — the
-//! same code the in-process engine runs, pointed at a TCP transport
-//! instead of a channel pair. That, plus the bit-exact activation
-//! codec, is why a loopback multi-process run emits byte-identical
-//! tokens.
+//! The master side is the shared ring layer pointed at sockets:
+//! [`TcpServingRing`] is the stage fleet as a
+//! [`ServingRing`](crate::serve_dist::ServingRing) (control plane once,
+//! one data ring per dial), [`run_master`] runs the engine's restart
+//! loop and generation loop over it — the same code the in-process
+//! engine runs over channels — and the serving engine dials the same
+//! ring type. That, plus the bit-exact activation codec, is why a
+//! loopback multi-process run emits byte-identical tokens.
 
 use super::fault::{WireFaultInjector, WireFaultPlan, MASTER_STAGE};
 use super::transport::{
@@ -38,10 +40,7 @@ use super::transport::{
 };
 use super::wire::{plan_fingerprint, Hello, HelloAck, Role, StageReport, WireMsg, WIRE_VERSION};
 use crate::clock::{real_clock, Clock};
-use crate::engine::{
-    bits_label, checkpoint_lockstep, drive_generation, validate_inputs, AttemptSupervision, Master,
-    RuntimeError,
-};
+use crate::engine::{bits_label, validate_inputs, AttemptLoop, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::MigrationHost;
@@ -53,7 +52,6 @@ use llm_pq::ExecutionPlan;
 use llmpq_model::RefModel;
 use llmpq_quant::Rounding;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -263,13 +261,8 @@ pub fn run_master(
 ) -> Result<DistOutput, RuntimeError> {
     validate_inputs(checkpoint, plan, prompts, n_generate, None)?;
     let n_stages = plan.stages.len();
-    let fp = plan_fingerprint(plan);
     let clock = real_clock();
     let start = clock.now();
-    let master_addr = listener
-        .local_addr()
-        .map_err(|e| wire_io("master listener has no local address", e))?
-        .to_string();
 
     // Admission accounting: the whole batch is offered, dispatched, and
     // served through the controller so the conservation invariant is
@@ -294,59 +287,24 @@ pub fn run_master(
     }
     while admission.take().is_some() {} // dispatch the whole batch
 
-    let ControlPlane { stage_addrs, shared, writers: control_writers } =
-        establish_control_plane(plan, listener, fp, &master_addr, &clock)?;
+    let owned = listener.try_clone().map_err(|e| wire_io("cloning the master listener", e))?;
+    let mut ring = TcpServingRing::establish(plan, owned, cfg)?;
+    let result = AttemptLoop {
+        model: checkpoint,
+        prompts,
+        n_generate,
+        supervisor: Some(&cfg.supervisor),
+        telemetry: cfg.telemetry.clone(),
+        local_gauges: false,
+        replanner: None,
+    }
+    .run(&mut ring, plan.clone(), None, |_, _| {
+        unreachable!("only a replan or a committed swap re-targets a ring; this run has neither")
+    });
+    ring.finish(result.is_ok());
+    let run = result?;
 
-    // --- Phase 4: attempts ----------------------------------------------
-    let sup_cfg = &cfg.supervisor;
-    let injector = WireFaultInjector::new(&cfg.wire_faults, MASTER_STAGE);
-    let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
-    let mut attempt = 0usize;
-    let result = loop {
-        shared.dropped.lock().clear();
-        for s in 0..n_stages {
-            shared.hb.beat(s); // restart staleness clocks for the attempt
-        }
-        let res = master_attempt(
-            checkpoint, plan, prompts, &mut tokens, n_generate, listener, cfg, fp,
-            attempt, &stage_addrs[0], &shared, injector.clone(), &clock,
-        );
-        match res {
-            Ok(()) => break Ok(()),
-            Err(e) => {
-                if let Some(d) = *shared.device_lost.lock() {
-                    break Err(RuntimeError::DeviceLost(d));
-                }
-                // Root-cause attribution: a wire `Dropped` note names the
-                // stage whose downstream link died.
-                let e = match (&e, shared.dropped.lock().first().copied()) {
-                    (RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_), Some(s)) => {
-                        RuntimeError::StageDisconnected(s)
-                    }
-                    _ => e,
-                };
-                if attempt >= sup_cfg.max_restarts {
-                    break Err(e);
-                }
-                checkpoint_lockstep(&mut tokens);
-                clock.sleep(sup_cfg.backoff(attempt));
-                attempt += 1;
-            }
-        }
-    };
-    // --- Phase 5: bye, reports, teardown --------------------------------
-    for w in &control_writers {
-        let _ = write_wire_msg(&mut *w.lock(), &WireMsg::Bye);
-    }
-    if result.is_ok() {
-        wait_for_reports(&shared, clock.as_ref(), REPORT_TIMEOUT);
-    }
-    for w in &control_writers {
-        let _ = w.lock().shutdown(Shutdown::Both);
-    }
-    result?;
-
-    let reports = shared.reports.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    let reports = ring.reports();
     if let Some(t) = &cfg.telemetry {
         for r in reports.iter().flatten() {
             if let Some(l) = t.link(r.stage as usize) {
@@ -384,9 +342,9 @@ pub fn run_master(
         )));
     }
     Ok(DistOutput {
-        tokens,
+        tokens: run.tokens,
         wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-        restarts: attempt,
+        restarts: run.restarts,
         stage_metrics: (0..n_stages)
             .map(|s| reports[s].as_ref().map(|r| r.metrics).unwrap_or_default())
             .collect(),
@@ -397,8 +355,7 @@ pub fn run_master(
 
 /// Master-side control plane: the persistent per-stage connections plus
 /// the shared state their reader threads feed. Built once per run by
-/// [`establish_control_plane`]; shared by [`run_master`] and the
-/// serving-path [`TcpServingRing`].
+/// [`establish_control_plane`] for a [`TcpServingRing`].
 struct ControlPlane {
     /// Data-listener address each stage reported in its control hello.
     stage_addrs: Vec<String>,
@@ -535,165 +492,19 @@ fn merge_plain(into: &mut LinkStats, add: &LinkStats) {
     into.corrupt_frames += add.corrupt_frames;
 }
 
-/// One distributed attempt: build the data ring (dial stage 0, accept
-/// the last stage's return connection), run the shared generation loop,
-/// tear the ring down by dropping the endpoints.
-#[allow(clippy::too_many_arguments)]
-fn master_attempt(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    tokens: &mut [Vec<usize>],
-    n_generate: usize,
-    listener: &TcpListener,
-    cfg: &DistMasterConfig,
-    fp: u64,
-    attempt: usize,
-    s0_addr: &str,
-    shared: &Arc<ControlShared>,
-    injector: Arc<WireFaultInjector>,
-    clock: &Arc<dyn Clock>,
-) -> Result<(), RuntimeError> {
-    let n_stages = plan.stages.len();
-    let done = tokens.iter().map(Vec::len).min().unwrap_or(0);
-    if done >= n_generate {
-        return Ok(());
-    }
-    let sup_cfg = &cfg.supervisor;
-    let (ret, down) = dial_data_ring(listener, s0_addr, fp, attempt, sup_cfg, clock)?;
-
-    let transport = TcpTransport::spawn(
-        ret,
-        down,
-        TcpTransportConfig {
-            faults: Some(injector),
-            telemetry: cfg.telemetry.clone(),
-            rx_link: n_stages,
-            tx_link: 0,
-            tid: 0,
-            clock: clock.clone(),
-        },
-    );
-    let master = Master {
-        model: checkpoint,
-        link: transport,
-        last_step: Cell::new(None),
-        telemetry: cfg.telemetry.clone(),
-        local_gauges: false,
-    };
-    let sup = AttemptSupervision {
-        injector: None,
-        heartbeats: Some(shared.hb.clone()),
-        heartbeat_timeout: Some(Duration::from_millis(sup_cfg.heartbeat_timeout_ms)),
-        progress_timeout: Some(Duration::from_millis(sup_cfg.progress_timeout_ms)),
-        tick: Some(Duration::from_millis(sup_cfg.tick_ms.max(1))),
-        telemetry: cfg.telemetry.clone(),
-        queue_cap: None,
-        clock: clock.clone(),
-        migration_host: None,
-    };
-    drive_generation(&master, plan, prompts, tokens, n_generate, &sup, None)
-    // `master` (and its transport) drops here: both data endpoints
-    // close, the EOF cascades down the ring, and the stages circle back
-    // to accepting the next attempt.
-}
-
-/// Build one attempt's data ring: dial stage 0 (retrying along the
-/// supervisor's backoff curve — the stage may still be tearing the
-/// previous attempt down), then accept the last stage's return
-/// connection, refusing stray or stale dials. Returns the
-/// `(return, downstream)` endpoint pair for [`TcpTransport::spawn`].
-fn dial_data_ring(
-    listener: &TcpListener,
-    s0_addr: &str,
-    fp: u64,
-    attempt: usize,
-    sup_cfg: &SupervisorConfig,
-    clock: &Arc<dyn Clock>,
-) -> Result<(TcpStream, TcpStream), RuntimeError> {
-    // Jitter seeded by the attempt so redial timing stays deterministic
-    // per topology.
-    let mut down = connect_retry(
-        s0_addr,
-        16,
-        Duration::from_millis(sup_cfg.backoff_base_ms.max(1)),
-        sup_cfg.backoff_factor.max(1.0),
-        Duration::from_millis(sup_cfg.backoff_cap_ms.max(1)),
-        attempt as u64,
-    )
-    .map_err(|e| wire_io(&format!("dialing stage 0 at {s0_addr}"), e))?;
-    let _ = down.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let hello = Hello {
-        version: WIRE_VERSION,
-        role: Role::Data,
-        stage: 0,
-        attempt: attempt as u32,
-        plan_hash: fp,
-        listen_addr: String::new(),
-        bits: Vec::new(),
-    };
-    write_wire_msg(&mut down, &WireMsg::Hello(hello))
-        .map_err(|e| wire_io("sending data hello to stage 0", e))?;
-    match read_wire_msg(&mut down) {
-        Ok(WireMsg::HelloAck(a)) if a.accepted => {}
-        Ok(WireMsg::HelloAck(a)) => return Err(RuntimeError::BadPlan(a.reason)),
-        Ok(m) => {
-            return Err(RuntimeError::Protocol(format!("expected hello-ack from stage 0, got {m:?}")))
-        }
-        Err(e) => return Err(wire_io("reading stage 0 hello-ack", e)),
-    }
-
-    // Accept the last stage's return connection. Stray or stale dials
-    // (e.g. a previous attempt's late return) are acked away and the
-    // accept continues until the deadline.
-    let ret = loop {
-        let mut c = accept_deadline(listener, clock.as_ref(), clock.deadline(HANDSHAKE_TIMEOUT))
-            .map_err(|e| wire_io("waiting for the return data connection", e))?;
-        let _ = c.set_read_timeout(Some(Duration::from_secs(3)));
-        match read_wire_msg(&mut c) {
-            Ok(WireMsg::Hello(h))
-                if h.role == Role::ReturnData
-                    && h.attempt == attempt as u32
-                    && h.plan_hash == fp =>
-            {
-                let ack = HelloAck {
-                    version: WIRE_VERSION,
-                    plan_hash: fp,
-                    accepted: true,
-                    reason: String::new(),
-                };
-                write_wire_msg(&mut c, &WireMsg::HelloAck(ack))
-                    .map_err(|e| wire_io("acking the return connection", e))?;
-                break c;
-            }
-            Ok(WireMsg::Hello(_)) => {
-                let ack = HelloAck {
-                    version: WIRE_VERSION,
-                    plan_hash: fp,
-                    accepted: false,
-                    reason: "stale or mismatched return connection".into(),
-                };
-                let _ = write_wire_msg(&mut c, &WireMsg::HelloAck(ack));
-            }
-            _ => {} // damaged stray; drop and keep accepting
-        }
-    };
-    Ok((ret, down))
-}
-
-/// Multi-process serving ring: the TCP counterpart of
-/// [`ChannelRing`](crate::serve_dist::ChannelRing), backing a
-/// [`DistStepEngine`](crate::serve_dist::DistStepEngine) with one
-/// [`run_stage`] process per pipeline stage.
+/// Multi-process ring: the TCP counterpart of
+/// [`ChannelRing`](crate::serve_dist::ChannelRing), with one
+/// [`run_stage`] process per pipeline stage. [`run_master`] runs a
+/// batch over it; a [`DistStepEngine`](crate::serve_dist::DistStepEngine)
+/// serves over it.
 ///
 /// The control plane (stage check-in, topology, heartbeats, reports) is
-/// established once; each `dial` builds a fresh per-attempt data ring
-/// exactly like [`run_master`]'s attempt loop. Teardown is the EOF
-/// cascade: the engine drops the master link, every stage's worker loop
-/// exits, and the stages circle back to accepting the next attempt —
-/// so `teardown` itself has nothing to do. Stages always serve the
-/// *boot* plan on a fresh attempt; the engine replays any committed
-/// live-swap on top before resuming traffic.
+/// established once; each `dial` builds a fresh per-attempt data ring.
+/// Teardown is the EOF cascade: the master drops its link, every
+/// stage's worker loop exits, and the stages circle back to accepting
+/// the next attempt — so `teardown` itself has nothing to do. Stages
+/// always serve the *boot* plan on a fresh attempt; the serving engine
+/// replays any committed live-swap on top before resuming traffic.
 pub struct TcpServingRing {
     listener: TcpListener,
     fp: u64,
@@ -701,6 +512,7 @@ pub struct TcpServingRing {
     s0_addr: String,
     supervisor: SupervisorConfig,
     injector: Arc<WireFaultInjector>,
+    telemetry: Option<Arc<Telemetry>>,
     clock: Arc<dyn Clock>,
     shared: Arc<ControlShared>,
     writers: Vec<Arc<Mutex<TcpStream>>>,
@@ -730,6 +542,7 @@ impl TcpServingRing {
             s0_addr: cp.stage_addrs[0].clone(),
             supervisor: cfg.supervisor,
             injector: WireFaultInjector::new(&cfg.wire_faults, MASTER_STAGE),
+            telemetry: cfg.telemetry.clone(),
             clock,
             shared: cp.shared,
             writers: cp.writers,
@@ -742,25 +555,120 @@ impl TcpServingRing {
     pub fn reports(&self) -> Vec<Option<StageReport>> {
         self.shared.reports.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
+
+    /// Build one attempt's data ring: dial stage 0 (retrying along the
+    /// supervisor's backoff curve — the stage may still be tearing the
+    /// previous attempt down), then accept the last stage's return
+    /// connection, refusing stray or stale dials. Returns the
+    /// `(return, downstream)` endpoint pair for [`TcpTransport::spawn`].
+    fn dial_data_ring(&self, attempt: usize) -> Result<(TcpStream, TcpStream), String> {
+        let (fp, s0_addr, sup_cfg) = (self.fp, &self.s0_addr, &self.supervisor);
+        // Jitter seeded by the attempt so redial timing stays deterministic
+        // per topology.
+        let mut down = connect_retry(
+            s0_addr,
+            16,
+            Duration::from_millis(sup_cfg.backoff_base_ms.max(1)),
+            sup_cfg.backoff_factor.max(1.0),
+            Duration::from_millis(sup_cfg.backoff_cap_ms.max(1)),
+            attempt as u64,
+        )
+        .map_err(|e| format!("dialing stage 0 at {s0_addr}: {e}"))?;
+        let _ = down.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+        let hello = Hello {
+            version: WIRE_VERSION,
+            role: Role::Data,
+            stage: 0,
+            attempt: attempt as u32,
+            plan_hash: fp,
+            listen_addr: String::new(),
+            bits: Vec::new(),
+        };
+        write_wire_msg(&mut down, &WireMsg::Hello(hello))
+            .map_err(|e| format!("sending data hello to stage 0: {e}"))?;
+        match read_wire_msg(&mut down) {
+            Ok(WireMsg::HelloAck(a)) if a.accepted => {}
+            Ok(WireMsg::HelloAck(a)) => {
+                return Err(format!("stage 0 refused the data hello: {}", a.reason))
+            }
+            Ok(m) => return Err(format!("expected hello-ack from stage 0, got {m:?}")),
+            Err(e) => return Err(format!("reading stage 0 hello-ack: {e}")),
+        }
+
+        // Accept the last stage's return connection. Stray or stale dials
+        // (e.g. a previous attempt's late return) are acked away and the
+        // accept continues until the deadline.
+        let ret = loop {
+            let deadline = self.clock.deadline(HANDSHAKE_TIMEOUT);
+            let mut c = accept_deadline(&self.listener, self.clock.as_ref(), deadline)
+                .map_err(|e| format!("waiting for the return data connection: {e}"))?;
+            let _ = c.set_read_timeout(Some(Duration::from_secs(3)));
+            match read_wire_msg(&mut c) {
+                Ok(WireMsg::Hello(h))
+                    if h.role == Role::ReturnData
+                        && h.attempt == attempt as u32
+                        && h.plan_hash == fp =>
+                {
+                    let ack = HelloAck {
+                        version: WIRE_VERSION,
+                        plan_hash: fp,
+                        accepted: true,
+                        reason: String::new(),
+                    };
+                    write_wire_msg(&mut c, &WireMsg::HelloAck(ack))
+                        .map_err(|e| format!("acking the return connection: {e}"))?;
+                    break c;
+                }
+                Ok(WireMsg::Hello(_)) => {
+                    let ack = HelloAck {
+                        version: WIRE_VERSION,
+                        plan_hash: fp,
+                        accepted: false,
+                        reason: "stale or mismatched return connection".into(),
+                    };
+                    let _ = write_wire_msg(&mut c, &WireMsg::HelloAck(ack));
+                }
+                _ => {} // damaged stray; drop and keep accepting
+            }
+        };
+        Ok((ret, down))
+    }
+
+    /// Say `Bye` to every stage, wait for their reports if asked to (a
+    /// fleet whose run failed may never send them), and close the
+    /// control plane. `Drop` does this too; a second call is a no-op.
+    fn finish(&mut self, wait_reports: bool) {
+        if self.writers.is_empty() {
+            return;
+        }
+        for w in &self.writers {
+            let _ = write_wire_msg(&mut *w.lock(), &WireMsg::Bye);
+        }
+        if wait_reports {
+            wait_for_reports(&self.shared, self.clock.as_ref(), REPORT_TIMEOUT);
+        }
+        for w in self.writers.drain(..) {
+            let _ = w.lock().shutdown(Shutdown::Both);
+        }
+    }
 }
 
 impl crate::serve_dist::ServingRing for TcpServingRing {
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
-        let (ret, down) = dial_data_ring(
-            &self.listener,
-            &self.s0_addr,
-            self.fp,
-            attempt,
-            &self.supervisor,
-            &self.clock,
-        )
-        .map_err(|e| e.to_string())?;
+        // Per-attempt view of what the control plane reports: forget the
+        // last attempt's dropped-item notes and restart every stage's
+        // staleness clock — a (re)connecting stage counts as alive.
+        self.shared.dropped.lock().clear();
+        for s in 0..self.n_stages {
+            self.shared.hb.beat(s);
+        }
+        let (ret, down) = self.dial_data_ring(attempt)?;
         Ok(Box::new(TcpTransport::spawn(
             ret,
             down,
             TcpTransportConfig {
                 faults: Some(self.injector.clone()),
-                telemetry: None,
+                telemetry: self.telemetry.clone(),
                 rx_link: self.n_stages,
                 tx_link: 0,
                 tid: 0,
@@ -770,25 +678,32 @@ impl crate::serve_dist::ServingRing for TcpServingRing {
     }
 
     fn teardown(&mut self) {
-        // Nothing to join: the engine dropping the master link closes
-        // both data endpoints, the EOF cascades down the ring, and each
+        // Nothing to join: the master dropping its link closes both
+        // data endpoints, the EOF cascades down the ring, and each
         // stage circles back to accepting the next attempt.
     }
 
     fn n_stages(&self) -> usize {
         self.n_stages
     }
+
+    fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
+        Some(self.shared.hb.clone())
+    }
+
+    /// A wire `Dropped` note names the stage whose downstream link died.
+    fn dropped_stage(&self) -> Option<usize> {
+        self.shared.dropped.lock().first().copied()
+    }
+
+    fn lost_devices(&self) -> Vec<usize> {
+        self.shared.device_lost.lock().iter().copied().collect()
+    }
 }
 
 impl Drop for TcpServingRing {
     fn drop(&mut self) {
-        for w in &self.writers {
-            let _ = write_wire_msg(&mut *w.lock(), &WireMsg::Bye);
-        }
-        wait_for_reports(&self.shared, self.clock.as_ref(), REPORT_TIMEOUT);
-        for w in &self.writers {
-            let _ = w.lock().shutdown(Shutdown::Both);
-        }
+        self.finish(true);
     }
 }
 

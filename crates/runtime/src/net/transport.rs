@@ -65,11 +65,10 @@ pub trait Transport {
     fn beat(&self) {}
 }
 
-// All trait methods take `&self`, so a borrowed transport is itself a
-// transport — lets callers thread one link through helpers (e.g. a
-// temporary `Master` built for a single swap barrier) without giving up
-// ownership.
-impl<T: Transport + ?Sized> Transport for &T {
+// A ring hands its master link out as a boxed trait object
+// ([`ServingRing::dial`](crate::serve_dist::ServingRing::dial)); the
+// master endpoint is generic over its transport, so the box must be one.
+impl<T: Transport + ?Sized> Transport for Box<T> {
     fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
         (**self).recv_msg(timeout)
     }

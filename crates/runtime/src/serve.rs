@@ -284,10 +284,12 @@ pub struct SimStepEngine {
     vocab: usize,
     seed: u64,
     rung: usize,
-    swap_stall_s: f64,
     max_seq: usize,
     seqs: HashMap<u64, SimSeq>,
 }
+
+/// Virtual stall the analytic engine charges per precision swap.
+const SIM_SWAP_STALL_S: f64 = 5e-3;
 
 impl SimStepEngine {
     /// Engine over `pool_cfg` blocks with the given per-rung costs.
@@ -299,7 +301,6 @@ impl SimStepEngine {
             vocab: vocab.max(1),
             seed,
             rung: 0,
-            swap_stall_s: 5e-3,
             max_seq: usize::MAX,
             seqs: HashMap::new(),
         }
@@ -308,12 +309,6 @@ impl SimStepEngine {
     /// Cap sequence length (prompt + generation) like a model context.
     pub fn with_max_seq(mut self, max_seq: usize) -> Self {
         self.max_seq = max_seq;
-        self
-    }
-
-    /// Override the virtual stall charged per precision swap.
-    pub fn with_swap_stall(mut self, s: f64) -> Self {
-        self.swap_stall_s = s;
         self
     }
 }
@@ -381,7 +376,7 @@ impl StepEngine for SimStepEngine {
 
     fn set_rung(&mut self, rung: usize) -> f64 {
         self.rung = rung.min(self.costs.len() - 1);
-        self.swap_stall_s
+        SIM_SWAP_STALL_S
     }
 
     fn rung(&self) -> usize {
@@ -1421,6 +1416,17 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     /// [`transitions`](Self::transitions), engine restart counters)
     /// use this instead of [`serve_continuous`].
     pub fn run_trace(&mut self, requests: &[Request]) -> Result<f64, String> {
+        self.run_trace_with(requests, |_| {})
+    }
+
+    /// [`run_trace`](Self::run_trace), handing every iteration's
+    /// [`StepOutcome`] to `on_step` (the chaos harness audits landed
+    /// tokens there).
+    pub(crate) fn run_trace_with(
+        &mut self,
+        requests: &[Request],
+        mut on_step: impl FnMut(&StepOutcome),
+    ) -> Result<f64, String> {
         let mut now = 0.0f64;
         let mut idx = 0usize;
         let mut makespan = 0.0f64;
@@ -1430,6 +1436,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 idx += 1;
             }
             let out = self.step(now).map_err(|e| e.to_string())?;
+            on_step(&out);
             if out.idle {
                 if idx < requests.len() {
                     now = requests[idx].arrival_s;

@@ -7,20 +7,30 @@
 //! [`ModelStepEngine`](crate::serve::ModelStepEngine): the master keeps
 //! embedding, logits projection and sampling, while decoder layers run
 //! on stage workers connected by a [`Transport`] ring — in-process
-//! channels, real TCP processes, or the simulated network, all through
-//! the same engine. The [`ContinuousScheduler`](crate::serve::ContinuousScheduler)
-//! runs unchanged on top.
+//! channels or real TCP processes, through the same engine. The
+//! [`ContinuousScheduler`](crate::serve::ContinuousScheduler) runs
+//! unchanged on top.
 //!
-//! Fault model: any ring failure (crash, hang past the op deadline,
-//! wire disconnect, post-commit swap loss) marks the ring *down* and
-//! surfaces as [`StepError::RingRestarted`] on the next engine call.
-//! The scheduler reacts by requeueing every in-flight sequence for
-//! recompute (the `recovered` conservation leg); the next call lazily
-//! rebuilds the ring from the boot plan and — when the engine had
-//! already committed a precision swap — replays the two-phase barrier
-//! so the fresh ring resumes on the committed rung. Greedy decoding
-//! makes the recompute bit-identical, so a crash is invisible in the
-//! token stream.
+//! The ring layer is shared with the offline runner. A [`ServingRing`]
+//! is how an attempt's ring comes to exist — [`ChannelRing`] (threads
+//! and channels; also what [`Pipeline::run`](crate::Pipeline::run) dials
+//! every attempt from) or the TCP stage fleet in [`crate::net::dist`] —
+//! and the engine talks to the dialled link through the one master
+//! endpoint, `engine::Master`: a forward is a send and a receive, a
+//! slot recycle is a send, a rung change is the master-side swap
+//! barrier the offline generation loop also runs. What stays the
+//! engine's own is the *driver*: one work item per scheduler call, and
+//! the serving failure policy below.
+//!
+//! Fault model: any ring failure (crash, hang past the op timeout, wire
+//! disconnect, a swap that aborts or dies in its barrier) marks the ring
+//! *down* and surfaces as [`StepError::RingRestarted`] on the next
+//! engine call. The scheduler reacts by requeueing every in-flight
+//! sequence for recompute (the `recovered` conservation leg); the next
+//! call lazily rebuilds the ring from the boot plan and — when the
+//! engine is on a rung other than 0 — replays the two-phase barrier so
+//! the fresh ring resumes on that rung. Greedy decoding makes the
+//! recompute bit-identical, so a crash is invisible in the token stream.
 //!
 //! Precision rungs are full [`ExecutionPlan`]s: `set_rung` runs the
 //! live-migration protocol (§14) between scheduler iterations — the
@@ -28,15 +38,18 @@
 //! barrier needs no token boundary bookkeeping.
 
 use crate::clock::{real_clock, Clock};
-use crate::engine::bits_label;
-use crate::fault::{FaultInjector, FaultPlan};
+use crate::engine::{bits_label, load_all_stages, AttemptSupervision, Master};
+use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
 use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError};
-use crate::loader::load_stage_weights;
-use crate::migrate::MigrationHost;
-use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
+use crate::loader::LoaderStats;
+use crate::migrate::{MigrationCoordinator, MigrationHost, SwapRequest};
+use crate::net::transport::{ChannelTransport, Transport};
 use crate::serve::{IterCost, StepEngine, StepError};
-use crate::worker::{run_worker_ctx, WorkItem, WorkerCtx, WorkerMsg};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::telemetry::Telemetry;
+use crate::worker::{
+    disconnect_board, run_worker_ctx, DisconnectBoard, MetricsSink, WorkItem, WorkerCtx, WorkerMsg,
+};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use llm_pq::ExecutionPlan;
 use llmpq_model::{argmax, Matrix, Phase, RefModel};
 use llmpq_quant::Rounding;
@@ -54,16 +67,12 @@ pub struct DistServeConfig {
     pub pool: KvPoolConfig,
     /// Ring rebuilds allowed before the engine gives up for good.
     pub max_restarts: usize,
-    /// Real-time deadline for one ring round-trip or barrier phase; an
-    /// op exceeding it is treated as a lost ring (hung stage).
+    /// Real-time deadline for one ring send, one wait for an echo, or
+    /// one barrier phase (the master endpoint's progress timeout); an op
+    /// exceeding it is treated as a lost ring (hung stage).
     pub op_timeout: Duration,
     /// Receive/retry granularity on the ring link.
     pub tick: Duration,
-    /// Virtual stall charged per committed precision swap. The default
-    /// (0) matches [`ModelStepEngine`](crate::serve::ModelStepEngine),
-    /// keeping the virtual timelines of a local and a distributed run
-    /// identical — the token-equality tests rely on that.
-    pub swap_stall_s: f64,
 }
 
 impl Default for DistServeConfig {
@@ -74,20 +83,27 @@ impl Default for DistServeConfig {
             max_restarts: 4,
             op_timeout: Duration::from_secs(10),
             tick: Duration::from_millis(2),
-            swap_stall_s: 0.0,
         }
     }
 }
 
-/// A pipeline-ring backend the engine can (re)dial: per attempt it
-/// hands out a fresh master-side [`Transport`] whose far end is stage
-/// 0 and whose receive side is the last stage. Implementations:
+/// Virtual stall charged per precision swap: none, like
+/// [`ModelStepEngine`](crate::serve::ModelStepEngine), which keeps the
+/// virtual timelines of a local and a distributed run identical — the
+/// token-equality tests rely on that.
+const SWAP_STALL_S: f64 = 0.0;
+
+/// A pipeline-ring backend a master can (re)dial: per attempt it hands
+/// out a fresh master-side [`Transport`] whose far end is stage 0 and
+/// whose receive side is the last stage. Implementations:
 /// [`ChannelRing`] (in-process threads) and the TCP stage ring in
-/// [`crate::net::dist`].
+/// [`crate::net::dist`]. The defaulted methods are what a medium can
+/// observe about the attempt it carries; a master's restart loop reads
+/// them to detect hangs and name root causes.
 pub trait ServingRing: Send {
     /// Establish attempt `attempt` and return the master link. Stages
-    /// always boot on the *boot* plan; the engine replays committed
-    /// swaps on top.
+    /// boot on the ring's *boot* plan; the serving engine replays
+    /// committed swaps on top.
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String>;
     /// Tear down the current attempt (un-wedge hung workers, join or
     /// disown them). Called after the master link is dropped; must be
@@ -95,30 +111,98 @@ pub trait ServingRing: Send {
     fn teardown(&mut self);
     /// Number of pipeline stages in the ring.
     fn n_stages(&self) -> usize;
+    /// The board the stages of the current attempt stamp their
+    /// heartbeats on, if the ring keeps one.
+    fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
+        None
+    }
+    /// The first stage that reported dropping a work item during the
+    /// current attempt because its downstream link disconnected.
+    fn dropped_stage(&self) -> Option<usize> {
+        None
+    }
+    /// Cluster device ids reported permanently lost so far.
+    fn lost_devices(&self) -> Vec<usize> {
+        Vec::new()
+    }
 }
 
 /// In-process ring: one OS thread per stage over crossbeam channels,
-/// boot-plan weights quantized once and shared across attempts. The
-/// serving analog of [`run_attempt`](crate::engine)'s channel chain,
-/// with a [`MigrationHost`] on every worker so live swaps work.
+/// the plan's shards quantized once and shared across attempts — the
+/// runtime's only channel-chain builder. The serving engine gets one
+/// from [`new`](Self::new) (fault injector and a [`MigrationHost`] on
+/// every worker so live swaps work); the offline
+/// [`Pipeline`](crate::Pipeline) loads one per plan and attaches the
+/// supervision of its run through the crate-private fields.
 pub struct ChannelRing {
     stage_weights: Vec<Arc<Vec<llmpq_model::LayerWeights>>>,
+    /// What the on-the-fly loader did for each stage's shard.
+    pub(crate) loader_stats: Vec<LoaderStats>,
     boot: ExecutionPlan,
     n_heads: usize,
     hidden: usize,
     alibi: bool,
     n_slots: usize,
     tick: Duration,
-    injector: Arc<FaultInjector>,
-    host: Arc<MigrationHost>,
     clock: Arc<dyn Clock>,
+    /// Worker fault injection, shared across the rings of one run so
+    /// consumed events and lost devices persist.
+    pub(crate) injector: Option<Arc<FaultInjector>>,
+    /// Lets workers prepare proposed plans; without it they refuse a
+    /// proposal with a typed abort.
+    pub(crate) host: Option<Arc<MigrationHost>>,
+    /// Heartbeat board the workers stamp (supervised runs).
+    pub(crate) heartbeats: Option<Arc<Heartbeats>>,
+    /// Where workers flush their execution counters, one slot per stage.
+    pub(crate) sink: Option<MetricsSink>,
+    /// Hub for worker spans, queue gauges and link counters.
+    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    /// `Some(k)` bounds every channel of an attempt to `k` in-flight
+    /// messages, so a slow stage backpressures its upstream (and
+    /// ultimately the master's admission) instead of buffering
+    /// unboundedly.
+    pub(crate) queue_cap: Option<usize>,
+    /// Which stages dropped an item on a downstream disconnect during
+    /// the current attempt.
+    disconnects: DisconnectBoard,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ChannelRing {
-    /// Quantize the boot shards and prepare the ring (no threads run
-    /// until the first [`dial`](ServingRing::dial)). `faults` attaches
-    /// deterministic worker-fault injection for chaos tests.
+    /// Quantize `boot`'s shards (no threads run until the first
+    /// [`dial`](ServingRing::dial)); every optional attachment off.
+    pub(crate) fn load(
+        checkpoint: &RefModel,
+        boot: ExecutionPlan,
+        rounding: Rounding,
+        seed: u64,
+        n_slots: usize,
+        tick: Duration,
+    ) -> Self {
+        let (weights, loader_stats) = load_all_stages(checkpoint, &boot, rounding, seed);
+        Self {
+            stage_weights: weights.into_iter().map(Arc::new).collect(),
+            loader_stats,
+            n_heads: checkpoint.cfg.n_heads,
+            hidden: checkpoint.cfg.hidden,
+            alibi: checkpoint.cfg.alibi,
+            boot,
+            n_slots,
+            tick,
+            clock: real_clock(),
+            injector: None,
+            host: None,
+            heartbeats: None,
+            sink: None,
+            telemetry: None,
+            queue_cap: None,
+            disconnects: disconnect_board(),
+            threads: Vec::new(),
+        }
+    }
+
+    /// The serving ring on `boot`: workers can live-swap, and `faults`
+    /// attaches deterministic worker-fault injection for chaos tests.
     pub fn new(
         checkpoint: &RefModel,
         boot: ExecutionPlan,
@@ -129,44 +213,35 @@ impl ChannelRing {
         faults: Option<FaultPlan>,
     ) -> Result<Self, String> {
         boot.validate(checkpoint.cfg.n_layers)?;
-        let stage_weights = boot
-            .stages
-            .iter()
-            .map(|s| {
-                let (w, _) = load_stage_weights(checkpoint, s.layer_start, &s.bits, rounding, seed);
-                Arc::new(w)
-            })
-            .collect();
-        Ok(Self {
-            stage_weights,
-            n_heads: checkpoint.cfg.n_heads,
-            hidden: checkpoint.cfg.hidden,
-            alibi: checkpoint.cfg.alibi,
-            boot,
-            n_slots,
-            tick,
-            injector: FaultInjector::new(&faults.unwrap_or_default()),
-            host: Arc::new(MigrationHost::new(checkpoint.clone(), rounding, seed)),
-            clock: real_clock(),
-            threads: Vec::new(),
-        })
-    }
-
-    /// The shared fault injector (tests flip its abort flag directly).
-    pub fn injector(&self) -> Arc<FaultInjector> {
-        self.injector.clone()
+        let mut ring = Self::load(checkpoint, boot, rounding, seed, n_slots, tick);
+        ring.injector = Some(FaultInjector::new(&faults.unwrap_or_default()));
+        ring.host = Some(Arc::new(MigrationHost::new(checkpoint.clone(), rounding, seed)));
+        Ok(ring)
     }
 }
 
 impl ServingRing for ChannelRing {
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
         self.teardown();
-        self.injector.begin_attempt(attempt);
+        if let Some(inj) = &self.injector {
+            inj.begin_attempt(attempt);
+        }
+        self.disconnects.lock().clear();
         let n_stages = self.boot.stages.len();
+        if let Some(hb) = &self.heartbeats {
+            // A freshly spawned stage counts as alive: its slot would
+            // otherwise read as stale since the previous attempt until
+            // the worker thread's first beat.
+            (0..n_stages).for_each(|s| hb.beat(s));
+        }
+        // Channel chain: master → s0 → s1 → … → master.
         let mut senders: Vec<Sender<WorkerMsg>> = Vec::new();
         let mut receivers: Vec<Receiver<WorkerMsg>> = Vec::new();
         for _ in 0..=n_stages {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = match self.queue_cap {
+                Some(cap) => bounded(cap),
+                None => unbounded(),
+            };
             senders.push(tx);
             receivers.push(rx);
         }
@@ -183,20 +258,28 @@ impl ServingRing for ChannelRing {
                 hidden: self.hidden,
                 alibi: self.alibi,
                 n_seqs: self.n_slots,
-                injector: Some(self.injector.clone()),
-                heartbeats: None,
-                sink: None,
-                telemetry: None,
+                injector: self.injector.clone(),
+                heartbeats: self.heartbeats.clone(),
+                sink: self.sink.clone(),
+                telemetry: self.telemetry.clone(),
                 bits: bits_label(&self.boot.stages[i]),
                 tick: self.tick,
-                disconnects: None,
+                disconnects: Some(self.disconnects.clone()),
                 clock: self.clock.clone(),
                 layer_start: self.boot.stages[i].layer_start,
-                migration: Some(self.host.clone()),
+                migration: self.host.clone(),
             };
             self.threads.push(std::thread::spawn(move || run_worker_ctx(&weights, &ctx, rx, tx)));
         }
-        Ok(Box::new(crate::net::transport::ChannelTransport::new(from_last, to_first)))
+        // Master link, with link accounting when traced: outbound =
+        // link 0, inbound = link `n_stages`.
+        Ok(Box::new(ChannelTransport::observed(
+            from_last,
+            to_first,
+            self.telemetry.clone(),
+            n_stages,
+            0,
+        )))
     }
 
     fn teardown(&mut self) {
@@ -205,7 +288,9 @@ impl ServingRing for ChannelRing {
         }
         // Un-wedge hung workers; live ones exit via channel disconnect
         // once the master link (dropped by the caller) cascades.
-        self.injector.set_abort();
+        if let Some(inj) = &self.injector {
+            inj.set_abort();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -213,6 +298,18 @@ impl ServingRing for ChannelRing {
 
     fn n_stages(&self) -> usize {
         self.boot.stages.len()
+    }
+
+    fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
+        self.heartbeats.clone()
+    }
+
+    fn dropped_stage(&self) -> Option<usize> {
+        self.disconnects.lock().first().copied()
+    }
+
+    fn lost_devices(&self) -> Vec<usize> {
+        self.injector.as_ref().map(|i| i.lost_devices()).unwrap_or_default()
     }
 }
 
@@ -222,148 +319,21 @@ impl Drop for ChannelRing {
     }
 }
 
-/// Any ring failure, collapsed: the engine's reaction is always the
-/// same — mark the ring down and let the scheduler requeue.
-struct RingLost(String);
-
-/// Borrowed view over the master link for one ring operation.
-struct RingIo<'a> {
-    link: &'a dyn Transport,
-    tick: Duration,
-    clock: &'a dyn Clock,
-    deadline: Duration,
-}
-
-impl<'a> RingIo<'a> {
-    fn send(&self, msg: WorkerMsg) -> Result<(), RingLost> {
-        let mut msg = msg;
-        loop {
-            match self.link.send_msg(msg, self.tick) {
-                Ok(()) => return Ok(()),
-                Err(TransportSendError::Disconnected) => {
-                    return Err(RingLost("first stage unreachable".into()))
-                }
-                Err(TransportSendError::Timeout(m)) => {
-                    msg = m;
-                    if self.clock.expired(self.deadline) {
-                        return Err(RingLost("ring send timed out".into()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// One work-item round trip: send, then receive until the echo with
-    /// the same step id returns from the last stage. Duplicates (older
-    /// steps) and stale migration traffic are sunk; everything fatal is
-    /// a lost ring.
-    fn roundtrip(&self, item: WorkItem) -> Result<WorkItem, RingLost> {
-        let step = item.step;
-        self.send(WorkerMsg::Work(item))?;
-        loop {
-            match self.link.recv_msg(self.tick) {
-                Ok(WorkerMsg::Work(it)) => {
-                    if it.step == step {
-                        return Ok(it);
-                    }
-                    // Older step: a fault-injected duplicate — drop.
-                }
-                Ok(WorkerMsg::Shutdown) => return Err(RingLost("premature shutdown".into())),
-                Ok(WorkerMsg::Protocol(e)) => return Err(RingLost(format!("protocol: {e}"))),
-                // The engine's own broadcasts wrapping the ring, or
-                // stragglers from a dead swap epoch: sink.
-                Ok(WorkerMsg::KvReset { .. })
-                | Ok(WorkerMsg::PlanPropose { .. })
-                | Ok(WorkerMsg::PlanCommit { .. })
-                | Ok(WorkerMsg::PlanReady { .. })
-                | Ok(WorkerMsg::PlanAbort { .. })
-                | Ok(WorkerMsg::KvChunk(_)) => {}
-                Err(TransportRecvError::Disconnected) => {
-                    return Err(RingLost("last stage disconnected".into()))
-                }
-                Err(TransportRecvError::Timeout) => {
-                    if self.clock.expired(self.deadline) {
-                        return Err(RingLost(format!("step {step} never returned")));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The two-phase live-swap barrier, run while the ring is quiescent
-    /// between scheduler iterations: propose → every stage prepared →
-    /// commit → every stage swapped (KV chunks re-forwarded around the
-    /// ring). Any failure — prepare abort included — is a lost ring;
-    /// the restart resumes directly on the target plan, which keeps the
-    /// swap's effect on the token stream deterministic.
-    fn swap_barrier(&self, epoch: u64, plan_json: String, n_stages: usize) -> Result<(), RingLost> {
-        self.send(WorkerMsg::PlanPropose { epoch, plan_json })?;
-        let mut prepared = vec![false; n_stages];
-        let mut swapped = vec![false; n_stages];
-        let mut committed = false;
-        loop {
-            if !committed && prepared.iter().all(|&p| p) {
-                self.send(WorkerMsg::PlanCommit { epoch })?;
-                committed = true;
-            }
-            if committed && swapped.iter().all(|&s| s) {
-                return Ok(());
-            }
-            match self.link.recv_msg(self.tick) {
-                Ok(WorkerMsg::PlanReady { epoch: e, stage, swapped: sw }) if e == epoch => {
-                    let slot = stage as usize;
-                    if slot < n_stages {
-                        if sw {
-                            swapped[slot] = true;
-                        } else {
-                            prepared[slot] = true;
-                        }
-                    }
-                }
-                Ok(WorkerMsg::PlanAbort { epoch: e, reason }) if e == epoch => {
-                    // Pre-commit: tear the proposal down everywhere so no
-                    // stage is left holding a prepared shard, then fail —
-                    // the rebuilt ring boots onto the target plan anyway.
-                    if !committed {
-                        let _ = self.send(WorkerMsg::PlanAbort { epoch: e, reason: reason.clone() });
-                    }
-                    return Err(RingLost(format!("swap epoch {epoch} aborted: {reason}")));
-                }
-                Ok(WorkerMsg::KvChunk(c)) if c.epoch == epoch => {
-                    // In transit between stages: keep it moving.
-                    self.send(WorkerMsg::KvChunk(c))?;
-                }
-                Ok(WorkerMsg::Work(_)) => {
-                    // Quiescent barrier: only fault-injected duplicates of
-                    // already-consumed steps can appear — drop.
-                }
-                Ok(WorkerMsg::Shutdown) => return Err(RingLost("premature shutdown".into())),
-                Ok(WorkerMsg::Protocol(e)) => return Err(RingLost(format!("protocol: {e}"))),
-                Ok(_) => {} // echoes and stale-epoch traffic: sink
-                Err(TransportRecvError::Disconnected) => {
-                    return Err(RingLost("last stage disconnected".into()))
-                }
-                Err(TransportRecvError::Timeout) => {
-                    if self.clock.expired(self.deadline) {
-                        return Err(RingLost(format!("swap epoch {epoch} barrier timed out")));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The distributed serving engine (module docs above).
 pub struct DistStepEngine {
     /// Embedding + logits live on the master, like the offline engine.
-    master: RefModel,
+    model: RefModel,
     /// Rung ladder: full execution plans, same stage count, rung 0 is
     /// the boot plan every (re)started ring loads.
     plans: Vec<ExecutionPlan>,
     costs: Vec<IterCost>,
     pool: KvPool,
     ring: Box<dyn ServingRing>,
-    link: Option<Box<dyn Transport + Send>>,
+    /// The master endpoint on the current attempt's ring.
+    link: Option<Master<Box<dyn Transport + Send>>>,
+    /// How the endpoint waits: `op_timeout` as the progress timeout,
+    /// `tick` as the poll granularity, no heartbeat board.
+    sup: AttemptSupervision,
     /// slot → live sequence (index is the worker-side sequence id).
     slots: Vec<Option<u64>>,
     seq_slot: HashMap<u64, usize>,
@@ -372,12 +342,10 @@ pub struct DistStepEngine {
     rung: usize,
     epoch: u64,
     next_step: u64,
-    attempt: usize,
     restarts: u64,
     ring_down: bool,
     started: bool,
     cfg: DistServeConfig,
-    clock: Arc<dyn Clock>,
 }
 
 impl DistStepEngine {
@@ -429,24 +397,29 @@ impl DistStepEngine {
         }
         let costs = IterCost::default_ladder(plans.len());
         Ok(Self {
-            master: checkpoint.clone(),
+            model: checkpoint.clone(),
             plans,
             costs,
             pool: KvPool::new(cfg.pool),
             ring,
             link: None,
+            sup: AttemptSupervision {
+                heartbeats: None,
+                heartbeat_timeout: None,
+                progress_timeout: Some(cfg.op_timeout),
+                tick: cfg.tick,
+                clock: real_clock(),
+            },
             slots: vec![None; cfg.n_slots],
             seq_slot: HashMap::new(),
             positions: HashMap::new(),
             rung: 0,
             epoch: 0,
             next_step: 0,
-            attempt: 0,
             restarts: 0,
             ring_down: false,
             started: false,
             cfg,
-            clock: real_clock(),
         })
     }
 
@@ -465,13 +438,8 @@ impl DistStepEngine {
         self.ring_down
     }
 
-    fn io(&self) -> RingIo<'_> {
-        RingIo {
-            link: self.link.as_deref().expect("ensure_ring established the link"),
-            tick: self.cfg.tick,
-            clock: &*self.clock,
-            deadline: self.clock.deadline(self.cfg.op_timeout),
-        }
+    fn master(&self) -> &Master<Box<dyn Transport + Send>> {
+        self.link.as_ref().expect("ensure_ring established the link")
     }
 
     /// Lazily (re)establish the ring. Restart path: count against the
@@ -490,12 +458,11 @@ impl DistStepEngine {
                 )));
             }
             self.restarts += 1;
-            self.attempt += 1;
         }
         self.link = None; // EOF cascade tears the old attempt down
         self.ring.teardown();
-        let link = self.ring.dial(self.attempt).map_err(StepError::Engine)?;
-        self.link = Some(link);
+        let link = self.ring.dial(self.restarts as usize).map_err(StepError::Engine)?;
+        self.link = Some(Master::new(link, None, false));
         self.ring_down = false;
         self.started = true;
         self.epoch = 0;
@@ -512,24 +479,35 @@ impl DistStepEngine {
         Ok(())
     }
 
-    /// Run the live-swap barrier to `target`. On failure the ring is
-    /// down and the *target* stays authoritative: the restart boots
-    /// into it, exactly like the offline migration's post-commit rule.
+    /// Live-swap the ring to rung `target`: a one-entry schedule run
+    /// through the master endpoint's two-phase barrier. Serving policy:
+    /// on *any* failure — a proposal that aborts before commit included
+    /// — the ring is down and the target stays authoritative; the
+    /// restart boots `plans[0]` and replays this barrier, which keeps
+    /// the swap's effect on the token stream deterministic.
     fn swap_to(&mut self, target: usize) -> Result<(), StepError> {
-        let epoch = self.epoch + 1;
-        let json = self.plans[target].to_json();
-        let n_stages = self.ring.n_stages();
-        let res = self.io().swap_barrier(epoch, json, n_stages);
-        match res {
-            Ok(()) => {
-                self.epoch = epoch;
-                Ok(())
+        let schedule = vec![SwapRequest { at_token: 0, plan: self.plans[target].clone() }];
+        let mut coord = MigrationCoordinator::new(schedule, self.ring.n_stages());
+        coord.active_epoch = self.epoch;
+        coord.prepare_timeout = self.cfg.op_timeout;
+        coord.commit_timeout = self.cfg.op_timeout;
+        let master = self.master();
+        let res = master
+            .propose(&self.sup, &mut coord)
+            .and_then(|()| master.swap_barrier(&self.sup, &mut coord));
+        let why = match res {
+            Ok(Some(report)) => {
+                self.epoch = report.epoch;
+                return Ok(());
             }
-            Err(RingLost(why)) => {
-                self.ring_down = true;
-                Err(StepError::Engine(format!("swap to rung {target} failed: {why}")))
+            Ok(None) => {
+                let reason = coord.reports.pop().and_then(|r| r.reason).unwrap_or_default();
+                format!("aborted before commit: {reason}")
             }
-        }
+            Err(e) => e.to_string(),
+        };
+        self.ring_down = true;
+        Err(StepError::Engine(format!("swap to rung {target} failed: {why}")))
     }
 
     fn slot_of(&self, seq: u64) -> Result<usize, StepError> {
@@ -539,9 +517,10 @@ impl DistStepEngine {
             .ok_or_else(|| StepError::Engine(format!("unregistered sequence {seq}")))
     }
 
-    /// Send one item through the ring and sample the last row of the
-    /// returned hidden states (greedy, same tie-breaking as the offline
-    /// engine). A lost ring marks the engine down and surfaces as
+    /// Send one item through the ring, wait for it to come back from
+    /// the last stage and sample the last row of the returned hidden
+    /// states (greedy, same tie-breaking as the offline engine). A lost
+    /// ring marks the engine down and surfaces as
     /// [`StepError::RingRestarted`].
     fn forward(&mut self, slot: usize, x: Matrix, phase: Phase, sample: bool) -> Result<Option<usize>, StepError> {
         self.ensure_ring()?;
@@ -555,7 +534,10 @@ impl DistStepEngine {
             sent_us: 0,
             seqs: vec![(slot, x)],
         };
-        let res = self.io().roundtrip(item);
+        let master = self.master();
+        let res = master
+            .send(WorkerMsg::Work(item), &self.sup)
+            .and_then(|()| master.recv_m(&self.sup, None));
         match res {
             Ok(echo) => {
                 if !sample {
@@ -566,9 +548,9 @@ impl DistStepEngine {
                     .into_iter()
                     .next()
                     .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
-                Ok(Some(argmax(&self.master.last_row_logits(&h))))
+                Ok(Some(argmax(&self.model.last_row_logits(&h))))
             }
-            Err(RingLost(_)) => {
+            Err(_) => {
                 self.ring_down = true;
                 Err(StepError::RingRestarted)
             }
@@ -612,7 +594,7 @@ impl StepEngine for DistStepEngine {
             Err(e) => return Err(StepError::Engine(e.to_string())),
             Ok(()) => {}
         }
-        let x = self.master.embed_tokens(tokens, pos0);
+        let x = self.model.embed_tokens(tokens, pos0);
         let tok = self.forward(slot, x, Phase::Prefill, is_last)?;
         *self.positions.get_mut(&seq).expect("registered") += tokens.len();
         Ok(tok)
@@ -628,7 +610,7 @@ impl StepEngine for DistStepEngine {
             Err(e) => return Err(StepError::Engine(e.to_string())),
             Ok(()) => {}
         }
-        let x = self.master.embed_tokens(&[last], pos);
+        let x = self.model.embed_tokens(&[last], pos);
         let tok = self
             .forward(slot, x, Phase::Decode, true)?
             .expect("sampled decode step returns a token");
@@ -643,13 +625,13 @@ impl StepEngine for DistStepEngine {
         self.slots[slot] = None;
         // Recycle the worker-side slot: broadcast a KV reset around the
         // ring. Per-hop FIFO ordering guarantees it lands before any
-        // work item of the slot's next occupant; the echo is sunk by
-        // the next receive loop. A downed ring needs no reset — the
+        // work item of the slot's next occupant; the endpoint sinks the
+        // echo on a later receive. A downed ring needs no reset — the
         // rebuilt attempt starts from empty caches anyway.
         if self.ring_down || self.link.is_none() {
             return;
         }
-        if self.io().send(WorkerMsg::KvReset { seq: slot }).is_err() {
+        if self.master().send(WorkerMsg::KvReset { seq: slot }, &self.sup).is_err() {
             self.ring_down = true;
         }
     }
@@ -672,7 +654,7 @@ impl StepEngine for DistStepEngine {
             let _ = self.swap_to(target);
         }
         self.rung = target;
-        self.cfg.swap_stall_s
+        SWAP_STALL_S
     }
 
     fn rung(&self) -> usize {
@@ -680,7 +662,7 @@ impl StepEngine for DistStepEngine {
     }
 
     fn max_seq(&self) -> usize {
-        self.master.cfg.max_seq
+        self.model.cfg.max_seq
     }
 
     fn epoch(&self) -> u64 {
@@ -694,9 +676,9 @@ impl StepEngine for DistStepEngine {
 
 impl Drop for DistStepEngine {
     fn drop(&mut self) {
-        if let Some(link) = self.link.take() {
+        if let Some(master) = self.link.take() {
             // Best-effort graceful drain; EOF cascade finishes the job.
-            let _ = link.send_msg(WorkerMsg::Shutdown, self.cfg.tick);
+            master.shutdown(&self.sup);
         }
         self.ring.teardown();
     }
@@ -706,8 +688,11 @@ impl Drop for DistStepEngine {
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind};
+    use crate::net::transport::{TransportRecvError, TransportSendError};
     use crate::overload::poisson_requests;
-    use crate::serve::{serve_continuous, ContinuousConfig, ModelStepEngine, RungSwap};
+    use crate::serve::{
+        serve_continuous, ContinuousConfig, ContinuousScheduler, ModelStepEngine, RungSwap,
+    };
     use llm_pq::StagePlan;
     use llmpq_model::RefConfig;
     use llmpq_quant::{BitAssignment, Bitwidth};
@@ -836,6 +821,136 @@ mod tests {
         let dist = serve_continuous(dist_engine(Some(faults)), &reqs, c, None).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist));
         assert!(dist.stats.conserves(dist.pending_end));
+    }
+
+    #[test]
+    fn duplicate_deliveries_around_a_swap_do_not_change_tokens() {
+        // A duplicated work item at an interior stage (the next worker
+        // dedups) and at the last stage (the master endpoint dedups — on
+        // its next receive, or, for the last item before the barrier,
+        // while it pumps the swap). The step sweep walks the duplicate
+        // from well before the scheduled swap, through its window, to
+        // after it: tokens never move and nothing restarts.
+        let reqs = trace(6);
+        let mut c = cfg();
+        c.swaps = vec![RungSwap { at_iteration: 3, rung: 1 }];
+        let local = serve_continuous(local_engine(), &reqs, c.clone(), None).expect("local");
+        for stage in [0usize, 1] {
+            for step in 0..20 {
+                let faults = FaultPlan {
+                    events: vec![FaultEvent {
+                        stage,
+                        step,
+                        attempt: None,
+                        kind: FaultKind::DuplicateMessage,
+                    }],
+                };
+                let mut sched =
+                    ContinuousScheduler::new(dist_engine(Some(faults)), c.clone()).expect("sched");
+                let makespan = sched.run_trace(&reqs).expect("dist");
+                let what = format!("duplicate at stage {stage}, item {step}");
+                assert_eq!(sched.engine().restarts(), 0, "{what}");
+                assert_eq!(sched.engine().epoch(), 1, "{what}");
+                let dist = sched.into_report(makespan, "continuous");
+                assert_eq!(finished_tokens(&local), finished_tokens(&dist), "{what}");
+            }
+        }
+    }
+
+    /// A ring whose first attempt goes silent at the swap barrier: the
+    /// proposal never reaches stage 0, so no `PlanReady` comes back
+    /// while every link stays connected — what a stage wedged in its
+    /// prepare looks like from the master. (`FaultKind::Hang` cannot
+    /// produce this: it fires on a work item, and the barrier runs on a
+    /// quiescent ring.)
+    struct SilentBarrierRing(ChannelRing);
+
+    struct SwallowProposals(Box<dyn Transport + Send>);
+
+    impl Transport for SwallowProposals {
+        fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
+            self.0.recv_msg(timeout)
+        }
+
+        fn send_msg(&self, msg: WorkerMsg, timeout: Duration) -> Result<(), TransportSendError> {
+            match msg {
+                WorkerMsg::PlanPropose { .. } => Ok(()),
+                other => self.0.send_msg(other, timeout),
+            }
+        }
+    }
+
+    impl ServingRing for SilentBarrierRing {
+        fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
+            let link = self.0.dial(attempt)?;
+            Ok(if attempt == 0 { Box::new(SwallowProposals(link)) } else { link })
+        }
+
+        fn teardown(&mut self) {
+            self.0.teardown()
+        }
+
+        fn n_stages(&self) -> usize {
+            self.0.n_stages()
+        }
+    }
+
+    #[test]
+    fn hang_around_the_barrier_costs_one_restart_and_lands_on_the_target_rung() {
+        // Two ways a stage can stop answering around a scheduled swap:
+        // the barrier itself waits for a `PlanReady` that never comes
+        // (first row), or a stage hangs on a work item next to it
+        // (second row: a real `Hang`, detected by the op timeout on the
+        // echo). Either way the engine's policy is one ring restart with
+        // the target rung authoritative — the rebuilt ring boots
+        // `plans[0]` and replays the barrier — so the run ends on rung 1
+        // at epoch 1 with every request served in full.
+        let reqs = trace(6);
+        let mut c = cfg();
+        c.swaps = vec![RungSwap { at_iteration: 2, rung: 1 }];
+        let dcfg = DistServeConfig {
+            n_slots: 8,
+            op_timeout: Duration::from_millis(150),
+            tick: Duration::from_millis(1),
+            ..DistServeConfig::default()
+        };
+        let ring = |faults: Option<FaultPlan>| {
+            ChannelRing::new(
+                &checkpoint(),
+                plan(Bitwidth::Fp16),
+                Rounding::Deterministic,
+                SEED,
+                dcfg.n_slots,
+                dcfg.tick,
+                faults,
+            )
+            .expect("ring")
+        };
+        let hang = FaultPlan {
+            events: vec![FaultEvent { stage: 1, step: 6, attempt: Some(0), kind: FaultKind::Hang }],
+        };
+        let rows: Vec<(&str, Box<dyn ServingRing>)> = vec![
+            ("silent barrier", Box::new(SilentBarrierRing(ring(None)))),
+            ("stage hung on a work item", Box::new(ring(Some(hang)))),
+        ];
+        for (what, ring) in rows {
+            let engine =
+                DistStepEngine::over_ring(&checkpoint(), ladder(), dcfg, ring).expect("engine");
+            let mut sched = ContinuousScheduler::new(engine, c.clone()).expect("sched");
+            let t0 = std::time::Instant::now();
+            let makespan = sched.run_trace(&reqs).expect("dist");
+            // One op timeout to notice, not the default ten seconds.
+            assert!(t0.elapsed() < Duration::from_secs(5), "{what}: took {:?}", t0.elapsed());
+            assert_eq!(sched.engine().restarts(), 1, "{what}");
+            assert_eq!(sched.engine().rung(), 1, "{what}");
+            assert_eq!(sched.engine().epoch(), 1, "{what}");
+            let report = sched.into_report(makespan, "continuous");
+            assert!(report.stats.conserves(report.pending_end), "{what}: {:?}", report.stats);
+            assert_eq!(report.outputs.len(), reqs.len(), "{what}");
+            for f in &report.outputs {
+                assert_eq!(f.tokens.len(), reqs[f.id].n_generate, "{what}: request {}", f.id);
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!   control loop and fails the run.
 //!
 //! Violations shrink greedily to a minimal replayable churn schedule,
-//! exactly like the wire-level and serving-chaos sweeps.
-//! `llmpq-simnet --elastic` is a thin CLI wrapper over
-//! [`elastic_seed_sweep`].
+//! exactly like the wire-level and serving-chaos sweeps: the harness is
+//! a [`SimScenario`] that [`super::seed_sweep`] and [`super::shrink_schedule`] run.
+//! `llmpq-simnet --elastic` is a thin CLI wrapper over it.
 
 use super::plan::splitmix64;
+use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::{
     ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner, FleetController,
     FleetEvent, FleetEventKind,
@@ -240,29 +241,9 @@ pub struct ElasticRun {
     pub churn_events: usize,
 }
 
-/// One seed whose run violated an elasticity invariant, with the
-/// minimal reproducing churn schedule attached.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ElasticSweepFailure {
-    /// Seed that drew the original schedule.
-    pub seed: u64,
-    /// Violations reported by the original (unshrunk) run.
-    pub violations: Vec<String>,
-    /// Minimal schedule that still reproduces a violation.
-    pub minimized: ElasticChurnPlan,
-    /// `minimized` as replayable JSON (the CI artifact).
-    pub minimized_json: String,
-}
-
-/// Outcome of an [`elastic_seed_sweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ElasticSweepReport {
-    /// First seed swept.
-    pub start_seed: u64,
-    /// Number of consecutive seeds swept.
-    pub n_seeds: u64,
-    /// Every violating seed, minimized.
-    pub failures: Vec<ElasticSweepFailure>,
+/// What an elastic-fleet sweep counts.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ElasticTally {
     /// Runs that committed at least one replan.
     pub runs_with_commits: u64,
     /// Runs that aborted at least one migration.
@@ -273,13 +254,6 @@ pub struct ElasticSweepReport {
     pub runs_infeasible: u64,
     /// Total in-flight requests recovered off dying devices.
     pub requests_recovered: u64,
-}
-
-impl ElasticSweepReport {
-    /// Whether the sweep found no invariant violations.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 fn initial_plan(cfg: &ElasticSimConfig) -> ExecutionPlan {
@@ -571,83 +545,37 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     run
 }
 
-/// Greedily remove churn events while the violation reproduces at
-/// `seed` — same walk as [`super::shrink_fault_plan`].
-pub fn shrink_elastic_plan(
-    cfg: &ElasticSimConfig,
-    seed: u64,
-    plan: &ElasticChurnPlan,
-) -> ElasticChurnPlan {
-    let fails = |p: &ElasticChurnPlan| !run_elastic(cfg, seed, p).violations.is_empty();
-    if !fails(plan) {
-        return plan.clone();
+impl SimSchedule for ElasticChurnPlan {
+    fn events(&self) -> usize {
+        self.events.len()
     }
-    let mut current = plan.clone();
-    loop {
-        let mut shrunk = false;
-        let mut idx = 0;
-        while idx < current.events.len() {
-            let mut candidate = current.clone();
-            candidate.events.remove(idx);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-                idx = 0;
-            } else {
-                idx += 1;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
+
+    fn without(&self, idx: usize) -> Self {
+        let mut out = self.clone();
+        out.events.remove(idx);
+        out
     }
 }
 
-/// Sweep `n_seeds` consecutive seeds from `start_seed`, one seeded
-/// churn schedule per seed, shrinking every failure. Deterministic.
-pub fn elastic_seed_sweep(
-    cfg: &ElasticSimConfig,
-    start_seed: u64,
-    n_seeds: u64,
-) -> ElasticSweepReport {
-    let mut report = ElasticSweepReport {
-        start_seed,
-        n_seeds,
-        failures: Vec::new(),
-        runs_with_commits: 0,
-        runs_with_aborts: 0,
-        runs_with_suppressions: 0,
-        runs_infeasible: 0,
-        requests_recovered: 0,
-    };
-    for seed in start_seed..start_seed.saturating_add(n_seeds) {
-        let plan = elastic_churn_plan(cfg, seed);
-        let run = run_elastic(cfg, seed, &plan);
-        if run.commits > 0 {
-            report.runs_with_commits += 1;
-        }
-        if run.aborts > 0 {
-            report.runs_with_aborts += 1;
-        }
-        if run.suppressed > 0 {
-            report.runs_with_suppressions += 1;
-        }
-        if run.infeasible > 0 {
-            report.runs_infeasible += 1;
-        }
-        report.requests_recovered += run.recovered as u64;
-        if !run.violations.is_empty() {
-            let minimized = shrink_elastic_plan(cfg, seed, &plan);
-            let minimized_json = minimized.to_json();
-            report.failures.push(ElasticSweepFailure {
-                seed,
-                violations: run.violations,
-                minimized,
-                minimized_json,
-            });
-        }
+/// [`run_elastic`] under one seeded churn schedule per seed
+/// ([`elastic_churn_plan`]).
+impl SimScenario for ElasticSimConfig {
+    type Schedule = ElasticChurnPlan;
+    type Tally = ElasticTally;
+
+    fn draw(&self, seed: u64) -> ElasticChurnPlan {
+        elastic_churn_plan(self, seed)
     }
-    report
+
+    fn run(&self, seed: u64, plan: &ElasticChurnPlan, tally: &mut ElasticTally) -> Vec<String> {
+        let run = run_elastic(self, seed, plan);
+        tally.runs_with_commits += u64::from(run.commits > 0);
+        tally.runs_with_aborts += u64::from(run.aborts > 0);
+        tally.runs_with_suppressions += u64::from(run.suppressed > 0);
+        tally.runs_infeasible += u64::from(run.infeasible > 0);
+        tally.requests_recovered += run.recovered as u64;
+        run.violations
+    }
 }
 
 #[cfg(test)]
@@ -717,12 +645,12 @@ mod tests {
     #[test]
     fn small_sweep_is_clean_and_exercises_the_elastic_paths() {
         let cfg = ElasticSimConfig::default();
-        let report = elastic_seed_sweep(&cfg, 0, 25);
+        let report = crate::simnet::seed_sweep(&cfg, 0, 25);
         assert!(report.ok(), "failures: {:#?}", report.failures);
-        assert!(report.runs_with_commits > 0, "sweep never committed a replan");
-        assert!(report.runs_with_aborts > 0, "sweep never aborted a migration");
-        assert!(report.runs_with_suppressions > 0, "sweep never quarantined a flapper");
-        assert!(report.runs_infeasible > 0, "sweep never hit the infeasible path");
+        assert!(report.tally.runs_with_commits > 0, "sweep never committed a replan");
+        assert!(report.tally.runs_with_aborts > 0, "sweep never aborted a migration");
+        assert!(report.tally.runs_with_suppressions > 0, "sweep never quarantined a flapper");
+        assert!(report.tally.runs_infeasible > 0, "sweep never hit the infeasible path");
     }
 
     #[test]
@@ -735,7 +663,7 @@ mod tests {
             "double-serve must be flagged: {:?}",
             run.violations
         );
-        let minimized = shrink_elastic_plan(&cfg, 3, &churn);
+        let minimized = crate::simnet::shrink_schedule(&cfg, 3, &churn);
         assert!(
             minimized.events.is_empty(),
             "the injected bug reproduces without any churn, so shrinking must drain the \

@@ -23,16 +23,23 @@
 //!   time must never run past the horizon with work pending (deadlock /
 //!   livelock), and restarts must respect the recovery bound;
 //! * **failures shrink**: [`seed_sweep`] drives hundreds of random
-//!   schedules and, on a violation, [`shrink_fault_plan`] greedily
-//!   removes events until a minimal reproducing counterexample remains,
-//!   serialized as replayable JSON.
+//!   schedules and, on a violation, [`shrink_schedule`] greedily removes events
+//!   until a minimal reproducing counterexample remains, serialized as
+//!   replayable JSON — one sweep and one shrinker for this simulation,
+//!   the serving-chaos harness and the elastic-fleet harness alike
+//!   (each is a [`SimScenario`]).
 //!
 //! The determinism contract (also stated on [`crate::clock::Clock`]):
 //! simulated code paths read time only through a [`Clock`] and contain
-//! no unseeded randomness. `engine::drive_generation` and
+//! no unseeded randomness. `engine::drive_generation` over the one
+//! master endpoint (`engine::Master`, live-swap barrier included) and
 //! `worker::run_worker_transport` — the actual production loops — run
 //! unchanged inside the simulation; only the transport and the clock
-//! are swapped. (The serving loop,
+//! are swapped. The master actor's *restart* loop is the one thing kept
+//! apart from production's (`engine::AttemptLoop`): its per-attempt
+//! trace lines, µs-granular virtual backoff and publication of the plan
+//! in force to (re)starting stage actors are part of the byte-identical
+//! replay contract. (The serving loop,
 //! [`ContinuousScheduler`](crate::serve::ContinuousScheduler), honors
 //! the contract by construction: every entry point takes `now` and it
 //! never reads a clock of its own.)
@@ -47,16 +54,17 @@ mod testbed;
 
 pub use conn::VirtualClock;
 pub use elastic::{
-    elastic_arrivals, elastic_churn_plan, elastic_seed_sweep, run_elastic, shrink_elastic_plan,
-    ChurnEvent, ElasticChurnPlan, ElasticRun, ElasticSimConfig, ElasticSweepFailure,
-    ElasticSweepReport,
+    elastic_arrivals, elastic_churn_plan, run_elastic, ChurnEvent, ElasticChurnPlan, ElasticRun,
+    ElasticSimConfig, ElasticTally,
 };
 pub use plan::{SimCrash, SimDeviceJoin, SimFaultKind, SimFaultPlan, SimLinkEvent, SimPartition};
 pub use serving::{
-    run_serving_chaos, serving_fault_plan, serving_seed_sweep, serving_swap, shrink_serving_plan,
-    ServingChaosConfig, ServingChaosRun, ServingSweepFailure, ServingSweepReport,
+    run_serving_chaos, serving_fault_plan, serving_swap, ServingChaosConfig, ServingChaosRun,
+    ServingTally,
 };
-pub use shrink::{seed_sweep, shrink_fault_plan, SweepFailure, SweepReport};
+pub use shrink::{
+    seed_sweep, shrink_schedule, SimScenario, SimSchedule, SimTally, SweepFailure, SweepReport,
+};
 pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
@@ -79,7 +87,6 @@ use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
 use sched::{ActorGuard, AwaitEpoch, CrashEnd, RecvEnd, SimNet, NEVER_US};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -515,26 +522,17 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                             epoch: attempt,
                         },
                     );
-                    let master = Master {
-                        model,
-                        link: transport,
-                        last_step: Cell::new(None),
-                        telemetry: Some(telemetry.clone()),
-                        local_gauges: false,
-                    };
+                    let master = Master::new(transport, Some(telemetry.clone()), false);
                     let sup = AttemptSupervision {
-                        injector: None,
                         heartbeats: Some(hb.clone()),
                         heartbeat_timeout: Some(Duration::from_micros(cfg.heartbeat_timeout_us)),
                         progress_timeout: Some(Duration::from_micros(cfg.progress_timeout_us)),
-                        tick: Some(Duration::from_micros(cfg.tick_us)),
-                        telemetry: Some(telemetry.clone()),
-                        queue_cap: None,
+                        tick: Duration::from_micros(cfg.tick_us),
                         clock: clock.clone(),
-                        migration_host: None,
                     };
                     let res = drive_generation(
                         &master,
+                        model,
                         &cur_plan,
                         &prompts,
                         &mut tokens,

@@ -9,13 +9,16 @@
 //! already-streamed token (see [`run_serving_chaos`] for the tier
 //! rationale). Any violation shrinks to a minimal replayable
 //! counterexample exactly like the wire-level sweep in
-//! [`super::shrink`].
+//! [`super::shrink_schedule`].
 //!
-//! Entry points: [`run_serving_chaos`] (one seed, one schedule) and
-//! [`serving_seed_sweep`] (consecutive seeds, one random schedule each,
-//! shrinking failures). `llmpq-simnet --serving` is a thin CLI wrapper.
+//! Entry points: [`run_serving_chaos`] (one seed, one schedule) and the
+//! [`SimScenario`] impl on [`ServingChaosConfig`], which [`super::seed_sweep`]
+//! and [`super::shrink_schedule`] run (consecutive seeds, one random schedule
+//! each, shrinking failures). `llmpq-simnet --serving` is a thin CLI
+//! wrapper.
 
 use super::plan::splitmix64;
+use super::shrink::{SimScenario, SimSchedule};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::kvpool::KvPoolConfig;
 use crate::overload::{poisson_requests, Request};
@@ -76,30 +79,9 @@ pub struct ServingChaosRun {
     pub swap_at: Option<u64>,
 }
 
-/// One seed whose serving run violated an invariant, with the minimal
-/// reproducing schedule attached (replayable via
-/// `llmpq-simnet --serving --replay`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingSweepFailure {
-    /// Seed that drew the original schedule.
-    pub seed: u64,
-    /// Violations reported by the original (unshrunk) run.
-    pub violations: Vec<String>,
-    /// Minimal schedule that still reproduces a violation.
-    pub minimized: FaultPlan,
-    /// `minimized` as replayable JSON (what CI uploads as an artifact).
-    pub minimized_json: String,
-}
-
-/// Outcome of a [`serving_seed_sweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingSweepReport {
-    /// First seed swept.
-    pub start_seed: u64,
-    /// Number of consecutive seeds swept.
-    pub n_seeds: u64,
-    /// Every violating seed, minimized.
-    pub failures: Vec<ServingSweepFailure>,
+/// What a serving-chaos sweep counts.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ServingTally {
     /// Schedules containing at least one fault event.
     pub runs_with_faults: u64,
     /// Runs that recovered through at least one ring restart.
@@ -109,13 +91,6 @@ pub struct ServingSweepReport {
     /// Total in-flight sequences requeued for recompute across the
     /// sweep — the conservation leg the restarts exercised.
     pub sequences_recovered: u64,
-}
-
-impl ServingSweepReport {
-    /// Whether the sweep found no invariant violations.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// Random fault schedule for one serving run, seeded and
@@ -228,45 +203,18 @@ fn drive<E: StepEngine>(
     stream_violations: &mut Vec<String>,
 ) -> Result<(ContinuousReport, u64, u64), String> {
     let mut sched = ContinuousScheduler::new(engine, cfg)?;
-    let mut now = 0.0f64;
-    let mut idx = 0usize;
-    let mut makespan = 0.0f64;
     let mut emitted: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    loop {
-        while idx < requests.len() && requests[idx].arrival_s <= now + 1e-12 {
-            sched.offer(requests[idx].clone(), now);
-            idx += 1;
-        }
-        let out = sched.step(now).map_err(|e| e.to_string())?;
+    let makespan = sched.run_trace_with(requests, |out| {
         for &(id, index, token) in &out.landed {
-            if let Some(&prev) = emitted.get(&(id, index)) {
-                if prev != token {
-                    stream_violations.push(format!(
-                        "stream contradiction: request {id} token {index} landed as {prev}, \
-                         re-landed as {token}"
-                    ));
-                }
-            } else {
-                emitted.insert((id, index), token);
+            let prev = *emitted.entry((id, index)).or_insert(token);
+            if prev != token {
+                stream_violations.push(format!(
+                    "stream contradiction: request {id} token {index} landed as {prev}, \
+                     re-landed as {token}"
+                ));
             }
         }
-        if out.idle {
-            if idx < requests.len() {
-                now = requests[idx].arrival_s;
-                continue;
-            }
-            if sched.queued() == 0 && sched.in_flight() == 0 {
-                break;
-            }
-            return Err(format!(
-                "scheduler livelock: {} queued, {} in flight, nothing runnable",
-                sched.queued(),
-                sched.in_flight()
-            ));
-        }
-        now += out.cost_s;
-        makespan = now;
-    }
+    })?;
     let restarts = sched.engine().restarts();
     let epoch = sched.engine().epoch();
     Ok((sched.into_report(makespan, "continuous"), restarts, epoch))
@@ -417,78 +365,36 @@ pub fn run_serving_chaos(
     run
 }
 
-/// Greedily remove schedule events while the violation reproduces at
-/// `seed` — same walk as [`super::shrink_fault_plan`], over the
-/// serving scenario.
-pub fn shrink_serving_plan(cfg: &ServingChaosConfig, seed: u64, plan: &FaultPlan) -> FaultPlan {
-    let fails = |p: &FaultPlan| !run_serving_chaos(cfg, seed, p).violations.is_empty();
-    if !fails(plan) {
-        return plan.clone();
+impl SimSchedule for FaultPlan {
+    fn events(&self) -> usize {
+        self.events.len()
     }
-    let mut current = plan.clone();
-    loop {
-        let mut shrunk = false;
-        let mut idx = 0;
-        while idx < current.events.len() {
-            let mut candidate = current.clone();
-            candidate.events.remove(idx);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-                idx = 0;
-            } else {
-                idx += 1;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
+
+    fn without(&self, idx: usize) -> Self {
+        let mut out = self.clone();
+        out.events.remove(idx);
+        out
     }
 }
 
-/// Sweep `n_seeds` consecutive seeds from `start_seed`, one random
-/// migration-biased schedule per seed, shrinking every failure.
-/// Deterministic: the same `(cfg, start_seed, n_seeds)` yields the
-/// same report.
-pub fn serving_seed_sweep(
-    cfg: &ServingChaosConfig,
-    start_seed: u64,
-    n_seeds: u64,
-) -> ServingSweepReport {
-    let mut report = ServingSweepReport {
-        start_seed,
-        n_seeds,
-        failures: Vec::new(),
-        runs_with_faults: 0,
-        runs_with_restarts: 0,
-        runs_committed: 0,
-        sequences_recovered: 0,
-    };
-    for seed in start_seed..start_seed.saturating_add(n_seeds) {
-        let plan = serving_fault_plan(cfg, seed);
-        if !plan.events.is_empty() {
-            report.runs_with_faults += 1;
-        }
-        let run = run_serving_chaos(cfg, seed, &plan);
-        if run.restarts > 0 {
-            report.runs_with_restarts += 1;
-        }
-        if run.epoch > 0 {
-            report.runs_committed += 1;
-        }
-        report.sequences_recovered += run.recovered as u64;
-        if !run.violations.is_empty() {
-            let minimized = shrink_serving_plan(cfg, seed, &plan);
-            let minimized_json = minimized.to_json();
-            report.failures.push(ServingSweepFailure {
-                seed,
-                violations: run.violations,
-                minimized,
-                minimized_json,
-            });
-        }
+/// [`run_serving_chaos`] under one random migration-biased schedule per
+/// seed ([`serving_fault_plan`]).
+impl SimScenario for ServingChaosConfig {
+    type Schedule = FaultPlan;
+    type Tally = ServingTally;
+
+    fn draw(&self, seed: u64) -> FaultPlan {
+        serving_fault_plan(self, seed)
     }
-    report
+
+    fn run(&self, seed: u64, plan: &FaultPlan, tally: &mut ServingTally) -> Vec<String> {
+        let run = run_serving_chaos(self, seed, plan);
+        tally.runs_with_faults += u64::from(!plan.events.is_empty());
+        tally.runs_with_restarts += u64::from(run.restarts > 0);
+        tally.runs_committed += u64::from(run.epoch > 0);
+        tally.sequences_recovered += run.recovered as u64;
+        run.violations
+    }
 }
 
 #[cfg(test)]
@@ -530,10 +436,10 @@ mod tests {
     #[test]
     fn small_sweep_is_clean_and_exercises_restarts() {
         let cfg = ServingChaosConfig::default();
-        let report = serving_seed_sweep(&cfg, 0, 12);
+        let report = crate::simnet::seed_sweep(&cfg, 0, 12);
         assert!(report.ok(), "failures: {:#?}", report.failures);
-        assert!(report.runs_with_faults > 0, "sweep never drew a fault");
-        assert!(report.runs_with_restarts > 0, "sweep never restarted");
-        assert!(report.runs_committed > 0, "sweep never committed a swap");
+        assert!(report.tally.runs_with_faults > 0, "sweep never drew a fault");
+        assert!(report.tally.runs_with_restarts > 0, "sweep never restarted");
+        assert!(report.tally.runs_committed > 0, "sweep never committed a swap");
     }
 }

@@ -1,8 +1,8 @@
 //! Pipeline supervision: heartbeat/timeout failure detection, bounded
 //! restarts with exponential backoff, and replan-on-device-loss — the
 //! policy types [`Pipeline::supervised`](crate::Pipeline::supervised)
-//! runs under (the restart loop itself is
-//! [`Pipeline::run`](crate::Pipeline::run)).
+//! and [`run_master`](crate::net::dist::run_master) run under (the
+//! restart loop itself lives in [`crate::engine`], once for both).
 //!
 //! An unsupervised run only notices failures when a channel
 //! disconnects — a *dead* worker — and gives up. A production pipeline
@@ -282,6 +282,43 @@ mod tests {
             .run(&prompts, 6)
             .expect("recovered under backpressure");
         assert_eq!(out.restarts, 1);
+        let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
+        for (i, p) in prompts.iter().enumerate() {
+            assert_eq!(out.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");
+        }
+    }
+
+    #[test]
+    fn bounded_queue_run_reports_stage_metrics_for_the_final_plan() {
+        // A crash (plain restart, same ring) and then a device loss
+        // (replan → a fresh ring over the folded plan), all under
+        // one-deep queues: the per-stage outputs describe the plan that
+        // finished the run, not the one that started it.
+        let m = model();
+        let bits = vec![Bitwidth::Int8, Bitwidth::Fp16];
+        let prompts = vec![vec![1, 2, 3], vec![9, 8, 7]];
+        let faults = FaultPlan {
+            events: vec![
+                FaultEvent { stage: 0, step: 1, attempt: Some(0), kind: FaultKind::Crash },
+                FaultEvent { stage: 1, step: 2, attempt: Some(1), kind: FaultKind::DeviceLoss },
+            ],
+        };
+        let cfg = SupervisorConfig { max_queue: Some(1), ..test_cfg() };
+        let out = Pipeline::new(&m, &plan(bits.clone(), 1, mb(1, 1, 2)))
+            .supervised(cfg)
+            .faults(&faults)
+            .replanner(&FoldReplanner)
+            .run(&prompts, 6)
+            .expect("recovered twice under backpressure");
+        assert_eq!((out.restarts, out.replans), (2, 1));
+        assert!(matches!(out.events[0].action, RecoveryAction::Restart { .. }));
+        assert!(matches!(out.events[1].action, RecoveryAction::Replan { .. }));
+        assert_eq!(out.final_plan.stages.len(), 1, "folded onto the survivor");
+        assert_eq!(out.stage_metrics.len(), 1);
+        assert!(out.stage_metrics[0].items > 0 && out.stage_metrics[0].busy_s > 0.0);
+        assert_eq!(out.loader_stats.len(), 1);
+        // The folded stage loaded both layers; only the Int8 one quantizes.
+        assert_eq!(out.loader_stats[0].quantized_modules, 6);
         let qm = quantize_model(&m, &BitAssignment { bits }, Rounding::Deterministic, 0);
         for (i, p) in prompts.iter().enumerate() {
             assert_eq!(out.tokens[i], qm.generate(p, 6, 0.0, 0).tokens, "sequence {i}");

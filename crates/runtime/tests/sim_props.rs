@@ -11,7 +11,7 @@
 //!   actually 1) replayable JSON counterexample.
 
 use llmpq_runtime::{
-    run_sim, seed_sweep, shrink_fault_plan, SimConfig, SimCrash, SimFaultKind, SimFaultPlan,
+    run_sim, seed_sweep, shrink_schedule, SimConfig, SimCrash, SimFaultKind, SimFaultPlan,
     SimLinkEvent, SimPartition,
 };
 
@@ -63,17 +63,15 @@ fn seed_sweep_is_deterministic_and_violation_free() {
     let c = cfg();
     let a = seed_sweep(&c, 0, 40);
     let b = seed_sweep(&c, 0, 40);
-    let aj = serde_json::to_string(&a).unwrap();
-    let bj = serde_json::to_string(&b).unwrap();
-    assert_eq!(aj, bj, "two consecutive sweeps must agree byte-for-byte");
+    assert_eq!(a, b, "two consecutive sweeps must agree exactly");
     assert!(
         a.ok(),
         "sweep found violations: {:?}",
         a.failures.iter().map(|f| (f.seed, f.violations.clone())).collect::<Vec<_>>()
     );
     // The sweep must actually exercise faults, not vacuously pass.
-    assert!(a.runs_with_faults > 20, "only {} runs had faults", a.runs_with_faults);
-    assert!(a.runs_with_restarts > 0, "no run recovered through a restart");
+    assert!(a.tally.runs_with_faults > 20, "only {} runs had faults", a.tally.runs_with_faults);
+    assert!(a.tally.runs_with_restarts > 0, "no run recovered through a restart");
 }
 
 #[test]
@@ -100,7 +98,7 @@ fn injected_conservation_bug_is_caught_and_shrunk() {
         report.trace_text()
     );
 
-    let minimized = shrink_fault_plan(&c, &plan);
+    let minimized = shrink_schedule(&c, 0, &plan);
     assert!(minimized.event_count() <= 5, "shrink left {} events", minimized.event_count());
     assert_eq!(
         minimized.event_count(),
@@ -196,19 +194,16 @@ fn migration_seed_sweep_is_violation_free() {
     let c = SimConfig::migration_default();
     let a = seed_sweep(&c, 0, 100);
     let b = seed_sweep(&c, 0, 100);
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
-        "migration sweeps must be deterministic"
-    );
+    assert_eq!(a, b, "migration sweeps must be deterministic");
     assert!(
         a.ok(),
         "sweep violations: {:?}",
         a.failures.iter().map(|f| (f.seed, f.violations.clone())).collect::<Vec<_>>()
     );
     // The sweep must exercise the interesting outcomes, not vacuously pass.
-    assert_eq!(a.runs_with_faults, 100, "every migration schedule carries a fault");
-    assert!(a.runs_with_restarts > 20, "only {} runs restarted", a.runs_with_restarts);
-    assert!(a.runs_committed > 50, "only {} swaps committed", a.runs_committed);
-    assert!(a.runs_committed + a.runs_aborted <= 100);
+    let t = &a.tally;
+    assert_eq!(t.runs_with_faults, 100, "every migration schedule carries a fault");
+    assert!(t.runs_with_restarts > 20, "only {} runs restarted", t.runs_with_restarts);
+    assert!(t.runs_committed > 50, "only {} swaps committed", t.runs_committed);
+    assert!(t.runs_committed + t.runs_aborted <= 100);
 }

@@ -17,7 +17,7 @@ use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
     poisson_requests, serve_continuous, ContinuousConfig, ContinuousReport, DistMasterConfig,
     DistServeConfig, DistStepEngine, KvPoolConfig, ModelStepEngine, Request, RungSwap,
-    TcpServingRing, WireFaultPlan,
+    TcpServingRing, Telemetry, WireFaultPlan,
 };
 use llmpq_workload::MicrobatchPlan;
 use std::collections::BTreeMap;
@@ -192,8 +192,12 @@ fn dist_report(
         stages.push(KillOnDrop(cmd.spawn().expect("spawn stage"), format!("stage {s}")));
     }
 
-    let ring = TcpServingRing::establish(&boot, listener, &DistMasterConfig::default())
-        .expect("stage fleet checks in");
+    // The ring's hub counts the master's own two links: link 0 out,
+    // the return link in.
+    let hub = Telemetry::new(boot.stages.len());
+    let master_cfg = DistMasterConfig { telemetry: Some(hub.clone()), ..Default::default() };
+    let ring =
+        TcpServingRing::establish(&boot, listener, &master_cfg).expect("stage fleet checks in");
     let engine = DistStepEngine::over_ring(
         &checkpoint(),
         ladder(),
@@ -202,6 +206,10 @@ fn dist_report(
     )
     .expect("dist engine");
     let report = serve_continuous(engine, &trace(), cfg, None).expect("dist serve");
+    let links = hub.link_stats();
+    assert!(links[0].bytes_tx > 0, "link 0 tx never counted: {:?}", links[0]);
+    let ret = links[boot.stages.len()];
+    assert!(ret.bytes_rx > 0, "return link rx never counted: {ret:?}");
     // `engine` (and the ring inside it) dropped above: the ring said
     // `Bye`, so every stage process flushes its report and exits.
     let outs = stages.into_iter().map(|c| wait_stage(c, Duration::from_secs(30))).collect();
