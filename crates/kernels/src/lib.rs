@@ -1,8 +1,12 @@
 //! # llmpq-kernels
 //!
-//! Packed low-bit weight storage and the fused dequant-GEMM that serves
+//! Packed low-bit weight storage, the fused dequant-GEMM that serves
 //! from it — the subsystem that makes a bitwidth decision change memory
-//! *traffic*, not just memory *accounting*.
+//! *traffic*, not just memory *accounting* — and the rest of a decoder
+//! layer's arithmetic ([`elementwise`]: the model's one `exp`, GELU,
+//! softmax; [`mod@attention`]: causal attention over K/V read where it
+//! lives), so that what is left between the quantized GEMMs does not
+//! decide a layer's time.
 //!
 //! Before this crate the reference runtime stored every quantized
 //! operator as a dequantized `f32` matrix: an int4 layer occupied (and
@@ -33,12 +37,13 @@
 //!    (Opt4GPTQ's layout/loop co-design, CPU edition). The layout is
 //!    private to this crate; callers address weights by `(row, col)`.
 //!
-//! The kernel is one safe, intrinsic-free body compiled twice on
-//! `x86_64` — for the build's baseline ISA and for AVX2 — and chosen once
-//! per row block by run-time feature detection ([`isa`] says which). That
-//! dispatch is the workspace's only `unsafe` block: this crate denies
-//! `unsafe_code` with one `#[allow]` on the dispatch function, and every
-//! other workspace crate forbids it.
+//! Every kernel is one safe, intrinsic-free body compiled twice on
+//! `x86_64` — for the build's baseline ISA and for AVX2 — and chosen per
+//! call (per row block in the GEMM) by run-time feature detection
+//! ([`isa`] says which). That dispatch ([`dispatch`]) is
+//! the workspace's only `unsafe` block: this crate denies `unsafe_code`
+//! with one `#[allow]` on the dispatch function, and every other
+//! workspace crate forbids it. The two instantiations agree `to_bits()`.
 //!
 //! The crate is dependency-free (vendored `rayon`/`serde` only) so it
 //! sits *below* `llmpq-model` in the workspace graph: the reference
@@ -46,8 +51,16 @@
 
 #![deny(unsafe_code)]
 
+pub mod attention;
+pub mod dispatch;
+pub mod elementwise;
 pub mod gemm;
 pub mod pack;
+#[cfg(test)]
+mod testutil;
 
-pub use gemm::{gemm_t, isa, qgemm_t, qgemm_t_into};
+pub use attention::attention;
+pub use dispatch::isa;
+pub use elementwise::{exp, gelu, softmax_rows};
+pub use gemm::{gemm_t, qgemm_t, qgemm_t_into};
 pub use pack::{quantize_packed, PackBits, PackedMatrix, DEFAULT_GROUP};

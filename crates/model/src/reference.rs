@@ -14,7 +14,7 @@
 //! the paper's experimental shape without needing trained checkpoints.
 
 use crate::linear::LinearOp;
-use crate::tensor::{add_assign, add_bias, gelu, layer_norm, softmax_rows, Matrix};
+use crate::tensor::{add_assign, add_bias, gelu, layer_norm, Matrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -174,6 +174,22 @@ impl LayerWeights {
     }
 }
 
+/// One sequence's cached keys and values as the layer forward sees them:
+/// rows it reads where they live and a place to put the rows it
+/// computes. [`KvCache`] is the contiguous implementation; the serving
+/// engine's paged store hands out a view of a block chain.
+pub trait KvSeq {
+    /// Positions of `layer` cached so far.
+    fn cached(&self, layer: usize) -> usize;
+    /// The `hidden`-wide key row of position `pos` of `layer`.
+    fn k_row(&self, layer: usize, pos: usize) -> &[f32];
+    /// The value row of position `pos` of `layer`.
+    fn v_row(&self, layer: usize, pos: usize) -> &[f32];
+    /// Store the rows of `k` / `v` (`t_new × hidden`) as the next `t_new`
+    /// positions of `layer`.
+    fn push_rows(&mut self, layer: usize, k: &Matrix, v: &Matrix);
+}
+
 /// Per-layer KV cache for a single sequence.
 #[derive(Debug, Clone, Default)]
 pub struct KvCache {
@@ -201,8 +217,22 @@ impl KvCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    fn append(&mut self, layer: usize, k_new: &Matrix, v_new: &Matrix) {
+impl KvSeq for KvCache {
+    fn cached(&self, layer: usize) -> usize {
+        self.k[layer].rows
+    }
+
+    fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
+        self.k[layer].row(pos)
+    }
+
+    fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
+        self.v[layer].row(pos)
+    }
+
+    fn push_rows(&mut self, layer: usize, k_new: &Matrix, v_new: &Matrix) {
         let k = &mut self.k[layer];
         k.data.extend_from_slice(&k_new.data);
         k.rows += k_new.rows;
@@ -239,6 +269,10 @@ pub struct RefModel {
 impl RefModel {
     /// Build a model with seeded random weights.
     pub fn new(cfg: RefConfig) -> Self {
+        assert!(
+            cfg.n_heads > 0 && cfg.hidden.is_multiple_of(cfg.n_heads),
+            "hidden must divide evenly by heads"
+        );
         let layers = (0..cfg.n_layers)
             .map(|i| LayerWeights::random(&cfg, cfg.seed.wrapping_add(1000 + i as u64)))
             .collect();
@@ -277,7 +311,7 @@ impl RefModel {
     /// appending this step's K/V to `cache` for that layer. `x` may be a
     /// whole prompt (prefill) or a single token (decode); attention is
     /// causal over `cache ++ x`.
-    pub fn forward_layer(&self, layer_idx: usize, x: &Matrix, cache: &mut KvCache) -> Matrix {
+    pub fn forward_layer(&self, layer_idx: usize, x: &Matrix, cache: &mut impl KvSeq) -> Matrix {
         forward_layer_alibi(&self.layers[layer_idx], self.cfg.n_heads, layer_idx, x, cache, self.cfg.alibi)
     }
 
@@ -389,7 +423,7 @@ pub fn forward_layer_with(
     n_heads: usize,
     layer_idx: usize,
     x: &Matrix,
-    cache: &mut KvCache,
+    cache: &mut impl KvSeq,
 ) -> Matrix {
     forward_layer_inner(w, n_heads, layer_idx, x, cache, None, false)
 }
@@ -401,7 +435,7 @@ pub fn forward_layer_alibi(
     n_heads: usize,
     layer_idx: usize,
     x: &Matrix,
-    cache: &mut KvCache,
+    cache: &mut impl KvSeq,
     alibi: bool,
 ) -> Matrix {
     forward_layer_inner(w, n_heads, layer_idx, x, cache, None, alibi)
@@ -420,26 +454,30 @@ pub fn forward_layer_taps(
     n_heads: usize,
     layer_idx: usize,
     x: &Matrix,
-    cache: &mut KvCache,
+    cache: &mut impl KvSeq,
 ) -> (Matrix, OperatorTaps) {
     let mut taps = None;
     let out = forward_layer_inner(w, n_heads, layer_idx, x, cache, Some(&mut taps), false);
     (out, taps.expect("taps requested but not produced"))
 }
 
+/// The layer forward. Everything that decides its time is a kernels-crate
+/// call: six (fused dequant-)GEMMs, attention over the K/V rows `cache`
+/// hands out in place, GELU. Rows are independent and every reduction has
+/// a fixed order, so row `i` of a `t_new`-row call is bit-identical to
+/// the one-row call on a cache holding the rows before it.
 fn forward_layer_inner(
     w: &LayerWeights,
     n_heads: usize,
     layer_idx: usize,
     x: &Matrix,
-    cache: &mut KvCache,
+    cache: &mut impl KvSeq,
     taps: Option<&mut Option<OperatorTaps>>,
     alibi: bool,
 ) -> Matrix {
     let h = x.cols;
-    let head_dim = h / n_heads;
     let t_new = x.rows;
-    let past = cache.k[layer_idx].rows;
+    let past = cache.cached(layer_idx);
 
     // --- Attention block (pre-LN) ---
     let mut xn = x.clone();
@@ -450,51 +488,23 @@ fn forward_layer_inner(
     add_bias(&mut k, &w.bk);
     let mut v = w.wv.forward_t(&xn);
     add_bias(&mut v, &w.bv);
-    cache.append(layer_idx, &k, &v);
-    let k_all = &cache.k[layer_idx];
-    let v_all = &cache.v[layer_idx];
-    let t_all = k_all.rows;
+    cache.push_rows(layer_idx, &k, &v);
 
-    let scale = 1.0 / (head_dim as f32).sqrt();
+    // ALiBi penalizes distance linearly per head; slope 0 is no bias.
+    let slopes: Vec<f32> =
+        (0..n_heads).map(|head| if alibi { alibi_slope(head, n_heads) } else { 0.0 }).collect();
     let mut attn_out = Matrix::zeros(t_new, h);
-    for head in 0..n_heads {
-        let lo = head * head_dim;
-        let hi = lo + head_dim;
-        // Scores: (t_new × t_all) for this head, causally masked.
-        let mut scores = Matrix::zeros(t_new, t_all);
-        let slope = if alibi { alibi_slope(head, n_heads) } else { 0.0 };
-        for i in 0..t_new {
-            let qi = &q.row(i)[lo..hi];
-            let limit = past + i; // may attend to positions 0..=past+i
-            for j in 0..t_all {
-                let s = if j <= limit {
-                    let dot = {
-                        let kj = &k_all.row(j)[lo..hi];
-                        qi.iter().zip(kj).map(|(&a, &b)| a * b).sum::<f32>() * scale
-                    };
-                    // ALiBi: penalize distance linearly per head.
-                    dot - slope * (limit - j) as f32
-                } else {
-                    f32::NEG_INFINITY
-                };
-                scores.data[i * t_all + j] = s;
-            }
-        }
-        softmax_rows(&mut scores);
-        for i in 0..t_new {
-            let out_row = attn_out.row_mut(i);
-            for j in 0..t_all {
-                let p = scores.data[i * t_all + j];
-                if p == 0.0 {
-                    continue;
-                }
-                let vj = &v_all.row(j)[lo..hi];
-                for (d, &vv) in vj.iter().enumerate() {
-                    out_row[lo + d] += p * vv;
-                }
-            }
-        }
-    }
+    let cache = &*cache;
+    llmpq_kernels::attention(
+        &q.data,
+        t_new,
+        h,
+        past,
+        &slopes,
+        |pos| cache.k_row(layer_idx, pos),
+        |pos| cache.v_row(layer_idx, pos),
+        &mut attn_out.data,
+    );
     let mut attn_proj = w.wo.forward_t(&attn_out);
     add_bias(&mut attn_proj, &w.bo);
     let mut x1 = x.clone();
@@ -558,6 +568,7 @@ pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut SmallRng) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn nan_logits_ties_and_signed_zeros_have_a_defined_argmax() {
@@ -591,8 +602,71 @@ mod tests {
         }
         let want = full_logits.row(full_logits.rows - 1);
         for (a, b) in want.iter().zip(last.iter()) {
-            assert!((a - b).abs() < 1e-3, "prefill {a} vs decode {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "prefill {a} vs decode {b}");
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// However a sequence is cut into prefill chunks and single-token
+        /// steps, the last position's logits are those of the whole-prompt
+        /// prefill, bit for bit — head widths that leave lane tails, ALiBi
+        /// on and off, lengths that cross the attention row block.
+        #[test]
+        fn any_split_into_chunks_and_steps_matches_whole_prefill(
+            n_heads in prop_oneof![Just(1usize), Just(2), Just(4)],
+            head_dim in prop_oneof![Just(4usize), Just(12), Just(64)],
+            alibi in prop_oneof![Just(false), Just(true)],
+            len in 2usize..=80,
+            cuts in proptest::collection::vec(1usize..24, 1..12),
+            seed in 0u64..1000,
+        ) {
+            let hidden = n_heads * head_dim;
+            let cfg = RefConfig { n_layers: 2, hidden, n_heads, ffn: 2 * hidden, vocab: 50, max_seq: 80, seed, alibi };
+            let model = RefModel::new(cfg);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let seq: Vec<usize> = (0..len).map(|_| rng.gen_range(0..cfg.vocab)).collect();
+            let (full, _) = model.prefill(&seq);
+
+            // Odd cuts are prefill chunks of that many tokens, even cuts
+            // that many single-token decode steps.
+            let mut cache = KvCache::new(cfg.n_layers, hidden);
+            let mut x = Matrix::zeros(0, hidden);
+            let mut cuts = cuts.into_iter().cycle();
+            while cache.len() < len {
+                let cut = cuts.next().unwrap();
+                let take = cut.min(len - cache.len());
+                for chunk in seq[cache.len()..][..take].chunks(if cut % 2 == 1 { take } else { 1 }) {
+                    x = model.embed_tokens(chunk, cache.len());
+                    for l in 0..cfg.n_layers {
+                        x = model.forward_layer(l, &x, &mut cache);
+                    }
+                }
+            }
+            let last = model.last_row_logits(&x);
+            for (a, b) in full.row(len - 1).iter().zip(&last) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hidden must divide evenly by heads")]
+    fn rejects_a_head_count_that_does_not_divide_the_width() {
+        RefModel::new(RefConfig { hidden: 30, ..RefConfig::tiny() });
+    }
+
+    #[test]
+    #[should_panic(expected = "hidden must divide evenly by heads")]
+    fn rejects_zero_heads() {
+        RefModel::new(RefConfig { n_heads: 0, ..RefConfig::tiny() });
+    }
+
+    #[test]
+    #[should_panic(expected = "hidden must divide evenly by heads")]
+    fn rejects_more_heads_than_columns() {
+        RefModel::new(RefConfig { n_heads: 64, ..RefConfig::tiny() });
     }
 
     #[test]
@@ -699,7 +773,7 @@ mod tests {
             last = model.decode_step(t, &mut cache);
         }
         for (a, b) in full_logits.row(full_logits.rows - 1).iter().zip(last.iter()) {
-            assert!((a - b).abs() < 1e-3, "prefill {a} vs decode {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "prefill {a} vs decode {b}");
         }
     }
 

@@ -1,12 +1,13 @@
 //! Minimal dense linear algebra for the reference transformer.
 //!
-//! A row-major `f32` matrix with a rayon-parallel GEMM plus the handful of
-//! elementwise kernels a decoder layer needs (LayerNorm, softmax, GELU).
-//! This is deliberately simple — the reference model exists to propagate
-//! real quantization error, not to set GEMM speed records — but `matmul`
-//! is cache-aware (ikj loop order) and parallel over output rows per the
-//! hpc guide idioms, and `matmul_t` shares the kernels crate's
-//! register-blocked GEMM with the packed weights.
+//! A row-major `f32` matrix plus the handful of elementwise kernels a
+//! decoder layer needs (LayerNorm, softmax, GELU). This is deliberately
+//! simple — the reference model exists to propagate real quantization
+//! error — and the arithmetic that decides a layer's time lives in the
+//! kernels crate: `matmul_t` is its register-blocked GEMM (the one the
+//! packed weights use), `gelu` and `softmax_rows` its whole-vector
+//! kernels over the model's one `exp`. `matmul` is a plain ikj loop; the
+//! `par_*` calls go through `vendor/rayon`, which runs them sequentially.
 
 use llmpq_kernels::gemm_t;
 use rand::rngs::SmallRng;
@@ -58,7 +59,7 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` with a rayon-parallel, ikj-ordered kernel.
+    /// `self · other` with an ikj-ordered loop per output row.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.cols);
@@ -152,30 +153,17 @@ pub fn layer_norm(x: &mut Matrix, gamma: &[f32], beta: &[f32]) {
     });
 }
 
-/// In-place numerically-stable softmax over each row.
+/// In-place numerically-stable softmax over each row, on the model's
+/// `exp` ([`llmpq_kernels::elementwise`]) — the row kernel attention
+/// applies to each live prefix.
 pub fn softmax_rows(x: &mut Matrix) {
-    let cols = x.cols;
-    x.data.par_chunks_mut(cols).for_each(|row| {
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    });
+    llmpq_kernels::softmax_rows(&mut x.data, x.cols);
 }
 
-/// In-place GELU (tanh approximation, as used by OPT/BLOOM).
+/// In-place GELU (tanh approximation, as used by OPT/BLOOM), with
+/// `tanh` built on the model's `exp` ([`llmpq_kernels::elementwise`]).
 pub fn gelu(x: &mut Matrix) {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    x.data.par_iter_mut().for_each(|v| {
-        let u = *v;
-        *v = 0.5 * u * (1.0 + (C * (u + 0.044715 * u * u * u)).tanh());
-    });
+    llmpq_kernels::gelu(&mut x.data);
 }
 
 /// `a += b` elementwise.

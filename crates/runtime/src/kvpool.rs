@@ -13,18 +13,21 @@
 //! the scheduler's join/preempt rules (see [`mod@crate::serve`]) need.
 //!
 //! [`PagedKvStore`] adds the actual tensor storage: per-layer K/V arenas
-//! indexed by block id. The reference model's attention wants a
-//! contiguous per-sequence [`KvCache`], so the store *gathers* a
-//! sequence's blocks into one before the forward pass and *scatters*
-//! the newly appended rows back afterwards — the copy-based stand-in
-//! for a paged attention kernel, numerically identical to running on a
-//! monolithic cache.
+//! indexed by block id. The layer forward reads and writes them in
+//! place: [`PagedKvStore::extend_seq`] grows a sequence's chain for the
+//! positions about to be computed and returns a [`PagedSeq`], the
+//! [`KvSeq`] view through which attention reads every cached row where
+//! it lives and the new rows go straight into the tail blocks —
+//! numerically identical to running on a monolithic [`KvCache`], with no
+//! per-call copy of the context. [`PagedKvStore::gather`] /
+//! [`PagedKvStore::append`] remain for whoever needs the contiguous form
+//! (export, probes).
 //!
 //! [`KvCache`]: llmpq_model::KvCache
 
 use std::collections::HashMap;
 
-use llmpq_model::{KvCache, Matrix};
+use llmpq_model::{KvCache, KvSeq, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a [`KvPool`].
@@ -256,10 +259,11 @@ impl KvPool {
 ///
 /// One K and one V arena per layer, each `n_blocks × block_tokens`
 /// rows of width `hidden`. Rows for a sequence live wherever its block
-/// chain points; [`PagedKvStore::gather`] materialises the contiguous
-/// per-sequence [`KvCache`] the reference attention expects, and
-/// [`PagedKvStore::append`] scatters freshly computed rows back into
-/// the chain (growing it block-by-block).
+/// chain points. The serving engine computes on them in place through
+/// [`PagedKvStore::extend_seq`]; [`PagedKvStore::gather`] materialises a
+/// contiguous per-sequence [`KvCache`] copy and [`PagedKvStore::append`]
+/// scatters the rows of one back into the chain (growing it
+/// block-by-block).
 #[derive(Debug, Clone)]
 pub struct PagedKvStore {
     pool: KvPool,
@@ -285,7 +289,8 @@ impl PagedKvStore {
     }
 
     /// The underlying allocator (read-only; mutation goes through
-    /// [`Self::register`] / [`Self::append`] / [`Self::release`]).
+    /// [`Self::register`] / [`Self::extend_seq`] / [`Self::append`] /
+    /// [`Self::release`]).
     pub fn pool(&self) -> &KvPool {
         &self.pool
     }
@@ -298,6 +303,24 @@ impl PagedKvStore {
     /// Drop a sequence and return its blocks.
     pub fn release(&mut self, seq: u64) -> usize {
         self.pool.free(seq)
+    }
+
+    /// Grow `seq`'s chain by `new_tokens` positions and return the view
+    /// a layer forward computes them through. The chain is extended
+    /// *first*: on [`KvPoolError::Exhausted`] nothing has been computed,
+    /// and the chain and the arenas are exactly as they were.
+    pub fn extend_seq(&mut self, seq: u64, new_tokens: usize) -> Result<PagedSeq<'_>, KvPoolError> {
+        self.pool.extend(seq, new_tokens)?;
+        let a = &self.pool.seqs[&seq];
+        let bt = self.pool.cfg.block_tokens;
+        let rows: Vec<usize> = a
+            .blocks
+            .iter()
+            .flat_map(|&b| (b as usize * bt..).take(bt))
+            .take(a.tokens)
+            .collect();
+        let filled = vec![a.tokens - new_tokens; self.n_layers];
+        Ok(PagedSeq { store: self, rows, filled })
     }
 
     /// Gather `seq`'s KV into a contiguous cache of `tokens_of(seq)`
@@ -350,6 +373,12 @@ impl PagedKvStore {
         Ok(())
     }
 
+    /// The raw K and V arenas, for tests that pin "nothing was written".
+    #[cfg(test)]
+    pub(crate) fn arenas(&self) -> (&[Vec<f32>], &[Vec<f32>]) {
+        (&self.k, &self.v)
+    }
+
     /// Hidden width per row.
     pub fn hidden(&self) -> usize {
         self.hidden
@@ -365,6 +394,50 @@ impl PagedKvStore {
     pub fn resident_bytes(&self) -> u64 {
         let rows = self.pool.used_blocks() * self.pool.cfg.block_tokens;
         (rows * self.hidden * self.n_layers * 2 * std::mem::size_of::<f32>()) as u64
+    }
+}
+
+/// One sequence of a [`PagedKvStore`] as the layer forward sees it
+/// ([`PagedKvStore::extend_seq`]): every cached row read where its block
+/// lives, the reserved positions written in place.
+#[derive(Debug)]
+pub struct PagedSeq<'a> {
+    store: &'a mut PagedKvStore,
+    /// Arena row of each position, the reserved ones included — one
+    /// table per call, shared by every layer, so a row access is an
+    /// index and not a division by the block size.
+    rows: Vec<usize>,
+    /// Positions written so far, per layer.
+    filled: Vec<usize>,
+}
+
+impl PagedSeq<'_> {
+    fn row_of<'s>(&self, arena: &'s [f32], pos: usize) -> &'s [f32] {
+        &arena[self.rows[pos] * self.store.hidden..][..self.store.hidden]
+    }
+}
+
+impl KvSeq for PagedSeq<'_> {
+    fn cached(&self, layer: usize) -> usize {
+        self.filled[layer]
+    }
+
+    fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
+        self.row_of(&self.store.k[layer], pos)
+    }
+
+    fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
+        self.row_of(&self.store.v[layer], pos)
+    }
+
+    fn push_rows(&mut self, layer: usize, k: &Matrix, v: &Matrix) {
+        let (from, hidden) = (self.filled[layer], self.store.hidden);
+        assert!(from + k.rows <= self.rows.len(), "more rows than the chain was extended for");
+        for (r, &row) in self.rows[from..from + k.rows].iter().enumerate() {
+            self.store.k[layer][row * hidden..][..hidden].copy_from_slice(k.row(r));
+            self.store.v[layer][row * hidden..][..hidden].copy_from_slice(v.row(r));
+        }
+        self.filled[layer] += k.rows;
     }
 }
 
@@ -557,6 +630,56 @@ mod tests {
         let g = st.gather(2).unwrap();
         assert_eq!(g.len(), 1);
         assert_eq!(g.k[0].data, vec![3.0]);
+    }
+
+    #[test]
+    fn view_writes_in_place_what_gather_reads_back() {
+        // Two interleaved sequences over 3-token blocks: rows pushed
+        // through the view land where `gather` finds them, and the view
+        // reads back rows appended the copying way.
+        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 8, block_tokens: 3 }, 2, 2);
+        st.register(1).unwrap();
+        st.register(2).unwrap();
+        let rows = |seq: usize, layer: usize, from: usize, n: usize, sign: f32| {
+            kv_row_matrix(n, 2, |r, c| sign * (seq * 1000 + layer * 100 + (from + r) * 2 + c) as f32)
+        };
+        for (seq, from, n) in [(1usize, 0usize, 4usize), (2, 0, 2), (1, 4, 1), (2, 2, 5), (1, 5, 3)] {
+            let mut view = st.extend_seq(seq as u64, n).unwrap();
+            for layer in 0..2 {
+                assert_eq!(view.cached(layer), from);
+                view.push_rows(layer, &rows(seq, layer, from, n, 1.0), &rows(seq, layer, from, n, -1.0));
+                assert_eq!(view.cached(layer), from + n);
+            }
+        }
+        for (seq, total) in [(1usize, 8usize), (2, 7)] {
+            let back = st.gather(seq as u64).unwrap();
+            assert_eq!(st.pool().tokens_of(seq as u64), Some(total));
+            let view = st.extend_seq(seq as u64, 0).unwrap();
+            for layer in 0..2 {
+                assert_eq!(back.k[layer], rows(seq, layer, 0, total, 1.0));
+                assert_eq!(back.v[layer], rows(seq, layer, 0, total, -1.0));
+                for pos in 0..total {
+                    assert_eq!(view.k_row(layer, pos), back.k[layer].row(pos));
+                    assert_eq!(view.v_row(layer, pos), back.v[layer].row(pos));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn view_refused_for_lack_of_blocks_changes_nothing() {
+        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 2, block_tokens: 2 }, 1, 1);
+        st.register(1).unwrap();
+        let mut view = st.extend_seq(1, 3).unwrap();
+        view.push_rows(0, &kv_row_matrix(3, 1, |r, _| r as f32), &kv_row_matrix(3, 1, |r, _| -(r as f32)));
+        let before = (st.pool().blocks_of(1).unwrap().to_vec(), st.k.clone(), st.v.clone());
+        let err = st.extend_seq(1, 2).map(|_| ()).unwrap_err();
+        assert_eq!(err, KvPoolError::Exhausted { needed: 1, free: 0 });
+        assert_eq!(st.extend_seq(9, 1).map(|_| ()).unwrap_err(), KvPoolError::UnknownSeq(9));
+        assert_eq!(st.pool().tokens_of(1), Some(3));
+        assert_eq!((st.pool().blocks_of(1).unwrap().to_vec(), st.k.clone(), st.v.clone()), before);
+        // The last free position is still grantable.
+        st.extend_seq(1, 1).unwrap();
     }
 
     #[test]

@@ -36,13 +36,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::kvpool::{KvPool, KvPoolConfig, PagedKvStore};
+use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError, PagedKvStore};
 use crate::overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, DegradationConfig,
     DegradationController, Request, RungTransition,
 };
 use crate::telemetry::Telemetry;
-use llmpq_model::{argmax, RefModel};
+use llmpq_model::{argmax, KvSeq, Matrix, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Rounding};
 use serde::{Deserialize, Serialize};
 
@@ -495,6 +495,25 @@ impl ModelStepEngine {
     fn model(&self) -> &RefModel {
         &self.models[self.rung]
     }
+
+    /// Run `tokens` of `seq`, at positions `pos0..`, through the served
+    /// rung and return their hidden states. The sequence's chain is
+    /// extended first — exhaustion is reported before anything is
+    /// computed — and every layer then reads the cached K/V where its
+    /// blocks live and writes the new rows straight into the tail blocks.
+    fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize) -> Result<Matrix, StepError> {
+        let model = &self.models[self.rung];
+        let mut x = model.embed_tokens(tokens, pos0);
+        let mut kv = self.store.extend_seq(seq, tokens.len()).map_err(|e| match e {
+            KvPoolError::Exhausted { needed, free } => StepError::KvExhausted { needed, free },
+            e => StepError::Engine(e.to_string()),
+        })?;
+        debug_assert_eq!(kv.cached(0), pos0, "a sequence is computed in position order");
+        for l in 0..model.cfg.n_layers {
+            x = model.forward_layer(l, &x, &mut kv);
+        }
+        Ok(x)
+    }
 }
 
 impl StepEngine for ModelStepEngine {
@@ -513,43 +532,13 @@ impl StepEngine for ModelStepEngine {
         pos0: usize,
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
-        let mut cache = self.store.gather(seq).map_err(|e| StepError::Engine(e.to_string()))?;
-        debug_assert_eq!(cache.len(), pos0, "prefill chunks must be contiguous");
-        let model = &self.models[self.rung];
-        let mut x = model.embed_tokens(tokens, pos0);
-        for l in 0..model.cfg.n_layers {
-            x = model.forward_layer(l, &x, &mut cache);
-        }
-        match self.store.append(seq, &cache, pos0) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
-        if !is_last {
-            return Ok(None);
-        }
-        Ok(Some(argmax(&self.model().last_row_logits(&x))))
+        let x = self.forward(seq, tokens, pos0)?;
+        Ok(is_last.then(|| argmax(&self.model().last_row_logits(&x))))
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
-        let mut cache = self.store.gather(seq).map_err(|e| StepError::Engine(e.to_string()))?;
-        debug_assert_eq!(cache.len(), pos, "decode position must follow the cache");
-        let model = &self.models[self.rung];
-        let mut x = model.embed_tokens(&[last], pos);
-        for l in 0..model.cfg.n_layers {
-            x = model.forward_layer(l, &x, &mut cache);
-        }
-        match self.store.append(seq, &cache, pos) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
-        let logits = self.model().project_logits(&x);
-        Ok(argmax(logits.row(logits.rows - 1)))
+        let x = self.forward(seq, &[last], pos)?;
+        Ok(argmax(&self.model().last_row_logits(&x)))
     }
 
     fn release(&mut self, seq: u64) {
@@ -1965,6 +1954,94 @@ mod tests {
         let block = ModelStepEngine::kv_block_bytes(&checkpoint.cfg, 16);
         for e in [&e16, &e4] {
             assert!(e.weight_resident_bytes() + e.pool().free_blocks() * block <= budget);
+        }
+    }
+
+    #[test]
+    fn paged_forward_matches_contiguous_generate_for_every_block_size() {
+        // The engine computes on the block chain in place; the oracle on
+        // one contiguous cache. Same tokens for blocks of 1, 3 and 16
+        // positions, with chunks that straddle blocks, a pool tight
+        // enough to preempt, and a sequence dropped mid-prefill and
+        // recomputed.
+        use llmpq_model::{RefConfig, RefModel};
+        use llmpq_quant::Bitwidth;
+        let checkpoint = RefModel::new(RefConfig::tiny());
+        let ladder = vec![BitAssignment::uniform(checkpoint.cfg.n_layers, Bitwidth::Int4)];
+        let oracle = quantize_model(&checkpoint, &ladder[0], Rounding::Deterministic, 3);
+        let want = |prompt: &[usize], n: usize| oracle.generate(prompt, n, 0.0, 0).tokens;
+        let prompt =
+            |id: usize, len: usize| -> Vec<usize> { (0..len).map(|p| (7 * id + 13 * p + 1) % 96).collect() };
+        // Prefill in `chunk`-token pieces, then decode up to `n` tokens.
+        fn drive(e: &mut ModelStepEngine, seq: u64, prompt: &[usize], chunk: usize, n: usize) -> Vec<usize> {
+            let mut out = Vec::new();
+            for (c, piece) in prompt.chunks(chunk).enumerate() {
+                let is_last = (c + 1) * chunk >= prompt.len();
+                out.extend(e.prefill_chunk(seq, piece, c * chunk, is_last).unwrap());
+            }
+            while out.len() < n {
+                let pos = prompt.len() + out.len() - 1;
+                out.push(e.decode_one(seq, *out.last().unwrap(), pos).unwrap());
+            }
+            out
+        }
+        for block_tokens in [1usize, 3, 16] {
+            // 48 positions of KV in all.
+            let pool = KvPoolConfig { n_blocks: 48usize.div_ceil(block_tokens), block_tokens };
+            let engine = || ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, 3, pool).unwrap();
+
+            // Under the scheduler: five requests of 18–30 positions.
+            let reqs: Vec<Request> = (0..5)
+                .map(|id| Request {
+                    id,
+                    arrival_s: 0.0,
+                    prompt: prompt(id, 11 + 3 * id),
+                    n_generate: 7,
+                    deadline_s: None,
+                    priority: 0,
+                })
+                .collect();
+            let cfg = ContinuousConfig { prefill_chunk: 5, token_budget: 12, max_batch: 4, ..Default::default() };
+            let report = serve_continuous(engine(), &reqs, cfg, None).unwrap();
+            assert_eq!(report.completed, 5, "block_tokens {block_tokens}");
+            assert!(report.preemptions > 0, "block_tokens {block_tokens}: the pool must force preemption");
+            for fin in &report.outputs {
+                assert_eq!(fin.tokens, want(&reqs[fin.id].prompt, 7), "block_tokens {block_tokens} request {}", fin.id);
+            }
+
+            // By hand: sequence 1 is 7 tokens into its prompt when
+            // sequence 2 takes the rest of the pool.
+            let (a, b) = (prompt(8, 20), prompt(9, 30));
+            let mut e = engine();
+            e.register(1).unwrap();
+            e.register(2).unwrap();
+            assert_eq!(e.prefill_chunk(1, &a[..7], 0, false).unwrap(), None);
+            let b_first = e.prefill_chunk(2, &b, 0, true).unwrap().unwrap();
+            // The next chunk does not fit: refused before anything is
+            // computed, chain and arenas untouched.
+            let bits = |e: &ModelStepEngine| -> Vec<u32> {
+                let (k, v) = e.store().arenas();
+                k.iter().chain(v).flatten().map(|x| x.to_bits()).collect()
+            };
+            let before = bits(&e);
+            let blocks = e.pool().blocks_of(1).unwrap().to_vec();
+            let refused = e.prefill_chunk(1, &a[7..], 7, true).unwrap_err();
+            assert!(matches!(refused, StepError::KvExhausted { .. }), "{refused:?}");
+            assert_eq!(e.pool().tokens_of(1), Some(7));
+            assert_eq!(e.pool().blocks_of(1).unwrap(), blocks);
+            assert!(bits(&e) == before, "block_tokens {block_tokens}: the arenas changed");
+            // Preempt it mid-prefill; sequence 2 decodes on into the
+            // blocks it gave back; then recompute it from the start.
+            e.release(1);
+            let mut b_out = vec![b_first];
+            while b_out.len() < 6 {
+                let pos = b.len() + b_out.len() - 1;
+                b_out.push(e.decode_one(2, *b_out.last().unwrap(), pos).unwrap());
+            }
+            assert_eq!(b_out, want(&b, 6), "block_tokens {block_tokens}");
+            e.release(2);
+            e.register(1).unwrap();
+            assert_eq!(drive(&mut e, 1, &a, 5, 5), want(&a, 5), "block_tokens {block_tokens}");
         }
     }
 
