@@ -20,6 +20,7 @@ use llmpq_runtime::{
 };
 use llmpq_workload::MicrobatchPlan;
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 4;
@@ -49,7 +50,7 @@ fn plan() -> ExecutionPlan {
 
 fn main() {
     let plan = plan();
-    let checkpoint = RefModel::new(RefConfig::scaled_like(plan.n_layers(), 0xD157 ^ SEED));
+    let checkpoint = Arc::new(RefModel::new(RefConfig::scaled_like(plan.n_layers(), 0xD157 ^ SEED)));
     let prompts: Vec<Vec<usize>> = (0..BATCH)
         .map(|i| {
             (0..PROMPT_LEN)
@@ -73,7 +74,7 @@ fn main() {
     let addr = listener.local_addr().unwrap().to_string();
     let stage_handles: Vec<_> = (0..plan.stages.len())
         .map(|s| {
-            let (plan, checkpoint) = (plan.clone(), checkpoint.clone());
+            let (plan, checkpoint) = (plan.clone(), Arc::clone(&checkpoint));
             let cfg = DistStageConfig {
                 stage: s,
                 listen: "127.0.0.1:0".into(),
@@ -83,7 +84,7 @@ fn main() {
                 wire_faults: WireFaultPlan::none(),
                 tick: Duration::from_millis(2),
             };
-            std::thread::spawn(move || run_stage(&checkpoint, &plan, BATCH, &cfg))
+            std::thread::spawn(move || run_stage(checkpoint, &plan, BATCH, &cfg))
         })
         .collect();
     let telemetry = Telemetry::new(plan.stages.len());

@@ -178,7 +178,7 @@ fn run(args: &Args) -> Result<(), String> {
     // shared flags, which is what makes the distributed tokens
     // bit-comparable to the in-process engine.
     if args.get("stage").is_some() {
-        return run_stage_process(args, &plan, &checkpoint, batch);
+        return run_stage_process(args, &plan, checkpoint, batch);
     }
     if args.get("listen").is_some() {
         return run_master_process(args, &plan, &checkpoint, &prompts, n_generate);
@@ -656,7 +656,7 @@ fn render_link_crosscheck(rows: &[llmpq_cost::LinkCrosscheck]) -> String {
 fn run_stage_process(
     args: &Args,
     plan: &ExecutionPlan,
-    checkpoint: &RefModel,
+    checkpoint: RefModel,
     batch: usize,
 ) -> Result<(), String> {
     let stage = args.get_parse("stage", 0usize).map_err(|e| e.to_string())?;
@@ -671,7 +671,8 @@ fn run_stage_process(
         tick: std::time::Duration::from_millis(2),
     };
     eprintln!("stage {stage}: dialing master at {}", cfg.master);
-    let summary = run_stage(checkpoint, plan, batch, &cfg).map_err(|e| e.to_string())?;
+    let summary =
+        run_stage(std::sync::Arc::new(checkpoint), plan, batch, &cfg).map_err(|e| e.to_string())?;
     println!(
         "stage {stage}: served {} attempt(s), {} items, rx {} B, tx {} B",
         summary.attempts_served,

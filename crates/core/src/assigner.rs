@@ -18,7 +18,7 @@ use crate::incremental::{repair_hint, CostCache, EvalCache, PlannerStats};
 use crate::plan::{ExecutionPlan, StagePlan};
 use crate::transfer::heuristic_solve;
 use llmpq_cluster::Cluster;
-use llmpq_cost::{CostDb, FRAMEWORK_BYTES};
+use llmpq_cost::{round_block, CostDb, FRAMEWORK_BYTES};
 use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
 use llmpq_quant::{Bitwidth, IndicatorTable};
 use llmpq_sim::layer_workspace_bytes;
@@ -39,13 +39,6 @@ pub struct AssignOutcome {
     pub overhead_s: f64,
     /// Number of (ordering, micro-batch) combinations explored.
     pub combinations: usize,
-}
-
-/// Allocator block granularity mirrored from the memory cost model.
-const BLOCK: f64 = 2.0 * 1024.0 * 1024.0;
-
-fn round_block(bytes: f64) -> f64 {
-    (bytes / BLOCK).ceil() * BLOCK
 }
 
 /// Enumerate distinct device orderings (by GPU-type sequence), capped.

@@ -16,6 +16,7 @@
 
 use crate::evaluate::representative_past;
 use llmpq_cluster::Cluster;
+use llmpq_cost::{round_block, FRAMEWORK_BYTES};
 use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
 use llmpq_quant::{Bitwidth, IndicatorTable};
 use llmpq_sim::{
@@ -25,13 +26,6 @@ use llmpq_sim::{
 use llmpq_solver::{solve_partition, PartitionProblem, PartitionSolution};
 use llmpq_workload::{microbatch_counts, BatchJob, MicrobatchPlan};
 use serde::{Deserialize, Serialize};
-
-/// Allocator block granularity mirrored from the memory cost model.
-const BLOCK: f64 = 2.0 * 1024.0 * 1024.0;
-
-fn round_block(bytes: f64) -> f64 {
-    (bytes / BLOCK).ceil() * BLOCK
-}
 
 /// One virtual pipeline device: a TP group of identical GPUs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,7 +147,7 @@ pub fn plan_with_tp(
         }
 
         let workspace = layer_workspace_bytes(spec, Phase::Prefill, mb.prefill_size, job.prompt_len, Bitwidth::Int3);
-        let mut fixed_mem = vec![600e6 + round_block(workspace); n];
+        let mut fixed_mem = vec![FRAMEWORK_BYTES + round_block(workspace); n];
         fixed_mem[0] += round_block(spec.embedding_bytes());
         let capacity: Vec<f64> = virtuals
             .iter()

@@ -35,6 +35,8 @@ pub use fidelity::{
     KernelObservation, LinkCrosscheck, LinkObservation, StageCrosscheck,
 };
 pub use latency::{CostDb, LatencyModel};
-pub use memory::{stage_memory, stage_memory_bytes, MemoryBreakdown, FRAMEWORK_BYTES};
+pub use memory::{
+    round_block, stage_memory, stage_memory_bytes, MemoryBreakdown, FRAMEWORK_BYTES,
+};
 pub use profiler::{profile_device, ProfileSample, ProfilerConfig};
 pub use store::ProfileFile;

@@ -21,7 +21,10 @@ pub const FRAMEWORK_BYTES: f64 = 600e6;
 /// Allocator block granularity the prediction accounts for.
 const BLOCK: f64 = 2.0 * 1024.0 * 1024.0;
 
-fn round_block(bytes: f64) -> f64 {
+/// `bytes` rounded up to whole allocator blocks — with
+/// [`FRAMEWORK_BYTES`], the memory model's constants, stated here for
+/// this module and for the planners that rebuild its terms per layer.
+pub fn round_block(bytes: f64) -> f64 {
     (bytes / BLOCK).ceil() * BLOCK
 }
 

@@ -152,16 +152,28 @@ impl LayerWeights {
         ]
     }
 
-    /// Mutable access to a named linear operator.
-    pub fn linear_operator_mut(&mut self, name: &str) -> Option<&mut LinearOp> {
-        match name {
-            "wq" => Some(&mut self.wq),
-            "wk" => Some(&mut self.wk),
-            "wv" => Some(&mut self.wv),
-            "wo" => Some(&mut self.wo),
-            "w1" => Some(&mut self.w1),
-            "w2" => Some(&mut self.w2),
-            _ => None,
+    /// This layer with every linear operator replaced by `f(index,
+    /// operator)` — `index` as in [`Self::linear_operators`] — and biases
+    /// and norm parameters copied: how a loader builds the served form of
+    /// a layer without first copying the dense one.
+    pub fn map_operators(&self, mut f: impl FnMut(usize, &LinearOp) -> LinearOp) -> Self {
+        Self {
+            wq: f(0, &self.wq),
+            wk: f(1, &self.wk),
+            wv: f(2, &self.wv),
+            wo: f(3, &self.wo),
+            w1: f(4, &self.w1),
+            w2: f(5, &self.w2),
+            bq: self.bq.clone(),
+            bk: self.bk.clone(),
+            bv: self.bv.clone(),
+            bo: self.bo.clone(),
+            b1: self.b1.clone(),
+            b2: self.b2.clone(),
+            ln1_g: self.ln1_g.clone(),
+            ln1_b: self.ln1_b.clone(),
+            ln2_g: self.ln2_g.clone(),
+            ln2_b: self.ln2_b.clone(),
         }
     }
 
@@ -288,23 +300,7 @@ impl RefModel {
 
     /// Embed `tokens` starting at absolute position `start_pos`.
     pub fn embed_tokens(&self, tokens: &[usize], start_pos: usize) -> Matrix {
-        let h = self.cfg.hidden;
-        let mut x = Matrix::zeros(tokens.len(), h);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.cfg.vocab, "token {t} out of vocab");
-            let pos = start_pos + i;
-            assert!(pos < self.cfg.max_seq, "position {pos} exceeds max_seq");
-            let e = self.embed.row(t);
-            if self.cfg.alibi {
-                x.row_mut(i).copy_from_slice(e);
-            } else {
-                let p = self.pos.row(pos);
-                for (j, v) in x.row_mut(i).iter_mut().enumerate() {
-                    *v = e[j] + p[j];
-                }
-            }
-        }
-        x
+        embed_tokens(&self.cfg, &self.embed, &self.pos, tokens, start_pos)
     }
 
     /// Run one decoder layer over hidden states `x` (t_new × hidden),
@@ -318,9 +314,7 @@ impl RefModel {
     /// Apply the final LayerNorm and tied LM head, returning logits
     /// (`t × vocab`).
     pub fn project_logits(&self, x: &Matrix) -> Matrix {
-        let mut x = x.clone();
-        layer_norm(&mut x, &self.ln_f_g, &self.ln_f_b);
-        x.matmul_t(&self.embed)
+        project_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
     }
 
     /// Logits of the last row of `x` only (`vocab` long) — what sampling
@@ -328,8 +322,7 @@ impl RefModel {
     /// independent, so this equals its last row bit-for-bit at `1/t` of
     /// the LM-head work.
     pub fn last_row_logits(&self, x: &Matrix) -> Vec<f32> {
-        let last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
-        self.project_logits(&last).data
+        last_row_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
     }
 
     /// Prefill: run the whole prompt through all layers, returning logits
@@ -385,6 +378,94 @@ impl RefModel {
         }
         total / (tokens.len() - 1) as f64
     }
+}
+
+/// A model without its decoder layers: what a pipeline master computes
+/// with — tokens in, the ring's hidden states out to logits — while the
+/// stage workers own the layers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelHead {
+    /// Configuration of the whole model.
+    pub cfg: RefConfig,
+    /// Token embedding table, `vocab × hidden` (tied LM head).
+    pub embed: Matrix,
+    /// Positional embedding table, `max_seq × hidden`.
+    pub pos: Matrix,
+    /// Final LayerNorm scale.
+    pub ln_f_g: Vec<f32>,
+    /// Final LayerNorm shift.
+    pub ln_f_b: Vec<f32>,
+}
+
+impl ModelHead {
+    /// A copy of `model`'s head.
+    pub fn of(model: &RefModel) -> Self {
+        Self {
+            cfg: model.cfg,
+            embed: model.embed.clone(),
+            pos: model.pos.clone(),
+            ln_f_g: model.ln_f_g.clone(),
+            ln_f_b: model.ln_f_b.clone(),
+        }
+    }
+
+    /// The model this head makes with `layers`.
+    pub fn with_layers(self, layers: Vec<LayerWeights>) -> RefModel {
+        RefModel {
+            cfg: self.cfg,
+            embed: self.embed,
+            pos: self.pos,
+            layers,
+            ln_f_g: self.ln_f_g,
+            ln_f_b: self.ln_f_b,
+        }
+    }
+
+    /// [`RefModel::embed_tokens`] of the model this is the head of.
+    pub fn embed_tokens(&self, tokens: &[usize], start_pos: usize) -> Matrix {
+        embed_tokens(&self.cfg, &self.embed, &self.pos, tokens, start_pos)
+    }
+
+    /// [`RefModel::last_row_logits`] of the model this is the head of.
+    pub fn last_row_logits(&self, x: &Matrix) -> Vec<f32> {
+        last_row_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
+    }
+}
+
+fn embed_tokens(
+    cfg: &RefConfig,
+    embed: &Matrix,
+    pos_table: &Matrix,
+    tokens: &[usize],
+    start_pos: usize,
+) -> Matrix {
+    let mut x = Matrix::zeros(tokens.len(), cfg.hidden);
+    for (i, &t) in tokens.iter().enumerate() {
+        assert!(t < cfg.vocab, "token {t} out of vocab");
+        let pos = start_pos + i;
+        assert!(pos < cfg.max_seq, "position {pos} exceeds max_seq");
+        let e = embed.row(t);
+        if cfg.alibi {
+            x.row_mut(i).copy_from_slice(e);
+        } else {
+            let p = pos_table.row(pos);
+            for (j, v) in x.row_mut(i).iter_mut().enumerate() {
+                *v = e[j] + p[j];
+            }
+        }
+    }
+    x
+}
+
+fn project_logits(embed: &Matrix, ln_f_g: &[f32], ln_f_b: &[f32], x: &Matrix) -> Matrix {
+    let mut x = x.clone();
+    layer_norm(&mut x, ln_f_g, ln_f_b);
+    x.matmul_t(embed)
+}
+
+fn last_row_logits(embed: &Matrix, ln_f_g: &[f32], ln_f_b: &[f32], x: &Matrix) -> Vec<f32> {
+    let last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
+    project_logits(embed, ln_f_g, ln_f_b, &last).data
 }
 
 /// Inputs observed at each linear operator during one layer forward —

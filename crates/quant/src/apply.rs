@@ -7,12 +7,14 @@
 //! `bits/32`.
 
 use crate::bitwidth::{BitAssignment, Bitwidth};
-use crate::quantizer::{pack_operator, Rounding};
-use llmpq_model::RefModel;
-use rayon::prelude::*;
+use crate::loader::load_stage_weights;
+use crate::quantizer::Rounding;
+use llmpq_model::{ModelHead, RefModel};
 
 /// Return a copy of `model` whose decoder layers are quantized per
-/// `assignment` (layer `i` at `assignment.bits[i]`), stored packed.
+/// `assignment` (layer `i` at `assignment.bits[i]`), stored packed: one
+/// pass of the on-the-fly loader over every layer, so the result is what
+/// the pipeline stages of the same assignment serve, bit for bit.
 /// Embeddings, norms and biases stay FP16/FP32, as in the paper.
 pub fn quantize_model(model: &RefModel, assignment: &BitAssignment, rounding: Rounding, seed: u64) -> RefModel {
     assert_eq!(
@@ -20,23 +22,8 @@ pub fn quantize_model(model: &RefModel, assignment: &BitAssignment, rounding: Ro
         model.cfg.n_layers,
         "assignment must cover every layer"
     );
-    let mut out = model.clone();
-    out.layers
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(l, layer)| {
-            let bits = assignment.bits[l];
-            if bits == Bitwidth::Fp16 {
-                return;
-            }
-            let layer_seed = seed ^ ((l as u64) << 32);
-            for name in ["wq", "wk", "wv", "wo", "w1", "w2"] {
-                let w = layer.linear_operator_mut(name).unwrap();
-                let packed = pack_operator(w.dense(), bits, rounding, layer_seed ^ name.len() as u64);
-                *w = packed;
-            }
-        });
-    out
+    let (layers, _) = load_stage_weights(model, 0, &assignment.bits, rounding, seed);
+    ModelHead::of(model).with_layers(layers)
 }
 
 /// Quantize every layer to the same bitwidth.
@@ -96,21 +83,12 @@ mod tests {
         use crate::quantizer::fake_quantize;
         let model = RefModel::new(RefConfig::tiny());
         let packed = quantize_model_uniform(&model, Bitwidth::Int4, Rounding::Deterministic, 0);
-        let mut dense = model.clone();
-        for (l, layer) in dense.layers.iter_mut().enumerate() {
-            // Mirrors quantize_model_uniform's per-layer seed with seed = 0.
-            let layer_seed = (l as u64) << 32;
-            for name in ["wq", "wk", "wv", "wo", "w1", "w2"] {
-                let w = layer.linear_operator_mut(name).unwrap();
-                let dq = fake_quantize(
-                    w.dense(),
-                    Bitwidth::Int4,
-                    Rounding::Deterministic,
-                    layer_seed ^ name.len() as u64,
-                );
-                *w = dq.into();
-            }
-        }
+        // Deterministic rounding never reads the seed.
+        let dequantized = |_, w: &llmpq_model::LinearOp| {
+            fake_quantize(w.dense(), Bitwidth::Int4, Rounding::Deterministic, 0).into()
+        };
+        let layers = model.layers.iter().map(|l| l.map_operators(dequantized)).collect();
+        let dense = ModelHead::of(&model).with_layers(layers);
         let a = packed.generate(&[1, 2, 3], 12, 0.0, 0);
         let b = dense.generate(&[1, 2, 3], 12, 0.0, 0);
         assert_eq!(a, b, "packed and dequantized serving must emit identical tokens");

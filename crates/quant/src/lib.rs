@@ -21,6 +21,7 @@ pub mod apply;
 pub mod bitwidth;
 pub mod calibrate;
 pub mod indicator;
+pub mod loader;
 pub mod quantizer;
 pub mod schemes;
 pub mod smoothquant;
@@ -32,6 +33,7 @@ pub use indicator::{
     build_indicator, hessian_indicator, random_indicator, variance_indicator, IndicatorKind,
     IndicatorTable,
 };
+pub use loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};
 pub use quantizer::{
     fake_quantize, pack_operator, quantization_mse, quantize_matrix, QuantizedMatrix, Rounding,
 };

@@ -615,10 +615,11 @@ impl<'a> Pipeline<'a> {
             }
             _ => None,
         };
-        // Workers can prepare a proposed plan only when swaps can happen.
-        let host = coord
-            .is_some()
-            .then(|| Arc::new(MigrationHost::new(checkpoint.clone(), self.rounding, self.seed)));
+        // Workers need the dense checkpoint only to prepare a proposed
+        // plan: one shared copy, and only when swaps are scheduled.
+        let host = coord.is_some().then(|| {
+            Arc::new(MigrationHost::new(Arc::new(checkpoint.clone()), self.rounding, self.seed))
+        });
         // The in-process ring serving a plan: shards loaded through the
         // on-the-fly quantizing loader (every shard, where a real
         // deployment would reload only the re-homed ones), wired to this

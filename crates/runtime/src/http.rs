@@ -361,6 +361,38 @@ fn json_error(msg: &str) -> Vec<u8> {
     serde_json::to_string(&v).unwrap_or_else(|_| "{}".into()).into_bytes()
 }
 
+/// Why a completion gets no tokens.
+enum Refusal {
+    /// Refused by admission.
+    Shed,
+    /// Reaped past its deadline before service.
+    Expired,
+    /// The scheduler thread is gone.
+    Closed,
+}
+
+/// The answer to a refused completion, streamed or not: status line,
+/// `Retry-After` where waiting helps, JSON error body, and the counter
+/// bump.
+fn refuse(
+    w: &mut impl Write,
+    handle: &ServeHandle,
+    stats: &HttpServerStats,
+    why: Refusal,
+    close: bool,
+) -> std::io::Result<()> {
+    let (status, reason, msg, retry) = match why {
+        Refusal::Shed => (429, "Too Many Requests", "shed by admission control", true),
+        Refusal::Expired => (504, "Gateway Timeout", "deadline expired before service", false),
+        Refusal::Closed => (503, "Service Unavailable", "scheduler is shutting down", true),
+    };
+    let counter = if status < 500 { &stats.client_err_4xx } else { &stats.server_err_5xx };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let retry: Vec<_> =
+        retry.then(|| ("Retry-After", handle.retry_after_s().to_string())).into_iter().collect();
+    write_response_hdrs(w, status, reason, "application/json", &retry, &json_error(msg), close)
+}
+
 /// What `ServeHandle::submit` came back with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitOutcome {
@@ -906,41 +938,11 @@ fn route(
                             stats.ok_2xx.fetch_add(1, Ordering::Relaxed);
                             write_response(w, 200, "OK", "application/json", body.as_bytes(), close)
                         }
-                        SubmitOutcome::Shed => {
-                            stats.client_err_4xx.fetch_add(1, Ordering::Relaxed);
-                            write_response_hdrs(
-                                w,
-                                429,
-                                "Too Many Requests",
-                                "application/json",
-                                &[("Retry-After", handle.retry_after_s().to_string())],
-                                &json_error("shed by admission control"),
-                                close,
-                            )
-                        }
+                        SubmitOutcome::Shed => refuse(w, handle, stats, Refusal::Shed, close),
                         SubmitOutcome::Expired => {
-                            stats.server_err_5xx.fetch_add(1, Ordering::Relaxed);
-                            write_response(
-                                w,
-                                504,
-                                "Gateway Timeout",
-                                "application/json",
-                                &json_error("deadline expired before service"),
-                                close,
-                            )
+                            refuse(w, handle, stats, Refusal::Expired, close)
                         }
-                        SubmitOutcome::Closed => {
-                            stats.server_err_5xx.fetch_add(1, Ordering::Relaxed);
-                            write_response_hdrs(
-                                w,
-                                503,
-                                "Service Unavailable",
-                                "application/json",
-                                &[("Retry-After", handle.retry_after_s().to_string())],
-                                &json_error("scheduler is shutting down"),
-                                close,
-                            )
-                        }
+                        SubmitOutcome::Closed => refuse(w, handle, stats, Refusal::Closed, close),
                     }
                 }
             }
@@ -975,59 +977,16 @@ fn stream_completion(
     stats: &HttpServerStats,
     close: bool,
 ) -> std::io::Result<()> {
-    let retry = || vec![("Retry-After", handle.retry_after_s().to_string())];
     let deadline = c.deadline_ms.or(cfg.default_deadline_ms);
-    let Some(rx) = handle.submit_stream(c.prompt, c.max_tokens, c.priority, deadline) else {
-        stats.server_err_5xx.fetch_add(1, Ordering::Relaxed);
-        return write_response_hdrs(
-            w,
-            503,
-            "Service Unavailable",
-            "application/json",
-            &retry(),
-            &json_error("scheduler is shutting down"),
-            close,
-        );
-    };
-    let first = match rx.recv() {
-        Ok(ev) => ev,
-        Err(_) => {
-            stats.server_err_5xx.fetch_add(1, Ordering::Relaxed);
-            return write_response_hdrs(
-                w,
-                503,
-                "Service Unavailable",
-                "application/json",
-                &retry(),
-                &json_error("scheduler is shutting down"),
-                close,
-            );
-        }
+    let first = handle
+        .submit_stream(c.prompt, c.max_tokens, c.priority, deadline)
+        .and_then(|rx| rx.recv().ok().map(|first| (rx, first)));
+    let Some((rx, first)) = first else {
+        return refuse(w, handle, stats, Refusal::Closed, close);
     };
     match first {
-        StreamEvent::Shed => {
-            stats.client_err_4xx.fetch_add(1, Ordering::Relaxed);
-            write_response_hdrs(
-                w,
-                429,
-                "Too Many Requests",
-                "application/json",
-                &retry(),
-                &json_error("shed by admission control"),
-                close,
-            )
-        }
-        StreamEvent::Expired => {
-            stats.server_err_5xx.fetch_add(1, Ordering::Relaxed);
-            write_response(
-                w,
-                504,
-                "Gateway Timeout",
-                "application/json",
-                &json_error("deadline expired before service"),
-                close,
-            )
-        }
+        StreamEvent::Shed => refuse(w, handle, stats, Refusal::Shed, close),
+        StreamEvent::Expired => refuse(w, handle, stats, Refusal::Expired, close),
         ev @ (StreamEvent::Token { .. } | StreamEvent::Done(_)) => {
             stats.ok_2xx.fetch_add(1, Ordering::Relaxed);
             write!(
@@ -1510,6 +1469,58 @@ mod tests {
             );
         }
         server.shutdown().unwrap();
+    }
+
+    /// A front door whose scheduler answers every submission with
+    /// `verdict` (`None`: the scheduler is gone).
+    fn canned_handle(verdict: Option<StreamEvent>) -> ServeHandle {
+        let (tx, rx) = mpsc::channel::<Submission>();
+        if let Some(verdict) = verdict {
+            std::thread::spawn(move || {
+                for sub in rx {
+                    let _ = sub.resp.send(verdict.clone());
+                }
+            });
+        }
+        ServeHandle {
+            tx,
+            next_id: Arc::new(AtomicU64::new(0)),
+            clock: real_clock(),
+            epoch: Duration::ZERO,
+            status: Arc::new(ServeStatus::default()),
+            max_batch: 8,
+        }
+    }
+
+    #[test]
+    fn streamed_and_unstreamed_refusals_are_the_same_bytes() {
+        // A request refused before its first token — shed, expired past
+        // its deadline, or met by a scheduler that is gone — has not
+        // committed to chunked encoding yet, so `"stream": true` must
+        // not change a byte of the answer.
+        let cfg = HttpServerConfig { vocab: 97, ..HttpServerConfig::default() };
+        let stats = HttpServerStats::default();
+        let rows = [(Some(StreamEvent::Shed), 429), (Some(StreamEvent::Expired), 504), (None, 503)];
+        for (verdict, status) in rows {
+            let handle = canned_handle(verdict);
+            let answer = |stream: bool| {
+                let body = format!(r#"{{"prompt":[1,2],"max_tokens":2,"stream":{stream}}}"#);
+                let raw = format!(
+                    "POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let req = parse(&raw).unwrap().unwrap();
+                let mut out = Vec::new();
+                route(&req, &handle, &Telemetry::new(0), &cfg, &stats, &mut out, false).unwrap();
+                String::from_utf8(out).unwrap()
+            };
+            let (plain, streamed) = (answer(false), answer(true));
+            assert!(plain.starts_with(&format!("HTTP/1.1 {status} ")), "{plain}");
+            assert_eq!(plain.contains("\r\nRetry-After: "), status != 504, "{plain}");
+            assert_eq!(plain, streamed);
+        }
+        assert_eq!(stats.client_err_4xx.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.server_err_5xx.load(Ordering::Relaxed), 4);
     }
 
     #[test]

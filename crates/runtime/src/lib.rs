@@ -81,8 +81,7 @@ pub use kvpool::{KvPool, KvPoolConfig, KvPoolError, KvPoolStats, PagedKvStore, P
 pub use loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};
 pub use migrate::{
     hybrid_oracle_tokens, kv_to_chunks, swap_oracle_tokens, CommitDecision, KvAssembler,
-    KvChunkMsg, MigrationCoordinator, MigrationHost, ProgressiveSchedule, ProgressiveStep,
-    SwapReport, SwapRequest, WorkerSwap,
+    KvChunkMsg, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest, WorkerSwap,
 };
 pub use net::dist::{
     run_master, run_stage, DistMasterConfig, DistOutput, DistStageConfig, StageSummary,

@@ -1,183 +1,5 @@
-//! On-the-fly quantizing model loader (paper §5).
-//!
-//! "We have decoupled the integrated model weight into module-level
-//! weights. During runtime, we determine the granularity of processed
-//! weights by overlapping the disk-to-CPU weight loading time with the
-//! on-GPU model quantization and CPU-to-GPU memory copy. This results in
-//! a significant reduction in DRAM required for model loading."
-//!
-//! Here the "checkpoint" is the FP32 reference model; the loader streams
-//! it one linear module at a time, quantizing each module to its layer's
-//! target precision before the next module is staged. [`LoaderStats`]
-//! tracks the peak staging footprint, which must stay bounded by one
-//! module — not one model.
+//! The on-the-fly quantizing model loader (paper §5) lives in
+//! [`llmpq_quant::loader`], next to the quantizer it drives; the runtime
+//! re-exports it under the path it has always had.
 
-use llmpq_model::{LayerWeights, LinearOp, Matrix, RefModel};
-use llmpq_quant::{pack_operator, Bitwidth, Rounding};
-use serde::{Deserialize, Serialize};
-
-/// Statistics of a loading pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LoaderStats {
-    /// Total bytes streamed from the checkpoint.
-    pub bytes_streamed: u64,
-    /// Peak bytes staged in "CPU RAM" at any moment.
-    pub peak_staging_bytes: u64,
-    /// Number of modules processed.
-    pub modules: usize,
-    /// Number of modules that were quantized (vs copied at FP16).
-    pub quantized_modules: usize,
-}
-
-/// Streams layer weights module-by-module, quantizing on the fly.
-#[derive(Debug)]
-pub struct OnTheFlyQuantizer {
-    rounding: Rounding,
-    seed: u64,
-    stats: LoaderStats,
-    staged: u64,
-}
-
-impl OnTheFlyQuantizer {
-    /// New loader with the quantization rounding mode and seed.
-    pub fn new(rounding: Rounding, seed: u64) -> Self {
-        Self { rounding, seed, stats: LoaderStats::default(), staged: 0 }
-    }
-
-    /// Loader statistics so far.
-    pub fn stats(&self) -> LoaderStats {
-        self.stats
-    }
-
-    fn stage_bytes(m: &Matrix) -> u64 {
-        (m.data.len() * std::mem::size_of::<f32>()) as u64
-    }
-
-    /// Stream one module: stage it, quantize to the packed layout (or
-    /// pass through dense), release the staging buffer.
-    fn process_module(&mut self, src: &Matrix, bits: Bitwidth, module_seed: u64) -> LinearOp {
-        let bytes = Self::stage_bytes(src);
-        self.staged += bytes;
-        self.stats.peak_staging_bytes = self.stats.peak_staging_bytes.max(self.staged);
-        self.stats.bytes_streamed += bytes;
-        self.stats.modules += 1;
-        let out = if bits == Bitwidth::Fp16 {
-            LinearOp::Dense(src.clone())
-        } else {
-            self.stats.quantized_modules += 1;
-            pack_operator(src, bits, self.rounding, module_seed)
-        };
-        // Staging buffer released once the module is on the "GPU".
-        self.staged -= bytes;
-        out
-    }
-
-    /// Load one decoder layer at `bits`, module by module. Matches the
-    /// numerics of `llmpq_quant::quantize_model` exactly (same per-layer
-    /// seeds), so a runtime-loaded model is bit-identical to an eagerly
-    /// quantized one.
-    pub fn load_layer(&mut self, checkpoint: &RefModel, layer: usize, bits: Bitwidth) -> LayerWeights {
-        let src = &checkpoint.layers[layer];
-        let mut out = src.clone();
-        if bits != Bitwidth::Fp16 {
-            let layer_seed = self.seed ^ ((layer as u64) << 32);
-            for (name, srcw) in src.linear_operators() {
-                let packed = self.process_module(srcw.dense(), bits, layer_seed ^ name.len() as u64);
-                *out.linear_operator_mut(name).unwrap() = packed;
-            }
-        } else {
-            for (_, m) in src.linear_operators() {
-                // FP16 modules still stream through staging.
-                let _ = self.process_module(m.dense(), Bitwidth::Fp16, 0);
-            }
-        }
-        out
-    }
-}
-
-/// Load a contiguous shard of layers at the given per-layer precisions;
-/// returns the stage's weights and the loader statistics.
-pub fn load_stage_weights(
-    checkpoint: &RefModel,
-    layer_start: usize,
-    bits: &[Bitwidth],
-    rounding: Rounding,
-    seed: u64,
-) -> (Vec<LayerWeights>, LoaderStats) {
-    let mut loader = OnTheFlyQuantizer::new(rounding, seed);
-    let weights = bits
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| loader.load_layer(checkpoint, layer_start + i, b))
-        .collect();
-    (weights, loader.stats())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use llmpq_model::{RefConfig, RefModel};
-    use llmpq_quant::{quantize_model, BitAssignment};
-
-    fn model() -> RefModel {
-        RefModel::new(RefConfig::tiny())
-    }
-
-    #[test]
-    fn staging_bounded_by_one_module() {
-        let m = model();
-        let bits = vec![Bitwidth::Int4; m.cfg.n_layers];
-        let (_, stats) = load_stage_weights(&m, 0, &bits, Rounding::Deterministic, 0);
-        let largest_module = m.layers[0]
-            .linear_operators()
-            .iter()
-            .map(|(_, w)| (w.dense().data.len() * 4) as u64)
-            .max()
-            .unwrap();
-        assert_eq!(
-            stats.peak_staging_bytes, largest_module,
-            "peak staging must equal the largest single module"
-        );
-        let total: u64 = stats.bytes_streamed;
-        assert!(total >= 6 * largest_module, "whole shard streamed through");
-    }
-
-    #[test]
-    fn matches_eager_quantization_bit_for_bit() {
-        let m = model();
-        let assignment = BitAssignment {
-            bits: vec![Bitwidth::Int4, Bitwidth::Int8],
-        };
-        let eager = quantize_model(&m, &assignment, Rounding::Deterministic, 0);
-        let (streamed, _) =
-            load_stage_weights(&m, 0, &assignment.bits, Rounding::Deterministic, 0);
-        for (l, sw) in streamed.iter().enumerate() {
-            assert_eq!(sw.wq, eager.layers[l].wq, "layer {l} wq");
-            assert_eq!(sw.w2, eager.layers[l].w2, "layer {l} w2");
-        }
-    }
-
-    #[test]
-    fn fp16_layers_pass_through_unchanged() {
-        let m = model();
-        let (w, stats) =
-            load_stage_weights(&m, 1, &[Bitwidth::Fp16], Rounding::Deterministic, 0);
-        assert_eq!(w[0].wq, m.layers[1].wq);
-        assert_eq!(stats.quantized_modules, 0);
-        assert_eq!(stats.modules, 6);
-    }
-
-    #[test]
-    fn stats_count_quantized_modules() {
-        let m = model();
-        let (_, stats) = load_stage_weights(
-            &m,
-            0,
-            &[Bitwidth::Int3, Bitwidth::Fp16],
-            Rounding::Deterministic,
-            7,
-        );
-        assert_eq!(stats.quantized_modules, 6, "one quantized layer = 6 modules");
-        assert_eq!(stats.modules, 12);
-    }
-}
+pub use llmpq_quant::loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};

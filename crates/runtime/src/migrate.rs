@@ -25,17 +25,13 @@
 //! ignored. Work items are epoch-tagged so a post-swap worker drops
 //! stragglers from the previous epoch instead of appending them to the
 //! wrong KV cache.
-//!
-//! [`ProgressiveSchedule`] drives per-position bitwidth drops through
-//! the same swap path — the *Progressive Mixed-Precision Decoding*
-//! observation that later decode steps tolerate lower precision —
-//! scored by ω via [`IndicatorTable::total`].
 
 use crate::engine::RuntimeError;
 use llm_pq::ExecutionPlan;
 use llmpq_model::{argmax, Matrix, RefModel};
-use llmpq_quant::{Bitwidth, IndicatorTable, Rounding};
+use llmpq_quant::Rounding;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum KV rows per [`KvChunkMsg`] — keeps every chunk well under the
@@ -76,11 +72,14 @@ pub struct SwapReport {
 
 /// Everything a stage worker needs to *prepare* a proposed plan: the
 /// full checkpoint (workers requantize their new shard locally through
-/// the on-the-fly loader) and the quantizer settings of the run.
+/// the on-the-fly loader) and the quantizer settings of the run. It is
+/// the one holder of dense decoder layers beside a running ring, so it
+/// exists only where a `PlanPropose` can arrive, and shares the
+/// checkpoint with whoever else in the process holds it.
 #[derive(Debug, Clone)]
 pub struct MigrationHost {
     /// The full-precision checkpoint.
-    pub checkpoint: RefModel,
+    pub checkpoint: Arc<RefModel>,
     /// Rounding mode of the run (must match the master's).
     pub rounding: Rounding,
     /// Quantizer seed of the run.
@@ -92,7 +91,7 @@ pub struct MigrationHost {
 
 impl MigrationHost {
     /// Host with the default commit-window safety timeout.
-    pub fn new(checkpoint: RefModel, rounding: Rounding, seed: u64) -> Self {
+    pub fn new(checkpoint: Arc<RefModel>, rounding: Rounding, seed: u64) -> Self {
         Self { checkpoint, rounding, seed, commit_timeout: Duration::from_secs(30) }
     }
 }
@@ -654,86 +653,6 @@ pub fn swap_oracle_tokens(
     hybrid_oracle_tokens(&[(0, old), (swap_at, new)], prompt, n_generate, resume_at)
 }
 
-// --- progressive schedule -----------------------------------------------
-
-/// A per-position precision policy: from token `at_token` on, serve with
-/// `bits` (one entry per global layer). Partition is kept; only
-/// precision drops — the *Progressive Mixed-Precision Decoding* shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressiveStep {
-    /// First token index served at this precision.
-    pub at_token: usize,
-    /// Per-layer bitwidths from that point on.
-    pub bits: Vec<Bitwidth>,
-}
-
-/// An ordered list of per-position bitwidth drops driven through the
-/// live-swap path, plus an ω-based quality score so policies can be
-/// compared before being deployed.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProgressiveSchedule {
-    /// Precision steps, ascending `at_token` (token 0 up to the first
-    /// step runs the base plan's precision).
-    pub steps: Vec<ProgressiveStep>,
-}
-
-impl ProgressiveSchedule {
-    /// Uniform-precision drops: at each `(at_token, bits)`, every layer
-    /// moves to `bits`.
-    pub fn uniform(n_layers: usize, drops: &[(usize, Bitwidth)]) -> Self {
-        let mut steps: Vec<ProgressiveStep> = drops
-            .iter()
-            .map(|&(at_token, b)| ProgressiveStep { at_token, bits: vec![b; n_layers] })
-            .collect();
-        steps.sort_by_key(|s| s.at_token);
-        Self { steps }
-    }
-
-    /// Materialize the schedule as [`SwapRequest`]s against `base`:
-    /// each step keeps the base partition and microbatching and swaps
-    /// only per-layer precision.
-    pub fn swaps(&self, base: &ExecutionPlan) -> Vec<SwapRequest> {
-        self.steps
-            .iter()
-            .map(|step| {
-                let mut plan = base.clone();
-                for s in &mut plan.stages {
-                    s.bits = step.bits[s.layer_start..s.layer_end].to_vec();
-                }
-                SwapRequest { at_token: step.at_token, plan }
-            })
-            .collect()
-    }
-
-    /// ω-weighted quality cost of serving `n_generate` tokens under this
-    /// schedule: Σ over segments of (token share) × Σ_layers ω(layer,
-    /// bits). Lower is better; dropping precision *later* costs less,
-    /// which is the progressive-decoding argument in ω terms.
-    pub fn omega_score(
-        &self,
-        base: &ExecutionPlan,
-        table: &IndicatorTable,
-        n_generate: usize,
-    ) -> f64 {
-        if n_generate == 0 {
-            return 0.0;
-        }
-        let base_bits = base.bit_assignment().bits;
-        let mut boundaries = vec![(0usize, base_bits)];
-        for s in &self.steps {
-            boundaries.push((s.at_token.min(n_generate), s.bits.clone()));
-        }
-        let mut score = 0.0;
-        for (i, (from, bits)) in boundaries.iter().enumerate() {
-            let until = boundaries.get(i + 1).map_or(n_generate, |(t, _)| *t);
-            if until > *from {
-                score += (until - from) as f64 / n_generate as f64 * table.total(bits);
-            }
-        }
-        score
-    }
-}
-
 // --- swap schedule validation -------------------------------------------
 
 /// Validate a swap schedule against the base plan: same stage count and
@@ -771,7 +690,7 @@ pub fn validate_swaps(
 mod tests {
     use super::*;
     use llmpq_model::RefConfig;
-    use llmpq_quant::{quantize_model, BitAssignment};
+    use llmpq_quant::{quantize_model, BitAssignment, Bitwidth};
 
     #[test]
     fn kv_chunks_round_trip_across_fragmentation() {
@@ -943,45 +862,6 @@ mod tests {
         assert_eq!(c.attempt_plan(&plan_a), &plan_b);
         assert!(c.reports.last().is_some_and(|r| r.committed));
         assert!(!c.swap_due(5), "a committed swap is not retried");
-    }
-
-    #[test]
-    fn progressive_schedule_scores_later_drops_cheaper() {
-        let n_layers = 4;
-        let table = llmpq_quant::random_indicator(n_layers, 7, 1.0);
-        let base = ExecutionPlan {
-            model: "t".into(),
-            cluster: "c".into(),
-            stages: vec![llm_pq::StagePlan {
-                device: 0,
-                layer_start: 0,
-                layer_end: n_layers,
-                bits: vec![Bitwidth::Fp16; n_layers],
-            }],
-            microbatch: llmpq_workload::MicrobatchPlan {
-                prefill_size: 1,
-                prefill_count: 1,
-                decode_size: 1,
-                decode_count: 1,
-            },
-            scheme: "LLM-PQ".into(),
-            kv_bits: 16,
-        };
-        let early = ProgressiveSchedule::uniform(n_layers, &[(2, Bitwidth::Int4)]);
-        let late = ProgressiveSchedule::uniform(n_layers, &[(8, Bitwidth::Int4)]);
-        let n = 10;
-        let s_early = early.omega_score(&base, &table, n);
-        let s_late = late.omega_score(&base, &table, n);
-        assert!(
-            s_late < s_early,
-            "dropping precision later must cost less ω ({s_late} vs {s_early})"
-        );
-        // Schedules materialize as swaps against the base partition.
-        let swaps = late.swaps(&base);
-        assert_eq!(swaps.len(), 1);
-        assert_eq!(swaps[0].at_token, 8);
-        assert_eq!(swaps[0].plan.stages[0].bits, vec![Bitwidth::Int4; n_layers]);
-        validate_swaps(&base, &swaps, n_layers).expect("progressive swaps are valid");
     }
 
     #[test]

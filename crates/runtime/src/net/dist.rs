@@ -711,9 +711,12 @@ impl Drop for TcpServingRing {
 /// master, then serve data connections — one per attempt — until the
 /// master says `Bye` (graceful: answer with a [`StageReport`]) or the
 /// control connection dies (orphaned: exit with an error so process
-/// supervisors notice). Blocks for the whole run.
+/// supervisors notice). Blocks for the whole run. The stage quantizes
+/// its shard from `checkpoint` and then keeps that same allocation for
+/// live swaps, so a caller that holds on to its `Arc` shares the dense
+/// layers with the stage rather than doubling them.
 pub fn run_stage(
-    checkpoint: &RefModel,
+    checkpoint: Arc<RefModel>,
     plan: &ExecutionPlan,
     n_seqs: usize,
     cfg: &DistStageConfig,
@@ -728,7 +731,7 @@ pub fn run_stage(
         .ok_or_else(|| RuntimeError::BadPlan(format!("stage {s} out of range ({n_stages} stages)")))?;
     let fp = plan_fingerprint(plan);
     let (weights, _loader_stats) =
-        load_stage_weights(checkpoint, sp.layer_start, &sp.bits, cfg.rounding, cfg.seed);
+        load_stage_weights(&checkpoint, sp.layer_start, &sp.bits, cfg.rounding, cfg.seed);
 
     let listener =
         TcpListener::bind(&cfg.listen).map_err(|e| wire_io(&format!("binding {}", cfg.listen), e))?;
@@ -823,14 +826,10 @@ pub fn run_stage(
         disconnects: Some(board.clone()),
         clock: clock.clone(),
         layer_start: sp.layer_start,
-        // Live-swap support: each stage can requantize its own shard from
-        // the checkpoint when a PlanPropose arrives (no-op for plain
-        // batch runs, which never send one).
-        migration: Some(Arc::new(MigrationHost::new(
-            checkpoint.clone(),
-            cfg.rounding,
-            cfg.seed,
-        ))),
+        // Live-swap support: a stage process cannot know whether its
+        // master will propose a plan, so it keeps the checkpoint it was
+        // started with (shared, not copied) to requantize its shard from.
+        migration: Some(Arc::new(MigrationHost::new(checkpoint, cfg.rounding, cfg.seed))),
     };
 
     let mut attempts_served = 0usize;
@@ -985,7 +984,7 @@ mod tests {
                     wire_faults: wire_faults.clone(),
                     tick: Duration::from_millis(2),
                 };
-                std::thread::spawn(move || run_stage(&model(), &plan, n_seqs, &cfg))
+                std::thread::spawn(move || run_stage(Arc::new(model()), &plan, n_seqs, &cfg))
             })
             .collect()
     }
@@ -1066,7 +1065,7 @@ mod tests {
                 wire_faults: WireFaultPlan::none(),
                 tick: Duration::from_millis(2),
             };
-            std::thread::spawn(move || run_stage(&model(), &other, 1, &cfg))
+            std::thread::spawn(move || run_stage(Arc::new(model()), &other, 1, &cfg))
         }];
         let cfg = DistMasterConfig::default();
         let res = run_master(&model(), &plan, &prompts, 3, &listener, &cfg);

@@ -51,7 +51,7 @@ use crate::worker::{
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use llm_pq::ExecutionPlan;
-use llmpq_model::{argmax, Matrix, Phase, RefModel};
+use llmpq_model::{argmax, Matrix, ModelHead, Phase, RefModel};
 use llmpq_quant::Rounding;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -130,8 +130,8 @@ pub trait ServingRing: Send {
 /// In-process ring: one OS thread per stage over crossbeam channels,
 /// the plan's shards quantized once and shared across attempts — the
 /// runtime's only channel-chain builder. The serving engine gets one
-/// from [`new`](Self::new) (fault injector and a [`MigrationHost`] on
-/// every worker so live swaps work); the offline
+/// from [`new`](Self::new) (fault injector, and a [`MigrationHost`] on
+/// every worker when its rung ladder can swap); the offline
 /// [`Pipeline`](crate::Pipeline) loads one per plan and attaches the
 /// supervision of its run through the crate-private fields.
 pub struct ChannelRing {
@@ -201,21 +201,29 @@ impl ChannelRing {
         }
     }
 
-    /// The serving ring on `boot`: workers can live-swap, and `faults`
-    /// attaches deterministic worker-fault injection for chaos tests.
+    /// The serving ring of the rung ladder `plans`, booted on `plans[0]`;
+    /// `faults` attaches deterministic worker-fault injection for chaos
+    /// tests. A rung change is the only thing that proposes a plan to a
+    /// serving ring, so the workers get a [`MigrationHost`] — and the
+    /// process a resident dense checkpoint — only when there is a second
+    /// rung to change to.
     pub fn new(
         checkpoint: &RefModel,
-        boot: ExecutionPlan,
+        plans: &[ExecutionPlan],
         rounding: Rounding,
         seed: u64,
         n_slots: usize,
         tick: Duration,
         faults: Option<FaultPlan>,
     ) -> Result<Self, String> {
+        let boot = plans.first().ok_or("need at least one plan in the rung ladder")?;
         boot.validate(checkpoint.cfg.n_layers)?;
-        let mut ring = Self::load(checkpoint, boot, rounding, seed, n_slots, tick);
+        let mut ring = Self::load(checkpoint, boot.clone(), rounding, seed, n_slots, tick);
         ring.injector = Some(FaultInjector::new(&faults.unwrap_or_default()));
-        ring.host = Some(Arc::new(MigrationHost::new(checkpoint.clone(), rounding, seed)));
+        if plans.len() > 1 {
+            let dense = Arc::new(checkpoint.clone());
+            ring.host = Some(Arc::new(MigrationHost::new(dense, rounding, seed)));
+        }
         Ok(ring)
     }
 }
@@ -321,8 +329,9 @@ impl Drop for ChannelRing {
 
 /// The distributed serving engine (module docs above).
 pub struct DistStepEngine {
-    /// Embedding + logits live on the master, like the offline engine.
-    model: RefModel,
+    /// Embedding + logits live on the master, like the offline engine;
+    /// the decoder layers live on the ring.
+    head: ModelHead,
     /// Rung ladder: full execution plans, same stage count, rung 0 is
     /// the boot plan every (re)started ring loads.
     plans: Vec<ExecutionPlan>,
@@ -359,9 +368,8 @@ impl DistStepEngine {
         cfg: DistServeConfig,
         faults: Option<FaultPlan>,
     ) -> Result<Self, String> {
-        let boot = plans.first().ok_or("need at least one plan in the rung ladder")?.clone();
         let ring =
-            ChannelRing::new(checkpoint, boot, rounding, seed, cfg.n_slots, cfg.tick, faults)?;
+            ChannelRing::new(checkpoint, &plans, rounding, seed, cfg.n_slots, cfg.tick, faults)?;
         Self::over_ring(checkpoint, plans, cfg, Box::new(ring))
     }
 
@@ -397,7 +405,7 @@ impl DistStepEngine {
         }
         let costs = IterCost::default_ladder(plans.len());
         Ok(Self {
-            model: checkpoint.clone(),
+            head: ModelHead::of(checkpoint),
             plans,
             costs,
             pool: KvPool::new(cfg.pool),
@@ -548,7 +556,7 @@ impl DistStepEngine {
                     .into_iter()
                     .next()
                     .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
-                Ok(Some(argmax(&self.model.last_row_logits(&h))))
+                Ok(Some(argmax(&self.head.last_row_logits(&h))))
             }
             Err(_) => {
                 self.ring_down = true;
@@ -594,7 +602,7 @@ impl StepEngine for DistStepEngine {
             Err(e) => return Err(StepError::Engine(e.to_string())),
             Ok(()) => {}
         }
-        let x = self.model.embed_tokens(tokens, pos0);
+        let x = self.head.embed_tokens(tokens, pos0);
         let tok = self.forward(slot, x, Phase::Prefill, is_last)?;
         *self.positions.get_mut(&seq).expect("registered") += tokens.len();
         Ok(tok)
@@ -610,7 +618,7 @@ impl StepEngine for DistStepEngine {
             Err(e) => return Err(StepError::Engine(e.to_string())),
             Ok(()) => {}
         }
-        let x = self.model.embed_tokens(&[last], pos);
+        let x = self.head.embed_tokens(&[last], pos);
         let tok = self
             .forward(slot, x, Phase::Decode, true)?
             .expect("sampled decode step returns a token");
@@ -662,7 +670,7 @@ impl StepEngine for DistStepEngine {
     }
 
     fn max_seq(&self) -> usize {
-        self.model.cfg.max_seq
+        self.head.cfg.max_seq
     }
 
     fn epoch(&self) -> u64 {
@@ -773,6 +781,55 @@ mod tests {
         report: &crate::serve::ContinuousReport,
     ) -> std::collections::BTreeMap<usize, Vec<usize>> {
         report.outputs.iter().map(|f| (f.id, f.tokens.clone())).collect()
+    }
+
+    /// What `over_channels` builds its ring with, kept in hand so a test
+    /// can wrap it, or look inside after the engine has boxed it.
+    fn channel_ring(plans: &[ExecutionPlan], tick: Duration, faults: Option<FaultPlan>) -> ChannelRing {
+        ChannelRing::new(&checkpoint(), plans, Rounding::Deterministic, SEED, 8, tick, faults)
+            .expect("ring")
+    }
+
+    #[test]
+    fn one_rung_ring_has_no_host_and_refuses_a_proposal() {
+        // Nothing proposes a plan to a one-rung ladder, so nothing in the
+        // process keeps dense decoder layers: the ring has no host (and
+        // the engine's `head` has no layers to keep, by type). A
+        // proposal that arrives anyway gets the typed refusal.
+        let mut ring = channel_ring(&ladder()[..1], DistServeConfig::default().tick, None);
+        assert!(ring.host.is_none());
+        let link = ring.dial(0).expect("dial");
+        let propose = WorkerMsg::PlanPropose { epoch: 1, plan_json: plan(Bitwidth::Int8).to_json() };
+        link.send_msg(propose, Duration::from_secs(5)).expect("send");
+        let reason = loop {
+            match link.recv_msg(Duration::from_secs(5)).expect("the ring answers") {
+                WorkerMsg::PlanAbort { reason, .. } => break reason,
+                WorkerMsg::PlanReady { .. } => panic!("a ring without a host prepared a plan"),
+                _ => {}
+            }
+        };
+        assert!(reason.contains("no migration host"), "{reason}");
+    }
+
+    #[test]
+    fn two_rung_engine_holds_the_dense_checkpoint_once() {
+        let ring = channel_ring(&ladder(), DistServeConfig::default().tick, None);
+        let host = ring.host.clone().expect("a second rung can be swapped to");
+        let dcfg = DistServeConfig { n_slots: 8, ..DistServeConfig::default() };
+        let mut eng = DistStepEngine::over_ring(&checkpoint(), ladder(), dcfg, Box::new(ring))
+            .expect("engine");
+        // Holders of the host before a dial: the ring and this test.
+        assert_eq!(Arc::strong_count(&host), 2);
+        eng.register(0).unwrap();
+        assert!(eng.prefill_chunk(0, &[1, 2, 3], 0, true).unwrap().is_some());
+        // … and one per stage worker once the ring runs. All of them
+        // reach the same dense model, which nothing else holds.
+        assert_eq!(Arc::strong_count(&host), 2 + eng.ring.n_stages());
+        assert_eq!(Arc::strong_count(&host.checkpoint), 1);
+        // The swap those layers are kept for still works.
+        eng.set_rung(1);
+        assert_eq!((eng.epoch(), eng.ring_down()), (1, false));
+        assert_eq!(Arc::strong_count(&host.checkpoint), 1);
     }
 
     #[test]
@@ -914,18 +971,7 @@ mod tests {
             tick: Duration::from_millis(1),
             ..DistServeConfig::default()
         };
-        let ring = |faults: Option<FaultPlan>| {
-            ChannelRing::new(
-                &checkpoint(),
-                plan(Bitwidth::Fp16),
-                Rounding::Deterministic,
-                SEED,
-                dcfg.n_slots,
-                dcfg.tick,
-                faults,
-            )
-            .expect("ring")
-        };
+        let ring = |faults| channel_ring(&ladder(), dcfg.tick, faults);
         let hang = FaultPlan {
             events: vec![FaultEvent { stage: 1, step: 6, attempt: Some(0), kind: FaultKind::Hang }],
         };

@@ -372,7 +372,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let ref_cfg = cfg
         .n_layers
         .map_or_else(RefConfig::tiny, |l| RefConfig { n_layers: l.clamp(1, 8), ..RefConfig::tiny() });
-    let model = RefModel::new(ref_cfg);
+    let model = Arc::new(RefModel::new(ref_cfg));
     let n = cfg.n_stages.clamp(1, model.cfg.n_layers);
     let n_seqs = cfg.prompts.len();
     let exec = build_exec_plan(&model, n, n_seqs);
@@ -385,7 +385,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let target = cfg.migration.as_ref().map(|m| build_target_plan(&exec, m, &plan.joins));
     let shared_plan = Arc::new(Mutex::new(exec.clone()));
     let host = cfg.migration.as_ref().map(|_| {
-        let mut h = MigrationHost::new(model.clone(), Rounding::Deterministic, 0);
+        let mut h = MigrationHost::new(Arc::clone(&model), Rounding::Deterministic, 0);
         h.commit_timeout = Duration::from_micros(cfg.progress_timeout_us);
         Arc::new(h)
     });

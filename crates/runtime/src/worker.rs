@@ -663,11 +663,9 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
                 for (seq, x) in item.seqs.iter_mut() {
-                    let mut h = x.clone();
                     for (l, w) in active.iter().enumerate() {
-                        h = forward_layer_alibi(w, ctx.n_heads, l, &h, &mut caches[*seq], ctx.alibi);
+                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut caches[*seq], ctx.alibi);
                     }
-                    *x = h;
                     metrics.seq_forwards += 1;
                 }
                 let elapsed = ctx.clock.now().saturating_sub(t0);

@@ -25,6 +25,7 @@ use llmpq_runtime::{
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
 use std::io::Read;
+use std::sync::Arc;
 
 /// Arbitrary worker messages: work items with random shapes and
 /// bit-pattern-derived (finite) floats, shutdowns, protocol errors.
@@ -560,7 +561,7 @@ proptest! {
     #[test]
     fn commits_only_swap_the_prepared_epoch(prepared_epoch in 1u64..6, commit in 0u64..10) {
         let host = MigrationHost::new(
-            RefModel::new(RefConfig::scaled_like(2, 7)),
+            Arc::new(RefModel::new(RefConfig::scaled_like(2, 7))),
             Rounding::Deterministic,
             0,
         );

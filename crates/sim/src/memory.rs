@@ -9,7 +9,10 @@
 use llmpq_model::{ModelSpec, Phase};
 use llmpq_quant::Bitwidth;
 
-/// CUDA caching allocators hand out memory in 2 MiB blocks.
+/// CUDA caching allocators hand out memory in 2 MiB blocks. This and
+/// the context size below are stated again in `llmpq_cost::memory` on
+/// purpose: this module is the ground truth `fig7_cost_fidelity` holds
+/// that model against, so it must not read the model's constants.
 const BLOCK: f64 = 2.0 * 1024.0 * 1024.0;
 
 fn round_block(bytes: f64) -> f64 {
