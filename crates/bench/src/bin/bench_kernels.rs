@@ -15,7 +15,9 @@
 //! usual `m`, and `m = 64` (one serving chunk), so the table shows how
 //! far staging each weight tile once per row block amortises. A third
 //! table replays the `ref256x4` serving model's per-token GEMM list at
-//! `m = 1` — the shapes a decode step actually runs, L2-resident. A
+//! `m = 1`, `2` and `3` — the shapes a decode step actually runs (one
+//! sequence, or a few stacked; also every prefill tail block),
+//! L2-resident, with the time per weight beside each. A
 //! fourth times the other half of that model's layer at int4: GELU per
 //! element, the attention kernel alone, and the whole layer forward next
 //! to its own six GEMM calls (`layer_over_gemm`, a quotient of two
@@ -35,7 +37,8 @@
 //! Flags: `--quick` (fewer repetitions, CI-friendly), `--check-ordering`
 //! (assert fused beats dequant-then-GEMM, fused int8 and int4 each run
 //! the 4096² decode at least [`MIN_DECODE_SPEEDUP_AVX2`]× faster than
-//! dense f32 when the AVX2 instantiation ran, and a fused `m = 64` prefill row costs at most
+//! dense f32 and int4 at least [`MIN_INT4_OVER_INT8_AVX2`]× as fast as
+//! int8 when the AVX2 instantiation ran, and a fused `m = 64` prefill row costs at most
 //! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape,
 //! and the layer forward of both prefill shapes costs at most
 //! [`MAX_LAYER_OVER_GEMM`] of its GEMMs),
@@ -74,11 +77,15 @@ struct GemmRow {
     roofline_frac: Option<f64>,
 }
 
-/// One pass over the `ref256x4` model's per-token GEMM list at `m = 1`.
+/// One pass over the `ref256x4` model's per-token GEMM list with `m`
+/// activation rows.
 #[derive(Serialize)]
 struct ListRow {
     kernel: String,
-    us_per_tok: f64,
+    m: usize,
+    us_per_call: f64,
+    /// Time per call over the weights the pass touches.
+    ns_per_weight: f64,
     /// Weight bytes the pass streams (the logits projection stays dense).
     weight_bytes: usize,
     roofline_frac: f64,
@@ -144,10 +151,10 @@ struct Report {
     /// Dense-f32 time over fused time at the 4096² decode, per
     /// precision; under AVX2 the gate is ≥ [`MIN_DECODE_SPEEDUP_AVX2`].
     decode_speedup_vs_f32: Vec<(String, f64)>,
-    /// Fused-int8 time over fused-int4 time at the 4096² decode. Below 1
-    /// int4 is *behind* int8 although it streams half the bytes: both
-    /// are bound by the tile fill, and a nibble costs an extra
-    /// mask/shift pass before the convert int8 starts with.
+    /// Fused-int8 time over fused-int4 time at the 4096² decode: int4
+    /// streams half the bytes, and both precisions spend about one
+    /// instruction per weight converting and accumulating it in
+    /// registers. Under AVX2 the gate is ≥ [`MIN_INT4_OVER_INT8_AVX2`].
     int4_over_int8_decode: f64,
     /// Fused `m = 64` time per row over fused `m = 1` time at the
     /// prefill shape, per precision; the gate is ≤
@@ -165,20 +172,31 @@ struct Committed {
 }
 
 /// Under AVX2, fused int8 / int4 must run the 4096² decode this much
-/// faster than dense f32 (measured 2.3–2.5×). On the baseline ISA the
-/// ratio is reported, not gated: SSE2 has no byte→dword widen, the
-/// packed fill costs about what the dense transpose-fill does, and the
-/// two tie (0.95–1.1×) — there packing buys footprint, not time.
-const MIN_DECODE_SPEEDUP_AVX2: f64 = 1.5;
+/// faster than dense f32 (measured 3.7–5.6× since the decode body
+/// converts and accumulates in registers, on a host short of memory
+/// bandwidth, which slows the 64 MB dense call alone — about 3.4× against
+/// a quiet hour's dense call; 2.3–2.9× while it staged its tiles). On the baseline ISA the ratio is reported, not gated: SSE2 has
+/// no byte→dword widen, and there packing buys footprint more than time.
+const MIN_DECODE_SPEEDUP_AVX2: f64 = 2.5;
 
-/// Upper bar on "one row of an `m = 64` call ÷ the `m = 1` call". With
-/// `F` the tile fill, `S` the one-row sweep and `M` the blocked per-row
-/// MAC (ns per weight: about 0.07 / 0.085 / 0.04 under AVX2, 0.20 /
-/// 0.09 / 0.085 on SSE2), staging once per row block gives
-/// `(F/64 + M) / (F + S)` ≈ 0.26–0.45, while paying the dequant per row
-/// would give `(F + M) / (F + S)` ≈ 0.7–0.9. The bar sits between. (The
-/// PR 14 bar of 1/3 assumed a fill four times dearer than the sweep.)
-const MAX_PREFILL_AMORTISATION: f64 = 0.5;
+/// Under AVX2, fused int4 must run the 4096² decode at least this fast
+/// relative to fused int8 — the inversion guard: a 4-bit kernel slower
+/// than the 8-bit one inverts the ordering the planner's cost model
+/// assumes (measured 1.06–1.24×; 0.91–0.97× while nibbles took a second
+/// pass through a byte scratch).
+const MIN_INT4_OVER_INT8_AVX2: f64 = 0.95;
+
+/// Upper bar on "one row of an `m = 64` call ÷ the `m = 1` call" at one
+/// shape. The `m = 1` call is the denominator, so the quotient rises when
+/// decode gets cheaper: 0.17 when the fill was scalar, 0.26–0.32 with the
+/// whole-vector fill, 0.26–0.52 now that an `m = 1` call converts in
+/// registers (≈ 0.12 ns per weight at 1024², against ≈ 0.04 for one row
+/// of the blocked sweep plus 1/64 of a ≈ 0.07 ns fill; the top of the
+/// range is a busy host slowing the compute-bound `m = 64` call more
+/// than the `m = 1` one). Paying the conversion per row would put the
+/// numerator at about the decode body's own cost, a quotient of 0.9–1.
+/// The bar sits between (it was 0.5 while decode staged its tiles).
+const MAX_PREFILL_AMORTISATION: f64 = 0.65;
 
 /// Upper bar on an int4 `ref256x4` prefill layer forward over its own six
 /// GEMM calls. With scalar libm GELU / softmax and one dependent add
@@ -318,10 +336,14 @@ fn mem_bw_gbs() -> f64 {
     (3 * 8 * n) as f64 / best / 1e9
 }
 
+/// Activation rows of the `ref256x4` GEMM list: one decoding sequence,
+/// and the two short blocks a stacked decode or a prefill tail adds.
+const LIST_M: [usize; 3] = [1, 2, 3];
+
 /// The `ref256x4` serving model's per-token GEMM list (hidden 256, FFN
 /// 1024, four layers, a dense 512-row logits projection) replayed at
-/// `m = 1`: what one decode step spends in the kernel, at shapes that
-/// sit in L2 rather than stream from memory.
+/// each of [`LIST_M`]: what one decode step spends in the kernel, at
+/// shapes that sit in L2 rather than stream from memory.
 fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
     const LAYER: [(usize, usize); 6] = [(256, 256), (256, 256), (256, 256), (256, 256), (1024, 256), (256, 1024)];
     let dense: Vec<Matrix> = (0..4 * LAYER.len())
@@ -331,47 +353,55 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
         })
         .collect();
     let head = Matrix::random(512, 256, 0.2, 39);
-    let inputs = [Matrix::random(1, 256, 0.5, 9), Matrix::random(1, 1024, 0.5, 10)];
-    let input = |cols: usize| &inputs[usize::from(cols == 1024)];
+    let inputs: Vec<[Matrix; 2]> =
+        LIST_M.iter().map(|&m| [Matrix::random(m, 256, 0.5, 9), Matrix::random(m, 1024, 0.5, 10)]).collect();
     let packed: Vec<(Bitwidth, Vec<PackedMatrix>)> = [Bitwidth::Int8, Bitwidth::Int4]
         .iter()
         .map(|&b| (b, dense.iter().map(|w| pack(w, b)).collect()))
         .collect();
 
     let (dense, head) = (&dense, &head);
+    let weights = dense.iter().chain([head]).map(|w| w.data.len()).sum::<usize>();
     let mut kernels: Vec<TimedKernel<'_>> = Vec::new();
-    let mut bytes = vec![(dense.iter().map(|w| w.data.len() * 4).sum::<usize>())];
-    kernels.push((
-        "dense-f32".into(),
-        Box::new(move || {
-            for w in dense {
-                black_box(input(w.cols).matmul_t(black_box(w)));
-            }
-            black_box(input(head.cols).matmul_t(black_box(head)));
-        }),
-    ));
-    for (bits, list) in &packed {
-        bytes.push(list.iter().map(PackedMatrix::resident_bytes).sum());
+    // Per kernel: its `m` and the weight bytes of the 24 layer GEMMs.
+    let mut shape = Vec::new();
+    for (&m, inputs) in LIST_M.iter().zip(&inputs) {
+        let input = move |cols: usize| &inputs[usize::from(cols == 1024)];
+        shape.push((m, dense.iter().map(|w| w.data.len() * 4).sum::<usize>()));
         kernels.push((
-            format!("fused-{bits}"),
+            "dense-f32".into(),
             Box::new(move || {
-                for w in list {
-                    black_box(qgemm_t(black_box(&input(w.cols).data), 1, black_box(w)));
+                for w in dense {
+                    black_box(input(w.cols).matmul_t(black_box(w)));
                 }
                 black_box(input(head.cols).matmul_t(black_box(head)));
             }),
         ));
+        for (bits, list) in &packed {
+            shape.push((m, list.iter().map(PackedMatrix::resident_bytes).sum()));
+            kernels.push((
+                format!("fused-{bits}"),
+                Box::new(move || {
+                    for w in list {
+                        black_box(qgemm_t(black_box(&input(w.cols).data), m, black_box(w)));
+                    }
+                    black_box(input(head.cols).matmul_t(black_box(head)));
+                }),
+            ));
+        }
     }
     let times = time_interleaved(if quick { 20 } else { 50 }, if quick { 5 } else { 9 }, &mut kernels);
     kernels
         .iter()
         .zip(&times)
-        .zip(&bytes)
-        .map(|(((kernel, _), s), list_bytes)| {
+        .zip(&shape)
+        .map(|(((kernel, _), s), &(m, list_bytes))| {
             let weight_bytes = list_bytes + head.data.len() * 4;
             ListRow {
                 kernel: kernel.clone(),
-                us_per_tok: s * 1e6,
+                m,
+                us_per_call: s * 1e6,
+                ns_per_weight: s * 1e9 / weights as f64,
                 weight_bytes,
                 roofline_frac: weight_bytes as f64 / s / 1e9 / mem_bw_gbs,
             }
@@ -590,11 +620,13 @@ fn main() {
     println!("{}", t.render());
 
     let decode_list = decode_list_suite(quick, mem_bw_gbs);
-    let mut t = TextTable::new(&["ref256x4 GEMM list, m = 1", "us/token", "weight KB", "roofline"]);
+    let mut t = TextTable::new(&["ref256x4 GEMM list", "m", "us/call", "ns/weight", "weight KB", "roofline"]);
     for r in &decode_list {
         t.row(vec![
             r.kernel.clone(),
-            format!("{:.1}", r.us_per_tok),
+            r.m.to_string(),
+            format!("{:.1}", r.us_per_call),
+            format!("{:.3}", r.ns_per_weight),
             format!("{:.0}", r.weight_bytes as f64 / 1024.0),
             format!("{:.2}", r.roofline_frac),
         ]);
@@ -689,11 +721,17 @@ fn main() {
         .collect();
     let int4_over_int8_decode = decode_ms("fused-int8") / decode_ms("fused-int4");
     println!(
-        "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 \
-         (both fill-bound: the nibble unpack is an extra pass, the halved bytes are not yet the cost)",
+        "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
         if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
         decode_speedup_vs_f32.iter().map(|(k, s)| format!("{k} {s:.2}x")).collect::<Vec<_>>().join(", "),
         int4_over_int8_decode,
+        if int4_over_int8_decode >= 1.05 {
+            "ahead: the halved bytes are the cost at this size"
+        } else if int4_over_int8_decode >= MIN_INT4_OVER_INT8_AVX2 {
+            "level: both spend about one instruction per weight, and the halved bytes do not pay yet"
+        } else {
+            "BEHIND, although it streams half the bytes"
+        },
     );
     // A ratio of two timings of one kernel on one machine, so it holds
     // wherever the weight tile is staged once per row block and fails
@@ -749,8 +787,12 @@ fn main() {
                     "{kernel}: the 4096² decode must be at least {MIN_DECODE_SPEEDUP_AVX2}x dense f32, got {speedup:.2}x"
                 );
             }
+            assert!(
+                int4_over_int8_decode >= MIN_INT4_OVER_INT8_AVX2,
+                "fused-int4 must run the 4096² decode at least {MIN_INT4_OVER_INT8_AVX2}x as fast as fused-int8, got {int4_over_int8_decode:.2}x"
+            );
         } else {
-            println!("decode speedup over dense f32 not gated on the {isa} ISA");
+            println!("decode speedup over dense f32 and int4 over int8 not gated on the {isa} ISA");
         }
         for (kernel, ratio) in &report.prefill_amortisation {
             assert!(

@@ -3,63 +3,95 @@
 //! [`qgemm_t`] computes `out = x · wᵀ` for an activation block `x`
 //! (`m × k`, row-major) against a packed weight (`n × k`, i.e. the
 //! `(out_features, in_features)` orientation of the repo's `matmul_t`).
-//! The weight is never materialized as `f32` in memory: one small tile
-//! at a time is dequantized into an L1-resident scratch buffer, and that
-//! staged tile is then multiplied against *every* activation row of the
-//! block before the next tile is touched. Unpack-and-scale is therefore
-//! paid once per weight per 64-row block, not once per weight per row,
-//! which is what separates compute-bound prefill from memory-bound
-//! decode. [`gemm_t`] is the same kernel over a dense `f32` weight, with
-//! a transposing copy as the tile fill.
+//! The weight is never materialized as `f32` in memory. A block of at
+//! least `MR` activation rows (prefill) dequantizes one small tile at a
+//! time into an L1-resident scratch buffer and multiplies that staged
+//! tile against *every* row of the block before the next tile is
+//! touched, so unpack-and-scale is paid once per weight per 64-row
+//! block, not once per weight per row — which is what separates
+//! compute-bound prefill from memory-bound decode. A block of fewer rows
+//! (decode) has nothing to amortise a staged tile over: it converts each
+//! weight in registers and accumulates it at once, with no scratch at
+//! all. [`gemm_t`] is the staged kernel over a dense `f32` weight, with a
+//! transposing copy as the tile fill, for every `m`.
 //!
 //! ## Loop structure
 //!
 //! ```text
 //! par over row blocks of ≤ ROW_BLOCK = 64 activation rows (disjoint chunks of out)
-//!   dispatch: the AVX2 or the baseline instantiation of `row_block`
-//!   scratch: PANELS tiles of TILE_K × LANES f32 (4 KB each), the block's accumulators
-//!   for each panel of LANES = 8 output features        ← one f32x8 of accumulators per row
-//!     acc[rows][LANES] = 0                             ← block-local, carried between k-tiles
-//!     for each k-tile: one quant group, or TILE_K = 128 steps of a longer one
-//!       fill: tile[kk][lane] = ((q − z) as f32) * s    ← ONCE, 16 weights per step
-//!       for each register block of MR = 4 rows (then the m % 4 tail, one row each):
-//!         reg[MR][LANES] = acc[rows]
-//!         for kk in tile:                              ← sequential k
-//!           for r, lane: reg[r][lane] += x[r][kk] * tile[kk][lane]
-//!         acc[rows] = reg
-//!     out[rows][panel's lanes below n] = acc
+//!   each block picks its body and hands it to the ISA dispatch:
+//!
+//!   rows ≥ MR = 4 — `StagedBlock`, packed or dense
+//!     scratch: PANELS tiles of TILE_K × LANES f32 (4 KB each), the block's accumulators
+//!     for each panel of LANES = 8 output features      ← one f32x8 of accumulators per row
+//!       acc[rows][LANES] = 0                           ← block-local, carried between k-tiles
+//!       for each k-tile: one quant group, or TILE_K = 128 steps of a longer one
+//!         fill: tile[kk][lane] = convert(payload)      ← ONCE, 16 or 32 weights per load
+//!         for each register block of MR rows (then the m % 4 tail, one row each):
+//!           reg[MR][LANES] = acc[rows]
+//!           for kk in tile:                            ← sequential k
+//!             for r, lane: reg[r][lane] += x[r][kk] * tile[kk][lane]
+//!           acc[rows] = reg
+//!       out[rows][panel's lanes below n] = acc
+//!
+//!   rows < MR, packed — `DecodeBlock`, no scratch
+//!     for each P panels (PANELS = 4 for one row, 2 for two or three; then single ones):
+//!       acc[P][rows][LANES] = 0                        ← registers, for the whole of k
+//!       for each quant group:                          ← scales and zero points hoisted
+//!         for each 16-byte load of the group, per panel:
+//!           w[2 or 4 k-steps][LANES] = convert(load)   ← registers
+//!           for kk in load, r, lane: acc[p][r][lane] += x[r][kk] * w[kk][lane]
+//!       out[rows][panels' lanes below n] = acc
+//!
+//!   rows < MR, dense — `StagedBlock` with `SHORT`
+//!     as above, but PANELS adjacent panels' tiles are filled
+//!     together and each row sweeps all four at once
 //! ```
 //!
-//! There is one such kernel for every `m`. The `MR × LANES` accumulators
-//! are *independent outputs*, which is what lets the CPU overlap f32 add
-//! latency — parallelism is never introduced within a single output's
-//! reduction. A block of fewer than `MR` rows (decode, `m == 1`) would
-//! leave a single add chain per vector, so it swaps the roles: `PANELS = 4`
-//! adjacent panels are filled together and each row sweeps all four
-//! tiles at once — the same register block turned on its side, the same
-//! ascending-k chain per output.
+//! The accumulators of a register block are *independent outputs*, which
+//! is what lets the CPU overlap f32 add latency — parallelism is never
+//! introduced within a single output's reduction. `MR` rows of one panel
+//! give `MR` vector chains; a block with fewer rows would leave one, so
+//! both short bodies turn the block on its side and walk several panels
+//! together: the same ascending-k chain per output, as many chains in
+//! flight.
 //!
-//! ## The fill is whole vectors
+//! ## One conversion, whole vectors
 //!
 //! [`PackedMatrix`] stores each panel k-major / lane-minor (see
-//! [`crate::pack`]), so the 16 payload bytes of two k-steps are adjacent
-//! and in tile order, and the per-lane scale and zero point repeat with
-//! period 8. `dequant16` is therefore a fixed-size `[u8; 16] → [f32; 16]`
-//! body — widen, subtract, convert, multiply, store — that the compiler
-//! turns into straight vector code with no cross-lane move. Nibble
-//! precisions first unpack the tile's 16-byte units (4 k-steps each) with
-//! `b & 0x0F` / `b >> 4` over whole bytes into a byte scratch that has
-//! int8's shape, then run the same convert. A panel that reaches past `n`
-//! is padded in the weight (grid 0, scale 0) and only its valid lanes are
-//! copied out of the accumulators, so there is no narrow tail
-//! instantiation.
+//! [`crate::pack`]), so 16 payload bytes are two k-steps of int8, or —
+//! nibble-packed — four k-steps of int4/int3 (`b & 0x0F` the first two,
+//! `b >> 4` the last two), each already in tile order, and the per-lane
+//! scale and zero point repeat with period 8. `convert` is the one place
+//! a packed weight becomes an `f32`: a fixed-size `[u8; 16] → [f32; 16]`
+//! or `[f32; 32]` body — widen (and split the nibbles of the widened
+//! lanes), subtract, convert, multiply — that the compiler turns into
+//! straight vector code with no cross-lane move, the widening load
+//! straight from the payload. The staged fill is "convert, then store"; the decode
+//! body is "convert, then accumulate". Neither has a second pass or a
+//! byte buffer. A span of k that starts or ends inside a load (a group
+//! length that is not a multiple of the load's k-steps, the end of an odd
+//! `k`) converts the whole load and uses the k-steps it owns. A panel
+//! that reaches past `n` is padded in the weight (grid 0, scale 0) and
+//! only its valid lanes are copied out of the accumulators, so there is
+//! no narrow tail instantiation.
 //!
-//! ## Two instantiations of one body
+//! Whether a body compiled to that is a question for timings and
+//! `--emit asm`, not for its source shape (see the notes in `convert`
+//! and `fill_packed`): in the AVX2 instantiation of `StagedBlock` and
+//! `DecodeBlock` every hot loop should hold one `vpmovsxbd` (int8) or
+//! half a `vpmovzxbd` (nibbles) per `vcvtdq2ps`, taken from memory, no
+//! `vpinsrb`, no `cvtsi2ss`, and no accumulator on the stack.
 //!
-//! `row_block` is safe, intrinsic-free generic Rust, run per row block
-//! through the crate's one ISA dispatch ([`crate::dispatch`]): compiled
-//! once for the build's baseline ISA and once at 256-bit width, chosen by
-//! run-time feature detection. [`crate::isa`] reports the choice.
+//! ## Two instantiations of each body
+//!
+//! The bodies are safe, intrinsic-free generic Rust, run per row block
+//! through the crate's one ISA dispatch ([`crate::dispatch`]): each is
+//! compiled once for the build's baseline ISA and once at 256-bit width,
+//! chosen by run-time feature detection. [`crate::isa`] reports the
+//! choice. The decode body is a `Body` of its own rather than a branch
+//! of `StagedBlock`: inlined beside the `MR × 1` path it changed that
+//! path's register allocation and cost the `m = 64` GEMM 30 %.
 //!
 //! ## Rows that live elsewhere
 //!
@@ -77,14 +109,16 @@
 //! For every output `(i, j)` the accumulation is `acc += x[i][k] * w[j][k]`
 //! for `k = 0, 1, …` from `acc = 0`, where `w[j][k] = ((q − z) as f32) * s`
 //! — exactly the roundings of dequantizing the whole matrix first and
-//! running the scalar ascending-k dot product. Tiling changes only *when*
-//! a dequantized value is produced and where the running sum rests
-//! between k-tiles (an `f32` store and reload of the same value), and
-//! sweeping four panels together only interleaves distinct outputs.
-//! Neither touches a bit pattern or the order terms enter a sum, so the
-//! result is bit-identical for packed and dense weights alike, and row
-//! `i` of an `m`-row call equals the one-row call on `x[i]` — which is
-//! what lets serving chunk, batch and recompute prefill freely.
+//! running the scalar ascending-k dot product. The staged bodies change
+//! only *when* a dequantized value is produced and where the running sum
+//! rests between k-tiles (an `f32` store and reload of the same value);
+//! the decode body produces the same value from the same expression and
+//! uses it without the store; walking several panels together only
+//! interleaves distinct outputs. None of it touches a bit pattern or the
+//! order terms enter a sum, so the result is bit-identical for packed and
+//! dense weights alike, and row `i` of an `m`-row call equals the
+//! one-row call on `x[i]` whichever body either ran in — which is what
+//! lets serving chunk, batch and recompute prefill freely.
 //!
 //! Vector width does not change it either: lanes are distinct outputs,
 //! every operation is an IEEE-754 single-precision multiply, add or exact
@@ -105,14 +139,18 @@ pub(crate) const MR: usize = 4;
 /// ascending k.
 const TILE_K: usize = 128;
 
-/// Panels swept together when a block has fewer than `MR` rows.
+/// Panels walked together when a block has fewer than `MR` rows.
 pub(crate) const PANELS: usize = 4;
 
 /// Activation rows per parallel chunk of `out`.
 pub(crate) const ROW_BLOCK: usize = 64;
 
-/// Values one [`dequant16`] call stages: two k-steps of a panel.
-const PAIR: usize = 2 * LANES;
+/// Payload bytes one [`convert`] call reads: [`INT8_K`] k-steps of int8,
+/// or one nibble unit — `UNIT_K` k-steps of int4/int3.
+const LOAD: usize = UNIT_BYTES;
+
+/// k-steps of an int8 panel in `LOAD` bytes.
+const INT8_K: usize = LOAD / LANES;
 
 /// `out = x · wᵀ`, freshly allocated (`m × w.rows`, row-major).
 ///
@@ -124,7 +162,12 @@ pub fn qgemm_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
 }
 
 /// [`qgemm_t`] into a caller-provided buffer of length `m * w.rows`.
+///
+/// Panics with `packed weight shape mismatch: …` on a weight whose
+/// buffers do not have the lengths its shape implies (only a
+/// deserialized [`PackedMatrix`] can be one).
 pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
+    w.check_shape();
     gemm_blocked(x, m, w, out, true);
 }
 
@@ -140,7 +183,8 @@ pub fn gemm_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
 }
 
 /// What the blocked kernel needs from a weight: its shape, the k-spans
-/// that share dequant state, and a way to stage a tile as `f32`.
+/// that share dequant state, a way to stage a tile as `f32`, and the
+/// body that runs a block too short for the staged register block.
 pub(crate) trait TileSource {
     /// Output features.
     fn n(&self) -> usize;
@@ -157,14 +201,13 @@ pub(crate) trait TileSource {
     /// Stage `w[panel * LANES + lane][k_lo + kk]` at `tile[kk * LANES + lane]`
     /// for the `tile.len() / LANES ≤ TILE_K` k-steps from `k_lo`, all
     /// inside one group. What lanes past `n` stage does not matter: their
-    /// outputs are discarded. `grid` is byte scratch for the nibble
-    /// precisions.
-    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], grid: &mut GridScratch);
+    /// outputs are discarded.
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]);
+    /// One contiguous row block of fewer than `MR` rows (`out` is its
+    /// `rows × n` outputs, `x` starts at its first row), through the ISA
+    /// dispatch.
+    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]);
 }
-
-/// A nibble tile's units unpacked to biased grid bytes: one unit more
-/// than `TILE_K` k-steps, for a tile that starts inside a unit.
-type GridScratch = [u8; (TILE_K + UNIT_K) * LANES];
 
 /// Per-row-block staging buffers, L1-resident. Cache-line aligned so
 /// that no vector load of a tile straddles two lines.
@@ -174,17 +217,12 @@ pub(crate) struct Scratch {
     tiles: [[f32; TILE_K * LANES]; PANELS],
     /// The block's accumulators for the panels in flight.
     acc: [f32; ROW_BLOCK * LANES],
-    grid: GridScratch,
 }
 
 impl Scratch {
     #[inline(always)]
     pub(crate) fn new() -> Self {
-        Self {
-            tiles: [[0.0; TILE_K * LANES]; PANELS],
-            acc: [0.0; ROW_BLOCK * LANES],
-            grid: [0; (TILE_K + UNIT_K) * LANES],
-        }
+        Self { tiles: [[0.0; TILE_K * LANES]; PANELS], acc: [0.0; ROW_BLOCK * LANES] }
     }
 }
 
@@ -218,7 +256,7 @@ impl<'a, F: Fn(usize) -> &'a [f32]> TileSource for DenseWeight<F> {
     }
 
     #[inline(always)]
-    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], _grid: &mut GridScratch) {
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]) {
         static ZEROS: [f32; TILE_K] = [0.0; TILE_K];
         let (steps, _) = tile.as_chunks_mut::<LANES>();
         let klen = steps.len();
@@ -230,6 +268,11 @@ impl<'a, F: Fn(usize) -> &'a [f32]> TileSource for DenseWeight<F> {
         for (kk, step) in steps.iter_mut().enumerate() {
             *step = std::array::from_fn(|lane| rows[lane][kk]);
         }
+    }
+
+    /// Staged like any other block, four panels' tiles swept together.
+    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]) {
+        dispatch(allow_avx2, StagedBlock::<_, true> { x, w: self, out });
     }
 }
 
@@ -246,74 +289,115 @@ impl TileSource for PackedMatrix {
         self.group
     }
 
+    /// Convert, then store.
     #[inline(always)]
-    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32], grid: &mut GridScratch) {
-        let klen = tile.len() / LANES;
-        let (scales, zeros) = self.panel_meta(panel, k_lo / self.group);
-        let payload = self.panel(panel);
-        // The tile's grid values as bytes, k-major / lane-minor, and what
-        // turns a byte into an unsigned `q + bias`: int8 payload bytes
-        // flip their sign bit (bias 128), unpacked nibbles already carry
-        // bias 8. Widening unsigned bytes is the cheap direction on
-        // every ISA, and `(q + bias) − (z + bias)` is `q − z` exactly.
-        let (flip, bias, bytes): (u8, i32, &[u8]) = match self.bits {
-            PackBits::Int8 => (0x80, 0x80, &payload[k_lo * LANES..][..klen * LANES]),
-            PackBits::Int3 | PackBits::Int4 => {
-                // Every unit the tile touches is unpacked whole; a tile
-                // that starts inside one (a group length that is not a
-                // multiple of 4) skips the k-steps it does not own.
-                let units = &payload.as_chunks::<UNIT_BYTES>().0[k_lo / UNIT_K..(k_lo + klen).div_ceil(UNIT_K)];
-                for (unit, out) in units.iter().zip(grid.as_chunks_mut::<{ 2 * UNIT_BYTES }>().0) {
-                    unpack_unit(*unit, out);
-                }
-                (0, NIBBLE_BIAS as i32, &grid[k_lo % UNIT_K * LANES..][..klen * LANES])
-            }
-        };
-        // Per-(lane, group) dequant state, hoisted and laid out for two
-        // k-steps at a time.
-        let s: [f32; PAIR] = std::array::from_fn(|i| scales[i % LANES]);
-        let z: [i32; PAIR] = std::array::from_fn(|i| zeros[i % LANES] as i32 + bias);
-        let (pairs, last) = bytes.as_chunks::<PAIR>();
-        let (tile_pairs, tile_last) = tile.as_chunks_mut::<PAIR>();
-        for (q, t) in pairs.iter().zip(tile_pairs) {
-            dequant16(*q, flip, &z, &s, t);
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]) {
+        match self.bits {
+            PackBits::Int8 => fill_packed::<INT8_K>(self, panel, k_lo, tile),
+            PackBits::Int3 | PackBits::Int4 => fill_packed::<UNIT_K>(self, panel, k_lo, tile),
         }
-        // Odd `klen`: one k-step left, staged through a padded pair.
-        if !last.is_empty() {
-            let mut q = [0u8; PAIR];
-            q[..LANES].copy_from_slice(last);
-            let mut t = [0.0f32; PAIR];
-            dequant16(q, flip, &z, &s, &mut t);
-            tile_last.copy_from_slice(&t[..LANES]);
+    }
+
+    /// Convert and accumulate in registers: nothing is staged.
+    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]) {
+        dispatch(allow_avx2, DecodeBlock { x, w: self, out });
+    }
+}
+
+/// `LOAD` payload bytes of a panel to the `S` k-steps they hold,
+/// `((q − z) as f32) * s` per value — the one place a packed weight
+/// becomes an `f32`, for the staged fill and the decode body alike.
+/// `S = INT8_K` is int8 (the bytes are two k-steps), `S = UNIT_K` the
+/// nibble precisions (the low nibbles are the unit's first two k-steps,
+/// the high nibbles its last two). `z` and `s` are a [`group_state`]. Fixed-size,
+/// and `q` by value so that all sixteen byte loads precede the first
+/// store (the payload may alias `out` as far as the optimiser can tell
+/// once this is inlined): that is what compiles it to whole-vector code.
+#[inline(always)]
+fn convert<const S: usize>(q: [u8; LOAD], z: &[i32; LANES], s: &[f32; LANES], out: &mut [[f32; LANES]; S]) {
+    for (step, w) in out.iter_mut().enumerate() {
+        for lane in 0..LANES {
+            let b = q[step % INT8_K * LANES + lane];
+            // An int8 byte is the grid value itself. A nibble is `q + 8`,
+            // kept unsigned (`z` carries the same bias, and `(q + 8) −
+            // (z + 8)` is `q − z` exactly), and is split off *after* the
+            // byte is widened: a shift of 32-bit lanes is one instruction,
+            // a shift of bytes is two.
+            let u = if S == INT8_K { b as i8 as i32 } else { (b as i32 >> (step / INT8_K * 4)) & 0x0F };
+            w[lane] = ((u - z[lane]) as f32) * s[lane];
         }
     }
 }
 
-/// One nibble unit to 32 biased grid bytes in tile order: the low
-/// nibbles are its first two k-steps, the high nibbles its last two.
+/// Per-lane dequant state of one `(panel, group)`: zero points (with the
+/// nibble bias [`convert`] leaves on its values) and scales.
 #[inline(always)]
-fn unpack_unit(unit: [u8; UNIT_BYTES], out: &mut [u8; 2 * UNIT_BYTES]) {
-    for i in 0..UNIT_BYTES {
-        out[i] = unit[i] & 0x0F;
-        out[UNIT_BYTES + i] = unit[i] >> 4;
+fn group_state<const S: usize>(w: &PackedMatrix, panel: usize, g: usize) -> ([i32; LANES], [f32; LANES]) {
+    let (scales, zeros) = w.panel_meta(panel, g);
+    let bias = if S == INT8_K { 0 } else { NIBBLE_BIAS as i32 };
+    (zeros.map(|z| z as i32 + bias), *scales)
+}
+
+/// Split the k-span `[k_lo, k_hi)` at the boundaries of `steps`-long
+/// payload loads: `[k_lo, head)` is the part of a load the span starts
+/// inside (empty when aligned), `[head, body)` whole loads, `[body,
+/// k_hi)` the part of a load it ends inside. Only a group length that
+/// is not a multiple of `steps`, or the end of an odd `k`, makes an end
+/// part non-empty.
+#[inline(always)]
+fn split_span(k_lo: usize, k_hi: usize, steps: usize) -> (usize, usize) {
+    let head = k_lo.next_multiple_of(steps).min(k_hi);
+    (head, head + (k_hi - head) / steps * steps)
+}
+
+/// Load `u` of a panel's payload for a span that owns only some of its
+/// k-steps. The last load of an odd-`k` int8 panel is half there; the
+/// missing bytes read as zero and belong to k-steps nobody owns.
+#[inline(always)]
+fn partial_load(payload: &[u8], u: usize) -> [u8; LOAD] {
+    let rest = &payload[u * LOAD..];
+    let mut q = [0u8; LOAD];
+    let len = rest.len().min(LOAD);
+    q[..len].copy_from_slice(&rest[..len]);
+    q
+}
+
+/// The packed tile fill: [`convert`] every load the span touches and
+/// store the k-steps it owns.
+#[inline(always)]
+fn fill_packed<const S: usize>(w: &PackedMatrix, panel: usize, k_lo: usize, tile: &mut [f32]) {
+    let (tile, _) = tile.as_chunks_mut::<LANES>();
+    let k_hi = k_lo + tile.len();
+    let (z, s) = group_state::<S>(w, panel, k_lo / w.group);
+    let payload = w.panel(panel);
+    let (head, body) = split_span(k_lo, k_hi, S);
+    for (lo, hi) in [(k_lo, head), (body, k_hi)] {
+        if lo < hi {
+            let u = lo / S;
+            let mut wv = [[0.0f32; LANES]; S];
+            convert::<S>(partial_load(payload, u), &z, &s, &mut wv);
+            tile[lo - k_lo..hi - k_lo].copy_from_slice(&wv[lo - u * S..hi - u * S]);
+        }
+    }
+    let loads = &payload.as_chunks::<LOAD>().0[head / S..body / S];
+    for (q, t) in loads.iter().zip(tile[head - k_lo..].as_chunks_mut::<S>().0) {
+        // An opaque use of `z` per load, for the machine code and nothing
+        // else. The iterations are independent, and left to itself the
+        // loop vectoriser takes eight of them at once and gathers their
+        // bytes one by one (112 `vpinsrb`; the `ref256x4` GEMM list ran 2×
+        // slower at `m = 4` and 12 % or more at `m = 64`); and with the
+        // zero points' range in view int8's subtraction is narrowed to 16
+        // bits and widened again (one more shuffle per vector). Behind
+        // the barrier one load stays the unit of vector code and `z` a
+        // vector of `i32`: widen, subtract, convert, scale, store.
+        convert::<S>(*q, std::hint::black_box(&z), &s, t);
     }
 }
 
-/// Two k-steps of a panel: `((q − z) as f32) * s` per value, with `q ^
-/// flip` the biased grid byte and `z` carrying the same bias. Fixed-size,
-/// and `q` by value so that all sixteen loads precede the first store
-/// (the payload may alias `out` as far as the optimiser can tell once
-/// this is inlined): that is what compiles it to whole-vector code.
-#[inline(always)]
-fn dequant16(q: [u8; PAIR], flip: u8, z: &[i32; PAIR], s: &[f32; PAIR], out: &mut [f32; PAIR]) {
-    for i in 0..PAIR {
-        out[i] = (((q[i] ^ flip) as i32 - z[i]) as f32) * s[i];
-    }
-}
-
-/// The one accumulation kernel: every `m`, packed or dense.
-/// `allow_avx2` is `true` outside the tests that pin the baseline
-/// instantiation to compare the two.
+/// The blocked GEMM: every `m`, packed or dense. Each row block picks
+/// its body — [`StagedBlock`], or the weight's own body for a block of
+/// fewer than `MR` rows. `allow_avx2` is `true` outside the tests that
+/// pin the baseline instantiation to compare the two.
 fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32], allow_avx2: bool) {
     let (n, k) = (w.n(), w.k());
     assert_eq!(x.len(), m * k, "activation shape mismatch");
@@ -322,31 +406,45 @@ fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32
         return;
     }
     out.par_chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
-        dispatch(allow_avx2, GemmBlock { x: &x[b * ROW_BLOCK * k..], w, out });
+        let x = &x[b * ROW_BLOCK * k..];
+        if out.len() < MR * n {
+            w.short_block(allow_avx2, x, out);
+        } else {
+            dispatch(allow_avx2, StagedBlock::<_, false> { x, w, out });
+        }
     });
 }
 
-/// One row block of a GEMM: `out` is its `rows × n` outputs, `x` starts
-/// at its first activation row.
-struct GemmBlock<'a, W> {
+/// One row block through staged tiles: `out` is its `rows × n` outputs,
+/// `x` starts at its first activation row. `SHORT` blocks have fewer than
+/// `MR` rows and sweep `PANELS` tiles together; the others take `MR × 1`
+/// register blocks only, so that a source with a short body of its own
+/// compiles no second one here.
+struct StagedBlock<'a, W, const SHORT: bool> {
     x: &'a [f32],
     w: &'a W,
     out: &'a mut [f32],
 }
 
-impl<W: TileSource> Body for GemmBlock<'_, W> {
+impl<W: TileSource, const SHORT: bool> Body for StagedBlock<'_, W, SHORT> {
     type Out = ();
 
     #[inline(always)]
     fn run(self) {
         let (n, k) = (self.w.n(), self.w.k());
-        row_block(self.x, k, self.w, self.out, n, self.out.len() / n, &mut Scratch::new());
+        let (rows, scratch) = (self.out.len() / n, &mut Scratch::new());
+        if SHORT {
+            row_block(self.x, k, self.w, self.out, n, rows, scratch);
+        } else {
+            single_panels(self.x, k, self.w, 0, self.out, n, rows, scratch);
+        }
     }
 }
 
-/// One block of `rows ≤ ROW_BLOCK` activation rows against every panel:
-/// `out[i * ldo + j] = Σ_k x[i * ldx + k] · w[j][k]` for `j < n` and the
-/// rows `i ≥ w.first_row(j)`; other outputs are left as they were.
+/// One block of `rows ≤ ROW_BLOCK` activation rows against every panel,
+/// staged: `out[i * ldo + j] = Σ_k x[i * ldx + k] · w[j][k]` for `j < n`
+/// and the rows `i ≥ w.first_row(j)`; other outputs are left as they
+/// were.
 #[inline(always)]
 pub(crate) fn row_block<W: TileSource>(
     x: &[f32],
@@ -369,8 +467,25 @@ pub(crate) fn row_block<W: TileSource>(
             j += PANELS * LANES;
         }
     }
-    // The last panel may reach past `n`; only its valid lanes exist in `out`.
-    while j < n {
+    single_panels(x, ldx, w, j, out, ldo, rows, scratch);
+}
+
+/// The panels from output `j` on, one at a time in `MR`-row register
+/// blocks. The last panel may reach past `n`; only its valid lanes exist
+/// in `out`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn single_panels<W: TileSource>(
+    x: &[f32],
+    ldx: usize,
+    w: &W,
+    mut j: usize,
+    out: &mut [f32],
+    ldo: usize,
+    rows: usize,
+    scratch: &mut Scratch,
+) {
+    while j < w.n() {
         lane_panels::<MR, 1, W>(x, ldx, w, j, out, ldo, rows, scratch);
         j += LANES;
     }
@@ -405,7 +520,7 @@ fn lane_panels<const R: usize, const P: usize, W: TileSource>(
         let k_hi = (k_lo + TILE_K).min((k_lo / group + 1) * group).min(k);
         let len = (k_hi - k_lo) * LANES;
         for p in 0..P {
-            w.fill(j / LANES + p, k_lo, &mut scratch.tiles[p][..len], &mut scratch.grid);
+            w.fill(j / LANES + p, k_lo, &mut scratch.tiles[p][..len]);
         }
         let tiles: [&[f32]; P] = std::array::from_fn(|p| &scratch.tiles[p][..len]);
         let mut i = first;
@@ -449,6 +564,165 @@ pub(crate) fn mac_rows<const R: usize, const P: usize>(x: &[f32], ldx: usize, ti
     for r in 0..R {
         for p in 0..P {
             rows[r * P + p] = reg[r][p];
+        }
+    }
+}
+
+/// A row block of fewer than `MR` rows over a packed weight (decode):
+/// contiguous `x` (`rows × k`) and `out` (`rows × n`).
+struct DecodeBlock<'a> {
+    x: &'a [f32],
+    w: &'a PackedMatrix,
+    out: &'a mut [f32],
+}
+
+impl Body for DecodeBlock<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { x, w, out } = self;
+        match (w.bits, out.len() / w.rows) {
+            (PackBits::Int8, 1) => decode_block::<INT8_K, 1, PANELS>(x, w, out),
+            (PackBits::Int8, 2) => decode_block::<INT8_K, 2, { PANELS / 2 }>(x, w, out),
+            (PackBits::Int8, _) => decode_block::<INT8_K, 3, { PANELS / 2 }>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 1) => decode_block::<UNIT_K, 1, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 2) => decode_block::<UNIT_K, 2, { PANELS / 2 }>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, _) => decode_block::<UNIT_K, 3, { PANELS / 2 }>(x, w, out),
+        }
+    }
+}
+
+/// `R < MR` rows against every panel, `P` at a time and then the rest
+/// one by one: `R × P` independent vector chains — at least `PANELS`,
+/// where one row of one panel would leave a single one — that still fit
+/// the register file beside the weights being converted.
+#[inline(always)]
+fn decode_block<const S: usize, const R: usize, const P: usize>(x: &[f32], w: &PackedMatrix, out: &mut [f32]) {
+    let panels = w.rows.div_ceil(LANES);
+    let mut p = 0;
+    while p + P <= panels {
+        decode_panels::<S, R, P>(x, w, p, out);
+        p += P;
+    }
+    while p < panels {
+        decode_panels::<S, R, 1>(x, w, p, out);
+        p += 1;
+    }
+}
+
+/// Outputs of panels `[p0, p0 + P)` for `R` rows, nothing staged: each
+/// payload load is converted in registers and every k-step it holds is
+/// accumulated at once, `acc[panel][row][lane] += x[row][k] * w`, in
+/// ascending k — one chain per output.
+#[inline(always)]
+fn decode_panels<const S: usize, const R: usize, const P: usize>(
+    x: &[f32],
+    w: &PackedMatrix,
+    p0: usize,
+    out: &mut [f32],
+) {
+    let (n, k) = (w.rows, w.cols);
+    let mut payload: [&[u8]; P] = [&[]; P];
+    for (p, bytes) in payload.iter_mut().enumerate() {
+        *bytes = w.panel(p0 + p);
+    }
+    let mut acc = [[[0.0f32; LANES]; R]; P];
+    let mut k_lo = 0;
+    while k_lo < k {
+        let k_hi = (k_lo + w.group).min(k);
+        let mut z = [[0i32; LANES]; P];
+        let mut s = [[0.0f32; LANES]; P];
+        for p in 0..P {
+            (z[p], s[p]) = group_state::<S>(w, p0 + p, k_lo / w.group);
+        }
+        // Ascending k: the load the group starts inside, its whole
+        // loads, the load it ends inside.
+        let (head, body) = split_span(k_lo, k_hi, S);
+        if k_lo < head {
+            mac_part::<S, R, P>(&payload, &z, &s, x, k, k_lo, head, &mut acc);
+        }
+        // The whole loads and the activations they meet, cut to one
+        // length up front so that the loop indexes without checks.
+        let mut loads: [&[[u8; LOAD]]; P] = [&[]; P];
+        for p in 0..P {
+            loads[p] = &payload[p].as_chunks().0[head / S..body / S];
+        }
+        let mut xs: [&[[f32; S]]; R] = [&[]; R];
+        for r in 0..R {
+            xs[r] = &x[r * k + head..r * k + body].as_chunks().0[..(body - head) / S];
+        }
+        for i in 0..(body - head) / S {
+            let mut xi = [[0.0f32; S]; R];
+            for r in 0..R {
+                xi[r] = xs[r][i];
+            }
+            for p in 0..P {
+                mac_load::<S, R>(loads[p][i], &z[p], &s[p], &xi, 0, S, &mut acc[p]);
+            }
+        }
+        if body < k_hi {
+            mac_part::<S, R, P>(&payload, &z, &s, x, k, body, k_hi, &mut acc);
+        }
+        k_lo = k_hi;
+    }
+    for (p, rows) in acc.iter().enumerate() {
+        let j = (p0 + p) * LANES;
+        let valid = LANES.min(n - j);
+        for (r, lanes) in rows.iter().enumerate() {
+            // By value: a run-time-length copy straight out of `acc`
+            // would pin the accumulators to memory for the whole loop.
+            let lanes = *lanes;
+            out[r * n + j..][..valid].copy_from_slice(&lanes[..valid]);
+        }
+    }
+}
+
+/// k-steps `[lo, hi)` of every panel, all inside one load of which the
+/// group owns only those.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn mac_part<const S: usize, const R: usize, const P: usize>(
+    payload: &[&[u8]; P],
+    z: &[[i32; LANES]; P],
+    s: &[[f32; LANES]; P],
+    x: &[f32],
+    k: usize,
+    lo: usize,
+    hi: usize,
+    acc: &mut [[[f32; LANES]; R]; P],
+) {
+    let u = lo / S;
+    let (a, b) = (lo - u * S, hi - u * S);
+    let mut xi = [[0.0f32; S]; R];
+    for r in 0..R {
+        xi[r][a..b].copy_from_slice(&x[r * k + lo..r * k + hi]);
+    }
+    for p in 0..P {
+        mac_load::<S, R>(partial_load(payload[p], u), &z[p], &s[p], &xi, a, b, &mut acc[p]);
+    }
+}
+
+/// One load of one panel, converted and accumulated into `R` rows:
+/// k-steps `[a, b)` of the `S` it holds, `xi[r][step]` the activation
+/// of row `r` at that k-step.
+#[inline(always)]
+fn mac_load<const S: usize, const R: usize>(
+    q: [u8; LOAD],
+    z: &[i32; LANES],
+    s: &[f32; LANES],
+    xi: &[[f32; S]; R],
+    a: usize,
+    b: usize,
+    acc: &mut [[f32; LANES]; R],
+) {
+    let mut w = [[0.0f32; LANES]; S];
+    convert::<S>(q, z, s, &mut w);
+    for step in a..b {
+        for r in 0..R {
+            for lane in 0..LANES {
+                acc[r][lane] += xi[r][step] * w[step][lane];
+            }
         }
     }
 }
@@ -531,7 +805,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The two instantiations of `row_block` agree bit for bit, and
+        /// The two instantiations of each body agree bit for bit, and
         /// with the scalar oracle: `m` crosses the register and row
         /// blocks, `n` leaves a partial panel, `k` is odd, and the groups
         /// include one that splits nibble units and one longer than a tile.
@@ -556,6 +830,38 @@ mod tests {
             if avx2_or_note() {
                 assert_bit_identical(&run(&x, m, &packed, true), &base_packed);
                 assert_bit_identical(&run(&x, m, &dense, true), &base_dense);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The decode body's two instantiations agree bit for bit, and
+        /// with the scalar oracle, on an asymmetric grid: nonzero zero
+        /// points, `m` on both sides of `MR`, `n` up to several
+        /// four-panel sweeps plus single panels plus a partial one, odd
+        /// and even `k`, groups that split a payload load.
+        #[test]
+        fn avx2_and_baseline_decode_bodies_are_bit_identical(
+            bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4), Just(PackBits::Int8)],
+            m in 1usize..=6,
+            n in 1usize..=110,
+            k in 1usize..=200,
+            group_choice in 0usize..6,
+            seed in 0u64..1000,
+        ) {
+            let group = [3, 4, 16, 64, 192, k][group_choice];
+            let gpr = k.div_ceil(group);
+            let q: Vec<i8> = pseudo(n * k, seed).iter().map(|v| (v * bits.qmax() as f32) as i8).collect();
+            let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v.abs() + 1e-3).collect();
+            let zeros: Vec<i8> = pseudo(n * gpr, seed ^ 0xB2).iter().map(|v| (v * 127.0) as i8).collect();
+            let w = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros);
+            let x = pseudo(m * k, seed ^ 0x3C3C);
+            let base = run(&x, m, &w, false);
+            assert_bit_identical(&base, &reference(&x, m, &w));
+            if avx2_or_note() {
+                assert_bit_identical(&run(&x, m, &w, true), &base);
             }
         }
     }

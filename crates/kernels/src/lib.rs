@@ -15,9 +15,10 @@
 //! engine never realized. Here a quantized operator stays packed —
 //! group-wise int8 bytes or nibble-packed int4/int3 — and the GEMM
 //! dequantizes one L1-sized tile at a time, once per block of
-//! activation rows, so resident bytes and per-token weight traffic
-//! both scale with `bits/32` of the dense-f32 path and a prefill chunk
-//! pays the unpack once, not once per row.
+//! activation rows (or, for a decode step's one row, straight into the
+//! registers that accumulate it), so resident bytes and per-token weight
+//! traffic both scale with `bits/32` of the dense-f32 path and a prefill
+//! chunk pays the unpack once, not once per row.
 //!
 //! Two invariants shape every design choice:
 //!
@@ -30,12 +31,16 @@
 //!    unchanged when a layer flips from the dense to the packed
 //!    representation, or when a row is computed alone or in a block.
 //!    [`gemm_t`] runs dense weights through the same kernel.
-//! 2. **Whole-vector fill.** The payload is stored as lane-interleaved
-//!    panels — eight output features, k-major / lane-minor — so staging a
-//!    tile is "load 16 bytes, widen, convert, scale, store 16 `f32`" with
-//!    per-group scales hoisted out of the loop and no cross-lane move
-//!    (Opt4GPTQ's layout/loop co-design, CPU edition). The layout is
-//!    private to this crate; callers address weights by `(row, col)`.
+//! 2. **Whole-vector conversion.** The payload is stored as
+//!    lane-interleaved panels — eight output features, k-major /
+//!    lane-minor — so turning it into `f32` is "load 16 bytes, (split
+//!    nibbles,) widen, convert, scale" with per-group scales hoisted out
+//!    of the loop and no cross-lane move, and the result is either stored
+//!    to a tile that a block of rows sweeps (prefill) or multiplied and
+//!    accumulated where it is (decode) — unpack inside the compute loop
+//!    on vector-wide loads, Opt4GPTQ's layout/loop co-design, CPU
+//!    edition. The layout is private to this crate; callers address
+//!    weights by `(row, col)`.
 //!
 //! Every kernel is one safe, intrinsic-free body compiled twice on
 //! `x86_64` — for the build's baseline ISA and for AVX2 — and chosen per

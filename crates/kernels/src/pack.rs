@@ -7,9 +7,9 @@
 //! **lane-interleaved panels**. A panel is `LANES = 8` consecutive
 //! output features (the last panel is padded with grid zeros at scale 0),
 //! stored k-major / lane-minor, so the bytes the fused kernel needs for
-//! one k-step of all eight lanes are adjacent and a tile fill is "load 16
-//! bytes, widen, convert, scale, store 16 contiguous `f32`" — whole
-//! vectors, no cross-lane move:
+//! one k-step of all eight lanes are adjacent and converting them is
+//! "load 16 bytes, widen, convert, scale" — whole vectors, no cross-lane
+//! move:
 //!
 //! ```text
 //! int8     panel p, k-step k, lane l  →  byte (p·K + k)·8 + l
@@ -296,6 +296,30 @@ impl PackedMatrix {
     /// pre-kernel runtime actually kept resident.
     pub fn f32_bytes(&self) -> usize {
         self.rows * self.cols * 4
+    }
+
+    /// Panic unless every buffer has the length the public shape fields
+    /// imply. The constructors guarantee it; a deserialized matrix (the
+    /// fields are public and the type derives `Deserialize`) need not,
+    /// and the kernels index by shape.
+    pub(crate) fn check_shape(&self) {
+        assert!(self.group > 0, "packed weight shape mismatch: group is 0");
+        let panels = self.rows.div_ceil(LANES);
+        let fields = [
+            ("payload", self.payload.len(), panel_stride(self.cols, self.bits)),
+            ("scales", self.scales.len(), self.groups_per_row() * LANES),
+            ("zeros", self.zeros.len(), self.groups_per_row() * LANES),
+        ];
+        for (field, len, per_panel) in fields {
+            assert!(
+                panels.checked_mul(per_panel) == Some(len),
+                "packed weight shape mismatch: {field} holds {len}, {}×{} {} in groups of {} needs {panels} panels of {per_panel}",
+                self.rows,
+                self.cols,
+                self.bits,
+                self.group,
+            );
+        }
     }
 
     /// Payload of panel `p`: output features `[8p, 8p + 8)`.

@@ -52,6 +52,16 @@ fn dequant_then_matmul_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
     scalar_matmul_t(x, m, &w.unpack(), w.rows, w.cols)
 }
 
+/// A packed matrix on an asymmetric grid: random grid values, positive
+/// scales and zero points over the whole `i8` range, one per `(row, group)`.
+fn asymmetric(n: usize, k: usize, bits: PackBits, group: usize, seed: u64) -> PackedMatrix {
+    let gpr = k.div_ceil(group);
+    let q = pseudo_grid(n * k, bits.qmax(), seed);
+    let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v.abs() + 1e-3).collect();
+    let zeros = pseudo_grid(n * gpr, 127, seed ^ 0xB2);
+    PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros)
+}
+
 /// Group lengths the blocked kernel must cross cleanly for a given `k`:
 /// tiny, sub-tile, the default, longer than the 128-step scratch tile,
 /// and one group spanning the row. With odd `k` every fixed length
@@ -166,6 +176,39 @@ proptest! {
         let reference = dequant_then_matmul_t(&x, m, &w);
         for (i, (f, r)) in fused.iter().zip(&reference).enumerate() {
             prop_assert_eq!(f.to_bits(), r.to_bits(), "output {}: {} vs {}", i, f, r);
+        }
+    }
+
+    /// Blocks of fewer than four rows over a packed weight take the
+    /// register-resident decode body, and this reaches all of it: zero
+    /// points are nonzero, `n` runs to several four-panel sweeps, then
+    /// single panels, then a partial last one, `k` is odd or even, and
+    /// the groups split payload loads (3), align with nibble units only
+    /// (4), or run longer than a staged tile (192). `m` of 4 to 6 is the
+    /// staged path on the same weights. Every output equals the scalar
+    /// dequantize-then-dot product, and a row's outputs do not depend on
+    /// the rows it shares the call with.
+    #[test]
+    fn asymmetric_grids_match_reference_through_both_bodies(
+        bits in any_pack_bits(),
+        m in 1usize..=6,
+        n in 1usize..=110,
+        k in 1usize..=200,
+        group_choice in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let w = asymmetric(n, k, bits, [3, 4, 16, 64, 192, k][group_choice], seed);
+        let x = pseudo(m * k, seed ^ 0xC3);
+        let fused = qgemm_t(&x, m, &w);
+        let reference = dequant_then_matmul_t(&x, m, &w);
+        for (i, (f, r)) in fused.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "output {}: {} vs {}", i, f, r);
+        }
+        for i in 0..m {
+            let alone = qgemm_t(&x[i * k..(i + 1) * k], 1, &w);
+            for j in 0..n {
+                prop_assert_eq!(fused[i * n + j].to_bits(), alone[j].to_bits(), "row {} output {}", i, j);
+            }
         }
     }
 
@@ -376,4 +419,39 @@ fn empty_shapes_are_defined() {
     let mut out = vec![f32::NAN; 2 * 4];
     qgemm_t_into(&[], 2, &flat, &mut out);
     assert!(out.iter().all(|v| v.to_bits() == 0));
+}
+
+// A `PackedMatrix` can also arrive through `Deserialize`, with whatever
+// lengths the JSON holds: the GEMM refuses one whose buffers do not match
+// its shape before any kernel indexes by it.
+
+/// The JSON of `w` with the first `from` replaced by `to`.
+fn edited_json(w: &PackedMatrix, from: &str, to: &str) -> PackedMatrix {
+    let json = serde_json::to_string(w).expect("serializable");
+    assert!(json.contains(from), "{from} not in {json}");
+    serde_json::from_str(&json.replacen(from, to, 1)).expect("still a PackedMatrix as far as serde can tell")
+}
+
+#[test]
+#[should_panic(expected = "packed weight shape mismatch: payload")]
+fn truncated_payload_is_refused_at_entry() {
+    let w = quantize_packed(&pseudo(16 * 32, 10), 16, 32, PackBits::Int4, 16);
+    let cut = edited_json(&w, "\"payload\":[", "\"payload\":[136],\"was\":[");
+    qgemm_t(&pseudo(32, 11), 1, &cut);
+}
+
+#[test]
+#[should_panic(expected = "packed weight shape mismatch: scales")]
+fn short_scales_are_refused_at_entry() {
+    let w = quantize_packed(&pseudo(16 * 32, 12), 16, 32, PackBits::Int8, 16);
+    let cut = edited_json(&w, "\"scales\":[", "\"scales\":[0.5],\"was\":[");
+    qgemm_t(&pseudo(5 * 32, 13), 5, &cut);
+}
+
+#[test]
+#[should_panic(expected = "packed weight shape mismatch: group is 0")]
+fn zero_group_is_refused_at_entry() {
+    let w = quantize_packed(&pseudo(8 * 8, 14), 8, 8, PackBits::Int8, 8);
+    let broken = edited_json(&w, "\"group\":8", "\"group\":0");
+    qgemm_t(&pseudo(8, 15), 1, &broken);
 }
