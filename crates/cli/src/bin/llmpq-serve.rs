@@ -113,12 +113,6 @@ macro_rules! get {
     };
 }
 
-enum Engine {
-    Sim(Box<SimStepEngine>),
-    Model(Box<ModelStepEngine>),
-    Dist(Box<DistStepEngine>),
-}
-
 struct EngineParams {
     kind: String,
     rungs: usize,
@@ -134,7 +128,8 @@ struct EngineParams {
     mem_budget_mb: usize,
 }
 
-fn build_engine(p: &EngineParams) -> Result<(Engine, usize), String> {
+/// The engine `--engine` names, and its vocabulary size.
+fn build_engine(p: &EngineParams) -> Result<(Box<dyn StepEngine + Send>, usize), String> {
     match p.kind.as_str() {
         "sim" => {
             let e = SimStepEngine::new(
@@ -143,7 +138,7 @@ fn build_engine(p: &EngineParams) -> Result<(Engine, usize), String> {
                 p.vocab,
                 p.seed,
             );
-            Ok((Engine::Sim(Box::new(e)), p.vocab))
+            Ok((Box::new(e), p.vocab))
         }
         "model" => {
             let cfg = RefConfig::scaled_like(4, p.seed);
@@ -167,7 +162,7 @@ fn build_engine(p: &EngineParams) -> Result<(Engine, usize), String> {
             } else {
                 ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, p.seed, p.pool)?
             };
-            Ok((Engine::Model(Box::new(e)), vocab))
+            Ok((Box::new(e), vocab))
         }
         "dist" => {
             // The same checkpoint/ladder as `model`, but executed
@@ -218,7 +213,7 @@ fn build_engine(p: &EngineParams) -> Result<(Engine, usize), String> {
                 DistServeConfig { n_slots: p.slots, pool: p.pool, ..DistServeConfig::default() },
                 None,
             )?;
-            Ok((Engine::Dist(Box::new(e)), vocab))
+            Ok((Box::new(e), vocab))
         }
         other => Err(format!("unknown engine '{other}' (sim|model|dist)")),
     }
@@ -331,11 +326,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
     let duration_s = (duration != 0.0).then_some(duration);
     let trace_kind = args.get("workload").unwrap_or("poisson");
     let (engine, vocab) = build_engine(params)?;
-    let max_seq = match &engine {
-        Engine::Sim(e) => e.max_seq(),
-        Engine::Model(e) => e.max_seq(),
-        Engine::Dist(e) => e.max_seq(),
-    };
+    let max_seq = engine.max_seq();
     let mut requests = match trace_kind {
         "poisson" => {
             if duration_s.is_some() {
@@ -360,11 +351,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
         }
     }
     let keep = args.switch("keep-outputs");
-    let report = match engine {
-        Engine::Sim(e) => serve_continuous(e, &requests, cfg.clone(), None)?,
-        Engine::Model(e) => serve_continuous(e, &requests, cfg.clone(), None)?,
-        Engine::Dist(e) => serve_continuous(e, &requests, cfg.clone(), None)?,
-    };
+    let report = serve_continuous(engine, &requests, cfg.clone(), None)?;
     let conserves = report.conserves();
     if !args.switch("compare-static") {
         println!("{}", report_json(report, keep));
@@ -373,11 +360,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
     let batch_size = args.get_parse("batch-size", 8usize).map_err(|e| e.to_string())?;
     let max_wait = args.get_parse("max-wait-s", 0.5f64).map_err(|e| e.to_string())?;
     let (engine2, _) = build_engine(params)?;
-    let baseline = match engine2 {
-        Engine::Sim(e) => serve_static(e, &requests, cfg, batch_size, max_wait)?,
-        Engine::Model(e) => serve_static(e, &requests, cfg, batch_size, max_wait)?,
-        Engine::Dist(e) => serve_static(e, &requests, cfg, batch_size, max_wait)?,
-    };
+    let baseline = serve_static(engine2, &requests, cfg, batch_size, max_wait)?;
     let both_ok = conserves && baseline.conserves();
     println!(
         "{{\n\"continuous\": {},\n\"static\": {}\n}}",
@@ -399,17 +382,7 @@ fn run_serve(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
         ..HttpServerConfig::default()
     };
     let telemetry = Telemetry::new(0);
-    match engine {
-        Engine::Sim(e) => {
-            llmpq_runtime::run_http_server(listener, e, cfg, http_cfg, telemetry, real_clock())?
-        }
-        Engine::Model(e) => {
-            llmpq_runtime::run_http_server(listener, e, cfg, http_cfg, telemetry, real_clock())?
-        }
-        Engine::Dist(e) => {
-            llmpq_runtime::run_http_server(listener, e, cfg, http_cfg, telemetry, real_clock())?
-        }
-    }
+    llmpq_runtime::run_http_server(listener, engine, cfg, http_cfg, telemetry, real_clock())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -508,17 +481,8 @@ fn run_soak(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Result
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let http_cfg = HttpServerConfig { vocab, ..HttpServerConfig::default() };
     let telemetry = Telemetry::new(0);
-    let server = match engine {
-        Engine::Sim(e) => llmpq_runtime::HttpServer::start(
-            listener, e, cfg, http_cfg, telemetry, real_clock(),
-        )?,
-        Engine::Model(e) => llmpq_runtime::HttpServer::start(
-            listener, e, cfg, http_cfg, telemetry, real_clock(),
-        )?,
-        Engine::Dist(e) => llmpq_runtime::HttpServer::start(
-            listener, e, cfg, http_cfg, telemetry, real_clock(),
-        )?,
-    };
+    let server =
+        llmpq_runtime::HttpServer::start(listener, engine, cfg, http_cfg, telemetry, real_clock())?;
     let addr = server.addr;
     let answered = Arc::new(AtomicU64::new(0));
     let client_dropped = Arc::new(AtomicU64::new(0));

@@ -116,6 +116,6 @@ pub use telemetry::{
     HistogramSnapshot, LatencyHistogram, Span, StageRecorder, Telemetry,
 };
 pub use worker::{
-    disconnect_board, run_worker, run_worker_ctx, DisconnectBoard, MetricsSink, StageMetrics,
-    StageSpec, WorkItem, WorkerCtx, WorkerMsg,
+    disconnect_board, run_worker_ctx, DisconnectBoard, MetricsSink, StageMetrics, WorkItem,
+    WorkerCtx, WorkerMsg,
 };

@@ -253,6 +253,12 @@ impl AdmissionController {
         self.queue.len()
     }
 
+    /// Ids of the requests currently waiting, head first.
+    #[cfg(test)]
+    pub(crate) fn queued_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queue.iter().map(|r| r.id)
+    }
+
     /// Queue pressure in `[0, 1]`: occupancy relative to the bound.
     pub fn pressure(&self) -> f64 {
         if self.cfg.max_queue == 0 {

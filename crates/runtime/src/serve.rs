@@ -41,9 +41,9 @@ use crate::overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, DegradationConfig,
     DegradationController, Request, RungTransition,
 };
-use crate::telemetry::Telemetry;
-use llmpq_model::{argmax, KvSeq, Matrix, RefModel};
-use llmpq_quant::{quantize_model, BitAssignment, Rounding};
+use crate::telemetry::{HistogramSnapshot, Telemetry};
+use llmpq_model::{argmax, forward_layer_alibi, KvSeq, LayerWeights, Matrix, ModelHead, RefModel};
+use llmpq_quant::{load_stage_weights, BitAssignment, Rounding};
 use serde::{Deserialize, Serialize};
 
 /// Why an engine step failed.
@@ -395,7 +395,9 @@ impl StepEngine for SimStepEngine {
 /// the scheduler batches, chunks, or preempts — `tests/serving.rs`
 /// asserts exactly that.
 pub struct ModelStepEngine {
-    models: Vec<RefModel>,
+    head: ModelHead,
+    // One packed copy of every layer per rung; all rungs share `head`.
+    rungs: Vec<Vec<LayerWeights>>,
     store: PagedKvStore,
     costs: Vec<IterCost>,
     rung: usize,
@@ -403,8 +405,10 @@ pub struct ModelStepEngine {
 }
 
 impl ModelStepEngine {
-    /// Quantize `checkpoint` once per rung of `ladder` (rung 0 first,
-    /// served until a swap) over a paged store of `pool_cfg` blocks.
+    /// Load `checkpoint`'s layers once per rung of `ladder` (rung 0
+    /// first, served until a swap) through the §5 loader, exactly as a
+    /// ring stage holding every layer would, over a paged store of
+    /// `pool_cfg` blocks.
     pub fn new(
         checkpoint: &RefModel,
         ladder: &[BitAssignment],
@@ -415,12 +419,17 @@ impl ModelStepEngine {
         if ladder.is_empty() {
             return Err("need at least one rung in the bit ladder".into());
         }
-        let models: Vec<RefModel> =
-            ladder.iter().map(|a| quantize_model(checkpoint, a, rounding, seed)).collect();
-        let cfg = &models[0].cfg;
+        let cfg = &checkpoint.cfg;
+        for a in ladder {
+            assert_eq!(a.len(), cfg.n_layers, "assignment must cover every layer");
+        }
+        let rungs = ladder
+            .iter()
+            .map(|a| load_stage_weights(checkpoint, 0, &a.bits, rounding, seed).0)
+            .collect();
         let store = PagedKvStore::new(pool_cfg, cfg.n_layers, cfg.hidden);
         let costs = IterCost::default_ladder(ladder.len());
-        Ok(Self { models, store, costs, rung: 0, swaps: 0 })
+        Ok(Self { head: ModelHead::of(checkpoint), rungs, store, costs, rung: 0, swaps: 0 })
     }
 
     /// Like [`ModelStepEngine::new`], but size the KV pool from a
@@ -460,7 +469,7 @@ impl ModelStepEngine {
                  weights plus one {block_bytes} B KV block"
             ));
         }
-        let cfg = &probe.models[0].cfg;
+        let cfg = &probe.head.cfg;
         let store =
             PagedKvStore::new(KvPoolConfig { n_blocks, block_tokens }, cfg.n_layers, cfg.hidden);
         Ok(Self { store, ..probe })
@@ -476,10 +485,7 @@ impl ModelStepEngine {
     /// rung of the ladder (all rungs stay loaded for hot swapping).
     /// Packed rungs count their true bits-scaled footprint.
     pub fn weight_resident_bytes(&self) -> usize {
-        self.models
-            .iter()
-            .map(|m| m.layers.iter().map(|l| l.resident_weight_bytes()).sum::<usize>())
-            .sum()
+        self.rungs.iter().flatten().map(|l| l.resident_weight_bytes()).sum()
     }
 
     /// The paged store (tests inspect block usage).
@@ -492,25 +498,21 @@ impl ModelStepEngine {
         self.swaps
     }
 
-    fn model(&self) -> &RefModel {
-        &self.models[self.rung]
-    }
-
     /// Run `tokens` of `seq`, at positions `pos0..`, through the served
     /// rung and return their hidden states. The sequence's chain is
     /// extended first — exhaustion is reported before anything is
     /// computed — and every layer then reads the cached K/V where its
     /// blocks live and writes the new rows straight into the tail blocks.
     fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize) -> Result<Matrix, StepError> {
-        let model = &self.models[self.rung];
-        let mut x = model.embed_tokens(tokens, pos0);
+        let cfg = &self.head.cfg;
+        let mut x = self.head.embed_tokens(tokens, pos0);
         let mut kv = self.store.extend_seq(seq, tokens.len()).map_err(|e| match e {
             KvPoolError::Exhausted { needed, free } => StepError::KvExhausted { needed, free },
             e => StepError::Engine(e.to_string()),
         })?;
         debug_assert_eq!(kv.cached(0), pos0, "a sequence is computed in position order");
-        for l in 0..model.cfg.n_layers {
-            x = model.forward_layer(l, &x, &mut kv);
+        for (l, w) in self.rungs[self.rung].iter().enumerate() {
+            x = forward_layer_alibi(w, cfg.n_heads, l, &x, &mut kv, cfg.alibi);
         }
         Ok(x)
     }
@@ -533,12 +535,12 @@ impl StepEngine for ModelStepEngine {
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
         let x = self.forward(seq, tokens, pos0)?;
-        Ok(is_last.then(|| argmax(&self.model().last_row_logits(&x))))
+        Ok(is_last.then(|| argmax(&self.head.last_row_logits(&x))))
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
         let x = self.forward(seq, &[last], pos)?;
-        Ok(argmax(&self.model().last_row_logits(&x)))
+        Ok(argmax(&self.head.last_row_logits(&x)))
     }
 
     fn release(&mut self, seq: u64) {
@@ -550,11 +552,11 @@ impl StepEngine for ModelStepEngine {
     }
 
     fn n_rungs(&self) -> usize {
-        self.models.len()
+        self.rungs.len()
     }
 
     fn set_rung(&mut self, rung: usize) -> f64 {
-        let r = rung.min(self.models.len() - 1);
+        let r = rung.min(self.rungs.len() - 1);
         if r != self.rung {
             self.rung = r;
             self.swaps += 1;
@@ -567,7 +569,7 @@ impl StepEngine for ModelStepEngine {
     }
 
     fn max_seq(&self) -> usize {
-        self.model().cfg.max_seq
+        self.head.cfg.max_seq
     }
 }
 
@@ -719,8 +721,30 @@ struct InFlight {
     // sequence): they seed `generated` at join and stretch the prefill
     // phase so their KV is rebuilt before decoding resumes.
     resume_prefix: usize,
-    first_token_s: Option<f64>,
+    // Arrival → first delivered token, once one has landed (in this
+    // incarnation or an earlier one).
+    ttft_s: Option<f64>,
     preempted: u32,
+}
+
+/// What a request keeps of its time in `running` while it waits in the
+/// queue to run again. Written when a live sequence leaves `running`
+/// unfinished, moved back into its [`InFlight`] when it rejoins, dropped
+/// if it dies queued — so there are never more of these than queued
+/// requests, and a request that is never requeued never has one.
+#[derive(Debug, Default)]
+struct Carry {
+    /// Times it has left `running` unfinished.
+    preempted: u32,
+    /// Tokens preserved across a ring restart, resumed as a forced
+    /// prefix instead of re-sampled: recovery can then never contradict
+    /// tokens a streaming consumer already emitted (re-sampling is only
+    /// bit-stable while the rung never changes — a live swap between
+    /// generation and recompute would rewrite history). Empty after a KV
+    /// preemption, which recomputes on the same rung.
+    generated: Vec<usize>,
+    /// TTFT of the first token, if it was already delivered.
+    ttft_s: Option<f64>,
 }
 
 impl InFlight {
@@ -779,6 +803,36 @@ impl LatencySummary {
             max: *samples.last().unwrap(),
         })
     }
+
+    /// Summarize a microsecond histogram, in seconds; `None` when empty.
+    /// Mean and max are exact to the µs, the percentiles interpolated inside the
+    /// histogram's power-of-two buckets.
+    pub(crate) fn from_histogram_us(h: &HistogramSnapshot) -> Option<Self> {
+        let pct = |p: f64| h.percentile(p).map(|us| us / 1e6);
+        Some(Self {
+            p50: pct(0.5)?,
+            p95: pct(0.95)?,
+            p99: pct(0.99)?,
+            mean: h.mean()? / 1e6,
+            max: h.max_us as f64 / 1e6,
+        })
+    }
+}
+
+/// Totals over the requests a run completed, bumped as each one retires.
+#[derive(Debug, Clone, Copy, Default)]
+struct Retired {
+    completed: usize,
+    on_time: usize,
+    generated_tokens: u64,
+}
+
+impl Retired {
+    fn note(&mut self, fin: &FinishedRequest) {
+        self.completed += 1;
+        self.on_time += usize::from(fin.deadline_met);
+        self.generated_tokens += fin.tokens.len() as u64;
+    }
 }
 
 /// End-of-run summary for one serving run (continuous or static).
@@ -827,7 +881,9 @@ pub struct ContinuousReport {
     pub preemptions: u64,
     /// Degradation rung changes.
     pub rung_transitions: u64,
-    /// Every completed request, join order.
+    /// Every completed request of a closed-trace run, in finish order.
+    /// Empty when the scheduler was stepped by a caller that took each
+    /// [`StepOutcome::finished`] itself (the HTTP server).
     pub outputs: Vec<FinishedRequest>,
 }
 
@@ -837,19 +893,19 @@ impl ContinuousReport {
         self.stats.conserves(self.pending_end)
     }
 
-    /// Everything derivable from the finished requests; the loop
-    /// counters (iterations, occupancy, KV peaks, preemptions, rung
+    /// Everything derivable from the retired totals and the archived
+    /// requests (latency summaries are `None` without an archive); the
+    /// loop counters (iterations, occupancy, KV peaks, preemptions, rung
     /// changes) are left at zero for the caller to fill in.
     fn from_finished(
         mode: &str,
         stats: AdmissionStats,
         pending_end: usize,
         makespan_s: f64,
+        retired: Retired,
         outputs: Vec<FinishedRequest>,
     ) -> Self {
-        let completed = outputs.len();
-        let on_time = outputs.iter().filter(|f| f.deadline_met).count();
-        let generated_tokens: u64 = outputs.iter().map(|f| f.tokens.len() as u64).sum();
+        let Retired { completed, on_time, generated_tokens } = retired;
         let per_s = |n: f64| if makespan_s > 0.0 { n / makespan_s } else { 0.0 };
         Self {
             mode: mode.to_string(),
@@ -893,23 +949,20 @@ pub struct ContinuousScheduler<E: StepEngine> {
     // Accumulators for the report.
     iterations: u64,
     prefill_tokens: u64,
-    decode_tokens: u64,
     preemptions: u64,
     rung_transitions: u64,
     swaps_done: usize,
     occupancy_sum: f64,
     peak_batch: usize,
     kv_peak_occupancy: f64,
-    ttft_carry: HashMap<usize, f64>,
-    preempt_counts: HashMap<usize, u32>,
-    // Tokens preserved across a ring restart, keyed by request id: the
-    // requeued sequence resumes them as a forced prefix instead of
-    // re-sampling, so recovery can never contradict tokens a streaming
-    // consumer already emitted (re-sampling is only bit-stable while
-    // the rung never changes — a live swap between generation and
-    // recompute would rewrite history).
-    resume_tokens: HashMap<usize, Vec<usize>>,
-    finished_all: Vec<FinishedRequest>,
+    retired: Retired,
+    // Keyed by request id; holds an entry exactly while a requeued
+    // request is in the queue.
+    carry: HashMap<usize, Carry>,
+    // What `run_trace_with` replayed, in finish order. `step` never
+    // appends here: a caller that steps by hand owns what
+    // `StepOutcome::finished` hands it.
+    archive: Vec<FinishedRequest>,
 }
 
 impl<E: StepEngine> ContinuousScheduler<E> {
@@ -943,17 +996,15 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             telemetry: None,
             iterations: 0,
             prefill_tokens: 0,
-            decode_tokens: 0,
             preemptions: 0,
             rung_transitions: 0,
             swaps_done: 0,
             occupancy_sum: 0.0,
             peak_batch: 0,
             kv_peak_occupancy: 0.0,
-            ttft_carry: HashMap::new(),
-            preempt_counts: HashMap::new(),
-            resume_tokens: HashMap::new(),
-            finished_all: Vec::new(),
+            retired: Retired::default(),
+            carry: HashMap::new(),
+            archive: Vec::new(),
             engine,
             cfg,
         })
@@ -1044,14 +1095,9 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         // Reverse order keeps the original join order once everything
         // is pushed back onto the front of the queue.
         for s in std::mem::take(&mut self.running).into_iter().rev() {
-            // With the ring down this is local bookkeeping only; the
-            // worker-side slots were lost with the attempt.
-            self.engine.release(s.req.id as u64);
-            *self.preempt_counts.entry(s.req.id).or_insert(0) += 1;
-            if !s.generated.is_empty() {
-                self.resume_tokens.insert(s.req.id, s.generated);
-            }
-            self.adm.requeue_front(s.req);
+            // With the ring down the release inside is local bookkeeping
+            // only; the worker-side slots were lost with the attempt.
+            self.requeue(s, true);
         }
         self.adm.note_recovered(out.recovered);
         self.iterations += 1;
@@ -1065,7 +1111,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         self.adm.reap(now);
         out.expired_ids = self.adm.drain_expired_ids();
         for id in &out.expired_ids {
-            self.resume_tokens.remove(id);
+            self.carry.remove(id);
         }
 
         // Join: pull from the queue while batch slots and KV blocks
@@ -1074,12 +1120,12 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         while self.running.len() < self.cfg.max_batch {
             let Some(req) = self.adm.take() else { break };
             if !self.feasible(&req) {
-                self.resume_tokens.remove(&req.id);
+                self.carry.remove(&req.id);
                 self.adm.note_shed(1);
                 out.shed_ids.push(req.id);
                 continue;
             }
-            let preserved = self.resume_tokens.get(&req.id).map_or(0, Vec::len);
+            let preserved = self.carry.get(&req.id).map_or(0, |c| c.generated.len());
             if !self.engine.pool().can_fit(req.prompt.len() + preserved + 1) {
                 self.adm.requeue_front(req);
                 break;
@@ -1090,17 +1136,18 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 self.adm.requeue_front(req);
                 return Err(e);
             }
-            let preempted = self.preempt_counts.get(&req.id).copied().unwrap_or(0);
+            // It joins: from here its `InFlight` owns its whole record.
             // A sequence restored after a ring restart resumes its
             // preserved tokens as a forced prefix (re-prefilled, never
             // re-sampled).
-            let generated = self.resume_tokens.remove(&req.id).unwrap_or_default();
+            let Carry { preempted, generated, ttft_s } =
+                self.carry.remove(&req.id).unwrap_or_default();
             self.running.push(InFlight {
                 req,
                 prefilled: 0,
                 resume_prefix: generated.len(),
                 generated,
-                first_token_s: None,
+                ttft_s,
                 preempted,
             });
         }
@@ -1209,7 +1256,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         let rung = self.engine.rung();
         let mut p_tokens = 0usize;
         let mut d_tokens = 0usize;
-        let mut first_token_slots: Vec<usize> = Vec::new();
+        let mut first_landed: Vec<usize> = Vec::new();
         for &(i, chunk) in &prefills {
             let s = &self.running[i];
             let (id, lo) = (s.req.id as u64, s.prefilled);
@@ -1225,7 +1272,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             if let Some(tok) = got {
                 s.generated.push(tok);
                 out.landed.push((s.req.id, 0, tok));
-                first_token_slots.push(i);
+                first_landed.push(i);
             }
         }
         for &i in &decodes {
@@ -1243,17 +1290,15 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         let t_end = now + cost;
         self.iterations += 1;
         self.prefill_tokens += p_tokens as u64;
-        self.decode_tokens += d_tokens as u64;
         self.occupancy_sum += self.running.len() as f64;
         self.peak_batch = self.peak_batch.max(self.running.len());
         self.kv_peak_occupancy = self.kv_peak_occupancy.max(self.engine.pool().occupancy());
 
         // First tokens land at the end of the iteration; a preempted
         // request keeps the TTFT of the token it already delivered.
-        for &i in &first_token_slots {
+        for &i in &first_landed {
             let s = &mut self.running[i];
-            let t = *self.ttft_carry.entry(s.req.id).or_insert(t_end - s.req.arrival_s);
-            s.first_token_s = Some(s.req.arrival_s + t);
+            s.ttft_s.get_or_insert(t_end - s.req.arrival_s);
         }
 
         // Retire sequences that reached their requested length.
@@ -1263,15 +1308,12 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 let s = self.running.swap_remove(j);
                 self.engine.release(s.req.id as u64);
                 self.adm.note_served(1);
-                self.preempt_counts.remove(&s.req.id);
-                let ttft_s = self.ttft_carry.remove(&s.req.id).unwrap_or(0.0);
-                let sojourn_s = t_end - s.req.arrival_s;
                 let fin = FinishedRequest {
                     id: s.req.id,
                     tokens: s.generated,
-                    ttft_s,
+                    ttft_s: s.ttft_s.unwrap_or(0.0),
                     finish_s: t_end,
-                    sojourn_s,
+                    sojourn_s: t_end - s.req.arrival_s,
                     deadline_met: s.req.deadline_s.is_none_or(|d| t_end <= d),
                     preempted: s.preempted,
                 };
@@ -1286,7 +1328,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                     t.record_request_us((fin.sojourn_s * 1e6) as u64);
                     t.add_tokens(n as u64);
                 }
-                self.finished_all.push(fin.clone());
+                self.retired.note(&fin);
                 out.finished.push(fin);
             } else {
                 j += 1;
@@ -1355,16 +1397,13 @@ impl<E: StepEngine> ContinuousScheduler<E> {
 
     fn preempt(&mut self, victim: usize, prefills: &mut Vec<(usize, usize)>, decodes: &mut Vec<usize>) {
         let s = self.running.swap_remove(victim);
-        self.engine.release(s.req.id as u64);
         self.preemptions += 1;
         if let Some(t) = &self.telemetry {
             t.note_preempted();
         }
-        // Recompute-style preemption: drop the KV, requeue the original
-        // request at the front; greedy decoding regenerates the same
-        // tokens when it rejoins.
-        *self.preempt_counts.entry(s.req.id).or_insert(0) += 1;
-        self.adm.requeue_front(s.req);
+        // Recompute-style preemption: nothing generated is preserved;
+        // greedy decoding regenerates the same tokens when it rejoins.
+        self.requeue(s, false);
         // swap_remove moved the last slot into `victim`: fix indices.
         let moved = self.running.len(); // old index of the moved element
         prefills.retain_mut(|(i, _)| {
@@ -1385,6 +1424,20 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             }
             true
         });
+    }
+
+    /// A live sequence leaves `running` unfinished: drop its KV, put the
+    /// original request back at the front of the queue, and keep what
+    /// its next incarnation needs — its tokens too if `keep_tokens` —
+    /// for as long as it is queued.
+    fn requeue(&mut self, s: InFlight, keep_tokens: bool) {
+        self.engine.release(s.req.id as u64);
+        let generated = if keep_tokens { s.generated } else { Vec::new() };
+        self.carry.insert(
+            s.req.id,
+            Carry { preempted: s.preempted + 1, generated, ttft_s: s.ttft_s },
+        );
+        self.adm.requeue_front(s.req);
     }
 
     fn sync_telemetry(&self) {
@@ -1424,8 +1477,9 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 self.offer(requests[idx].clone(), now);
                 idx += 1;
             }
-            let out = self.step(now).map_err(|e| e.to_string())?;
+            let mut out = self.step(now).map_err(|e| e.to_string())?;
             on_step(&out);
+            self.archive.append(&mut out.finished);
             if out.idle {
                 if idx < requests.len() {
                     now = requests[idx].arrival_s;
@@ -1445,7 +1499,9 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         }
     }
 
-    /// Consume the scheduler into its end-of-run report.
+    /// Consume the scheduler into its end-of-run report. `outputs` and
+    /// the latency summaries cover what [`run_trace`](Self::run_trace)
+    /// replayed; a scheduler that was only stepped by hand has neither.
     pub fn into_report(self, makespan_s: f64, mode: &str) -> ContinuousReport {
         ContinuousReport {
             prefill_tokens: self.prefill_tokens,
@@ -1465,7 +1521,8 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 self.adm.stats(),
                 self.adm.pending() + self.running.len(),
                 makespan_s,
-                self.finished_all,
+                self.retired,
+                self.archive,
             )
         }
     }
@@ -1509,7 +1566,8 @@ pub fn serve_static<E: StepEngine>(
     let mut now = 0.0f64;
     let mut idx = 0usize;
     let mut makespan = 0.0f64;
-    let mut finished_all: Vec<FinishedRequest> = Vec::new();
+    let mut retired = Retired::default();
+    let mut outputs: Vec<FinishedRequest> = Vec::new();
     let mut prefill_tokens = 0u64;
     let mut iterations = 0u64;
     let mut occupancy_sum = 0.0f64;
@@ -1621,7 +1679,7 @@ pub fn serve_static<E: StepEngine>(
         for (req, gen) in batch.iter().zip(gens) {
             engine.release(req.id as u64);
             adm.note_served(1);
-            finished_all.push(FinishedRequest {
+            let fin = FinishedRequest {
                 id: req.id,
                 tokens: gen,
                 ttft_s: t_first - req.arrival_s,
@@ -1629,7 +1687,9 @@ pub fn serve_static<E: StepEngine>(
                 sojourn_s: end - req.arrival_s,
                 deadline_met: req.deadline_s.is_none_or(|d| end <= d),
                 preempted: 0,
-            });
+            };
+            retired.note(&fin);
+            outputs.push(fin);
         }
         now = end;
         makespan = end;
@@ -1642,7 +1702,7 @@ pub fn serve_static<E: StepEngine>(
         peak_batch,
         kv_peak_occupancy: kv_peak,
         kv_peak_blocks: engine.pool().stats().peak_blocks,
-        ..ContinuousReport::from_finished("static", adm.stats(), adm.pending(), makespan, finished_all)
+        ..ContinuousReport::from_finished("static", adm.stats(), adm.pending(), makespan, retired, outputs)
     })
 }
 
@@ -1895,6 +1955,121 @@ mod tests {
         assert!(sched.stats().expired == 2);
     }
 
+    /// Replay `reqs` through `offer` / `step` the way a caller that owns
+    /// the clock does (the HTTP serve loop, the benchmark's direct
+    /// drive), showing `on_step` the scheduler and each outcome; returns
+    /// the makespan.
+    fn step_by_hand(
+        sched: &mut ContinuousScheduler<SimStepEngine>,
+        reqs: &[Request],
+        mut on_step: impl FnMut(&ContinuousScheduler<SimStepEngine>, StepOutcome),
+    ) -> f64 {
+        let (mut now, mut idx, mut makespan) = (0.0f64, 0usize, 0.0f64);
+        loop {
+            while idx < reqs.len() && reqs[idx].arrival_s <= now + 1e-12 {
+                sched.offer(reqs[idx].clone(), now);
+                idx += 1;
+            }
+            let out = sched.step(now).unwrap();
+            let (idle, cost_s) = (out.idle, out.cost_s);
+            on_step(sched, out);
+            if !idle {
+                now += cost_s;
+                makespan = now;
+            } else if idx < reqs.len() {
+                now = reqs[idx].arrival_s;
+            } else {
+                return makespan;
+            }
+        }
+    }
+
+    #[test]
+    fn a_requeued_request_that_dies_in_the_queue_leaves_nothing_behind() {
+        // A pool too small for the batch forces preemption; deadlines a
+        // few iterations long make some preempted requests expire while
+        // they wait to run again. The carry must follow the queue: its
+        // keys are queued ids after every step, and nothing is left of
+        // it (or of anything else per request) at the end.
+        let cfg = ContinuousConfig {
+            admission: AdmissionConfig {
+                policy: crate::overload::AdmissionPolicy::DeadlineShed,
+                default_deadline_s: Some(0.04),
+                max_queue: 4096,
+                ..AdmissionConfig::default()
+            },
+            max_batch: 16,
+            ..ContinuousConfig::default()
+        };
+        let reqs = trace(120, 500.0, 9);
+        let mut sched = ContinuousScheduler::new(sim_engine(8), cfg).unwrap();
+        let mut requeued: std::collections::HashSet<usize> = Default::default();
+        let mut died_requeued = 0usize;
+        let makespan = step_by_hand(&mut sched, &reqs, |sched, out| {
+            died_requeued += out.expired_ids.iter().filter(|id| requeued.contains(id)).count();
+            let queued: std::collections::HashSet<usize> = sched.adm.queued_ids().collect();
+            for id in sched.carry.keys() {
+                assert!(queued.contains(id), "carry holds {id}, which is not queued");
+                requeued.insert(*id);
+            }
+        });
+        assert!(sched.preemptions > 0, "the tiny pool must force preemption");
+        assert!(died_requeued > 0, "no preempted request expired in the queue: tighten the deadline");
+        assert_eq!((sched.queued(), sched.in_flight()), (0, 0));
+        assert!(sched.carry.is_empty(), "left behind: {:?}", sched.carry);
+        let report = sched.into_report(makespan, "continuous");
+        assert!(report.conserves(), "{:?}", report.stats);
+        assert!(report.completed > 0 && report.stats.expired > 0, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn a_hand_stepped_scheduler_keeps_no_history() {
+        // 50 000 requests through `step` the way the HTTP serve loop
+        // drives it: every finished request leaves in the outcome and
+        // nothing per request stays behind. The counters agree with the
+        // archive of a closed-trace run over the same requests.
+        const N: usize = 50_000;
+        let cfg = || ContinuousConfig {
+            admission: AdmissionConfig { max_queue: 2 * N, ..AdmissionConfig::default() },
+            token_budget: 512,
+            max_batch: 256,
+            ..ContinuousConfig::default()
+        };
+        let reqs = poisson_requests(N, 5_000.0, 16, 4, 31).unwrap();
+        let traced = serve_continuous(sim_engine(8192), &reqs, cfg(), None).unwrap();
+        assert_eq!(traced.outputs.len(), N);
+
+        let mut sched = ContinuousScheduler::new(sim_engine(8192), cfg()).unwrap();
+        let mut delivered = 0usize;
+        let makespan = step_by_hand(&mut sched, &reqs, |_, out| delivered += out.finished.len());
+        assert_eq!(delivered, N, "each request leaves exactly once, through the outcome");
+        assert!(sched.carry.is_empty() && sched.running.is_empty() && sched.archive.is_empty());
+        assert_eq!(sched.queued(), 0);
+        let stepped = sched.into_report(makespan, "continuous");
+        assert!(stepped.outputs.is_empty(), "the scheduler archived {}", stepped.outputs.len());
+        assert!(stepped.conserves(), "{:?}", stepped.stats);
+        assert_eq!(stepped.completed, N);
+        assert_eq!(stepped.generated_tokens, traced.generated_tokens);
+        assert_eq!(stepped.goodput_rps, traced.goodput_rps);
+        assert_eq!(stepped.deadline_miss_rate, traced.deadline_miss_rate);
+        assert_eq!((stepped.iterations, stepped.makespan_s), (traced.iterations, traced.makespan_s));
+        assert!(stepped.ttft.is_none() && stepped.sojourn.is_none(), "no archive, no samples");
+    }
+
+    #[test]
+    fn histogram_summary_is_ordered_and_in_seconds() {
+        let h = crate::telemetry::LatencyHistogram::new();
+        assert_eq!(LatencySummary::from_histogram_us(&h.snapshot()), None);
+        for us in [1_000u64, 2_000, 3_000, 250_000] {
+            h.record(us);
+        }
+        let l = LatencySummary::from_histogram_us(&h.snapshot()).unwrap();
+        assert!(l.p50 <= l.p95 && l.p95 <= l.p99 && l.p99 <= l.max, "{l:?}");
+        assert_eq!(l.max, 0.25);
+        assert_eq!(l.mean, 0.064);
+        assert!((0.001..=0.004).contains(&l.p50), "{l:?}");
+    }
+
     #[test]
     fn oracle_is_chunking_invariant() {
         // Prefilling in chunks of 1 vs all-at-once gives identical
@@ -1965,7 +2140,7 @@ mod tests {
         // enough to preempt, and a sequence dropped mid-prefill and
         // recomputed.
         use llmpq_model::{RefConfig, RefModel};
-        use llmpq_quant::Bitwidth;
+        use llmpq_quant::{quantize_model, Bitwidth};
         let checkpoint = RefModel::new(RefConfig::tiny());
         let ladder = vec![BitAssignment::uniform(checkpoint.cfg.n_layers, Bitwidth::Int4)];
         let oracle = quantize_model(&checkpoint, &ladder[0], Rounding::Deterministic, 3);
@@ -2043,6 +2218,42 @@ mod tests {
             e.register(1).unwrap();
             assert_eq!(drive(&mut e, 1, &a, 5, 5), want(&a, 5), "block_tokens {block_tokens}");
         }
+    }
+
+    #[test]
+    fn three_rung_engine_holds_one_head() {
+        // Every rung is a set of layers from the stage loader; the
+        // embeddings, positional table and final norm exist once and
+        // serve whichever rung is live.
+        use llmpq_model::{RefConfig, RefModel};
+        use llmpq_quant::{quantize_model, Bitwidth};
+        let checkpoint = RefModel::new(RefConfig::tiny());
+        let ladder: Vec<BitAssignment> = [Bitwidth::Fp16, Bitwidth::Int8, Bitwidth::Int4]
+            .iter()
+            .map(|&b| BitAssignment::uniform(checkpoint.cfg.n_layers, b))
+            .collect();
+        let pool = KvPoolConfig { n_blocks: 8, block_tokens: 16 };
+        let mut e = ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, 3, pool).unwrap();
+        assert_eq!(e.head, ModelHead::of(&checkpoint));
+        assert_eq!((e.n_rungs(), e.rungs.len()), (3, 3));
+        let prompt = [3usize, 1, 4, 1, 5, 9, 2, 6];
+        let mut layer_bytes = 0usize;
+        for (rung, a) in ladder.iter().enumerate() {
+            let oracle = quantize_model(&checkpoint, a, Rounding::Deterministic, 3);
+            assert_eq!(e.rungs[rung], oracle.layers, "rung {rung}");
+            layer_bytes += oracle.layers.iter().map(|l| l.resident_weight_bytes()).sum::<usize>();
+            e.set_rung(rung);
+            let seq = rung as u64;
+            e.register(seq).unwrap();
+            let mut out = vec![e.prefill_chunk(seq, &prompt, 0, true).unwrap().unwrap()];
+            while out.len() < 5 {
+                let pos = prompt.len() + out.len() - 1;
+                out.push(e.decode_one(seq, *out.last().unwrap(), pos).unwrap());
+            }
+            e.release(seq);
+            assert_eq!(out, oracle.generate(&prompt, 5, 0.0, 0).tokens, "rung {rung}");
+        }
+        assert_eq!(e.weight_resident_bytes(), layer_bytes, "layers only, all rungs");
     }
 
     #[test]

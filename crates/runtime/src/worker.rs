@@ -11,7 +11,7 @@
 //! [`WorkerMsg::Protocol`] reply that travels down the chain to the
 //! master instead of panicking the thread.
 
-use crate::clock::{real_clock, Clock};
+use crate::clock::Clock;
 use crate::fault::{FaultAction, FaultInjector, Heartbeats};
 use crate::migrate::{kv_to_chunks, CommitDecision, KvAssembler, KvChunkMsg, MigrationHost, WorkerSwap};
 use crate::net::transport::{
@@ -20,7 +20,6 @@ use crate::net::transport::{
 use crate::telemetry::{Span, Telemetry};
 use crossbeam::channel::{Receiver, Sender};
 use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase};
-use llmpq_quant::Bitwidth;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -50,15 +49,6 @@ pub type DisconnectBoard = Arc<Mutex<Vec<usize>>>;
 /// Fresh, empty disconnect board.
 pub fn disconnect_board() -> DisconnectBoard {
     Arc::new(Mutex::new(Vec::new()))
-}
-
-/// Static description of one stage (device + layer shard + precisions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageSpec {
-    /// First global layer index.
-    pub layer_start: usize,
-    /// Per-layer precision of the shard.
-    pub bits: Vec<Bitwidth>,
 }
 
 /// One unit of pipeline work: the hidden states of each sequence of a
@@ -185,30 +175,6 @@ pub struct WorkerCtx {
     pub migration: Option<Arc<MigrationHost>>,
 }
 
-impl WorkerCtx {
-    /// Plain context: no faults, no heartbeats, no metrics.
-    pub fn plain(stage: usize, n_heads: usize, hidden: usize, alibi: bool, n_seqs: usize) -> Self {
-        Self {
-            stage,
-            device: stage,
-            n_heads,
-            hidden,
-            alibi,
-            n_seqs,
-            injector: None,
-            heartbeats: None,
-            sink: None,
-            telemetry: None,
-            bits: Arc::from(""),
-            tick: Duration::from_millis(5),
-            disconnects: None,
-            clock: real_clock(),
-            layer_start: 0,
-            migration: None,
-        }
-    }
-}
-
 /// Send `msg` downstream, honoring bounded-queue backpressure: a full
 /// queue blocks in `tick`-sized slices, heartbeating between tries so a
 /// backpressured (but healthy) stage is never mistaken for a hung one,
@@ -244,21 +210,8 @@ fn send_downstream<T: Transport>(ctx: &WorkerCtx, out: &T, msg: WorkerMsg, note_
     }
 }
 
-/// Run a stage worker until shutdown, upstream disconnect, or abort.
-/// Convenience wrapper over [`run_worker_ctx`] without supervision.
-pub fn run_worker(
-    weights: &[LayerWeights],
-    n_heads: usize,
-    hidden: usize,
-    alibi: bool,
-    n_seqs: usize,
-    input: Receiver<WorkerMsg>,
-    output: Sender<WorkerMsg>,
-) {
-    run_worker_ctx(weights, &WorkerCtx::plain(0, n_heads, hidden, alibi, n_seqs), input, output)
-}
-
-/// The supervised stage-worker loop over an in-process channel pair.
+/// The supervised stage-worker loop over an in-process channel pair,
+/// until shutdown, upstream disconnect, or abort.
 /// Wraps the channels in a [`ChannelTransport`] (with link accounting
 /// when the ctx is traced: inbound edge = link `stage`, outbound edge =
 /// link `stage + 1`) and runs [`run_worker_transport`].
@@ -737,9 +690,43 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::real_clock;
     use crate::fault::FaultPlan;
     use crossbeam::channel::unbounded;
     use llmpq_model::{RefConfig, RefModel};
+
+    /// Stage 0 of `model`, one sequence slot: no faults, no heartbeats,
+    /// no metrics.
+    fn plain_ctx(model: &RefModel) -> WorkerCtx {
+        WorkerCtx {
+            stage: 0,
+            device: 0,
+            n_heads: model.cfg.n_heads,
+            hidden: model.cfg.hidden,
+            alibi: false,
+            n_seqs: 1,
+            injector: None,
+            heartbeats: None,
+            sink: None,
+            telemetry: None,
+            bits: Arc::from(""),
+            tick: Duration::from_millis(5),
+            disconnects: None,
+            clock: real_clock(),
+            layer_start: 0,
+            migration: None,
+        }
+    }
+
+    /// Run an unsupervised worker over a channel pair.
+    fn run_worker(
+        weights: &[LayerWeights],
+        model: &RefModel,
+        input: Receiver<WorkerMsg>,
+        output: Sender<WorkerMsg>,
+    ) {
+        run_worker_ctx(weights, &plain_ctx(model), input, output)
+    }
 
     fn item(step: u64, seqs: Vec<(usize, Matrix)>) -> WorkItem {
         WorkItem { step, epoch: 0, microbatch: 0, phase: Phase::Prefill, sent_us: 0, seqs }
@@ -766,7 +753,7 @@ mod tests {
         let x = model.embed_tokens(&[1, 2, 3], 0);
         tx_in.send(WorkerMsg::Work(item(0, vec![(0, x.clone())]))).unwrap();
         tx_in.send(WorkerMsg::Shutdown).unwrap();
-        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 1, rx_in, tx_out);
+        run_worker(&weights, &model, rx_in, tx_out);
 
         let got = recv_work(&rx_out).expect("work item");
         // Must equal a direct single-layer forward.
@@ -789,7 +776,7 @@ mod tests {
         tx_in.send(WorkerMsg::Work(item(0, vec![(0, x1)]))).unwrap();
         tx_in.send(WorkerMsg::Work(item(1, vec![(0, x2.clone())]))).unwrap();
         tx_in.send(WorkerMsg::Shutdown).unwrap();
-        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 1, rx_in, tx_out);
+        run_worker(&weights, &model, rx_in, tx_out);
         let _first = recv_work(&rx_out).expect("first item");
         let second = recv_work(&rx_out).expect("second item").seqs[0].1.clone();
         // Fresh-cache forward of x2 alone gives a different answer.
@@ -806,7 +793,7 @@ mod tests {
         let (tx_out, rx_out) = unbounded();
         let x = model.embed_tokens(&[1], 0);
         tx_in.send(WorkerMsg::Work(item(0, vec![(0, x)]))).unwrap();
-        let mut ctx = WorkerCtx::plain(0, model.cfg.n_heads, model.cfg.hidden, false, 1);
+        let mut ctx = plain_ctx(&model);
         ctx.injector = Some(crate::fault::FaultInjector::new(&FaultPlan::crash(0, 0)));
         run_worker_ctx(&weights, &ctx, rx_in, tx_out);
         // Worker died before processing: output channel disconnects
@@ -828,7 +815,7 @@ mod tests {
         tx_in.send(WorkerMsg::Work(item(0, vec![(0, x1)]))).unwrap();
         tx_in.send(WorkerMsg::Work(item(1, vec![(0, x2)]))).unwrap();
         tx_in.send(WorkerMsg::Shutdown).unwrap();
-        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 1, rx_in, tx_out);
+        run_worker(&weights, &model, rx_in, tx_out);
         let mut works = 0;
         while let Ok(msg) = rx_out.recv() {
             match msg {
@@ -851,7 +838,7 @@ mod tests {
         // Sequence id 5 in a batch of 1: protocol violation.
         tx_in.send(WorkerMsg::Work(item(0, vec![(5, x)]))).unwrap();
         tx_in.send(WorkerMsg::Shutdown).unwrap();
-        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 1, rx_in, tx_out);
+        run_worker(&weights, &model, rx_in, tx_out);
         match rx_out.recv().unwrap() {
             WorkerMsg::Protocol(e) => assert!(e.contains("out of range"), "{e}"),
             other => panic!("violation must surface as a protocol reply, got {other:?}"),
@@ -866,7 +853,7 @@ mod tests {
         let (tx_out, rx_out) = unbounded();
         tx_in.send(WorkerMsg::Protocol("upstream failed".into())).unwrap();
         tx_in.send(WorkerMsg::Shutdown).unwrap();
-        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 1, rx_in, tx_out);
+        run_worker(&weights, &model, rx_in, tx_out);
         assert!(matches!(rx_out.recv().unwrap(), WorkerMsg::Protocol(e) if e == "upstream failed"));
     }
 }
