@@ -266,8 +266,10 @@ fn run(args: &Args) -> Result<(), String> {
 
     // Cost-model cross-check: analytical per-stage prediction vs the busy
     // time the run actually observed. Only resolvable for the paper
-    // clusters ("cluster-N") and zoo models; custom plans skip it.
-    let crosscheck = resolve_crosscheck(&plan, batch, prompt_len, n_generate, &out.stage_metrics);
+    // clusters ("cluster-N") and zoo models, and only for a run of one
+    // attempt; other runs skip it.
+    let job = BatchJob { global_batch: batch, prompt_len, n_generate };
+    let crosscheck = resolve_crosscheck(&plan, &job, &out.stage_metrics, out.restarts);
 
     if let (Some(path), Some(t)) = (trace_out, &telemetry) {
         std::fs::write(path, t.to_chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
@@ -346,7 +348,7 @@ fn run(args: &Args) -> Result<(), String> {
             s.modules, s.quantized_modules, s.peak_staging_bytes
         );
     }
-    if let Some(rows) = &crosscheck {
+    if let Ok(rows) = &crosscheck {
         for r in rows {
             eprintln!(
                 "stage {}: cost model predicted {:.4}s / observed {:.4}s busy (share err {:.1}pp)",
@@ -683,54 +685,60 @@ fn run_stage_process(
     Ok(())
 }
 
-/// Analytical-vs-observed per-stage cross-check; `None` when the plan's
-/// cluster or model cannot be resolved, or a replan changed the stage
-/// count mid-run.
+/// Analytical-vs-observed per-stage cross-check, or why there is none:
+/// the run restarted (the stage counters are run totals — every
+/// attempt's busy time — while the model predicts one uninterrupted
+/// run), or the plan's cluster or model cannot be resolved.
 fn resolve_crosscheck(
     plan: &ExecutionPlan,
-    batch: usize,
-    prompt_len: usize,
-    n_generate: usize,
-    stage_metrics: &[llmpq_runtime::worker::StageMetrics],
-) -> Option<Vec<StageCrosscheck>> {
-    let n: usize = plan.cluster.strip_prefix("cluster-")?.parse().ok()?;
-    if !(1..=11).contains(&n) {
-        return None;
+    job: &BatchJob,
+    stage_metrics: &[llmpq_runtime::StageMetrics],
+    restarts: usize,
+) -> Result<Vec<StageCrosscheck>, String> {
+    if restarts > 0 {
+        return Err(format!(
+            "{restarts} restart(s): observed busy time covers every attempt, the prediction one run"
+        ));
     }
+    let unresolved = || "cluster/model not resolvable".to_string();
+    let n: usize = plan
+        .cluster
+        .strip_prefix("cluster-")
+        .and_then(|n| n.parse().ok())
+        .filter(|n| (1..=11).contains(n))
+        .ok_or_else(unresolved)?;
     let cluster = paper_cluster(n);
-    let spec = zoo::by_name(&plan.model)?;
+    let spec = zoo::by_name(&plan.model).ok_or_else(unresolved)?;
     let db = CostDb::oracle(&KernelEnv::default());
-    let job = BatchJob { global_batch: batch, prompt_len, n_generate };
+    let batch = job.global_batch;
     // Clamp micro-batch sizing to the actual run's batch.
     let mut p = plan.clone();
     p.microbatch.prefill_size = p.microbatch.prefill_size.min(batch).max(1);
     p.microbatch.prefill_count = batch.div_ceil(p.microbatch.prefill_size);
     p.microbatch.decode_size = p.microbatch.decode_size.min(batch).max(1);
     p.microbatch.decode_count = batch.div_ceil(p.microbatch.decode_size);
-    let loads = stage_loads(&p, &cluster, &spec, &db, &job);
+    let loads = stage_loads(&p, &cluster, &spec, &db, job);
     let wl = PipelineWorkload {
         prefill_microbatches: p.microbatch.prefill_count,
         decode_microbatches: p.microbatch.decode_count,
-        n_tokens: n_generate,
+        n_tokens: job.n_generate,
         master_prefill: 0.0,
         master_decode: 0.0,
     };
     let predicted = predicted_stage_seconds(&loads, &wl);
     let observed: Vec<f64> = stage_metrics.iter().map(|m| m.busy_s).collect();
     if predicted.len() != observed.len() {
-        return None; // a replan shrank the pipeline mid-run
+        return Err("stage count changed".into());
     }
-    Some(stage_crosscheck(&predicted, &observed))
+    Ok(stage_crosscheck(&predicted, &observed))
 }
 
 /// Render the cross-check as a metrics-snapshot section.
-fn render_crosscheck(rows: &Option<Vec<StageCrosscheck>>) -> String {
+fn render_crosscheck(rows: &Result<Vec<StageCrosscheck>, String>) -> String {
     let mut out = String::from("# cost-model cross-check (predicted vs observed stage busy time)\n");
     match rows {
-        None => {
-            out.push_str("(skipped: cluster/model not resolvable or stage count changed)\n");
-        }
-        Some(rows) => {
+        Err(why) => out.push_str(&format!("(skipped: {why})\n")),
+        Ok(rows) => {
             for r in rows {
                 out.push_str(&format!(
                     "stage {}: predicted_s={:.4} observed_s={:.4} rel_err={:.1}% \
@@ -930,4 +938,57 @@ fn run_overload(
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llm_pq::StagePlan;
+    use llmpq_model::Phase;
+    use llmpq_quant::Bitwidth;
+    use llmpq_workload::MicrobatchPlan;
+
+    #[test]
+    fn crosscheck_needs_a_run_of_one_attempt_and_says_so_otherwise() {
+        // opt-125m (12 layers) over two devices of paper cluster 3.
+        let stage = |device, lo, hi| StagePlan {
+            device,
+            layer_start: lo,
+            layer_end: hi,
+            bits: vec![Bitwidth::Int8; hi - lo],
+        };
+        let plan = ExecutionPlan {
+            model: "opt-125m".into(),
+            cluster: "cluster-3".into(),
+            stages: vec![stage(0, 0, 6), stage(3, 6, 12)],
+            microbatch: MicrobatchPlan {
+                prefill_size: 2,
+                prefill_count: 2,
+                decode_size: 4,
+                decode_count: 1,
+            },
+            scheme: "LLM-PQ".into(),
+            kv_bits: 16,
+        };
+        let job = BatchJob { global_batch: 4, prompt_len: 10, n_generate: 8 };
+        // Stage counters as a run leaves them: recorder snapshots.
+        let hub = Telemetry::new(2);
+        hub.stage(0).unwrap().on_compute(Phase::Decode, 300_000, 4);
+        hub.stage(1).unwrap().on_compute(Phase::Decode, 100_000, 4);
+        let observed: Vec<_> = (0..2).map(|s| hub.stage(s).unwrap().snapshot()).collect();
+
+        let rows = resolve_crosscheck(&plan, &job, &observed, 0).expect("one attempt: compared");
+        assert_eq!(rows.len(), 2);
+        assert!((rows[0].observed_s - 0.3).abs() < 1e-9 && rows[0].predicted_s > 0.0);
+        assert!(render_crosscheck(&Ok(rows)).contains("stage 1: predicted_s="));
+
+        let skipped = resolve_crosscheck(&plan, &job, &observed, 2);
+        let why = skipped.as_ref().expect_err("run totals of three attempts are not one run");
+        assert!(why.contains("2 restart(s)"), "{why}");
+        assert!(render_crosscheck(&skipped).contains("(skipped: 2 restart(s)"));
+
+        let custom = ExecutionPlan { cluster: "my-rack".into(), ..plan };
+        let why = resolve_crosscheck(&custom, &job, &observed, 0).expect_err("unknown cluster");
+        assert!(why.contains("not resolvable"), "{why}");
+    }
 }

@@ -128,8 +128,17 @@ struct EngineParams {
     mem_budget_mb: usize,
 }
 
-/// The engine `--engine` names, and its vocabulary size.
-fn build_engine(p: &EngineParams) -> Result<(Box<dyn StepEngine + Send>, usize), String> {
+/// What `--engine` names.
+struct BuiltEngine {
+    engine: Box<dyn StepEngine + Send>,
+    vocab: usize,
+    /// The hub `/metrics` renders: the ring's own for `dist`, so the
+    /// restarts, plan epoch and per-stage lines it shows are the ring's.
+    telemetry: Arc<Telemetry>,
+}
+
+fn build_engine(p: &EngineParams) -> Result<BuiltEngine, String> {
+    let local = |engine, vocab| BuiltEngine { engine, vocab, telemetry: Telemetry::new(0) };
     match p.kind.as_str() {
         "sim" => {
             let e = SimStepEngine::new(
@@ -138,7 +147,7 @@ fn build_engine(p: &EngineParams) -> Result<(Box<dyn StepEngine + Send>, usize),
                 p.vocab,
                 p.seed,
             );
-            Ok((Box::new(e), p.vocab))
+            Ok(local(Box::new(e), p.vocab))
         }
         "model" => {
             let cfg = RefConfig::scaled_like(4, p.seed);
@@ -162,7 +171,7 @@ fn build_engine(p: &EngineParams) -> Result<(Box<dyn StepEngine + Send>, usize),
             } else {
                 ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, p.seed, p.pool)?
             };
-            Ok((Box::new(e), vocab))
+            Ok(local(Box::new(e), vocab))
         }
         "dist" => {
             // The same checkpoint/ladder as `model`, but executed
@@ -213,7 +222,7 @@ fn build_engine(p: &EngineParams) -> Result<(Box<dyn StepEngine + Send>, usize),
                 DistServeConfig { n_slots: p.slots, pool: p.pool, ..DistServeConfig::default() },
                 None,
             )?;
-            Ok((Box::new(e), vocab))
+            Ok(BuiltEngine { telemetry: e.telemetry(), engine: Box::new(e), vocab })
         }
         other => Err(format!("unknown engine '{other}' (sim|model|dist)")),
     }
@@ -325,7 +334,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
     let duration = args.get_parse("duration", 0.0f64).map_err(|e| e.to_string())?;
     let duration_s = (duration != 0.0).then_some(duration);
     let trace_kind = args.get("workload").unwrap_or("poisson");
-    let (engine, vocab) = build_engine(params)?;
+    let BuiltEngine { engine, vocab, .. } = build_engine(params)?;
     let max_seq = engine.max_seq();
     let mut requests = match trace_kind {
         "poisson" => {
@@ -359,7 +368,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
     }
     let batch_size = args.get_parse("batch-size", 8usize).map_err(|e| e.to_string())?;
     let max_wait = args.get_parse("max-wait-s", 0.5f64).map_err(|e| e.to_string())?;
-    let (engine2, _) = build_engine(params)?;
+    let engine2 = build_engine(params)?.engine;
     let baseline = serve_static(engine2, &requests, cfg, batch_size, max_wait)?;
     let both_ok = conserves && baseline.conserves();
     println!(
@@ -373,7 +382,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
 fn run_serve(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Result<ExitCode, String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080");
     let deadline_ms = args.get_parse("deadline-ms", 0u64).map_err(|e| e.to_string())?;
-    let (engine, vocab) = build_engine(params)?;
+    let BuiltEngine { engine, vocab, telemetry } = build_engine(params)?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let http_cfg = HttpServerConfig {
         vocab,
@@ -381,7 +390,6 @@ fn run_serve(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
         default_deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
         ..HttpServerConfig::default()
     };
-    let telemetry = Telemetry::new(0);
     llmpq_runtime::run_http_server(listener, engine, cfg, http_cfg, telemetry, real_clock())?;
     Ok(ExitCode::SUCCESS)
 }
@@ -477,10 +485,9 @@ fn body_complete(resp: &str) -> Option<bool> {
 fn run_soak(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Result<ExitCode, String> {
     let clients = args.get_parse("clients", 16usize).map_err(|e| e.to_string())?;
     let per_client = args.get_parse("per-client", 25usize).map_err(|e| e.to_string())?;
-    let (engine, vocab) = build_engine(params)?;
+    let BuiltEngine { engine, vocab, telemetry } = build_engine(params)?;
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let http_cfg = HttpServerConfig { vocab, ..HttpServerConfig::default() };
-    let telemetry = Telemetry::new(0);
     let server =
         llmpq_runtime::HttpServer::start(listener, engine, cfg, http_cfg, telemetry, real_clock())?;
     let addr = server.addr;

@@ -1,13 +1,14 @@
 //! Minimal dense linear algebra for the reference transformer.
 //!
 //! A row-major `f32` matrix plus the handful of elementwise kernels a
-//! decoder layer needs (LayerNorm, softmax, GELU). This is deliberately
+//! decoder layer needs (LayerNorm, GELU). This is deliberately
 //! simple — the reference model exists to propagate real quantization
 //! error — and the arithmetic that decides a layer's time lives in the
 //! kernels crate: `matmul_t` is its register-blocked GEMM (the one the
-//! packed weights use), `gelu` and `softmax_rows` its whole-vector
-//! kernels over the model's one `exp`. `matmul` is a plain ikj loop; the
-//! `par_*` calls go through `vendor/rayon`, which runs them sequentially.
+//! packed weights use), `gelu` its whole-vector kernel over the model's
+//! one `exp` (attention applies the kernels crate's softmax itself).
+//! `matmul` is a plain ikj loop; the `par_*` calls go through
+//! `vendor/rayon`, which runs them sequentially.
 
 use llmpq_kernels::gemm_t;
 use rand::rngs::SmallRng;
@@ -153,13 +154,6 @@ pub fn layer_norm(x: &mut Matrix, gamma: &[f32], beta: &[f32]) {
     });
 }
 
-/// In-place numerically-stable softmax over each row, on the model's
-/// `exp` ([`llmpq_kernels::elementwise`]) — the row kernel attention
-/// applies to each live prefix.
-pub fn softmax_rows(x: &mut Matrix) {
-    llmpq_kernels::softmax_rows(&mut x.data, x.cols);
-}
-
 /// In-place GELU (tanh approximation, as used by OPT/BLOOM), with
 /// `tanh` built on the model's `exp` ([`llmpq_kernels::elementwise`]).
 pub fn gelu(x: &mut Matrix) {
@@ -236,25 +230,6 @@ mod tests {
         }
         assert!(Matrix::zeros(0, 37).matmul_t(&b).data.is_empty());
         assert!(Matrix::zeros(0, 37).matmul_t_scalar(&b).data.is_empty());
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut m = Matrix::random(6, 10, 3.0, 3);
-        softmax_rows(&mut m);
-        for r in 0..6 {
-            let s: f32 = m.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(m.row(r).iter().all(|&v| v >= 0.0));
-        }
-    }
-
-    #[test]
-    fn softmax_handles_large_logits() {
-        let mut m = Matrix::from_vec(1, 3, vec![1000.0, 1000.0, 999.0]);
-        softmax_rows(&mut m);
-        assert!(m.data.iter().all(|v| v.is_finite()));
-        assert!((m.data[0] - m.data[1]).abs() < 1e-6);
     }
 
     #[test]

@@ -575,6 +575,37 @@ impl std::fmt::Debug for FleetController {
     }
 }
 
+/// The runtime's one contiguous even split: `n_layers` over `devices` in
+/// order, the first devices taking the larger shares, no device more
+/// than `cap(device)` layers, layer `l` on device `d` served at
+/// `bits(d, l)`. A device left with nothing gets no stage; layers the
+/// caps strand are simply not covered (the last stage's `layer_end`
+/// says how far the split got).
+pub(crate) fn even_split(
+    n_layers: usize,
+    devices: &[usize],
+    cap: impl Fn(usize) -> usize,
+    bits: impl Fn(usize, usize) -> llmpq_quant::Bitwidth,
+) -> Vec<llm_pq::StagePlan> {
+    let mut stages = Vec::new();
+    let mut start = 0usize;
+    for (i, &d) in devices.iter().enumerate() {
+        let remaining = n_layers - start;
+        let take = remaining.div_ceil(devices.len() - i).min(cap(d));
+        if take == 0 {
+            continue;
+        }
+        stages.push(llm_pq::StagePlan {
+            device: d,
+            layer_start: start,
+            layer_end: start + take,
+            bits: (start..start + take).map(|l| bits(d, l)).collect(),
+        });
+        start += take;
+    }
+    stages
+}
+
 /// Structural planner for the simulation harness and controller tests:
 /// splits `n_layers` evenly across the live devices (in id order),
 /// capping each device at [`max_layers_per_device`] layers — degraded
@@ -597,14 +628,14 @@ impl ElasticPlanner for EvenSplitPlanner {
         if view.live.is_empty() {
             return Err(PlanFailure::NoDevices);
         }
-        let cap_of = |d: &usize| {
-            if view.degraded.contains(d) {
+        let cap_of = |d: usize| {
+            if view.degraded.contains(&d) {
                 (self.max_layers_per_device / 2).max(1)
             } else {
                 self.max_layers_per_device
             }
         };
-        let total_cap: usize = view.live.iter().map(cap_of).sum();
+        let total_cap: usize = view.live.iter().map(|&d| cap_of(d)).sum();
         if total_cap < self.n_layers {
             return Err(PlanFailure::Infeasible {
                 devices: view.live.len(),
@@ -614,36 +645,15 @@ impl ElasticPlanner for EvenSplitPlanner {
                 ),
             });
         }
-        // Even split in id order, honoring per-device caps; devices
-        // beyond the layer count stay idle (stage count ≤ n_layers).
         let devices: Vec<usize> = view.live.iter().copied().collect();
-        let mut remaining = self.n_layers;
-        let mut stages = Vec::new();
-        let mut start = 0usize;
-        for (i, &d) in devices.iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            let left = devices.len() - i;
-            let even = remaining.div_ceil(left);
-            let take = even.min(cap_of(&d)).min(remaining);
-            if take == 0 {
-                continue;
-            }
-            let bits = if view.degraded.contains(&d) {
+        let stages = even_split(self.n_layers, &devices, cap_of, |d, _| {
+            if view.degraded.contains(&d) {
                 Bitwidth::Int4
             } else {
                 Bitwidth::Int8
-            };
-            stages.push(llm_pq::StagePlan {
-                device: d,
-                layer_start: start,
-                layer_end: start + take,
-                bits: vec![bits; take],
-            });
-            start += take;
-            remaining -= take;
-        }
+            }
+        });
+        let remaining = self.n_layers - stages.last().map_or(0, |s| s.layer_end);
         if remaining > 0 {
             // Caps can strand layers when early devices are degraded;
             // a second pass would rebalance, but for the structural

@@ -23,10 +23,13 @@
 //!   apart until the scheduler hands the engine a whole iteration
 //!   (ROADMAP item 1).
 //! * `AttemptLoop` — the restart loop over a [`ServingRing`]: dial an
-//!   attempt, drive generation, and on failure attribute, bound,
-//!   checkpoint, replan or back off, log. [`Pipeline::run`] runs it
-//!   over an in-process [`ChannelRing`],
-//!   [`run_master`](crate::net::dist::run_master) over the TCP fleet.
+//!   attempt, drive generation, and on failure ask
+//!   `after_failed_attempt` — the one place a failed attempt is
+//!   classified, counted, bounded and answered, for this loop and for
+//!   the serving engine alike — then checkpoint, replan or back off,
+//!   log. [`Pipeline::run`] runs it over an in-process [`ChannelRing`],
+//!   [`run_master`](crate::net::dist::run_master) over the TCP fleet,
+//!   the [`crate::simnet`] master actor over the simulated network.
 //! * [`Pipeline`] — the one way to run a plan offline: a builder whose
 //!   options — quantizer settings, a [`FaultPlan`], a [`Telemetry`] hub,
 //!   supervision, a replanner, a live-swap schedule — are properties of
@@ -47,9 +50,9 @@ use crate::serve_dist::{ChannelRing, ServingRing};
 use crate::supervisor::{
     RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
 };
-use crate::telemetry::{Span, Telemetry};
-use crate::worker::{StageMetrics, WorkItem, WorkerMsg};
-use llm_pq::{ExecutionPlan, StagePlan};
+use crate::telemetry::{Span, StageMetrics, Telemetry};
+use crate::worker::{WorkItem, WorkerMsg};
+use llm_pq::ExecutionPlan;
 use llmpq_model::{argmax, Phase, RefModel};
 use llmpq_quant::Rounding;
 use serde::{Deserialize, Serialize};
@@ -109,8 +112,9 @@ pub struct RuntimeOutput {
     pub loader_stats: Vec<LoaderStats>,
     /// Wall-clock seconds of the generation run (excluding loading).
     pub wall_s: f64,
-    /// Per-stage execution counters (busy time, items) from the workers,
-    /// under the final attempt's plan.
+    /// Per-stage execution counters (busy time, items): the run totals of
+    /// the hub's stage recorders — every attempt included — for the
+    /// stages of the final plan.
     pub stage_metrics: Vec<StageMetrics>,
     /// Restarts taken (attempts − 1).
     pub restarts: usize,
@@ -129,6 +133,7 @@ pub struct RuntimeOutput {
 /// leaves every timeout off (failure = disconnect); supervision turns
 /// them on. The serving engine runs under the same settings with its
 /// op timeout as the progress timeout and no heartbeat board.
+#[derive(Clone)]
 pub(crate) struct AttemptSupervision {
     pub heartbeats: Option<Arc<Heartbeats>>,
     pub heartbeat_timeout: Option<Duration>,
@@ -156,29 +161,25 @@ impl AttemptSupervision {
 /// Channel-poll granularity of an unsupervised run.
 const DEFAULT_TICK: Duration = Duration::from_millis(5);
 
-/// The master's endpoint on a pipeline ring, generic over what carries
-/// its messages: the outbound edge to stage 0 and the inbound edge from
-/// the last stage of one attempt, dialled from a
-/// [`ServingRing`](crate::serve_dist::ServingRing) or built by the
-/// simnet. Every master in the runtime — offline, serving, simulated —
-/// sends, receives and swaps plans through this one type, which is what
-/// makes a loopback run bit-identical to an in-process one.
-pub(crate) struct Master<T: Transport> {
-    link: T,
+/// The master's endpoint on a pipeline ring: the outbound edge to stage
+/// 0 and the inbound edge from the last stage of one attempt, dialled
+/// from a [`ServingRing`](crate::serve_dist::ServingRing) — channels,
+/// TCP or the simulated net. Every master in the runtime — offline,
+/// serving, simulated — sends, receives and swaps plans through this
+/// one type, which is what makes a loopback run bit-identical to an
+/// in-process one.
+pub(crate) struct Master {
+    link: Box<dyn Transport + Send>,
     /// Last work-item id received — duplicates are discarded here when
     /// the final stage is the one duplicating.
     last_step: Cell<Option<u64>>,
-    /// Observability hub of this run, if tracing is on.
-    telemetry: Option<Arc<Telemetry>>,
-    /// Whether the stage-0 queue gauge lives in this process (in-process
-    /// runs). A distributed master must not bump it: the dequeue side
-    /// runs in another process and the gauge would only ever grow.
-    local_gauges: bool,
+    /// Observability hub of the ring this endpoint was dialled from.
+    telemetry: Arc<Telemetry>,
 }
 
-impl<T: Transport> Master<T> {
-    pub(crate) fn new(link: T, telemetry: Option<Arc<Telemetry>>, local_gauges: bool) -> Self {
-        Master { link, last_step: Cell::new(None), telemetry, local_gauges }
+impl Master {
+    pub(crate) fn new(link: Box<dyn Transport + Send>, telemetry: Arc<Telemetry>) -> Self {
+        Master { link, last_step: Cell::new(None), telemetry }
     }
 
     /// Send toward stage 0 — work items, and the control traffic the
@@ -195,13 +196,8 @@ impl<T: Transport> Master<T> {
         mut msg: WorkerMsg,
         sup: &AttemptSupervision,
     ) -> Result<(), RuntimeError> {
-        if let (WorkerMsg::Work(item), Some(t)) = (&mut msg, &self.telemetry) {
-            item.sent_us = t.now_us();
-            if self.local_gauges {
-                if let Some(s0) = t.stage(0) {
-                    s0.on_enqueue();
-                }
-            }
+        if let WorkerMsg::Work(item) = &mut msg {
+            item.sent_us = self.telemetry.now_us();
         }
         let deadline = sup.progress_timeout.map(|t| sup.clock.deadline(t));
         loop {
@@ -421,9 +417,7 @@ impl<T: Transport> Master<T> {
                     self.send(WorkerMsg::PlanAbort { epoch: e, reason }, sup)?;
                 }
             }
-            if let Some(t) = &self.telemetry {
-                t.note_migration_aborted();
-            }
+            self.telemetry.note_migration_aborted();
             return Ok(None);
         }
         // Phase 2: point of no return.
@@ -441,17 +435,16 @@ impl<T: Transport> Master<T> {
         }
         let now_us = sup.clock.now().as_micros() as u64;
         let report = c.finish_commit(now_us).expect("pending resolved").clone();
-        if let Some(t) = &self.telemetry {
-            t.note_swap(report.latency_us, report.kv_bytes);
-            t.set_epoch(report.epoch);
-        }
+        self.telemetry.note_swap(report.latency_us, report.kv_bytes);
+        self.telemetry.set_epoch(report.epoch);
         Ok(Some(report))
     }
 
     /// Logits for the last position of each sequence in a work item.
     /// Traced as a `"sample"` span on the master's trace thread.
     fn sample_next(&self, model: &RefModel, item: &WorkItem) -> Vec<(usize, usize)> {
-        let start = self.telemetry.as_ref().map(|t| t.now_us());
+        let t = &self.telemetry;
+        let ts_us = t.now_us();
         let out: Vec<(usize, usize)> = item
             .seqs
             .iter()
@@ -459,19 +452,17 @@ impl<T: Transport> Master<T> {
                 (*seq, argmax(&model.last_row_logits(h)))
             })
             .collect();
-        if let (Some(t), Some(ts)) = (&self.telemetry, start) {
-            t.add_tokens(out.len() as u64);
-            t.record_span(Span {
-                tid: 0,
-                name: "sample",
-                phase: item.phase,
-                ts_us: ts,
-                dur_us: t.now_us().saturating_sub(ts),
-                step: item.step,
-                microbatch: item.microbatch,
-                bits: Arc::from(""),
-            });
-        }
+        t.add_tokens(out.len() as u64);
+        t.record_span(Span {
+            tid: 0,
+            name: "sample",
+            phase: item.phase,
+            ts_us,
+            dur_us: t.now_us().saturating_sub(ts_us),
+            step: item.step,
+            microbatch: item.microbatch,
+            bits: Arc::from(""),
+        });
         out
     }
 }
@@ -503,7 +494,7 @@ pub struct Pipeline<'a> {
     rounding: Rounding,
     seed: u64,
     faults: Option<&'a FaultPlan>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     supervisor: Option<SupervisorConfig>,
     replanner: Option<&'a dyn Replanner>,
     swaps: &'a [SwapRequest],
@@ -519,7 +510,7 @@ impl<'a> Pipeline<'a> {
             rounding: Rounding::Deterministic,
             seed: 0,
             faults: None,
-            telemetry: None,
+            telemetry: Telemetry::counters_only(plan.stages.len(), real_clock()),
             supervisor: None,
             replanner: None,
             swaps: &[],
@@ -543,10 +534,13 @@ impl<'a> Pipeline<'a> {
     /// depths and lifecycle spans, the supervisor's restart and replan
     /// decisions (a restart is attributed to the stage the failure
     /// names), and swap commits and aborts. Size the hub for the input
-    /// plan — replans only shrink the pipeline and swaps keep its stage
-    /// count, so the recorders stay in range.
+    /// plan ([`run`](Self::run) rejects a smaller one) — replans only
+    /// shrink the pipeline and swaps keep its stage count, so the
+    /// recorders stay in range. Without this call the run counts into a
+    /// hub of its own, which keeps no spans; either way
+    /// [`RuntimeOutput::stage_metrics`] is read from the hub's recorders.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -588,6 +582,13 @@ impl<'a> Pipeline<'a> {
     ) -> Result<RuntimeOutput, RuntimeError> {
         let checkpoint = self.checkpoint;
         validate_inputs(checkpoint, self.plan, prompts, n_generate, self.faults)?;
+        if self.telemetry.n_stages() < self.plan.stages.len() {
+            return Err(RuntimeError::BadPlan(format!(
+                "the telemetry hub has {} stage recorder(s), the plan has {} stages",
+                self.telemetry.n_stages(),
+                self.plan.stages.len()
+            )));
+        }
         if !self.swaps.is_empty() {
             if self.supervisor.is_none() {
                 return Err(RuntimeError::BadPlan(
@@ -623,10 +624,8 @@ impl<'a> Pipeline<'a> {
         // The in-process ring serving a plan: shards loaded through the
         // on-the-fly quantizing loader (every shard, where a real
         // deployment would reload only the re-homed ones), wired to this
-        // run's injector, telemetry hub and — supervised — a heartbeat
-        // board and the queue bound.
+        // run's injector and hub and — supervised — the queue bound.
         let ring_for = |plan: &ExecutionPlan| {
-            let n_stages = plan.stages.len();
             let mut ring = ChannelRing::load(
                 checkpoint,
                 plan.clone(),
@@ -638,28 +637,17 @@ impl<'a> Pipeline<'a> {
             ring.injector = injector.clone();
             ring.host = host.clone();
             ring.telemetry = self.telemetry.clone();
-            ring.sink =
-                Some(Arc::new(parking_lot::Mutex::new(vec![StageMetrics::default(); n_stages])));
-            if let Some(cfg) = &self.supervisor {
-                ring.heartbeats = Some(Heartbeats::new(n_stages));
-                ring.queue_cap = cfg.max_queue;
-            }
+            ring.queue_cap = self.supervisor.as_ref().and_then(|cfg| cfg.max_queue);
             ring
         };
         let mut ring = ring_for(self.plan);
-        let out = AttemptLoop {
-            model: checkpoint,
-            prompts,
-            n_generate,
-            supervisor: self.supervisor.as_ref(),
-            telemetry: self.telemetry.clone(),
-            local_gauges: true,
-            replanner: self.replanner,
-        }
-        .run(&mut ring, self.plan.clone(), coord.as_mut(), |ring, plan| *ring = ring_for(plan))?;
+        let mut attempts =
+            AttemptLoop::new(checkpoint, prompts, n_generate, self.supervisor.as_ref());
+        attempts.replanner = self.replanner;
+        let out = attempts
+            .run(&mut ring, self.plan.clone(), coord.as_mut(), |ring, plan| *ring = ring_for(plan))?;
         Ok(RuntimeOutput {
             loader_stats: ring.loader_stats.clone(),
-            stage_metrics: ring.sink.as_ref().map(|s| s.lock().clone()).unwrap_or_default(),
             swaps: coord.map(|c| c.reports).unwrap_or_default(),
             ..out
         })
@@ -672,31 +660,131 @@ fn tick_of(cfg: Option<&SupervisorConfig>) -> Duration {
     cfg.map_or(DEFAULT_TICK, |c| Duration::from_millis(c.tick_ms.max(1)))
 }
 
+/// How a master answers a failed attempt: the restart budget, whether a
+/// lost device is replanned around, and the pause before restart `n`.
+pub(crate) struct RestartPolicy<'a> {
+    pub max_restarts: usize,
+    pub replan_on_loss: bool,
+    pub backoff: Box<dyn Fn(usize) -> Duration + 'a>,
+}
+
+/// What [`after_failed_attempt`] decided.
+pub(crate) enum Recovery {
+    /// Dial the same plan again after `backoff`.
+    Restart { backoff: Duration },
+    /// The devices in `lost` are gone for good and the plan uses one of
+    /// them, `device`: replan around them.
+    Replan { lost: Vec<usize>, device: usize },
+}
+
+/// The failure path's one decision point: every master — [`AttemptLoop`]
+/// over channels, TCP or the simulated net, and the serving
+/// [`DistStepEngine`](crate::serve_dist::DistStepEngine) — asks it what
+/// follows attempt `attempt` (0-based) of `plan` ending in `seen`, once
+/// `ring` has torn the attempt down.
+///
+/// *Classify:* a generic "worker died / stalled" is a symptom when a
+/// stage noted dropping a work item on a downstream disconnect — the
+/// cause is that [`StageDisconnected`](RuntimeError::StageDisconnected)
+/// (hangs and protocol violations keep their own diagnosis). *Budget:*
+/// without a `policy` (an unsupervised run) or past `max_restarts` the
+/// cause is final — as [`DeviceLost`](RuntimeError::DeviceLost) when the
+/// plan sits on a device reported lost, since no restart could have
+/// succeeded. *Count:* a restart that will happen is counted on the
+/// ring's hub against the stage the cause implicates: the hung stage,
+/// the stage behind the link a neighbour lost an item on, or — for a
+/// bare disconnect — the first stage the ring saw leave. *Decide:*
+/// replan when the plan lost a device and the policy says so, else
+/// restart after the policy's backoff.
+pub(crate) fn after_failed_attempt(
+    ring: &dyn ServingRing,
+    plan: &ExecutionPlan,
+    seen: RuntimeError,
+    attempt: usize,
+    policy: Option<&RestartPolicy<'_>>,
+) -> Result<(RuntimeError, Recovery), RuntimeError> {
+    let cause = match (seen, ring.dropped_stage()) {
+        (RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_), Some(stage)) => {
+            RuntimeError::StageDisconnected(stage)
+        }
+        (seen, _) => seen,
+    };
+    let Some(policy) = policy else { return Err(cause) };
+    let lost = ring.lost_devices();
+    let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
+    if attempt >= policy.max_restarts {
+        return Err(lost_in_plan.map_or(cause, RuntimeError::DeviceLost));
+    }
+    ring.telemetry().note_restart(match &cause {
+        RuntimeError::StageHung(s) => Some(*s),
+        RuntimeError::StageDisconnected(s) => Some(s + 1),
+        RuntimeError::WorkerDied(_) => ring.first_exit(),
+        _ => None,
+    });
+    let recovery = match lost_in_plan {
+        Some(device) if policy.replan_on_loss => Recovery::Replan { lost, device },
+        _ => Recovery::Restart { backoff: (policy.backoff)(attempt) },
+    };
+    Ok((cause, recovery))
+}
+
 /// The restart loop every offline master runs, over whatever ring
 /// carries the attempt: in-process channels for [`Pipeline::run`], the
-/// TCP stage fleet for [`run_master`](crate::net::dist::run_master).
-/// (The simulated master in [`crate::simnet`] keeps its own loop: its
-/// trace lines and µs-granular virtual backoff are part of the
-/// byte-identical replay contract.)
+/// TCP stage fleet for [`run_master`](crate::net::dist::run_master), the
+/// simulated network for the [`crate::simnet`] master actor (which
+/// injects its virtual clock, its µs-granular timeouts and backoff, and
+/// the hook that writes its per-attempt trace lines).
 pub(crate) struct AttemptLoop<'a> {
     pub model: &'a RefModel,
     pub prompts: &'a [Vec<usize>],
     pub n_generate: usize,
-    /// `None` = one attempt, disconnect-only detection, error returned
-    /// as is.
-    pub supervisor: Option<&'a SupervisorConfig>,
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// See [`Master`]: whether stage 0's queue gauge is in this process.
-    pub local_gauges: bool,
+    /// Failure detection, clock and tick of every attempt; its board is
+    /// the dialled ring's.
+    pub sup: AttemptSupervision,
+    /// `None` = one attempt, its error returned as classified.
+    pub restarts: Option<RestartPolicy<'a>>,
     pub replanner: Option<&'a dyn Replanner>,
+    /// Told how each attempt ended, as the master saw it.
+    pub on_attempt_end: &'a dyn Fn(usize, Option<&RuntimeError>),
 }
 
-impl AttemptLoop<'_> {
+impl<'a> AttemptLoop<'a> {
+    /// The loop of a wall-clock run: unsupervised (one attempt,
+    /// disconnect-only detection) or under `supervisor`'s timeouts,
+    /// budget and backoff.
+    pub(crate) fn new(
+        model: &'a RefModel,
+        prompts: &'a [Vec<usize>],
+        n_generate: usize,
+        supervisor: Option<&SupervisorConfig>,
+    ) -> Self {
+        Self {
+            model,
+            prompts,
+            n_generate,
+            sup: AttemptSupervision {
+                heartbeats: None,
+                heartbeat_timeout: supervisor.map(|c| Duration::from_millis(c.heartbeat_timeout_ms)),
+                progress_timeout: supervisor.map(|c| Duration::from_millis(c.progress_timeout_ms)),
+                tick: tick_of(supervisor),
+                clock: real_clock(),
+            },
+            restarts: supervisor.copied().map(|cfg| RestartPolicy {
+                max_restarts: cfg.max_restarts,
+                replan_on_loss: cfg.policy == RecoveryPolicy::Replan,
+                backoff: Box::new(move |restart| cfg.backoff(restart)),
+            }),
+            replanner: None,
+            on_attempt_end: &|_, _| {},
+        }
+    }
+
     /// Run attempts on `ring` until one completes or the restart budget
     /// is spent. `reload` re-targets the ring when the plan changes
     /// under it — a replan, or a swap that committed before an attempt
     /// failed — so the next dial boots on the new plan. The output's
-    /// `loader_stats`, `stage_metrics` and `swaps` are left for the
+    /// `stage_metrics` are the run totals of the ring's hub for the
+    /// final plan's stages; `loader_stats` and `swaps` are left for the
     /// caller, who owns the ring and the coordinator, to fill in.
     pub(crate) fn run<R: ServingRing>(
         &self,
@@ -705,7 +793,7 @@ impl AttemptLoop<'_> {
         mut coord: Option<&mut MigrationCoordinator>,
         mut reload: impl FnMut(&mut R, &ExecutionPlan),
     ) -> Result<RuntimeOutput, RuntimeError> {
-        let clock = real_clock();
+        let clock = &self.sup.clock;
         let start = clock.now();
         let mut tokens: Vec<Vec<usize>> =
             vec![Vec::with_capacity(self.n_generate); self.prompts.len()];
@@ -722,8 +810,8 @@ impl AttemptLoop<'_> {
                     reload(ring, &plan);
                 }
             }
-            let res = self.attempt(ring, attempt, &plan, &mut tokens, coord.as_deref_mut(), &clock);
-            let e = match res {
+            let res = self.attempt(ring, attempt, &plan, &mut tokens, coord.as_deref_mut());
+            let seen = match res {
                 Ok(()) => {
                     // A swap whose commit went out in the final decode
                     // steps resolves here.
@@ -731,11 +819,14 @@ impl AttemptLoop<'_> {
                         c.begin_attempt();
                         plan = c.attempt_plan(&plan).clone();
                     }
+                    let hub = ring.telemetry();
                     return Ok(RuntimeOutput {
                         tokens,
                         loader_stats: Vec::new(),
                         wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics: Vec::new(),
+                        stage_metrics: (0..plan.stages.len())
+                            .map(|i| hub.stage(i).map(|r| r.snapshot()).unwrap_or_default())
+                            .collect(),
                         restarts: events.len(),
                         replans,
                         final_plan: plan,
@@ -745,19 +836,15 @@ impl AttemptLoop<'_> {
                 }
                 Err(e) => e,
             };
-            let Some(cfg) = self.supervisor else { return Err(e) };
-            let lost = ring.lost_devices();
-            let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
-            if attempt >= cfg.max_restarts {
-                // Surface a permanent loss as such when restarting could
-                // never have succeeded.
-                return Err(lost_in_plan.map_or(e, RuntimeError::DeviceLost));
-            }
+            let (cause, recovery) =
+                after_failed_attempt(ring, &plan, seen, attempt, self.restarts.as_ref())?;
             checkpoint_lockstep(&mut tokens);
             let checkpointed_tokens = tokens.first().map_or(0, Vec::len);
-            let action = match lost_in_plan {
-                Some(d) if cfg.policy == RecoveryPolicy::Replan => {
-                    let Some(r) = self.replanner else { return Err(RuntimeError::DeviceLost(d)) };
+            let action = match recovery {
+                Recovery::Replan { lost, device } => {
+                    let Some(r) = self.replanner else {
+                        return Err(RuntimeError::DeviceLost(device));
+                    };
                     let new_plan = r
                         .replan(&plan, &lost)
                         .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
@@ -772,27 +859,15 @@ impl AttemptLoop<'_> {
                     reload(ring, &new_plan);
                     plan = new_plan;
                     replans += 1;
+                    ring.telemetry().note_replan();
                     RecoveryAction::Replan { lost_devices: lost, new_stages: plan.stages.len() }
                 }
-                _ => {
-                    let backoff = cfg.backoff(attempt);
+                Recovery::Restart { backoff } => {
                     clock.sleep(backoff);
                     RecoveryAction::Restart { backoff_ms: backoff.as_millis() as u64 }
                 }
             };
-            if let Some(t) = &self.telemetry {
-                // A restart is attributed to the stage the failure
-                // names; other failures only bump the global counter.
-                let failed_stage = match &e {
-                    RuntimeError::StageHung(s) | RuntimeError::StageDisconnected(s) => Some(*s),
-                    _ => None,
-                };
-                t.note_restart(failed_stage);
-                if matches!(action, RecoveryAction::Replan { .. }) {
-                    t.note_replan();
-                }
-            }
-            let error = e.to_string();
+            let error = cause.to_string();
             events.push(RecoveryEvent { attempt, error, checkpointed_tokens, action });
         }
     }
@@ -808,25 +883,12 @@ impl AttemptLoop<'_> {
         plan: &ExecutionPlan,
         tokens: &mut [Vec<usize>],
         migration: Option<&mut MigrationCoordinator>,
-        clock: &Arc<dyn Clock>,
     ) -> Result<(), RuntimeError> {
-        let done = tokens.iter().map(Vec::len).min().unwrap_or(0);
-        debug_assert!(tokens.iter().all(|t| t.len() == done), "resume requires lock-step prefix");
-        if done >= self.n_generate {
-            return Ok(());
-        }
         let link = ring
             .dial(attempt)
             .map_err(|e| RuntimeError::WorkerDied(format!("dialing attempt {attempt}: {e}")))?;
-        let cfg = self.supervisor;
-        let sup = AttemptSupervision {
-            heartbeats: ring.heartbeats(),
-            heartbeat_timeout: cfg.map(|c| Duration::from_millis(c.heartbeat_timeout_ms)),
-            progress_timeout: cfg.map(|c| Duration::from_millis(c.progress_timeout_ms)),
-            tick: tick_of(cfg),
-            clock: clock.clone(),
-        };
-        let master = Master::new(link, self.telemetry.clone(), self.local_gauges);
+        let sup = AttemptSupervision { heartbeats: ring.heartbeats(), ..self.sup.clone() };
+        let master = Master::new(link, ring.telemetry());
         let res = drive_generation(
             &master,
             self.model,
@@ -841,30 +903,14 @@ impl AttemptLoop<'_> {
         // cascade down the ring; the ring then reaps what is its to reap.
         drop(master);
         ring.teardown();
-        // Root-cause attribution: if a stage recorded a dropped item on a
-        // downstream disconnect, the generic "worker died / stalled" the
-        // master saw is a symptom — surface the drop instead. Hangs and
-        // protocol violations keep their own, more specific, diagnosis.
-        match (res, ring.dropped_stage()) {
-            (Err(RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_)), Some(stage)) => {
-                Err(RuntimeError::StageDisconnected(stage))
-            }
-            (res, _) => res,
-        }
+        (self.on_attempt_end)(attempt, res.as_ref().err());
+        res
     }
-}
-
-/// Comma-joined bitwidth label of a stage's shard (e.g. `"int4,fp16"`),
-/// tagged onto that stage's trace spans.
-pub(crate) fn bits_label(stage: &StagePlan) -> Arc<str> {
-    let joined =
-        stage.bits.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(",");
-    Arc::from(joined.as_str())
 }
 
 /// Truncate ragged progress to the shortest sequence so every sequence
 /// resumes from the same decode step.
-pub(crate) fn checkpoint_lockstep(tokens: &mut [Vec<usize>]) {
+fn checkpoint_lockstep(tokens: &mut [Vec<usize>]) {
     let done = tokens.iter().map(Vec::len).min().unwrap_or(0);
     for t in tokens.iter_mut() {
         t.truncate(done);
@@ -957,8 +1003,8 @@ fn swap_kv_payload_bytes(
 /// the attempt (the coordinator keeps the target plan authoritative for
 /// the restart).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_generation<T: Transport>(
-    master: &Master<T>,
+pub(crate) fn drive_generation(
+    master: &Master,
     model: &RefModel,
     plan: &ExecutionPlan,
     prompts: &[Vec<usize>],
@@ -1244,6 +1290,28 @@ mod tests {
             assert_eq!(sm.seq_forwards, 2 + (n_gen - 1) * 2, "stage {i} forwards");
             assert!(sm.busy_s > 0.0);
         }
+    }
+
+    #[test]
+    fn stage_metrics_are_the_hubs_recorders_with_or_without_a_caller_hub() {
+        let m = model();
+        let p = plan(vec![Bitwidth::Fp16, Bitwidth::Fp16], 1, mb(1, 2, 2));
+        let prompts = vec![vec![1, 2, 3], vec![4, 5]];
+        let own = Pipeline::new(&m, &p).run(&prompts, 5).unwrap();
+        let hub = Telemetry::new(2);
+        let traced = Pipeline::new(&m, &p).telemetry(hub.clone()).run(&prompts, 5).unwrap();
+        let counts = |out: &RuntimeOutput| -> Vec<(usize, usize)> {
+            out.stage_metrics.iter().map(|sm| (sm.items, sm.seq_forwards)).collect()
+        };
+        assert_eq!(counts(&own), counts(&traced));
+        let recorded: Vec<StageMetrics> =
+            (0..2).map(|i| hub.stage(i).unwrap().snapshot()).collect();
+        assert_eq!(traced.stage_metrics, recorded);
+        assert!(!hub.spans().is_empty(), "a hub created to trace into gets the spans");
+        // A hub with fewer recorders than the plan has stages would lose
+        // a stage's counters: refused before anything is loaded.
+        let small = Pipeline::new(&m, &p).telemetry(Telemetry::new(1)).run(&prompts, 5);
+        assert!(matches!(small, Err(RuntimeError::BadPlan(ref e)) if e.contains("recorder")), "{small:?}");
     }
 
     #[test]

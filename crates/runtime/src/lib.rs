@@ -113,9 +113,6 @@ pub use supervisor::{
     FoldReplanner, RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
 };
 pub use telemetry::{
-    HistogramSnapshot, LatencyHistogram, Span, StageRecorder, Telemetry,
+    HistogramSnapshot, LatencyHistogram, Span, StageMetrics, StageRecorder, Telemetry,
 };
-pub use worker::{
-    disconnect_board, run_worker_ctx, DisconnectBoard, MetricsSink, StageMetrics, WorkItem,
-    WorkerCtx, WorkerMsg,
-};
+pub use worker::{disconnect_board, DisconnectBoard, WorkItem, WorkerCtx, WorkerMsg};

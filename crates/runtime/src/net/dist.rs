@@ -40,14 +40,14 @@ use super::transport::{
 };
 use super::wire::{plan_fingerprint, Hello, HelloAck, Role, StageReport, WireMsg, WIRE_VERSION};
 use crate::clock::{real_clock, Clock};
-use crate::engine::{bits_label, validate_inputs, AttemptLoop, RuntimeError};
+use crate::engine::{validate_inputs, AttemptLoop, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::MigrationHost;
 use crate::overload::{AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats, Request};
 use crate::supervisor::SupervisorConfig;
-use crate::telemetry::{LinkStats, Telemetry};
-use crate::worker::{disconnect_board, run_worker_transport, MetricsSink, StageMetrics, WorkerCtx};
+use crate::telemetry::{LinkStats, StageMetrics, Telemetry};
+use crate::worker::{run_worker_transport, WorkerCtx};
 use llm_pq::ExecutionPlan;
 use llmpq_model::RefModel;
 use llmpq_quant::Rounding;
@@ -78,8 +78,9 @@ pub struct DistMasterConfig {
     /// Wire faults this process should inject (events targeting
     /// [`MASTER_STAGE`]).
     pub wire_faults: WireFaultPlan,
-    /// Observability hub; also receives the stages' reported link
-    /// counters at the end of the run.
+    /// Observability hub to record into; also receives the stages'
+    /// reported link counters at the end of the run. `None` = the ring
+    /// counts into a counters-only hub of its own.
     pub telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -130,7 +131,7 @@ pub struct DistStageConfig {
 pub struct StageSummary {
     /// Data connections served (1 = no restarts).
     pub attempts_served: usize,
-    /// Final execution counters.
+    /// Final execution counters, every served attempt included.
     pub metrics: StageMetrics,
     /// Upstream-link counters (link `stage`, rx side).
     pub rx_link: LinkStats,
@@ -289,45 +290,25 @@ pub fn run_master(
 
     let owned = listener.try_clone().map_err(|e| wire_io("cloning the master listener", e))?;
     let mut ring = TcpServingRing::establish(plan, owned, cfg)?;
-    let result = AttemptLoop {
-        model: checkpoint,
-        prompts,
-        n_generate,
-        supervisor: Some(&cfg.supervisor),
-        telemetry: cfg.telemetry.clone(),
-        local_gauges: false,
-        replanner: None,
-    }
-    .run(&mut ring, plan.clone(), None, |_, _| {
-        unreachable!("only a replan or a committed swap re-targets a ring; this run has neither")
-    });
+    let result = AttemptLoop::new(checkpoint, prompts, n_generate, Some(&cfg.supervisor))
+        .run(&mut ring, plan.clone(), None, |_, _| {
+            unreachable!("only a replan or a committed swap re-targets a ring; this run has neither")
+        });
     ring.finish(result.is_ok());
     let run = result?;
 
+    // The ring's hub counted the master's own two links; the stage
+    // reports fill in the rest.
     let reports = ring.reports();
-    if let Some(t) = &cfg.telemetry {
-        for r in reports.iter().flatten() {
-            if let Some(l) = t.link(r.stage as usize) {
-                l.merge(&r.rx_link);
-            }
-            if let Some(l) = t.link(r.stage as usize + 1) {
-                l.merge(&r.tx_link);
-            }
+    for r in reports.iter().flatten() {
+        if let Some(l) = ring.telemetry.link(r.stage as usize) {
+            l.merge(&r.rx_link);
+        }
+        if let Some(l) = ring.telemetry.link(r.stage as usize + 1) {
+            l.merge(&r.tx_link);
         }
     }
-    let link_stats: Vec<LinkStats> = match &cfg.telemetry {
-        Some(t) => t.link_stats(),
-        None => {
-            // No hub: assemble the picture from the reports alone.
-            let mut links = vec![LinkStats::default(); n_stages + 1];
-            for r in reports.iter().flatten() {
-                let (s, bump_rx, bump_tx) = (r.stage as usize, r.rx_link, r.tx_link);
-                merge_plain(&mut links[s], &bump_rx);
-                merge_plain(&mut links[s + 1], &bump_tx);
-            }
-            links
-        }
-    };
+    let link_stats = ring.telemetry.link_stats();
     admission.note_served(prompts.len());
     let stats = admission.stats();
     debug_assert!(
@@ -482,16 +463,6 @@ fn wait_for_reports(shared: &ControlShared, clock: &dyn Clock, timeout: Duration
     }
 }
 
-/// Plain-value counterpart of [`crate::telemetry::LinkRecorder::merge`].
-fn merge_plain(into: &mut LinkStats, add: &LinkStats) {
-    into.bytes_tx += add.bytes_tx;
-    into.bytes_rx += add.bytes_rx;
-    into.frames_tx += add.frames_tx;
-    into.frames_rx += add.frames_rx;
-    into.comm_us += add.comm_us;
-    into.corrupt_frames += add.corrupt_frames;
-}
-
 /// Multi-process ring: the TCP counterpart of
 /// [`ChannelRing`](crate::serve_dist::ChannelRing), with one
 /// [`run_stage`] process per pipeline stage. [`run_master`] runs a
@@ -512,7 +483,7 @@ pub struct TcpServingRing {
     s0_addr: String,
     supervisor: SupervisorConfig,
     injector: Arc<WireFaultInjector>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     clock: Arc<dyn Clock>,
     shared: Arc<ControlShared>,
     writers: Vec<Arc<Mutex<TcpStream>>>,
@@ -542,7 +513,10 @@ impl TcpServingRing {
             s0_addr: cp.stage_addrs[0].clone(),
             supervisor: cfg.supervisor,
             injector: WireFaultInjector::new(&cfg.wire_faults, MASTER_STAGE),
-            telemetry: cfg.telemetry.clone(),
+            telemetry: cfg
+                .telemetry
+                .clone()
+                .unwrap_or_else(|| Telemetry::counters_only(boot.stages.len(), clock.clone())),
             clock,
             shared: cp.shared,
             writers: cp.writers,
@@ -677,14 +651,12 @@ impl crate::serve_dist::ServingRing for TcpServingRing {
         )))
     }
 
-    fn teardown(&mut self) {
-        // Nothing to join: the master dropping its link closes both
-        // data endpoints, the EOF cascades down the ring, and each
-        // stage circles back to accepting the next attempt.
-    }
-
     fn n_stages(&self) -> usize {
         self.n_stages
+    }
+
+    fn telemetry(&self) -> Arc<Telemetry> {
+        self.telemetry.clone()
     }
 
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -804,33 +776,25 @@ pub fn run_stage(
     }
     let control_w = Arc::new(Mutex::new(control));
 
-    // Local telemetry: this process owns link `s`'s rx side and link
-    // `s + 1`'s tx side; both are reported to the master at the end.
-    let telemetry = Telemetry::new(n_stages);
-    let sink: MetricsSink = Arc::new(Mutex::new(vec![StageMetrics::default(); n_stages]));
-    let board = disconnect_board();
+    // This process's hub: its stage recorder, link `s`'s rx side and
+    // link `s + 1`'s tx side, all reported to the master at the end.
+    // Counters only — a stage process lives as long as its fleet, and
+    // nothing here could export a span.
+    let telemetry = Telemetry::counters_only(n_stages, clock.clone());
     let injector = WireFaultInjector::new(&cfg.wire_faults, s);
-    let ctx = WorkerCtx {
-        stage: s,
-        device: sp.device,
-        n_heads: checkpoint.cfg.n_heads,
-        hidden: checkpoint.cfg.hidden,
-        alibi: checkpoint.cfg.alibi,
+    let mut ctx = WorkerCtx::new(
+        &checkpoint.cfg,
+        s,
+        sp,
         n_seqs,
-        injector: None,
-        heartbeats: None,
-        sink: Some(sink.clone()),
-        telemetry: Some(telemetry.clone()),
-        bits: bits_label(sp),
-        tick: cfg.tick,
-        disconnects: Some(board.clone()),
-        clock: clock.clone(),
-        layer_start: sp.layer_start,
-        // Live-swap support: a stage process cannot know whether its
-        // master will propose a plan, so it keeps the checkpoint it was
-        // started with (shared, not copied) to requantize its shard from.
-        migration: Some(Arc::new(MigrationHost::new(checkpoint, cfg.rounding, cfg.seed))),
-    };
+        cfg.tick,
+        clock.clone(),
+        telemetry.clone(),
+    );
+    // Live-swap support: a stage process cannot know whether its master
+    // will propose a plan, so it keeps the checkpoint it was started
+    // with (shared, not copied) to requantize its shard from.
+    ctx.migration = Some(Arc::new(MigrationHost::new(checkpoint, cfg.rounding, cfg.seed)));
 
     let mut attempts_served = 0usize;
     while !stop.load(Ordering::Acquire) {
@@ -898,7 +862,7 @@ pub fn run_stage(
             down,
             TcpTransportConfig {
                 faults: Some(injector.clone()),
-                telemetry: Some(telemetry.clone()),
+                telemetry: telemetry.clone(),
                 rx_link: s,
                 tx_link: s + 1,
                 tid: s + 1,
@@ -911,7 +875,7 @@ pub fn run_stage(
 
         // Dropped-item attribution across the process boundary: the wire
         // analog of the in-process disconnect board.
-        let drops: Vec<usize> = std::mem::take(&mut *board.lock());
+        let drops: Vec<usize> = std::mem::take(&mut *ctx.disconnects.lock());
         if !drops.is_empty() {
             let _ = write_wire_msg(&mut *control_w.lock(), &WireMsg::Dropped { stage: s as u32 });
         }
@@ -919,7 +883,7 @@ pub fn run_stage(
         // the EOF keeps cascading even if this stage saw it first.
     }
 
-    let metrics = sink.lock()[s];
+    let metrics = telemetry.stage(s).map(|r| r.snapshot()).unwrap_or_default();
     let rx_link = telemetry.link(s).map(|l| l.snapshot()).unwrap_or_default();
     let tx_link = telemetry.link(s + 1).map(|l| l.snapshot()).unwrap_or_default();
     if orphaned.load(Ordering::Acquire) {

@@ -65,47 +65,28 @@ pub trait Transport {
     fn beat(&self) {}
 }
 
-// A ring hands its master link out as a boxed trait object
-// ([`ServingRing::dial`](crate::serve_dist::ServingRing::dial)); the
-// master endpoint is generic over its transport, so the box must be one.
-impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
-        (**self).recv_msg(timeout)
-    }
-
-    fn send_msg(&self, msg: WorkerMsg, timeout: Duration) -> Result<(), TransportSendError> {
-        (**self).send_msg(msg, timeout)
-    }
-
-    fn beat(&self) {
-        (**self).beat()
-    }
-}
-
-/// The in-process transport: a crossbeam receiver/sender pair, plus
-/// optional per-link accounting against a [`Telemetry`] hub so channel
-/// runs and TCP runs report comparable link counters.
+/// The in-process transport: a crossbeam receiver/sender pair, with
+/// per-link accounting against a [`Telemetry`] hub so channel runs and
+/// TCP runs report comparable link counters.
 pub struct ChannelTransport {
     input: Receiver<WorkerMsg>,
     output: Sender<WorkerMsg>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     rx_link: usize,
     tx_link: usize,
     clock: Arc<dyn Clock>,
 }
 
 impl ChannelTransport {
-    /// Plain pair without link accounting.
-    pub fn new(input: Receiver<WorkerMsg>, output: Sender<WorkerMsg>) -> Self {
-        Self { input, output, telemetry: None, rx_link: 0, tx_link: 0, clock: real_clock() }
-    }
-
-    /// Pair with link accounting: received messages count against link
-    /// `rx_link`'s rx side, sent messages against `tx_link`'s tx side.
-    pub fn observed(
+    /// Received messages count against link `rx_link`'s rx side, sent
+    /// messages against `tx_link`'s tx side; a work item sent also grows
+    /// the input-queue gauge of the stage `tx_link` leads into (the
+    /// receiver shares the process, so the sender is where its queue
+    /// grows; a link back to the master has no such stage).
+    pub fn new(
         input: Receiver<WorkerMsg>,
         output: Sender<WorkerMsg>,
-        telemetry: Option<Arc<Telemetry>>,
+        telemetry: Arc<Telemetry>,
         rx_link: usize,
         tx_link: usize,
     ) -> Self {
@@ -122,7 +103,7 @@ impl Transport for ChannelTransport {
     fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
         match self.input.recv_timeout(timeout) {
             Ok(m) => {
-                if let Some(l) = self.telemetry.as_ref().and_then(|t| t.link(self.rx_link)) {
+                if let Some(l) = self.telemetry.link(self.rx_link) {
                     l.on_rx(framed_bytes(&m));
                 }
                 Ok(m)
@@ -134,17 +115,33 @@ impl Transport for ChannelTransport {
 
     fn send_msg(&self, msg: WorkerMsg, timeout: Duration) -> Result<(), TransportSendError> {
         let bytes = framed_bytes(&msg);
+        // Counted before the hand-off (the receiver may dequeue before
+        // this thread runs again) and taken back if nothing was queued.
+        let queue = match &msg {
+            WorkerMsg::Work(_) => self.telemetry.stage(self.tx_link),
+            _ => None,
+        };
+        if let Some(q) = queue {
+            q.on_enqueue();
+        }
         let t0 = self.clock.now();
         match self.output.send_timeout(msg, timeout) {
             Ok(()) => {
-                if let Some(l) = self.telemetry.as_ref().and_then(|t| t.link(self.tx_link)) {
+                if let Some(l) = self.telemetry.link(self.tx_link) {
                     l.on_tx(bytes);
                     l.add_comm_us(self.clock.now().saturating_sub(t0).as_micros() as u64);
                 }
                 Ok(())
             }
-            Err(SendTimeoutError::Timeout(m)) => Err(TransportSendError::Timeout(m)),
-            Err(SendTimeoutError::Disconnected(_)) => Err(TransportSendError::Disconnected),
+            Err(e) => {
+                if let Some(q) = queue {
+                    q.on_dequeue();
+                }
+                Err(match e {
+                    SendTimeoutError::Timeout(m) => TransportSendError::Timeout(m),
+                    SendTimeoutError::Disconnected(_) => TransportSendError::Disconnected,
+                })
+            }
         }
     }
 }
@@ -153,8 +150,9 @@ impl Transport for ChannelTransport {
 pub struct TcpTransportConfig {
     /// Wire-fault injection for this process, if under test.
     pub faults: Option<Arc<WireFaultInjector>>,
-    /// Telemetry hub for link counters and comm spans, if observed.
-    pub telemetry: Option<Arc<Telemetry>>,
+    /// Telemetry hub for link counters and — on a hub created to trace
+    /// into — comm spans.
+    pub telemetry: Arc<Telemetry>,
     /// Link index of the inbound edge.
     pub rx_link: usize,
     /// Link index of the outbound edge.
@@ -168,13 +166,14 @@ pub struct TcpTransportConfig {
 
 impl Default for TcpTransportConfig {
     fn default() -> Self {
+        let clock = real_clock();
         Self {
             faults: None,
-            telemetry: None,
+            telemetry: Telemetry::counters_only(0, clock.clone()),
             rx_link: 0,
             tx_link: 0,
             tid: 0,
-            clock: real_clock(),
+            clock,
         }
     }
 }
@@ -242,7 +241,7 @@ fn run_pump(
     mut stream: TcpStream,
     out: Sender<WorkerMsg>,
     faults: Option<Arc<WireFaultInjector>>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     rx_link: usize,
     clock: Arc<dyn Clock>,
 ) {
@@ -252,7 +251,7 @@ fn run_pump(
             Err(e) => {
                 if !matches!(e, FrameError::Io(_)) {
                     // Header/checksum damage, not a plain close.
-                    if let Some(l) = telemetry.as_ref().and_then(|t| t.link(rx_link)) {
+                    if let Some(l) = telemetry.link(rx_link) {
                         l.on_corrupt();
                     }
                 }
@@ -266,7 +265,7 @@ fn run_pump(
             WireFaultAction::Drop => continue,
             WireFaultAction::Duplicate => deliveries = 2,
             WireFaultAction::Corrupt => {
-                if let Some(l) = telemetry.as_ref().and_then(|t| t.link(rx_link)) {
+                if let Some(l) = telemetry.link(rx_link) {
                     l.on_corrupt();
                 }
                 let _ = stream.shutdown(Shutdown::Both);
@@ -277,7 +276,7 @@ fn run_pump(
                 return;
             }
         }
-        if let Some(l) = telemetry.as_ref().and_then(|t| t.link(rx_link)) {
+        if let Some(l) = telemetry.link(rx_link) {
             l.on_rx((FRAME_HEADER_BYTES + payload.len()) as u64);
         }
         let msg = match WireMsg::decode(&payload).map(wire_to_worker_msg) {
@@ -292,7 +291,7 @@ fn run_pump(
         // Mirror the in-process enqueue gauge: the sender lives in
         // another process, so arrival is where this stage's input-queue
         // depth grows.
-        if let Some(r) = telemetry.as_ref().and_then(|t| t.stage(rx_link)) {
+        if let Some(r) = telemetry.stage(rx_link) {
             for _ in 0..deliveries {
                 r.on_enqueue();
             }
@@ -321,7 +320,7 @@ impl Transport for TcpTransport {
             _ => None,
         };
         let t0 = self.cfg.clock.now();
-        let start_us = self.cfg.telemetry.as_ref().map(|t| t.now_us());
+        let ts_us = self.cfg.telemetry.now_us();
         let mut frame = encode_frame(&worker_msg_to_wire(msg).encode());
         let mut writes = 1;
         match self.cfg.faults.as_ref().map_or(WireFaultAction::None, |f| f.on_tx()) {
@@ -348,24 +347,23 @@ impl Transport for TcpTransport {
                 }
             }
         }
-        if let Some(t) = &self.cfg.telemetry {
-            let dur_us = self.cfg.clock.now().saturating_sub(t0).as_micros() as u64;
-            if let Some(l) = t.link(self.cfg.tx_link) {
-                l.on_tx(frame.len() as u64 * writes as u64);
-                l.add_comm_us(dur_us);
-            }
-            if let (Some((step, microbatch, phase)), Some(ts_us)) = (work_tags, start_us) {
-                t.record_span(Span {
-                    tid: self.cfg.tid,
-                    name: "comm",
-                    phase,
-                    ts_us,
-                    dur_us,
-                    step,
-                    microbatch,
-                    bits: Arc::from(""),
-                });
-            }
+        let t = &self.cfg.telemetry;
+        let dur_us = self.cfg.clock.now().saturating_sub(t0).as_micros() as u64;
+        if let Some(l) = t.link(self.cfg.tx_link) {
+            l.on_tx(frame.len() as u64 * writes as u64);
+            l.add_comm_us(dur_us);
+        }
+        if let Some((step, microbatch, phase)) = work_tags {
+            t.record_span(Span {
+                tid: self.cfg.tid,
+                name: "comm",
+                phase,
+                ts_us,
+                dur_us,
+                step,
+                microbatch,
+                bits: Arc::from(""),
+            });
         }
         Ok(())
     }
@@ -485,7 +483,7 @@ mod tests {
         let tel = Telemetry::new(1);
         let (tx0, rx0) = unbounded();
         let (tx1, rx1) = unbounded();
-        let t = ChannelTransport::observed(rx0, tx1, Some(tel.clone()), 0, 1);
+        let t = ChannelTransport::new(rx0, tx1, tel.clone(), 0, 1);
         tx0.send(work(0)).unwrap();
         let got = t.recv_msg(tick()).unwrap();
         assert!(matches!(got, WorkerMsg::Work(_)));
@@ -510,7 +508,7 @@ mod tests {
         let t = TcpTransport::spawn(
             up_a,
             down_a,
-            TcpTransportConfig { telemetry: Some(tel.clone()), rx_link: 0, tx_link: 1, ..Default::default() },
+            TcpTransportConfig { telemetry: tel.clone(), rx_link: 0, tx_link: 1, ..Default::default() },
         );
         // Echo thread: raw frame read on b, write back unchanged.
         std::thread::spawn(move || {

@@ -17,7 +17,8 @@
 use super::frame::FrameError;
 use crate::migrate::KvChunkMsg;
 use crate::telemetry::LinkStats;
-use crate::worker::{StageMetrics, WorkItem, WorkerMsg};
+use crate::telemetry::StageMetrics;
+use crate::worker::{WorkItem, WorkerMsg};
 use llm_pq::ExecutionPlan;
 use llmpq_model::{Matrix, Phase};
 

@@ -38,7 +38,9 @@
 //! barrier needs no token boundary bookkeeping.
 
 use crate::clock::{real_clock, Clock};
-use crate::engine::{bits_label, load_all_stages, AttemptSupervision, Master};
+use crate::engine::{
+    after_failed_attempt, load_all_stages, AttemptSupervision, Master, RestartPolicy, RuntimeError,
+};
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
 use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError};
 use crate::loader::LoaderStats;
@@ -47,11 +49,11 @@ use crate::net::transport::{ChannelTransport, Transport};
 use crate::serve::{IterCost, StepEngine, StepError};
 use crate::telemetry::Telemetry;
 use crate::worker::{
-    disconnect_board, run_worker_ctx, DisconnectBoard, MetricsSink, WorkItem, WorkerCtx, WorkerMsg,
+    disconnect_board, run_worker_transport, DisconnectBoard, WorkItem, WorkerCtx, WorkerMsg,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use llm_pq::ExecutionPlan;
-use llmpq_model::{argmax, Matrix, ModelHead, Phase, RefModel};
+use llmpq_model::{argmax, Matrix, ModelHead, Phase, RefConfig, RefModel};
 use llmpq_quant::Rounding;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -105,12 +107,19 @@ pub trait ServingRing: Send {
     /// boot on the ring's *boot* plan; the serving engine replays
     /// committed swaps on top.
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String>;
-    /// Tear down the current attempt (un-wedge hung workers, join or
-    /// disown them). Called after the master link is dropped; must be
-    /// idempotent.
-    fn teardown(&mut self);
+    /// Tear down the current attempt (un-wedge hung workers, join them).
+    /// Called after the master link is dropped; must be idempotent. The
+    /// default suits a ring whose stages run on their own: dropping the
+    /// link closes both data endpoints, the EOF cascades down the ring,
+    /// and each stage circles back to accepting the next attempt.
+    fn teardown(&mut self) {}
     /// Number of pipeline stages in the ring.
     fn n_stages(&self) -> usize;
+    /// The ring's observability hub, one for all of its attempts — the
+    /// hub its caller handed it, or a counters-only one it made: stage
+    /// workers (where they share the process), link transports, the
+    /// master endpoint and the restart path all count into it.
+    fn telemetry(&self) -> Arc<Telemetry>;
     /// The board the stages of the current attempt stamp their
     /// heartbeats on, if the ring keeps one.
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -119,6 +128,13 @@ pub trait ServingRing: Send {
     /// The first stage that reported dropping a work item during the
     /// current attempt because its downstream link disconnected.
     fn dropped_stage(&self) -> Option<usize> {
+        None
+    }
+    /// The stage whose worker left the torn-down attempt first, where
+    /// the ring can tell (its workers share the process). It names a
+    /// culprit only when the master saw the ring break on its own — a
+    /// teardown the master started unwinds from stage 0.
+    fn first_exit(&self) -> Option<usize> {
         None
     }
     /// Cluster device ids reported permanently lost so far.
@@ -139,9 +155,7 @@ pub struct ChannelRing {
     /// What the on-the-fly loader did for each stage's shard.
     pub(crate) loader_stats: Vec<LoaderStats>,
     boot: ExecutionPlan,
-    n_heads: usize,
-    hidden: usize,
-    alibi: bool,
+    model: RefConfig,
     n_slots: usize,
     tick: Duration,
     clock: Arc<dyn Clock>,
@@ -151,12 +165,11 @@ pub struct ChannelRing {
     /// Lets workers prepare proposed plans; without it they refuse a
     /// proposal with a typed abort.
     pub(crate) host: Option<Arc<MigrationHost>>,
-    /// Heartbeat board the workers stamp (supervised runs).
-    pub(crate) heartbeats: Option<Arc<Heartbeats>>,
-    /// Where workers flush their execution counters, one slot per stage.
-    pub(crate) sink: Option<MetricsSink>,
-    /// Hub for worker spans, queue gauges and link counters.
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    /// Heartbeat board the workers stamp (read by supervised masters).
+    heartbeats: Arc<Heartbeats>,
+    /// Hub for stage recorders, worker spans, queue gauges and link
+    /// counters: counters-only until a caller assigns its own.
+    pub(crate) telemetry: Arc<Telemetry>,
     /// `Some(k)` bounds every channel of an attempt to `k` in-flight
     /// messages, so a slow stage backpressures its upstream (and
     /// ultimately the master's admission) instead of buffering
@@ -165,6 +178,10 @@ pub struct ChannelRing {
     /// Which stages dropped an item on a downstream disconnect during
     /// the current attempt.
     disconnects: DisconnectBoard,
+    /// The current attempt's stages in the order their workers left,
+    /// each noted before its channels closed — so no stage can have seen
+    /// a neighbour go before that neighbour is on the list.
+    exits: DisconnectBoard,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -180,24 +197,23 @@ impl ChannelRing {
         tick: Duration,
     ) -> Self {
         let (weights, loader_stats) = load_all_stages(checkpoint, &boot, rounding, seed);
+        let clock = real_clock();
         Self {
             stage_weights: weights.into_iter().map(Arc::new).collect(),
             loader_stats,
-            n_heads: checkpoint.cfg.n_heads,
-            hidden: checkpoint.cfg.hidden,
-            alibi: checkpoint.cfg.alibi,
-            boot,
+            model: checkpoint.cfg,
             n_slots,
             tick,
-            clock: real_clock(),
             injector: None,
             host: None,
-            heartbeats: None,
-            sink: None,
-            telemetry: None,
+            heartbeats: Heartbeats::with_clock(boot.stages.len(), clock.clone()),
+            telemetry: Telemetry::counters_only(boot.stages.len(), clock.clone()),
             queue_cap: None,
             disconnects: disconnect_board(),
+            exits: disconnect_board(),
             threads: Vec::new(),
+            boot,
+            clock,
         }
     }
 
@@ -235,13 +251,12 @@ impl ServingRing for ChannelRing {
             inj.begin_attempt(attempt);
         }
         self.disconnects.lock().clear();
+        self.exits.lock().clear();
         let n_stages = self.boot.stages.len();
-        if let Some(hb) = &self.heartbeats {
-            // A freshly spawned stage counts as alive: its slot would
-            // otherwise read as stale since the previous attempt until
-            // the worker thread's first beat.
-            (0..n_stages).for_each(|s| hb.beat(s));
-        }
+        // A freshly spawned stage counts as alive: its slot would
+        // otherwise read as stale since the previous attempt until the
+        // worker thread's first beat.
+        (0..n_stages).for_each(|s| self.heartbeats.beat(s));
         // Channel chain: master → s0 → s1 → … → master.
         let mut senders: Vec<Sender<WorkerMsg>> = Vec::new();
         let mut receivers: Vec<Receiver<WorkerMsg>> = Vec::new();
@@ -257,37 +272,36 @@ impl ServingRing for ChannelRing {
         let from_last = receivers[n_stages].clone();
         for (i, weights) in self.stage_weights.iter().enumerate() {
             let weights = weights.clone();
-            let rx = receivers[i].clone();
-            let tx = senders[i + 1].clone();
-            let ctx = WorkerCtx {
-                stage: i,
-                device: self.boot.stages[i].device,
-                n_heads: self.n_heads,
-                hidden: self.hidden,
-                alibi: self.alibi,
-                n_seqs: self.n_slots,
-                injector: self.injector.clone(),
-                heartbeats: self.heartbeats.clone(),
-                sink: self.sink.clone(),
-                telemetry: self.telemetry.clone(),
-                bits: bits_label(&self.boot.stages[i]),
-                tick: self.tick,
-                disconnects: Some(self.disconnects.clone()),
-                clock: self.clock.clone(),
-                layer_start: self.boot.stages[i].layer_start,
-                migration: self.host.clone(),
-            };
-            self.threads.push(std::thread::spawn(move || run_worker_ctx(&weights, &ctx, rx, tx)));
+            // Inbound edge = link `i`, outbound edge = link `i + 1`.
+            let link = ChannelTransport::new(
+                receivers[i].clone(),
+                senders[i + 1].clone(),
+                self.telemetry.clone(),
+                i,
+                i + 1,
+            );
+            let exits = self.exits.clone();
+            let mut ctx = WorkerCtx::new(
+                &self.model,
+                i,
+                &self.boot.stages[i],
+                self.n_slots,
+                self.tick,
+                self.clock.clone(),
+                self.telemetry.clone(),
+            );
+            ctx.injector = self.injector.clone();
+            ctx.migration = self.host.clone();
+            // The boards the master of this process reads.
+            ctx.heartbeats = self.heartbeats.clone();
+            ctx.disconnects = self.disconnects.clone();
+            self.threads.push(std::thread::spawn(move || {
+                run_worker_transport(&weights, &ctx, &link);
+                exits.lock().push(i);
+            }));
         }
-        // Master link, with link accounting when traced: outbound =
-        // link 0, inbound = link `n_stages`.
-        Ok(Box::new(ChannelTransport::observed(
-            from_last,
-            to_first,
-            self.telemetry.clone(),
-            n_stages,
-            0,
-        )))
+        // Master link: outbound = link 0, inbound = link `n_stages`.
+        Ok(Box::new(ChannelTransport::new(from_last, to_first, self.telemetry.clone(), n_stages, 0)))
     }
 
     fn teardown(&mut self) {
@@ -308,12 +322,20 @@ impl ServingRing for ChannelRing {
         self.boot.stages.len()
     }
 
+    fn telemetry(&self) -> Arc<Telemetry> {
+        self.telemetry.clone()
+    }
+
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
-        self.heartbeats.clone()
+        Some(self.heartbeats.clone())
     }
 
     fn dropped_stage(&self) -> Option<usize> {
         self.disconnects.lock().first().copied()
+    }
+
+    fn first_exit(&self) -> Option<usize> {
+        self.exits.lock().first().copied()
     }
 
     fn lost_devices(&self) -> Vec<usize> {
@@ -339,7 +361,7 @@ pub struct DistStepEngine {
     pool: KvPool,
     ring: Box<dyn ServingRing>,
     /// The master endpoint on the current attempt's ring.
-    link: Option<Master<Box<dyn Transport + Send>>>,
+    link: Option<Master>,
     /// How the endpoint waits: `op_timeout` as the progress timeout,
     /// `tick` as the poll granularity, no heartbeat board.
     sup: AttemptSupervision,
@@ -352,8 +374,9 @@ pub struct DistStepEngine {
     epoch: u64,
     next_step: u64,
     restarts: u64,
-    ring_down: bool,
-    started: bool,
+    /// `Some(what the master saw)` while the ring is down; the next
+    /// call restarts it.
+    lost: Option<RuntimeError>,
     cfg: DistServeConfig,
 }
 
@@ -425,8 +448,7 @@ impl DistStepEngine {
             epoch: 0,
             next_step: 0,
             restarts: 0,
-            ring_down: false,
-            started: false,
+            lost: None,
             cfg,
         })
     }
@@ -443,37 +465,60 @@ impl DistStepEngine {
 
     /// Whether the ring is currently down (next call restarts it).
     pub fn ring_down(&self) -> bool {
-        self.ring_down
+        self.lost.is_some()
     }
 
-    fn master(&self) -> &Master<Box<dyn Transport + Send>> {
+    /// The ring's observability hub — what `/metrics` should render for
+    /// this engine: per-stage, per-phase counters of the ring workers,
+    /// link counters, and the restarts and plan epoch this engine
+    /// records on it.
+    pub fn telemetry(&self) -> Arc<Telemetry> {
+        self.ring.telemetry()
+    }
+
+    fn master(&self) -> &Master {
         self.link.as_ref().expect("ensure_ring established the link")
     }
 
-    /// Lazily (re)establish the ring. Restart path: count against the
-    /// budget, tear the old attempt down, dial fresh (boot plan), then
-    /// replay the committed rung through the swap barrier so the new
-    /// ring serves the precision the scheduler believes is active.
+    /// Lazily (re)establish the ring. Restart path: tear the lost
+    /// attempt down, put what the master saw through the runtime's one
+    /// failure decision (root cause, restart counted on the hub against
+    /// the stage it names, budget — the serving policy is an immediate
+    /// restart on the boot plan), dial fresh, then replay the committed
+    /// rung through the swap barrier so the new ring serves the
+    /// precision the scheduler believes is active.
     fn ensure_ring(&mut self) -> Result<(), StepError> {
-        if self.link.is_some() && !self.ring_down {
+        if self.link.is_some() && self.lost.is_none() {
             return Ok(());
-        }
-        if self.started {
-            if self.restarts >= self.cfg.max_restarts as u64 {
-                return Err(StepError::Engine(format!(
-                    "ring lost and restart budget ({}) exhausted",
-                    self.cfg.max_restarts
-                )));
-            }
-            self.restarts += 1;
         }
         self.link = None; // EOF cascade tears the old attempt down
         self.ring.teardown();
-        let link = self.ring.dial(self.restarts as usize).map_err(StepError::Engine)?;
-        self.link = Some(Master::new(link, None, false));
-        self.ring_down = false;
-        self.started = true;
+        if let Some(seen) = self.lost.take() {
+            let policy = RestartPolicy {
+                max_restarts: self.cfg.max_restarts,
+                replan_on_loss: false,
+                backoff: Box::new(|_| Duration::ZERO),
+            };
+            let restarts = self.restarts as usize;
+            match after_failed_attempt(&*self.ring, &self.plans[0], seen, restarts, Some(&policy)) {
+                Ok(_) => self.restarts += 1,
+                Err(cause) => {
+                    self.lost = Some(cause.clone()); // still down: the next call says so again
+                    return Err(StepError::Engine(format!(
+                        "ring lost and restart budget ({}) exhausted: {cause}",
+                        self.cfg.max_restarts
+                    )));
+                }
+            }
+        }
+        let attempt = self.restarts as usize;
+        let link = self.ring.dial(attempt).map_err(|e| {
+            self.lost = Some(RuntimeError::WorkerDied(format!("dialing attempt {attempt}: {e}")));
+            StepError::Engine(e)
+        })?;
+        self.link = Some(Master::new(link, self.ring.telemetry()));
         self.epoch = 0;
+        self.ring.telemetry().set_epoch(0);
         self.next_step = 0;
         if self.rung != 0 {
             // Caches are empty at attempt start, so the KV handoff is
@@ -503,19 +548,20 @@ impl DistStepEngine {
         let res = master
             .propose(&self.sup, &mut coord)
             .and_then(|()| master.swap_barrier(&self.sup, &mut coord));
-        let why = match res {
+        let seen = match res {
             Ok(Some(report)) => {
                 self.epoch = report.epoch;
                 return Ok(());
             }
             Ok(None) => {
                 let reason = coord.reports.pop().and_then(|r| r.reason).unwrap_or_default();
-                format!("aborted before commit: {reason}")
+                RuntimeError::Stalled(format!("plan swap aborted before commit: {reason}"))
             }
-            Err(e) => e.to_string(),
+            Err(e) => e,
         };
-        self.ring_down = true;
-        Err(StepError::Engine(format!("swap to rung {target} failed: {why}")))
+        let why = format!("swap to rung {target} failed: {seen}");
+        self.lost = Some(seen);
+        Err(StepError::Engine(why))
     }
 
     fn slot_of(&self, seq: u64) -> Result<usize, StepError> {
@@ -558,8 +604,8 @@ impl DistStepEngine {
                     .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
                 Ok(Some(argmax(&self.head.last_row_logits(&h))))
             }
-            Err(_) => {
-                self.ring_down = true;
+            Err(seen) => {
+                self.lost = Some(seen);
                 Err(StepError::RingRestarted)
             }
         }
@@ -636,11 +682,11 @@ impl StepEngine for DistStepEngine {
         // work item of the slot's next occupant; the endpoint sinks the
         // echo on a later receive. A downed ring needs no reset — the
         // rebuilt attempt starts from empty caches anyway.
-        if self.ring_down || self.link.is_none() {
+        if self.lost.is_some() || self.link.is_none() {
             return;
         }
-        if self.master().send(WorkerMsg::KvReset { seq: slot }, &self.sup).is_err() {
-            self.ring_down = true;
+        if let Err(seen) = self.master().send(WorkerMsg::KvReset { seq: slot }, &self.sup) {
+            self.lost = Some(seen);
         }
     }
 
@@ -657,7 +703,7 @@ impl StepEngine for DistStepEngine {
         if target == self.rung {
             return 0.0;
         }
-        if self.link.is_some() && !self.ring_down {
+        if self.link.is_some() && self.lost.is_none() {
             // Live swap; on failure the restart boots into the target.
             let _ = self.swap_to(target);
         }
@@ -848,10 +894,29 @@ mod tests {
         let faults = FaultPlan {
             events: vec![FaultEvent { stage: 1, step: 5, attempt: Some(0), kind: FaultKind::Crash }],
         };
-        let dist = serve_continuous(dist_engine(Some(faults)), &reqs, cfg(), None).expect("dist");
+        let engine = dist_engine(Some(faults));
+        let hub = engine.telemetry();
+        let dist = serve_continuous(engine, &reqs, cfg(), None).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist), "recompute is exact");
         assert!(dist.stats.recovered > 0, "restart requeued in-flight work");
         assert!(dist.stats.conserves(dist.pending_end), "conservation incl. recovered");
+        // The ring's hub saw it all: one restart, against the stage that
+        // went down first, and both stages' work in both phases — the
+        // attempt that died included.
+        assert_eq!(hub.n_stages(), 2);
+        assert_eq!(hub.restarts(), 1);
+        let per_stage: Vec<u64> = (0..2).map(|s| hub.stage(s).unwrap().restarts()).collect();
+        assert_eq!(per_stage, [0, 1]);
+        for s in 0..2 {
+            let rec = hub.stage(s).unwrap();
+            assert!(rec.items() > 0 && rec.seq_forwards() == rec.items(), "stage {s}");
+            assert!(rec.prefill_latency.count() > 0, "stage {s} prefill histogram");
+            assert!(rec.decode_latency.count() > 0, "stage {s} decode histogram");
+        }
+        assert!(hub.stage(0).unwrap().items() >= hub.stage(1).unwrap().items());
+        assert!(hub.link_stats().iter().all(|l| l.frames_tx > 0), "every link counted");
+        assert!(hub.spans().is_empty(), "a ring-made hub keeps no spans");
+        assert!(hub.metrics_text().contains("stage 1: items="), "{}", hub.metrics_text());
     }
 
     #[test]
@@ -950,6 +1015,10 @@ mod tests {
         fn n_stages(&self) -> usize {
             self.0.n_stages()
         }
+
+        fn telemetry(&self) -> Arc<Telemetry> {
+            self.0.telemetry()
+        }
     }
 
     #[test]
@@ -1012,13 +1081,19 @@ mod tests {
         .expect("engine");
         eng.register(0).unwrap();
         assert!(eng.prefill_chunk(0, &[1, 2], 0, true).unwrap().is_some());
-        eng.ring_down = true;
+        eng.lost = Some(RuntimeError::WorkerDied("pulled by the test".into()));
         let err = eng.decode_one(0, 1, 2).unwrap_err();
         // First failure surfaces as a restart; the retry exhausts the
         // zero budget.
         assert!(matches!(err, StepError::RingRestarted) || matches!(err, StepError::Engine(_)));
         let err = eng.decode_one(0, 1, 2).unwrap_err();
-        assert!(matches!(err, StepError::Engine(ref m) if m.contains("budget")), "{err:?}");
+        // The last classified cause, not a bare "budget exhausted" — and
+        // an attempt that was never restarted is not counted as one.
+        assert!(
+            matches!(err, StepError::Engine(ref m) if m.contains("budget") && m.contains("pulled by the test")),
+            "{err:?}"
+        );
+        assert_eq!((eng.restarts(), eng.telemetry().restarts()), (0, 0));
     }
 
     #[test]

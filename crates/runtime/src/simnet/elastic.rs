@@ -23,10 +23,10 @@
 use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::{
-    ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner, FleetController,
-    FleetEvent, FleetEventKind,
+    even_split, ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner,
+    FleetController, FleetEvent, FleetEventKind,
 };
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -258,23 +258,7 @@ pub struct ElasticTally {
 
 fn initial_plan(cfg: &ElasticSimConfig) -> ExecutionPlan {
     let devices: Vec<usize> = (0..cfg.n_devices).collect();
-    let per = cfg.n_layers / devices.len().max(1);
-    let rem = cfg.n_layers % devices.len().max(1);
-    let mut stages = Vec::new();
-    let mut start = 0usize;
-    for (i, &d) in devices.iter().enumerate() {
-        let take = per + usize::from(i < rem);
-        if take == 0 {
-            continue;
-        }
-        stages.push(StagePlan {
-            device: d,
-            layer_start: start,
-            layer_end: start + take,
-            bits: vec![Bitwidth::Int8; take],
-        });
-        start += take;
-    }
+    let stages = even_split(cfg.n_layers, &devices, |_| usize::MAX, |_, _| Bitwidth::Int8);
     ExecutionPlan {
         model: "elastic-sim".into(),
         cluster: "elastic-sim".into(),

@@ -35,11 +35,12 @@
 //! master endpoint (`engine::Master`, live-swap barrier included) and
 //! `worker::run_worker_transport` — the actual production loops — run
 //! unchanged inside the simulation; only the transport and the clock
-//! are swapped. The master actor's *restart* loop is the one thing kept
-//! apart from production's (`engine::AttemptLoop`): its per-attempt
-//! trace lines, µs-granular virtual backoff and publication of the plan
-//! in force to (re)starting stage actors are part of the byte-identical
-//! replay contract. (The serving loop,
+//! are swapped. The master actor's restart loop is production's too:
+//! `engine::AttemptLoop` over the simulated net as a `ServingRing`,
+//! with the virtual clock, the µs-granular timeouts and backoff and the
+//! per-attempt trace lines injected — the lines, and where they fall in
+//! virtual time, are part of the byte-identical replay contract. (The
+//! serving loop,
 //! [`ContinuousScheduler`](crate::serve::ContinuousScheduler), honors
 //! the contract by construction: every entry point takes `now` and it
 //! never reads a clock of its own.)
@@ -68,17 +69,17 @@ pub use shrink::{
 pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
-use crate::engine::{
-    bits_label, checkpoint_lockstep, drive_generation, load_all_stages,
-    AttemptSupervision, Master, RuntimeError,
-};
+use crate::elastic::even_split;
+use crate::engine::{AttemptLoop, AttemptSupervision, RestartPolicy, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::{
     hybrid_oracle_tokens, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest,
 };
+use crate::net::transport::Transport;
 use crate::net::wire::WireMsg;
 use crate::overload::{AdmissionConfig, AdmissionController, AdmissionStats, Request};
+use crate::serve_dist::ServingRing;
 use crate::telemetry::Telemetry;
 use crate::worker::{run_worker_transport, WorkerCtx};
 use conn::{SimConn, SimTransport};
@@ -234,19 +235,14 @@ impl SimReport {
 /// Evenly split the tiny model's layers into `n_stages`, alternating
 /// Int8/Fp16 so the oracle exercises the quantized path.
 fn build_exec_plan(model: &RefModel, n_stages: usize, n_seqs: usize) -> ExecutionPlan {
-    let n_layers = model.cfg.n_layers;
-    let per = n_layers / n_stages;
-    let rem = n_layers % n_stages;
-    let mut stages = Vec::new();
-    let mut start = 0usize;
-    for s in 0..n_stages {
-        let len = per + usize::from(s < rem);
-        let bits = (start..start + len)
-            .map(|l| if l % 2 == 0 { Bitwidth::Int8 } else { Bitwidth::Fp16 })
-            .collect();
-        stages.push(StagePlan { device: s, layer_start: start, layer_end: start + len, bits });
-        start += len;
-    }
+    let devices: Vec<usize> = (0..n_stages).collect();
+    let stages = even_split(model.cfg.n_layers, &devices, |_| usize::MAX, |_, l| {
+        if l % 2 == 0 {
+            Bitwidth::Int8
+        } else {
+            Bitwidth::Fp16
+        }
+    });
     ExecutionPlan {
         model: "tiny".into(),
         cluster: "simnet".into(),
@@ -351,6 +347,50 @@ fn migration_history_legal(
     false
 }
 
+/// The simulated network as the master's [`ServingRing`]: a dial is
+/// one attempt epoch on the master's two data links. Stage actors run
+/// on their own and pick the epoch up; there is nothing to reap.
+struct SimRing {
+    net: Arc<SimNet>,
+    master_id: usize,
+    n_stages: usize,
+    /// The master's board, fed by the control readers.
+    hb: Arc<Heartbeats>,
+    telemetry: Arc<Telemetry>,
+}
+
+impl ServingRing for SimRing {
+    fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
+        self.net.trace(&format!("master: attempt {attempt} begins"));
+        // A (re)connected stage counts as alive — reset the staleness
+        // baseline like the dist handshake does.
+        for s in 0..self.n_stages {
+            self.hb.beat(s);
+        }
+        let conn = |link: usize| SimConn {
+            net: self.net.clone(),
+            me: self.master_id,
+            owner_stage: None,
+            link,
+            epoch: attempt as u64,
+        };
+        // Dropping the link closes the outbound epoch (EOF cascade).
+        Ok(Box::new(SimTransport::new(conn(self.n_stages), conn(0))))
+    }
+
+    fn n_stages(&self) -> usize {
+        self.n_stages
+    }
+
+    fn telemetry(&self) -> Arc<Telemetry> {
+        self.telemetry.clone()
+    }
+
+    fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
+        Some(self.hb.clone())
+    }
+}
+
 struct MasterOutcome {
     result: Result<Vec<Vec<usize>>, RuntimeError>,
     restarts: usize,
@@ -377,7 +417,6 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let n_seqs = cfg.prompts.len();
     let exec = build_exec_plan(&model, n, n_seqs);
     let oracle = oracle_tokens(&model, &exec, &cfg.prompts, cfg.n_generate);
-    let (stage_weights, _) = load_all_stages(&model, &exec, Rounding::Deterministic, 0);
     // Live-migration state: the swap target, the plan currently in force
     // (workers re-read it on every attempt — after a committed swap a
     // restarted stage must boot on the *target* plan), and the shared
@@ -423,7 +462,13 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
 
     let observer: Arc<dyn Clock> = Arc::new(VirtualClock::observer(net.clone()));
     let hb = Heartbeats::with_clock(n, observer.clone());
-    let telemetry = Telemetry::with_clock(n, observer);
+    // The master's hub stamps every work item it sends with virtual time
+    // (the stamp is in the frame bytes, hence in a corrupt frame's trace
+    // line). A stage actor stands for a stage *process*: like
+    // `run_stage` it counts into a hub that keeps no spans, and so
+    // forwards the master's stamp as it came.
+    let telemetry = Telemetry::with_clock(n, observer.clone());
+    let stage_hub = Telemetry::counters_only(n, observer);
 
     // Timed chaos operations, sorted by (time, declaration order).
     let mut ops: Vec<(u64, usize, ChaosOp)> = Vec::new();
@@ -474,8 +519,6 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                 while let Some(r) = admission.take() {
                     prompts.push(r.prompt);
                 }
-                let mut tokens: Vec<Vec<usize>> =
-                    vec![Vec::with_capacity(cfg.n_generate); prompts.len()];
                 let mut coord = target.as_ref().map(|t| {
                     let m = cfg.migration.as_ref().expect("target implies migration config");
                     let mut c = MigrationCoordinator::new(
@@ -486,81 +529,49 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     c.commit_timeout = Duration::from_micros(cfg.progress_timeout_us);
                     c
                 });
-                let mut restarts = 0usize;
-                let result = loop {
-                    let attempt = restarts as u64;
-                    net.trace(&format!("master: attempt {attempt} begins"));
-                    // Resolve a committed-but-unfinished swap from the
-                    // previous attempt and publish the plan now in force
-                    // so (re)started stages boot on it.
-                    if let Some(c) = coord.as_mut() {
-                        c.begin_attempt();
-                    }
-                    let cur_plan = coord
-                        .as_ref()
-                        .map_or_else(|| exec.clone(), |c| c.attempt_plan(exec).clone());
-                    *shared_plan.lock().unwrap_or_else(PoisonError::into_inner) =
-                        cur_plan.clone();
-                    // A (re)connected stage counts as alive — reset the
-                    // staleness baseline like the dist handshake does.
-                    for s in 0..n {
-                        hb.beat(s);
-                    }
-                    let transport = SimTransport::new(
-                        SimConn {
-                            net: net.clone(),
-                            me: master_id,
-                            owner_stage: None,
-                            link: n,
-                            epoch: attempt,
-                        },
-                        SimConn {
-                            net: net.clone(),
-                            me: master_id,
-                            owner_stage: None,
-                            link: 0,
-                            epoch: attempt,
-                        },
-                    );
-                    let master = Master::new(transport, Some(telemetry.clone()), false);
-                    let sup = AttemptSupervision {
-                        heartbeats: Some(hb.clone()),
+                let mut ring = SimRing {
+                    net: net.clone(),
+                    master_id,
+                    n_stages: n,
+                    hb,
+                    telemetry: telemetry.clone(),
+                };
+                let result = AttemptLoop {
+                    model,
+                    prompts: &prompts,
+                    n_generate: cfg.n_generate,
+                    sup: AttemptSupervision {
+                        heartbeats: None,
                         heartbeat_timeout: Some(Duration::from_micros(cfg.heartbeat_timeout_us)),
                         progress_timeout: Some(Duration::from_micros(cfg.progress_timeout_us)),
                         tick: Duration::from_micros(cfg.tick_us),
-                        clock: clock.clone(),
-                    };
-                    let res = drive_generation(
-                        &master,
-                        model,
-                        &cur_plan,
-                        &prompts,
-                        &mut tokens,
-                        cfg.n_generate,
-                        &sup,
-                        coord.as_mut(),
-                    );
-                    drop(master); // closes the outbound epoch (EOF cascade)
-                    match res {
-                        Ok(()) => {
-                            net.trace(&format!("master: attempt {attempt} succeeded"));
-                            break Ok(());
-                        }
-                        Err(e) => {
-                            net.trace(&format!("master: attempt {attempt} failed: {e}"));
-                            if restarts >= cfg.max_restarts {
-                                break Err(e);
-                            }
-                            checkpoint_lockstep(&mut tokens);
-                            clock.sleep(Duration::from_micros(
-                                cfg.backoff_base_us.saturating_mul(1 << restarts.min(6)),
-                            ));
-                            restarts += 1;
-                        }
-                    }
-                };
+                        clock,
+                    },
+                    restarts: Some(RestartPolicy {
+                        max_restarts: cfg.max_restarts,
+                        replan_on_loss: false,
+                        backoff: Box::new(|restart| {
+                            let us = cfg.backoff_base_us.saturating_mul(1 << restart.min(6));
+                            Duration::from_micros(us)
+                        }),
+                    }),
+                    replanner: None,
+                    on_attempt_end: &|attempt, failure| {
+                        net.trace(&match failure {
+                            None => format!("master: attempt {attempt} succeeded"),
+                            Some(e) => format!("master: attempt {attempt} failed: {e}"),
+                        })
+                    },
+                }
+                // A committed swap changes the plan in force: publish it
+                // so (re)started stages boot on it.
+                .run(&mut ring, exec.clone(), coord.as_mut(), |_, plan| {
+                    *shared_plan.lock().unwrap_or_else(PoisonError::into_inner) = plan.clone();
+                })
+                .map(|out| out.tokens);
+                let restarts = telemetry.restarts() as usize;
                 match &result {
-                    Ok(()) => admission.note_served(prompts.len()),
+                    Ok(_) => admission.note_served(prompts.len()),
                     Err(_) => admission.note_shed(prompts.len()),
                 }
                 if cfg.inject_conservation_bug && restarts > 0 {
@@ -573,7 +584,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     c.begin_attempt();
                 }
                 let record = MasterOutcome {
-                    result: result.map(|()| tokens),
+                    result,
                     restarts,
                     stats: admission.stats(),
                     pending: admission.pending(),
@@ -588,9 +599,9 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
         for (s, &me) in stage_ids.iter().enumerate() {
             let net = net.clone();
             let model = &model;
-            let weights = &stage_weights[s];
             let shared_plan = shared_plan.clone();
             let host = host.clone();
+            let stage_hub = stage_hub.clone();
             scope.spawn(move || {
                 net.enter(me);
                 let _g = ActorGuard::new(&net, me);
@@ -601,47 +612,31 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     match net.await_epoch(me, s, data_in, expected, cfg.tick_us) {
                         AwaitEpoch::Serve(e) => {
                             net.trace(&format!("stage {s}: serving attempt {e}"));
-                            // The plan in force for this attempt. Under
-                            // migration a committed swap changes it, so a
-                            // restarted stage must reload its shard; plain
-                            // runs reuse the boot-time weights unchanged.
+                            // The plan in force for this attempt — a
+                            // committed swap changes it — and its shard,
+                            // loaded like a restarted stage process would.
                             let sp = shared_plan
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .stages[s]
                                 .clone();
-                            let reloaded;
-                            let serve_weights = if host.is_some() {
-                                reloaded = load_stage_weights(
-                                    model,
-                                    sp.layer_start,
-                                    &sp.bits,
-                                    Rounding::Deterministic,
-                                    0,
-                                )
-                                .0;
-                                &reloaded
-                            } else {
-                                weights
-                            };
-                            let ctx = WorkerCtx {
-                                stage: s,
-                                device: sp.device,
-                                n_heads: model.cfg.n_heads,
-                                hidden: model.cfg.hidden,
-                                alibi: model.cfg.alibi,
+                            let (weights, _) = load_stage_weights(
+                                model,
+                                sp.layer_start,
+                                &sp.bits,
+                                Rounding::Deterministic,
+                                0,
+                            );
+                            let mut ctx = WorkerCtx::new(
+                                &model.cfg,
+                                s,
+                                &sp,
                                 n_seqs,
-                                injector: None,
-                                heartbeats: None,
-                                sink: None,
-                                telemetry: None,
-                                bits: bits_label(&sp),
-                                tick: Duration::from_micros(cfg.tick_us),
-                                disconnects: None,
-                                clock: clock.clone(),
-                                layer_start: sp.layer_start,
-                                migration: host.clone(),
-                            };
+                                Duration::from_micros(cfg.tick_us),
+                                clock.clone(),
+                                stage_hub.clone(),
+                            );
+                            ctx.migration = host.clone();
                             let conn = |link: usize, epoch: u64| SimConn {
                                 net: net.clone(),
                                 me,
@@ -657,7 +652,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                             );
                             // The real production worker loop — fresh KV
                             // caches per attempt, like a restarted process.
-                            run_worker_transport(serve_weights, &ctx, &transport);
+                            run_worker_transport(&weights, &ctx, &transport);
                             drop(transport);
                             expected = e + 1;
                         }

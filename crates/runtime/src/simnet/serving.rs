@@ -19,6 +19,7 @@
 
 use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
+use crate::elastic::even_split;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::kvpool::KvPoolConfig;
 use crate::overload::{poisson_requests, Request};
@@ -26,7 +27,7 @@ use crate::serve::{
     ContinuousConfig, ContinuousReport, ContinuousScheduler, ModelStepEngine, RungSwap, StepEngine,
 };
 use crate::serve_dist::{DistServeConfig, DistStepEngine};
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use serde::{Deserialize, Serialize};
@@ -152,15 +153,10 @@ fn checkpoint() -> RefModel {
 
 /// Two-stage plan over the tiny model at uniform `bits`.
 fn stage_plan(bits: Bitwidth) -> ExecutionPlan {
-    let n = RefConfig::tiny().n_layers;
-    let split = n / 2;
     ExecutionPlan {
         model: "tiny".into(),
         cluster: "chaos".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: split, bits: vec![bits; split] },
-            StagePlan { device: 1, layer_start: split, layer_end: n, bits: vec![bits; n - split] },
-        ],
+        stages: even_split(RefConfig::tiny().n_layers, &[0, 1], |_| usize::MAX, |_, _| bits),
         microbatch: MicrobatchPlan {
             prefill_size: 1,
             prefill_count: 1,

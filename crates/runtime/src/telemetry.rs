@@ -205,7 +205,22 @@ impl HistogramSnapshot {
     }
 }
 
-/// Lock-free per-stage metric recorder.
+/// Execution counters of one stage: the snapshot
+/// [`StageRecorder::snapshot`] returns, and what a stage process ships
+/// home in its end-of-run report. Cumulative over every attempt the
+/// recorder lived through.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageMetrics {
+    /// Work items processed (micro-batch × step units).
+    pub items: usize,
+    /// Sequence-forwards executed (items × sequences per item).
+    pub seq_forwards: usize,
+    /// Seconds spent computing (excludes channel waits).
+    pub busy_s: f64,
+}
+
+/// Lock-free per-stage metric recorder — the one place a stage worker
+/// counts its work.
 ///
 /// One lives per pipeline stage inside a [`Telemetry`]; the stage's
 /// worker thread updates it with relaxed atomics on every work item.
@@ -312,6 +327,15 @@ impl StageRecorder {
     /// Supervisor restarts attributed to this stage.
     pub fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
+    }
+
+    /// The work counters as one plain value.
+    pub fn snapshot(&self) -> StageMetrics {
+        StageMetrics {
+            items: self.items() as usize,
+            seq_forwards: self.seq_forwards() as usize,
+            busy_s: self.busy_s(),
+        }
     }
 
     /// Combined prefill + decode latency distribution.
@@ -453,7 +477,10 @@ pub struct Telemetry {
     /// Per-link transfer counters: `n_stages + 1` edges, link `i` being
     /// the edge into stage `i` and the last the return to the master.
     links: Vec<LinkRecorder>,
-    spans: Mutex<Vec<Span>>,
+    /// `None` on a counters-only hub: the span list is the one part of a
+    /// hub that grows without bound, so only a hub its caller created to
+    /// trace into keeps one.
+    spans: Option<Mutex<Vec<Span>>>,
     restarts: AtomicU64,
     replans: AtomicU64,
     // Plan provenance (see `llm_pq::PlanOrigin`): how many installed
@@ -466,7 +493,6 @@ pub struct Telemetry {
     // cannot hold the model even at the lowest rung (the old plan was
     // held instead).
     fleet_infeasible: AtomicU64,
-    retried_batches: AtomicU64,
     tokens: AtomicU64,
     // Overload-control signals (see `crate::overload`).
     shed: AtomicU64,
@@ -515,18 +541,28 @@ impl Telemetry {
     /// every span carries a *virtual* timestamp, so traces from a
     /// simulated run are deterministic too.
     pub fn with_clock(n_stages: usize, clock: Arc<dyn Clock>) -> Arc<Self> {
+        Self::build(n_stages, clock, Some(Mutex::new(Vec::new())))
+    }
+
+    /// The hub a ring makes for itself when its caller passed none:
+    /// every counter, gauge and histogram, and no span list — nobody
+    /// holds the handle that could export one.
+    pub(crate) fn counters_only(n_stages: usize, clock: Arc<dyn Clock>) -> Arc<Self> {
+        Self::build(n_stages, clock, None)
+    }
+
+    fn build(n_stages: usize, clock: Arc<dyn Clock>, spans: Option<Mutex<Vec<Span>>>) -> Arc<Self> {
         Arc::new(Self {
             clock,
             stages: (0..n_stages).map(|_| StageRecorder::default()).collect(),
             links: (0..=n_stages).map(|_| LinkRecorder::default()).collect(),
-            spans: Mutex::new(Vec::new()),
+            spans,
             restarts: AtomicU64::new(0),
             replans: AtomicU64::new(0),
             plans_ilp: AtomicU64::new(0),
             plans_heuristic: AtomicU64::new(0),
             plans_warm: AtomicU64::new(0),
             fleet_infeasible: AtomicU64::new(0),
-            retried_batches: AtomicU64::new(0),
             tokens: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -582,14 +618,21 @@ impl Telemetry {
         self.links.iter().map(LinkRecorder::snapshot).collect()
     }
 
-    /// Append a span to the trace.
+    /// Whether this hub keeps the spans it is handed.
+    pub(crate) fn traces(&self) -> bool {
+        self.spans.is_some()
+    }
+
+    /// Append a span to the trace (dropped on a counters-only hub).
     pub fn record_span(&self, span: Span) {
-        self.spans.lock().push(span);
+        if let Some(spans) = &self.spans {
+            spans.lock().push(span);
+        }
     }
 
     /// Copy of all spans recorded so far.
     pub fn spans(&self) -> Vec<Span> {
-        self.spans.lock().clone()
+        self.spans.as_ref().map(|s| s.lock().clone()).unwrap_or_default()
     }
 
     /// Count one supervisor restart (optionally against the stage the
@@ -645,12 +688,6 @@ impl Telemetry {
         self.fleet_infeasible.load(Ordering::Relaxed)
     }
 
-    /// Count one retried batch (online serving; see
-    /// `llmpq_workload::OnlineStats::retried`).
-    pub fn note_retried_batch(&self) {
-        self.retried_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count generated tokens (for tokens/s in the snapshot).
     pub fn add_tokens(&self, n: u64) {
         self.tokens.fetch_add(n, Ordering::Relaxed);
@@ -664,11 +701,6 @@ impl Telemetry {
     /// Replans observed so far.
     pub fn replans(&self) -> u64 {
         self.replans.load(Ordering::Relaxed)
-    }
-
-    /// Retried batches observed so far.
-    pub fn retried_batches(&self) -> u64 {
-        self.retried_batches.load(Ordering::Relaxed)
     }
 
     /// Generated tokens observed so far.
@@ -877,7 +909,7 @@ impl Telemetry {
     /// tests assert: per tid, spans are monotonically ordered and
     /// non-overlapping.
     pub fn ordered_spans(&self) -> Vec<(usize, Vec<Span>)> {
-        let spans = self.spans.lock();
+        let spans = self.spans();
         let mut tids: Vec<usize> = spans.iter().map(|s| s.tid).collect();
         tids.sort_unstable();
         tids.dedup();
@@ -946,7 +978,7 @@ impl Telemetry {
     }
 
     /// Render the plain-text metrics snapshot: wall clock, tokens/s,
-    /// restart/replan/retry counters, and per-stage p50/p95/p99 latency
+    /// restart/replan counters, and per-stage p50/p95/p99 latency
     /// (overall and per phase), queue peaks and KV occupancy.
     pub fn metrics_text(&self) -> String {
         let wall_s = self.clock.now().as_secs_f64();
@@ -967,7 +999,6 @@ impl Telemetry {
             self.plans_warm()
         ));
         out.push_str(&format!("fleet_infeasible_alarms: {}\n", self.fleet_infeasible()));
-        out.push_str(&format!("retried_batches: {}\n", self.retried_batches()));
         out.push_str(&format!("shed: {}\n", self.shed()));
         out.push_str(&format!("expired: {}\n", self.expired()));
         out.push_str(&format!("preempted: {}\n", self.preempted()));
@@ -1167,6 +1198,29 @@ mod tests {
         assert_eq!(r.seq_forwards(), 6);
         assert!((r.busy_s() - 610e-6).abs() < 1e-12);
         assert_eq!(r.latency_all().count, 3);
+        assert_eq!(r.snapshot(), StageMetrics { items: 3, seq_forwards: 6, busy_s: r.busy_s() });
+    }
+
+    #[test]
+    fn a_counters_only_hub_counts_and_keeps_no_span() {
+        let tel = Telemetry::counters_only(1, real_clock());
+        assert!(!tel.traces());
+        tel.stage(0).unwrap().on_compute(Phase::Decode, 5, 1);
+        tel.note_restart(Some(0));
+        tel.record_span(Span {
+            tid: 1,
+            name: "compute",
+            phase: Phase::Decode,
+            ts_us: 0,
+            dur_us: 5,
+            step: 0,
+            microbatch: 0,
+            bits: Arc::from(""),
+        });
+        assert!(tel.spans().is_empty() && tel.ordered_spans().is_empty());
+        assert_eq!((tel.stage(0).unwrap().items(), tel.restarts()), (1, 1));
+        assert!(tel.metrics_text().contains("stage 0: items=1"));
+        assert!(Telemetry::new(1).traces());
     }
 
     #[test]

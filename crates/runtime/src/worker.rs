@@ -10,34 +10,22 @@
 //! sequence id outside the batch) are answered with a
 //! [`WorkerMsg::Protocol`] reply that travels down the chain to the
 //! master instead of panicking the thread.
+//!
+//! A worker has one shape wherever it runs — an in-process ring thread,
+//! a TCP stage process, a simulated stage actor: [`WorkerCtx::new`]
+//! builds it, and it counts its work in its stage's
+//! [`StageRecorder`](crate::telemetry::StageRecorder) and nowhere else.
 
 use crate::clock::Clock;
 use crate::fault::{FaultAction, FaultInjector, Heartbeats};
 use crate::migrate::{kv_to_chunks, CommitDecision, KvAssembler, KvChunkMsg, MigrationHost, WorkerSwap};
-use crate::net::transport::{
-    ChannelTransport, Transport, TransportRecvError, TransportSendError,
-};
+use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
 use crate::telemetry::{Span, Telemetry};
-use crossbeam::channel::{Receiver, Sender};
-use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase};
+use llm_pq::StagePlan;
+use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase, RefConfig};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Execution counters one stage worker reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageMetrics {
-    /// Work items processed (micro-batch × step units).
-    pub items: usize,
-    /// Sequence-forwards executed (items × sequences per item).
-    pub seq_forwards: usize,
-    /// Seconds spent computing (excludes channel waits).
-    pub busy_s: f64,
-}
-
-/// Shared collection of per-stage metrics.
-pub type MetricsSink = Arc<Mutex<Vec<StageMetrics>>>;
 
 /// Shared board where a stage records that it *lost a work item*
 /// because its downstream channel disconnected mid-run. The master
@@ -130,7 +118,8 @@ pub enum WorkerMsg {
 }
 
 /// Everything a supervised stage worker needs besides its weights and
-/// channels.
+/// its link. Built by [`WorkerCtx::new`] wherever a stage runs; the two
+/// `Option`s are the two attachments that exist for a reason.
 #[derive(Clone)]
 pub struct WorkerCtx {
     /// Pipeline stage index.
@@ -147,13 +136,15 @@ pub struct WorkerCtx {
     pub n_seqs: usize,
     /// Fault injection, if this run is under test.
     pub injector: Option<Arc<FaultInjector>>,
-    /// Heartbeat board, if this run is supervised.
-    pub heartbeats: Option<Arc<Heartbeats>>,
-    /// Metrics sink, if metrics are collected.
-    pub sink: Option<MetricsSink>,
-    /// Observability hub, if this run is traced (see
+    /// Board this worker stamps its liveness on. A ring whose master
+    /// shares the process hands every stage the board it reads; a stage
+    /// on its own (TCP process, simulated actor) stamps a private one
+    /// and its liveness travels through [`Transport::beat`].
+    pub heartbeats: Arc<Heartbeats>,
+    /// Observability hub: this stage's recorder, the link counters, and
+    /// — on a hub created to trace into — the lifecycle spans (see
     /// [`crate::telemetry`]).
-    pub telemetry: Option<Arc<Telemetry>>,
+    pub telemetry: Arc<Telemetry>,
     /// Bitwidth label of this stage's shard (e.g. `"int4,int8"`), tagged
     /// onto trace spans.
     pub bits: Arc<str>,
@@ -161,8 +152,9 @@ pub struct WorkerCtx {
     /// heartbeat and check the abort flag. With bounded queues it is
     /// also the send-retry granularity under backpressure.
     pub tick: Duration,
-    /// Disconnect board, if the run wants dropped-item attribution.
-    pub disconnects: Option<DisconnectBoard>,
+    /// Where this worker notes a work item lost to a downstream
+    /// disconnect.
+    pub disconnects: DisconnectBoard,
     /// Time source for compute timing and injected sleeps: wall clock in
     /// production, virtual under [`crate::simnet`].
     pub clock: Arc<dyn Clock>,
@@ -170,9 +162,45 @@ pub struct WorkerCtx {
     /// translation during KV handoff).
     pub layer_start: usize,
     /// Live-migration support: the checkpoint + quantizer settings this
-    /// worker prepares proposed plans from. `None` = plan-swap messages
-    /// are refused with a typed `PlanAbort`.
+    /// worker prepares proposed plans from, present only where a
+    /// `PlanPropose` can arrive. `None` = plan-swap messages are refused
+    /// with a typed `PlanAbort`.
     pub migration: Option<Arc<MigrationHost>>,
+}
+
+impl WorkerCtx {
+    /// The worker of stage `stage` of a ring serving `plan` over a model
+    /// of shape `model`: a private heartbeat board and disconnect board
+    /// (a ring that reads them assigns its own), no fault injection, no
+    /// migration host.
+    pub fn new(
+        model: &RefConfig,
+        stage: usize,
+        plan: &StagePlan,
+        n_seqs: usize,
+        tick: Duration,
+        clock: Arc<dyn Clock>,
+        telemetry: Arc<Telemetry>,
+    ) -> Self {
+        let bits = plan.bits.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(",");
+        WorkerCtx {
+            stage,
+            device: plan.device,
+            n_heads: model.n_heads,
+            hidden: model.hidden,
+            alibi: model.alibi,
+            n_seqs,
+            injector: None,
+            heartbeats: Heartbeats::with_clock(stage + 1, clock.clone()),
+            telemetry,
+            bits: Arc::from(bits.as_str()),
+            tick,
+            disconnects: disconnect_board(),
+            clock,
+            layer_start: plan.layer_start,
+            migration: None,
+        }
+    }
 }
 
 /// Send `msg` downstream, honoring bounded-queue backpressure: a full
@@ -190,17 +218,13 @@ fn send_downstream<T: Transport>(ctx: &WorkerCtx, out: &T, msg: WorkerMsg, note_
             Ok(()) => return true,
             Err(TransportSendError::Disconnected) => {
                 if note_drop {
-                    if let Some(board) = &ctx.disconnects {
-                        board.lock().push(ctx.stage);
-                    }
+                    ctx.disconnects.lock().push(ctx.stage);
                 }
                 return false;
             }
             Err(TransportSendError::Timeout(m)) => {
                 msg = m;
-                if let Some(hb) = &ctx.heartbeats {
-                    hb.beat(ctx.stage);
-                }
+                ctx.heartbeats.beat(ctx.stage);
                 out.beat();
                 if ctx.injector.as_ref().is_some_and(|i| i.aborted()) {
                     return false;
@@ -208,27 +232,6 @@ fn send_downstream<T: Transport>(ctx: &WorkerCtx, out: &T, msg: WorkerMsg, note_
             }
         }
     }
-}
-
-/// The supervised stage-worker loop over an in-process channel pair,
-/// until shutdown, upstream disconnect, or abort.
-/// Wraps the channels in a [`ChannelTransport`] (with link accounting
-/// when the ctx is traced: inbound edge = link `stage`, outbound edge =
-/// link `stage + 1`) and runs [`run_worker_transport`].
-pub fn run_worker_ctx(
-    weights: &[LayerWeights],
-    ctx: &WorkerCtx,
-    input: Receiver<WorkerMsg>,
-    output: Sender<WorkerMsg>,
-) {
-    let transport = ChannelTransport::observed(
-        input,
-        output,
-        ctx.telemetry.clone(),
-        ctx.stage,
-        ctx.stage + 1,
-    );
-    run_worker_transport(weights, ctx, &transport)
 }
 
 /// What a committed live swap installed on a worker.
@@ -351,9 +354,7 @@ fn execute_swap<T: Transport>(
                 return Err(());
             }
             Err(TransportRecvError::Timeout) => {
-                if let Some(hb) = &ctx.heartbeats {
-                    hb.beat(ctx.stage);
-                }
+                ctx.heartbeats.beat(ctx.stage);
                 link.beat();
             }
             Err(TransportRecvError::Disconnected) => return Err(()),
@@ -364,7 +365,9 @@ fn execute_swap<T: Transport>(
 
 /// The supervised stage-worker loop, generic over the transport that
 /// carries its messages — the same loop drives an in-process thread and
-/// a stage process on the other end of a TCP link.
+/// a stage process on the other end of a TCP link. It ends — upstream
+/// disconnect, `Shutdown`, abort, an injected crash, a lost downstream
+/// — by falling out of the loop; what it counted is in the hub.
 pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &WorkerCtx, link: &T) {
     let mut n_local = weights.len();
     // Pre-allocated per-sequence caches, local layer indexing.
@@ -374,65 +377,53 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
     let mut swap = WorkerSwap::new();
     let mut owned: Option<Vec<LayerWeights>> = None;
     let mut layer_start = ctx.layer_start;
-    let mut metrics = StageMetrics::default();
+    // Work items this incarnation has taken: the `step` a fault plan
+    // addresses (the recorder's count spans every attempt).
+    let mut fault_step = 0usize;
     let mut slowdown = 1.0f64;
     let mut last_step: Option<u64> = None;
-    let flush = |m: &StageMetrics| {
-        if let Some(sink) = &ctx.sink {
-            let mut guard = sink.lock();
-            if ctx.stage < guard.len() {
-                guard[ctx.stage] = *m;
-            }
-        }
-    };
+    let tel = &*ctx.telemetry;
+    let rec = tel.stage(ctx.stage);
     let beat = || {
-        if let Some(hb) = &ctx.heartbeats {
-            hb.beat(ctx.stage);
-        }
+        ctx.heartbeats.beat(ctx.stage);
         link.beat();
     };
     let aborted = || ctx.injector.as_ref().is_some_and(|i| i.aborted());
+    // Forward around the ring; a lost downstream is noted on the board.
+    let forward = |m: WorkerMsg| send_downstream(ctx, link, m, true);
     beat();
-    loop {
-        if aborted() {
-            flush(&metrics);
-            return;
-        }
+    while !aborted() {
         let msg = match link.recv_msg(ctx.tick) {
             Ok(m) => m,
             Err(TransportRecvError::Timeout) => {
                 beat();
                 continue;
             }
-            Err(TransportRecvError::Disconnected) => {
-                flush(&metrics);
-                return;
-            }
+            Err(TransportRecvError::Disconnected) => break,
         };
         beat();
         match msg {
             WorkerMsg::Shutdown => {
-                flush(&metrics);
                 // Teardown: a downstream that is already gone is not a
                 // lost work item, so no disconnect note.
                 send_downstream(ctx, link, WorkerMsg::Shutdown, false);
-                return;
+                break;
             }
-            WorkerMsg::Protocol(e) => {
-                // Propagate toward the master; losing the reply would
-                // hide the violation, so a disconnect is recorded.
-                if !send_downstream(ctx, link, WorkerMsg::Protocol(e), true) {
-                    flush(&metrics);
-                    return;
+            // Propagate toward the master (losing the reply would hide
+            // the violation, so a disconnect is recorded); another
+            // stage's acknowledgement riding to the master; a chunk in
+            // transit to another stage outside a commit window (or a
+            // stale duplicate the master will sink).
+            m @ (WorkerMsg::Protocol(_) | WorkerMsg::PlanReady { .. } | WorkerMsg::KvChunk(_)) => {
+                if !forward(m) {
+                    break;
                 }
             }
             WorkerMsg::PlanPropose { epoch, plan_json } => {
                 // Ring rule: forward first so every stage prepares in
                 // parallel, then prepare locally.
-                let fwd = WorkerMsg::PlanPropose { epoch, plan_json: plan_json.clone() };
-                if !send_downstream(ctx, link, fwd, true) {
-                    flush(&metrics);
-                    return;
+                if !forward(WorkerMsg::PlanPropose { epoch, plan_json: plan_json.clone() }) {
+                    break;
                 }
                 let reply = match &ctx.migration {
                     Some(host) => match swap.on_propose(host, ctx.stage, epoch, &plan_json) {
@@ -447,84 +438,46 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         reason: format!("stage {}: no migration host", ctx.stage),
                     }),
                 };
-                if let Some(m) = reply {
-                    if !send_downstream(ctx, link, m, true) {
-                        flush(&metrics);
-                        return;
-                    }
-                }
-            }
-            WorkerMsg::PlanReady { epoch, stage, swapped } => {
-                // Another stage's acknowledgement riding to the master.
-                if !send_downstream(ctx, link, WorkerMsg::PlanReady { epoch, stage, swapped }, true) {
-                    flush(&metrics);
-                    return;
+                if reply.is_some_and(|m| !forward(m)) {
+                    break;
                 }
             }
             WorkerMsg::PlanAbort { epoch, reason } => {
-                let fwd = WorkerMsg::PlanAbort { epoch, reason };
-                if !send_downstream(ctx, link, fwd, true) {
-                    flush(&metrics);
-                    return;
+                if !forward(WorkerMsg::PlanAbort { epoch, reason }) {
+                    break;
                 }
                 swap.on_abort(epoch); // old plan keeps serving untouched
             }
             WorkerMsg::PlanCommit { epoch } => {
                 // Forward first: downstream stages must enter their
                 // commit windows before this stage's KV chunks arrive.
-                if !send_downstream(ctx, link, WorkerMsg::PlanCommit { epoch }, true) {
-                    flush(&metrics);
-                    return;
+                if !forward(WorkerMsg::PlanCommit { epoch }) {
+                    break;
                 }
-                match swap.decide_commit(epoch) {
-                    CommitDecision::Ignore => {}
-                    CommitDecision::Abort(reason) => {
-                        let m = WorkerMsg::PlanAbort {
-                            epoch,
-                            reason: format!("stage {}: {reason}", ctx.stage),
-                        };
-                        if !send_downstream(ctx, link, m, true) {
-                            flush(&metrics);
-                            return;
-                        }
-                    }
+                let reply = match swap.decide_commit(epoch) {
+                    CommitDecision::Ignore => continue,
+                    CommitDecision::Abort(reason) => WorkerMsg::PlanAbort {
+                        epoch,
+                        reason: format!("stage {}: {reason}", ctx.stage),
+                    },
                     CommitDecision::Swap => {
                         let prepared = swap.prepared.take().expect("decide_commit checked");
-                        match execute_swap(ctx, link, prepared, layer_start, &mut caches) {
-                            Ok(install) => {
-                                layer_start = install.layer_start;
-                                n_local = install.weights.len();
-                                owned = Some(install.weights);
-                                caches = install.caches;
-                                swap.active_epoch = epoch;
-                                let m = WorkerMsg::PlanReady {
-                                    epoch,
-                                    stage: ctx.stage as u32,
-                                    swapped: true,
-                                };
-                                if !send_downstream(ctx, link, m, true) {
-                                    flush(&metrics);
-                                    return;
-                                }
-                            }
-                            Err(()) => {
-                                // Post-commit failure: the attempt is
-                                // lost; the supervisor restarts on the
-                                // committed plan.
-                                flush(&metrics);
-                                return;
-                            }
-                        }
+                        // A post-commit failure loses the attempt; the
+                        // supervisor restarts on the committed plan.
+                        let Ok(install) = execute_swap(ctx, link, prepared, layer_start, &mut caches)
+                        else {
+                            break;
+                        };
+                        layer_start = install.layer_start;
+                        n_local = install.weights.len();
+                        owned = Some(install.weights);
+                        caches = install.caches;
+                        swap.active_epoch = epoch;
+                        WorkerMsg::PlanReady { epoch, stage: ctx.stage as u32, swapped: true }
                     }
-                }
-            }
-            WorkerMsg::KvChunk(c) => {
-                // Not in a commit window here: the chunk is in transit to
-                // another stage (or a stale duplicate the master will
-                // sink) — keep it moving around the ring.
-                if !send_downstream(ctx, link, WorkerMsg::KvChunk(c), true) {
-                    flush(&metrics);
-                    return;
+                };
+                if !forward(reply) {
+                    break;
                 }
             }
             WorkerMsg::KvReset { seq } => {
@@ -533,14 +486,11 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 if seq < caches.len() {
                     caches[seq] = KvCache::new(n_local, ctx.hidden);
                 }
-                if !send_downstream(ctx, link, WorkerMsg::KvReset { seq }, true) {
-                    flush(&metrics);
-                    return;
+                if !forward(WorkerMsg::KvReset { seq }) {
+                    break;
                 }
             }
             WorkerMsg::Work(mut item) => {
-                let tel = ctx.telemetry.as_deref();
-                let rec = tel.and_then(|t| t.stage(ctx.stage));
                 if let Some(r) = rec {
                     r.on_dequeue();
                 }
@@ -565,9 +515,8 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         "stage {}: sequence id {seq} out of range (batch has {})",
                         ctx.stage, ctx.n_seqs
                     ));
-                    if !send_downstream(ctx, link, report, true) {
-                        flush(&metrics);
-                        return;
+                    if !forward(report) {
+                        break;
                     }
                     continue;
                 }
@@ -575,13 +524,10 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 match ctx
                     .injector
                     .as_ref()
-                    .map_or(FaultAction::None, |i| i.on_item(ctx.stage, ctx.device, metrics.items))
+                    .map_or(FaultAction::None, |i| i.on_item(ctx.stage, ctx.device, fault_step))
                 {
-                    FaultAction::Crash => {
-                        // Simulated crash: drop channels without draining.
-                        flush(&metrics);
-                        return;
-                    }
+                    // Simulated crash: drop channels without draining.
+                    FaultAction::Crash => break,
                     FaultAction::Hang => {
                         // Wedged, not dead: stop heartbeating and stop
                         // reading, but keep the channels open so the
@@ -589,8 +535,7 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         while !aborted() {
                             ctx.clock.sleep(Duration::from_micros(200));
                         }
-                        flush(&metrics);
-                        return;
+                        break;
                     }
                     FaultAction::Slowdown(f) => slowdown = f,
                     FaultAction::Drop => continue,
@@ -598,90 +543,60 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                     FaultAction::None => {}
                 }
                 last_step = Some(item.step);
-                if let Some(t) = tel {
-                    // Queue-wait span: send stamp → dequeue.
-                    let now = t.now_us();
-                    t.record_span(Span {
-                        tid: ctx.stage + 1,
-                        name: "wait",
-                        phase: item.phase,
-                        ts_us: item.sent_us.min(now),
-                        dur_us: now.saturating_sub(item.sent_us),
-                        step: item.step,
-                        microbatch: item.microbatch,
-                        bits: ctx.bits.clone(),
-                    });
-                }
-                let compute_start = tel.map(|t| t.now_us());
+                fault_step += 1;
+                let (phase, step, microbatch) = (item.phase, item.step, item.microbatch);
+                // Spans exist only on a hub created to trace into.
+                let traces = tel.traces();
+                let span = |name: &'static str, ts_us: u64, end_us: u64| {
+                    if traces {
+                        tel.record_span(Span {
+                            tid: ctx.stage + 1,
+                            name,
+                            phase,
+                            ts_us,
+                            dur_us: end_us.saturating_sub(ts_us),
+                            step,
+                            microbatch,
+                            bits: ctx.bits.clone(),
+                        });
+                    }
+                };
+                // Queue-wait span: send stamp → dequeue.
+                let start = tel.now_us();
+                span("wait", item.sent_us.min(start), start);
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
                 for (seq, x) in item.seqs.iter_mut() {
                     for (l, w) in active.iter().enumerate() {
                         *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut caches[*seq], ctx.alibi);
                     }
-                    metrics.seq_forwards += 1;
                 }
-                let elapsed = ctx.clock.now().saturating_sub(t0);
                 if slowdown > 1.0 {
                     // Straggler injection: pad compute to factor × real.
+                    let elapsed = ctx.clock.now().saturating_sub(t0);
                     ctx.clock.sleep(elapsed.mul_f64(slowdown - 1.0));
                 }
-                metrics.items += 1;
-                metrics.busy_s += elapsed.as_secs_f64() * slowdown;
-                if let (Some(t), Some(start)) = (tel, compute_start) {
-                    let dur = t.now_us().saturating_sub(start);
-                    if let Some(r) = rec {
-                        r.on_compute(item.phase, dur, item.seqs.len());
-                        // KV occupancy: cached positions summed over
-                        // every sequence × local layers.
-                        let positions: u64 = caches.iter().map(|c| c.len() as u64).sum();
-                        r.set_kv_entries(positions * n_local as u64);
-                    }
-                    t.record_span(Span {
-                        tid: ctx.stage + 1,
-                        name: "compute",
-                        phase: item.phase,
-                        ts_us: start,
-                        dur_us: dur,
-                        step: item.step,
-                        microbatch: item.microbatch,
-                        bits: ctx.bits.clone(),
-                    });
+                let sent = tel.now_us();
+                if let Some(r) = rec {
+                    r.on_compute(phase, sent.saturating_sub(start), item.seqs.len());
+                    // KV occupancy: cached positions summed over every
+                    // sequence × local layers.
+                    let positions: u64 = caches.iter().map(|c| c.len() as u64).sum();
+                    r.set_kv_entries(positions * n_local as u64);
                 }
-                flush(&metrics);
+                span("compute", start, sent);
                 beat();
-                let send_start = tel.map(|t| t.now_us());
-                if let (Some(t), Some(ts)) = (tel, send_start) {
+                if traces {
                     // Restamp so the next stage's wait span starts here.
-                    item.sent_us = ts;
-                    if let Some(next) = t.stage(ctx.stage + 1) {
-                        next.on_enqueue();
-                        if duplicate {
-                            next.on_enqueue();
-                        }
-                    }
+                    item.sent_us = sent;
                 }
-                let (step, microbatch, phase) = (item.step, item.microbatch, item.phase);
-                if duplicate && !send_downstream(ctx, link, WorkerMsg::Work(item.clone()), true) {
-                    flush(&metrics);
-                    return;
+                if duplicate && !forward(WorkerMsg::Work(item.clone())) {
+                    break;
                 }
-                if !send_downstream(ctx, link, WorkerMsg::Work(item), true) {
-                    flush(&metrics);
-                    return; // downstream gone; drop recorded on the board
+                if !forward(WorkerMsg::Work(item)) {
+                    break; // downstream gone; drop recorded on the board
                 }
-                if let (Some(t), Some(ts)) = (tel, send_start) {
-                    t.record_span(Span {
-                        tid: ctx.stage + 1,
-                        name: "send",
-                        phase,
-                        ts_us: ts,
-                        dur_us: t.now_us().saturating_sub(ts),
-                        step,
-                        microbatch,
-                        bits: ctx.bits.clone(),
-                    });
-                }
+                span("send", sent, tel.now_us());
             }
         }
     }
@@ -692,30 +607,32 @@ mod tests {
     use super::*;
     use crate::clock::real_clock;
     use crate::fault::FaultPlan;
-    use crossbeam::channel::unbounded;
+    use crate::net::transport::ChannelTransport;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use llmpq_model::{RefConfig, RefModel};
 
-    /// Stage 0 of `model`, one sequence slot: no faults, no heartbeats,
-    /// no metrics.
+    /// Stage 0 of `model`, one sequence slot, recording into `hub`.
+    fn ctx_on(model: &RefModel, hub: Arc<Telemetry>) -> WorkerCtx {
+        let stage = StagePlan { device: 0, layer_start: 0, layer_end: 1, bits: Vec::new() };
+        WorkerCtx::new(&model.cfg, 0, &stage, 1, Duration::from_millis(5), real_clock(), hub)
+    }
+
+    /// The same on a hub of its own: no faults, nobody reading.
     fn plain_ctx(model: &RefModel) -> WorkerCtx {
-        WorkerCtx {
-            stage: 0,
-            device: 0,
-            n_heads: model.cfg.n_heads,
-            hidden: model.cfg.hidden,
-            alibi: false,
-            n_seqs: 1,
-            injector: None,
-            heartbeats: None,
-            sink: None,
-            telemetry: None,
-            bits: Arc::from(""),
-            tick: Duration::from_millis(5),
-            disconnects: None,
-            clock: real_clock(),
-            layer_start: 0,
-            migration: None,
-        }
+        ctx_on(model, Telemetry::new(1))
+    }
+
+    /// Run `ctx`'s worker over a channel pair: inbound edge = link
+    /// `stage`, outbound edge = link `stage + 1`, like a ring's.
+    fn run_worker_ctx(
+        weights: &[LayerWeights],
+        ctx: &WorkerCtx,
+        input: Receiver<WorkerMsg>,
+        output: Sender<WorkerMsg>,
+    ) {
+        let link =
+            ChannelTransport::new(input, output, ctx.telemetry.clone(), ctx.stage, ctx.stage + 1);
+        run_worker_transport(weights, ctx, &link)
     }
 
     /// Run an unsupervised worker over a channel pair.
@@ -761,6 +678,46 @@ mod tests {
         let want = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false);
         assert_eq!(got.seqs[0].1, want);
         assert!(matches!(rx_out.recv().unwrap(), WorkerMsg::Shutdown));
+    }
+
+    #[test]
+    fn a_ring_made_hub_counts_every_item_and_keeps_no_span() {
+        // A long-lived stage on the hub a ring makes for itself: the
+        // counters see all of the work, and the one unbounded part of a
+        // hub — the span list nobody could export — stays empty.
+        let model = RefModel::new(RefConfig::tiny());
+        let weights = vec![model.layers[0].clone()];
+        let (tx_in, rx_in) = unbounded();
+        let (tx_out, rx_out) = unbounded();
+        let n = 1_000u64;
+        for step in 0..n {
+            let mut it = item(step, vec![(0, model.embed_tokens(&[1], 0))]);
+            it.phase = if step % 2 == 0 { Phase::Prefill } else { Phase::Decode };
+            tx_in.send(WorkerMsg::Work(it)).unwrap();
+            // Keep the one slot's cache short: the point is the count.
+            tx_in.send(WorkerMsg::KvReset { seq: 0 }).unwrap();
+        }
+        tx_in.send(WorkerMsg::Shutdown).unwrap();
+        let hub = Telemetry::counters_only(1, real_clock());
+        run_worker_ctx(&weights, &ctx_on(&model, hub.clone()), rx_in, tx_out);
+        let forwarded = std::iter::from_fn(|| rx_out.try_recv().ok())
+            .filter(|m| matches!(m, WorkerMsg::Work(_)))
+            .count();
+        assert_eq!(forwarded as u64, n);
+        let rec = hub.stage(0).unwrap();
+        assert_eq!((rec.items(), rec.seq_forwards()), (n, n));
+        assert_eq!(rec.prefill_latency.count() + rec.decode_latency.count(), n);
+        assert_eq!(rec.snapshot().items, n as usize);
+        assert!(hub.spans().is_empty(), "a counters-only hub must not grow");
+        // The same worker on a hub created to trace into does record.
+        let traced = Telemetry::new(1);
+        let (tx_in, rx_in) = unbounded();
+        let (tx_out, _rx_out) = unbounded();
+        tx_in.send(WorkerMsg::Work(item(0, vec![(0, model.embed_tokens(&[1], 0))]))).unwrap();
+        tx_in.send(WorkerMsg::Shutdown).unwrap();
+        run_worker_ctx(&weights, &ctx_on(&model, traced.clone()), rx_in, tx_out);
+        let names: Vec<&str> = traced.spans().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["wait", "compute", "send"]);
     }
 
     #[test]
