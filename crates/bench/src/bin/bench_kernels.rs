@@ -17,15 +17,21 @@
 //! table replays the `ref256x4` serving model's per-token GEMM list at
 //! `m = 1`, `2` and `3` — the shapes a decode step actually runs (one
 //! sequence, or a few stacked; also every prefill tail block),
-//! L2-resident, with the time per weight beside each. A
+//! L2-resident, with the time per weight beside each, and the dense
+//! 512 × 256 logits projection alone at `m = 1` from the row-major table
+//! and from the k-major copy a serving head keeps. A
 //! fourth times the other half of that model's layer at int4: GELU per
 //! element, the attention kernel alone, and the whole layer forward next
 //! to its own six GEMM calls (`layer_over_gemm`, a quotient of two
 //! timings from one run) at a prefill chunk on an empty and on a 64-token
 //! cache and at a decode step on 50 and 150 cached positions.
 //!
-//! The report names the kernel instantiation that ran (`"isa"`:
-//! `llmpq_kernels::isa()`); there is no way to select one.
+//! Those four tables are taken once per kernel instantiation the host can
+//! run — baseline, AVX2, AVX-512 — each under
+//! `llmpq_kernels::dispatch::with_cap`, and the report holds one section
+//! per instantiation (`"sections"`, narrowest first; `"isa"` names the
+//! widest, `llmpq_kernels::isa()`, which is what serving runs — there is
+//! no way to select one outside this bench).
 //!
 //! Also emits end-to-end tokens/s through the reference model at each
 //! precision ladder rung, the solver's wall-clock overhead (the other
@@ -36,14 +42,16 @@
 //!
 //! Flags: `--quick` (fewer repetitions, CI-friendly), `--check-ordering`
 //! (assert fused beats dequant-then-GEMM, fused int8 and int4 each run
-//! the 4096² decode at least [`MIN_DECODE_SPEEDUP_AVX2`]× faster than
-//! dense f32 and int4 at least [`MIN_INT4_OVER_INT8_AVX2`]× as fast as
-//! int8 when the AVX2 instantiation ran, and a fused `m = 64` prefill row costs at most
+//! the 4096² decode at least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than
+//! dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
+//! int8 in every section a vector instantiation ran — AVX2 or AVX-512 —
+//! and a fused `m = 64` prefill row costs at most
 //! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape,
 //! and the layer forward of both prefill shapes costs at most
-//! [`MAX_LAYER_OVER_GEMM`] of its GEMMs),
+//! [`MAX_LAYER_OVER_GEMM`] of its GEMMs, in every section),
 //! `--compare PATH` (fail if any of those ratios is more than 10 %
-//! worse than in the report at `PATH`, when it ran the same ISA),
+//! worse than in the same ISA's section of the report at `PATH`, or if
+//! that report has no such section),
 //! `--out PATH` (default `BENCH_kernels.json`).
 
 use llmpq_bench::quality::zoo_indicator;
@@ -52,7 +60,8 @@ use llmpq_bench::TextTable;
 use llm_pq::{assign, SolverChoice};
 use llmpq_cluster::GpuModel;
 use llmpq_cost::{kernel_crosscheck, CostDb, KernelCrosscheck, KernelObservation};
-use llmpq_kernels::{qgemm_t, PackedMatrix};
+use llmpq_kernels::dispatch::with_cap;
+use llmpq_kernels::{qgemm_t, DensePanels, Isa, PackedMatrix};
 use serde::Deserialize;
 use llmpq_model::{forward_layer_with, KvCache, Matrix, PhaseWorkload, RefConfig, RefModel};
 use llmpq_quant::{quantize_matrix, quantize_model_uniform, Bitwidth, Rounding};
@@ -89,6 +98,16 @@ struct ListRow {
     /// Weight bytes the pass streams (the logits projection stays dense).
     weight_bytes: usize,
     roofline_frac: f64,
+}
+
+/// The `ref256x4` logits projection (dense, 512 × 256) alone.
+#[derive(Serialize)]
+struct HeadRow {
+    /// `"row-major"` (`Matrix::matmul_t`, a transposing fill) or
+    /// `"panel-copy"` (`DensePanels`, what a serving `ModelHead` runs).
+    form: &'static str,
+    m: usize,
+    us_per_call: f64,
 }
 
 /// The attention kernel alone at `ref256x4` geometry (4 heads × 64).
@@ -130,31 +149,44 @@ struct SolverRow {
 struct Report {
     bench: &'static str,
     quick: bool,
-    /// The kernel instantiation that ran: `"avx2"` or `"baseline"`.
+    /// The widest kernel instantiation the host has — what serving runs:
+    /// `"avx512"`, `"avx2"` or `"baseline"`.
     isa: &'static str,
     /// STREAM-style triad over 64 MB, the `roofline_frac` denominator.
     mem_bw_gbs: f64,
+    /// One per instantiation the host can run, narrowest first.
+    sections: Vec<Section>,
+    /// End to end through the reference model, widest instantiation.
+    tokens: Vec<TokensRow>,
+    solver: SolverRow,
+    /// Measured decode speedups (widest instantiation) vs the roofline
+    /// prediction on a modeled device (scale-free ratio comparison).
+    crosscheck_device: String,
+    crosscheck: Vec<KernelCrosscheck>,
+}
+
+/// The kernel tables under one instantiation.
+#[derive(Serialize)]
+struct Section {
+    isa: &'static str,
     gemm: Vec<GemmRow>,
     decode_list: Vec<ListRow>,
+    head: Vec<HeadRow>,
     /// GELU over one prefill chunk's FFN activations (64 × 1024).
     gelu_ns_per_elem: f64,
     attention: Vec<AttentionRow>,
     /// Prefill rows (`m = 64`) are gated at ≤ [`MAX_LAYER_OVER_GEMM`].
     layer: Vec<LayerRow>,
-    tokens: Vec<TokensRow>,
-    solver: SolverRow,
-    /// Measured decode speedups vs the roofline prediction on a modeled
-    /// device (scale-free ratio comparison).
-    crosscheck_device: String,
-    crosscheck: Vec<KernelCrosscheck>,
     fused_beats_dequant_decode: bool,
     /// Dense-f32 time over fused time at the 4096² decode, per
-    /// precision; under AVX2 the gate is ≥ [`MIN_DECODE_SPEEDUP_AVX2`].
+    /// precision; in a vector instantiation the gate is ≥
+    /// [`MIN_DECODE_SPEEDUP_VECTOR`].
     decode_speedup_vs_f32: Vec<(String, f64)>,
     /// Fused-int8 time over fused-int4 time at the 4096² decode: int4
     /// streams half the bytes, and both precisions spend about one
     /// instruction per weight converting and accumulating it in
-    /// registers. Under AVX2 the gate is ≥ [`MIN_INT4_OVER_INT8_AVX2`].
+    /// registers. In a vector instantiation the gate is ≥
+    /// [`MIN_INT4_OVER_INT8_VECTOR`].
     int4_over_int8_decode: f64,
     /// Fused `m = 64` time per row over fused `m = 1` time at the
     /// prefill shape, per precision; the gate is ≤
@@ -165,32 +197,42 @@ struct Report {
 /// The part of a committed report `--compare` reads.
 #[derive(Deserialize)]
 struct Committed {
+    sections: Vec<CommittedSection>,
+}
+
+#[derive(Deserialize)]
+struct CommittedSection {
     isa: String,
     decode_speedup_vs_f32: Vec<(String, f64)>,
     prefill_amortisation: Vec<(String, f64)>,
     layer: Vec<LayerRow>,
 }
 
-/// Under AVX2, fused int8 / int4 must run the 4096² decode this much
-/// faster than dense f32 (measured 3.7–5.6× since the decode body
-/// converts and accumulates in registers, on a host short of memory
-/// bandwidth, which slows the 64 MB dense call alone — about 3.4× against
-/// a quiet hour's dense call; 2.3–2.9× while it staged its tiles). On the baseline ISA the ratio is reported, not gated: SSE2 has
-/// no byte→dword widen, and there packing buys footprint more than time.
-const MIN_DECODE_SPEEDUP_AVX2: f64 = 2.5;
+/// In a vector instantiation (AVX2, AVX-512), fused int8 / int4 must run
+/// the 4096² decode this much faster than dense f32 (measured 3.5–5.6×
+/// under AVX2 and 4.5–6× under AVX-512 since the decode body converts
+/// and accumulates in registers, the upper end on a host short of memory
+/// bandwidth, which slows the 64 MB dense call alone; 2.3–2.9× while it
+/// staged its tiles). On the baseline ISA the ratio is reported, not
+/// gated: SSE2 has no byte→dword widen, and there packing buys footprint
+/// more than time.
+const MIN_DECODE_SPEEDUP_VECTOR: f64 = 2.5;
 
-/// Under AVX2, fused int4 must run the 4096² decode at least this fast
-/// relative to fused int8 — the inversion guard: a 4-bit kernel slower
-/// than the 8-bit one inverts the ordering the planner's cost model
-/// assumes (measured 1.06–1.24×; 0.91–0.97× while nibbles took a second
-/// pass through a byte scratch).
-const MIN_INT4_OVER_INT8_AVX2: f64 = 0.95;
+/// In a vector instantiation, fused int4 must run the 4096² decode at
+/// least this fast relative to fused int8 — the inversion guard: a 4-bit
+/// kernel slower than the 8-bit one inverts the ordering the planner's
+/// cost model assumes (measured 1.0–1.4×; 0.88–0.90× under AVX2 while the
+/// 16-lane decode body converted a whole nibble load before accumulating
+/// any of it, 0.91–0.97× while nibbles took a second pass through a byte
+/// scratch).
+const MIN_INT4_OVER_INT8_VECTOR: f64 = 0.95;
 
 /// Upper bar on "one row of an `m = 64` call ÷ the `m = 1` call" at one
 /// shape. The `m = 1` call is the denominator, so the quotient rises when
 /// decode gets cheaper: 0.17 when the fill was scalar, 0.26–0.32 with the
-/// whole-vector fill, 0.26–0.52 now that an `m = 1` call converts in
-/// registers (≈ 0.12 ns per weight at 1024², against ≈ 0.04 for one row
+/// whole-vector fill, 0.26–0.52 (0.28–0.54 under AVX-512) now that an
+/// `m = 1` call converts in registers (≈ 0.12 ns per weight at 1024²
+/// under AVX2, against ≈ 0.04 for one row
 /// of the blocked sweep plus 1/64 of a ≈ 0.07 ns fill; the top of the
 /// range is a busy host slowing the compute-bound `m = 64` call more
 /// than the `m = 1` one). Paying the conversion per row would put the
@@ -343,8 +385,10 @@ const LIST_M: [usize; 3] = [1, 2, 3];
 /// The `ref256x4` serving model's per-token GEMM list (hidden 256, FFN
 /// 1024, four layers, a dense 512-row logits projection) replayed at
 /// each of [`LIST_M`]: what one decode step spends in the kernel, at
-/// shapes that sit in L2 rather than stream from memory.
-fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
+/// shapes that sit in L2 rather than stream from memory. The logits
+/// projection runs from the k-major copy a serving `ModelHead` keeps, and
+/// is timed alone from both forms.
+fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> (Vec<ListRow>, Vec<HeadRow>) {
     const LAYER: [(usize, usize); 6] = [(256, 256), (256, 256), (256, 256), (256, 256), (1024, 256), (256, 1024)];
     let dense: Vec<Matrix> = (0..4 * LAYER.len())
         .map(|i| {
@@ -353,6 +397,7 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
         })
         .collect();
     let head = Matrix::random(512, 256, 0.2, 39);
+    let head_copy = DensePanels::new(&head.data, head.rows, head.cols);
     let inputs: Vec<[Matrix; 2]> =
         LIST_M.iter().map(|&m| [Matrix::random(m, 256, 0.5, 9), Matrix::random(m, 1024, 0.5, 10)]).collect();
     let packed: Vec<(Bitwidth, Vec<PackedMatrix>)> = [Bitwidth::Int8, Bitwidth::Int4]
@@ -360,7 +405,7 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
         .map(|&b| (b, dense.iter().map(|w| pack(w, b)).collect()))
         .collect();
 
-    let (dense, head) = (&dense, &head);
+    let (dense, head, head_copy) = (&dense, &head, &head_copy);
     let weights = dense.iter().chain([head]).map(|w| w.data.len()).sum::<usize>();
     let mut kernels: Vec<TimedKernel<'_>> = Vec::new();
     // Per kernel: its `m` and the weight bytes of the 24 layer GEMMs.
@@ -374,7 +419,7 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
                 for w in dense {
                     black_box(input(w.cols).matmul_t(black_box(w)));
                 }
-                black_box(input(head.cols).matmul_t(black_box(head)));
+                black_box(head_copy.gemm_t(&input(head.cols).data, m));
             }),
         ));
         for (bits, list) in &packed {
@@ -385,13 +430,24 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
                     for w in list {
                         black_box(qgemm_t(black_box(&input(w.cols).data), m, black_box(w)));
                     }
-                    black_box(input(head.cols).matmul_t(black_box(head)));
+                    black_box(head_copy.gemm_t(&input(head.cols).data, m));
                 }),
             ));
         }
     }
-    let times = time_interleaved(if quick { 20 } else { 50 }, if quick { 5 } else { 9 }, &mut kernels);
-    kernels
+    let (iters, rounds) = if quick { (20, 5) } else { (50, 9) };
+    let times = time_interleaved(iters, rounds, &mut kernels);
+    let x1 = &inputs[0][0];
+    let mut head_kernels: Vec<TimedKernel<'_>> = vec![
+        ("row-major".into(), Box::new(|| drop(black_box(x1.matmul_t(black_box(head)))))),
+        ("panel-copy".into(), Box::new(|| drop(black_box(head_copy.gemm_t(black_box(&x1.data), 1))))),
+    ];
+    let head_rows = ["row-major", "panel-copy"]
+        .into_iter()
+        .zip(time_interleaved(4 * iters, rounds, &mut head_kernels))
+        .map(|(form, s)| HeadRow { form, m: 1, us_per_call: s * 1e6 })
+        .collect();
+    let list = kernels
         .iter()
         .zip(&times)
         .zip(&shape)
@@ -406,7 +462,8 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> Vec<ListRow> {
                 roofline_frac: weight_bytes as f64 / s / 1e9 / mem_bw_gbs,
             }
         })
-        .collect()
+        .collect();
+    (list, head_rows)
 }
 
 /// The non-GEMM half of an int4 `ref256x4` layer: GELU, attention, and
@@ -582,25 +639,10 @@ fn solver_suite() -> SolverRow {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check-ordering");
-    let flag_value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_kernels.json".into());
-    // Read before the run: `--out` defaults to the committed file.
-    let committed: Option<Committed> = flag_value("--compare").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not a bench_kernels report: {e}"))
-    });
-
-    let isa = llmpq_kernels::isa();
-    let mem_bw_gbs = mem_bw_gbs();
-    println!(
-        "bench_kernels — packed dequant-GEMM throughput{}\nkernel isa: {isa}; STREAM triad: {mem_bw_gbs:.1} GB/s\n",
-        if quick { " (quick)" } else { "" }
-    );
-
+/// The kernel tables with every kernel entry held to `isa`, printed as
+/// they are taken.
+fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
+    println!("== kernel isa: {} ==\n", isa.name());
     let mut gemm = Vec::new();
     gemm_suite(quick, mem_bw_gbs, &mut gemm);
 
@@ -619,7 +661,7 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let decode_list = decode_list_suite(quick, mem_bw_gbs);
+    let (decode_list, head) = decode_list_suite(quick, mem_bw_gbs);
     let mut t = TextTable::new(&["ref256x4 GEMM list", "m", "us/call", "ns/weight", "weight KB", "roofline"]);
     for r in &decode_list {
         t.row(vec![
@@ -632,6 +674,9 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
+    for r in &head {
+        println!("logits projection (512 x 256, dense), m = {}, {}: {:.1} us", r.m, r.form, r.us_per_call);
+    }
 
     let (gelu_ns_per_elem, attention, layer) = layer_suite(quick);
     println!("ref256x4 int4 layer, beyond its GEMMs: GELU {gelu_ns_per_elem:.2} ns/element");
@@ -649,6 +694,176 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
+
+    let decode_ms = |kernel: &str| {
+        gemm.iter()
+            .find(|r| r.phase == "decode" && r.kernel == kernel)
+            .map(|r| r.ms)
+            .expect("decode row present")
+    };
+    let fused_beats_dequant = [Bitwidth::Int8, Bitwidth::Int4]
+        .iter()
+        .all(|&b| decode_ms(&format!("fused-{b}")) < decode_ms(&format!("dequant-then-f32-{b}")));
+    let decode_speedup_vs_f32: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
+        .iter()
+        .map(|b| {
+            let kernel = format!("fused-{b}");
+            let speedup = decode_ms("dense-f32") / decode_ms(&kernel);
+            (kernel, speedup)
+        })
+        .collect();
+    let int4_over_int8_decode = decode_ms("fused-int8") / decode_ms("fused-int4");
+    println!(
+        "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
+        if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
+        decode_speedup_vs_f32.iter().map(|(k, s)| format!("{k} {s:.2}x")).collect::<Vec<_>>().join(", "),
+        int4_over_int8_decode,
+        if int4_over_int8_decode >= 1.05 {
+            "ahead: the halved bytes are the cost at this size"
+        } else if int4_over_int8_decode >= MIN_INT4_OVER_INT8_VECTOR {
+            "level: both spend about one instruction per weight, and the halved bytes do not pay yet"
+        } else {
+            "BEHIND, although it streams half the bytes"
+        },
+    );
+    // A ratio of two timings of one kernel on one machine, so it holds
+    // wherever the weight tile is staged once per row block and fails
+    // (ratio ≈ 1) wherever it is staged once per row.
+    let prefill_ms = |kernel: &str, m: usize| {
+        gemm.iter()
+            .find(|r| r.phase == "prefill" && r.kernel == kernel && r.m == m)
+            .map(|r| r.ms)
+            .expect("prefill row present")
+    };
+    let prefill_amortisation: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
+        .iter()
+        .map(|b| {
+            let kernel = format!("fused-{b}");
+            let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
+            println!("{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
+            (kernel, ratio)
+        })
+        .collect();
+    println!();
+    Section {
+        isa: isa.name(),
+        gemm,
+        decode_list,
+        head,
+        gelu_ns_per_elem,
+        attention,
+        layer,
+        fused_beats_dequant_decode: fused_beats_dequant,
+        decode_speedup_vs_f32,
+        int4_over_int8_decode,
+        prefill_amortisation,
+    }
+}
+
+/// `--check-ordering` on one section. The decode gates apply wherever a
+/// vector instantiation ran, whichever it was.
+fn check_ordering(s: &Section) {
+    let isa = s.isa;
+    assert!(
+        s.fused_beats_dequant_decode,
+        "{isa}: fused dequant-GEMM must beat the dequantize-then-f32 baseline in decode"
+    );
+    if isa == Isa::Baseline.name() {
+        println!("{isa}: decode speedup over dense f32 and int4 over int8 not gated (no vector instantiation)");
+    } else {
+        for (kernel, speedup) in &s.decode_speedup_vs_f32 {
+            assert!(
+                *speedup >= MIN_DECODE_SPEEDUP_VECTOR,
+                "{isa} {kernel}: the 4096² decode must be at least {MIN_DECODE_SPEEDUP_VECTOR}x dense f32, got {speedup:.2}x"
+            );
+        }
+        assert!(
+            s.int4_over_int8_decode >= MIN_INT4_OVER_INT8_VECTOR,
+            "{isa}: fused-int4 must run the 4096² decode at least {MIN_INT4_OVER_INT8_VECTOR}x as fast as fused-int8, got {:.2}x",
+            s.int4_over_int8_decode
+        );
+    }
+    for (kernel, ratio) in &s.prefill_amortisation {
+        assert!(
+            *ratio <= MAX_PREFILL_AMORTISATION,
+            "{isa} {kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
+        );
+    }
+    for r in s.layer.iter().filter(|r| r.m == CHUNK_M) {
+        assert!(
+            r.layer_over_gemm <= MAX_LAYER_OVER_GEMM,
+            "{isa} m = {} on {} cached: the layer forward must cost at most {MAX_LAYER_OVER_GEMM} of its GEMMs, got {:.2}",
+            r.m,
+            r.past,
+            r.layer_over_gemm
+        );
+    }
+}
+
+/// `--compare` on one section: every ratio is a quotient of two timings
+/// taken in one run on one machine under one instantiation.
+fn compare(now: &Section, was: &CommittedSection) {
+    let isa = now.isa;
+    let find = |rows: &[(String, f64)], kernel: &str| {
+        rows.iter().find(|(k, _)| k == kernel).map(|(_, v)| *v).expect("kernel present in both reports")
+    };
+    for (kernel, was) in &was.decode_speedup_vs_f32 {
+        let now = find(&now.decode_speedup_vs_f32, kernel);
+        println!("{isa} {kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
+        assert!(now >= 0.9 * was, "{isa} {kernel}: decode speedup over dense f32 regressed more than 10%");
+    }
+    for (kernel, was) in &was.prefill_amortisation {
+        let now = find(&now.prefill_amortisation, kernel);
+        println!("{isa} {kernel}: m = 64 row over m = 1 call {now:.2} (committed {was:.2})");
+        assert!(now <= 1.1 * was, "{isa} {kernel}: m = 64 row over m = 1 call regressed more than 10%");
+    }
+    for was in &was.layer {
+        let now = now
+            .layer
+            .iter()
+            .find(|r| (r.m, r.past) == (was.m, was.past))
+            .expect("layer shape present in both reports")
+            .layer_over_gemm;
+        println!(
+            "{isa} m = {}, past = {}: layer over its GEMMs {now:.2} (committed {:.2})",
+            was.m, was.past, was.layer_over_gemm
+        );
+        assert!(
+            now <= 1.1 * was.layer_over_gemm,
+            "{isa} m = {}, past = {}: layer over its GEMMs regressed more than 10%",
+            was.m,
+            was.past
+        );
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let check = args.iter().any(|a| a == "--check-ordering");
+    let flag_value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
+    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_kernels.json".into());
+    // Read before the run: `--out` defaults to the committed file.
+    let committed: Option<Committed> = flag_value("--compare").map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("{path} is not a bench_kernels report with per-ISA sections: {e}"))
+    });
+
+    let host = Isa::detected();
+    let mem_bw_gbs = mem_bw_gbs();
+    println!(
+        "bench_kernels — packed dequant-GEMM throughput{}\nwidest kernel isa: {}; STREAM triad: {mem_bw_gbs:.1} GB/s\n",
+        if quick { " (quick)" } else { "" },
+        host.name(),
+    );
+
+    let sections: Vec<Section> = Isa::ALL
+        .into_iter()
+        .filter(|&isa| isa <= host)
+        .map(|isa| with_cap(isa, || section(isa, quick, mem_bw_gbs)))
+        .collect();
+    let widest = sections.last().expect("the baseline instantiation runs everywhere");
 
     let tokens = tokens_suite(quick);
     let mut t = TextTable::new(&["bits", "prefill tok/s", "decode tok/s"]);
@@ -671,7 +886,9 @@ fn main() {
     // for a modeled device. Absolute scales differ (CPU vs modeled GPU);
     // only the fp16-relative ratios are compared.
     let eff = |kernel: &str| {
-        gemm.iter()
+        widest
+            .gemm
+            .iter()
             .find(|r| r.phase == "decode" && r.kernel == kernel)
             .map(|r| r.effective_gbs)
             .expect("decode row present")
@@ -700,152 +917,33 @@ fn main() {
             format!("{:.2}", r.rel_err),
         ]);
     }
-    println!("decode speedup vs {gpu} roofline:\n{}", t.render());
-
-    let fused_beats_dequant = [Bitwidth::Int8, Bitwidth::Int4].iter().all(|&b| {
-        eff(&format!("fused-{b}")) > eff(&format!("dequant-then-f32-{b}"))
-    });
-    let decode_ms = |kernel: &str| {
-        gemm.iter()
-            .find(|r| r.phase == "decode" && r.kernel == kernel)
-            .map(|r| r.ms)
-            .expect("decode row present")
-    };
-    let decode_speedup_vs_f32: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
-        .iter()
-        .map(|b| {
-            let kernel = format!("fused-{b}");
-            let speedup = decode_ms("dense-f32") / decode_ms(&kernel);
-            (kernel, speedup)
-        })
-        .collect();
-    let int4_over_int8_decode = decode_ms("fused-int8") / decode_ms("fused-int4");
-    println!(
-        "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
-        if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
-        decode_speedup_vs_f32.iter().map(|(k, s)| format!("{k} {s:.2}x")).collect::<Vec<_>>().join(", "),
-        int4_over_int8_decode,
-        if int4_over_int8_decode >= 1.05 {
-            "ahead: the halved bytes are the cost at this size"
-        } else if int4_over_int8_decode >= MIN_INT4_OVER_INT8_AVX2 {
-            "level: both spend about one instruction per weight, and the halved bytes do not pay yet"
-        } else {
-            "BEHIND, although it streams half the bytes"
-        },
-    );
-    // A ratio of two timings of one kernel on one machine, so it holds
-    // wherever the weight tile is staged once per row block and fails
-    // (ratio ≈ 1) wherever it is staged once per row.
-    let prefill_ms = |kernel: &str, m: usize| {
-        gemm.iter()
-            .find(|r| r.phase == "prefill" && r.kernel == kernel && r.m == m)
-            .map(|r| r.ms)
-            .expect("prefill row present")
-    };
-    let prefill_amortisation: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
-        .iter()
-        .map(|b| {
-            let kernel = format!("fused-{b}");
-            let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
-            println!("{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
-            (kernel, ratio)
-        })
-        .collect();
+    println!("decode speedup ({}) vs {gpu} roofline:\n{}", widest.isa, t.render());
 
     let report = Report {
         bench: "bench_kernels",
         quick,
-        isa,
+        isa: host.name(),
         mem_bw_gbs,
-        gemm,
-        decode_list,
-        gelu_ns_per_elem,
-        attention,
-        layer,
+        sections,
         tokens,
         solver,
         crosscheck_device: gpu.to_string(),
         crosscheck,
-        fused_beats_dequant_decode: fused_beats_dequant,
-        decode_speedup_vs_f32,
-        int4_over_int8_decode,
-        prefill_amortisation,
     };
     match std::fs::write(&out_path, serde_json::to_string_pretty(&report).expect("serializable") + "\n") {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => eprintln!("could not write {out_path}: {e}"),
     }
     if check {
-        assert!(
-            fused_beats_dequant,
-            "fused dequant-GEMM must beat the dequantize-then-f32 baseline in decode"
-        );
-        if isa == "avx2" {
-            for (kernel, speedup) in &report.decode_speedup_vs_f32 {
-                assert!(
-                    *speedup >= MIN_DECODE_SPEEDUP_AVX2,
-                    "{kernel}: the 4096² decode must be at least {MIN_DECODE_SPEEDUP_AVX2}x dense f32, got {speedup:.2}x"
-                );
-            }
-            assert!(
-                int4_over_int8_decode >= MIN_INT4_OVER_INT8_AVX2,
-                "fused-int4 must run the 4096² decode at least {MIN_INT4_OVER_INT8_AVX2}x as fast as fused-int8, got {int4_over_int8_decode:.2}x"
-            );
-        } else {
-            println!("decode speedup over dense f32 and int4 over int8 not gated on the {isa} ISA");
-        }
-        for (kernel, ratio) in &report.prefill_amortisation {
-            assert!(
-                *ratio <= MAX_PREFILL_AMORTISATION,
-                "{kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
-            );
-        }
-        for r in report.layer.iter().filter(|r| r.m == CHUNK_M) {
-            assert!(
-                r.layer_over_gemm <= MAX_LAYER_OVER_GEMM,
-                "m = {} on {} cached: the layer forward must cost at most {MAX_LAYER_OVER_GEMM} of its GEMMs, got {:.2}",
-                r.m,
-                r.past,
-                r.layer_over_gemm
-            );
-        }
+        report.sections.iter().for_each(check_ordering);
     }
     if let Some(committed) = committed {
-        if committed.isa != isa {
-            println!("--compare skipped: the committed report ran {}, this run {isa}", committed.isa);
-            return;
+        for now in &report.sections {
+            let was = committed.sections.iter().find(|was| was.isa == now.isa);
+            compare(now, was.unwrap_or_else(|| panic!("the committed report has no {} section", now.isa)));
         }
-        // Both are ratios of two timings taken in one run on one machine.
-        let find = |rows: &[(String, f64)], kernel: &str| {
-            rows.iter().find(|(k, _)| k == kernel).map(|(_, v)| *v).expect("kernel present in both reports")
-        };
-        for (kernel, was) in &committed.decode_speedup_vs_f32 {
-            let now = find(&report.decode_speedup_vs_f32, kernel);
-            println!("{kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
-            assert!(now >= 0.9 * was, "{kernel}: decode speedup over dense f32 regressed more than 10%");
-        }
-        for (kernel, was) in &committed.prefill_amortisation {
-            let now = find(&report.prefill_amortisation, kernel);
-            println!("{kernel}: m = 64 row over m = 1 call {now:.2} (committed {was:.2})");
-            assert!(now <= 1.1 * was, "{kernel}: m = 64 row over m = 1 call regressed more than 10%");
-        }
-        for was in &committed.layer {
-            let now = report
-                .layer
-                .iter()
-                .find(|r| (r.m, r.past) == (was.m, was.past))
-                .expect("layer shape present in both reports")
-                .layer_over_gemm;
-            println!(
-                "m = {}, past = {}: layer over its GEMMs {now:.2} (committed {:.2})",
-                was.m, was.past, was.layer_over_gemm
-            );
-            assert!(
-                now <= 1.1 * was.layer_over_gemm,
-                "m = {}, past = {}: layer over its GEMMs regressed more than 10%",
-                was.m,
-                was.past
-            );
+        for was in committed.sections.iter().filter(|was| report.sections.iter().all(|now| now.isa != was.isa)) {
+            println!("committed {} section not compared: this host cannot run that instantiation", was.isa);
         }
     }
 }

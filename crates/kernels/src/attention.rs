@@ -10,13 +10,13 @@
 //! ```text
 //! for each head, for each block of ≤ 64 query rows (row i attends to positions j ≤ past + i):
 //!   sweep 1  s[i][j] = Σ_d q[i][d] · k[j][d]       the blocked GEMM kernel with the keys as the weight:
-//!                                                  8 keys transposed into a tile once per block, swept
+//!                                                  16 keys transposed into a tile once per block, swept
 //!                                                  over the rows 4 at a time; panels no row attends to
 //!                                                  are skipped
 //!   row-wise s[i][j] ← s[i][j] · 1/√d − slope · (past + i − j)          (ALiBi; slope 0 = none)
 //!            p[i][..] = softmax(s[i][0 ..= past + i])                    live prefix only
 //!   sweep 2  out[i][d] = Σ_j p[i][j] · v[j][d]     ≤ 64 value rows staged once per block, d in lanes,
-//!                                                  4 rows × 8 lanes of accumulators in registers
+//!                                                  4 rows × 16 lanes of accumulators in registers
 //! ```
 //!
 //! The masked triangle `j > past + i` is never exponentiated, summed or
@@ -33,10 +33,10 @@
 //! Blocking only interleaves distinct outputs. Row `i` of an `m`-row call
 //! is therefore bit-identical to the one-row call at `past + i`, so
 //! chunked prefill ≡ whole-prompt prefill ≡ token-by-token decode
-//! `to_bits()`, in either ISA instantiation — what lets serving chunk,
+//! `to_bits()`, in every ISA instantiation — what lets serving chunk,
 //! preempt and recompute without changing a token.
 
-use crate::dispatch::{dispatch, Body};
+use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::elementwise::softmax_row;
 use crate::gemm::{mac_rows, row_block, DenseWeight, Scratch, MR, PANELS, ROW_BLOCK};
 use crate::pack::LANES;
@@ -65,10 +65,10 @@ pub fn attention<'a>(
     v_row: impl Fn(usize) -> &'a [f32],
     out: &mut [f32],
 ) {
-    attention_on(true, Attention { q, m, hidden, past, slopes, k_row, v_row, out });
+    attention_on(cap(), Attention { q, m, hidden, past, slopes, k_row, v_row, out });
 }
 
-fn attention_on<'a, K, V>(allow_avx2: bool, call: Attention<'_, K, V>)
+fn attention_on<'a, K, V>(cap: Isa, call: Attention<'_, K, V>)
 where
     K: Fn(usize) -> &'a [f32],
     V: Fn(usize) -> &'a [f32],
@@ -79,7 +79,7 @@ where
     assert_eq!(call.out.len(), call.m * call.hidden, "output shape mismatch");
     assert!(call.past + call.m <= i32::MAX as usize, "sequence too long");
     if call.m > 0 {
-        dispatch(allow_avx2, call);
+        dispatch(cap, call);
     }
 }
 
@@ -102,7 +102,7 @@ where
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, _: Isa) {
         let Attention { q, m, hidden, past, slopes, k_row, v_row, out } = self;
         let d = hidden / slopes.len();
         let scale = 1.0 / (d as f32).sqrt();
@@ -123,7 +123,7 @@ where
                     k: d,
                     causal_past: Some(visible),
                 };
-                row_block(&q[i0 * hidden + lo..], hidden, &keys, &mut scores, ld, rows, &mut scratch);
+                row_block::<PANELS, _>(&q[i0 * hidden + lo..], hidden, &keys, &mut scores, ld, rows, &mut scratch);
                 for r in 0..rows {
                     let limit = visible + r;
                     let row = &mut scores[r * ld..][..=limit];
@@ -162,8 +162,8 @@ fn weighted_values<'a>(
     let n_live = visible + rows;
     let mut j_lo = 0;
     while j_lo < n_live {
-        // Stage the tile lane-chunk-major: `staged[c][jj]` is the eight
-        // values `v(j_lo + jj)[lo + 8c ..]`, the layout `mac_rows` sweeps.
+        // Stage the tile lane-chunk-major: `staged[c][jj]` is the `LANES`
+        // values `v(j_lo + jj)[lo + LANES·c ..]`, the layout `mac_rows` sweeps.
         let len = TILE_J.min(n_live - j_lo);
         for jj in 0..len {
             let v = &v_row(j_lo + jj)[lo..lo + d];
@@ -242,7 +242,7 @@ fn value_block<const R: usize, const P: usize>(
 mod tests {
     use super::*;
     use crate::elementwise::exp;
-    use crate::testutil::{assert_bit_identical, avx2_or_note, pseudo};
+    use crate::testutil::{assert_bit_identical, pseudo, wider_instantiations};
     use proptest::prelude::*;
 
     /// The contract as plain scalar loops over the live prefix — the
@@ -323,7 +323,7 @@ mod tests {
         (0..n_heads).map(|h| if alibi { 0.5f32.powi(h as i32 + 1) } else { 0.0 }).collect()
     }
 
-    fn run(allow_avx2: bool, q: &[f32], m: usize, past: usize, slopes: &[f32], kv: &Scattered) -> Vec<f32> {
+    fn run(cap: Isa, q: &[f32], m: usize, past: usize, slopes: &[f32], kv: &Scattered) -> Vec<f32> {
         let mut out = vec![f32::NAN; q.len()];
         let call = Attention {
             q,
@@ -335,7 +335,7 @@ mod tests {
             v_row: |j| kv.v_row(j),
             out: &mut out,
         };
-        attention_on(allow_avx2, call);
+        attention_on(cap, call);
         out
     }
 
@@ -368,7 +368,7 @@ mod tests {
         let kv = Scattered::new(past + m, hidden, 5);
         let q = pseudo(m * hidden, 6);
         let s = slopes(n_heads, true);
-        let whole = run(true, &q, m, past, &s, &kv);
+        let whole = run(Isa::Avx512, &q, m, past, &s, &kv);
         for i in 0..m {
             // Row i alone, with every later position poisoned.
             let mut poisoned = Scattered::new(past + m, hidden, 5);
@@ -377,7 +377,7 @@ mod tests {
                 poisoned.k[at..at + hidden].fill(f32::NAN);
                 poisoned.v[at..at + hidden].fill(f32::INFINITY);
             }
-            let alone = run(true, &q[i * hidden..][..hidden], 1, past + i, &s, &poisoned);
+            let alone = run(Isa::Avx512, &q[i * hidden..][..hidden], 1, past + i, &s, &poisoned);
             assert_bit_identical(&alone, &whole[i * hidden..][..hidden]);
         }
     }
@@ -394,11 +394,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Both sweeps in both instantiations agree bit for bit with each
-        /// other and with the scalar reference, and row `i` of an `m`-row
-        /// call is the one-row call at `past + i`.
+        /// Both sweeps in every instantiation the host can run agree bit
+        /// for bit with each other and with the scalar reference, and row
+        /// `i` of an `m`-row call is the one-row call at `past + i`.
         #[test]
-        fn avx2_and_baseline_attention_are_bit_identical(
+        fn every_attention_instantiation_is_bit_identical(
             n_heads in prop_oneof![Just(1usize), Just(2), Just(4)],
             d in prop_oneof![Just(4usize), Just(12), Just(64), Just(9)],
             m in 1usize..=70,
@@ -410,13 +410,13 @@ mod tests {
             let kv = Scattered::new(past + m, hidden, seed);
             let q = pseudo(m * hidden, seed ^ 0x5A5A);
             let s = slopes(n_heads, alibi);
-            let base = run(false, &q, m, past, &s, &kv);
+            let base = run(Isa::Baseline, &q, m, past, &s, &kv);
             assert_bit_identical(&base, &reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j)));
             let i = seed as usize % m;
-            let alone = run(false, &q[i * hidden..][..hidden], 1, past + i, &s, &kv);
+            let alone = run(Isa::Baseline, &q[i * hidden..][..hidden], 1, past + i, &s, &kv);
             assert_bit_identical(&alone, &base[i * hidden..][..hidden]);
-            if avx2_or_note() {
-                assert_bit_identical(&run(true, &q, m, past, &s, &kv), &base);
+            for isa in wider_instantiations() {
+                assert_bit_identical(&run(isa, &q, m, past, &s, &kv), &base);
             }
         }
     }

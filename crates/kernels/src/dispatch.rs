@@ -4,52 +4,113 @@
 //! the compiler vectorises at whatever width the enclosing function is
 //! allowed to use. A kernel is therefore written once, as the
 //! `#[inline(always)]` `Body::run` of a small argument struct, and
-//! compiled twice on `x86_64`: inlined into the caller as is (the
-//! build's baseline ISA), and inlined into `run_avx2`, a
+//! compiled three times on `x86_64`: inlined into the caller as is (the
+//! build's baseline ISA), inlined into `run_avx2`, a
 //! `#[target_feature(enable = "avx2")]` wrapper, so the same loops are
-//! emitted at 256-bit width. `dispatch` picks between the two with
-//! `is_x86_feature_detected!` — the workspace's only `unsafe` block,
-//! sound because the wrapper is reached only after the feature was
-//! detected on the running CPU. There is no flag, environment variable
-//! or cargo feature; [`isa`] reports the choice. Other targets compile
-//! the baseline only.
+//! emitted at 256-bit width, and inlined into `run_avx512`, the same
+//! wrapper with AVX-512 (F, BW, VL, DQ) enabled, so they are emitted at
+//! 512-bit width. `dispatch` picks the widest of the three the running
+//! CPU has with `is_x86_feature_detected!` — the workspace's only
+//! `unsafe` block, sound because a wrapper is reached only after its
+//! features were detected on the running CPU. There is no flag,
+//! environment variable or cargo feature; [`isa`] reports the choice.
+//! Other targets compile the baseline only.
 //!
 //! Vector width never changes a result: lanes are distinct outputs,
 //! every operation is an IEEE-754 single-precision multiply, add,
 //! subtract, divide, compare-select, exact integer conversion or bit
-//! move, and FMA is not enabled, so no multiply-add is contracted — the
-//! two instantiations agree `to_bits()` for `to_bits()`.
+//! move, and FMA is not enabled in any wrapper, so no multiply-add is
+//! contracted — the three instantiations agree `to_bits()` for
+//! `to_bits()`.
 //!
 //! To check that the dispatch is still the only one:
 //! `grep -rn unsafe crates/*/src vendor/*/src src` must show, besides
 //! `forbid(unsafe_code)` lines and prose, exactly one
-//! `#[allow(unsafe_code)]` and one `unsafe { .. }`, both in this file.
+//! `#[allow(unsafe_code)]` and one `unsafe { .. }`, both in this file
+//! (CI's `clippy` job counts them).
 
-/// A kernel the dispatcher can run in either instantiation. `run` must be
+use std::cell::Cell;
+
+/// The instantiations a kernel body is compiled in, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Isa {
+    /// The build's target features (SSE2 on a stock `x86_64` build).
+    Baseline,
+    /// 256-bit vectors.
+    Avx2,
+    /// 512-bit vectors: AVX-512 F, BW, VL and DQ.
+    Avx512,
+}
+
+impl Isa {
+    /// Every instantiation, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
+
+    /// `"baseline"`, `"avx2"` or `"avx512"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
+
+    /// The widest instantiation the running CPU can execute.
+    pub fn detected() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512dq")
+            {
+                return Isa::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Baseline
+    }
+}
+
+/// A kernel the dispatcher can run in any instantiation. `run` must be
 /// `#[inline(always)]`, and so must every function on its hot path:
 /// code that is called rather than inlined is compiled for the baseline
 /// ISA whatever the caller was.
 pub(crate) trait Body {
     /// What the kernel returns.
     type Out;
-    /// The kernel.
-    fn run(self) -> Self::Out;
+    /// The kernel, told which instantiation it is being compiled into (a
+    /// constant by the time it is inlined there). Only a register-budget
+    /// choice may depend on it — how many accumulators a block keeps in
+    /// flight — never a loop or an order of operations.
+    fn run(self, isa: Isa) -> Self::Out;
 }
 
-/// Run `body` in the AVX2 instantiation where allowed and the CPU has
-/// it, in the baseline one otherwise. `allow_avx2` is `true` outside the
-/// tests that pin the baseline instantiation to compare the two.
+/// Run `body` in the widest instantiation that is no wider than `cap`
+/// and that the CPU has. `cap` is [`cap`] at every public entry; the
+/// crate's tests pass each [`Isa`] in turn to compare the instantiations.
 #[allow(unsafe_code)]
-pub(crate) fn dispatch<B: Body>(allow_avx2: bool, body: B) -> B::Out {
+pub(crate) fn dispatch<B: Body>(cap: Isa, body: B) -> B::Out {
     #[cfg(target_arch = "x86_64")]
-    if allow_avx2 && avx2_detected() {
-        // SAFETY: `run_avx2` requires AVX2, which was just detected on
-        // the running CPU.
-        return unsafe { run_avx2(body) };
+    match cap.min(Isa::detected()) {
+        Isa::Baseline => {}
+        // SAFETY: each wrapper requires exactly the features
+        // `Isa::detected` just found on the running CPU before it
+        // returned that variant.
+        isa => {
+            return unsafe {
+                match isa {
+                    Isa::Avx512 => run_avx512(body),
+                    _ => run_avx2(body),
+                }
+            }
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = allow_avx2;
-    body.run()
+    let _ = cap;
+    body.run(Isa::Baseline)
 }
 
 /// [`Body::run`] compiled with AVX2 enabled: the same safe body, inlined
@@ -58,22 +119,45 @@ pub(crate) fn dispatch<B: Body>(allow_avx2: bool, body: B) -> B::Out {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2<B: Body>(body: B) -> B::Out {
-    body.run()
+    body.run(Isa::Avx2)
 }
 
-/// Which instantiation of the kernels this process runs: `"avx2"` where
-/// the CPU has it, `"baseline"` (the build's target features) otherwise.
+/// [`Body::run`] compiled with AVX-512 enabled: 512-bit vectors, 32 of
+/// them, and the byte → dword widening loads at that width. FMA stays
+/// off here too.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+fn run_avx512<B: Body>(body: B) -> B::Out {
+    body.run(Isa::Avx512)
+}
+
+/// Which instantiation of the kernels this process runs: `"avx512"` or
+/// `"avx2"` where the CPU has it, `"baseline"` (the build's target
+/// features) otherwise.
 pub fn isa() -> &'static str {
-    if avx2_detected() {
-        "avx2"
-    } else {
-        "baseline"
-    }
+    Isa::detected().name()
 }
 
-pub(crate) fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    return false;
+thread_local! {
+    /// What the public entries on this thread pass to [`dispatch`].
+    static CAP: Cell<Isa> = const { Cell::new(Isa::Avx512) };
+}
+
+/// The cap the public entries dispatch under: no cap, outside [`with_cap`].
+pub(crate) fn cap() -> Isa {
+    CAP.get()
+}
+
+/// Run `f` with every kernel entry called on this thread held to
+/// instantiations no wider than `cap`: how `bench_kernels` times each
+/// instantiation the host has through the public API. Not a switch for
+/// serving — results are bit-identical in every instantiation, the
+/// widest is the fastest, and nothing in the workspace calls this but
+/// the bench.
+#[doc(hidden)]
+pub fn with_cap<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
+    let outer = CAP.replace(cap);
+    let out = f();
+    CAP.set(outer);
+    out
 }

@@ -8,7 +8,7 @@
 //! serving engine and in every oracle alike. It is branch-free and
 //! libm-free, made only of IEEE-754 single-precision multiply, add,
 //! subtract, compare-select and bit moves, so it vectorises as written
-//! and the AVX2 and baseline instantiations agree `to_bits()`:
+//! and the AVX-512, AVX2 and baseline instantiations agree `to_bits()`:
 //!
 //! ```text
 //! x  ← clamp(x, −88, 88.37)                    (selects; NaN passes through)
@@ -43,7 +43,7 @@
 //! `p_j = e_j · (1 / sum)`. Attention applies the same row kernel to the
 //! live prefix of each score row ([`mod@crate::attention`]).
 
-use crate::dispatch::{dispatch, Body};
+use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::pack::LANES;
 
 const EXP_LO: f32 = -88.0;
@@ -146,7 +146,7 @@ fn map_lanes<F: Lanewise>(x: &mut [f32], f: F) {
 /// Softmax of one row in place (the row is the whole live prefix).
 #[inline(always)]
 pub(crate) fn softmax_row(row: &mut [f32]) {
-    // Eight running maxima, then their maximum: `max` is exact, so the
+    // `LANES` running maxima, then their maximum: `max` is exact, so the
     // order only decides which of two equal values (or zeros of either
     // sign) wins, and `exp(s − max)` is the same for both.
     let mut lane_max = [f32::NEG_INFINITY; LANES];
@@ -177,7 +177,7 @@ impl Body for GeluBody<'_> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, _: Isa) {
         map_lanes(self.0, Gelu);
     }
 }
@@ -191,7 +191,7 @@ impl Body for SoftmaxBody<'_> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, _: Isa) {
         for row in self.x.chunks_exact_mut(self.cols) {
             softmax_row(row);
         }
@@ -200,7 +200,7 @@ impl Body for SoftmaxBody<'_> {
 
 /// In-place GELU (tanh approximation) of every element of `x`.
 pub fn gelu(x: &mut [f32]) {
-    dispatch(true, GeluBody(x));
+    dispatch(cap(), GeluBody(x));
 }
 
 /// In-place softmax of each `cols`-long row of `x`.
@@ -209,13 +209,13 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
         return;
     }
     assert_eq!(x.len() % cols, 0, "row length must divide the data");
-    dispatch(true, SoftmaxBody { x, cols });
+    dispatch(cap(), SoftmaxBody { x, cols });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{assert_bit_identical, avx2_or_note, pseudo};
+    use crate::testutil::{assert_bit_identical, pseudo, wider_instantiations};
     use proptest::prelude::*;
 
     /// `n` points spread evenly over `[lo, hi]`, ends included.
@@ -320,11 +320,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Both instantiations of `exp`, GELU and the prefix softmax agree
-        /// bit for bit with each other and with the scalar definition,
-        /// whatever the length leaves as a lane tail.
+        /// Every instantiation of `exp`, GELU and the prefix softmax the
+        /// host can run agrees bit for bit with the others and with the
+        /// scalar definition, whatever the length leaves as a lane tail.
         #[test]
-        fn avx2_and_baseline_elementwise_are_bit_identical(
+        fn every_elementwise_instantiation_is_bit_identical(
             len in 1usize..200,
             scale in prop_oneof![Just(0.5f32), Just(8.0), Just(60.0), Just(200.0)],
             seed in 0u64..1000,
@@ -335,21 +335,21 @@ mod tests {
             impl Body for ExpBody<'_> {
                 type Out = ();
                 #[inline(always)]
-                fn run(self) {
+                fn run(self, _: Isa) {
                     map_lanes(self.0, ExpShifted(0.25));
                 }
             }
-            let run = |allow_avx2: bool| {
+            let run = |cap: Isa| {
                 let (mut e, mut g, mut s) = (x.clone(), x.clone(), x.clone());
-                dispatch(allow_avx2, ExpBody(&mut e));
-                dispatch(allow_avx2, GeluBody(&mut g));
+                dispatch(cap, ExpBody(&mut e));
+                dispatch(cap, GeluBody(&mut g));
                 // A finite row: softmax of ±∞ is NaN in both, with no
                 // promise about the NaN's payload.
                 s.iter_mut().for_each(|v| *v = v.clamp(-300.0, 300.0));
-                dispatch(allow_avx2, SoftmaxBody { x: &mut s, cols: len });
+                dispatch(cap, SoftmaxBody { x: &mut s, cols: len });
                 (e, g, s)
             };
-            let (e, g, s) = run(false);
+            let (e, g, s) = run(Isa::Baseline);
             assert_bit_identical(&e, &x.iter().map(|&v| exp(v - 0.25)).collect::<Vec<_>>());
             // −∞ gives NaN: compare where the definition is a number.
             for (got, &u) in g.iter().zip(&x) {
@@ -359,8 +359,8 @@ mod tests {
             let mut want = x.iter().map(|v| v.clamp(-300.0, 300.0)).collect::<Vec<_>>();
             softmax_reference(&mut want);
             assert_bit_identical(&s, &want);
-            if avx2_or_note() {
-                let (e2, g2, s2) = run(true);
+            for isa in wider_instantiations() {
+                let (e2, g2, s2) = run(isa);
                 assert_bit_identical(&e2, &e);
                 assert_bit_identical(&s2, &s);
                 for (a, b) in g2.iter().zip(&g) {

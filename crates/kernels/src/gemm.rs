@@ -22,11 +22,11 @@
 //!   each block picks its body and hands it to the ISA dispatch:
 //!
 //!   rows ≥ MR = 4 — `StagedBlock`, packed or dense
-//!     scratch: PANELS tiles of TILE_K × LANES f32 (4 KB each), the block's accumulators
-//!     for each panel of LANES = 8 output features      ← one f32x8 of accumulators per row
+//!     scratch: PANELS tiles of TILE_K × LANES f32 (8 KB each), the block's accumulators
+//!     for each panel of LANES = 16 output features     ← one f32x16 (or two f32x8) of accumulators per row
 //!       acc[rows][LANES] = 0                           ← block-local, carried between k-tiles
 //!       for each k-tile: one quant group, or TILE_K = 128 steps of a longer one
-//!         fill: tile[kk][lane] = convert(payload)      ← ONCE, 16 or 32 weights per load
+//!         fill: tile[kk][lane] = convert(payload)      ← ONCE, 32 or 64 weights per load
 //!         for each register block of MR rows (then the m % 4 tail, one row each):
 //!           reg[MR][LANES] = acc[rows]
 //!           for kk in tile:                            ← sequential k
@@ -35,36 +35,39 @@
 //!       out[rows][panel's lanes below n] = acc
 //!
 //!   rows < MR, packed — `DecodeBlock`, no scratch
-//!     for each P panels (PANELS = 4 for one row, 2 for two or three; then single ones):
+//!     for each P = PANELS panels (half as many where three rows' accumulators would not fit 16 registers; then single ones):
 //!       acc[P][rows][LANES] = 0                        ← registers, for the whole of k
 //!       for each quant group:                          ← scales and zero points hoisted
-//!         for each 16-byte load of the group, per panel:
+//!         for each 32-byte load of the group, per panel:
 //!           w[2 or 4 k-steps][LANES] = convert(load)   ← registers
 //!           for kk in load, r, lane: acc[p][r][lane] += x[r][kk] * w[kk][lane]
 //!       out[rows][panels' lanes below n] = acc
 //!
 //!   rows < MR, dense — `StagedBlock` with `SHORT`
-//!     as above, but PANELS adjacent panels' tiles are filled
+//!     as above, but PANELS = 4 adjacent panels' tiles are filled
 //!     together and each row sweeps all four at once
 //! ```
 //!
 //! The accumulators of a register block are *independent outputs*, which
 //! is what lets the CPU overlap f32 add latency — parallelism is never
 //! introduced within a single output's reduction. `MR` rows of one panel
-//! give `MR` vector chains; a block with fewer rows would leave one, so
-//! both short bodies turn the block on its side and walk several panels
-//! together: the same ascending-k chain per output, as many chains in
-//! flight.
+//! are `MR` add chains at 512 bits and `2 · MR = 8` at 256 (a multiply–add
+//! pair retires per cycle only with more chains in flight than the add's
+//! latency: the eight-lane panel this replaced left four at 256 bits and
+//! ran the `m = 64` GEMM list 1.2× slower; `MR = 8` at eight lanes
+//! spills). A block with fewer rows would leave one or two, so both short
+//! bodies turn the block on its side and walk several panels together:
+//! the same ascending-k chain per output, as many chains in flight.
 //!
 //! ## One conversion, whole vectors
 //!
 //! [`PackedMatrix`] stores each panel k-major / lane-minor (see
-//! [`crate::pack`]), so 16 payload bytes are two k-steps of int8, or —
+//! [`crate::pack`]), so 32 payload bytes are two k-steps of int8, or —
 //! nibble-packed — four k-steps of int4/int3 (`b & 0x0F` the first two,
 //! `b >> 4` the last two), each already in tile order, and the per-lane
-//! scale and zero point repeat with period 8. `convert` is the one place
-//! a packed weight becomes an `f32`: a fixed-size `[u8; 16] → [f32; 16]`
-//! or `[f32; 32]` body — widen (and split the nibbles of the widened
+//! scale and zero point repeat with period 16. `convert` is the one place
+//! a packed weight becomes an `f32`: a fixed-size `[u8; 32] → [f32; 32]`
+//! or `[f32; 64]` body — widen (and split the nibbles of the widened
 //! lanes), subtract, convert, multiply — that the compiler turns into
 //! straight vector code with no cross-lane move, the widening load
 //! straight from the payload. The staged fill is "convert, then store"; the decode
@@ -77,21 +80,33 @@
 //! no narrow tail instantiation.
 //!
 //! Whether a body compiled to that is a question for timings and
-//! `--emit asm`, not for its source shape (see the notes in `convert`
-//! and `fill_packed`): in the AVX2 instantiation of `StagedBlock` and
-//! `DecodeBlock` every hot loop should hold one `vpmovsxbd` (int8) or
-//! half a `vpmovzxbd` (nibbles) per `vcvtdq2ps`, taken from memory, no
-//! `vpinsrb`, no `cvtsi2ss`, and no accumulator on the stack.
+//! `--emit asm`, not for its source shape (see the notes in `convert`,
+//! `fill_packed` and the dense `fill`): in the AVX-512 instantiation of
+//! `StagedBlock` and `DecodeBlock` every hot loop should hold one
+//! `vpmovsxbd zmm` (int8) or half a `vpmovzxbd zmm` (nibbles, then
+//! `vpandd` / `vpsrld` on the dwords) per `vcvtdq2ps zmm`, taken from
+//! memory; in the AVX2 one the same on `ymm`; in neither a `vpsrlw` (a
+//! nibble split on bytes), a `vpinsrb`, a `cvtsi2ss`, a call
+//! (`array::map` and `array::from_fn` can be one: called code is
+//! baseline-ISA code) or an accumulator on the stack — and no gather or
+//! scatter in the dense fill, which is scalar moves by design.
 //!
-//! ## Two instantiations of each body
+//! ## Three instantiations of each body
 //!
 //! The bodies are safe, intrinsic-free generic Rust, run per row block
 //! through the crate's one ISA dispatch ([`crate::dispatch`]): each is
-//! compiled once for the build's baseline ISA and once at 256-bit width,
-//! chosen by run-time feature detection. [`crate::isa`] reports the
-//! choice. The decode body is a `Body` of its own rather than a branch
-//! of `StagedBlock`: inlined beside the `MR × 1` path it changed that
-//! path's register allocation and cost the `m = 64` GEMM 30 %.
+//! compiled once for the build's baseline ISA, once at 256-bit width and
+//! once at 512, and the widest the CPU has is chosen by run-time feature
+//! detection. [`crate::isa`] reports the choice. The decode body is a
+//! `Body` of its own rather than a branch of `StagedBlock`: inlined
+//! beside the `MR × 1` path it changed that path's register allocation
+//! and cost the `m = 64` GEMM 30 %. It is also the one body that asks
+//! which instantiation it is in — for how many panels its accumulators
+//! may span, 32 `zmm` against 16 `ymm` — and nothing else does.
+//! (Short blocks are where the number of *streams* shows, too: a panel
+//! of payload is one, a weight row of the dense fill is one, and a large
+//! weight wants several in flight but not dozens — `PANELS`,
+//! `WEIGHT_PANELS`.)
 //!
 //! ## Rows that live elsewhere
 //!
@@ -102,7 +117,10 @@
 //! staged or swept). That is all QKᵀ of attention needs to be this
 //! kernel with the cached keys as the weight, read where they live — a
 //! contiguous cache, one head's column slice of it, or a paged block
-//! chain ([`mod@crate::attention`]).
+//! chain ([`mod@crate::attention`]). A dense weight that meets short
+//! blocks over and over (the LM head: one row per decode step) can be
+//! kept as [`DensePanels`] instead, the tile layout itself, so that
+//! staging it is a copy and not a transpose.
 //!
 //! ## Bit-exactness
 //!
@@ -123,10 +141,10 @@
 //! Vector width does not change it either: lanes are distinct outputs,
 //! every operation is an IEEE-754 single-precision multiply, add or exact
 //! integer conversion, and FMA is not enabled, so no multiply-add is
-//! contracted — the AVX2 and baseline instantiations agree `to_bits()`
-//! for `to_bits()`.
+//! contracted — the AVX-512, AVX2 and baseline instantiations agree
+//! `to_bits()` for `to_bits()`.
 
-use crate::dispatch::{dispatch, Body};
+use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::pack::{PackBits, PackedMatrix, LANES, NIBBLE_BIAS, UNIT_BYTES, UNIT_K};
 use rayon::prelude::*;
 
@@ -134,16 +152,29 @@ use rayon::prelude::*;
 /// registers while one weight tile streams past them.
 pub(crate) const MR: usize = 4;
 
-/// k-steps per scratch tile (`TILE_K × LANES` f32 = 4 KB, L1-resident).
+/// k-steps per scratch tile (`TILE_K × LANES` f32 = 8 KB, L1-resident).
 /// A quant group longer than this is swept in `TILE_K` pieces, still in
 /// ascending k.
 const TILE_K: usize = 128;
 
-/// Panels walked together when a block has fewer than `MR` rows.
+/// Most panels a block of fewer than `MR` rows walks together: 64 outputs
+/// in flight, four 512-bit add chains or eight 256-bit ones per row, and
+/// for a packed weight four streams of payload.
 pub(crate) const PANELS: usize = 4;
+
+/// Panels a short block over a dense *weight* walks together. Every
+/// lane of a tile is a stream of its own through the weight's memory, and
+/// past 32 of them the fill of a large matrix slows more than the extra
+/// add chains gain (64 rows together ran the 4096² dense `m = 1` call 2×
+/// slower than 32). Cached keys are short rows of one sequence;
+/// attention's short blocks take all `PANELS`.
+const WEIGHT_PANELS: usize = PANELS / 2;
 
 /// Activation rows per parallel chunk of `out`.
 pub(crate) const ROW_BLOCK: usize = 64;
+
+/// Weight rows the transposing dense fill walks together.
+const FILL_ROWS: usize = 8;
 
 /// Payload bytes one [`convert`] call reads: [`INT8_K`] k-steps of int8,
 /// or one nibble unit — `UNIT_K` k-steps of int4/int3.
@@ -168,7 +199,7 @@ pub fn qgemm_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
 /// deserialized [`PackedMatrix`] can be one).
 pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
     w.check_shape();
-    gemm_blocked(x, m, w, out, true);
+    gemm_blocked(x, m, w, out, cap());
 }
 
 /// Dense `out = x · wᵀ` through the same blocked kernel: `w` is `n × k`
@@ -178,7 +209,7 @@ pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
 pub fn gemm_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
     assert_eq!(w.len(), n * k, "weight shape mismatch");
     let mut out = vec![0.0f32; m * n];
-    gemm_blocked(x, m, &DenseWeight { row: |j| &w[j * k..][..k], n, k, causal_past: None }, &mut out, true);
+    gemm_blocked(x, m, &DenseWeight { row: |j| &w[j * k..][..k], n, k, causal_past: None }, &mut out, cap());
     out
 }
 
@@ -205,8 +236,14 @@ pub(crate) trait TileSource {
     fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]);
     /// One contiguous row block of fewer than `MR` rows (`out` is its
     /// `rows × n` outputs, `x` starts at its first row), through the ISA
-    /// dispatch.
-    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]);
+    /// dispatch: staged like any other block, `WEIGHT_PANELS` panels'
+    /// tiles swept together, unless the source has a body of its own.
+    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32])
+    where
+        Self: Sized,
+    {
+        dispatch(cap, StagedBlock::<_, true> { x, w: self, out });
+    }
 }
 
 /// Per-row-block staging buffers, L1-resident. Cache-line aligned so
@@ -260,19 +297,88 @@ impl<'a, F: Fn(usize) -> &'a [f32]> TileSource for DenseWeight<F> {
         static ZEROS: [f32; TILE_K] = [0.0; TILE_K];
         let (steps, _) = tile.as_chunks_mut::<LANES>();
         let klen = steps.len();
-        // Lanes past `n` stage zeros.
-        let rows: [&[f32]; LANES] = std::array::from_fn(|lane| match panel * LANES + lane {
-            j if j < self.n => &(self.row)(j)[k_lo..][..klen],
-            _ => &ZEROS[..klen],
-        });
-        for (kk, step) in steps.iter_mut().enumerate() {
-            *step = std::array::from_fn(|lane| rows[lane][kk]);
+        // `FILL_ROWS` weight rows at a time, each walked along k: that
+        // many row pointers fit the general registers, `LANES` of them do
+        // not. The rows are cut to `klen` in a loop written out here —
+        // `array::from_fn` is a call, made once per tile, that leaves the
+        // eight lengths in memory and a bounds check per element behind.
+        for part in 0..LANES / FILL_ROWS {
+            // Lanes past `n` stage zeros.
+            let mut rows: [&[f32]; FILL_ROWS] = [&[]; FILL_ROWS];
+            for (lane, row) in rows.iter_mut().enumerate() {
+                *row = match panel * LANES + part * FILL_ROWS + lane {
+                    j if j < self.n => &(self.row)(j)[k_lo..][..klen],
+                    _ => &ZEROS[..klen],
+                };
+            }
+            for (kk, step) in steps.iter_mut().enumerate() {
+                for (lane, row) in rows.iter().enumerate() {
+                    step[part * FILL_ROWS + lane] = row[kk];
+                }
+                // An opaque use of the step, for the machine code and
+                // nothing else: with AVX-512 in reach the loop vectoriser
+                // otherwise walks sixteen k-steps of one row at a time
+                // and scatters them (`vscatterdps`; the LM head at
+                // `m = 1` ran 1.5× slower than these scalar moves).
+                std::hint::black_box(&*step);
+            }
         }
     }
+}
 
-    /// Staged like any other block, four panels' tiles swept together.
-    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]) {
-        dispatch(allow_avx2, StagedBlock::<_, true> { x, w: self, out });
+/// A dense `f32` weight (`n × k`) kept the way the staged kernel reads
+/// it — panels of `LANES` output features, k-major / lane-minor, the
+/// last panel padded with zeros — so that staging a tile is a plain copy
+/// where a row-major weight pays a transpose. Worth its `n × k` floats
+/// for a weight that meets short blocks again and again (the LM head at
+/// every decode step); the values, and so every output bit, are those of
+/// [`gemm_t`] on the rows it was made from. The layout is private.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DensePanels {
+    n: usize,
+    k: usize,
+    /// `[panel][k][lane]`.
+    data: Vec<f32>,
+}
+
+impl DensePanels {
+    /// The panel copy of `w`, `n × k` row-major.
+    pub fn new(w: &[f32], n: usize, k: usize) -> Self {
+        assert_eq!(w.len(), n * k, "weight shape mismatch");
+        let mut data = vec![0.0f32; n.div_ceil(LANES) * k * LANES];
+        for (j, row) in w.chunks_exact(k.max(1)).enumerate() {
+            for (kk, &v) in row.iter().enumerate() {
+                data[(j / LANES * k + kk) * LANES + j % LANES] = v;
+            }
+        }
+        Self { n, k, data }
+    }
+
+    /// `out = x · wᵀ` (`m × n`, row-major) for `x` of `m × k`:
+    /// bit-identical to [`gemm_t`] on the row-major weight.
+    pub fn gemm_t(&self, x: &[f32], m: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * self.n];
+        gemm_blocked(x, m, self, &mut out, cap());
+        out
+    }
+}
+
+impl TileSource for DensePanels {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn group(&self) -> usize {
+        TILE_K
+    }
+
+    #[inline(always)]
+    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]) {
+        tile.copy_from_slice(&self.data[(panel * self.k + k_lo) * LANES..][..tile.len()]);
     }
 }
 
@@ -299,8 +405,8 @@ impl TileSource for PackedMatrix {
     }
 
     /// Convert and accumulate in registers: nothing is staged.
-    fn short_block(&self, allow_avx2: bool, x: &[f32], out: &mut [f32]) {
-        dispatch(allow_avx2, DecodeBlock { x, w: self, out });
+    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32]) {
+        dispatch(cap, DecodeBlock { x, w: self, out });
     }
 }
 
@@ -310,23 +416,45 @@ impl TileSource for PackedMatrix {
 /// `S = INT8_K` is int8 (the bytes are two k-steps), `S = UNIT_K` the
 /// nibble precisions (the low nibbles are the unit's first two k-steps,
 /// the high nibbles its last two). `z` and `s` are a [`group_state`]. Fixed-size,
-/// and `q` by value so that all sixteen byte loads precede the first
+/// and `q` by value so that all `LOAD` byte loads precede the first
 /// store (the payload may alias `out` as far as the optimiser can tell
 /// once this is inlined): that is what compiles it to whole-vector code.
 #[inline(always)]
 fn convert<const S: usize>(q: [u8; LOAD], z: &[i32; LANES], s: &[f32; LANES], out: &mut [[f32; LANES]; S]) {
+    let wide = widen::<S>(q);
     for (step, w) in out.iter_mut().enumerate() {
-        for lane in 0..LANES {
-            let b = q[step % INT8_K * LANES + lane];
-            // An int8 byte is the grid value itself. A nibble is `q + 8`,
-            // kept unsigned (`z` carries the same bias, and `(q + 8) −
-            // (z + 8)` is `q − z` exactly), and is split off *after* the
-            // byte is widened: a shift of 32-bit lanes is one instruction,
-            // a shift of bytes is two.
-            let u = if S == INT8_K { b as i8 as i32 } else { (b as i32 >> (step / INT8_K * 4)) & 0x0F };
-            w[lane] = ((u - z[lane]) as f32) * s[lane];
-        }
+        *w = convert_step::<S>(&wide, step, z, s);
     }
+}
+
+/// The bytes of one load as 32-bit lanes, a pass of its own. An int8 byte
+/// is the grid value itself. A nibble is `q + 8`, kept unsigned (`z`
+/// carries the same bias, and `(q + 8) − (z + 8)` is `q − z` exactly),
+/// and is split off *after* its byte is widened: a shift of 32-bit lanes
+/// is one instruction, a shift of bytes is two. Written as one expression
+/// per weight — widen, shift, mask — the sixteen-lane body has the split
+/// narrowed back to bytes, eight at a time (`vpsrlw` + `vpand` on `xmm`,
+/// then a widen from a register: twice the instructions before the
+/// subtraction, `m = 1` int4 6 % slower than at eight lanes).
+#[inline(always)]
+fn widen<const S: usize>(q: [u8; LOAD]) -> [i32; LOAD] {
+    let mut wide = [0i32; LOAD];
+    for (w, b) in wide.iter_mut().zip(q) {
+        *w = if S == INT8_K { b as i8 as i32 } else { b as i32 };
+    }
+    wide
+}
+
+/// k-step `step` of a widened load, dequantized.
+#[inline(always)]
+fn convert_step<const S: usize>(wide: &[i32; LOAD], step: usize, z: &[i32; LANES], s: &[f32; LANES]) -> [f32; LANES] {
+    let mut w = [0.0f32; LANES];
+    for lane in 0..LANES {
+        let b = wide[step % INT8_K * LANES + lane];
+        let u = if S == INT8_K { b } else { (b >> (step / INT8_K * 4)) & 0x0F };
+        w[lane] = ((u - z[lane]) as f32) * s[lane];
+    }
+    w
 }
 
 /// Per-lane dequant state of one `(panel, group)`: zero points (with the
@@ -396,9 +524,9 @@ fn fill_packed<const S: usize>(w: &PackedMatrix, panel: usize, k_lo: usize, tile
 
 /// The blocked GEMM: every `m`, packed or dense. Each row block picks
 /// its body — [`StagedBlock`], or the weight's own body for a block of
-/// fewer than `MR` rows. `allow_avx2` is `true` outside the tests that
-/// pin the baseline instantiation to compare the two.
-fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32], allow_avx2: bool) {
+/// fewer than `MR` rows — and runs it in the widest instantiation within
+/// `cap`.
+fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32], cap: Isa) {
     let (n, k) = (w.n(), w.k());
     assert_eq!(x.len(), m * k, "activation shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
@@ -408,9 +536,9 @@ fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32
     out.par_chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
         let x = &x[b * ROW_BLOCK * k..];
         if out.len() < MR * n {
-            w.short_block(allow_avx2, x, out);
+            w.short_block(cap, x, out);
         } else {
-            dispatch(allow_avx2, StagedBlock::<_, false> { x, w, out });
+            dispatch(cap, StagedBlock::<_, false> { x, w, out });
         }
     });
 }
@@ -430,11 +558,11 @@ impl<W: TileSource, const SHORT: bool> Body for StagedBlock<'_, W, SHORT> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, _: Isa) {
         let (n, k) = (self.w.n(), self.w.k());
         let (rows, scratch) = (self.out.len() / n, &mut Scratch::new());
         if SHORT {
-            row_block(self.x, k, self.w, self.out, n, rows, scratch);
+            row_block::<WEIGHT_PANELS, W>(self.x, k, self.w, self.out, n, rows, scratch);
         } else {
             single_panels(self.x, k, self.w, 0, self.out, n, rows, scratch);
         }
@@ -446,7 +574,7 @@ impl<W: TileSource, const SHORT: bool> Body for StagedBlock<'_, W, SHORT> {
 /// and the rows `i ≥ w.first_row(j)`; other outputs are left as they
 /// were.
 #[inline(always)]
-pub(crate) fn row_block<W: TileSource>(
+pub(crate) fn row_block<const P: usize, W: TileSource>(
     x: &[f32],
     ldx: usize,
     w: &W,
@@ -459,12 +587,12 @@ pub(crate) fn row_block<W: TileSource>(
     let mut j = 0;
     // The register block is `MR` rows of one panel. A block with fewer
     // rows than that (decode) would leave one add chain per vector, so
-    // it takes one row of `PANELS` panels instead: as many independent
-    // chains, and every output still sums in ascending k.
+    // it takes one row of `P ≤ PANELS` panels instead: as many
+    // independent chains, and every output still sums in ascending k.
     if rows < MR {
-        while j + PANELS * LANES <= n {
-            lane_panels::<1, PANELS, W>(x, ldx, w, j, out, ldo, rows, scratch);
-            j += PANELS * LANES;
+        while j + P * LANES <= n {
+            lane_panels::<1, P, W>(x, ldx, w, j, out, ldo, rows, scratch);
+            j += P * LANES;
         }
     }
     single_panels(x, ldx, w, j, out, ldo, rows, scratch);
@@ -580,23 +708,32 @@ impl Body for DecodeBlock<'_> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, isa: Isa) {
         let Self { x, w, out } = self;
-        match (w.bits, out.len() / w.rows) {
-            (PackBits::Int8, 1) => decode_block::<INT8_K, 1, PANELS>(x, w, out),
-            (PackBits::Int8, 2) => decode_block::<INT8_K, 2, { PANELS / 2 }>(x, w, out),
-            (PackBits::Int8, _) => decode_block::<INT8_K, 3, { PANELS / 2 }>(x, w, out),
-            (PackBits::Int3 | PackBits::Int4, 1) => decode_block::<UNIT_K, 1, PANELS>(x, w, out),
-            (PackBits::Int3 | PackBits::Int4, 2) => decode_block::<UNIT_K, 2, { PANELS / 2 }>(x, w, out),
-            (PackBits::Int3 | PackBits::Int4, _) => decode_block::<UNIT_K, 3, { PANELS / 2 }>(x, w, out),
+        // `PANELS` panels together: each is a stream of payload for the
+        // prefetchers to run ahead on (with two where this takes four,
+        // 4096² at `m = 1` ran 1.3–1.5× slower) and `R` rows of
+        // accumulators. Three rows of four panels are 12 `zmm` but 24
+        // `ymm`, which is more than there are (int8 on the cache-resident
+        // `ref256x4` list: 10–40 % slower than with two panels).
+        let fits = isa == Isa::Avx512;
+        match (w.bits, out.len() / w.rows, fits) {
+            (PackBits::Int8, 1, _) => decode_block::<INT8_K, 1, PANELS>(x, w, out),
+            (PackBits::Int8, 2, _) => decode_block::<INT8_K, 2, PANELS>(x, w, out),
+            (PackBits::Int8, _, true) => decode_block::<INT8_K, 3, PANELS>(x, w, out),
+            (PackBits::Int8, _, false) => decode_block::<INT8_K, 3, { PANELS / 2 }>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 1, _) => decode_block::<UNIT_K, 1, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 2, _) => decode_block::<UNIT_K, 2, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, _, true) => decode_block::<UNIT_K, 3, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, _, false) => decode_block::<UNIT_K, 3, { PANELS / 2 }>(x, w, out),
         }
     }
 }
 
 /// `R < MR` rows against every panel, `P` at a time and then the rest
-/// one by one: `R × P` independent vector chains — at least `PANELS`,
-/// where one row of one panel would leave a single one — that still fit
-/// the register file beside the weights being converted.
+/// one by one: `R × P` panels' worth of independent add chains — where
+/// one row of one panel would leave one or two — that still fit the
+/// register file beside the weights being converted.
 #[inline(always)]
 fn decode_block<const S: usize, const R: usize, const P: usize>(x: &[f32], w: &PackedMatrix, out: &mut [f32]) {
     let panels = w.rows.div_ceil(LANES);
@@ -657,9 +794,19 @@ fn decode_panels<const S: usize, const R: usize, const P: usize>(
             for r in 0..R {
                 xi[r] = xs[r][i];
             }
-            for p in 0..P {
-                mac_load::<S, R>(loads[p][i], &z[p], &s[p], &xi, 0, S, &mut acc[p]);
+            // The panels, written out. As `for p in 0..P` the nibble body
+            // is too large for the unroller: the loop stays a loop,
+            // `acc[p]` is indexed at run time and so lives in memory, and
+            // 4096² int4 at `m = 1` runs 20 % slower.
+            macro_rules! panel {
+                ($($p:literal)*) => {$(
+                    if $p < P {
+                        mac_load::<S, R>(loads[$p][i], &z[$p], &s[$p], &xi, 0, S, &mut acc[$p]);
+                    }
+                )*};
             }
+            const { assert!(P <= PANELS) };
+            panel!(0 1 2 3);
         }
         if body < k_hi {
             mac_part::<S, R, P>(&payload, &z, &s, x, k, body, k_hi, &mut acc);
@@ -707,6 +854,7 @@ fn mac_part<const S: usize, const R: usize, const P: usize>(
 /// k-steps `[a, b)` of the `S` it holds, `xi[r][step]` the activation
 /// of row `r` at that k-step.
 #[inline(always)]
+#[allow(clippy::needless_range_loop)] // `step` is a k-step of the load, not an index into one slice
 fn mac_load<const S: usize, const R: usize>(
     q: [u8; LOAD],
     z: &[i32; LANES],
@@ -716,12 +864,14 @@ fn mac_load<const S: usize, const R: usize>(
     b: usize,
     acc: &mut [[f32; LANES]; R],
 ) {
-    let mut w = [[0.0f32; LANES]; S];
-    convert::<S>(q, z, s, &mut w);
+    // A k-step at a time, so that no more than one step's weights are
+    // live beside the accumulators.
+    let wide = widen::<S>(q);
     for step in a..b {
+        let w = convert_step::<S>(&wide, step, z, s);
         for r in 0..R {
             for lane in 0..LANES {
-                acc[r][lane] += xi[r][step] * w[step][lane];
+                acc[r][lane] += xi[r][step] * w[lane];
             }
         }
     }
@@ -731,7 +881,7 @@ fn mac_load<const S: usize, const R: usize>(
 mod tests {
     use super::*;
     use crate::pack::quantize_packed;
-    use crate::testutil::{assert_bit_identical, avx2_or_note, pseudo};
+    use crate::testutil::{assert_bit_identical, pseudo, wider_instantiations};
     use proptest::prelude::*;
 
     /// Scalar dequantize-then-matmul_t reference: the exact accumulation
@@ -795,41 +945,47 @@ mod tests {
         assert_bit_identical(&qgemm_t(&x, 1, &w), &reference(&x, 1, &w));
     }
 
-    /// The whole GEMM with the baseline instantiation pinned, or not.
-    fn run<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, allow_avx2: bool) -> Vec<f32> {
+    /// The whole GEMM in the widest instantiation within `cap`.
+    fn run<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, cap: Isa) -> Vec<f32> {
         let mut out = vec![f32::NAN; m * w.n()];
-        gemm_blocked(x, m, w, &mut out, allow_avx2);
+        gemm_blocked(x, m, w, &mut out, cap);
         out
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The two instantiations of each body agree bit for bit, and
-        /// with the scalar oracle: `m` crosses the register and row
-        /// blocks, `n` leaves a partial panel, `k` is odd, and the groups
-        /// include one that splits nibble units and one longer than a tile.
+        /// Every instantiation of each body the host can run agrees bit
+        /// for bit with the baseline one, and that with the scalar
+        /// oracle: `m` crosses the register and row blocks, `n` leaves a
+        /// partial panel on either side of one, two and three whole ones,
+        /// `k` is odd, and the groups include one that splits nibble
+        /// units and one longer than a tile. The k-major copy of the
+        /// dense weight gives what the row-major one does.
         #[test]
-        fn avx2_and_baseline_instantiations_are_bit_identical(
+        fn every_instantiation_is_bit_identical(
             bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4), Just(PackBits::Int8)],
             m in 1usize..=70,
-            panels in 0usize..6,
-            tail in 1usize..8,
+            panels in 0usize..4,
+            tail in 1usize..=LANES,
             half_k in 0usize..135,
             group_choice in 0usize..5,
             seed in 0u64..1000,
         ) {
-            let (n, k) = (8 * panels + tail, 2 * half_k + 1);
+            let (n, k) = (LANES * panels + tail, 2 * half_k + 1);
             let data = pseudo(n * k, seed);
             let packed = quantize_packed(&data, n, k, bits, [3, 16, 64, 192, k][group_choice]);
             let dense = DenseWeight { row: |j| &data[j * k..][..k], n, k, causal_past: None };
+            let copy = DensePanels::new(&data, n, k);
             let x = pseudo(m * k, seed ^ 0x3C3C);
-            let base_packed = run(&x, m, &packed, false);
-            let base_dense = run(&x, m, &dense, false);
+            let base_packed = run(&x, m, &packed, Isa::Baseline);
+            let base_dense = run(&x, m, &dense, Isa::Baseline);
             assert_bit_identical(&base_packed, &reference(&x, m, &packed));
-            if avx2_or_note() {
-                assert_bit_identical(&run(&x, m, &packed, true), &base_packed);
-                assert_bit_identical(&run(&x, m, &dense, true), &base_dense);
+            assert_bit_identical(&run(&x, m, &copy, Isa::Baseline), &base_dense);
+            for isa in wider_instantiations() {
+                assert_bit_identical(&run(&x, m, &packed, isa), &base_packed);
+                assert_bit_identical(&run(&x, m, &dense, isa), &base_dense);
+                assert_bit_identical(&run(&x, m, &copy, isa), &base_dense);
             }
         }
     }
@@ -837,16 +993,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The decode body's two instantiations agree bit for bit, and
-        /// with the scalar oracle, on an asymmetric grid: nonzero zero
-        /// points, `m` on both sides of `MR`, `n` up to several
-        /// four-panel sweeps plus single panels plus a partial one, odd
-        /// and even `k`, groups that split a payload load.
+        /// The decode body's instantiations agree bit for bit, and the
+        /// baseline one with the scalar oracle, on an asymmetric grid:
+        /// nonzero zero points, `m` on both sides of `MR`, `n` up to
+        /// several multi-panel sweeps plus single panels plus a partial
+        /// one, odd and even `k`, groups that split a payload load.
         #[test]
-        fn avx2_and_baseline_decode_bodies_are_bit_identical(
+        fn every_decode_instantiation_is_bit_identical(
             bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4), Just(PackBits::Int8)],
             m in 1usize..=6,
-            n in 1usize..=110,
+            n in 1usize..=220,
             k in 1usize..=200,
             group_choice in 0usize..6,
             seed in 0u64..1000,
@@ -858,10 +1014,10 @@ mod tests {
             let zeros: Vec<i8> = pseudo(n * gpr, seed ^ 0xB2).iter().map(|v| (v * 127.0) as i8).collect();
             let w = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros);
             let x = pseudo(m * k, seed ^ 0x3C3C);
-            let base = run(&x, m, &w, false);
+            let base = run(&x, m, &w, Isa::Baseline);
             assert_bit_identical(&base, &reference(&x, m, &w));
-            if avx2_or_note() {
-                assert_bit_identical(&run(&x, m, &w, true), &base);
+            for isa in wider_instantiations() {
+                assert_bit_identical(&run(&x, m, &w, isa), &base);
             }
         }
     }

@@ -32,8 +32,8 @@
 //!    representation, or when a row is computed alone or in a block.
 //!    [`gemm_t`] runs dense weights through the same kernel.
 //! 2. **Whole-vector conversion.** The payload is stored as
-//!    lane-interleaved panels — eight output features, k-major /
-//!    lane-minor — so turning it into `f32` is "load 16 bytes, (split
+//!    lane-interleaved panels — sixteen output features, k-major /
+//!    lane-minor — so turning it into `f32` is "load 32 bytes, (split
 //!    nibbles,) widen, convert, scale" with per-group scales hoisted out
 //!    of the loop and no cross-lane move, and the result is either stored
 //!    to a tile that a block of rows sweeps (prefill) or multiplied and
@@ -42,13 +42,14 @@
 //!    edition. The layout is private to this crate; callers address
 //!    weights by `(row, col)`.
 //!
-//! Every kernel is one safe, intrinsic-free body compiled twice on
-//! `x86_64` — for the build's baseline ISA and for AVX2 — and chosen per
-//! call (per row block in the GEMM) by run-time feature detection
-//! ([`isa`] says which). That dispatch ([`dispatch`]) is
-//! the workspace's only `unsafe` block: this crate denies `unsafe_code`
-//! with one `#[allow]` on the dispatch function, and every other
-//! workspace crate forbids it. The two instantiations agree `to_bits()`.
+//! Every kernel is one safe, intrinsic-free body compiled three times on
+//! `x86_64` — for the build's baseline ISA, for AVX2 and for AVX-512 —
+//! and the widest the CPU has is chosen per call (per row block in the
+//! GEMM) by run-time feature detection ([`isa`] says which). That
+//! dispatch ([`dispatch`]) is the workspace's only `unsafe` block: this
+//! crate denies `unsafe_code` with one `#[allow]` on the dispatch
+//! function, and every other workspace crate forbids it. The three
+//! instantiations agree `to_bits()`.
 //!
 //! The crate is dependency-free (vendored `rayon`/`serde` only) so it
 //! sits *below* `llmpq-model` in the workspace graph: the reference
@@ -65,7 +66,7 @@ pub mod pack;
 mod testutil;
 
 pub use attention::attention;
-pub use dispatch::isa;
+pub use dispatch::{isa, Isa};
 pub use elementwise::{exp, gelu, softmax_rows};
-pub use gemm::{gemm_t, qgemm_t, qgemm_t_into};
+pub use gemm::{gemm_t, qgemm_t, qgemm_t_into, DensePanels};
 pub use pack::{quantize_packed, PackBits, PackedMatrix, DEFAULT_GROUP};

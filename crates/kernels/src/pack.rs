@@ -4,27 +4,28 @@
 //! ## Layout
 //!
 //! A [`PackedMatrix`] stores an `(out_features × in_features)` weight as
-//! **lane-interleaved panels**. A panel is `LANES = 8` consecutive
-//! output features (the last panel is padded with grid zeros at scale 0),
+//! **lane-interleaved panels**. A panel is `LANES = 16` consecutive
+//! output features (the last panel is padded with grid zeros at scale 0)
+//! — one 512-bit vector of `f32` accumulators, or two 256-bit ones —
 //! stored k-major / lane-minor, so the bytes the fused kernel needs for
-//! one k-step of all eight lanes are adjacent and converting them is
-//! "load 16 bytes, widen, convert, scale" — whole vectors, no cross-lane
+//! one k-step of all sixteen lanes are adjacent and converting them is
+//! "load 32 bytes, widen, convert, scale" — whole vectors, no cross-lane
 //! move:
 //!
 //! ```text
-//! int8     panel p, k-step k, lane l  →  byte (p·K + k)·8 + l
+//! int8     panel p, k-step k, lane l  →  byte (p·K + k)·16 + l
 //!
-//!          | k=0: l0 l1 … l7 | k=1: l0 l1 … l7 | k=2: … |      1 byte / weight
+//!          | k=0: l0 l1 … l15 | k=1: l0 l1 … l15 | k=2: … |    1 byte / weight
 //!
-//! int4/3   panel p, unit u = k / 4 (16 bytes, 4 k-steps × 8 lanes):
+//! int4/3   panel p, unit u = k / 4 (32 bytes, 4 k-steps × 16 lanes):
 //!          byte b of the unit holds value b      in its low nibble
-//!                              and value b + 16  in its high nibble,
-//!          where value v of a unit is (k-step 4u + v / 8, lane v % 8)
+//!                              and value b + 32  in its high nibble,
+//!          where value v of a unit is (k-step 4u + v / 16, lane v % 16)
 //!
-//!          lo: | k=4u: l0 … l7 | k=4u+1: l0 … l7 |               1 byte / 2 weights
-//!          hi: | k=4u+2: l0 … l7 | k=4u+3: l0 … l7 |
+//!          lo: | k=4u: l0 … l15 | k=4u+1: l0 … l15 |             1 byte / 2 weights
+//!          hi: | k=4u+2: l0 … l15 | k=4u+3: l0 … l15 |
 //!
-//!          so `b & 0x0F` over the 16 bytes is k-steps 4u, 4u+1 and
+//!          so `b & 0x0F` over the 32 bytes is k-steps 4u, 4u+1 and
 //!          `b >> 4` is k-steps 4u+2, 4u+3, each already in tile order.
 //!          K is padded to a multiple of 4 with grid zeros.
 //! scales   `[panel][group][lane]`, one f32 per (row, group)
@@ -34,7 +35,11 @@
 //! The layout is private to this crate: everything outside addresses a
 //! weight by `(row, col)` through [`PackedMatrix::get_q`],
 //! [`PackedMatrix::scale`], [`PackedMatrix::zero`] and
-//! [`PackedMatrix::unpack`].
+//! [`PackedMatrix::unpack`]. A serialized matrix carries its panel width
+//! (`lanes`; absent means 8, the width before the field existed) and the
+//! kernels refuse one laid out at another width: when `rows` is a
+//! multiple of both widths every buffer has the same length under
+//! either, so the lengths alone cannot tell.
 //!
 //! Each row is divided into `ceil(cols / group)` groups of `group`
 //! consecutive `k` positions (the last group may be short). A stored
@@ -112,9 +117,16 @@ impl std::fmt::Display for PackBits {
     }
 }
 
-/// Output features per panel: the eight independent accumulator chains
-/// the fused kernel keeps per activation row.
-pub(crate) const LANES: usize = 8;
+/// Output features per panel: the sixteen independent accumulator
+/// chains the fused kernel keeps per activation row — one 512-bit vector
+/// or two 256-bit ones.
+pub(crate) const LANES: usize = 16;
+
+/// Panel width of a serialized matrix that does not say: what `LANES`
+/// was before the `lanes` field existed.
+fn lanes_before_the_field() -> usize {
+    8
+}
 
 /// k-steps per nibble unit.
 pub(crate) const UNIT_K: usize = 4;
@@ -138,6 +150,10 @@ pub struct PackedMatrix {
     pub bits: PackBits,
     /// Group length along `k`; the last group of a row may be short.
     pub group: usize,
+    /// Panel width the buffers below are laid out at: `LANES` for every
+    /// matrix this build constructs.
+    #[serde(default = "lanes_before_the_field")]
+    lanes: usize,
     /// Packed payload, one run per panel (see module docs).
     payload: Vec<u8>,
     /// One scale per `(row, group)`, `[panel][group][lane]`.
@@ -216,7 +232,7 @@ impl PackedMatrix {
                 panel_zeros[i] = zeros[r * gpr + g];
             }
         }
-        Self { rows, cols, bits, group, payload, scales: panel_scales, zeros: panel_zeros }
+        Self { rows, cols, bits, group, lanes: LANES, payload, scales: panel_scales, zeros: panel_zeros }
     }
 
     /// Pack raw grid values that carry one scale per *row* (the repo's
@@ -287,7 +303,7 @@ impl PackedMatrix {
     }
 
     /// Resident bytes of this matrix: payload + scales + zeros, padding
-    /// of the last panel (at most 7 rows) included.
+    /// of the last panel (at most `LANES − 1` rows) included.
     pub fn resident_bytes(&self) -> usize {
         self.payload.len() + self.scales.len() * 4 + self.zeros.len()
     }
@@ -298,12 +314,18 @@ impl PackedMatrix {
         self.rows * self.cols * 4
     }
 
-    /// Panic unless every buffer has the length the public shape fields
-    /// imply. The constructors guarantee it; a deserialized matrix (the
-    /// fields are public and the type derives `Deserialize`) need not,
-    /// and the kernels index by shape.
+    /// Panic unless the buffers are laid out at this build's panel width
+    /// and every one has the length the public shape fields imply. The
+    /// constructors guarantee it; a deserialized matrix (the fields are
+    /// public and the type derives `Deserialize`) need not, and the
+    /// kernels index by shape.
     pub(crate) fn check_shape(&self) {
         assert!(self.group > 0, "packed weight shape mismatch: group is 0");
+        assert!(
+            self.lanes == LANES,
+            "packed weight shape mismatch: laid out in panels of {}, the kernels read panels of {LANES}",
+            self.lanes,
+        );
         let panels = self.rows.div_ceil(LANES);
         let fields = [
             ("payload", self.payload.len(), panel_stride(self.cols, self.bits)),
@@ -322,7 +344,7 @@ impl PackedMatrix {
         }
     }
 
-    /// Payload of panel `p`: output features `[8p, 8p + 8)`.
+    /// Payload of panel `p`: output features `[LANES·p, LANES·(p + 1))`.
     #[inline(always)]
     pub(crate) fn panel(&self, p: usize) -> &[u8] {
         let stride = panel_stride(self.cols, self.bits);
@@ -502,29 +524,30 @@ mod tests {
 
     #[test]
     fn padding_holds_grid_zero_at_scale_zero() {
-        // 11 rows → a second panel with 5 padded lanes; 9 cols → a third
-        // nibble unit with 3 padded k-steps.
-        let q = grid(11, 9, 7, 5);
-        let p = PackedMatrix::from_rowwise(11, 9, PackBits::Int4, 4, &q, &[0.3f32; 11]);
+        // Three rows more than a panel → a second panel with `LANES − 3`
+        // padded lanes; 9 cols → a third nibble unit with 3 padded k-steps.
+        let (rows, live) = (LANES + 3, 3);
+        let q = grid(rows, 9, 7, 5);
+        let p = PackedMatrix::from_rowwise(rows, 9, PackBits::Int4, 4, &q, &vec![0.3f32; rows]);
         let panel = p.panel(1);
         for (u, unit) in panel.chunks_exact(UNIT_BYTES).enumerate() {
             for (b, &byte) in unit.iter().enumerate() {
                 let (lane, step) = (b % LANES, u * UNIT_K + b / LANES);
-                if lane >= 3 || step >= 9 {
+                if lane >= live || step >= 9 {
                     assert_eq!(byte & 0x0F, NIBBLE_BIAS, "unit {u} byte {b} low nibble");
                 }
-                if lane >= 3 || step + 2 >= 9 {
+                if lane >= live || step + UNIT_K / 2 >= 9 {
                     assert_eq!(byte >> 4, NIBBLE_BIAS, "unit {u} byte {b} high nibble");
                 }
             }
         }
         for g in 0..p.groups_per_row() {
             let (scales, zeros) = p.panel_meta(1, g);
-            assert!(scales[3..].iter().all(|&s| s == 0.0) && zeros[3..].iter().all(|&z| z == 0));
+            assert!(scales[live..].iter().all(|&s| s == 0.0) && zeros[live..].iter().all(|&z| z == 0));
         }
-        let p8 = PackedMatrix::from_rowwise(11, 9, PackBits::Int8, 4, &q, &[0.3f32; 11]);
+        let p8 = PackedMatrix::from_rowwise(rows, 9, PackBits::Int8, 4, &q, &vec![0.3f32; rows]);
         for step in p8.panel(1).chunks_exact(LANES) {
-            assert!(step[3..].iter().all(|&b| b == 0));
+            assert!(step[live..].iter().all(|&b| b == 0));
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Helpers the crate's unit tests share.
 
+use crate::dispatch::Isa;
+
 /// `n` reproducible values in `[-1, 1)`.
 pub(crate) fn pseudo(n: usize, seed: u64) -> Vec<f32> {
     let mut s = seed;
@@ -18,12 +20,18 @@ pub(crate) fn assert_bit_identical(a: &[f32], b: &[f32]) {
     }
 }
 
-/// Whether the AVX2 instantiation can be compared on this CPU; says so
-/// once when it cannot.
-pub(crate) fn avx2_or_note() -> bool {
-    if !crate::dispatch::avx2_detected() {
-        static NOTE: std::sync::Once = std::sync::Once::new();
-        NOTE.call_once(|| eprintln!("skipped: AVX2 not detected, only the baseline instantiation was checked"));
-    }
-    crate::dispatch::avx2_detected()
+/// The instantiations wider than the baseline that this CPU can run, so
+/// that a test can set each beside the baseline; says once per missing
+/// one that it was skipped.
+pub(crate) fn wider_instantiations() -> impl Iterator<Item = Isa> {
+    static NOTES: [std::sync::Once; Isa::ALL.len()] = [const { std::sync::Once::new() }; Isa::ALL.len()];
+    Isa::ALL[1..].iter().copied().filter(|&isa| {
+        let runs = isa <= Isa::detected();
+        if !runs {
+            NOTES[isa as usize].call_once(|| {
+                eprintln!("skipped: {} not detected, its instantiation was not checked", isa.name())
+            });
+        }
+        runs
+    })
 }

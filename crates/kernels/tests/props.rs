@@ -4,7 +4,7 @@
 //! dequantize-then-`matmul_t` reference, and its defined behaviour on
 //! numeric edge cases.
 
-use llmpq_kernels::{gemm_t, qgemm_t, qgemm_t_into, quantize_packed, PackBits, PackedMatrix};
+use llmpq_kernels::{gemm_t, qgemm_t, qgemm_t_into, quantize_packed, DensePanels, PackBits, PackedMatrix};
 use proptest::prelude::*;
 
 fn any_pack_bits() -> impl Strategy<Value = PackBits> {
@@ -70,6 +70,10 @@ fn group_for(choice: usize, k: usize) -> usize {
     [3, 16, 64, 192, k][choice]
 }
 
+/// Output features per storage panel. The layout is private to the crate;
+/// the shapes below only need to land on either side of its multiples.
+const PANEL: usize = 16;
+
 /// NaN exactly where the reference is NaN, bit-equal everywhere else.
 fn assert_same_or_both_nan(got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len());
@@ -120,12 +124,12 @@ proptest! {
     fn pack_round_trips_through_accessors_and_json(
         bits in any_pack_bits(),
         panels in 0usize..4,
-        tail in 1usize..8,
+        tail in 1usize..=PANEL,
         half_k in 0usize..40,
         group_choice in 0usize..5,
         seed in 0u64..1000,
     ) {
-        let (n, k) = (8 * panels + tail, 2 * half_k + 1);
+        let (n, k) = (PANEL * panels + tail, 2 * half_k + 1);
         let group = group_for(group_choice, k);
         let gpr = k.div_ceil(group);
         let q = pseudo_grid(n * k, bits.qmax(), seed);
@@ -181,7 +185,7 @@ proptest! {
 
     /// Blocks of fewer than four rows over a packed weight take the
     /// register-resident decode body, and this reaches all of it: zero
-    /// points are nonzero, `n` runs to several four-panel sweeps, then
+    /// points are nonzero, `n` runs to several multi-panel sweeps, then
     /// single panels, then a partial last one, `k` is odd or even, and
     /// the groups split payload loads (3), align with nibble units only
     /// (4), or run longer than a staged tile (192). `m` of 4 to 6 is the
@@ -192,7 +196,7 @@ proptest! {
     fn asymmetric_grids_match_reference_through_both_bodies(
         bits in any_pack_bits(),
         m in 1usize..=6,
-        n in 1usize..=110,
+        n in 1usize..=220,
         k in 1usize..=200,
         group_choice in 0usize..6,
         seed in 0u64..1000,
@@ -266,20 +270,21 @@ proptest! {
     }
 
     /// The blocked path at serving shapes: `m` crosses the 4-row register
-    /// block and the 64-row parallel block, `n` leaves a lane tail, `k`
-    /// is odd, and the group set includes a short last group and a group
+    /// block and the 64-row parallel block, `n` lands on and on either
+    /// side of one, two and three whole panels (16 / 32 / 48), `k` is
+    /// odd, and the group set includes a short last group and a group
     /// longer than the scratch tile.
     #[test]
     fn blocked_qgemm_bit_identical_across_row_blocks(
         bits in any_pack_bits(),
         m in 1usize..=70,
         lane_tiles in 0usize..4,
-        lane_tail in 1usize..8,
+        lane_tail in 1usize..=PANEL,
         half_k in 0usize..135,
         group_choice in 0usize..5,
         seed in 0u64..1000,
     ) {
-        let (n, k) = (8 * lane_tiles + lane_tail, 2 * half_k + 1);
+        let (n, k) = (PANEL * lane_tiles + lane_tail, 2 * half_k + 1);
         let w = quantize_packed(&pseudo(n * k, seed), n, k, bits, group_for(group_choice, k));
         let x = pseudo(m * k, seed ^ 0x3C3C);
         let fused = qgemm_t(&x, m, &w);
@@ -290,22 +295,31 @@ proptest! {
     }
 
     /// The dense entry point runs the same kernel with a transposing
-    /// fill and must equal the scalar dot product bit-for-bit.
+    /// fill and must equal the scalar dot product bit-for-bit; the
+    /// k-major copy of the same weight (what a serving head keeps for its
+    /// one-row logits product) runs it with a copying fill and must too.
     #[test]
     fn blocked_dense_gemm_bit_identical_to_scalar_reference(
         m in 1usize..=70,
         lane_tiles in 0usize..4,
-        lane_tail in 1usize..8,
+        lane_tail in 1usize..=PANEL,
         half_k in 0usize..135,
         seed in 0u64..1000,
     ) {
-        let (n, k) = (8 * lane_tiles + lane_tail, 2 * half_k + 1);
+        let (n, k) = (PANEL * lane_tiles + lane_tail, 2 * half_k + 1);
         let w = pseudo(n * k, seed);
         let x = pseudo(m * k, seed ^ 0x3C3C);
         let blocked = gemm_t(&x, m, &w, n, k);
         let reference = scalar_matmul_t(&x, m, &w, n, k);
         for (i, (b, r)) in blocked.iter().zip(&reference).enumerate() {
             prop_assert_eq!(b.to_bits(), r.to_bits(), "output {}: {} vs {}", i, b, r);
+        }
+        let copy = DensePanels::new(&w, n, k);
+        for (rows, xs) in [(m, &x[..]), (1, &x[(m - 1) * k..])] {
+            let (from_copy, from_rows) = (copy.gemm_t(xs, rows), gemm_t(xs, rows, &w, n, k));
+            for (i, (c, r)) in from_copy.iter().zip(&from_rows).enumerate() {
+                prop_assert_eq!(c.to_bits(), r.to_bits(), "m = {} output {}: {} vs {}", rows, i, c, r);
+            }
         }
     }
 
@@ -438,6 +452,27 @@ fn truncated_payload_is_refused_at_entry() {
     let w = quantize_packed(&pseudo(16 * 32, 10), 16, 32, PackBits::Int4, 16);
     let cut = edited_json(&w, "\"payload\":[", "\"payload\":[136],\"was\":[");
     qgemm_t(&pseudo(32, 11), 1, &cut);
+}
+
+// Sixteen rows fill two panels of 8 or one of 16 with buffers of the same
+// lengths, so only the serialized panel width can tell a matrix written
+// by an 8-lane build from one this build can read; a report without the
+// field predates it and was written at 8.
+
+#[test]
+#[should_panic(expected = "packed weight shape mismatch: laid out in panels of 8")]
+fn another_panel_width_is_refused_at_entry() {
+    let w = quantize_packed(&pseudo(16 * 32, 10), 16, 32, PackBits::Int4, 16);
+    let narrow = edited_json(&w, "\"lanes\":16", "\"lanes\":8");
+    qgemm_t(&pseudo(32, 11), 1, &narrow);
+}
+
+#[test]
+#[should_panic(expected = "packed weight shape mismatch: laid out in panels of 8")]
+fn a_matrix_serialized_before_the_width_field_is_refused_at_entry() {
+    let w = quantize_packed(&pseudo(16 * 32, 10), 16, 32, PackBits::Int8, 16);
+    let old = edited_json(&w, "\"lanes\":16,", "");
+    qgemm_t(&pseudo(32, 11), 1, &old);
 }
 
 #[test]

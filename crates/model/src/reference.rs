@@ -15,6 +15,7 @@
 
 use crate::linear::LinearOp;
 use crate::tensor::{add_assign, add_bias, gelu, layer_norm, Matrix};
+use llmpq_kernels::DensePanels;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -314,7 +315,9 @@ impl RefModel {
     /// Apply the final LayerNorm and tied LM head, returning logits
     /// (`t × vocab`).
     pub fn project_logits(&self, x: &Matrix) -> Matrix {
-        project_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
+        let mut x = x.clone();
+        layer_norm(&mut x, &self.ln_f_g, &self.ln_f_b);
+        x.matmul_t(&self.embed)
     }
 
     /// Logits of the last row of `x` only (`vocab` long) — what sampling
@@ -322,7 +325,8 @@ impl RefModel {
     /// independent, so this equals its last row bit-for-bit at `1/t` of
     /// the LM-head work.
     pub fn last_row_logits(&self, x: &Matrix) -> Vec<f32> {
-        last_row_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
+        let last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
+        self.project_logits(&last).data
     }
 
     /// Prefill: run the whole prompt through all layers, returning logits
@@ -366,6 +370,19 @@ impl RefModel {
         GenerationOutput { tokens: out }
     }
 
+    /// This model with its decoder layers replaced by `layers`:
+    /// embeddings and the final norm copied.
+    pub fn with_layers(&self, layers: Vec<LayerWeights>) -> RefModel {
+        RefModel {
+            cfg: self.cfg,
+            embed: self.embed.clone(),
+            pos: self.pos.clone(),
+            layers,
+            ln_f_g: self.ln_f_g.clone(),
+            ln_f_b: self.ln_f_b.clone(),
+        }
+    }
+
     /// Teacher-forced negative log-likelihood of `tokens` (natural log,
     /// averaged per predicted token). `exp` of this is perplexity.
     pub fn nll(&self, tokens: &[usize]) -> f64 {
@@ -395,6 +412,10 @@ pub struct ModelHead {
     pub ln_f_g: Vec<f32>,
     /// Final LayerNorm shift.
     pub ln_f_b: Vec<f32>,
+    /// `embed` once more, as the GEMM kernel stages it: the logits of a
+    /// decode step are a one-row product against the whole table, and
+    /// from this copy staging it is a plain copy, not a transpose.
+    logits_weight: DensePanels,
 }
 
 impl ModelHead {
@@ -402,22 +423,11 @@ impl ModelHead {
     pub fn of(model: &RefModel) -> Self {
         Self {
             cfg: model.cfg,
+            logits_weight: DensePanels::new(&model.embed.data, model.embed.rows, model.embed.cols),
             embed: model.embed.clone(),
             pos: model.pos.clone(),
             ln_f_g: model.ln_f_g.clone(),
             ln_f_b: model.ln_f_b.clone(),
-        }
-    }
-
-    /// The model this head makes with `layers`.
-    pub fn with_layers(self, layers: Vec<LayerWeights>) -> RefModel {
-        RefModel {
-            cfg: self.cfg,
-            embed: self.embed,
-            pos: self.pos,
-            layers,
-            ln_f_g: self.ln_f_g,
-            ln_f_b: self.ln_f_b,
         }
     }
 
@@ -426,9 +436,12 @@ impl ModelHead {
         embed_tokens(&self.cfg, &self.embed, &self.pos, tokens, start_pos)
     }
 
-    /// [`RefModel::last_row_logits`] of the model this is the head of.
+    /// [`RefModel::last_row_logits`] of the model this is the head of,
+    /// bit for bit.
     pub fn last_row_logits(&self, x: &Matrix) -> Vec<f32> {
-        last_row_logits(&self.embed, &self.ln_f_g, &self.ln_f_b, x)
+        let mut last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
+        layer_norm(&mut last, &self.ln_f_g, &self.ln_f_b);
+        self.logits_weight.gemm_t(&last.data, 1)
     }
 }
 
@@ -455,17 +468,6 @@ fn embed_tokens(
         }
     }
     x
-}
-
-fn project_logits(embed: &Matrix, ln_f_g: &[f32], ln_f_b: &[f32], x: &Matrix) -> Matrix {
-    let mut x = x.clone();
-    layer_norm(&mut x, ln_f_g, ln_f_b);
-    x.matmul_t(embed)
-}
-
-fn last_row_logits(embed: &Matrix, ln_f_g: &[f32], ln_f_b: &[f32], x: &Matrix) -> Vec<f32> {
-    let last = Matrix::from_vec(1, x.cols, x.row(x.rows - 1).to_vec());
-    project_logits(embed, ln_f_g, ln_f_b, &last).data
 }
 
 /// Inputs observed at each linear operator during one layer forward —
@@ -665,6 +667,19 @@ mod tests {
         assert_eq!(argmax(&[0.0, -0.0]), 0);
         assert_eq!(argmax(&[-0.0, 0.0]), 1);
         assert_eq!(argmax(&[]), 0);
+    }
+
+    #[test]
+    fn the_heads_logits_are_the_models_bit_for_bit() {
+        // The head projects through its k-major copy of the embedding
+        // table, the model through the row-major table itself.
+        let model = RefModel::new(RefConfig { vocab: 83, ..RefConfig::tiny() });
+        let head = ModelHead::of(&model);
+        let x = Matrix::random(3, model.cfg.hidden, 1.0, 7);
+        let (got, want) = (head.last_row_logits(&x), model.last_row_logits(&x));
+        assert_eq!(got.len(), want.len());
+        assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+        assert_eq!(model.with_layers(model.layers.clone()), model);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::bitwidth::{BitAssignment, Bitwidth};
 use crate::loader::load_stage_weights;
 use crate::quantizer::Rounding;
-use llmpq_model::{ModelHead, RefModel};
+use llmpq_model::RefModel;
 
 /// Return a copy of `model` whose decoder layers are quantized per
 /// `assignment` (layer `i` at `assignment.bits[i]`), stored packed: one
@@ -23,7 +23,7 @@ pub fn quantize_model(model: &RefModel, assignment: &BitAssignment, rounding: Ro
         "assignment must cover every layer"
     );
     let (layers, _) = load_stage_weights(model, 0, &assignment.bits, rounding, seed);
-    ModelHead::of(model).with_layers(layers)
+    model.with_layers(layers)
 }
 
 /// Quantize every layer to the same bitwidth.
@@ -88,7 +88,7 @@ mod tests {
             fake_quantize(w.dense(), Bitwidth::Int4, Rounding::Deterministic, 0).into()
         };
         let layers = model.layers.iter().map(|l| l.map_operators(dequantized)).collect();
-        let dense = ModelHead::of(&model).with_layers(layers);
+        let dense = model.with_layers(layers);
         let a = packed.generate(&[1, 2, 3], 12, 0.0, 0);
         let b = dense.generate(&[1, 2, 3], 12, 0.0, 0);
         assert_eq!(a, b, "packed and dequantized serving must emit identical tokens");
