@@ -44,11 +44,11 @@
 //! (assert fused beats dequant-then-GEMM, fused int8 and int4 each run
 //! the 4096² decode at least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than
 //! dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
-//! int8 in every section a vector instantiation ran — AVX2 or AVX-512 —
-//! and a fused `m = 64` prefill row costs at most
-//! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape,
-//! and the layer forward of both prefill shapes costs at most
-//! [`MAX_LAYER_OVER_GEMM`] of its GEMMs, in every section),
+//! int8, and a fused `m = 64` prefill row costs at most
+//! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape, in
+//! every section a vector instantiation ran — AVX2 or AVX-512 — and the
+//! layer forward of both prefill shapes costs at most
+//! [`MAX_LAYER_OVER_GEMM`] of its GEMMs in every section),
 //! `--compare PATH` (fail if any of those ratios is more than 10 %
 //! worse than in the same ISA's section of the report at `PATH`, or if
 //! that report has no such section),
@@ -189,8 +189,8 @@ struct Section {
     /// [`MIN_INT4_OVER_INT8_VECTOR`].
     int4_over_int8_decode: f64,
     /// Fused `m = 64` time per row over fused `m = 1` time at the
-    /// prefill shape, per precision; the gate is ≤
-    /// [`MAX_PREFILL_AMORTISATION`].
+    /// prefill shape, per precision; in a vector instantiation the gate
+    /// is ≤ [`MAX_PREFILL_AMORTISATION`].
     prefill_amortisation: Vec<(String, f64)>,
 }
 
@@ -237,7 +237,11 @@ const MIN_INT4_OVER_INT8_VECTOR: f64 = 0.95;
 /// range is a busy host slowing the compute-bound `m = 64` call more
 /// than the `m = 1` one). Paying the conversion per row would put the
 /// numerator at about the decode body's own cost, a quotient of 0.9–1.
-/// The bar sits between (it was 0.5 while decode staged its tiles).
+/// The bar sits between (it was 0.5 while decode staged its tiles). It
+/// holds in the vector instantiations only: in the baseline of a stock
+/// `x86_64` build every fused multiply-add is a call to libm's `fmaf`,
+/// which costs an `m = 64` row what it costs the `m = 1` call, and the
+/// quotient reads 0.8–0.95.
 const MAX_PREFILL_AMORTISATION: f64 = 0.65;
 
 /// Upper bar on an int4 `ref256x4` prefill layer forward over its own six
@@ -760,8 +764,9 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     }
 }
 
-/// `--check-ordering` on one section. The decode gates apply wherever a
-/// vector instantiation ran, whichever it was.
+/// `--check-ordering` on one section. The decode and prefill
+/// amortisation gates apply wherever a vector instantiation ran,
+/// whichever it was.
 fn check_ordering(s: &Section) {
     let isa = s.isa;
     assert!(
@@ -770,6 +775,10 @@ fn check_ordering(s: &Section) {
     );
     if isa == Isa::Baseline.name() {
         println!("{isa}: decode speedup over dense f32 and int4 over int8 not gated (no vector instantiation)");
+        println!(
+            "{isa}: prefill amortisation not gated (on x86_64 without FMA every fused multiply-add is a software \
+             fmaf call, as dear per row at m = {CHUNK_M} as at m = 1)"
+        );
     } else {
         for (kernel, speedup) in &s.decode_speedup_vs_f32 {
             assert!(
@@ -782,12 +791,12 @@ fn check_ordering(s: &Section) {
             "{isa}: fused-int4 must run the 4096² decode at least {MIN_INT4_OVER_INT8_VECTOR}x as fast as fused-int8, got {:.2}x",
             s.int4_over_int8_decode
         );
-    }
-    for (kernel, ratio) in &s.prefill_amortisation {
-        assert!(
-            *ratio <= MAX_PREFILL_AMORTISATION,
-            "{isa} {kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
-        );
+        for (kernel, ratio) in &s.prefill_amortisation {
+            assert!(
+                *ratio <= MAX_PREFILL_AMORTISATION,
+                "{isa} {kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
+            );
+        }
     }
     for r in s.layer.iter().filter(|r| r.m == CHUNK_M) {
         assert!(

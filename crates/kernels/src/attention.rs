@@ -26,10 +26,13 @@
 //!
 //! ## Summation order
 //!
-//! Every score is the ascending-`d` chain from `+0.0`, every softmax sum
-//! the ascending-`j` chain over the live prefix, and every output the
-//! ascending-`j` chain from `+0.0` in which each live position
-//! contributes `p · v` exactly once (a zero probability is not skipped).
+//! Every score is the ascending-`d` chain of fused multiply-adds
+//! (`q.mul_add(k, acc)`) from `+0.0`, every softmax sum the ascending-`j`
+//! chain of adds over the live prefix, and every output the ascending-`j`
+//! chain of fused multiply-adds from `+0.0` in which each live position
+//! contributes `p · v` exactly once (a zero probability is not skipped) —
+//! both sweeps are the GEMM kernel's register block, and a fused
+//! multiply-add rounds once in every instantiation.
 //! Blocking only interleaves distinct outputs. Row `i` of an `m`-row call
 //! is therefore bit-identical to the one-row call at `past + i`, so
 //! chunked prefill ≡ whole-prompt prefill ≡ token-by-token decode
@@ -242,12 +245,15 @@ fn value_block<const R: usize, const P: usize>(
 mod tests {
     use super::*;
     use crate::elementwise::exp;
-    use crate::testutil::{assert_bit_identical, pseudo, wider_instantiations};
+    use crate::testutil::{assert_bit_identical, dot, mac, pseudo, split_square, wider_instantiations};
     use proptest::prelude::*;
 
     /// The contract as plain scalar loops over the live prefix — the
     /// reference model's attention before it moved here, with the
-    /// model's `exp` — for one score row at a time.
+    /// model's `exp` — for one score row at a time. Both dot products take
+    /// one fused multiply-add per term, or with `fused = false` a separate
+    /// multiply and add.
+    #[allow(clippy::too_many_arguments)]
     fn reference<'a>(
         q: &[f32],
         m: usize,
@@ -256,6 +262,7 @@ mod tests {
         slopes: &[f32],
         k_row: impl Fn(usize) -> &'a [f32],
         v_row: impl Fn(usize) -> &'a [f32],
+        fused: bool,
     ) -> Vec<f32> {
         let d = hidden / slopes.len();
         let scale = 1.0 / (d as f32).sqrt();
@@ -267,8 +274,7 @@ mod tests {
                 let limit = past + i;
                 let mut scores: Vec<f32> = (0..=limit)
                     .map(|j| {
-                        let dot = qi.iter().zip(&k_row(j)[lo..hi]).map(|(&a, &b)| a * b).sum::<f32>() * scale;
-                        dot - slope * (limit - j) as f32
+                        dot(qi, &k_row(j)[lo..hi], fused) * scale - slope * (limit - j) as f32
                     })
                     .collect();
                 let max = scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
@@ -281,7 +287,7 @@ mod tests {
                 for (j, e) in scores.iter().enumerate() {
                     let p = e * inv;
                     for (o, &vv) in out[i * hidden..][lo..hi].iter_mut().zip(&v_row(j)[lo..hi]) {
-                        *o += p * vv;
+                        *o = mac(p, vv, *o, fused);
                     }
                 }
             }
@@ -300,8 +306,9 @@ mod tests {
 
     impl Scattered {
         fn new(t: usize, hidden: usize, seed: u64) -> Self {
-            // Position j lives in arena row (7j + 3) mod p for a prime p > t.
-            let p = (t.max(2)..).find(|n| (2..*n).all(|f| n % f != 0)).unwrap();
+            // Position j lives in arena row (7j + 3) mod p for a prime
+            // p ≥ t other than 7, which would put every j in one row.
+            let p = (t.max(8)..).find(|n| (2..*n).all(|f| n % f != 0)).unwrap();
             Self {
                 k: pseudo(p * hidden, seed),
                 v: pseudo(p * hidden, seed ^ 0xBEEF),
@@ -350,7 +357,7 @@ mod tests {
                     let kv = Scattered::new(past + m, hidden, (m * 131 + past) as u64);
                     let q = pseudo(m * hidden, 17 + d as u64);
                     let s = slopes(n_heads, alibi);
-                    let want = reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j));
+                    let want = reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j), true);
                     let mut got = vec![f32::NAN; m * hidden];
                     attention(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j), &mut got);
                     assert_bit_identical(&got, &want);
@@ -391,6 +398,41 @@ mod tests {
         assert!(bad.is_err(), "6 columns cannot be split into 4 heads");
     }
 
+    /// Both sweeps take one fused multiply-add per term, which the
+    /// bit-identity tests alone would not notice if the kernel and the
+    /// reference went back to a separate multiply and add together. Every
+    /// query element is `s` and each head of key `j` is `−s, s` (times
+    /// `2^(j % 4)`) at two adjacent dimensions ([`split_square`]), so
+    /// fused scores are `2⁻⁶ · 2^(j % 4)` where unfused ones are all `0`:
+    /// the probabilities, and with random values every output, differ.
+    #[test]
+    fn every_term_is_one_fused_multiply_add() {
+        let (n_heads, d, past) = (2, 16, 5);
+        let hidden = n_heads * d;
+        let s = split_square(1024.0);
+        let heads = slopes(n_heads, false);
+        for m in [1, 3, 4, 67] {
+            let mut kv = Scattered::new(past + m, hidden, 9);
+            for j in 0..past + m {
+                let row = &mut kv.k[kv.slot[j] * hidden..][..hidden];
+                row.fill(0.0);
+                let (at, mag) = (2 * (j % (d / 2)), (1 << (j % 4)) as f32);
+                for head in row.chunks_exact_mut(d) {
+                    (head[at], head[at + 1]) = (-s * mag, s * mag);
+                }
+            }
+            let q = vec![s; m * hidden];
+            let fused = reference(&q, m, hidden, past, &heads, |j| kv.k_row(j), |j| kv.v_row(j), true);
+            let unfused = reference(&q, m, hidden, past, &heads, |j| kv.k_row(j), |j| kv.v_row(j), false);
+            for (o, (f, u)) in fused.iter().zip(&unfused).enumerate() {
+                assert_ne!(f.to_bits(), u.to_bits(), "m {m} output {o}: the inputs must tell the two apart");
+            }
+            for isa in std::iter::once(Isa::Baseline).chain(wider_instantiations()) {
+                assert_bit_identical(&run(isa, &q, m, past, &heads, &kv), &fused);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -411,7 +453,7 @@ mod tests {
             let q = pseudo(m * hidden, seed ^ 0x5A5A);
             let s = slopes(n_heads, alibi);
             let base = run(Isa::Baseline, &q, m, past, &s, &kv);
-            assert_bit_identical(&base, &reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j)));
+            assert_bit_identical(&base, &reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j), true));
             let i = seed as usize % m;
             let alone = run(Isa::Baseline, &q[i * hidden..][..hidden], 1, past + i, &s, &kv);
             assert_bit_identical(&alone, &base[i * hidden..][..hidden]);

@@ -6,22 +6,27 @@
 //! `#[inline(always)]` `Body::run` of a small argument struct, and
 //! compiled three times on `x86_64`: inlined into the caller as is (the
 //! build's baseline ISA), inlined into `run_avx2`, a
-//! `#[target_feature(enable = "avx2")]` wrapper, so the same loops are
-//! emitted at 256-bit width, and inlined into `run_avx512`, the same
-//! wrapper with AVX-512 (F, BW, VL, DQ) enabled, so they are emitted at
-//! 512-bit width. `dispatch` picks the widest of the three the running
-//! CPU has with `is_x86_feature_detected!` — the workspace's only
+//! `#[target_feature(enable = "avx2,fma")]` wrapper, so the same loops
+//! are emitted at 256-bit width, and inlined into `run_avx512`, the same
+//! wrapper with AVX-512 (F, BW, VL, DQ) and FMA enabled, so they are
+//! emitted at 512-bit width. `dispatch` picks the widest of the three the
+//! running CPU has with `is_x86_feature_detected!` — the workspace's only
 //! `unsafe` block, sound because a wrapper is reached only after its
 //! features were detected on the running CPU. There is no flag,
 //! environment variable or cargo feature; [`isa`] reports the choice.
 //! Other targets compile the baseline only.
 //!
-//! Vector width never changes a result: lanes are distinct outputs,
+//! Vector width never changes a result: lanes are distinct outputs, and
 //! every operation is an IEEE-754 single-precision multiply, add,
-//! subtract, divide, compare-select, exact integer conversion or bit
-//! move, and FMA is not enabled in any wrapper, so no multiply-add is
-//! contracted — the three instantiations agree `to_bits()` for
-//! `to_bits()`.
+//! subtract, divide, compare-select, exact integer conversion, bit move
+//! or — every term of a dot product — fused multiply-add
+//! (`f32::mul_add`), which is exactly rounded wherever it runs. The
+//! compiler never contracts a separate multiply and add into one, so a
+//! body rounds the same in each instantiation and the three agree
+//! `to_bits()` for `to_bits()`. What the wrappers' `fma` changes is speed:
+//! it makes `mul_add` one `vfmadd` instruction, where the baseline of a
+//! stock `x86_64` build (no FMA) calls libm's `fmaf` once per lane and
+//! term — same bits, 13–30× slower. On `aarch64` the baseline has FMA.
 //!
 //! To check that the dispatch is still the only one:
 //! `grep -rn unsafe crates/*/src vendor/*/src src` must show, besides
@@ -36,9 +41,9 @@ use std::cell::Cell;
 pub enum Isa {
     /// The build's target features (SSE2 on a stock `x86_64` build).
     Baseline,
-    /// 256-bit vectors.
+    /// 256-bit vectors: AVX2 and FMA.
     Avx2,
-    /// 512-bit vectors: AVX-512 F, BW, VL and DQ.
+    /// 512-bit vectors: AVX-512 F, BW, VL and DQ, and FMA.
     Avx512,
 }
 
@@ -63,10 +68,11 @@ impl Isa {
                 && is_x86_feature_detected!("avx512bw")
                 && is_x86_feature_detected!("avx512vl")
                 && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("fma")
             {
                 return Isa::Avx512;
             }
-            if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 return Isa::Avx2;
             }
         }
@@ -113,20 +119,21 @@ pub(crate) fn dispatch<B: Body>(cap: Isa, body: B) -> B::Out {
     body.run(Isa::Baseline)
 }
 
-/// [`Body::run`] compiled with AVX2 enabled: the same safe body, inlined
-/// here so its loops are emitted at 256-bit width. FMA stays off, so
-/// every rounding is the baseline's.
+/// [`Body::run`] compiled with AVX2 and FMA enabled: the same safe body,
+/// inlined here so its loops are emitted at 256-bit width and every
+/// `mul_add` is one `vfmadd` (without `fma` each would be a call to
+/// `fmaf` per lane: the same bits, many times slower).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn run_avx2<B: Body>(body: B) -> B::Out {
     body.run(Isa::Avx2)
 }
 
-/// [`Body::run`] compiled with AVX-512 enabled: 512-bit vectors, 32 of
-/// them, and the byte → dword widening loads at that width. FMA stays
-/// off here too.
+/// [`Body::run`] compiled with AVX-512 and FMA enabled: 512-bit vectors,
+/// 32 of them, the byte → dword widening loads and the fused
+/// multiply-add at that width.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq,fma")]
 fn run_avx512<B: Body>(body: B) -> B::Out {
     body.run(Isa::Avx512)
 }

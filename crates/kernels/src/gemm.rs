@@ -30,17 +30,17 @@
 //!         for each register block of MR rows (then the m % 4 tail, one row each):
 //!           reg[MR][LANES] = acc[rows]
 //!           for kk in tile:                            ← sequential k
-//!             for r, lane: reg[r][lane] += x[r][kk] * tile[kk][lane]
+//!             for r, lane: reg[r][lane] = x[r][kk].mul_add(tile[kk][lane], reg[r][lane])
 //!           acc[rows] = reg
 //!       out[rows][panel's lanes below n] = acc
 //!
 //!   rows < MR, packed — `DecodeBlock`, no scratch
-//!     for each P = PANELS panels (half as many where three rows' accumulators would not fit 16 registers; then single ones):
+//!     for each P = PANELS panels (half as many in 16 registers for three rows or a nibble weight; then single ones):
 //!       acc[P][rows][LANES] = 0                        ← registers, for the whole of k
 //!       for each quant group:                          ← scales and zero points hoisted
 //!         for each 32-byte load of the group, per panel:
 //!           w[2 or 4 k-steps][LANES] = convert(load)   ← registers
-//!           for kk in load, r, lane: acc[p][r][lane] += x[r][kk] * w[kk][lane]
+//!           for kk in load, r, lane: acc[p][r][lane] = x[r][kk].mul_add(w[kk][lane], acc[p][r][lane])
 //!       out[rows][panels' lanes below n] = acc
 //!
 //!   rows < MR, dense — `StagedBlock` with `SHORT`
@@ -49,13 +49,14 @@
 //! ```
 //!
 //! The accumulators of a register block are *independent outputs*, which
-//! is what lets the CPU overlap f32 add latency — parallelism is never
-//! introduced within a single output's reduction. `MR` rows of one panel
-//! are `MR` add chains at 512 bits and `2 · MR = 8` at 256 (a multiply–add
-//! pair retires per cycle only with more chains in flight than the add's
-//! latency: the eight-lane panel this replaced left four at 256 bits and
-//! ran the `m = 64` GEMM list 1.2× slower; `MR = 8` at eight lanes
-//! spills). A block with fewer rows would leave one or two, so both short
+//! is what lets the CPU overlap fused multiply-add latency — parallelism
+//! is never introduced within a single output's reduction. `MR` rows of
+//! one panel are `MR` chains at 512 bits and `2 · MR = 8` at 256 (an FMA
+//! retires per cycle only with more chains in flight than its latency:
+//! the eight-lane panel this replaced left four at 256 bits and ran the
+//! `m = 64` GEMM list 1.2× slower; `MR = 8` at eight lanes spills; and a
+//! 4-row × 2-panel `zmm` block, eight chains, ran 2–4 % slower than
+//! `MR × 1`). A block with fewer rows would leave one or two, so both short
 //! bodies turn the block on its side and walk several panels together:
 //! the same ascending-k chain per output, as many chains in flight.
 //!
@@ -85,11 +86,13 @@
 //! `StagedBlock` and `DecodeBlock` every hot loop should hold one
 //! `vpmovsxbd zmm` (int8) or half a `vpmovzxbd zmm` (nibbles, then
 //! `vpandd` / `vpsrld` on the dwords) per `vcvtdq2ps zmm`, taken from
-//! memory; in the AVX2 one the same on `ymm`; in neither a `vpsrlw` (a
-//! nibble split on bytes), a `vpinsrb`, a `cvtsi2ss`, a call
-//! (`array::map` and `array::from_fn` can be one: called code is
-//! baseline-ISA code) or an accumulator on the stack — and no gather or
-//! scatter in the dense fill, which is scalar moves by design.
+//! memory, and every term a `vfmadd…ps`; in the AVX2 one the same on
+//! `ymm`; in neither a `vpsrlw` (a nibble split on bytes), a `vpinsrb`, a
+//! `cvtsi2ss`, a call (`array::map` and `array::from_fn` can be one:
+//! called code is baseline-ISA code; so is `fmaf`, which is what a
+//! `mul_add` becomes where `fma` is not enabled) or an accumulator on the
+//! stack — and no gather or scatter in the dense fill, which is scalar
+//! moves by design.
 //!
 //! ## Three instantiations of each body
 //!
@@ -124,11 +127,13 @@
 //!
 //! ## Bit-exactness
 //!
-//! For every output `(i, j)` the accumulation is `acc += x[i][k] * w[j][k]`
-//! for `k = 0, 1, …` from `acc = 0`, where `w[j][k] = ((q − z) as f32) * s`
-//! — exactly the roundings of dequantizing the whole matrix first and
-//! running the scalar ascending-k dot product. The staged bodies change
-//! only *when* a dequantized value is produced and where the running sum
+//! For every output `(i, j)` the accumulation is one fused multiply-add
+//! per term, `acc = x[i][k].mul_add(w[j][k], acc)` for `k = 0, 1, …` from
+//! `acc = +0.0`, where `w[j][k] = ((q − z) as f32) * s` — exactly the
+//! roundings of dequantizing the whole matrix first and running the
+//! scalar ascending-k fused dot product (`Matrix::matmul_t_scalar`). The
+//! staged bodies change only *when* a dequantized value is produced and
+//! where the running sum
 //! rests between k-tiles (an `f32` store and reload of the same value);
 //! the decode body produces the same value from the same expression and
 //! uses it without the store; walking several panels together only
@@ -139,10 +144,12 @@
 //! lets serving chunk, batch and recompute prefill freely.
 //!
 //! Vector width does not change it either: lanes are distinct outputs,
-//! every operation is an IEEE-754 single-precision multiply, add or exact
-//! integer conversion, and FMA is not enabled, so no multiply-add is
-//! contracted — the AVX-512, AVX2 and baseline instantiations agree
-//! `to_bits()` for `to_bits()`.
+//! and every operation is an IEEE-754 single-precision multiply, exact
+//! integer conversion or fused multiply-add, each correctly rounded
+//! whether it is a `vfmadd` (the AVX2 and AVX-512 instantiations, built
+//! with `fma`) or libm's `fmaf` (the baseline of a stock `x86_64` build)
+//! — the AVX-512, AVX2 and baseline instantiations agree `to_bits()` for
+//! `to_bits()`.
 
 use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::pack::{PackBits, PackedMatrix, LANES, NIBBLE_BIAS, UNIT_BYTES, UNIT_K};
@@ -670,7 +677,8 @@ fn lane_panels<const R: usize, const P: usize, W: TileSource>(
 }
 
 /// `R × P × LANES` register block over `P` staged tiles: ascending k,
-/// one independent chain per (row, panel, lane), carried in `acc`
+/// one fused multiply-add per term, one independent chain per (row,
+/// panel, lane), carried in `acc`
 /// (`R` rows of `P * LANES`) between tiles. Row `r` reads `x[r * ldx..]`.
 #[inline(always)]
 pub(crate) fn mac_rows<const R: usize, const P: usize>(x: &[f32], ldx: usize, tiles: [&[f32]; P], acc: &mut [f32]) {
@@ -684,7 +692,7 @@ pub(crate) fn mac_rows<const R: usize, const P: usize>(x: &[f32], ldx: usize, ti
             let xv = xr[r][kk];
             for p in 0..P {
                 for lane in 0..LANES {
-                    reg[r][p][lane] += xv * tiles[p][kk][lane];
+                    reg[r][p][lane] = xv.mul_add(tiles[p][kk][lane], reg[r][p][lane]);
                 }
             }
         }
@@ -712,19 +720,27 @@ impl Body for DecodeBlock<'_> {
         let Self { x, w, out } = self;
         // `PANELS` panels together: each is a stream of payload for the
         // prefetchers to run ahead on (with two where this takes four,
-        // 4096² at `m = 1` ran 1.3–1.5× slower) and `R` rows of
+        // 4096² int8 at `m = 1` ran 1.3–1.5× slower before the fused
+        // multiply-add, and still runs 4–6 % slower) and `R` rows of
         // accumulators. Three rows of four panels are 12 `zmm` but 24
         // `ymm`, which is more than there are (int8 on the cache-resident
-        // `ref256x4` list: 10–40 % slower than with two panels).
+        // `ref256x4` list: 10–40 % slower than with two panels). A nibble
+        // load is four `ymm` of widened bytes beside its accumulators:
+        // with four panels every accumulator goes to the stack and back
+        // once per load, and under AVX2 the nibble precisions take two at
+        // any row count (4096² int4 at `m = 1` 6 % faster, cold or warm,
+        // and 1024² at `m = 2` 9 %).
         let fits = isa == Isa::Avx512;
         match (w.bits, out.len() / w.rows, fits) {
             (PackBits::Int8, 1, _) => decode_block::<INT8_K, 1, PANELS>(x, w, out),
             (PackBits::Int8, 2, _) => decode_block::<INT8_K, 2, PANELS>(x, w, out),
             (PackBits::Int8, _, true) => decode_block::<INT8_K, 3, PANELS>(x, w, out),
             (PackBits::Int8, _, false) => decode_block::<INT8_K, 3, { PANELS / 2 }>(x, w, out),
-            (PackBits::Int3 | PackBits::Int4, 1, _) => decode_block::<UNIT_K, 1, PANELS>(x, w, out),
-            (PackBits::Int3 | PackBits::Int4, 2, _) => decode_block::<UNIT_K, 2, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 1, true) => decode_block::<UNIT_K, 1, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 2, true) => decode_block::<UNIT_K, 2, PANELS>(x, w, out),
             (PackBits::Int3 | PackBits::Int4, _, true) => decode_block::<UNIT_K, 3, PANELS>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 1, false) => decode_block::<UNIT_K, 1, { PANELS / 2 }>(x, w, out),
+            (PackBits::Int3 | PackBits::Int4, 2, false) => decode_block::<UNIT_K, 2, { PANELS / 2 }>(x, w, out),
             (PackBits::Int3 | PackBits::Int4, _, false) => decode_block::<UNIT_K, 3, { PANELS / 2 }>(x, w, out),
         }
     }
@@ -750,8 +766,8 @@ fn decode_block<const S: usize, const R: usize, const P: usize>(x: &[f32], w: &P
 
 /// Outputs of panels `[p0, p0 + P)` for `R` rows, nothing staged: each
 /// payload load is converted in registers and every k-step it holds is
-/// accumulated at once, `acc[panel][row][lane] += x[row][k] * w`, in
-/// ascending k — one chain per output.
+/// accumulated at once, `acc[panel][row][lane] = x[row][k].mul_add(w, ..)`,
+/// in ascending k — one chain per output.
 #[inline(always)]
 fn decode_panels<const S: usize, const R: usize, const P: usize>(
     x: &[f32],
@@ -871,7 +887,7 @@ fn mac_load<const S: usize, const R: usize>(
         let w = convert_step::<S>(&wide, step, z, s);
         for r in 0..R {
             for lane in 0..LANES {
-                acc[r][lane] += xi[r][step] * w[lane];
+                acc[r][lane] = xi[r][step].mul_add(w[lane], acc[r][lane]);
             }
         }
     }
@@ -881,22 +897,22 @@ fn mac_load<const S: usize, const R: usize>(
 mod tests {
     use super::*;
     use crate::pack::quantize_packed;
-    use crate::testutil::{assert_bit_identical, pseudo, wider_instantiations};
+    use crate::testutil::{assert_bit_identical, dot, pseudo, split_square, wider_instantiations};
     use proptest::prelude::*;
 
     /// Scalar dequantize-then-matmul_t reference: the exact accumulation
-    /// order the repo's `Matrix::matmul_t` uses on a dequantized weight.
+    /// the repo's `Matrix::matmul_t_scalar` does on a dequantized weight,
+    /// one fused multiply-add per term in ascending k.
     fn reference(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
-        let dq = w.unpack();
-        let (k, n) = (w.cols, w.rows);
+        dense_reference(x, m, &w.unpack(), w.rows, w.cols, true)
+    }
+
+    /// `x · wᵀ` for a dense `n × k` weight, one [`dot`] chain per output.
+    fn dense_reference(x: &[f32], m: usize, w: &[f32], n: usize, k: usize, fused: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += x[i * k + kk] * dq[j * k + kk];
-                }
-                out[i * n + j] = acc;
+                out[i * n + j] = dot(&x[i * k..][..k], &w[j * k..][..k], fused);
             }
         }
         out
@@ -950,6 +966,53 @@ mod tests {
         let mut out = vec![f32::NAN; m * w.n()];
         gemm_blocked(x, m, w, &mut out, cap);
         out
+    }
+
+    /// What the bit-identity tests cannot see: they would all still pass
+    /// if the kernels and their oracles went back to a separate multiply
+    /// and add together. Output `j`'s weight row is `−s, s` at two
+    /// adjacent k-steps and zero elsewhere, and every activation is `s`
+    /// times a power of two ([`split_square`]), so one fused multiply-add
+    /// per term leaves a nonzero residue in every output where a multiply
+    /// then an add leaves `0`. The pairs sit all along `k` — inside and
+    /// across payload loads, groups and tiles — and `m` reaches the
+    /// decode body, the short staged block and the register block, in
+    /// every instantiation the host has.
+    #[test]
+    fn every_term_is_one_fused_multiply_add() {
+        let (n, k) = (40, 200);
+        let s = split_square(1.0);
+        let mut q = vec![0i8; n * k];
+        for j in 0..n {
+            let p = j * 37 % (k - 1);
+            (q[j * k + p], q[j * k + p + 1]) = (-1, 1);
+        }
+        let isas: Vec<Isa> = std::iter::once(Isa::Baseline).chain(wider_instantiations()).collect();
+        for m in [1, 2, 3, 4, 67] {
+            let x: Vec<f32> = (0..m * k).map(|e| s * (1 << (e / k % 3)) as f32).collect();
+            for group in [3, 64, k] {
+                let gpr = k.div_ceil(group);
+                let mut weights = Vec::new();
+                for bits in [PackBits::Int3, PackBits::Int4, PackBits::Int8] {
+                    weights.push(PackedMatrix::from_i8(n, k, bits, group, &q, &vec![s; n * gpr], &vec![0; n * gpr]));
+                }
+                let dq = weights[0].unpack();
+                let fused = dense_reference(&x, m, &dq, n, k, true);
+                let unfused = dense_reference(&x, m, &dq, n, k, false);
+                for (f, u) in fused.iter().zip(&unfused) {
+                    assert_ne!(f.to_bits(), u.to_bits(), "the inputs must tell the two apart");
+                }
+                let dense = DenseWeight { row: |j| &dq[j * k..][..k], n, k, causal_past: None };
+                let copy = DensePanels::new(&dq, n, k);
+                for &isa in &isas {
+                    for w in &weights {
+                        assert_bit_identical(&run(&x, m, w, isa), &fused);
+                    }
+                    assert_bit_identical(&run(&x, m, &dense, isa), &fused);
+                    assert_bit_identical(&run(&x, m, &copy, isa), &fused);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -24,9 +24,10 @@
 //!
 //! 1. **Bit-exactness.** [`qgemm_t`] produces results bit-identical to
 //!    dequantize-then-`matmul_t`-style scalar GEMM: each output
-//!    accumulates `x[k] * (q[k] as f32 * scale)` in ascending-`k` order
-//!    with the same two f32 roundings. Register blocking parallelizes
-//!    across *outputs* (independent accumulator chains per row and
+//!    accumulates `x[k].mul_add(q[k] as f32 * scale, acc)` in
+//!    ascending-`k` order with the same f32 roundings (one for the
+//!    dequantized weight, one per fused multiply-add). Register blocking
+//!    parallelizes across *outputs* (independent accumulator chains per row and
 //!    lane), never within one output's reduction, so serving tokens are
 //!    unchanged when a layer flips from the dense to the packed
 //!    representation, or when a row is computed alone or in a block.

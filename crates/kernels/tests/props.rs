@@ -31,15 +31,15 @@ fn pseudo_grid(n: usize, qmax: i32, seed: u64) -> Vec<i8> {
         .collect()
 }
 
-/// The repo's scalar `Matrix::matmul_t` accumulation over a dense
-/// `n × k` weight: per output, ascending-k `acc += a * b`.
+/// The repo's scalar `Matrix::matmul_t_scalar` accumulation over a dense
+/// `n × k` weight: per output, ascending-k `acc = a.mul_add(b, acc)`.
 fn scalar_matmul_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += x[i * k + kk] * w[j * k + kk];
+                acc = x[i * k + kk].mul_add(w[j * k + kk], acc);
             }
             out[i * n + j] = acc;
         }

@@ -94,8 +94,9 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_t`] as the plain loop: one dependent ascending-k
-    /// chain per output. The reference the workspace's bit-identity tests
-    /// hold the blocked kernel to.
+    /// chain per output, one fused multiply-add (`a.mul_add(b, acc)`, a
+    /// single rounding) per term. The reference the workspace's
+    /// bit-identity tests hold the blocked kernel to.
     pub fn matmul_t_scalar(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.rows);
@@ -103,7 +104,7 @@ impl Matrix {
             for j in 0..other.rows {
                 let mut acc = 0.0f32;
                 for (&a, &b) in self.row(i).iter().zip(other.row(j)) {
-                    acc += a * b;
+                    acc = a.mul_add(b, acc);
                 }
                 out.data[i * other.rows + j] = acc;
             }

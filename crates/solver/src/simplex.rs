@@ -107,6 +107,15 @@ pub enum LpResult {
 
 const EPS: f64 = 1e-9;
 
+/// Smallest entry the ratio test pivots on, and smallest reduced cost
+/// that lets a column enter. With [`EPS`] for both, a column whose
+/// reduced cost was rounding noise entered on a pivot just above `EPS`,
+/// which scales its row by ~10⁹: on an assigner relaxation with
+/// coefficients down to 5·10⁻⁶ the tableau grew to 10²¹ and the simplex
+/// never returned. Raising either alone still let it report an
+/// infeasible point as optimal, or a feasible problem as infeasible.
+const PIVOT_EPS: f64 = 1e-7;
+
 struct Tableau {
     /// rows × (n_total + 1); last column is RHS.
     a: Vec<Vec<f64>>,
@@ -150,7 +159,7 @@ impl Tableau {
             let mut enter = None;
             if degenerate_run < BLAND_AFTER {
                 // Dantzig: most negative reduced cost.
-                let mut best = -EPS;
+                let mut best = -PIVOT_EPS;
                 for j in 0..self.n_total {
                     if allowed[j] && z[j] < best {
                         best = z[j];
@@ -160,7 +169,7 @@ impl Tableau {
             } else {
                 // Bland: smallest index (anti-cycling).
                 for j in 0..self.n_total {
-                    if allowed[j] && z[j] < -EPS {
+                    if allowed[j] && z[j] < -PIVOT_EPS {
                         enter = Some(j);
                         break;
                     }
@@ -170,7 +179,7 @@ impl Tableau {
             // Ratio test, smallest basis index breaking ties.
             let mut leave: Option<(usize, f64)> = None;
             for (r, arow) in self.a.iter().enumerate() {
-                if arow[col] > EPS {
+                if arow[col] > PIVOT_EPS {
                     let ratio = arow[self.n_total] / arow[col];
                     match leave {
                         None => leave = Some((r, ratio)),
@@ -463,5 +472,92 @@ mod tests {
             .with(Constraint::eq(vec![(0, 1.0), (1, 1.0)], 4.0))
             .with(Constraint::eq(vec![(0, 2.0), (1, 2.0)], 8.0));
         assert_opt(&solve_lp(&lp), 4.0);
+    }
+
+    /// Rows of a relaxation the assigner built (the memory rows carry
+    /// coefficients down to 5·10⁻⁶), trimmed to a feasibility problem
+    /// that [`EPS`] in place of [`PIVOT_EPS`] gets wrong: it returned a
+    /// point 5.45 outside the constraints as feasible, and the untrimmed
+    /// relaxation never returned at all. One line per
+    /// constraint: `L`/`E`/`G`, the right-hand side, `variable:coefficient`.
+    const ILL_CONDITIONED: &str = "
+        E 1 32:1
+        E 1 34:1 37:1
+        E 1 39:1
+        L 0 10:1
+        L 0 5:1 15:1 35:1 44:-8
+        L 0 27:1 28:1 29:1 32:1 37:1 43:1 45:-8
+        L 0 0:0.17447707042633312 1:0.14933993624961225 2:0.2213235477556766 8:0.17447707042633312 9:0.14933993624961225 10:0.2213235477556766 46:-1
+        L 0 0:0.006964037605228757 1:0.008050702904374056 2:0.013290304055093256 3:0.02355792414117647 8:0.006964037605228757 9:0.008050702904374056 10:0.013290304055093256 11:0.02355792414117647 20:0.006964037605228757 21:0.008050702904374056 22:0.013290304055093256 23:0.02355792414117647 47:-1
+        L 0 12:0.06284448681970933 13:0.053820900192168494 14:0.04042224126036544 15:0.04434613423325062 35:0.06284448681970933 39:0.06284448681970933 44:3.645728e-05 46:-1
+        L 0 4:0.004136819192736902 12:0.004136819192736902 13:0.004765757307997846 15:0.01374099789521468 35:0.004136819192736902 39:0.004136819192736902 44:5.49152e-06 47:-1
+        L 0 6:0.06284448681970933 7:0.053820900192168494 24:0.06284448681970933 25:0.053820900192168494 26:0.04042224126036544 27:0.04434613423325062 28:0.04042224126036544 29:0.04434613423325062 32:0.053820900192168494 33:0.04434613423325062 36:0.053820900192168494 37:0.04434613423325062 43:0.06284448681970933 46:-1
+        L 0 6:0.004136819192736902 7:0.004765757307997846 24:0.004136819192736902 28:0.007798323890407672 32:0.004765757307997846 36:0.004765757307997846 43:0.004136819192736902 47:-1
+        G 0 8:1 2:-1 3:-1 12:2 4:-2 13:2 5:-2 15:2 16:3 17:3 7:-3 18:3 19:3
+        G 0 12:-2 13:-2 15:-2 24:3
+        G 0 24:-3 28:3 26:-3 27:-3
+        G 0 32:3 28:-3
+        G 0 35:2 36:3 32:-3
+        G 0 38:1 39:2 35:-2 40:3 36:-3 41:3 42:3 37:-3
+        G 0 39:-2 43:3
+        L 0 41:1
+        L 0 40:1
+        L 0 3:1
+        L 0 18:1
+        L 0 17:1
+        L 0 11:1
+        L 0 26:1
+        L 0 13:1
+        L 0 36:1
+        L 0 25:1
+        L 0 19:1
+        L 0 37:1
+        L 0 27:1
+        L 0 15:1
+        L 0 16:1
+        L 0 30:1
+        L 0 42:1
+        L 0 31:1
+        G 1 44:1
+        G 1 45:1
+        G 1 39:1
+    ";
+
+    #[test]
+    fn tiny_pivots_are_refused() {
+        let rows: Vec<Constraint> = ILL_CONDITIONED
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| {
+                let mut it = l.split_whitespace();
+                let op = it.next().unwrap();
+                let rhs: f64 = it.next().unwrap().parse().unwrap();
+                let coeffs = it
+                    .map(|t| {
+                        let (v, c) = t.split_once(':').unwrap();
+                        (v.parse().unwrap(), c.parse().unwrap())
+                    })
+                    .collect();
+                match op {
+                    "L" => Constraint::le(coeffs, rhs),
+                    "E" => Constraint::eq(coeffs, rhs),
+                    _ => Constraint::ge(coeffs, rhs),
+                }
+            })
+            .collect();
+        let n = rows.iter().flat_map(|c| &c.coeffs).map(|&(v, _)| v + 1).max().unwrap();
+        let lp = rows.iter().cloned().fold(LinProg::minimize(vec![0.0; n]), LinProg::with);
+        let res = solve_lp(&lp);
+        let x = &assert_opt(&res, 0.0).x;
+        assert!(x.iter().all(|&v| v >= -1e-9));
+        for (i, c) in rows.iter().enumerate() {
+            let lhs: f64 = c.coeffs.iter().map(|&(v, a)| a * x[v]).sum();
+            let slack = match c.op {
+                ConstraintOp::Le => c.rhs - lhs,
+                ConstraintOp::Ge => lhs - c.rhs,
+                ConstraintOp::Eq => -(lhs - c.rhs).abs(),
+            };
+            assert!(slack > -1e-6, "row {i} violated by {}", -slack);
+        }
     }
 }
