@@ -7,17 +7,15 @@
 //! under the best LLM-PQ plan, against both the PipeEdge baseline on the
 //! same cluster and a homogeneous premium-GPU alternative.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::baselines::pipeedge_plan;
 use llm_pq::assign;
 use llmpq_cluster::{cluster_hourly_cost, serving_cost};
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Ablation — $/Mtok across clusters (on-demand-style rates)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — $/Mtok across clusters (on-demand-style rates)\n");
     let db = CostDb::oracle(&KernelEnv::default());
     let mut t = TextTable::new(&[
         "Cluster", "Model", "$/hour", "PipeEdge $/Mtok", "LLM-PQ $/Mtok", "saving",
@@ -44,8 +42,8 @@ fn main() {
             },
         ]);
     }
-    println!("{}", t.render());
-    println!("Expectation: LLM-PQ's throughput gains translate 1:1 into $/Mtok savings on");
-    println!("the same hardware, and scavenged heterogeneous clusters (3, 5) become cost-");
-    println!("competitive with premium homogeneous ones (10) — the Fig-1 motivation.");
+    out.table(&t);
+    say!(out, "Expectation: LLM-PQ's throughput gains translate 1:1 into $/Mtok savings on");
+    say!(out, "the same hardware, and scavenged heterogeneous clusters (3, 5) become cost-");
+    say!(out, "competitive with premium homogeneous ones (10) — the Fig-1 motivation.");
 }

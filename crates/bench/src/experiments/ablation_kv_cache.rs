@@ -8,16 +8,14 @@
 //! (Quality impact of KV quantization is not modelled — this bench
 //! reports the systems-side trade only.)
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::assign;
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
-fn main() {
-    println!("Ablation — KV-cache precision in the search space\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — KV-cache precision in the search space\n");
     let db = CostDb::oracle(&KernelEnv::default());
     let mut t = TextTable::new(&[
         "Cluster", "Job", "KV search", "chosen KV", "Throughput (tok/s)", "mean weight bits",
@@ -48,8 +46,8 @@ fn main() {
             }
         }
     }
-    println!("{}", t.render());
-    println!("Expectation: with short generations kv16 stays optimal; with n=800 the");
-    println!("KV cache dominates memory and int8 KV unlocks higher weight precision");
-    println!("and/or throughput on the memory-tight clusters.");
+    out.table(&t);
+    say!(out, "Expectation: with short generations kv16 stays optimal; with n=800 the");
+    say!(out, "KV cache dominates memory and int8 KV unlocks higher weight precision");
+    say!(out, "and/or throughput on the memory-tight clusters.");
 }

@@ -18,8 +18,8 @@
 //! Emits `BENCH_migration.json` so the recovery path has a tracked perf
 //! trajectory, and prints a comparison table.
 
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
-use llmpq_bench::TextTable;
+use crate::{Args, Out, TextTable};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
 use llmpq_runtime::{load_stage_weights, Pipeline, SupervisorConfig, SwapRequest};
@@ -27,58 +27,19 @@ use std::time::Instant;
 
 /// Evenly partition `n_layers` into `n_stages`, alternating Int8/Fp16.
 fn base_plan(n_layers: usize, n_stages: usize, n_seqs: usize) -> ExecutionPlan {
-    let per = n_layers / n_stages;
-    let rem = n_layers % n_stages;
-    let mut stages = Vec::new();
-    let mut start = 0usize;
-    for s in 0..n_stages {
-        let len = per + usize::from(s < rem);
-        let bits = (start..start + len)
-            .map(|l| if l % 2 == 0 { Bitwidth::Int8 } else { Bitwidth::Fp16 })
-            .collect();
-        stages.push(StagePlan { device: s, layer_start: start, layer_end: start + len, bits });
-        start += len;
-    }
-    ExecutionPlan {
-        model: format!("bench-{n_layers}l"),
-        cluster: "ablation".into(),
-        stages,
-        microbatch: MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: n_seqs.div_ceil(2).max(1),
-            decode_size: n_seqs.max(1),
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let (per, rem) = (n_layers / n_stages, n_layers % n_stages);
+    let mut layers = (0..n_layers).map(|l| if l % 2 == 0 { Bitwidth::Int8 } else { Bitwidth::Fp16 });
+    let bits = (0..n_stages).map(|s| layers.by_ref().take(per + usize::from(s < rem)).collect()).collect();
+    let mb = MicrobatchPlan {
+        prefill_size: 2,
+        prefill_count: n_seqs.div_ceil(2).max(1),
+        decode_size: n_seqs.max(1),
+        decode_count: 1,
+    };
+    ExecutionPlan::contiguous(&format!("bench-{n_layers}l"), "ablation", bits, mb)
 }
 
-/// All-Int4 target with one layer moved across the first stage boundary.
-fn target_plan(base: &ExecutionPlan) -> ExecutionPlan {
-    let mut cuts: Vec<(usize, usize)> =
-        base.stages.iter().map(|s| (s.layer_start, s.layer_end)).collect();
-    for i in 0..cuts.len().saturating_sub(1) {
-        if cuts[i + 1].1 - cuts[i + 1].0 >= 2 {
-            cuts[i].1 += 1;
-            cuts[i + 1].0 += 1;
-            break;
-        }
-    }
-    let stages = cuts
-        .iter()
-        .zip(&base.stages)
-        .map(|(&(lo, hi), s)| StagePlan {
-            device: s.device,
-            layer_start: lo,
-            layer_end: hi,
-            bits: vec![Bitwidth::Int4; hi - lo],
-        })
-        .collect();
-    ExecutionPlan { stages, ..base.clone() }
-}
-
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let n_layers = 16;
     let n_stages = 4;
     let batch = 4usize;
@@ -87,14 +48,14 @@ fn main() {
     let at_token = 4usize;
     let seed = 0u64;
 
-    println!(
+    say!(out,
         "Ablation — live plan migration vs. restart-from-checkpoint \
          ({n_layers} layers / {n_stages} stages, batch {batch}, swap at token {at_token}/{n_generate})\n"
     );
 
     let checkpoint = RefModel::new(RefConfig::scaled_like(n_layers, 0xBE7C));
     let base = base_plan(n_layers, n_stages, batch);
-    let target = target_plan(&base);
+    let target = base.int4_with_one_layer_moved();
     let prompts: Vec<Vec<usize>> = (0..batch)
         .map(|i| (0..prompt_len).map(|j| (i * 41 + j * 17) % checkpoint.cfg.vocab).collect())
         .collect();
@@ -164,8 +125,8 @@ fn main() {
         format!("{:.3} s reload + {:.3} s re-prefill+decode", reload_s, resume_s),
         format!("{recomputed_kv_bytes} B recomputed"),
     ]);
-    println!("{}", table.render());
-    println!(
+    out.table(&table);
+    say!(out,
         "live swap commit window: {} µs; restart switch gap: {:.1} ms ({} modules reloaded)",
         swap.latency_us,
         (reload_s + resume_s) * 1e3,
@@ -190,11 +151,7 @@ fn main() {
             kv_bytes_recomputed: recomputed_kv_bytes,
         },
     };
-    let path = "BENCH_migration.json";
-    match std::fs::write(path, serde_json::to_string_pretty(&report).expect("serializable") + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    out.json("BENCH_migration.json", &report);
 }
 
 #[derive(serde::Serialize)]

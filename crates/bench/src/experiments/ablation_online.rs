@@ -7,50 +7,32 @@
 //! paper's offline assumption incurs on unpredictable workloads — the
 //! gap ORCA-style iteration scheduling and vLLM's paged KV attack.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
-use llm_pq::evaluate::stage_loads;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
+use llm_pq::evaluate::batch_profile;
 use llm_pq::assign;
 use llmpq_cost::CostDb;
-use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
+use llmpq_sim::{simulate_pipeline, KernelEnv};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
-fn main() {
-    println!("Ablation — offline plan under online (Poisson) traffic, cluster 3\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — offline plan under online (Poisson) traffic, cluster 3\n");
     let setup = ServingSetup::paper(3);
     let db = CostDb::oracle(&KernelEnv::default());
     let indicator = zoo_indicator(&setup.spec);
-    let out = assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg)
+    let planned = assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg)
         .expect("plan");
-    println!(
+    say!(out,
         "plan: {} stages, {:.1} mean bits, offline throughput {:.1} tok/s\n",
-        out.plan.stages.len(),
-        out.report.mean_bits,
-        out.report.throughput
+        planned.plan.stages.len(),
+        planned.report.mean_bits,
+        planned.report.throughput
     );
 
-    // Batch-cost function: rebuild the pipeline profile for the batch's
-    // padded shape and simulate it.
-    let cluster = setup.cluster.clone();
-    let spec = setup.spec.clone();
-    let plan = out.plan.clone();
-    let batch_cost = move |s: usize, n: usize, b: usize| -> f64 {
+    // Batch-cost function: the plan's pipeline profile for the batch's
+    // padded shape, simulated.
+    let batch_cost = |s: usize, n: usize, b: usize| -> f64 {
         let job = BatchJob { global_batch: b, prompt_len: s, n_generate: n };
-        let mut p = plan.clone();
-        // Clamp micro-batch counts to the actual batch size.
-        p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-        p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-        p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-        p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-        let loads = stage_loads(&p, &cluster, &spec, &db, &job);
-        let wl = PipelineWorkload {
-            prefill_microbatches: p.microbatch.prefill_count,
-            decode_microbatches: p.microbatch.decode_count,
-            n_tokens: n,
-            master_prefill: 0.0,
-            master_decode: 0.0,
-        };
+        let (loads, wl) = batch_profile(&planned.plan, &setup.cluster, &setup.spec, &db, &job);
         simulate_pipeline(&loads, &wl).total_latency
     };
 
@@ -75,9 +57,9 @@ fn main() {
             format!("{:.0}%", stats.padding_fraction * 100.0),
         ]);
     }
-    println!("{}", t.render());
-    println!("Expectation: a saturation knee — past the engine's capacity the queue wait");
-    println!("dominates p95; padding waste stays large because offline batching pads to");
-    println!("the longest prompt (the inefficiency ORCA/vLLM address, paper §7). With a");
-    println!("10% per-batch failure rate, retried batches appear and tail latency grows.");
+    out.table(&t);
+    say!(out, "Expectation: a saturation knee — past the engine's capacity the queue wait");
+    say!(out, "dominates p95; padding waste stays large because offline batching pads to");
+    say!(out, "the longest prompt (the inefficiency ORCA/vLLM address, paper §7). With a");
+    say!(out, "10% per-batch failure rate, retried batches appear and tail latency grows.");
 }

@@ -10,51 +10,33 @@
 //! flowing instead of collapsing), and the ladder demonstrably steps
 //! down and recovers.
 //!
-//! `--soak <seconds>` instead runs the same loop over the *real* stage
-//! ring (tiny stand-in model, one thread per stage) at 2× capacity with
-//! a crash fault in every round, checking request conservation and that
-//! RSS stays bounded — the CI overload-soak job drives this mode under
-//! a wall-clock watchdog.
+//! `run_all ablation_overload --soak SECS` instead runs the same loop
+//! over the *real* stage ring (tiny stand-in model, one thread per
+//! stage) at 2× capacity with a crash fault in every round, checking
+//! request conservation and that RSS stays bounded — the CI
+//! overload-soak job drives this mode under a wall-clock watchdog.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
-use llm_pq::evaluate::stage_loads;
-use llm_pq::{degradation_ladder, AssignerConfig, ExecutionPlan, DEFAULT_CAPS};
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
+use llm_pq::evaluate::batch_profile;
+use llm_pq::{degradation_ladder, AssignerConfig, ExecutionPlan, MicrobatchPlan, DEFAULT_CAPS};
 use llmpq_cost::CostDb;
 use llmpq_model::{RefConfig, RefModel};
+use llmpq_quant::{Bitwidth, Rounding};
 use llmpq_runtime::{
     poisson_requests, serve_continuous, AdmissionConfig, AdmissionPolicy, AdmissionStats,
     ContinuousConfig, ContinuousScheduler, DegradationConfig, DistServeConfig, DistStepEngine,
     FaultPlan, IterCost, KvPoolConfig, SimStepEngine,
 };
-use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
+use llmpq_sim::{simulate_pipeline, KernelEnv};
 use llmpq_workload::BatchJob;
 
 const PROMPT_LEN: usize = 32;
 const N_GENERATE: usize = 32;
 const MAX_BATCH: usize = 8;
 
-fn plan_cost(
-    plan: &ExecutionPlan,
-    setup: &ServingSetup,
-    db: &CostDb,
-    b: usize,
-) -> f64 {
+fn plan_cost(plan: &ExecutionPlan, setup: &ServingSetup, db: &CostDb, b: usize) -> f64 {
     let job = BatchJob { global_batch: b, prompt_len: PROMPT_LEN, n_generate: N_GENERATE };
-    let mut p = plan.clone();
-    p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-    p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-    p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-    p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-    let loads = stage_loads(&p, &setup.cluster, &setup.spec, db, &job);
-    let wl = PipelineWorkload {
-        prefill_microbatches: p.microbatch.prefill_count,
-        decode_microbatches: p.microbatch.decode_count,
-        n_tokens: N_GENERATE,
-        master_prefill: 0.0,
-        master_decode: 0.0,
-    };
+    let (loads, wl) = batch_profile(plan, &setup.cluster, &setup.spec, db, &job);
     simulate_pipeline(&loads, &wl).total_latency
 }
 
@@ -64,19 +46,18 @@ fn rss_kib() -> Option<u64> {
     Some(pages * 4) // 4 KiB pages
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--soak") {
-        let secs: u64 = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(30);
-        soak(secs);
-        return;
+pub fn run(out: &mut Out, args: &Args) {
+    match args.value("--soak") {
+        Some(secs) => {
+            soak(out, secs.parse().unwrap_or_else(|_| panic!("--soak takes whole seconds, got '{secs}'")))
+        }
+        None => sweep(out),
     }
-    sweep();
 }
 
 /// The rate sweep over admission policies, on the cost-profile engine.
-fn sweep() {
-    println!("Ablation — overload control past saturation, cluster 3\n");
+fn sweep(out: &mut Out) {
+    say!(out, "Ablation — overload control past saturation, cluster 3\n");
     let setup = ServingSetup::paper(3);
     let db = CostDb::oracle(&KernelEnv::default());
     let indicator = zoo_indicator(&setup.spec);
@@ -86,9 +67,9 @@ fn sweep() {
     let ladder =
         degradation_ladder(&setup.cluster, &setup.spec, &job, &db, &indicator, &cfg, &DEFAULT_CAPS)
             .expect("ladder");
-    println!("degradation ladder: {} rungs", ladder.len());
+    say!(out, "degradation ladder: {} rungs", ladder.len());
     for r in &ladder.rungs {
-        println!(
+        say!(out,
             "  {}: predicted {:.2}s/batch, quality cost {:.3}, mean {:.1} bits",
             r.label, r.predicted_latency_s, r.quality_cost, r.mean_bits
         );
@@ -107,7 +88,7 @@ fn sweep() {
         .collect();
     let (c1, cb) = batch_costs[0];
     let capacity_rps = MAX_BATCH as f64 / cb;
-    println!("\ncalibrated capacity (rung 0, batch {MAX_BATCH}): {capacity_rps:.2} req/s\n");
+    say!(out, "\ncalibrated capacity (rung 0, batch {MAX_BATCH}): {capacity_rps:.2} req/s\n");
 
     // KV pool: room for a small multiple of the batch at full length.
     let block_tokens = 16;
@@ -190,11 +171,11 @@ fn sweep() {
             }
         }
     }
-    println!("{}", table.render());
+    out.table(&table);
 
     // Acceptance: overload must not collapse goodput, and the ladder
     // must both engage and release.
-    println!(
+    say!(out,
         "deadline-shed goodput: 1x {:.2} req/s, 4x {:.2} req/s ({:.0}% retained)",
         goodput_1x_deadline,
         goodput_4x_deadline,
@@ -206,40 +187,26 @@ fn sweep() {
     );
     assert!(peak_rung_4x >= 1, "ladder never stepped down at 4x capacity");
     assert_eq!(final_rung_4x, 0, "ladder did not recover after the burst drained");
-    println!("PASS: goodput retained >= 90% at 4x, ladder engaged (peak rung {peak_rung_4x}) and recovered");
+    say!(out, "PASS: goodput retained >= 90% at 4x, ladder engaged (peak rung {peak_rung_4x}) and recovered");
 }
 
 /// `--soak <seconds>`: the real stage ring under sustained 2× overload
 /// with a crash injected every round, watching conservation and RSS.
-fn soak(secs: u64) {
-    println!("Overload soak: real stage ring at 2x capacity with faults, {secs}s\n");
+fn soak(out: &mut Out, secs: u64) {
+    say!(out, "Overload soak: real stage ring at 2x capacity with faults, {secs}s\n");
     let n_layers = 4usize;
     let checkpoint = RefModel::new(RefConfig::scaled_like(n_layers, 77));
     // Two rungs built by hand (full-quality and all-int4) — the soak
     // exercises the serving loop and ring recovery, not the solver.
-    let mk_plan = |bits: llmpq_quant::Bitwidth| ExecutionPlan {
-        model: "soak".into(),
-        cluster: "duo".into(),
-        stages: vec![
-            llm_pq::StagePlan { device: 0, layer_start: 0, layer_end: 2, bits: vec![bits; 2] },
-            llm_pq::StagePlan { device: 1, layer_start: 2, layer_end: 4, bits: vec![bits; 2] },
-        ],
-        microbatch: llmpq_workload::MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: 1,
-            decode_size: 2,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    };
-    let plans = vec![mk_plan(llmpq_quant::Bitwidth::Fp16), mk_plan(llmpq_quant::Bitwidth::Int4)];
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 1, decode_size: 2, decode_count: 1 };
+    let mk_plan = |bits| ExecutionPlan::contiguous("soak", "duo", vec![vec![bits; 2]; 2], mb);
+    let plans = vec![mk_plan(Bitwidth::Fp16), mk_plan(Bitwidth::Int4)];
     let max_batch = 4usize;
     let ring = |faults: Option<FaultPlan>| {
         DistStepEngine::over_channels(
             &checkpoint,
             plans.clone(),
-            llmpq_quant::Rounding::Deterministic,
+            Rounding::Deterministic,
             0,
             DistServeConfig { n_slots: max_batch, ..DistServeConfig::default() },
             faults,
@@ -253,7 +220,7 @@ fn soak(secs: u64) {
     let warm_cfg = ContinuousConfig { max_batch, ..ContinuousConfig::default() };
     let warm_rep = serve_continuous(ring(None), &warm, warm_cfg, None).expect("warmup run");
     let capacity_rps = warm_rep.completed as f64 / warm_rep.makespan_s;
-    println!("calibrated capacity: {capacity_rps:.1} req/s (virtual clock)");
+    say!(out, "calibrated capacity: {capacity_rps:.1} req/s (virtual clock)");
 
     let rss_start = rss_kib().unwrap_or(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
@@ -294,7 +261,7 @@ fn soak(secs: u64) {
         total.recovered += rep.stats.recovered;
         if round.is_multiple_of(50) {
             let rss = rss_kib().unwrap_or(0);
-            println!(
+            say!(out,
                 "round {round}: offered {} served {} shed {} expired {} | restarts {restarts} | rss {rss} KiB",
                 total.offered, total.served, total.shed, total.expired
             );
@@ -308,7 +275,7 @@ fn soak(secs: u64) {
     // but catch a real leak (unbounded queues would grow far past this).
     let growth = rss_end.saturating_sub(rss_start);
     assert!(growth < 256 * 1024, "RSS grew {growth} KiB during the soak — leak?");
-    println!(
+    say!(out,
         "\nPASS: {round} rounds, {} offered / {} served / {} shed / {} expired, \
          {restarts} ring restarts ({} requests requeued), RSS {rss_start} -> {rss_end} KiB",
         total.offered, total.served, total.shed, total.expired, total.recovered

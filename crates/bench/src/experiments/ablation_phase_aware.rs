@@ -5,9 +5,7 @@
 //! mixed clusters. The gap quantifies the value of modelling both
 //! phases when devices are heterogeneous.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::assigner::{build_problem, device_orderings, solution_to_plan};
 use llm_pq::evaluate_plan;
 use llmpq_cost::CostDb;
@@ -59,8 +57,8 @@ fn best_throughput(setup: &ServingSetup, phase_aware: bool) -> Option<f64> {
     best
 }
 
-fn main() {
-    println!("Ablation — phase-aware vs prefill-only partition objective\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — phase-aware vs prefill-only partition objective\n");
     let mut t = TextTable::new(&["Cluster", "Model", "prefill-only (tok/s)", "phase-aware (tok/s)", "gain"]);
     for n in [3usize, 4, 5, 6] {
         let setup = ServingSetup::paper(n);
@@ -77,7 +75,7 @@ fn main() {
             },
         ]);
     }
-    println!("{}", t.render());
-    println!("Expectation: phase-aware ≥ prefill-only on heterogeneous clusters — the");
-    println!("decode phase dominates wall-clock (n=100 steps) and balances differently.");
+    out.table(&t);
+    say!(out, "Expectation: phase-aware ≥ prefill-only on heterogeneous clusters — the");
+    say!(out, "decode phase dominates wall-clock (n=100 steps) and balances differently.");
 }

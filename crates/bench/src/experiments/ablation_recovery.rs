@@ -10,23 +10,21 @@
 //!    replan recovery latency against restart-only recovery, which can
 //!    never complete on the old plan.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::evaluate::{representative_past, stage_loads};
 use llm_pq::{assign, replan_after_loss};
 use llmpq_cost::CostDb;
 use llmpq_model::PhaseWorkload;
 use llmpq_sim::{recovery_cost, simulate_pipeline, FailureModel, KernelEnv, PipelineWorkload};
 
-fn main() {
-    println!("Ablation — recovery cost: restart vs. replan (cluster 3, OPT-30b)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — recovery cost: restart vs. replan (cluster 3, OPT-30b)\n");
     let db = CostDb::oracle(&KernelEnv::default());
     let setup = ServingSetup::paper(3);
     let indicator = zoo_indicator(&setup.spec);
-    let out = assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg)
-        .expect("baseline plan");
-    let plan = out.plan;
+    let plan = assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg)
+        .expect("baseline plan")
+        .plan;
 
     let loads = stage_loads(&plan, &setup.cluster, &setup.spec, &db, &setup.job);
     let first_gpu = setup.cluster.devices[plan.stages[0].device].gpu;
@@ -45,7 +43,7 @@ fn main() {
         master_decode: db.master_latency(first_gpu, &setup.spec, &dec_w),
     };
     let t0 = simulate_pipeline(&loads, &wl).total_latency;
-    println!("fault-free batch latency: {t0:.2} s over {} stages\n", plan.stages.len());
+    say!(out, "fault-free batch latency: {t0:.2} s over {} stages\n", plan.stages.len());
 
     // --- 1. transient failures: restart overhead vs. MTTF ---
     let mut t = TextTable::new(&["MTTF (s)", "E[failures]", "restart latency (s)", "overhead"]);
@@ -59,7 +57,7 @@ fn main() {
             format!("{:.1}%", r.transient_overhead_fraction * 100.0),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     // --- 2. permanent device loss: replan on the survivors ---
     let mut t = TextTable::new(&[
@@ -116,9 +114,9 @@ fn main() {
             }
         }
     }
-    println!("{}", t.render());
-    println!("Expectation: restart overhead is linear in run length / MTTF; permanent loss");
-    println!("is unrecoverable by restarts alone, while replanning completes the batch at");
-    println!("the degraded plan's rate — losing the V100 hurts most (it anchors the");
-    println!("high-precision layers), losing one of the T4s least.");
+    out.table(&t);
+    say!(out, "Expectation: restart overhead is linear in run length / MTTF; permanent loss");
+    say!(out, "is unrecoverable by restarts alone, while replanning completes the batch at");
+    say!(out, "the degraded plan's rate — losing the V100 hurts most (it anchors the");
+    say!(out, "high-precision layers), losing one of the T4s least.");
 }

@@ -24,8 +24,8 @@
 //! token for token; the row pair shows what the pipeline hop costs in
 //! throughput and tail latency.
 
-use llmpq_bench::TextTable;
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use crate::{Args, Out, TextTable};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
@@ -130,10 +130,11 @@ struct Row {
     conserves: bool,
 }
 
-fn row(rate: f64, r: &ContinuousReport) -> Row {
-    Row {
+/// Record one run as a report row and a table line.
+fn record(rows: &mut Vec<Row>, table: &mut TextTable, rate: f64, mode: &str, r: &ContinuousReport) {
+    let w = Row {
         rate_rps: rate,
-        mode: r.mode.clone(),
+        mode: mode.into(),
         completed: r.completed,
         goodput_rps: r.goodput_rps,
         deadline_miss_rate: r.deadline_miss_rate,
@@ -147,7 +148,19 @@ fn row(rate: f64, r: &ContinuousReport) -> Row {
         preemptions: r.preemptions,
         prefill_tokens: r.prefill_tokens,
         conserves: r.conserves(),
-    }
+    };
+    table.row(vec![
+        format!("{rate}"),
+        w.mode.clone(),
+        format!("{}", w.completed),
+        format!("{:.1}", w.goodput_rps),
+        format!("{:.1}", w.deadline_miss_rate * 100.0),
+        format!("{:.2}", w.ttft.p99_ms),
+        format!("{:.3}", w.tpot.p99_ms),
+        format!("{:.1}", w.mean_batch_occupancy),
+        format!("{}", w.prefill_tokens),
+    ]);
+    rows.push(w);
 }
 
 #[derive(Serialize)]
@@ -181,23 +194,8 @@ const DIST_RATE_RPS: f64 = 50.0;
 
 fn dist_stage_plan(bits: Bitwidth) -> ExecutionPlan {
     let n = RefConfig::tiny().n_layers;
-    let split = n / 2;
-    ExecutionPlan {
-        model: "tiny".into(),
-        cluster: "bench".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: split, bits: vec![bits; split] },
-            StagePlan { device: 1, layer_start: split, layer_end: n, bits: vec![bits; n - split] },
-        ],
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 1,
-            decode_size: 1,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+    ExecutionPlan::contiguous("tiny", "bench", vec![vec![bits; n / 2], vec![bits; n - n / 2]], mb)
 }
 
 fn dist_vs_local(rows: &mut Vec<Row>, table: &mut TextTable) -> bool {
@@ -242,25 +240,12 @@ fn dist_vs_local(rows: &mut Vec<Row>, table: &mut TextTable) -> bool {
     };
     let matches = tokens(&local) == tokens(&dist);
     for (mode, r) in [("local-model", &local), ("distributed", &dist)] {
-        let mut w = row(DIST_RATE_RPS, r);
-        w.mode = mode.into();
-        table.row(vec![
-            format!("{DIST_RATE_RPS}"),
-            w.mode.clone(),
-            format!("{}", w.completed),
-            format!("{:.1}", w.goodput_rps),
-            format!("{:.1}", w.deadline_miss_rate * 100.0),
-            format!("{:.2}", w.ttft.p99_ms),
-            format!("{:.3}", w.tpot.p99_ms),
-            format!("{:.1}", w.mean_batch_occupancy),
-            format!("{}", w.prefill_tokens),
-        ]);
-        rows.push(w);
+        record(rows, table, DIST_RATE_RPS, mode, r);
     }
     matches
 }
 
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let rates = [50.0, 150.0, 400.0];
     let mut rows = Vec::new();
     let mut wins = true;
@@ -277,28 +262,16 @@ fn main() {
         wins &= cont.goodput_rps >= stat.goodput_rps
             && cont.deadline_miss_rate <= stat.deadline_miss_rate + 1e-9;
         for r in [&cont, &stat] {
-            let w = row(rate, r);
-            table.row(vec![
-                format!("{rate}"),
-                w.mode.clone(),
-                format!("{}", w.completed),
-                format!("{:.1}", w.goodput_rps),
-                format!("{:.1}", w.deadline_miss_rate * 100.0),
-                format!("{:.2}", w.ttft.p99_ms),
-                format!("{:.3}", w.tpot.p99_ms),
-                format!("{:.1}", w.mean_batch_occupancy),
-                format!("{}", w.prefill_tokens),
-            ]);
-            rows.push(w);
+            record(&mut rows, &mut table, rate, &r.mode, r);
         }
     }
     let matches = dist_vs_local(&mut rows, &mut table);
-    println!("{}", table.render());
-    println!(
+    out.table(&table);
+    say!(out,
         "continuous {} static batching on goodput at matched-or-better deadline-miss rate",
         if wins { "beats-or-ties" } else { "DOES NOT beat" }
     );
-    println!(
+    say!(out,
         "distributed ring {} the local engine token-for-token on {DIST_REQUESTS} requests",
         if matches { "matches" } else { "DOES NOT match" }
     );
@@ -314,12 +287,7 @@ fn main() {
         dist_requests: DIST_REQUESTS,
         distributed_matches_local: matches,
     };
-    let path = "BENCH_serving.json";
-    match std::fs::write(path, serde_json::to_string_pretty(&report).expect("serializable") + "\n")
-    {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    out.json("BENCH_serving.json", &report);
     assert!(wins, "continuous batching must not lose to the static baseline");
     assert!(matches, "distributed ring must match the local engine token-for-token");
 }

@@ -6,9 +6,7 @@
 //! but at branch-and-bound cost that explodes with instance size —
 //! the reason the paper needs grouping and the heuristic at all.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::assigner::build_problem;
 use llm_pq::ilp::solve_ilp;
 use llmpq_cost::CostDb;
@@ -18,12 +16,13 @@ use llmpq_solver::{solve_partition, MilpConfig};
 use llmpq_workload::{microbatch_counts, MicrobatchPlan};
 use std::time::Instant;
 
-fn main() {
-    println!("Ablation — DP vs branch-and-bound ILP (one subproblem per cluster)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — DP vs branch-and-bound ILP (one subproblem per cluster)\n");
     let db = CostDb::oracle(&KernelEnv::default());
     let mut t = TextTable::new(&[
         "Cluster", "Groups", "DP objective", "DP time (s)", "ILP objective", "ILP time (s)",
-    ]);
+    ])
+    .measured(&["DP time (s)", "ILP time (s)"]);
     for (n, group) in [(3usize, 6usize), (4, 6), (6, 8)] {
         let setup = ServingSetup::paper(n);
         let indicator = zoo_indicator(&setup.spec);
@@ -59,6 +58,6 @@ fn main() {
             format!("{ilp_time:.3}"),
         ]);
     }
-    println!("{}", t.render());
-    println!("Expectation: ILP objective ≤ DP objective (superset class), ILP time ≫ DP time.");
+    out.table(&t);
+    say!(out, "Expectation: ILP objective ≤ DP objective (superset class), ILP time ≫ DP time.");
 }

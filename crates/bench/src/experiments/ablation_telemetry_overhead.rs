@@ -8,8 +8,8 @@
 //! observability layer must stay well under 2% so it can be left on in
 //! production runs.
 
-use llm_pq::{ExecutionPlan, StagePlan};
-use llmpq_bench::TextTable;
+use llm_pq::ExecutionPlan;
+use crate::{Args, Out, TextTable};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::Bitwidth;
 use llmpq_runtime::{Pipeline, Telemetry};
@@ -17,32 +17,9 @@ use llmpq_workload::MicrobatchPlan;
 
 fn plan(n_layers: usize) -> ExecutionPlan {
     let split = n_layers / 2;
-    ExecutionPlan {
-        model: "tiny".into(),
-        cluster: "bench".into(),
-        stages: vec![
-            StagePlan {
-                device: 0,
-                layer_start: 0,
-                layer_end: split,
-                bits: vec![Bitwidth::Int8; split],
-            },
-            StagePlan {
-                device: 1,
-                layer_start: split,
-                layer_end: n_layers,
-                bits: vec![Bitwidth::Fp16; n_layers - split],
-            },
-        ],
-        microbatch: MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: 2,
-            decode_size: 4,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let bits = vec![vec![Bitwidth::Int8; split], vec![Bitwidth::Fp16; n_layers - split]];
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 4, decode_count: 1 };
+    ExecutionPlan::contiguous("tiny", "bench", bits, mb)
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -50,8 +27,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn main() {
-    println!("Ablation — telemetry overhead on the live pipeline runtime\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — telemetry overhead on the live pipeline runtime\n");
     let model = RefModel::new(RefConfig::tiny());
     let p = plan(model.cfg.n_layers);
     let prompts: Vec<Vec<usize>> =
@@ -88,13 +65,13 @@ fn main() {
             format!("{:.2}", xs.iter().cloned().fold(0.0f64, f64::max) * 1e3),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    out.table(&t);
+    say!(out,
         "per run: {spans_recorded} spans, {} work items, {} trials each arm",
         p.microbatch.prefill_count + (n_generate - 1) * p.microbatch.decode_count,
         trials
     );
-    println!("telemetry overhead: {:.2}% (median-over-median)", overhead * 100.0);
-    println!("\nExpectation: overhead < 2% — the recorders are relaxed atomics and the");
-    println!("span log is one short mutex push per item, both dwarfed by a layer forward.");
+    say!(out, "telemetry overhead: {:.2}% (median-over-median)", overhead * 100.0);
+    say!(out, "\nExpectation: overhead < 2% — the recorders are relaxed atomics and the");
+    say!(out, "span log is one short mutex push per item, both dwarfed by a layer forward.");
 }

@@ -7,19 +7,17 @@
 //! wider TP cuts pipeline depth and buys memory (milder quantization)
 //! at all-reduce cost.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::tp_sweep;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Ablation — tensor-parallel mesh search\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Ablation — tensor-parallel mesh search\n");
     for n in [7usize, 11] {
         let setup = ServingSetup::paper(n);
         let indicator = zoo_indicator(&setup.spec);
-        println!("cluster {n}: {:?} -> {}", setup.cluster.model_counts(), setup.spec.name);
-        let out = tp_sweep(
+        say!(out, "cluster {n}: {:?} -> {}", setup.cluster.model_counts(), setup.spec.name);
+        let widths = tp_sweep(
             &setup.cluster,
             &setup.spec,
             &setup.job,
@@ -29,7 +27,7 @@ fn main() {
             4,
         );
         let mut t = TextTable::new(&["TP width", "Pipeline stages", "Throughput (tok/s)", "mean bits"]);
-        for o in &out {
+        for o in &widths {
             t.row(vec![
                 o.tp_width.to_string(),
                 o.n_stages.to_string(),
@@ -37,9 +35,9 @@ fn main() {
                 format!("{:.1}", o.mean_bits),
             ]);
         }
-        println!("{}", t.render());
+        out.table(&t);
     }
-    println!("Expectation: TP widens memory per virtual device (higher mean bits) and");
-    println!("shortens the pipeline; whether throughput improves depends on whether the");
-    println!("all-reduce tax is cheaper than the pipeline bubbles it removes.");
+    say!(out, "Expectation: TP widens memory per virtual device (higher mean bits) and");
+    say!(out, "shortens the pipeline; whether throughput improves depends on whether the");
+    say!(out, "all-reduce tax is cheaper than the pipeline bubbles it removes.");
 }

@@ -9,8 +9,8 @@
 //! bar: tokens identical, and every link's traffic is accounted on both
 //! the tx and rx side.
 
-use llm_pq::{ExecutionPlan, StagePlan};
-use llmpq_bench::TextTable;
+use llm_pq::ExecutionPlan;
+use crate::{Args, Out, TextTable};
 use llmpq_cluster::interconnect::Link;
 use llmpq_cost::{link_crosscheck, LinkObservation};
 use llmpq_model::{RefConfig, RefModel};
@@ -29,26 +29,12 @@ const N_GENERATE: usize = 24;
 const SEED: u64 = 0;
 
 fn plan() -> ExecutionPlan {
-    ExecutionPlan {
-        model: "ablation-transport".into(),
-        cluster: "loopback".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: 2, bits: vec![Bitwidth::Int8; 2] },
-            StagePlan { device: 1, layer_start: 2, layer_end: 4, bits: vec![Bitwidth::Int4; 2] },
-            StagePlan { device: 2, layer_start: 4, layer_end: 6, bits: vec![Bitwidth::Fp16; 2] },
-        ],
-        microbatch: MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: 2,
-            decode_size: 2,
-            decode_count: 2,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let bits = vec![vec![Bitwidth::Int8; 2], vec![Bitwidth::Int4; 2], vec![Bitwidth::Fp16; 2]];
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 2, decode_count: 2 };
+    ExecutionPlan::contiguous("ablation-transport", "loopback", bits, mb)
 }
 
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let plan = plan();
     let checkpoint = Arc::new(RefModel::new(RefConfig::scaled_like(plan.n_layers(), 0xD157 ^ SEED)));
     let prompts: Vec<Vec<usize>> = (0..BATCH)
@@ -117,7 +103,7 @@ fn main() {
         format!("{total_bytes}"),
         format!("{total_comm:.4}"),
     ]);
-    println!("{}", t.render());
+    out.table(&t);
 
     let obs: Vec<LinkObservation> = dist
         .link_stats
@@ -143,8 +129,8 @@ fn main() {
             if r.rel_err.is_finite() { format!("{:.1}%", r.rel_err * 100.0) } else { "n/a".into() },
         ]);
     }
-    println!("{}", lt.render());
-    println!(
+    out.table(&lt);
+    say!(out,
         "tokens bit-identical across transports ({} restarts, overhead {:.1}%)",
         dist.restarts,
         (tcp_wall / channel_wall - 1.0) * 100.0

@@ -40,23 +40,21 @@
 //! with the speedup the simulator's `KernelEnv` roofline predicts for a
 //! modeled device.
 //!
-//! Flags: `--quick` (fewer repetitions, CI-friendly), `--check-ordering`
-//! (assert fused beats dequant-then-GEMM, fused int8 and int4 each run
-//! the 4096² decode at least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than
-//! dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
+//! Flags of `run_all bench_kernels`: `--quick` (fewer repetitions,
+//! CI-friendly), `--check-ordering` (assert fused beats
+//! dequant-then-GEMM, fused int8 and int4 each run the 4096² decode at
+//! least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
 //! int8, and a fused `m = 64` prefill row costs at most
 //! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape, in
 //! every section a vector instantiation ran — AVX2 or AVX-512 — and the
 //! layer forward of both prefill shapes costs at most
 //! [`MAX_LAYER_OVER_GEMM`] of its GEMMs in every section),
-//! `--compare PATH` (fail if any of those ratios is more than 10 %
-//! worse than in the same ISA's section of the report at `PATH`, or if
+//! `--compare FILE` (fail if any of those ratios is more than 10 %
+//! worse than in the same ISA's section of the report at `FILE`, or if
 //! that report has no such section),
-//! `--out PATH` (default `BENCH_kernels.json`).
+//! `--out FILE` (default `BENCH_kernels.json`).
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::{assign, SolverChoice};
 use llmpq_cluster::GpuModel;
 use llmpq_cost::{kernel_crosscheck, CostDb, KernelCrosscheck, KernelObservation};
@@ -645,8 +643,8 @@ fn solver_suite() -> SolverRow {
 
 /// The kernel tables with every kernel entry held to `isa`, printed as
 /// they are taken.
-fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
-    println!("== kernel isa: {} ==\n", isa.name());
+fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
+    say!(out, "== kernel isa: {} ==\n", isa.name());
     let mut gemm = Vec::new();
     gemm_suite(quick, mem_bw_gbs, &mut gemm);
 
@@ -663,7 +661,7 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
             r.roofline_frac.map_or("-".into(), |f| format!("{f:.2}")),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     let (decode_list, head) = decode_list_suite(quick, mem_bw_gbs);
     let mut t = TextTable::new(&["ref256x4 GEMM list", "m", "us/call", "ns/weight", "weight KB", "roofline"]);
@@ -677,15 +675,15 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
             format!("{:.2}", r.roofline_frac),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
     for r in &head {
-        println!("logits projection (512 x 256, dense), m = {}, {}: {:.1} us", r.m, r.form, r.us_per_call);
+        say!(out, "logits projection (512 x 256, dense), m = {}, {}: {:.1} us", r.m, r.form, r.us_per_call);
     }
 
     let (gelu_ns_per_elem, attention, layer) = layer_suite(quick);
-    println!("ref256x4 int4 layer, beyond its GEMMs: GELU {gelu_ns_per_elem:.2} ns/element");
+    say!(out, "ref256x4 int4 layer, beyond its GEMMs: GELU {gelu_ns_per_elem:.2} ns/element");
     for r in &attention {
-        println!("attention (4 heads x 64), m = {}, past = {}: {:.1} us", r.m, r.past, r.attention_us);
+        say!(out, "attention (4 heads x 64), m = {}, past = {}: {:.1} us", r.m, r.past, r.attention_us);
     }
     let mut t = TextTable::new(&["layer forward, m", "past", "layer us", "six GEMMs us", "layer / GEMMs"]);
     for r in &layer {
@@ -697,7 +695,7 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
             format!("{:.2}", r.layer_over_gemm),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     let decode_ms = |kernel: &str| {
         gemm.iter()
@@ -717,7 +715,7 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         })
         .collect();
     let int4_over_int8_decode = decode_ms("fused-int8") / decode_ms("fused-int4");
-    println!(
+    say!(out,
         "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
         if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
         decode_speedup_vs_f32.iter().map(|(k, s)| format!("{k} {s:.2}x")).collect::<Vec<_>>().join(", "),
@@ -744,11 +742,11 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         .map(|b| {
             let kernel = format!("fused-{b}");
             let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
-            println!("{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
+            say!(out, "{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
             (kernel, ratio)
         })
         .collect();
-    println!();
+    say!(out);
     Section {
         isa: isa.name(),
         gemm,
@@ -767,15 +765,15 @@ fn section(isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
 /// `--check-ordering` on one section. The decode and prefill
 /// amortisation gates apply wherever a vector instantiation ran,
 /// whichever it was.
-fn check_ordering(s: &Section) {
+fn check_ordering(out: &mut Out, s: &Section) {
     let isa = s.isa;
     assert!(
         s.fused_beats_dequant_decode,
         "{isa}: fused dequant-GEMM must beat the dequantize-then-f32 baseline in decode"
     );
     if isa == Isa::Baseline.name() {
-        println!("{isa}: decode speedup over dense f32 and int4 over int8 not gated (no vector instantiation)");
-        println!(
+        say!(out, "{isa}: decode speedup over dense f32 and int4 over int8 not gated (no vector instantiation)");
+        say!(out,
             "{isa}: prefill amortisation not gated (on x86_64 without FMA every fused multiply-add is a software \
              fmaf call, as dear per row at m = {CHUNK_M} as at m = 1)"
         );
@@ -811,19 +809,19 @@ fn check_ordering(s: &Section) {
 
 /// `--compare` on one section: every ratio is a quotient of two timings
 /// taken in one run on one machine under one instantiation.
-fn compare(now: &Section, was: &CommittedSection) {
+fn compare(out: &mut Out, now: &Section, was: &CommittedSection) {
     let isa = now.isa;
     let find = |rows: &[(String, f64)], kernel: &str| {
         rows.iter().find(|(k, _)| k == kernel).map(|(_, v)| *v).expect("kernel present in both reports")
     };
     for (kernel, was) in &was.decode_speedup_vs_f32 {
         let now = find(&now.decode_speedup_vs_f32, kernel);
-        println!("{isa} {kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
+        say!(out, "{isa} {kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
         assert!(now >= 0.9 * was, "{isa} {kernel}: decode speedup over dense f32 regressed more than 10%");
     }
     for (kernel, was) in &was.prefill_amortisation {
         let now = find(&now.prefill_amortisation, kernel);
-        println!("{isa} {kernel}: m = 64 row over m = 1 call {now:.2} (committed {was:.2})");
+        say!(out, "{isa} {kernel}: m = 64 row over m = 1 call {now:.2} (committed {was:.2})");
         assert!(now <= 1.1 * was, "{isa} {kernel}: m = 64 row over m = 1 call regressed more than 10%");
     }
     for was in &was.layer {
@@ -833,7 +831,7 @@ fn compare(now: &Section, was: &CommittedSection) {
             .find(|r| (r.m, r.past) == (was.m, was.past))
             .expect("layer shape present in both reports")
             .layer_over_gemm;
-        println!(
+        say!(out,
             "{isa} m = {}, past = {}: layer over its GEMMs {now:.2} (committed {:.2})",
             was.m, was.past, was.layer_over_gemm
         );
@@ -846,22 +844,18 @@ fn compare(now: &Section, was: &CommittedSection) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check-ordering");
-    let flag_value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_kernels.json".into());
+pub fn run(out: &mut Out, args: &Args) {
+    let quick = args.has("--quick");
     // Read before the run: `--out` defaults to the committed file.
-    let committed: Option<Committed> = flag_value("--compare").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let committed: Option<Committed> = args.value("--compare").map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("{path} is not a bench_kernels report with per-ISA sections: {e}"))
     });
 
     let host = Isa::detected();
     let mem_bw_gbs = mem_bw_gbs();
-    println!(
+    say!(out,
         "bench_kernels — packed dequant-GEMM throughput{}\nwidest kernel isa: {}; STREAM triad: {mem_bw_gbs:.1} GB/s\n",
         if quick { " (quick)" } else { "" },
         host.name(),
@@ -870,7 +864,7 @@ fn main() {
     let sections: Vec<Section> = Isa::ALL
         .into_iter()
         .filter(|&isa| isa <= host)
-        .map(|isa| with_cap(isa, || section(isa, quick, mem_bw_gbs)))
+        .map(|isa| with_cap(isa, || section(out, isa, quick, mem_bw_gbs)))
         .collect();
     let widest = sections.last().expect("the baseline instantiation runs everywhere");
 
@@ -883,10 +877,10 @@ fn main() {
             format!("{:.1}", r.decode_tok_s),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     let solver = solver_suite();
-    println!(
+    say!(out,
         "solver overhead: cluster {} {} -> {:.3} s ({:.1} tok/s plan)\n",
         solver.cluster, solver.solver, solver.overhead_s, solver.throughput_tok_s
     );
@@ -926,7 +920,8 @@ fn main() {
             format!("{:.2}", r.rel_err),
         ]);
     }
-    println!("decode speedup ({}) vs {gpu} roofline:\n{}", widest.isa, t.render());
+    say!(out, "decode speedup ({}) vs {gpu} roofline:", widest.isa);
+    out.table(&t);
 
     let report = Report {
         bench: "bench_kernels",
@@ -939,20 +934,17 @@ fn main() {
         crosscheck_device: gpu.to_string(),
         crosscheck,
     };
-    match std::fs::write(&out_path, serde_json::to_string_pretty(&report).expect("serializable") + "\n") {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
-    if check {
-        report.sections.iter().for_each(check_ordering);
+    out.json(args.value("--out").unwrap_or("BENCH_kernels.json"), &report);
+    if args.has("--check-ordering") {
+        report.sections.iter().for_each(|s| check_ordering(out, s));
     }
     if let Some(committed) = committed {
         for now in &report.sections {
             let was = committed.sections.iter().find(|was| was.isa == now.isa);
-            compare(now, was.unwrap_or_else(|| panic!("the committed report has no {} section", now.isa)));
+            compare(out, now, was.unwrap_or_else(|| panic!("the committed report has no {} section", now.isa)));
         }
         for was in committed.sections.iter().filter(|was| report.sections.iter().all(|now| now.isa != was.isa)) {
-            println!("committed {} section not compared: this host cannot run that instantiation", was.isa);
+            say!(out, "committed {} section not compared: this host cannot run that instantiation", was.isa);
         }
     }
 }

@@ -8,14 +8,16 @@
 //! are in both columns; the gap between them is what carrying state
 //! across the loss buys.
 //!
-//! `--check` turns the acceptance bar into an exit code: at every size
-//! the warm objective must never be worse than the cold one (the
-//! incumbent only prunes work, never the optimum; under grid
-//! subsampling it may legitimately *beat* the cold grid), and at fleet
-//! scale (≥ 50 devices) warm must not be slower than cold and a cold
-//! plan must finish within 100 ms — the bar that pins the memoisation
-//! (the unmemoised `assign` this replaced took ~200 ms there).
+//! `run_all bench_solver --check` turns the acceptance bar into an exit
+//! code: at every size the warm objective must never be worse than the
+//! cold one (the incumbent only prunes work, never the optimum; under
+//! grid subsampling it may legitimately *beat* the cold grid), and at
+//! fleet scale (≥ 50 devices) warm must not be slower than cold and a
+//! cold plan must finish within 100 ms — the bar that pins the
+//! memoisation (the unmemoised `assign` this replaced took ~200 ms
+//! there). `--out FILE` writes the report elsewhere.
 
+use crate::{Args, Out};
 use llm_pq::{assign, AssignerConfig, IncrementalPlanner, SolverChoice};
 use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
@@ -90,14 +92,8 @@ struct Report {
     rows: Vec<Row>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_solver.json".into());
+pub fn run(out: &mut Out, args: &Args) {
+    let check = args.has("--check");
 
     let spec = llmpq_model::zoo::opt_30b();
     let db = CostDb::oracle(&KernelEnv::default());
@@ -129,9 +125,9 @@ fn main() {
 
         // Cold: the same search from scratch on the survivors.
         let t1 = Instant::now();
-        let out = assign(&shrunk, &spec, &job, &db, &ind, &cfg).expect("cold plan");
+        let cold = assign(&shrunk, &spec, &job, &db, &ind, &cfg).expect("cold plan");
         let cold_s = t1.elapsed().as_secs_f64();
-        let cold_obj = out.report.total_latency + theta * out.omega_total;
+        let cold_obj = cold.report.total_latency + theta * cold.omega_total;
 
         let tol = 1e-9 * cold_obj.abs().max(1.0);
         let equal_objective = warm_obj <= cold_obj + tol;
@@ -151,7 +147,7 @@ fn main() {
             cost_cache_hit_rate: w.stats.cost.hit_rate(),
             eval_cache_hit_rate: w.stats.eval.hit_rate(),
         };
-        println!(
+        say!(out,
             "n={n} (-{lost}): cold {cold_s:.3}s obj {cold_obj:.4} | warm {warm_s:.3}s obj \
              {warm_obj:.4} ({}) | {speedup:.1}x, cost-cache {:.0}% eval-cache {:.0}%, \
              {} hint(s), {} seed(s) pruned",
@@ -161,7 +157,7 @@ fn main() {
             row.hints_applied,
             row.seeds_pruned,
         );
-        println!(
+        say!(out,
             "  warm stats: dp_calls {} pairs_pruned {} seeds_evaluated {} cost {}h/{}m eval {}h/{}m",
             w.stats.dp_calls,
             w.stats.pairs_pruned,
@@ -188,18 +184,15 @@ fn main() {
     }
 
     let report = Report { model: spec.name.clone(), theta, rows };
-    match std::fs::write(&out_path, serde_json::to_string_pretty(&report).expect("serializable") + "\n") {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
+    out.json(args.value("--out").unwrap_or("BENCH_solver.json"), &report);
 
     if check && !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");
         }
-        std::process::exit(1);
+        panic!("{} acceptance check(s) failed", failures.len());
     }
     if check {
-        println!("acceptance held: warm never worse nor slower, cold within budget at fleet scale");
+        say!(out, "acceptance held: warm never worse nor slower, cold within budget at fleet scale");
     }
 }

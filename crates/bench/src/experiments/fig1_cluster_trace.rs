@@ -6,12 +6,12 @@
 //! high-calibre GPUs (A100/V100) are a minority of the fleet and run far
 //! hotter than the plentiful inference cards (T4/P100).
 
-use llmpq_bench::TextTable;
+use crate::{Args, Out, TextTable};
 use llmpq_cluster::{ProductionTrace, TraceConfig};
 
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let cfg = TraceConfig::default();
-    println!("Figure 1 — production-cluster trace (seed {}, {} GPUs, {} h)\n", cfg.seed, cfg.fleet_size, cfg.hours);
+    say!(out, "Figure 1 — production-cluster trace (seed {}, {} GPUs, {} h)\n", cfg.seed, cfg.fleet_size, cfg.hours);
     let trace = ProductionTrace::generate(&cfg);
 
     let mut t = TextTable::new(&["GPU", "Fleet share", "Avg utilization", "Idle GPU-hours"]);
@@ -26,14 +26,14 @@ fn main() {
             format!("{:.0}", idle_h),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     let t4 = portions.iter().find(|(g, _)| g.to_string() == "T4-16G").unwrap().1;
     let a100 = portions.iter().find(|(g, _)| g.to_string() == "A100-40G").unwrap().1;
     let t4u = utils.iter().find(|(g, _)| g.to_string() == "T4-16G").unwrap().1;
     let a100u = utils.iter().find(|(g, _)| g.to_string() == "A100-40G").unwrap().1;
-    println!("Paper shape check:");
-    println!("  low-calibre cards dominate the fleet:  T4 share / A100 share = {:.1}x", t4 / a100);
-    println!("  high-calibre cards run hot:            A100 util / T4 util   = {:.1}x", a100u / t4u);
-    println!("\n=> idle low-calibre capacity is the resource pool LLM-PQ targets.");
+    say!(out, "Paper shape check:");
+    say!(out, "  low-calibre cards dominate the fleet:  T4 share / A100 share = {:.1}x", t4 / a100);
+    say!(out, "  high-calibre cards run hot:            A100 util / T4 util   = {:.1}x", a100u / t4u);
+    say!(out, "\n=> idle low-calibre capacity is the resource pool LLM-PQ targets.");
 }

@@ -8,18 +8,18 @@
 //! decode — paper quotes 14.53× for prefill under FP16 — which is why
 //! single-phase partitioning mis-balances heterogeneous pipelines.
 
-use llmpq_bench::TextTable;
+use crate::{Args, Out, TextTable};
 use llmpq_cluster::GpuModel;
 use llmpq_model::{zoo, PhaseWorkload};
 use llmpq_quant::Bitwidth;
 use llmpq_sim::{layer_latency, KernelEnv};
 
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let spec = zoo::opt_13b();
     let env = KernelEnv::default();
     let pre = PhaseWorkload::prefill(8, 512);
     let dec = PhaseWorkload::decode(8, 512, 512);
-    println!("Figure 3 — single {} layer, s=512, b=8\n", spec.name);
+    say!(out, "Figure 3 — single {} layer, s=512, b=8\n", spec.name);
 
     let mut t = TextTable::new(&["Precision", "Phase", "V100 (ms)", "P100 (ms)", "P100/V100"]);
     for bits in [Bitwidth::Fp16, Bitwidth::Int8, Bitwidth::Int4, Bitwidth::Int3] {
@@ -35,13 +35,13 @@ fn main() {
             ]);
         }
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     let v_pre = layer_latency(&GpuModel::V100_32G.spec(), &env, &spec, &pre, Bitwidth::Fp16, 16.0);
     let p_pre = layer_latency(&GpuModel::P100_12G.spec(), &env, &spec, &pre, Bitwidth::Fp16, 16.0);
     let v_dec = layer_latency(&GpuModel::V100_32G.spec(), &env, &spec, &dec, Bitwidth::Fp16, 16.0);
     let p_dec = layer_latency(&GpuModel::P100_12G.spec(), &env, &spec, &dec, Bitwidth::Fp16, 16.0);
-    println!("Paper shape check (FP16): prefill ratio {:.2}x vs decode ratio {:.2}x", p_pre / v_pre, p_dec / v_dec);
-    println!("(paper reports the prefill gap at 14.53x and a much smaller decode gap;");
-    println!(" the divergence between the two ratios is the phase-awareness motivation)");
+    say!(out, "Paper shape check (FP16): prefill ratio {:.2}x vs decode ratio {:.2}x", p_pre / v_pre, p_dec / v_dec);
+    say!(out, "(paper reports the prefill gap at 14.53x and a much smaller decode gap;");
+    say!(out, " the divergence between the two ratios is the phase-awareness motivation)");
 }

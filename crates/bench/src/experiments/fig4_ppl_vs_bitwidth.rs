@@ -9,7 +9,7 @@
 //! Paper shapes: PPL rises (accuracy falls) as bits shrink, and each
 //! mixed scheme lands **between** its two uniform endpoints.
 
-use llmpq_bench::{scaled_teacher, TextTable};
+use crate::{scaled_teacher, Args, Out, TextTable};
 use llmpq_model::zoo;
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
 use llmpq_quality::tasks::standard_tasks;
@@ -35,12 +35,12 @@ fn schemes(n_layers: usize) -> Vec<(String, BitAssignment)> {
     ]
 }
 
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     // (a) BLOOM-3b PPL.
     let bloom = zoo::bloom_3b();
     let teacher = scaled_teacher(&bloom);
     let corpora = standard_corpora(&teacher, 6, 28);
-    println!("Figure 4(a) — {}-like PPL vs bitwidth\n", bloom.name);
+    say!(out, "Figure 4(a) — {}-like PPL vs bitwidth\n", bloom.name);
     let mut t = TextTable::new(&["Scheme", "wikitext2-syn", "ptb-syn", "c4-syn", "avg PPL"]);
     for (name, bits) in schemes(bloom.n_layers) {
         let q = quantize_model(&teacher, &bits, Rounding::Deterministic, 0);
@@ -53,13 +53,13 @@ fn main() {
             format!("{:.3}", r.average),
         ]);
     }
-    println!("{}", t.render());
+    out.table(&t);
 
     // (b) OPT-1.3b accuracy.
     let opt = zoo::opt_1_3b();
     let teacher = scaled_teacher(&opt);
     let tasks = standard_tasks(&teacher, 40);
-    println!("Figure 4(b) — {}-like zero-shot accuracy vs bitwidth\n", opt.name);
+    say!(out, "Figure 4(b) — {}-like zero-shot accuracy vs bitwidth\n", opt.name);
     let mut t = TextTable::new(&["Scheme", "lambada-syn", "arc-syn", "piqa-syn", "avg acc (%)"]);
     for (name, bits) in schemes(opt.n_layers) {
         let q = quantize_model(&teacher, &bits, Rounding::Deterministic, 0);
@@ -73,7 +73,7 @@ fn main() {
             format!("{:.1}", avg * 100.0),
         ]);
     }
-    println!("{}", t.render());
-    println!("Paper shape check: PPL monotone in bits; mixed4-8 between int4 and int8;");
-    println!("mixed3-4 between int3 and int4; accuracy roughly the mirror image.");
+    out.table(&t);
+    say!(out, "Paper shape check: PPL monotone in bits; mixed4-8 between int4 and int8;");
+    say!(out, "mixed3-4 between int3 and int4; accuracy roughly the mirror image.");
 }

@@ -14,7 +14,7 @@
 //! fp16-relative speedups against the same roofline tables that
 //! produced the grid above.
 
-use llmpq_bench::TextTable;
+use crate::{Args, Out, TextTable};
 use llmpq_cluster::GpuModel;
 use llmpq_cost::{kernel_crosscheck, KernelObservation};
 use llmpq_kernels::qgemm_t;
@@ -63,10 +63,10 @@ fn measure_decode(nk: usize) -> Vec<KernelObservation> {
 }
 
 #[allow(clippy::type_complexity)]
-fn main() {
+pub fn run(out: &mut Out, _: &Args) {
     let spec = zoo::opt_30b();
     let env = KernelEnv::default();
-    println!("Figure 5 — single {} layer, s=512\n", spec.name);
+    say!(out, "Figure 5 — single {} layer, s=512\n", spec.name);
 
     for gpu in [GpuModel::T4_16G, GpuModel::V100_32G, GpuModel::A100_40G] {
         let dev = gpu.spec();
@@ -96,7 +96,8 @@ fn main() {
                     fastest.to_string(),
                 ]);
             }
-            println!("{gpu} / {phase_name}:\n{}", t.render());
+            say!(out, "{gpu} / {phase_name}:");
+            out.table(&t);
         }
     }
     // Measured grounding: the repo's fused dequant-GEMM on this host at
@@ -112,7 +113,8 @@ fn main() {
         16.0,
         &obs,
     );
-    let mut t = TextTable::new(&["bits", "predicted speedup", "measured speedup", "rel err"]);
+    let mut t = TextTable::new(&["bits", "predicted speedup", "measured speedup", "rel err"])
+        .measured(&["measured speedup", "rel err"]);
     for r in &rows {
         t.row(vec![
             r.bits.to_string(),
@@ -121,14 +123,14 @@ fn main() {
             format!("{:.2}", r.rel_err),
         ]);
     }
-    println!("Measured fused-kernel decode speedups (this host, m=1 n=k=4096) vs");
-    println!("{gpu} roofline — kernel_crosscheck rel_err on fp16-relative ratios:");
-    println!("{}", t.render());
+    say!(out, "Measured fused-kernel decode speedups (this host, m=1 n=k=4096) vs");
+    say!(out, "{gpu} roofline — kernel_crosscheck rel_err on fp16-relative ratios:");
+    out.table(&t);
     assert!(
         rows.iter().all(|r| r.rel_err.is_finite()),
         "kernel_crosscheck must produce finite rel_err for every precision"
     );
-    println!("Paper shape check: FP16 should dominate prefill columns on compute-rich");
-    println!("devices, while int4/int3 dominate decode; T4's int8 stays close to fp16;");
-    println!("measured speedups land within the roofline's band (finite rel_err).");
+    say!(out, "Paper shape check: FP16 should dominate prefill columns on compute-rich");
+    say!(out, "devices, while int4/int3 dominate decode; T4's int8 stays close to fp16;");
+    say!(out, "measured speedups land within the roofline's band (finite rel_err).");
 }

@@ -8,14 +8,14 @@
 //! Paper claims: memory error "almost negligible", latency error < 6%
 //! on average.
 
-use llmpq_bench::TextTable;
+use crate::{Args, Out, TextTable};
 use llmpq_cluster::GpuModel;
 use llmpq_cost::{latency_fidelity, memory_fidelity, CostDb, ProfilerConfig};
 use llmpq_model::zoo;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Figure 7 — cost-model fidelity\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Figure 7 — cost-model fidelity\n");
 
     let mut t = TextTable::new(&["Model", "Cases", "Mean memory err", "Max memory err"]);
     for spec in [zoo::bloom_560m(), zoo::bloom_1b7(), zoo::opt_13b(), zoo::opt_30b(), zoo::opt_66b()] {
@@ -27,7 +27,8 @@ fn main() {
             format!("{:.3}%", r.max_rel_err * 100.0),
         ]);
     }
-    println!("Memory cost model:\n{}", t.render());
+    say!(out, "Memory cost model:");
+    out.table(&t);
 
     let env = KernelEnv::default();
     let devices = [
@@ -50,6 +51,7 @@ fn main() {
             format!("{:.2}%", r.max_rel_err * 100.0),
         ]);
     }
-    println!("Latency cost model (fitted on the profiling grid, scored on unseen shapes):\n{}", t.render());
-    println!("Paper claim: memory error ~negligible; average latency error < 6%.");
+    say!(out, "Latency cost model (fitted on the profiling grid, scored on unseen shapes):");
+    out.table(&t);
+    say!(out, "Paper claim: memory error ~negligible; average latency error < 6%.");
 }

@@ -4,21 +4,19 @@
 //! magnitude. Paper shape: growing θ trades throughput for model
 //! quality — PPL (and Σω) falls, tokens/s falls or stays flat.
 
-use llmpq_bench::quality::{zoo_indicator, QualityHarness};
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, QualityHarness, ServingSetup, TextTable};
 use llm_pq::assign;
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Figure 8 — θ sensitivity\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Figure 8 — θ sensitivity\n");
     let db = CostDb::oracle(&KernelEnv::default());
     for cluster_no in [9usize, 5] {
         let mut setup = ServingSetup::paper(cluster_no);
         let indicator = zoo_indicator(&setup.spec);
         let harness = QualityHarness::new(&setup.spec);
-        println!("{} on cluster {cluster_no} (fp16 PPL {:.3}):", setup.spec.name, harness.fp16_ppl);
+        say!(out, "{} on cluster {cluster_no} (fp16 PPL {:.3}):", setup.spec.name, harness.fp16_ppl);
         let mut t = TextTable::new(&["theta", "Throughput (tok/s)", "Σω", "PPL", "mean bits"]);
         for theta in [0.0, 0.1, 1.0, 10.0, 100.0, 1000.0] {
             setup.cfg.theta = theta;
@@ -33,7 +31,7 @@ fn main() {
                 Err(e) => t.row(vec![format!("{theta}"), "-".into(), "-".into(), e, "-".into()]),
             }
         }
-        println!("{}", t.render());
+        out.table(&t);
     }
-    println!("Paper shape check: larger θ ⇒ lower Σω / PPL, generally lower throughput.");
+    say!(out, "Paper shape check: larger θ ⇒ lower Σω / PPL, generally lower throughput.");
 }

@@ -5,15 +5,13 @@
 //! Clusters 3, 5, 6, 9 at s=512 and cluster 4 at s=128. Paper shape:
 //! LLM-PQ outperforms adabits everywhere — joint optimization matters.
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::{adabits_plan, assign};
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Figure 9 — LLM-PQ vs pure adaptive quantization\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Figure 9 — LLM-PQ vs pure adaptive quantization\n");
     let db = CostDb::oracle(&KernelEnv::default());
     let mut t = TextTable::new(&["Cluster", "Model", "adabits (tok/s)", "LLM-PQ (tok/s)", "gain"]);
     let cases: Vec<(usize, bool)> = vec![(3, false), (5, false), (6, false), (9, false), (4, true)];
@@ -37,6 +35,6 @@ fn main() {
             },
         ]);
     }
-    println!("{}", t.render());
-    println!("Paper shape check: LLM-PQ ≥ adabits in all selected cases.");
+    out.table(&t);
+    say!(out, "Paper shape check: LLM-PQ ≥ adabits in all selected cases.");
 }

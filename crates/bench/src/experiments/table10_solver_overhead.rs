@@ -6,17 +6,16 @@
 //! in absolute terms but the *relative* pattern — heuristic clusters
 //! cheap, big grouped DP/ILP clusters expensive — should hold).
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::{assign, SolverChoice};
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Tables 9 & 10 — per-cluster solver setup and assigner overhead\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Tables 9 & 10 — per-cluster solver setup and assigner overhead\n");
     let db = CostDb::oracle(&KernelEnv::default());
-    let mut t = TextTable::new(&["Cluster", "Solver (Table 9)", "theta", "Overhead (s)", "Combos", "Throughput"]);
+    let mut t = TextTable::new(&["Cluster", "Solver (Table 9)", "theta", "Overhead (s)", "Combos", "Throughput"])
+        .measured(&["Overhead (s)"]);
     let mut total = 0.0;
     let mut slowest: f64 = 0.0;
     let mut count = 0usize;
@@ -44,9 +43,9 @@ fn main() {
             Err(e) => t.row(vec![n.to_string(), solver, format!("{}", setup.cfg.theta), e, "-".into(), "-".into()]),
         }
     }
-    println!("{}", t.render());
+    out.table(&t);
     if count > 0 {
-        println!("AVG overhead: {:.3} s   SLOWEST: {:.3} s", total / count as f64, slowest);
-        println!("(paper Table 10: AVG 18.38 s, SLOWEST 115.98 s, on GUROBI)");
+        out.measured(format!("AVG overhead: {:.3} s   SLOWEST: {:.3} s", total / count as f64, slowest));
+        say!(out, "(paper Table 10: AVG 18.38 s, SLOWEST 115.98 s, on GUROBI)");
     }
 }

@@ -8,7 +8,7 @@
 //! of PPL across rows. The variance indicator's per-range prediction is
 //! printed alongside to show its ranking agrees.
 
-use llmpq_bench::{scaled_teacher, TextTable};
+use crate::{scaled_teacher, Args, Out, TextTable};
 use llmpq_model::zoo;
 use llmpq_quant::{
     calibrate, quantize_model, variance_indicator, BitAssignment, Bitwidth, Rounding,
@@ -24,8 +24,8 @@ fn range_assignment(n_layers: usize, lo: usize, hi: usize) -> BitAssignment {
     a
 }
 
-fn main() {
-    println!("Table 1 — layer-range sensitivity to 4-bit quantization\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Table 1 — layer-range sensitivity to 4-bit quantization\n");
     let cases = [("opt-1.3b", zoo::opt_1_3b(), 8usize), ("bloom-3b", zoo::bloom_3b(), 10usize)];
     let mut t = TextTable::new(&[
         "Model",
@@ -57,14 +57,14 @@ fn main() {
             ]);
         }
     }
-    println!("{}", t.render());
-    println!("Paper shape check: rows within a model differ — layer position matters,");
-    println!("which is the motivation for a sensitivity indicator (§2.5).");
-    println!();
-    println!("Substitution note: on the synthetic stand-in, *early* ranges hurt most");
-    println!("(quantization noise compounds through random-weight depth), whereas the");
-    println!("paper's trained OPT-1.3b shows the mildest damage at layers 0-8. The");
-    println!("variance indicator is local by construction (Proposition 2) and ranks");
-    println!("ranges identically to the expensive Hessian baseline — the property");
-    println!("Table 6 relies on.");
+    out.table(&t);
+    say!(out, "Paper shape check: rows within a model differ — layer position matters,");
+    say!(out, "which is the motivation for a sensitivity indicator (§2.5).");
+    say!(out);
+    say!(out, "Substitution note: on the synthetic stand-in, *early* ranges hurt most");
+    say!(out, "(quantization noise compounds through random-weight depth), whereas the");
+    say!(out, "paper's trained OPT-1.3b shows the mildest damage at layers 0-8. The");
+    say!(out, "variance indicator is local by construction (Proposition 2) and ranks");
+    say!(out, "ranges identically to the expensive Hessian baseline — the property");
+    say!(out, "Table 6 relies on.");
 }

@@ -10,30 +10,31 @@
 //! clusters (up to ~2.9×) while matching or improving PPL; missing
 //! entries are OOM.
 
-use llmpq_bench::serving::{compare_cluster, llmpq_speedup, rows_to_table, ServingSetup};
+use crate::{compare_cluster, Args, Out, ServingSetup};
+use crate::serving::{llmpq_speedup, rows_to_table};
 
-fn main() {
-    println!("Table 4 — heterogeneous clusters (s=512, n=100, batch 32)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Table 4 — heterogeneous clusters (s=512, n=100, batch 32)\n");
     let mut speedups = Vec::new();
     for n in 1..=8 {
         let setup = ServingSetup::paper(n);
-        println!(
+        say!(out,
             "cluster {n}: {:?} -> {}",
             setup.cluster.model_counts(),
             setup.spec.name
         );
         let rows = compare_cluster(&setup, true);
-        println!("{}", rows_to_table(&setup.spec.name, &setup.cluster.name, &rows).render());
+        out.table(&rows_to_table(&setup.spec.name, &setup.cluster.name, &rows));
         if let Some(s) = llmpq_speedup(&rows) {
             speedups.push((n, s));
         }
     }
-    println!("LLM-PQ throughput speedup over PipeEdge per cluster:");
+    say!(out, "LLM-PQ throughput speedup over PipeEdge per cluster:");
     for (n, s) in &speedups {
-        println!("  cluster {n}: {s:.2}x");
+        say!(out, "  cluster {n}: {s:.2}x");
     }
     if !speedups.is_empty() {
         let gm = speedups.iter().map(|(_, s)| s.ln()).sum::<f64>() / speedups.len() as f64;
-        println!("  geometric mean: {:.2}x (paper: up to 2.88x, hetero clusters)", gm.exp());
+        say!(out, "  geometric mean: {:.2}x (paper: up to 2.88x, hetero clusters)", gm.exp());
     }
 }

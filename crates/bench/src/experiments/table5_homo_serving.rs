@@ -5,21 +5,22 @@
 //! very memory-tight cluster 9 FlexGen-int8 can win (heavy compression
 //! makes compute slower while swapping gets efficient).
 
-use llmpq_bench::serving::{compare_cluster, llmpq_speedup, rows_to_table, ServingSetup};
+use crate::{compare_cluster, Args, Out, ServingSetup};
+use crate::serving::{llmpq_speedup, rows_to_table};
 
-fn main() {
-    println!("Table 5 — homogeneous clusters (s=512, n=100, batch 32)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Table 5 — homogeneous clusters (s=512, n=100, batch 32)\n");
     for n in 9..=11 {
         let setup = ServingSetup::paper(n);
-        println!(
+        say!(out,
             "cluster {n}: {:?} -> {}",
             setup.cluster.model_counts(),
             setup.spec.name
         );
         let rows = compare_cluster(&setup, true);
-        println!("{}", rows_to_table(&setup.spec.name, &setup.cluster.name, &rows).render());
+        out.table(&rows_to_table(&setup.spec.name, &setup.cluster.name, &rows));
         if let Some(s) = llmpq_speedup(&rows) {
-            println!("LLM-PQ vs PipeEdge: {s:.2}x (paper: 2.57x / 1.02x / 1.08x)\n");
+            say!(out, "LLM-PQ vs PipeEdge: {s:.2}x (paper: 2.57x / 1.02x / 1.08x)\n");
         }
     }
 }

@@ -8,16 +8,14 @@
 //! indicator matches Hessian PPL at a 58–72× lower overhead and beats
 //! Random.
 
-use llmpq_bench::quality::{scaled_teacher, QualityHarness};
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{scaled_teacher, Args, Out, QualityHarness, ServingSetup, TextTable};
 use llm_pq::assign;
 use llmpq_cost::CostDb;
 use llmpq_quant::{build_indicator, IndicatorKind, Rounding};
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Table 6 — indicator comparison (OPT-66b-like on cluster 6, OPT-30b-like on cluster 9)\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Table 6 — indicator comparison (OPT-66b-like on cluster 6, OPT-30b-like on cluster 9)\n");
     let kinds = [
         ("Random", IndicatorKind::Random { seed: 99 }),
         ("Hessian", IndicatorKind::Hessian(Rounding::Deterministic)),
@@ -29,9 +27,10 @@ fn main() {
         let calib = llmpq_quality::corpus::calibration_set(&teacher, 4, 32);
         let harness = QualityHarness::new(&setup.spec);
         let db = CostDb::oracle(&KernelEnv::default());
-        println!("{} on cluster {cluster_no} (fp16 PPL {:.3}):", setup.spec.name, harness.fp16_ppl);
+        say!(out, "{} on cluster {cluster_no} (fp16 PPL {:.3}):", setup.spec.name, harness.fp16_ppl);
 
-        let mut t = TextTable::new(&["Method", "PPL", "Overhead (s)", "vs Hessian overhead"]);
+        let mut t = TextTable::new(&["Method", "PPL", "Overhead (s)", "vs Hessian overhead"])
+            .measured(&["Overhead (s)", "vs Hessian overhead"]);
         let mut rows: Vec<(String, f64, f64)> = Vec::new();
         for (name, kind) in kinds {
             let (table, overhead) = build_indicator(kind, &teacher, &calib);
@@ -54,8 +53,8 @@ fn main() {
                 },
             ]);
         }
-        println!("{}", t.render());
+        out.table(&t);
     }
-    println!("Paper shape check: variance ≈ Hessian PPL, ≤ Random PPL, at a");
-    println!("large overhead reduction (paper: 58.15x and 72.69x).");
+    say!(out, "Paper shape check: variance ≈ Hessian PPL, ≤ Random PPL, at a");
+    say!(out, "large overhead reduction (paper: 58.15x and 72.69x).");
 }

@@ -6,17 +6,16 @@
 //! Group=2 at higher overhead; the heuristic has the smallest overhead
 //! and wins on some clusters (4 and 10 in the paper).
 
-use llmpq_bench::quality::zoo_indicator;
-use llmpq_bench::serving::ServingSetup;
-use llmpq_bench::TextTable;
+use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::{assign, SolverChoice};
 use llmpq_cost::CostDb;
 use llmpq_sim::KernelEnv;
 
-fn main() {
-    println!("Table 8 — optimizer strategies under a 60 s limit\n");
+pub fn run(out: &mut Out, _: &Args) {
+    say!(out, "Table 8 — optimizer strategies under a 60 s limit\n");
     let db = CostDb::oracle(&KernelEnv::default());
-    let mut t = TextTable::new(&["Model", "Cluster", "Method", "Throughput (tok/s)", "Overhead (s)"]);
+    let mut t = TextTable::new(&["Model", "Cluster", "Method", "Throughput (tok/s)", "Overhead (s)"])
+        .measured(&["Overhead (s)"]);
     for n in [3usize, 4, 6, 10] {
         let base = ServingSetup::paper(n);
         let indicator = zoo_indicator(&base.spec);
@@ -40,7 +39,7 @@ fn main() {
             }
         }
     }
-    println!("{}", t.render());
-    println!("Paper shape check: heuristic has the smallest overhead; Group=1 explores");
-    println!("the largest space (highest overhead); throughputs stay in the same band.");
+    out.table(&t);
+    say!(out, "Paper shape check: heuristic has the smallest overhead; Group=1 explores");
+    say!(out, "the largest space (highest overhead); throughputs stay in the same band.");
 }

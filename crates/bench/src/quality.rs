@@ -68,11 +68,6 @@ impl QualityHarness {
     }
 }
 
-/// One-shot: PPL of a bit assignment for a zoo model.
-pub fn plan_ppl(spec: &ModelSpec, bits: &BitAssignment) -> f64 {
-    QualityHarness::new(spec).ppl(bits)
-}
-
 /// Resolve a zoo model by name, panicking with a clear message.
 pub fn model_by_name(name: &str) -> ModelSpec {
     zoo::by_name(name).unwrap_or_else(|| panic!("unknown model '{name}'"))

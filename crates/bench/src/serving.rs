@@ -82,66 +82,36 @@ pub fn compare_cluster(setup: &ServingSetup, with_quality: bool) -> Vec<Comparis
     let db = CostDb::oracle(&env);
     let quality = with_quality.then(|| QualityHarness::new(&setup.spec));
     let ppl_of = |bits: &BitAssignment| quality.as_ref().map(|q| q.ppl(bits));
-    let uniform_bits =
-        |b: Bitwidth| BitAssignment::uniform(setup.spec.n_layers, b);
-
-    let mut rows = Vec::new();
-
-    // PipeEdge.
-    rows.push(match pipeedge_plan(&setup.cluster, &setup.spec, &setup.job, &db) {
-        Ok((plan, r)) => ComparisonRow {
-            scheme: "PipeEdge".into(),
-            ppl: ppl_of(&plan.bit_assignment()),
-            latency: Some(r.total_latency),
-            throughput: Some(r.throughput),
-            overhead_s: None,
-        },
-        Err(_) => ComparisonRow::missing("PipeEdge"),
-    });
-
-    // Uniform.
-    rows.push(match uniform_plan(&setup.cluster, &setup.spec, &setup.job, &db) {
-        Ok((plan, r)) => ComparisonRow {
-            scheme: "Uniform".into(),
-            ppl: ppl_of(&plan.bit_assignment()),
-            latency: Some(r.total_latency),
-            throughput: Some(r.throughput),
-            overhead_s: None,
-        },
-        Err(_) => ComparisonRow::missing("Uniform"),
-    });
-
-    // FlexGen / FlexGen-int8 (OPT only).
-    let flexgen = |int8: bool, label: &str| -> ComparisonRow {
-        match flexgen_report(&setup.cluster, &setup.spec, &setup.job, &env, int8) {
-            Some(r) => ComparisonRow {
-                scheme: label.into(),
-                ppl: ppl_of(&uniform_bits(if int8 { Bitwidth::Int8 } else { Bitwidth::Fp16 })),
-                latency: Some(r.total_latency),
-                throughput: Some(r.throughput),
-                overhead_s: None,
-            },
-            None => ComparisonRow::missing(label),
-        }
+    let uniform_bits = |b: Bitwidth| BitAssignment::uniform(setup.spec.n_layers, b);
+    let row = |scheme: &str, bits: &BitAssignment, latency: f64, throughput: f64, overhead_s| ComparisonRow {
+        scheme: scheme.into(),
+        ppl: ppl_of(bits),
+        latency: Some(latency),
+        throughput: Some(throughput),
+        overhead_s,
     };
-    rows.push(flexgen(false, "FlexGen"));
-    rows.push(flexgen(true, "FlexGen-int8"));
-
-    // LLM-PQ.
+    let flexgen = |int8: bool, label: &str| match flexgen_report(&setup.cluster, &setup.spec, &setup.job, &env, int8) {
+        Some(r) => row(label, &uniform_bits(if int8 { Bitwidth::Int8 } else { Bitwidth::Fp16 }), r.total_latency, r.throughput, None),
+        None => ComparisonRow::missing(label),
+    };
     let indicator = zoo_indicator(&setup.spec);
-    rows.push(
+    vec![
+        match pipeedge_plan(&setup.cluster, &setup.spec, &setup.job, &db) {
+            Ok((plan, r)) => row("PipeEdge", &plan.bit_assignment(), r.total_latency, r.throughput, None),
+            Err(_) => ComparisonRow::missing("PipeEdge"),
+        },
+        match uniform_plan(&setup.cluster, &setup.spec, &setup.job, &db) {
+            Ok((plan, r)) => row("Uniform", &plan.bit_assignment(), r.total_latency, r.throughput, None),
+            Err(_) => ComparisonRow::missing("Uniform"),
+        },
+        // FlexGen / FlexGen-int8 (OPT only).
+        flexgen(false, "FlexGen"),
+        flexgen(true, "FlexGen-int8"),
         match assign(&setup.cluster, &setup.spec, &setup.job, &db, &indicator, &setup.cfg) {
-            Ok(out) => ComparisonRow {
-                scheme: "LLM-PQ".into(),
-                ppl: ppl_of(&out.plan.bit_assignment()),
-                latency: Some(out.report.total_latency),
-                throughput: Some(out.report.throughput),
-                overhead_s: Some(out.overhead_s),
-            },
+            Ok(out) => row("LLM-PQ", &out.plan.bit_assignment(), out.report.total_latency, out.report.throughput, Some(out.overhead_s)),
             Err(_) => ComparisonRow::missing("LLM-PQ"),
         },
-    );
-    rows
+    ]
 }
 
 /// Extract LLM-PQ's throughput speedup over PipeEdge from comparison

@@ -62,18 +62,18 @@
 //! duplicated / corrupted frames, connection drops) from a JSON plan;
 //! the master's supervisor restarts the attempt on a lost connection.
 
-use llm_pq::evaluate::stage_loads;
+use llm_pq::evaluate::batch_profile;
 use llm_pq::{
     degradation_ladder, AssignerConfig, DegradationLadder, ExecutionPlan, IncrementalPlanner,
     SolverChoice, DEFAULT_CAPS,
 };
 use llmpq_cli::Args;
-use llmpq_cluster::paper_cluster;
+use llmpq_cluster::{paper_cluster, Cluster};
 use llmpq_cost::{
     link_crosscheck, predicted_stage_seconds, stage_crosscheck, CostDb, LinkObservation,
     StageCrosscheck,
 };
-use llmpq_model::{zoo, RefConfig, RefModel};
+use llmpq_model::{zoo, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
     poisson_requests, run_master, run_stage, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
@@ -81,7 +81,7 @@ use llmpq_runtime::{
     FoldReplanner, IterCost, KvPoolConfig, Pipeline, Replanner, SimStepEngine, SupervisorConfig,
     SwapRequest, Telemetry, WireFaultPlan,
 };
-use llmpq_sim::{KernelEnv, PipelineWorkload};
+use llmpq_sim::KernelEnv;
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
 const USAGE: &str = "usage: llmpq-dist --strat_file_name <strategy.json>
@@ -368,7 +368,7 @@ fn run(args: &Args) -> Result<(), String> {
 /// reuses the first's cost and evaluation caches and warm-starts from
 /// its plan.
 struct ResolvedPlanner {
-    cluster: llmpq_cluster::Cluster,
+    cluster: Cluster,
     db: CostDb,
     indicator: llmpq_quant::IndicatorTable,
     planner: std::sync::Mutex<IncrementalPlanner>,
@@ -392,32 +392,26 @@ struct DistReplanner {
 
 impl DistReplanner {
     fn new(plan: &ExecutionPlan, job: BatchJob, telemetry: Option<std::sync::Arc<Telemetry>>) -> Self {
-        let resolved = plan
-            .cluster
-            .strip_prefix("cluster-")
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|n| (1..=11).contains(n))
-            .and_then(|n| zoo::by_name(&plan.model).map(|spec| (n, spec)))
-            .map(|(n, spec)| ResolvedPlanner {
-                cluster: paper_cluster(n),
-                indicator: random_indicator(spec.n_layers, 0xA11CE, 1.0),
-                db: CostDb::oracle(&KernelEnv::default()),
-                // Recovery-path sizing: a lighter search than offline
-                // planning, so the pipeline is back before the
-                // heartbeat budget runs out.
-                planner: std::sync::Mutex::new(IncrementalPlanner::new(
-                    spec,
-                    job,
-                    AssignerConfig {
-                        theta: 0.1,
-                        solver: SolverChoice::Dp { group: 8 },
-                        xi: 2,
-                        max_orderings: 4,
-                        dp_grid: Some(12),
-                        ..AssignerConfig::default()
-                    },
-                )),
-            });
+        let resolved = paper_setup(plan, "").ok().map(|(_, cluster, spec)| ResolvedPlanner {
+            cluster,
+            indicator: random_indicator(spec.n_layers, 0xA11CE, 1.0),
+            db: CostDb::oracle(&KernelEnv::default()),
+            // Recovery-path sizing: a lighter search than offline
+            // planning, so the pipeline is back before the
+            // heartbeat budget runs out.
+            planner: std::sync::Mutex::new(IncrementalPlanner::new(
+                spec,
+                job,
+                AssignerConfig {
+                    theta: 0.1,
+                    solver: SolverChoice::Dp { group: 8 },
+                    xi: 2,
+                    max_orderings: 4,
+                    dp_grid: Some(12),
+                    ..AssignerConfig::default()
+                },
+            )),
+        });
         Self { resolved, origins: std::sync::Mutex::new(Vec::new()), telemetry }
     }
 
@@ -460,37 +454,6 @@ impl Replanner for DistReplanner {
     }
 }
 
-/// The default `--swap-at` target: every layer at Int4 and, when some
-/// stage has layers to spare, one layer moved across the first movable
-/// stage boundary so the commit exercises the KV handoff.
-fn default_swap_target(base: &ExecutionPlan) -> ExecutionPlan {
-    let mut cuts: Vec<(usize, usize)> =
-        base.stages.iter().map(|s| (s.layer_start, s.layer_end)).collect();
-    for i in 0..cuts.len().saturating_sub(1) {
-        if cuts[i + 1].1 - cuts[i + 1].0 >= 2 {
-            cuts[i].1 += 1;
-            cuts[i + 1].0 += 1;
-            break;
-        }
-        if cuts[i].1 - cuts[i].0 >= 2 {
-            cuts[i].1 -= 1;
-            cuts[i + 1].0 -= 1;
-            break;
-        }
-    }
-    let stages = cuts
-        .iter()
-        .zip(&base.stages)
-        .map(|(&(lo, hi), s)| llm_pq::StagePlan {
-            device: s.device,
-            layer_start: lo,
-            layer_end: hi,
-            bits: vec![llmpq_quant::Bitwidth::Int4; hi - lo],
-        })
-        .collect();
-    ExecutionPlan { stages, ..base.clone() }
-}
-
 /// The swap schedule `--swap-at N [--swap-to target.json]` asks for: one
 /// live plan migration at token boundary N — two-phase prepare/commit,
 /// KV handoff for re-partitioned layers, abort back to the old plan on
@@ -505,7 +468,7 @@ fn swap_schedule(args: &Args, plan: &ExecutionPlan) -> Result<Vec<SwapRequest>, 
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             ExecutionPlan::from_json(&text)?
         }
-        None => default_swap_target(plan),
+        None => plan.int4_with_one_layer_moved(),
     };
     // Compact per-stage layout: a uniform stage collapses to one
     // bitwidth name, a mixed stage lists its distinct bitwidths.
@@ -685,6 +648,19 @@ fn run_stage_process(
     Ok(())
 }
 
+/// The paper cluster (`cluster-N`, N in 1..=11: N and the cluster) and
+/// zoo model `plan` was made for, or why `flag` cannot use them.
+fn paper_setup(plan: &ExecutionPlan, flag: &str) -> Result<(usize, Cluster, ModelSpec), String> {
+    let n: usize = plan
+        .cluster
+        .strip_prefix("cluster-")
+        .and_then(|s| s.parse().ok())
+        .filter(|n| (1..=11).contains(n))
+        .ok_or_else(|| format!("{flag} needs a paper cluster plan, got '{}'", plan.cluster))?;
+    let spec = zoo::by_name(&plan.model).ok_or_else(|| format!("{flag} needs a zoo model, got '{}'", plan.model))?;
+    Ok((n, paper_cluster(n), spec))
+}
+
 /// Analytical-vs-observed per-stage cross-check, or why there is none:
 /// the run restarted (the stage counters are run totals — every
 /// attempt's busy time — while the model predicts one uninterrupted
@@ -700,31 +676,9 @@ fn resolve_crosscheck(
             "{restarts} restart(s): observed busy time covers every attempt, the prediction one run"
         ));
     }
-    let unresolved = || "cluster/model not resolvable".to_string();
-    let n: usize = plan
-        .cluster
-        .strip_prefix("cluster-")
-        .and_then(|n| n.parse().ok())
-        .filter(|n| (1..=11).contains(n))
-        .ok_or_else(unresolved)?;
-    let cluster = paper_cluster(n);
-    let spec = zoo::by_name(&plan.model).ok_or_else(unresolved)?;
+    let (_, cluster, spec) = paper_setup(plan, "").map_err(|_| "cluster/model not resolvable".to_string())?;
     let db = CostDb::oracle(&KernelEnv::default());
-    let batch = job.global_batch;
-    // Clamp micro-batch sizing to the actual run's batch.
-    let mut p = plan.clone();
-    p.microbatch.prefill_size = p.microbatch.prefill_size.min(batch).max(1);
-    p.microbatch.prefill_count = batch.div_ceil(p.microbatch.prefill_size);
-    p.microbatch.decode_size = p.microbatch.decode_size.min(batch).max(1);
-    p.microbatch.decode_count = batch.div_ceil(p.microbatch.decode_size);
-    let loads = stage_loads(&p, &cluster, &spec, &db, job);
-    let wl = PipelineWorkload {
-        prefill_microbatches: p.microbatch.prefill_count,
-        decode_microbatches: p.microbatch.decode_count,
-        n_tokens: job.n_generate,
-        master_prefill: 0.0,
-        master_decode: 0.0,
-    };
+    let (loads, wl) = batch_profile(plan, &cluster, &spec, &db, job);
     let predicted = predicted_stage_seconds(&loads, &wl);
     let observed: Vec<f64> = stage_metrics.iter().map(|m| m.busy_s).collect();
     if predicted.len() != observed.len() {
@@ -767,15 +721,7 @@ fn run_online(
     failure_rate: f64,
     seed: u64,
 ) -> Result<llmpq_workload::OnlineStats, String> {
-    let n: usize = plan
-        .cluster
-        .strip_prefix("cluster-")
-        .and_then(|s| s.parse().ok())
-        .filter(|n| (1..=11).contains(n))
-        .ok_or_else(|| format!("--online-rate needs a paper cluster plan, got '{}'", plan.cluster))?;
-    let cluster = paper_cluster(n);
-    let spec = zoo::by_name(&plan.model)
-        .ok_or_else(|| format!("--online-rate needs a zoo model, got '{}'", plan.model))?;
+    let (_, cluster, spec) = paper_setup(plan, "--online-rate")?;
     let db = CostDb::oracle(&KernelEnv::default());
     let batch_cost = |s: usize, ngen: usize, b: usize| -> f64 {
         plan_batch_cost(plan, &cluster, &spec, &db, s, ngen, b)
@@ -794,27 +740,15 @@ fn run_online(
 /// sequences, from the cost profile.
 fn plan_batch_cost(
     plan: &ExecutionPlan,
-    cluster: &llmpq_cluster::Cluster,
-    spec: &llmpq_model::ModelSpec,
+    cluster: &Cluster,
+    spec: &ModelSpec,
     db: &CostDb,
     prompt_len: usize,
     n_generate: usize,
     b: usize,
 ) -> f64 {
     let job = BatchJob { global_batch: b, prompt_len, n_generate };
-    let mut p = plan.clone();
-    p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-    p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-    p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-    p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-    let loads = stage_loads(&p, cluster, spec, db, &job);
-    let wl = PipelineWorkload {
-        prefill_microbatches: p.microbatch.prefill_count,
-        decode_microbatches: p.microbatch.decode_count,
-        n_tokens: n_generate,
-        master_prefill: 0.0,
-        master_decode: 0.0,
-    };
+    let (loads, wl) = batch_profile(plan, cluster, spec, db, &job);
     llmpq_sim::simulate_pipeline(&loads, &wl).total_latency
 }
 
@@ -836,15 +770,7 @@ fn run_overload(
     n_generate: usize,
     seed: u64,
 ) -> Result<(), String> {
-    let n: usize = plan
-        .cluster
-        .strip_prefix("cluster-")
-        .and_then(|s| s.parse().ok())
-        .filter(|n| (1..=11).contains(n))
-        .ok_or_else(|| format!("--admission needs a paper cluster plan, got '{}'", plan.cluster))?;
-    let cluster = paper_cluster(n);
-    let spec = zoo::by_name(&plan.model)
-        .ok_or_else(|| format!("--admission needs a zoo model, got '{}'", plan.model))?;
+    let (n, cluster, spec) = paper_setup(plan, "--admission")?;
     let db = CostDb::oracle(&KernelEnv::default());
 
     // Rung plans: just this plan, a precomputed ladder file, or a fresh
@@ -943,7 +869,6 @@ fn run_overload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm_pq::StagePlan;
     use llmpq_model::Phase;
     use llmpq_quant::Bitwidth;
     use llmpq_workload::MicrobatchPlan;
@@ -951,25 +876,9 @@ mod tests {
     #[test]
     fn crosscheck_needs_a_run_of_one_attempt_and_says_so_otherwise() {
         // opt-125m (12 layers) over two devices of paper cluster 3.
-        let stage = |device, lo, hi| StagePlan {
-            device,
-            layer_start: lo,
-            layer_end: hi,
-            bits: vec![Bitwidth::Int8; hi - lo],
-        };
-        let plan = ExecutionPlan {
-            model: "opt-125m".into(),
-            cluster: "cluster-3".into(),
-            stages: vec![stage(0, 0, 6), stage(3, 6, 12)],
-            microbatch: MicrobatchPlan {
-                prefill_size: 2,
-                prefill_count: 2,
-                decode_size: 4,
-                decode_count: 1,
-            },
-            scheme: "LLM-PQ".into(),
-            kv_bits: 16,
-        };
+        let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 4, decode_count: 1 };
+        let mut plan = ExecutionPlan::contiguous("opt-125m", "cluster-3", vec![vec![Bitwidth::Int8; 6]; 2], mb);
+        plan.stages[1].device = 3;
         let job = BatchJob { global_batch: 4, prompt_len: 10, n_generate: 8 };
         // Stage counters as a run leaves them: recorder snapshots.
         let hub = Telemetry::new(2);

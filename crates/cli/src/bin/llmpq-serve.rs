@@ -25,7 +25,7 @@
 //! every connection got an answer and every request is accounted for
 //! (`offered == served + shed + expired`).
 
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::ExecutionPlan;
 use llmpq_cli::Args;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
@@ -187,31 +187,9 @@ fn build_engine(p: &EngineParams) -> Result<BuiltEngine, String> {
             let plans: Vec<ExecutionPlan> = all
                 .iter()
                 .take(p.rungs.clamp(1, all.len()))
-                .map(|b| ExecutionPlan {
-                    model: "llmpq-serve".into(),
-                    cluster: "in-process".into(),
-                    stages: vec![
-                        StagePlan {
-                            device: 0,
-                            layer_start: 0,
-                            layer_end: cut,
-                            bits: vec![*b; cut],
-                        },
-                        StagePlan {
-                            device: 1,
-                            layer_start: cut,
-                            layer_end: n_layers,
-                            bits: vec![*b; n_layers - cut],
-                        },
-                    ],
-                    microbatch: MicrobatchPlan {
-                        prefill_size: 1,
-                        prefill_count: 1,
-                        decode_size: 1,
-                        decode_count: 1,
-                    },
-                    scheme: "LLM-PQ".into(),
-                    kv_bits: 16,
+                .map(|&b| {
+                    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+                    ExecutionPlan::contiguous("llmpq-serve", "in-process", vec![vec![b; cut], vec![b; n_layers - cut]], mb)
                 })
                 .collect();
             let e = DistStepEngine::over_channels(

@@ -106,6 +106,34 @@ pub fn stage_loads(
         .collect()
 }
 
+/// `plan` serving one batch of `job.global_batch` sequences: its
+/// micro-batch sizes clamped to that batch, the stage loads they give,
+/// and the pipeline workload with no master time — what
+/// `simulate_pipeline` and `predicted_stage_seconds` take.
+pub fn batch_profile(
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    db: &CostDb,
+    job: &BatchJob,
+) -> (Vec<StageLoad>, PipelineWorkload) {
+    let b = job.global_batch;
+    let mut p = plan.clone();
+    let mb = &mut p.microbatch;
+    mb.prefill_size = mb.prefill_size.min(b).max(1);
+    mb.prefill_count = b.div_ceil(mb.prefill_size);
+    mb.decode_size = mb.decode_size.min(b).max(1);
+    mb.decode_count = b.div_ceil(mb.decode_size);
+    let wl = PipelineWorkload {
+        prefill_microbatches: mb.prefill_count,
+        decode_microbatches: mb.decode_count,
+        n_tokens: job.n_generate,
+        master_prefill: 0.0,
+        master_decode: 0.0,
+    };
+    (stage_loads(&p, cluster, spec, db, job), wl)
+}
+
 /// Predicted peak memory per stage (embedding charged to stage 0, which
 /// co-hosts the master engine).
 pub fn stage_memories(plan: &ExecutionPlan, spec: &ModelSpec, job: &BatchJob) -> Vec<f64> {

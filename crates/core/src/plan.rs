@@ -52,6 +52,58 @@ fn default_kv_bits() -> u32 {
 }
 
 impl ExecutionPlan {
+    /// A hand-made plan: stage `s` runs on device `s` and holds the next
+    /// `stage_bits[s].len()` layers at those bitwidths. Scheme `LLM-PQ`,
+    /// FP16 KV cache.
+    pub fn contiguous(
+        model: &str,
+        cluster: &str,
+        stage_bits: Vec<Vec<Bitwidth>>,
+        microbatch: MicrobatchPlan,
+    ) -> Self {
+        let mut layer_start = 0;
+        let stages = stage_bits
+            .into_iter()
+            .enumerate()
+            .map(|(device, bits)| {
+                let stage = StagePlan { device, layer_start, layer_end: layer_start + bits.len(), bits };
+                layer_start = stage.layer_end;
+                stage
+            })
+            .collect();
+        Self { model: model.into(), cluster: cluster.into(), stages, microbatch, scheme: "LLM-PQ".into(), kv_bits: 16 }
+    }
+
+    /// The same stages with every layer at Int4 and, when some stage has
+    /// layers to spare, one layer moved across the first boundary that
+    /// can take it — a swap target whose commit hands KV over.
+    pub fn int4_with_one_layer_moved(&self) -> Self {
+        let mut cuts: Vec<(usize, usize)> = self.stages.iter().map(|s| (s.layer_start, s.layer_end)).collect();
+        for i in 0..cuts.len().saturating_sub(1) {
+            if cuts[i + 1].1 - cuts[i + 1].0 >= 2 {
+                cuts[i].1 += 1;
+                cuts[i + 1].0 += 1;
+                break;
+            }
+            if cuts[i].1 - cuts[i].0 >= 2 {
+                cuts[i].1 -= 1;
+                cuts[i + 1].0 -= 1;
+                break;
+            }
+        }
+        let stages = cuts
+            .iter()
+            .zip(&self.stages)
+            .map(|(&(lo, hi), s)| StagePlan {
+                device: s.device,
+                layer_start: lo,
+                layer_end: hi,
+                bits: vec![Bitwidth::Int4; hi - lo],
+            })
+            .collect();
+        Self { stages, ..self.clone() }
+    }
+
     /// Validate structural invariants: stages cover `0..n_layers`
     /// contiguously with no overlap and carry matching bit vectors.
     pub fn validate(&self, n_layers: usize) -> Result<(), String> {
@@ -187,6 +239,24 @@ mod tests {
         let s = p.to_json();
         let q = ExecutionPlan::from_json(&s).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn contiguous_stages_follow_one_another_on_devices_in_order() {
+        let bits = vec![vec![Bitwidth::Int4, Bitwidth::Int4, Bitwidth::Int8], vec![Bitwidth::Fp16; 2]];
+        let p = ExecutionPlan::contiguous("opt-13b", "cluster-3", bits, mb());
+        assert_eq!(p, sample_plan());
+    }
+
+    #[test]
+    fn the_int4_target_moves_one_layer_across_the_first_boundary_that_can_take_it() {
+        let moved = sample_plan().int4_with_one_layer_moved();
+        assert_eq!(moved.validate(5), Ok(()));
+        assert_eq!(moved.bit_assignment().bits, vec![Bitwidth::Int4; 5]);
+        let cuts: Vec<_> = moved.stages.iter().map(|s| (s.layer_start, s.layer_end)).collect();
+        assert_eq!(cuts, [(0, 4), (4, 5)]);
+        let ones = ExecutionPlan::contiguous("m", "c", vec![vec![Bitwidth::Fp16]; 2], mb());
+        assert_eq!(ones.int4_with_one_layer_moved().stages[1].layer_start, 1, "nothing to spare: no move");
     }
 
     #[test]

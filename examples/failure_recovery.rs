@@ -9,7 +9,7 @@
 //! quantizer (the fast-recovery path the paper's §5 loader was built
 //! for), and resuming to a bit-identical result.
 
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::ExecutionPlan;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{FaultPlan, Pipeline, RuntimeError, SupervisorConfig};
@@ -25,17 +25,8 @@ fn main() -> Result<(), RuntimeError> {
         Bitwidth::Int4,
         Bitwidth::Fp16,
     ];
-    let plan = ExecutionPlan {
-        model: "demo-6l".into(),
-        cluster: "demo".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: 3, bits: bits[..3].to_vec() },
-            StagePlan { device: 1, layer_start: 3, layer_end: 6, bits: bits[3..].to_vec() },
-        ],
-        microbatch: MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 4, decode_count: 1 },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    };
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 4, decode_count: 1 };
+    let plan = ExecutionPlan::contiguous("demo-6l", "demo", vec![bits[..3].to_vec(), bits[3..].to_vec()], mb);
     let prompts: Vec<Vec<usize>> =
         (0..4).map(|i| (0..10).map(|j| (i * 31 + j * 7) % 256).collect()).collect();
 

@@ -8,13 +8,13 @@
 //! Poisson arrivals with ShareGPT-like prompt lengths and reports the
 //! latency/throughput/padding profile at increasing load.
 
-use llm_pq::evaluate::stage_loads;
+use llm_pq::evaluate::batch_profile;
 use llm_pq::{assign, AssignerConfig, SolverChoice};
 use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::{calibrate, variance_indicator, Rounding};
-use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
+use llmpq_sim::{simulate_pipeline, KernelEnv};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
 fn main() {
@@ -42,22 +42,9 @@ fn main() {
         out.report.throughput
     );
 
-    let plan = out.plan.clone();
-    let batch_cost = move |s: usize, n: usize, b: usize| {
+    let batch_cost = |s: usize, n: usize, b: usize| {
         let job = BatchJob { global_batch: b, prompt_len: s, n_generate: n };
-        let mut p = plan.clone();
-        p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-        p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-        p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-        p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-        let loads = stage_loads(&p, &cluster, &spec, &db, &job);
-        let wl = PipelineWorkload {
-            prefill_microbatches: p.microbatch.prefill_count,
-            decode_microbatches: p.microbatch.decode_count,
-            n_tokens: n,
-            master_prefill: 0.0,
-            master_decode: 0.0,
-        };
+        let (loads, wl) = batch_profile(&out.plan, &cluster, &spec, &db, &job);
         simulate_pipeline(&loads, &wl).total_latency
     };
 

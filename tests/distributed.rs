@@ -4,7 +4,7 @@
 //! in-process engine, and must survive an injected mid-run connection
 //! drop via the supervisor's restart path.
 
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::ExecutionPlan;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
 use llmpq_runtime::{Pipeline, WireFaultPlan};
@@ -21,23 +21,9 @@ const SEED: u64 = 0;
 
 /// The 3-stage plan every process is handed (as a strategy file).
 fn plan3() -> ExecutionPlan {
-    ExecutionPlan {
-        model: "tiny-dist".into(),
-        cluster: "loopback".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: 2, bits: vec![Bitwidth::Int8, Bitwidth::Int4] },
-            StagePlan { device: 1, layer_start: 2, layer_end: 3, bits: vec![Bitwidth::Fp16] },
-            StagePlan { device: 2, layer_start: 3, layer_end: 4, bits: vec![Bitwidth::Int8] },
-        ],
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 2,
-            decode_size: 1,
-            decode_count: 2,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let bits = vec![vec![Bitwidth::Int8, Bitwidth::Int4], vec![Bitwidth::Fp16], vec![Bitwidth::Int8]];
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 2, decode_size: 1, decode_count: 2 };
+    ExecutionPlan::contiguous("tiny-dist", "loopback", bits, mb)
 }
 
 /// The exact checkpoint + prompts `llmpq-dist` derives from the shared

@@ -5,7 +5,7 @@
 //! a device loss mid-migration aborts the barrier cleanly back to the
 //! still-serving old plan with nothing dropped or duplicated.
 
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
@@ -26,29 +26,13 @@ fn prompts(n: usize) -> Vec<Vec<usize>> {
 }
 
 fn plan_on(devices: [usize; N_STAGES], bits: &[Bitwidth; N_LAYERS]) -> ExecutionPlan {
-    let partition = [(0usize, 1usize), (1, 3), (3, 4)];
-    ExecutionPlan {
-        model: "tiny-4l".into(),
-        cluster: "elastic-trio".into(),
-        stages: partition
-            .iter()
-            .zip(devices)
-            .map(|(&(lo, hi), device)| StagePlan {
-                device,
-                layer_start: lo,
-                layer_end: hi,
-                bits: bits[lo..hi].to_vec(),
-            })
-            .collect(),
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 2,
-            decode_size: 2,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
+    let stage_bits = vec![bits[..1].to_vec(), bits[1..3].to_vec(), bits[3..].to_vec()];
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 2, decode_size: 2, decode_count: 1 };
+    let mut plan = ExecutionPlan::contiguous("tiny-4l", "elastic-trio", stage_bits, mb);
+    for (stage, device) in plan.stages.iter_mut().zip(devices) {
+        stage.device = device;
     }
+    plan
 }
 
 fn fast_supervisor() -> SupervisorConfig {

@@ -1,14 +1,14 @@
 //! Cross-crate integration tests for the §7-discussion extensions:
 //! tensor parallelism, KV-cache quantization, online serving, recovery.
 
-use llm_pq::evaluate::stage_loads;
+use llm_pq::evaluate::batch_profile;
 use llm_pq::{assign, tp_sweep, AssignerConfig, SolverChoice};
 use llmpq_cluster::paper_cluster;
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::IndicatorTable;
 use llmpq_runtime::{FaultPlan, Pipeline, RecoveryPolicy, SupervisorConfig};
-use llmpq_sim::{simulate_pipeline, KernelEnv, PipelineWorkload};
+use llmpq_sim::{simulate_pipeline, KernelEnv};
 use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
 
 fn flat_indicator(n: usize) -> IndicatorTable {
@@ -90,26 +90,10 @@ fn online_simulation_over_a_real_plan_saturates_monotonically() {
         max_bits: None,
     };
     let out = assign(&cluster, &spec, &job, &db, &flat_indicator(spec.n_layers), &cfg).unwrap();
-    let plan = out.plan.clone();
-    let cost = move |s: usize, n: usize, b: usize| {
+    let cost = |s: usize, n: usize, b: usize| {
         let job = BatchJob { global_batch: b, prompt_len: s, n_generate: n };
-        let mut p = plan.clone();
-        p.microbatch.prefill_size = p.microbatch.prefill_size.min(b).max(1);
-        p.microbatch.prefill_count = b.div_ceil(p.microbatch.prefill_size);
-        p.microbatch.decode_size = p.microbatch.decode_size.min(b).max(1);
-        p.microbatch.decode_count = b.div_ceil(p.microbatch.decode_size);
-        let loads = stage_loads(&p, &cluster, &spec, &db, &job);
-        simulate_pipeline(
-            &loads,
-            &PipelineWorkload {
-                prefill_microbatches: p.microbatch.prefill_count,
-                decode_microbatches: p.microbatch.decode_count,
-                n_tokens: n,
-                master_prefill: 0.0,
-                master_decode: 0.0,
-            },
-        )
-        .total_latency
+        let (loads, wl) = batch_profile(&out.plan, &cluster, &spec, &db, &job);
+        simulate_pipeline(&loads, &wl).total_latency
     };
     let pm = PromptLengthModel::default();
     let light = simulate_online(

@@ -4,7 +4,7 @@
 //! tokens bit-identical to a hybrid oracle that runs the pre-swap model
 //! up to the boundary and the post-swap model after it.
 
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
@@ -23,28 +23,9 @@ fn prompts(n: usize) -> Vec<Vec<usize>> {
 }
 
 fn plan(partition: &[(usize, usize)], bits: &[Bitwidth]) -> ExecutionPlan {
-    ExecutionPlan {
-        model: "tiny-4l".into(),
-        cluster: "trio".into(),
-        stages: partition
-            .iter()
-            .enumerate()
-            .map(|(d, &(lo, hi))| StagePlan {
-                device: d,
-                layer_start: lo,
-                layer_end: hi,
-                bits: bits[lo..hi].to_vec(),
-            })
-            .collect(),
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 2,
-            decode_size: 2,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let stage_bits = partition.iter().map(|&(lo, hi)| bits[lo..hi].to_vec()).collect();
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 2, decode_size: 2, decode_count: 1 };
+    ExecutionPlan::contiguous("tiny-4l", "trio", stage_bits, mb)
 }
 
 fn fast_supervisor() -> SupervisorConfig {

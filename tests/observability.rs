@@ -4,29 +4,15 @@
 //! monotonically ordered and non-overlapping, per-stage busy time fits
 //! inside the run's wall-clock, and the snapshot reports percentiles.
 
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::Bitwidth;
 use llmpq_runtime::{FaultPlan, FoldReplanner, Pipeline, SupervisorConfig, Telemetry};
 use serde_json::Value;
 
 fn tiny_plan() -> ExecutionPlan {
-    ExecutionPlan {
-        model: "tiny".into(),
-        cluster: "test".into(),
-        stages: vec![
-            StagePlan { device: 0, layer_start: 0, layer_end: 1, bits: vec![Bitwidth::Int8] },
-            StagePlan { device: 1, layer_start: 1, layer_end: 2, bits: vec![Bitwidth::Fp16] },
-        ],
-        microbatch: llmpq_workload::MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: 2,
-            decode_size: 3,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 3, decode_count: 1 };
+    ExecutionPlan::contiguous("tiny", "test", vec![vec![Bitwidth::Int8], vec![Bitwidth::Fp16]], mb)
 }
 
 fn run_observed(n_generate: usize) -> (Telemetry01, f64) {

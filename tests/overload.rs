@@ -188,22 +188,8 @@ fn kv_block_bytes_tracks_cost_model() {
 fn rung_transitions_run_as_live_swaps_and_conserve() {
     let spec = tiny_spec();
     let checkpoint = RefModel::new(RefConfig::scaled_like(spec.n_layers, 17));
-    let mk_plan = |bits: llmpq_quant::Bitwidth| ExecutionPlan {
-        model: "tiny-4l".into(),
-        cluster: "duo".into(),
-        stages: vec![
-            llm_pq::StagePlan { device: 0, layer_start: 0, layer_end: 2, bits: vec![bits; 2] },
-            llm_pq::StagePlan { device: 1, layer_start: 2, layer_end: 4, bits: vec![bits; 2] },
-        ],
-        microbatch: llmpq_workload::MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 2,
-            decode_size: 2,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    };
+    let mb = llm_pq::MicrobatchPlan { prefill_size: 1, prefill_count: 2, decode_size: 2, decode_count: 1 };
+    let mk_plan = |bits| ExecutionPlan::contiguous("tiny-4l", "duo", vec![vec![bits; 2]; 2], mb);
     let plans = vec![mk_plan(llmpq_quant::Bitwidth::Fp16), mk_plan(llmpq_quant::Bitwidth::Int4)];
 
     let n = 10usize;

@@ -109,21 +109,16 @@ proptest! {
         let spec = llmpq_model::ModelSpec::new(
             llmpq_model::ModelFamily::Opt, "prop-8l", 8, 512, 8, 5000, 1024,
         );
+        let mb = MicrobatchPlan {
+            prefill_size,
+            prefill_count: 8usize.div_ceil(prefill_size),
+            decode_size: 4,
+            decode_count: 2,
+        };
+        let stage_bits = vec![bits[..split].to_vec(), bits[split..].to_vec()];
         let plan = ExecutionPlan {
-            model: spec.name.clone(),
-            cluster: cluster.name.clone(),
-            stages: vec![
-                StagePlan { device: 0, layer_start: 0, layer_end: split, bits: bits[..split].to_vec() },
-                StagePlan { device: 1, layer_start: split, layer_end: 8, bits: bits[split..].to_vec() },
-            ],
-            microbatch: MicrobatchPlan {
-                prefill_size,
-                prefill_count: 8usize.div_ceil(prefill_size),
-                decode_size: 4,
-                decode_count: 2,
-            },
             scheme: "prop".into(),
-            kv_bits: 16,
+            ..ExecutionPlan::contiguous(&spec.name, &cluster.name, stage_bits, mb)
         };
         let db = CostDb::oracle(&KernelEnv::default());
         let job = BatchJob { global_batch: 8, prompt_len: 64, n_generate: 16 };
@@ -156,21 +151,11 @@ proptest! {
             .map(|(i, &l)| (0..l).map(|j| (seed as usize + i * 13 + j * 7) % 96).collect())
             .collect();
         let n_seqs = prompts.len();
+        let mb = MicrobatchPlan { prefill_size: 1, prefill_count: n_seqs, decode_size: n_seqs, decode_count: 1 };
+        let stage_bits = vec![bits[..split].to_vec(), bits[split..].to_vec()];
         let plan = ExecutionPlan {
-            model: "tiny".into(),
-            cluster: "prop".into(),
-            stages: vec![
-                StagePlan { device: 0, layer_start: 0, layer_end: split, bits: bits[..split].to_vec() },
-                StagePlan { device: 1, layer_start: split, layer_end: 2, bits: bits[split..].to_vec() },
-            ],
-            microbatch: MicrobatchPlan {
-                prefill_size: 1,
-                prefill_count: n_seqs,
-                decode_size: n_seqs,
-                decode_count: 1,
-            },
             scheme: "prop".into(),
-            kv_bits: 16,
+            ..ExecutionPlan::contiguous("tiny", "prop", stage_bits, mb)
         };
         let out = Pipeline::new(&checkpoint, &plan).run(&prompts, n_gen)
             .expect("runtime ok");

@@ -2,7 +2,7 @@
 //! development iterations got wrong — pinned here so they stay fixed.
 
 use llm_pq::evaluate::{stage_loads, stage_memories};
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::ExecutionPlan;
 use llmpq_cluster::paper_cluster;
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, Phase};
@@ -12,21 +12,10 @@ use llmpq_workload::{BatchJob, MicrobatchPlan};
 
 fn even_plan(n_layers: usize, n_stages: usize, bits: Bitwidth, kv_bits: u32) -> ExecutionPlan {
     let per = n_layers / n_stages;
-    let stages = (0..n_stages)
-        .map(|i| {
-            let start = i * per;
-            let end = if i + 1 == n_stages { n_layers } else { start + per };
-            StagePlan { device: i, layer_start: start, layer_end: end, bits: vec![bits; end - start] }
-        })
-        .collect();
-    ExecutionPlan {
-        model: "opt-30b".into(),
-        cluster: "cluster-3".into(),
-        stages,
-        microbatch: MicrobatchPlan { prefill_size: 2, prefill_count: 16, decode_size: 8, decode_count: 4 },
-        scheme: "test".into(),
-        kv_bits,
-    }
+    let stage_bits = (0..n_stages).map(|i| vec![bits; if i + 1 == n_stages { n_layers - i * per } else { per }]);
+    let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 16, decode_size: 8, decode_count: 4 };
+    let plan = ExecutionPlan::contiguous("opt-30b", "cluster-3", stage_bits.collect(), mb);
+    ExecutionPlan { scheme: "test".into(), kv_bits, ..plan }
 }
 
 /// Regression: the master engine must not serialize the pipeline when

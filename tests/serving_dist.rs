@@ -11,7 +11,7 @@
 //! the step engine — local threads vs a TCP pipeline ring — is an
 //! execution-transport change. Neither may perturb a single token.
 
-use llm_pq::{ExecutionPlan, StagePlan};
+use llm_pq::ExecutionPlan;
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
@@ -41,21 +41,8 @@ fn checkpoint() -> RefModel {
 
 /// Three stages, one layer each, at uniform `bits`.
 fn plan(bits: Bitwidth) -> ExecutionPlan {
-    ExecutionPlan {
-        model: "serving-dist".into(),
-        cluster: "loopback".into(),
-        stages: (0..N_LAYERS)
-            .map(|s| StagePlan { device: s, layer_start: s, layer_end: s + 1, bits: vec![bits] })
-            .collect(),
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 1,
-            decode_size: 1,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+    ExecutionPlan::contiguous("serving-dist", "loopback", vec![vec![bits]; N_LAYERS], mb)
 }
 
 /// Rung ladder: boot on Fp16, degrade (or live-swap) to Int8.
