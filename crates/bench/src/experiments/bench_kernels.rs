@@ -21,10 +21,14 @@
 //! 512 × 256 logits projection alone at `m = 1` from the row-major table
 //! and from the k-major copy a serving head keeps. A
 //! fourth times the other half of that model's layer at int4: GELU per
-//! element, the attention kernel alone, and the whole layer forward next
-//! to its own six GEMM calls (`layer_over_gemm`, a quotient of two
-//! timings from one run) at a prefill chunk on an empty and on a 64-token
-//! cache and at a decode step on 50 and 150 cached positions.
+//! element; the attention kernel alone at a prefill chunk on an empty and
+//! on a 64-token cache and at a decode step on 16, 64 and 128 cached
+//! positions, each with the keys in the paged store's k-major blocks and
+//! transposed per call out of a row-major `KvCache`; and the whole layer
+//! forward over a `PagedKvStore` view — what both serving engines compute
+//! on — next to its own six GEMM calls (`layer_over_gemm`, a quotient of
+//! two timings from one run) at a prefill chunk on an empty and on a
+//! 64-token cache and at a decode step on 50 and 150 cached positions.
 //!
 //! Those four tables are taken once per kernel instantiation the host can
 //! run — baseline, AVX2, AVX-512 — each under
@@ -45,10 +49,14 @@
 //! dequant-then-GEMM, fused int8 and int4 each run the 4096² decode at
 //! least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
 //! int8, and a fused `m = 64` prefill row costs at most
-//! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape, in
-//! every section a vector instantiation ran — AVX2 or AVX-512 — and the
-//! layer forward of both prefill shapes costs at most
-//! [`MAX_LAYER_OVER_GEMM`] of its GEMMs in every section),
+//! [`MAX_PREFILL_AMORTISATION`] of the `m = 1` call at the same shape,
+//! decode attention over key blocks costs at most
+//! [`MAX_BLOCK_OVER_ROW_ATTENTION`] of the row-major form at 64 and 128
+//! cached positions, and the decode layer forward on 150 at most
+//! [`MAX_DECODE_LAYER_OVER_GEMM`] of its GEMMs, in every section a
+//! vector instantiation ran — AVX2 or AVX-512 — and the layer forward of
+//! both prefill shapes costs at most [`MAX_LAYER_OVER_GEMM`] of its
+//! GEMMs in every section),
 //! `--compare FILE` (fail if any of those ratios is more than 10 %
 //! worse than in the same ISA's section of the report at `FILE`, or if
 //! that report has no such section),
@@ -61,7 +69,8 @@ use llmpq_cost::{kernel_crosscheck, CostDb, KernelCrosscheck, KernelObservation}
 use llmpq_kernels::dispatch::with_cap;
 use llmpq_kernels::{qgemm_t, DensePanels, Isa, PackedMatrix};
 use serde::Deserialize;
-use llmpq_model::{forward_layer_with, KvCache, Matrix, PhaseWorkload, RefConfig, RefModel};
+use llmpq_model::{forward_layer_with, KvCache, KvSeq, Matrix, PhaseWorkload, RefConfig, RefModel, KV_BLOCK};
+use llmpq_runtime::{KvPoolConfig, PagedKvStore};
 use llmpq_quant::{quantize_matrix, quantize_model_uniform, Bitwidth, Rounding};
 use llmpq_sim::KernelEnv;
 use serde::Serialize;
@@ -113,11 +122,14 @@ struct HeadRow {
 struct AttentionRow {
     m: usize,
     past: usize,
+    /// `"blocks"` (the paged store's k-major key blocks, read in place) or
+    /// `"rows"` (a row-major `KvCache`, its keys transposed per call).
+    keys: &'static str,
     attention_us: f64,
 }
 
 /// One int4 `ref256x4` layer forward of `m` rows on `past` cached
-/// positions, beside its own six GEMM calls.
+/// positions of a `PagedKvStore`, beside its own six GEMM calls.
 #[derive(Serialize, Deserialize)]
 struct LayerRow {
     m: usize,
@@ -172,8 +184,13 @@ struct Section {
     head: Vec<HeadRow>,
     /// GELU over one prefill chunk's FFN activations (64 × 1024).
     gelu_ns_per_elem: f64,
+    /// In a vector instantiation the `m = 1` rows at 64 and 128 cached
+    /// positions are gated: blocks ≤ [`MAX_BLOCK_OVER_ROW_ATTENTION`] of
+    /// rows.
     attention: Vec<AttentionRow>,
-    /// Prefill rows (`m = 64`) are gated at ≤ [`MAX_LAYER_OVER_GEMM`].
+    /// Prefill rows (`m = 64`) are gated at ≤ [`MAX_LAYER_OVER_GEMM`], and
+    /// in a vector instantiation the decode row on 150 cached positions at
+    /// ≤ [`MAX_DECODE_LAYER_OVER_GEMM`].
     layer: Vec<LayerRow>,
     fused_beats_dequant_decode: bool,
     /// Dense-f32 time over fused time at the 4096² decode, per
@@ -248,6 +265,19 @@ const MAX_PREFILL_AMORTISATION: f64 = 0.65;
 /// 2.1–2.2 on a 64-token one; as whole-vector kernels the rest of the
 /// layer costs 0.15–0.3 of the GEMMs.
 const MAX_LAYER_OVER_GEMM: f64 = 1.5;
+
+/// In a vector instantiation, upper bar on decode attention (`m = 1`) over
+/// the paged store's key blocks ÷ the same call over a row-major
+/// `KvCache` at 64 and 128 cached positions. The block form sweeps keys
+/// in place and accumulates value rows in registers; the row form first
+/// transposes every cached key into blocks. Measured 0.16–0.28.
+const MAX_BLOCK_OVER_ROW_ATTENTION: f64 = 0.5;
+
+/// In a vector instantiation, upper bar on the int4 decode layer forward
+/// (`m = 1`) on 150 cached positions over its own six GEMM calls. Measured
+/// 1.41–1.68 while decode attention staged its keys and values, 1.01–1.25
+/// since it reads them in place.
+const MAX_DECODE_LAYER_OVER_GEMM: f64 = 1.3;
 
 /// A labeled closure the interleaved timer can re-run.
 type TimedKernel<'a> = (String, Box<dyn FnMut() + 'a>);
@@ -498,33 +528,43 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
     let gelu_s = time_interleaved(20, rounds, &mut gelu)[0] - time_interleaved(20, rounds, &mut copy)[0];
     let gelu_ns_per_elem = gelu_s * 1e9 / (CHUNK_M * cfg.ffn) as f64;
 
-    let attention = [(CHUNK_M, 64), (1, 128)]
+    let attention = [(CHUNK_M, 0), (CHUNK_M, 64), (1, 16), (1, 64), (1, 128)]
         .into_iter()
-        .map(|(m, past)| {
-            let (q, k, v) = (
-                Matrix::random(m, cfg.hidden, 1.0, 5),
-                Matrix::random(past + m, cfg.hidden, 1.0, 6),
-                Matrix::random(past + m, cfg.hidden, 1.0, 7),
-            );
-            let mut out = vec![0.0f32; m * cfg.hidden];
-            let mut kernel: Vec<TimedKernel<'_>> = vec![(
-                "attention".into(),
-                Box::new(|| {
-                    llmpq_kernels::attention(
-                        black_box(&q.data),
-                        m,
-                        cfg.hidden,
-                        past,
-                        &[0.0; 4],
-                        |j| k.row(j),
-                        |j| v.row(j),
-                        &mut out,
-                    );
-                    black_box(&mut out);
-                }),
-            )];
+        .flat_map(|(m, past)| {
+            let t = past + m;
+            let q = Matrix::random(m, cfg.hidden, 1.0, 5);
+            let cache = KvCache {
+                k: vec![Matrix::random(t, cfg.hidden, 1.0, 6)],
+                v: vec![Matrix::random(t, cfg.hidden, 1.0, 7)],
+            };
+            let mut store = paged_store(t, cfg.hidden);
+            store.append(0, &cache, 0).expect("the store holds the sequence");
+            let view = store.extend_seq(0, 0).expect("a registered sequence");
+            let (mut over_blocks, mut over_rows) = (vec![0.0f32; m * cfg.hidden], vec![0.0f32; m * cfg.hidden]);
+            let mut kernels: Vec<TimedKernel<'_>> = vec![
+                (
+                    "blocks".into(),
+                    Box::new(|| {
+                        let (q, kv) = (black_box(&q.data), view.blocks(0));
+                        llmpq_kernels::attention(q, m, cfg.hidden, past, &[0.0; 4], &kv, &mut over_blocks);
+                        black_box(&mut over_blocks);
+                    }),
+                ),
+                (
+                    "rows".into(),
+                    Box::new(|| {
+                        let (q, kv) = (black_box(&q.data), cache.blocks(0));
+                        llmpq_kernels::attention(q, m, cfg.hidden, past, &[0.0; 4], &kv, &mut over_rows);
+                        black_box(&mut over_rows);
+                    }),
+                ),
+            ];
             let iters = if m == 1 { 200 } else { 10 };
-            AttentionRow { m, past, attention_us: time_interleaved(iters, rounds, &mut kernel)[0] * 1e6 }
+            let s = time_interleaved(iters, rounds, &mut kernels);
+            drop(kernels);
+            let same = over_blocks.iter().zip(&over_rows).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "attention over blocks and over rows must agree bit for bit (m = {m}, past = {past})");
+            [("blocks", s[0]), ("rows", s[1])].map(|(keys, s)| AttentionRow { m, past, keys, attention_us: s * 1e6 })
         })
         .collect();
 
@@ -533,19 +573,23 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
         .map(|(m, past)| {
             let x = Matrix::random(m, cfg.hidden, 1.0, 21);
             let mid = Matrix::random(m, cfg.ffn, 1.0, 22);
-            // A cache holding `past` positions, cut back after each call.
-            let mut cache = KvCache::new(1, cfg.hidden);
-            forward_layer_with(w, cfg.n_heads, 0, &Matrix::random(past, cfg.hidden, 1.0, 23), &mut cache);
+            // A sequence holding `past` positions, cut back after each
+            // call: released and registered again, it gets the same chain
+            // back off the LIFO free list, the `past` positions' rows
+            // still in it, for two pool calls.
+            let mut store = paged_store(past + m, cfg.hidden);
+            let prefix = Matrix::random(past, cfg.hidden, 1.0, 23);
+            forward_layer_with(w, cfg.n_heads, 0, &prefix, &mut store.extend_seq(0, past).expect("room for the prefix"));
             let (xr, midr) = (&x, &mid);
             let mut kernels: Vec<TimedKernel<'_>> = vec![
                 (
                     "layer".into(),
                     Box::new(move || {
-                        black_box(forward_layer_with(w, cfg.n_heads, 0, black_box(xr), &mut cache));
-                        for kv in [&mut cache.k[0], &mut cache.v[0]] {
-                            kv.data.truncate(past * cfg.hidden);
-                            kv.rows = past;
-                        }
+                        store.release(0);
+                        store.register(0).expect("a released sequence registers again");
+                        store.extend_seq(0, past).expect("the same chain");
+                        let mut kv = store.extend_seq(0, m).expect("room for the new rows");
+                        black_box(forward_layer_with(w, cfg.n_heads, 0, black_box(xr), &mut kv));
                     }),
                 ),
                 (
@@ -564,6 +608,15 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
         })
         .collect();
     (gelu_ns_per_elem, attention, layer)
+}
+
+/// A one-layer store with room for exactly `t` positions of one
+/// sequence, registered as sequence 0.
+fn paged_store(t: usize, hidden: usize) -> PagedKvStore {
+    let cfg = KvPoolConfig { n_blocks: t.div_ceil(KV_BLOCK), block_tokens: KV_BLOCK };
+    let mut store = PagedKvStore::new(cfg, 1, hidden);
+    store.register(0).expect("an empty store");
+    store
 }
 
 fn tokens_suite(quick: bool) -> Vec<TokensRow> {
@@ -683,7 +736,7 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     let (gelu_ns_per_elem, attention, layer) = layer_suite(quick);
     say!(out, "ref256x4 int4 layer, beyond its GEMMs: GELU {gelu_ns_per_elem:.2} ns/element");
     for r in &attention {
-        say!(out, "attention (4 heads x 64), m = {}, past = {}: {:.1} us", r.m, r.past, r.attention_us);
+        say!(out, "attention (4 heads x 64), m = {}, past = {}, keys as {}: {:.1} us", r.m, r.past, r.keys, r.attention_us);
     }
     let mut t = TextTable::new(&["layer forward, m", "past", "layer us", "six GEMMs us", "layer / GEMMs"]);
     for r in &layer {
@@ -795,6 +848,28 @@ fn check_ordering(out: &mut Out, s: &Section) {
                 "{isa} {kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
             );
         }
+        for past in [64, 128] {
+            let us = |keys: &str| {
+                s.attention
+                    .iter()
+                    .find(|r| (r.m, r.past, r.keys) == (1, past, keys))
+                    .map(|r| r.attention_us)
+                    .expect("decode attention row present")
+            };
+            let ratio = us("blocks") / us("rows");
+            say!(out, "{isa}: decode attention on {past} cached positions, blocks over rows {ratio:.2}");
+            assert!(
+                ratio <= MAX_BLOCK_OVER_ROW_ATTENTION,
+                "{isa}: decode attention over key blocks must cost at most {MAX_BLOCK_OVER_ROW_ATTENTION} of the \
+                 row-major form on {past} cached positions, got {ratio:.2}"
+            );
+        }
+        let decode = s.layer.iter().find(|r| (r.m, r.past) == (1, 150)).expect("decode layer row present");
+        assert!(
+            decode.layer_over_gemm <= MAX_DECODE_LAYER_OVER_GEMM,
+            "{isa} m = 1 on 150 cached: the layer forward must cost at most {MAX_DECODE_LAYER_OVER_GEMM} of its GEMMs, got {:.2}",
+            decode.layer_over_gemm
+        );
     }
     for r in s.layer.iter().filter(|r| r.m == CHUNK_M) {
         assert!(

@@ -111,19 +111,19 @@
 //! weight wants several in flight but not dozens — `PANELS`,
 //! `WEIGHT_PANELS`.)
 //!
-//! ## Rows that live elsewhere
+//! ## Weights that live elsewhere
 //!
 //! The dense tile source takes its weight rows from an accessor
-//! (`j ↦ &[f32]` of length `k`), activations and outputs carry a row
-//! stride, and a source may declare its outputs causal (row `i` of the
-//! block reads only outputs `j ≤ past + i`; panels no row reads are not
-//! staged or swept). That is all QKᵀ of attention needs to be this
-//! kernel with the cached keys as the weight, read where they live — a
-//! contiguous cache, one head's column slice of it, or a paged block
-//! chain ([`mod@crate::attention`]). A dense weight that meets short
-//! blocks over and over (the LM head: one row per decode step) can be
-//! kept as [`DensePanels`] instead, the tile layout itself, so that
-//! staging it is a copy and not a transpose.
+//! (`j ↦ &[f32]` of length `k`) and stages them through a transposing
+//! fill. A dense weight that meets short blocks over and over (the LM
+//! head: one row per decode step) is kept as [`DensePanels`] instead, the
+//! tile layout itself, so that staging it is a copy and not a transpose.
+//! Activations and outputs carry a row stride, and a source may declare
+//! its outputs causal (row `i` of the block reads only outputs
+//! `j ≤ past + i`; panels no row reads are not staged or swept). That is
+//! all a prefill block's QKᵀ needs to be this kernel with the cached keys
+//! as the weight: they are stored as panels already — 16-position k-major
+//! blocks — so their fill is a copy too ([`mod@crate::attention`]).
 //!
 //! ## Bit-exactness
 //!
@@ -162,19 +162,19 @@ pub(crate) const MR: usize = 4;
 /// k-steps per scratch tile (`TILE_K × LANES` f32 = 8 KB, L1-resident).
 /// A quant group longer than this is swept in `TILE_K` pieces, still in
 /// ascending k.
-const TILE_K: usize = 128;
+pub(crate) const TILE_K: usize = 128;
 
 /// Most panels a block of fewer than `MR` rows walks together: 64 outputs
 /// in flight, four 512-bit add chains or eight 256-bit ones per row, and
-/// for a packed weight four streams of payload.
+/// for a packed weight four streams of payload. Decode attention sweeps
+/// as many key blocks, and as many lane chunks of a value row, together.
 pub(crate) const PANELS: usize = 4;
 
 /// Panels a short block over a dense *weight* walks together. Every
 /// lane of a tile is a stream of its own through the weight's memory, and
 /// past 32 of them the fill of a large matrix slows more than the extra
 /// add chains gain (64 rows together ran the 4096² dense `m = 1` call 2×
-/// slower than 32). Cached keys are short rows of one sequence;
-/// attention's short blocks take all `PANELS`.
+/// slower than 32).
 const WEIGHT_PANELS: usize = PANELS / 2;
 
 /// Activation rows per parallel chunk of `out`.
@@ -216,7 +216,7 @@ pub fn qgemm_t_into(x: &[f32], m: usize, w: &PackedMatrix, out: &mut [f32]) {
 pub fn gemm_t(x: &[f32], m: usize, w: &[f32], n: usize, k: usize) -> Vec<f32> {
     assert_eq!(w.len(), n * k, "weight shape mismatch");
     let mut out = vec![0.0f32; m * n];
-    gemm_blocked(x, m, &DenseWeight { row: |j| &w[j * k..][..k], n, k, causal_past: None }, &mut out, cap());
+    gemm_blocked(x, m, &DenseWeight { row: |j| &w[j * k..][..k], n, k }, &mut out, cap());
     out
 }
 
@@ -271,14 +271,11 @@ impl Scratch {
 }
 
 /// Dense `f32` rows handed out by an accessor: `row(j)` is the `k`
-/// weights of output `j`, wherever they live. With `causal_past = Some(p)`
-/// the rows are cached keys and row `i` of the activation block reads
-/// only outputs `j ≤ p + i`.
-pub(crate) struct DenseWeight<F> {
-    pub(crate) row: F,
-    pub(crate) n: usize,
-    pub(crate) k: usize,
-    pub(crate) causal_past: Option<usize>,
+/// weights of output `j`, wherever they live.
+struct DenseWeight<F> {
+    row: F,
+    n: usize,
+    k: usize,
 }
 
 impl<'a, F: Fn(usize) -> &'a [f32]> TileSource for DenseWeight<F> {
@@ -292,11 +289,6 @@ impl<'a, F: Fn(usize) -> &'a [f32]> TileSource for DenseWeight<F> {
 
     fn group(&self) -> usize {
         TILE_K
-    }
-
-    #[inline(always)]
-    fn first_row(&self, j: usize) -> usize {
-        self.causal_past.map_or(0, |past| j.saturating_sub(past))
     }
 
     #[inline(always)]
@@ -581,7 +573,7 @@ impl<W: TileSource, const SHORT: bool> Body for StagedBlock<'_, W, SHORT> {
 /// and the rows `i ≥ w.first_row(j)`; other outputs are left as they
 /// were.
 #[inline(always)]
-pub(crate) fn row_block<const P: usize, W: TileSource>(
+fn row_block<const P: usize, W: TileSource>(
     x: &[f32],
     ldx: usize,
     w: &W,
@@ -610,7 +602,7 @@ pub(crate) fn row_block<const P: usize, W: TileSource>(
 /// in `out`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn single_panels<W: TileSource>(
+pub(crate) fn single_panels<W: TileSource>(
     x: &[f32],
     ldx: usize,
     w: &W,
@@ -1002,7 +994,7 @@ mod tests {
                 for (f, u) in fused.iter().zip(&unfused) {
                     assert_ne!(f.to_bits(), u.to_bits(), "the inputs must tell the two apart");
                 }
-                let dense = DenseWeight { row: |j| &dq[j * k..][..k], n, k, causal_past: None };
+                let dense = DenseWeight { row: |j| &dq[j * k..][..k], n, k };
                 let copy = DensePanels::new(&dq, n, k);
                 for &isa in &isas {
                     for w in &weights {
@@ -1038,7 +1030,7 @@ mod tests {
             let (n, k) = (LANES * panels + tail, 2 * half_k + 1);
             let data = pseudo(n * k, seed);
             let packed = quantize_packed(&data, n, k, bits, [3, 16, 64, 192, k][group_choice]);
-            let dense = DenseWeight { row: |j| &data[j * k..][..k], n, k, causal_past: None };
+            let dense = DenseWeight { row: |j| &data[j * k..][..k], n, k };
             let copy = DensePanels::new(&data, n, k);
             let x = pseudo(m * k, seed ^ 0x3C3C);
             let base_packed = run(&x, m, &packed, Isa::Baseline);

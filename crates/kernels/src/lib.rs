@@ -4,8 +4,8 @@
 //! from it — the subsystem that makes a bitwidth decision change memory
 //! *traffic*, not just memory *accounting* — and the rest of a decoder
 //! layer's arithmetic ([`elementwise`]: the model's one `exp`, GELU,
-//! softmax; [`mod@attention`]: causal attention over K/V read where it
-//! lives), so that what is left between the quantized GEMMs does not
+//! softmax; [`mod@attention`]: causal attention over 16-position blocks
+//! of keys, k-major, and value rows, read where they live), so that what is left between the quantized GEMMs does not
 //! decide a layer's time.
 //!
 //! Before this crate the reference runtime stored every quantized
@@ -66,7 +66,7 @@ pub mod pack;
 #[cfg(test)]
 mod testutil;
 
-pub use attention::attention;
+pub use attention::{attention, KvBlocks, RowKv, KV_BLOCK};
 pub use dispatch::{isa, Isa};
 pub use elementwise::{exp, gelu, softmax_rows};
 pub use gemm::{gemm_t, qgemm_t, qgemm_t_into, DensePanels};

@@ -48,3 +48,8 @@ pub use tensor::Matrix;
 /// re-exported so planners can account scale/zero metadata without
 /// depending on `llmpq-kernels` directly.
 pub use llmpq_kernels::DEFAULT_GROUP as QUANT_GROUP;
+
+/// How [`KvSeq`] hands K/V to attention — 16-position blocks, keys
+/// k-major — re-exported so that a KV store implements the contract
+/// without depending on `llmpq-kernels` directly.
+pub use llmpq_kernels::{KvBlocks, KV_BLOCK};

@@ -15,7 +15,7 @@
 
 use crate::linear::LinearOp;
 use crate::tensor::{add_assign, add_bias, gelu, layer_norm, Matrix};
-use llmpq_kernels::DensePanels;
+use llmpq_kernels::{DensePanels, KvBlocks, RowKv};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -188,22 +188,31 @@ impl LayerWeights {
 }
 
 /// One sequence's cached keys and values as the layer forward sees them:
-/// rows it reads where they live and a place to put the rows it
-/// computes. [`KvCache`] is the contiguous implementation; the serving
-/// engine's paged store hands out a view of a block chain.
+/// blocks of 16 positions as attention reads them ([`KvBlocks`]: keys
+/// k-major, values as rows) and a place to put the rows it computes. The
+/// serving engines' paged store keeps K/V that way and hands out a view
+/// of a block chain, read in place; [`KvCache`] keeps rows and transposes
+/// its keys into blocks on every call.
 pub trait KvSeq {
+    /// One layer's blocks as [`Self::blocks`] hands them out.
+    type Blocks<'s>: KvBlocks
+    where
+        Self: 's;
     /// Positions of `layer` cached so far.
     fn cached(&self, layer: usize) -> usize;
-    /// The `hidden`-wide key row of position `pos` of `layer`.
-    fn k_row(&self, layer: usize, pos: usize) -> &[f32];
-    /// The value row of position `pos` of `layer`.
-    fn v_row(&self, layer: usize, pos: usize) -> &[f32];
+    /// The blocks of every cached position of `layer`.
+    fn blocks(&self, layer: usize) -> Self::Blocks<'_>;
     /// Store the rows of `k` / `v` (`t_new × hidden`) as the next `t_new`
     /// positions of `layer`.
     fn push_rows(&mut self, layer: usize, k: &Matrix, v: &Matrix);
 }
 
-/// Per-layer KV cache for a single sequence.
+/// Per-layer KV cache for a single sequence, contiguous and row-major:
+/// row `pos` of `k[layer]` / `v[layer]` is that position's key / value.
+/// The form of the offline oracle, calibration and the KV transfer path
+/// (the serving engines keep keys in k-major blocks instead); attention
+/// reads its values in place and its keys through a per-call transpose
+/// ([`RowKv`]).
 #[derive(Debug, Clone, Default)]
 pub struct KvCache {
     /// Cached keys per layer, each `t × hidden`.
@@ -233,16 +242,15 @@ impl KvCache {
 }
 
 impl KvSeq for KvCache {
+    type Blocks<'s> = RowKv<'s>;
+
     fn cached(&self, layer: usize) -> usize {
         self.k[layer].rows
     }
 
-    fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
-        self.k[layer].row(pos)
-    }
-
-    fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
-        self.v[layer].row(pos)
+    fn blocks(&self, layer: usize) -> RowKv<'_> {
+        let (k, v) = (&self.k[layer], &self.v[layer]);
+        RowKv::new(&k.data, &v.data, k.rows, k.cols)
     }
 
     fn push_rows(&mut self, layer: usize, k_new: &Matrix, v_new: &Matrix) {
@@ -545,8 +553,8 @@ pub fn forward_layer_taps(
 }
 
 /// The layer forward. Everything that decides its time is a kernels-crate
-/// call: six (fused dequant-)GEMMs, attention over the K/V rows `cache`
-/// hands out in place, GELU. Rows are independent and every reduction has
+/// call: six (fused dequant-)GEMMs, attention over the blocks `cache`
+/// hands out, GELU. Rows are independent and every reduction has
 /// a fixed order, so row `i` of a `t_new`-row call is bit-identical to
 /// the one-row call on a cache holding the rows before it.
 fn forward_layer_inner(
@@ -577,17 +585,7 @@ fn forward_layer_inner(
     let slopes: Vec<f32> =
         (0..n_heads).map(|head| if alibi { alibi_slope(head, n_heads) } else { 0.0 }).collect();
     let mut attn_out = Matrix::zeros(t_new, h);
-    let cache = &*cache;
-    llmpq_kernels::attention(
-        &q.data,
-        t_new,
-        h,
-        past,
-        &slopes,
-        |pos| cache.k_row(layer_idx, pos),
-        |pos| cache.v_row(layer_idx, pos),
-        &mut attn_out.data,
-    );
+    llmpq_kernels::attention(&q.data, t_new, h, past, &slopes, &cache.blocks(layer_idx), &mut attn_out.data);
     let mut attn_proj = w.wo.forward_t(&attn_out);
     add_bias(&mut attn_proj, &w.bo);
     let mut x1 = x.clone();

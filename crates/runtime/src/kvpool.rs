@@ -13,21 +13,27 @@
 //! the scheduler's join/preempt rules (see [`mod@crate::serve`]) need.
 //!
 //! [`PagedKvStore`] adds the actual tensor storage: per-layer K/V arenas
-//! indexed by block id. The layer forward reads and writes them in
-//! place: [`PagedKvStore::extend_seq`] grows a sequence's chain for the
+//! indexed by block id, each block's keys kept the way attention reads
+//! them — k-major, `hidden × 16` — and its values as rows (see
+//! [`PagedKvStore`] for why, and for the one block size a store holds).
+//! The layer forward reads and writes them in place:
+//! [`PagedKvStore::extend_seq`] grows a sequence's chain for the
 //! positions about to be computed and returns a [`PagedSeq`], the
-//! [`KvSeq`] view through which attention reads every cached row where
+//! [`KvSeq`] view through which attention reads every cached block where
 //! it lives and the new rows go straight into the tail blocks —
 //! numerically identical to running on a monolithic [`KvCache`], with no
-//! per-call copy of the context. [`PagedKvStore::gather`] /
-//! [`PagedKvStore::append`] remain for whoever needs the contiguous form
-//! (export, probes).
+//! per-call copy of the context. Both serving
+//! engines compute on it: the local engine on one store, every ring
+//! stage on a store of its own. [`PagedKvStore::gather`] /
+//! [`PagedKvStore::append`] convert to and from the contiguous form
+//! (the plan-swap KV handoff, export, probes), transposing keys at that
+//! boundary.
 //!
 //! [`KvCache`]: llmpq_model::KvCache
 
 use std::collections::HashMap;
 
-use llmpq_model::{KvCache, KvSeq, Matrix};
+use llmpq_model::{KvBlocks, KvCache, KvSeq, Matrix, KV_BLOCK};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a [`KvPool`].
@@ -257,34 +263,77 @@ impl KvPool {
 
 /// Block-paged K/V tensor storage on top of [`KvPool`].
 ///
-/// One K and one V arena per layer, each `n_blocks × block_tokens`
-/// rows of width `hidden`. Rows for a sequence live wherever its block
-/// chain points. The serving engine computes on them in place through
+/// One K and one V arena per layer, one block of each per pool block.
+/// A key block is `hidden × 16` floats, k-major — `block[dim · 16 +
+/// slot]` is dimension `dim` of the block's position `slot` — which is
+/// the panel layout QKᵀ sweeps with positions in lanes, so attention
+/// reads keys in place with no transposing fill. A value block is 16
+/// rows of `hidden`: PV sweeps values with dimensions in lanes, and a
+/// row already is that. Rows for a sequence live wherever its block
+/// chain points. The serving engines compute on them in place through
 /// [`PagedKvStore::extend_seq`]; [`PagedKvStore::gather`] materialises a
 /// contiguous per-sequence [`KvCache`] copy and [`PagedKvStore::append`]
 /// scatters the rows of one back into the chain (growing it
-/// block-by-block).
+/// block-by-block), both transposing keys.
+///
+/// A block is one key block, so a store holds blocks of exactly
+/// [`KV_BLOCK`] = 16 positions and refuses any other size rather than
+/// pad ([`PagedKvStore::check_block_tokens`]); a [`KvPool`] on its own
+/// accounts at any granularity. The arenas grow with the chains, to the
+/// highest block ever granted; the free list is LIFO from block 0, so
+/// that is the peak number of blocks in use, and resident memory follows
+/// the blocks used, not the capacity. (Zero-allocated at full capacity
+/// up front they were resident or not at the allocator's whim: once a
+/// ring had been built and dropped, the next one's came from freed heap
+/// memory, zeroed page by page.)
 #[derive(Debug, Clone)]
 pub struct PagedKvStore {
     pool: KvPool,
     n_layers: usize,
     hidden: usize,
-    /// `k[layer]` / `v[layer]`: flat arena, row `block * block_tokens +
-    /// offset` holds that position's vector.
+    /// `k[layer]`: block `b` is `[b · hidden · 16, (b + 1) · hidden · 16)`,
+    /// k-major; as long as the highest block granted so far needs.
     k: Vec<Vec<f32>>,
+    /// `v[layer]`: row `b · 16 + slot` holds that position's vector.
     v: Vec<Vec<f32>>,
 }
 
 impl PagedKvStore {
     /// Arenas for `n_layers` layers of width `hidden` over `cfg` blocks.
+    ///
+    /// Panics with [`Self::check_block_tokens`]'s message unless
+    /// `cfg.block_tokens` is 16.
     pub fn new(cfg: KvPoolConfig, n_layers: usize, hidden: usize) -> Self {
-        let rows = cfg.n_blocks * cfg.block_tokens;
-        Self {
-            pool: KvPool::new(cfg),
-            n_layers,
-            hidden,
-            k: (0..n_layers).map(|_| vec![0.0; rows * hidden]).collect(),
-            v: (0..n_layers).map(|_| vec![0.0; rows * hidden]).collect(),
+        if let Err(rule) = Self::check_block_tokens(cfg.block_tokens) {
+            panic!("{rule}");
+        }
+        Self { pool: KvPool::new(cfg), n_layers, hidden, k: vec![Vec::new(); n_layers], v: vec![Vec::new(); n_layers] }
+    }
+
+    /// Extend `seq`'s chain by `tokens` positions, then grow the arenas
+    /// to cover every block it holds. On exhaustion nothing changes.
+    fn grow(&mut self, seq: u64, tokens: usize) -> Result<(), KvPoolError> {
+        self.pool.extend(seq, tokens)?;
+        let top = self.pool.seqs[&seq].blocks.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
+        let floats = top * self.hidden * KV_BLOCK;
+        for arena in self.k.iter_mut().chain(&mut self.v) {
+            if arena.len() < floats {
+                arena.resize(floats, 0.0);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a store can hold blocks of `block_tokens` positions: only
+    /// 16, one k-major key block. The error names the rule.
+    pub fn check_block_tokens(block_tokens: usize) -> Result<(), String> {
+        if block_tokens == KV_BLOCK {
+            Ok(())
+        } else {
+            Err(format!(
+                "a KV store keeps keys in {KV_BLOCK}-position k-major blocks: block_tokens must be \
+                 {KV_BLOCK}, got {block_tokens}"
+            ))
         }
     }
 
@@ -310,36 +359,38 @@ impl PagedKvStore {
     /// *first*: on [`KvPoolError::Exhausted`] nothing has been computed,
     /// and the chain and the arenas are exactly as they were.
     pub fn extend_seq(&mut self, seq: u64, new_tokens: usize) -> Result<PagedSeq<'_>, KvPoolError> {
-        self.pool.extend(seq, new_tokens)?;
+        self.grow(seq, new_tokens)?;
         let a = &self.pool.seqs[&seq];
-        let bt = self.pool.cfg.block_tokens;
-        let rows: Vec<usize> = a
-            .blocks
-            .iter()
-            .flat_map(|&b| (b as usize * bt..).take(bt))
-            .take(a.tokens)
-            .collect();
-        let filled = vec![a.tokens - new_tokens; self.n_layers];
-        Ok(PagedSeq { store: self, rows, filled })
+        Ok(PagedSeq {
+            blocks: &a.blocks,
+            tokens: a.tokens,
+            hidden: self.hidden,
+            k: &mut self.k,
+            v: &mut self.v,
+            filled: vec![a.tokens - new_tokens; self.n_layers],
+        })
     }
 
     /// Gather `seq`'s KV into a contiguous cache of `tokens_of(seq)`
     /// rows per layer.
     pub fn gather(&self, seq: u64) -> Result<KvCache, KvPoolError> {
         let a = self.pool.seqs.get(&seq).ok_or(KvPoolError::UnknownSeq(seq))?;
-        let bt = self.pool.cfg.block_tokens;
-        let mut cache = KvCache::new(self.n_layers, self.hidden);
+        let (hidden, block) = (self.hidden, self.hidden * KV_BLOCK);
+        let mut cache = KvCache::new(self.n_layers, hidden);
         for layer in 0..self.n_layers {
             let (km, vm) = (&mut cache.k[layer], &mut cache.v[layer]);
-            km.data.reserve(a.tokens * self.hidden);
-            vm.data.reserve(a.tokens * self.hidden);
-            let mut left = a.tokens;
-            for &b in &a.blocks {
-                let take = left.min(bt);
-                let base = b as usize * bt * self.hidden;
-                km.data.extend_from_slice(&self.k[layer][base..base + take * self.hidden]);
-                vm.data.extend_from_slice(&self.v[layer][base..base + take * self.hidden]);
-                left -= take;
+            km.data = vec![0.0; a.tokens * hidden];
+            vm.data.reserve(a.tokens * hidden);
+            for (i, &b) in a.blocks.iter().enumerate() {
+                let b = b as usize;
+                let take = (a.tokens - i * KV_BLOCK).min(KV_BLOCK);
+                let keys = &self.k[layer][b * block..][..block];
+                for (slot, row) in km.data[i * block..].chunks_exact_mut(hidden.max(1)).take(take).enumerate() {
+                    for (dim, x) in row.iter_mut().enumerate() {
+                        *x = keys[dim * KV_BLOCK + slot];
+                    }
+                }
+                vm.data.extend_from_slice(&self.v[layer][b * block..][..take * hidden]);
             }
             km.rows = a.tokens;
             vm.rows = a.tokens;
@@ -355,19 +406,12 @@ impl PagedKvStore {
         if new_rows == 0 {
             return Ok(());
         }
-        self.pool.extend(seq, new_rows)?;
-        let a = &self.pool.seqs[&seq];
-        let bt = self.pool.cfg.block_tokens;
+        self.grow(seq, new_rows)?;
+        let blocks = &self.pool.seqs[&seq].blocks;
         for layer in 0..self.n_layers {
-            for r in 0..new_rows {
-                let pos = from_row + r;
-                let block = a.blocks[pos / bt] as usize;
-                let dst = (block * bt + pos % bt) * self.hidden;
-                let src = pos * self.hidden;
-                self.k[layer][dst..dst + self.hidden]
-                    .copy_from_slice(&cache.k[layer].data[src..src + self.hidden]);
-                self.v[layer][dst..dst + self.hidden]
-                    .copy_from_slice(&cache.v[layer].data[src..src + self.hidden]);
+            for pos in from_row..from_row + new_rows {
+                let (k, v) = (cache.k[layer].row(pos), cache.v[layer].row(pos));
+                put(&mut self.k[layer], &mut self.v[layer], blocks, pos, k, v);
             }
         }
         Ok(())
@@ -397,45 +441,75 @@ impl PagedKvStore {
     }
 }
 
+/// Store position `pos` of a chain: its key into its block's slot,
+/// dimension by dimension, and its value row.
+fn put(k_arena: &mut [f32], v_arena: &mut [f32], blocks: &[u32], pos: usize, k: &[f32], v: &[f32]) {
+    let hidden = k.len();
+    let (b, slot) = (blocks[pos / KV_BLOCK] as usize, pos % KV_BLOCK);
+    let keys = &mut k_arena[b * hidden * KV_BLOCK..][..hidden * KV_BLOCK];
+    for (dim, &x) in k.iter().enumerate() {
+        keys[dim * KV_BLOCK + slot] = x;
+    }
+    v_arena[(b * KV_BLOCK + slot) * hidden..][..hidden].copy_from_slice(v);
+}
+
 /// One sequence of a [`PagedKvStore`] as the layer forward sees it
-/// ([`PagedKvStore::extend_seq`]): every cached row read where its block
+/// ([`PagedKvStore::extend_seq`]): every cached block read where it
 /// lives, the reserved positions written in place.
 #[derive(Debug)]
 pub struct PagedSeq<'a> {
-    store: &'a mut PagedKvStore,
-    /// Arena row of each position, the reserved ones included — one
-    /// table per call, shared by every layer, so a row access is an
-    /// index and not a division by the block size.
-    rows: Vec<usize>,
+    /// The chain: one arena block per 16 positions, the reserved ones
+    /// included.
+    blocks: &'a [u32],
+    /// Positions the chain holds once every reserved one is written.
+    tokens: usize,
+    hidden: usize,
+    k: &'a mut [Vec<f32>],
+    v: &'a mut [Vec<f32>],
     /// Positions written so far, per layer.
     filled: Vec<usize>,
 }
 
-impl PagedSeq<'_> {
-    fn row_of<'s>(&self, arena: &'s [f32], pos: usize) -> &'s [f32] {
-        &arena[self.rows[pos] * self.store.hidden..][..self.store.hidden]
+/// One layer of a [`PagedSeq`], block by block where it lives.
+#[derive(Debug, Clone, Copy)]
+pub struct PagedBlocks<'a> {
+    k: &'a [f32],
+    v: &'a [f32],
+    blocks: &'a [u32],
+    /// Floats per block, of keys and of values alike: `hidden × 16`.
+    block: usize,
+}
+
+impl KvBlocks for PagedBlocks<'_> {
+    fn key_block(&self, b: usize) -> &[f32] {
+        &self.k[self.blocks[b] as usize * self.block..][..self.block]
+    }
+
+    fn value_block(&self, b: usize) -> &[f32] {
+        &self.v[self.blocks[b] as usize * self.block..][..self.block]
     }
 }
 
 impl KvSeq for PagedSeq<'_> {
+    type Blocks<'s>
+        = PagedBlocks<'s>
+    where
+        Self: 's;
+
     fn cached(&self, layer: usize) -> usize {
         self.filled[layer]
     }
 
-    fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
-        self.row_of(&self.store.k[layer], pos)
-    }
-
-    fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
-        self.row_of(&self.store.v[layer], pos)
+    fn blocks(&self, layer: usize) -> PagedBlocks<'_> {
+        let block = self.hidden * KV_BLOCK;
+        PagedBlocks { k: &self.k[layer], v: &self.v[layer], blocks: self.blocks, block }
     }
 
     fn push_rows(&mut self, layer: usize, k: &Matrix, v: &Matrix) {
-        let (from, hidden) = (self.filled[layer], self.store.hidden);
-        assert!(from + k.rows <= self.rows.len(), "more rows than the chain was extended for");
-        for (r, &row) in self.rows[from..from + k.rows].iter().enumerate() {
-            self.store.k[layer][row * hidden..][..hidden].copy_from_slice(k.row(r));
-            self.store.v[layer][row * hidden..][..hidden].copy_from_slice(v.row(r));
+        let from = self.filled[layer];
+        assert!(from + k.rows <= self.tokens, "more rows than the chain was extended for");
+        for r in 0..k.rows {
+            put(&mut self.k[layer], &mut self.v[layer], self.blocks, from + r, k.row(r), v.row(r));
         }
         self.filled[layer] += k.rows;
     }
@@ -561,24 +635,29 @@ mod tests {
         }
     }
 
+    /// Blocks of 16 positions, as every store has.
+    fn store(n_blocks: usize, n_layers: usize, hidden: usize) -> PagedKvStore {
+        PagedKvStore::new(KvPoolConfig { n_blocks, block_tokens: 16 }, n_layers, hidden)
+    }
+
     #[test]
     fn store_gather_matches_append_round_trip() {
-        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 8, block_tokens: 4 }, 2, 3);
+        let mut st = store(8, 2, 3);
         st.register(7).unwrap();
-        // Fabricate a "forward pass" that appended 6 rows to an empty
+        // Fabricate a "forward pass" that appended 20 rows to an empty
         // gathered cache.
         let mut cache = st.gather(7).unwrap();
         for layer in 0..2 {
-            let km = kv_row_matrix(6, 3, |r, c| (layer * 100 + r * 10 + c) as f32);
-            let vm = kv_row_matrix(6, 3, |r, c| -((layer * 100 + r * 10 + c) as f32));
+            let km = kv_row_matrix(20, 3, |r, c| (layer * 100 + r * 10 + c) as f32);
+            let vm = kv_row_matrix(20, 3, |r, c| -((layer * 100 + r * 10 + c) as f32));
             cache.k[layer] = km;
             cache.v[layer] = vm;
         }
         st.append(7, &cache, 0).unwrap();
-        assert_eq!(st.pool().tokens_of(7), Some(6));
+        assert_eq!(st.pool().tokens_of(7), Some(20));
         assert_eq!(st.pool().used_blocks(), 2);
         let back = st.gather(7).unwrap();
-        assert_eq!(back.len(), 6);
+        assert_eq!(back.len(), 20);
         for layer in 0..2 {
             assert_eq!(back.k[layer].data, cache.k[layer].data, "layer {layer} K");
             assert_eq!(back.v[layer].data, cache.v[layer].data, "layer {layer} V");
@@ -589,17 +668,16 @@ mod tests {
     fn store_incremental_append_matches_monolithic() {
         // Growing one row at a time across block boundaries must read
         // back identically to a single bulk append.
-        let cfg = KvPoolConfig { n_blocks: 8, block_tokens: 3 };
-        let mut bulk = PagedKvStore::new(cfg, 1, 2);
-        let mut inc = PagedKvStore::new(cfg, 1, 2);
+        let mut bulk = store(8, 1, 2);
+        let mut inc = store(8, 1, 2);
         bulk.register(1).unwrap();
         inc.register(1).unwrap();
-        let full = kv_row_matrix(10, 2, |r, c| (r * 2 + c) as f32 * 0.5);
+        let full = kv_row_matrix(40, 2, |r, c| (r * 2 + c) as f32 * 0.5);
         let mut c = bulk.gather(1).unwrap();
         c.k[0] = full.clone();
         c.v[0] = full.clone();
         bulk.append(1, &c, 0).unwrap();
-        for row in 0..10 {
+        for row in 0..40 {
             let mut g = inc.gather(1).unwrap();
             let one = kv_row_matrix(1, 2, |_, cix| (row * 2 + cix) as f32 * 0.5);
             g.k[0].data.extend_from_slice(&one.data);
@@ -614,11 +692,11 @@ mod tests {
 
     #[test]
     fn store_release_then_reuse_is_clean() {
-        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 2, block_tokens: 2 }, 1, 1);
+        let mut st = store(2, 1, 1);
         st.register(1).unwrap();
         let mut c = st.gather(1).unwrap();
-        c.k[0] = kv_row_matrix(4, 1, |_, _| 7.0);
-        c.v[0] = kv_row_matrix(4, 1, |_, _| 7.0);
+        c.k[0] = kv_row_matrix(32, 1, |_, _| 7.0);
+        c.v[0] = kv_row_matrix(32, 1, |_, _| 7.0);
         st.append(1, &c, 0).unwrap();
         assert_eq!(st.release(1), 2);
         // A new sequence reusing the same blocks sees only its own rows.
@@ -634,16 +712,17 @@ mod tests {
 
     #[test]
     fn view_writes_in_place_what_gather_reads_back() {
-        // Two interleaved sequences over 3-token blocks: rows pushed
+        // Two interleaved sequences over 16-token blocks: rows pushed
         // through the view land where `gather` finds them, and the view
-        // reads back rows appended the copying way.
-        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 8, block_tokens: 3 }, 2, 2);
+        // hands out, as key blocks and value rows, rows appended the
+        // copying way.
+        let mut st = store(8, 2, 2);
         st.register(1).unwrap();
         st.register(2).unwrap();
         let rows = |seq: usize, layer: usize, from: usize, n: usize, sign: f32| {
             kv_row_matrix(n, 2, |r, c| sign * (seq * 1000 + layer * 100 + (from + r) * 2 + c) as f32)
         };
-        for (seq, from, n) in [(1usize, 0usize, 4usize), (2, 0, 2), (1, 4, 1), (2, 2, 5), (1, 5, 3)] {
+        for (seq, from, n) in [(1usize, 0usize, 20usize), (2, 0, 10), (1, 20, 5), (2, 10, 25), (1, 25, 15)] {
             let mut view = st.extend_seq(seq as u64, n).unwrap();
             for layer in 0..2 {
                 assert_eq!(view.cached(layer), from);
@@ -651,16 +730,20 @@ mod tests {
                 assert_eq!(view.cached(layer), from + n);
             }
         }
-        for (seq, total) in [(1usize, 8usize), (2, 7)] {
+        for (seq, total) in [(1usize, 40usize), (2, 35)] {
             let back = st.gather(seq as u64).unwrap();
             assert_eq!(st.pool().tokens_of(seq as u64), Some(total));
             let view = st.extend_seq(seq as u64, 0).unwrap();
             for layer in 0..2 {
                 assert_eq!(back.k[layer], rows(seq, layer, 0, total, 1.0));
                 assert_eq!(back.v[layer], rows(seq, layer, 0, total, -1.0));
+                let blocks = view.blocks(layer);
                 for pos in 0..total {
-                    assert_eq!(view.k_row(layer, pos), back.k[layer].row(pos));
-                    assert_eq!(view.v_row(layer, pos), back.v[layer].row(pos));
+                    let (b, slot) = (pos / KV_BLOCK, pos % KV_BLOCK);
+                    let keys = blocks.key_block(b);
+                    let key: Vec<f32> = (0..2).map(|dim| keys[dim * KV_BLOCK + slot]).collect();
+                    assert_eq!(key, back.k[layer].row(pos));
+                    assert_eq!(&blocks.value_block(b)[slot * 2..][..2], back.v[layer].row(pos));
                 }
             }
         }
@@ -668,34 +751,57 @@ mod tests {
 
     #[test]
     fn view_refused_for_lack_of_blocks_changes_nothing() {
-        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 2, block_tokens: 2 }, 1, 1);
+        let mut st = store(2, 1, 1);
         st.register(1).unwrap();
-        let mut view = st.extend_seq(1, 3).unwrap();
-        view.push_rows(0, &kv_row_matrix(3, 1, |r, _| r as f32), &kv_row_matrix(3, 1, |r, _| -(r as f32)));
+        let mut view = st.extend_seq(1, 17).unwrap();
+        view.push_rows(0, &kv_row_matrix(17, 1, |r, _| r as f32), &kv_row_matrix(17, 1, |r, _| -(r as f32)));
         let before = (st.pool().blocks_of(1).unwrap().to_vec(), st.k.clone(), st.v.clone());
-        let err = st.extend_seq(1, 2).map(|_| ()).unwrap_err();
+        let err = st.extend_seq(1, 16).map(|_| ()).unwrap_err();
         assert_eq!(err, KvPoolError::Exhausted { needed: 1, free: 0 });
         assert_eq!(st.extend_seq(9, 1).map(|_| ()).unwrap_err(), KvPoolError::UnknownSeq(9));
-        assert_eq!(st.pool().tokens_of(1), Some(3));
+        assert_eq!(st.pool().tokens_of(1), Some(17));
         assert_eq!((st.pool().blocks_of(1).unwrap().to_vec(), st.k.clone(), st.v.clone()), before);
-        // The last free position is still grantable.
-        st.extend_seq(1, 1).unwrap();
+        // The last free positions are still grantable.
+        st.extend_seq(1, 15).unwrap();
+    }
+
+    #[test]
+    fn arenas_grow_to_the_highest_block_granted_and_no_further() {
+        // A store sized for 64 blocks holds nothing until a chain grows;
+        // blocks come back LIFO, so a sequence reusing released ones does
+        // not grow the arenas again.
+        let mut st = store(64, 2, 8);
+        let floats = |st: &PagedKvStore| -> Vec<usize> {
+            let (k, v) = st.arenas();
+            k.iter().chain(v).map(Vec::len).collect()
+        };
+        assert_eq!(floats(&st), vec![0; 4]);
+        st.register(1).unwrap();
+        st.extend_seq(1, 20).unwrap();
+        assert_eq!(floats(&st), vec![2 * 16 * 8; 4]);
+        st.release(1);
+        st.register(2).unwrap();
+        st.extend_seq(2, 32).unwrap();
+        assert_eq!(floats(&st), vec![2 * 16 * 8; 4]);
+        st.register(3).unwrap();
+        st.append(3, &st.gather(2).unwrap(), 0).unwrap();
+        assert_eq!(floats(&st), vec![4 * 16 * 8; 4]);
     }
 
     #[test]
     fn resident_bytes_follows_blocks() {
-        let mut st = PagedKvStore::new(KvPoolConfig { n_blocks: 4, block_tokens: 2 }, 3, 5);
+        let mut st = store(4, 3, 5);
         assert_eq!(st.resident_bytes(), 0);
         st.register(1).unwrap();
         let mut c = st.gather(1).unwrap();
-        c.k[0] = kv_row_matrix(3, 5, |_, _| 1.0);
-        c.v[0] = kv_row_matrix(3, 5, |_, _| 1.0);
+        c.k[0] = kv_row_matrix(17, 5, |_, _| 1.0);
+        c.v[0] = kv_row_matrix(17, 5, |_, _| 1.0);
         c.k[1] = c.k[0].clone();
         c.v[1] = c.v[0].clone();
         c.k[2] = c.k[0].clone();
         c.v[2] = c.v[0].clone();
         st.append(1, &c, 0).unwrap();
-        // 2 blocks × 2 tokens × 5 hidden × 3 layers × (K+V) × 4 bytes.
-        assert_eq!(st.resident_bytes(), (2 * 2 * 5 * 3 * 2 * 4) as u64);
+        // 2 blocks × 16 tokens × 5 hidden × 3 layers × (K+V) × 4 bytes.
+        assert_eq!(st.resident_bytes(), (2 * 16 * 5 * 3 * 2 * 4) as u64);
     }
 }

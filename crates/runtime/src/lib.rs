@@ -77,7 +77,7 @@ pub use http::{
     HttpRequest, HttpServer, HttpServerConfig, HttpServerStats, ServeHandle, ServeStatus,
     StreamEvent, SubmitOutcome,
 };
-pub use kvpool::{KvPool, KvPoolConfig, KvPoolError, KvPoolStats, PagedKvStore, PagedSeq};
+pub use kvpool::{KvPool, KvPoolConfig, KvPoolError, KvPoolStats, PagedBlocks, PagedKvStore, PagedSeq};
 pub use loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};
 pub use migrate::{
     hybrid_oracle_tokens, kv_to_chunks, swap_oracle_tokens, CommitDecision, KvAssembler,

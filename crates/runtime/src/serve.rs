@@ -408,7 +408,8 @@ impl ModelStepEngine {
     /// Load `checkpoint`'s layers once per rung of `ladder` (rung 0
     /// first, served until a swap) through the §5 loader, exactly as a
     /// ring stage holding every layer would, over a paged store of
-    /// `pool_cfg` blocks.
+    /// `pool_cfg` blocks — of 16 positions, the one size a store holds
+    /// ([`PagedKvStore::check_block_tokens`] names the rule otherwise).
     pub fn new(
         checkpoint: &RefModel,
         ladder: &[BitAssignment],
@@ -419,6 +420,7 @@ impl ModelStepEngine {
         if ladder.is_empty() {
             return Err("need at least one rung in the bit ladder".into());
         }
+        PagedKvStore::check_block_tokens(pool_cfg.block_tokens)?;
         let cfg = &checkpoint.cfg;
         for a in ladder {
             assert_eq!(a.len(), cfg.n_layers, "assignment must cover every layer");
@@ -435,7 +437,8 @@ impl ModelStepEngine {
     /// Like [`ModelStepEngine::new`], but size the KV pool from a
     /// unified device memory budget instead of a fixed block count:
     /// whatever `mem_budget_bytes` leaves after the *packed* resident
-    /// weights is carved into KV blocks of `block_tokens` positions.
+    /// weights is carved into KV blocks of `block_tokens` positions
+    /// (which must be 16, as for [`ModelStepEngine::new`]).
     /// Lower-bit ladders keep fewer weight bytes resident, so
     /// quantization directly buys KV headroom — the serve-path guard
     /// (`pool().feasible`/`can_fit`) then admits more concurrent
@@ -448,9 +451,7 @@ impl ModelStepEngine {
         block_tokens: usize,
         mem_budget_bytes: usize,
     ) -> Result<Self, String> {
-        if block_tokens == 0 {
-            return Err("block_tokens must be at least 1".into());
-        }
+        PagedKvStore::check_block_tokens(block_tokens)?;
         // Quantize first; the real packed footprint decides the split.
         let probe = Self::new(
             checkpoint,
@@ -2133,12 +2134,12 @@ mod tests {
     }
 
     #[test]
-    fn paged_forward_matches_contiguous_generate_for_every_block_size() {
-        // The engine computes on the block chain in place; the oracle on
-        // one contiguous cache. Same tokens for blocks of 1, 3 and 16
-        // positions, with chunks that straddle blocks, a pool tight
-        // enough to preempt, and a sequence dropped mid-prefill and
-        // recomputed.
+    fn paged_forward_matches_contiguous_generate_across_block_edges() {
+        // The engine computes on the block chain in place — keys k-major,
+        // values as rows; the oracle on one contiguous cache. Same tokens
+        // with chunks that straddle 16-position blocks, a pool of three
+        // blocks, tight enough to preempt, and a sequence dropped
+        // mid-prefill and recomputed.
         use llmpq_model::{RefConfig, RefModel};
         use llmpq_quant::{quantize_model, Bitwidth};
         let checkpoint = RefModel::new(RefConfig::tiny());
@@ -2160,63 +2161,82 @@ mod tests {
             }
             out
         }
-        for block_tokens in [1usize, 3, 16] {
-            // 48 positions of KV in all.
-            let pool = KvPoolConfig { n_blocks: 48usize.div_ceil(block_tokens), block_tokens };
-            let engine = || ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, 3, pool).unwrap();
+        // 48 positions of KV in all.
+        let pool = KvPoolConfig { n_blocks: 3, block_tokens: 16 };
+        let engine = || ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, 3, pool).unwrap();
 
-            // Under the scheduler: five requests of 18–30 positions.
-            let reqs: Vec<Request> = (0..5)
-                .map(|id| Request {
-                    id,
-                    arrival_s: 0.0,
-                    prompt: prompt(id, 11 + 3 * id),
-                    n_generate: 7,
-                    deadline_s: None,
-                    priority: 0,
-                })
-                .collect();
-            let cfg = ContinuousConfig { prefill_chunk: 5, token_budget: 12, max_batch: 4, ..Default::default() };
-            let report = serve_continuous(engine(), &reqs, cfg, None).unwrap();
-            assert_eq!(report.completed, 5, "block_tokens {block_tokens}");
-            assert!(report.preemptions > 0, "block_tokens {block_tokens}: the pool must force preemption");
-            for fin in &report.outputs {
-                assert_eq!(fin.tokens, want(&reqs[fin.id].prompt, 7), "block_tokens {block_tokens} request {}", fin.id);
-            }
+        // Under the scheduler: five requests of 18–30 positions.
+        let reqs: Vec<Request> = (0..5)
+            .map(|id| Request {
+                id,
+                arrival_s: 0.0,
+                prompt: prompt(id, 11 + 3 * id),
+                n_generate: 7,
+                deadline_s: None,
+                priority: 0,
+            })
+            .collect();
+        let cfg = ContinuousConfig { prefill_chunk: 5, token_budget: 12, max_batch: 4, ..Default::default() };
+        let report = serve_continuous(engine(), &reqs, cfg, None).unwrap();
+        assert_eq!(report.completed, 5);
+        assert!(report.preemptions > 0, "the pool must force preemption");
+        for fin in &report.outputs {
+            assert_eq!(fin.tokens, want(&reqs[fin.id].prompt, 7), "request {}", fin.id);
+        }
 
-            // By hand: sequence 1 is 7 tokens into its prompt when
-            // sequence 2 takes the rest of the pool.
-            let (a, b) = (prompt(8, 20), prompt(9, 30));
-            let mut e = engine();
-            e.register(1).unwrap();
-            e.register(2).unwrap();
-            assert_eq!(e.prefill_chunk(1, &a[..7], 0, false).unwrap(), None);
-            let b_first = e.prefill_chunk(2, &b, 0, true).unwrap().unwrap();
-            // The next chunk does not fit: refused before anything is
-            // computed, chain and arenas untouched.
-            let bits = |e: &ModelStepEngine| -> Vec<u32> {
-                let (k, v) = e.store().arenas();
-                k.iter().chain(v).flatten().map(|x| x.to_bits()).collect()
-            };
-            let before = bits(&e);
-            let blocks = e.pool().blocks_of(1).unwrap().to_vec();
-            let refused = e.prefill_chunk(1, &a[7..], 7, true).unwrap_err();
-            assert!(matches!(refused, StepError::KvExhausted { .. }), "{refused:?}");
-            assert_eq!(e.pool().tokens_of(1), Some(7));
-            assert_eq!(e.pool().blocks_of(1).unwrap(), blocks);
-            assert!(bits(&e) == before, "block_tokens {block_tokens}: the arenas changed");
-            // Preempt it mid-prefill; sequence 2 decodes on into the
-            // blocks it gave back; then recompute it from the start.
-            e.release(1);
-            let mut b_out = vec![b_first];
-            while b_out.len() < 6 {
-                let pos = b.len() + b_out.len() - 1;
-                b_out.push(e.decode_one(2, *b_out.last().unwrap(), pos).unwrap());
-            }
-            assert_eq!(b_out, want(&b, 6), "block_tokens {block_tokens}");
-            e.release(2);
-            e.register(1).unwrap();
-            assert_eq!(drive(&mut e, 1, &a, 5, 5), want(&a, 5), "block_tokens {block_tokens}");
+        // By hand: sequence 1 is 7 tokens into its prompt when
+        // sequence 2 takes the rest of the pool.
+        let (a, b) = (prompt(8, 20), prompt(9, 30));
+        let mut e = engine();
+        e.register(1).unwrap();
+        e.register(2).unwrap();
+        assert_eq!(e.prefill_chunk(1, &a[..7], 0, false).unwrap(), None);
+        let b_first = e.prefill_chunk(2, &b, 0, true).unwrap().unwrap();
+        // The next chunk does not fit: refused before anything is
+        // computed, chain and arenas untouched.
+        let bits = |e: &ModelStepEngine| -> Vec<u32> {
+            let (k, v) = e.store().arenas();
+            k.iter().chain(v).flatten().map(|x| x.to_bits()).collect()
+        };
+        let before = bits(&e);
+        let blocks = e.pool().blocks_of(1).unwrap().to_vec();
+        let refused = e.prefill_chunk(1, &a[7..], 7, true).unwrap_err();
+        assert!(matches!(refused, StepError::KvExhausted { .. }), "{refused:?}");
+        assert_eq!(e.pool().tokens_of(1), Some(7));
+        assert_eq!(e.pool().blocks_of(1).unwrap(), blocks);
+        assert!(bits(&e) == before, "the arenas changed");
+        // Preempt it mid-prefill; sequence 2 decodes on into the block
+        // it gave back, whose slots still hold sequence 1's rows; then
+        // recompute it from the start.
+        e.release(1);
+        let mut b_out = vec![b_first];
+        while b_out.len() < 6 {
+            let pos = b.len() + b_out.len() - 1;
+            b_out.push(e.decode_one(2, *b_out.last().unwrap(), pos).unwrap());
+        }
+        assert_eq!(b_out, want(&b, 6));
+        e.release(2);
+        e.register(1).unwrap();
+        assert_eq!(drive(&mut e, 1, &a, 5, 5), want(&a, 5));
+    }
+
+    #[test]
+    fn the_model_engine_refuses_blocks_other_than_sixteen_positions() {
+        // An error naming the store's rule, not the store's panic.
+        use llmpq_model::{RefConfig, RefModel};
+        use llmpq_quant::Bitwidth;
+        let checkpoint = RefModel::new(RefConfig::tiny());
+        let ladder = vec![BitAssignment::uniform(checkpoint.cfg.n_layers, Bitwidth::Int4)];
+        for block_tokens in [0, 1, 4, 15, 17, 32] {
+            let pool = KvPoolConfig { n_blocks: 8, block_tokens };
+            let err = ModelStepEngine::new(&checkpoint, &ladder, Rounding::Deterministic, 3, pool).map(|_| ());
+            assert_eq!(err, PagedKvStore::check_block_tokens(block_tokens));
+            let err = ModelStepEngine::new_with_budget(
+                &checkpoint, &ladder, Rounding::Deterministic, 3, block_tokens, 1 << 24,
+            )
+            .map(|_| ());
+            assert_eq!(err, PagedKvStore::check_block_tokens(block_tokens));
+            assert!(err.is_err());
         }
     }
 

@@ -1,6 +1,17 @@
-//! Stage workers: each owns a shard of decoder layers and the KV caches
-//! for every in-flight sequence, and processes work items from the
+//! Stage workers: each owns a shard of decoder layers and the KV of every
+//! in-flight sequence for those layers, and processes work items from the
 //! previous stage asynchronously.
+//!
+//! A worker's KV is one [`PagedKvStore`] — the store the local serving
+//! engine computes on, so both engines share one KV form: keys in
+//! 16-position k-major blocks that attention reads in place. It holds
+//! `n_seqs × ⌈max_seq / 16⌉` blocks with every sequence slot registered;
+//! a slot grows block by block as its sequence is computed and
+//! [`WorkerMsg::KvReset`] hands its blocks back. The arenas grow to the
+//! highest block granted and the free list is LIFO, so resident memory
+//! follows the blocks in use, not the capacity. A live swap moves KV through the
+//! contiguous form ([`PagedKvStore::gather`] / [`PagedKvStore::append`]),
+//! which is what travels as [`KvChunkMsg`] frames.
 //!
 //! Workers are supervised: they receive with a bounded timeout so they
 //! can stamp a heartbeat even while idle, consult the shared
@@ -18,11 +29,12 @@
 
 use crate::clock::Clock;
 use crate::fault::{FaultAction, FaultInjector, Heartbeats};
+use crate::kvpool::{KvPoolConfig, PagedKvStore};
 use crate::migrate::{kv_to_chunks, CommitDecision, KvAssembler, KvChunkMsg, MigrationHost, WorkerSwap};
 use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
 use crate::telemetry::{Span, Telemetry};
 use llm_pq::StagePlan;
-use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase, RefConfig};
+use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase, RefConfig, KV_BLOCK};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,7 +120,7 @@ pub enum WorkerMsg {
     },
     /// One migrating KV fragment (commit window only).
     KvChunk(KvChunkMsg),
-    /// Master → ring: clear the KV cache of sequence slot `seq` so the
+    /// Master → ring: return the KV blocks of sequence slot `seq` so the
     /// continuous-serving engine can reuse the slot for a new request.
     /// Forwarded around the ring; the master sinks the echo.
     KvReset {
@@ -134,6 +146,9 @@ pub struct WorkerCtx {
     pub alibi: bool,
     /// Number of in-flight sequences (bounds sequence ids).
     pub n_seqs: usize,
+    /// Longest sequence of the model: with `n_seqs`, what the stage's KV
+    /// store is sized for.
+    pub max_seq: usize,
     /// Fault injection, if this run is under test.
     pub injector: Option<Arc<FaultInjector>>,
     /// Board this worker stamps its liveness on. A ring whose master
@@ -190,6 +205,7 @@ impl WorkerCtx {
             hidden: model.hidden,
             alibi: model.alibi,
             n_seqs,
+            max_seq: model.max_seq,
             injector: None,
             heartbeats: Heartbeats::with_clock(stage + 1, clock.clone()),
             telemetry,
@@ -200,6 +216,17 @@ impl WorkerCtx {
             layer_start: plan.layer_start,
             migration: None,
         }
+    }
+
+    /// A KV store for `n_layers` layers of this stage: room for `n_seqs`
+    /// sequences of `max_seq` positions, every slot registered and empty.
+    fn kv_store(&self, n_layers: usize) -> PagedKvStore {
+        let cfg = KvPoolConfig { n_blocks: self.n_seqs * self.max_seq.div_ceil(KV_BLOCK), block_tokens: KV_BLOCK };
+        let mut store = PagedKvStore::new(cfg, n_layers, self.hidden);
+        for seq in 0..self.n_seqs as u64 {
+            store.register(seq).expect("a fresh store registers every slot");
+        }
+        store
     }
 }
 
@@ -238,37 +265,40 @@ fn send_downstream<T: Transport>(ctx: &WorkerCtx, out: &T, msg: WorkerMsg, note_
 struct SwapInstall {
     weights: Vec<LayerWeights>,
     layer_start: usize,
-    caches: Vec<KvCache>,
+    store: PagedKvStore,
 }
 
 /// Execute the commit window on a worker: ship KV slices of layers
 /// leaving this stage downstream as bit-exact chunks, collect the
 /// slices of layers arriving here (reassembled across fragmentation,
-/// duplicates deduplicated), and hand back the target shard ready to
-/// install. `Err(())` means the attempt is lost (disconnect, abort,
-/// deadline) — the caller exits the worker and the supervisor recovers
-/// on the *target* plan, which is authoritative once commit was sent.
+/// duplicates deduplicated), and hand back the target shard and its KV
+/// store ready to install. `Err(())` means the attempt is lost
+/// (disconnect, abort, deadline, a handoff that does not add up) — the
+/// caller exits the worker and the supervisor recovers on the *target*
+/// plan, which is authoritative once commit was sent.
 fn execute_swap<T: Transport>(
     ctx: &WorkerCtx,
     link: &T,
     prepared: crate::migrate::PreparedPlan,
     cur_start: usize,
-    caches: &mut [KvCache],
+    store: &PagedKvStore,
 ) -> Result<SwapInstall, ()> {
     let epoch = prepared.epoch;
-    let cur_end = cur_start + caches.first().map_or(0, |c| c.k.len());
+    let cur_end = cur_start + store.n_layers();
     let (new_start, new_end) = (prepared.layer_start, prepared.layer_end);
     let n_new = new_end - new_start;
     let mut new_caches: Vec<KvCache> =
         (0..ctx.n_seqs).map(|_| KvCache::new(n_new, ctx.hidden)).collect();
-    // Kept layers move locally; leaving layers ship downstream.
-    for (seq, cache) in caches.iter_mut().enumerate() {
+    // Kept layers move locally; leaving layers ship downstream, both
+    // from the contiguous form of each slot.
+    for (seq, new_cache) in new_caches.iter_mut().enumerate() {
+        let mut cache = store.gather(seq as u64).expect("every slot is registered");
         for gl in cur_start..cur_end {
             let li = gl - cur_start;
             if (new_start..new_end).contains(&gl) {
                 let nli = gl - new_start;
-                new_caches[seq].k[nli] = std::mem::replace(&mut cache.k[li], Matrix::zeros(0, ctx.hidden));
-                new_caches[seq].v[nli] = std::mem::replace(&mut cache.v[li], Matrix::zeros(0, ctx.hidden));
+                new_cache.k[nli] = std::mem::replace(&mut cache.k[li], Matrix::zeros(0, ctx.hidden));
+                new_cache.v[nli] = std::mem::replace(&mut cache.v[li], Matrix::zeros(0, ctx.hidden));
             } else {
                 for c in kv_to_chunks(epoch, seq as u32, gl as u32, &cache.k[li], &cache.v[li]) {
                     if !send_downstream(ctx, link, WorkerMsg::KvChunk(c), true) {
@@ -314,17 +344,7 @@ fn execute_swap<T: Transport>(
                         new_caches[seq as usize].v[nli] = v;
                     }
                     Ok(None) => {}
-                    Err(reason) => {
-                        // Corrupt handoff: typed abort toward the master,
-                        // then fail the attempt (commit already passed the
-                        // point of no return).
-                        let m = WorkerMsg::PlanAbort {
-                            epoch,
-                            reason: format!("stage {}: {reason}", ctx.stage),
-                        };
-                        send_downstream(ctx, link, m, true);
-                        return Err(());
-                    }
+                    Err(reason) => return abort_handoff(ctx, link, epoch, reason),
                 }
             }
             // Ring traffic keeps flowing through the commit window.
@@ -360,7 +380,26 @@ fn execute_swap<T: Transport>(
             Err(TransportRecvError::Disconnected) => return Err(()),
         }
     }
-    Ok(SwapInstall { weights: prepared.weights, layer_start: new_start, caches: new_caches })
+    // Every slot's layers into the target shard's store.
+    let mut new_store = ctx.kv_store(n_new);
+    for (seq, cache) in new_caches.iter().enumerate() {
+        // Every layer holds every position of the sequence, within the
+        // store's room, or the handoff is corrupt.
+        let rows: Vec<usize> = cache.k.iter().chain(&cache.v).map(|m| m.rows).collect();
+        if rows.iter().any(|&n| n != cache.len()) || new_store.append(seq as u64, cache, 0).is_err() {
+            let reason = format!("kv handoff of sequence {seq} does not fit the stage: K/V rows per layer {rows:?}");
+            return abort_handoff(ctx, link, epoch, reason);
+        }
+    }
+    Ok(SwapInstall { weights: prepared.weights, layer_start: new_start, store: new_store })
+}
+
+/// A corrupt handoff: typed abort toward the master, then fail the
+/// attempt (commit already passed the point of no return).
+fn abort_handoff<T: Transport>(ctx: &WorkerCtx, link: &T, epoch: u64, reason: String) -> Result<SwapInstall, ()> {
+    let m = WorkerMsg::PlanAbort { epoch, reason: format!("stage {}: {reason}", ctx.stage) };
+    send_downstream(ctx, link, m, true);
+    Err(())
 }
 
 /// The supervised stage-worker loop, generic over the transport that
@@ -369,9 +408,8 @@ fn execute_swap<T: Transport>(
 /// disconnect, `Shutdown`, abort, an injected crash, a lost downstream
 /// — by falling out of the loop; what it counted is in the hub.
 pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &WorkerCtx, link: &T) {
-    let mut n_local = weights.len();
-    // Pre-allocated per-sequence caches, local layer indexing.
-    let mut caches: Vec<KvCache> = (0..ctx.n_seqs).map(|_| KvCache::new(n_local, ctx.hidden)).collect();
+    // Every slot's KV, local layer indexing.
+    let mut store = ctx.kv_store(weights.len());
     // Live-swap state: `owned` overlays the borrowed startup weights
     // once a swap installs a requantized shard.
     let mut swap = WorkerSwap::new();
@@ -464,14 +502,12 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         let prepared = swap.prepared.take().expect("decide_commit checked");
                         // A post-commit failure loses the attempt; the
                         // supervisor restarts on the committed plan.
-                        let Ok(install) = execute_swap(ctx, link, prepared, layer_start, &mut caches)
-                        else {
+                        let Ok(install) = execute_swap(ctx, link, prepared, layer_start, &store) else {
                             break;
                         };
                         layer_start = install.layer_start;
-                        n_local = install.weights.len();
                         owned = Some(install.weights);
-                        caches = install.caches;
+                        store = install.store;
                         swap.active_epoch = epoch;
                         WorkerMsg::PlanReady { epoch, stage: ctx.stage as u32, swapped: true }
                     }
@@ -481,10 +517,12 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 }
             }
             WorkerMsg::KvReset { seq } => {
-                // Sequence retired by the serving engine: clear its slot
-                // so the next request reusing it starts from empty KV.
-                if seq < caches.len() {
-                    caches[seq] = KvCache::new(n_local, ctx.hidden);
+                // Sequence retired by the serving engine: return its
+                // blocks so the next request reusing the slot starts from
+                // empty KV.
+                if seq < ctx.n_seqs {
+                    store.release(seq as u64);
+                    store.register(seq as u64).expect("a released slot registers again");
                 }
                 if !forward(WorkerMsg::KvReset { seq }) {
                     break;
@@ -566,10 +604,26 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 span("wait", item.sent_us.min(start), start);
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
+                let mut outgrown = None;
                 for (seq, x) in item.seqs.iter_mut() {
+                    // The chain grows first: a refusal computes nothing.
+                    let Ok(mut kv) = store.extend_seq(*seq as u64, x.rows) else {
+                        outgrown = Some(*seq);
+                        break;
+                    };
                     for (l, w) in active.iter().enumerate() {
-                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut caches[*seq], ctx.alibi);
+                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut kv, ctx.alibi);
                     }
+                }
+                if let Some(seq) = outgrown {
+                    let report = WorkerMsg::Protocol(format!(
+                        "stage {}: sequence id {seq} needs more KV than {} sequences of {} positions",
+                        ctx.stage, ctx.n_seqs, ctx.max_seq
+                    ));
+                    if !forward(report) {
+                        break;
+                    }
+                    continue;
                 }
                 if slowdown > 1.0 {
                     // Straggler injection: pad compute to factor × real.
@@ -581,8 +635,9 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                     r.on_compute(phase, sent.saturating_sub(start), item.seqs.len());
                     // KV occupancy: cached positions summed over every
                     // sequence × local layers.
-                    let positions: u64 = caches.iter().map(|c| c.len() as u64).sum();
-                    r.set_kv_entries(positions * n_local as u64);
+                    let pool = store.pool();
+                    let positions: usize = (0..ctx.n_seqs as u64).filter_map(|s| pool.tokens_of(s)).sum();
+                    r.set_kv_entries((positions * store.n_layers()) as u64);
                 }
                 span("compute", start, sent);
                 beat();
@@ -799,6 +854,26 @@ mod tests {
         match rx_out.recv().unwrap() {
             WorkerMsg::Protocol(e) => assert!(e.contains("out of range"), "{e}"),
             other => panic!("violation must surface as a protocol reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_sequence_outgrowing_the_store_reports_protocol_error() {
+        // One slot of a 64-position model: the store holds 64 positions,
+        // and a 65th is a violation, not a panic or a silent overwrite.
+        let model = RefModel::new(RefConfig::tiny());
+        let weights = vec![model.layers[0].clone()];
+        let (tx_in, rx_in) = unbounded();
+        let (tx_out, rx_out) = unbounded();
+        let tokens: Vec<usize> = (0..64).collect();
+        tx_in.send(WorkerMsg::Work(item(0, vec![(0, model.embed_tokens(&tokens, 0))]))).unwrap();
+        tx_in.send(WorkerMsg::Work(item(1, vec![(0, model.embed_tokens(&[1], 0))]))).unwrap();
+        tx_in.send(WorkerMsg::Shutdown).unwrap();
+        run_worker(&weights, &model, rx_in, tx_out);
+        recv_work(&rx_out).expect("64 positions fit");
+        match rx_out.recv().unwrap() {
+            WorkerMsg::Protocol(e) => assert!(e.contains("needs more KV"), "{e}"),
+            other => panic!("an overflow must surface as a protocol reply, got {other:?}"),
         }
     }
 

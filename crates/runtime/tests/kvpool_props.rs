@@ -5,9 +5,13 @@
 //! first: every block is owned by exactly one chain or the free-list
 //! (no double-grant, no leak, no double-free), accounting matches the
 //! live sequences exactly, and fragmentation stays under one partial
-//! block per live sequence.
+//! block per live sequence. The tensor store on top of it keeps keys in
+//! 16-position k-major blocks: what goes in as rows — appended, or pushed
+//! by a layer forward through a view — comes back out as the same bits,
+//! and it holds no other block size.
 
-use llmpq_runtime::{KvPool, KvPoolConfig, KvPoolError};
+use llmpq_model::{KvBlocks, KvCache, KvSeq, Matrix};
+use llmpq_runtime::{KvPool, KvPoolConfig, KvPoolError, PagedKvStore};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -193,4 +197,147 @@ proptest! {
             prop_assert_eq!(p.tokens_of(1), before, "failed extend leaves state intact");
         }
     }
+
+    /// Rows appended to the k-major store in arbitrary chunks — into
+    /// blocks a released sequence left its own rows in — gather back bit
+    /// for bit, NaN payloads and signed zeros included.
+    #[test]
+    fn append_then_gather_round_trips_bit_exactly(
+        n_layers in 1usize..4,
+        hidden in 1usize..20,
+        total in 0usize..70,
+        cuts in prop::collection::vec(1usize..24, 1..10),
+        seed in 0u64..1000,
+    ) {
+        let mut st = store(n_layers, hidden);
+        // A previous occupant fills blocks that go back on the free list.
+        st.register(9).unwrap();
+        st.append(9, &rows(n_layers, 40, hidden, !seed), 0).unwrap();
+        st.release(9);
+        st.register(1).unwrap();
+        let whole = rows(n_layers, total, hidden, seed);
+        let mut at = 0;
+        for cut in cuts.iter().cycle() {
+            if at == total {
+                break;
+            }
+            let end = (at + cut).min(total);
+            st.append(1, &prefix(&whole, end), at).unwrap();
+            at = end;
+        }
+        prop_assert_eq!(st.pool().tokens_of(1), Some(total));
+        prop_assert_eq!(bits(&st.gather(1).unwrap()), bits(&whole));
+    }
+
+    /// A layer forward's writes — `extend_seq`, then `push_rows` layer by
+    /// layer — over arbitrary chunk sizes leave the store as appending
+    /// the same rows does, and the view hands them back as key blocks and
+    /// value blocks.
+    #[test]
+    fn pushed_rows_equal_appended_rows(
+        n_layers in 1usize..4,
+        hidden in 1usize..20,
+        total in 1usize..70,
+        cuts in prop::collection::vec(1usize..24, 1..10),
+        seed in 0u64..1000,
+    ) {
+        let whole = rows(n_layers, total, hidden, seed);
+        let mut appended = store(n_layers, hidden);
+        appended.register(1).unwrap();
+        appended.append(1, &whole, 0).unwrap();
+        let mut pushed = store(n_layers, hidden);
+        pushed.register(1).unwrap();
+        let mut at = 0;
+        for cut in cuts.iter().cycle() {
+            if at == total {
+                break;
+            }
+            let n = (*cut).min(total - at);
+            let mut view = pushed.extend_seq(1, n).unwrap();
+            for layer in 0..n_layers {
+                prop_assert_eq!(view.cached(layer), at);
+                let (k, v) = (slice(&whole.k[layer], at, n), slice(&whole.v[layer], at, n));
+                view.push_rows(layer, &k, &v);
+            }
+            at += n;
+        }
+        prop_assert_eq!(bits(&pushed.gather(1).unwrap()), bits(&appended.gather(1).unwrap()));
+        let view = pushed.extend_seq(1, 0).unwrap();
+        for layer in 0..n_layers {
+            let blocks = view.blocks(layer);
+            for pos in 0..total {
+                let (b, slot) = (pos / 16, pos % 16);
+                let keys = blocks.key_block(b);
+                for dim in 0..hidden {
+                    prop_assert_eq!(keys[dim * 16 + slot].to_bits(), whole.k[layer].row(pos)[dim].to_bits());
+                }
+                let v: Vec<u32> = blocks.value_block(b)[slot * hidden..][..hidden].iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u32> = whole.v[layer].row(pos).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(v, want);
+            }
+        }
+    }
+}
+
+/// A store holds 16-position blocks and nothing else — no padding —
+/// while the pool on its own accounts at any granularity.
+#[test]
+fn a_store_refuses_any_other_block_size() {
+    for block_tokens in 0..64 {
+        let cfg = KvPoolConfig { n_blocks: 2, block_tokens };
+        assert_eq!(KvPool::new(cfg).config(), cfg);
+        match PagedKvStore::check_block_tokens(block_tokens) {
+            Ok(()) => assert_eq!(PagedKvStore::new(cfg, 1, 4).pool().config(), cfg),
+            Err(rule) => {
+                assert_ne!(block_tokens, 16);
+                assert_eq!(rule, format!(
+                    "a KV store keeps keys in 16-position k-major blocks: block_tokens must be 16, got {block_tokens}"
+                ));
+            }
+        }
+    }
+    let refused = std::panic::catch_unwind(|| PagedKvStore::new(KvPoolConfig { n_blocks: 2, block_tokens: 8 }, 1, 4));
+    let msg = refused.expect_err("the store must refuse 8-position blocks");
+    assert_eq!(msg.downcast_ref::<String>(), PagedKvStore::check_block_tokens(8).err().as_ref());
+}
+
+/// A store of 16-position blocks with room for 160 positions.
+fn store(n_layers: usize, hidden: usize) -> PagedKvStore {
+    PagedKvStore::new(KvPoolConfig { n_blocks: 10, block_tokens: 16 }, n_layers, hidden)
+}
+
+/// `t` rows per layer of arbitrary bit patterns — NaNs with payloads,
+/// infinities, signed zeros, subnormals — keys and values distinct.
+fn rows(n_layers: usize, t: usize, hidden: usize, seed: u64) -> KvCache {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        f32::from_bits(s as u32)
+    };
+    let mut cache = KvCache::new(n_layers, hidden);
+    for layer in 0..n_layers {
+        cache.k[layer] = Matrix::from_vec(t, hidden, (0..t * hidden).map(|_| next()).collect());
+        cache.v[layer] = Matrix::from_vec(t, hidden, (0..t * hidden).map(|_| next()).collect());
+    }
+    cache
+}
+
+/// Rows `[at, at + n)` of `m`.
+fn slice(m: &Matrix, at: usize, n: usize) -> Matrix {
+    Matrix::from_vec(n, m.cols, m.data[at * m.cols..(at + n) * m.cols].to_vec())
+}
+
+/// The first `end` rows of every layer of `c`.
+fn prefix(c: &KvCache, end: usize) -> KvCache {
+    KvCache {
+        k: c.k.iter().map(|m| slice(m, 0, end)).collect(),
+        v: c.v.iter().map(|m| slice(m, 0, end)).collect(),
+    }
+}
+
+/// Every value of `c` as its bit pattern, with the shape.
+fn bits(c: &KvCache) -> Vec<(usize, Vec<u32>)> {
+    c.k.iter().chain(&c.v).map(|m| (m.rows, m.data.iter().map(|x| x.to_bits()).collect())).collect()
 }

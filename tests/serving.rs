@@ -33,6 +33,8 @@ fn ladder(n_layers: usize) -> Vec<BitAssignment> {
     ]
 }
 
+/// The local engine over `n_blocks` blocks of 16 positions, the one
+/// block size its store holds.
 fn model_engine(n_blocks: usize) -> ModelStepEngine {
     let ckpt = checkpoint();
     ModelStepEngine::new(
@@ -40,7 +42,7 @@ fn model_engine(n_blocks: usize) -> ModelStepEngine {
         &ladder(ckpt.cfg.n_layers),
         Rounding::Deterministic,
         SEED,
-        KvPoolConfig { n_blocks, block_tokens: 4 },
+        KvPoolConfig { n_blocks, block_tokens: 16 },
     )
     .expect("engine builds")
 }
@@ -67,7 +69,7 @@ fn continuous_batching_is_bit_identical_to_offline_generation() {
     // Tight pool + tiny prefill chunks + staggered arrivals: the batch
     // composition changes every iteration and at least some prompts are
     // prefilled across multiple chunks.
-    let engine = model_engine(96);
+    let engine = model_engine(24);
     let vocab = checkpoint().cfg.vocab;
     let requests: Vec<Request> = (0..12)
         .map(|i| Request {
@@ -103,15 +105,17 @@ fn continuous_batching_is_bit_identical_to_offline_generation() {
 #[test]
 fn preemption_under_kv_pressure_keeps_tokens_exact() {
     // A pool small enough that concurrent sequences cannot all hold KV:
-    // the scheduler must preempt (drop KV, requeue, recompute) and the
-    // regenerated tokens must still match the oracle.
-    let engine = model_engine(24);
+    // six sequences start in one block each and cross into a second
+    // with two blocks left, so the scheduler must preempt (drop KV,
+    // requeue, recompute) and the regenerated tokens must still match
+    // the oracle.
+    let engine = model_engine(8);
     let vocab = checkpoint().cfg.vocab;
     let requests: Vec<Request> = (0..6)
         .map(|i| Request {
             id: i,
             arrival_s: 0.0,
-            prompt: prompt_for(i, 10, vocab),
+            prompt: prompt_for(i, 14, vocab),
             n_generate: 6,
             deadline_s: None,
             priority: (i % 2) as u32,
@@ -121,6 +125,7 @@ fn preemption_under_kv_pressure_keeps_tokens_exact() {
         .expect("run completes");
     assert!(report.conserves());
     assert_eq!(report.completed, 6);
+    assert!(report.preemptions > 0, "the pool must force preemption");
     for fin in &report.outputs {
         let req = &requests[fin.id];
         assert_eq!(fin.tokens, offline_tokens(&req.prompt, req.n_generate));
@@ -143,7 +148,7 @@ fn static_baseline_matches_the_same_oracle() {
         })
         .collect();
     let report =
-        serve_static(model_engine(512), &requests, ContinuousConfig::default(), 4, 0.05)
+        serve_static(model_engine(32), &requests, ContinuousConfig::default(), 4, 0.05)
             .expect("run completes");
     assert!(report.conserves());
     assert_eq!(report.completed, 5);
@@ -202,7 +207,7 @@ fn http_roundtrip(addr: std::net::SocketAddr, raw: &str) -> String {
 fn http_front_door_serves_model_tokens_and_metrics() {
     let ckpt = checkpoint();
     let vocab = ckpt.cfg.vocab;
-    let engine = model_engine(512);
+    let engine = model_engine(32);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let telemetry = Telemetry::new(0);
     let server = HttpServer::start(
