@@ -17,7 +17,7 @@
 //! overload-soak job drives this mode under a wall-clock watchdog.
 
 use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
-use llm_pq::evaluate::batch_profile;
+use llm_pq::evaluate::batch_latency;
 use llm_pq::{degradation_ladder, AssignerConfig, ExecutionPlan, MicrobatchPlan, DEFAULT_CAPS};
 use llmpq_cost::CostDb;
 use llmpq_model::{RefConfig, RefModel};
@@ -27,7 +27,7 @@ use llmpq_runtime::{
     ContinuousConfig, ContinuousScheduler, DegradationConfig, DistServeConfig, DistStepEngine,
     FaultPlan, IterCost, KvPoolConfig, SimStepEngine,
 };
-use llmpq_sim::{simulate_pipeline, KernelEnv};
+use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
 const PROMPT_LEN: usize = 32;
@@ -36,8 +36,7 @@ const MAX_BATCH: usize = 8;
 
 fn plan_cost(plan: &ExecutionPlan, setup: &ServingSetup, db: &CostDb, b: usize) -> f64 {
     let job = BatchJob { global_batch: b, prompt_len: PROMPT_LEN, n_generate: N_GENERATE };
-    let (loads, wl) = batch_profile(plan, &setup.cluster, &setup.spec, db, &job);
-    simulate_pipeline(&loads, &wl).total_latency
+    batch_latency(plan, &setup.cluster, &setup.spec, db, &job)
 }
 
 fn rss_kib() -> Option<u64> {

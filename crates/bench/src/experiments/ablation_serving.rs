@@ -71,7 +71,6 @@ fn trace(rate: f64) -> Vec<Request> {
         n_requests: N_REQUESTS,
         n_generate: (4, 24),
         seed: SEED,
-        ..OnlineConfig::default()
     };
     sample_arrivals(&cfg, &PromptLengthModel::default())
         .expect("valid trace config")

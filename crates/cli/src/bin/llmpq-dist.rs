@@ -4,7 +4,7 @@
 //! llmpq-dist --strat_file_name strategy.json [--n-generate 16]
 //!     [--batch 4] [--prompt-len 12] [--seed 0] [--fault-plan faults.json]
 //!     [--trace-out trace.json] [--metrics-out metrics.txt]
-//!     [--online-rate 2.0] [--online-failure 0.1]
+//!     [--online-rate 2.0] [--online-requests 150]
 //! ```
 //!
 //! The paper's `llmpq-dist` launches the distributed PyTorch runtime;
@@ -36,10 +36,12 @@
 //! other; it is supervised (a post-commit failure restarts on the target
 //! plan) and runs without the replanner (a swap keeps the stage count).
 //!
-//! With `--online-rate`, the plan's cost profile additionally serves a
-//! Poisson online workload (paper §7) after the run, and the end-of-run
-//! summary surfaces the online stats — including batches that failed and
-//! were `retried` (tune with `--online-failure`).
+//! With `--online-rate`, a Poisson online workload (paper §7) is served
+//! after the run by the runtime's static-batching loop, over an engine
+//! whose iteration cost is fitted from the plan's batch latency, and the
+//! summary reports its latency, throughput and padding waste. Adding
+//! `--admission` serves the same trace on the same engine through the
+//! continuous loop with admission control.
 //!
 //! ## Multi-process mode
 //!
@@ -62,7 +64,7 @@
 //! duplicated / corrupted frames, connection drops) from a JSON plan;
 //! the master's supervisor restarts the attempt on a lost connection.
 
-use llm_pq::evaluate::batch_profile;
+use llm_pq::evaluate::{batch_latency, batch_profile};
 use llm_pq::{
     degradation_ladder, AssignerConfig, DegradationLadder, ExecutionPlan, IncrementalPlanner,
     SolverChoice, DEFAULT_CAPS,
@@ -76,18 +78,18 @@ use llmpq_cost::{
 use llmpq_model::{zoo, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
-    poisson_requests, run_master, run_stage, AdmissionConfig, AdmissionPolicy, ContinuousConfig,
-    ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig, FaultPlan,
-    FoldReplanner, IterCost, KvPoolConfig, Pipeline, Replanner, SimStepEngine, SupervisorConfig,
+    arrival_requests, run_master, run_stage, serve_trace_static, AdmissionConfig, AdmissionPolicy,
+    ContinuousConfig, ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig,
+    FaultPlan, FoldReplanner, IterCost, Pipeline, Replanner, SimStepEngine, SupervisorConfig,
     SwapRequest, Telemetry, WireFaultPlan,
 };
 use llmpq_sim::KernelEnv;
-use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
+use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
 
 const USAGE: &str = "usage: llmpq-dist --strat_file_name <strategy.json>
     [--checkpoint model.ckpt.json] [--n-generate 16] [--batch 4] [--prompt-len 12] [--seed 0]
     [--fault-plan faults.json] [--trace-out trace.json] [--metrics-out metrics.txt]
-    [--online-rate req_per_s] [--online-requests 150] [--online-failure 0.0]
+    [--online-rate req_per_s] [--online-requests 150]
     [--max-queue N] [--admission reject|deadline|timeout] [--deadline-ms 2000]
     [--degrade-ladder auto|ladder.json]
     [--swap-at N] [--swap-to target.json]
@@ -106,7 +108,7 @@ multi-process mode (one OS process per stage + a master, TCP loopback or LAN):
 /// Every flag [`USAGE`] documents; anything else is a typo.
 const FLAGS: &[&str] = &[
     "strat_file_name", "checkpoint", "n-generate", "batch", "prompt-len", "seed", "fault-plan",
-    "trace-out", "metrics-out", "online-rate", "online-requests", "online-failure", "max-queue",
+    "trace-out", "metrics-out", "online-rate", "online-requests", "max-queue",
     "admission", "deadline-ms", "degrade-ladder", "swap-at", "swap-to", "listen", "stage",
     "connect", "wire-fault", "help",
 ];
@@ -207,6 +209,7 @@ fn run(args: &Args) -> Result<(), String> {
         None => None,
     };
     let swaps = swap_schedule(args, &plan)?;
+    let online = OnlineArgs::parse(args)?;
 
     let replanner = DistReplanner::new(
         &plan,
@@ -282,44 +285,10 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("wrote metrics snapshot to {path}");
     }
 
-    // Optional §7 online-serving pass over the plan's cost profile.
-    let has_online = args
-        .get_parse("online-rate", f64::NAN)
-        .map_err(|e| e.to_string())?
-        .is_finite();
-    let online = has_online
-        .then(|| {
-            let rate = args.get_parse("online-rate", 1.0).unwrap_or(1.0);
-            let n_requests = args.get_parse("online-requests", 150usize).unwrap_or(150);
-            let failure = args.get_parse("online-failure", 0.0f64).unwrap_or(0.0);
-            run_online(&plan, rate, n_requests, failure, seed)
-        })
-        .transpose()?;
-
-    // Optional overload pass: the admission + degradation serving loop
-    // over the plan's cost profile, driven past capacity if the rate
-    // says so.
-    if let Some(policy) = args.get("admission") {
-        if !has_online {
-            return Err("--admission needs --online-rate to set the arrival rate".into());
-        }
-        let policy: AdmissionPolicy = policy.parse()?;
-        let rate = args.get_parse("online-rate", 1.0).unwrap_or(1.0);
-        let n_requests = args.get_parse("online-requests", 150usize).unwrap_or(150);
-        let deadline_ms = args.get_parse("deadline-ms", 2_000u64).map_err(|e| e.to_string())?;
-        run_overload(
-            &plan,
-            policy,
-            rate,
-            n_requests,
-            max_queue.unwrap_or(64),
-            deadline_ms,
-            args.get("degrade-ladder"),
-            batch,
-            prompt_len,
-            n_generate,
-            seed,
-        )?;
+    // Optional §7 online passes over the plan's cost profile.
+    if let Some(online) = &online {
+        let ladder = args.get("degrade-ladder");
+        run_online(&plan, online, max_queue.unwrap_or(64), ladder, &job, seed)?;
     }
 
     println!(
@@ -332,12 +301,6 @@ fn run(args: &Args) -> Result<(), String> {
         // fallback ("heuristic"), structural fold, or a typed-infeasible
         // refusal that kept the old plan.
         println!("replan origins: {}", origins.join(", "));
-    }
-    if let Some(stats) = &online {
-        println!(
-            "online: {} batches served, {} retried after failures, p50 {:.2}s p95 {:.2}s, {:.1} tok/s",
-            stats.batches, stats.retried, stats.p50_latency, stats.p95_latency, stats.throughput
-        );
     }
     for (i, toks) in out.tokens.iter().enumerate() {
         println!("seq {i}: {toks:?}");
@@ -711,75 +674,74 @@ fn render_crosscheck(rows: &Result<Vec<StageCrosscheck>, String>) -> String {
     out
 }
 
-/// Serve a Poisson online workload (paper §7) through the plan's cost
-/// profile, so the summary can surface queueing, padding and retry
-/// behavior of the offline plan under live traffic.
-fn run_online(
-    plan: &ExecutionPlan,
+/// How long the static pass waits for a full batch past the moment its
+/// head request was ready, seconds.
+const STATIC_WAIT_S: f64 = 2.0;
+
+/// `--online-rate` and the flags that shape its passes, parsed before
+/// the run so a malformed value fails first.
+struct OnlineArgs {
     rate: f64,
     n_requests: usize,
-    failure_rate: f64,
+    admission: Option<AdmissionPolicy>,
+    deadline_ms: u64,
+}
+
+impl OnlineArgs {
+    fn parse(args: &Args) -> Result<Option<Self>, String> {
+        let n_requests = args.get_parse("online-requests", 150usize).map_err(|e| e.to_string())?;
+        let deadline_ms = args.get_parse("deadline-ms", 2_000u64).map_err(|e| e.to_string())?;
+        let admission = args.get("admission").map(str::parse::<AdmissionPolicy>).transpose()?;
+        if args.get("online-rate").is_none() {
+            return match admission {
+                Some(_) => Err("--admission needs --online-rate to set the arrival rate".into()),
+                None => Ok(None),
+            };
+        }
+        let rate = args.get_parse("online-rate", 1.0f64).map_err(|e| e.to_string())?;
+        Ok(Some(Self { rate, n_requests, admission, deadline_ms }))
+    }
+}
+
+/// The §7 online passes: one Poisson trace with ShareGPT-like prompt
+/// lengths, one engine whose per-rung iteration cost is fitted from each
+/// rung plan's batch latency at the trace's mean lengths and batch
+/// `job.global_batch`. The static pass batches `job.global_batch`
+/// requests (or what arrived within `STATIC_WAIT_S`), pads them to the
+/// longest prompt and runs them to the longest generation — what the
+/// offline plan does — with a queue that holds the whole trace, so it
+/// measures batching, not shedding. With `--admission`, the continuous
+/// pass serves the same trace on the same engine through admission
+/// control (`max_queue`, the deadline) and the degradation ladder, and
+/// prints shed/expired/goodput and the ladder's rung trajectory. Either
+/// pass that loses a request is an error.
+fn run_online(
+    plan: &ExecutionPlan,
+    online: &OnlineArgs,
+    max_queue: usize,
+    ladder_arg: Option<&str>,
+    job: &BatchJob,
     seed: u64,
-) -> Result<llmpq_workload::OnlineStats, String> {
-    let (_, cluster, spec) = paper_setup(plan, "--online-rate")?;
+) -> Result<(), String> {
+    let (n, cluster, spec) = paper_setup(plan, "--online-rate")?;
     let db = CostDb::oracle(&KernelEnv::default());
-    let batch_cost = |s: usize, ngen: usize, b: usize| -> f64 {
-        plan_batch_cost(plan, &cluster, &spec, &db, s, ngen, b)
-    };
     let cfg = OnlineConfig {
-        arrival_rate: rate,
-        n_requests,
-        failure_rate,
+        arrival_rate: online.rate,
+        n_requests: online.n_requests,
         seed,
         ..OnlineConfig::default()
     };
-    simulate_online(&cfg, &PromptLengthModel::default(), &batch_cost).map_err(|e| e.to_string())
-}
-
-/// Predicted end-to-end latency of `plan` serving a batch of `b`
-/// sequences, from the cost profile.
-fn plan_batch_cost(
-    plan: &ExecutionPlan,
-    cluster: &Cluster,
-    spec: &ModelSpec,
-    db: &CostDb,
-    prompt_len: usize,
-    n_generate: usize,
-    b: usize,
-) -> f64 {
-    let job = BatchJob { global_batch: b, prompt_len, n_generate };
-    let (loads, wl) = batch_profile(plan, cluster, spec, db, &job);
-    llmpq_sim::simulate_pipeline(&loads, &wl).total_latency
-}
-
-/// The `--admission` overload pass: drive the plan's cost profile with a
-/// Poisson arrival stream through the runtime's continuous-batching
-/// serving loop (admission + paged KV + degradation), and print
-/// shed/expired/goodput and the ladder's rung trajectory.
-#[allow(clippy::too_many_arguments)]
-fn run_overload(
-    plan: &ExecutionPlan,
-    policy: AdmissionPolicy,
-    rate: f64,
-    n_requests: usize,
-    max_queue: usize,
-    deadline_ms: u64,
-    ladder_arg: Option<&str>,
-    batch: usize,
-    prompt_len: usize,
-    n_generate: usize,
-    seed: u64,
-) -> Result<(), String> {
-    let (n, cluster, spec) = paper_setup(plan, "--admission")?;
-    let db = CostDb::oracle(&KernelEnv::default());
+    let arrivals =
+        sample_arrivals(&cfg, &PromptLengthModel::default()).map_err(|e| e.to_string())?;
+    let trace = arrival_requests(&arrivals);
 
     // Rung plans: just this plan, a precomputed ladder file, or a fresh
     // ladder solved here (`auto`; synthetic indicator — profile-backed
-    // ladders should be precomputed offline and passed as a file).
-    let rung_plans: Vec<ExecutionPlan> = match ladder_arg {
-        None => vec![plan.clone()],
-        Some("auto") => {
-            let job = BatchJob { global_batch: batch, prompt_len, n_generate };
+    // ladders should be precomputed offline and passed as a file). Only
+    // the continuous pass walks the ladder.
+    let rung_plans: Vec<ExecutionPlan> = match (online.admission, ladder_arg) {
+        (None, _) | (_, None) => vec![plan.clone()],
+        (Some(_), Some("auto")) => {
             let indicator = random_indicator(spec.n_layers, 0xA11CE, 1.0);
             let cfg = AssignerConfig {
                 max_orderings: 4,
@@ -787,7 +749,7 @@ fn run_overload(
                 ..AssignerConfig::paper_setup(n)
             };
             let ladder =
-                degradation_ladder(&cluster, &spec, &job, &db, &indicator, &cfg, &DEFAULT_CAPS)?;
+                degradation_ladder(&cluster, &spec, job, &db, &indicator, &cfg, &DEFAULT_CAPS)?;
             eprintln!("degradation ladder (auto): {} rungs", ladder.len());
             for r in &ladder.rungs {
                 eprintln!(
@@ -797,48 +759,49 @@ fn run_overload(
             }
             ladder.rungs.into_iter().map(|r| r.plan).collect()
         }
-        Some(path) => {
+        (Some(_), Some(path)) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let ladder = DegradationLadder::from_json(&text, plan.n_layers())?;
             eprintln!("degradation ladder ({path}): {} rungs", ladder.len());
             ladder.rungs.into_iter().map(|r| r.plan).collect()
         }
     };
-
-    // Per-rung iteration cost fitted from the cost profile's batch cost
-    // at batch 1 and the full batch.
-    let max_batch = batch.max(1);
+    let batch = job.global_batch.max(1);
     let costs: Vec<IterCost> = rung_plans
         .iter()
-        .map(|p| {
-            let c1 = plan_batch_cost(p, &cluster, &spec, &db, prompt_len, n_generate, 1);
-            let cb = plan_batch_cost(p, &cluster, &spec, &db, prompt_len, n_generate, max_batch);
-            IterCost::fit_batch(c1, cb, max_batch, prompt_len, n_generate)
-        })
+        .map(|p| IterCost::fit_trace(&trace, batch, |j| batch_latency(p, &cluster, &spec, &db, j)))
         .collect();
+    let rep = serve_trace_static(&trace, costs.clone(), batch, STATIC_WAIT_S, seed)?;
+    let (p50, p95) = rep.sojourn.as_ref().map_or((0.0, 0.0), |s| (s.p50, s.p95));
+    println!(
+        "online[static]: offered {} served {} | batches of {batch}, p50 {p50:.2}s p95 {p95:.2}s, \
+         {:.1} tok/s, {:.0}% padding",
+        rep.stats.offered,
+        rep.stats.served,
+        rep.throughput_tok_s,
+        rep.padding_fraction(&trace) * 100.0,
+    );
+    if !rep.conserves() {
+        return Err(format!("static online pass lost requests: {:?}", rep.stats));
+    }
 
-    // A pool that holds twice the batch at full length: the queue bound,
-    // not KV, is what this pass stresses.
-    let block_tokens = 16;
-    let pool = KvPoolConfig {
-        n_blocks: 2 * max_batch * (prompt_len + n_generate).div_ceil(block_tokens),
-        block_tokens,
-    };
-    let requests = poisson_requests(n_requests, rate, prompt_len, n_generate, seed)?;
+    let Some(policy) = online.admission else { return Ok(()) };
+    let deadline_s = online.deadline_ms as f64 / 1000.0;
     let cfg = ContinuousConfig {
         admission: AdmissionConfig {
             policy,
             max_queue,
-            default_deadline_s: Some(deadline_ms as f64 / 1000.0),
-            queue_timeout_s: deadline_ms as f64 / 1000.0,
+            default_deadline_s: Some(deadline_s),
+            queue_timeout_s: deadline_s,
         },
-        token_budget: max_batch * prompt_len.max(1),
-        max_batch,
+        max_batch: batch,
+        token_budget: batch * ContinuousConfig::default().prefill_chunk,
         degradation: Some(DegradationConfig::default()),
         ..ContinuousConfig::default()
     };
-    let mut sched = ContinuousScheduler::new(SimStepEngine::new(pool, costs, 97, seed), cfg)?;
-    let makespan = sched.run_trace(&requests)?;
+    let engine = SimStepEngine::for_trace(&trace, costs, batch, seed);
+    let mut sched = ContinuousScheduler::new(engine, cfg)?;
+    let makespan = sched.run_trace(&trace)?;
     let transitions = sched.transitions().to_vec();
     let final_rung = sched.rung();
     let rep = sched.into_report(makespan, "continuous");

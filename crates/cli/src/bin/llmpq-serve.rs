@@ -266,7 +266,6 @@ fn sharegpt_trace(
         n_requests: n,
         n_generate: (4, 24),
         seed,
-        ..OnlineConfig::default()
     };
     let model = PromptLengthModel::default();
     // A window that holds zero arrivals is a typed OnlineError — the

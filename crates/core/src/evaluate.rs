@@ -134,6 +134,20 @@ pub fn batch_profile(
     (stage_loads(&p, cluster, spec, db, job), wl)
 }
 
+/// Predicted end-to-end latency, seconds, of `plan` serving one batch of
+/// `job.global_batch` sequences: [`batch_profile`] through the pipeline
+/// simulation. The batch cost every online pass of a plan is fitted from.
+pub fn batch_latency(
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    db: &CostDb,
+    job: &BatchJob,
+) -> f64 {
+    let (loads, wl) = batch_profile(plan, cluster, spec, db, job);
+    simulate_pipeline(&loads, &wl).total_latency
+}
+
 /// Predicted peak memory per stage (embedding charged to stage 0, which
 /// co-hosts the master engine).
 pub fn stage_memories(plan: &ExecutionPlan, spec: &ModelSpec, job: &BatchJob) -> Vec<f64> {
@@ -287,6 +301,20 @@ mod tests {
         let plan = simple_plan(spec.n_layers, 4, Bitwidth::Int4, "test");
         let r = evaluate_plan(&plan, &cluster, &spec, &db, &job).unwrap();
         assert!((r.throughput - 3200.0 / r.total_latency).abs() < 1e-9);
+    }
+
+    #[test]
+    fn batch_latency_is_the_simulated_batch_profile() {
+        let cluster = paper_cluster(3);
+        let spec = zoo::opt_30b();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let plan = simple_plan(spec.n_layers, 4, Bitwidth::Int4, "t");
+        let job = |global_batch| BatchJob { global_batch, prompt_len: 128, n_generate: 32 };
+        let (loads, wl) = batch_profile(&plan, &cluster, &spec, &db, &job(8));
+        let one = batch_latency(&plan, &cluster, &spec, &db, &job(1));
+        let eight = batch_latency(&plan, &cluster, &spec, &db, &job(8));
+        assert_eq!(eight, simulate_pipeline(&loads, &wl).total_latency);
+        assert!(one > 0.0 && eight > one, "a bigger batch costs more: {one} vs {eight}");
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! * the **overload controllers** it consults ([`overload`]): an
 //!   admission controller (reject / deadline-shed / queue-timeout) and
 //!   a graceful-degradation controller that walks a precomputed
-//!   quantization ladder under sustained pressure.
+//!   quantization ladder under sustained pressure;
+//! * the **offline plan under online traffic** ([`online`]): a sampled
+//!   arrival trace served in static, offline-style batches.
 //!
 //! The runtime executes the *real* reference transformer: its tokens are
 //! bit-identical to single-threaded execution of the same quantized
@@ -56,6 +58,7 @@ pub mod kvpool;
 pub mod loader;
 pub mod migrate;
 pub mod net;
+pub mod online;
 pub mod overload;
 pub mod serve;
 pub mod serve_dist;
@@ -90,9 +93,10 @@ pub use net::dist::{
 pub use net::fault::{WireDir, WireFaultEvent, WireFaultKind, WireFaultPlan};
 pub use net::transport::{ChannelTransport, TcpTransport, Transport};
 pub use net::wire::plan_fingerprint;
+pub use online::serve_trace_static;
 pub use overload::{
-    poisson_requests, AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats,
-    DegradationConfig, DegradationController, Request, RungTransition,
+    arrival_requests, poisson_requests, AdmissionConfig, AdmissionController, AdmissionPolicy,
+    AdmissionStats, DegradationConfig, DegradationController, Request, RungTransition,
 };
 pub use serve::{
     serve_continuous, serve_static, sim_oracle_tokens, ContinuousConfig, ContinuousReport,

@@ -25,6 +25,7 @@
 //! preempt-and-recompute); [`poisson_requests`] generates the seeded
 //! arrival traces the tests and the `ablation_overload` bench replay.
 
+use llmpq_workload::ArrivalSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -219,6 +220,11 @@ impl AdmissionController {
         self.stats.shed += 1;
     }
 
+    /// The head of the queue, the next [`Self::take`] returns.
+    pub fn head(&self) -> Option<&Request> {
+        self.queue.front()
+    }
+
     /// Pop the head of the queue.
     pub fn take(&mut self) -> Option<Request> {
         self.queue.pop_front()
@@ -405,9 +411,44 @@ pub fn poisson_requests(
     Ok(out)
 }
 
+/// The requests replaying a sampled arrival trace
+/// (`llmpq_workload::sample_arrivals`): request `i` is arrival `i` — its
+/// time, lengths and priority — with a deterministic prompt of the
+/// sampled length and no deadline.
+pub fn arrival_requests(arrivals: &[ArrivalSpec]) -> Vec<Request> {
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(id, a)| Request {
+            id,
+            arrival_s: a.arrival_s,
+            prompt: (0..a.prompt_len).map(|j| (id * 31 + j * 7) % 50 + 1).collect(),
+            n_generate: a.n_generate,
+            deadline_s: None,
+            priority: a.priority,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llmpq_workload::{sample_arrivals, OnlineConfig, PromptLengthModel};
+
+    #[test]
+    fn arrival_requests_replay_the_sampled_trace() {
+        let cfg = OnlineConfig { n_requests: 50, ..OnlineConfig::default() };
+        let arrivals = sample_arrivals(&cfg, &PromptLengthModel::default()).unwrap();
+        let reqs = arrival_requests(&arrivals);
+        assert_eq!(reqs.len(), arrivals.len());
+        for (i, (r, a)) in reqs.iter().zip(&arrivals).enumerate() {
+            assert_eq!((r.id, r.arrival_s, r.n_generate), (i, a.arrival_s, a.n_generate));
+            assert_eq!(r.priority, a.priority);
+            assert_eq!(r.prompt.len(), a.prompt_len);
+            assert!(r.deadline_s.is_none());
+        }
+        assert_eq!(reqs, arrival_requests(&arrivals), "prompts are a function of the trace");
+    }
 
     fn req(id: usize, arrival_s: f64) -> Request {
         Request { id, arrival_s, prompt: vec![1, 2, 3], n_generate: 4, deadline_s: None, priority: 1 }

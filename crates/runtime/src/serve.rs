@@ -44,6 +44,7 @@ use crate::overload::{
 use crate::telemetry::{HistogramSnapshot, Telemetry};
 use llmpq_model::{argmax, forward_layer_alibi, KvSeq, LayerWeights, Matrix, ModelHead, RefModel};
 use llmpq_quant::{load_stage_weights, BitAssignment, Rounding};
+use llmpq_workload::BatchJob;
 use serde::{Deserialize, Serialize};
 
 /// Why an engine step failed.
@@ -112,6 +113,29 @@ impl IterCost {
             per_prefill_token_s: per_token,
             per_decode_token_s: per_token,
         }
+    }
+
+    /// [`Self::fit_batch`] at the mean prompt and generation lengths of
+    /// `trace`: `batch_latency(job)` prices one batch of
+    /// `job.global_batch` requests of that shape
+    /// (`llm_pq::evaluate::batch_latency` for a plan) and is asked at
+    /// batch 1 and at batch `b`.
+    pub fn fit_trace(
+        trace: &[Request],
+        b: usize,
+        batch_latency: impl Fn(&BatchJob) -> f64,
+    ) -> Self {
+        let n = trace.len().max(1) as f64;
+        let mean = |len: fn(&Request) -> usize| {
+            (trace.iter().map(len).sum::<usize>() as f64 / n).round().max(1.0) as usize
+        };
+        let job = BatchJob {
+            global_batch: b.max(1),
+            prompt_len: mean(|r| r.prompt.len()),
+            n_generate: mean(|r| r.n_generate),
+        };
+        let c1 = batch_latency(&BatchJob { global_batch: 1, ..job });
+        Self::fit_batch(c1, batch_latency(&job), job.global_batch, job.prompt_len, job.n_generate)
     }
 
     /// A degradation ladder of `n` rungs: rung 0 is full precision,
@@ -304,6 +328,19 @@ impl SimStepEngine {
             max_seq: usize::MAX,
             seqs: HashMap::new(),
         }
+    }
+
+    /// Engine for replaying `trace` in batches of up to `batch`: its pool
+    /// holds `2 × batch` of the trace's longest request, so the batch
+    /// bound and the admission queue — not KV — shape the replay.
+    pub fn for_trace(trace: &[Request], costs: Vec<IterCost>, batch: usize, seed: u64) -> Self {
+        let block_tokens = 16;
+        let longest = trace.iter().map(|r| r.prompt.len() + r.n_generate).max().unwrap_or(1);
+        let pool = KvPoolConfig {
+            n_blocks: 2 * batch.max(1) * longest.div_ceil(block_tokens),
+            block_tokens,
+        };
+        Self::new(pool, costs, 97, seed)
     }
 
     /// Cap sequence length (prompt + generation) like a model context.
@@ -892,6 +929,21 @@ impl ContinuousReport {
     /// The conservation invariant: every offered request accounted for.
     pub fn conserves(&self) -> bool {
         self.stats.conserves(self.pending_end)
+    }
+
+    /// Fraction of the prefill tokens processed that were padding:
+    /// `1 −` the prompt tokens of the served requests (looked up by id
+    /// in `trace`, the requests the run replayed) over
+    /// [`Self::prefill_tokens`]. Static batching pads every prompt to its
+    /// batch's longest; a continuous run only counts recompute here.
+    pub fn padding_fraction(&self, trace: &[Request]) -> f64 {
+        if self.prefill_tokens == 0 {
+            return 0.0;
+        }
+        let prompt_len: HashMap<usize, usize> =
+            trace.iter().map(|r| (r.id, r.prompt.len())).collect();
+        let real: usize = self.outputs.iter().filter_map(|f| prompt_len.get(&f.id)).sum();
+        1.0 - real as f64 / self.prefill_tokens as f64
     }
 
     /// Everything derivable from the retired totals and the archived
@@ -1601,14 +1653,17 @@ pub fn serve_static<E: StepEngine>(
             continue;
         }
         // Static window: wait for a full batch up to max_wait_s past
-        // the moment the head request was ready.
+        // the moment the head request was ready — it had arrived and the
+        // previous batch had finished.
         if adm.pending() < batch_size && idx < requests.len() {
+            let head_ready = adm.head().map_or(now, |r| r.arrival_s.max(makespan));
+            let closes = head_ready + max_wait_s;
             let next = requests[idx].arrival_s;
-            if next <= now + max_wait_s {
+            if next <= closes {
                 now = next;
                 continue;
             }
-            now += max_wait_s;
+            now = now.max(closes);
             adm.reap(now);
             adm.drain_expired_ids();
             if adm.pending() == 0 {
@@ -1815,6 +1870,33 @@ mod tests {
             cs.mean,
             ss.mean
         );
+    }
+
+    #[test]
+    fn static_window_closes_max_wait_after_the_head_was_ready() {
+        // Arrivals every 0.6 s against a 1 s window: the window opened by
+        // the request at 0 closes at 1.0 with two requests, it does not
+        // slide open again with each arrival until all four are in.
+        let free = IterCost { base_s: 0.0, per_prefill_token_s: 0.0, per_decode_token_s: 0.0 };
+        let pool = KvPoolConfig { n_blocks: 64, block_tokens: 16 };
+        let engine = SimStepEngine::new(pool, vec![free], 97, 1);
+        let reqs: Vec<Request> = [0.0, 0.6, 1.2, 1.8]
+            .iter()
+            .enumerate()
+            .map(|(id, &arrival_s)| Request {
+                id,
+                arrival_s,
+                prompt: vec![1, 2, 3],
+                n_generate: 2,
+                deadline_s: None,
+                priority: 0,
+            })
+            .collect();
+        let rep = serve_static(engine, &reqs, ContinuousConfig::default(), 4, 1.0).unwrap();
+        let ttft: HashMap<usize, f64> = rep.outputs.iter().map(|f| (f.id, f.ttft_s)).collect();
+        assert!((ttft[&0] - 1.0).abs() < 1e-12, "head TTFT {}", ttft[&0]);
+        assert!((ttft[&1] - 0.4).abs() < 1e-12, "second TTFT {}", ttft[&1]);
+        assert_eq!(rep.completed, 4);
     }
 
     #[test]
@@ -2297,6 +2379,33 @@ mod tests {
         let lockstep = |n: usize| c.cost(n * p, 0) + (g - 1) as f64 * c.cost(0, n);
         assert!((lockstep(1) - c1).abs() < 1e-9);
         assert!((lockstep(b) - cb).abs() < 1e-9);
+    }
+
+    #[test]
+    fn trace_fit_prices_batches_at_the_trace_mean_shape() {
+        // Prompts of 10 and 31 tokens, 4 and 7 generated: the mean shape
+        // is (21, 6) after rounding, asked at batch 1 and batch 4.
+        let reqs: Vec<Request> = [(10, 4), (31, 7)]
+            .iter()
+            .enumerate()
+            .map(|(id, &(p, g))| Request {
+                id,
+                arrival_s: 0.0,
+                prompt: vec![1; p],
+                n_generate: g,
+                deadline_s: None,
+                priority: 0,
+            })
+            .collect();
+        let asked = std::cell::RefCell::new(Vec::new());
+        let latency = |job: &BatchJob| {
+            asked.borrow_mut().push(*job);
+            0.5 + 0.25 * job.global_batch as f64
+        };
+        let c = IterCost::fit_trace(&reqs, 4, latency);
+        let shape = |global_batch| BatchJob { global_batch, prompt_len: 21, n_generate: 6 };
+        assert_eq!(*asked.borrow(), vec![shape(1), shape(4)]);
+        assert_eq!(c, IterCost::fit_batch(0.75, 1.5, 4, 21, 6));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (60 s in Table 8). Integer variables must carry finite upper bounds
 //! (they are binaries in the assigner's formulation).
 
-use crate::simplex::{solve_lp, Constraint, LinProg, LpResult, LpSolution};
+use crate::simplex::{solve_lp_capped, Constraint, LinProg, LpResult, LpSolution};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -84,8 +84,21 @@ fn most_fractional(x: &[f64], integers: &[usize]) -> Option<(usize, f64)> {
     best.map(|(v, val, _)| (v, val))
 }
 
-/// Solve a MILP by branch and bound.
+/// Solve a MILP by branch and bound. A node whose relaxation runs out of
+/// simplex pivots is dropped unexplored, so the search is not exhausted:
+/// the result is then [`MilpResult::Feasible`] or [`MilpResult::Unknown`],
+/// never a proof.
 pub fn solve_milp(spec: &MilpSpec, cfg: &MilpConfig) -> MilpResult {
+    solve_milp_capped(spec, cfg, None)
+}
+
+/// [`solve_milp`] with every relaxation solved under the pivot budget
+/// `max_pivots` instead of the size-derived one, when given.
+pub(crate) fn solve_milp_capped(
+    spec: &MilpSpec,
+    cfg: &MilpConfig,
+    max_pivots: Option<usize>,
+) -> MilpResult {
     let start = Instant::now();
     let mut incumbent: Option<LpSolution> = None;
     let mut nodes_explored = 0usize;
@@ -102,9 +115,13 @@ pub fn solve_milp(spec: &MilpSpec, cfg: &MilpConfig) -> MilpResult {
             break;
         }
         nodes_explored += 1;
-        let relax = match solve_lp(&lp) {
+        let relax = match solve_lp_capped(&lp, max_pivots) {
             LpResult::Optimal(s) => s,
             LpResult::Infeasible => continue,
+            LpResult::Unsolved => {
+                exhausted = false;
+                continue;
+            }
             LpResult::Unbounded => {
                 // Unbounded relaxation at the root means an unbounded or
                 // ill-posed MILP; deeper nodes inherit the issue.
@@ -195,6 +212,21 @@ mod tests {
             MilpResult::Optimal(s) => assert!((s.objective + 2.0).abs() < 1e-6),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn unsolved_relaxations_leave_the_search_unexhausted() {
+        // With one pivot per relaxation the knapsack's root LP (two
+        // pivots) is never solved: no incumbent and no proof, so Unknown —
+        // not Infeasible, and no hang.
+        let lp = LinProg::minimize(vec![-10.0, -6.0, -4.0])
+            .bound(0, 1.0)
+            .bound(1, 1.0)
+            .bound(2, 1.0)
+            .with(Constraint::le(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 2.0));
+        let spec = MilpSpec { lp, integers: vec![0, 1, 2] };
+        assert_eq!(solve_milp_capped(&spec, &cfg(), Some(1)), MilpResult::Unknown);
+        assert!(matches!(solve_milp(&spec, &cfg()), MilpResult::Optimal(_)));
     }
 
     #[test]

@@ -103,6 +103,18 @@ pub enum LpResult {
     Infeasible,
     /// Objective unbounded below.
     Unbounded,
+    /// The pivot limit — 100 × (rows + columns + 10) of the tableau — ran
+    /// out before both phases finished: nothing is known about the LP.
+    Unsolved,
+}
+
+/// Pivots one solve may take over a tableau of `rows` × `cols`: a hundred
+/// per row and column, with a floor for tiny LPs. A solve that needs more
+/// is treated as stuck (cycling, or creeping along a degenerate face) and
+/// gives up instead of hanging — the MILP checks its time limit only
+/// between LP solves.
+fn pivot_limit(rows: usize, cols: usize) -> usize {
+    100 * (rows + cols + 10)
 }
 
 const EPS: f64 = 1e-9;
@@ -121,6 +133,16 @@ struct Tableau {
     a: Vec<Vec<f64>>,
     basis: Vec<usize>,
     n_total: usize,
+    /// Pivots [`Tableau::optimize`] may still take, over both phases.
+    pivots_left: usize,
+}
+
+/// How a run of [`Tableau::optimize`] ended.
+#[derive(Debug, PartialEq)]
+enum Optimized {
+    Optimal,
+    Unbounded,
+    PivotLimit,
 }
 
 impl Tableau {
@@ -147,12 +169,12 @@ impl Tableau {
     }
 
     /// Primal simplex iterations on reduced costs `z` (length n_total+1,
-    /// last entry = −objective). Returns false if unbounded.
+    /// last entry = −objective), within the remaining pivot budget.
     ///
     /// Pricing: Dantzig's rule (most negative reduced cost) for speed,
     /// falling back to Bland's rule after a run of degenerate pivots so
     /// termination stays guaranteed.
-    fn optimize(&mut self, z: &mut [f64], allowed: &[bool]) -> bool {
+    fn optimize(&mut self, z: &mut [f64], allowed: &[bool]) -> Optimized {
         let mut degenerate_run = 0usize;
         const BLAND_AFTER: usize = 40;
         loop {
@@ -175,7 +197,7 @@ impl Tableau {
                     }
                 }
             }
-            let Some(col) = enter else { return true };
+            let Some(col) = enter else { return Optimized::Optimal };
             // Ratio test, smallest basis index breaking ties.
             let mut leave: Option<(usize, f64)> = None;
             for (r, arow) in self.a.iter().enumerate() {
@@ -193,7 +215,11 @@ impl Tableau {
                     }
                 }
             }
-            let Some((row, ratio)) = leave else { return false };
+            let Some((row, ratio)) = leave else { return Optimized::Unbounded };
+            if self.pivots_left == 0 {
+                return Optimized::PivotLimit;
+            }
+            self.pivots_left -= 1;
             if ratio.abs() <= EPS {
                 degenerate_run += 1;
             } else {
@@ -212,9 +238,16 @@ impl Tableau {
 /// A normalized constraint row: `(coefficients, op, rhs)`.
 type Row = (Vec<(usize, f64)>, ConstraintOp, f64);
 
-/// Solve a linear program with the two-phase simplex.
-#[allow(clippy::needless_range_loop)]
+/// Solve a linear program with the two-phase simplex, giving up
+/// ([`LpResult::Unsolved`]) when the tableau's pivot limit runs out.
 pub fn solve_lp(lp: &LinProg) -> LpResult {
+    solve_lp_capped(lp, None)
+}
+
+/// [`solve_lp`] with the pivot budget `max_pivots`, when given, instead
+/// of [`pivot_limit`].
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn solve_lp_capped(lp: &LinProg, max_pivots: Option<usize>) -> LpResult {
     // Assemble rows: user constraints plus upper-bound rows.
     let mut rows: Vec<Row> = lp
         .constraints
@@ -293,7 +326,8 @@ pub fn solve_lp(lp: &LinProg) -> LpResult {
         row.push(rhs);
     }
 
-    let mut t = Tableau { a, basis, n_total };
+    let pivots_left = max_pivots.unwrap_or_else(|| pivot_limit(m, n_total));
+    let mut t = Tableau { a, basis, n_total, pivots_left };
 
     // --- Phase 1: minimize sum of artificials ---
     if n_art > 0 {
@@ -311,8 +345,11 @@ pub fn solve_lp(lp: &LinProg) -> LpResult {
             }
         }
         let allowed = vec![true; n_total];
-        let ok = t.optimize(&mut z, &allowed);
-        debug_assert!(ok, "phase 1 cannot be unbounded");
+        let phase1 = t.optimize(&mut z, &allowed);
+        if phase1 == Optimized::PivotLimit {
+            return LpResult::Unsolved;
+        }
+        debug_assert_eq!(phase1, Optimized::Optimal, "phase 1 cannot be unbounded");
         let phase1_obj = -z[n_total];
         if phase1_obj > 1e-7 {
             return LpResult::Infeasible;
@@ -346,8 +383,10 @@ pub fn solve_lp(lp: &LinProg) -> LpResult {
     for &c in &art_cols {
         allowed[c] = false;
     }
-    if !t.optimize(&mut z, &allowed) {
-        return LpResult::Unbounded;
+    match t.optimize(&mut z, &allowed) {
+        Optimized::Optimal => {}
+        Optimized::Unbounded => return LpResult::Unbounded,
+        Optimized::PivotLimit => return LpResult::Unsolved,
     }
 
     let mut x = vec![0.0f64; n];
@@ -372,6 +411,24 @@ mod tests {
             }
             other => panic!("expected optimal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn pivot_limit_reports_the_lp_unsolved() {
+        // The textbook LP below needs two pivots: a budget of one gives
+        // up with nothing claimed, the size-derived budget solves it.
+        let lp = LinProg::minimize(vec![-3.0, -5.0])
+            .with(Constraint::le(vec![(0, 1.0)], 4.0))
+            .with(Constraint::le(vec![(1, 2.0)], 12.0))
+            .with(Constraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
+        assert_eq!(solve_lp_capped(&lp, Some(1)), LpResult::Unsolved);
+        assert_opt(&solve_lp(&lp), -36.0);
+        // A phase-1 LP (an equality row) gives up in phase 1 as well.
+        let eq = LinProg::minimize(vec![1.0, 1.0])
+            .with(Constraint::eq(vec![(0, 1.0), (1, 1.0)], 2.0))
+            .with(Constraint::ge(vec![(0, 1.0)], 1.0));
+        assert_eq!(solve_lp_capped(&eq, Some(0)), LpResult::Unsolved);
+        assert_opt(&solve_lp(&eq), 2.0);
     }
 
     #[test]

@@ -15,7 +15,6 @@ pub mod prompts;
 
 pub use batch::{microbatch_counts, BatchJob, MicrobatchPlan};
 pub use online::{
-    sample_arrivals, sample_arrivals_for_duration, simulate_online, ArrivalSpec, OnlineConfig,
-    OnlineError, OnlineStats,
+    sample_arrivals, sample_arrivals_for_duration, ArrivalSpec, OnlineConfig, OnlineError,
 };
 pub use prompts::{PromptLengthModel, PromptSample};

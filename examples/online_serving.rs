@@ -5,17 +5,20 @@
 //! ```
 //!
 //! Builds an LLM-PQ plan for a small heterogeneous cluster, then feeds it
-//! Poisson arrivals with ShareGPT-like prompt lengths and reports the
-//! latency/throughput/padding profile at increasing load.
+//! Poisson arrivals with ShareGPT-like prompt lengths through the
+//! runtime's static-batching loop (batches of 8, padded to the longest
+//! prompt, on an engine fitted from the plan's batch latency) and reports
+//! the latency/throughput/padding profile at increasing load.
 
-use llm_pq::evaluate::batch_profile;
+use llm_pq::evaluate::batch_latency;
 use llm_pq::{assign, AssignerConfig, SolverChoice};
 use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::{calibrate, variance_indicator, Rounding};
-use llmpq_sim::{simulate_pipeline, KernelEnv};
-use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
+use llmpq_runtime::{arrival_requests, serve_trace_static, IterCost};
+use llmpq_sim::KernelEnv;
+use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
 
 fn main() {
     let cluster = Cluster::from_groups(
@@ -42,23 +45,25 @@ fn main() {
         out.report.throughput
     );
 
-    let batch_cost = |s: usize, n: usize, b: usize| {
-        let job = BatchJob { global_batch: b, prompt_len: s, n_generate: n };
-        let (loads, wl) = batch_profile(&out.plan, &cluster, &spec, &db, &job);
-        simulate_pipeline(&loads, &wl).total_latency
-    };
-
-    let prompt_model = PromptLengthModel::default();
+    let batch = 8;
     println!("{:>8} {:>10} {:>10} {:>12} {:>10}", "req/s", "p50 (s)", "p95 (s)", "tok/s", "padding");
     for rate in [0.1, 0.3, 1.0, 3.0] {
-        let cfg = OnlineConfig { arrival_rate: rate, n_requests: 100, batch_size: 8, ..Default::default() };
-        let s = simulate_online(&cfg, &prompt_model, &batch_cost).expect("online sim");
+        let cfg = OnlineConfig { arrival_rate: rate, n_requests: 100, ..Default::default() };
+        let trace = arrival_requests(
+            &sample_arrivals(&cfg, &PromptLengthModel::default()).expect("arrivals"),
+        );
+        let cost = IterCost::fit_trace(&trace, batch, |job| {
+            batch_latency(&out.plan, &cluster, &spec, &db, job)
+        });
+        let rep =
+            serve_trace_static(&trace, vec![cost], batch, 2.0, cfg.seed).expect("static run");
+        let sojourn = rep.sojourn.as_ref().expect("requests served");
         println!(
             "{rate:>8} {:>10.2} {:>10.2} {:>12.1} {:>9.0}%",
-            s.p50_latency,
-            s.p95_latency,
-            s.throughput,
-            s.padding_fraction * 100.0
+            sojourn.p50,
+            sojourn.p95,
+            rep.throughput_tok_s,
+            rep.padding_fraction(&trace) * 100.0
         );
     }
     println!("\nthe knee marks this plan's online capacity; beyond it requests queue.");

@@ -1,15 +1,18 @@
 //! Cross-crate integration tests for the §7-discussion extensions:
 //! tensor parallelism, KV-cache quantization, online serving, recovery.
 
-use llm_pq::evaluate::batch_profile;
+use llm_pq::evaluate::batch_latency;
 use llm_pq::{assign, tp_sweep, AssignerConfig, SolverChoice};
 use llmpq_cluster::paper_cluster;
 use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::IndicatorTable;
-use llmpq_runtime::{FaultPlan, Pipeline, RecoveryPolicy, SupervisorConfig};
-use llmpq_sim::{simulate_pipeline, KernelEnv};
-use llmpq_workload::{simulate_online, BatchJob, OnlineConfig, PromptLengthModel};
+use llmpq_runtime::{
+    arrival_requests, serve_trace_static, FaultPlan, IterCost, Pipeline, RecoveryPolicy,
+    SupervisorConfig,
+};
+use llmpq_sim::KernelEnv;
+use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
 
 fn flat_indicator(n: usize) -> IndicatorTable {
     IndicatorTable {
@@ -90,26 +93,21 @@ fn online_simulation_over_a_real_plan_saturates_monotonically() {
         max_bits: None,
     };
     let out = assign(&cluster, &spec, &job, &db, &flat_indicator(spec.n_layers), &cfg).unwrap();
-    let cost = |s: usize, n: usize, b: usize| {
-        let job = BatchJob { global_batch: b, prompt_len: s, n_generate: n };
-        let (loads, wl) = batch_profile(&out.plan, &cluster, &spec, &db, &job);
-        simulate_pipeline(&loads, &wl).total_latency
+    let serve = |rate: f64| {
+        let cfg = OnlineConfig { arrival_rate: rate, n_requests: 40, ..Default::default() };
+        let arrivals = sample_arrivals(&cfg, &PromptLengthModel::default()).unwrap();
+        let trace = arrival_requests(&arrivals);
+        let cost = IterCost::fit_trace(&trace, 8, |job| {
+            batch_latency(&out.plan, &cluster, &spec, &db, job)
+        });
+        let rep = serve_trace_static(&trace, vec![cost], 8, 2.0, 0).expect("static run");
+        assert!(rep.conserves() && rep.completed == trace.len(), "rate {rate}: {:?}", rep.stats);
+        (rep.sojourn.expect("requests served").p95, rep.throughput_tok_s)
     };
-    let pm = PromptLengthModel::default();
-    let light = simulate_online(
-        &OnlineConfig { arrival_rate: 0.1, n_requests: 40, ..Default::default() },
-        &pm,
-        &cost,
-    )
-    .expect("light online run");
-    let heavy = simulate_online(
-        &OnlineConfig { arrival_rate: 10.0, n_requests: 40, ..Default::default() },
-        &pm,
-        &cost,
-    )
-    .expect("heavy online run");
-    assert!(heavy.p95_latency >= light.p95_latency * 0.9, "saturation inverted");
-    assert!(heavy.throughput >= light.throughput * 0.9, "batching should help at load");
+    let (light_p95, light_tput) = serve(0.1);
+    let (heavy_p95, heavy_tput) = serve(10.0);
+    assert!(heavy_p95 >= light_p95 * 0.9, "saturation inverted");
+    assert!(heavy_tput >= light_tput * 0.9, "batching should help at load");
 }
 
 #[test]
