@@ -11,10 +11,14 @@
 //!
 //! Every run executes the *real* master engine and stage-worker loops
 //! over a simulated network on a virtual clock: same seed ⇒
-//! byte-identical event trace. After each run the invariant checker
-//! verifies token output against the fault-free oracle, admission
-//! conservation, deadlock freedom and the restart bound. Any violation
-//! is shrunk to a minimal reproducing schedule and written as
+//! byte-identical event trace. After each run the library's one
+//! invariant checker — shared by all four modes, so a rule means the
+//! same thing in each (DESIGN.md §13 tabulates them) — verifies token
+//! output against the fault-free oracle, admission conservation,
+//! deadlock freedom, the restart bound and strictly increasing swap
+//! epochs; `--serving` and `--elastic` add the rules their harnesses
+//! check (served exactly once, stream consistency, live devices). Any
+//! violation is shrunk to a minimal reproducing schedule and written as
 //! replayable JSON (`--out`), and the process exits nonzero.
 
 use llmpq_cli::Args;
@@ -54,8 +58,9 @@ const USAGE: &str = "usage: llmpq-simnet
                              events; --schedule replays a churn-plan JSON)
     [--devices 3]            elastic mode: devices live at t=0
     [--pool 6]               elastic mode: total device ids churn draws from
-    [--inject-bug]           dev hook: break admission conservation on purpose
-                             (elastic mode: double-serve the first request)
+    [--inject-bug]           dev hook: break an invariant on purpose to prove
+                             the checker fires (admission conservation;
+                             elastic mode: double-serve the first request)
     [--trace]                print the deterministic event trace(s)";
 
 /// Every flag [`USAGE`] documents; anything else is a typo.

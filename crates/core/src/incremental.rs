@@ -459,16 +459,6 @@ impl IncrementalPlanner {
         self.last.as_ref().map(|(_, p)| p)
     }
 
-    /// Lifetime cost-cache counters.
-    pub fn cost_counters(&self) -> CacheCounters {
-        self.cost.layer_counters
-    }
-
-    /// Lifetime evaluation-cache counters.
-    pub fn eval_counters(&self) -> CacheCounters {
-        self.eval.counters
-    }
-
     /// Number of memoized cost entries (for invalidation tests).
     pub fn cached_cost_entries(&self) -> usize {
         self.cost.len()

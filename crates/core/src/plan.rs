@@ -150,11 +150,6 @@ impl ExecutionPlan {
         self.stages.last().map_or(0, |s| s.layer_end)
     }
 
-    /// Device order of the pipeline.
-    pub fn device_order(&self) -> Vec<usize> {
-        self.stages.iter().map(|s| s.device).collect()
-    }
-
     /// Serialize to the JSON strategy-file format.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("plans are serializable")

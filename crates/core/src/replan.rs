@@ -40,14 +40,6 @@ pub struct ReplanOutcome {
     pub overhead_s: f64,
 }
 
-impl ReplanOutcome {
-    /// Whether the configured solver failed and the Algorithm-2
-    /// heuristic produced the plan instead.
-    pub fn fell_back_to_heuristic(&self) -> bool {
-        self.origin == PlanOrigin::Heuristic
-    }
-}
-
 impl IncrementalPlanner {
     /// Plan onto `cluster` minus `lost_devices` and remap the winning
     /// plan's device ids back to `cluster`'s numbering.

@@ -92,15 +92,6 @@ impl PackBits {
         }
     }
 
-    /// Payload bits actually spent per weight (int3 rides the nibble
-    /// layout: 4 bits stored for a 3-bit grid).
-    pub fn payload_bits(self) -> u32 {
-        match self {
-            PackBits::Int3 | PackBits::Int4 => 4,
-            PackBits::Int8 => 8,
-        }
-    }
-
     /// Whether the payload is nibble-packed (two weights per byte).
     pub fn is_nibble(self) -> bool {
         matches!(self, PackBits::Int3 | PackBits::Int4)

@@ -10,7 +10,7 @@
 //! representation never changes served tokens.
 
 use crate::tensor::Matrix;
-use llmpq_kernels::{qgemm_t, PackBits, PackedMatrix};
+use llmpq_kernels::{qgemm_t, PackedMatrix};
 use serde::{Deserialize, Serialize};
 
 /// A linear projection in `(out_features, in_features)` orientation.
@@ -42,14 +42,6 @@ impl LinearOp {
     /// Whether the operator is stored packed.
     pub fn is_packed(&self) -> bool {
         matches!(self, LinearOp::Packed(_))
-    }
-
-    /// Grid precision of a packed operator.
-    pub fn pack_bits(&self) -> Option<PackBits> {
-        match self {
-            LinearOp::Dense(_) => None,
-            LinearOp::Packed(p) => Some(p.bits),
-        }
     }
 
     /// `x · wᵀ` — the projection the transformer layers call. Dense
@@ -89,14 +81,6 @@ impl LinearOp {
         }
     }
 
-    /// The packed payload, if any.
-    pub fn as_packed(&self) -> Option<&PackedMatrix> {
-        match self {
-            LinearOp::Dense(_) => None,
-            LinearOp::Packed(p) => Some(p),
-        }
-    }
-
     /// Materialize the operator as a dense matrix (dequantizing if
     /// packed) — value-identical to what [`LinearOp::forward_t`]
     /// multiplies against.
@@ -132,7 +116,7 @@ impl From<PackedMatrix> for LinearOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmpq_kernels::quantize_packed;
+    use llmpq_kernels::{quantize_packed, PackBits};
 
     #[test]
     fn dense_forward_matches_matmul_t() {

@@ -117,11 +117,6 @@ impl Matrix {
         self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
     }
 
-    /// Elementwise maximum absolute value.
-    pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
     /// Mean of all entries.
     pub fn mean(&self) -> f64 {
         if self.data.is_empty() {

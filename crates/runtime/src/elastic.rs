@@ -1,6 +1,6 @@
 //! Elastic fleet control: an autoscaling loop that watches cluster
 //! membership (device join / leave / degrade), decides *whether and
-//! when* to replan through a pluggable [`ReplanPolicy`], and applies the
+//! when* to replan through a [`DebouncedPolicy`], and applies the
 //! new plan through the two-phase live-migration barrier
 //! ([`crate::migrate`]) — scale-out and scale-in without a restart.
 //!
@@ -124,12 +124,9 @@ pub trait ElasticPlanner {
 
 /// What the policy wants done with the pending delta batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicyVerdict {
-    /// Not yet — re-ask at (or after) `until_us`.
-    Wait {
-        /// Earliest time the verdict can change, µs.
-        until_us: u64,
-    },
+enum PolicyVerdict {
+    /// Not yet (debouncing or cooling down) — re-ask on a later tick.
+    Wait,
     /// The batch is stable and out of cooldown: plan now.
     Replan,
     /// `device` is flapping: drop its pending events, re-examine the
@@ -142,22 +139,10 @@ pub enum PolicyVerdict {
     },
 }
 
-/// Decides *when* a batch of membership deltas becomes a replan.
-/// Stateful: sees every event, is told about commits (for cooldown),
-/// and is polled by the controller's `tick`.
-pub trait ReplanPolicy {
-    /// Observe one membership event (called before `decide`).
-    fn observe(&mut self, ev: &FleetEvent);
-    /// Decide what to do with the currently pending events.
-    fn decide(&mut self, pending: &[FleetEvent], now_us: u64) -> PolicyVerdict;
-    /// A replan committed: start the cooldown clock.
-    fn note_committed(&mut self, now_us: u64);
-    /// End of the current cooldown window, µs (0 = not cooling down).
-    fn cooldown_until(&self) -> u64;
-}
-
-/// The default policy: debounce + cooldown + per-device flap
-/// hysteresis.
+/// Decides *when* a batch of membership deltas becomes a replan:
+/// debounce + cooldown + per-device flap hysteresis. Stateful: sees
+/// every event, is told about commits (for cooldown), and is polled by
+/// the controller's `tick`.
 #[derive(Debug, Clone)]
 pub struct DebouncedPolicy {
     /// Quiet period after the *last* event before planning — batches
@@ -170,6 +155,7 @@ pub struct DebouncedPolicy {
     /// Join/leave toggles within the window that quarantine a device.
     pub flap_max_toggles: u32,
     last_event_us: u64,
+    /// End of the current cooldown window, µs (0 = not cooling down).
     cooldown_until_us: u64,
     toggles: HashMap<usize, VecDeque<u64>>,
 }
@@ -188,12 +174,6 @@ impl DebouncedPolicy {
         }
     }
 
-    /// Defaults tuned for the simulation harness: 20 ms debounce,
-    /// 200 ms cooldown, 500 ms flap window, 3 toggles.
-    pub fn sim_default() -> Self {
-        Self::new(20_000, 200_000, 500_000, 3)
-    }
-
     fn flapping(&self, device: usize, now_us: u64) -> Option<u64> {
         let t = self.toggles.get(&device)?;
         let cutoff = now_us.saturating_sub(self.flap_window_us);
@@ -205,9 +185,8 @@ impl DebouncedPolicy {
             None
         }
     }
-}
 
-impl ReplanPolicy for DebouncedPolicy {
+    /// Observe one membership event (called before `decide`).
     fn observe(&mut self, ev: &FleetEvent) {
         self.last_event_us = self.last_event_us.max(ev.at_us);
         if matches!(ev.kind, FleetEventKind::Join | FleetEventKind::Leave) {
@@ -219,6 +198,7 @@ impl ReplanPolicy for DebouncedPolicy {
         }
     }
 
+    /// Decide what to do with the currently pending events.
     fn decide(&mut self, pending: &[FleetEvent], now_us: u64) -> PolicyVerdict {
         // Hysteresis first: a flapping device must not hold the whole
         // fleet hostage — suppress it, then re-decide on the rest.
@@ -229,18 +209,15 @@ impl ReplanPolicy for DebouncedPolicy {
         }
         let gate = (self.last_event_us + self.debounce_us).max(self.cooldown_until_us);
         if now_us < gate {
-            PolicyVerdict::Wait { until_us: gate }
+            PolicyVerdict::Wait
         } else {
             PolicyVerdict::Replan
         }
     }
 
+    /// A replan committed: start the cooldown clock.
     fn note_committed(&mut self, now_us: u64) {
         self.cooldown_until_us = now_us + self.cooldown_us;
-    }
-
-    fn cooldown_until(&self) -> u64 {
-        self.cooldown_until_us
     }
 }
 
@@ -303,7 +280,7 @@ pub enum ControllerCommand {
 /// outcomes back via [`migration_resolved`](Self::migration_resolved).
 pub struct FleetController {
     planner: Box<dyn ElasticPlanner>,
-    policy: Box<dyn ReplanPolicy>,
+    policy: DebouncedPolicy,
     live: BTreeSet<usize>,
     degraded: BTreeSet<usize>,
     plan: ExecutionPlan,
@@ -324,7 +301,7 @@ impl FleetController {
     /// Controller serving `initial_plan` on the devices in `live`.
     pub fn new(
         planner: Box<dyn ElasticPlanner>,
-        policy: Box<dyn ReplanPolicy>,
+        policy: DebouncedPolicy,
         live: impl IntoIterator<Item = usize>,
         initial_plan: ExecutionPlan,
     ) -> Self {
@@ -383,14 +360,6 @@ impl FleetController {
             .stages
             .iter()
             .all(|s| self.planned_live.contains(&s.device) && self.live.contains(&s.device))
-    }
-
-    /// Whether the plan's devices were all live at the moment it
-    /// committed (the half of the invariant that must *always* hold —
-    /// devices may legitimately die after commit, which is what the
-    /// next replan is for).
-    pub fn plan_was_live_at_commit(&self) -> bool {
-        self.plan.stages.iter().all(|s| self.planned_live.contains(&s.device))
     }
 
     fn note(&mut self, at_us: u64, msg: String) {
@@ -460,7 +429,7 @@ impl FleetController {
             }
         }
         if self.state == ControllerState::Cooldown
-            && now_us >= self.policy.cooldown_until()
+            && now_us >= self.policy.cooldown_until_us
         {
             self.state = if self.pending.is_empty() {
                 ControllerState::Idle
@@ -473,7 +442,7 @@ impl FleetController {
         }
         loop {
             match self.policy.decide(&self.pending, now_us) {
-                PolicyVerdict::Wait { .. } => return None,
+                PolicyVerdict::Wait => return None,
                 PolicyVerdict::Suppress { device, recheck_us } => {
                     let before = self.pending.len();
                     self.pending.retain(|e| e.device != device);
@@ -713,7 +682,7 @@ mod tests {
     fn controller(devices: &[usize], n_layers: usize) -> FleetController {
         FleetController::new(
             Box::new(EvenSplitPlanner { n_layers, max_layers_per_device: 4 }),
-            Box::new(DebouncedPolicy::new(10_000, 50_000, 200_000, 3)),
+            DebouncedPolicy::new(10_000, 50_000, 200_000, 3),
             devices.iter().copied(),
             base_plan(devices, n_layers),
         )

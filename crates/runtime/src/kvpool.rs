@@ -45,13 +45,6 @@ pub struct KvPoolConfig {
     pub block_tokens: usize,
 }
 
-impl KvPoolConfig {
-    /// Pool capacity in token positions.
-    pub fn capacity_tokens(&self) -> usize {
-        self.n_blocks * self.block_tokens
-    }
-}
-
 impl Default for KvPoolConfig {
     fn default() -> Self {
         Self { n_blocks: 256, block_tokens: 16 }

@@ -71,7 +71,6 @@ pub use clock::{real_clock, Clock, RealClock};
 pub use elastic::{
     ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner, EvenSplitPlanner,
     FleetAlarms, FleetController, FleetEvent, FleetEventKind, FleetView, PlanFailure,
-    PolicyVerdict, ReplanPolicy,
 };
 pub use engine::{Pipeline, RuntimeError, RuntimeOutput};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, Heartbeats};
@@ -83,7 +82,7 @@ pub use http::{
 pub use kvpool::{KvPool, KvPoolConfig, KvPoolError, KvPoolStats, PagedBlocks, PagedKvStore, PagedSeq};
 pub use loader::{load_stage_weights, LoaderStats, OnTheFlyQuantizer};
 pub use migrate::{
-    hybrid_oracle_tokens, kv_to_chunks, swap_oracle_tokens, CommitDecision, KvAssembler,
+    hybrid_oracle_tokens, kv_to_chunks, CommitDecision, KvAssembler,
     KvChunkMsg, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest, WorkerSwap,
 };
 pub use net::dist::{

@@ -18,8 +18,11 @@
 //! wedge is impossible: every path ends in "old plan serving", "new
 //! plan serving", or a typed error after bounded restarts.
 //!
-//! Epoch rules: the run starts in epoch 0; each swap proposal carries
-//! `active_epoch + 1`. A `PlanCommit` for anything other than the
+//! Epoch rules: the run starts in epoch 0; each swap proposal carries a
+//! fresh epoch, one above any epoch the coordinator has issued or
+//! served, so an aborted proposal's number is never reused (the
+//! master's abort dedup and the workers' duplicate-proposal rule both
+//! key on it). A `PlanCommit` for anything other than the
 //! prepared epoch is refused with a typed abort (stale-epoch
 //! rejection); duplicated commits for the already-active epoch are
 //! ignored. Work items are epoch-tagged so a post-swap worker drops
@@ -416,6 +419,8 @@ pub struct MigrationCoordinator {
     /// ring's sink: worker aborts circulate to it exactly once and it
     /// re-emits them downstream exactly once).
     pub(crate) abort_broadcast: Vec<u64>,
+    /// Highest epoch any proposal has carried.
+    issued_epoch: u64,
 }
 
 impl MigrationCoordinator {
@@ -434,6 +439,7 @@ impl MigrationCoordinator {
             commit_timeout: Duration::from_secs(10),
             n_stages,
             abort_broadcast: Vec::new(),
+            issued_epoch: 0,
         }
     }
 
@@ -470,7 +476,8 @@ impl MigrationCoordinator {
         if self.pending.is_some() || self.next >= self.schedule.len() {
             return None;
         }
-        let epoch = self.active_epoch + 1;
+        let epoch = self.active_epoch.max(self.issued_epoch) + 1;
+        self.issued_epoch = epoch;
         let json = self.schedule[self.next].plan.to_json();
         self.pending = Some(PendingSwap {
             epoch,
@@ -638,19 +645,6 @@ pub fn hybrid_oracle_tokens(
         out.push(argmax(&logits));
     }
     out
-}
-
-/// Single-swap convenience over [`hybrid_oracle_tokens`]: tokens
-/// `0..swap_at` under `old`, the rest under `new`.
-pub fn swap_oracle_tokens(
-    old: &RefModel,
-    new: &RefModel,
-    prompt: &[usize],
-    swap_at: usize,
-    resume_at: Option<usize>,
-    n_generate: usize,
-) -> Vec<usize> {
-    hybrid_oracle_tokens(&[(0, old), (swap_at, new)], prompt, n_generate, resume_at)
 }
 
 // --- swap schedule validation -------------------------------------------
@@ -865,6 +859,31 @@ mod tests {
     }
 
     #[test]
+    fn a_proposal_after_a_pre_commit_abort_gets_a_fresh_epoch() {
+        let plan = ExecutionPlan {
+            model: "t".into(),
+            cluster: "c".into(),
+            stages: Vec::new(),
+            microbatch: llmpq_workload::MicrobatchPlan {
+                prefill_size: 1,
+                prefill_count: 1,
+                decode_size: 1,
+                decode_count: 1,
+            },
+            scheme: "LLM-PQ".into(),
+            kv_bits: 16,
+        };
+        let swap = |at_token| SwapRequest { at_token, plan: plan.clone() };
+        let mut c = MigrationCoordinator::new(vec![swap(1), swap(2)], 2);
+        let (first, _) = c.open_proposal().expect("first proposal opens");
+        assert_eq!(c.abort_pending("stage 1: prepare failed"), Some(first));
+        assert!(!c.abort_seen(first), "the first abort is broadcast");
+        let (second, _) = c.open_proposal().expect("second proposal opens");
+        assert!(second > first, "epoch {second} reused after aborted epoch {first}");
+        assert!(!c.abort_seen(second), "an abort of the new proposal must still be broadcast");
+    }
+
+    #[test]
     fn hybrid_oracle_degenerates_to_plain_generation() {
         let m = RefModel::new(RefConfig::tiny());
         let q = quantize_model(
@@ -878,9 +897,9 @@ mod tests {
         // One segment: identical to plain greedy generation.
         assert_eq!(hybrid_oracle_tokens(&[(0, &q)], &prompt, 6, None), plain);
         // Same model on both sides of a swap: still identical.
-        assert_eq!(swap_oracle_tokens(&q, &q, &prompt, 3, None, 6), plain);
+        assert_eq!(hybrid_oracle_tokens(&[(0, &q), (3, &q)], &prompt, 6, None), plain);
         // Resume under the same model: still identical (re-prefill is
         // bit-equivalent to continuing the cache).
-        assert_eq!(swap_oracle_tokens(&q, &q, &prompt, 3, Some(4), 6), plain);
+        assert_eq!(hybrid_oracle_tokens(&[(0, &q), (3, &q)], &prompt, 6, Some(4)), plain);
     }
 }

@@ -82,18 +82,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-impl FrameError {
-    /// Whether this is a timeout of a read with a deadline (the stream
-    /// is fine, just idle) rather than a real failure.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
-        )
-    }
-}
-
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) — the ubiquitous
 /// Ethernet/zip checksum, computed bytewise without a table so the
 /// runtime stays dependency-free. Frame payloads are small enough that

@@ -1515,8 +1515,8 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     }
 
     /// [`run_trace`](Self::run_trace), handing every iteration's
-    /// [`StepOutcome`] to `on_step` (the chaos harness audits landed
-    /// tokens there).
+    /// [`StepOutcome`] to `on_step` (the chaos harness collects landed
+    /// tokens there for its stream-consistency check).
     pub(crate) fn run_trace_with(
         &mut self,
         requests: &[Request],

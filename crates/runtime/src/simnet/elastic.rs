@@ -2,30 +2,27 @@
 //! seeded membership churn (joins, leaves, degrades, flap bursts — with
 //! leaves biased into migration windows) against seeded diurnal +
 //! bursty request arrivals, inside a deterministic discrete-event
-//! simulation of a single serving queue. Every run is checked against
-//! the **elasticity invariants**:
-//!
-//! * a committed plan references only devices live at commit time;
-//! * every offered request is served exactly once — never lost, never
-//!   double-served — across scale-out, scale-in and aborted
-//!   migrations (work in flight on a dying device is *recovered*, i.e.
-//!   requeued, not dropped);
-//! * shedding is legitimate only when the fleet genuinely cannot hold
-//!   the model at the lowest rung; a serviceable fleet with stranded
-//!   requests (or a dead plan it never replanned off) is a stuck
-//!   control loop and fails the run.
+//! simulation of a single serving queue. Every run is checked by
+//! simnet's one invariant checker (DESIGN.md §13): committed plans use
+//! only live devices; every offered request is served exactly once
+//! across scale-out, scale-in and aborted migrations (work in flight on
+//! a dying device is requeued, not dropped); shedding is legitimate only
+//! when the fleet cannot hold the model at the lowest rung, so a
+//! serviceable fleet with stranded requests or a dead plan fails.
 //!
 //! Violations shrink greedily to a minimal replayable churn schedule,
 //! exactly like the wire-level and serving-chaos sweeps: the harness is
 //! a [`SimScenario`] that [`super::seed_sweep`] and [`super::shrink_schedule`] run.
 //! `llmpq-simnet --elastic` is a thin CLI wrapper over it.
 
+use super::invariants::Invariants;
 use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::{
     even_split, ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner,
     FleetController, FleetEvent, FleetEventKind,
 };
+use crate::overload::AdmissionStats;
 use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
@@ -214,7 +211,7 @@ pub fn elastic_arrivals(cfg: &ElasticSimConfig, seed: u64) -> Vec<u64> {
 }
 
 /// Outcome of one elastic simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ElasticRun {
     /// Seed that drew arrivals (and, in sweeps, the churn schedule).
     pub seed: u64,
@@ -313,31 +310,15 @@ fn fleet_feasible(cfg: &ElasticSimConfig, live: &BTreeSet<usize>, degraded: &BTr
 /// invariant verdict (see the module docs for the invariant list).
 /// Fully deterministic in `(cfg, seed, churn)`.
 pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) -> ElasticRun {
-    let mut run = ElasticRun {
-        seed,
-        violations: Vec::new(),
-        commits: 0,
-        aborts: 0,
-        suppressed: 0,
-        infeasible: 0,
-        offered: 0,
-        served: 0,
-        shed: 0,
-        recovered: 0,
-        churn_events: churn.events.len(),
-    };
+    let mut run = ElasticRun { seed, churn_events: churn.events.len(), ..ElasticRun::default() };
+    let mut inv = Invariants::default();
     let arrivals = elastic_arrivals(cfg, seed);
     let mut controller = FleetController::new(
         Box::new(EvenSplitPlanner {
             n_layers: cfg.n_layers,
             max_layers_per_device: cfg.max_layers_per_device,
         }),
-        Box::new(DebouncedPolicy::new(
-            cfg.debounce_us,
-            cfg.cooldown_us,
-            cfg.flap_window_us,
-            cfg.flap_max_toggles,
-        )),
+        DebouncedPolicy::new(cfg.debounce_us, cfg.cooldown_us, cfg.flap_window_us, cfg.flap_max_toggles),
         0..cfg.n_devices,
         initial_plan(cfg),
     );
@@ -350,18 +331,10 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut in_service: Option<(usize, u64)> = None; // (request id, finish time)
     let mut migration_end: Option<u64> = None;
-    let mut serve_counts: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut serve_counts: BTreeMap<usize, usize> = BTreeMap::new();
     let mut ci = 0usize; // churn cursor
     let mut ai = 0usize; // arrival cursor
     let mut next_tick = 0u64;
-
-    let abort_inflight =
-        |controller: &mut FleetController, migration_end: &mut Option<u64>, now: u64| {
-            if migration_end.is_some() {
-                controller.migration_resolved(false, now);
-                *migration_end = None;
-            }
-        };
 
     loop {
         // Next event: churn, arrival, service completion, barrier end,
@@ -417,7 +390,9 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
             let cmd =
                 controller.on_event(FleetEvent { device: e.device, kind: e.kind, at_us: e.at_us });
             if let Some(ControllerCommand::AbortMigration { .. }) = cmd {
-                abort_inflight(&mut controller, &mut migration_end, now);
+                if migration_end.take().is_some() {
+                    controller.migration_resolved(false, now);
+                }
             }
         }
 
@@ -446,13 +421,7 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
         if migration_end.is_some_and(|end| end <= now) {
             migration_end = None;
             controller.migration_resolved(true, now);
-            if !controller.plan_was_live_at_commit()
-                || !plan_fully_live(controller.plan(), &live)
-            {
-                run.violations.push(format!(
-                    "committed plan references a dead device at t={now}us (live: {live:?})"
-                ));
-            }
+            inv.plan_live(controller.plan(), &live, format_args!("at t={now}us"));
         }
 
         // 5. Controller tick.
@@ -488,44 +457,26 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     run.aborts = alarms.aborted_migrations;
     run.suppressed = alarms.flap_suppressed;
     run.infeasible = alarms.infeasible_fleet;
-    run.served = serve_counts.values().filter(|&&c| c >= 1).count();
-
-    for (id, &count) in &serve_counts {
-        if count > 1 {
-            run.violations.push(format!("request {id} served {count} times"));
-        }
-    }
-    let unserved = run.offered - run.served + usize::from(in_service.is_some());
+    run.served = serve_counts.len();
+    // What is still queued or in service was shed if the fleet ended
+    // unable to hold the model, and is stranded (pending) if it could.
+    let left = queue.len() + usize::from(in_service.is_some());
     let feasible = fleet_feasible(cfg, &live, &degraded);
-    if unserved > 0 || !queue.is_empty() || in_service.is_some() {
-        if feasible {
-            run.violations.push(format!(
-                "{} request(s) stranded on a serviceable fleet ({} live device(s), plan live: {})",
-                queue.len() + usize::from(in_service.is_some()),
-                live.len(),
-                plan_fully_live(controller.plan(), &live),
-            ));
-        } else {
-            run.shed = queue.len() + usize::from(in_service.is_some());
-        }
+    run.shed = if feasible { 0 } else { left };
+    let completions = serve_counts.iter().flat_map(|(&id, &n)| std::iter::repeat_n((id, 0), n));
+    inv.served_once(&(0..run.offered).map(|id| (id, None)).collect(), completions);
+    let (offered, served, shed, recovered) = (run.offered, run.served, run.shed, run.recovered);
+    let stats = AdmissionStats { offered, admitted: offered, served, shed, expired: 0, recovered };
+    inv.conservation(&stats, left - run.shed);
+    if feasible {
+        inv.plan_live(controller.plan(), &live, "at the end of a serviceable run (stuck replan)");
     }
-    if feasible && !plan_fully_live(controller.plan(), &live) {
-        run.violations.push(format!(
-            "stuck replan: fleet is feasible ({} live) but the committed plan still names dead \
-             devices",
-            live.len()
-        ));
-    }
-    let accounted = run.served + run.shed;
-    if accounted != run.offered {
-        run.violations.push(format!(
-            "conservation broken: offered {} != served {} + shed {}",
-            run.offered, run.served, run.shed
-        ));
-    }
-    if alarms.planner_errors > 0 {
-        run.violations.push(format!("{} unexpected planner error(s)", alarms.planner_errors));
-    }
+    let planner = match alarms.planner_errors {
+        0 => Ok(()),
+        n => Err(format!("{n} planner error(s)")),
+    };
+    inv.completed("fleet control loop", planner);
+    run.violations = inv.into_violations();
     run
 }
 

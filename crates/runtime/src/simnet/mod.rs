@@ -17,11 +17,14 @@
 //!   drops, duplicates, corruptions (surfaced through the *real* frame
 //!   CRC), disconnects, partitions (with or without heal) and stage
 //!   crash-and-restarts, deterministically seeded;
-//! * **invariants are checked after every run**: token output must be
+//! * **invariants are checked after every run**, by the one checker
+//!   every chaos harness reports through (`invariants::Invariants`;
+//!   DESIGN.md §13 tabulates its rules): token output must be
 //!   bit-identical to the fault-free sequential oracle, admission must
 //!   conserve (`offered == served + shed + expired + pending`), virtual
 //!   time must never run past the horizon with work pending (deadlock /
-//!   livelock), and restarts must respect the recovery bound;
+//!   livelock), restarts must respect the recovery bound, and swap
+//!   epochs must strictly increase;
 //! * **failures shrink**: [`seed_sweep`] drives hundreds of random
 //!   schedules and, on a violation, [`shrink_schedule`] greedily removes events
 //!   until a minimal reproducing counterexample remains, serialized as
@@ -47,6 +50,7 @@
 
 mod conn;
 mod elastic;
+mod invariants;
 mod plan;
 mod sched;
 mod serving;
@@ -73,9 +77,7 @@ use crate::elastic::even_split;
 use crate::engine::{AttemptLoop, AttemptSupervision, RestartPolicy, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
-use crate::migrate::{
-    hybrid_oracle_tokens, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest,
-};
+use crate::migrate::{MigrationCoordinator, MigrationHost, SwapReport, SwapRequest};
 use crate::net::transport::Transport;
 use crate::net::wire::WireMsg;
 use crate::overload::{AdmissionConfig, AdmissionController, AdmissionStats, Request};
@@ -83,9 +85,10 @@ use crate::serve_dist::ServingRing;
 use crate::telemetry::Telemetry;
 use crate::worker::{run_worker_transport, WorkerCtx};
 use conn::{SimConn, SimTransport};
+use invariants::Invariants;
 use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
-use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
+use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use sched::{ActorGuard, AwaitEpoch, CrashEnd, RecvEnd, SimNet, NEVER_US};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -258,19 +261,6 @@ fn build_exec_plan(model: &RefModel, n_stages: usize, n_seqs: usize) -> Executio
     }
 }
 
-/// The fault-free oracle: single-threaded greedy generation on the
-/// eagerly quantized model — what the pipeline must match bit-for-bit.
-fn oracle_tokens(
-    model: &RefModel,
-    exec: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-) -> Vec<Vec<usize>> {
-    let bits: Vec<Bitwidth> = exec.stages.iter().flat_map(|s| s.bits.clone()).collect();
-    let qm = quantize_model(model, &BitAssignment { bits }, Rounding::Deterministic, 0);
-    prompts.iter().map(|p| qm.generate(p, n_generate, 0.0, 0).tokens).collect()
-}
-
 /// The migration target for a simulated run: every layer drops to Int4
 /// (so commit vs. abort is visible in token space against the mixed
 /// Int8/Fp16 base), optionally one layer moves across the first movable
@@ -314,37 +304,6 @@ fn build_target_plan(
         last.device = j.device;
     }
     ExecutionPlan { stages, ..base.clone() }
-}
-
-/// Whether committed-migration output matches *some* legal recovery
-/// history: boundary `b` starts at the scheduled token and walks up one
-/// per pre-commit barrier death; at most one post-commit restart is
-/// visible (it re-prefills under the target model — later restarts
-/// regenerate the identical tail by greedy determinism). Every sequence
-/// must agree on the same `(b, resume)` history.
-fn migration_history_legal(
-    model: &RefModel,
-    base: &ExecutionPlan,
-    target: &ExecutionPlan,
-    at_token: usize,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    got: &[Vec<usize>],
-) -> bool {
-    let qo = quantize_model(model, &base.bit_assignment(), Rounding::Deterministic, 0);
-    let qn = quantize_model(model, &target.bit_assignment(), Rounding::Deterministic, 0);
-    for b in at_token.max(1)..n_generate {
-        for resume in std::iter::once(None).chain((1..=n_generate).map(Some)) {
-            let legal: Vec<Vec<usize>> = prompts
-                .iter()
-                .map(|p| hybrid_oracle_tokens(&[(0, &qo), (b, &qn)], p, n_generate, resume))
-                .collect();
-            if legal == got {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// The simulated network as the master's [`ServingRing`]: a dial is
@@ -416,7 +375,6 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let n = cfg.n_stages.clamp(1, model.cfg.n_layers);
     let n_seqs = cfg.prompts.len();
     let exec = build_exec_plan(&model, n, n_seqs);
-    let oracle = oracle_tokens(&model, &exec, &cfg.prompts, cfg.n_generate);
     // Live-migration state: the swap target, the plan currently in force
     // (workers re-read it on every attempt — after a committed swap a
     // restarted stage must boot on the *target* plan), and the shared
@@ -728,76 +686,38 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     });
 
     let sim = net.finish();
-    let mut violations = sim.violations;
     // Infallible: the master actor stores its outcome before `run_over`,
     // and the thread scope joined it above.
     let MasterOutcome { result, restarts, stats, pending, swaps } = outcome
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .expect("master actor records an outcome before exiting");
-    if !stats.conserves(pending) {
-        violations.push(format!(
-            "admission conservation violated: offered {} != served {} + shed {} + expired {} + \
-             pending {pending}",
-            stats.offered, stats.served, stats.shed, stats.expired
-        ));
+    let mut inv = Invariants::new(sim.violations);
+    inv.conservation(&stats, pending);
+    let committed = swaps.iter().any(|r| r.committed);
+    if plan.is_empty() {
+        inv.completed("fault-free run", result.as_ref());
+        inv.fault_free(restarts as u64, result.is_ok() && target.is_some() && !committed);
     }
-    match &result {
-        Ok(tokens) => match (&cfg.migration, &target) {
-            (Some(m), Some(t)) => {
-                let committed = swaps.iter().any(|r| r.committed);
-                if committed {
-                    // Every legal history is: old plan up to boundary
-                    // `b` (the scheduled token, plus one per pre-commit
-                    // barrier death), target plan after, with at most
-                    // one visible re-prefill resume point.
-                    if !migration_history_legal(
-                        &model,
-                        &exec,
-                        t,
-                        m.at_token.max(1),
-                        &cfg.prompts,
-                        cfg.n_generate,
-                        tokens,
-                    ) {
-                        violations.push(
-                            "committed migration produced tokens matching no legal swap history"
-                                .to_string(),
-                        );
-                    }
-                } else if *tokens != oracle {
-                    violations.push(
-                        "aborted migration diverges from the old-plan oracle".to_string(),
-                    );
-                }
-                if plan.is_empty() && !committed {
-                    violations
-                        .push("fault-free migration run failed to commit the swap".to_string());
-                }
-            }
-            _ => {
-                if *tokens != oracle {
-                    violations.push(
-                        "token output diverges from the fault-free sequential oracle".to_string(),
-                    );
-                }
-            }
-        },
-        Err(e) => {
-            if plan.is_empty() {
-                violations.push(format!("fault-free run failed: {e}"));
-            }
+    // The oracles: single-threaded greedy generation on the eagerly
+    // quantized model(s) — what the pipeline must match bit-for-bit.
+    let q = |p: &ExecutionPlan| quantize_model(&model, &p.bit_assignment(), Rounding::Deterministic, 0);
+    match (&result, &target, &cfg.migration) {
+        (Ok(tokens), Some(t), Some(m)) if committed => {
+            inv.legal_swap_history(&q(&exec), &q(t), m.at_token, &cfg.prompts, cfg.n_generate, tokens)
         }
+        (Ok(tokens), _, _) => {
+            let qm = q(&exec);
+            let want: Vec<_> =
+                cfg.prompts.iter().map(|p| qm.generate(p, cfg.n_generate, 0.0, 0).tokens).collect();
+            // An aborted swap leaves the base plan in force throughout.
+            let (want, got) = (want.into_iter().enumerate(), tokens.iter().cloned().enumerate());
+            inv.matches_oracle("the fault-free sequential oracle", want, got);
+        }
+        (Err(_), _, _) => {}
     }
-    if plan.is_empty() && restarts != 0 {
-        violations.push(format!("fault-free run took {restarts} restart(s)"));
-    }
-    if restarts > cfg.max_restarts {
-        violations.push(format!(
-            "restart count {restarts} exceeds the recovery bound {}",
-            cfg.max_restarts
-        ));
-    }
+    inv.restart_bound(restarts as u64, cfg.max_restarts);
+    inv.epochs_increase(&swaps);
     SimReport {
         seed: None,
         tokens: result.as_ref().ok().cloned(),
@@ -809,7 +729,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
         corrupt_detected: sim.corrupt_detected,
         swaps,
         trace: sim.trace,
-        violations,
+        violations: inv.into_violations(),
         final_virtual_us: sim.final_now_us,
     }
 }

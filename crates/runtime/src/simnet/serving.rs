@@ -3,13 +3,10 @@
 //! seeded arrival traces and seeded, migration-biased fault schedules,
 //! with every run checked against the **hybrid oracle** — the local
 //! [`ModelStepEngine`] serving the identical trace, config and swap
-//! schedule. Restart-free runs must match the oracle token for token;
-//! restarted runs must conserve admissions, stay inside the restart
-//! budget, serve exact lengths and never contradict an
-//! already-streamed token (see [`run_serving_chaos`] for the tier
-//! rationale). Any violation shrinks to a minimal replayable
-//! counterexample exactly like the wire-level sweep in
-//! [`super::shrink_schedule`].
+//! schedule — by simnet's one invariant checker (see
+//! [`run_serving_chaos`] for which rules apply and why). Any violation
+//! shrinks to a minimal replayable counterexample exactly like the
+//! wire-level sweep in [`super::shrink_schedule`].
 //!
 //! Entry points: [`run_serving_chaos`] (one seed, one schedule) and the
 //! [`SimScenario`] impl on [`ServingChaosConfig`], which [`super::seed_sweep`]
@@ -17,6 +14,7 @@
 //! each, shrinking failures). `llmpq-simnet --serving` is a thin CLI
 //! wrapper.
 
+use super::invariants::Invariants;
 use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::even_split;
@@ -31,7 +29,6 @@ use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Parameters of one serving-chaos run (the model is always the tiny
@@ -186,38 +183,22 @@ fn serve_cfg(cfg: &ServingChaosConfig, swap: Option<RungSwap>) -> ContinuousConf
     }
 }
 
-/// [`crate::serve::serve_continuous`] with two chaos-only extras: the
-/// engine's epoch/restart counters read out before the scheduler is
-/// consumed, and a landed-token audit — the same `(request, index)`
-/// must never land two different tokens, or a streaming consumer that
-/// already emitted the first landing now holds a token the final
-/// answer disagrees with.
+/// What one serving pass leaves for the verdict: its report, every
+/// `(request, index, token)` it landed in order, and the engine's
+/// restart and epoch counters, read out before the scheduler is consumed.
+type Served = (ContinuousReport, Vec<(usize, usize, usize)>, u64, u64);
+
+/// [`crate::serve::serve_continuous`], keeping what the verdict reads.
 fn drive<E: StepEngine>(
     engine: E,
     requests: &[Request],
     cfg: ContinuousConfig,
-    stream_violations: &mut Vec<String>,
-) -> Result<(ContinuousReport, u64, u64), String> {
+) -> Result<Served, String> {
     let mut sched = ContinuousScheduler::new(engine, cfg)?;
-    let mut emitted: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let makespan = sched.run_trace_with(requests, |out| {
-        for &(id, index, token) in &out.landed {
-            let prev = *emitted.entry((id, index)).or_insert(token);
-            if prev != token {
-                stream_violations.push(format!(
-                    "stream contradiction: request {id} token {index} landed as {prev}, \
-                     re-landed as {token}"
-                ));
-            }
-        }
-    })?;
-    let restarts = sched.engine().restarts();
-    let epoch = sched.engine().epoch();
-    Ok((sched.into_report(makespan, "continuous"), restarts, epoch))
-}
-
-fn finished_tokens(report: &ContinuousReport) -> BTreeMap<usize, Vec<usize>> {
-    report.outputs.iter().map(|f| (f.id, f.tokens.clone())).collect()
+    let mut landed = Vec::new();
+    let makespan = sched.run_trace_with(requests, |out| landed.extend_from_slice(&out.landed))?;
+    let (restarts, epoch) = (sched.engine().restarts(), sched.engine().epoch());
+    Ok((sched.into_report(makespan, "continuous"), landed, restarts, epoch))
 }
 
 /// Run one seed's serving-chaos scenario under `faults` and return the
@@ -231,9 +212,9 @@ fn finished_tokens(report: &ContinuousReport) -> BTreeMap<usize, Vec<usize>> {
 /// reshapes its timeline (the recovery iteration shifts when an
 /// iteration-keyed swap lands relative to request progress, and prefix
 /// KV is rebuilt at the committed rung), so exact oracle equality is
-/// not demanded; instead every run must conserve admissions (including
-/// the recovered leg), respect the restart budget, serve every
-/// finished request to its exact requested length, and never
+/// not demanded; instead every run must complete (schedules are drawn
+/// survivable), conserve admissions, respect the restart budget, serve
+/// every finished request once at its exact requested length, and never
 /// contradict a token it already landed (stream consistency — restored
 /// sequences resume preserved tokens rather than re-sampling).
 pub fn run_serving_chaos(
@@ -242,29 +223,37 @@ pub fn run_serving_chaos(
     faults: &FaultPlan,
 ) -> ServingChaosRun {
     let swap = serving_swap(cfg, seed);
-    let mut run = ServingChaosRun {
+    let mut inv = Invariants::default();
+    let (restarts, epoch, recovered) =
+        serve_and_check(cfg, seed, faults, swap, &mut inv).unwrap_or_default();
+    ServingChaosRun {
         seed,
-        violations: Vec::new(),
-        restarts: 0,
-        epoch: 0,
-        recovered: 0,
+        violations: inv.into_violations(),
+        restarts,
+        epoch,
+        recovered,
         fault_events: faults.events.len(),
-        swap_at: swap.as_ref().map(|s| s.at_iteration),
-    };
-    let trace = match chaos_trace(cfg, seed) {
-        Ok(t) => t,
-        Err(e) => {
-            run.violations.push(format!("trace generation failed: {e}"));
-            return run;
-        }
-    };
+        swap_at: swap.map(|s| s.at_iteration),
+    }
+}
+
+/// The body of [`run_serving_chaos`]: the distributed run's restarts,
+/// final epoch and recovered sequences, or `None` at the first pass
+/// that fails to complete (the checker has recorded why).
+fn serve_and_check(
+    cfg: &ServingChaosConfig,
+    seed: u64,
+    faults: &FaultPlan,
+    swap: Option<RungSwap>,
+    inv: &mut Invariants,
+) -> Option<(u64, u64, usize)> {
+    let trace = inv.completed("trace generation", chaos_trace(cfg, seed))?;
     let model = checkpoint();
     let n = model.cfg.n_layers;
     let bit_ladder = vec![
         BitAssignment::uniform(n, Bitwidth::Fp16),
         BitAssignment::uniform(n, Bitwidth::Int8),
     ];
-    let mut oracle_stream = Vec::new();
     let local = ModelStepEngine::new(
         &model,
         &bit_ladder,
@@ -272,17 +261,9 @@ pub fn run_serving_chaos(
         seed,
         KvPoolConfig::default(),
     )
-    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap), &mut oracle_stream));
-    let (oracle, _, _) = match local {
-        Ok(r) => r,
-        Err(e) => {
-            run.violations.push(format!("local oracle failed: {e}"));
-            return run;
-        }
-    };
-    if !oracle_stream.is_empty() {
-        run.violations.push(format!("local oracle broke stream consistency: {oracle_stream:?}"));
-    }
+    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap)));
+    let (oracle, oracle_landed, _, _) = inv.completed("local oracle", local)?;
+    inv.stream_consistent("local oracle", &oracle_landed);
     let dist_cfg = DistServeConfig {
         n_slots: (cfg.max_batch * 2).max(8),
         max_restarts: cfg.max_restarts,
@@ -292,7 +273,6 @@ pub fn run_serving_chaos(
         tick: Duration::from_millis(1),
         ..DistServeConfig::default()
     };
-    let mut dist_stream = Vec::new();
     let dist = DistStepEngine::over_channels(
         &model,
         vec![stage_plan(Bitwidth::Fp16), stage_plan(Bitwidth::Int8)],
@@ -301,64 +281,22 @@ pub fn run_serving_chaos(
         dist_cfg,
         Some(faults.clone()),
     )
-    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap), &mut dist_stream));
-    let (report, restarts, epoch) = match dist {
-        Ok(r) => r,
-        Err(e) => {
-            // Schedules are drawn survivable (ring losses ≤ budget), so
-            // even an exhausted restart budget is a violation here.
-            run.violations.push(format!("distributed run failed: {e}"));
-            return run;
-        }
-    };
-    run.restarts = restarts;
-    run.epoch = epoch;
-    run.recovered = report.stats.recovered;
-    run.violations.extend(dist_stream);
-    let want = finished_tokens(&oracle);
-    let got = finished_tokens(&report);
-    if restarts == 0 && want != got {
-        let diverged: Vec<usize> =
-            want.iter().filter(|(id, toks)| got.get(id) != Some(toks)).map(|(id, _)| *id).collect();
-        run.violations.push(format!(
-            "token divergence vs local oracle without any restart: {} of {} requests differ \
-             (ids {:?})",
-            diverged.len().max(want.len().abs_diff(got.len())),
-            want.len(),
-            diverged
-        ));
+    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap)));
+    // Schedules are drawn survivable (ring losses ≤ budget), so even an
+    // exhausted restart budget is a violation here.
+    let (report, landed, restarts, epoch) = inv.completed("distributed run", dist)?;
+    inv.stream_consistent("distributed run", &landed);
+    if restarts == 0 {
+        let tokens = |r: &ContinuousReport| -> Vec<_> {
+            r.outputs.iter().map(|f| (f.id, f.tokens.clone())).collect()
+        };
+        inv.matches_oracle("the local oracle without any restart", tokens(&oracle), tokens(&report));
     }
-    // Completion integrity: a served request is exactly its requested
-    // length — restarts must not truncate or overshoot a sequence.
-    for fin in &report.outputs {
-        if let Some(req) = trace.iter().find(|r| r.id == fin.id) {
-            if fin.tokens.len() != req.n_generate {
-                run.violations.push(format!(
-                    "request {} served {} tokens, asked for {}",
-                    fin.id,
-                    fin.tokens.len(),
-                    req.n_generate
-                ));
-            }
-        }
-    }
-    if !report.conserves() {
-        run.violations.push(format!(
-            "admission conservation broken: offered {} != served {} + shed {} + expired {} + \
-             pending {} (recovered leg {})",
-            report.stats.offered,
-            report.stats.served,
-            report.stats.shed,
-            report.stats.expired,
-            report.pending_end,
-            report.stats.recovered,
-        ));
-    }
-    if restarts > cfg.max_restarts as u64 {
-        run.violations
-            .push(format!("restart bound broken: {restarts} > budget {}", cfg.max_restarts));
-    }
-    run
+    let offered = trace.iter().map(|r| (r.id, Some(r.n_generate))).collect();
+    inv.served_once(&offered, report.outputs.iter().map(|f| (f.id, f.tokens.len())));
+    inv.conservation(&report.stats, report.pending_end);
+    inv.restart_bound(restarts, cfg.max_restarts);
+    Some((restarts, epoch, report.stats.recovered))
 }
 
 impl SimSchedule for FaultPlan {

@@ -82,7 +82,7 @@ impl ElasticPlanner for RehomePlanner {
 fn controller(base: &ExecutionPlan) -> FleetController {
     FleetController::new(
         Box::new(RehomePlanner),
-        Box::new(DebouncedPolicy::new(10_000, 50_000, 200_000, 3)),
+        DebouncedPolicy::new(10_000, 50_000, 200_000, 3),
         [0, 1, 2],
         base.clone(),
     )

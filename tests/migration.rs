@@ -152,6 +152,7 @@ fn chained_swaps_walk_precision_down_then_repartition() {
     assert_eq!(out.swaps.len(), 2);
     assert!(out.swaps.iter().all(|r| r.committed));
     assert_eq!((out.swaps[0].epoch, out.swaps[1].epoch), (1, 2));
+    assert!(out.swaps.windows(2).all(|w| w[0].epoch < w[1].epoch), "epochs strictly increase");
     assert_eq!(out.final_plan, last);
 
     let qb = quantize_model(&ck, &base.bit_assignment(), Rounding::Deterministic, 0);
