@@ -4,18 +4,21 @@
 //! search on the survivors: `cold_s`, an `assign` (empty caches, no
 //! previous plan), and `warm_s`, a planner that solved the full fleet
 //! first and so brings filled cost/evaluation caches and a repaired
-//! incumbent. Memoisation within a call and seed lower-bound pruning
-//! are in both columns; the gap between them is what carrying state
-//! across the loss buys.
+//! incumbent — each the median of 15 timed runs, the two alternating,
+//! and `speedup` the median of the 15 pairs' `cold / warm` ratios.
+//! Memoisation within a call and bound pruning are in both columns; the
+//! gap between them is what carrying state across the loss buys.
 //!
 //! `run_all bench_solver --check` turns the acceptance bar into an exit
 //! code: at every size the warm objective must never be worse than the
 //! cold one (the incumbent only prunes work, never the optimum; under
 //! grid subsampling it may legitimately *beat* the cold grid), and at
-//! fleet scale (≥ 50 devices) warm must not be slower than cold and a
-//! cold plan must finish within 100 ms — the bar that pins the
-//! memoisation (the unmemoised `assign` this replaced took ~200 ms
-//! there). `--out FILE` writes the report elsewhere.
+//! fleet scale (≥ 50 devices) warm must not be slower than cold (a
+//! median speedup of at least 1) and a cold plan must finish within
+//! 30 ms — the bar that pins the memoisation, the per-profile partition
+//! DP and the bound prune on every candidate plan (the unmemoised
+//! `assign` took ~200 ms there, the per-device DP without the prune
+//! 14–33 ms). `--out FILE` writes the report elsewhere.
 
 use crate::{Args, Out};
 use llm_pq::{assign, AssignerConfig, IncrementalPlanner, SolverChoice};
@@ -63,7 +66,18 @@ fn cfg() -> AssignerConfig {
 }
 
 /// Wall-time budget for a cold plan at fleet scale (≥ 50 devices).
-const COLD_BUDGET_S: f64 = 0.1;
+const COLD_BUDGET_S: f64 = 0.03;
+
+/// Timed warm/cold pairs per fleet size. Each column is the median of
+/// its runs and the speedup the median of the pairs' ratios, so a slow
+/// spell of a shared host, which falls on both runs of a pair, cannot
+/// decide a bar on its own.
+const TIMED_RUNS: usize = 15;
+
+fn median(mut secs: Vec<f64>) -> f64 {
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
 
 #[derive(Serialize)]
 struct Row {
@@ -116,22 +130,31 @@ pub fn run(out: &mut Out, args: &Args) {
 
         // Warm path: the planner has already solved the full fleet
         // (steady state before the loss), then replans the survivors.
-        let mut warm = IncrementalPlanner::new(spec.clone(), job, cfg);
-        warm.plan(&full, &db, &ind).expect("full fleet plans");
-        let t0 = Instant::now();
-        let w = warm.plan(&shrunk, &db, &ind).expect("warm replan");
-        let warm_s = t0.elapsed().as_secs_f64();
+        // Cold: the same search from scratch on the survivors. The two
+        // alternate, so a slow spell of the host falls on both.
+        let mut warm_runs = Vec::with_capacity(TIMED_RUNS);
+        let mut cold_runs = Vec::with_capacity(TIMED_RUNS);
+        let mut last = None;
+        for _ in 0..TIMED_RUNS {
+            let mut warm = IncrementalPlanner::new(spec.clone(), job, cfg);
+            warm.plan(&full, &db, &ind).expect("full fleet plans");
+            let t0 = Instant::now();
+            let w = warm.plan(&shrunk, &db, &ind).expect("warm replan");
+            warm_runs.push(t0.elapsed().as_secs_f64());
+            let t1 = Instant::now();
+            let cold = assign(&shrunk, &spec, &job, &db, &ind, &cfg).expect("cold plan");
+            cold_runs.push(t1.elapsed().as_secs_f64());
+            last = Some((w, cold));
+        }
+        let (w, cold) = last.expect("at least one timed run");
+        let speedup =
+            median(cold_runs.iter().zip(&warm_runs).map(|(c, w)| c / w.max(1e-12)).collect());
+        let (warm_s, cold_s) = (median(warm_runs), median(cold_runs));
         let warm_obj = w.objective(theta);
-
-        // Cold: the same search from scratch on the survivors.
-        let t1 = Instant::now();
-        let cold = assign(&shrunk, &spec, &job, &db, &ind, &cfg).expect("cold plan");
-        let cold_s = t1.elapsed().as_secs_f64();
         let cold_obj = cold.report.total_latency + theta * cold.omega_total;
 
         let tol = 1e-9 * cold_obj.abs().max(1.0);
         let equal_objective = warm_obj <= cold_obj + tol;
-        let speedup = cold_s / warm_s.max(1e-12);
         let row = Row {
             n_devices: n,
             devices_lost: lost,
@@ -172,8 +195,11 @@ pub fn run(out: &mut Out, args: &Args) {
                 "n={n}: warm objective {warm_obj} worse than cold {cold_obj}"
             ));
         }
-        if n >= 50 && warm_s > cold_s {
-            failures.push(format!("n={n}: warm {warm_s:.4}s slower than cold {cold_s:.4}s"));
+        if n >= 50 && speedup < 1.0 {
+            failures.push(format!(
+                "n={n}: warm slower than cold (median speedup {speedup:.2}x, warm {warm_s:.4}s, \
+                 cold {cold_s:.4}s)"
+            ));
         }
         if n >= 50 && cold_s > COLD_BUDGET_S {
             failures.push(format!(

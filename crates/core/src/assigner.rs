@@ -7,10 +7,11 @@
 //! the configured inner solver (the exact DP or the Algorithm-2
 //! heuristic), then tries the uniform even-split seed plans. The best
 //! plan by `latency + θ·Σω` wins. Cost-model lookups and plan
-//! evaluations are memoised and seeds are pruned by a sound makespan
-//! lower bound for every caller: [`assign`] is the search on empty
-//! caches with no previous plan, [`crate::IncrementalPlanner`] the same
-//! search on caches it keeps between calls.
+//! evaluations are memoised and every candidate plan is pruned by a
+//! sound makespan lower bound for every caller: [`assign`] is the
+//! search on empty caches with no previous plan,
+//! [`crate::IncrementalPlanner`] the same search on caches it keeps
+//! between calls.
 
 use crate::config::{AssignerConfig, SolverChoice};
 use crate::evaluate::{representative_past, PlanReport};
@@ -129,12 +130,36 @@ pub fn build_problem(
 ) -> (PartitionProblem, Vec<f64>, Vec<usize>) {
     build_problem_cached(
         cluster, ordering, spec, job, db, indicator, theta, mb, group, bits_set, phase_aware,
-        dp_grid, kv_bits, &mut CostCache::default(),
+        dp_grid, kv_bits, &mut CostCache::default(), &mut Tensors::default(),
     )
 }
 
+/// The `[g][j][b]` tensors of spent problems, kept so that a search
+/// refills them instead of allocating (and paging in) five fresh ones
+/// per combination — at fleet scale they are tens of kilobytes each.
+#[derive(Default)]
+struct Tensors {
+    spare: Vec<Vec<f64>>,
+}
+
+impl Tensors {
+    /// A zeroed tensor of `len` entries, reusing a spare one if any.
+    fn take(&mut self, len: usize) -> Vec<f64> {
+        let mut v = self.spare.pop().unwrap_or_default();
+        v.clear();
+        v.resize(len, 0.0);
+        v
+    }
+
+    /// Keep a spent problem's tensors (and its quality tensor).
+    fn recycle(&mut self, p: PartitionProblem, quality: Vec<f64>) {
+        self.spare.extend([p.pre_time, p.dec_time, p.mem, p.lin_cost, quality]);
+    }
+}
+
 /// [`build_problem`] with the cost-model and ω lookups routed through
-/// `cache` (a throw-away cache gives the uncached answer bit for bit).
+/// `cache` (a throw-away cache gives the uncached answer bit for bit)
+/// and the tensors drawn from `tensors`.
 #[allow(clippy::too_many_arguments)]
 fn build_problem_cached(
     cluster: &Cluster,
@@ -151,6 +176,7 @@ fn build_problem_cached(
     dp_grid: Option<usize>,
     kv_bits: f64,
     cache: &mut CostCache,
+    tensors: &mut Tensors,
 ) -> (PartitionProblem, Vec<f64>, Vec<usize>) {
     let sizes = group_sizes(spec.n_layers, group);
     let l = sizes.len();
@@ -160,11 +186,11 @@ fn build_problem_cached(
     let dec_w = PhaseWorkload::decode(mb.decode_size, job.prompt_len, representative_past(job));
 
     let size = l * n * nb;
-    let mut pre = vec![0.0; size];
-    let mut dec = vec![0.0; size];
-    let mut mem = vec![0.0; size];
-    let mut lin = vec![0.0; size];
-    let mut quality = vec![0.0; size];
+    let mut pre = tensors.take(size);
+    let mut dec = tensors.take(size);
+    let mut mem = tensors.take(size);
+    let mut lin = tensors.take(size);
+    let mut quality = tensors.take(size);
 
     let kv_per_layer =
         round_block(spec.kv_bytes_per_layer(job.global_batch, job.max_seq(), kv_bits));
@@ -434,11 +460,14 @@ fn makespan_lower_bound(
     prefill_lb + decode_lb
 }
 
-/// Sound lower bound on the simulated latency of a plan whose stages
-/// each run one bitwidth (the seed plans), assembled from memoised
-/// per-layer and master latencies: never above what
-/// [`crate::evaluate_plan`] reports as `total_latency` for the plan.
-pub fn seed_lower_bound(
+/// Sound lower bound on the simulated latency of `plan`, assembled from
+/// memoised per-layer and master latencies: never above what
+/// [`crate::evaluate_plan`] reports as `total_latency` for the plan,
+/// short of float rounding (see `BOUND_MARGIN`). A stage's time is
+/// the same per-layer sum, in the same order, that the evaluation's
+/// [`CostDb::stage_latency_kv`] takes, so mixed precision within a
+/// stage is priced layer by layer.
+pub fn plan_lower_bound(
     plan: &ExecutionPlan,
     cluster: &Cluster,
     spec: &ModelSpec,
@@ -457,9 +486,24 @@ pub fn seed_lower_bound(
     let mut comm_dec = Vec::new();
     for (i, s) in plan.stages.iter().enumerate() {
         let gpu = cluster.devices[s.device].gpu;
-        let take = s.n_layers() as f64;
-        pre.push(take * cost.layer_latency(db, gpu, spec, &pw, s.bits[0], kv));
-        dec.push(take * cost.layer_latency(db, gpu, spec, &dw, s.bits[0], kv));
+        let mut stage_time = |w: &PhaseWorkload| -> f64 {
+            // One lookup per run of equal bits; the sum still adds
+            // every layer's latency in layer order.
+            let mut last: Option<(Bitwidth, f64)> = None;
+            s.bits
+                .iter()
+                .map(|&b| match last {
+                    Some((lb, t)) if lb == b => t,
+                    _ => {
+                        let t = cost.layer_latency(db, gpu, spec, w, b, kv);
+                        last = Some((b, t));
+                        t
+                    }
+                })
+                .sum()
+        };
+        pre.push(stage_time(&pw));
+        dec.push(stage_time(&dw));
         if i + 1 < n_stages {
             let link = cluster.link_between(s.device, plan.stages[i + 1].device);
             comm_pre.push(link.transfer_time(flops::boundary_activation_bytes(spec, &pw)));
@@ -474,13 +518,33 @@ pub fn seed_lower_bound(
     )
 }
 
+/// Relative slack of the bound prune. [`plan_lower_bound`] and the
+/// simulation reach the same quantities through different sequences of
+/// float additions and maxima, so a bound that is exact in real
+/// arithmetic can exceed the simulated latency by a few ulps (relative
+/// ~1e-15 per operation, a few dozen operations). A plan is skipped only
+/// when its bound beats the incumbent by this margin, orders of
+/// magnitude above that rounding, so a skipped plan could never have
+/// won under the strict-improvement rule.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// Whether a plan whose latency is at least `lb` and whose quality term
+/// is `quality` cannot beat the incumbent objective `best`.
+fn bound_rules_out(lb: f64, quality: f64, best: f64) -> bool {
+    lb + quality >= best + BOUND_MARGIN * best.abs()
+}
+
 /// Algorithm 1: the (ordering × micro-batch × KV width) enumeration
 /// around the inner solver, then the uniform seed pass. Costs and plan
 /// evaluations go through `cost` / `eval`; with `prev`, the previous
 /// winner is repaired onto each ordering and handed to the DP as its
-/// incumbent. Neither changes the best objective: memoised values are
-/// the values, the seed bound is sound, and the incumbent only prunes
-/// candidates that cannot beat it. `menu` comes from [`checked_menu`].
+/// incumbent. Every candidate plan — the solver's and the seeds — is
+/// simulated only if its makespan lower bound plus its exactly
+/// computable ω term can still beat the best objective so far. None of
+/// this changes the best objective: memoised values are the values, the
+/// bound is sound, and both it and the incumbent only prune candidates
+/// that cannot win under the strict-improvement rule (ties keep the
+/// earlier plan). `menu` comes from [`checked_menu`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     cluster: &Cluster,
@@ -505,6 +569,7 @@ pub(crate) fn search(
         SolverChoice::Heuristic => 1,
     };
     let kv_options: Vec<u32> = if cfg.search_kv8 { vec![16, 8] } else { vec![16] };
+    let mut tensors = Tensors::default();
     for ordering in &orderings {
         let mb_plans = microbatch_counts(job, ordering.len(), cfg.xi);
         for mb in &mb_plans {
@@ -512,7 +577,7 @@ pub(crate) fn search(
                 combos += 1;
                 let (problem, quality, sizes) = build_problem_cached(
                     cluster, ordering, spec, job, db, Some(indicator), cfg.theta, mb, group,
-                    menu, true, cfg.dp_grid, kv as f64, cost,
+                    menu, true, cfg.dp_grid, kv as f64, cost, &mut tensors,
                 );
                 let sol = match cfg.solver {
                     SolverChoice::Dp { .. } => {
@@ -530,14 +595,21 @@ pub(crate) fn search(
                     }
                     SolverChoice::Heuristic => heuristic_solve(&problem, &quality, 400),
                 };
+                tensors.recycle(problem, quality);
                 let Some(sol) = sol else { continue };
                 let plan = solution_to_plan(
                     cluster, ordering, spec, &sizes, &sol, mb, "LLM-PQ", menu, kv,
                 );
+                let omega = indicator.total(&plan.bit_assignment().bits);
+                if let Some((_, _, _, best_obj)) = best.as_ref() {
+                    let lb = plan_lower_bound(&plan, cluster, spec, job, db, cost);
+                    if bound_rules_out(lb, cfg.theta * omega, *best_obj) {
+                        continue;
+                    }
+                }
                 let Ok(report) = eval.evaluate(&plan, cluster, spec, db, job) else {
                     continue;
                 };
-                let omega = indicator.total(&plan.bit_assignment().bits);
                 let objective = report.total_latency + cfg.theta * omega;
                 if best.as_ref().is_none_or(|(_, _, _, o)| objective < *o) {
                     best = Some((plan, report, omega, objective));
@@ -550,17 +622,15 @@ pub(crate) fn search(
     // eq. 4–16's search space trivially contains: even partitions with
     // uniform bits (FP16 KV), over every micro-batch plan. This
     // guarantees LLM-PQ never loses to the Uniform baseline, matching
-    // the paper's dominance. A seed whose provable makespan floor plus
-    // its exactly computable ω term cannot beat the best objective so
-    // far cannot change the winner under the strict-improvement rule,
-    // so its full evaluation is skipped.
+    // the paper's dominance. Seeds meet the same bound test as the
+    // solver's plans above.
     for mb in microbatch_counts(job, cluster.len(), cfg.xi) {
         for bits in menu.iter().copied() {
             let plan = even_plan(cluster, spec, bits, mb, "LLM-PQ");
             let omega = indicator.total(&plan.bit_assignment().bits);
             if let Some((_, _, _, best_obj)) = best.as_ref() {
-                let lb = seed_lower_bound(&plan, cluster, spec, job, db, cost);
-                if lb + cfg.theta * omega >= *best_obj {
+                let lb = plan_lower_bound(&plan, cluster, spec, job, db, cost);
+                if bound_rules_out(lb, cfg.theta * omega, *best_obj) {
                     stats.seeds_pruned += 1;
                     continue;
                 }
@@ -769,7 +839,7 @@ mod tests {
                 let Ok(report) = evaluate_plan(&plan, &cluster, &spec, &db, &job) else {
                     continue;
                 };
-                let lb = seed_lower_bound(&plan, &cluster, &spec, &job, &db, &mut cost);
+                let lb = plan_lower_bound(&plan, &cluster, &spec, &job, &db, &mut cost);
                 assert!(
                     lb <= report.total_latency + 1e-9,
                     "LB {lb} exceeds simulated {} for mb {mb:?} bits {bits:?}",

@@ -4,7 +4,7 @@
 //! deltas and correctly invalidated when the cost database or device
 //! classes change. Algorithm 1 has one implementation, so there is no
 //! unpruned, unmemoised twin to compare it with; the two things its
-//! exactness rests on are properties here too — the seed lower bound
+//! exactness rests on are properties here too — the plan lower bound
 //! never exceeds the simulated latency, and the evaluation cache
 //! answers exactly what `evaluate_plan` answers.
 //!
@@ -12,10 +12,11 @@
 //! passes); the properties are about *equivalence*, not coverage
 //! volume — any divergence at all is a bug.
 
-use llm_pq::assigner::{even_plan, seed_lower_bound};
+use llm_pq::assigner::{even_plan, plan_lower_bound};
+use llm_pq::transfer::heuristic_solve;
 use llm_pq::{
-    evaluate_plan, AssignerConfig, CostCache, EvalCache, ExecutionPlan, IncrementalPlanner,
-    PlanOrigin, SolverChoice, StagePlan,
+    build_problem, device_orderings, evaluate_plan, solution_to_plan, AssignerConfig, CostCache,
+    EvalCache, ExecutionPlan, IncrementalPlanner, PlanOrigin, SolverChoice, StagePlan,
 };
 use llmpq_cluster::{paper_cluster, Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
@@ -300,39 +301,75 @@ proptest! {
         );
     }
 
-    /// The seed pass skips a uniform even-split plan when its makespan
-    /// lower bound (plus its ω term) cannot beat the incumbent; that is
-    /// only sound if the bound never exceeds the latency the plan would
-    /// have been given. Every seed shape the search can draw — each
-    /// micro-batch plan × each bitwidth — on random fleets.
+    /// The search skips a candidate plan — a uniform even-split seed, a
+    /// DP plan or an Algorithm-2 plan — when its makespan lower bound
+    /// (plus its ω term) cannot beat the incumbent; that is only sound
+    /// if the bound never exceeds the latency the plan would have been
+    /// given. Every seed shape the search can draw (each micro-batch
+    /// plan × each bitwidth), the DP's and the heuristic's plans for
+    /// each ordering × micro-batch plan, and those plans again with
+    /// their stages' bits mixed layer by layer, on random fleets. The
+    /// tolerance is a relative 1e-12, far inside the prune's margin.
     #[test]
     fn seed_lower_bound_is_below_evaluated_latency(
-        fleet in prop::collection::vec(gpu_strategy(), 3..=6)
+        fleet in prop::collection::vec(gpu_strategy(), 3..=6),
+        mix in prop::collection::vec(0usize..4, 48),
     ) {
         let db = CostDb::oracle(&KernelEnv::default());
         let cluster = cluster_of("seeds", &fleet);
-        let mut evaluated = 0usize;
-        for (spec, job) in [(tiny_spec(), job()), (zoo::opt_30b(), BatchJob::paper_default())] {
+        let (mut seeds, mut solved, mut mixed) = (0usize, 0usize, 0usize);
+        for (spec, job, group) in
+            [(tiny_spec(), job(), 1), (zoo::opt_30b(), BatchJob::paper_default(), 8)]
+        {
             let mut cost = CostCache::default();
+            let check = |plan: &ExecutionPlan, cost: &mut CostCache| -> bool {
+                // Plans that do not fit are never compared with the bound.
+                let Ok(report) = evaluate_plan(plan, &cluster, &spec, &db, &job) else {
+                    return false;
+                };
+                let lb = plan_lower_bound(plan, &cluster, &spec, &job, &db, cost);
+                prop_assert!(
+                    lb <= report.total_latency * (1.0 + 1e-12),
+                    "{} on {fleet:?}: bound {lb} exceeds simulated {} for {plan:?}",
+                    spec.name,
+                    report.total_latency
+                );
+                true
+            };
             for mb in microbatch_counts(&job, cluster.len(), 4) {
                 for bits in Bitwidth::ALL {
-                    let plan = even_plan(&cluster, &spec, bits, mb, "LLM-PQ");
-                    // Plans that do not fit are never compared with the bound.
-                    let Ok(report) = evaluate_plan(&plan, &cluster, &spec, &db, &job) else {
-                        continue;
-                    };
-                    evaluated += 1;
-                    let lb = seed_lower_bound(&plan, &cluster, &spec, &job, &db, &mut cost);
-                    prop_assert!(
-                        lb <= report.total_latency + 1e-9,
-                        "{} on {fleet:?}: bound {lb} exceeds simulated {} for {mb:?} at {bits:?}",
-                        spec.name,
-                        report.total_latency
+                    seeds += usize::from(check(&even_plan(&cluster, &spec, bits, mb, "LLM-PQ"), &mut cost));
+                }
+            }
+            for ordering in device_orderings(&cluster, 2) {
+                for mb in microbatch_counts(&job, ordering.len(), 2) {
+                    let (problem, quality, sizes) = build_problem(
+                        &cluster, &ordering, &spec, &job, &db, Some(&tiny_indicator(spec.n_layers)),
+                        0.05, &mb, group, &Bitwidth::ALL, true, Some(8), 16.0,
                     );
+                    let sols = [
+                        llmpq_solver::solve_partition(&problem),
+                        heuristic_solve(&problem, &quality, 50),
+                    ];
+                    for sol in sols.iter().flatten() {
+                        let mut plan = solution_to_plan(
+                            &cluster, &ordering, &spec, &sizes, sol, &mb, "LLM-PQ", &Bitwidth::ALL, 16,
+                        );
+                        solved += usize::from(check(&plan, &mut cost));
+                        for s in &mut plan.stages {
+                            for (l, b) in (s.layer_start..s.layer_end).zip(s.bits.iter_mut()) {
+                                *b = Bitwidth::ALL[mix[l % mix.len()]];
+                            }
+                        }
+                        mixed += usize::from(check(&plan, &mut cost));
+                    }
                 }
             }
         }
-        prop_assert!(evaluated > 0, "no seed plan fit {fleet:?}");
+        prop_assert!(
+            seeds > 0 && solved > 0 && mixed > 0,
+            "{fleet:?}: {seeds} seed, {solved} solver and {mixed} mixed-bit plans fit"
+        );
     }
 
     /// One `EvalCache` shared across a fleet and a churned copy of it

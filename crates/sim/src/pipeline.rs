@@ -12,6 +12,8 @@
 //! boundary, which acts as a barrier.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Per-stage execution profile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,6 +57,48 @@ pub struct PipelineReport {
     pub stage_busy: Vec<f64>,
     /// 1 − busy/total of the most idle stage during decode.
     pub max_bubble_fraction: f64,
+}
+
+/// One decode request: micro-batch `m` at token `step`, waiting from
+/// `ready` for position `pos` of its chain (0 = master embed, 1..=k =
+/// stage pos−1, k+1 = master logits).
+#[derive(Debug, Clone, Copy)]
+struct Req {
+    ready: f64,
+    /// `(ready, step, m, pos)` as integers, `ready` in
+    /// `f64::total_cmp`'s integer order with −0 folded into +0, so it
+    /// orders like `<` on every non-NaN time.
+    key: (i64, usize, usize, usize),
+}
+
+impl Req {
+    fn new(ready: f64, m: usize, step: usize, pos: usize) -> Req {
+        let bits = (ready + 0.0).to_bits() as i64;
+        let time = bits ^ ((((bits >> 63) as u64) >> 1) as i64);
+        Req { ready, key: (time, step, m, pos) }
+    }
+}
+
+impl PartialEq for Req {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Req {}
+
+impl PartialOrd for Req {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Reversed, so that `BinaryHeap`, a max-heap, pops the earliest
+/// `(ready, step, m, pos)` first.
+impl Ord for Req {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// Simulate one batch job. `stages` orders pipeline stages from input to
@@ -116,60 +160,38 @@ pub fn simulate_pipeline(stages: &[StageLoad], w: &PipelineWorkload) -> Pipeline
         //   master-embed → stage 0 → … → stage k−1 → master-logits
         // once per token step; every resource (master, each stage) is a
         // single FIFO server. Requests are served in ready-time order.
-        //
-        // `pos`: 0 = master embed, 1..=k = stage pos−1, k+1 = logits.
-        #[derive(Debug, Clone, Copy)]
-        struct Req {
-            ready: f64,
-            m: usize,
-            step: usize,
-            pos: usize,
-        }
-        let mut heap: Vec<Req> = (0..w.decode_microbatches)
-            .map(|m| Req { ready: prefill_end, m, step: 1, pos: 0 })
+        // Each micro-batch has one request in flight, so the
+        // (ready, step, m, pos) order is strict: the heap pops exactly
+        // the sequence a scan for the minimum would, in O(log µ).
+        let mut heap: BinaryHeap<Req> = (0..w.decode_microbatches)
+            .map(|m| Req::new(prefill_end, m, 1, 0))
             .collect();
-        // Binary min-heap over (ready, step, m) for deterministic order.
-        let before = |a: &Req, b: &Req| {
-            (a.ready, a.step, a.m, a.pos) < (b.ready, b.step, b.m, b.pos)
-        };
-        let pop_min = |heap: &mut Vec<Req>| -> Req {
-            let mut best = 0;
-            for i in 1..heap.len() {
-                if before(&heap[i], &heap[best]) {
-                    best = i;
-                }
-            }
-            heap.swap_remove(best)
-        };
-        while !heap.is_empty() {
-            let req = pop_min(&mut heap);
-            let last_pos = n_stages + 1;
-            let (start, done) = if req.pos == 0 || req.pos == last_pos {
-                let start = req.ready.max(master_free);
-                let done = start + half_dec;
+        // Every event but a micro-batch's last enqueues exactly one
+        // successor, which replaces the popped request in place.
+        let last_pos = n_stages + 1;
+        while let Some(mut top) = heap.peek_mut() {
+            let (ready, (_, step, m, pos)) = (top.ready, top.key);
+            let done = if pos == 0 || pos == last_pos {
+                let done = ready.max(master_free) + half_dec;
                 master_free = done;
-                (start, done)
+                done
             } else {
-                let s = req.pos - 1;
-                let start = req.ready.max(stage_free[s]);
-                let done = start + stages[s].decode_time;
+                let s = pos - 1;
+                let done = ready.max(stage_free[s]) + stages[s].decode_time;
                 stage_free[s] = done;
                 stage_busy[s] += stages[s].decode_time;
-                (start, done)
+                done
             };
-            let _ = start;
-            if req.pos == last_pos {
+            if pos == last_pos {
                 decode_end = decode_end.max(done);
-                if req.step + 1 < w.n_tokens {
-                    heap.push(Req { ready: done, m: req.m, step: req.step + 1, pos: 0 });
+                if step + 1 < w.n_tokens {
+                    *top = Req::new(done, m, step + 1, 0);
+                } else {
+                    PeekMut::pop(top);
                 }
             } else {
-                let comm = if req.pos >= 1 && req.pos < n_stages {
-                    stages[req.pos - 1].comm_decode
-                } else {
-                    0.0
-                };
-                heap.push(Req { ready: done + comm, m: req.m, step: req.step, pos: req.pos + 1 });
+                let comm = if pos >= 1 && pos < n_stages { stages[pos - 1].comm_decode } else { 0.0 };
+                *top = Req::new(done + comm, m, step, pos + 1);
             }
         }
     }

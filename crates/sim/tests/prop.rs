@@ -4,9 +4,12 @@ use llmpq_cluster::GpuModel;
 use llmpq_model::{zoo, PhaseWorkload};
 use llmpq_quant::Bitwidth;
 use llmpq_sim::{
-    layer_latency, measured_peak_memory, simulate_pipeline, KernelEnv, PipelineWorkload, StageLoad,
+    layer_latency, measured_peak_memory, simulate_pipeline, KernelEnv, PipelineReport,
+    PipelineWorkload, StageLoad,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn any_gpu() -> impl Strategy<Value = GpuModel> {
     prop_oneof![
@@ -27,8 +30,138 @@ fn any_bits() -> impl Strategy<Value = Bitwidth> {
     ]
 }
 
+/// `simulate_pipeline` with its decode events picked by a linear scan
+/// for the earliest `(ready, step, m, pos)`, as it was before the event
+/// heap: the reference the heap must match bit for bit.
+fn linear_scan_reference(stages: &[StageLoad], w: &PipelineWorkload) -> PipelineReport {
+    let n_stages = stages.len();
+    let mut stage_free = vec![0.0f64; n_stages];
+    let mut stage_busy = vec![0.0f64; n_stages];
+    let half_master = w.master_prefill / 2.0;
+    let mut prefill_end = 0.0f64;
+    let mut master_free = w.prefill_microbatches as f64 * half_master;
+    let mut stage_out = vec![0.0f64; w.prefill_microbatches];
+    for (m, out) in stage_out.iter_mut().enumerate() {
+        let mut t = (m + 1) as f64 * half_master;
+        for (s, st) in stages.iter().enumerate() {
+            let done = t.max(stage_free[s]) + st.prefill_time;
+            stage_free[s] = done;
+            stage_busy[s] += st.prefill_time;
+            t = done + if s + 1 < n_stages { st.comm_prefill } else { 0.0 };
+        }
+        *out = t;
+    }
+    for &out in &stage_out {
+        let done = out.max(master_free) + half_master;
+        master_free = done;
+        prefill_end = prefill_end.max(done);
+    }
+    let decode_busy_start = stage_busy.clone();
+    let mut decode_end = prefill_end;
+    if w.n_tokens > 1 {
+        for f in &mut stage_free {
+            *f = f.max(prefill_end);
+        }
+        master_free = master_free.max(prefill_end);
+        let half_dec = w.master_decode / 2.0;
+        // (ready, m, step, pos)
+        let mut pending: Vec<(f64, usize, usize, usize)> =
+            (0..w.decode_microbatches).map(|m| (prefill_end, m, 1, 0)).collect();
+        while !pending.is_empty() {
+            let mut best = 0;
+            for i in 1..pending.len() {
+                let (a, b) = (pending[i], pending[best]);
+                if (a.0, a.2, a.1, a.3) < (b.0, b.2, b.1, b.3) {
+                    best = i;
+                }
+            }
+            let (ready, m, step, pos) = pending.swap_remove(best);
+            let last_pos = n_stages + 1;
+            let done = if pos == 0 || pos == last_pos {
+                let done = ready.max(master_free) + half_dec;
+                master_free = done;
+                done
+            } else {
+                let done = ready.max(stage_free[pos - 1]) + stages[pos - 1].decode_time;
+                stage_free[pos - 1] = done;
+                stage_busy[pos - 1] += stages[pos - 1].decode_time;
+                done
+            };
+            if pos == last_pos {
+                decode_end = decode_end.max(done);
+                if step + 1 < w.n_tokens {
+                    pending.push((done, m, step + 1, 0));
+                }
+            } else {
+                let comm = if pos >= 1 && pos < n_stages { stages[pos - 1].comm_decode } else { 0.0 };
+                pending.push((done + comm, m, step, pos + 1));
+            }
+        }
+    }
+    let decode_span = (decode_end - prefill_end).max(f64::MIN_POSITIVE);
+    let max_bubble = if w.n_tokens > 1 {
+        (0..n_stages)
+            .map(|s| 1.0 - (stage_busy[s] - decode_busy_start[s]) / decode_span)
+            .fold(0.0f64, f64::max)
+    } else {
+        0.0
+    };
+    PipelineReport {
+        prefill_latency: prefill_end,
+        decode_latency: decode_end - prefill_end,
+        total_latency: decode_end,
+        stage_busy,
+        max_bubble_fraction: max_bubble.clamp(0.0, 1.0),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The decode event heap pops what a linear scan for the minimum
+    /// pops, so the report is the reference's bit for bit — including
+    /// loads that make many events ready at once: times drawn from a
+    /// few round values (zero comm, equal stage times, a zero-cost
+    /// master) and up to 48 decode micro-batches.
+    #[test]
+    fn event_heap_matches_linear_scan(seed in 0u64..1_000_000, ties in 0usize..2) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let time = |rng: &mut SmallRng, scale: f64| -> f64 {
+            if ties == 1 {
+                [0.0, 0.5, 1.0][rng.gen_range(0..3usize)] * scale
+            } else {
+                rng.gen_range(0.0..1.0) * scale
+            }
+        };
+        let stages: Vec<StageLoad> = (0..rng.gen_range(1..=6usize))
+            .map(|_| StageLoad {
+                prefill_time: time(&mut rng, 1.0),
+                decode_time: time(&mut rng, 0.1),
+                comm_prefill: time(&mut rng, 0.05),
+                comm_decode: time(&mut rng, 0.01),
+            })
+            .collect();
+        let w = PipelineWorkload {
+            prefill_microbatches: rng.gen_range(1..=8usize),
+            decode_microbatches: rng.gen_range(1..=48usize),
+            n_tokens: rng.gen_range(1..=12usize),
+            master_prefill: time(&mut rng, 0.2),
+            master_decode: time(&mut rng, 0.02),
+        };
+        let got = simulate_pipeline(&stages, &w);
+        let want = linear_scan_reference(&stages, &w);
+        let bits = |r: &PipelineReport| {
+            let mut v = vec![
+                r.prefill_latency.to_bits(),
+                r.decode_latency.to_bits(),
+                r.total_latency.to_bits(),
+                r.max_bubble_fraction.to_bits(),
+            ];
+            v.extend(r.stage_busy.iter().map(|b| b.to_bits()));
+            v
+        };
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", stages, w);
+    }
 
     /// Kernel latency is positive, finite, and monotone in batch size
     /// and prompt length for every device × precision.

@@ -12,8 +12,9 @@
 //!   per-device memory capacities, and the paper's objective
 //!   `α_pre·T_max_pre + α_dec·T_max_dec + Σ c(group, device, bits)`.
 //!   It scans a candidate grid of (T_max_pre, T_max_dec) bounds and runs
-//!   an `O(N·L²·B)` feasibility DP per candidate. The MILP and the DP
-//!   cross-validate each other in tests.
+//!   a feasibility DP per candidate, paying per device profile (a run
+//!   of devices the problem cannot tell apart) rather than per device.
+//!   The MILP and the DP cross-validate each other in tests.
 
 #![forbid(unsafe_code)]
 

@@ -21,7 +21,17 @@
 //! branch-and-bound MILP covers full per-layer mixing for small/grouped
 //! instances. Strategy: enumerate a candidate grid of
 //! `(T_max_pre, T_max_dec)` bounds drawn from the achievable stage times
-//! and run an `O(N·L²·B)` feasibility DP per candidate pair.
+//! and run a feasibility DP per candidate pair.
+//!
+//! Cost is paid per device *profile*, not per device: a profile is a run
+//! of adjacent devices whose columns, boundary communication, capacity
+//! and fixed memory agree bit for bit (one GPU class, split only where
+//! a node-boundary link or the master's embeddings differ). Prefix sums
+//! and candidate values take `O(P·L²·B)` for `P` profiles, the window
+//! relaxation `O(P·L·B)` per pair, and the DP `O(L²·B)` per device until
+//! a run's row reaches its fixed point (see `dp_for_bounds`), so a
+//! 50-device fleet of three classes costs about what its eight or so
+//! profiles cost.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,7 +96,8 @@ pub struct PartitionSolution {
     pub stage_dec: Vec<f64>,
 }
 
-/// Prefix sums per (device, bits) for O(1) segment queries.
+/// Prefix sums per bitwidth over the groups of one device column, for
+/// O(1) segment queries.
 struct Prefix {
     pre: Vec<f64>,
     dec: Vec<f64>,
@@ -97,27 +108,23 @@ struct Prefix {
 }
 
 impl Prefix {
-    fn build(p: &PartitionProblem) -> Vec<Prefix> {
-        (0..p.n_devices)
-            .map(|j| {
-                let mut pre = vec![0.0; (p.n_groups + 1) * p.n_bits];
-                let mut dec = pre.clone();
-                let mut mem = pre.clone();
-                let mut cost = pre.clone();
-                for b in 0..p.n_bits {
-                    for g in 0..p.n_groups {
-                        let src = p.idx(g, j, b);
-                        let dst = (g + 1) * p.n_bits + b;
-                        let prev = g * p.n_bits + b;
-                        pre[dst] = pre[prev] + p.pre_time[src];
-                        dec[dst] = dec[prev] + p.dec_time[src];
-                        mem[dst] = mem[prev] + p.mem[src];
-                        cost[dst] = cost[prev] + p.lin_cost[src];
-                    }
-                }
-                Prefix { pre, dec, mem, cost, n_groups: p.n_groups, n_bits: p.n_bits }
-            })
-            .collect()
+    fn build(p: &PartitionProblem, j: usize) -> Prefix {
+        let mut pre = vec![0.0; (p.n_groups + 1) * p.n_bits];
+        let mut dec = pre.clone();
+        let mut mem = pre.clone();
+        let mut cost = pre.clone();
+        for b in 0..p.n_bits {
+            for g in 0..p.n_groups {
+                let src = p.idx(g, j, b);
+                let dst = (g + 1) * p.n_bits + b;
+                let prev = g * p.n_bits + b;
+                pre[dst] = pre[prev] + p.pre_time[src];
+                dec[dst] = dec[prev] + p.dec_time[src];
+                mem[dst] = mem[prev] + p.mem[src];
+                cost[dst] = cost[prev] + p.lin_cost[src];
+            }
+        }
+        Prefix { pre, dec, mem, cost, n_groups: p.n_groups, n_bits: p.n_bits }
     }
 
     #[inline]
@@ -127,37 +134,103 @@ impl Prefix {
     }
 }
 
-/// Collect candidate `T` values per phase from achievable stage times.
-///
-/// Devices with identical phase prefixes and comm cost (same GPU class
-/// on a uniform interconnect — the common case in a large fleet)
-/// contribute identical segment values, which the post-sort dedup would
-/// drop anyway; skipping them up front keeps this `O(classes · L² · B)`
-/// instead of `O(N · L² · B)`, which is what makes warm replans on
-/// 100+ device fleets cheap.
-fn candidates(p: &PartitionProblem, prefix: &[Prefix], decode: bool) -> Vec<f64> {
-    let mut reps: Vec<usize> = Vec::new();
-    let mut vals = Vec::new();
-    'devices: for (j, pf) in prefix.iter().enumerate() {
-        let comm = if decode { p.comm_dec[j] } else { p.comm_pre[j] };
-        let v = if decode { &pf.dec } else { &pf.pre };
-        for &r in &reps {
-            let rcomm = if decode { p.comm_dec[r] } else { p.comm_pre[r] };
-            let rv = if decode { &prefix[r].dec } else { &prefix[r].pre };
-            if comm == rcomm && v == rv {
-                continue 'devices;
+/// A run of adjacent devices the problem cannot tell apart: the same
+/// `[g][j][b]` columns of every tensor and the same boundary
+/// communication, capacity and fixed memory, bit for bit. Everything
+/// the solver derives from one device it derives once per profile.
+struct Profile {
+    /// First device of the run.
+    first: usize,
+    /// Devices in the run.
+    count: usize,
+    prefix: Prefix,
+    comm_pre: f64,
+    comm_dec: f64,
+    capacity: f64,
+    fixed_mem: f64,
+}
+
+/// Split the device chain into profiles. Orderings place one class in
+/// a run, so comparing each device with the one before it finds them;
+/// a fleet of a few classes has a handful of profiles, split further
+/// only by node-boundary links, the master's embeddings and the last
+/// device's missing outgoing link. The comparison walks each tensor
+/// one group row at a time, where neighbouring devices sit side by side.
+fn profiles(p: &PartitionProblem) -> (Vec<Profile>, Vec<usize>) {
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
+    // repeats[j]: device j matches device j − 1 bit for bit.
+    let mut repeats: Vec<bool> = (0..p.n_devices)
+        .map(|j| {
+            j > 0
+                && same(p.comm_pre[j], p.comm_pre[j - 1])
+                && same(p.comm_dec[j], p.comm_dec[j - 1])
+                && same(p.capacity[j], p.capacity[j - 1])
+                && same(p.fixed_mem[j], p.fixed_mem[j - 1])
+        })
+        .collect();
+    for v in [&p.pre_time, &p.dec_time, &p.mem, &p.lin_cost] {
+        for row in v.chunks_exact(p.n_devices * p.n_bits) {
+            let cols = row.chunks_exact(p.n_bits);
+            for ((r, a), b) in repeats[1..].iter_mut().zip(cols.clone()).zip(cols.skip(1)) {
+                *r = *r && a.iter().zip(b).all(|(&x, &y)| same(x, y));
             }
         }
-        reps.push(j);
+    }
+    let mut list: Vec<Profile> = Vec::new();
+    let mut of = Vec::with_capacity(p.n_devices);
+    for (j, &repeat) in repeats.iter().enumerate() {
+        match list.last_mut() {
+            Some(last) if repeat => last.count += 1,
+            _ => list.push(Profile {
+                first: j,
+                count: 1,
+                prefix: Prefix::build(p, j),
+                comm_pre: p.comm_pre[j],
+                comm_dec: p.comm_dec[j],
+                capacity: p.capacity[j],
+                fixed_mem: p.fixed_mem[j],
+            }),
+        }
+        of.push(list.len() - 1);
+    }
+    (list, of)
+}
+
+/// `f64::total_cmp`'s order as an integer, and back: the map is its
+/// own inverse.
+fn total_order_key(x: i64) -> i64 {
+    x ^ ((((x >> 63) as u64) >> 1) as i64)
+}
+
+/// Collect candidate `T` values per phase from achievable stage times:
+/// every segment of every profile at every bitwidth, plus its outgoing
+/// communication, in `f64::total_cmp` order (sorted as integer keys).
+/// A profile whose phase column and link repeat an earlier profile's
+/// (the master's device, a class recurring after another) would add
+/// only exact duplicates, which never change what the dedup keeps, so
+/// it is skipped.
+fn candidates(p: &PartitionProblem, profiles: &[Profile], decode: bool) -> Vec<f64> {
+    let mut keys = Vec::new();
+    let mut seen: Vec<(f64, &[f64])> = Vec::new();
+    for pr in profiles {
+        let pf = &pr.prefix;
+        let (comm, v) = if decode { (pr.comm_dec, &pf.dec) } else { (pr.comm_pre, &pf.pre) };
+        if seen.iter().any(|&(c, sv)| c == comm && sv == v.as_slice()) {
+            continue;
+        }
+        seen.push((comm, v));
         for b in 0..p.n_bits {
             for g0 in 0..p.n_groups {
                 for g1 in g0 + 1..=p.n_groups {
-                    vals.push(pf.seg(v, g0, g1, b) + comm);
+                    let t = pf.seg(v, g0, g1, b) + comm;
+                    keys.push(total_order_key(t.to_bits() as i64));
                 }
             }
         }
     }
-    vals.sort_unstable_by(f64::total_cmp);
+    keys.sort_unstable();
+    let mut vals: Vec<f64> =
+        keys.into_iter().map(|k| f64::from_bits(total_order_key(k) as u64)).collect();
     vals.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
     if let Some(k) = p.grid {
         if vals.len() > k {
@@ -198,7 +271,7 @@ pub struct PartitionSolveStats {
 /// typically the previous solve's assignment repaired onto the new
 /// device ordering — is evaluated first and, when feasible, seeds the
 /// incumbent so the candidate loop prunes most `(T_pre, T_dec)` pairs
-/// before paying for their `O(N·L²·B)` DP. Exactness: the prune only
+/// before paying for their DP. Exactness: the prune only
 /// skips pairs whose α-weighted lower bound already meets the
 /// incumbent, every achievable solution is re-discoverable at its own
 /// realized-maxima pair (`lin_cost ≥ 0`), and with exhaustive
@@ -217,9 +290,9 @@ pub fn solve_partition_warm_stats(
     assert_eq!(p.capacity.len(), p.n_devices);
     assert!(p.n_groups > 0 && p.n_devices > 0 && p.n_bits > 0);
 
-    let prefix = Prefix::build(p);
-    let mut tp_cands = candidates(p, &prefix, false);
-    let mut td_cands = candidates(p, &prefix, true);
+    let (profiles, profile_of) = profiles(p);
+    let mut tp_cands = candidates(p, &profiles, false);
+    let mut td_cands = candidates(p, &profiles, true);
 
     let mut stats = PartitionSolveStats::default();
     let mut best: Option<PartitionSolution> = hint.and_then(|a| evaluate_assignment(p, a));
@@ -232,8 +305,9 @@ pub fn solve_partition_warm_stats(
     // somewhere, so it pays at least the group's cheapest (j, b) cost.
     let lin_floor: f64 = (0..p.n_groups)
         .map(|g| {
-            (0..p.n_devices)
-                .flat_map(|j| (0..p.n_bits).map(move |b| (j, b)))
+            profiles
+                .iter()
+                .flat_map(|pr| (0..p.n_bits).map(move |b| (pr.first, b)))
                 .map(|(j, b)| p.lin_cost[p.idx(g, j, b)])
                 .fold(INF, f64::min)
         })
@@ -251,12 +325,12 @@ pub fn solve_partition_warm_stats(
                     continue;
                 }
             }
-            if !relaxation_feasible(p, &prefix, tp, td) {
+            if !relaxation_feasible(p, &profiles, tp, td) {
                 stats.relaxed_out += 1;
                 continue;
             }
             stats.dp_calls += 1;
-            if let Some(sol) = dp_for_bounds(p, &prefix, tp, td) {
+            if let Some(sol) = dp_for_bounds(p, &profiles, &profile_of, tp, td) {
                 if best.as_ref().is_none_or(|b| sol.objective < b.objective) {
                     best = Some(sol);
                 }
@@ -271,14 +345,16 @@ pub fn solve_partition_warm_stats(
 /// bitwidth) satisfying the time and memory caps, so if those maxima
 /// cannot jointly cover all groups the DP must come up empty. All
 /// segment contributions are non-negative, so a sliding window per
-/// `(device, bits)` finds the longest fit in `O(L)`.
-fn relaxation_feasible(p: &PartitionProblem, prefix: &[Prefix], tp: f64, td: f64) -> bool {
+/// `(profile, bits)` finds the longest fit in `O(L)`; every device of a
+/// profile has that window.
+fn relaxation_feasible(p: &PartitionProblem, profiles: &[Profile], tp: f64, td: f64) -> bool {
     let l = p.n_groups;
     let mut coverable = 0usize;
-    for (j, pf) in prefix.iter().enumerate() {
-        let cap_pre = tp - p.comm_pre[j] + 1e-12;
-        let cap_dec = td - p.comm_dec[j] + 1e-12;
-        let cap_mem = p.capacity[j] - p.fixed_mem[j] + 1e-6;
+    for pr in profiles {
+        let pf = &pr.prefix;
+        let cap_pre = tp - pr.comm_pre + 1e-12;
+        let cap_dec = td - pr.comm_dec + 1e-12;
+        let cap_mem = pr.capacity - pr.fixed_mem + 1e-6;
         let mut best_window = 0usize;
         for b in 0..p.n_bits {
             let mut g0 = 0usize;
@@ -293,7 +369,7 @@ fn relaxation_feasible(p: &PartitionProblem, prefix: &[Prefix], tp: f64, td: f64
                 best_window = best_window.max(g1 - g0);
             }
         }
-        coverable += best_window;
+        coverable += best_window * pr.count;
         if coverable >= l {
             return true;
         }
@@ -379,40 +455,65 @@ pub fn evaluate_assignment(
 
 /// Feasibility DP for fixed stage-time bounds. Returns the realized
 /// solution (with *actual* maxima, which may beat the bounds).
-#[allow(clippy::needless_range_loop)]
+///
+/// A device's row is a function of the row before it and of its
+/// profile alone. So when a device repeats the previous device's
+/// profile and the previous device left its input row unchanged, that
+/// row is a fixed point: this device leaves it unchanged too, with the
+/// same parents, and the row is copied instead of recomputed. Empty
+/// stages are what make such a fixed point reachable (without them only
+/// a row with nothing feasible is one); in a long run of one class the
+/// row stops changing once the run has more devices than it can use, so
+/// the DP costs what the fleet's profiles cost.
 fn dp_for_bounds(
     p: &PartitionProblem,
-    prefix: &[Prefix],
+    profiles: &[Profile],
+    profile_of: &[usize],
     tp: f64,
     td: f64,
 ) -> Option<PartitionSolution> {
     let l = p.n_groups;
     let n = p.n_devices;
-    // dp[j][i]: min linear cost covering first i groups with devices 0..j.
-    let mut dp = vec![vec![INF; l + 1]; n + 1];
-    // parent[j][i] = (i0, bit) — groups i0..i on device j−1; bit==usize::MAX → skipped device.
-    let mut parent = vec![vec![(usize::MAX, usize::MAX); l + 1]; n + 1];
-    dp[0][0] = 0.0;
+    let w = l + 1;
+    // Row j, entry i: min linear cost covering the first i groups with
+    // devices 0..j, and its parent (i0, bit) — groups i0..i on device
+    // j−1; bit == usize::MAX → skipped device.
+    let mut dp = vec![INF; (n + 1) * w];
+    let mut parent = vec![(usize::MAX, usize::MAX); (n + 1) * w];
+    dp[0] = 0.0;
     for j in 1..=n {
-        let pf = &prefix[j - 1];
-        let cap = p.capacity[j - 1] - p.fixed_mem[j - 1];
+        let (done, rest) = dp.split_at_mut(j * w);
+        let (prev, cur) = (&done[(j - 1) * w..], &mut rest[..w]);
+        let (par_done, par_rest) = parent.split_at_mut(j * w);
+        let par = &mut par_rest[..w];
+        if j >= 2
+            && profile_of[j - 1] == profile_of[j - 2]
+            && same_row(prev, &done[(j - 2) * w..(j - 1) * w])
+        {
+            cur.copy_from_slice(prev);
+            par.copy_from_slice(&par_done[(j - 1) * w..]);
+            continue;
+        }
+        let pr = &profiles[profile_of[j - 1]];
+        let pf = &pr.prefix;
+        let cap = pr.capacity - pr.fixed_mem;
         for i in 0..=l {
             // Skip this device entirely.
-            if p.allow_empty_stages && dp[j - 1][i] < dp[j][i] {
-                dp[j][i] = dp[j - 1][i];
-                parent[j][i] = (i, usize::MAX);
+            if p.allow_empty_stages && prev[i] < cur[i] {
+                cur[i] = prev[i];
+                par[i] = (i, usize::MAX);
             }
             // Assign groups i0..i (non-empty) to device j−1.
-            for i0 in 0..i {
-                if dp[j - 1][i0] == INF {
+            for (i0, &from) in prev[..i].iter().enumerate() {
+                if from == INF {
                     continue;
                 }
                 for b in 0..p.n_bits {
-                    let seg_pre = pf.seg(&pf.pre, i0, i, b) + p.comm_pre[j - 1];
+                    let seg_pre = pf.seg(&pf.pre, i0, i, b) + pr.comm_pre;
                     if seg_pre > tp + 1e-12 {
                         continue;
                     }
-                    let seg_dec = pf.seg(&pf.dec, i0, i, b) + p.comm_dec[j - 1];
+                    let seg_dec = pf.seg(&pf.dec, i0, i, b) + pr.comm_dec;
                     if seg_dec > td + 1e-12 {
                         continue;
                     }
@@ -420,16 +521,17 @@ fn dp_for_bounds(
                     if seg_mem > cap + 1e-6 {
                         continue;
                     }
-                    let cost = dp[j - 1][i0] + pf.seg(&pf.cost, i0, i, b);
-                    if cost < dp[j][i] {
-                        dp[j][i] = cost;
-                        parent[j][i] = (i0, b);
+                    let cost = from + pf.seg(&pf.cost, i0, i, b);
+                    if cost < cur[i] {
+                        cur[i] = cost;
+                        par[i] = (i0, b);
                     }
                 }
             }
         }
     }
-    if dp[n][l] == INF {
+    let best = dp[n * w + l];
+    if best == INF {
         return None;
     }
 
@@ -439,16 +541,17 @@ fn dp_for_bounds(
     let mut stage_dec = vec![0.0; n];
     let mut i = l;
     for j in (1..=n).rev() {
-        let (i0, b) = parent[j][i];
+        let (i0, b) = parent[j * w + i];
         if b == usize::MAX {
             i = i0;
             continue;
         }
-        let pf = &prefix[j - 1];
-        stage_pre[j - 1] = pf.seg(&pf.pre, i0, i, b) + p.comm_pre[j - 1];
-        stage_dec[j - 1] = pf.seg(&pf.dec, i0, i, b) + p.comm_dec[j - 1];
-        for g in i0..i {
-            assignment[g] = (j - 1, b);
+        let pr = &profiles[profile_of[j - 1]];
+        let pf = &pr.prefix;
+        stage_pre[j - 1] = pf.seg(&pf.pre, i0, i, b) + pr.comm_pre;
+        stage_dec[j - 1] = pf.seg(&pf.dec, i0, i, b) + pr.comm_dec;
+        for a in &mut assignment[i0..i] {
+            *a = (j - 1, b);
         }
         i = i0;
     }
@@ -456,8 +559,13 @@ fn dp_for_bounds(
 
     let t_max_pre = stage_pre.iter().cloned().fold(0.0, f64::max);
     let t_max_dec = stage_dec.iter().cloned().fold(0.0, f64::max);
-    let objective = p.alpha_pre * t_max_pre + p.alpha_dec * t_max_dec + dp[n][l];
+    let objective = p.alpha_pre * t_max_pre + p.alpha_dec * t_max_dec + best;
     Some(PartitionSolution { assignment, objective, t_max_pre, t_max_dec, stage_pre, stage_dec })
+}
+
+/// Bit-for-bit row equality.
+fn same_row(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -68,10 +68,18 @@ impl Replanner for AssignerReplanner<'_> {
     }
 }
 
+/// Fast restarts, but failure-detection timeouts no healthy stage can
+/// trip. The device loss ends its attempt through a channel disconnect,
+/// which needs no timeout. A debug-build stage computing one item on a
+/// loaded two-core box can go well past 100 ms without a heartbeat; at
+/// the 100 / 300 ms this test once used, such a stall was declared
+/// `StageHung` and used up the restart budget (`max_restarts: 2`)
+/// before or after the replan, or put a spurious restart ahead of the
+/// loss in `events`.
 fn fast_supervisor() -> SupervisorConfig {
     SupervisorConfig {
-        heartbeat_timeout_ms: 100,
-        progress_timeout_ms: 300,
+        heartbeat_timeout_ms: 2_000,
+        progress_timeout_ms: 5_000,
         tick_ms: 1,
         max_restarts: 2,
         backoff_base_ms: 1,
