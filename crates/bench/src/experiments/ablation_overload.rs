@@ -217,7 +217,7 @@ fn soak(out: &mut Out, secs: u64) {
     // warmup batch arriving at once.
     let warm = poisson_requests(max_batch, 1e6, 4, 4, 999).expect("warmup");
     let warm_cfg = ContinuousConfig { max_batch, ..ContinuousConfig::default() };
-    let warm_rep = serve_continuous(ring(None), &warm, warm_cfg, None).expect("warmup run");
+    let warm_rep = serve_continuous(ring(None), &warm, warm_cfg).expect("warmup run");
     let capacity_rps = warm_rep.completed as f64 / warm_rep.makespan_s;
     say!(out, "calibrated capacity: {capacity_rps:.1} req/s (virtual clock)");
 

@@ -218,7 +218,7 @@ fn dist_vs_local(rows: &mut Vec<Row>, table: &mut TextTable) -> bool {
         KvPoolConfig::default(),
     )
     .expect("local engine");
-    let local = serve_continuous(local_engine, &reqs, cfg(), None).expect("local run");
+    let local = serve_continuous(local_engine, &reqs, cfg()).expect("local run");
     let dist_engine = DistStepEngine::over_channels(
         &model,
         vec![dist_stage_plan(Bitwidth::Fp16), dist_stage_plan(Bitwidth::Int8)],
@@ -228,7 +228,7 @@ fn dist_vs_local(rows: &mut Vec<Row>, table: &mut TextTable) -> bool {
         None,
     )
     .expect("channel ring");
-    let dist = serve_continuous(dist_engine, &reqs, cfg(), None).expect("distributed run");
+    let dist = serve_continuous(dist_engine, &reqs, cfg()).expect("distributed run");
     assert!(local.conserves(), "local-model run must conserve");
     assert!(dist.conserves(), "distributed run must conserve");
     let tokens = |r: &ContinuousReport| {
@@ -253,7 +253,7 @@ pub fn run(out: &mut Out, _: &Args) {
     ]);
     for rate in rates {
         let reqs = trace(rate);
-        let cont = serve_continuous(engine(), &reqs, sched_cfg(), None).expect("continuous run");
+        let cont = serve_continuous(engine(), &reqs, sched_cfg()).expect("continuous run");
         let stat = serve_static(engine(), &reqs, sched_cfg(), STATIC_BATCH, STATIC_WAIT_S)
             .expect("static run");
         assert!(cont.conserves(), "continuous must conserve at rate {rate}");

@@ -337,7 +337,7 @@ fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Resul
         }
     }
     let keep = args.switch("keep-outputs");
-    let report = serve_continuous(engine, &requests, cfg.clone(), None)?;
+    let report = serve_continuous(engine, &requests, cfg.clone())?;
     let conserves = report.conserves();
     if !args.switch("compare-static") {
         println!("{}", report_json(report, keep));

@@ -153,7 +153,6 @@
 
 use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::pack::{PackBits, PackedMatrix, LANES, NIBBLE_BIAS, UNIT_BYTES, UNIT_K};
-use rayon::prelude::*;
 
 /// Activation rows per register block: `MR × LANES` accumulators stay in
 /// registers while one weight tile streams past them.
@@ -177,7 +176,7 @@ pub(crate) const PANELS: usize = 4;
 /// slower than 32).
 const WEIGHT_PANELS: usize = PANELS / 2;
 
-/// Activation rows per parallel chunk of `out`.
+/// Activation rows per chunk of `out`.
 pub(crate) const ROW_BLOCK: usize = 64;
 
 /// Weight rows the transposing dense fill walks together.
@@ -532,7 +531,7 @@ fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32
     if m == 0 || n == 0 {
         return;
     }
-    out.par_chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
+    out.chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
         let x = &x[b * ROW_BLOCK * k..];
         if out.len() < MR * n {
             w.short_block(cap, x, out);

@@ -52,7 +52,7 @@
 //! function, and every other workspace crate forbids it. The three
 //! instantiations agree `to_bits()`.
 //!
-//! The crate is dependency-free (vendored `rayon`/`serde` only) so it
+//! The crate is dependency-free (vendored `serde` only) so it
 //! sits *below* `llmpq-model` in the workspace graph: the reference
 //! transformer's `LinearOp` wraps [`PackedMatrix`] directly.
 

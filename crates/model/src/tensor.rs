@@ -7,13 +7,12 @@
 //! kernels crate: `matmul_t` is its register-blocked GEMM (the one the
 //! packed weights use), `gelu` its whole-vector kernel over the model's
 //! one `exp` (attention applies the kernels crate's softmax itself).
-//! `matmul` is a plain ikj loop; the `par_*` calls go through
-//! `vendor/rayon`, which runs them sequentially.
+//! `matmul` is a plain ikj loop, and every row loop runs on the calling
+//! thread.
 
 use llmpq_kernels::gemm_t;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Dense row-major `f32` matrix.
@@ -66,7 +65,7 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         let n = other.cols;
         out.data
-            .par_chunks_mut(n)
+            .chunks_mut(n)
             .enumerate()
             .for_each(|(i, out_row)| {
                 let a_row = self.row(i);
@@ -140,7 +139,7 @@ pub fn layer_norm(x: &mut Matrix, gamma: &[f32], beta: &[f32]) {
     assert_eq!(gamma.len(), x.cols);
     assert_eq!(beta.len(), x.cols);
     let cols = x.cols;
-    x.data.par_chunks_mut(cols).for_each(|row| {
+    x.data.chunks_mut(cols).for_each(|row| {
         let mean = row.iter().sum::<f32>() / cols as f32;
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
         let inv = 1.0 / (var + 1e-5).sqrt();
@@ -160,14 +159,14 @@ pub fn gelu(x: &mut Matrix) {
 pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     assert_eq!(a.rows, b.rows);
     assert_eq!(a.cols, b.cols);
-    a.data.par_iter_mut().zip(b.data.par_iter()).for_each(|(x, &y)| *x += y);
+    a.data.iter_mut().zip(&b.data).for_each(|(x, &y)| *x += y);
 }
 
 /// Add a bias row vector to every row of `a`.
 pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
     assert_eq!(bias.len(), a.cols);
     let cols = a.cols;
-    a.data.par_chunks_mut(cols).for_each(|row| {
+    a.data.chunks_mut(cols).for_each(|row| {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v += b;
         }

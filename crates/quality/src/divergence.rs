@@ -10,7 +10,6 @@
 
 use crate::corpus::Corpus;
 use llmpq_model::{Matrix, RefModel};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Drift statistics of a model against its teacher.
@@ -45,7 +44,7 @@ pub fn divergence(teacher: &RefModel, model: &RefModel, corpus: &Corpus) -> Dive
     assert_eq!(teacher.cfg.vocab, model.cfg.vocab, "models must share a vocabulary");
     let stats: Vec<(f64, usize, usize)> = corpus
         .sequences
-        .par_iter()
+        .iter()
         .map(|seq| {
             let (t_logits, _): (Matrix, _) = teacher.prefill(&seq[..seq.len() - 1]);
             let (m_logits, _) = model.prefill(&seq[..seq.len() - 1]);

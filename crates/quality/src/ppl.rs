@@ -2,17 +2,16 @@
 
 use crate::corpus::Corpus;
 use llmpq_model::RefModel;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Mean per-token negative log-likelihood of a model over a corpus,
-/// parallelized over sequences.
+/// summed sequence by sequence in corpus order.
 pub fn mean_nll(model: &RefModel, corpus: &Corpus) -> f64 {
     let (total, tokens): (f64, usize) = corpus
         .sequences
-        .par_iter()
+        .iter()
         .map(|s| (model.nll(s) * (s.len() - 1) as f64, s.len() - 1))
-        .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     total / tokens as f64
 }
 

@@ -12,7 +12,6 @@
 use llmpq_model::{log_softmax_at, RefModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One multiple-choice item.
@@ -128,7 +127,7 @@ pub fn continuation_logprob(model: &RefModel, context: &[usize], continuation: &
 pub fn task_accuracy(model: &RefModel, set: &TaskSet) -> f64 {
     let correct: usize = set
         .tasks
-        .par_iter()
+        .iter()
         .map(|t| {
             let best = t
                 .choices

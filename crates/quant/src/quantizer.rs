@@ -13,7 +13,6 @@ use llmpq_kernels::{PackBits, PackedMatrix, DEFAULT_GROUP};
 use llmpq_model::{LinearOp, Matrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Rounding mode used when mapping weights onto the integer grid.
@@ -47,9 +46,9 @@ impl QuantizedMatrix {
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         out.data
-            .par_chunks_mut(self.cols)
-            .zip(self.q.par_chunks(self.cols))
-            .zip(self.scales.par_iter())
+            .chunks_mut(self.cols)
+            .zip(self.q.chunks(self.cols))
+            .zip(&self.scales)
             .for_each(|((dst, src), &s)| {
                 for (d, &qv) in dst.iter_mut().zip(src) {
                     *d = qv as f32 * s;
@@ -117,8 +116,8 @@ pub fn quantize_matrix(m: &Matrix, bits: Bitwidth, rounding: Rounding, seed: u64
     let cols = m.cols;
     let mut q = vec![0i8; m.rows * cols];
     let mut scales = vec![0.0f32; m.rows];
-    q.par_chunks_mut(cols)
-        .zip(scales.par_iter_mut())
+    q.chunks_mut(cols)
+        .zip(&mut scales)
         .enumerate()
         .for_each(|(r, (qrow, scale))| {
             let row = m.row(r);

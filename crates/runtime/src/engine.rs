@@ -47,9 +47,7 @@ use crate::migrate::{
 };
 use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
 use crate::serve_dist::{ChannelRing, ServingRing};
-use crate::supervisor::{
-    RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
-};
+use crate::supervisor::{RecoveryAction, RecoveryEvent, Replanner, SupervisorConfig};
 use crate::telemetry::{Span, StageMetrics, Telemetry};
 use crate::worker::{WorkItem, WorkerMsg};
 use llm_pq::ExecutionPlan;
@@ -398,7 +396,7 @@ impl Master {
         c: &mut MigrationCoordinator,
     ) -> Result<Option<SwapReport>, RuntimeError> {
         // Phase 1 barrier: every stage prepared, or abort.
-        let deadline = sup.clock.deadline(c.prepare_timeout);
+        let deadline = sup.clock.deadline(c.timeout);
         let abort_reason = loop {
             if c.all_prepared() {
                 break None;
@@ -424,7 +422,7 @@ impl Master {
         let e = c.pending.as_ref().expect("barrier passed").epoch;
         c.mark_commit_sent(sup.clock.now().as_micros() as u64);
         self.send(WorkerMsg::PlanCommit { epoch: e }, sup)?;
-        let commit_deadline = sup.clock.deadline(c.commit_timeout);
+        let commit_deadline = sup.clock.deadline(c.timeout);
         while !c.all_swapped() {
             if sup.clock.expired(commit_deadline) {
                 return Err(RuntimeError::Stalled(format!(
@@ -608,12 +606,11 @@ impl<'a> Pipeline<'a> {
         }
         let injector = self.faults.map(FaultInjector::new);
         let mut coord = match &self.supervisor {
-            Some(cfg) if !self.swaps.is_empty() => {
-                let mut c = MigrationCoordinator::new(self.swaps.to_vec(), self.plan.stages.len());
-                c.prepare_timeout = Duration::from_millis(cfg.progress_timeout_ms);
-                c.commit_timeout = Duration::from_millis(cfg.progress_timeout_ms);
-                Some(c)
-            }
+            Some(cfg) if !self.swaps.is_empty() => Some(MigrationCoordinator::new(
+                self.swaps.to_vec(),
+                self.plan.stages.len(),
+                Duration::from_millis(cfg.progress_timeout_ms),
+            )),
             _ => None,
         };
         // Workers need the dense checkpoint only to prepare a proposed
@@ -641,9 +638,13 @@ impl<'a> Pipeline<'a> {
             ring
         };
         let mut ring = ring_for(self.plan);
-        let mut attempts =
-            AttemptLoop::new(checkpoint, prompts, n_generate, self.supervisor.as_ref());
-        attempts.replanner = self.replanner;
+        let attempts = AttemptLoop::new(
+            checkpoint,
+            prompts,
+            n_generate,
+            self.supervisor.as_ref(),
+            self.replanner,
+        );
         let out = attempts
             .run(&mut ring, self.plan.clone(), coord.as_mut(), |ring, plan| *ring = ring_for(plan))?;
         Ok(RuntimeOutput {
@@ -661,7 +662,8 @@ fn tick_of(cfg: Option<&SupervisorConfig>) -> Duration {
 }
 
 /// How a master answers a failed attempt: the restart budget, whether a
-/// lost device is replanned around, and the pause before restart `n`.
+/// lost device is replanned around (a replanner is attached), and the
+/// pause before restart `n`.
 pub(crate) struct RestartPolicy<'a> {
     pub max_restarts: usize,
     pub replan_on_loss: bool,
@@ -687,15 +689,17 @@ pub(crate) enum Recovery {
 /// stage noted dropping a work item on a downstream disconnect — the
 /// cause is that [`StageDisconnected`](RuntimeError::StageDisconnected)
 /// (hangs and protocol violations keep their own diagnosis). *Budget:*
-/// without a `policy` (an unsupervised run) or past `max_restarts` the
-/// cause is final — as [`DeviceLost`](RuntimeError::DeviceLost) when the
-/// plan sits on a device reported lost, since no restart could have
-/// succeeded. *Count:* a restart that will happen is counted on the
+/// without a `policy` (an unsupervised run) the cause is final. It is
+/// final too past `max_restarts`, and at once when the plan sits on a
+/// device reported lost that the policy cannot replan around; either
+/// way a plan on a lost device reports
+/// [`DeviceLost`](RuntimeError::DeviceLost), since no restart could
+/// succeed. *Count:* a restart that will happen is counted on the
 /// ring's hub against the stage the cause implicates: the hung stage,
 /// the stage behind the link a neighbour lost an item on, or — for a
 /// bare disconnect — the first stage the ring saw leave. *Decide:*
-/// replan when the plan lost a device and the policy says so, else
-/// restart after the policy's backoff.
+/// replan when the plan lost a device, else restart after the policy's
+/// backoff.
 pub(crate) fn after_failed_attempt(
     ring: &dyn ServingRing,
     plan: &ExecutionPlan,
@@ -712,7 +716,7 @@ pub(crate) fn after_failed_attempt(
     let Some(policy) = policy else { return Err(cause) };
     let lost = ring.lost_devices();
     let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
-    if attempt >= policy.max_restarts {
+    if attempt >= policy.max_restarts || (lost_in_plan.is_some() && !policy.replan_on_loss) {
         return Err(lost_in_plan.map_or(cause, RuntimeError::DeviceLost));
     }
     ring.telemetry().note_restart(match &cause {
@@ -722,8 +726,8 @@ pub(crate) fn after_failed_attempt(
         _ => None,
     });
     let recovery = match lost_in_plan {
-        Some(device) if policy.replan_on_loss => Recovery::Replan { lost, device },
-        _ => Recovery::Restart { backoff: (policy.backoff)(attempt) },
+        Some(device) => Recovery::Replan { lost, device },
+        None => Recovery::Restart { backoff: (policy.backoff)(attempt) },
     };
     Ok((cause, recovery))
 }
@@ -751,12 +755,14 @@ pub(crate) struct AttemptLoop<'a> {
 impl<'a> AttemptLoop<'a> {
     /// The loop of a wall-clock run: unsupervised (one attempt,
     /// disconnect-only detection) or under `supervisor`'s timeouts,
-    /// budget and backoff.
+    /// budget and backoff, replanning a lost device through `replanner`
+    /// if one is attached.
     pub(crate) fn new(
         model: &'a RefModel,
         prompts: &'a [Vec<usize>],
         n_generate: usize,
         supervisor: Option<&SupervisorConfig>,
+        replanner: Option<&'a dyn Replanner>,
     ) -> Self {
         Self {
             model,
@@ -771,10 +777,10 @@ impl<'a> AttemptLoop<'a> {
             },
             restarts: supervisor.copied().map(|cfg| RestartPolicy {
                 max_restarts: cfg.max_restarts,
-                replan_on_loss: cfg.policy == RecoveryPolicy::Replan,
+                replan_on_loss: replanner.is_some(),
                 backoff: Box::new(move |restart| cfg.backoff(restart)),
             }),
-            replanner: None,
+            replanner,
             on_attempt_end: &|_, _| {},
         }
     }

@@ -112,9 +112,7 @@ pub use simnet::{
     SimLinkEvent, SimPartition, SimReport, SimScenario, SimSchedule, SimTally, SweepFailure,
     SweepReport, VirtualClock, WireExchange, WireExchangeConfig,
 };
-pub use supervisor::{
-    FoldReplanner, RecoveryAction, RecoveryEvent, RecoveryPolicy, Replanner, SupervisorConfig,
-};
+pub use supervisor::{FoldReplanner, RecoveryAction, RecoveryEvent, Replanner, SupervisorConfig};
 pub use telemetry::{
     HistogramSnapshot, LatencyHistogram, Span, StageMetrics, StageRecorder, Telemetry,
 };

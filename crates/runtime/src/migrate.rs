@@ -407,12 +407,11 @@ pub struct MigrationCoordinator {
     pub reports: Vec<SwapReport>,
     /// The last committed target plan — authoritative for restarts.
     pub committed_plan: Option<ExecutionPlan>,
-    /// How long the master waits at the boundary for every stage's
-    /// prepared `PlanReady` before aborting back to the old plan.
-    pub prepare_timeout: Duration,
-    /// Commit-window deadline; expiring it fails the attempt (the
-    /// supervisor then restarts on the target plan).
-    pub commit_timeout: Duration,
+    /// Both of the master's swap deadlines: how long it waits at the
+    /// boundary for every stage's prepared `PlanReady` before aborting
+    /// back to the old plan, and the commit window, whose expiry fails
+    /// the attempt (the supervisor then restarts on the target plan).
+    pub(crate) timeout: Duration,
     /// Stage count of the pipeline.
     pub n_stages: usize,
     /// Epochs whose abort was already rebroadcast (the master is the
@@ -424,8 +423,9 @@ pub struct MigrationCoordinator {
 }
 
 impl MigrationCoordinator {
-    /// Coordinator over `schedule` for an `n_stages` pipeline.
-    pub fn new(schedule: Vec<SwapRequest>, n_stages: usize) -> Self {
+    /// Coordinator over `schedule` for an `n_stages` pipeline whose
+    /// prepare and commit phases each get `timeout`.
+    pub fn new(schedule: Vec<SwapRequest>, n_stages: usize, timeout: Duration) -> Self {
         let mut schedule = schedule;
         schedule.sort_by_key(|s| s.at_token);
         Self {
@@ -435,8 +435,7 @@ impl MigrationCoordinator {
             pending: None,
             reports: Vec::new(),
             committed_plan: None,
-            prepare_timeout: Duration::from_secs(10),
-            commit_timeout: Duration::from_secs(10),
+            timeout,
             n_stages,
             abort_broadcast: Vec::new(),
             issued_epoch: 0,
@@ -797,8 +796,8 @@ mod tests {
             scheme: "LLM-PQ".into(),
             kv_bits: 16,
         };
-        let mut c =
-            MigrationCoordinator::new(vec![SwapRequest { at_token: 2, plan: plan.clone() }], 2);
+        let swap = SwapRequest { at_token: 2, plan: plan.clone() };
+        let mut c = MigrationCoordinator::new(vec![swap], 2, Duration::from_secs(10));
         assert!(!c.swap_due(1));
         assert!(c.swap_due(2));
         let (epoch, _) = c.open_proposal().expect("proposal opens");
@@ -841,8 +840,8 @@ mod tests {
         };
         let mut plan_b = plan_a.clone();
         plan_b.stages[0].bits = vec![Bitwidth::Int4];
-        let mut c =
-            MigrationCoordinator::new(vec![SwapRequest { at_token: 1, plan: plan_b.clone() }], 1);
+        let swap = SwapRequest { at_token: 1, plan: plan_b.clone() };
+        let mut c = MigrationCoordinator::new(vec![swap], 1, Duration::from_secs(10));
         c.open_proposal().unwrap();
         // Crash before commit: the proposal is dropped and retried.
         c.begin_attempt();
@@ -874,7 +873,8 @@ mod tests {
             kv_bits: 16,
         };
         let swap = |at_token| SwapRequest { at_token, plan: plan.clone() };
-        let mut c = MigrationCoordinator::new(vec![swap(1), swap(2)], 2);
+        let mut c =
+            MigrationCoordinator::new(vec![swap(1), swap(2)], 2, Duration::from_secs(10));
         let (first, _) = c.open_proposal().expect("first proposal opens");
         assert_eq!(c.abort_pending("stage 1: prepare failed"), Some(first));
         assert!(!c.abort_seen(first), "the first abort is broadcast");

@@ -290,7 +290,7 @@ pub fn run_master(
 
     let owned = listener.try_clone().map_err(|e| wire_io("cloning the master listener", e))?;
     let mut ring = TcpServingRing::establish(plan, owned, cfg)?;
-    let result = AttemptLoop::new(checkpoint, prompts, n_generate, Some(&cfg.supervisor))
+    let result = AttemptLoop::new(checkpoint, prompts, n_generate, Some(&cfg.supervisor), None)
         .run(&mut ring, plan.clone(), None, |_, _| {
             unreachable!("only a replan or a committed swap re-targets a ring; this run has neither")
         });
@@ -543,7 +543,7 @@ impl TcpServingRing {
             s0_addr,
             16,
             Duration::from_millis(sup_cfg.backoff_base_ms.max(1)),
-            sup_cfg.backoff_factor.max(1.0),
+            2.0,
             Duration::from_millis(sup_cfg.backoff_cap_ms.max(1)),
             attempt as u64,
         )

@@ -36,6 +36,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::clock::real_clock;
 use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError, PagedKvStore};
 use crate::overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, DegradationConfig,
@@ -998,7 +999,7 @@ pub struct ContinuousScheduler<E: StepEngine> {
     adm: AdmissionController,
     degrade: Option<DegradationController>,
     running: Vec<InFlight>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     // Accumulators for the report.
     iterations: u64,
     prefill_tokens: u64,
@@ -1046,7 +1047,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             adm: AdmissionController::new(cfg.admission),
             degrade,
             running: Vec::new(),
-            telemetry: None,
+            telemetry: Telemetry::counters_only(0, real_clock()),
             iterations: 0,
             prefill_tokens: 0,
             preemptions: 0,
@@ -1063,9 +1064,10 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         })
     }
 
-    /// Attach a telemetry hub (serving gauges + histograms).
+    /// Count into `t` (serving gauges + histograms) instead of the
+    /// counters-only hub [`new`](Self::new) made.
     pub fn with_telemetry(mut self, t: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(t);
+        self.telemetry = t;
         self
     }
 
@@ -1370,17 +1372,16 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                     deadline_met: s.req.deadline_s.is_none_or(|d| t_end <= d),
                     preempted: s.preempted,
                 };
-                if let Some(t) = &self.telemetry {
-                    t.record_ttft_us((fin.ttft_s * 1e6) as u64);
-                    let n = fin.tokens.len();
-                    if n > 1 {
-                        t.record_tpot_us(
-                            ((fin.sojourn_s - fin.ttft_s).max(0.0) * 1e6) as u64 / (n as u64 - 1),
-                        );
-                    }
-                    t.record_request_us((fin.sojourn_s * 1e6) as u64);
-                    t.add_tokens(n as u64);
+                let t = &self.telemetry;
+                t.record_ttft_us((fin.ttft_s * 1e6) as u64);
+                let n = fin.tokens.len();
+                if n > 1 {
+                    t.record_tpot_us(
+                        ((fin.sojourn_s - fin.ttft_s).max(0.0) * 1e6) as u64 / (n as u64 - 1),
+                    );
                 }
+                t.record_request_us((fin.sojourn_s * 1e6) as u64);
+                t.add_tokens(n as u64);
                 self.retired.note(&fin);
                 out.finished.push(fin);
             } else {
@@ -1394,9 +1395,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 cost += self.engine.set_rung(rung);
                 self.rung_transitions += 1;
                 out.rung_changed = Some(rung);
-                if let Some(t) = &self.telemetry {
-                    t.set_rung(rung);
-                }
+                self.telemetry.set_rung(rung);
             }
         }
 
@@ -1416,9 +1415,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
                 cost += self.engine.set_rung(target);
                 self.rung_transitions += 1;
                 out.rung_changed = Some(target);
-                if let Some(t) = &self.telemetry {
-                    t.set_rung(target);
-                }
+                self.telemetry.set_rung(target);
             }
         }
 
@@ -1451,9 +1448,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     fn preempt(&mut self, victim: usize, prefills: &mut Vec<(usize, usize)>, decodes: &mut Vec<usize>) {
         let s = self.running.swap_remove(victim);
         self.preemptions += 1;
-        if let Some(t) = &self.telemetry {
-            t.note_preempted();
-        }
+        self.telemetry.note_preempted();
         // Recompute-style preemption: nothing generated is preserved;
         // greedy decoding regenerates the same tokens when it rejoins.
         self.requeue(s, false);
@@ -1494,15 +1489,13 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     }
 
     fn sync_telemetry(&self) {
-        if let Some(t) = &self.telemetry {
-            let st = self.adm.stats();
-            t.sync_shed(st.shed as u64);
-            t.sync_expired(st.expired as u64);
-            t.set_queue_pressure(self.adm.pressure());
-            t.set_batch_occupancy(self.running.len() as u64);
-            t.set_kv_occupancy(self.engine.pool().occupancy());
-            t.set_inflight((self.adm.pending() + self.running.len()) as u64);
-        }
+        let (t, st) = (&self.telemetry, self.adm.stats());
+        t.sync_shed(st.shed as u64);
+        t.sync_expired(st.expired as u64);
+        t.set_queue_pressure(self.adm.pressure());
+        t.set_batch_occupancy(self.running.len() as u64);
+        t.set_kv_occupancy(self.engine.pool().occupancy());
+        t.set_inflight((self.adm.pending() + self.running.len()) as u64);
     }
 
     /// Replay `requests` (pre-sorted by `arrival_s`) on the virtual
@@ -1589,12 +1582,8 @@ pub fn serve_continuous<E: StepEngine>(
     engine: E,
     requests: &[Request],
     cfg: ContinuousConfig,
-    telemetry: Option<Arc<Telemetry>>,
 ) -> Result<ContinuousReport, String> {
     let mut sched = ContinuousScheduler::new(engine, cfg)?;
-    if let Some(t) = telemetry {
-        sched = sched.with_telemetry(t);
-    }
     let makespan = sched.run_trace(requests)?;
     Ok(sched.into_report(makespan, "continuous"))
 }
@@ -1783,7 +1772,7 @@ mod tests {
     #[test]
     fn completes_everything_and_conserves() {
         let report =
-            serve_continuous(sim_engine(512), &trace(200, 50.0, 1), ContinuousConfig::default(), None)
+            serve_continuous(sim_engine(512), &trace(200, 50.0, 1), ContinuousConfig::default())
                 .unwrap();
         assert!(report.conserves(), "conservation: {:?}", report.stats);
         assert_eq!(report.pending_end, 0);
@@ -1798,7 +1787,7 @@ mod tests {
     fn tokens_match_the_oracle_exactly() {
         let reqs = trace(100, 80.0, 7);
         let report =
-            serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default(), None).unwrap();
+            serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default()).unwrap();
         let by_id: HashMap<usize, &Request> = reqs.iter().map(|r| (r.id, r)).collect();
         assert!(!report.outputs.is_empty());
         for fin in &report.outputs {
@@ -1816,8 +1805,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let reqs = trace(150, 60.0, 3);
-        let a = serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default(), None).unwrap();
-        let b = serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default(), None).unwrap();
+        let a = serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default()).unwrap();
+        let b = serve_continuous(sim_engine(256), &reqs, ContinuousConfig::default()).unwrap();
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.makespan_s, b.makespan_s);
         assert_eq!(a.outputs, b.outputs);
@@ -1830,7 +1819,7 @@ mod tests {
         // oracle-exact tokens.
         let cfg = ContinuousConfig { max_batch: 16, ..ContinuousConfig::default() };
         let reqs = trace(60, 500.0, 9);
-        let report = serve_continuous(sim_engine(8), &reqs, cfg, None).unwrap();
+        let report = serve_continuous(sim_engine(8), &reqs, cfg).unwrap();
         assert!(report.conserves());
         assert_eq!(report.pending_end, 0);
         assert!(report.preemptions > 0, "tiny pool must force preemption");
@@ -1847,7 +1836,7 @@ mod tests {
         // One request that can never fit the pool.
         reqs[3].prompt = vec![1; 16 * 600];
         let report =
-            serve_continuous(sim_engine(512), &reqs, ContinuousConfig::default(), None).unwrap();
+            serve_continuous(sim_engine(512), &reqs, ContinuousConfig::default()).unwrap();
         assert!(report.conserves());
         assert!(report.stats.shed >= 1);
         assert_eq!(report.completed, 9);
@@ -1858,7 +1847,7 @@ mod tests {
         // Mixed lengths + bursty arrivals: static padding and
         // run-to-longest must cost sojourn vs continuous.
         let reqs = trace(300, 120.0, 11);
-        let cont = serve_continuous(sim_engine(1024), &reqs, ContinuousConfig::default(), None)
+        let cont = serve_continuous(sim_engine(1024), &reqs, ContinuousConfig::default())
             .unwrap();
         let stat =
             serve_static(sim_engine(1024), &reqs, ContinuousConfig::default(), 8, 0.5).unwrap();
@@ -1903,7 +1892,7 @@ mod tests {
     fn static_and_continuous_generate_identical_tokens() {
         let reqs = trace(40, 30.0, 13);
         let cont =
-            serve_continuous(sim_engine(512), &reqs, ContinuousConfig::default(), None).unwrap();
+            serve_continuous(sim_engine(512), &reqs, ContinuousConfig::default()).unwrap();
         let stat = serve_static(sim_engine(512), &reqs, ContinuousConfig::default(), 4, 0.5).unwrap();
         let mut a: Vec<_> = cont.outputs.iter().map(|f| (f.id, f.tokens.clone())).collect();
         let mut b: Vec<_> = stat.outputs.iter().map(|f| (f.id, f.tokens.clone())).collect();
@@ -1916,15 +1905,14 @@ mod tests {
     fn phase_policies_all_complete_and_prefill_first_helps_ttft() {
         let reqs = trace(200, 100.0, 17);
         let mk = |policy| ContinuousConfig { policy, ..ContinuousConfig::default() };
-        let df = serve_continuous(sim_engine(1024), &reqs, mk(PhasePolicy::DecodeFirst), None)
+        let df = serve_continuous(sim_engine(1024), &reqs, mk(PhasePolicy::DecodeFirst))
             .unwrap();
-        let pf = serve_continuous(sim_engine(1024), &reqs, mk(PhasePolicy::PrefillFirst), None)
+        let pf = serve_continuous(sim_engine(1024), &reqs, mk(PhasePolicy::PrefillFirst))
             .unwrap();
         let mx = serve_continuous(
             sim_engine(1024),
             &reqs,
             mk(PhasePolicy::Mixed { prefill_frac: 0.5 }),
-            None,
         )
         .unwrap();
         for r in [&df, &pf, &mx] {
@@ -1975,7 +1963,7 @@ mod tests {
             ..ContinuousConfig::default()
         };
         let reqs = trace(500, 800.0, 23);
-        let report = serve_continuous(sim_engine(1024), &reqs, cfg, None).unwrap();
+        let report = serve_continuous(sim_engine(1024), &reqs, cfg).unwrap();
         assert!(report.conserves());
         assert!(report.stats.expired > 0, "overload at 800 rps must expire something");
     }
@@ -1991,7 +1979,7 @@ mod tests {
             ..ContinuousConfig::default()
         };
         let reqs = poisson_requests(10_000, 5_000.0, 16, 4, 29).unwrap();
-        let report = serve_continuous(sim_engine(8192), &reqs, cfg, None).unwrap();
+        let report = serve_continuous(sim_engine(8192), &reqs, cfg).unwrap();
         assert!(report.conserves(), "conservation at 10k: {:?}", report.stats);
         assert_eq!(report.pending_end, 0);
         assert_eq!(report.completed, 10_000, "no starvation: everything finishes");
@@ -2119,7 +2107,7 @@ mod tests {
             ..ContinuousConfig::default()
         };
         let reqs = poisson_requests(N, 5_000.0, 16, 4, 31).unwrap();
-        let traced = serve_continuous(sim_engine(8192), &reqs, cfg(), None).unwrap();
+        let traced = serve_continuous(sim_engine(8192), &reqs, cfg()).unwrap();
         assert_eq!(traced.outputs.len(), N);
 
         let mut sched = ContinuousScheduler::new(sim_engine(8192), cfg()).unwrap();
@@ -2259,7 +2247,7 @@ mod tests {
             })
             .collect();
         let cfg = ContinuousConfig { prefill_chunk: 5, token_budget: 12, max_batch: 4, ..Default::default() };
-        let report = serve_continuous(engine(), &reqs, cfg, None).unwrap();
+        let report = serve_continuous(engine(), &reqs, cfg).unwrap();
         assert_eq!(report.completed, 5);
         assert!(report.preemptions > 0, "the pool must force preemption");
         for fin in &report.outputs {

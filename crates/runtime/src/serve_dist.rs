@@ -484,7 +484,8 @@ impl DistStepEngine {
     /// attempt down, put what the master saw through the runtime's one
     /// failure decision (root cause, restart counted on the hub against
     /// the stage it names, budget — the serving policy is an immediate
-    /// restart on the boot plan), dial fresh, then replay the committed
+    /// restart on the boot plan, and a device lost for good is fatal,
+    /// since nothing here replans), dial fresh, then replay the committed
     /// rung through the swap barrier so the new ring serves the
     /// precision the scheduler believes is active.
     fn ensure_ring(&mut self) -> Result<(), StepError> {
@@ -504,10 +505,15 @@ impl DistStepEngine {
                 Ok(_) => self.restarts += 1,
                 Err(cause) => {
                     self.lost = Some(cause.clone()); // still down: the next call says so again
-                    return Err(StepError::Engine(format!(
-                        "ring lost and restart budget ({}) exhausted: {cause}",
-                        self.cfg.max_restarts
-                    )));
+                    return Err(StepError::Engine(match cause {
+                        RuntimeError::DeviceLost(d) => {
+                            format!("ring lost: device {d} is gone for good, no restart can help")
+                        }
+                        _ => format!(
+                            "ring lost and restart budget ({}) exhausted: {cause}",
+                            self.cfg.max_restarts
+                        ),
+                    }));
                 }
             }
         }
@@ -540,10 +546,9 @@ impl DistStepEngine {
     /// the swap's effect on the token stream deterministic.
     fn swap_to(&mut self, target: usize) -> Result<(), StepError> {
         let schedule = vec![SwapRequest { at_token: 0, plan: self.plans[target].clone() }];
-        let mut coord = MigrationCoordinator::new(schedule, self.ring.n_stages());
+        let mut coord =
+            MigrationCoordinator::new(schedule, self.ring.n_stages(), self.cfg.op_timeout);
         coord.active_epoch = self.epoch;
-        coord.prepare_timeout = self.cfg.op_timeout;
-        coord.commit_timeout = self.cfg.op_timeout;
         let master = self.master();
         let res = master
             .propose(&self.sup, &mut coord)
@@ -881,8 +886,8 @@ mod tests {
     #[test]
     fn channel_ring_matches_local_engine() {
         let reqs = trace(6);
-        let local = serve_continuous(local_engine(), &reqs, cfg(), None).expect("local");
-        let dist = serve_continuous(dist_engine(None), &reqs, cfg(), None).expect("dist");
+        let local = serve_continuous(local_engine(), &reqs, cfg()).expect("local");
+        let dist = serve_continuous(dist_engine(None), &reqs, cfg()).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist));
         assert!(dist.stats.conserves(dist.pending_end), "conservation");
     }
@@ -890,13 +895,13 @@ mod tests {
     #[test]
     fn crash_recovers_bit_identically() {
         let reqs = trace(6);
-        let local = serve_continuous(local_engine(), &reqs, cfg(), None).expect("local");
+        let local = serve_continuous(local_engine(), &reqs, cfg()).expect("local");
         let faults = FaultPlan {
             events: vec![FaultEvent { stage: 1, step: 5, attempt: Some(0), kind: FaultKind::Crash }],
         };
         let engine = dist_engine(Some(faults));
         let hub = engine.telemetry();
-        let dist = serve_continuous(engine, &reqs, cfg(), None).expect("dist");
+        let dist = serve_continuous(engine, &reqs, cfg()).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist), "recompute is exact");
         assert!(dist.stats.recovered > 0, "restart requeued in-flight work");
         assert!(dist.stats.conserves(dist.pending_end), "conservation incl. recovered");
@@ -920,12 +925,24 @@ mod tests {
     }
 
     #[test]
+    fn lost_device_ends_the_ring_by_name_without_a_restart() {
+        // Nothing in serving replans, so a device lost for good is not
+        // retried: the engine fails at once, its error names the device
+        // (not a spent restart budget), and no restart is counted.
+        let engine = dist_engine(Some(FaultPlan::device_loss(1, 1)));
+        let hub = engine.telemetry();
+        let err = serve_continuous(engine, &trace(6), cfg()).expect_err("a lost device is fatal");
+        assert!(err.contains("device 1 is gone for good"), "{err}");
+        assert_eq!(hub.restarts(), 0);
+    }
+
+    #[test]
     fn live_swap_matches_local_swap() {
         let reqs = trace(6);
         let mut c = cfg();
         c.swaps = vec![RungSwap { at_iteration: 3, rung: 1 }];
-        let local = serve_continuous(local_engine(), &reqs, c.clone(), None).expect("local");
-        let dist = serve_continuous(dist_engine(None), &reqs, c, None).expect("dist");
+        let local = serve_continuous(local_engine(), &reqs, c.clone()).expect("local");
+        let dist = serve_continuous(dist_engine(None), &reqs, c).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist), "swap is transparent");
     }
 
@@ -936,11 +953,11 @@ mod tests {
         let reqs = trace(6);
         let mut c = cfg();
         c.swaps = vec![RungSwap { at_iteration: 2, rung: 1 }];
-        let local = serve_continuous(local_engine(), &reqs, c.clone(), None).expect("local");
+        let local = serve_continuous(local_engine(), &reqs, c.clone()).expect("local");
         let faults = FaultPlan {
             events: vec![FaultEvent { stage: 0, step: 9, attempt: Some(0), kind: FaultKind::Crash }],
         };
-        let dist = serve_continuous(dist_engine(Some(faults)), &reqs, c, None).expect("dist");
+        let dist = serve_continuous(dist_engine(Some(faults)), &reqs, c).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist));
         assert!(dist.stats.conserves(dist.pending_end));
     }
@@ -956,7 +973,7 @@ mod tests {
         let reqs = trace(6);
         let mut c = cfg();
         c.swaps = vec![RungSwap { at_iteration: 3, rung: 1 }];
-        let local = serve_continuous(local_engine(), &reqs, c.clone(), None).expect("local");
+        let local = serve_continuous(local_engine(), &reqs, c.clone()).expect("local");
         for stage in [0usize, 1] {
             for step in 0..20 {
                 let faults = FaultPlan {

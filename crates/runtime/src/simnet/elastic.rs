@@ -28,6 +28,28 @@ use llmpq_quant::Bitwidth;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+/// Simulated horizon, µs (churn stops at ¾ of it; the run gets a settle
+/// grace period past it).
+const HORIZON_US: u64 = 60_000_000;
+/// Layers of the abstract model being served.
+const N_LAYERS: usize = 8;
+/// Lowest-rung per-device capacity, in layers.
+const MAX_LAYERS_PER_DEVICE: usize = 4;
+/// Controller debounce window, µs.
+const DEBOUNCE_US: u64 = 20_000;
+/// Controller post-commit cooldown, µs.
+const COOLDOWN_US: u64 = 200_000;
+/// Flap-detection window, µs.
+const FLAP_WINDOW_US: u64 = 500_000;
+/// Membership toggles inside the window that quarantine a device.
+const FLAP_MAX_TOGGLES: u32 = 3;
+/// Duration of the two-phase migration barrier, µs (leaves landing
+/// inside it abort the migration).
+const MIGRATION_US: u64 = 30_000;
+/// Service cost per bottleneck layer, µs (Int4/degraded layers count
+/// double).
+const BASE_SERVICE_US: u64 = 5_000;
+
 /// Parameters of one elastic-fleet simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ElasticSimConfig {
@@ -37,27 +59,6 @@ pub struct ElasticSimConfig {
     pub device_pool: usize,
     /// Requests in the arrival trace.
     pub n_requests: usize,
-    /// Simulated horizon, µs (churn stops at ¾ of it; the run gets a
-    /// settle grace period past it).
-    pub horizon_us: u64,
-    /// Layers of the abstract model being served.
-    pub n_layers: usize,
-    /// Lowest-rung per-device capacity, in layers.
-    pub max_layers_per_device: usize,
-    /// Controller debounce window, µs.
-    pub debounce_us: u64,
-    /// Controller post-commit cooldown, µs.
-    pub cooldown_us: u64,
-    /// Flap-detection window, µs.
-    pub flap_window_us: u64,
-    /// Membership toggles inside the window that quarantine a device.
-    pub flap_max_toggles: u32,
-    /// Duration of the two-phase migration barrier, µs (leaves landing
-    /// inside it abort the migration).
-    pub migration_us: u64,
-    /// Service cost per bottleneck layer, µs (Int4/degraded layers
-    /// count double).
-    pub base_service_us: u64,
     /// Dev hook: serve the first request twice, to prove the
     /// double-serve invariant actually fires.
     pub inject_double_serve: bool,
@@ -69,15 +70,6 @@ impl Default for ElasticSimConfig {
             n_devices: 3,
             device_pool: 6,
             n_requests: 40,
-            horizon_us: 60_000_000,
-            n_layers: 8,
-            max_layers_per_device: 4,
-            debounce_us: 20_000,
-            cooldown_us: 200_000,
-            flap_window_us: 500_000,
-            flap_max_toggles: 3,
-            migration_us: 30_000,
-            base_service_us: 5_000,
             inject_double_serve: false,
         }
     }
@@ -130,7 +122,7 @@ pub fn elastic_churn_plan(cfg: &ElasticSimConfig, seed: u64) -> ElasticChurnPlan
     let mut live: BTreeSet<usize> = (0..cfg.n_devices).collect();
     let mut events: Vec<ChurnEvent> = Vec::new();
     let mut t = 1_000_000 + next(4_000_000);
-    let churn_end = cfg.horizon_us * 3 / 4;
+    let churn_end = HORIZON_US * 3 / 4;
     while t < churn_end {
         let spares: Vec<usize> = (0..cfg.device_pool).filter(|d| !live.contains(d)).collect();
         let lives: Vec<usize> = live.iter().copied().collect();
@@ -145,7 +137,7 @@ pub fn elastic_churn_plan(cfg: &ElasticSimConfig, seed: u64) -> ElasticChurnPlan
                         let lv: Vec<usize> = live.iter().copied().collect();
                         let victim = lv[next(lv.len() as u64) as usize];
                         events.push(ChurnEvent {
-                            at_us: t + cfg.debounce_us + cfg.migration_us / 2,
+                            at_us: t + DEBOUNCE_US + MIGRATION_US / 2,
                             device: victim,
                             kind: FleetEventKind::Leave,
                         });
@@ -196,11 +188,11 @@ pub fn elastic_churn_plan(cfg: &ElasticSimConfig, seed: u64) -> ElasticChurnPlan
 pub fn elastic_arrivals(cfg: &ElasticSimConfig, seed: u64) -> Vec<u64> {
     let mut state = seed ^ 0x4152_5249_5645_5331; // "ARRIVES1"
     let mut next = move |bound: u64| splitmix64(&mut state) % bound.max(1);
-    let base_gap = cfg.horizon_us / (2 * cfg.n_requests.max(1) as u64);
+    let base_gap = HORIZON_US / (2 * cfg.n_requests.max(1) as u64);
     let mut t = 0u64;
     let mut out = Vec::with_capacity(cfg.n_requests);
     for i in 0..cfg.n_requests {
-        let phase = (t as f64 / cfg.horizon_us as f64) * std::f64::consts::TAU;
+        let phase = (t as f64 / HORIZON_US as f64) * std::f64::consts::TAU;
         let diurnal = (1.0 + 0.6 * phase.sin()).max(0.2);
         let jitter = 0.5 + next(1_000) as f64 / 1_000.0;
         let burst = if (i / 3) % 4 == 0 { 0.15 } else { 1.0 };
@@ -255,7 +247,7 @@ pub struct ElasticTally {
 
 fn initial_plan(cfg: &ElasticSimConfig) -> ExecutionPlan {
     let devices: Vec<usize> = (0..cfg.n_devices).collect();
-    let stages = even_split(cfg.n_layers, &devices, |_| usize::MAX, |_, _| Bitwidth::Int8);
+    let stages = even_split(N_LAYERS, &devices, |_| usize::MAX, |_, _| Bitwidth::Int8);
     ExecutionPlan {
         model: "elastic-sim".into(),
         cluster: "elastic-sim".into(),
@@ -271,7 +263,7 @@ fn initial_plan(cfg: &ElasticSimConfig) -> ExecutionPlan {
     }
 }
 
-fn service_time(cfg: &ElasticSimConfig, plan: &ExecutionPlan) -> u64 {
+fn service_time(plan: &ExecutionPlan) -> u64 {
     // Pipeline bottleneck: the slowest stage, with low-rung (degraded)
     // layers costing double.
     let bottleneck = plan
@@ -285,25 +277,25 @@ fn service_time(cfg: &ElasticSimConfig, plan: &ExecutionPlan) -> u64 {
         })
         .max()
         .unwrap_or(1);
-    cfg.base_service_us * bottleneck.max(1)
+    BASE_SERVICE_US * bottleneck.max(1)
 }
 
 fn plan_fully_live(plan: &ExecutionPlan, live: &BTreeSet<usize>) -> bool {
     plan.stages.iter().all(|s| live.contains(&s.device))
 }
 
-fn fleet_feasible(cfg: &ElasticSimConfig, live: &BTreeSet<usize>, degraded: &BTreeSet<usize>) -> bool {
+fn fleet_feasible(live: &BTreeSet<usize>, degraded: &BTreeSet<usize>) -> bool {
     let cap: usize = live
         .iter()
         .map(|d| {
             if degraded.contains(d) {
-                (cfg.max_layers_per_device / 2).max(1)
+                (MAX_LAYERS_PER_DEVICE / 2).max(1)
             } else {
-                cfg.max_layers_per_device
+                MAX_LAYERS_PER_DEVICE
             }
         })
         .sum();
-    !live.is_empty() && cap >= cfg.n_layers
+    !live.is_empty() && cap >= N_LAYERS
 }
 
 /// Run one seed's elastic scenario under `churn` and return the
@@ -315,10 +307,10 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     let arrivals = elastic_arrivals(cfg, seed);
     let mut controller = FleetController::new(
         Box::new(EvenSplitPlanner {
-            n_layers: cfg.n_layers,
-            max_layers_per_device: cfg.max_layers_per_device,
+            n_layers: N_LAYERS,
+            max_layers_per_device: MAX_LAYERS_PER_DEVICE,
         }),
-        DebouncedPolicy::new(cfg.debounce_us, cfg.cooldown_us, cfg.flap_window_us, cfg.flap_max_toggles),
+        DebouncedPolicy::new(DEBOUNCE_US, COOLDOWN_US, FLAP_WINDOW_US, FLAP_MAX_TOGGLES),
         0..cfg.n_devices,
         initial_plan(cfg),
     );
@@ -326,8 +318,8 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     let mut live: BTreeSet<usize> = (0..cfg.n_devices).collect();
     let mut degraded: BTreeSet<usize> = BTreeSet::new();
 
-    let tick_us = (cfg.debounce_us / 2).max(1_000);
-    let hard_cap = cfg.horizon_us + cfg.cooldown_us + cfg.flap_window_us + 5_000_000;
+    let tick_us = (DEBOUNCE_US / 2).max(1_000);
+    let hard_cap = HORIZON_US + COOLDOWN_US + FLAP_WINDOW_US + 5_000_000;
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut in_service: Option<(usize, u64)> = None; // (request id, finish time)
     let mut migration_end: Option<u64> = None;
@@ -428,7 +420,7 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
         if next_tick <= now {
             next_tick = now.saturating_add(tick_us);
             if let Some(ControllerCommand::BeginMigration { .. }) = controller.tick(now) {
-                migration_end = Some(now + cfg.migration_us);
+                migration_end = Some(now + MIGRATION_US);
             }
         }
 
@@ -437,7 +429,7 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
         //    device it names is still alive.
         if in_service.is_none() && plan_fully_live(controller.plan(), &live) {
             if let Some(id) = queue.pop_front() {
-                in_service = Some((id, now + service_time(cfg, controller.plan())));
+                in_service = Some((id, now + service_time(controller.plan())));
             }
         }
 
@@ -446,7 +438,7 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
             && queue.is_empty()
             && in_service.is_none()
             && migration_end.is_none();
-        if drained && now >= cfg.horizon_us && controller.state() == ControllerState::Idle {
+        if drained && now >= HORIZON_US && controller.state() == ControllerState::Idle {
             break;
         }
     }
@@ -461,7 +453,7 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     // What is still queued or in service was shed if the fleet ended
     // unable to hold the model, and is stranded (pending) if it could.
     let left = queue.len() + usize::from(in_service.is_some());
-    let feasible = fleet_feasible(cfg, &live, &degraded);
+    let feasible = fleet_feasible(&live, &degraded);
     run.shed = if feasible { 0 } else { left };
     let completions = serve_counts.iter().flat_map(|(&id, &n)| std::iter::repeat_n((id, 0), n));
     inv.served_once(&(0..run.offered).map(|id| (id, None)).collect(), completions);
@@ -564,7 +556,7 @@ mod tests {
             events: vec![
                 ChurnEvent { at_us: 2_000_000, device: 4, kind: FleetEventKind::Join },
                 ChurnEvent {
-                    at_us: 2_000_000 + cfg.debounce_us + cfg.migration_us / 2,
+                    at_us: 2_000_000 + DEBOUNCE_US + MIGRATION_US / 2,
                     device: 0,
                     kind: FleetEventKind::Leave,
                 },

@@ -94,30 +94,34 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+/// Prompts every simulated run offers to admission and generates over.
+fn offered_prompts() -> Vec<Vec<usize>> {
+    vec![vec![1, 2, 3], vec![9, 8]]
+}
+
+/// Supervision tick, virtual µs.
+const TICK_US: u64 = 1_000;
+/// Heartbeat staleness threshold, virtual µs.
+const HEARTBEAT_TIMEOUT_US: u64 = 250_000;
+/// Progress timeout, virtual µs; also both deadlines of a plan swap.
+const PROGRESS_TIMEOUT_US: u64 = 500_000;
+/// Restart backoff base, virtual µs (doubles per restart).
+const BACKOFF_BASE_US: u64 = 5_000;
+/// One-way link latency, virtual µs.
+const LINK_LATENCY_US: u64 = 50;
+/// Virtual-time budget: a run that would pass this with work still
+/// pending is flagged as deadlocked/livelocked.
+const HORIZON_US: u64 = 60_000_000;
+
 /// Parameters of one simulated pipeline run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Pipeline stages (clamped to the tiny model's layer count).
     pub n_stages: usize,
-    /// Prompts offered to admission and generated over.
-    pub prompts: Vec<Vec<usize>>,
     /// Tokens generated per prompt.
     pub n_generate: usize,
     /// Recovery bound: restarts allowed before the master gives up.
     pub max_restarts: usize,
-    /// Supervision tick, virtual µs.
-    pub tick_us: u64,
-    /// Heartbeat staleness threshold, virtual µs.
-    pub heartbeat_timeout_us: u64,
-    /// Progress timeout, virtual µs.
-    pub progress_timeout_us: u64,
-    /// Restart backoff base, virtual µs (doubles per restart).
-    pub backoff_base_us: u64,
-    /// One-way link latency, virtual µs.
-    pub link_latency_us: u64,
-    /// Virtual-time budget: a run that would pass this with work still
-    /// pending is flagged as deadlocked/livelocked.
-    pub horizon_us: u64,
     /// Dev-only checker-validation hook: double-count one served
     /// request after a recovered run, breaking admission conservation
     /// on purpose so tests can prove the invariant checker (and the
@@ -160,15 +164,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             n_stages: 2,
-            prompts: vec![vec![1, 2, 3], vec![9, 8]],
             n_generate: 4,
             max_restarts: 3,
-            tick_us: 1_000,
-            heartbeat_timeout_us: 250_000,
-            progress_timeout_us: 500_000,
-            backoff_base_us: 5_000,
-            link_latency_us: 50,
-            horizon_us: 60_000_000,
             inject_conservation_bug: false,
             n_layers: None,
             migration: None,
@@ -373,7 +370,8 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
         .map_or_else(RefConfig::tiny, |l| RefConfig { n_layers: l.clamp(1, 8), ..RefConfig::tiny() });
     let model = Arc::new(RefModel::new(ref_cfg));
     let n = cfg.n_stages.clamp(1, model.cfg.n_layers);
-    let n_seqs = cfg.prompts.len();
+    let offered = offered_prompts();
+    let n_seqs = offered.len();
     let exec = build_exec_plan(&model, n, n_seqs);
     // Live-migration state: the swap target, the plan currently in force
     // (workers re-read it on every attempt — after a committed swap a
@@ -383,11 +381,11 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let shared_plan = Arc::new(Mutex::new(exec.clone()));
     let host = cfg.migration.as_ref().map(|_| {
         let mut h = MigrationHost::new(Arc::clone(&model), Rounding::Deterministic, 0);
-        h.commit_timeout = Duration::from_micros(cfg.progress_timeout_us);
+        h.commit_timeout = Duration::from_micros(PROGRESS_TIMEOUT_US);
         Arc::new(h)
     });
 
-    let net = Arc::new(SimNet::new(cfg.horizon_us, n));
+    let net = Arc::new(SimNet::new(HORIZON_US, n));
     // Links: data 0..=n (link i feeds stage i; link n returns to the
     // master), then one control link per stage.
     let events_for = |link: usize| {
@@ -399,10 +397,10 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     };
     for i in 0..=n {
         let name = if i == n { format!("data {n}→master") } else { format!("data →stage {i}") };
-        net.add_link(name, cfg.link_latency_us, events_for(i));
+        net.add_link(name, LINK_LATENCY_US, events_for(i));
     }
     for s in 0..n {
-        net.add_link(format!("ctl stage {s}"), cfg.link_latency_us, events_for(n + 1 + s));
+        net.add_link(format!("ctl stage {s}"), LINK_LATENCY_US, events_for(n + 1 + s));
     }
     // Actors: master, stages, control readers, chaos — ids fixed by
     // registration order, which fixes the schedule.
@@ -449,6 +447,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
             let hb = hb.clone();
             let telemetry = telemetry.clone();
             let (model, exec, outcome, target) = (&model, &exec, &outcome, &target);
+            let offered = &offered;
             let shared_plan = shared_plan.clone();
             scope.spawn(move || {
                 net.enter(master_id);
@@ -456,11 +455,11 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                 let clock: Arc<dyn Clock> =
                     Arc::new(VirtualClock::actor(net.clone(), master_id));
                 let mut admission = AdmissionController::new(AdmissionConfig {
-                    max_queue: cfg.prompts.len().max(1),
+                    max_queue: offered.len().max(1),
                     ..AdmissionConfig::default()
                 });
                 let now_s = clock.now().as_secs_f64();
-                for (i, p) in cfg.prompts.iter().enumerate() {
+                for (i, p) in offered.iter().enumerate() {
                     admission.offer(
                         Request {
                             id: i,
@@ -479,13 +478,11 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                 }
                 let mut coord = target.as_ref().map(|t| {
                     let m = cfg.migration.as_ref().expect("target implies migration config");
-                    let mut c = MigrationCoordinator::new(
+                    MigrationCoordinator::new(
                         vec![SwapRequest { at_token: m.at_token.max(1), plan: t.clone() }],
                         n,
-                    );
-                    c.prepare_timeout = Duration::from_micros(cfg.progress_timeout_us);
-                    c.commit_timeout = Duration::from_micros(cfg.progress_timeout_us);
-                    c
+                        Duration::from_micros(PROGRESS_TIMEOUT_US),
+                    )
                 });
                 let mut ring = SimRing {
                     net: net.clone(),
@@ -500,16 +497,16 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     n_generate: cfg.n_generate,
                     sup: AttemptSupervision {
                         heartbeats: None,
-                        heartbeat_timeout: Some(Duration::from_micros(cfg.heartbeat_timeout_us)),
-                        progress_timeout: Some(Duration::from_micros(cfg.progress_timeout_us)),
-                        tick: Duration::from_micros(cfg.tick_us),
+                        heartbeat_timeout: Some(Duration::from_micros(HEARTBEAT_TIMEOUT_US)),
+                        progress_timeout: Some(Duration::from_micros(PROGRESS_TIMEOUT_US)),
+                        tick: Duration::from_micros(TICK_US),
                         clock,
                     },
                     restarts: Some(RestartPolicy {
                         max_restarts: cfg.max_restarts,
                         replan_on_loss: false,
                         backoff: Box::new(|restart| {
-                            let us = cfg.backoff_base_us.saturating_mul(1 << restart.min(6));
+                            let us = BACKOFF_BASE_US.saturating_mul(1 << restart.min(6));
                             Duration::from_micros(us)
                         }),
                     }),
@@ -567,7 +564,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                 let (data_in, data_out, ctl) = (s, s + 1, n + 1 + s);
                 let mut expected = 0u64;
                 loop {
-                    match net.await_epoch(me, s, data_in, expected, cfg.tick_us) {
+                    match net.await_epoch(me, s, data_in, expected, TICK_US) {
                         AwaitEpoch::Serve(e) => {
                             net.trace(&format!("stage {s}: serving attempt {e}"));
                             // The plan in force for this attempt — a
@@ -590,7 +587,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                                 s,
                                 &sp,
                                 n_seqs,
-                                Duration::from_micros(cfg.tick_us),
+                                Duration::from_micros(TICK_US),
                                 clock.clone(),
                                 stage_hub.clone(),
                             );
@@ -637,7 +634,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                 net.enter(me);
                 let _g = ActorGuard::new(&net, me);
                 loop {
-                    match net.recv_frame(me, None, ctl, 0, cfg.tick_us * 5) {
+                    match net.recv_frame(me, None, ctl, 0, TICK_US * 5) {
                         Ok(WireMsg::Heartbeat { stage }) => hb.beat(stage as usize),
                         Ok(_) => {}
                         Err(RecvEnd::Disconnected) => return,
@@ -704,12 +701,12 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     let q = |p: &ExecutionPlan| quantize_model(&model, &p.bit_assignment(), Rounding::Deterministic, 0);
     match (&result, &target, &cfg.migration) {
         (Ok(tokens), Some(t), Some(m)) if committed => {
-            inv.legal_swap_history(&q(&exec), &q(t), m.at_token, &cfg.prompts, cfg.n_generate, tokens)
+            inv.legal_swap_history(&q(&exec), &q(t), m.at_token, &offered, cfg.n_generate, tokens)
         }
         (Ok(tokens), _, _) => {
             let qm = q(&exec);
             let want: Vec<_> =
-                cfg.prompts.iter().map(|p| qm.generate(p, cfg.n_generate, 0.0, 0).tokens).collect();
+                offered.iter().map(|p| qm.generate(p, cfg.n_generate, 0.0, 0).tokens).collect();
             // An aborted swap leaves the base plan in force throughout.
             let (want, got) = (want.into_iter().enumerate(), tokens.iter().cloned().enumerate());
             inv.matches_oracle("the fault-free sequential oracle", want, got);

@@ -31,6 +31,11 @@ use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
+/// Scheduler token budget per iteration.
+const TOKEN_BUDGET: usize = 16;
+/// Scheduler batch cap.
+const MAX_BATCH: usize = 4;
+
 /// Parameters of one serving-chaos run (the model is always the tiny
 /// reference transformer split across two stages, rung ladder
 /// fp16 → int8 — the same shape the `serve_dist` unit tests pin).
@@ -39,10 +44,6 @@ pub struct ServingChaosConfig {
     /// Requests in the Poisson arrival trace (prompt lengths and
     /// generation counts are drawn per seed).
     pub n_requests: usize,
-    /// Scheduler token budget per iteration.
-    pub token_budget: usize,
-    /// Scheduler batch cap.
-    pub max_batch: usize,
     /// Ring rebuilds the engine may absorb; schedules are drawn with at
     /// most this many ring-loss events so every run is survivable and
     /// an exhausted budget is a violation, not an allowed fail-over.
@@ -54,7 +55,7 @@ pub struct ServingChaosConfig {
 
 impl Default for ServingChaosConfig {
     fn default() -> Self {
-        Self { n_requests: 6, token_budget: 16, max_batch: 4, max_restarts: 4, migration: true }
+        Self { n_requests: 6, max_restarts: 4, migration: true }
     }
 }
 
@@ -174,10 +175,10 @@ fn chaos_trace(cfg: &ServingChaosConfig, seed: u64) -> Result<Vec<Request>, Stri
     poisson_requests(cfg.n_requests, 50.0, prompt_len, n_generate, seed)
 }
 
-fn serve_cfg(cfg: &ServingChaosConfig, swap: Option<RungSwap>) -> ContinuousConfig {
+fn serve_cfg(swap: Option<RungSwap>) -> ContinuousConfig {
     ContinuousConfig {
-        token_budget: cfg.token_budget,
-        max_batch: cfg.max_batch,
+        token_budget: TOKEN_BUDGET,
+        max_batch: MAX_BATCH,
         swaps: swap.into_iter().collect(),
         ..ContinuousConfig::default()
     }
@@ -261,11 +262,11 @@ fn serve_and_check(
         seed,
         KvPoolConfig::default(),
     )
-    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap)));
+    .and_then(|eng| drive(eng, &trace, serve_cfg(swap)));
     let (oracle, oracle_landed, _, _) = inv.completed("local oracle", local)?;
     inv.stream_consistent("local oracle", &oracle_landed);
     let dist_cfg = DistServeConfig {
-        n_slots: (cfg.max_batch * 2).max(8),
+        n_slots: (MAX_BATCH * 2).max(8),
         max_restarts: cfg.max_restarts,
         // Hung stages and dropped items are detected by this real-time
         // deadline; keep it short so hang-heavy sweeps stay fast.
@@ -281,7 +282,7 @@ fn serve_and_check(
         dist_cfg,
         Some(faults.clone()),
     )
-    .and_then(|eng| drive(eng, &trace, serve_cfg(cfg, swap)));
+    .and_then(|eng| drive(eng, &trace, serve_cfg(swap)));
     // Schedules are drawn survivable (ring losses ≤ budget), so even an
     // exhausted restart budget is a violation here.
     let (report, landed, restarts, epoch) = inv.completed("distributed run", dist)?;

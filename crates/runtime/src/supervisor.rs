@@ -16,30 +16,22 @@
 //!   produces nothing within the progress timeout
 //!   ([`Stalled`](crate::RuntimeError::Stalled));
 //! * failed attempts are retried up to
-//!   [`SupervisorConfig::max_restarts`] times with exponential backoff,
-//!   resuming from the lock-step token checkpoint;
-//! * under [`RecoveryPolicy::Replan`], a permanently lost device
-//!   triggers a *replan*: the [`Replanner`] produces an
+//!   [`SupervisorConfig::max_restarts`] times with backoff doubling per
+//!   restart, resuming from the lock-step token checkpoint;
+//! * a permanently lost device is never retried: with a [`Replanner`]
+//!   attached it triggers a *replan* — the replanner produces an
 //!   [`ExecutionPlan`] over the survivors (re-running Algorithm 1 on the
 //!   shrunken cluster, or falling back to folding the lost stages into
 //!   their neighbors), the stage shards are reloaded through the
 //!   on-the-fly quantizing loader — the fast-recovery path §5 motivates
 //!   — and generation resumes bit-identically to sequential execution
-//!   of the *new* plan from the resume point.
+//!   of the *new* plan from the resume point; without one the run ends
+//!   as [`DeviceLost`](crate::RuntimeError::DeviceLost), no restart
+//!   counted.
 
 use llm_pq::{ExecutionPlan, StagePlan};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// What to do after a failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecoveryPolicy {
-    /// Always retry the same plan (transient-fault assumption).
-    RestartSamePlan,
-    /// Retry the same plan for transient faults, but when a device is
-    /// reported permanently lost, replan onto the survivors.
-    Replan,
-}
 
 /// Supervisor tuning. All durations are in milliseconds so the config
 /// serializes with the rest of the strategy artifacts.
@@ -54,14 +46,11 @@ pub struct SupervisorConfig {
     pub tick_ms: u64,
     /// Maximum restarts (attempts − 1) before giving up.
     pub max_restarts: usize,
-    /// First backoff delay before a restart.
+    /// First backoff delay before a restart; it doubles per
+    /// consecutive restart.
     pub backoff_base_ms: u64,
-    /// Backoff multiplier per consecutive restart.
-    pub backoff_factor: f64,
     /// Backoff ceiling.
     pub backoff_cap_ms: u64,
-    /// Recovery policy.
-    pub policy: RecoveryPolicy,
     /// Inter-stage queue bound. `Some(n)` makes every channel in the
     /// pipeline hold at most `n` items, so a slow stage backpressures
     /// its upstream all the way to the master instead of letting queues
@@ -78,9 +67,7 @@ impl Default for SupervisorConfig {
             tick_ms: 2,
             max_restarts: 3,
             backoff_base_ms: 10,
-            backoff_factor: 2.0,
             backoff_cap_ms: 1_000,
-            policy: RecoveryPolicy::Replan,
             max_queue: None,
         }
     }
@@ -89,7 +76,7 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// Backoff before restart number `restart` (0-based), capped.
     pub fn backoff(&self, restart: usize) -> Duration {
-        let ms = self.backoff_base_ms as f64 * self.backoff_factor.powi(restart as i32);
+        let ms = self.backoff_base_ms as f64 * 2f64.powi(restart as i32);
         Duration::from_millis((ms as u64).min(self.backoff_cap_ms))
     }
 }
@@ -180,6 +167,7 @@ mod tests {
     use super::*;
     use crate::engine::{Pipeline, RuntimeError};
     use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    use crate::telemetry::Telemetry;
     use llmpq_model::{RefConfig, RefModel};
     use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
     use llmpq_workload::MicrobatchPlan;
@@ -220,9 +208,7 @@ mod tests {
             tick_ms: 1,
             max_restarts: 3,
             backoff_base_ms: 1,
-            backoff_factor: 2.0,
             backoff_cap_ms: 8,
-            policy: RecoveryPolicy::Replan,
             max_queue: None,
         }
     }
@@ -461,20 +447,27 @@ mod tests {
     }
 
     #[test]
-    fn restart_policy_surfaces_device_loss() {
-        // RestartSamePlan cannot route around a lost device: the
-        // injector kills the stage on every attempt, and after
-        // max_restarts the error names the device.
+    fn device_loss_without_replanner_fails_without_counting_a_restart() {
+        // A restart cannot route around a lost device (the injector
+        // kills its stage on every attempt), so with nothing to replan
+        // the first failure is final: the error names the device, and
+        // neither the hub nor any stage recorder counts a restart that
+        // never happened.
         let m = model();
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2]];
         let faults = FaultPlan::device_loss(1, 1);
-        let cfg = SupervisorConfig { policy: RecoveryPolicy::RestartSamePlan, ..test_cfg() };
+        let hub = Telemetry::new(2);
         let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 1, 1)))
-            .supervised(cfg)
+            .supervised(test_cfg())
             .faults(&faults)
+            .telemetry(hub.clone())
             .run(&prompts, 5);
         assert!(matches!(res, Err(RuntimeError::DeviceLost(1))), "{res:?}");
+        assert_eq!(hub.restarts(), 0);
+        for s in 0..hub.n_stages() {
+            assert_eq!(hub.stage(s).unwrap().restarts(), 0, "stage {s}");
+        }
     }
 
     #[test]
@@ -494,7 +487,6 @@ mod tests {
     fn backoff_grows_and_caps() {
         let cfg = SupervisorConfig {
             backoff_base_ms: 10,
-            backoff_factor: 2.0,
             backoff_cap_ms: 50,
             ..SupervisorConfig::default()
         };

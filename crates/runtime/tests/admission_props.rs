@@ -64,7 +64,6 @@ proptest! {
             engine(2, n_blocks),
             &requests,
             cfg(admission, Some(DegradationConfig::default())),
-            None,
         )
         .unwrap();
         prop_assert_eq!(rep.stats.offered, n);
@@ -93,7 +92,7 @@ proptest! {
             default_deadline_s: Some(0.2),
             queue_timeout_s: 0.2,
         };
-        let rep = serve_continuous(engine(1, 64), &requests, cfg(admission, None), None).unwrap();
+        let rep = serve_continuous(engine(1, 64), &requests, cfg(admission, None)).unwrap();
         let uniq: HashSet<usize> = rep.outputs.iter().map(|f| f.id).collect();
         prop_assert_eq!(rep.outputs.len(), uniq.len(), "a request was output twice");
         prop_assert_eq!(
@@ -122,7 +121,7 @@ proptest! {
         }
         let admission = AdmissionConfig { max_queue: 64, ..AdmissionConfig::default() };
         let rep =
-            serve_continuous(engine(1, n_blocks), &requests, cfg(admission, None), None).unwrap();
+            serve_continuous(engine(1, n_blocks), &requests, cfg(admission, None)).unwrap();
         prop_assert!(rep.conserves());
         prop_assert_eq!(rep.stats.served, n, "preemption lost a request: {:?}", rep.stats);
         let uniq: HashSet<usize> = rep.outputs.iter().map(|f| f.id).collect();

@@ -7,9 +7,7 @@
 use llm_pq::{ExecutionPlan, StagePlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
-use llmpq_runtime::{
-    FaultPlan, FoldReplanner, Pipeline, RecoveryPolicy, RuntimeError, SupervisorConfig,
-};
+use llmpq_runtime::{FaultPlan, FoldReplanner, Pipeline, RuntimeError, SupervisorConfig};
 use llmpq_workload::MicrobatchPlan;
 use proptest::prelude::*;
 
@@ -55,9 +53,7 @@ proptest! {
             tick_ms: 1,
             max_restarts: faults.events.len() + 1,
             backoff_base_ms: 1,
-            backoff_factor: 1.5,
             backoff_cap_ms: 4,
-            policy: RecoveryPolicy::Replan,
             max_queue: None,
         };
         let res = Pipeline::new(&m, &plan)

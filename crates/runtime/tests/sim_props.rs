@@ -11,8 +11,8 @@
 //!   actually 1) replayable JSON counterexample.
 
 use llmpq_runtime::{
-    run_sim, seed_sweep, shrink_schedule, SimConfig, SimCrash, SimFaultKind, SimFaultPlan,
-    SimLinkEvent, SimPartition,
+    elastic_churn_plan, run_elastic, run_sim, seed_sweep, shrink_schedule, ElasticSimConfig,
+    SimConfig, SimCrash, SimFaultKind, SimFaultPlan, SimLinkEvent, SimPartition,
 };
 
 fn cfg() -> SimConfig {
@@ -31,7 +31,7 @@ fn fault_free_run_matches_oracle() {
     // passing verdict *is* the bit-identity assertion. Sanity-check the
     // shape anyway.
     let tokens = report.tokens.unwrap();
-    assert_eq!(tokens.len(), cfg().prompts.len());
+    assert_eq!(tokens.len(), report.admission.offered);
     assert!(tokens.iter().all(|t| t.len() == cfg().n_generate));
 }
 
@@ -56,6 +56,35 @@ fn same_seed_same_trace_byte_for_byte() {
     assert_eq!(a.restarts, b.restarts);
     assert_eq!(a.final_virtual_us, b.final_virtual_us);
     assert!(a.ok(), "violations: {:?}\ntrace:\n{}", a.violations, a.trace_text());
+}
+
+/// Every seed's run repeats event for event, not only its summary: the
+/// plain and the migration schedules of seeds 0..40 each run twice and
+/// must give the same trace, verdict and tokens, and so must the
+/// elastic-fleet run of each seed (compared as its JSON). The serving
+/// mode is left out: it drives real threads under a wall-clock op
+/// timeout, so its interleaving is not a function of the seed.
+#[test]
+fn every_seed_repeats_its_event_log() {
+    let migration = SimConfig::migration_default();
+    for seed in 0..40 {
+        for (c, plan) in [
+            (cfg(), SimFaultPlan::random(seed, cfg().n_stages)),
+            (migration.clone(), SimFaultPlan::random_migration(seed, migration.n_stages)),
+        ] {
+            let (a, b) = (run_sim(&c, &plan), run_sim(&c, &plan));
+            let what = format!("seed {seed}, migration {:?}", c.migration);
+            assert_eq!(a.trace_text(), b.trace_text(), "{what}");
+            assert_eq!(a.violations, b.violations, "{what}");
+            assert_eq!(a.tokens, b.tokens, "{what}");
+        }
+    }
+    let elastic = ElasticSimConfig::default();
+    for seed in 0..40 {
+        let churn = elastic_churn_plan(&elastic, seed);
+        let json = || serde_json::to_string(&run_elastic(&elastic, seed, &churn)).unwrap();
+        assert_eq!(json(), json(), "elastic seed {seed}");
+    }
 }
 
 #[test]
@@ -138,7 +167,7 @@ fn fault_free_migration_commits_and_ships_kv() {
     assert!(swap.kv_bytes > 0, "a repartition swap must ship KV slices");
     // Every admitted request finishes full-length: zero dropped requests.
     let tokens = report.tokens.expect("committed run produces tokens");
-    assert_eq!(tokens.len(), c.prompts.len());
+    assert_eq!(tokens.len(), report.admission.offered);
     assert!(tokens.iter().all(|t| t.len() == c.n_generate));
     // The committed target (all-Int4) is visible in token space.
     let mut plain = c.clone();

@@ -11,7 +11,7 @@ use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
     hybrid_oracle_tokens, ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner,
     FleetController, FleetEvent, FleetEventKind, FleetView, Pipeline, PlanFailure,
-    RecoveryPolicy, SupervisorConfig, SwapRequest, Telemetry,
+    SupervisorConfig, SwapRequest, Telemetry,
 };
 
 const N_LAYERS: usize = 4;
@@ -42,9 +42,7 @@ fn fast_supervisor() -> SupervisorConfig {
         tick_ms: 1,
         max_restarts: 3,
         backoff_base_ms: 1,
-        backoff_factor: 2.0,
         backoff_cap_ms: 8,
-        policy: RecoveryPolicy::RestartSamePlan,
         max_queue: None,
     }
 }

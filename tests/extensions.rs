@@ -8,8 +8,7 @@ use llmpq_cost::CostDb;
 use llmpq_model::{zoo, RefConfig, RefModel};
 use llmpq_quant::IndicatorTable;
 use llmpq_runtime::{
-    arrival_requests, serve_trace_static, FaultPlan, IterCost, Pipeline, RecoveryPolicy,
-    SupervisorConfig,
+    arrival_requests, serve_trace_static, FaultPlan, IterCost, Pipeline, SupervisorConfig,
 };
 use llmpq_sim::KernelEnv;
 use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
@@ -147,7 +146,6 @@ fn recovery_works_for_an_assigned_plan() {
     let crash_stage = out.plan.stages.len() - 1;
     let sup = SupervisorConfig {
         max_restarts: 2,
-        policy: RecoveryPolicy::RestartSamePlan,
         ..SupervisorConfig::default()
     };
     let run = || Pipeline::new(&checkpoint, &out.plan).supervised(sup);

@@ -9,7 +9,7 @@ use llmpq_cluster::{Cluster, GpuModel, Interconnect};
 use llmpq_cost::CostDb;
 use llmpq_model::{ModelFamily, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{quantize_model, IndicatorTable, Rounding};
-use llmpq_runtime::{FaultPlan, Pipeline, RecoveryPolicy, Replanner, SupervisorConfig};
+use llmpq_runtime::{FaultPlan, Pipeline, Replanner, SupervisorConfig};
 use llmpq_sim::KernelEnv;
 use llmpq_workload::BatchJob;
 
@@ -83,9 +83,7 @@ fn fast_supervisor() -> SupervisorConfig {
         tick_ms: 1,
         max_restarts: 2,
         backoff_base_ms: 1,
-        backoff_factor: 2.0,
         backoff_cap_ms: 8,
-        policy: RecoveryPolicy::Replan,
         max_queue: None,
     }
 }

@@ -9,7 +9,7 @@ use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
     hybrid_oracle_tokens, FaultEvent, FaultKind, FaultPlan, FoldReplanner, Pipeline,
-    RecoveryAction, RecoveryPolicy, RuntimeError, SupervisorConfig, SwapRequest, Telemetry,
+    RecoveryAction, RuntimeError, SupervisorConfig, SwapRequest, Telemetry,
 };
 
 const N_LAYERS: usize = 4;
@@ -35,9 +35,7 @@ fn fast_supervisor() -> SupervisorConfig {
         tick_ms: 1,
         max_restarts: 3,
         backoff_base_ms: 1,
-        backoff_factor: 2.0,
         backoff_cap_ms: 8,
-        policy: RecoveryPolicy::RestartSamePlan,
         max_queue: None,
     }
 }

@@ -157,7 +157,7 @@ fn overload_served_tokens_match_reference() {
         max_batch: 2,
         ..ContinuousConfig::default()
     };
-    let rep = serve_continuous(ring_engine(&checkpoint, vec![rung0], None), &requests, cfg, None)
+    let rep = serve_continuous(ring_engine(&checkpoint, vec![rung0], None), &requests, cfg)
         .expect("served");
     assert_eq!(rep.stats.served, 4);
     for fin in &rep.outputs {

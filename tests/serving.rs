@@ -88,7 +88,7 @@ fn continuous_batching_is_bit_identical_to_offline_generation() {
         policy: PhasePolicy::Mixed { prefill_frac: 0.5 },
         ..ContinuousConfig::default()
     };
-    let report = serve_continuous(engine, &requests, cfg, None).expect("run completes");
+    let report = serve_continuous(engine, &requests, cfg).expect("run completes");
     assert!(report.conserves(), "conservation: {:?}", report.stats);
     assert_eq!(report.completed, requests.len(), "everything admitted must finish");
     for fin in &report.outputs {
@@ -121,8 +121,8 @@ fn preemption_under_kv_pressure_keeps_tokens_exact() {
             priority: (i % 2) as u32,
         })
         .collect();
-    let report = serve_continuous(engine, &requests, ContinuousConfig::default(), None)
-        .expect("run completes");
+    let report =
+        serve_continuous(engine, &requests, ContinuousConfig::default()).expect("run completes");
     assert!(report.conserves());
     assert_eq!(report.completed, 6);
     assert!(report.preemptions > 0, "the pool must force preemption");
@@ -178,7 +178,7 @@ fn overload_conserves_and_sheds_with_deadlines() {
         },
         ..ContinuousConfig::default()
     };
-    let report = serve_continuous(engine, &requests, cfg, None).expect("run completes");
+    let report = serve_continuous(engine, &requests, cfg).expect("run completes");
     assert!(report.conserves(), "conservation: {:?}", report.stats);
     assert!(report.stats.shed + report.stats.expired > 0, "overload must shed");
     assert_eq!(

@@ -80,7 +80,7 @@ fn local_report(cfg: ContinuousConfig) -> ContinuousReport {
         KvPoolConfig::default(),
     )
     .expect("local engine");
-    serve_continuous(engine, &trace(), cfg, None).expect("local serve")
+    serve_continuous(engine, &trace(), cfg).expect("local serve")
 }
 
 /// Locate (building if necessary) the `llmpq-dist` binary — the same
@@ -192,7 +192,7 @@ fn dist_report(
         Box::new(ring),
     )
     .expect("dist engine");
-    let report = serve_continuous(engine, &trace(), cfg, None).expect("dist serve");
+    let report = serve_continuous(engine, &trace(), cfg).expect("dist serve");
     let links = hub.link_stats();
     assert!(links[0].bytes_tx > 0, "link 0 tx never counted: {:?}", links[0]);
     let ret = links[boot.stages.len()];
