@@ -144,13 +144,18 @@ pub(crate) struct AttemptSupervision {
 }
 
 impl AttemptSupervision {
-    /// `StageHung` if the heartbeat board shows a stage stale past the
-    /// timeout — checked whenever the master finds itself waiting.
-    fn check_heartbeats(&self) -> Result<(), RuntimeError> {
+    /// The master's answer whenever a bounded wait times out: a stage
+    /// whose heartbeat is stale past the timeout is `StageHung`, and a
+    /// wait past its progress `deadline` (a barrier wait has none) is
+    /// `Stalled` with `stalled` as the diagnosis.
+    fn after_wait(&self, deadline: Option<Duration>, stalled: &str) -> Result<(), RuntimeError> {
         if let (Some(hb), Some(t)) = (&self.heartbeats, self.heartbeat_timeout) {
             if let Some(stage) = hb.stalest_over(t) {
                 return Err(RuntimeError::StageHung(stage));
             }
+        }
+        if deadline.is_some_and(|d| self.clock.expired(d)) {
+            return Err(RuntimeError::Stalled(stalled.into()));
         }
         Ok(())
     }
@@ -206,13 +211,10 @@ impl Master {
                 }
                 Err(TransportSendError::Timeout(m)) => {
                     msg = m;
-                    sup.check_heartbeats()?;
-                    if deadline.is_some_and(|d| sup.clock.expired(d)) {
-                        return Err(RuntimeError::Stalled(
-                            "master blocked on stage-0 backpressure past the progress timeout"
-                                .into(),
-                        ));
-                    }
+                    sup.after_wait(
+                        deadline,
+                        "master blocked on stage-0 backpressure past the progress timeout",
+                    )?;
                 }
             }
         }
@@ -283,9 +285,38 @@ impl Master {
         Ok(())
     }
 
-    /// Receive the next fresh work item, with live-migration handling:
-    /// plan-swap traffic arriving between work items is dispatched to
-    /// the coordinator instead of being treated as a protocol violation.
+    /// One bounded wait for the last stage's output: `Some` fresh work
+    /// item, or `None` once a duplicate delivery is dropped, a ring
+    /// message is handled (plan-swap traffic between work items goes to
+    /// the coordinator, never counts as a protocol violation) or the
+    /// wait times out short of `deadline`.
+    fn recv_step(
+        &self,
+        sup: &AttemptSupervision,
+        deadline: Option<Duration>,
+        migration: Option<&mut MigrationCoordinator>,
+    ) -> Result<Option<WorkItem>, RuntimeError> {
+        match self.link.recv_msg(sup.tick) {
+            Ok(WorkerMsg::Work(item)) => {
+                if self.last_step.get() == Some(item.step) {
+                    return Ok(None); // duplicated delivery
+                }
+                self.last_step.set(Some(item.step));
+                Ok(Some(item))
+            }
+            Ok(WorkerMsg::Shutdown) => Err(RuntimeError::WorkerDied("premature shutdown".into())),
+            Ok(WorkerMsg::Protocol(e)) => Err(RuntimeError::Protocol(e)),
+            Ok(other) => self.on_ring_msg(other, sup, migration).map(|()| None),
+            Err(TransportRecvError::Disconnected) => {
+                Err(RuntimeError::WorkerDied("last stage disconnected".into()))
+            }
+            Err(TransportRecvError::Timeout) => sup
+                .after_wait(deadline, "no output from the last stage within the progress timeout")
+                .map(|()| None),
+        }
+    }
+
+    /// Receive the next fresh work item within the progress timeout.
     pub(crate) fn recv_m(
         &self,
         sup: &AttemptSupervision,
@@ -293,69 +324,27 @@ impl Master {
     ) -> Result<WorkItem, RuntimeError> {
         let deadline = sup.progress_timeout.map(|t| sup.clock.deadline(t));
         loop {
-            match self.link.recv_msg(sup.tick) {
-                Ok(WorkerMsg::Work(item)) => {
-                    if self.last_step.get() == Some(item.step) {
-                        continue; // duplicated delivery
-                    }
-                    self.last_step.set(Some(item.step));
-                    return Ok(item);
-                }
-                Ok(WorkerMsg::Shutdown) => {
-                    return Err(RuntimeError::WorkerDied("premature shutdown".into()))
-                }
-                Ok(WorkerMsg::Protocol(e)) => return Err(RuntimeError::Protocol(e)),
-                Ok(other) => self.on_ring_msg(other, sup, migration.as_deref_mut())?,
-                Err(TransportRecvError::Disconnected) => {
-                    return Err(RuntimeError::WorkerDied("last stage disconnected".into()))
-                }
-                Err(TransportRecvError::Timeout) => {
-                    sup.check_heartbeats()?;
-                    if deadline.is_some_and(|d| sup.clock.expired(d)) {
-                        return Err(RuntimeError::Stalled(
-                            "no output from the last stage within the progress timeout".into(),
-                        ));
-                    }
-                }
+            if let Some(item) = self.recv_step(sup, deadline, migration.as_deref_mut())? {
+                return Ok(item);
             }
         }
     }
 
     /// One bounded-wait pump of the ring during a swap barrier or commit
-    /// window: processes a single message if one is available. Returns
-    /// whether a message was processed. A fresh (non-duplicate) work
-    /// item here is a protocol violation — the pipeline is quiescent at
-    /// a token boundary.
+    /// window, whose own deadline bounds the wait. A fresh work item
+    /// here is a protocol violation — the pipeline is quiescent at a
+    /// token boundary.
     fn pump_migration(
         &self,
         sup: &AttemptSupervision,
         migration: &mut MigrationCoordinator,
-    ) -> Result<bool, RuntimeError> {
-        match self.link.recv_msg(sup.tick) {
-            Ok(WorkerMsg::Work(item)) => {
-                if self.last_step.get() == Some(item.step) {
-                    return Ok(true); // fault-injected duplicate: drop
-                }
-                Err(RuntimeError::Protocol(format!(
-                    "work item step {} crossed a swap barrier",
-                    item.step
-                )))
-            }
-            Ok(WorkerMsg::Shutdown) => {
-                Err(RuntimeError::WorkerDied("premature shutdown".into()))
-            }
-            Ok(WorkerMsg::Protocol(e)) => Err(RuntimeError::Protocol(e)),
-            Ok(other) => {
-                self.on_ring_msg(other, sup, Some(migration))?;
-                Ok(true)
-            }
-            Err(TransportRecvError::Disconnected) => {
-                Err(RuntimeError::WorkerDied("last stage disconnected".into()))
-            }
-            Err(TransportRecvError::Timeout) => {
-                sup.check_heartbeats()?;
-                Ok(false)
-            }
+    ) -> Result<(), RuntimeError> {
+        match self.recv_step(sup, None, Some(migration))? {
+            Some(item) => Err(RuntimeError::Protocol(format!(
+                "work item step {} crossed a swap barrier",
+                item.step
+            ))),
+            None => Ok(()),
         }
     }
 
@@ -661,22 +650,15 @@ fn tick_of(cfg: Option<&SupervisorConfig>) -> Duration {
     cfg.map_or(DEFAULT_TICK, |c| Duration::from_millis(c.tick_ms.max(1)))
 }
 
-/// How a master answers a failed attempt: the restart budget, whether a
-/// lost device is replanned around (a replanner is attached), and the
-/// pause before restart `n`.
-pub(crate) struct RestartPolicy<'a> {
-    pub max_restarts: usize,
-    pub replan_on_loss: bool,
-    pub backoff: Box<dyn Fn(usize) -> Duration + 'a>,
-}
-
-/// What [`after_failed_attempt`] decided.
+/// What [`after_failed_attempt`] decided. When to dial again is the
+/// caller's pacing: [`AttemptLoop`] backs off per
+/// [`SupervisorConfig::backoff`], the serving engine redials at once.
 pub(crate) enum Recovery {
-    /// Dial the same plan again after `backoff`.
-    Restart { backoff: Duration },
+    /// Dial the same plan again.
+    Restart,
     /// The devices in `lost` are gone for good and the plan uses one of
-    /// them, `device`: replan around them.
-    Replan { lost: Vec<usize>, device: usize },
+    /// them: replan around them.
+    Replan { lost: Vec<usize> },
 }
 
 /// The failure path's one decision point: every master — [`AttemptLoop`]
@@ -689,23 +671,23 @@ pub(crate) enum Recovery {
 /// stage noted dropping a work item on a downstream disconnect — the
 /// cause is that [`StageDisconnected`](RuntimeError::StageDisconnected)
 /// (hangs and protocol violations keep their own diagnosis). *Budget:*
-/// without a `policy` (an unsupervised run) the cause is final. It is
-/// final too past `max_restarts`, and at once when the plan sits on a
-/// device reported lost that the policy cannot replan around; either
-/// way a plan on a lost device reports
+/// without `max_restarts` (an unsupervised run) the cause is final. It
+/// is final too past `max_restarts`, and at once when the plan sits on
+/// a device reported lost and no replanner is attached (`replan`);
+/// either way a plan on a lost device reports
 /// [`DeviceLost`](RuntimeError::DeviceLost), since no restart could
 /// succeed. *Count:* a restart that will happen is counted on the
 /// ring's hub against the stage the cause implicates: the hung stage,
 /// the stage behind the link a neighbour lost an item on, or — for a
 /// bare disconnect — the first stage the ring saw leave. *Decide:*
-/// replan when the plan lost a device, else restart after the policy's
-/// backoff.
+/// replan when the plan lost a device, else restart.
 pub(crate) fn after_failed_attempt(
     ring: &dyn ServingRing,
     plan: &ExecutionPlan,
     seen: RuntimeError,
     attempt: usize,
-    policy: Option<&RestartPolicy<'_>>,
+    max_restarts: Option<usize>,
+    replan: bool,
 ) -> Result<(RuntimeError, Recovery), RuntimeError> {
     let cause = match (seen, ring.dropped_stage()) {
         (RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_), Some(stage)) => {
@@ -713,10 +695,10 @@ pub(crate) fn after_failed_attempt(
         }
         (seen, _) => seen,
     };
-    let Some(policy) = policy else { return Err(cause) };
+    let Some(max_restarts) = max_restarts else { return Err(cause) };
     let lost = ring.lost_devices();
     let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
-    if attempt >= policy.max_restarts || (lost_in_plan.is_some() && !policy.replan_on_loss) {
+    if attempt >= max_restarts || (lost_in_plan.is_some() && !replan) {
         return Err(lost_in_plan.map_or(cause, RuntimeError::DeviceLost));
     }
     ring.telemetry().note_restart(match &cause {
@@ -725,10 +707,7 @@ pub(crate) fn after_failed_attempt(
         RuntimeError::WorkerDied(_) => ring.first_exit(),
         _ => None,
     });
-    let recovery = match lost_in_plan {
-        Some(device) => Recovery::Replan { lost, device },
-        None => Recovery::Restart { backoff: (policy.backoff)(attempt) },
-    };
+    let recovery = if lost_in_plan.is_some() { Recovery::Replan { lost } } else { Recovery::Restart };
     Ok((cause, recovery))
 }
 
@@ -736,24 +715,25 @@ pub(crate) fn after_failed_attempt(
 /// carries the attempt: in-process channels for [`Pipeline::run`], the
 /// TCP stage fleet for [`run_master`](crate::net::dist::run_master), the
 /// simulated network for the [`crate::simnet`] master actor (which
-/// injects its virtual clock, its µs-granular timeouts and backoff, and
-/// the hook that writes its per-attempt trace lines).
+/// swaps in its virtual clock and the hook that writes its per-attempt
+/// trace lines).
 pub(crate) struct AttemptLoop<'a> {
-    pub model: &'a RefModel,
-    pub prompts: &'a [Vec<usize>],
-    pub n_generate: usize,
+    model: &'a RefModel,
+    prompts: &'a [Vec<usize>],
+    n_generate: usize,
     /// Failure detection, clock and tick of every attempt; its board is
     /// the dialled ring's.
     pub sup: AttemptSupervision,
-    /// `None` = one attempt, its error returned as classified.
-    pub restarts: Option<RestartPolicy<'a>>,
-    pub replanner: Option<&'a dyn Replanner>,
+    /// Restart budget and backoff; `None` = one attempt, its error
+    /// returned as classified.
+    supervisor: Option<SupervisorConfig>,
+    replanner: Option<&'a dyn Replanner>,
     /// Told how each attempt ended, as the master saw it.
     pub on_attempt_end: &'a dyn Fn(usize, Option<&RuntimeError>),
 }
 
 impl<'a> AttemptLoop<'a> {
-    /// The loop of a wall-clock run: unsupervised (one attempt,
+    /// The loop of a run on the wall clock: unsupervised (one attempt,
     /// disconnect-only detection) or under `supervisor`'s timeouts,
     /// budget and backoff, replanning a lost device through `replanner`
     /// if one is attached.
@@ -775,11 +755,7 @@ impl<'a> AttemptLoop<'a> {
                 tick: tick_of(supervisor),
                 clock: real_clock(),
             },
-            restarts: supervisor.copied().map(|cfg| RestartPolicy {
-                max_restarts: cfg.max_restarts,
-                replan_on_loss: replanner.is_some(),
-                backoff: Box::new(move |restart| cfg.backoff(restart)),
-            }),
+            supervisor: supervisor.copied(),
             replanner,
             on_attempt_end: &|_, _| {},
         }
@@ -842,15 +818,19 @@ impl<'a> AttemptLoop<'a> {
                 }
                 Err(e) => e,
             };
-            let (cause, recovery) =
-                after_failed_attempt(ring, &plan, seen, attempt, self.restarts.as_ref())?;
+            let (cause, recovery) = after_failed_attempt(
+                ring,
+                &plan,
+                seen,
+                attempt,
+                self.supervisor.map(|c| c.max_restarts),
+                self.replanner.is_some(),
+            )?;
             checkpoint_lockstep(&mut tokens);
             let checkpointed_tokens = tokens.first().map_or(0, Vec::len);
             let action = match recovery {
-                Recovery::Replan { lost, device } => {
-                    let Some(r) = self.replanner else {
-                        return Err(RuntimeError::DeviceLost(device));
-                    };
+                Recovery::Replan { lost } => {
+                    let r = self.replanner.expect("only a replanner's run is told to replan");
                     let new_plan = r
                         .replan(&plan, &lost)
                         .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
@@ -868,7 +848,9 @@ impl<'a> AttemptLoop<'a> {
                     ring.telemetry().note_replan();
                     RecoveryAction::Replan { lost_devices: lost, new_stages: plan.stages.len() }
                 }
-                Recovery::Restart { backoff } => {
+                Recovery::Restart => {
+                    // A restart is decided only under a supervisor.
+                    let backoff = self.supervisor.map_or(Duration::ZERO, |c| c.backoff(attempt));
                     clock.sleep(backoff);
                     RecoveryAction::Restart { backoff_ms: backoff.as_millis() as u64 }
                 }

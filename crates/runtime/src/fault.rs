@@ -133,16 +133,8 @@ impl FaultPlan {
     /// The same seed always yields the same plan.
     pub fn random(seed: u64, n_stages: usize, max_steps: usize, max_events: usize) -> Self {
         assert!(n_stages > 0 && max_steps > 0);
-        // SplitMix64 — self-contained so the runtime crate needs no RNG
-        // dependency.
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = move || crate::splitmix64(&mut state);
         let n = (next() as usize) % (max_events + 1);
         let events = (0..n)
             .map(|_| {

@@ -117,3 +117,15 @@ pub use telemetry::{
     HistogramSnapshot, LatencyHistogram, Span, StageMetrics, StageRecorder, Telemetry,
 };
 pub use worker::{disconnect_board, DisconnectBoard, WorkItem, WorkerCtx, WorkerMsg};
+
+/// SplitMix64: advance `state` and return the next output. The one
+/// seeded generator of the runtime — fault and chaos schedules, Poisson
+/// arrivals, redial jitter, the simulated engine's token oracle — tiny,
+/// fully deterministic and dependency-free.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -417,15 +417,9 @@ pub fn connect_retry(
     cap: Duration,
     jitter_seed: u64,
 ) -> io::Result<TcpStream> {
-    // SplitMix64: tiny, seedable, good enough to decorrelate dialers.
+    // Seeded, so many dialers decorrelate reproducibly.
     let mut state = jitter_seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || crate::splitmix64(&mut state);
     let mut delay = base;
     let mut last_err = io::Error::new(io::ErrorKind::InvalidInput, "zero connect attempts");
     for i in 0..attempts.max(1) {

@@ -386,13 +386,7 @@ pub fn poisson_requests(
         return Err(format!("arrival rate must be finite and > 0, got {rate_rps}"));
     }
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut next_u64 = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next_u64 = move || crate::splitmix64(&mut state);
     let mut uniform = move || ((next_u64() >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
     let mut now = 0.0f64;
     let mut out = Vec::with_capacity(n);

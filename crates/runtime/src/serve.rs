@@ -80,6 +80,17 @@ impl std::fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
+/// An exhausted pool is the scheduler's to handle (preempt); any other
+/// pool error is an engine fault.
+impl From<KvPoolError> for StepError {
+    fn from(e: KvPoolError) -> Self {
+        match e {
+            KvPoolError::Exhausted { needed, free } => StepError::KvExhausted { needed, free },
+            e => StepError::Engine(e.to_string()),
+        }
+    }
+}
+
 /// Affine per-iteration cost at one degradation rung:
 /// `base + per_prefill_token·p + per_decode_token·d` virtual seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -255,16 +266,9 @@ impl<T: StepEngine + ?Sized> StepEngine for Box<T> {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn absorb(h: u64, tok: usize, pos: usize) -> u64 {
-    splitmix64(h ^ (tok as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ (((pos as u64) << 1) | 1))
+    let mut state = h ^ (tok as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ (((pos as u64) << 1) | 1);
+    crate::splitmix64(&mut state)
 }
 
 fn emit(h: u64, vocab: usize) -> usize {
@@ -369,13 +373,7 @@ impl StepEngine for SimStepEngine {
         pos0: usize,
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
-        match self.pool.extend(seq, tokens.len()) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
+        self.pool.extend(seq, tokens.len())?;
         let s = self.seqs.get_mut(&seq).ok_or_else(|| StepError::Engine(format!("seq {seq}")))?;
         debug_assert_eq!(s.len, pos0, "prefill chunks must be contiguous");
         for (i, &t) in tokens.iter().enumerate() {
@@ -386,13 +384,7 @@ impl StepEngine for SimStepEngine {
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
-        match self.pool.extend(seq, 1) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
+        self.pool.extend(seq, 1)?;
         let s = self.seqs.get_mut(&seq).ok_or_else(|| StepError::Engine(format!("seq {seq}")))?;
         s.hash = absorb(s.hash, last, pos);
         s.len += 1;
@@ -545,10 +537,7 @@ impl ModelStepEngine {
     fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize) -> Result<Matrix, StepError> {
         let cfg = &self.head.cfg;
         let mut x = self.head.embed_tokens(tokens, pos0);
-        let mut kv = self.store.extend_seq(seq, tokens.len()).map_err(|e| match e {
-            KvPoolError::Exhausted { needed, free } => StepError::KvExhausted { needed, free },
-            e => StepError::Engine(e.to_string()),
-        })?;
+        let mut kv = self.store.extend_seq(seq, tokens.len())?;
         debug_assert_eq!(kv.cached(0), pos0, "a sequence is computed in position order");
         for (l, w) in self.rungs[self.rung].iter().enumerate() {
             x = forward_layer_alibi(w, cfg.n_heads, l, &x, &mut kv, cfg.alibi);

@@ -39,10 +39,10 @@
 
 use crate::clock::{real_clock, Clock};
 use crate::engine::{
-    after_failed_attempt, load_all_stages, AttemptSupervision, Master, RestartPolicy, RuntimeError,
+    after_failed_attempt, load_all_stages, AttemptSupervision, Master, RuntimeError,
 };
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
-use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError};
+use crate::kvpool::{KvPool, KvPoolConfig};
 use crate::loader::LoaderStats;
 use crate::migrate::{MigrationCoordinator, MigrationHost, SwapRequest};
 use crate::net::transport::{ChannelTransport, Transport};
@@ -368,8 +368,6 @@ pub struct DistStepEngine {
     /// slot → live sequence (index is the worker-side sequence id).
     slots: Vec<Option<u64>>,
     seq_slot: HashMap<u64, usize>,
-    /// Mirror of each live sequence's cached positions (debug asserts).
-    positions: HashMap<u64, usize>,
     rung: usize,
     epoch: u64,
     next_step: u64,
@@ -443,7 +441,6 @@ impl DistStepEngine {
             },
             slots: vec![None; cfg.n_slots],
             seq_slot: HashMap::new(),
-            positions: HashMap::new(),
             rung: 0,
             epoch: 0,
             next_step: 0,
@@ -495,13 +492,9 @@ impl DistStepEngine {
         self.link = None; // EOF cascade tears the old attempt down
         self.ring.teardown();
         if let Some(seen) = self.lost.take() {
-            let policy = RestartPolicy {
-                max_restarts: self.cfg.max_restarts,
-                replan_on_loss: false,
-                backoff: Box::new(|_| Duration::ZERO),
-            };
             let restarts = self.restarts as usize;
-            match after_failed_attempt(&*self.ring, &self.plans[0], seen, restarts, Some(&policy)) {
+            let budget = Some(self.cfg.max_restarts);
+            match after_failed_attempt(&*self.ring, &self.plans[0], seen, restarts, budget, false) {
                 Ok(_) => self.restarts += 1,
                 Err(cause) => {
                     self.lost = Some(cause.clone()); // still down: the next call says so again
@@ -631,7 +624,6 @@ impl StepEngine for DistStepEngine {
         self.pool.alloc(seq, 0).map_err(|e| StepError::Engine(e.to_string()))?;
         self.slots[slot] = Some(seq);
         self.seq_slot.insert(seq, slot);
-        self.positions.insert(seq, 0);
         Ok(())
     }
 
@@ -643,43 +635,36 @@ impl StepEngine for DistStepEngine {
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
         let slot = self.slot_of(seq)?;
-        debug_assert_eq!(self.positions[&seq], pos0, "prefill chunks must be contiguous");
+        // The pool counts a step's tokens before the ring runs it, so
+        // after a lost ring it is ahead; the scheduler then requeues
+        // every sequence.
+        debug_assert!(
+            self.lost.is_some() || self.pool.tokens_of(seq) == Some(pos0),
+            "prefill chunks must be contiguous"
+        );
         // Mirror the allocator first: an exhausted pool must preempt
         // without touching the ring, exactly like the local engine.
-        match self.pool.extend(seq, tokens.len()) {
-            Err(KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
+        self.pool.extend(seq, tokens.len())?;
         let x = self.head.embed_tokens(tokens, pos0);
-        let tok = self.forward(slot, x, Phase::Prefill, is_last)?;
-        *self.positions.get_mut(&seq).expect("registered") += tokens.len();
-        Ok(tok)
+        self.forward(slot, x, Phase::Prefill, is_last)
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
         let slot = self.slot_of(seq)?;
-        debug_assert_eq!(self.positions[&seq], pos, "decode position must follow the cache");
-        match self.pool.extend(seq, 1) {
-            Err(KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
+        debug_assert!(
+            self.lost.is_some() || self.pool.tokens_of(seq) == Some(pos),
+            "decode position must follow the cache"
+        );
+        self.pool.extend(seq, 1)?;
         let x = self.head.embed_tokens(&[last], pos);
         let tok = self
             .forward(slot, x, Phase::Decode, true)?
             .expect("sampled decode step returns a token");
-        *self.positions.get_mut(&seq).expect("registered") += 1;
         Ok(tok)
     }
 
     fn release(&mut self, seq: u64) {
         self.pool.free(seq);
-        self.positions.remove(&seq);
         let Some(slot) = self.seq_slot.remove(&seq) else { return };
         self.slots[slot] = None;
         // Recycle the worker-side slot: broadcast a KV reset around the

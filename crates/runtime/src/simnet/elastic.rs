@@ -16,13 +16,13 @@
 //! `llmpq-simnet --elastic` is a thin CLI wrapper over it.
 
 use super::invariants::Invariants;
-use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::{
     even_split, ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner,
     FleetController, FleetEvent, FleetEventKind,
 };
 use crate::overload::AdmissionStats;
+use crate::splitmix64;
 use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_quant::Bitwidth;
 use serde::{Deserialize, Serialize};

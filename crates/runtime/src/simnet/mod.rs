@@ -39,11 +39,11 @@
 //! `worker::run_worker_transport` — the actual production loops — run
 //! unchanged inside the simulation; only the transport and the clock
 //! are swapped. The master actor's restart loop is production's too:
-//! `engine::AttemptLoop` over the simulated net as a `ServingRing`,
-//! with the virtual clock, the µs-granular timeouts and backoff and the
-//! per-attempt trace lines injected — the lines, and where they fall in
-//! virtual time, are part of the byte-identical replay contract. (The
-//! serving loop,
+//! `engine::AttemptLoop::new` over the simulated net as a
+//! `ServingRing`, under one `SupervisorConfig` like every offline
+//! master, with only the virtual clock and the per-attempt trace lines
+//! swapped in — the lines, and where they fall in virtual time, are
+//! part of the byte-identical replay contract. (The serving loop,
 //! [`ContinuousScheduler`](crate::serve::ContinuousScheduler), honors
 //! the contract by construction: every entry point takes `now` and it
 //! never reads a clock of its own.)
@@ -74,7 +74,7 @@ pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
 use crate::elastic::even_split;
-use crate::engine::{AttemptLoop, AttemptSupervision, RestartPolicy, RuntimeError};
+use crate::engine::{AttemptLoop, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::{MigrationCoordinator, MigrationHost, SwapReport, SwapRequest};
@@ -82,11 +82,12 @@ use crate::net::transport::Transport;
 use crate::net::wire::WireMsg;
 use crate::overload::{AdmissionConfig, AdmissionController, AdmissionStats, Request};
 use crate::serve_dist::ServingRing;
+use crate::supervisor::SupervisorConfig;
 use crate::telemetry::Telemetry;
 use crate::worker::{run_worker_transport, WorkerCtx};
 use conn::{SimConn, SimTransport};
 use invariants::Invariants;
-use llm_pq::{ExecutionPlan, MicrobatchPlan, StagePlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use sched::{ActorGuard, AwaitEpoch, CrashEnd, RecvEnd, SimNet, NEVER_US};
@@ -99,14 +100,24 @@ fn offered_prompts() -> Vec<Vec<usize>> {
     vec![vec![1, 2, 3], vec![9, 8]]
 }
 
-/// Supervision tick, virtual µs.
-const TICK_US: u64 = 1_000;
-/// Heartbeat staleness threshold, virtual µs.
-const HEARTBEAT_TIMEOUT_US: u64 = 250_000;
-/// Progress timeout, virtual µs; also both deadlines of a plan swap.
-const PROGRESS_TIMEOUT_US: u64 = 500_000;
-/// Restart backoff base, virtual µs (doubles per restart).
-const BACKOFF_BASE_US: u64 = 5_000;
+/// The master's failure policy, in virtual time: a 1 ms tick, a stage
+/// stale for 250 ms is hung, 500 ms without progress is a stall (and
+/// bounds both deadlines of a plan swap), and restarts back off from
+/// 5 ms, doubling up to 320 ms. `max_restarts` is the run's budget.
+const SUPERVISOR: SupervisorConfig = SupervisorConfig {
+    heartbeat_timeout_ms: 250,
+    progress_timeout_ms: 500,
+    tick_ms: 1,
+    max_restarts: 0,
+    backoff_base_ms: 5,
+    backoff_cap_ms: 320,
+    max_queue: None,
+};
+/// Supervision tick, virtual µs (stage workers and control readers
+/// poll at it too).
+const TICK_US: u64 = SUPERVISOR.tick_ms * 1_000;
+/// Both deadlines of a plan swap: the progress timeout.
+const SWAP_TIMEOUT: Duration = Duration::from_millis(SUPERVISOR.progress_timeout_ms);
 /// One-way link latency, virtual µs.
 const LINK_LATENCY_US: u64 = 50;
 /// Virtual-time budget: a run that would pass this with work still
@@ -138,25 +149,21 @@ pub struct SimConfig {
     pub migration: Option<SimMigration>,
 }
 
-/// A live migration the simulated master schedules: one plan swap whose
-/// target drops every layer to Int4 and (optionally) moves one layer
-/// between stages, shipping its KV slices in the commit window. When
-/// the fault schedule contains a [`SimDeviceJoin`], the repartitioned
-/// stage is re-homed onto the joined device — the migrate-onto-new-
-/// device move.
+/// A live migration the simulated master schedules: one plan swap to
+/// [`ExecutionPlan::int4_with_one_layer_moved`], shipping the moved
+/// layer's KV slices in the commit window. When the fault schedule
+/// contains a [`SimDeviceJoin`], the last stage is re-homed onto the
+/// joined device — the migrate-onto-new-device move.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimMigration {
     /// Generated-token boundary of the swap (clamped to ≥ 1; token 0 is
     /// produced by the prefill under the base plan).
     pub at_token: usize,
-    /// Whether the target also moves a layer between stages (a KV
-    /// handoff) or only changes precision.
-    pub repartition: bool,
 }
 
 impl Default for SimMigration {
     fn default() -> Self {
-        Self { at_token: 2, repartition: true }
+        Self { at_token: 2 }
     }
 }
 
@@ -260,47 +267,15 @@ fn build_exec_plan(model: &RefModel, n_stages: usize, n_seqs: usize) -> Executio
 
 /// The migration target for a simulated run: every layer drops to Int4
 /// (so commit vs. abort is visible in token space against the mixed
-/// Int8/Fp16 base), optionally one layer moves across the first movable
-/// stage boundary (so commit ships KV), and — when the fault schedule
-/// has a device join — the last stage is re-homed onto the joined
-/// device.
-fn build_target_plan(
-    base: &ExecutionPlan,
-    migration: &SimMigration,
-    joins: &[plan::SimDeviceJoin],
-) -> ExecutionPlan {
-    let n_layers = base.n_layers();
-    let mut cuts: Vec<(usize, usize)> =
-        base.stages.iter().map(|s| (s.layer_start, s.layer_end)).collect();
-    if migration.repartition {
-        for i in 0..cuts.len().saturating_sub(1) {
-            if cuts[i + 1].1 - cuts[i + 1].0 >= 2 {
-                cuts[i].1 += 1;
-                cuts[i + 1].0 += 1;
-                break;
-            }
-            if cuts[i].1 - cuts[i].0 >= 2 {
-                cuts[i].1 -= 1;
-                cuts[i + 1].0 -= 1;
-                break;
-            }
-        }
-    }
-    let bits = vec![Bitwidth::Int4; n_layers];
-    let mut stages: Vec<StagePlan> = cuts
-        .iter()
-        .zip(&base.stages)
-        .map(|(&(lo, hi), s)| StagePlan {
-            device: s.device,
-            layer_start: lo,
-            layer_end: hi,
-            bits: bits[lo..hi].to_vec(),
-        })
-        .collect();
-    if let (Some(j), Some(last)) = (joins.first(), stages.last_mut()) {
+/// Int8/Fp16 base) and one layer moves across the first movable stage
+/// boundary (so commit ships KV); when the fault schedule has a device
+/// join, the last stage is re-homed onto the joined device.
+fn build_target_plan(base: &ExecutionPlan, joins: &[plan::SimDeviceJoin]) -> ExecutionPlan {
+    let mut target = base.int4_with_one_layer_moved();
+    if let (Some(j), Some(last)) = (joins.first(), target.stages.last_mut()) {
         last.device = j.device;
     }
-    ExecutionPlan { stages, ..base.clone() }
+    target
 }
 
 /// The simulated network as the master's [`ServingRing`]: a dial is
@@ -377,11 +352,11 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
     // (workers re-read it on every attempt — after a committed swap a
     // restarted stage must boot on the *target* plan), and the shared
     // host that lets workers requantize their shard on `PlanPropose`.
-    let target = cfg.migration.as_ref().map(|m| build_target_plan(&exec, m, &plan.joins));
+    let target = cfg.migration.as_ref().map(|_| build_target_plan(&exec, &plan.joins));
     let shared_plan = Arc::new(Mutex::new(exec.clone()));
     let host = cfg.migration.as_ref().map(|_| {
         let mut h = MigrationHost::new(Arc::clone(&model), Rounding::Deterministic, 0);
-        h.commit_timeout = Duration::from_micros(PROGRESS_TIMEOUT_US);
+        h.commit_timeout = SWAP_TIMEOUT;
         Arc::new(h)
     });
 
@@ -481,7 +456,7 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     MigrationCoordinator::new(
                         vec![SwapRequest { at_token: m.at_token.max(1), plan: t.clone() }],
                         n,
-                        Duration::from_micros(PROGRESS_TIMEOUT_US),
+                        SWAP_TIMEOUT,
                     )
                 });
                 let mut ring = SimRing {
@@ -491,39 +466,24 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     hb,
                     telemetry: telemetry.clone(),
                 };
-                let result = AttemptLoop {
-                    model,
-                    prompts: &prompts,
-                    n_generate: cfg.n_generate,
-                    sup: AttemptSupervision {
-                        heartbeats: None,
-                        heartbeat_timeout: Some(Duration::from_micros(HEARTBEAT_TIMEOUT_US)),
-                        progress_timeout: Some(Duration::from_micros(PROGRESS_TIMEOUT_US)),
-                        tick: Duration::from_micros(TICK_US),
-                        clock,
-                    },
-                    restarts: Some(RestartPolicy {
-                        max_restarts: cfg.max_restarts,
-                        replan_on_loss: false,
-                        backoff: Box::new(|restart| {
-                            let us = BACKOFF_BASE_US.saturating_mul(1 << restart.min(6));
-                            Duration::from_micros(us)
-                        }),
-                    }),
-                    replanner: None,
-                    on_attempt_end: &|attempt, failure| {
-                        net.trace(&match failure {
-                            None => format!("master: attempt {attempt} succeeded"),
-                            Some(e) => format!("master: attempt {attempt} failed: {e}"),
-                        })
-                    },
-                }
+                let supervisor = SupervisorConfig { max_restarts: cfg.max_restarts, ..SUPERVISOR };
+                let trace_attempt = |attempt, failure: Option<&RuntimeError>| {
+                    net.trace(&match failure {
+                        None => format!("master: attempt {attempt} succeeded"),
+                        Some(e) => format!("master: attempt {attempt} failed: {e}"),
+                    })
+                };
+                let mut attempts =
+                    AttemptLoop::new(model, &prompts, cfg.n_generate, Some(&supervisor), None);
+                attempts.sup.clock = clock;
+                attempts.on_attempt_end = &trace_attempt;
                 // A committed swap changes the plan in force: publish it
                 // so (re)started stages boot on it.
-                .run(&mut ring, exec.clone(), coord.as_mut(), |_, plan| {
-                    *shared_plan.lock().unwrap_or_else(PoisonError::into_inner) = plan.clone();
-                })
-                .map(|out| out.tokens);
+                let result = attempts
+                    .run(&mut ring, exec.clone(), coord.as_mut(), |_, plan| {
+                        *shared_plan.lock().unwrap_or_else(PoisonError::into_inner) = plan.clone();
+                    })
+                    .map(|out| out.tokens);
                 let restarts = telemetry.restarts() as usize;
                 match &result {
                     Ok(_) => admission.note_served(prompts.len()),
@@ -728,5 +688,18 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
         trace: sim.trace,
         violations: inv.into_violations(),
         final_virtual_us: sim.final_now_us,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_master_backs_off_from_5_ms_doubling_up_to_320_ms() {
+        for r in 0..12 {
+            let want = Duration::from_micros(5_000 << r.min(6));
+            assert_eq!(SUPERVISOR.backoff(r), want, "restart {r}");
+        }
     }
 }

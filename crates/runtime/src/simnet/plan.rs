@@ -2,6 +2,7 @@
 //! and when — serializable to JSON so a failing schedule can be saved,
 //! shipped in a bug report, and replayed bit-for-bit.
 
+use crate::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// What happens to one frame on a link.
@@ -97,17 +98,6 @@ pub struct SimFaultPlan {
     /// Timed device joins.
     #[serde(default)]
     pub joins: Vec<SimDeviceJoin>,
-}
-
-/// `splitmix64` — the same tiny seeded generator the fault DSL and the
-/// redial jitter use; good enough to scatter schedules, fully
-/// deterministic, and dependency-free.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl SimFaultPlan {

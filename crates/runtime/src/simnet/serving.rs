@@ -15,7 +15,6 @@
 //! wrapper.
 
 use super::invariants::Invariants;
-use super::plan::splitmix64;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::even_split;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -25,6 +24,7 @@ use crate::serve::{
     ContinuousConfig, ContinuousReport, ContinuousScheduler, ModelStepEngine, RungSwap, StepEngine,
 };
 use crate::serve_dist::{DistServeConfig, DistStepEngine};
+use crate::splitmix64;
 use llm_pq::{ExecutionPlan, MicrobatchPlan};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};

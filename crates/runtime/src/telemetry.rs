@@ -708,25 +708,15 @@ impl Telemetry {
         self.tokens.load(Ordering::Relaxed)
     }
 
-    /// Count requests turned away by admission control.
-    pub fn note_shed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count admitted requests dropped after their deadline or queue
-    /// timeout expired.
-    pub fn note_expired(&self, n: u64) {
-        self.expired.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the shed counter with an authoritative total — for
-    /// loops (like `ContinuousScheduler`) that own the canonical count
-    /// and mirror it into the hub rather than incrementing in two places.
+    /// Set the count of requests turned away by admission control. The
+    /// serving loop (`ContinuousScheduler`) owns the canonical total and
+    /// mirrors it here, so nothing counts a shed request twice.
     pub fn sync_shed(&self, total: u64) {
         self.shed.store(total, Ordering::Relaxed);
     }
 
-    /// Overwrite the expired counter with an authoritative total.
+    /// Set the count of admitted requests dropped after their deadline
+    /// or queue timeout expired — mirrored like [`Self::sync_shed`].
     pub fn sync_expired(&self, total: u64) {
         self.expired.store(total, Ordering::Relaxed);
     }
@@ -1290,8 +1280,8 @@ mod tests {
     #[test]
     fn overload_gauges_track_peaks() {
         let tel = Telemetry::new(1);
-        tel.note_shed(3);
-        tel.note_expired(2);
+        tel.sync_shed(3);
+        tel.sync_expired(2);
         tel.note_preempted();
         tel.set_rung(2);
         tel.set_rung(1);
