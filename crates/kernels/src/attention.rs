@@ -30,11 +30,12 @@
 //!                                            PANELS × 16 dims of sums in registers
 //!   rows ≥ MR (prefill) — per head, staged register blocks:
 //!     sweep 1  the blocked GEMM kernel with the key blocks as the weight: a tile is a copy of
-//!              a block's head rows, swept over the rows 4 at a time; blocks no row attends
-//!              to are skipped
+//!              a block's head rows, swept over the rows 4 at a time, four key blocks at a
+//!              time under AVX-512; blocks no row attends to are skipped
 //!     row-wise scale, ALiBi and softmax as above
-//!     sweep 2  ≤ 64 value rows staged once per tile, d in lanes,
-//!              4 rows × 16 lanes of accumulators in registers
+//!     sweep 2  ≤ 64 value rows staged once per tile, d in lanes, 4 rows × 16 lanes of
+//!              accumulators in registers — × 4 lane chunks of the head (d ≥ 64) under
+//!              AVX-512, sixteen zmm chains as in the GEMM
 //! ```
 //!
 //! The masked triangle `j > past + i` is never exponentiated, summed or
@@ -43,8 +44,9 @@
 //! length may hold anything — a reused block's previous keys and values,
 //! NaN — and reach no result either: lanes are distinct outputs, only the
 //! live prefix of a score row is read, and only live value rows are. Score
-//! rows live in one buffer per thread, grown to the longest call it has
-//! seen: the decode body allocates nothing per call.
+//! rows and the staged value tiles live in one buffer per thread, grown to
+//! the longest call it has seen, and the key tiles in the GEMM's
+//! per-thread scratch: neither body allocates or clears anything per call.
 //!
 //! ## Summation order
 //!
@@ -63,7 +65,7 @@
 
 use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::elementwise::softmax_row;
-use crate::gemm::{mac_rows, single_panels, Scratch, TileSource, MR, PANELS, ROW_BLOCK, TILE_K};
+use crate::gemm::{mac_rows, staged_panels, with_scratch, Scratch, TileSource, MR, PANELS, ROW_BLOCK, TILE_K};
 use crate::pack::LANES;
 use std::cell::RefCell;
 
@@ -142,8 +144,11 @@ pub fn attention(q: &[f32], m: usize, hidden: usize, past: usize, slopes: &[f32]
 }
 
 thread_local! {
-    /// Score rows of the calls on this thread: one row per head for the
-    /// decode body, a row block's worth for the staged one.
+    /// Score rows of the calls on this thread — one row per head for the
+    /// decode body, a row block's worth for the staged one — and behind
+    /// them the staged body's value tiles. Grown, never cleared: a score
+    /// is written before it is read, and a tile lane is staged before any
+    /// output reads it.
     static SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -168,13 +173,18 @@ fn attention_on<K: KvBlocks>(
     }
     let ld = (past + m).next_multiple_of(LANES);
     let decode = n_heads * ld;
-    let need = if m < MR { decode } else { (m.min(ROW_BLOCK) * ld).max(decode) };
-    SCORES.with_borrow_mut(|scores| {
-        if scores.len() < need {
-            scores.resize(need, 0.0);
+    let (need, staged) = match m < MR {
+        true => (decode, 0),
+        false => ((m.min(ROW_BLOCK) * ld).max(decode), (hidden / n_heads).div_ceil(LANES) * TILE_J * LANES),
+    };
+    SCORES.with_borrow_mut(|buf| {
+        if buf.len() < need + staged {
+            buf.resize(need + staged, 0.0);
         }
-        let scores = &mut scores[..need];
-        dispatch(cap, Attention { q, m, hidden, past, slopes, kv, out, scores, ld });
+        let (scores, staged) = buf[..need + staged].split_at_mut(need);
+        with_scratch(|scratch| {
+            dispatch(cap, Attention { q, m, hidden, past, slopes, kv, out, scores, ld, staged, scratch });
+        });
     });
 }
 
@@ -190,14 +200,18 @@ struct Attention<'a, K> {
     /// row has one such row per head.
     scores: &'a mut [f32],
     ld: usize,
+    /// The staged body's value tiles: [`TILE_J`] positions of every lane
+    /// chunk of a head.
+    staged: &'a mut [f32],
+    scratch: &'a mut Scratch,
 }
 
 impl<K: KvBlocks> Body for Attention<'_, K> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self, _: Isa) {
-        let Attention { q, m, hidden, past, slopes, kv, out, scores, ld } = self;
+    fn run(self, isa: Isa) {
+        let Attention { q, m, hidden, past, slopes, kv, out, scores, ld, staged, scratch } = self;
         let d = hidden / slopes.len();
         let scale = 1.0 / (d as f32).sqrt();
         for i0 in (0..m).step_by(ROW_BLOCK) {
@@ -211,18 +225,16 @@ impl<K: KvBlocks> Body for Attention<'_, K> {
             }
             // Row `r` of the block attends to positions `j ≤ visible + r`.
             let visible = past + i0;
-            let mut staged = vec![0.0f32; d.div_ceil(LANES) * TILE_J * LANES];
-            let mut scratch = Scratch::new();
             for (head, &slope) in slopes.iter().enumerate() {
                 let lo = head * d;
                 let keys = HeadKeys { kv, lo, n: visible + rows, d, past: visible };
-                single_panels(&q[i0 * hidden + lo..], hidden, &keys, 0, scores, ld, rows, &mut scratch);
+                staged_panels(isa, &q[i0 * hidden + lo..], hidden, &keys, scores, ld, rows, scratch);
                 for r in 0..rows {
                     let limit = visible + r;
                     scale_and_normalise(&mut scores[r * ld..][..=limit], scale, slope);
                 }
                 let block_out = &mut out[i0 * hidden + lo..];
-                weighted_values(scores, ld, rows, visible, kv, hidden, lo, d, block_out, &mut staged);
+                weighted_values(isa, scores, ld, rows, visible, kv, hidden, lo, d, block_out, staged);
             }
         }
     }
@@ -384,10 +396,13 @@ impl<K: KvBlocks> TileSource for HeadKeys<'_, K> {
 
 /// Sweep 2 of the staged body for one block of `rows ≥ MR` rows of one
 /// head: `out[r * hidden + dd] = Σ_j p[r * ld + j] · v[j][lo + dd]` over
-/// `j ≤ visible + r`, ascending.
+/// `j ≤ visible + r`, ascending. The register block is `MR` rows of
+/// `PANELS` lane chunks under AVX-512 while that many remain, as in the
+/// GEMM's staged sweep, and `MR` rows of one chunk otherwise.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn weighted_values<K: KvBlocks>(
+    isa: Isa,
     p: &[f32],
     ld: usize,
     rows: usize,
@@ -423,50 +438,83 @@ fn weighted_values<K: KvBlocks>(
         // first row that attends to any.
         let live = |i: usize| (visible + i + 1 - j_lo).min(len);
         let first = j_lo.saturating_sub(visible);
-        for c in 0..chunks {
-            let mut i = first;
-            while i + MR <= rows {
-                let lives = std::array::from_fn(|r| live(i + r));
-                value_block::<MR>(&p[i * ld + j_lo..], ld, tile(c), lives, &mut out[i * hidden + c * LANES..], hidden, d - c * LANES);
-                i += MR;
+        // Lane chunks `[c, c + P)` of every row that attends to the tile.
+        macro_rules! sweep {
+            ($p:expr, $c:expr) => {{
+                const P: usize = $p;
+                let c = $c;
+                let mut tiles: [&[f32]; P] = [&[]; P];
+                for (q, t) in tiles.iter_mut().enumerate() {
+                    *t = tile(c + q);
+                }
+                let mut i = first;
+                while i + MR <= rows {
+                    let mut lives = [0; MR];
+                    for (r, l) in lives.iter_mut().enumerate() {
+                        *l = live(i + r);
+                    }
+                    let at = &mut out[i * hidden + c * LANES..];
+                    value_block::<MR, P>(&p[i * ld + j_lo..], ld, tiles, lives, at, hidden, d - c * LANES);
+                    i += MR;
+                }
+                while i < rows {
+                    let at = &mut out[i * hidden + c * LANES..];
+                    value_block::<1, P>(&p[i * ld + j_lo..], ld, tiles, [live(i)], at, hidden, d - c * LANES);
+                    i += 1;
+                }
+            }};
+        }
+        let mut c = 0;
+        if isa == Isa::Avx512 {
+            while c + PANELS <= chunks {
+                sweep!(PANELS, c);
+                c += PANELS;
             }
-            while i < rows {
-                value_block::<1>(&p[i * ld + j_lo..], ld, tile(c), [live(i)], &mut out[i * hidden + c * LANES..], hidden, d - c * LANES);
-                i += 1;
-            }
+        }
+        while c < chunks {
+            sweep!(1, c);
+            c += 1;
         }
         j_lo += len;
     }
 }
 
-/// `R` rows of one lane chunk of outputs advanced over one staged tile.
-/// Row `r` reads `p[r * ld..]` and attends to the tile's first `live[r]`
-/// positions (`live` does not decrease: the causal diagonal); its
-/// accumulators rest in `out[r * ldo..]`, of which `width` lanes exist.
+/// `R` rows of `P` lane chunks of outputs advanced over their staged
+/// tiles. Row `r` reads `p[r * ld..]` and attends to the tiles' first
+/// `live[r]` positions (`live` does not decrease: the causal diagonal);
+/// its accumulators rest in `out[r * ldo..]`, of which `width` lanes
+/// exist.
 #[inline(always)]
-fn value_block<const R: usize>(
+fn value_block<const R: usize, const P: usize>(
     p: &[f32],
     ld: usize,
-    tile: &[f32],
+    tiles: [&[f32]; P],
     live: [usize; R],
     out: &mut [f32],
     ldo: usize,
     width: usize,
 ) {
-    let width = width.min(LANES);
-    let mut acc = [[0.0f32; LANES]; R];
+    let width = width.min(P * LANES);
+    let mut acc = [[[0.0f32; LANES]; P]; R];
     for (r, a) in acc.iter_mut().enumerate() {
-        a[..width].copy_from_slice(&out[r * ldo..][..width]);
+        a.as_flattened_mut()[..width].copy_from_slice(&out[r * ldo..][..width]);
     }
     // Every row attends to the first `live[0]` positions: one register
     // block. Later rows then take the few more the diagonal gives them.
     let shared = live[0];
-    mac_rows::<R, 1>(p, ld, [&tile[..shared * LANES]], acc.as_flattened_mut());
+    let mut part: [&[f32]; P] = [&[]; P];
+    for (t, tile) in part.iter_mut().zip(tiles) {
+        *t = &tile[..shared * LANES];
+    }
+    mac_rows::<R, P>(p, ld, part, acc.as_flattened_mut().as_flattened_mut());
     for r in 1..R {
-        mac_rows::<1, 1>(&p[r * ld + shared..], ld, [&tile[shared * LANES..live[r] * LANES]], &mut acc[r]);
+        for (t, tile) in part.iter_mut().zip(tiles) {
+            *t = &tile[shared * LANES..live[r] * LANES];
+        }
+        mac_rows::<1, P>(&p[r * ld + shared..], ld, part, acc[r].as_flattened_mut());
     }
     for (r, a) in acc.iter().enumerate() {
-        out[r * ldo..][..width].copy_from_slice(&a[..width]);
+        out[r * ldo..][..width].copy_from_slice(&a.as_flattened()[..width]);
     }
 }
 
@@ -718,6 +766,39 @@ mod tests {
             for isa in std::iter::once(Isa::Baseline).chain(wider_instantiations()) {
                 assert_bit_identical(&run(isa, &q, m, past, &heads, &kv), &fused);
                 assert_bit_identical(&run_rows(isa, &q, m, past, &heads, &kv), &fused);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The staged body's register blocks — `MR` rows of four key
+        /// blocks for QKᵀ and of four lane chunks for PV under AVX-512 —
+        /// in every instantiation: at whole four-row groups and row tails,
+        /// on an empty cache, a short one and a whole row block's worth,
+        /// the call is the scalar reference and every row of it the
+        /// one-row decode call at `past + i`.
+        #[test]
+        fn every_staged_row_is_the_decode_call_at_its_position(
+            m in prop::sample::select(vec![4usize, 17, 64, 70]),
+            past in prop::sample::select(vec![0usize, 5, 64]),
+            shape in prop::sample::select(vec![(4usize, 64usize), (2, 24), (1, 9)]),
+            seed in 0u64..1000,
+        ) {
+            let (n_heads, d) = shape;
+            let hidden = n_heads * d;
+            let kv = Scattered::new(past + m, hidden, seed);
+            let q = pseudo(m * hidden, seed ^ 0xA5A5);
+            let s = slopes(n_heads, seed % 2 == 1);
+            let want = reference(&q, m, hidden, past, &s, |j| kv.k_row(j), |j| kv.v_row(j), true);
+            for isa in std::iter::once(Isa::Baseline).chain(wider_instantiations()) {
+                let got = run(isa, &q, m, past, &s, &kv);
+                assert_bit_identical(&got, &want);
+                for i in 0..m {
+                    let alone = run(isa, &q[i * hidden..][..hidden], 1, past + i, &s, &kv);
+                    assert_bit_identical(&alone, &got[i * hidden..][..hidden]);
+                }
             }
         }
     }

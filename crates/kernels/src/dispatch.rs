@@ -168,3 +168,65 @@ pub fn with_cap<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
     CAP.set(outer);
     out
 }
+
+/// The compute ceiling of the instantiation within [`with_cap`]'s cap:
+/// `steps` steps of independent fused multiply-add chains, sixteen lanes
+/// each, with nothing else in the loop. Returns the floating-point
+/// operations done (two per lane per step); `bench_kernels` divides them
+/// by the time taken. A chain retires one step per FMA latency, so the
+/// ports are full only with more chains in flight than latency × ports
+/// (four cycles × two ports): twelve `zmm` under AVX-512 and twelve
+/// `ymm` (six 16-lane rows) under AVX2 and below, where sixteen
+/// registers must also hold the two operands. Like [`with_cap`], for
+/// the bench only.
+#[doc(hidden)]
+pub fn fma_peak_probe(steps: usize) -> usize {
+    dispatch(cap(), FmaProbe { steps })
+}
+
+struct FmaProbe {
+    steps: usize,
+}
+
+impl Body for FmaProbe {
+    type Out = usize;
+
+    #[inline(always)]
+    fn run(self, isa: Isa) -> usize {
+        match isa {
+            Isa::Avx512 => fma_chains::<12>(self.steps),
+            _ => fma_chains::<6>(self.steps),
+        }
+    }
+}
+
+/// `R` rows of 16 lanes, each lane its own chain `a = a · m + b`, which
+/// stays near `b / (1 − m)`: no value ever leaves the normal range.
+#[inline(always)]
+fn fma_chains<const R: usize>(steps: usize) -> usize {
+    let mut acc = [[0.0f32; 16]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (lane, a) in row.iter_mut().enumerate() {
+            *a = (r * 16 + lane) as f32;
+        }
+    }
+    let (m, b) = std::hint::black_box((0.999_9f32, 0.01f32));
+    for _ in 0..steps {
+        // The rows, written out: as `for row in acc.iter_mut()` the loop
+        // stays a loop, `acc` lives in memory, and every step of a chain
+        // waits on a store and a reload.
+        macro_rules! rows {
+            ($($r:literal)*) => {$(
+                if $r < R {
+                    for a in acc[$r].iter_mut() {
+                        *a = a.mul_add(m, b);
+                    }
+                }
+            )*};
+        }
+        const { assert!(R <= 12) };
+        rows!(0 1 2 3 4 5 6 7 8 9 10 11);
+    }
+    std::hint::black_box(&acc);
+    2 * R * 16 * steps
+}

@@ -22,17 +22,19 @@
 //!   each block picks its body and hands it to the ISA dispatch:
 //!
 //!   rows ≥ MR = 4 — `StagedBlock`, packed or dense
-//!     scratch: PANELS tiles of TILE_K × LANES f32 (8 KB each), the block's accumulators
-//!     for each panel of LANES = 16 output features     ← one f32x16 (or two f32x8) of accumulators per row
-//!       acc[rows][LANES] = 0                           ← block-local, carried between k-tiles
+//!     scratch (one per thread, never cleared): PANELS tiles of TILE_K × LANES f32 (8 KB each),
+//!       the block's accumulators
+//!     for each group of P adjacent panels of LANES = 16 output features:
+//!         P = PANELS = 4 under AVX-512 while four remain, else 1   ← sixteen zmm chains / eight ymm
+//!       acc[rows][P][LANES] = 0                        ← carried between k-tiles
 //!       for each k-tile: one quant group, or TILE_K = 128 steps of a longer one
-//!         fill: tile[kk][lane] = convert(payload)      ← ONCE, 32 or 64 weights per load
+//!         fill: tile[p][kk][lane] = convert(payload)   ← ONCE, 32 or 64 weights per load
 //!         for each register block of MR rows (then the m % 4 tail, one row each):
-//!           reg[MR][LANES] = acc[rows]
+//!           reg[MR][P][LANES] = acc[rows]
 //!           for kk in tile:                            ← sequential k
-//!             for r, lane: reg[r][lane] = x[r][kk].mul_add(tile[kk][lane], reg[r][lane])
+//!             for r, p, lane: reg[r][p][lane] = x[r][kk].mul_add(tile[p][kk][lane], reg[r][p][lane])
 //!           acc[rows] = reg
-//!       out[rows][panel's lanes below n] = acc
+//!       out[rows][panels' lanes below n] = acc
 //!
 //!   rows < MR, packed — `DecodeBlock`, no scratch
 //!     for each P = PANELS panels (half as many in 16 registers for three rows or a nibble weight; then single ones):
@@ -50,15 +52,27 @@
 //!
 //! The accumulators of a register block are *independent outputs*, which
 //! is what lets the CPU overlap fused multiply-add latency — parallelism
-//! is never introduced within a single output's reduction. `MR` rows of
-//! one panel are `MR` chains at 512 bits and `2 · MR = 8` at 256 (an FMA
-//! retires per cycle only with more chains in flight than its latency:
-//! the eight-lane panel this replaced left four at 256 bits and ran the
-//! `m = 64` GEMM list 1.2× slower; `MR = 8` at eight lanes spills; and a
-//! 4-row × 2-panel `zmm` block, eight chains, ran 2–4 % slower than
-//! `MR × 1`). A block with fewer rows would leave one or two, so both short
-//! bodies turn the block on its side and walk several panels together:
-//! the same ascending-k chain per output, as many chains in flight.
+//! is never introduced within a single output's reduction. Two FMA ports
+//! at a latency of four cycles retire a vector per port per cycle only
+//! with eight or more chains in flight (an intrinsics probe pinned to one
+//! AVX-512 core: 126 GFLOP/s with four chains, 242 with eight or more).
+//! `MR` rows of one panel are `2 · MR = 8` chains at 256 bits but only
+//! `MR = 4` at 512, so under AVX-512 the staged block is `MR` rows of
+//! four panels: sixteen `zmm` chains, four tile loads and four broadcasts
+//! feeding sixteen fused multiply-adds. Block shapes on the `ref256x4`
+//! int4 `m = 64` GEMM list under AVX-512, in GFLOP/s:
+//!
+//! | rows × panels | 4×1 | 8×1 | 4×2 | 4×3 | 4×4 | 6×4 | 8×4 |
+//! | ------------- | --- | --- | --- | --- | --- | --- | --- |
+//! | GFLOP/s       | 113 | 87  | 128 | 142 | 157 | 144 | 135 |
+//!
+//! AVX2 keeps `MR × 1`: four panels of eight-lane halves are 32
+//! accumulators for 16 `ymm` registers, and that block spilled (99 → 74
+//! GFLOP/s). The eight-lane panel this replaced left four chains at 256
+//! bits and ran the `m = 64` GEMM list 1.2× slower. A block with fewer
+//! rows than `MR` would leave one or two chains, so both short bodies turn
+//! the block on its side and walk several panels together: the same
+//! ascending-k chain per output, as many chains in flight.
 //!
 //! ## One conversion, whole vectors
 //!
@@ -103,9 +117,12 @@
 //! detection. [`crate::isa`] reports the choice. The decode body is a
 //! `Body` of its own rather than a branch of `StagedBlock`: inlined
 //! beside the `MR × 1` path it changed that path's register allocation
-//! and cost the `m = 64` GEMM 30 %. It is also the one body that asks
-//! which instantiation it is in — for how many panels its accumulators
-//! may span, 32 `zmm` against 16 `ymm` — and nothing else does.
+//! and cost the `m = 64` GEMM 30 %. A body asks which instantiation it
+//! is in for one thing only — how many panels its accumulators may span,
+//! 32 `zmm` against 16 `ymm`: the decode body's panels per row count, and
+//! the staged sweeps' four panels (or four lane chunks of a value row)
+//! under AVX-512 against one below it. The answer is a constant where
+//! the body is inlined, so each instantiation compiles one shape.
 //! (Short blocks are where the number of *streams* shows, too: a panel
 //! of payload is one, a weight row of the dense fill is one, and a large
 //! weight wants several in flight but not dozens — `PANELS`,
@@ -153,6 +170,7 @@
 
 use crate::dispatch::{cap, dispatch, Body, Isa};
 use crate::pack::{PackBits, PackedMatrix, LANES, NIBBLE_BIAS, UNIT_BYTES, UNIT_K};
+use std::cell::RefCell;
 
 /// Activation rows per register block: `MR × LANES` accumulators stay in
 /// registers while one weight tile streams past them.
@@ -163,10 +181,12 @@ pub(crate) const MR: usize = 4;
 /// ascending k.
 pub(crate) const TILE_K: usize = 128;
 
-/// Most panels a block of fewer than `MR` rows walks together: 64 outputs
-/// in flight, four 512-bit add chains or eight 256-bit ones per row, and
-/// for a packed weight four streams of payload. Decode attention sweeps
-/// as many key blocks, and as many lane chunks of a value row, together.
+/// Most panels a block walks together: 64 outputs in flight, four 512-bit
+/// add chains or eight 256-bit ones per row, and for a packed weight four
+/// streams of payload. A block of fewer than `MR` rows walks up to this
+/// many; an `MR`-row staged block walks this many under AVX-512 only.
+/// Decode attention sweeps as many key blocks, and as many lane chunks of
+/// a value row, together; the staged attention sweeps do under AVX-512.
 pub(crate) const PANELS: usize = 4;
 
 /// Panels a short block over a dense *weight* walks together. Every
@@ -229,9 +249,10 @@ pub(crate) trait TileSource {
     fn k(&self) -> usize;
     /// A tile never straddles a multiple of this k-span.
     fn group(&self) -> usize;
-    /// The first row of the block that reads output `j`: rows below it
-    /// are not computed for `j` or any later output, so it must not
-    /// decrease with `j`. `0` for a weight matrix.
+    /// The first row of the block that reads output `j`; it must not
+    /// decrease with `j`. A sweep writes a panel's outputs to the rows
+    /// from the first that reads the panel's first output on, and leaves
+    /// those of the rows above as they were. `0` for a weight matrix.
     fn first_row(&self, _j: usize) -> usize {
         0
     }
@@ -244,29 +265,38 @@ pub(crate) trait TileSource {
     /// `rows × n` outputs, `x` starts at its first row), through the ISA
     /// dispatch: staged like any other block, `WEIGHT_PANELS` panels'
     /// tiles swept together, unless the source has a body of its own.
-    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32])
+    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32], scratch: &mut Scratch)
     where
         Self: Sized,
     {
-        dispatch(cap, StagedBlock::<_, true> { x, w: self, out });
+        dispatch(cap, StagedBlock::<_, true> { x, w: self, out, scratch });
     }
 }
 
-/// Per-row-block staging buffers, L1-resident. Cache-line aligned so
-/// that no vector load of a tile straddles two lines.
+/// Staging buffers, L1-resident. Cache-line aligned so that no vector
+/// load of a tile straddles two lines. One per thread, made once
+/// ([`with_scratch`]): every tile is filled before it is read and a
+/// sweep zeroes the accumulators it uses, so nothing is cleared per call.
 #[repr(align(64))]
 pub(crate) struct Scratch {
     /// Dequantized tiles, one per panel swept together.
     tiles: [[f32; TILE_K * LANES]; PANELS],
-    /// The block's accumulators for the panels in flight.
-    acc: [f32; ROW_BLOCK * LANES],
+    /// The block's accumulators for the panels in flight, `rows × P ×
+    /// LANES` of them: a sweep touches as many as its block holds.
+    acc: [f32; ROW_BLOCK * PANELS * LANES],
 }
 
-impl Scratch {
-    #[inline(always)]
-    pub(crate) fn new() -> Self {
-        Self { tiles: [[0.0; TILE_K * LANES]; PANELS], acc: [0.0; ROW_BLOCK * LANES] }
-    }
+thread_local! {
+    static SCRATCH: RefCell<Box<Scratch>> = RefCell::new(Box::new(Scratch {
+        tiles: [[0.0; TILE_K * LANES]; PANELS],
+        acc: [0.0; ROW_BLOCK * PANELS * LANES],
+    }));
+}
+
+/// Run `f` on this thread's [`Scratch`]. Taken outside the ISA dispatch
+/// and handed in, so that no kernel body reaches a thread-local.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(|scratch| f(scratch))
 }
 
 /// Dense `f32` rows handed out by an accessor: `row(j)` is the `k`
@@ -403,7 +433,7 @@ impl TileSource for PackedMatrix {
     }
 
     /// Convert and accumulate in registers: nothing is staged.
-    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32]) {
+    fn short_block(&self, cap: Isa, x: &[f32], out: &mut [f32], _: &mut Scratch) {
         dispatch(cap, DecodeBlock { x, w: self, out });
     }
 }
@@ -531,48 +561,67 @@ fn gemm_blocked<W: TileSource + Sync>(x: &[f32], m: usize, w: &W, out: &mut [f32
     if m == 0 || n == 0 {
         return;
     }
-    out.chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
-        let x = &x[b * ROW_BLOCK * k..];
-        if out.len() < MR * n {
-            w.short_block(cap, x, out);
-        } else {
-            dispatch(cap, StagedBlock::<_, false> { x, w, out });
-        }
+    with_scratch(|scratch| {
+        out.chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(b, out)| {
+            let x = &x[b * ROW_BLOCK * k..];
+            if out.len() < MR * n {
+                w.short_block(cap, x, out, scratch);
+            } else {
+                dispatch(cap, StagedBlock::<_, false> { x, w, out, scratch });
+            }
+        });
     });
 }
 
 /// One row block through staged tiles: `out` is its `rows × n` outputs,
 /// `x` starts at its first activation row. `SHORT` blocks have fewer than
-/// `MR` rows and sweep `PANELS` tiles together; the others take `MR × 1`
-/// register blocks only, so that a source with a short body of its own
-/// compiles no second one here.
+/// `MR` rows and sweep `WEIGHT_PANELS` tiles together; the others take
+/// [`staged_panels`]' register blocks only, so that a source with a short
+/// body of its own compiles no second one here.
 struct StagedBlock<'a, W, const SHORT: bool> {
     x: &'a [f32],
     w: &'a W,
     out: &'a mut [f32],
+    scratch: &'a mut Scratch,
 }
 
 impl<W: TileSource, const SHORT: bool> Body for StagedBlock<'_, W, SHORT> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self, _: Isa) {
-        let (n, k) = (self.w.n(), self.w.k());
-        let (rows, scratch) = (self.out.len() / n, &mut Scratch::new());
+    fn run(self, isa: Isa) {
+        let Self { x, w, out, scratch } = self;
+        let (n, k) = (w.n(), w.k());
+        let rows = out.len() / n;
         if SHORT {
-            row_block::<WEIGHT_PANELS, W>(self.x, k, self.w, self.out, n, rows, scratch);
+            // A block of fewer than `MR` rows would leave one add chain
+            // per vector in an `MR`-row register block, so it takes one
+            // row of `WEIGHT_PANELS` panels instead: as many independent
+            // chains, and every output still sums in ascending k.
+            let mut j = 0;
+            while j + WEIGHT_PANELS * LANES <= n {
+                lane_panels::<1, WEIGHT_PANELS, W>(x, k, w, j, out, n, rows, scratch);
+                j += WEIGHT_PANELS * LANES;
+            }
+            single_panels(x, k, w, j, out, n, rows, scratch);
         } else {
-            single_panels(self.x, k, self.w, 0, self.out, n, rows, scratch);
+            staged_panels(isa, x, k, w, out, n, rows, scratch);
         }
     }
 }
 
-/// One block of `rows ≤ ROW_BLOCK` activation rows against every panel,
-/// staged: `out[i * ldo + j] = Σ_k x[i * ldx + k] · w[j][k]` for `j < n`
-/// and the rows `i ≥ w.first_row(j)`; other outputs are left as they
-/// were.
+/// One block of `MR ≤ rows ≤ ROW_BLOCK` activation rows against every
+/// panel, staged: `out[i * ldo + j] = Σ_k x[i * ldx + k] · w[j][k]` for
+/// `j < n` and the rows `i ≥ w.first_row(j)`; other outputs are left as
+/// they were. The register block is `MR` rows of `PANELS` adjacent
+/// panels under AVX-512 — 16 `zmm` chains, what two FMA ports retire
+/// per cycle at a latency of four — while that many panels remain, and
+/// `MR` rows of one panel otherwise: eight `ymm` chains under AVX2, where
+/// four panels' accumulators would not fit the 16 registers.
 #[inline(always)]
-fn row_block<const P: usize, W: TileSource>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn staged_panels<W: TileSource>(
+    isa: Isa,
     x: &[f32],
     ldx: usize,
     w: &W,
@@ -581,16 +630,12 @@ fn row_block<const P: usize, W: TileSource>(
     rows: usize,
     scratch: &mut Scratch,
 ) {
-    let n = w.n();
     let mut j = 0;
-    // The register block is `MR` rows of one panel. A block with fewer
-    // rows than that (decode) would leave one add chain per vector, so
-    // it takes one row of `P ≤ PANELS` panels instead: as many
-    // independent chains, and every output still sums in ascending k.
-    if rows < MR {
-        while j + P * LANES <= n {
-            lane_panels::<1, P, W>(x, ldx, w, j, out, ldo, rows, scratch);
-            j += P * LANES;
+    if isa == Isa::Avx512 {
+        let panels = w.n().div_ceil(LANES);
+        while j / LANES + PANELS <= panels {
+            lane_panels::<MR, PANELS, W>(x, ldx, w, j, out, ldo, rows, scratch);
+            j += PANELS * LANES;
         }
     }
     single_panels(x, ldx, w, j, out, ldo, rows, scratch);
@@ -601,7 +646,7 @@ fn row_block<const P: usize, W: TileSource>(
 /// in `out`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn single_panels<W: TileSource>(
+fn single_panels<W: TileSource>(
     x: &[f32],
     ldx: usize,
     w: &W,
@@ -619,7 +664,9 @@ pub(crate) fn single_panels<W: TileSource>(
 
 /// Outputs `[j, j + P * LANES)` (those below `n`) of every row in the
 /// block that reads them, `P` adjacent panels: stage each weight tile
-/// once, then sweep it over the rows `R` at a time.
+/// once, then sweep it over the rows `R` at a time. The sweep starts at
+/// the first row of the first panel; a row that reads none of a later
+/// panel's outputs computes them in registers, and they are not stored.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn lane_panels<const R: usize, const P: usize, W: TileSource>(
@@ -648,7 +695,10 @@ fn lane_panels<const R: usize, const P: usize, W: TileSource>(
         for p in 0..P {
             w.fill(j / LANES + p, k_lo, &mut scratch.tiles[p][..len]);
         }
-        let tiles: [&[f32]; P] = std::array::from_fn(|p| &scratch.tiles[p][..len]);
+        let mut tiles: [&[f32]; P] = [&[]; P];
+        for (p, tile) in tiles.iter_mut().enumerate() {
+            *tile = &scratch.tiles[p][..len];
+        }
         let mut i = first;
         while i + R <= rows {
             mac_rows::<R, P>(&x[i * ldx + k_lo..], ldx, tiles, &mut acc[i * width..]);
@@ -661,9 +711,15 @@ fn lane_panels<const R: usize, const P: usize, W: TileSource>(
         }
         k_lo = k_hi;
     }
-    let valid = width.min(n - j);
-    for (i, arow) in acc.chunks_exact(width).enumerate().skip(first) {
-        out[i * ldo + j..][..valid].copy_from_slice(&arow[..valid]);
+    for p in 0..P {
+        let jp = j + p * LANES;
+        if jp >= n {
+            break;
+        }
+        let valid = LANES.min(n - jp);
+        for i in w.first_row(jp)..rows {
+            out[i * ldo + jp..][..valid].copy_from_slice(&acc[i * width + p * LANES..][..valid]);
+        }
     }
 }
 
@@ -671,19 +727,43 @@ fn lane_panels<const R: usize, const P: usize, W: TileSource>(
 /// one fused multiply-add per term, one independent chain per (row,
 /// panel, lane), carried in `acc`
 /// (`R` rows of `P * LANES`) between tiles. Row `r` reads `x[r * ldx..]`.
+///
+/// Each k-step first loads its `R` activations and `P` tile rows into
+/// arrays of their own, then runs the `R × P` fused multiply-adds. With
+/// the tiles in the per-thread scratch rather than on the stack, the same
+/// terms written as `xr[r][kk].mul_add(tiles[p][kk][lane], ..)` inside
+/// the row and panel loops scalarised: 64 `vfmadd…ss`, the accumulators
+/// on the stack, 10–15× slower. Fill no array here with `array::map` or
+/// `array::from_fn` either: they can compile to a call, and called code
+/// is baseline-ISA code.
 #[inline(always)]
+#[allow(clippy::needless_range_loop)] // `kk` is a k-step of every row and tile, not an index into one slice
 pub(crate) fn mac_rows<const R: usize, const P: usize>(x: &[f32], ldx: usize, tiles: [&[f32]; P], acc: &mut [f32]) {
     let klen = tiles[0].len() / LANES;
-    let tiles: [&[[f32; LANES]]; P] = tiles.map(|t| &t.as_chunks().0[..klen]);
-    let xr: [&[f32]; R] = std::array::from_fn(|r| &x[r * ldx..][..klen]);
+    let mut xr: [&[f32]; R] = [&[]; R];
+    for (r, row) in xr.iter_mut().enumerate() {
+        *row = &x[r * ldx..][..klen];
+    }
     let (rows, _) = acc.as_chunks_mut::<LANES>();
-    let mut reg: [[[f32; LANES]; P]; R] = std::array::from_fn(|r| std::array::from_fn(|p| rows[r * P + p]));
+    let mut reg = [[[0.0f32; LANES]; P]; R];
+    for r in 0..R {
+        for p in 0..P {
+            reg[r][p] = rows[r * P + p];
+        }
+    }
     for kk in 0..klen {
+        let mut xv = [0.0f32; R];
         for r in 0..R {
-            let xv = xr[r][kk];
+            xv[r] = xr[r][kk];
+        }
+        let mut w = [[0.0f32; LANES]; P];
+        for p in 0..P {
+            w[p] = tiles[p].as_chunks::<LANES>().0[kk];
+        }
+        for r in 0..R {
             for p in 0..P {
                 for lane in 0..LANES {
-                    reg[r][p][lane] = xv.mul_add(tiles[p][kk][lane], reg[r][p][lane]);
+                    reg[r][p][lane] = xv[r].mul_add(w[p][lane], reg[r][p][lane]);
                 }
             }
         }
@@ -1072,6 +1152,97 @@ mod tests {
             assert_bit_identical(&base, &reference(&x, m, &w));
             for isa in wider_instantiations() {
                 assert_bit_identical(&run(&x, m, &w, isa), &base);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The staged register block — `MR` rows of `PANELS` panels under
+        /// AVX-512, of one panel below it — in every instantiation the
+        /// host has, bit for bit the scalar oracle: `m` covers whole
+        /// four-row groups and row tails up to past a row block, and `n`
+        /// leaves no panel, one whole one, a partial one or several after
+        /// the four-panel groups; packed int3 / int4 / int8, the dense
+        /// row-major weight and its panel copy.
+        #[test]
+        fn the_staged_block_is_bit_identical_in_every_instantiation(
+            bits in prop_oneof![Just(PackBits::Int3), Just(PackBits::Int4), Just(PackBits::Int8)],
+            m in MR..=70,
+            n in prop::sample::select(vec![16usize, 48, 80, 200, 300]),
+            k in 1usize..=150,
+            group_choice in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let data = pseudo(n * k, seed);
+            let packed = quantize_packed(&data, n, k, bits, [3, 16, 64, k][group_choice]);
+            let dense = DenseWeight { row: |j| &data[j * k..][..k], n, k };
+            let copy = DensePanels::new(&data, n, k);
+            let x = pseudo(m * k, seed ^ 0x77);
+            let (want_packed, want_dense) = (reference(&x, m, &packed), dense_reference(&x, m, &data, n, k, true));
+            for isa in std::iter::once(Isa::Baseline).chain(wider_instantiations()) {
+                assert_bit_identical(&run(&x, m, &packed, isa), &want_packed);
+                assert_bit_identical(&run(&x, m, &dense, isa), &want_dense);
+                assert_bit_identical(&run(&x, m, &copy, isa), &want_dense);
+            }
+        }
+    }
+
+    /// A dense weight whose row `i` reads only outputs `j ≤ past + i`.
+    struct Causal {
+        w: DensePanels,
+        past: usize,
+    }
+
+    impl TileSource for Causal {
+        fn n(&self) -> usize {
+            self.w.n
+        }
+
+        fn k(&self) -> usize {
+            self.w.k
+        }
+
+        fn group(&self) -> usize {
+            TILE_K
+        }
+
+        fn first_row(&self, j: usize) -> usize {
+            j.saturating_sub(self.past)
+        }
+
+        fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]) {
+            self.w.fill(panel, k_lo, tile)
+        }
+    }
+
+    /// The [`TileSource::first_row`] contract under a register block of
+    /// several panels, whose sweep starts at its first panel's first row:
+    /// in every instantiation each panel's outputs are written to the rows
+    /// from its own first row on, and the rows above keep what `out` held.
+    #[test]
+    fn rows_above_a_causal_panel_are_left_as_they_were() {
+        const SENTINEL: u32 = 0x7FC0_DEAD;
+        let k = 24;
+        for (m, past) in [(4, 0), (17, 5), (64, 0), (64, 20), (40, 70)] {
+            let n = past + m;
+            let data = pseudo(n * k, m as u64);
+            let w = Causal { w: DensePanels::new(&data, n, k), past };
+            let x = pseudo(m * k, past as u64);
+            let want = dense_reference(&x, m, &data, n, k, true);
+            for isa in std::iter::once(Isa::Baseline).chain(wider_instantiations()) {
+                let mut out = vec![f32::from_bits(SENTINEL); m * n];
+                gemm_blocked(&x, m, &w, &mut out, isa);
+                for i in 0..m {
+                    for j in 0..n {
+                        let got = out[i * n + j].to_bits();
+                        match i >= w.first_row(j / LANES * LANES) {
+                            true => assert_eq!(got, want[i * n + j].to_bits(), "{isa:?} m {m} past {past}: ({i}, {j})"),
+                            false => assert_eq!(got, SENTINEL, "{isa:?} m {m} past {past}: ({i}, {j}) was written"),
+                        }
+                    }
+                }
             }
         }
     }
