@@ -80,11 +80,12 @@ use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
     arrival_requests, run_master, run_stage, serve_trace_static, AdmissionConfig, AdmissionPolicy,
     ContinuousConfig, ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig,
-    FaultPlan, FoldReplanner, IterCost, Pipeline, Replanner, SimStepEngine, SupervisorConfig,
-    SwapRequest, Telemetry, WireFaultPlan,
+    FaultPlan, FleetPlanner, FoldReplanner, IterCost, Pipeline, Replanner, SimStepEngine,
+    SupervisorConfig, SwapRequest, Telemetry, WireFaultPlan,
 };
 use llmpq_sim::KernelEnv;
 use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
+use std::collections::BTreeSet;
 
 const USAGE: &str = "usage: llmpq-dist --strat_file_name <strategy.json>
     [--checkpoint model.ckpt.json] [--n-generate 16] [--batch 4] [--prompt-len 12] [--seed 0]
@@ -325,57 +326,43 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Context for re-running Algorithm 1 on the surviving sub-cluster,
-/// resolvable only for paper-cluster ("cluster-N") plans over zoo
-/// models. The planner is kept for the whole run, so a second loss
-/// reuses the first's cost and evaluation caches and warm-starts from
-/// its plan.
-struct ResolvedPlanner {
-    cluster: Cluster,
-    db: CostDb,
-    indicator: llmpq_quant::IndicatorTable,
-    planner: std::sync::Mutex<IncrementalPlanner>,
-}
-
-/// Production-shaped replanner with provenance. When the plan's
-/// cluster and model resolve, permanent device loss re-runs Algorithm 1
-/// on the survivors (`IncrementalPlanner::replan_after_loss`) and
-/// records where each installed plan came from — the configured solver
-/// (`ilp`), the same warm-started from the previous replan
-/// (`warm-start`), or the Algorithm-2 heuristic after a solver failure
-/// — instead of falling back silently. Unresolvable plans use the
-/// structural [`FoldReplanner`] (recorded as such). Origins feed
-/// telemetry (`plan_origin` in the metrics snapshot) and the end-of-run
-/// summary.
+/// Production-shaped replanner with provenance. For a paper-cluster
+/// ("cluster-N") plan over a zoo model, permanent device loss re-runs
+/// Algorithm 1 on the survivors through one [`FleetPlanner`] kept for
+/// the run (a second loss reuses the first's caches and warm-starts from
+/// its plan), recording each plan's origin — `ilp`, `warm-start`, or the
+/// Algorithm-2 `heuristic` after a solver failure. Other plans fold
+/// ([`FoldReplanner`], recorded as such). Origins feed telemetry
+/// (`plan_origin` in the metrics snapshot) and the end-of-run summary.
 struct DistReplanner {
-    resolved: Option<ResolvedPlanner>,
+    planner: Option<std::sync::Mutex<FleetPlanner>>,
     origins: std::sync::Mutex<Vec<String>>,
     telemetry: Option<std::sync::Arc<Telemetry>>,
 }
 
 impl DistReplanner {
     fn new(plan: &ExecutionPlan, job: BatchJob, telemetry: Option<std::sync::Arc<Telemetry>>) -> Self {
-        let resolved = paper_setup(plan, "").ok().map(|(_, cluster, spec)| ResolvedPlanner {
-            cluster,
-            indicator: random_indicator(spec.n_layers, 0xA11CE, 1.0),
-            db: CostDb::oracle(&KernelEnv::default()),
+        let planner = paper_setup(plan, "").ok().map(|(_, cluster, spec)| {
+            let indicator = random_indicator(spec.n_layers, 0xA11CE, 1.0);
             // Recovery-path sizing: a lighter search than offline
-            // planning, so the pipeline is back before the
-            // heartbeat budget runs out.
-            planner: std::sync::Mutex::new(IncrementalPlanner::new(
-                spec,
-                job,
-                AssignerConfig {
-                    theta: 0.1,
-                    solver: SolverChoice::Dp { group: 8 },
-                    xi: 2,
-                    max_orderings: 4,
-                    dp_grid: Some(12),
-                    ..AssignerConfig::default()
-                },
-            )),
+            // planning, so the pipeline is back before the heartbeat
+            // budget runs out.
+            let search = AssignerConfig {
+                theta: 0.1,
+                solver: SolverChoice::Dp { group: 8 },
+                xi: 2,
+                max_orderings: 4,
+                dp_grid: Some(12),
+                ..AssignerConfig::default()
+            };
+            std::sync::Mutex::new(FleetPlanner::new(
+                cluster,
+                IncrementalPlanner::new(spec, job, search),
+                CostDb::oracle(&KernelEnv::default()),
+                indicator,
+            ))
         });
-        Self { resolved, origins: std::sync::Mutex::new(Vec::new()), telemetry }
+        Self { planner, origins: std::sync::Mutex::new(Vec::new()), telemetry }
     }
 
     fn origins(&self) -> Vec<String> {
@@ -385,7 +372,7 @@ impl DistReplanner {
 
 impl Replanner for DistReplanner {
     fn replan(&self, old: &ExecutionPlan, lost: &[usize]) -> Result<ExecutionPlan, String> {
-        let Some(r) = &self.resolved else {
+        let Some(planner) = &self.planner else {
             let plan = FoldReplanner.replan(old, lost)?;
             if let Some(t) = &self.telemetry {
                 t.note_plan_origin("heuristic");
@@ -393,8 +380,8 @@ impl Replanner for DistReplanner {
             self.origins.lock().unwrap().push("fold".into());
             return Ok(plan);
         };
-        let mut planner = r.planner.lock().expect("a replan panicked while holding the planner");
-        match planner.replan_after_loss(&r.cluster, lost, &r.db, &r.indicator) {
+        let mut planner = planner.lock().expect("a replan panicked while holding the planner");
+        match planner.replan(lost, &BTreeSet::new()) {
             Ok(out) => {
                 let origin = out.origin.to_string();
                 if let Some(t) = &self.telemetry {

@@ -10,7 +10,10 @@
 //!   "text", "max_tokens": 16, "priority": 2, "deadline_ms": 2000,
 //!   "stream": false}`. Strict parsing: bad JSON, wrong types, and
 //!   *unknown fields* are all 400s with the offending field named; an
-//!   oversized body is 413 before the JSON is even looked at. With
+//!   oversized body is 413 before the JSON is even looked at. A body
+//!   framed any way but one plain-digit `Content-Length` (a request
+//!   `Transfer-Encoding`, copies that disagree) is a 400 that closes the
+//!   connection, so no byte of it is read as a next request. With
 //!   `"stream": true` the response is `Transfer-Encoding: chunked`,
 //!   one JSON line per token as it lands, ending with a `done` chunk
 //!   (drain-on-shutdown terminates live streams the same way).
@@ -102,8 +105,12 @@ pub enum HttpParseError {
         /// The configured cap in bytes.
         limit: usize,
     },
-    /// Unparseable `Content-Length`.
+    /// `Content-Length` that is not plain digits, or copies of it that
+    /// disagree.
     BadLength(String),
+    /// A request `Transfer-Encoding` (bodies are framed by
+    /// `Content-Length` only).
+    TransferEncoding(String),
     /// Socket error / truncated request.
     Io(String),
 }
@@ -130,6 +137,7 @@ impl std::fmt::Display for HttpParseError {
                 write!(f, "body exceeds limit of {limit} bytes")
             }
             HttpParseError::BadLength(v) => write!(f, "bad content-length {v:?}"),
+            HttpParseError::TransferEncoding(v) => write!(f, "transfer-encoding {v:?} not accepted"),
             HttpParseError::Io(e) => write!(f, "io: {e}"),
         }
     }
@@ -200,9 +208,18 @@ pub fn read_request<R: BufRead>(
         headers.push((k.trim().to_string(), v.trim().to_string()));
     }
     let req = HttpRequest { method, path, headers, body: Vec::new() };
-    let len = match req.header("content-length") {
+    if let Some(te) = req.header("transfer-encoding") {
+        return Err(HttpParseError::TransferEncoding(te.into()));
+    }
+    // One plain-digit length, however many copies: a request two parsers
+    // could frame differently is refused, never guessed at.
+    let mut lens = req.headers.iter().filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    let len = match lens.next().map(|(_, v)| v) {
         None => 0usize,
-        Some(v) => v.trim().parse::<usize>().map_err(|_| HttpParseError::BadLength(v.into()))?,
+        Some(v) if v.bytes().all(|b| b.is_ascii_digit()) && lens.all(|(_, w)| w == v) => {
+            v.parse::<usize>().map_err(|_| HttpParseError::BadLength(v.clone()))?
+        }
+        Some(v) => return Err(HttpParseError::BadLength(v.clone())),
     };
     if len > limits.max_body_bytes {
         return Err(HttpParseError::BodyTooLarge { limit: limits.max_body_bytes });
@@ -1139,10 +1156,18 @@ mod tests {
             parse("GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"),
             Err(HttpParseError::BadHeader(_))
         ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nContent-Length: soup\r\n\r\n"),
-            Err(HttpParseError::BadLength(_))
-        ));
+        // Smuggling shapes: lengths that disagree (the rest of the body
+        // would be read as a second request), a signed length, a list.
+        for len in ["soup", "4\r\nContent-Length: 40", "+3", "3, 3"] {
+            let err = parse(&format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nabcd")).unwrap_err();
+            assert!(matches!(err, HttpParseError::BadLength(_)) && err.status().0 == 400, "{err:?}");
+        }
+        let chunked = parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n");
+        let err = chunked.unwrap_err();
+        assert_eq!((err.status().0, err), (400, HttpParseError::TransferEncoding("chunked".into())));
+        // Copies that agree frame one way only: accepted.
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc");
+        assert_eq!(req.unwrap().unwrap().body, b"abc");
     }
 
     #[test]

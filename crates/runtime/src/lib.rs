@@ -69,8 +69,8 @@ pub mod worker;
 
 pub use clock::{real_clock, Clock, RealClock};
 pub use elastic::{
-    ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner, EvenSplitPlanner,
-    FleetAlarms, FleetController, FleetEvent, FleetEventKind, FleetView, PlanFailure,
+    ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner, FleetAlarms,
+    FleetController, FleetEvent, FleetEventKind, FleetPlanner, FleetView, PlanFailure,
 };
 pub use engine::{Pipeline, RuntimeError, RuntimeOutput};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, Heartbeats};

@@ -348,6 +348,12 @@ impl SimStepEngine {
         Self::new(pool, costs, 97, seed)
     }
 
+    /// Charge every iteration at `cost` from now on, one rung.
+    pub(crate) fn reprice(&mut self, cost: IterCost) {
+        self.costs = vec![cost];
+        self.rung = 0;
+    }
+
     /// Cap sequence length (prompt + generation) like a model context.
     pub fn with_max_seq(mut self, max_seq: usize) -> Self {
         self.max_seq = max_seq;
@@ -1090,6 +1096,11 @@ impl<E: StepEngine> ContinuousScheduler<E> {
         &self.engine
     }
 
+    /// The step engine, to reprice when the plan in force changes.
+    pub(crate) fn engine_mut(&mut self) -> &mut E {
+        &mut self.engine
+    }
+
     /// Sequences in flight.
     pub fn in_flight(&self) -> usize {
         self.running.len()
@@ -1134,7 +1145,7 @@ impl<E: StepEngine> ContinuousScheduler<E> {
     /// forced prefix when the sequence rejoins — re-sampling would
     /// only be bit-stable while the rung never changed, and a streaming
     /// consumer has already emitted them.
-    fn recover_from_restart(&mut self) -> StepOutcome {
+    pub(crate) fn recover_from_restart(&mut self) -> StepOutcome {
         let mut out = StepOutcome { recovered: self.running.len(), ..Default::default() };
         // Reverse order keeps the original join order once everything
         // is pushed back onto the front of the queue.

@@ -1,14 +1,18 @@
 //! Elastic-fleet chaos harness: the [`FleetController`] driven through
 //! seeded membership churn (joins, leaves, degrades, flap bursts — with
 //! leaves biased into migration windows) against seeded diurnal +
-//! bursty request arrivals, inside a deterministic discrete-event
-//! simulation of a single serving queue. Every run is checked by
-//! simnet's one invariant checker (DESIGN.md §13): committed plans use
-//! only live devices; every offered request is served exactly once
-//! across scale-out, scale-in and aborted migrations (work in flight on
-//! a dying device is requeued, not dropped); shedding is legitimate only
-//! when the fleet cannot hold the model at the lowest rung, so a
-//! serviceable fleet with stranded requests or a dead plan fails.
+//! bursty request arrivals on a virtual clock. Algorithm 1
+//! ([`FleetPlanner`]) plans a pool of simulated T4s and V100s, and every
+//! request is offered to and stepped through [`ContinuousScheduler`] on
+//! a [`SimStepEngine`] priced by the plan in force. The scheduler idles
+//! while that plan names a dead device; a serving device's leave
+//! requeues the work in flight through the ring-restart recovery. Every
+//! run is checked by simnet's one invariant checker (DESIGN.md §13):
+//! committed plans use only live devices; every offered request is
+//! served exactly once, with [`sim_oracle_tokens`]' tokens and no
+//! streamed token contradicted, or shed while the planner has no plan
+//! for the fleet — so a serviceable fleet with stranded requests or a
+//! dead plan fails.
 //!
 //! Violations shrink greedily to a minimal replayable churn schedule,
 //! exactly like the wire-level and serving-chaos sweeps: the harness is
@@ -18,23 +22,30 @@
 use super::invariants::Invariants;
 use super::shrink::{SimScenario, SimSchedule};
 use crate::elastic::{
-    even_split, ControllerCommand, ControllerState, DebouncedPolicy, EvenSplitPlanner,
-    FleetController, FleetEvent, FleetEventKind,
+    ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner, FleetController,
+    FleetEvent, FleetEventKind, FleetPlanner, FleetView,
 };
-use crate::overload::AdmissionStats;
+use crate::overload::{arrival_requests, AdmissionConfig, Request};
+use crate::serve::{sim_oracle_tokens, ContinuousConfig, ContinuousScheduler, IterCost, SimStepEngine};
 use crate::splitmix64;
-use llm_pq::{ExecutionPlan, MicrobatchPlan};
-use llmpq_quant::Bitwidth;
+use llm_pq::evaluate::batch_latency;
+use llm_pq::{AssignerConfig, ExecutionPlan, IncrementalPlanner, SolverChoice};
+use llmpq_cluster::{Cluster, GpuModel, Interconnect};
+use llmpq_cost::CostDb;
+use llmpq_model::{ModelFamily, ModelSpec};
+use llmpq_quant::random_indicator;
+use llmpq_sim::KernelEnv;
+use llmpq_workload::{ArrivalSpec, BatchJob};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Simulated horizon, µs (churn stops at ¾ of it; the run gets a settle
 /// grace period past it).
 const HORIZON_US: u64 = 60_000_000;
-/// Layers of the abstract model being served.
+/// Layers of the simulated model.
 const N_LAYERS: usize = 8;
-/// Lowest-rung per-device capacity, in layers.
-const MAX_LAYERS_PER_DEVICE: usize = 4;
+/// Hidden width of the simulated model: a lone T4 cannot hold it at any rung.
+const HIDDEN: usize = 16_384;
 /// Controller debounce window, µs.
 const DEBOUNCE_US: u64 = 20_000;
 /// Controller post-commit cooldown, µs.
@@ -46,9 +57,12 @@ const FLAP_MAX_TOGGLES: u32 = 3;
 /// Duration of the two-phase migration barrier, µs (leaves landing
 /// inside it abort the migration).
 const MIGRATION_US: u64 = 30_000;
-/// Service cost per bottleneck layer, µs (Int4/degraded layers count
-/// double).
-const BASE_SERVICE_US: u64 = 5_000;
+/// Scheduler token budget per iteration.
+const TOKEN_BUDGET: usize = 16;
+/// Scheduler batch cap (and the batch the planner plans for).
+const MAX_BATCH: usize = 4;
+/// The vocabulary `SimStepEngine::for_trace` samples from.
+const VOCAB: usize = 97;
 
 /// Parameters of one elastic-fleet simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -182,10 +196,11 @@ pub fn elastic_churn_plan(cfg: &ElasticSimConfig, seed: u64) -> ElasticChurnPlan
     ElasticChurnPlan { events }
 }
 
-/// Seeded arrival trace: a diurnal sinusoid over the horizon modulating
-/// the mean gap, with every third triple of requests compressed into a
-/// burst. Deterministic in `(cfg, seed)`.
-pub fn elastic_arrivals(cfg: &ElasticSimConfig, seed: u64) -> Vec<u64> {
+/// Seeded request trace: a diurnal sinusoid over the horizon modulating
+/// the mean arrival gap, with every third triple of requests compressed
+/// into a burst; prompts of 4–8 tokens, 2–6 tokens asked for.
+/// Deterministic in `(cfg, seed)`.
+pub fn elastic_arrivals(cfg: &ElasticSimConfig, seed: u64) -> Vec<Request> {
     let mut state = seed ^ 0x4152_5249_5645_5331; // "ARRIVES1"
     let mut next = move |bound: u64| splitmix64(&mut state) % bound.max(1);
     let base_gap = HORIZON_US / (2 * cfg.n_requests.max(1) as u64);
@@ -197,9 +212,10 @@ pub fn elastic_arrivals(cfg: &ElasticSimConfig, seed: u64) -> Vec<u64> {
         let jitter = 0.5 + next(1_000) as f64 / 1_000.0;
         let burst = if (i / 3) % 4 == 0 { 0.15 } else { 1.0 };
         t += ((base_gap as f64 * diurnal * jitter * burst) as u64).max(1_000);
-        out.push(t);
+        let (prompt_len, n_generate) = (4 + next(5) as usize, 2 + next(5) as usize);
+        out.push(ArrivalSpec { arrival_s: t as f64 / 1e6, prompt_len, n_generate, priority: 0 });
     }
-    out
+    arrival_requests(&out)
 }
 
 /// Outcome of one elastic simulation run.
@@ -228,6 +244,8 @@ pub struct ElasticRun {
     pub recovered: usize,
     /// Events in the churn schedule.
     pub churn_events: usize,
+    /// The plan in force when the run ended (`None`: no initial plan).
+    pub final_plan: Option<ExecutionPlan>,
 }
 
 /// What an elastic-fleet sweep counts.
@@ -245,57 +263,43 @@ pub struct ElasticTally {
     pub requests_recovered: u64,
 }
 
-fn initial_plan(cfg: &ElasticSimConfig) -> ExecutionPlan {
-    let devices: Vec<usize> = (0..cfg.n_devices).collect();
-    let stages = even_split(N_LAYERS, &devices, |_| usize::MAX, |_, _| Bitwidth::Int8);
-    ExecutionPlan {
-        model: "elastic-sim".into(),
-        cluster: "elastic-sim".into(),
-        stages,
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 1,
-            decode_size: 1,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+/// Pool device `d`: every third one a V100, the rest T4s, each on a
+/// node of its own.
+fn pool(cfg: &ElasticSimConfig) -> Cluster {
+    let class = |d: usize| if d % 3 == 2 { GpuModel::V100_32G } else { GpuModel::T4_16G };
+    let groups: Vec<(GpuModel, usize)> = (0..cfg.device_pool).map(|d| (class(d), 1)).collect();
+    Cluster::from_groups("elastic-sim", &groups, Interconnect::Ethernet800G, None)
 }
 
-fn service_time(plan: &ExecutionPlan) -> u64 {
-    // Pipeline bottleneck: the slowest stage, with low-rung (degraded)
-    // layers costing double.
-    let bottleneck = plan
-        .stages
-        .iter()
-        .map(|s| {
-            s.bits
-                .iter()
-                .map(|&b| if b == Bitwidth::Int4 { 2u64 } else { 1 })
-                .sum::<u64>()
-        })
-        .max()
-        .unwrap_or(1);
-    BASE_SERVICE_US * bottleneck.max(1)
+fn spec() -> ModelSpec {
+    ModelSpec::new(ModelFamily::Opt, "elastic-sim", N_LAYERS, HIDDEN, 64, 50_272, 2_048)
 }
 
-fn plan_fully_live(plan: &ExecutionPlan, live: &BTreeSet<usize>) -> bool {
-    plan.stages.iter().all(|s| live.contains(&s.device))
+/// The simulated fleet's Algorithm-1 planner, sized like `llmpq-dist`'s
+/// recovery-path search.
+pub(crate) fn fleet_planner(cfg: &ElasticSimConfig) -> FleetPlanner {
+    let job = BatchJob { global_batch: MAX_BATCH, prompt_len: 8, n_generate: 4 };
+    let search = AssignerConfig {
+        theta: 0.1,
+        solver: SolverChoice::Dp { group: 2 },
+        xi: 2,
+        max_orderings: 4,
+        dp_grid: Some(8),
+        ..AssignerConfig::default()
+    };
+    FleetPlanner::new(
+        pool(cfg),
+        IncrementalPlanner::new(spec(), job, search),
+        CostDb::oracle(&KernelEnv::default()),
+        random_indicator(N_LAYERS, 0xE1A5_71C5, 1.0),
+    )
 }
 
-fn fleet_feasible(live: &BTreeSet<usize>, degraded: &BTreeSet<usize>) -> bool {
-    let cap: usize = live
-        .iter()
-        .map(|d| {
-            if degraded.contains(d) {
-                (MAX_LAYERS_PER_DEVICE / 2).max(1)
-            } else {
-                MAX_LAYERS_PER_DEVICE
-            }
-        })
-        .sum();
-    !live.is_empty() && cap >= N_LAYERS
+/// What an iteration costs under `plan` on `fleet`: the plan's batch
+/// latency, fitted to `trace`'s shape.
+fn price(plan: &ExecutionPlan, fleet: &Cluster, trace: &[Request]) -> IterCost {
+    let (spec, db) = (spec(), CostDb::oracle(&KernelEnv::default()));
+    IterCost::fit_trace(trace, MAX_BATCH, |job| batch_latency(plan, fleet, &spec, &db, job))
 }
 
 /// Run one seed's elastic scenario under `churn` and return the
@@ -304,56 +308,72 @@ fn fleet_feasible(live: &BTreeSet<usize>, degraded: &BTreeSet<usize>) -> bool {
 pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) -> ElasticRun {
     let mut run = ElasticRun { seed, churn_events: churn.events.len(), ..ElasticRun::default() };
     let mut inv = Invariants::default();
-    let arrivals = elastic_arrivals(cfg, seed);
-    let mut controller = FleetController::new(
-        Box::new(EvenSplitPlanner {
-            n_layers: N_LAYERS,
-            max_layers_per_device: MAX_LAYERS_PER_DEVICE,
-        }),
-        DebouncedPolicy::new(DEBOUNCE_US, COOLDOWN_US, FLAP_WINDOW_US, FLAP_MAX_TOGGLES),
-        0..cfg.n_devices,
-        initial_plan(cfg),
-    );
+    let trace = elastic_arrivals(cfg, seed);
     // External mirror of membership (the sim is the "cluster watcher").
     let mut live: BTreeSet<usize> = (0..cfg.n_devices).collect();
     let mut degraded: BTreeSet<usize> = BTreeSet::new();
+    // A second planner prices plans and judges, at the end, whether the
+    // fleet can be served.
+    let mut judge = fleet_planner(cfg);
+    let mut planner = fleet_planner(cfg);
+    let spares: Vec<usize> = (cfg.n_devices..cfg.device_pool).collect();
+    let initial = planner.replan(&spares, &degraded).map(|out| out.plan);
+    let Some(initial) = inv.completed("initial plan", initial) else {
+        run.violations = inv.into_violations();
+        return run;
+    };
+    let cost = price(&initial, &judge.fleet(&degraded), &trace);
+    let engine = SimStepEngine::for_trace(&trace, vec![cost], MAX_BATCH, seed);
+    let serve_cfg = ContinuousConfig {
+        admission: AdmissionConfig { max_queue: trace.len().max(1), ..AdmissionConfig::default() },
+        token_budget: TOKEN_BUDGET,
+        max_batch: MAX_BATCH,
+        ..ContinuousConfig::default()
+    };
+    let mut sched = ContinuousScheduler::new(engine, serve_cfg).expect("a valid scheduler config");
+    let mut controller = FleetController::new(
+        Box::new(planner),
+        DebouncedPolicy::new(DEBOUNCE_US, COOLDOWN_US, FLAP_WINDOW_US, FLAP_MAX_TOGGLES),
+        0..cfg.n_devices,
+        initial,
+    );
 
     let tick_us = (DEBOUNCE_US / 2).max(1_000);
     let hard_cap = HORIZON_US + COOLDOWN_US + FLAP_WINDOW_US + 5_000_000;
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_service: Option<(usize, u64)> = None; // (request id, finish time)
+    let arrival_us = |r: &Request| (r.arrival_s * 1e6).round() as u64;
+    let mut busy_until: Option<u64> = None; // end of the iteration in progress
     let mut migration_end: Option<u64> = None;
-    let mut serve_counts: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut finished: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut landed: Vec<(usize, usize, usize)> = Vec::new();
     let mut ci = 0usize; // churn cursor
     let mut ai = 0usize; // arrival cursor
     let mut next_tick = 0u64;
 
     loop {
-        // Next event: churn, arrival, service completion, barrier end,
-        // or controller tick — whichever is earliest.
+        // Next event: churn, arrival, iteration end, barrier end, or
+        // controller tick — whichever is earliest.
         let mut t = next_tick;
         if let Some(e) = churn.events.get(ci) {
             t = t.min(e.at_us);
         }
-        if let Some(&a) = arrivals.get(ai) {
-            t = t.min(a);
+        if let Some(r) = trace.get(ai) {
+            t = t.min(arrival_us(r));
         }
-        if let Some((_, fin)) = in_service {
-            t = t.min(fin);
-        }
-        if let Some(end) = migration_end {
+        for end in [busy_until, migration_end].into_iter().flatten() {
             t = t.min(end);
         }
         let now = t;
         if now > hard_cap {
             break;
         }
+        let mut reprice = false;
 
         // 1. Membership churn (before commits at the same instant — a
         //    leave racing the barrier end must win and abort).
         while churn.events.get(ci).is_some_and(|e| e.at_us <= now) {
             let e = churn.events[ci];
             ci += 1;
+            reprice = true;
             match e.kind {
                 FleetEventKind::Join => {
                     live.insert(e.device);
@@ -369,15 +389,13 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
                     }
                 }
             }
-            // Work in flight on a dying device is recovered, never lost.
-            if e.kind == FleetEventKind::Leave {
-                let plan_uses = controller.plan().stages.iter().any(|s| s.device == e.device);
-                if plan_uses {
-                    if let Some((id, _)) = in_service.take() {
-                        queue.push_front(id);
-                        run.recovered += 1;
-                    }
-                }
+            // Work in flight on a dying device is recovered, never lost:
+            // the ring it ran on is gone, as after a ring restart.
+            if e.kind == FleetEventKind::Leave
+                && controller.plan().stages.iter().any(|s| s.device == e.device)
+            {
+                sched.recover_from_restart();
+                busy_until = None;
             }
             let cmd =
                 controller.on_event(FleetEvent { device: e.device, kind: e.kind, at_us: e.at_us });
@@ -389,24 +407,14 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
         }
 
         // 2. Arrivals.
-        while arrivals.get(ai).is_some_and(|&a| a <= now) {
-            queue.push_back(ai);
-            run.offered += 1;
+        while trace.get(ai).is_some_and(|r| arrival_us(r) <= now) {
+            sched.offer(trace[ai].clone(), now as f64 / 1e6);
             ai += 1;
         }
 
-        // 3. Service completion.
-        if let Some((id, fin)) = in_service {
-            if fin <= now {
-                in_service = None;
-                let hits = serve_counts.entry(id).or_insert(0);
-                *hits += 1;
-                if cfg.inject_double_serve && id == 0 {
-                    // Dev hook: a buggy retry path re-serves a request
-                    // that already completed.
-                    *hits += 1;
-                }
-            }
+        // 3. The iteration in progress ends.
+        if busy_until.is_some_and(|end| end <= now) {
+            busy_until = None;
         }
 
         // 4. Migration barrier end → commit.
@@ -414,6 +422,11 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
             migration_end = None;
             controller.migration_resolved(true, now);
             inv.plan_live(controller.plan(), &live, format_args!("at t={now}us"));
+            reprice = true;
+        }
+        if reprice {
+            let cost = price(controller.plan(), &judge.fleet(&degraded), &trace);
+            sched.engine_mut().reprice(cost);
         }
 
         // 5. Controller tick.
@@ -424,19 +437,33 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
             }
         }
 
-        // 6. Dispatch: the old plan keeps serving through the barrier
-        //    (that is what live migration buys), but only while every
-        //    device it names is still alive.
-        if in_service.is_none() && plan_fully_live(controller.plan(), &live) {
-            if let Some(id) = queue.pop_front() {
-                in_service = Some((id, now + service_time(controller.plan())));
+        // 6. Step: the old plan keeps serving through the barrier (that
+        //    is what live migration buys), but only while every device
+        //    it names is still alive.
+        let work = sched.queued() + sched.in_flight() > 0;
+        let plan_live = controller.plan().stages.iter().all(|s| live.contains(&s.device));
+        if busy_until.is_none() && work && plan_live {
+            let Some(out) = inv.completed("scheduler step", sched.step(now as f64 / 1e6)) else {
+                break;
+            };
+            if !out.idle {
+                busy_until = Some(now + ((out.cost_s * 1e6).ceil() as u64).max(1));
+            }
+            landed.extend_from_slice(&out.landed);
+            for fin in out.finished {
+                if cfg.inject_double_serve && fin.id == 0 {
+                    // Dev hook: a buggy retry path re-serves a request
+                    // that already completed.
+                    finished.push((fin.id, fin.tokens.clone()));
+                }
+                finished.push((fin.id, fin.tokens));
             }
         }
 
         let drained = ci >= churn.events.len()
-            && ai >= arrivals.len()
-            && queue.is_empty()
-            && in_service.is_none()
+            && ai >= trace.len()
+            && !work
+            && busy_until.is_none()
             && migration_end.is_none();
         if drained && now >= HORIZON_US && controller.state() == ControllerState::Idle {
             break;
@@ -446,21 +473,29 @@ pub fn run_elastic(cfg: &ElasticSimConfig, seed: u64, churn: &ElasticChurnPlan) 
     // --- verdict ---
     let alarms = controller.alarms();
     run.commits = controller.commits();
+    run.final_plan = Some(controller.plan().clone());
     run.aborts = alarms.aborted_migrations;
     run.suppressed = alarms.flap_suppressed;
     run.infeasible = alarms.infeasible_fleet;
-    run.served = serve_counts.len();
-    // What is still queued or in service was shed if the fleet ended
-    // unable to hold the model, and is stranded (pending) if it could.
-    let left = queue.len() + usize::from(in_service.is_some());
-    let feasible = fleet_feasible(&live, &degraded);
-    run.shed = if feasible { 0 } else { left };
-    let completions = serve_counts.iter().flat_map(|(&id, &n)| std::iter::repeat_n((id, 0), n));
-    inv.served_once(&(0..run.offered).map(|id| (id, None)).collect(), completions);
-    let (offered, served, shed, recovered) = (run.offered, run.served, run.shed, run.recovered);
-    let stats = AdmissionStats { offered, admitted: offered, served, shed, expired: 0, recovered };
-    inv.conservation(&stats, left - run.shed);
-    if feasible {
+    // What is still queued or in flight was shed if the planner has no
+    // plan for the final fleet, and is stranded (pending) if it has.
+    let left = sched.queued() + sched.in_flight();
+    let plan_live = controller.plan().stages.iter().all(|s| live.contains(&s.device));
+    let servable = plan_live || judge.plan(&FleetView { live: &live, degraded: &degraded }).is_ok();
+    let mut stats = sched.stats();
+    if !servable {
+        stats.shed += left;
+    }
+    (run.offered, run.served, run.shed, run.recovered) =
+        (stats.offered, stats.served, stats.shed, stats.recovered);
+    let offered = trace.iter().map(|r| (r.id, Some(r.n_generate))).collect();
+    inv.served_once(&offered, finished.iter().map(|(id, tokens)| (*id, tokens.len())));
+    let oracle = |r: &Request| sim_oracle_tokens(seed, VOCAB, &r.prompt, r.n_generate);
+    let want = finished.iter().map(|&(id, _)| (id, oracle(&trace[id])));
+    inv.matches_oracle("sim_oracle_tokens", want, finished.clone());
+    inv.stream_consistent("elastic run", &landed);
+    inv.conservation(&stats, if servable { left } else { 0 });
+    if servable {
         inv.plan_live(controller.plan(), &live, "at the end of a serviceable run (stuck replan)");
     }
     let planner = match alarms.planner_errors {
@@ -567,6 +602,29 @@ mod tests {
         assert!(run.aborts >= 1, "leave mid-barrier must abort: {run:?}");
         assert!(run.commits >= 1, "the survivors must still be replanned onto: {run:?}");
         assert_eq!(run.served, cfg.n_requests, "no request lost across the abort");
+    }
+
+    #[test]
+    fn serving_device_leaving_mid_request_is_recovered_and_replanned_by_algorithm_1() {
+        let cfg = ElasticSimConfig::default();
+        let seed = 11;
+        // Request 0 is being served 10 ms after it arrives, when device
+        // 1, which serves a stage of the initial plan, leaves.
+        let t0 = (elastic_arrivals(&cfg, seed)[0].arrival_s * 1e6).round() as u64;
+        let churn = ElasticChurnPlan {
+            events: vec![ChurnEvent { at_us: t0 + 10_000, device: 1, kind: FleetEventKind::Leave }],
+        };
+        let run = run_elastic(&cfg, seed, &churn);
+        // The verdict includes the token oracle (`sim_oracle_tokens` for
+        // every served request), stream consistency and served-once.
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
+        assert!(run.recovered >= 1, "request 0 was in flight on device 1: {run:?}");
+        assert_eq!((run.served, run.offered, run.shed), (cfg.n_requests, cfg.n_requests, 0));
+        assert_eq!(run.commits, 1);
+        let committed = run.final_plan.expect("a plan is in force");
+        assert!(committed.stages.iter().all(|s| s.device != 1), "{committed:?}");
+        let survivors = fleet_planner(&cfg).replan(&[1, 3, 4, 5], &BTreeSet::new()).unwrap().plan;
+        assert_eq!(committed, survivors, "the committed plan is Algorithm 1's on the survivors");
     }
 
     #[test]

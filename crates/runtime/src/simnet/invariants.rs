@@ -276,21 +276,9 @@ mod tests {
 
     #[test]
     fn a_plan_on_a_dead_device_is_flagged() {
-        let plan = ExecutionPlan {
-            model: "t".into(),
-            cluster: "c".into(),
-            stages: crate::elastic::even_split(2, &[0, 1], |_| usize::MAX, |_, _| {
-                llmpq_quant::Bitwidth::Int8
-            }),
-            microbatch: llm_pq::MicrobatchPlan {
-                prefill_size: 1,
-                prefill_count: 1,
-                decode_size: 1,
-                decode_count: 1,
-            },
-            scheme: "LLM-PQ".into(),
-            kv_bits: 16,
-        };
+        let int8 = || vec![llmpq_quant::Bitwidth::Int8];
+        let mb = llm_pq::MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+        let plan = ExecutionPlan::contiguous("t", "c", vec![int8(), int8()], mb);
         one(verdict(|i| i.plan_live(&plan, &[0, 2].into(), "at t=5us")), "dead device at t=5us");
         assert!(verdict(|i| i.plan_live(&plan, &[0, 1, 2].into(), "at t=5us")).is_empty());
     }

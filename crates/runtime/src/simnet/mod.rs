@@ -62,6 +62,8 @@ pub use elastic::{
     elastic_arrivals, elastic_churn_plan, run_elastic, ChurnEvent, ElasticChurnPlan, ElasticRun,
     ElasticSimConfig, ElasticTally,
 };
+#[cfg(test)]
+pub(crate) use elastic::fleet_planner;
 pub use plan::{SimCrash, SimDeviceJoin, SimFaultKind, SimFaultPlan, SimLinkEvent, SimPartition};
 pub use serving::{
     run_serving_chaos, serving_fault_plan, serving_swap, ServingChaosConfig, ServingChaosRun,
@@ -73,7 +75,6 @@ pub use shrink::{
 pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
-use crate::elastic::even_split;
 use crate::engine::{AttemptLoop, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
@@ -239,30 +240,21 @@ impl SimReport {
     }
 }
 
-/// Evenly split the tiny model's layers into `n_stages`, alternating
-/// Int8/Fp16 so the oracle exercises the quantized path.
+/// Evenly split the tiny model's layers into `n_stages` (≤ its layers;
+/// the first stages take the larger shares), alternating Int8/Fp16 so
+/// the oracle exercises the quantized path.
 fn build_exec_plan(model: &RefModel, n_stages: usize, n_seqs: usize) -> ExecutionPlan {
-    let devices: Vec<usize> = (0..n_stages).collect();
-    let stages = even_split(model.cfg.n_layers, &devices, |_| usize::MAX, |_, l| {
-        if l % 2 == 0 {
-            Bitwidth::Int8
-        } else {
-            Bitwidth::Fp16
-        }
-    });
-    ExecutionPlan {
-        model: "tiny".into(),
-        cluster: "simnet".into(),
-        stages,
-        microbatch: MicrobatchPlan {
-            prefill_size: 2,
-            prefill_count: n_seqs.div_ceil(2).max(1),
-            decode_size: n_seqs.max(1),
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let n = model.cfg.n_layers;
+    let mut bits = (0..n).map(|l| if l % 2 == 0 { Bitwidth::Int8 } else { Bitwidth::Fp16 });
+    let stage_bits =
+        (0..n_stages).map(|i| bits.by_ref().take(n / n_stages + usize::from(i < n % n_stages)).collect());
+    let microbatch = MicrobatchPlan {
+        prefill_size: 2,
+        prefill_count: n_seqs.div_ceil(2).max(1),
+        decode_size: n_seqs.max(1),
+        decode_count: 1,
+    };
+    ExecutionPlan::contiguous("tiny", "simnet", stage_bits.collect(), microbatch)
 }
 
 /// The migration target for a simulated run: every layer drops to Int4

@@ -16,7 +16,6 @@
 
 use super::invariants::Invariants;
 use super::shrink::{SimScenario, SimSchedule};
-use crate::elastic::even_split;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::kvpool::KvPoolConfig;
 use crate::overload::{poisson_requests, Request};
@@ -151,19 +150,9 @@ fn checkpoint() -> RefModel {
 
 /// Two-stage plan over the tiny model at uniform `bits`.
 fn stage_plan(bits: Bitwidth) -> ExecutionPlan {
-    ExecutionPlan {
-        model: "tiny".into(),
-        cluster: "chaos".into(),
-        stages: even_split(RefConfig::tiny().n_layers, &[0, 1], |_| usize::MAX, |_, _| bits),
-        microbatch: MicrobatchPlan {
-            prefill_size: 1,
-            prefill_count: 1,
-            decode_size: 1,
-            decode_count: 1,
-        },
-        scheme: "LLM-PQ".into(),
-        kv_bits: 16,
-    }
+    let n = RefConfig::tiny().n_layers;
+    let mb = MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+    ExecutionPlan::contiguous("tiny", "chaos", vec![vec![bits; n.div_ceil(2)], vec![bits; n / 2]], mb)
 }
 
 /// Seeded Poisson trace with per-seed prompt/generation geometry.

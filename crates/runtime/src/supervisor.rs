@@ -83,12 +83,12 @@ impl SupervisorConfig {
 
 /// Produces a new execution plan when devices are lost. Implementations
 /// range from the structural [`FoldReplanner`] to a full re-run of
-/// Algorithm 1 on the surviving sub-cluster
-/// (`llm_pq::IncrementalPlanner::replan_after_loss`). The caller wires
+/// Algorithm 1 on the surviving sub-cluster — the runtime's
+/// [`FleetPlanner`](crate::elastic::FleetPlanner). The caller wires
 /// that one in — `llmpq-dist` does, keeping one planner per run so a
-/// second loss warm-starts from the first — because it needs a cost
-/// database and an indicator table, which the supervisor does not
-/// carry (this crate depends on `llm-pq` for the plan types only).
+/// second loss warm-starts from the first — because only the caller
+/// knows the device pool, cost database and indicator table a plan is
+/// priced against; the supervisor carries none of them.
 pub trait Replanner {
     /// Plan around `lost_devices` (cluster device ids). The returned
     /// plan must cover the same layers and avoid every lost device.
