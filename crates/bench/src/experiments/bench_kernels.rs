@@ -31,9 +31,12 @@
 //! forward over a `PagedKvStore` view — what both serving engines compute
 //! on — next to its own six GEMM calls (`layer_over_gemm`, a quotient of
 //! two timings from one run) at a prefill chunk on an empty and on a
-//! 64-token cache and at a decode step on 50 and 150 cached positions.
+//! 64-token cache and at a decode step on 50 and 150 cached positions;
+//! and the model's four layers over that prefill chunk in the serving
+//! form (the final layer computes the last row alone) over the full form
+//! (`stack`, `serving_over_full`).
 //!
-//! Those four tables are taken once per kernel instantiation the host can
+//! Those tables are taken once per kernel instantiation the host can
 //! run — baseline, AVX2, AVX-512 — each under
 //! `llmpq_kernels::dispatch::with_cap`, and the report holds one section
 //! per instantiation (`"sections"`, narrowest first; `"isa"` names the
@@ -59,7 +62,9 @@
 //! [`MAX_DECODE_LAYER_OVER_GEMM`] of its GEMMs, in every section a
 //! vector instantiation ran — AVX2 or AVX-512 — the layer forward of
 //! both prefill shapes costs at most [`MAX_LAYER_OVER_GEMM`] of its
-//! GEMMs in every section, and in the AVX-512 section, where the host has
+//! GEMMs and the serving form of the four-layer prefill at most
+//! [`MAX_STACK_SERVING_OVER_FULL`] of the full form in every section,
+//! and in the AVX-512 section, where the host has
 //! one, the fused-int4 `m = 64` prefill runs at
 //! [`MIN_PREFILL_PEAK_FRAC_AVX512`] of that section's FMA peak or more),
 //! `--compare FILE` (fail if any of those ratios is more than 10 %
@@ -74,7 +79,10 @@ use llmpq_cost::{kernel_crosscheck, CostDb, KernelCrosscheck, KernelObservation}
 use llmpq_kernels::dispatch::with_cap;
 use llmpq_kernels::{qgemm_t, DensePanels, Isa, PackedMatrix};
 use serde::Deserialize;
-use llmpq_model::{forward_layer_taps, forward_layer_with, KvCache, KvSeq, Matrix, PhaseWorkload, RefConfig, RefModel, KV_BLOCK};
+use llmpq_model::{
+    forward_layer_alibi, forward_layer_taps, forward_layer_with, KvCache, KvSeq, Matrix, OutRows, PhaseWorkload,
+    RefConfig, RefModel, KV_BLOCK,
+};
 use llmpq_runtime::{KvPoolConfig, PagedKvStore};
 use llmpq_quant::{quantize_matrix, quantize_model_uniform, Bitwidth, Rounding};
 use llmpq_sim::KernelEnv;
@@ -146,6 +154,22 @@ struct LayerRow {
     layer_over_gemm: f64,
 }
 
+/// The int4 `ref256x4` model's four layers over one prefill chunk of `m`
+/// rows on `past` cached positions of a `PagedKvStore`, in the two forms
+/// the workspace runs them: every layer returning every row (the oracles:
+/// `generate`, `nll`, calibration) and the serving form, whose final layer
+/// computes the K/V of every row and the rest for the last row alone.
+#[derive(Serialize)]
+struct StackRow {
+    m: usize,
+    past: usize,
+    full_us: f64,
+    serving_us: f64,
+    /// `serving_us / full_us`: 1 would be a final layer that still
+    /// computes rows nobody reads.
+    serving_over_full: f64,
+}
+
 #[derive(Serialize)]
 struct TokensRow {
     bits: String,
@@ -203,6 +227,8 @@ struct Section {
     /// in a vector instantiation the decode row on 150 cached positions at
     /// ≤ [`MAX_DECODE_LAYER_OVER_GEMM`].
     layer: Vec<LayerRow>,
+    /// Gated at ≤ [`MAX_STACK_SERVING_OVER_FULL`] on both shapes.
+    stack: Vec<StackRow>,
     fused_beats_dequant_decode: bool,
     /// Dense-f32 time over fused time at the 4096² decode, per
     /// precision; in a vector instantiation the gate is ≥
@@ -300,6 +326,17 @@ const MIN_PREFILL_PEAK_FRAC_AVX512: f64 = 0.55;
 /// 1.41–1.68 while decode attention staged its keys and values, 1.01–1.25
 /// since it reads them in place.
 const MAX_DECODE_LAYER_OVER_GEMM: f64 = 1.3;
+
+/// Upper bar on the int4 `ref256x4` four-layer prefill at `m = 64` in its
+/// serving form over its full form, on an empty and on a 64-token cache.
+/// The serving form's final layer runs LN1 and the K/V GEMMs over every
+/// row and the rest — Q, attention, `wo`, LN2, the MLP — over the last
+/// row alone, so the quotient is about `(3 + kv) / 4` with `kv` the share
+/// of a layer that is LN1 and its K/V GEMMs. Ten quick runs on one
+/// AVX-512 host read 0.74–0.87, medians 0.80–0.81 in every section and
+/// at both cache lengths; a final layer that computed every row again
+/// would read 1.
+const MAX_STACK_SERVING_OVER_FULL: f64 = 0.9;
 
 /// A labeled closure the interleaved timer can re-run.
 type TimedKernel<'a> = (String, Box<dyn FnMut() + 'a>);
@@ -587,7 +624,7 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
                 k: vec![Matrix::random(t, cfg.hidden, 1.0, 6)],
                 v: vec![Matrix::random(t, cfg.hidden, 1.0, 7)],
             };
-            let mut store = paged_store(t, cfg.hidden);
+            let mut store = paged_store(t, 1, cfg.hidden);
             store.append(0, &cache, 0).expect("the store holds the sequence");
             let view = store.extend_seq(0, 0).expect("a registered sequence");
             let (mut over_blocks, mut over_rows) = (vec![0.0f32; m * cfg.hidden], vec![0.0f32; m * cfg.hidden]);
@@ -626,7 +663,7 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
             // call: released and registered again, it gets the same chain
             // back off the LIFO free list, the `past` positions' rows
             // still in it, for two pool calls.
-            let mut store = paged_store(past + m, cfg.hidden);
+            let mut store = paged_store(past + m, 1, cfg.hidden);
             let prefix = Matrix::random(past, cfg.hidden, 1.0, 23);
             forward_layer_with(w, cfg.n_heads, 0, &prefix, &mut store.extend_seq(0, past).expect("room for the prefix"));
             // The six GEMM calls this layer forward makes, on the inputs
@@ -667,13 +704,68 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
     (gelu_ns_per_elem, attention, layer)
 }
 
-/// A one-layer store with room for exactly `t` positions of one
-/// sequence, registered as sequence 0.
-fn paged_store(t: usize, hidden: usize) -> PagedKvStore {
+/// A store of `n_layers` layers with room for exactly `t` positions of
+/// one sequence, registered as sequence 0.
+fn paged_store(t: usize, n_layers: usize, hidden: usize) -> PagedKvStore {
     let cfg = KvPoolConfig { n_blocks: t.div_ceil(KV_BLOCK), block_tokens: KV_BLOCK };
-    let mut store = PagedKvStore::new(cfg, 1, hidden);
+    let mut store = PagedKvStore::new(cfg, n_layers, hidden);
     store.register(0).expect("an empty store");
     store
+}
+
+/// The four-layer prefill chunk of [`StackRow`] in both forms, timed
+/// interleaved; the serving form's row must be the full form's last row,
+/// bit for bit.
+fn stack_suite(quick: bool) -> Vec<StackRow> {
+    let cfg =
+        RefConfig { n_layers: 4, hidden: 256, n_heads: 4, ffn: 1024, vocab: 512, max_seq: 512, seed: 11, alibi: false };
+    let model = quantize_model_uniform(&RefModel::new(cfg), Bitwidth::Int4, Rounding::Deterministic, 0);
+    // Rounds from a time budget per shape: one call costs ~5 ms under
+    // AVX-512 and ~0.6 s in the baseline's software `fmaf`.
+    let budget_s = if quick { 0.5 } else { 1.5 };
+    [(CHUNK_M, 0), (CHUNK_M, 64)]
+        .into_iter()
+        .map(|(m, past)| {
+            let x = Matrix::random(m, cfg.hidden, 1.0, 21);
+            let prefix = Matrix::random(past, cfg.hidden, 1.0, 23);
+            // Both forms on the sequence holding `past` positions, cut
+            // back after each call (see the layer rows).
+            let run = |store: &mut PagedKvStore, last: OutRows| {
+                store.release(0);
+                store.register(0).expect("a released sequence registers again");
+                store.extend_seq(0, past).expect("the same chain");
+                let mut kv = store.extend_seq(0, m).expect("room for the new rows");
+                let mut h = black_box(&x).clone();
+                for (l, w) in model.layers.iter().enumerate() {
+                    let rows = if l + 1 == cfg.n_layers { last } else { OutRows::All };
+                    h = forward_layer_alibi(w, cfg.n_heads, l, &h, &mut kv, false, rows);
+                }
+                h
+            };
+            let stores = [OutRows::All, OutRows::Last].map(|_| {
+                let mut store = paged_store(past + m, cfg.n_layers, cfg.hidden);
+                let mut kv = store.extend_seq(0, past).expect("room for the prefix");
+                let mut h = prefix.clone();
+                for (l, w) in model.layers.iter().enumerate() {
+                    h = forward_layer_with(w, cfg.n_heads, l, &h, &mut kv);
+                }
+                store
+            });
+            let [mut full_store, mut serving_store] = stores;
+            let t0 = Instant::now();
+            let full = run(&mut full_store, OutRows::All);
+            let rounds = ((budget_s / 2.0 / t0.elapsed().as_secs_f64()) as usize).clamp(3, 40);
+            let serving = run(&mut serving_store, OutRows::Last);
+            let same = full.row(m - 1).iter().zip(&serving.data).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same && serving.rows == 1, "the serving form must return the full form's last row (past = {past})");
+            let mut kernels: Vec<TimedKernel<'_>> = vec![
+                ("full".into(), Box::new(|| drop(black_box(run(&mut full_store, OutRows::All))))),
+                ("serving".into(), Box::new(|| drop(black_box(run(&mut serving_store, OutRows::Last))))),
+            ];
+            let s = time_interleaved(1, rounds, &mut kernels);
+            StackRow { m, past, full_us: s[0] * 1e6, serving_us: s[1] * 1e6, serving_over_full: s[1] / s[0] }
+        })
+        .collect()
 }
 
 fn tokens_suite(quick: bool) -> Vec<TokensRow> {
@@ -807,6 +899,14 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         ]);
     }
     out.table(&t);
+    let stack = stack_suite(quick);
+    for r in &stack {
+        say!(out,
+            "ref256x4 int4 four-layer prefill, m = {}, past = {}: full {:.1} us, serving (last row of the final layer) \
+             {:.1} us, serving / full {:.2}",
+            r.m, r.past, r.full_us, r.serving_us, r.serving_over_full
+        );
+    }
 
     let decode_ms = |kernel: &str| {
         gemm.iter()
@@ -867,6 +967,7 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         gelu_ns_per_elem,
         attention,
         layer,
+        stack,
         fused_beats_dequant_decode: fused_beats_dequant,
         decode_speedup_vs_f32,
         int4_over_int8_decode,
@@ -953,6 +1054,16 @@ fn check_ordering(out: &mut Out, s: &Section) {
             r.m,
             r.past,
             r.layer_over_gemm
+        );
+    }
+    for r in &s.stack {
+        assert!(
+            r.serving_over_full <= MAX_STACK_SERVING_OVER_FULL,
+            "{isa} m = {} on {} cached: the four-layer prefill's serving form must cost at most \
+             {MAX_STACK_SERVING_OVER_FULL} of its full form, got {:.2}",
+            r.m,
+            r.past,
+            r.serving_over_full
         );
     }
 }

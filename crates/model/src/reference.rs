@@ -317,7 +317,8 @@ impl RefModel {
     /// whole prompt (prefill) or a single token (decode); attention is
     /// causal over `cache ++ x`.
     pub fn forward_layer(&self, layer_idx: usize, x: &Matrix, cache: &mut impl KvSeq) -> Matrix {
-        forward_layer_alibi(&self.layers[layer_idx], self.cfg.n_heads, layer_idx, x, cache, self.cfg.alibi)
+        let w = &self.layers[layer_idx];
+        forward_layer_alibi(w, self.cfg.n_heads, layer_idx, x, cache, self.cfg.alibi, OutRows::All)
     }
 
     /// Apply the final LayerNorm and tied LM head, returning logits
@@ -516,11 +517,12 @@ pub fn forward_layer_with(
     x: &Matrix,
     cache: &mut impl KvSeq,
 ) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, false)
+    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, false, OutRows::All)
 }
 
-/// Like [`forward_layer_with`] with an explicit ALiBi switch — the
-/// entry point for BLOOM-style stages.
+/// Like [`forward_layer_with`] with an explicit ALiBi switch and a
+/// choice of output rows — the entry point of the serving engines, whose
+/// final layer computes only the row the sampler reads ([`OutRows`]).
 pub fn forward_layer_alibi(
     w: &LayerWeights,
     n_heads: usize,
@@ -528,8 +530,9 @@ pub fn forward_layer_alibi(
     x: &Matrix,
     cache: &mut impl KvSeq,
     alibi: bool,
+    rows: OutRows,
 ) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, alibi)
+    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, alibi, rows)
 }
 
 /// The ALiBi slope of attention head `h` out of `n`: `2^(−8(h+1)/n)`
@@ -548,15 +551,38 @@ pub fn forward_layer_taps(
     cache: &mut impl KvSeq,
 ) -> (Matrix, OperatorTaps) {
     let mut taps = None;
-    let out = forward_layer_inner(w, n_heads, layer_idx, x, cache, Some(&mut taps), false);
+    let out = forward_layer_inner(w, n_heads, layer_idx, x, cache, Some(&mut taps), false, OutRows::All);
     (out, taps.expect("taps requested but not produced"))
+}
+
+/// Which rows of its output a layer forward computes. The K/V of every
+/// row are computed and cached whatever the choice; the choice restricts
+/// only what follows them — Q, attention, `wo`, the residuals, LN2 and
+/// the MLP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutRows {
+    /// Every row, `t_new × hidden`: a layer whose output feeds another
+    /// layer, and every oracle.
+    All,
+    /// The last row alone, `1 × hidden`, bit for bit the last row of
+    /// [`OutRows::All`]: the model's final layer when a step samples.
+    Last,
+    /// No row, `0 × hidden`: the model's final layer when nothing reads
+    /// the step's logits (a prefill chunk that is not the prompt's last).
+    KvOnly,
 }
 
 /// The layer forward. Everything that decides its time is a kernels-crate
 /// call: six (fused dequant-)GEMMs, attention over the blocks `cache`
-/// hands out, GELU. Rows are independent and every reduction has
-/// a fixed order, so row `i` of a `t_new`-row call is bit-identical to
-/// the one-row call on a cache holding the rows before it.
+/// hands out, GELU. LN1 and the K/V GEMMs run over all `t_new` rows and
+/// push them to `cache`; `rows` says which rows the rest runs on. Rows
+/// are independent and every reduction has a fixed order — row `i` of an
+/// `m`-row GEMM is the one-row call, and attention row `i` is the
+/// one-row call at position `past + i` — so row `i` of a `t_new`-row
+/// call is bit-identical to the one-row call on a cache holding the rows
+/// before it, and [`OutRows::Last`] is bit-identical to the last row of
+/// [`OutRows::All`].
+#[allow(clippy::too_many_arguments)]
 fn forward_layer_inner(
     w: &LayerWeights,
     n_heads: usize,
@@ -565,27 +591,40 @@ fn forward_layer_inner(
     cache: &mut impl KvSeq,
     taps: Option<&mut Option<OperatorTaps>>,
     alibi: bool,
+    rows: OutRows,
 ) -> Matrix {
     let h = x.cols;
     let t_new = x.rows;
     let past = cache.cached(layer_idx);
 
-    // --- Attention block (pre-LN) ---
+    // --- Attention block (pre-LN): every row's K/V into the cache ---
     let mut xn = x.clone();
     layer_norm(&mut xn, &w.ln1_g, &w.ln1_b);
-    let mut q = w.wq.forward_t(&xn);
-    add_bias(&mut q, &w.bq);
     let mut k = w.wk.forward_t(&xn);
     add_bias(&mut k, &w.bk);
     let mut v = w.wv.forward_t(&xn);
     add_bias(&mut v, &w.bv);
     cache.push_rows(layer_idx, &k, &v);
 
+    // The rows computed from here on, and the position of the first.
+    let last;
+    let (x, xn, pos0) = match rows {
+        OutRows::KvOnly => return Matrix::zeros(0, h),
+        OutRows::Last if t_new > 1 => {
+            let row = |m: &Matrix| Matrix::from_vec(1, h, m.row(t_new - 1).to_vec());
+            last = row(x);
+            (&last, row(&xn), past + t_new - 1)
+        }
+        OutRows::All | OutRows::Last => (x, xn, past),
+    };
+    let m = x.rows;
+    let mut q = w.wq.forward_t(&xn);
+    add_bias(&mut q, &w.bq);
     // ALiBi penalizes distance linearly per head; slope 0 is no bias.
     let slopes: Vec<f32> =
         (0..n_heads).map(|head| if alibi { alibi_slope(head, n_heads) } else { 0.0 }).collect();
-    let mut attn_out = Matrix::zeros(t_new, h);
-    llmpq_kernels::attention(&q.data, t_new, h, past, &slopes, &cache.blocks(layer_idx), &mut attn_out.data);
+    let mut attn_out = Matrix::zeros(m, h);
+    llmpq_kernels::attention(&q.data, m, h, pos0, &slopes, &cache.blocks(layer_idx), &mut attn_out.data);
     let mut attn_proj = w.wo.forward_t(&attn_out);
     add_bias(&mut attn_proj, &w.bo);
     let mut x1 = x.clone();
@@ -650,6 +689,7 @@ pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut SmallRng) 
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use llmpq_kernels::{quantize_packed, PackBits, DEFAULT_GROUP};
 
     #[test]
     fn nan_logits_ties_and_signed_zeros_have_a_defined_argmax() {
@@ -741,6 +781,49 @@ mod tests {
             let last = model.last_row_logits(&x);
             for (a, b) in full.row(len - 1).iter().zip(&last) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        /// The serving forms of the layer against the full one: `Last`
+        /// is the full forward's last row and `KvOnly` no row, bit for
+        /// bit, and both leave the K/V the full forward leaves — a
+        /// following decode step reads them to the same bits. Dense and
+        /// packed weights (the one-row GEMM takes another body than the
+        /// staged one), ALiBi on and off, chunks across the attention
+        /// row block on empty and filled caches.
+        #[test]
+        fn last_and_kv_only_rows_are_the_full_forwards(
+            m in prop::sample::select(vec![1usize, 2, 17, 64, 70]),
+            past in prop::sample::select(vec![0usize, 5, 64]),
+            bits in prop::sample::select(vec![None, Some(PackBits::Int3), Some(PackBits::Int4), Some(PackBits::Int8)]),
+            alibi in prop_oneof![Just(false), Just(true)],
+            seed in 0u64..1000,
+        ) {
+            let cfg = RefConfig { n_layers: 1, hidden: 64, n_heads: 4, ffn: 128, vocab: 8, max_seq: 160, seed, alibi };
+            let w = LayerWeights::random(&cfg, seed).map_operators(|_, op| match bits {
+                None => op.clone(),
+                Some(b) => {
+                    let d = op.dense();
+                    LinearOp::Packed(quantize_packed(&d.data, d.rows, d.cols, b, DEFAULT_GROUP))
+                }
+            });
+            let fwd = |x: &Matrix, cache: &mut KvCache, rows| forward_layer_alibi(&w, cfg.n_heads, 0, x, cache, alibi, rows);
+            let mut full_cache = KvCache::new(1, cfg.hidden);
+            fwd(&Matrix::random(past, cfg.hidden, 1.0, seed ^ 1), &mut full_cache, OutRows::All);
+            let (mut last_cache, mut kv_cache) = (full_cache.clone(), full_cache.clone());
+            let x = Matrix::random(m, cfg.hidden, 1.0, seed ^ 2);
+            let full = fwd(&x, &mut full_cache, OutRows::All);
+            let last = fwd(&x, &mut last_cache, OutRows::Last);
+            let none = fwd(&x, &mut kv_cache, OutRows::KvOnly);
+            let bits_of = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!((last.rows, last.cols, none.rows, none.cols), (1, cfg.hidden, 0, cfg.hidden));
+            prop_assert_eq!(bits_of(&last.data), bits_of(full.row(m - 1)));
+            let next = Matrix::random(1, cfg.hidden, 1.0, seed ^ 3);
+            let want = fwd(&next, &mut full_cache, OutRows::All);
+            for cache in [&mut last_cache, &mut kv_cache] {
+                prop_assert_eq!(bits_of(&fwd(&next, cache, OutRows::All).data), bits_of(&want.data));
+                prop_assert_eq!(bits_of(&cache.k[0].data), bits_of(&full_cache.k[0].data));
+                prop_assert_eq!(bits_of(&cache.v[0].data), bits_of(&full_cache.v[0].data));
             }
         }
     }

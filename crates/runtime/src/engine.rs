@@ -427,18 +427,20 @@ impl Master {
         Ok(Some(report))
     }
 
-    /// Logits for the last position of each sequence in a work item.
-    /// Traced as a `"sample"` span on the master's trace thread.
-    fn sample_next(&self, model: &RefModel, item: &WorkItem) -> Vec<(usize, usize)> {
+    /// The next token of each sequence of an echoed work item, which
+    /// must carry the sequences `sent` ([`check_echo`]). Traced as a
+    /// `"sample"` span on the master's trace thread.
+    fn sample_next(
+        &self,
+        model: &RefModel,
+        item: &WorkItem,
+        sent: &[usize],
+    ) -> Result<Vec<(usize, usize)>, RuntimeError> {
+        check_echo(item, sent, model.cfg.hidden)?;
         let t = &self.telemetry;
         let ts_us = t.now_us();
-        let out: Vec<(usize, usize)> = item
-            .seqs
-            .iter()
-            .map(|(seq, h)| {
-                (*seq, argmax(&model.last_row_logits(h)))
-            })
-            .collect();
+        let out: Vec<(usize, usize)> =
+            item.seqs.iter().map(|(seq, h)| (*seq, argmax(&model.last_row_logits(h)))).collect();
         t.add_tokens(out.len() as u64);
         t.record_span(Span {
             tid: 0,
@@ -450,7 +452,29 @@ impl Master {
             microbatch: item.microbatch,
             bits: Arc::from(""),
         });
-        out
+        Ok(out)
+    }
+}
+
+/// Check the ring's echo of a work item: the final stage computes only
+/// the row the master samples, so the echo carries, for exactly the
+/// sequences `sent` and in their order, one `1 × hidden` row each.
+/// Anything else is a [`RuntimeError::Protocol`] that fails the attempt
+/// — a malformed echo from a TCP peer must not panic the master.
+pub(crate) fn check_echo(item: &WorkItem, sent: &[usize], hidden: usize) -> Result<(), RuntimeError> {
+    if !item.seqs.iter().map(|(s, _)| s).eq(sent) {
+        let got: Vec<usize> = item.seqs.iter().map(|(s, _)| *s).collect();
+        return Err(RuntimeError::Protocol(format!(
+            "echo of step {} carries sequences {got:?}, sent {sent:?}",
+            item.step
+        )));
+    }
+    match item.seqs.iter().find(|(_, h)| (h.rows, h.cols) != (1, hidden)) {
+        Some((seq, h)) => Err(RuntimeError::Protocol(format!(
+            "echo of step {} carries {}x{} hidden states for sequence {seq}, not 1x{hidden}",
+            item.step, h.rows, h.cols
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -1031,9 +1055,9 @@ pub(crate) fn drive_generation(
             WorkItem { step: step(), epoch, microbatch: mb, phase: Phase::Prefill, sent_us: 0, seqs };
         master.send(WorkerMsg::Work(item), sup)?;
     }
-    for _ in &chunks {
+    for chunk in &chunks {
         let item = master.recv_m(sup, migration.as_deref_mut())?;
-        for (seq, tok) in master.sample_next(model, &item) {
+        for (seq, tok) in master.sample_next(model, &item, chunk)? {
             tokens[seq].push(tok);
         }
     }
@@ -1080,7 +1104,7 @@ pub(crate) fn drive_generation(
         }
         for chunk in &dec_chunks {
             let item = master.recv_m(sup, migration.as_deref_mut())?;
-            for (seq, tok) in master.sample_next(model, &item) {
+            for (seq, tok) in master.sample_next(model, &item, chunk)? {
                 tokens[seq].push(tok);
             }
             for &s in chunk {
@@ -1145,6 +1169,33 @@ mod tests {
         for (i, p) in prompts.iter().enumerate() {
             let want = qm.generate(p, 6, 0.0, 0).tokens;
             assert_eq!(out.tokens[i], want, "sequence {i}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_echo_is_a_protocol_error_not_a_panic() {
+        // The offline master samples the echo of a two-sequence item: one
+        // `1 × hidden` row per sequence sent, or the attempt fails typed.
+        let m = model();
+        let h = m.cfg.hidden;
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let hub = Telemetry::new(1);
+        let master = Master::new(Box::new(crate::net::transport::ChannelTransport::new(rx, tx, hub.clone(), 1, 0)), hub);
+        let echo = |seqs| WorkItem { step: 3, epoch: 0, microbatch: 0, phase: Phase::Prefill, sent_us: 0, seqs };
+        let row = || llmpq_model::Matrix::zeros(1, h);
+        let ok = master.sample_next(&m, &echo(vec![(0, row()), (1, row())]), &[0, 1]);
+        assert_eq!(ok.expect("a well-formed echo").len(), 2);
+        let bad = [
+            ("zero rows", vec![(0, llmpq_model::Matrix::zeros(0, h)), (1, row())]),
+            ("every row of the chunk", vec![(0, row()), (1, llmpq_model::Matrix::zeros(5, h))]),
+            ("the wrong width", vec![(0, row()), (1, llmpq_model::Matrix::zeros(1, h + 1))]),
+            ("a sequence missing", vec![(0, row())]),
+            ("a sequence not sent", vec![(0, row()), (7, row())]),
+            ("no sequence", vec![]),
+        ];
+        for (what, seqs) in bad {
+            let err = master.sample_next(&m, &echo(seqs), &[0, 1]).expect_err(what);
+            assert!(matches!(err, RuntimeError::Protocol(ref e) if e.contains("echo of step 3")), "{what}: {err:?}");
         }
     }
 

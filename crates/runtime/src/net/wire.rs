@@ -407,8 +407,11 @@ impl WireMsg {
                 let phase = phase_from_u8(d.u8()?)?;
                 let sent_us = d.u64()?;
                 let n = d.u32()? as usize;
-                if n > 1_000_000 {
-                    return Err(WireError::Decode(format!("work item claims {n} sequences")));
+                // Each sequence takes at least its id and a matrix header:
+                // a count its bytes cannot back allocates nothing.
+                let left = buf.len() - d.pos;
+                if n > left / 16 {
+                    return Err(WireError::Decode(format!("work item claims {n} sequences in {left} bytes")));
                 }
                 let mut seqs = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -739,6 +742,19 @@ mod tests {
                 matches!(WireMsg::decode(&buf[..cut]), Err(WireError::Decode(_))),
                 "cut at {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn a_sequence_count_the_bytes_cannot_back_is_rejected_before_allocating() {
+        // The header of a one-sequence item, its count raised to one
+        // million: refused on the count, not after reserving room for it.
+        let mut buf = WireMsg::Work(WorkItem { seqs: vec![(0, Matrix::zeros(0, 0))], ..item() }).encode();
+        let count_at = 1 + 8 + 8 + 8 + 1 + 8;
+        buf[count_at..count_at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        match WireMsg::decode(&buf) {
+            Err(WireError::Decode(e)) => assert!(e.contains("claims 1000000 sequences in 16 bytes"), "{e}"),
+            other => panic!("an unbacked count must be refused, got {other:?}"),
         }
     }
 

@@ -43,7 +43,7 @@ use crate::overload::{
     DegradationController, Request, RungTransition,
 };
 use crate::telemetry::{HistogramSnapshot, Telemetry};
-use llmpq_model::{argmax, forward_layer_alibi, KvSeq, LayerWeights, Matrix, ModelHead, RefModel};
+use llmpq_model::{argmax, forward_layer_alibi, KvSeq, LayerWeights, Matrix, ModelHead, OutRows, RefModel};
 use llmpq_quant::{load_stage_weights, BitAssignment, Rounding};
 use llmpq_workload::BatchJob;
 use serde::{Deserialize, Serialize};
@@ -536,17 +536,20 @@ impl ModelStepEngine {
     }
 
     /// Run `tokens` of `seq`, at positions `pos0..`, through the served
-    /// rung and return their hidden states. The sequence's chain is
-    /// extended first — exhaustion is reported before anything is
-    /// computed — and every layer then reads the cached K/V where its
-    /// blocks live and writes the new rows straight into the tail blocks.
-    fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize) -> Result<Matrix, StepError> {
+    /// rung and return the final layer's `rows` of their hidden states.
+    /// The sequence's chain is extended first — exhaustion is reported
+    /// before anything is computed — and every layer then reads the
+    /// cached K/V where its blocks live and writes the new rows straight
+    /// into the tail blocks.
+    fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize, rows: OutRows) -> Result<Matrix, StepError> {
         let cfg = &self.head.cfg;
         let mut x = self.head.embed_tokens(tokens, pos0);
         let mut kv = self.store.extend_seq(seq, tokens.len())?;
         debug_assert_eq!(kv.cached(0), pos0, "a sequence is computed in position order");
-        for (l, w) in self.rungs[self.rung].iter().enumerate() {
-            x = forward_layer_alibi(w, cfg.n_heads, l, &x, &mut kv, cfg.alibi);
+        let layers = &self.rungs[self.rung];
+        for (l, w) in layers.iter().enumerate() {
+            let rows = if l + 1 == layers.len() { rows } else { OutRows::All };
+            x = forward_layer_alibi(w, cfg.n_heads, l, &x, &mut kv, cfg.alibi, rows);
         }
         Ok(x)
     }
@@ -568,12 +571,13 @@ impl StepEngine for ModelStepEngine {
         pos0: usize,
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
-        let x = self.forward(seq, tokens, pos0)?;
+        // A chunk that does not sample needs only its K/V from the final layer.
+        let x = self.forward(seq, tokens, pos0, if is_last { OutRows::Last } else { OutRows::KvOnly })?;
         Ok(is_last.then(|| argmax(&self.head.last_row_logits(&x))))
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
-        let x = self.forward(seq, &[last], pos)?;
+        let x = self.forward(seq, &[last], pos, OutRows::Last)?;
         Ok(argmax(&self.head.last_row_logits(&x)))
     }
 

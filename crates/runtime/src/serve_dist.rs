@@ -39,7 +39,7 @@
 
 use crate::clock::{real_clock, Clock};
 use crate::engine::{
-    after_failed_attempt, load_all_stages, AttemptSupervision, Master, RuntimeError,
+    after_failed_attempt, check_echo, load_all_stages, AttemptSupervision, Master, RuntimeError,
 };
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
 use crate::kvpool::{KvPool, KvPoolConfig};
@@ -570,10 +570,10 @@ impl DistStepEngine {
     }
 
     /// Send one item through the ring, wait for it to come back from
-    /// the last stage and sample the last row of the returned hidden
-    /// states (greedy, same tie-breaking as the offline engine). A lost
-    /// ring marks the engine down and surfaces as
-    /// [`StepError::RingRestarted`].
+    /// the last stage and, if `sample`, sample the one row it echoes
+    /// (greedy, same tie-breaking as the offline engine). A lost ring —
+    /// a malformed echo included ([`check_echo`]) — marks the engine
+    /// down and surfaces as [`StepError::RingRestarted`].
     fn forward(&mut self, slot: usize, x: Matrix, phase: Phase, sample: bool) -> Result<Option<usize>, StepError> {
         self.ensure_ring()?;
         let step = self.next_step;
@@ -591,17 +591,13 @@ impl DistStepEngine {
             .send(WorkerMsg::Work(item), &self.sup)
             .and_then(|()| master.recv_m(&self.sup, None));
         match res {
-            Ok(echo) => {
-                if !sample {
-                    return Ok(None);
+            Ok(echo) => match check_echo(&echo, &[slot], self.head.cfg.hidden) {
+                Ok(()) => Ok(sample.then(|| argmax(&self.head.last_row_logits(&echo.seqs[0].1)))),
+                Err(seen) => {
+                    self.lost = Some(seen);
+                    Err(StepError::RingRestarted)
                 }
-                let (_, h) = echo
-                    .seqs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
-                Ok(Some(argmax(&self.head.last_row_logits(&h))))
-            }
+            },
             Err(seen) => {
                 self.lost = Some(seen);
                 Err(StepError::RingRestarted)
@@ -1067,6 +1063,75 @@ mod tests {
             for f in &report.outputs {
                 assert_eq!(f.tokens.len(), reqs[f.id].n_generate, "{what}: request {}", f.id);
             }
+        }
+    }
+
+    /// A ring whose first attempt passes every echo through `mangle`.
+    struct MangledEchoRing(ChannelRing, fn(&mut WorkItem));
+
+    struct MangleEchoes(Box<dyn Transport + Send>, fn(&mut WorkItem));
+
+    impl Transport for MangleEchoes {
+        fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
+            let mut msg = self.0.recv_msg(timeout)?;
+            if let WorkerMsg::Work(item) = &mut msg {
+                (self.1)(item);
+            }
+            Ok(msg)
+        }
+
+        fn send_msg(&self, msg: WorkerMsg, timeout: Duration) -> Result<(), TransportSendError> {
+            self.0.send_msg(msg, timeout)
+        }
+    }
+
+    impl ServingRing for MangledEchoRing {
+        fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
+            let link = self.0.dial(attempt)?;
+            Ok(if attempt == 0 { Box::new(MangleEchoes(link, self.1)) } else { link })
+        }
+
+        fn teardown(&mut self) {
+            self.0.teardown()
+        }
+
+        fn n_stages(&self) -> usize {
+            self.0.n_stages()
+        }
+
+        fn telemetry(&self) -> Arc<Telemetry> {
+            self.0.telemetry()
+        }
+    }
+
+    #[test]
+    fn a_malformed_echo_is_a_lost_ring_not_a_panic() {
+        // What a TCP peer could send back instead of one `1 × hidden` row
+        // for the slot sent: the master must not index into it, but take
+        // the ring as lost — the scheduler requeues, the restart serves.
+        let mangles: [(&str, fn(&mut WorkItem)); 4] = [
+            ("zero rows", |i| i.seqs[0].1 = Matrix::zeros(0, 0)),
+            ("every row", |i| i.seqs[0].1 = Matrix::zeros(3, i.seqs[0].1.cols)),
+            ("another slot", |i| i.seqs[0].0 += 1),
+            ("no sequence", |i| i.seqs.clear()),
+        ];
+        for (what, mangle) in mangles {
+            let ring = MangledEchoRing(channel_ring(&ladder(), Duration::from_millis(5), None), mangle);
+            let dcfg = DistServeConfig { n_slots: 2, ..DistServeConfig::default() };
+            let mut eng = DistStepEngine::over_ring(&checkpoint(), ladder(), dcfg, Box::new(ring)).expect("engine");
+            eng.register(0).unwrap();
+            let err = eng.prefill_chunk(0, &[1, 2, 3], 0, true).expect_err(what);
+            assert!(matches!(err, StepError::RingRestarted), "{what}: {err:?}");
+            assert!(matches!(eng.lost, Some(RuntimeError::Protocol(ref e)) if e.contains("echo")), "{what}: {:?}", eng.lost);
+            // The scheduler would requeue the sequence; the rebuilt ring
+            // serves it as the local engine does.
+            eng.release(0);
+            eng.register(0).unwrap();
+            let tok = eng.prefill_chunk(0, &[1, 2, 3], 0, true).expect("the restart serves");
+            let mut local = local_engine();
+            local.register(0).unwrap();
+            assert_eq!(tok, local.prefill_chunk(0, &[1, 2, 3], 0, true).unwrap(), "{what}");
+            assert_eq!(eng.restarts(), 1, "{what}");
         }
     }
 

@@ -34,7 +34,7 @@ use crate::migrate::{kv_to_chunks, CommitDecision, KvAssembler, KvChunkMsg, Migr
 use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
 use crate::telemetry::{Span, Telemetry};
 use llm_pq::StagePlan;
-use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase, RefConfig, KV_BLOCK};
+use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, OutRows, Phase, RefConfig, KV_BLOCK};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,7 +70,8 @@ pub struct WorkItem {
     /// Send timestamp, µs since the telemetry epoch (0 when telemetry is
     /// off); the receiving stage derives its queue-wait span from it.
     pub sent_us: u64,
-    /// `(sequence id, hidden states)` pairs.
+    /// `(sequence id, hidden states)` pairs: every row of a chunk on the
+    /// way through the ring, its last row alone in the last stage's echo.
     pub seqs: Vec<(usize, Matrix)>,
 }
 
@@ -142,6 +143,9 @@ pub struct WorkerCtx {
     pub n_heads: usize,
     /// Hidden width of the model.
     pub hidden: usize,
+    /// Decoder layers of the whole model: a stage whose shard ends here
+    /// is the ring's last and echoes one row per sequence.
+    pub n_layers: usize,
     /// Whether attention uses ALiBi biases.
     pub alibi: bool,
     /// Number of in-flight sequences (bounds sequence ids).
@@ -203,6 +207,7 @@ impl WorkerCtx {
             device: plan.device,
             n_heads: model.n_heads,
             hidden: model.hidden,
+            n_layers: model.n_layers,
             alibi: model.alibi,
             n_seqs,
             max_seq: model.max_seq,
@@ -548,12 +553,20 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                     // Duplicated channel message: already processed.
                     continue;
                 }
-                if let Some(&(seq, _)) = item.seqs.iter().find(|(s, _)| *s >= ctx.n_seqs) {
-                    let report = WorkerMsg::Protocol(format!(
-                        "stage {}: sequence id {seq} out of range (batch has {})",
-                        ctx.stage, ctx.n_seqs
-                    ));
-                    if !forward(report) {
+                let violation = item.seqs.iter().find_map(|(seq, x)| {
+                    if *seq >= ctx.n_seqs {
+                        Some(format!("sequence id {seq} out of range (batch has {})", ctx.n_seqs))
+                    } else if x.rows == 0 || x.cols != ctx.hidden {
+                        Some(format!(
+                            "sequence id {seq} carries {}x{} hidden states, not rows of width {}",
+                            x.rows, x.cols, ctx.hidden
+                        ))
+                    } else {
+                        None
+                    }
+                });
+                if let Some(v) = violation {
+                    if !forward(WorkerMsg::Protocol(format!("stage {}: {v}", ctx.stage))) {
                         break;
                     }
                     continue;
@@ -604,6 +617,12 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 span("wait", item.sent_us.min(start), start);
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
+                // The shard that ends the model (the boundary moves with
+                // every live swap) computes only the row the master samples.
+                let last_rows = match layer_start + active.len() == ctx.n_layers {
+                    true => OutRows::Last,
+                    false => OutRows::All,
+                };
                 let mut outgrown = None;
                 for (seq, x) in item.seqs.iter_mut() {
                     // The chain grows first: a refusal computes nothing.
@@ -612,7 +631,8 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         break;
                     };
                     for (l, w) in active.iter().enumerate() {
-                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut kv, ctx.alibi);
+                        let rows = if l + 1 == active.len() { last_rows } else { OutRows::All };
+                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut kv, ctx.alibi, rows);
                     }
                 }
                 if let Some(seq) = outgrown {
@@ -730,7 +750,7 @@ mod tests {
         let got = recv_work(&rx_out).expect("work item");
         // Must equal a direct single-layer forward.
         let mut cache = llmpq_model::KvCache::new(1, model.cfg.hidden);
-        let want = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false);
+        let want = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false, OutRows::All);
         assert_eq!(got.seqs[0].1, want);
         assert!(matches!(rx_out.recv().unwrap(), WorkerMsg::Shutdown));
     }
@@ -793,7 +813,7 @@ mod tests {
         let second = recv_work(&rx_out).expect("second item").seqs[0].1.clone();
         // Fresh-cache forward of x2 alone gives a different answer.
         let mut fresh = llmpq_model::KvCache::new(1, model.cfg.hidden);
-        let lone = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x2, &mut fresh, false);
+        let lone = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x2, &mut fresh, false, OutRows::All);
         assert_ne!(second, lone, "cache state must influence decode");
     }
 
@@ -854,6 +874,55 @@ mod tests {
         match rx_out.recv().unwrap() {
             WorkerMsg::Protocol(e) => assert!(e.contains("out of range"), "{e}"),
             other => panic!("violation must surface as a protocol reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_item_without_rows_of_the_models_width_reports_protocol_error() {
+        // A zero-row or wrongly wide matrix (a TCP peer can send either)
+        // is refused before anything touches the KV store.
+        let model = RefModel::new(RefConfig::tiny());
+        let weights = vec![model.layers[0].clone()];
+        let h = model.cfg.hidden;
+        for bad in [Matrix::zeros(0, h), Matrix::zeros(0, 0), Matrix::zeros(2, h + 1)] {
+            let (tx_in, rx_in) = unbounded();
+            let (tx_out, rx_out) = unbounded();
+            tx_in.send(WorkerMsg::Work(item(0, vec![(0, bad.clone())]))).unwrap();
+            tx_in.send(WorkerMsg::Work(item(1, vec![(0, model.embed_tokens(&[1], 0))]))).unwrap();
+            tx_in.send(WorkerMsg::Shutdown).unwrap();
+            run_worker(&weights, &model, rx_in, tx_out);
+            match rx_out.recv().unwrap() {
+                WorkerMsg::Protocol(e) => assert!(e.contains("hidden states"), "{e}"),
+                other => panic!("a {}x{} item must surface as a protocol reply, got {other:?}", bad.rows, bad.cols),
+            }
+            let next = recv_work(&rx_out).expect("the next item is served");
+            assert_eq!((next.seqs[0].1.rows, next.seqs[0].1.cols), (1, h));
+        }
+    }
+
+    #[test]
+    fn the_stage_that_ends_the_model_echoes_the_last_row_alone() {
+        // Stage 1 of the two-layer tiny model: its echo of a 5-row
+        // prefill is the last row of the full forward, bit for bit,
+        // and its K/V are the full forward's (the decode after agrees).
+        let model = RefModel::new(RefConfig::tiny());
+        let weights = vec![model.layers[1].clone()];
+        let plan = StagePlan { device: 1, layer_start: 1, layer_end: 2, bits: Vec::new() };
+        let ctx = WorkerCtx::new(&model.cfg, 0, &plan, 1, Duration::from_millis(5), real_clock(), Telemetry::new(1));
+        let (x, y) = (model.embed_tokens(&[1, 2, 3, 4, 5], 0), model.embed_tokens(&[6], 5));
+        let (tx_in, rx_in) = unbounded();
+        let (tx_out, rx_out) = unbounded();
+        tx_in.send(WorkerMsg::Work(item(0, vec![(0, x.clone())]))).unwrap();
+        tx_in.send(WorkerMsg::Work(item(1, vec![(0, y.clone())]))).unwrap();
+        tx_in.send(WorkerMsg::Shutdown).unwrap();
+        run_worker_ctx(&weights, &ctx, rx_in, tx_out);
+        let mut cache = KvCache::new(1, model.cfg.hidden);
+        let full = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false, OutRows::All);
+        let next = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &y, &mut cache, false, OutRows::All);
+        for want in [Matrix::from_vec(1, model.cfg.hidden, full.row(4).to_vec()), next] {
+            let got = recv_work(&rx_out).expect("echo").seqs.remove(0).1;
+            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!((got.rows, bits(&got)), (1, bits(&want)));
         }
     }
 

@@ -17,10 +17,13 @@ use llmpq_runtime::migrate::KV_CHUNK_ROWS;
 use llmpq_runtime::net::frame::{
     crc32, encode_frame, read_frame, FrameError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
-use llmpq_runtime::net::wire::{worker_msg_to_wire, worker_msg_wire_bytes, WireMsg};
+use llmpq_runtime::net::wire::{
+    worker_msg_to_wire, worker_msg_wire_bytes, Hello, HelloAck, Role, StageReport, WireMsg, WIRE_VERSION,
+};
+use llmpq_runtime::telemetry::LinkStats;
 use llmpq_runtime::{
-    kv_to_chunks, wire_exchange, CommitDecision, KvAssembler, MigrationHost, SimFaultKind,
-    SimLinkEvent, SimPartition, WireExchangeConfig, WorkItem, WorkerMsg, WorkerSwap,
+    kv_to_chunks, wire_exchange, CommitDecision, KvAssembler, KvChunkMsg, MigrationHost, SimFaultKind,
+    SimLinkEvent, SimPartition, StageMetrics, WireExchangeConfig, WorkItem, WorkerMsg, WorkerSwap,
 };
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
@@ -72,6 +75,81 @@ impl Strategy for ArbMsg {
                     seqs,
                 })
             }
+        }
+    }
+}
+
+/// One message of every wire kind in turn (`rng` picks which and fills
+/// it): the handshake, control and report messages beside the data
+/// plane [`ArbMsg`] draws.
+struct ArbWire;
+
+impl Strategy for ArbWire {
+    type Value = WireMsg;
+
+    fn generate(&self, rng: &mut TestRng) -> WireMsg {
+        let text = |rng: &mut TestRng| -> String { (0..rng.below(24)).map(|_| (b'a' + rng.below(26) as u8) as char).collect() };
+        let link = |rng: &mut TestRng| LinkStats {
+            bytes_tx: rng.next_u64(),
+            bytes_rx: rng.next_u64(),
+            frames_tx: rng.next_u64(),
+            frames_rx: rng.next_u64(),
+            comm_us: rng.next_u64(),
+            corrupt_frames: rng.next_u64(),
+        };
+        let (epoch, stage) = (rng.next_u64(), rng.next_u64() as u32);
+        match rng.below(17) {
+            0 => WireMsg::Hello(Hello {
+                version: WIRE_VERSION,
+                role: [Role::Control, Role::Data, Role::ReturnData][rng.below(3)],
+                stage,
+                attempt: rng.next_u64() as u32,
+                plan_hash: rng.next_u64(),
+                listen_addr: text(rng),
+                bits: (0..rng.below(6)).map(|_| [3, 4, 8, 16][rng.below(4)]).collect(),
+            }),
+            1 => WireMsg::HelloAck(HelloAck {
+                version: WIRE_VERSION,
+                plan_hash: rng.next_u64(),
+                accepted: rng.below(2) == 0,
+                reason: text(rng),
+            }),
+            2 => WireMsg::Shutdown,
+            3 => WireMsg::Protocol(text(rng)),
+            4 => WireMsg::Heartbeat { stage },
+            5 => WireMsg::Topology { next_addr: text(rng), next_role: rng.below(3) as u8 },
+            6 => WireMsg::Bye,
+            7 => WireMsg::Report(StageReport {
+                stage,
+                metrics: StageMetrics { items: rng.below(1 << 20), seq_forwards: rng.below(1 << 20), busy_s: 0.5 },
+                rx_link: link(rng),
+                tx_link: link(rng),
+            }),
+            8 => WireMsg::DeviceLost { device: stage },
+            9 => WireMsg::Dropped { stage },
+            10 => WireMsg::PlanPropose { epoch, plan_json: text(rng) },
+            11 => WireMsg::PlanReady { epoch, stage, swapped: rng.below(2) == 0 },
+            12 => WireMsg::PlanCommit { epoch },
+            13 => WireMsg::PlanAbort { epoch, reason: text(rng) },
+            14 => {
+                let rows = rng.below(3);
+                WireMsg::KvChunk(KvChunkMsg {
+                    epoch,
+                    seq: stage,
+                    layer: rng.below(8) as u32,
+                    chunk: 0,
+                    n_chunks: 1,
+                    rows_total: rows as u32,
+                    k: kv_matrix(rows, 4, epoch),
+                    v: kv_matrix(rows, 4, !epoch),
+                })
+            }
+            15 => WireMsg::KvReset { seq: epoch },
+            _ => loop {
+                if let WorkerMsg::Work(item) = ArbMsg.generate(rng) {
+                    break WireMsg::Work(item);
+                }
+            },
         }
     }
 }
@@ -224,6 +302,26 @@ proptest! {
             }
             other => prop_assert!(false, "truncation at {keep} gave {other:?}"),
         }
+    }
+
+    /// A frame whose CRC held but whose payload is cut short or has a
+    /// flipped byte — a buggy or hostile peer — decodes to a typed error
+    /// or to some message, never to a panic or an allocation its bytes
+    /// cannot back, whatever the kind.
+    #[test]
+    fn truncated_and_flipped_payloads_of_every_kind_decode_without_panicking(
+        msg in ArbWire,
+        cut in 0usize..1 << 20,
+        at in 0usize..1 << 20,
+        flip in 1u8..=255,
+    ) {
+        let payload = msg.encode();
+        prop_assert_eq!(WireMsg::decode(&payload).as_ref().ok(), Some(&msg), "round trip");
+        let keep = cut % payload.len();
+        prop_assert!(WireMsg::decode(&payload[..keep]).is_err(), "cut at {keep} of {msg:?} decoded");
+        let mut flipped = payload.clone();
+        flipped[at % payload.len()] ^= flip;
+        let _ = WireMsg::decode(&flipped);
     }
 
     #[test]

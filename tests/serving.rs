@@ -13,9 +13,11 @@ use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
     real_clock, serve_continuous, serve_static, AdmissionConfig, AdmissionPolicy,
-    ContinuousConfig, HttpServer, HttpServerConfig, IterCost, KvPoolConfig, ModelStepEngine,
-    PhasePolicy, Request, SimStepEngine, Telemetry,
+    ContinuousConfig, DistServeConfig, DistStepEngine, HttpServer, HttpServerConfig, IterCost,
+    KvPoolConfig, ModelStepEngine, PhasePolicy, Request, SimStepEngine, StepEngine, Telemetry,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -264,4 +266,103 @@ fn http_front_door_serves_model_tokens_and_metrics() {
     let report = server.shutdown().expect("clean shutdown");
     assert!(report.conserves(), "server run conserves: {:?}", report.stats);
     assert_eq!(report.completed, 1);
+}
+
+/// Register `seqs` and prefill them in interleaved chunks of random
+/// sizes (1–17 tokens), each sampling its first token on its last chunk.
+fn prefill_in_chunks(
+    engine: &mut dyn StepEngine,
+    prompts: &[Vec<usize>],
+    seqs: std::ops::Range<usize>,
+    out: &mut [Vec<usize>],
+    rng: &mut SmallRng,
+) {
+    let mut pos = vec![0usize; prompts.len()];
+    for s in seqs.clone() {
+        engine.register(s as u64).expect("register");
+    }
+    while seqs.clone().any(|s| pos[s] < prompts[s].len()) {
+        for s in seqs.clone().filter(|&s| pos[s] < prompts[s].len()).collect::<Vec<_>>() {
+            let take = rng.gen_range(1..=17).min(prompts[s].len() - pos[s]);
+            let is_last = pos[s] + take == prompts[s].len();
+            let tok = engine.prefill_chunk(s as u64, &prompts[s][pos[s]..pos[s] + take], pos[s], is_last);
+            assert_eq!(tok.as_ref().map(Option::is_some), Ok(is_last), "sequence {s} at {}", pos[s]);
+            out[s].extend(tok.unwrap());
+            pos[s] += take;
+        }
+    }
+}
+
+/// Decode, in turn, every sequence that has sampled until each holds `n`.
+fn decode_until(engine: &mut dyn StepEngine, prompts: &[Vec<usize>], out: &mut [Vec<usize>], n: usize) {
+    while out.iter().any(|t| !t.is_empty() && t.len() < n) {
+        for (s, toks) in out.iter_mut().enumerate().filter(|(_, t)| !t.is_empty() && t.len() < n) {
+            let last = *toks.last().expect("prefill sampled");
+            let pos = prompts[s].len() + toks.len() - 1;
+            toks.push(engine.decode_one(s as u64, last, pos).expect("decode"));
+        }
+    }
+}
+
+/// Drive `engine` by hand: the first half of `prompts` is prefilled in
+/// random chunks and decoded halfway; then, if `swap`, the engine moves
+/// to rung 1 with that KV in place; then the second half is prefilled
+/// (through the new shards) and everything decoded to `n` tokens.
+fn hand_stepped(engine: &mut dyn StepEngine, prompts: &[Vec<usize>], n: usize, swap: bool, rng: &mut SmallRng) -> Vec<Vec<usize>> {
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
+    let half = prompts.len() / 2;
+    prefill_in_chunks(engine, prompts, 0..half, &mut out, rng);
+    decode_until(engine, prompts, &mut out, n / 2);
+    if swap {
+        engine.set_rung(1);
+    }
+    prefill_in_chunks(engine, prompts, half..prompts.len(), &mut out, rng);
+    decode_until(engine, prompts, &mut out, n);
+    out
+}
+
+#[test]
+fn both_engines_emit_generates_tokens_for_prompts_in_random_chunks() {
+    // The final layer of a serving engine computes only the row it
+    // samples (none at all for a chunk that does not sample); the tokens
+    // must still be `generate`'s. The local engine, then the channel
+    // ring at 1, 2 and 3 stages; a live swap between two prefills moves
+    // the final stage's first layer (2 → 3 at two stages, 3 → 2 at
+    // three) with KV in place, and the later prompts prefill through it.
+    let n_layers = 4;
+    let ckpt = RefModel::new(RefConfig::scaled_like(n_layers, SEED));
+    let bits = Bitwidth::Int4;
+    let oracle = quantize_model(&ckpt, &BitAssignment::uniform(n_layers, bits), Rounding::Deterministic, SEED);
+    let mb = llmpq_workload::MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 };
+    let plan = |shards: &[usize]| {
+        let stages = shards.iter().map(|&n| vec![bits; n]).collect();
+        llm_pq::ExecutionPlan::contiguous("random-chunks", "channels", stages, mb)
+    };
+    let rings: [&[&[usize]]; 3] = [&[&[4]], &[&[2, 2], &[3, 1]], &[&[1, 2, 1], &[1, 1, 2]]];
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    for round in 0..3 {
+        let prompts: Vec<Vec<usize>> =
+            (0..4).map(|_| (0..rng.gen_range(1..=40)).map(|_| rng.gen_range(0..ckpt.cfg.vocab)).collect()).collect();
+        let n = 6;
+        let want: Vec<Vec<usize>> = prompts.iter().map(|p| oracle.generate(p, n, 0.0, 0).tokens).collect();
+        let mut local = ModelStepEngine::new(
+            &ckpt,
+            &[BitAssignment::uniform(n_layers, bits)],
+            Rounding::Deterministic,
+            SEED,
+            KvPoolConfig { n_blocks: 32, block_tokens: 16 },
+        )
+        .expect("local engine");
+        assert_eq!(hand_stepped(&mut local, &prompts, n, false, &mut rng), want, "local engine, round {round}");
+        for shards in rings {
+            let plans: Vec<_> = shards.iter().map(|s| plan(s)).collect();
+            let swap = plans.len() > 1;
+            let cfg = DistServeConfig { n_slots: prompts.len(), ..DistServeConfig::default() };
+            let mut dist = DistStepEngine::over_channels(&ckpt, plans, Rounding::Deterministic, SEED, cfg, None)
+                .expect("dist engine");
+            let got = hand_stepped(&mut dist, &prompts, n, swap, &mut rng);
+            assert_eq!(got, want, "{} stage(s) {shards:?}, round {round}", shards[0].len());
+            assert_eq!((dist.restarts(), dist.epoch()), (0, swap as u64), "{shards:?}");
+        }
+    }
 }
