@@ -9,6 +9,7 @@
 //! production runs.
 
 use llm_pq::ExecutionPlan;
+use super::bench_solver::median;
 use crate::{Args, Out, TextTable};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::Bitwidth;
@@ -20,11 +21,6 @@ fn plan(n_layers: usize) -> ExecutionPlan {
     let bits = vec![vec![Bitwidth::Int8; split], vec![Bitwidth::Fp16; n_layers - split]];
     let mb = MicrobatchPlan { prefill_size: 2, prefill_count: 2, decode_size: 4, decode_count: 1 };
     ExecutionPlan::contiguous("tiny", "bench", bits, mb)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 pub fn run(out: &mut Out, _: &Args) {

@@ -72,6 +72,7 @@
 //! that report has no such section),
 //! `--out FILE` (default `BENCH_kernels.json`).
 
+use super::bench_solver::median;
 use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
 use llm_pq::{assign, SolverChoice};
 use llmpq_cluster::GpuModel;
@@ -80,8 +81,8 @@ use llmpq_kernels::dispatch::with_cap;
 use llmpq_kernels::{qgemm_t, DensePanels, Isa, PackedMatrix};
 use serde::Deserialize;
 use llmpq_model::{
-    forward_layer_alibi, forward_layer_taps, forward_layer_with, KvCache, KvSeq, Matrix, OutRows, PhaseWorkload,
-    RefConfig, RefModel, KV_BLOCK,
+    forward_layer, forward_shard, KvCache, KvSeq, Matrix, OperatorTaps, OutRows, PhaseWorkload, RefConfig,
+    RefModel, KV_BLOCK,
 };
 use llmpq_runtime::{KvPoolConfig, PagedKvStore};
 use llmpq_quant::{quantize_matrix, quantize_model_uniform, Bitwidth, Rounding};
@@ -231,14 +232,14 @@ struct Section {
     stack: Vec<StackRow>,
     fused_beats_dequant_decode: bool,
     /// Dense-f32 time over fused time at the 4096² decode, per
-    /// precision; in a vector instantiation the gate is ≥
-    /// [`MIN_DECODE_SPEEDUP_VECTOR`].
+    /// precision, the median of per-round quotients; in a vector
+    /// instantiation the gate is ≥ [`MIN_DECODE_SPEEDUP_VECTOR`].
     decode_speedup_vs_f32: Vec<(String, f64)>,
-    /// Fused-int8 time over fused-int4 time at the 4096² decode: int4
-    /// streams half the bytes, and both precisions spend about one
-    /// instruction per weight converting and accumulating it in
-    /// registers. In a vector instantiation the gate is ≥
-    /// [`MIN_INT4_OVER_INT8_VECTOR`].
+    /// Fused-int8 time over fused-int4 time at the 4096² decode, the
+    /// median of per-round quotients: int4 streams half the bytes, and
+    /// both precisions spend about one instruction per weight converting
+    /// and accumulating it in registers. In a vector instantiation the
+    /// gate is ≥ [`MIN_INT4_OVER_INT8_VECTOR`].
     int4_over_int8_decode: f64,
     /// Fused `m = 64` time per row over fused `m = 1` time at the
     /// prefill shape, per precision; in a vector instantiation the gate
@@ -341,26 +342,36 @@ const MAX_STACK_SERVING_OVER_FULL: f64 = 0.9;
 /// A labeled closure the interleaved timer can re-run.
 type TimedKernel<'a> = (String, Box<dyn FnMut() + 'a>);
 
-/// Interleaved best-of timer for a *set* of kernels: every round times
-/// one batch of each kernel back-to-back, so slow drift on a shared
-/// machine (noisy neighbors, frequency steps) hits all kernels alike
-/// instead of whichever was measured last. Returns best per-call
-/// seconds per kernel, in input order.
-fn time_interleaved(iters: usize, rounds: usize, kernels: &mut [TimedKernel<'_>]) -> Vec<f64> {
+/// Interleaved timer for a *set* of kernels: every round times one
+/// batch of each kernel back-to-back, so slow drift on a shared machine
+/// (noisy neighbors, frequency steps) hits all kernels alike instead of
+/// whichever was measured last. Returns per-call seconds per kernel, in
+/// input order, one per round.
+fn time_rounds(iters: usize, rounds: usize, kernels: &mut [TimedKernel<'_>]) -> Vec<Vec<f64>> {
     for (_, f) in kernels.iter_mut() {
         f();
     }
-    let mut best = vec![f64::INFINITY; kernels.len()];
+    let mut times = vec![Vec::with_capacity(rounds); kernels.len()];
     for _ in 0..rounds {
         for (i, (_, f)) in kernels.iter_mut().enumerate() {
             let t0 = Instant::now();
             for _ in 0..iters {
                 f();
             }
-            best[i] = best[i].min(t0.elapsed().as_secs_f64() / iters as f64);
+            times[i].push(t0.elapsed().as_secs_f64() / iters as f64);
         }
     }
-    best
+    times
+}
+
+/// The fastest of a kernel's rounds.
+fn best(rounds: &[f64]) -> f64 {
+    rounds.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// [`time_rounds`]' best round per kernel.
+fn time_interleaved(iters: usize, rounds: usize, kernels: &mut [TimedKernel<'_>]) -> Vec<f64> {
+    time_rounds(iters, rounds, kernels).iter().map(|t| best(t)).collect()
 }
 
 fn pack(w: &Matrix, bits: Bitwidth) -> PackedMatrix {
@@ -374,11 +385,15 @@ const CHUNK_M: usize = 64;
 /// Steps of one FMA-peak probe call: a few hundred microseconds.
 const PROBE_STEPS: usize = 100_000;
 
-/// The GEMM rows, and the FMA peak in GFLOP/s: the chain probe
+/// Each kernel's per-call seconds at the 4096² decode, one per round.
+type DecodeRounds = Vec<(String, Vec<f64>)>;
+
+/// The GEMM rows, the FMA peak in GFLOP/s — the chain probe
 /// (`llmpq_kernels::dispatch::fma_peak_probe`) runs as one more kernel
 /// in each prefill shape's interleaved rounds, so that a row and the
-/// peak it is divided by see the same state of a shared host.
-fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> f64 {
+/// peak it is divided by see the same state of a shared host — and the
+/// decode kernels' rounds.
+fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, DecodeRounds) {
     // Decode is the memory-bound phase: m = 1, square weight sized to
     // spill L2 in both modes so the run measures sustained traffic (the
     // L2-resident case is the `ref256x4` list). The prefill shape is
@@ -387,6 +402,7 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> f64 {
     let (dec_nk, pre_nk, pre_m) = (4096, 1024, if quick { 16 } else { 32 });
     let (iters, rounds) = if quick { (2, 5) } else { (4, 5) };
     let mut peak = 0.0f64;
+    let mut decode_rounds = Vec::new();
 
     for (phase, m, nk) in [
         ("decode", 1usize, dec_nk),
@@ -438,7 +454,11 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> f64 {
                 }),
             ));
         }
-        let mut times = time_interleaved(iters, rounds, &mut kernels);
+        let per_round = time_rounds(iters, rounds, &mut kernels);
+        let mut times: Vec<f64> = per_round.iter().map(|t| best(t)).collect();
+        if phase == "decode" {
+            decode_rounds = kernels.iter().map(|(kernel, _)| kernel.clone()).zip(per_round).collect();
+        }
         let peak_gflops = match phase {
             "prefill" => {
                 kernels.pop();
@@ -473,7 +493,7 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> f64 {
             });
         }
     }
-    peak
+    (peak, decode_rounds)
 }
 
 /// STREAM-style triad over 64 MB (three `f64` arrays): best of five
@@ -592,7 +612,7 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
     let cfg =
         RefConfig { n_layers: 1, hidden: 256, n_heads: 4, ffn: 1024, vocab: 512, max_seq: 512, seed: 11, alibi: false };
     let model = quantize_model_uniform(&RefModel::new(cfg), Bitwidth::Int4, Rounding::Deterministic, 0);
-    let w = &model.layers[0];
+    let (layers, w) = (&model.layers[..], &model.layers[0]);
     let rounds = if quick { 5 } else { 15 };
 
     let mut act = Matrix::random(CHUNK_M, cfg.ffn, 2.0, 3);
@@ -665,7 +685,8 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
             // still in it, for two pool calls.
             let mut store = paged_store(past + m, 1, cfg.hidden);
             let prefix = Matrix::random(past, cfg.hidden, 1.0, 23);
-            forward_layer_with(w, cfg.n_heads, 0, &prefix, &mut store.extend_seq(0, past).expect("room for the prefix"));
+            let mut kv = store.extend_seq(0, past).expect("room for the prefix");
+            forward_shard(&cfg, layers, 0, prefix, &mut kv, OutRows::All);
             // The six GEMM calls this layer forward makes, on the inputs
             // it hands them, each output kept to the end of the pass as
             // the layer keeps its own. Fed random inputs made up front and
@@ -673,10 +694,12 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
             // GEMMs at twice the layer that contains them in every full
             // run on one AVX-512 host (162–205 against 85–129 µs), and a
             // change to the binary's layout alone made that vanish.
-            let (_, taps) = forward_layer_taps(w, cfg.n_heads, 0, &x, &mut store.extend_seq(0, m).expect("room for the rows"));
+            let mut taps = OperatorTaps::default();
+            let mut kv = store.extend_seq(0, m).expect("room for the rows");
+            forward_layer(&cfg, w, 0, &x, &mut kv, OutRows::All, Some(&mut taps));
             let xr = &x;
-            let ops = [&w.wq, &w.wk, &w.wv, &w.wo, &w.w1, &w.w2];
-            let inputs = ["wq", "wk", "wv", "wo", "w1", "w2"].map(|op| taps.input_for(op).clone());
+            let ops = w.linear_operators().map(|(_, op)| op);
+            let inputs = taps.inputs().map(Matrix::clone);
             let mut kernels: Vec<TimedKernel<'_>> = vec![
                 (
                     "layer".into(),
@@ -685,7 +708,7 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
                         store.register(0).expect("a released sequence registers again");
                         store.extend_seq(0, past).expect("the same chain");
                         let mut kv = store.extend_seq(0, m).expect("room for the new rows");
-                        black_box(forward_layer_with(w, cfg.n_heads, 0, black_box(xr), &mut kv));
+                        black_box(forward_shard(&cfg, layers, 0, black_box(xr).clone(), &mut kv, OutRows::All));
                     }),
                 ),
                 (
@@ -735,20 +758,12 @@ fn stack_suite(quick: bool) -> Vec<StackRow> {
                 store.register(0).expect("a released sequence registers again");
                 store.extend_seq(0, past).expect("the same chain");
                 let mut kv = store.extend_seq(0, m).expect("room for the new rows");
-                let mut h = black_box(&x).clone();
-                for (l, w) in model.layers.iter().enumerate() {
-                    let rows = if l + 1 == cfg.n_layers { last } else { OutRows::All };
-                    h = forward_layer_alibi(w, cfg.n_heads, l, &h, &mut kv, false, rows);
-                }
-                h
+                forward_shard(&cfg, &model.layers, 0, black_box(&x).clone(), &mut kv, last)
             };
             let stores = [OutRows::All, OutRows::Last].map(|_| {
                 let mut store = paged_store(past + m, cfg.n_layers, cfg.hidden);
                 let mut kv = store.extend_seq(0, past).expect("room for the prefix");
-                let mut h = prefix.clone();
-                for (l, w) in model.layers.iter().enumerate() {
-                    h = forward_layer_with(w, cfg.n_heads, l, &h, &mut kv);
-                }
+                forward_shard(&cfg, &model.layers, 0, prefix.clone(), &mut kv, OutRows::All);
                 store
             });
             let [mut full_store, mut serving_store] = stores;
@@ -848,7 +863,7 @@ fn solver_suite() -> SolverRow {
 fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     say!(out, "== kernel isa: {} ==\n", isa.name());
     let mut gemm = Vec::new();
-    let fma_peak_gflops = gemm_suite(quick, mem_bw_gbs, &mut gemm);
+    let (fma_peak_gflops, decode_rounds) = gemm_suite(quick, mem_bw_gbs, &mut gemm);
     say!(out, "FMA peak (independent chains): {fma_peak_gflops:.1} GFLOP/s");
 
     let mut t = TextTable::new(&["phase", "kernel", "m", "n=k", "ms", "eff GB/s (fp16-eq)", "GFLOP/s", "roofline"]);
@@ -917,15 +932,23 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     let fused_beats_dequant = [Bitwidth::Int8, Bitwidth::Int4]
         .iter()
         .all(|&b| decode_ms(&format!("fused-{b}")) < decode_ms(&format!("dequant-then-f32-{b}")));
+    // Quotients of two kernels at the 4096² decode: the median over rounds
+    // of one round's quotient. The 64 MB dense call follows the host's
+    // bandwidth state, and a quotient of two best-of-rounds times can set
+    // one kernel's fast round against the other's slow one.
+    let decode_quotient = |num: &str, den: &str| {
+        let rounds = |kernel: &str| &decode_rounds.iter().find(|(k, _)| k == kernel).expect("decode kernel timed").1;
+        median(rounds(num).iter().zip(rounds(den)).map(|(n, d)| n / d).collect())
+    };
     let decode_speedup_vs_f32: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
         .iter()
         .map(|b| {
             let kernel = format!("fused-{b}");
-            let speedup = decode_ms("dense-f32") / decode_ms(&kernel);
+            let speedup = decode_quotient("dense-f32", &kernel);
             (kernel, speedup)
         })
         .collect();
-    let int4_over_int8_decode = decode_ms("fused-int8") / decode_ms("fused-int4");
+    let int4_over_int8_decode = decode_quotient("fused-int8", "fused-int4");
     say!(out,
         "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
         if fused_beats_dequant { "beats" } else { "DOES NOT beat" },

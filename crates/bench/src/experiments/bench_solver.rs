@@ -74,7 +74,7 @@ const COLD_BUDGET_S: f64 = 0.03;
 /// decide a bar on its own.
 const TIMED_RUNS: usize = 15;
 
-fn median(mut secs: Vec<f64>) -> f64 {
+pub(super) fn median(mut secs: Vec<f64>) -> f64 {
     secs.sort_by(f64::total_cmp);
     secs[secs.len() / 2]
 }

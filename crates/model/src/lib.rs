@@ -37,8 +37,7 @@ pub use flops::{LayerCost, PhaseWorkload};
 pub use linear::LinearOp;
 pub use phase::Phase;
 pub use reference::{
-    alibi_slope, argmax, forward_layer_alibi, forward_layer_taps, forward_layer_with,
-    log_softmax_at, sample_from_logits,
+    alibi_slope, argmax, forward_layer, forward_shard, log_softmax_at, sample_from_logits,
     GenerationOutput, KvCache, KvSeq, LayerWeights, ModelHead, OperatorTaps, OutRows, RefConfig, RefModel,
 };
 pub use spec::{ModelFamily, ModelSpec};

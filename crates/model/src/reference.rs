@@ -187,12 +187,14 @@ impl LayerWeights {
     }
 }
 
-/// One sequence's cached keys and values as the layer forward sees them:
+/// One sequence's cached keys and values as [`forward_layer`] sees them:
 /// blocks of 16 positions as attention reads them ([`KvBlocks`]: keys
-/// k-major, values as rows) and a place to put the rows it computes. The
-/// serving engines' paged store keeps K/V that way and hands out a view
-/// of a block chain, read in place; [`KvCache`] keeps rows and transposes
-/// its keys into blocks on every call.
+/// k-major, values as rows) and a place to put the rows it computes. Its
+/// layers are those of the shard it caches, counted from 0
+/// ([`forward_shard`]): a ring stage's store holds its own layers only.
+/// The serving engines' paged store keeps K/V that way and hands out a
+/// view of a block chain, read in place; [`KvCache`] keeps rows and
+/// transposes its keys into blocks on every call.
 pub trait KvSeq {
     /// One layer's blocks as [`Self::blocks`] hands them out.
     type Blocks<'s>: KvBlocks
@@ -312,15 +314,6 @@ impl RefModel {
         embed_tokens(&self.cfg, &self.embed, &self.pos, tokens, start_pos)
     }
 
-    /// Run one decoder layer over hidden states `x` (t_new × hidden),
-    /// appending this step's K/V to `cache` for that layer. `x` may be a
-    /// whole prompt (prefill) or a single token (decode); attention is
-    /// causal over `cache ++ x`.
-    pub fn forward_layer(&self, layer_idx: usize, x: &Matrix, cache: &mut impl KvSeq) -> Matrix {
-        let w = &self.layers[layer_idx];
-        forward_layer_alibi(w, self.cfg.n_heads, layer_idx, x, cache, self.cfg.alibi, OutRows::All)
-    }
-
     /// Apply the final LayerNorm and tied LM head, returning logits
     /// (`t × vocab`).
     pub fn project_logits(&self, x: &Matrix) -> Matrix {
@@ -342,21 +335,14 @@ impl RefModel {
     /// for every position and the populated KV cache.
     pub fn prefill(&self, tokens: &[usize]) -> (Matrix, KvCache) {
         let mut cache = KvCache::new(self.cfg.n_layers, self.cfg.hidden);
-        let mut x = self.embed_tokens(tokens, 0);
-        for l in 0..self.cfg.n_layers {
-            x = self.forward_layer(l, &x, &mut cache);
-        }
+        let x = forward_shard(&self.cfg, &self.layers, 0, self.embed_tokens(tokens, 0), &mut cache, OutRows::All);
         (self.project_logits(&x), cache)
     }
 
     /// Decode one token given the cache; returns logits for the next token.
     pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        let pos = cache.len();
-        let mut x = self.embed_tokens(&[token], pos);
-        for l in 0..self.cfg.n_layers {
-            x = self.forward_layer(l, &x, cache);
-        }
-        self.project_logits(&x).data
+        let x = self.embed_tokens(&[token], cache.len());
+        self.project_logits(&forward_shard(&self.cfg, &self.layers, 0, x, cache, OutRows::All)).data
     }
 
     /// Greedy/temperature sampling of `n_new` tokens after `prompt`.
@@ -481,9 +467,9 @@ fn embed_tokens(
 
 /// Inputs observed at each linear operator during one layer forward —
 /// the `X` in the paper's quantization objective ‖WX − W̃X‖² and in the
-/// variance indicator's `G(X)` term. Collected by
-/// [`forward_layer_taps`] during calibration.
-#[derive(Debug, Clone)]
+/// variance indicator's `G(X)` term. Collected by [`forward_layer`]
+/// during calibration.
+#[derive(Debug, Clone, Default)]
 pub struct OperatorTaps {
     /// Input to wq/wk/wv (the post-LN hidden states).
     pub attn_in: Matrix,
@@ -496,43 +482,11 @@ pub struct OperatorTaps {
 }
 
 impl OperatorTaps {
-    /// The tap feeding a named linear operator.
-    pub fn input_for(&self, op: &str) -> &Matrix {
-        match op {
-            "wq" | "wk" | "wv" => &self.attn_in,
-            "wo" => &self.wo_in,
-            "w1" => &self.w1_in,
-            "w2" => &self.w2_in,
-            other => panic!("unknown operator {other}"),
-        }
+    /// The input of each linear operator, in
+    /// [`LayerWeights::linear_operators`] order.
+    pub fn inputs(&self) -> [&Matrix; 6] {
+        [&self.attn_in, &self.attn_in, &self.attn_in, &self.wo_in, &self.w1_in, &self.w2_in]
     }
-}
-
-/// Run one decoder layer given explicit weights — the entry point the
-/// pipeline runtime uses so a stage can own only its shard of layers.
-pub fn forward_layer_with(
-    w: &LayerWeights,
-    n_heads: usize,
-    layer_idx: usize,
-    x: &Matrix,
-    cache: &mut impl KvSeq,
-) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, false, OutRows::All)
-}
-
-/// Like [`forward_layer_with`] with an explicit ALiBi switch and a
-/// choice of output rows — the entry point of the serving engines, whose
-/// final layer computes only the row the sampler reads ([`OutRows`]).
-pub fn forward_layer_alibi(
-    w: &LayerWeights,
-    n_heads: usize,
-    layer_idx: usize,
-    x: &Matrix,
-    cache: &mut impl KvSeq,
-    alibi: bool,
-    rows: OutRows,
-) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, alibi, rows)
 }
 
 /// The ALiBi slope of attention head `h` out of `n`: `2^(−8(h+1)/n)`
@@ -541,24 +495,10 @@ pub fn alibi_slope(head: usize, n_heads: usize) -> f32 {
     2f32.powf(-8.0 * (head as f32 + 1.0) / n_heads as f32)
 }
 
-/// Like [`forward_layer_with`] but also returns the operator-input taps
-/// used by quantization calibration.
-pub fn forward_layer_taps(
-    w: &LayerWeights,
-    n_heads: usize,
-    layer_idx: usize,
-    x: &Matrix,
-    cache: &mut impl KvSeq,
-) -> (Matrix, OperatorTaps) {
-    let mut taps = None;
-    let out = forward_layer_inner(w, n_heads, layer_idx, x, cache, Some(&mut taps), false, OutRows::All);
-    (out, taps.expect("taps requested but not produced"))
-}
-
 /// Which rows of its output a layer forward computes. The K/V of every
 /// row are computed and cached whatever the choice; the choice restricts
 /// only what follows them — Q, attention, `wo`, the residuals, LN2 and
-/// the MLP.
+/// the MLP. [`forward_shard`] applies it to the model's final layer only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutRows {
     /// Every row, `t_new × hidden`: a layer whose output feeds another
@@ -572,30 +512,52 @@ pub enum OutRows {
     KvOnly,
 }
 
-/// The layer forward. Everything that decides its time is a kernels-crate
-/// call: six (fused dequant-)GEMMs, attention over the blocks `cache`
-/// hands out, GELU. LN1 and the K/V GEMMs run over all `t_new` rows and
-/// push them to `cache`; `rows` says which rows the rest runs on. Rows
-/// are independent and every reduction has a fixed order — row `i` of an
-/// `m`-row GEMM is the one-row call, and attention row `i` is the
-/// one-row call at position `past + i` — so row `i` of a `t_new`-row
-/// call is bit-identical to the one-row call on a cache holding the rows
-/// before it, and [`OutRows::Last`] is bit-identical to the last row of
-/// [`OutRows::All`].
-#[allow(clippy::too_many_arguments)]
-fn forward_layer_inner(
+/// Run layers `first..first + layers.len()` of the model `cfg` describes
+/// over hidden states `x` (`t_new × hidden`: a prompt chunk or one
+/// token), layer `i` of the shard on layer `i` of `cache`. `rows` applies
+/// to the shard's last layer when that is the model's last (`first +
+/// layers.len() == cfg.n_layers`); any other shard returns every row, the
+/// next shard's input.
+pub fn forward_shard(
+    cfg: &RefConfig,
+    layers: &[LayerWeights],
+    first: usize,
+    mut x: Matrix,
+    cache: &mut impl KvSeq,
+    rows: OutRows,
+) -> Matrix {
+    let ends_model = first + layers.len() == cfg.n_layers;
+    for (l, w) in layers.iter().enumerate() {
+        let rows = if ends_model && l + 1 == layers.len() { rows } else { OutRows::All };
+        x = forward_layer(cfg, w, l, &x, cache, rows, None);
+    }
+    x
+}
+
+/// One decoder layer of the model `cfg` describes (its heads and ALiBi
+/// come from there), on layer `layer` of `cache`; `taps`, when given,
+/// receives the inputs of its linear operators. Everything that decides
+/// its time is a kernels-crate call: six (fused dequant-)GEMMs, attention
+/// over the blocks `cache` hands out, GELU. LN1 and the K/V GEMMs run
+/// over all `t_new` rows and push them to `cache`; `rows` says which rows
+/// the rest runs on. Rows are independent and every reduction has a fixed
+/// order — row `i` of an `m`-row GEMM is the one-row call, and attention
+/// row `i` is the one-row call at position `past + i` — so row `i` of a
+/// `t_new`-row call is bit-identical to the one-row call on a cache
+/// holding the rows before it, and [`OutRows::Last`] is bit-identical to
+/// the last row of [`OutRows::All`].
+pub fn forward_layer(
+    cfg: &RefConfig,
     w: &LayerWeights,
-    n_heads: usize,
-    layer_idx: usize,
+    layer: usize,
     x: &Matrix,
     cache: &mut impl KvSeq,
-    taps: Option<&mut Option<OperatorTaps>>,
-    alibi: bool,
     rows: OutRows,
+    taps: Option<&mut OperatorTaps>,
 ) -> Matrix {
     let h = x.cols;
     let t_new = x.rows;
-    let past = cache.cached(layer_idx);
+    let past = cache.cached(layer);
 
     // --- Attention block (pre-LN): every row's K/V into the cache ---
     let mut xn = x.clone();
@@ -604,7 +566,7 @@ fn forward_layer_inner(
     add_bias(&mut k, &w.bk);
     let mut v = w.wv.forward_t(&xn);
     add_bias(&mut v, &w.bv);
-    cache.push_rows(layer_idx, &k, &v);
+    cache.push_rows(layer, &k, &v);
 
     // The rows computed from here on, and the position of the first.
     let last;
@@ -621,10 +583,11 @@ fn forward_layer_inner(
     let mut q = w.wq.forward_t(&xn);
     add_bias(&mut q, &w.bq);
     // ALiBi penalizes distance linearly per head; slope 0 is no bias.
+    let n_heads = cfg.n_heads;
     let slopes: Vec<f32> =
-        (0..n_heads).map(|head| if alibi { alibi_slope(head, n_heads) } else { 0.0 }).collect();
+        (0..n_heads).map(|head| if cfg.alibi { alibi_slope(head, n_heads) } else { 0.0 }).collect();
     let mut attn_out = Matrix::zeros(m, h);
-    llmpq_kernels::attention(&q.data, m, h, pos0, &slopes, &cache.blocks(layer_idx), &mut attn_out.data);
+    llmpq_kernels::attention(&q.data, m, h, pos0, &slopes, &cache.blocks(layer), &mut attn_out.data);
     let mut attn_proj = w.wo.forward_t(&attn_out);
     add_bias(&mut attn_proj, &w.bo);
     let mut x1 = x.clone();
@@ -640,13 +603,8 @@ fn forward_layer_inner(
     add_bias(&mut out, &w.b2);
     add_assign(&mut out, &x1);
 
-    if let Some(slot) = taps {
-        *slot = Some(OperatorTaps {
-            attn_in: xn,
-            wo_in: attn_out,
-            w1_in: xn2,
-            w2_in: hmid,
-        });
+    if let Some(taps) = taps {
+        *taps = OperatorTaps { attn_in: xn, wo_in: attn_out, w1_in: xn2, w2_in: hmid };
     }
     out
 }
@@ -772,10 +730,8 @@ mod tests {
                 let cut = cuts.next().unwrap();
                 let take = cut.min(len - cache.len());
                 for chunk in seq[cache.len()..][..take].chunks(if cut % 2 == 1 { take } else { 1 }) {
-                    x = model.embed_tokens(chunk, cache.len());
-                    for l in 0..cfg.n_layers {
-                        x = model.forward_layer(l, &x, &mut cache);
-                    }
+                    let e = model.embed_tokens(chunk, cache.len());
+                    x = forward_shard(&cfg, &model.layers, 0, e, &mut cache, OutRows::All);
                 }
             }
             let last = model.last_row_logits(&x);
@@ -807,7 +763,7 @@ mod tests {
                     LinearOp::Packed(quantize_packed(&d.data, d.rows, d.cols, b, DEFAULT_GROUP))
                 }
             });
-            let fwd = |x: &Matrix, cache: &mut KvCache, rows| forward_layer_alibi(&w, cfg.n_heads, 0, x, cache, alibi, rows);
+            let fwd = |x: &Matrix, cache: &mut KvCache, rows| forward_layer(&cfg, &w, 0, x, cache, rows, None);
             let mut full_cache = KvCache::new(1, cfg.hidden);
             fwd(&Matrix::random(past, cfg.hidden, 1.0, seed ^ 1), &mut full_cache, OutRows::All);
             let (mut last_cache, mut kv_cache) = (full_cache.clone(), full_cache.clone());
@@ -922,7 +878,7 @@ mod tests {
         let model = RefModel::new(cfg);
         let mut cache = KvCache::new(cfg.n_layers, cfg.hidden);
         let x = model.embed_tokens(&[1, 2, 3], 0);
-        let y = model.forward_layer(0, &x, &mut cache);
+        let y = forward_layer(&cfg, &model.layers[0], 0, &x, &mut cache, OutRows::All, None);
         assert_eq!(y.rows, 3);
         assert_eq!(y.cols, cfg.hidden);
         assert_eq!(cache.k[0].rows, 3);

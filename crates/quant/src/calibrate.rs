@@ -7,11 +7,8 @@
 //! handful of sequences and streams Welford statistics off the operator
 //! input taps.
 
-use llmpq_model::{forward_layer_taps, KvCache, RefModel};
+use llmpq_model::{forward_layer, KvCache, Matrix, OperatorTaps, OutRows, RefModel};
 use serde::{Deserialize, Serialize};
-
-/// Operator names of one decoder layer, in a stable order.
-pub const OPERATORS: [&str; 6] = ["wq", "wk", "wv", "wo", "w1", "w2"];
 
 /// Streaming mean/variance (Welford) over activation elements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -64,44 +61,46 @@ impl OperatorStats {
 /// Per-layer, per-operator activation statistics from a calibration run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CalibrationReport {
-    /// `stats[layer][op_index]` where `op_index` follows [`OPERATORS`].
+    /// `stats[layer][op]`, `op` in
+    /// [`llmpq_model::LayerWeights::linear_operators`] order.
     pub stats: Vec<[OperatorStats; 6]>,
 }
 
 impl CalibrationReport {
-    /// Stats for `(layer, operator-name)`.
-    pub fn get(&self, layer: usize, op: &str) -> &OperatorStats {
-        let idx = OPERATORS.iter().position(|o| *o == op).expect("unknown operator");
-        &self.stats[layer][idx]
-    }
-
     /// Number of layers covered.
     pub fn n_layers(&self) -> usize {
         self.stats.len()
     }
 }
 
+/// Prefill `seq` through `model` layer by layer — the forward
+/// [`RefModel::prefill`] runs, ALiBi included — handing `f` each layer's
+/// index and operator taps; returns the final layer's hidden states.
+pub(crate) fn tap_layers(model: &RefModel, seq: &[usize], mut f: impl FnMut(usize, &OperatorTaps)) -> Matrix {
+    let mut cache = KvCache::new(model.cfg.n_layers, model.cfg.hidden);
+    let mut x = model.embed_tokens(seq, 0);
+    let mut taps = OperatorTaps::default();
+    for (l, w) in model.layers.iter().enumerate() {
+        x = forward_layer(&model.cfg, w, l, &x, &mut cache, OutRows::All, Some(&mut taps));
+        f(l, &taps);
+    }
+    x
+}
+
 /// Run `model` over each calibration sequence (prefill only — the paper
 /// calibrates on text segments) and collect activation statistics at the
 /// input of every linear operator of every layer.
-#[allow(clippy::needless_range_loop)]
 pub fn calibrate(model: &RefModel, sequences: &[Vec<usize>]) -> CalibrationReport {
     let mut stats = vec![[OperatorStats::default(); 6]; model.cfg.n_layers];
     for seq in sequences {
         assert!(!seq.is_empty(), "calibration sequence must be non-empty");
-        let mut cache = KvCache::new(model.cfg.n_layers, model.cfg.hidden);
-        let mut x = model.embed_tokens(seq, 0);
-        for l in 0..model.cfg.n_layers {
-            let (out, taps) = forward_layer_taps(&model.layers[l], model.cfg.n_heads, l, &x, &mut cache);
-            for (oi, op) in OPERATORS.iter().enumerate() {
-                let input = taps.input_for(op);
-                let s = &mut stats[l][oi];
+        tap_layers(model, seq, |l, taps| {
+            for (s, input) in stats[l].iter_mut().zip(taps.inputs()) {
                 for &v in &input.data {
                     s.push(v as f64);
                 }
             }
-            x = out;
-        }
+        });
     }
     CalibrationReport { stats }
 }
@@ -109,7 +108,7 @@ pub fn calibrate(model: &RefModel, sequences: &[Vec<usize>]) -> CalibrationRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmpq_model::{RefConfig, RefModel};
+    use llmpq_model::RefConfig;
 
     #[test]
     fn welford_matches_two_pass() {
@@ -152,8 +151,7 @@ mod tests {
         let report = calibrate(&model, &seqs);
         assert_eq!(report.n_layers(), model.cfg.n_layers);
         for l in 0..report.n_layers() {
-            for op in OPERATORS {
-                let s = report.get(l, op);
+            for ((op, _), s) in model.layers[l].linear_operators().iter().zip(&report.stats[l]) {
                 assert!(s.n > 0, "layer {l} op {op} saw no data");
                 assert!(s.variance() > 0.0, "layer {l} op {op} degenerate");
             }
@@ -167,9 +165,26 @@ mod tests {
         let model = RefModel::new(RefConfig::tiny());
         let report = calibrate(&model, &[vec![3, 1, 4, 1, 5, 9, 2, 6]]);
         for l in 0..report.n_layers() {
-            let v = report.get(l, "wq").variance();
+            let v = report.stats[l][0].variance();
             assert!(v > 0.5 && v < 1.5, "layer {l} wq var {v}");
         }
+    }
+
+    #[test]
+    fn the_taps_loop_runs_the_served_forward_under_alibi() {
+        // Calibration must see the activations the model serves: under
+        // ALiBi, no positional table and a distance bias per head.
+        let model = RefModel::new(RefConfig { alibi: true, ..RefConfig::tiny() });
+        let seq = [3, 1, 4, 1, 5, 9, 2, 6];
+        let mut layers = 0;
+        let x = tap_layers(&model, &seq, |l, _| {
+            assert_eq!(l, layers);
+            layers += 1;
+        });
+        assert_eq!(layers, model.cfg.n_layers);
+        let (want, _) = model.prefill(&seq);
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&model.project_logits(&x)), bits(&want));
     }
 
     #[test]

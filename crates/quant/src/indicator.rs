@@ -20,9 +20,9 @@
 //! * [`random_indicator`] — ablation control.
 
 use crate::bitwidth::Bitwidth;
-use crate::calibrate::{calibrate, CalibrationReport, OPERATORS};
+use crate::calibrate::{calibrate, tap_layers, CalibrationReport};
 use crate::quantizer::{quantize_matrix, Rounding};
-use llmpq_model::{forward_layer_taps, KvCache, Matrix, RefModel};
+use llmpq_model::{Matrix, RefModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -152,9 +152,8 @@ pub fn variance_indicator(
                     continue;
                 }
                 let mut total = 0.0;
-                for (name, w) in layer.linear_operators() {
+                for ((_, w), stats) in layer.linear_operators().into_iter().zip(&report.stats[l]) {
                     let w = w.dense(); // indicators run on the FP model
-                    let stats = report.get(l, name);
                     let d = w.cols as f64; // fan-in: errors from D weights sum per output
                     let s2 = mean_sq_scale(w, bits);
                     total += d * s2 * g_of_x(stats.mean, stats.variance(), rounding);
@@ -170,35 +169,27 @@ pub fn variance_indicator(
 /// Hessian-proxy indicator: measure `‖WX − W̃X‖²_F` per operator on real
 /// calibration activations, summed per layer, for every candidate
 /// bitwidth. This is the expensive baseline of Table 6.
-#[allow(clippy::needless_range_loop)]
 pub fn hessian_indicator(model: &RefModel, sequences: &[Vec<usize>], rounding: Rounding) -> IndicatorTable {
     let mut omega = vec![[0.0f64; 4]; model.cfg.n_layers];
     for seq in sequences {
-        let mut cache = KvCache::new(model.cfg.n_layers, model.cfg.hidden);
-        let mut x = model.embed_tokens(seq, 0);
-        for l in 0..model.cfg.n_layers {
-            let (out, taps) =
-                forward_layer_taps(&model.layers[l], model.cfg.n_heads, l, &x, &mut cache);
+        tap_layers(model, seq, |l, taps| {
             for (k, &bits) in Bitwidth::ALL.iter().enumerate() {
                 if bits == Bitwidth::Fp16 {
                     continue;
                 }
-                let ops = model.layers[l].linear_operators();
-                for op in OPERATORS {
-                    let w = ops.iter().find(|(n, _)| *n == op).map(|(_, w)| w.dense()).unwrap();
+                for ((_, w), input) in model.layers[l].linear_operators().into_iter().zip(taps.inputs()) {
+                    let w = w.dense();
                     let dq = quantize_matrix(w, bits, rounding, 0xC0FFEE ^ l as u64).dequantize();
                     // ΔW = W − W̃; error energy = ‖X·ΔWᵀ‖²_F.
                     let mut dw = w.clone();
                     for (a, &b) in dw.data.iter_mut().zip(dq.data.iter()) {
                         *a -= b;
                     }
-                    let err = taps.input_for(op).matmul_t(&dw);
-                    let e = err.frobenius();
+                    let e = input.matmul_t(&dw).frobenius();
                     omega[l][k] += e * e;
                 }
             }
-            x = out;
-        }
+        });
     }
     IndicatorTable { omega }
 }

@@ -28,7 +28,7 @@ pub mod smoothquant;
 
 pub use apply::{quantize_model, quantize_model_uniform};
 pub use bitwidth::{BitAssignment, Bitwidth};
-pub use calibrate::{calibrate, CalibrationReport, OperatorStats, OPERATORS};
+pub use calibrate::{calibrate, CalibrationReport, OperatorStats};
 pub use indicator::{
     build_indicator, hessian_indicator, random_indicator, variance_indicator, IndicatorKind,
     IndicatorTable,

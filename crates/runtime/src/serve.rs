@@ -43,7 +43,7 @@ use crate::overload::{
     DegradationController, Request, RungTransition,
 };
 use crate::telemetry::{HistogramSnapshot, Telemetry};
-use llmpq_model::{argmax, forward_layer_alibi, KvSeq, LayerWeights, Matrix, ModelHead, OutRows, RefModel};
+use llmpq_model::{argmax, forward_shard, KvSeq, LayerWeights, Matrix, ModelHead, OutRows, RefModel};
 use llmpq_quant::{load_stage_weights, BitAssignment, Rounding};
 use llmpq_workload::BatchJob;
 use serde::{Deserialize, Serialize};
@@ -536,22 +536,17 @@ impl ModelStepEngine {
     }
 
     /// Run `tokens` of `seq`, at positions `pos0..`, through the served
-    /// rung and return the final layer's `rows` of their hidden states.
+    /// rung (every layer of the model) and return the final layer's
+    /// `rows` of their hidden states.
     /// The sequence's chain is extended first — exhaustion is reported
     /// before anything is computed — and every layer then reads the
     /// cached K/V where its blocks live and writes the new rows straight
     /// into the tail blocks.
     fn forward(&mut self, seq: u64, tokens: &[usize], pos0: usize, rows: OutRows) -> Result<Matrix, StepError> {
-        let cfg = &self.head.cfg;
-        let mut x = self.head.embed_tokens(tokens, pos0);
+        let x = self.head.embed_tokens(tokens, pos0);
         let mut kv = self.store.extend_seq(seq, tokens.len())?;
         debug_assert_eq!(kv.cached(0), pos0, "a sequence is computed in position order");
-        let layers = &self.rungs[self.rung];
-        for (l, w) in layers.iter().enumerate() {
-            let rows = if l + 1 == layers.len() { rows } else { OutRows::All };
-            x = forward_layer_alibi(w, cfg.n_heads, l, &x, &mut kv, cfg.alibi, rows);
-        }
-        Ok(x)
+        Ok(forward_shard(&self.head.cfg, &self.rungs[self.rung], 0, x, &mut kv, rows))
     }
 }
 

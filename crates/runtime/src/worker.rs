@@ -34,7 +34,7 @@ use crate::migrate::{kv_to_chunks, CommitDecision, KvAssembler, KvChunkMsg, Migr
 use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
 use crate::telemetry::{Span, Telemetry};
 use llm_pq::StagePlan;
-use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, OutRows, Phase, RefConfig, KV_BLOCK};
+use llmpq_model::{forward_shard, KvCache, LayerWeights, Matrix, OutRows, Phase, RefConfig, KV_BLOCK};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -139,20 +139,13 @@ pub struct WorkerCtx {
     pub stage: usize,
     /// Cluster device id hosting the stage (for device-loss injection).
     pub device: usize,
-    /// Attention heads of the model.
-    pub n_heads: usize,
-    /// Hidden width of the model.
-    pub hidden: usize,
-    /// Decoder layers of the whole model: a stage whose shard ends here
-    /// is the ring's last and echoes one row per sequence.
-    pub n_layers: usize,
-    /// Whether attention uses ALiBi biases.
-    pub alibi: bool,
+    /// Shape of the whole model: the layer forward's heads and ALiBi,
+    /// the width of the rows on the wire, and `max_seq`, which with
+    /// `n_seqs` sizes the stage's KV store. A stage whose shard ends at
+    /// `n_layers` is the ring's last and echoes one row per sequence.
+    pub model: RefConfig,
     /// Number of in-flight sequences (bounds sequence ids).
     pub n_seqs: usize,
-    /// Longest sequence of the model: with `n_seqs`, what the stage's KV
-    /// store is sized for.
-    pub max_seq: usize,
     /// Fault injection, if this run is under test.
     pub injector: Option<Arc<FaultInjector>>,
     /// Board this worker stamps its liveness on. A ring whose master
@@ -205,12 +198,8 @@ impl WorkerCtx {
         WorkerCtx {
             stage,
             device: plan.device,
-            n_heads: model.n_heads,
-            hidden: model.hidden,
-            n_layers: model.n_layers,
-            alibi: model.alibi,
+            model: *model,
             n_seqs,
-            max_seq: model.max_seq,
             injector: None,
             heartbeats: Heartbeats::with_clock(stage + 1, clock.clone()),
             telemetry,
@@ -226,8 +215,8 @@ impl WorkerCtx {
     /// A KV store for `n_layers` layers of this stage: room for `n_seqs`
     /// sequences of `max_seq` positions, every slot registered and empty.
     fn kv_store(&self, n_layers: usize) -> PagedKvStore {
-        let cfg = KvPoolConfig { n_blocks: self.n_seqs * self.max_seq.div_ceil(KV_BLOCK), block_tokens: KV_BLOCK };
-        let mut store = PagedKvStore::new(cfg, n_layers, self.hidden);
+        let cfg = KvPoolConfig { n_blocks: self.n_seqs * self.model.max_seq.div_ceil(KV_BLOCK), block_tokens: KV_BLOCK };
+        let mut store = PagedKvStore::new(cfg, n_layers, self.model.hidden);
         for seq in 0..self.n_seqs as u64 {
             store.register(seq).expect("a fresh store registers every slot");
         }
@@ -293,7 +282,7 @@ fn execute_swap<T: Transport>(
     let (new_start, new_end) = (prepared.layer_start, prepared.layer_end);
     let n_new = new_end - new_start;
     let mut new_caches: Vec<KvCache> =
-        (0..ctx.n_seqs).map(|_| KvCache::new(n_new, ctx.hidden)).collect();
+        (0..ctx.n_seqs).map(|_| KvCache::new(n_new, ctx.model.hidden)).collect();
     // Kept layers move locally; leaving layers ship downstream, both
     // from the contiguous form of each slot.
     for (seq, new_cache) in new_caches.iter_mut().enumerate() {
@@ -302,8 +291,8 @@ fn execute_swap<T: Transport>(
             let li = gl - cur_start;
             if (new_start..new_end).contains(&gl) {
                 let nli = gl - new_start;
-                new_cache.k[nli] = std::mem::replace(&mut cache.k[li], Matrix::zeros(0, ctx.hidden));
-                new_cache.v[nli] = std::mem::replace(&mut cache.v[li], Matrix::zeros(0, ctx.hidden));
+                new_cache.k[nli] = std::mem::take(&mut cache.k[li]);
+                new_cache.v[nli] = std::mem::take(&mut cache.v[li]);
             } else {
                 for c in kv_to_chunks(epoch, seq as u32, gl as u32, &cache.k[li], &cache.v[li]) {
                     if !send_downstream(ctx, link, WorkerMsg::KvChunk(c), true) {
@@ -556,10 +545,10 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 let violation = item.seqs.iter().find_map(|(seq, x)| {
                     if *seq >= ctx.n_seqs {
                         Some(format!("sequence id {seq} out of range (batch has {})", ctx.n_seqs))
-                    } else if x.rows == 0 || x.cols != ctx.hidden {
+                    } else if x.rows == 0 || x.cols != ctx.model.hidden {
                         Some(format!(
                             "sequence id {seq} carries {}x{} hidden states, not rows of width {}",
-                            x.rows, x.cols, ctx.hidden
+                            x.rows, x.cols, ctx.model.hidden
                         ))
                     } else {
                         None
@@ -617,12 +606,6 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 span("wait", item.sent_us.min(start), start);
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
-                // The shard that ends the model (the boundary moves with
-                // every live swap) computes only the row the master samples.
-                let last_rows = match layer_start + active.len() == ctx.n_layers {
-                    true => OutRows::Last,
-                    false => OutRows::All,
-                };
                 let mut outgrown = None;
                 for (seq, x) in item.seqs.iter_mut() {
                     // The chain grows first: a refusal computes nothing.
@@ -630,15 +613,14 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                         outgrown = Some(*seq);
                         break;
                     };
-                    for (l, w) in active.iter().enumerate() {
-                        let rows = if l + 1 == active.len() { last_rows } else { OutRows::All };
-                        *x = forward_layer_alibi(w, ctx.n_heads, l, x, &mut kv, ctx.alibi, rows);
-                    }
+                    // If this shard ends the model (the boundary moves with
+                    // every live swap), only the row the master samples.
+                    *x = forward_shard(&ctx.model, active, layer_start, std::mem::take(x), &mut kv, OutRows::Last);
                 }
                 if let Some(seq) = outgrown {
                     let report = WorkerMsg::Protocol(format!(
                         "stage {}: sequence id {seq} needs more KV than {} sequences of {} positions",
-                        ctx.stage, ctx.n_seqs, ctx.max_seq
+                        ctx.stage, ctx.n_seqs, ctx.model.max_seq
                     ));
                     if !forward(report) {
                         break;
@@ -684,7 +666,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::net::transport::ChannelTransport;
     use crossbeam::channel::{unbounded, Receiver, Sender};
-    use llmpq_model::{RefConfig, RefModel};
+    use llmpq_model::{forward_layer, RefModel};
 
     /// Stage 0 of `model`, one sequence slot, recording into `hub`.
     fn ctx_on(model: &RefModel, hub: Arc<Telemetry>) -> WorkerCtx {
@@ -750,7 +732,7 @@ mod tests {
         let got = recv_work(&rx_out).expect("work item");
         // Must equal a direct single-layer forward.
         let mut cache = llmpq_model::KvCache::new(1, model.cfg.hidden);
-        let want = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false, OutRows::All);
+        let want = forward_layer(&model.cfg, &weights[0], 0, &x, &mut cache, OutRows::All, None);
         assert_eq!(got.seqs[0].1, want);
         assert!(matches!(rx_out.recv().unwrap(), WorkerMsg::Shutdown));
     }
@@ -813,7 +795,7 @@ mod tests {
         let second = recv_work(&rx_out).expect("second item").seqs[0].1.clone();
         // Fresh-cache forward of x2 alone gives a different answer.
         let mut fresh = llmpq_model::KvCache::new(1, model.cfg.hidden);
-        let lone = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x2, &mut fresh, false, OutRows::All);
+        let lone = forward_layer(&model.cfg, &weights[0], 0, &x2, &mut fresh, OutRows::All, None);
         assert_ne!(second, lone, "cache state must influence decode");
     }
 
@@ -917,8 +899,8 @@ mod tests {
         tx_in.send(WorkerMsg::Shutdown).unwrap();
         run_worker_ctx(&weights, &ctx, rx_in, tx_out);
         let mut cache = KvCache::new(1, model.cfg.hidden);
-        let full = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut cache, false, OutRows::All);
-        let next = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &y, &mut cache, false, OutRows::All);
+        let full = forward_layer(&model.cfg, &weights[0], 0, &x, &mut cache, OutRows::All, None);
+        let next = forward_layer(&model.cfg, &weights[0], 0, &y, &mut cache, OutRows::All, None);
         for want in [Matrix::from_vec(1, model.cfg.hidden, full.row(4).to_vec()), next] {
             let got = recv_work(&rx_out).expect("echo").seqs.remove(0).1;
             let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
