@@ -51,7 +51,7 @@
 //! modeled device.
 //!
 //! Flags of `run_all bench_kernels`: `--quick` (fewer repetitions,
-//! CI-friendly), `--check-ordering` (assert fused beats
+//! CI-friendly), `--check-ordering` (gate: fused beats
 //! dequant-then-GEMM, fused int8 and int4 each run the 4096² decode at
 //! least [`MIN_DECODE_SPEEDUP_VECTOR`]× faster than dense f32 and int4 at least [`MIN_INT4_OVER_INT8_VECTOR`]× as fast as
 //! int8, and a fused `m = 64` prefill row costs at most
@@ -70,7 +70,9 @@
 //! `--compare FILE` (fail if any of those ratios is more than 10 %
 //! worse than in the same ISA's section of the report at `FILE`, or if
 //! that report has no such section),
-//! `--out FILE` (default `BENCH_kernels.json`).
+//! `--out FILE` (default `BENCH_kernels.json`). A run with either gate
+//! flag checks every gate, prints each failed one with its value, bar
+//! and margin, and then fails.
 
 use super::bench_solver::median;
 use crate::{zoo_indicator, Args, Out, ServingSetup, TextTable};
@@ -396,11 +398,12 @@ type DecodeRounds = Vec<(String, Vec<f64>)>;
 fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, DecodeRounds) {
     // Decode is the memory-bound phase: m = 1, square weight sized to
     // spill L2 in both modes so the run measures sustained traffic (the
-    // L2-resident case is the `ref256x4` list). The prefill shape is
-    // the same in both modes too, so that `--compare` sets a quick
-    // run's ratios against a full run's.
+    // L2-resident case is the `ref256x4` list). The prefill shape and
+    // the calls per round are the same in both modes too, so that
+    // `--compare` sets a quick run's ratios against a full run's of the
+    // same call shape.
     let (dec_nk, pre_nk, pre_m) = (4096, 1024, if quick { 16 } else { 32 });
-    let (iters, rounds) = if quick { (2, 5) } else { (4, 5) };
+    let (iters, rounds) = (4, 5);
     let mut peak = 0.0f64;
     let mut decode_rounds = Vec::new();
 
@@ -998,15 +1001,70 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     }
 }
 
+/// The gates of one run. A failed gate is kept with its value, bar and
+/// margin, so that a run reports every verdict before it fails.
+#[derive(Default)]
+struct Gates {
+    checked: usize,
+    failed: Vec<String>,
+}
+
+impl Gates {
+    fn record(&mut self, ok: bool, what: String, value: f64, op: &str, bar: f64) {
+        self.checked += 1;
+        if !ok {
+            self.failed.push(format!(
+                "{what}: {value:.2}, bar {op} {bar:.2}, off by {:.2} ({:.1} %)",
+                (value - bar).abs(),
+                100.0 * (value - bar).abs() / bar.abs()
+            ));
+        }
+    }
+
+    fn at_least(&mut self, what: String, value: f64, bar: f64) {
+        self.record(value >= bar, what, value, ">=", bar);
+    }
+
+    fn at_most(&mut self, what: String, value: f64, bar: f64) {
+        self.record(value <= bar, what, value, "<=", bar);
+    }
+
+    fn below(&mut self, what: String, value: f64, bar: f64) {
+        self.record(value < bar, what, value, "<", bar);
+    }
+
+    /// Print every failed gate, then fail the run if there was one.
+    fn finish(self, out: &mut Out) {
+        if self.checked == 0 {
+            return;
+        }
+        for f in &self.failed {
+            say!(out, "FAILED {f}");
+        }
+        say!(out, "{} of {} gates failed", self.failed.len(), self.checked);
+        assert!(self.failed.is_empty(), "{} of {} bench_kernels gates failed", self.failed.len(), self.checked);
+    }
+}
+
 /// `--check-ordering` on one section. The decode and prefill
 /// amortisation gates apply wherever a vector instantiation ran,
 /// whichever it was.
-fn check_ordering(out: &mut Out, s: &Section) {
+fn check_ordering(out: &mut Out, s: &Section, gates: &mut Gates) {
     let isa = s.isa;
-    assert!(
-        s.fused_beats_dequant_decode,
-        "{isa}: fused dequant-GEMM must beat the dequantize-then-f32 baseline in decode"
-    );
+    let decode_ms = |kernel: &str| {
+        s.gemm
+            .iter()
+            .find(|r| r.phase == "decode" && r.kernel == kernel)
+            .map(|r| r.ms)
+            .expect("decode row present")
+    };
+    for b in [Bitwidth::Int8, Bitwidth::Int4] {
+        gates.below(
+            format!("{isa} fused-{b}: decode time over the dequantize-then-f32 baseline's"),
+            decode_ms(&format!("fused-{b}")) / decode_ms(&format!("dequant-then-f32-{b}")),
+            1.0,
+        );
+    }
     if isa == Isa::Baseline.name() {
         say!(out, "{isa}: decode speedup over dense f32 and int4 over int8 not gated (no vector instantiation)");
         say!(out,
@@ -1015,20 +1073,22 @@ fn check_ordering(out: &mut Out, s: &Section) {
         );
     } else {
         for (kernel, speedup) in &s.decode_speedup_vs_f32 {
-            assert!(
-                *speedup >= MIN_DECODE_SPEEDUP_VECTOR,
-                "{isa} {kernel}: the 4096² decode must be at least {MIN_DECODE_SPEEDUP_VECTOR}x dense f32, got {speedup:.2}x"
+            gates.at_least(
+                format!("{isa} {kernel}: 4096² decode speedup over dense f32"),
+                *speedup,
+                MIN_DECODE_SPEEDUP_VECTOR,
             );
         }
-        assert!(
-            s.int4_over_int8_decode >= MIN_INT4_OVER_INT8_VECTOR,
-            "{isa}: fused-int4 must run the 4096² decode at least {MIN_INT4_OVER_INT8_VECTOR}x as fast as fused-int8, got {:.2}x",
-            s.int4_over_int8_decode
+        gates.at_least(
+            format!("{isa}: fused-int4 4096² decode speed over fused-int8's"),
+            s.int4_over_int8_decode,
+            MIN_INT4_OVER_INT8_VECTOR,
         );
         for (kernel, ratio) in &s.prefill_amortisation {
-            assert!(
-                *ratio <= MAX_PREFILL_AMORTISATION,
-                "{isa} {kernel}: a prefill row must cost at most {MAX_PREFILL_AMORTISATION} of an m = 1 call, got {ratio:.2}"
+            gates.at_most(
+                format!("{isa} {kernel}: one row of an m = {CHUNK_M} prefill over an m = 1 call"),
+                *ratio,
+                MAX_PREFILL_AMORTISATION,
             );
         }
         for past in [64, 128] {
@@ -1041,17 +1101,17 @@ fn check_ordering(out: &mut Out, s: &Section) {
             };
             let ratio = us("blocks") / us("rows");
             say!(out, "{isa}: decode attention on {past} cached positions, blocks over rows {ratio:.2}");
-            assert!(
-                ratio <= MAX_BLOCK_OVER_ROW_ATTENTION,
-                "{isa}: decode attention over key blocks must cost at most {MAX_BLOCK_OVER_ROW_ATTENTION} of the \
-                 row-major form on {past} cached positions, got {ratio:.2}"
+            gates.at_most(
+                format!("{isa}: decode attention over key blocks over the row-major form on {past} cached positions"),
+                ratio,
+                MAX_BLOCK_OVER_ROW_ATTENTION,
             );
         }
         let decode = s.layer.iter().find(|r| (r.m, r.past) == (1, 150)).expect("decode layer row present");
-        assert!(
-            decode.layer_over_gemm <= MAX_DECODE_LAYER_OVER_GEMM,
-            "{isa} m = 1 on 150 cached: the layer forward must cost at most {MAX_DECODE_LAYER_OVER_GEMM} of its GEMMs, got {:.2}",
-            decode.layer_over_gemm
+        gates.at_most(
+            format!("{isa} m = 1 on 150 cached: layer forward over its GEMMs"),
+            decode.layer_over_gemm,
+            MAX_DECODE_LAYER_OVER_GEMM,
         );
     }
     if isa == Isa::Avx512.name() {
@@ -1062,38 +1122,34 @@ fn check_ordering(out: &mut Out, s: &Section) {
             .and_then(|r| r.roofline_frac)
             .expect("prefill row present");
         say!(out, "{isa}: fused-int4 m = {CHUNK_M} prefill at {frac:.2} of the FMA peak");
-        assert!(
-            frac >= MIN_PREFILL_PEAK_FRAC_AVX512,
-            "{isa}: the fused-int4 m = {CHUNK_M} prefill must run at {MIN_PREFILL_PEAK_FRAC_AVX512} of the FMA peak or more, \
-             got {frac:.2}"
+        gates.at_least(
+            format!("{isa}: fused-int4 m = {CHUNK_M} prefill fraction of the FMA peak"),
+            frac,
+            MIN_PREFILL_PEAK_FRAC_AVX512,
         );
     } else {
         say!(out, "{isa}: prefill fraction of the FMA peak not gated (the register block is AVX-512's)");
     }
     for r in s.layer.iter().filter(|r| r.m == CHUNK_M) {
-        assert!(
-            r.layer_over_gemm <= MAX_LAYER_OVER_GEMM,
-            "{isa} m = {} on {} cached: the layer forward must cost at most {MAX_LAYER_OVER_GEMM} of its GEMMs, got {:.2}",
-            r.m,
-            r.past,
-            r.layer_over_gemm
+        gates.at_most(
+            format!("{isa} m = {} on {} cached: layer forward over its GEMMs", r.m, r.past),
+            r.layer_over_gemm,
+            MAX_LAYER_OVER_GEMM,
         );
     }
     for r in &s.stack {
-        assert!(
-            r.serving_over_full <= MAX_STACK_SERVING_OVER_FULL,
-            "{isa} m = {} on {} cached: the four-layer prefill's serving form must cost at most \
-             {MAX_STACK_SERVING_OVER_FULL} of its full form, got {:.2}",
-            r.m,
-            r.past,
-            r.serving_over_full
+        gates.at_most(
+            format!("{isa} m = {} on {} cached: four-layer prefill, serving form over full form", r.m, r.past),
+            r.serving_over_full,
+            MAX_STACK_SERVING_OVER_FULL,
         );
     }
 }
 
 /// `--compare` on one section: every ratio is a quotient of two timings
-/// taken in one run on one machine under one instantiation.
-fn compare(out: &mut Out, now: &Section, was: &CommittedSection) {
+/// taken in one run on one machine under one instantiation, and may be
+/// at most 10 % worse than the committed one.
+fn compare(out: &mut Out, now: &Section, was: &CommittedSection, gates: &mut Gates) {
     let isa = now.isa;
     let find = |rows: &[(String, f64)], kernel: &str| {
         rows.iter().find(|(k, _)| k == kernel).map(|(_, v)| *v).expect("kernel present in both reports")
@@ -1101,12 +1157,16 @@ fn compare(out: &mut Out, now: &Section, was: &CommittedSection) {
     for (kernel, was) in &was.decode_speedup_vs_f32 {
         let now = find(&now.decode_speedup_vs_f32, kernel);
         say!(out, "{isa} {kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
-        assert!(now >= 0.9 * was, "{isa} {kernel}: decode speedup over dense f32 regressed more than 10%");
+        gates.at_least(
+            format!("{isa} {kernel}: decode speedup over dense f32 against committed {was:.2}x"),
+            now,
+            0.9 * was,
+        );
     }
     for (kernel, was) in &was.prefill_amortisation {
         let now = find(&now.prefill_amortisation, kernel);
         say!(out, "{isa} {kernel}: m = 64 row over m = 1 call {now:.2} (committed {was:.2})");
-        assert!(now <= 1.1 * was, "{isa} {kernel}: m = 64 row over m = 1 call regressed more than 10%");
+        gates.at_most(format!("{isa} {kernel}: m = 64 row over m = 1 call against committed {was:.2}"), now, 1.1 * was);
     }
     for was in &was.layer {
         let now = now
@@ -1119,11 +1179,13 @@ fn compare(out: &mut Out, now: &Section, was: &CommittedSection) {
             "{isa} m = {}, past = {}: layer over its GEMMs {now:.2} (committed {:.2})",
             was.m, was.past, was.layer_over_gemm
         );
-        assert!(
-            now <= 1.1 * was.layer_over_gemm,
-            "{isa} m = {}, past = {}: layer over its GEMMs regressed more than 10%",
-            was.m,
-            was.past
+        gates.at_most(
+            format!(
+                "{isa} m = {}, past = {}: layer over its GEMMs against committed {:.2}",
+                was.m, was.past, was.layer_over_gemm
+            ),
+            now,
+            1.1 * was.layer_over_gemm,
         );
     }
 }
@@ -1219,16 +1281,19 @@ pub fn run(out: &mut Out, args: &Args) {
         crosscheck,
     };
     out.json(args.value("--out").unwrap_or("BENCH_kernels.json"), &report);
+    let mut gates = Gates::default();
     if args.has("--check-ordering") {
-        report.sections.iter().for_each(|s| check_ordering(out, s));
+        report.sections.iter().for_each(|s| check_ordering(out, s, &mut gates));
     }
     if let Some(committed) = committed {
         for now in &report.sections {
             let was = committed.sections.iter().find(|was| was.isa == now.isa);
-            compare(out, now, was.unwrap_or_else(|| panic!("the committed report has no {} section", now.isa)));
+            let was = was.unwrap_or_else(|| panic!("the committed report has no {} section", now.isa));
+            compare(out, now, was, &mut gates);
         }
         for was in committed.sections.iter().filter(|was| report.sections.iter().all(|now| now.isa != was.isa)) {
             say!(out, "committed {} section not compared: this host cannot run that instantiation", was.isa);
         }
     }
+    gates.finish(out);
 }

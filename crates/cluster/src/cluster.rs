@@ -4,19 +4,28 @@ use crate::device::{DeviceSpec, GpuModel};
 use crate::interconnect::Interconnect;
 use serde::{Deserialize, Serialize};
 
-/// One GPU in a cluster, pinned to a node.
+/// One pipeline device of a cluster, pinned to a node: one GPU, or a
+/// tensor-parallel group of `tp_width` identical GPUs on that node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeviceInstance {
-    /// The device type.
+    /// The device type (of every GPU in a group).
     pub gpu: GpuModel,
     /// Node index; GPUs of one type share a node in the paper's testbed.
     pub node: usize,
+    /// GPUs acting as this one device: 1 everywhere except on a cluster
+    /// folded into tensor-parallel groups (`llm_pq::tp`).
+    pub tp_width: usize,
 }
 
 impl DeviceInstance {
-    /// Datasheet spec of this instance.
+    /// Datasheet spec of one GPU of this instance.
     pub fn spec(&self) -> DeviceSpec {
         self.gpu.spec()
+    }
+
+    /// Usable memory in bytes: the GPU's times the group width.
+    pub fn mem_bytes(&self) -> f64 {
+        self.spec().mem_bytes() * self.tp_width as f64
     }
 }
 
@@ -47,7 +56,7 @@ impl Cluster {
         for (node, &(gpu, count)) in groups.iter().enumerate() {
             assert!(count > 0, "empty device group");
             for _ in 0..count {
-                devices.push(DeviceInstance { gpu, node });
+                devices.push(DeviceInstance { gpu, node, tp_width: 1 });
             }
         }
         Self {
@@ -70,7 +79,7 @@ impl Cluster {
 
     /// Total device memory in bytes.
     pub fn total_mem_bytes(&self) -> f64 {
-        self.devices.iter().map(|d| d.spec().mem_bytes()).sum()
+        self.devices.iter().map(DeviceInstance::mem_bytes).sum()
     }
 
     /// Whether all devices are the same GPU model.

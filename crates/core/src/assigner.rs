@@ -195,32 +195,38 @@ fn build_problem_cached(
     let kv_per_layer =
         round_block(spec.kv_bytes_per_layer(job.global_batch, job.max_seq(), kv_bits));
 
-    // Per-layer latency depends only on the device *class* (plus phase
-    // and bits), per-layer bytes only on bits, and the ω group sum only
-    // on (group, bits) — so hoist all three out of the l × n × nb fill
-    // loop. At fleet scale this turns ~700k cost-model lookups per
-    // build into O(classes × bits), which is what keeps planning fast
-    // on 100+ device clusters.
-    let mut class_lat: Vec<(llmpq_cluster::GpuModel, Vec<(f64, f64)>)> = Vec::new();
+    // Per-layer latency depends only on the device *class* (GPU and TP
+    // width, plus phase and bits), per-layer bytes only on bits, and the
+    // ω group sum only on (group, bits) — so hoist all three out of the
+    // l × n × nb fill loop. At fleet scale this turns ~700k cost-model
+    // lookups per build into O(classes × bits), which is what keeps
+    // planning fast on 100+ device clusters.
+    let class_of = |dev_idx: usize| {
+        let d = &cluster.devices[dev_idx];
+        (d.gpu, d.tp_width)
+    };
+    let mut classes = Vec::new();
+    let mut class_lat: Vec<Vec<(f64, f64)>> = Vec::new();
     for &dev_idx in ordering {
-        let gpu = cluster.devices[dev_idx].gpu;
-        if class_lat.iter().any(|(g, _)| *g == gpu) {
+        let (gpu, tp_width) = class_of(dev_idx);
+        if classes.contains(&(gpu, tp_width)) {
             continue;
         }
         let mut rows = Vec::with_capacity(nb);
         for &bits in bits_set {
             rows.push((
-                cache.layer_latency(db, gpu, spec, &pre_w, bits, kv_bits),
-                cache.layer_latency(db, gpu, spec, &dec_w, bits, kv_bits),
+                cache.layer_latency(db, gpu, tp_width, spec, &pre_w, bits, kv_bits),
+                cache.layer_latency(db, gpu, tp_width, spec, &dec_w, bits, kv_bits),
             ));
         }
-        class_lat.push((gpu, rows));
+        classes.push((gpu, tp_width));
+        class_lat.push(rows);
     }
     let dev_class: Vec<usize> = ordering
         .iter()
         .map(|&dev_idx| {
-            let gpu = cluster.devices[dev_idx].gpu;
-            class_lat.iter().position(|(g, _)| *g == gpu).expect("class collected above")
+            let class = class_of(dev_idx);
+            classes.iter().position(|&c| c == class).expect("class collected above")
         })
         .collect();
     let bytes_per_layer: Vec<f64> = bits_set
@@ -242,7 +248,7 @@ fn build_problem_cached(
             omegas.push(indicator.map_or(0.0, |ind| cache.omega_sum(ind, layer0, gsz, bits)));
         }
         for (j, &cls) in dev_class.iter().enumerate() {
-            let rows = &class_lat[cls].1;
+            let rows = &class_lat[cls];
             for bi in 0..nb {
                 let k = (g * n + j) * nb + bi;
                 let (lp, ld) = rows[bi];
@@ -271,7 +277,7 @@ fn build_problem_cached(
     fixed_mem[0] += round_block(spec.embedding_bytes());
 
     let capacity: Vec<f64> =
-        ordering.iter().map(|&i| cluster.devices[i].spec().mem_bytes()).collect();
+        ordering.iter().map(|&i| cluster.devices[i].mem_bytes()).collect();
 
     let mut comm_pre = vec![0.0; n];
     let mut comm_dec = vec![0.0; n];
@@ -485,7 +491,7 @@ pub fn plan_lower_bound(
     let mut comm_pre = Vec::new();
     let mut comm_dec = Vec::new();
     for (i, s) in plan.stages.iter().enumerate() {
-        let gpu = cluster.devices[s.device].gpu;
+        let d = cluster.devices[s.device];
         let mut stage_time = |w: &PhaseWorkload| -> f64 {
             // One lookup per run of equal bits; the sum still adds
             // every layer's latency in layer order.
@@ -495,7 +501,7 @@ pub fn plan_lower_bound(
                 .map(|&b| match last {
                     Some((lb, t)) if lb == b => t,
                     _ => {
-                        let t = cost.layer_latency(db, gpu, spec, w, b, kv);
+                        let t = cost.layer_latency(db, d.gpu, d.tp_width, spec, w, b, kv);
                         last = Some((b, t));
                         t
                     }

@@ -188,7 +188,7 @@ pub fn flexgen_report(
         max_bubble: r.max_bubble_fraction,
         stage_memory: stages
             .iter()
-            .map(|s| cluster.devices[s.device].spec().mem_bytes())
+            .map(|s| cluster.devices[s.device].mem_bytes())
             .collect(),
         mean_bits: bits.bits_f64(),
     })

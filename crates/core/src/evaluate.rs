@@ -88,10 +88,10 @@ pub fn stage_loads(
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let gpu = cluster.devices[s.device].gpu;
+            let d = &cluster.devices[s.device];
             let kv = plan.kv_bits as f64;
-            let prefill_time = db.stage_latency_kv(gpu, spec, &s.bits, &pre_w, kv);
-            let decode_time = db.stage_latency_kv(gpu, spec, &s.bits, &dec_w, kv);
+            let prefill_time = db.stage_latency_kv(d.gpu, d.tp_width, spec, &s.bits, &pre_w, kv);
+            let decode_time = db.stage_latency_kv(d.gpu, d.tp_width, spec, &s.bits, &dec_w, kv);
             let (comm_prefill, comm_decode) = if i + 1 < plan.stages.len() {
                 let link = cluster.link_between(s.device, plan.stages[i + 1].device);
                 (
@@ -187,7 +187,7 @@ pub fn evaluate_plan(
     // Memory feasibility.
     let mems = stage_memories(plan, spec, job);
     for (i, (&m, s)) in mems.iter().zip(&plan.stages).enumerate() {
-        let cap = cluster.devices[s.device].spec().mem_bytes();
+        let cap = cluster.devices[s.device].mem_bytes();
         if m > cap {
             return Err(PlanError::Oom { stage: i, needed: m, capacity: cap });
         }

@@ -129,17 +129,17 @@ impl CacheCounters {
     }
 }
 
-type LayerKey = (GpuModel, Phase, usize, usize, usize, Bitwidth, u64);
+type LayerKey = (GpuModel, usize, Phase, usize, usize, usize, Bitwidth, u64);
 type MasterKey = (GpuModel, Phase, usize, usize, usize);
 
 /// Memoized cost-model and ω-indicator evaluations.
 ///
-/// Keys are (device class, workload shape, bitwidth) — device *identity*
-/// never enters, so every value survives joins/leaves that keep the
-/// class present, and a device-class change simply misses into fresh
-/// keys. The cache is pinned to one (model spec, cost DB) pair; a cost
-/// DB swap is detected by [`CostCache::sync_db`]'s fingerprint probe
-/// and clears it.
+/// Keys are (device class, TP width, workload shape, bitwidth) —
+/// device *identity* never enters, so every value survives joins/leaves
+/// that keep the class present, and a device-class change simply misses
+/// into fresh keys. The cache is pinned to one (model spec, cost DB)
+/// pair; a cost DB swap is detected by [`CostCache::sync_db`]'s
+/// fingerprint probe and clears it.
 #[derive(Debug, Default)]
 pub struct CostCache {
     layer: HashMap<LayerKey, f64>,
@@ -154,22 +154,24 @@ pub struct CostCache {
 
 impl CostCache {
     /// Memoized [`CostDb::layer_latency_kv`].
+    #[allow(clippy::too_many_arguments)]
     pub fn layer_latency(
         &mut self,
         db: &CostDb,
         gpu: GpuModel,
+        tp_width: usize,
         spec: &ModelSpec,
         w: &PhaseWorkload,
         bits: Bitwidth,
         kv_bits: f64,
     ) -> f64 {
-        let key = (gpu, w.phase, w.batch, w.prompt_len, w.past_len, bits, kv_bits.to_bits());
+        let key = (gpu, tp_width, w.phase, w.batch, w.prompt_len, w.past_len, bits, kv_bits.to_bits());
         if let Some(&v) = self.layer.get(&key) {
             self.layer_counters.hits += 1;
             return v;
         }
         self.layer_counters.misses += 1;
-        let v = db.layer_latency_kv(gpu, spec, w, bits, kv_bits);
+        let v = db.layer_latency_kv(gpu, tp_width, spec, w, bits, kv_bits);
         self.layer.insert(key, v);
         v
     }
@@ -232,7 +234,7 @@ impl CostCache {
         for (gpu, _) in cluster.model_counts() {
             for &bits in menu {
                 for w in &probes {
-                    db.layer_latency_kv(gpu, spec, w, bits, 16.0).to_bits().hash(&mut h);
+                    db.layer_latency(gpu, spec, w, bits).to_bits().hash(&mut h);
                 }
             }
         }
@@ -268,8 +270,8 @@ impl CostCache {
 ///
 /// Two plans with the same fingerprint produce the same
 /// [`PlanReport`]: the fingerprint covers everything
-/// [`evaluate_plan`] reads — spec, job, per-stage device class +
-/// layer count + per-layer precision, boundary interconnect class,
+/// [`evaluate_plan`] reads — spec, job, per-stage device class, TP width,
+/// layer count and per-layer precision, boundary interconnect class,
 /// micro-batch shape, KV precision, and scheme label. Device ids and
 /// cluster names are deliberately absent, so an evaluation computed
 /// before a churn event answers for the structurally identical plan
@@ -296,7 +298,9 @@ impl EvalCache {
         plan.microbatch.decode_count.hash(&mut h);
         plan.stages.len().hash(&mut h);
         for (i, s) in plan.stages.iter().enumerate() {
-            cluster.devices[s.device].gpu.hash(&mut h);
+            let d = &cluster.devices[s.device];
+            d.gpu.hash(&mut h);
+            d.tp_width.hash(&mut h);
             (s.layer_end - s.layer_start).hash(&mut h);
             for &b in &s.bits {
                 b.hash(&mut h);
@@ -801,7 +805,7 @@ mod tests {
         let mut cache = CostCache::default();
         cache.sync_db(&db1, &spec, &cluster, &menu);
         let w = PhaseWorkload::prefill(2, 128);
-        cache.layer_latency(&db1, GpuModel::T4_16G, &spec, &w, Bitwidth::Int4, 16.0);
+        cache.layer_latency(&db1, GpuModel::T4_16G, 1, &spec, &w, Bitwidth::Int4, 16.0);
         assert_eq!(cache.len(), 1);
         // Same DB: cache survives.
         cache.sync_db(&db1, &spec, &cluster, &menu);
@@ -827,7 +831,7 @@ mod tests {
         let mut cache = CostCache::default();
         assert!(cache.sync_db(&db, &spec, &cluster, &menu), "first sync stamps the cache");
         let w = PhaseWorkload::decode(8, 512, 562);
-        let before = cache.layer_latency(&db, GpuModel::T4_16G, &spec, &w, Bitwidth::Int4, 16.0);
+        let before = cache.layer_latency(&db, GpuModel::T4_16G, 1, &spec, &w, Bitwidth::Int4, 16.0);
         assert!(!cache.sync_db(&db, &spec, &cluster, &menu), "same DB: cache survives");
         assert_eq!(cache.len(), 1);
 
@@ -841,7 +845,7 @@ mod tests {
             "a decode-only refit must change the stamp"
         );
         assert_eq!(cache.len(), 0, "decode-only refit must invalidate the cache");
-        let after = cache.layer_latency(&db, GpuModel::T4_16G, &spec, &w, Bitwidth::Int4, 16.0);
+        let after = cache.layer_latency(&db, GpuModel::T4_16G, 1, &spec, &w, Bitwidth::Int4, 16.0);
         assert!(after > 1.5 * before, "refitted decode latency {after} vs stale {before}");
     }
 

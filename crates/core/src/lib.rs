@@ -64,4 +64,4 @@ pub use plan::{ExecutionPlan, StagePlan};
 // without depending on `llmpq-workload` directly.
 pub use llmpq_workload::MicrobatchPlan;
 pub use replan::{replan_after_loss, ReplanOutcome};
-pub use tp::{candidate_tp_widths, plan_with_tp, tp_sweep, TpOutcome};
+pub use tp::{candidate_tp_widths, tp_sweep};

@@ -18,7 +18,7 @@ use crate::profiler::{profile_device, ProfileSample, ProfilerConfig};
 use llmpq_cluster::{DeviceSpec, GpuModel};
 use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
 use llmpq_quant::Bitwidth;
-use llmpq_sim::{embedding_latency, layer_latency, KernelEnv};
+use llmpq_sim::{embedding_latency, tp_layer_latency, KernelEnv, TpGroup};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -162,17 +162,25 @@ impl CostDb {
         CostDb { source: Source::Oracle(*env), env: *env }
     }
 
-    /// Predicted latency of **one decoder layer** with an FP16 KV cache.
+    /// Predicted latency of **one decoder layer** on one GPU with an FP16
+    /// KV cache.
     pub fn layer_latency(&self, gpu: GpuModel, spec: &ModelSpec, w: &PhaseWorkload, bits: Bitwidth) -> f64 {
-        self.layer_latency_kv(gpu, spec, w, bits, 16.0)
+        self.layer_latency_kv(gpu, 1, spec, w, bits, 16.0)
     }
 
-    /// Predicted latency of one decoder layer with the KV cache stored
-    /// at `kv_bits` bits (the memory-traffic feature scales; the fitted
-    /// per-byte coefficient transfers — KV-quantization extension).
+    /// Predicted latency of one decoder layer on a device of `tp_width`
+    /// GPUs (1 = one GPU; more = a tensor-parallel group, paper §7) with
+    /// the KV cache stored at `kv_bits` bits (the memory-traffic feature
+    /// scales; the fitted per-byte coefficient transfers —
+    /// KV-quantization extension). The roofline prices every device
+    /// through [`tp_layer_latency`], which at width 1 is
+    /// [`llmpq_sim::layer_latency`] itself; the fitted regressions have
+    /// no TP model and refuse a group as they refuse a GPU they were not
+    /// fitted on.
     pub fn layer_latency_kv(
         &self,
         gpu: GpuModel,
+        tp_width: usize,
         spec: &ModelSpec,
         w: &PhaseWorkload,
         bits: Bitwidth,
@@ -182,31 +190,37 @@ impl CostDb {
             Source::Fitted(models) => {
                 let m = models
                     .get(&(gpu, bits, w.phase))
-                    .unwrap_or_else(|| panic!("no model for {gpu} {bits} {}", w.phase));
+                    .filter(|_| tp_width == 1)
+                    .unwrap_or_else(|| panic!("no model for {gpu} ×{tp_width} {bits} {}", w.phase));
                 m.predict(&features(spec, w, bits, kv_bits))
             }
-            Source::Oracle(env) => layer_latency(&gpu.spec(), env, spec, w, bits, kv_bits),
+            Source::Oracle(env) => {
+                let group = if tp_width == 1 { TpGroup::solo() } else { TpGroup::nvlink(tp_width) };
+                tp_layer_latency(&gpu.spec(), env, &group, spec, w, bits, kv_bits)
+            }
         }
     }
 
-    /// Predicted latency of a model shard: the sum of its layers at
-    /// their respective precisions (paper: "the latency of a model shard
-    /// can be obtained by summing up the latencies of all involved
-    /// decoder layers with respect to their precisions").
+    /// Predicted latency of a model shard on one GPU: the sum of its
+    /// layers at their respective precisions (paper: "the latency of a
+    /// model shard can be obtained by summing up the latencies of all
+    /// involved decoder layers with respect to their precisions").
     pub fn stage_latency(&self, gpu: GpuModel, spec: &ModelSpec, layer_bits: &[Bitwidth], w: &PhaseWorkload) -> f64 {
-        self.stage_latency_kv(gpu, spec, layer_bits, w, 16.0)
+        self.stage_latency_kv(gpu, 1, spec, layer_bits, w, 16.0)
     }
 
-    /// [`CostDb::stage_latency`] with a quantized KV cache.
+    /// [`CostDb::stage_latency`] on a device of `tp_width` GPUs with a
+    /// quantized KV cache.
     pub fn stage_latency_kv(
         &self,
         gpu: GpuModel,
+        tp_width: usize,
         spec: &ModelSpec,
         layer_bits: &[Bitwidth],
         w: &PhaseWorkload,
         kv_bits: f64,
     ) -> f64 {
-        layer_bits.iter().map(|&b| self.layer_latency_kv(gpu, spec, w, b, kv_bits)).sum()
+        layer_bits.iter().map(|&b| self.layer_latency_kv(gpu, tp_width, spec, w, b, kv_bits)).sum()
     }
 
     /// Master-engine (embedding + logits) latency; not regression-fitted
@@ -220,6 +234,7 @@ impl CostDb {
 mod tests {
     use super::*;
     use llmpq_model::zoo;
+    use llmpq_sim::layer_latency;
 
     #[test]
     fn solve3_inverts_known_system() {
@@ -290,6 +305,30 @@ mod tests {
         let pred = db.layer_latency(GpuModel::A100_40G, &spec, &w, Bitwidth::Int4);
         let truth = layer_latency(&GpuModel::A100_40G.spec(), &env, &spec, &w, Bitwidth::Int4, 16.0);
         assert_eq!(pred, truth);
+    }
+
+    #[test]
+    fn oracle_prices_a_tp_group_through_the_tp_model() {
+        let spec = zoo::bloom_176b();
+        let env = KernelEnv::default();
+        let db = CostDb::oracle(&env);
+        let w = PhaseWorkload::prefill(8, 512);
+        let dev = GpuModel::A800_80G.spec();
+        let solo = db.layer_latency_kv(GpuModel::A800_80G, 1, &spec, &w, Bitwidth::Int8, 16.0);
+        assert_eq!(solo.to_bits(), layer_latency(&dev, &env, &spec, &w, Bitwidth::Int8, 16.0).to_bits());
+        let group = db.layer_latency_kv(GpuModel::A800_80G, 4, &spec, &w, Bitwidth::Int8, 16.0);
+        let tp = llmpq_sim::tp_layer_latency(&dev, &env, &TpGroup::nvlink(4), &spec, &w, Bitwidth::Int8, 16.0);
+        assert_eq!(group.to_bits(), tp.to_bits());
+        assert!(group < solo);
+    }
+
+    #[test]
+    #[should_panic(expected = "no model for T4-16G ×2")]
+    fn fitted_db_refuses_a_tp_group() {
+        let spec = zoo::opt_13b();
+        let env = KernelEnv::default();
+        let db = CostDb::fit(&[GpuModel::T4_16G.spec()], &env, &spec, &ProfilerConfig::default());
+        db.layer_latency_kv(GpuModel::T4_16G, 2, &spec, &PhaseWorkload::prefill(1, 128), Bitwidth::Fp16, 16.0);
     }
 
     #[test]

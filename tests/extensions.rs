@@ -29,19 +29,18 @@ fn tensor_parallel_sweep_covers_all_widths_feasibly() {
     let cluster = paper_cluster(11);
     let spec = zoo::bloom_176b();
     let job = BatchJob::paper_default();
-    let out = tp_sweep(
-        &cluster,
-        &spec,
-        &job,
-        &KernelEnv::default(),
-        &flat_indicator(spec.n_layers),
-        0.1,
-        10,
-    );
+    let cfg = AssignerConfig {
+        theta: 0.1,
+        solver: SolverChoice::Dp { group: 10 },
+        dp_grid: Some(12),
+        ..AssignerConfig::default()
+    };
+    let out = tp_sweep(&cluster, &spec, &job, &KernelEnv::default(), &flat_indicator(spec.n_layers), &cfg);
     assert_eq!(out.len(), 3, "TP widths 1/2/4 on 4×A800");
-    for o in &out {
-        assert!(o.throughput > 0.0 && o.total_latency > 0.0, "width {}", o.tp_width);
-        assert!(o.n_stages >= 1 && o.n_stages <= 4 / o.tp_width);
+    for (width, o) in &out {
+        let o = o.as_ref().unwrap_or_else(|e| panic!("width {width}: {e}"));
+        assert!(o.report.throughput > 0.0 && o.report.total_latency > 0.0, "width {width}");
+        assert!(!o.plan.stages.is_empty() && o.plan.stages.len() <= 4 / width);
     }
 }
 
