@@ -16,7 +16,8 @@ use llmpq_cost::{link_crosscheck, LinkObservation};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{Bitwidth, Rounding};
 use llmpq_runtime::{
-    run_master, run_stage, DistMasterConfig, DistStageConfig, Pipeline, Telemetry, WireFaultPlan,
+    run_stage, DistMasterConfig, DistStageConfig, Pipeline, TcpServingRing, Telemetry,
+    WireFaultPlan,
 };
 use llmpq_workload::MicrobatchPlan;
 use std::net::TcpListener;
@@ -74,9 +75,11 @@ pub fn run(out: &mut Out, _: &Args) {
         })
         .collect();
     let telemetry = Telemetry::new(plan.stages.len());
-    let cfg = DistMasterConfig { telemetry: Some(telemetry), ..Default::default() };
+    let cfg = DistMasterConfig { telemetry: Some(telemetry.clone()), ..Default::default() };
     let t0 = Instant::now();
-    let dist = run_master(&checkpoint, &plan, &prompts, N_GENERATE, &listener, &cfg)
+    let mut ring = TcpServingRing::establish(&plan, listener, &cfg).expect("stage fleet checks in");
+    let dist = Pipeline::new(&checkpoint, &plan)
+        .run_on(&mut ring, &prompts, N_GENERATE)
         .expect("distributed run");
     let tcp_wall = t0.elapsed().as_secs_f64();
     for h in stage_handles {
@@ -84,11 +87,12 @@ pub fn run(out: &mut Out, _: &Args) {
     }
 
     assert_eq!(dist.tokens, local.tokens, "TCP transport must not perturb tokens");
-    assert!(dist.admission.conserves(0), "admission invariant: {:?}", dist.admission);
+    // The ring merged every stage's reported link counters into the hub.
+    let link_stats = telemetry.link_stats();
 
     let mut t = TextTable::new(&["Transport", "Wall (s)", "Tokens", "Bytes on wire", "Comm (s)"]);
-    let total_bytes: u64 = dist.link_stats.iter().map(|l| l.bytes_tx).sum();
-    let total_comm: f64 = dist.link_stats.iter().map(|l| l.comm_s()).sum();
+    let total_bytes: u64 = link_stats.iter().map(|l| l.bytes_tx).sum();
+    let total_comm: f64 = link_stats.iter().map(|l| l.comm_s()).sum();
     t.row(vec![
         "channels (1 process)".into(),
         format!("{channel_wall:.3}"),
@@ -105,8 +109,7 @@ pub fn run(out: &mut Out, _: &Args) {
     ]);
     out.table(&t);
 
-    let obs: Vec<LinkObservation> = dist
-        .link_stats
+    let obs: Vec<LinkObservation> = link_stats
         .iter()
         .enumerate()
         .map(|(i, l)| LinkObservation {

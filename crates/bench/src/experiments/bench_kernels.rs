@@ -155,6 +155,10 @@ struct LayerRow {
     gemm_us: f64,
     /// `layer_us / gemm_us`: 1 would be a layer that is only its GEMMs.
     layer_over_gemm: f64,
+    /// Min and max of the per-round quotients behind `layer_over_gemm`:
+    /// how far the host's noise moves it within one run.
+    #[serde(default)]
+    layer_over_gemm_rounds: [f64; 2],
 }
 
 /// The int4 `ref256x4` model's four layers over one prefill chunk of `m`
@@ -237,12 +241,18 @@ struct Section {
     /// precision, the median of per-round quotients; in a vector
     /// instantiation the gate is ≥ [`MIN_DECODE_SPEEDUP_VECTOR`].
     decode_speedup_vs_f32: Vec<(String, f64)>,
+    /// Min and max of the per-round quotients behind each
+    /// `decode_speedup_vs_f32` entry.
+    decode_speedup_vs_f32_rounds: Vec<(String, [f64; 2])>,
     /// Fused-int8 time over fused-int4 time at the 4096² decode, the
     /// median of per-round quotients: int4 streams half the bytes, and
     /// both precisions spend about one instruction per weight converting
     /// and accumulating it in registers. In a vector instantiation the
     /// gate is ≥ [`MIN_INT4_OVER_INT8_VECTOR`].
     int4_over_int8_decode: f64,
+    /// Min and max of the per-round quotients behind
+    /// `int4_over_int8_decode`.
+    int4_over_int8_decode_rounds: [f64; 2],
     /// Fused `m = 64` time per row over fused `m = 1` time at the
     /// prefill shape, per precision; in a vector instantiation the gate
     /// is ≤ [`MAX_PREFILL_AMORTISATION`].
@@ -369,6 +379,11 @@ fn time_rounds(iters: usize, rounds: usize, kernels: &mut [TimedKernel<'_>]) -> 
 /// The fastest of a kernel's rounds.
 fn best(rounds: &[f64]) -> f64 {
     rounds.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// Min and max of per-round quotients.
+fn round_range(quotients: &[f64]) -> [f64; 2] {
+    [best(quotients), quotients.iter().copied().fold(f64::NEG_INFINITY, f64::max)]
 }
 
 /// [`time_rounds`]' best round per kernel.
@@ -723,8 +738,17 @@ fn layer_suite(quick: bool) -> (f64, Vec<AttentionRow>, Vec<LayerRow>) {
                 ),
             ];
             let iters = if m == 1 { 100 } else { 5 };
-            let s = time_interleaved(iters, rounds, &mut kernels);
-            LayerRow { m, past, layer_us: s[0] * 1e6, gemm_us: s[1] * 1e6, layer_over_gemm: s[0] / s[1] }
+            let t = time_rounds(iters, rounds, &mut kernels);
+            let (layer_s, gemm_s) = (best(&t[0]), best(&t[1]));
+            let per_round: Vec<f64> = t[0].iter().zip(&t[1]).map(|(l, g)| l / g).collect();
+            LayerRow {
+                m,
+                past,
+                layer_us: layer_s * 1e6,
+                gemm_us: gemm_s * 1e6,
+                layer_over_gemm: layer_s / gemm_s,
+                layer_over_gemm_rounds: round_range(&per_round),
+            }
         })
         .collect();
     (gelu_ns_per_elem, attention, layer)
@@ -939,19 +963,22 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     // of one round's quotient. The 64 MB dense call follows the host's
     // bandwidth state, and a quotient of two best-of-rounds times can set
     // one kernel's fast round against the other's slow one.
+    // Each comes with the min and max of its per-round quotients.
     let decode_quotient = |num: &str, den: &str| {
         let rounds = |kernel: &str| &decode_rounds.iter().find(|(k, _)| k == kernel).expect("decode kernel timed").1;
-        median(rounds(num).iter().zip(rounds(den)).map(|(n, d)| n / d).collect())
+        let per_round: Vec<f64> = rounds(num).iter().zip(rounds(den)).map(|(n, d)| n / d).collect();
+        let range = round_range(&per_round);
+        (median(per_round), range)
     };
-    let decode_speedup_vs_f32: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
-        .iter()
-        .map(|b| {
-            let kernel = format!("fused-{b}");
-            let speedup = decode_quotient("dense-f32", &kernel);
-            (kernel, speedup)
-        })
-        .collect();
-    let int4_over_int8_decode = decode_quotient("fused-int8", "fused-int4");
+    let mut decode_speedup_vs_f32 = Vec::new();
+    let mut decode_speedup_vs_f32_rounds = Vec::new();
+    for b in [Bitwidth::Int8, Bitwidth::Int4] {
+        let kernel = format!("fused-{b}");
+        let (speedup, range) = decode_quotient("dense-f32", &kernel);
+        decode_speedup_vs_f32.push((kernel.clone(), speedup));
+        decode_speedup_vs_f32_rounds.push((kernel, range));
+    }
+    let (int4_over_int8_decode, int4_over_int8_decode_rounds) = decode_quotient("fused-int8", "fused-int4");
     say!(out,
         "fused {} dequant-then-f32 in decode; 4096² decode vs dense f32: {}; int4 runs at {:.2}x int8 ({})",
         if fused_beats_dequant { "beats" } else { "DOES NOT beat" },
@@ -996,13 +1023,17 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         stack,
         fused_beats_dequant_decode: fused_beats_dequant,
         decode_speedup_vs_f32,
+        decode_speedup_vs_f32_rounds,
         int4_over_int8_decode,
+        int4_over_int8_decode_rounds,
         prefill_amortisation,
     }
 }
 
 /// The gates of one run. A failed gate is kept with its value, bar and
-/// margin, so that a run reports every verdict before it fails.
+/// margin — and, for a quotient timed over rounds, the min and max of
+/// its per-round quotients — so that a run reports every verdict before
+/// it fails.
 #[derive(Default)]
 struct Gates {
     checked: usize,
@@ -1010,11 +1041,12 @@ struct Gates {
 }
 
 impl Gates {
-    fn record(&mut self, ok: bool, what: String, value: f64, op: &str, bar: f64) {
+    fn record(&mut self, ok: bool, what: String, value: f64, rounds: Option<[f64; 2]>, op: &str, bar: f64) {
         self.checked += 1;
         if !ok {
+            let rounds = rounds.map_or(String::new(), |[lo, hi]| format!(" (rounds {lo:.2}-{hi:.2})"));
             self.failed.push(format!(
-                "{what}: {value:.2}, bar {op} {bar:.2}, off by {:.2} ({:.1} %)",
+                "{what}: {value:.2}{rounds}, bar {op} {bar:.2}, off by {:.2} ({:.1} %)",
                 (value - bar).abs(),
                 100.0 * (value - bar).abs() / bar.abs()
             ));
@@ -1022,15 +1054,15 @@ impl Gates {
     }
 
     fn at_least(&mut self, what: String, value: f64, bar: f64) {
-        self.record(value >= bar, what, value, ">=", bar);
+        self.record(value >= bar, what, value, None, ">=", bar);
     }
 
     fn at_most(&mut self, what: String, value: f64, bar: f64) {
-        self.record(value <= bar, what, value, "<=", bar);
+        self.record(value <= bar, what, value, None, "<=", bar);
     }
 
     fn below(&mut self, what: String, value: f64, bar: f64) {
-        self.record(value < bar, what, value, "<", bar);
+        self.record(value < bar, what, value, None, "<", bar);
     }
 
     /// Print every failed gate, then fail the run if there was one.
@@ -1072,16 +1104,22 @@ fn check_ordering(out: &mut Out, s: &Section, gates: &mut Gates) {
              fmaf call, as dear per row at m = {CHUNK_M} as at m = 1)"
         );
     } else {
-        for (kernel, speedup) in &s.decode_speedup_vs_f32 {
-            gates.at_least(
+        for ((kernel, speedup), (_, rounds)) in s.decode_speedup_vs_f32.iter().zip(&s.decode_speedup_vs_f32_rounds) {
+            gates.record(
+                *speedup >= MIN_DECODE_SPEEDUP_VECTOR,
                 format!("{isa} {kernel}: 4096² decode speedup over dense f32"),
                 *speedup,
+                Some(*rounds),
+                ">=",
                 MIN_DECODE_SPEEDUP_VECTOR,
             );
         }
-        gates.at_least(
+        gates.record(
+            s.int4_over_int8_decode >= MIN_INT4_OVER_INT8_VECTOR,
             format!("{isa}: fused-int4 4096² decode speed over fused-int8's"),
             s.int4_over_int8_decode,
+            Some(s.int4_over_int8_decode_rounds),
+            ">=",
             MIN_INT4_OVER_INT8_VECTOR,
         );
         for (kernel, ratio) in &s.prefill_amortisation {
@@ -1108,9 +1146,12 @@ fn check_ordering(out: &mut Out, s: &Section, gates: &mut Gates) {
             );
         }
         let decode = s.layer.iter().find(|r| (r.m, r.past) == (1, 150)).expect("decode layer row present");
-        gates.at_most(
+        gates.record(
+            decode.layer_over_gemm <= MAX_DECODE_LAYER_OVER_GEMM,
             format!("{isa} m = 1 on 150 cached: layer forward over its GEMMs"),
             decode.layer_over_gemm,
+            Some(decode.layer_over_gemm_rounds),
+            "<=",
             MAX_DECODE_LAYER_OVER_GEMM,
         );
     }
@@ -1131,9 +1172,12 @@ fn check_ordering(out: &mut Out, s: &Section, gates: &mut Gates) {
         say!(out, "{isa}: prefill fraction of the FMA peak not gated (the register block is AVX-512's)");
     }
     for r in s.layer.iter().filter(|r| r.m == CHUNK_M) {
-        gates.at_most(
+        gates.record(
+            r.layer_over_gemm <= MAX_LAYER_OVER_GEMM,
             format!("{isa} m = {} on {} cached: layer forward over its GEMMs", r.m, r.past),
             r.layer_over_gemm,
+            Some(r.layer_over_gemm_rounds),
+            "<=",
             MAX_LAYER_OVER_GEMM,
         );
     }
@@ -1155,11 +1199,15 @@ fn compare(out: &mut Out, now: &Section, was: &CommittedSection, gates: &mut Gat
         rows.iter().find(|(k, _)| k == kernel).map(|(_, v)| *v).expect("kernel present in both reports")
     };
     for (kernel, was) in &was.decode_speedup_vs_f32 {
+        let rounds = now.decode_speedup_vs_f32_rounds.iter().find(|(k, _)| k == kernel).map(|(_, r)| *r);
         let now = find(&now.decode_speedup_vs_f32, kernel);
         say!(out, "{isa} {kernel}: decode speedup over dense f32 {now:.2}x (committed {was:.2}x)");
-        gates.at_least(
+        gates.record(
+            now >= 0.9 * was,
             format!("{isa} {kernel}: decode speedup over dense f32 against committed {was:.2}x"),
             now,
+            rounds,
+            ">=",
             0.9 * was,
         );
     }
@@ -1169,22 +1217,21 @@ fn compare(out: &mut Out, now: &Section, was: &CommittedSection, gates: &mut Gat
         gates.at_most(format!("{isa} {kernel}: m = 64 row over m = 1 call against committed {was:.2}"), now, 1.1 * was);
     }
     for was in &was.layer {
-        let now = now
-            .layer
-            .iter()
-            .find(|r| (r.m, r.past) == (was.m, was.past))
-            .expect("layer shape present in both reports")
-            .layer_over_gemm;
+        let row = now.layer.iter().find(|r| (r.m, r.past) == (was.m, was.past)).expect("layer shape present in both reports");
+        let now = row.layer_over_gemm;
         say!(out,
             "{isa} m = {}, past = {}: layer over its GEMMs {now:.2} (committed {:.2})",
             was.m, was.past, was.layer_over_gemm
         );
-        gates.at_most(
+        gates.record(
+            now <= 1.1 * was.layer_over_gemm,
             format!(
                 "{isa} m = {}, past = {}: layer over its GEMMs against committed {:.2}",
                 was.m, was.past, was.layer_over_gemm
             ),
             now,
+            Some(row.layer_over_gemm_rounds),
+            "<=",
             1.1 * was.layer_over_gemm,
         );
     }

@@ -13,12 +13,12 @@
 //! which demonstrates the full flow and verifies the generated tokens
 //! against sequential execution.
 //!
-//! With `--fault-plan`, the run executes under the fault-tolerance
-//! supervisor: the JSON file (see `FaultPlan`) schedules worker crashes,
-//! hangs, stragglers, message drops/duplicates and permanent device
-//! losses; the supervisor detects them via heartbeats, restarts with
-//! backoff, and replans around lost devices (folding their layers into
-//! surviving stages), resuming from the lock-step token checkpoint.
+//! Every run is supervised. With `--fault-plan`, the JSON file (see
+//! `FaultPlan`) schedules worker crashes, hangs, stragglers, message
+//! drops/duplicates and permanent device losses; the supervisor detects
+//! them via heartbeats, restarts with backoff, and replans around lost
+//! devices (folding their layers into surviving stages), resuming from
+//! the lock-step token checkpoint.
 //!
 //! With `--trace-out` / `--metrics-out`, the run is observed by the
 //! telemetry layer: `--trace-out` writes a Chrome `trace_event` JSON
@@ -63,11 +63,16 @@
 //! `--wire-fault` injects transport faults (delayed / dropped /
 //! duplicated / corrupted frames, connection drops) from a JSON plan;
 //! the master's supervisor restarts the attempt on a lost connection.
+//! The master runs the same offline `Pipeline` as the in-process run,
+//! over the stage fleet. Each mode refuses (exit 2) a flag it does not
+//! read: a stage reads `--listen`, `--connect` and `--wire-fault`; the
+//! master `--listen`, `--wire-fault`, `--trace-out` and `--metrics-out`;
+//! the in-process run every other flag.
 
 use llm_pq::evaluate::{batch_latency, batch_profile};
 use llm_pq::{
     degradation_ladder, AssignerConfig, DegradationLadder, ExecutionPlan, IncrementalPlanner,
-    SolverChoice, DEFAULT_CAPS,
+    PlanOrigin, SolverChoice, DEFAULT_CAPS,
 };
 use llmpq_cli::Args;
 use llmpq_cluster::{paper_cluster, Cluster};
@@ -78,10 +83,11 @@ use llmpq_cost::{
 use llmpq_model::{zoo, ModelSpec, RefConfig, RefModel};
 use llmpq_quant::{random_indicator, Rounding};
 use llmpq_runtime::{
-    arrival_requests, run_master, run_stage, serve_trace_static, AdmissionConfig, AdmissionPolicy,
-    ContinuousConfig, ContinuousScheduler, DegradationConfig, DistMasterConfig, DistStageConfig,
-    FaultPlan, FleetPlanner, FoldReplanner, IterCost, Pipeline, Replanner, SimStepEngine,
-    SupervisorConfig, SwapRequest, Telemetry, WireFaultPlan,
+    arrival_requests, run_stage, serve_trace_static, AdmissionConfig, AdmissionController,
+    AdmissionPolicy, ContinuousConfig, ContinuousScheduler, DegradationConfig, DistMasterConfig,
+    DistStageConfig, FaultPlan, FleetPlanner, FoldReplanner, IterCost, Pipeline, Replanner,
+    Request, SimStepEngine, SupervisorConfig, SwapRequest, TcpServingRing, Telemetry,
+    WireFaultPlan,
 };
 use llmpq_sim::KernelEnv;
 use llmpq_workload::{sample_arrivals, BatchJob, OnlineConfig, PromptLengthModel};
@@ -103,8 +109,9 @@ multi-process mode (one OS process per stage + a master, TCP loopback or LAN):
            [--wire-fault wire.json] [--metrics-out metrics.txt] [--trace-out trace.json]
   stage:   llmpq-dist --strat_file_name s.json --stage I --listen HOST:0 --connect MASTER
            [--wire-fault wire.json]
-  (same strategy file / seed / batch / prompt-len everywhere; the master prints
-   'listening on HOST:PORT' on stdout once ready)";
+  (same strategy file / checkpoint / seed / batch / prompt-len / n-generate
+   everywhere; the master prints 'listening on HOST:PORT' on stdout once ready;
+   a flag the chosen mode does not read exits 2)";
 
 /// Every flag [`USAGE`] documents; anything else is a typo.
 const FLAGS: &[&str] = &[
@@ -113,6 +120,30 @@ const FLAGS: &[&str] = &[
     "admission", "deadline-ms", "degrade-ladder", "swap-at", "swap-to", "listen", "stage",
     "connect", "wire-fault", "help",
 ];
+
+/// Flags every process reads: they derive the plan, the stand-in
+/// checkpoint and the prompts, which must agree across a fleet.
+const SHARED_FLAGS: &[&str] =
+    &["strat_file_name", "checkpoint", "n-generate", "batch", "prompt-len", "seed", "help"];
+
+/// The mode `args` select — a stage process (`--stage`), the master of
+/// a stage fleet (`--listen`) or the in-process run — and the flags it
+/// reads besides [`SHARED_FLAGS`].
+fn mode(args: &Args) -> (&'static str, &'static [&'static str]) {
+    if args.get("stage").is_some() {
+        ("a stage process (--stage)", &["stage", "listen", "connect", "wire-fault"])
+    } else if args.get("listen").is_some() {
+        ("the master process (--listen)", &["listen", "wire-fault", "trace-out", "metrics-out"])
+    } else {
+        (
+            "the in-process run",
+            &[
+                "fault-plan", "trace-out", "metrics-out", "online-rate", "online-requests",
+                "max-queue", "admission", "deadline-ms", "degrade-ladder", "swap-at", "swap-to",
+            ],
+        )
+    }
+}
 
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)).and_then(|a| a.reject_unknown(FLAGS)) {
@@ -125,6 +156,16 @@ fn main() {
     if args.switch("help") {
         println!("{USAGE}");
         return;
+    }
+    // A flag the chosen mode would not read is refused, not ignored.
+    let (name, reads) = mode(&args);
+    let ignored = FLAGS.iter().find(|f| {
+        let given = args.get(f).is_some() || args.switch(f);
+        given && !SHARED_FLAGS.contains(f) && !reads.contains(f)
+    });
+    if let Some(flag) = ignored {
+        eprintln!("error: --{flag} is not read by {name}\n{USAGE}");
+        std::process::exit(2);
     }
     if let Err(e) = run(&args) {
         eprintln!("error: {e}\n{USAGE}");
@@ -217,25 +258,21 @@ fn run(args: &Args) -> Result<(), String> {
         BatchJob { global_batch: batch, prompt_len, n_generate },
         telemetry.clone(),
     );
-    let mut pipeline =
-        Pipeline::new(&checkpoint, &plan).quantizer(Rounding::Deterministic, seed).swaps(&swaps);
+    let mut pipeline = Pipeline::new(&checkpoint, &plan)
+        .quantizer(Rounding::Deterministic, seed)
+        .supervised(SupervisorConfig { max_queue, ..SupervisorConfig::default() })
+        .swaps(&swaps);
     if let Some(f) = &faults {
         pipeline = pipeline.faults(f);
-    }
-    if let Some(t) = &telemetry {
-        pipeline = pipeline.telemetry(t.clone());
-    }
-    // Fault recovery, bounded queues (the backpressure-aware master send
-    // loop) and live swaps all ride on the supervised run. A live swap
-    // keeps the stage count and a replan shrinks it, so a swap run goes
-    // without the replanner.
-    let supervised = faults.is_some() || max_queue.is_some() || !swaps.is_empty();
-    if supervised {
-        let cfg = SupervisorConfig { max_queue, ..SupervisorConfig::default() };
-        pipeline = pipeline.supervised(cfg);
+        // Only a fault plan loses a device in-process. A live swap keeps
+        // the stage count and a replan shrinks it, so a swap run goes
+        // without the replanner.
         if swaps.is_empty() {
             pipeline = pipeline.replanner(&replanner);
         }
+    }
+    if let Some(t) = &telemetry {
+        pipeline = pipeline.telemetry(t.clone());
     }
     let out = pipeline.run(&prompts, n_generate).map_err(|e| e.to_string())?;
     for ev in &out.events {
@@ -244,14 +281,12 @@ fn run(args: &Args) -> Result<(), String> {
             ev.attempt, ev.error, ev.action, ev.checkpointed_tokens
         );
     }
-    if supervised {
-        eprintln!(
-            "supervisor: {} restarts, {} replans, final plan has {} stages",
-            out.restarts,
-            out.replans,
-            out.final_plan.stages.len()
-        );
-    }
+    eprintln!(
+        "supervisor: {} restarts, {} replans, final plan has {} stages",
+        out.restarts,
+        out.replans,
+        out.final_plan.stages.len()
+    );
     for (i, r) in out.swaps.iter().enumerate() {
         if r.committed {
             println!(
@@ -375,7 +410,7 @@ impl Replanner for DistReplanner {
         let Some(planner) = &self.planner else {
             let plan = FoldReplanner.replan(old, lost)?;
             if let Some(t) = &self.telemetry {
-                t.note_plan_origin("heuristic");
+                t.note_plan_origin(PlanOrigin::Heuristic);
             }
             self.origins.lock().unwrap().push("fold".into());
             return Ok(plan);
@@ -383,11 +418,10 @@ impl Replanner for DistReplanner {
         let mut planner = planner.lock().expect("a replan panicked while holding the planner");
         match planner.replan(lost, &BTreeSet::new()) {
             Ok(out) => {
-                let origin = out.origin.to_string();
                 if let Some(t) = &self.telemetry {
-                    t.note_plan_origin(&origin);
+                    t.note_plan_origin(out.origin);
                 }
-                self.origins.lock().unwrap().push(origin);
+                self.origins.lock().unwrap().push(out.origin.to_string());
                 Ok(out.plan)
             }
             Err(e) => {
@@ -474,14 +508,40 @@ fn run_master_process(
     let _ = std::io::stdout().flush();
     eprintln!("master: waiting for {} stage process(es) to check in", plan.stages.len());
 
+    // Closed-batch admission accounting: the whole batch is offered,
+    // dispatched and (once generated) served through the controller, so
+    // the conservation invariant is checked on the distributed path too.
+    let mut admission = AdmissionController::new(AdmissionConfig {
+        policy: AdmissionPolicy::Reject,
+        max_queue: prompts.len().max(1),
+        ..AdmissionConfig::default()
+    });
+    for (id, prompt) in prompts.iter().enumerate() {
+        let req =
+            Request { id, arrival_s: 0.0, prompt: prompt.clone(), n_generate, deadline_s: None, priority: 0 };
+        if !admission.offer(req, 0.0) {
+            return Err("admission rejected a batch prompt".into());
+        }
+    }
+    while admission.take().is_some() {} // dispatch the whole batch
+
     let telemetry = Telemetry::new(plan.stages.len());
-    let cfg = DistMasterConfig {
-        supervisor: SupervisorConfig::default(),
-        wire_faults,
-        telemetry: Some(telemetry.clone()),
-    };
-    let out =
-        run_master(checkpoint, plan, prompts, n_generate, &listener, &cfg).map_err(|e| e.to_string())?;
+    let cfg = DistMasterConfig { wire_faults, telemetry: Some(telemetry.clone()) };
+    let mut ring = TcpServingRing::establish(plan, listener, &cfg).map_err(|e| e.to_string())?;
+    let out = Pipeline::new(checkpoint, plan)
+        .run_on(&mut ring, prompts, n_generate)
+        .map_err(|e| e.to_string())?;
+    admission.note_served(prompts.len());
+    let stats = admission.stats();
+    if !stats.conserves(admission.pending()) {
+        return Err(format!(
+            "admission conservation violated: {stats:?} pending={}",
+            admission.pending()
+        ));
+    }
+    // The hub counted the master's own two links; the stage reports the
+    // ring merged at the end of the run filled in the rest.
+    let link_stats = telemetry.link_stats();
 
     if let Some(path) = args.get("trace-out") {
         std::fs::write(path, telemetry.to_chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
@@ -490,8 +550,7 @@ fn run_master_process(
 
     // Interconnect-model cross-check: the α-β loopback link vs the
     // transfer time the transport actually observed per link.
-    let obs: Vec<LinkObservation> = out
-        .link_stats
+    let obs: Vec<LinkObservation> = link_stats
         .iter()
         .enumerate()
         .map(|(i, l)| LinkObservation {
@@ -519,16 +578,16 @@ fn run_master_process(
     );
     println!(
         "admission: offered {} served {} shed {} expired {} (conserved={})",
-        out.admission.offered,
-        out.admission.served,
-        out.admission.shed,
-        out.admission.expired,
-        out.admission.conserves(0)
+        stats.offered,
+        stats.served,
+        stats.shed,
+        stats.expired,
+        stats.conserves(0)
     );
     for (i, toks) in out.tokens.iter().enumerate() {
         println!("seq {i}: {toks:?}");
     }
-    for (i, l) in out.link_stats.iter().enumerate() {
+    for (i, l) in link_stats.iter().enumerate() {
         eprintln!(
             "link {i}: {} B tx / {} B rx, {} frames, {:.4}s comm, {} corrupt",
             l.bytes_tx,

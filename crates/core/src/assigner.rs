@@ -262,9 +262,11 @@ fn build_problem_cached(
         layer0 += gsz;
     }
 
-    // Fixed per-device memory: framework + workspace arena (worst case
-    // over precisions and phases at this micro-batch sizing) +
-    // embeddings on the master's device (pipeline position 0).
+    // Fixed per-device memory: one framework context per GPU (a
+    // tensor-parallel group holds `tp_width`) + one workspace arena
+    // (worst case over precisions and phases at this micro-batch sizing;
+    // a group splits it between its members) + embeddings on the
+    // master's device (pipeline position 0).
     let workspace = bits_set
         .iter()
         .map(|&b| {
@@ -273,7 +275,10 @@ fn build_problem_cached(
             pw.max(dw)
         })
         .fold(0.0f64, f64::max);
-    let mut fixed_mem = vec![FRAMEWORK_BYTES + round_block(workspace); n];
+    let mut fixed_mem: Vec<f64> = ordering
+        .iter()
+        .map(|&i| FRAMEWORK_BYTES * cluster.devices[i].tp_width as f64 + round_block(workspace))
+        .collect();
     fixed_mem[0] += round_block(spec.embedding_bytes());
 
     let capacity: Vec<f64> =

@@ -148,9 +148,15 @@ pub fn batch_latency(
     simulate_pipeline(&loads, &wl).total_latency
 }
 
-/// Predicted peak memory per stage (embedding charged to stage 0, which
-/// co-hosts the master engine).
-pub fn stage_memories(plan: &ExecutionPlan, spec: &ModelSpec, job: &BatchJob) -> Vec<f64> {
+/// Predicted peak memory per stage on `cluster`'s devices (embedding
+/// charged to stage 0, which co-hosts the master engine; one framework
+/// context per GPU of a tensor-parallel group).
+pub fn stage_memories(
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+    spec: &ModelSpec,
+    job: &BatchJob,
+) -> Vec<f64> {
     plan.stages
         .iter()
         .enumerate()
@@ -164,6 +170,7 @@ pub fn stage_memories(plan: &ExecutionPlan, spec: &ModelSpec, job: &BatchJob) ->
                 job.n_generate,
                 plan.kv_bits as f64,
                 i == 0,
+                cluster.devices[s.device].tp_width,
             )
         })
         .collect()
@@ -185,7 +192,7 @@ pub fn evaluate_plan(
     }
 
     // Memory feasibility.
-    let mems = stage_memories(plan, spec, job);
+    let mems = stage_memories(plan, cluster, spec, job);
     for (i, (&m, s)) in mems.iter().zip(&plan.stages).enumerate() {
         let cap = cluster.devices[s.device].mem_bytes();
         if m > cap {
@@ -336,10 +343,10 @@ mod tests {
         let mut plan = simple_plan(spec.n_layers, 4, Bitwidth::Int8, "t");
         plan.microbatch.prefill_size = 32;
         plan.microbatch.prefill_count = 1;
-        let big = stage_memories(&plan, &spec, &job);
+        let big = stage_memories(&plan, &paper_cluster(3), &spec, &job);
         plan.microbatch.prefill_size = 1;
         plan.microbatch.prefill_count = 32;
-        let small = stage_memories(&plan, &spec, &job);
+        let small = stage_memories(&plan, &paper_cluster(3), &spec, &job);
         assert!(small[1] < big[1]);
     }
 }

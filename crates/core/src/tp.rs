@@ -157,6 +157,41 @@ mod tests {
     }
 
     #[test]
+    fn a_fold_reserves_one_framework_context_per_member() {
+        // Cluster 11 folded at width 4 is one device of four A800s, with
+        // their memory: the DP's fixed memory and evaluate_plan's stage
+        // prediction both charge the four GPUs' framework contexts
+        // (1.8 GB more than one), and nothing else changes.
+        use crate::assigner::build_problem;
+        use crate::evaluate::stage_memories;
+        use crate::plan::ExecutionPlan;
+        use llmpq_cost::FRAMEWORK_BYTES;
+        use llmpq_quant::Bitwidth;
+        use llmpq_workload::MicrobatchPlan;
+        let spec = zoo::bloom_176b();
+        let job = BatchJob::paper_default();
+        let db = CostDb::oracle(&KernelEnv::default());
+        let flat = paper_cluster(11);
+        let fold = virtual_devices(&flat, 4).unwrap();
+        let mb = MicrobatchPlan { prefill_size: 4, prefill_count: 8, decode_size: 8, decode_count: 4 };
+        let fixed = |c: &Cluster| {
+            let bits = [Bitwidth::Int4, Bitwidth::Int8];
+            build_problem(c, &[0], &spec, &job, &db, None, 0.0, &mb, 10, &bits, true, None, 16.0)
+                .0
+                .fixed_mem[0]
+        };
+        assert_eq!(fixed(&fold) - fixed(&flat), 3.0 * FRAMEWORK_BYTES);
+        let plan = ExecutionPlan::contiguous(
+            &spec.name,
+            &fold.name,
+            vec![vec![Bitwidth::Int4; spec.n_layers]],
+            mb,
+        );
+        let on = |c: &Cluster| stage_memories(&plan, c, &spec, &job)[0];
+        assert_eq!(on(&fold) - on(&flat), 3.0 * FRAMEWORK_BYTES);
+    }
+
+    #[test]
     fn invalid_width_rejected() {
         let c = paper_cluster(3); // groups of 3 and 1
         assert!(virtual_devices(&c, 2).is_none());

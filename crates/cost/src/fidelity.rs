@@ -58,7 +58,7 @@ pub fn memory_fidelity(spec: &ModelSpec, cases: usize, seed: u64) -> FidelityRep
             .map(|_| Bitwidth::ALL[rng.gen_range(0..4)])
             .collect();
         let with_embed = rng.gen_bool(0.3);
-        let pred = stage_memory_bytes(spec, &bits, batch, batch, s, n, 16.0, with_embed);
+        let pred = stage_memory_bytes(spec, &bits, batch, batch, s, n, 16.0, with_embed, 1);
         let meas = measured_peak_memory(spec, &bits, batch, batch, s, n, 16.0, with_embed);
         errs.push((pred - meas).abs() / meas);
     }

@@ -39,7 +39,7 @@ pub struct MemoryBreakdown {
     pub workspace: f64,
     /// Embedding tables (0 unless this stage hosts the master engine).
     pub embedding: f64,
-    /// Fixed framework cost.
+    /// Fixed framework cost: one context per GPU of the device.
     pub framework: f64,
 }
 
@@ -61,7 +61,10 @@ fn scale_overhead(spec: &ModelSpec, bits: Bitwidth) -> f64 {
 }
 
 /// Predict the peak memory of a stage owning `layer_bits` under the
-/// job shape `(batch, prompt_len, n_generate)` with KV at `kv_bits`.
+/// job shape `(batch, prompt_len, n_generate)` with KV at `kv_bits`, on
+/// a device of `tp_width` GPUs (1, or a tensor-parallel group): every
+/// GPU holds a framework context, while the group splits one workspace
+/// arena between its members.
 #[allow(clippy::too_many_arguments)]
 pub fn stage_memory(
     spec: &ModelSpec,
@@ -72,6 +75,7 @@ pub fn stage_memory(
     n_generate: usize,
     kv_bits: f64,
     with_embedding: bool,
+    tp_width: usize,
 ) -> MemoryBreakdown {
     assert!(!layer_bits.is_empty(), "stage must own at least one layer");
     let seq = prompt_len + n_generate;
@@ -96,7 +100,7 @@ pub fn stage_memory(
         kv_cache,
         workspace: round_block(workspace),
         embedding: if with_embedding { round_block(spec.embedding_bytes()) } else { 0.0 },
-        framework: FRAMEWORK_BYTES,
+        framework: FRAMEWORK_BYTES * tp_width as f64,
     }
 }
 
@@ -111,9 +115,20 @@ pub fn stage_memory_bytes(
     n_generate: usize,
     kv_bits: f64,
     with_embedding: bool,
+    tp_width: usize,
 ) -> f64 {
-    stage_memory(spec, layer_bits, kv_batch, micro_batch, prompt_len, n_generate, kv_bits, with_embedding)
-        .total()
+    stage_memory(
+        spec,
+        layer_bits,
+        kv_batch,
+        micro_batch,
+        prompt_len,
+        n_generate,
+        kv_bits,
+        with_embedding,
+        tp_width,
+    )
+    .total()
 }
 
 #[cfg(test)]
@@ -134,7 +149,7 @@ mod tests {
             (Bitwidth::Int3, 3, 256, 120),
         ] {
             let layers = vec![bits; 10];
-            let pred = stage_memory_bytes(&spec, &layers, batch, batch, s, n, 16.0, false);
+            let pred = stage_memory_bytes(&spec, &layers, batch, batch, s, n, 16.0, false, 1);
             let meas = measured_peak_memory(&spec, &layers, batch, batch, s, n, 16.0, false);
             let err = (pred - meas).abs() / meas;
             assert!(err < 0.01, "{bits} b{batch} s{s}: err {:.3}%", err * 100.0);
@@ -144,7 +159,7 @@ mod tests {
     #[test]
     fn breakdown_sums_to_total() {
         let spec = zoo::opt_30b();
-        let b = stage_memory(&spec, &[Bitwidth::Int4; 12], 8, 8, 512, 100, 16.0, true);
+        let b = stage_memory(&spec, &[Bitwidth::Int4; 12], 8, 8, 512, 100, 16.0, true, 1);
         let total = b.weights + b.kv_cache + b.workspace + b.embedding + b.framework;
         assert_eq!(total, b.total());
         assert!(b.embedding > 0.0);
@@ -153,20 +168,20 @@ mod tests {
     #[test]
     fn mixed_precision_between_uniform_bounds() {
         let spec = zoo::opt_13b();
-        let lo = stage_memory_bytes(&spec, &[Bitwidth::Int4; 8], 8, 8, 512, 100, 16.0, false);
-        let hi = stage_memory_bytes(&spec, &[Bitwidth::Fp16; 8], 8, 8, 512, 100, 16.0, false);
+        let lo = stage_memory_bytes(&spec, &[Bitwidth::Int4; 8], 8, 8, 512, 100, 16.0, false, 1);
+        let hi = stage_memory_bytes(&spec, &[Bitwidth::Fp16; 8], 8, 8, 512, 100, 16.0, false, 1);
         let mut mixed = vec![Bitwidth::Int4; 8];
         mixed[0] = Bitwidth::Fp16;
         mixed[1] = Bitwidth::Fp16;
-        let m = stage_memory_bytes(&spec, &mixed, 8, 8, 512, 100, 16.0, false);
+        let m = stage_memory_bytes(&spec, &mixed, 8, 8, 512, 100, 16.0, false, 1);
         assert!(lo < m && m < hi);
     }
 
     #[test]
     fn kv_dominates_long_generations() {
         let spec = zoo::opt_66b();
-        let short = stage_memory(&spec, &[Bitwidth::Int4; 16], 32, 32, 512, 10, 16.0, false);
-        let long = stage_memory(&spec, &[Bitwidth::Int4; 16], 32, 32, 512, 1500, 16.0, false);
+        let short = stage_memory(&spec, &[Bitwidth::Int4; 16], 32, 32, 512, 10, 16.0, false, 1);
+        let long = stage_memory(&spec, &[Bitwidth::Int4; 16], 32, 32, 512, 1500, 16.0, false, 1);
         assert!(long.kv_cache > 2.0 * short.kv_cache);
         assert_eq!(long.weights, short.weights);
     }

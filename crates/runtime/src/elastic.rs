@@ -30,7 +30,7 @@
 //!   deltas) over a fixed device pool. The simulation plans with it,
 //!   and so does `llmpq-dist`'s device-loss replanner (behind
 //!   `supervisor::Replanner`). A planner failure is *typed*
-//!   ([`PlanFailure`]): the controller holds the old, still-serving
+//!   ([`ReplanError`]): the controller holds the old, still-serving
 //!   plan and raises [`FleetAlarms::infeasible_fleet`] — it never
 //!   panics and never commits a plan referencing a dead device. A
 //!   target equal to the plan in force (say, a joiner the planner
@@ -72,37 +72,6 @@ pub struct FleetEvent {
     pub at_us: u64,
 }
 
-/// Typed planner failure. The controller maps every variant to
-/// "hold the old plan + raise an alarm"; the variants exist so
-/// telemetry and operators can tell *why* the fleet can't be replanned.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlanFailure {
-    /// No live devices remain.
-    NoDevices,
-    /// The survivors cannot hold the model even at the lowest
-    /// quantization rung.
-    Infeasible {
-        /// Live devices the planner had to work with.
-        devices: usize,
-        /// Solver/heuristic diagnostics.
-        reason: String,
-    },
-    /// Any other planner error (bad config, internal failure).
-    Other(String),
-}
-
-impl std::fmt::Display for PlanFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanFailure::NoDevices => write!(f, "no live devices to plan on"),
-            PlanFailure::Infeasible { devices, reason } => {
-                write!(f, "infeasible on {devices} device(s): {reason}")
-            }
-            PlanFailure::Other(e) => write!(f, "planner error: {e}"),
-        }
-    }
-}
-
 /// The controller's view of the fleet, handed to the planner.
 #[derive(Debug)]
 pub struct FleetView<'a> {
@@ -120,7 +89,10 @@ pub trait ElasticPlanner {
     /// Plan onto exactly the live devices in `view`. The returned
     /// plan's device ids must be a subset of `view.live` — the
     /// controller re-checks and refuses to migrate otherwise.
-    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, PlanFailure>;
+    /// A failure is typed: the controller maps every variant to "hold
+    /// the old plan + raise an alarm"; the variants tell telemetry and
+    /// operators *why* the fleet can't be replanned.
+    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, ReplanError>;
 }
 
 /// The runtime's Algorithm-1 [`ElasticPlanner`]: an [`IncrementalPlanner`]
@@ -165,13 +137,9 @@ impl FleetPlanner {
 }
 
 impl ElasticPlanner for FleetPlanner {
-    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, PlanFailure> {
+    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, ReplanError> {
         let lost: Vec<usize> = (0..self.pool.len()).filter(|d| !view.live.contains(d)).collect();
-        self.replan(&lost, view.degraded).map(|out| out.plan).map_err(|e| match e {
-            ReplanError::AllDevicesLost { .. } => PlanFailure::NoDevices,
-            ReplanError::Infeasible { devices, reason } => PlanFailure::Infeasible { devices, reason },
-            ReplanError::Config(reason) => PlanFailure::Other(reason),
-        })
+        self.replan(&lost, view.degraded).map(|out| out.plan)
     }
 }
 
@@ -279,8 +247,8 @@ impl DebouncedPolicy {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetAlarms {
     /// Replans refused because the survivors cannot hold the model even
-    /// at the lowest rung (typed [`PlanFailure::Infeasible`] /
-    /// [`PlanFailure::NoDevices`]); the old plan stays in force.
+    /// at the lowest rung (typed [`ReplanError::Infeasible`] /
+    /// [`ReplanError::AllDevicesLost`]); the old plan stays in force.
     pub infeasible_fleet: u64,
     /// Migrations aborted back to the still-serving old plan (device
     /// lost mid-barrier, or the driver reported a barrier failure).
@@ -536,10 +504,10 @@ impl FleetController {
             }
             Err(failure) => {
                 match &failure {
-                    PlanFailure::NoDevices | PlanFailure::Infeasible { .. } => {
+                    ReplanError::AllDevicesLost { .. } | ReplanError::Infeasible { .. } => {
                         self.alarms.infeasible_fleet += 1;
                     }
-                    PlanFailure::Other(_) => self.alarms.planner_errors += 1,
+                    ReplanError::Config(_) => self.alarms.planner_errors += 1,
                 }
                 format!("replan failed ({failure}): holding old plan")
             }
@@ -783,10 +751,10 @@ mod tests {
         let mut p = planner();
         let none = BTreeSet::new();
         let mut plan = |live: BTreeSet<usize>| p.plan(&FleetView { live: &live, degraded: &none }).unwrap_err();
-        assert_eq!(plan([].into()), PlanFailure::NoDevices);
+        assert!(matches!(plan([].into()), ReplanError::AllDevicesLost { .. }));
         let err = plan([0].into());
-        assert!(matches!(err, PlanFailure::Infeasible { devices: 1, .. }), "{err:?}");
-        assert!(err.to_string().contains("infeasible on 1 device(s)"));
+        assert!(matches!(err, ReplanError::Infeasible { devices: 1, .. }), "{err:?}");
+        assert!(err.to_string().contains("infeasible on 1 survivors"));
         // A degraded device is planned one class down.
         let classes: Vec<GpuModel> = p.fleet(&[0, 2].into()).devices[..3].iter().map(|d| d.gpu).collect();
         assert_eq!(classes, [GpuModel::P100_12G, GpuModel::T4_16G, GpuModel::T4_16G]);

@@ -8,36 +8,31 @@
 //! asynchronous channels, mirroring the paper's per-GPU worker
 //! processes.
 //!
-//! Three things live here, each exactly once in the runtime:
+//! Two things live here, each exactly once in the runtime:
 //!
 //! * `Master` — the master's endpoint on a pipeline ring: send toward
 //!   stage 0 with backpressure, receive from the last stage with
 //!   duplicate suppression, and the master half of the two-phase
 //!   live-swap barrier. The offline generation loop
-//!   (`drive_generation`), the serving engine
-//!   ([`DistStepEngine`](crate::serve_dist::DistStepEngine)) and the
-//!   simulated master ([`crate::simnet`]) are three *drivers* of it —
-//!   a closed batch in lock step with several items in flight, one item
-//!   per scheduler call, the same under a virtual clock — over
-//!   channels, TCP or the simulated network alike. The first two stay
-//!   apart until the scheduler hands the engine a whole iteration
-//!   (ROADMAP item 1).
-//! * `AttemptLoop` — the restart loop over a [`ServingRing`]: dial an
-//!   attempt, drive generation, and on failure ask
-//!   `after_failed_attempt` — the one place a failed attempt is
-//!   classified, counted, bounded and answered, for this loop and for
-//!   the serving engine alike — then checkpoint, replan or back off,
-//!   log. [`Pipeline::run`] runs it over an in-process [`ChannelRing`],
-//!   [`run_master`](crate::net::dist::run_master) over the TCP fleet,
-//!   the [`crate::simnet`] master actor over the simulated network.
-//! * [`Pipeline`] — the one way to run a plan offline: a builder whose
-//!   options — quantizer settings, a [`FaultPlan`], a [`Telemetry`] hub,
-//!   supervision, a replanner, a live-swap schedule — are properties of
-//!   one run. Unsupervised, a run is one attempt that detects failures
-//!   by channel disconnect only and reports them;
-//!   [`Pipeline::supervised`] adds heartbeat and progress timeouts (hung
-//!   stages, dropped messages), bounded restarts from the lock-step
-//!   token checkpoint, and replan-on-device-loss.
+//!   (`drive_generation`) and the serving engine
+//!   ([`DistStepEngine`](crate::serve_dist::DistStepEngine)) are its two
+//!   *drivers* — a closed batch in lock step with several items in
+//!   flight, one item per scheduler call — over channels, TCP or the
+//!   simulated network alike. They stay apart until the scheduler hands
+//!   the engine a whole iteration (ROADMAP item 3).
+//! * [`Pipeline`] — the one offline master: a builder whose options —
+//!   supervision, a replanner, a live-swap schedule, and for the
+//!   in-process ring [`run`](Pipeline::run) builds, quantizer settings,
+//!   a [`FaultPlan`] and a [`Telemetry`] hub — are properties of one
+//!   run. [`run_on`](Pipeline::run_on) drives a ring built elsewhere:
+//!   the TCP stage fleet ([`TcpServingRing`](crate::TcpServingRing)) or,
+//!   inside the crate, the [`crate::simnet`] network. Every run is
+//!   supervised: heartbeat and progress timeouts (hung stages, dropped
+//!   messages), restarts from the lock-step token checkpoint bounded by
+//!   [`SupervisorConfig::max_restarts`] (`0` = one attempt), and
+//!   replan-on-device-loss. A failed attempt is classified, counted and
+//!   answered by `after_failed_attempt`, the one place the serving
+//!   engine asks too.
 
 use crate::clock::{real_clock, Clock};
 use crate::fault::{FaultInjector, FaultPlan, Heartbeats};
@@ -127,10 +122,9 @@ pub struct RuntimeOutput {
     pub swaps: Vec<SwapReport>,
 }
 
-/// Master-side failure detection for one attempt. An unsupervised run
-/// leaves every timeout off (failure = disconnect); supervision turns
-/// them on. The serving engine runs under the same settings with its
-/// op timeout as the progress timeout and no heartbeat board.
+/// Master-side failure detection for one attempt: an offline run's
+/// supervisor timeouts, or the serving engine's op timeout as the
+/// progress timeout and no heartbeat board.
 #[derive(Clone)]
 pub(crate) struct AttemptSupervision {
     pub heartbeats: Option<Arc<Heartbeats>>,
@@ -160,9 +154,6 @@ impl AttemptSupervision {
         Ok(())
     }
 }
-
-/// Channel-poll granularity of an unsupervised run.
-const DEFAULT_TICK: Duration = Duration::from_millis(5);
 
 /// The master's endpoint on a pipeline ring: the outbound edge to stage
 /// 0 and the inbound edge from the last stage of one attempt, dialled
@@ -478,27 +469,29 @@ pub(crate) fn check_echo(item: &WorkItem, sent: &[usize], hidden: usize) -> Resu
     }
 }
 
-/// One offline run of an execution plan on the in-process pipeline:
-/// the master on the calling thread, one worker thread per stage.
+/// One offline run of an execution plan: the runtime's one offline
+/// master. [`run`](Self::run) drives the in-process ring — the master on
+/// the calling thread, one worker thread per stage — and
+/// [`run_on`](Self::run_on) a ring built elsewhere, such as the TCP
+/// stage fleet of [`TcpServingRing`](crate::TcpServingRing).
 ///
 /// ```text
 /// Pipeline::new(&checkpoint, &plan)
+///     .supervised(SupervisorConfig::default())   // the default
+///     .replanner(&FoldReplanner)      // or .swaps(&schedule), not both
+///     // settings of the in-process ring `run` builds:
 ///     .quantizer(rounding, seed)      // default: deterministic, seed 0
 ///     .faults(&fault_plan)            // deterministic failure injection
 ///     .telemetry(hub)                 // Telemetry::new(plan.stages.len())
-///     .supervised(SupervisorConfig::default())
-///     .replanner(&FoldReplanner)      // or .swaps(&schedule), not both
-///     .run(&prompts, n_generate)
+///     .run(&prompts, n_generate)      // or .run_on(&mut ring, ..)
 /// ```
 ///
-/// Without [`supervised`](Self::supervised) the run is a single attempt
-/// with disconnect-only failure detection and unbounded inter-stage
-/// queues; fault kinds that need timeout detection (`Hang`,
-/// `DropMessage`) need supervision. A swap schedule needs supervision
-/// (a post-commit failure restarts on the target plan) and excludes a
-/// replanner (a live swap keeps the stage count, a replan shrinks it);
-/// [`run`](Self::run) rejects both combinations as
-/// [`RuntimeError::BadPlan`] before anything is loaded.
+/// Every run is supervised, under [`SupervisorConfig::default`] unless
+/// [`supervised`](Self::supervised) says otherwise; `max_restarts: 0`
+/// makes it one attempt. A swap schedule excludes a replanner (a live
+/// swap keeps the stage count, a replan shrinks it); both entry points
+/// reject the combination as [`RuntimeError::BadPlan`] before anything
+/// is loaded.
 pub struct Pipeline<'a> {
     checkpoint: &'a RefModel,
     plan: &'a ExecutionPlan,
@@ -506,14 +499,18 @@ pub struct Pipeline<'a> {
     seed: u64,
     faults: Option<&'a FaultPlan>,
     telemetry: Arc<Telemetry>,
-    supervisor: Option<SupervisorConfig>,
+    supervisor: SupervisorConfig,
     replanner: Option<&'a dyn Replanner>,
     swaps: &'a [SwapRequest],
+    /// The first setting of the in-process ring [`run`](Self::run)
+    /// builds that this run was given, which [`run_on`](Self::run_on)
+    /// refuses: its ring was built with its own.
+    in_process: Option<&'static str>,
 }
 
 impl<'a> Pipeline<'a> {
-    /// A run of `plan` over `checkpoint` with deterministic rounding,
-    /// seed 0, and every option off.
+    /// A run of `plan` over `checkpoint` under the default supervisor,
+    /// with deterministic rounding, seed 0, and every other option off.
     pub fn new(checkpoint: &'a RefModel, plan: &'a ExecutionPlan) -> Self {
         Self {
             checkpoint,
@@ -522,50 +519,56 @@ impl<'a> Pipeline<'a> {
             seed: 0,
             faults: None,
             telemetry: Telemetry::counters_only(plan.stages.len(), real_clock()),
-            supervisor: None,
+            supervisor: SupervisorConfig::default(),
             replanner: None,
             swaps: &[],
+            in_process: None,
         }
     }
 
-    /// Rounding mode and seed of the on-the-fly quantizing loader.
+    /// Rounding mode and seed of the in-process ring's on-the-fly
+    /// quantizing loader.
     pub fn quantizer(mut self, rounding: Rounding, seed: u64) -> Self {
-        self.rounding = rounding;
-        self.seed = seed;
+        (self.rounding, self.seed) = (rounding, seed);
+        self.in_process.get_or_insert("quantizer");
         self
     }
 
-    /// Inject deterministic failures (tests and resilience experiments).
+    /// Inject deterministic worker failures into the in-process ring
+    /// (tests and resilience experiments).
     pub fn faults(mut self, faults: &'a FaultPlan) -> Self {
         self.faults = Some(faults);
+        self.in_process.get_or_insert("faults");
         self
     }
 
-    /// Record into `telemetry`: every stage's latency histograms, queue
-    /// depths and lifecycle spans, the supervisor's restart and replan
-    /// decisions (a restart is attributed to the stage the failure
-    /// names), and swap commits and aborts. Size the hub for the input
-    /// plan ([`run`](Self::run) rejects a smaller one) — replans only
-    /// shrink the pipeline and swaps keep its stage count, so the
-    /// recorders stay in range. Without this call the run counts into a
-    /// hub of its own, which keeps no spans; either way
-    /// [`RuntimeOutput::stage_metrics`] is read from the hub's recorders.
+    /// Record the in-process ring into `telemetry`: every stage's
+    /// latency histograms, queue depths and lifecycle spans, restart
+    /// and replan decisions (a restart attributed to the stage the
+    /// failure names), swap commits and aborts. Size the hub for the
+    /// input plan (a smaller one is refused); replans only shrink the
+    /// pipeline. Without this call the run counts into a hub of its own,
+    /// which keeps no spans.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = telemetry;
+        self.in_process.get_or_insert("telemetry");
         self
     }
 
-    /// Run under supervision: heartbeat and progress timeouts, restarts
-    /// bounded by `cfg.max_restarts` with exponential backoff, queues
-    /// bounded by `cfg.max_queue`, and — policy permitting —
-    /// replan-on-device-loss through the [`replanner`](Self::replanner).
+    /// Supervise under `cfg` instead of [`SupervisorConfig::default`]:
+    /// its heartbeat and progress timeouts, restarts bounded by
+    /// `cfg.max_restarts` with exponential backoff, and — for the
+    /// in-process ring — channels bounded by `cfg.max_queue`.
     pub fn supervised(mut self, cfg: SupervisorConfig) -> Self {
-        self.supervisor = Some(cfg);
+        self.supervisor = cfg;
+        if cfg.max_queue.is_some() {
+            self.in_process.get_or_insert("max_queue");
+        }
         self
     }
 
-    /// The replanner a supervised run consults when a device is lost
-    /// for good. Without one, such a loss ends the run as
+    /// The replanner the run consults when a device is lost for good.
+    /// Without one, such a loss ends the run as
     /// [`RuntimeError::DeviceLost`].
     pub fn replanner(mut self, replanner: &'a dyn Replanner) -> Self {
         self.replanner = Some(replanner);
@@ -585,29 +588,62 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Generate `n_generate` tokens per prompt with greedy decoding.
+    /// Generate `n_generate` tokens per prompt with greedy decoding on
+    /// the in-process ring: the plan's shards loaded through the
+    /// on-the-fly quantizing loader, wired to this run's fault injector,
+    /// hub and queue bound.
     pub fn run(
         &self,
         prompts: &[Vec<usize>],
         n_generate: usize,
     ) -> Result<RuntimeOutput, RuntimeError> {
-        let checkpoint = self.checkpoint;
-        validate_inputs(checkpoint, self.plan, prompts, n_generate, self.faults)?;
-        if self.telemetry.n_stages() < self.plan.stages.len() {
+        self.validate(prompts, n_generate)?;
+        self.check_hub(&self.telemetry)?;
+        let (rounding, seed, tick) =
+            (self.rounding, self.seed, Duration::from_millis(self.supervisor.tick_ms.max(1)));
+        let mut ring =
+            ChannelRing::load(self.checkpoint, self.plan.clone(), rounding, seed, prompts.len(), tick);
+        ring.injector = self.faults.map(FaultInjector::new);
+        // Workers need the dense checkpoint to prepare a proposed plan,
+        // and the ring to reload its shards after a replan: one shared
+        // copy, and only when a swap or a replan can happen.
+        if !self.swaps.is_empty() || self.replanner.is_some() {
+            let dense = Arc::new(self.checkpoint.clone());
+            ring.host = Some(Arc::new(MigrationHost::new(dense, rounding, seed)));
+        }
+        ring.telemetry = self.telemetry.clone();
+        ring.queue_cap = self.supervisor.max_queue;
+        let out = self.drive_swaps(&mut ring, prompts, n_generate)?;
+        Ok(RuntimeOutput { loader_stats: ring.loader_stats.clone(), ..out })
+    }
+
+    /// Generate on `ring`, a ring built elsewhere whose stages boot on
+    /// this run's plan — the TCP stage fleet of `llmpq-dist --listen`.
+    /// Its quantizer, faults and hub are the ring's own, so the options
+    /// that configure the in-process ring are refused here as
+    /// [`RuntimeError::BadPlan`]. At the end the ring collects what its
+    /// stages report ([`ServingRing::finish`]); `loader_stats` stays
+    /// empty, since the stages loaded their shards themselves.
+    pub fn run_on(
+        &self,
+        ring: &mut dyn ServingRing,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
+    ) -> Result<RuntimeOutput, RuntimeError> {
+        if let Some(name) = self.in_process {
             return Err(RuntimeError::BadPlan(format!(
-                "the telemetry hub has {} stage recorder(s), the plan has {} stages",
-                self.telemetry.n_stages(),
-                self.plan.stages.len()
+                "`{name}` configures the in-process ring `run` builds; a ring handed to `run_on` \
+                 was built with its own"
             )));
         }
+        self.validate(prompts, n_generate)?;
+        self.drive_swaps(ring, prompts, n_generate)
+    }
+
+    /// What both entry points check before anything is loaded or dialled.
+    fn validate(&self, prompts: &[Vec<usize>], n_generate: usize) -> Result<(), RuntimeError> {
+        validate_inputs(self.checkpoint, self.plan, prompts, n_generate, self.faults)?;
         if !self.swaps.is_empty() {
-            if self.supervisor.is_none() {
-                return Err(RuntimeError::BadPlan(
-                    "a swap schedule needs a supervised run (a post-commit failure restarts on \
-                     the target plan)"
-                        .into(),
-                ));
-            }
             if self.replanner.is_some() {
                 return Err(RuntimeError::BadPlan(
                     "a swap schedule and a replanner cannot be combined (a live swap keeps the \
@@ -615,194 +651,95 @@ impl<'a> Pipeline<'a> {
                         .into(),
                 ));
             }
-            validate_swaps(self.plan, self.swaps, checkpoint.cfg.n_layers)?;
+            validate_swaps(self.plan, self.swaps, self.checkpoint.cfg.n_layers)?;
         }
-        let injector = self.faults.map(FaultInjector::new);
-        let mut coord = match &self.supervisor {
-            Some(cfg) if !self.swaps.is_empty() => Some(MigrationCoordinator::new(
-                self.swaps.to_vec(),
-                self.plan.stages.len(),
-                Duration::from_millis(cfg.progress_timeout_ms),
-            )),
-            _ => None,
-        };
-        // Workers need the dense checkpoint only to prepare a proposed
-        // plan: one shared copy, and only when swaps are scheduled.
-        let host = coord.is_some().then(|| {
-            Arc::new(MigrationHost::new(Arc::new(checkpoint.clone()), self.rounding, self.seed))
-        });
-        // The in-process ring serving a plan: shards loaded through the
-        // on-the-fly quantizing loader (every shard, where a real
-        // deployment would reload only the re-homed ones), wired to this
-        // run's injector and hub and — supervised — the queue bound.
-        let ring_for = |plan: &ExecutionPlan| {
-            let mut ring = ChannelRing::load(
-                checkpoint,
-                plan.clone(),
-                self.rounding,
-                self.seed,
-                prompts.len(),
-                tick_of(self.supervisor.as_ref()),
-            );
-            ring.injector = injector.clone();
-            ring.host = host.clone();
-            ring.telemetry = self.telemetry.clone();
-            ring.queue_cap = self.supervisor.as_ref().and_then(|cfg| cfg.max_queue);
-            ring
-        };
-        let mut ring = ring_for(self.plan);
-        let attempts = AttemptLoop::new(
-            checkpoint,
-            prompts,
-            n_generate,
-            self.supervisor.as_ref(),
-            self.replanner,
-        );
-        let out = attempts
-            .run(&mut ring, self.plan.clone(), coord.as_mut(), |ring, plan| *ring = ring_for(plan))?;
-        Ok(RuntimeOutput {
-            loader_stats: ring.loader_stats.clone(),
-            swaps: coord.map(|c| c.reports).unwrap_or_default(),
-            ..out
-        })
-    }
-}
-
-/// Channel-poll granularity of a run: the supervisor's tick, or the
-/// unsupervised default.
-fn tick_of(cfg: Option<&SupervisorConfig>) -> Duration {
-    cfg.map_or(DEFAULT_TICK, |c| Duration::from_millis(c.tick_ms.max(1)))
-}
-
-/// What [`after_failed_attempt`] decided. When to dial again is the
-/// caller's pacing: [`AttemptLoop`] backs off per
-/// [`SupervisorConfig::backoff`], the serving engine redials at once.
-pub(crate) enum Recovery {
-    /// Dial the same plan again.
-    Restart,
-    /// The devices in `lost` are gone for good and the plan uses one of
-    /// them: replan around them.
-    Replan { lost: Vec<usize> },
-}
-
-/// The failure path's one decision point: every master — [`AttemptLoop`]
-/// over channels, TCP or the simulated net, and the serving
-/// [`DistStepEngine`](crate::serve_dist::DistStepEngine) — asks it what
-/// follows attempt `attempt` (0-based) of `plan` ending in `seen`, once
-/// `ring` has torn the attempt down.
-///
-/// *Classify:* a generic "worker died / stalled" is a symptom when a
-/// stage noted dropping a work item on a downstream disconnect — the
-/// cause is that [`StageDisconnected`](RuntimeError::StageDisconnected)
-/// (hangs and protocol violations keep their own diagnosis). *Budget:*
-/// without `max_restarts` (an unsupervised run) the cause is final. It
-/// is final too past `max_restarts`, and at once when the plan sits on
-/// a device reported lost and no replanner is attached (`replan`);
-/// either way a plan on a lost device reports
-/// [`DeviceLost`](RuntimeError::DeviceLost), since no restart could
-/// succeed. *Count:* a restart that will happen is counted on the
-/// ring's hub against the stage the cause implicates: the hung stage,
-/// the stage behind the link a neighbour lost an item on, or — for a
-/// bare disconnect — the first stage the ring saw leave. *Decide:*
-/// replan when the plan lost a device, else restart.
-pub(crate) fn after_failed_attempt(
-    ring: &dyn ServingRing,
-    plan: &ExecutionPlan,
-    seen: RuntimeError,
-    attempt: usize,
-    max_restarts: Option<usize>,
-    replan: bool,
-) -> Result<(RuntimeError, Recovery), RuntimeError> {
-    let cause = match (seen, ring.dropped_stage()) {
-        (RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_), Some(stage)) => {
-            RuntimeError::StageDisconnected(stage)
-        }
-        (seen, _) => seen,
-    };
-    let Some(max_restarts) = max_restarts else { return Err(cause) };
-    let lost = ring.lost_devices();
-    let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
-    if attempt >= max_restarts || (lost_in_plan.is_some() && !replan) {
-        return Err(lost_in_plan.map_or(cause, RuntimeError::DeviceLost));
-    }
-    ring.telemetry().note_restart(match &cause {
-        RuntimeError::StageHung(s) => Some(*s),
-        RuntimeError::StageDisconnected(s) => Some(s + 1),
-        RuntimeError::WorkerDied(_) => ring.first_exit(),
-        _ => None,
-    });
-    let recovery = if lost_in_plan.is_some() { Recovery::Replan { lost } } else { Recovery::Restart };
-    Ok((cause, recovery))
-}
-
-/// The restart loop every offline master runs, over whatever ring
-/// carries the attempt: in-process channels for [`Pipeline::run`], the
-/// TCP stage fleet for [`run_master`](crate::net::dist::run_master), the
-/// simulated network for the [`crate::simnet`] master actor (which
-/// swaps in its virtual clock and the hook that writes its per-attempt
-/// trace lines).
-pub(crate) struct AttemptLoop<'a> {
-    model: &'a RefModel,
-    prompts: &'a [Vec<usize>],
-    n_generate: usize,
-    /// Failure detection, clock and tick of every attempt; its board is
-    /// the dialled ring's.
-    pub sup: AttemptSupervision,
-    /// Restart budget and backoff; `None` = one attempt, its error
-    /// returned as classified.
-    supervisor: Option<SupervisorConfig>,
-    replanner: Option<&'a dyn Replanner>,
-    /// Told how each attempt ended, as the master saw it.
-    pub on_attempt_end: &'a dyn Fn(usize, Option<&RuntimeError>),
-}
-
-impl<'a> AttemptLoop<'a> {
-    /// The loop of a run on the wall clock: unsupervised (one attempt,
-    /// disconnect-only detection) or under `supervisor`'s timeouts,
-    /// budget and backoff, replanning a lost device through `replanner`
-    /// if one is attached.
-    pub(crate) fn new(
-        model: &'a RefModel,
-        prompts: &'a [Vec<usize>],
-        n_generate: usize,
-        supervisor: Option<&SupervisorConfig>,
-        replanner: Option<&'a dyn Replanner>,
-    ) -> Self {
-        Self {
-            model,
-            prompts,
-            n_generate,
-            sup: AttemptSupervision {
-                heartbeats: None,
-                heartbeat_timeout: supervisor.map(|c| Duration::from_millis(c.heartbeat_timeout_ms)),
-                progress_timeout: supervisor.map(|c| Duration::from_millis(c.progress_timeout_ms)),
-                tick: tick_of(supervisor),
-                clock: real_clock(),
-            },
-            supervisor: supervisor.copied(),
-            replanner,
-            on_attempt_end: &|_, _| {},
-        }
+        Ok(())
     }
 
-    /// Run attempts on `ring` until one completes or the restart budget
-    /// is spent. `reload` re-targets the ring when the plan changes
-    /// under it — a replan, or a swap that committed before an attempt
-    /// failed — so the next dial boots on the new plan. The output's
-    /// `stage_metrics` are the run totals of the ring's hub for the
-    /// final plan's stages; `loader_stats` and `swaps` are left for the
-    /// caller, who owns the ring and the coordinator, to fill in.
-    pub(crate) fn run<R: ServingRing>(
+    /// A hub with fewer recorders than the plan has stages would lose a
+    /// stage's counters.
+    fn check_hub(&self, hub: &Telemetry) -> Result<(), RuntimeError> {
+        if hub.n_stages() < self.plan.stages.len() {
+            return Err(RuntimeError::BadPlan(format!(
+                "the telemetry hub has {} stage recorder(s), the plan has {} stages",
+                hub.n_stages(),
+                self.plan.stages.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// [`drive`](Self::drive) under the live-swap coordinator of the
+    /// schedule, if one is set (its deadlines are the progress timeout),
+    /// with one report per resolved swap.
+    fn drive_swaps(
         &self,
-        ring: &mut R,
-        mut plan: ExecutionPlan,
-        mut coord: Option<&mut MigrationCoordinator>,
-        mut reload: impl FnMut(&mut R, &ExecutionPlan),
+        ring: &mut dyn ServingRing,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
     ) -> Result<RuntimeOutput, RuntimeError> {
-        let clock = &self.sup.clock;
+        let timeout = Duration::from_millis(self.supervisor.progress_timeout_ms);
+        let mut coord = (!self.swaps.is_empty())
+            .then(|| MigrationCoordinator::new(self.swaps.to_vec(), self.plan.stages.len(), timeout));
+        let out = self.drive(ring, prompts, n_generate, coord.as_mut())?;
+        Ok(RuntimeOutput { swaps: coord.map(|c| c.reports).unwrap_or_default(), ..out })
+    }
+
+    /// The restart loop on `ring`, then the ring's end-of-run
+    /// collection; `stage_metrics` are the ring hub's run totals for the
+    /// final plan's stages, read after [`ServingRing::finish`]. The
+    /// [`crate::simnet`] master calls this with a coordinator of its
+    /// own, which it reads back even when the run fails.
+    pub(crate) fn drive(
+        &self,
+        ring: &mut dyn ServingRing,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
+        coord: Option<&mut MigrationCoordinator>,
+    ) -> Result<RuntimeOutput, RuntimeError> {
+        if ring.n_stages() != self.plan.stages.len() {
+            return Err(RuntimeError::BadPlan(format!(
+                "the ring has {} stages, the plan has {}",
+                ring.n_stages(),
+                self.plan.stages.len()
+            )));
+        }
+        self.check_hub(&ring.telemetry())?;
+        let res = self.attempts(ring, prompts, n_generate, coord);
+        ring.finish(res.is_ok());
+        let out = res?;
+        let hub = ring.telemetry();
+        let stage_metrics = (0..out.final_plan.stages.len())
+            .map(|i| hub.stage(i).map(|r| r.snapshot()).unwrap_or_default())
+            .collect();
+        Ok(RuntimeOutput { stage_metrics, ..out })
+    }
+
+    /// Attempts on `ring` until one completes or the restart budget is
+    /// spent, re-targeting the ring when the plan changes under it — a
+    /// replan, or a swap that committed before an attempt failed — so
+    /// the next dial boots on the new plan. Each attempt dials, drives
+    /// generation (keeping its progress on failure), tears down and
+    /// tells the ring how it ended.
+    fn attempts(
+        &self,
+        ring: &mut dyn ServingRing,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
+        mut coord: Option<&mut MigrationCoordinator>,
+    ) -> Result<RuntimeOutput, RuntimeError> {
+        let cfg = &self.supervisor;
+        let clock = ring.clock();
+        let sup = AttemptSupervision {
+            heartbeats: None,
+            heartbeat_timeout: Some(Duration::from_millis(cfg.heartbeat_timeout_ms)),
+            progress_timeout: Some(Duration::from_millis(cfg.progress_timeout_ms)),
+            tick: Duration::from_millis(cfg.tick_ms.max(1)),
+            clock: clock.clone(),
+        };
         let start = clock.now();
-        let mut tokens: Vec<Vec<usize>> =
-            vec![Vec::with_capacity(self.n_generate); self.prompts.len()];
+        let mut plan = self.plan.clone();
+        let mut tokens: Vec<Vec<usize>> = vec![Vec::with_capacity(n_generate); prompts.len()];
         let mut events = Vec::new();
         let mut replans = 0usize;
         loop {
@@ -813,10 +750,33 @@ impl<'a> AttemptLoop<'a> {
                 c.begin_attempt();
                 if c.attempt_plan(&plan) != &plan {
                     plan = c.attempt_plan(&plan).clone();
-                    reload(ring, &plan);
+                    ring.retarget(&plan)?;
                 }
             }
-            let res = self.attempt(ring, attempt, &plan, &mut tokens, coord.as_deref_mut());
+            let res = match ring.dial(attempt) {
+                Err(e) => Err(RuntimeError::WorkerDied(format!("dialing attempt {attempt}: {e}"))),
+                Ok(link) => {
+                    let sup = AttemptSupervision { heartbeats: ring.heartbeats(), ..sup.clone() };
+                    let master = Master::new(link, ring.telemetry());
+                    let res = drive_generation(
+                        &master,
+                        self.checkpoint,
+                        &plan,
+                        prompts,
+                        &mut tokens,
+                        n_generate,
+                        &sup,
+                        coord.as_deref_mut(),
+                    );
+                    // Dropping the endpoint starts the disconnect (or wire
+                    // EOF) cascade down the ring; the ring then reaps what
+                    // is its to reap.
+                    drop(master);
+                    ring.teardown();
+                    ring.attempt_ended(attempt, res.as_ref().err());
+                    res
+                }
+            };
             let seen = match res {
                 Ok(()) => {
                     // A swap whose commit went out in the final decode
@@ -825,14 +785,11 @@ impl<'a> AttemptLoop<'a> {
                         c.begin_attempt();
                         plan = c.attempt_plan(&plan).clone();
                     }
-                    let hub = ring.telemetry();
                     return Ok(RuntimeOutput {
                         tokens,
                         loader_stats: Vec::new(),
                         wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-                        stage_metrics: (0..plan.stages.len())
-                            .map(|i| hub.stage(i).map(|r| r.snapshot()).unwrap_or_default())
-                            .collect(),
+                        stage_metrics: Vec::new(),
                         restarts: events.len(),
                         replans,
                         final_plan: plan,
@@ -847,7 +804,7 @@ impl<'a> AttemptLoop<'a> {
                 &plan,
                 seen,
                 attempt,
-                self.supervisor.map(|c| c.max_restarts),
+                cfg.max_restarts,
                 self.replanner.is_some(),
             )?;
             checkpoint_lockstep(&mut tokens);
@@ -858,7 +815,7 @@ impl<'a> AttemptLoop<'a> {
                     let new_plan = r
                         .replan(&plan, &lost)
                         .map_err(|m| RuntimeError::BadPlan(format!("replan failed: {m}")))?;
-                    new_plan.validate(self.model.cfg.n_layers).map_err(|m| {
+                    new_plan.validate(self.checkpoint.cfg.n_layers).map_err(|m| {
                         RuntimeError::BadPlan(format!("replanned plan invalid: {m}"))
                     })?;
                     if new_plan.stages.iter().any(|s| lost.contains(&s.device)) {
@@ -866,15 +823,14 @@ impl<'a> AttemptLoop<'a> {
                             "replanned plan still uses a lost device".into(),
                         ));
                     }
-                    reload(ring, &new_plan);
+                    ring.retarget(&new_plan)?;
                     plan = new_plan;
                     replans += 1;
                     ring.telemetry().note_replan();
                     RecoveryAction::Replan { lost_devices: lost, new_stages: plan.stages.len() }
                 }
                 Recovery::Restart => {
-                    // A restart is decided only under a supervisor.
-                    let backoff = self.supervisor.map_or(Duration::ZERO, |c| c.backoff(attempt));
+                    let backoff = cfg.backoff(attempt);
                     clock.sleep(backoff);
                     RecoveryAction::Restart { backoff_ms: backoff.as_millis() as u64 }
                 }
@@ -883,41 +839,65 @@ impl<'a> AttemptLoop<'a> {
             events.push(RecoveryEvent { attempt, error, checkpointed_tokens, action });
         }
     }
+}
 
-    /// One generation attempt: dial the ring, drive generation over the
-    /// fresh endpoint, tear the attempt down. `tokens` may hold an
-    /// already-generated lock-step prefix (recovery resume); on failure
-    /// it retains whatever progress was made.
-    fn attempt(
-        &self,
-        ring: &mut dyn ServingRing,
-        attempt: usize,
-        plan: &ExecutionPlan,
-        tokens: &mut [Vec<usize>],
-        migration: Option<&mut MigrationCoordinator>,
-    ) -> Result<(), RuntimeError> {
-        let link = ring
-            .dial(attempt)
-            .map_err(|e| RuntimeError::WorkerDied(format!("dialing attempt {attempt}: {e}")))?;
-        let sup = AttemptSupervision { heartbeats: ring.heartbeats(), ..self.sup.clone() };
-        let master = Master::new(link, ring.telemetry());
-        let res = drive_generation(
-            &master,
-            self.model,
-            plan,
-            self.prompts,
-            tokens,
-            self.n_generate,
-            &sup,
-            migration,
-        );
-        // Dropping the endpoint starts the disconnect (or wire EOF)
-        // cascade down the ring; the ring then reaps what is its to reap.
-        drop(master);
-        ring.teardown();
-        (self.on_attempt_end)(attempt, res.as_ref().err());
-        res
+/// What [`after_failed_attempt`] decided. When to dial again is the
+/// caller's pacing: [`Pipeline`] backs off per
+/// [`SupervisorConfig::backoff`], the serving engine redials at once.
+pub(crate) enum Recovery {
+    /// Dial the same plan again.
+    Restart,
+    /// The devices in `lost` are gone for good and the plan uses one of
+    /// them: replan around them.
+    Replan { lost: Vec<usize> },
+}
+
+/// The failure path's one decision point: every master — [`Pipeline`]
+/// over channels, TCP or the simulated net, and the serving
+/// [`DistStepEngine`](crate::serve_dist::DistStepEngine) — asks it what
+/// follows attempt `attempt` (0-based) of `plan` ending in `seen`, once
+/// `ring` has torn the attempt down.
+///
+/// *Classify:* a generic "worker died / stalled" is a symptom when a
+/// stage noted dropping a work item on a downstream disconnect — the
+/// cause is that [`StageDisconnected`](RuntimeError::StageDisconnected)
+/// (hangs and protocol violations keep their own diagnosis). *Budget:*
+/// the cause is final past `max_restarts`, and at once when the plan
+/// sits on a device reported lost and no replanner is attached
+/// (`replan`); either way a plan on a lost device reports
+/// [`DeviceLost`](RuntimeError::DeviceLost), since no restart could
+/// succeed. *Count:* a restart that will happen is counted on the
+/// ring's hub against the stage the cause implicates: the hung stage,
+/// the stage behind the link a neighbour lost an item on, or — for a
+/// bare disconnect — the first stage the ring saw leave. *Decide:*
+/// replan when the plan lost a device, else restart.
+pub(crate) fn after_failed_attempt(
+    ring: &dyn ServingRing,
+    plan: &ExecutionPlan,
+    seen: RuntimeError,
+    attempt: usize,
+    max_restarts: usize,
+    replan: bool,
+) -> Result<(RuntimeError, Recovery), RuntimeError> {
+    let cause = match (seen, ring.dropped_stage()) {
+        (RuntimeError::WorkerDied(_) | RuntimeError::Stalled(_), Some(stage)) => {
+            RuntimeError::StageDisconnected(stage)
+        }
+        (seen, _) => seen,
+    };
+    let lost = ring.lost_devices();
+    let lost_in_plan = plan.stages.iter().map(|s| s.device).find(|d| lost.contains(d));
+    if attempt >= max_restarts || (lost_in_plan.is_some() && !replan) {
+        return Err(lost_in_plan.map_or(cause, RuntimeError::DeviceLost));
     }
+    ring.telemetry().note_restart(match &cause {
+        RuntimeError::StageHung(s) => Some(*s),
+        RuntimeError::StageDisconnected(s) => Some(s + 1),
+        RuntimeError::WorkerDied(_) => ring.first_exit(),
+        _ => None,
+    });
+    let recovery = if lost_in_plan.is_some() { Recovery::Replan { lost } } else { Recovery::Restart };
+    Ok((cause, recovery))
 }
 
 /// Truncate ragged progress to the shortest sequence so every sequence
@@ -1221,7 +1201,11 @@ mod tests {
         let bits = vec![Bitwidth::Fp16, Bitwidth::Fp16];
         let prompts = vec![vec![1, 2], vec![3, 4]];
         let faults = FaultPlan::crash(1, 1); // stage 1 dies after one item
-        let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 2, 2))).faults(&faults).run(&prompts, 4);
+        let one_attempt = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
+        let res = Pipeline::new(&m, &plan(bits, 1, mb(1, 2, 2)))
+            .faults(&faults)
+            .supervised(one_attempt)
+            .run(&prompts, 4);
         // Depending on timing the master sees the crash directly
         // (WorkerDied) or an upstream stage reports the broken link
         // first (StageDisconnected) — both name the failure, not a hang.

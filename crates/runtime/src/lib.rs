@@ -14,14 +14,19 @@
 //!   module, quantizing each linear operator as it streams in, so the
 //!   staging (CPU-RAM) footprint stays bounded by one module instead of
 //!   the whole model (§5, "On-The-Fly Quantizer");
-//! * one **offline entry point**, [`Pipeline`]: a builder whose options
-//!   (quantizer, fault plan, telemetry, supervision, replanner, swap
-//!   schedule) are properties of one run;
+//! * one **offline master**, [`Pipeline`]: a builder whose options
+//!   (supervision, replanner, swap schedule, and the in-process ring's
+//!   quantizer, fault plan and telemetry) are properties of one run,
+//!   always supervised, driving a closed batch over any ring —
+//!   in-process channels ([`Pipeline::run`]), the TCP stage fleet
+//!   ([`Pipeline::run_on`] over a [`TcpServingRing`]) or the simulated
+//!   network of [`simnet`];
 //! * one **ring layer** under every master ([`engine`], [`serve_dist`]):
-//!   a [`ServingRing`] dials each attempt's ring (threads and channels,
-//!   or one TCP process per stage), one master endpoint sends, receives
-//!   and live-swaps on it, and one restart loop recovers in-process and
-//!   multi-process runs alike;
+//!   a [`ServingRing`] dials each attempt's ring and owns what only its
+//!   medium knows (the plan its stages boot on, its clock, its end-of-run
+//!   collection), one master endpoint sends, receives and live-swaps on
+//!   it, and one restart loop recovers in-process, multi-process and
+//!   simulated runs alike;
 //! * **supervision** ([`supervisor`]) that detects crashed or hung
 //!   stages via heartbeats and restarts or replans the pipeline, with
 //!   deterministic fault injection ([`fault`]) for resilience tests,
@@ -70,7 +75,7 @@ pub mod worker;
 pub use clock::{real_clock, Clock, RealClock};
 pub use elastic::{
     ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner, FleetAlarms,
-    FleetController, FleetEvent, FleetEventKind, FleetPlanner, FleetView, PlanFailure,
+    FleetController, FleetEvent, FleetEventKind, FleetPlanner, FleetView,
 };
 pub use engine::{Pipeline, RuntimeError, RuntimeOutput};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, Heartbeats};
@@ -85,10 +90,7 @@ pub use migrate::{
     hybrid_oracle_tokens, kv_to_chunks, CommitDecision, KvAssembler,
     KvChunkMsg, MigrationCoordinator, MigrationHost, SwapReport, SwapRequest, WorkerSwap,
 };
-pub use net::dist::{
-    run_master, run_stage, DistMasterConfig, DistOutput, DistStageConfig, StageSummary,
-    TcpServingRing,
-};
+pub use net::dist::{run_stage, DistMasterConfig, DistStageConfig, StageSummary, TcpServingRing};
 pub use net::fault::{WireDir, WireFaultEvent, WireFaultKind, WireFaultPlan};
 pub use net::transport::{ChannelTransport, TcpTransport, Transport};
 pub use net::wire::plan_fingerprint;

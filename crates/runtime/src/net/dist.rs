@@ -27,12 +27,14 @@
 //!
 //! The master side is the shared ring layer pointed at sockets:
 //! [`TcpServingRing`] is the stage fleet as a
-//! [`ServingRing`](crate::serve_dist::ServingRing) (control plane once,
-//! one data ring per dial), [`run_master`] runs the engine's restart
-//! loop and generation loop over it — the same code the in-process
-//! engine runs over channels — and the serving engine dials the same
-//! ring type. That, plus the bit-exact activation codec, is why a
-//! loopback multi-process run emits byte-identical tokens.
+//! [`ServingRing`] (control plane once,
+//! one data ring per dial, the stages' end-of-run reports merged into
+//! its hub), [`Pipeline::run_on`](crate::Pipeline::run_on) drives a
+//! closed batch over it — the one offline master, the same restart loop
+//! and generation loop the in-process engine runs over channels — and
+//! the serving engine dials the same ring type. That, plus the
+//! bit-exact activation codec, is why a loopback multi-process run
+//! emits byte-identical tokens.
 
 use super::fault::{WireFaultInjector, WireFaultPlan, MASTER_STAGE};
 use super::transport::{
@@ -40,12 +42,11 @@ use super::transport::{
 };
 use super::wire::{plan_fingerprint, Hello, HelloAck, Role, StageReport, WireMsg, WIRE_VERSION};
 use crate::clock::{real_clock, Clock};
-use crate::engine::{validate_inputs, AttemptLoop, RuntimeError};
+use crate::engine::RuntimeError;
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::MigrationHost;
-use crate::overload::{AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats, Request};
-use crate::supervisor::SupervisorConfig;
+use crate::serve_dist::ServingRing;
 use crate::telemetry::{LinkStats, StageMetrics, Telemetry};
 use crate::worker::{run_worker_transport, WorkerCtx};
 use llm_pq::ExecutionPlan;
@@ -69,12 +70,17 @@ const HEARTBEAT_WIRE_INTERVAL: Duration = Duration::from_millis(50);
 /// How long the master waits for stage reports after `Bye`.
 const REPORT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Master-side configuration for a distributed run.
+/// Redial pacing of an attempt's data ring (stage 0 may still be tearing
+/// the previous attempt down): a first retry after this, doubling up to
+/// [`REDIAL_CAP`].
+const REDIAL_BASE: Duration = Duration::from_millis(10);
+const REDIAL_CAP: Duration = Duration::from_secs(1);
+
+/// Master-side configuration of a [`TcpServingRing`]. The master's
+/// timeouts and restart budget are the run's own: its
+/// [`Pipeline`](crate::Pipeline) or serving engine.
 #[derive(Clone, Default)]
 pub struct DistMasterConfig {
-    /// Supervision knobs: heartbeat/progress timeouts, restart budget,
-    /// reconnect backoff.
-    pub supervisor: SupervisorConfig,
     /// Wire faults this process should inject (events targeting
     /// [`MASTER_STAGE`]).
     pub wire_faults: WireFaultPlan,
@@ -82,28 +88,6 @@ pub struct DistMasterConfig {
     /// reported link counters at the end of the run. `None` = the ring
     /// counts into a counters-only hub of its own.
     pub telemetry: Option<Arc<Telemetry>>,
-}
-
-/// Result of a distributed run, master side.
-#[derive(Debug, Clone)]
-pub struct DistOutput {
-    /// Generated tokens per input sequence.
-    pub tokens: Vec<Vec<usize>>,
-    /// Wall-clock seconds, handshake to last token.
-    pub wall_s: f64,
-    /// Attempt restarts taken (0 = clean run).
-    pub restarts: usize,
-    /// Per-stage execution counters, from the stage reports (default for
-    /// a stage whose report never arrived).
-    pub stage_metrics: Vec<StageMetrics>,
-    /// Per-link wire counters: the master's own two links merged with
-    /// every reported stage link; index i is the edge *into* stage i
-    /// (index `n_stages` = return link).
-    pub link_stats: Vec<LinkStats>,
-    /// Admission accounting of the batch — the conservation invariant
-    /// (`offered == served + shed + expired + pending`) is checked
-    /// before returning.
-    pub admission: AdmissionStats,
 }
 
 /// Stage-side configuration.
@@ -206,7 +190,7 @@ fn wire_io(what: &str, e: impl std::fmt::Display) -> RuntimeError {
 /// Master-side shared state fed by the per-stage control readers.
 ///
 /// `reports` lives under a std mutex (not parking_lot) because the
-/// report wait in `run_master` parks on the paired [`Condvar`] — the
+/// report wait at the end of a run parks on the paired [`Condvar`] — the
 /// vendored parking_lot has no condvar, and a poisoned lock just means
 /// a reader panicked mid-store, which the wait tolerates.
 struct ControlShared {
@@ -244,94 +228,6 @@ fn control_reader(mut stream: TcpStream, shared: Arc<ControlShared>, n_stages: u
             }
         }
     }
-}
-
-/// Run the master of a distributed pipeline over an already-bound
-/// listener (bind `127.0.0.1:0` and print `local_addr` to let stages
-/// find you). Blocks until all `plan.stages.len()` stage processes have
-/// checked in, then drives generation with per-attempt data rings,
-/// restarting (with backoff, up to `supervisor.max_restarts`) on any
-/// failed attempt — including injected or real mid-run connection drops.
-pub fn run_master(
-    checkpoint: &RefModel,
-    plan: &ExecutionPlan,
-    prompts: &[Vec<usize>],
-    n_generate: usize,
-    listener: &TcpListener,
-    cfg: &DistMasterConfig,
-) -> Result<DistOutput, RuntimeError> {
-    validate_inputs(checkpoint, plan, prompts, n_generate, None)?;
-    let n_stages = plan.stages.len();
-    let clock = real_clock();
-    let start = clock.now();
-
-    // Admission accounting: the whole batch is offered, dispatched, and
-    // served through the controller so the conservation invariant is
-    // checked on the distributed path too.
-    let mut admission = AdmissionController::new(AdmissionConfig {
-        policy: AdmissionPolicy::Reject,
-        max_queue: prompts.len().max(1),
-        ..AdmissionConfig::default()
-    });
-    for (i, p) in prompts.iter().enumerate() {
-        let req = Request {
-            id: i,
-            arrival_s: 0.0,
-            prompt: p.clone(),
-            n_generate,
-            deadline_s: None,
-            priority: 0,
-        };
-        if !admission.offer(req, 0.0) {
-            return Err(RuntimeError::BadPlan("admission rejected a batch prompt".into()));
-        }
-    }
-    while admission.take().is_some() {} // dispatch the whole batch
-
-    let owned = listener.try_clone().map_err(|e| wire_io("cloning the master listener", e))?;
-    let mut ring = TcpServingRing::establish(plan, owned, cfg)?;
-    let result = AttemptLoop::new(checkpoint, prompts, n_generate, Some(&cfg.supervisor), None)
-        .run(&mut ring, plan.clone(), None, |_, _| {
-            unreachable!("only a replan or a committed swap re-targets a ring; this run has neither")
-        });
-    ring.finish(result.is_ok());
-    let run = result?;
-
-    // The ring's hub counted the master's own two links; the stage
-    // reports fill in the rest.
-    let reports = ring.reports();
-    for r in reports.iter().flatten() {
-        if let Some(l) = ring.telemetry.link(r.stage as usize) {
-            l.merge(&r.rx_link);
-        }
-        if let Some(l) = ring.telemetry.link(r.stage as usize + 1) {
-            l.merge(&r.tx_link);
-        }
-    }
-    let link_stats = ring.telemetry.link_stats();
-    admission.note_served(prompts.len());
-    let stats = admission.stats();
-    debug_assert!(
-        stats.conserves(admission.pending()),
-        "admission conservation violated: {stats:?} pending={}",
-        admission.pending()
-    );
-    if !stats.conserves(admission.pending()) {
-        return Err(RuntimeError::Protocol(format!(
-            "admission conservation violated: {stats:?} pending={}",
-            admission.pending()
-        )));
-    }
-    Ok(DistOutput {
-        tokens: run.tokens,
-        wall_s: clock.now().saturating_sub(start).as_secs_f64(),
-        restarts: run.restarts,
-        stage_metrics: (0..n_stages)
-            .map(|s| reports[s].as_ref().map(|r| r.metrics).unwrap_or_default())
-            .collect(),
-        link_stats,
-        admission: stats,
-    })
 }
 
 /// Master-side control plane: the persistent per-stage connections plus
@@ -465,23 +361,26 @@ fn wait_for_reports(shared: &ControlShared, clock: &dyn Clock, timeout: Duration
 
 /// Multi-process ring: the TCP counterpart of
 /// [`ChannelRing`](crate::serve_dist::ChannelRing), with one
-/// [`run_stage`] process per pipeline stage. [`run_master`] runs a
-/// batch over it; a [`DistStepEngine`](crate::serve_dist::DistStepEngine)
-/// serves over it.
+/// [`run_stage`] process per pipeline stage.
+/// [`Pipeline::run_on`](crate::Pipeline::run_on) runs a batch over it; a
+/// [`DistStepEngine`](crate::serve_dist::DistStepEngine) serves over it.
 ///
 /// The control plane (stage check-in, topology, heartbeats, reports) is
 /// established once; each `dial` builds a fresh per-attempt data ring.
 /// Teardown is the EOF cascade: the master drops its link, every
 /// stage's worker loop exits, and the stages circle back to accepting
 /// the next attempt — so `teardown` itself has nothing to do. Stages
-/// always serve the *boot* plan on a fresh attempt; the serving engine
-/// replays any committed live-swap on top before resuming traffic.
+/// always serve the *boot* plan on a fresh attempt, so the ring refuses
+/// to be re-targeted to any other; the serving engine replays any
+/// committed live-swap on top before resuming traffic. At the end of a
+/// run ([`finish`](ServingRing::finish), or on drop)
+/// the ring says `Bye` and merges the link and stage counters every
+/// stage reports into its hub.
 pub struct TcpServingRing {
     listener: TcpListener,
     fp: u64,
     n_stages: usize,
     s0_addr: String,
-    supervisor: SupervisorConfig,
     injector: Arc<WireFaultInjector>,
     telemetry: Arc<Telemetry>,
     clock: Arc<dyn Clock>,
@@ -511,7 +410,6 @@ impl TcpServingRing {
             fp,
             n_stages: boot.stages.len(),
             s0_addr: cp.stage_addrs[0].clone(),
-            supervisor: cfg.supervisor,
             injector: WireFaultInjector::new(&cfg.wire_faults, MASTER_STAGE),
             telemetry: cfg
                 .telemetry
@@ -523,30 +421,15 @@ impl TcpServingRing {
         })
     }
 
-    /// Per-stage reports collected after the ring said `Bye` (drop the
-    /// ring to trigger that); `None` for a stage whose report never
-    /// arrived.
-    pub fn reports(&self) -> Vec<Option<StageReport>> {
-        self.shared.reports.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Build one attempt's data ring: dial stage 0 (retrying along the
-    /// supervisor's backoff curve — the stage may still be tearing the
-    /// previous attempt down), then accept the last stage's return
+    /// Build one attempt's data ring: dial stage 0 (retrying from
+    /// [`REDIAL_BASE`] up), then accept the last stage's return
     /// connection, refusing stray or stale dials. Returns the
     /// `(return, downstream)` endpoint pair for [`TcpTransport::spawn`].
     fn dial_data_ring(&self, attempt: usize) -> Result<(TcpStream, TcpStream), String> {
-        let (fp, s0_addr, sup_cfg) = (self.fp, &self.s0_addr, &self.supervisor);
+        let (fp, s0_addr) = (self.fp, &self.s0_addr);
         // Jitter seeded by the attempt so redial timing stays deterministic
         // per topology.
-        let mut down = connect_retry(
-            s0_addr,
-            16,
-            Duration::from_millis(sup_cfg.backoff_base_ms.max(1)),
-            2.0,
-            Duration::from_millis(sup_cfg.backoff_cap_ms.max(1)),
-            attempt as u64,
-        )
+        let mut down = connect_retry(s0_addr, 16, REDIAL_BASE, 2.0, REDIAL_CAP, attempt as u64)
         .map_err(|e| format!("dialing stage 0 at {s0_addr}: {e}"))?;
         let _ = down.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
         let hello = Hello {
@@ -607,27 +490,9 @@ impl TcpServingRing {
         };
         Ok((ret, down))
     }
-
-    /// Say `Bye` to every stage, wait for their reports if asked to (a
-    /// fleet whose run failed may never send them), and close the
-    /// control plane. `Drop` does this too; a second call is a no-op.
-    fn finish(&mut self, wait_reports: bool) {
-        if self.writers.is_empty() {
-            return;
-        }
-        for w in &self.writers {
-            let _ = write_wire_msg(&mut *w.lock(), &WireMsg::Bye);
-        }
-        if wait_reports {
-            wait_for_reports(&self.shared, self.clock.as_ref(), REPORT_TIMEOUT);
-        }
-        for w in self.writers.drain(..) {
-            let _ = w.lock().shutdown(Shutdown::Both);
-        }
-    }
 }
 
-impl crate::serve_dist::ServingRing for TcpServingRing {
+impl ServingRing for TcpServingRing {
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
         // Per-attempt view of what the control plane reports: forget the
         // last attempt's dropped-item notes and restart every stage's
@@ -651,12 +516,62 @@ impl crate::serve_dist::ServingRing for TcpServingRing {
         )))
     }
 
+    /// Stage processes load their shard once, from the plan they were
+    /// started with: any other plan is refused.
+    fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError> {
+        if plan_fingerprint(plan) == self.fp {
+            return Ok(());
+        }
+        Err(RuntimeError::BadPlan(
+            "a TCP stage fleet serves the plan its processes were started with; restart the \
+             fleet on the new plan"
+                .into(),
+        ))
+    }
+
+    /// Say `Bye` to every stage, wait for their reports if the run
+    /// completed (a fleet whose run failed may never send them), merge
+    /// what arrived into the hub — link `s` rx and link `s + 1` tx, the
+    /// stage's work counters — and close the control plane. `Drop` does
+    /// this too; a second call is a no-op.
+    fn finish(&mut self, completed: bool) {
+        if self.writers.is_empty() {
+            return;
+        }
+        for w in &self.writers {
+            let _ = write_wire_msg(&mut *w.lock(), &WireMsg::Bye);
+        }
+        if completed {
+            wait_for_reports(&self.shared, self.clock.as_ref(), REPORT_TIMEOUT);
+            let reports = self.shared.reports.lock().unwrap_or_else(PoisonError::into_inner);
+            for r in reports.iter().flatten() {
+                let s = r.stage as usize;
+                if let Some(l) = self.telemetry.link(s) {
+                    l.merge(&r.rx_link);
+                }
+                if let Some(l) = self.telemetry.link(s + 1) {
+                    l.merge(&r.tx_link);
+                }
+                if let Some(rec) = self.telemetry.stage(s) {
+                    rec.merge(&r.metrics);
+                }
+            }
+        }
+        for w in self.writers.drain(..) {
+            let _ = w.lock().shutdown(Shutdown::Both);
+        }
+    }
+
     fn n_stages(&self) -> usize {
         self.n_stages
     }
 
     fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.clock.clone()
     }
 
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -953,6 +868,18 @@ mod tests {
             .collect()
     }
 
+    /// Collect a stage fleet on `listener` and generate over it.
+    fn run_over_tcp(
+        plan: &ExecutionPlan,
+        prompts: &[Vec<usize>],
+        n_generate: usize,
+        listener: TcpListener,
+        cfg: &DistMasterConfig,
+    ) -> Result<crate::RuntimeOutput, RuntimeError> {
+        let mut ring = TcpServingRing::establish(plan, listener, cfg)?;
+        Pipeline::new(&model(), plan).run_on(&mut ring, prompts, n_generate)
+    }
+
     #[test]
     fn distributed_loopback_matches_in_process_tokens() {
         let plan = plan3();
@@ -963,24 +890,24 @@ mod tests {
         let stages = spawn_stages(&plan, &addr, prompts.len(), &WireFaultPlan::none());
         let telemetry = Telemetry::new(plan.stages.len());
         let cfg = DistMasterConfig { telemetry: Some(telemetry.clone()), ..Default::default() };
-        let out = run_master(&model(), &plan, &prompts, n_generate, &listener, &cfg)
-            .expect("distributed run");
+        let out = run_over_tcp(&plan, &prompts, n_generate, listener, &cfg).expect("distributed run");
         let local = Pipeline::new(&model(), &plan)
             .run(&prompts, n_generate)
             .expect("in-process run");
         assert_eq!(out.tokens, local.tokens, "must be bit-identical to the in-process engine");
         assert_eq!(out.restarts, 0);
-        assert!(out.admission.conserves(0), "{:?}", out.admission);
         // Both sides of every link were accounted: the master counted
         // link 0 tx + link n rx itself, the stage reports filled the rest.
-        for (i, l) in out.link_stats.iter().enumerate() {
+        for (i, l) in telemetry.link_stats().iter().enumerate() {
             assert!(l.bytes_tx > 0, "link {i} tx never counted: {l:?}");
             assert!(l.bytes_rx > 0, "link {i} rx never counted: {l:?}");
         }
-        // Stage metrics made it across the wire.
+        // Stage metrics made it across the wire, into the hub and out.
         for (i, m) in out.stage_metrics.iter().enumerate() {
             assert!(m.items > 0, "stage {i} reported no items");
+            assert_eq!(*m, telemetry.stage(i).unwrap().snapshot(), "stage {i}");
         }
+        assert_eq!(out.stage_metrics.len(), plan.stages.len());
         for h in stages {
             let summary = h.join().unwrap().expect("stage exits cleanly");
             assert_eq!(summary.attempts_served, 1);
@@ -997,13 +924,11 @@ mod tests {
         // Stage 0's downstream link dies after 4 data frames, mid-run.
         let faults = WireFaultPlan::disconnect_tx(0, 4);
         let stages = spawn_stages(&plan, &addr, prompts.len(), &faults);
-        let cfg = DistMasterConfig::default();
-        let out = run_master(&model(), &plan, &prompts, n_generate, &listener, &cfg)
+        let out = run_over_tcp(&plan, &prompts, n_generate, listener, &DistMasterConfig::default())
             .expect("recovers from the injected drop");
         assert_eq!(out.restarts, 1, "exactly one restart");
         let local = Pipeline::new(&model(), &plan).run(&prompts, n_generate).unwrap();
         assert_eq!(out.tokens, local.tokens, "recovery must not perturb tokens");
-        assert!(out.admission.conserves(0), "{:?}", out.admission);
         for h in stages {
             let summary = h.join().unwrap().expect("stage exits cleanly");
             assert!(summary.attempts_served >= 1);
@@ -1031,13 +956,36 @@ mod tests {
             };
             std::thread::spawn(move || run_stage(Arc::new(model()), &other, 1, &cfg))
         }];
-        let cfg = DistMasterConfig::default();
-        let res = run_master(&model(), &plan, &prompts, 3, &listener, &cfg);
+        let res = run_over_tcp(&plan, &prompts, 3, listener, &DistMasterConfig::default());
         assert!(matches!(res, Err(RuntimeError::BadPlan(_))), "{res:?}");
         for h in handles {
             let res = h.join().unwrap();
             assert!(matches!(res, Err(RuntimeError::BadPlan(_))), "{res:?}");
         }
     }
-}
 
+    #[test]
+    fn a_tcp_fleet_refuses_any_plan_but_its_boot_plan() {
+        let plan = plan3();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stages = spawn_stages(&plan, &addr, 1, &WireFaultPlan::none());
+        let mut ring = TcpServingRing::establish(&plan, listener, &DistMasterConfig::default())
+            .expect("fleet checks in");
+        assert_eq!(ring.retarget(&plan), Ok(()));
+        let mut other = plan.clone();
+        other.stages[0].bits = vec![Bitwidth::Int4];
+        let res = ring.retarget(&other);
+        assert!(matches!(res, Err(RuntimeError::BadPlan(ref e)) if e.contains("started with")), "{res:?}");
+        // The in-process ring's settings are the fleet's own here.
+        let m = model();
+        let quantized = Pipeline::new(&m, &plan).quantizer(Rounding::Deterministic, 0);
+        let res = quantized.run_on(&mut ring, &[vec![1, 2]], 3);
+        assert!(matches!(res, Err(RuntimeError::BadPlan(ref e)) if e.contains("quantizer")), "{res:?}");
+        let out = Pipeline::new(&m, &plan).run_on(&mut ring, &[vec![1, 2]], 3).expect("runs");
+        assert_eq!(out.tokens.len(), 1);
+        for h in stages {
+            h.join().unwrap().expect("stage exits cleanly");
+        }
+    }
+}

@@ -16,10 +16,12 @@
 //! * [`fault`] — deterministic transport-level fault injection (delay,
 //!   drop, duplicate, corrupt, disconnect) keyed to per-link frame
 //!   ordinals;
-//! * [`dist`] — the distributed master ([`dist::run_master`]) and stage
-//!   server ([`dist::run_stage`]): handshake, topology exchange, data
-//!   ring per attempt, supervisor-driven restarts on connection loss,
-//!   and end-of-run metric/link-stat reporting.
+//! * [`dist`] — the master's view of the stage fleet
+//!   ([`dist::TcpServingRing`], which [`Pipeline::run_on`](crate::Pipeline::run_on)
+//!   drives like any other ring) and the stage server
+//!   ([`dist::run_stage`]): handshake, topology exchange, data ring per
+//!   attempt, supervisor-driven restarts on connection loss, and
+//!   end-of-run metric/link-stat reporting.
 //!
 //! The control plane is a persistent TCP connection per stage to the
 //! master's single listener; the data plane is a ring of short-lived

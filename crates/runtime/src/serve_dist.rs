@@ -98,21 +98,37 @@ const SWAP_STALL_S: f64 = 0.0;
 /// A pipeline-ring backend a master can (re)dial: per attempt it hands
 /// out a fresh master-side [`Transport`] whose far end is stage 0 and
 /// whose receive side is the last stage. Implementations:
-/// [`ChannelRing`] (in-process threads) and the TCP stage ring in
-/// [`crate::net::dist`]. The defaulted methods are what a medium can
-/// observe about the attempt it carries; a master's restart loop reads
-/// them to detect hangs and name root causes.
+/// [`ChannelRing`] (in-process threads), the TCP stage fleet in
+/// [`crate::net::dist`] and the simulated network of [`crate::simnet`].
+/// Besides the dial, a ring owns what only its medium knows: the plan
+/// its stages boot on ([`retarget`](Self::retarget)), the clock its
+/// master waits on, what it can observe about the attempt it carries
+/// (the defaulted methods a master's restart path reads to detect hangs
+/// and name root causes), and what its stages report at the end of a
+/// run ([`finish`](Self::finish)).
 pub trait ServingRing: Send {
     /// Establish attempt `attempt` and return the master link. Stages
     /// boot on the ring's *boot* plan; the serving engine replays
     /// committed swaps on top.
     fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String>;
+    /// Boot the stages of every later attempt on `plan` — a replan, or
+    /// a live swap that committed before an attempt failed. A ring that
+    /// cannot switch refuses with [`RuntimeError::BadPlan`].
+    fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError>;
     /// Tear down the current attempt (un-wedge hung workers, join them).
     /// Called after the master link is dropped; must be idempotent. The
     /// default suits a ring whose stages run on their own: dropping the
     /// link closes both data endpoints, the EOF cascades down the ring,
     /// and each stage circles back to accepting the next attempt.
     fn teardown(&mut self) {}
+    /// Told, after [`teardown`](Self::teardown), how attempt `attempt`
+    /// ended as the master saw it: `None` if it completed.
+    fn attempt_ended(&self, _attempt: usize, _failure: Option<&RuntimeError>) {}
+    /// End of the run: collect whatever the stages report into the
+    /// ring's hub (`completed` = the run succeeded, so reports are
+    /// worth waiting for). The default has nothing to collect: stages
+    /// that share the process count into the hub directly.
+    fn finish(&mut self, _completed: bool) {}
     /// Number of pipeline stages in the ring.
     fn n_stages(&self) -> usize;
     /// The ring's observability hub, one for all of its attempts — the
@@ -120,6 +136,11 @@ pub trait ServingRing: Send {
     /// workers (where they share the process), link transports, the
     /// master endpoint and the restart path all count into it.
     fn telemetry(&self) -> Arc<Telemetry>;
+    /// The time source of every deadline, sleep and backoff its master
+    /// waits on: the wall clock unless the ring runs in virtual time.
+    fn clock(&self) -> Arc<dyn Clock> {
+        real_clock()
+    }
     /// The board the stages of the current attempt stamp their
     /// heartbeats on, if the ring keeps one.
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -148,8 +169,10 @@ pub trait ServingRing: Send {
 /// runtime's only channel-chain builder. The serving engine gets one
 /// from [`new`](Self::new) (fault injector, and a [`MigrationHost`] on
 /// every worker when its rung ladder can swap); the offline
-/// [`Pipeline`](crate::Pipeline) loads one per plan and attaches the
-/// supervision of its run through the crate-private fields.
+/// [`Pipeline::run`](crate::Pipeline::run) loads one and attaches the
+/// settings of its run through the crate-private fields. A ring with a
+/// [`MigrationHost`] can be re-targeted: it requantizes every shard of
+/// the new plan from the host's checkpoint.
 pub struct ChannelRing {
     stage_weights: Vec<Arc<Vec<llmpq_model::LayerWeights>>>,
     /// What the on-the-fly loader did for each stage's shard.
@@ -159,11 +182,13 @@ pub struct ChannelRing {
     n_slots: usize,
     tick: Duration,
     clock: Arc<dyn Clock>,
-    /// Worker fault injection, shared across the rings of one run so
-    /// consumed events and lost devices persist.
+    /// Worker fault injection, shared by every attempt of a run (and
+    /// kept across a re-target) so consumed events and lost devices
+    /// persist.
     pub(crate) injector: Option<Arc<FaultInjector>>,
-    /// Lets workers prepare proposed plans; without it they refuse a
-    /// proposal with a typed abort.
+    /// Lets workers prepare proposed plans, and the ring reload its
+    /// shards for a new plan; without it workers refuse a proposal with
+    /// a typed abort and [`retarget`](ServingRing::retarget) refuses.
     pub(crate) host: Option<Arc<MigrationHost>>,
     /// Heartbeat board the workers stamp (read by supervised masters).
     heartbeats: Arc<Heartbeats>,
@@ -304,6 +329,20 @@ impl ServingRing for ChannelRing {
         Ok(Box::new(ChannelTransport::new(from_last, to_first, self.telemetry.clone(), n_stages, 0)))
     }
 
+    fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError> {
+        let host = self.host.clone().ok_or_else(|| {
+            RuntimeError::BadPlan("this ring has no checkpoint to load another plan from".into())
+        })?;
+        self.teardown();
+        let (weights, loader_stats) =
+            load_all_stages(&host.checkpoint, plan, host.rounding, host.seed);
+        self.stage_weights = weights.into_iter().map(Arc::new).collect();
+        self.loader_stats = loader_stats;
+        self.heartbeats = Heartbeats::with_clock(plan.stages.len(), self.clock.clone());
+        self.boot = plan.clone();
+        Ok(())
+    }
+
     fn teardown(&mut self) {
         if self.threads.is_empty() {
             return;
@@ -324,6 +363,10 @@ impl ServingRing for ChannelRing {
 
     fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.clock.clone()
     }
 
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -425,6 +468,7 @@ impl DistStepEngine {
             return Err("n_slots must be ≥ 1".into());
         }
         let costs = IterCost::default_ladder(plans.len());
+        let clock = ring.clock();
         Ok(Self {
             head: ModelHead::of(checkpoint),
             plans,
@@ -437,7 +481,7 @@ impl DistStepEngine {
                 heartbeat_timeout: None,
                 progress_timeout: Some(cfg.op_timeout),
                 tick: cfg.tick,
-                clock: real_clock(),
+                clock,
             },
             slots: vec![None; cfg.n_slots],
             seq_slot: HashMap::new(),
@@ -493,7 +537,7 @@ impl DistStepEngine {
         self.ring.teardown();
         if let Some(seen) = self.lost.take() {
             let restarts = self.restarts as usize;
-            let budget = Some(self.cfg.max_restarts);
+            let budget = self.cfg.max_restarts;
             match after_failed_attempt(&*self.ring, &self.plans[0], seen, restarts, budget, false) {
                 Ok(_) => self.restarts += 1,
                 Err(cause) => {
@@ -1006,6 +1050,10 @@ mod tests {
             Ok(if attempt == 0 { Box::new(SwallowProposals(link)) } else { link })
         }
 
+        fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError> {
+            self.0.retarget(plan)
+        }
+
         fn teardown(&mut self) {
             self.0.teardown()
         }
@@ -1089,6 +1137,10 @@ mod tests {
         fn dial(&mut self, attempt: usize) -> Result<Box<dyn Transport + Send>, String> {
             let link = self.0.dial(attempt)?;
             Ok(if attempt == 0 { Box::new(MangleEchoes(link, self.1)) } else { link })
+        }
+
+        fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError> {
+            self.0.retarget(plan)
         }
 
         fn teardown(&mut self) {

@@ -38,11 +38,11 @@
 //! master endpoint (`engine::Master`, live-swap barrier included) and
 //! `worker::run_worker_transport` — the actual production loops — run
 //! unchanged inside the simulation; only the transport and the clock
-//! are swapped. The master actor's restart loop is production's too:
-//! `engine::AttemptLoop::new` over the simulated net as a
-//! `ServingRing`, under one `SupervisorConfig` like every offline
-//! master, with only the virtual clock and the per-attempt trace lines
-//! swapped in — the lines, and where they fall in virtual time, are
+//! are swapped. The master actor is production's offline master too: a
+//! [`Pipeline`] driving the simulated net as a `ServingRing`, under one
+//! `SupervisorConfig` like every offline run, the ring supplying the
+//! virtual clock, the per-attempt trace lines and the plan its stage
+//! actors boot on — the lines, and where they fall in virtual time, are
 //! part of the byte-identical replay contract. (The serving loop,
 //! [`ContinuousScheduler`](crate::serve::ContinuousScheduler), honors
 //! the contract by construction: every entry point takes `now` and it
@@ -75,7 +75,7 @@ pub use shrink::{
 pub use testbed::{wire_exchange, WireExchange, WireExchangeConfig};
 
 use crate::clock::Clock;
-use crate::engine::{AttemptLoop, RuntimeError};
+use crate::engine::{Pipeline, RuntimeError};
 use crate::fault::Heartbeats;
 use crate::loader::load_stage_weights;
 use crate::migrate::{MigrationCoordinator, MigrationHost, SwapReport, SwapRequest};
@@ -277,9 +277,14 @@ struct SimRing {
     net: Arc<SimNet>,
     master_id: usize,
     n_stages: usize,
+    /// The master actor's virtual clock.
+    clock: Arc<dyn Clock>,
     /// The master's board, fed by the control readers.
     hb: Arc<Heartbeats>,
     telemetry: Arc<Telemetry>,
+    /// The plan in force, which every stage actor re-reads on each
+    /// attempt like a restarted stage process would.
+    plan: Arc<Mutex<ExecutionPlan>>,
 }
 
 impl ServingRing for SimRing {
@@ -301,12 +306,29 @@ impl ServingRing for SimRing {
         Ok(Box::new(SimTransport::new(conn(self.n_stages), conn(0))))
     }
 
+    /// Publish the plan so (re)started stages boot on it.
+    fn retarget(&mut self, plan: &ExecutionPlan) -> Result<(), RuntimeError> {
+        *self.plan.lock().unwrap_or_else(PoisonError::into_inner) = plan.clone();
+        Ok(())
+    }
+
+    fn attempt_ended(&self, attempt: usize, failure: Option<&RuntimeError>) {
+        self.net.trace(&match failure {
+            None => format!("master: attempt {attempt} succeeded"),
+            Some(e) => format!("master: attempt {attempt} failed: {e}"),
+        })
+    }
+
     fn n_stages(&self) -> usize {
         self.n_stages
     }
 
     fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.clock.clone()
     }
 
     fn heartbeats(&self) -> Option<Arc<Heartbeats>> {
@@ -455,26 +477,15 @@ pub fn run_sim(cfg: &SimConfig, plan: &SimFaultPlan) -> SimReport {
                     net: net.clone(),
                     master_id,
                     n_stages: n,
+                    clock,
                     hb,
                     telemetry: telemetry.clone(),
+                    plan: shared_plan,
                 };
                 let supervisor = SupervisorConfig { max_restarts: cfg.max_restarts, ..SUPERVISOR };
-                let trace_attempt = |attempt, failure: Option<&RuntimeError>| {
-                    net.trace(&match failure {
-                        None => format!("master: attempt {attempt} succeeded"),
-                        Some(e) => format!("master: attempt {attempt} failed: {e}"),
-                    })
-                };
-                let mut attempts =
-                    AttemptLoop::new(model, &prompts, cfg.n_generate, Some(&supervisor), None);
-                attempts.sup.clock = clock;
-                attempts.on_attempt_end = &trace_attempt;
-                // A committed swap changes the plan in force: publish it
-                // so (re)started stages boot on it.
-                let result = attempts
-                    .run(&mut ring, exec.clone(), coord.as_mut(), |_, plan| {
-                        *shared_plan.lock().unwrap_or_else(PoisonError::into_inner) = plan.clone();
-                    })
+                let result = Pipeline::new(model, exec)
+                    .supervised(supervisor)
+                    .drive(&mut ring, &prompts, cfg.n_generate, coord.as_mut())
                     .map(|out| out.tokens);
                 let restarts = telemetry.restarts() as usize;
                 match &result {

@@ -1,14 +1,15 @@
 //! Pipeline supervision: heartbeat/timeout failure detection, bounded
 //! restarts with exponential backoff, and replan-on-device-loss — the
-//! policy types [`Pipeline::supervised`](crate::Pipeline::supervised)
-//! and [`run_master`](crate::net::dist::run_master) run under (the
-//! restart loop itself lives in [`crate::engine`], once for both).
+//! policy types every offline run of [`Pipeline`](crate::Pipeline) runs
+//! under, over whatever ring carries it
+//! ([`Pipeline::supervised`](crate::Pipeline::supervised); the restart
+//! loop itself lives in [`crate::engine`]).
 //!
-//! An unsupervised run only notices failures when a channel
-//! disconnects — a *dead* worker — and gives up. A production pipeline
-//! must resume, and also sees workers that are alive but wedged (driver
-//! hang, network partition) and devices that are gone for good.
-//! Supervision covers all three:
+//! Noticing a failure only when a channel disconnects — a *dead*
+//! worker — is not enough. A production pipeline must resume, and also
+//! sees workers that are alive but wedged (driver hang, network
+//! partition) and devices that are gone for good. Supervision covers
+//! all three:
 //!
 //! * every stage worker stamps a [`Heartbeats`](crate::Heartbeats) slot
 //!   on each channel tick; the master flags a stage whose stamp goes stale

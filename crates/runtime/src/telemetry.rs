@@ -32,6 +32,7 @@
 //! experiment.
 
 use crate::clock::{real_clock, Clock};
+use llm_pq::PlanOrigin;
 use llmpq_model::Phase;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -338,6 +339,14 @@ impl StageRecorder {
         }
     }
 
+    /// Fold a remote stage's reported work counters into this recorder
+    /// (additive; its latency histograms stay the ones counted here).
+    pub fn merge(&self, m: &StageMetrics) {
+        self.items.fetch_add(m.items as u64, Ordering::Relaxed);
+        self.seq_forwards.fetch_add(m.seq_forwards as u64, Ordering::Relaxed);
+        self.busy_us.fetch_add((m.busy_s * 1e6).round() as u64, Ordering::Relaxed);
+    }
+
     /// Combined prefill + decode latency distribution.
     pub fn latency_all(&self) -> HistogramSnapshot {
         self.prefill_latency.snapshot().merge(&self.decode_latency.snapshot())
@@ -483,7 +492,7 @@ pub struct Telemetry {
     spans: Option<Mutex<Vec<Span>>>,
     restarts: AtomicU64,
     replans: AtomicU64,
-    // Plan provenance (see `llm_pq::PlanOrigin`): how many installed
+    // Plan provenance (see `PlanOrigin`): how many installed
     // plans came from the exact solver, the Algorithm-2 heuristic
     // fallback, and the warm-started incremental path.
     plans_ilp: AtomicU64,
@@ -649,16 +658,12 @@ impl Telemetry {
         self.replans.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the provenance of an installed plan. `origin` is the
-    /// `Display` form of `llm_pq::PlanOrigin` (`"ilp"`, `"heuristic"`,
-    /// `"warm-start"`) — stringly typed so the runtime crate stays
-    /// decoupled from the solver crate's types; unknown strings count
-    /// as heuristic (the conservative bucket).
-    pub fn note_plan_origin(&self, origin: &str) {
+    /// Record the provenance of an installed plan.
+    pub fn note_plan_origin(&self, origin: PlanOrigin) {
         match origin {
-            "ilp" => self.plans_ilp.fetch_add(1, Ordering::Relaxed),
-            "warm-start" => self.plans_warm.fetch_add(1, Ordering::Relaxed),
-            _ => self.plans_heuristic.fetch_add(1, Ordering::Relaxed),
+            PlanOrigin::Ilp => self.plans_ilp.fetch_add(1, Ordering::Relaxed),
+            PlanOrigin::WarmStart => self.plans_warm.fetch_add(1, Ordering::Relaxed),
+            PlanOrigin::Heuristic => self.plans_heuristic.fetch_add(1, Ordering::Relaxed),
         };
     }
 

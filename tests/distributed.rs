@@ -2,7 +2,8 @@
 //! per stage plus a master — over loopback TCP, spawned through the
 //! `llmpq-dist` binary, must generate tokens bit-identical to the
 //! in-process engine, and must survive an injected mid-run connection
-//! drop via the supervisor's restart path.
+//! drop via the supervisor's restart path. Each mode of the binary
+//! refuses a flag it does not read.
 
 use llm_pq::ExecutionPlan;
 use llmpq_model::{RefConfig, RefModel};
@@ -208,4 +209,28 @@ fn injected_connection_drop_recovers_bit_identically() {
     }
     assert!(out.contains("1 restarts"), "expected exactly one restart:\n{out}");
     assert!(out.contains("(conserved=true)"), "admission conservation violated:\n{out}");
+}
+
+#[test]
+fn each_mode_refuses_a_flag_it_does_not_read() {
+    let strat = scratch("plan3-flags.json");
+    std::fs::write(&strat, plan3().to_json()).unwrap();
+    let cases: [(&[&str], &str, &str); 3] = [
+        (&["--wire-fault", "wire.json"], "--wire-fault", "the in-process run"),
+        (&["--listen", "127.0.0.1:0", "--fault-plan", "faults.json"], "--fault-plan", "the master process"),
+        (&["--stage", "0", "--connect", "127.0.0.1:9", "--trace-out", "t.json"], "--trace-out", "a stage process"),
+    ];
+    for (flags, flag, mode) in cases {
+        let out = Command::new(dist_binary())
+            .args(["--strat_file_name", strat.to_str().unwrap(), "--seed", "0"])
+            .args(flags)
+            .output()
+            .expect("run llmpq-dist");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} is not read by {mode}")), "{flags:?}: {stderr}");
+        // Refused before anything is loaded or bound.
+        assert!(!stdout.contains("listening on") && !stderr.contains("loaded plan"), "{flags:?}: {stderr}");
+    }
 }

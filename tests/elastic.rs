@@ -5,12 +5,12 @@
 //! a device loss mid-migration aborts the barrier cleanly back to the
 //! still-serving old plan with nothing dropped or duplicated.
 
-use llm_pq::{ExecutionPlan, MicrobatchPlan};
+use llm_pq::{ExecutionPlan, MicrobatchPlan, ReplanError};
 use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{quantize_model, Bitwidth, Rounding};
 use llmpq_runtime::{
     hybrid_oracle_tokens, ControllerCommand, ControllerState, DebouncedPolicy, ElasticPlanner,
-    FleetController, FleetEvent, FleetEventKind, FleetView, Pipeline, PlanFailure,
+    FleetController, FleetEvent, FleetEventKind, FleetView, Pipeline,
     SupervisorConfig, SwapRequest, Telemetry,
 };
 
@@ -56,12 +56,12 @@ fn fast_supervisor() -> SupervisorConfig {
 struct RehomePlanner;
 
 impl ElasticPlanner for RehomePlanner {
-    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, PlanFailure> {
+    fn plan(&mut self, view: &FleetView<'_>) -> Result<ExecutionPlan, ReplanError> {
         if view.live.is_empty() {
-            return Err(PlanFailure::NoDevices);
+            return Err(ReplanError::AllDevicesLost { total: 0 });
         }
         if view.live.len() < N_STAGES {
-            return Err(PlanFailure::Infeasible {
+            return Err(ReplanError::Infeasible {
                 devices: view.live.len(),
                 reason: format!("{N_STAGES}-stage ring needs {N_STAGES} devices"),
             });

@@ -267,14 +267,17 @@ fn post_commit_failure_is_logged_and_attributed_like_any_supervised_restart() {
 }
 
 #[test]
-fn swap_schedule_needs_supervision_and_excludes_a_replanner() {
+fn swap_schedule_is_supervised_by_default_and_excludes_a_replanner() {
     let ck = checkpoint();
     let part = [(0, 1), (1, 3), (3, 4)];
     let base = plan(&part, &[Bitwidth::Fp16; N_LAYERS]);
     let swaps = [SwapRequest { at_token: 2, plan: plan(&part, &[Bitwidth::Int4; N_LAYERS]) }];
 
-    let err = Pipeline::new(&ck, &base).swaps(&swaps).run(&prompts(1), 4).unwrap_err();
-    assert!(matches!(&err, RuntimeError::BadPlan(m) if m.contains("supervised")), "got: {err}");
+    // Every run is supervised: without `.supervised` the swap runs under
+    // the default supervisor and commits.
+    let out = Pipeline::new(&ck, &base).swaps(&swaps).run(&prompts(1), 4).expect("swap run");
+    assert!(out.swaps.len() == 1 && out.swaps[0].committed, "{:?}", out.swaps);
+    assert_eq!(out.final_plan, swaps[0].plan);
 
     let err = Pipeline::new(&ck, &base)
         .supervised(fast_supervisor())

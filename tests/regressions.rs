@@ -48,8 +48,8 @@ fn plan_kv_bits_affect_memory_and_latency() {
     let job = BatchJob { global_batch: 32, prompt_len: 512, n_generate: 400 };
     let p16 = even_plan(spec.n_layers, 4, Bitwidth::Int4, 16);
     let p8 = even_plan(spec.n_layers, 4, Bitwidth::Int4, 8);
-    let m16 = stage_memories(&p16, &spec, &job);
-    let m8 = stage_memories(&p8, &spec, &job);
+    let m16 = stage_memories(&p16, &cluster, &spec, &job);
+    let m8 = stage_memories(&p8, &cluster, &spec, &job);
     for (a, b) in m16.iter().zip(&m8) {
         assert!(b < a, "int8 KV must shrink memory: {b} vs {a}");
     }
