@@ -8,7 +8,7 @@
 //! kernel that moves fewer physical bytes per weight shows up as a
 //! higher effective rate, exactly the quantity the planner's roofline
 //! tables model, and against the box: `roofline_frac` is the bytes the
-//! kernel actually streams (payload + scales + zeros, or `4·n·k` dense)
+//! kernel actually streams (payload + scales, or `4·n·k` dense)
 //! over its time, as a fraction of a STREAM-style triad taken in the
 //! same run. Prefill is compute-bound and judged in **GFLOP/s**
 //! (`2·m·n·k / time`), its `roofline_frac` a fraction of the
@@ -22,7 +22,9 @@
 //! sequence, or a few stacked; also every prefill tail block),
 //! L2-resident, with the time per weight beside each, and the dense
 //! 512 × 256 logits projection alone at `m = 1` from the row-major table
-//! and from the k-major copy a serving head keeps. A
+//! and from the k-major copy a serving head keeps; the FMA peak probe
+//! runs in the same rounds, and each fused `m = 1` pass is also given
+//! as a fraction of it (`decode_list_peak_frac`). A
 //! fourth times the other half of that model's layer at int4: GELU per
 //! element; the attention kernel alone at a prefill chunk on an empty and
 //! on a 64-token cache and at a decode step on 16, 64 and 128 cached
@@ -59,7 +61,10 @@
 //! decode attention over key blocks costs at most
 //! [`MAX_BLOCK_OVER_ROW_ATTENTION`] of the row-major form at 64 and 128
 //! cached positions, and the decode layer forward on 150 at most
-//! [`MAX_DECODE_LAYER_OVER_GEMM`] of its GEMMs, in every section a
+//! [`MAX_DECODE_LAYER_OVER_GEMM`] of its GEMMs, and the fused int8 and
+//! int4 `ref256x4` GEMM lists at `m = 1` run at their
+//! [`MIN_DECODE_LIST_PEAK_FRAC`] of the section's FMA peak or more, in
+//! every section a
 //! vector instantiation ran — AVX2 or AVX-512 — the layer forward of
 //! both prefill shapes costs at most [`MAX_LAYER_OVER_GEMM`] of its
 //! GEMMs and the serving form of the four-layer prefill at most
@@ -224,6 +229,10 @@ struct Section {
     gemm: Vec<GemmRow>,
     decode_list: Vec<ListRow>,
     head: Vec<HeadRow>,
+    /// The fused int8 and int4 `decode_list` passes at `m = 1` over the
+    /// FMA peak probed in their rounds; in a vector instantiation the gate
+    /// is ≥ [`MIN_DECODE_LIST_PEAK_FRAC`].
+    decode_list_peak_frac: Vec<ListPeakFrac>,
     /// GELU over one prefill chunk's FFN activations (64 × 1024).
     gelu_ns_per_elem: f64,
     /// In a vector instantiation the `m = 1` rows at 64 and 128 cached
@@ -257,6 +266,10 @@ struct Section {
     /// prefill shape, per precision; in a vector instantiation the gate
     /// is ≤ [`MAX_PREFILL_AMORTISATION`].
     prefill_amortisation: Vec<(String, f64)>,
+    /// Min and max of the per-round quotients behind each
+    /// `prefill_amortisation` entry, round `i` of the `m = 64` call over
+    /// round `i` of the `m = 1` call.
+    prefill_amortisation_rounds: Vec<(String, [f64; 2])>,
 }
 
 /// The part of a committed report `--compare` reads.
@@ -308,6 +321,23 @@ const MIN_INT4_OVER_INT8_VECTOR: f64 = 0.95;
 /// which costs an `m = 64` row what it costs the `m = 1` call, and the
 /// quotient reads 0.8–0.95.
 const MAX_PREFILL_AMORTISATION: f64 = 0.65;
+
+/// In a vector instantiation, lower bars on the fused int8 and int4
+/// `ref256x4` GEMM lists at `m = 1` over the FMA peak probed in the same
+/// rounds, per (section, kernel). At these L2-resident shapes the decode
+/// body is bound by vector instructions per weight, not by bytes, so the
+/// fraction counts them: dropping the zero point's subtract took one of
+/// five per 16 int8 weights and one of five and a half per 16 nibbles.
+/// Each bar sits between the medians of ten quick runs before and after
+/// that change (EXPERIMENTS.md "Decode without a zero point"); under
+/// AVX-512 the host's state between runs moves the fraction more than
+/// the change did, and the change passed 7 of 10 there.
+const MIN_DECODE_LIST_PEAK_FRAC: [(&str, &str, f64); 4] = [
+    ("avx2", "fused-int8", 0.205),
+    ("avx2", "fused-int4", 0.15),
+    ("avx512", "fused-int8", 0.145),
+    ("avx512", "fused-int4", 0.145),
+];
 
 /// Upper bar on an int4 `ref256x4` prefill layer forward over its own six
 /// GEMM calls. With scalar libm GELU / softmax and one dependent add
@@ -402,15 +432,27 @@ const CHUNK_M: usize = 64;
 /// Steps of one FMA-peak probe call: a few hundred microseconds.
 const PROBE_STEPS: usize = 100_000;
 
-/// Each kernel's per-call seconds at the 4096² decode, one per round.
-type DecodeRounds = Vec<(String, Vec<f64>)>;
+/// Each GEMM row's per-call seconds, one per round, keyed by its
+/// `(phase, m, kernel)`.
+type RoundTimes = Vec<((&'static str, usize, String), Vec<f64>)>;
+
+/// The rounds of the GEMM row `(phase, m, kernel)`.
+fn rounds_of<'a>(rounds: &'a RoundTimes, phase: &str, m: usize, kernel: &str) -> &'a [f64] {
+    let found = rounds.iter().find(|((p, rm, k), _)| (*p, *rm, k.as_str()) == (phase, m, kernel));
+    &found.expect("GEMM row timed").1
+}
+
+/// Per-round quotients of two kernels' rounds, taken in the same rounds.
+fn quotients(num: &[f64], den: &[f64]) -> Vec<f64> {
+    num.iter().zip(den).map(|(n, d)| n / d).collect()
+}
 
 /// The GEMM rows, the FMA peak in GFLOP/s — the chain probe
 /// (`llmpq_kernels::dispatch::fma_peak_probe`) runs as one more kernel
 /// in each prefill shape's interleaved rounds, so that a row and the
-/// peak it is divided by see the same state of a shared host — and the
-/// decode kernels' rounds.
-fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, DecodeRounds) {
+/// peak it is divided by see the same state of a shared host — and every
+/// row's rounds.
+fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, RoundTimes) {
     // Decode is the memory-bound phase: m = 1, square weight sized to
     // spill L2 in both modes so the run measures sustained traffic (the
     // L2-resident case is the `ref256x4` list). The prefill shape and
@@ -420,7 +462,7 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, De
     let (dec_nk, pre_nk, pre_m) = (4096, 1024, if quick { 16 } else { 32 });
     let (iters, rounds) = (4, 5);
     let mut peak = 0.0f64;
-    let mut decode_rounds = Vec::new();
+    let mut round_times = Vec::new();
 
     for (phase, m, nk) in [
         ("decode", 1usize, dec_nk),
@@ -474,9 +516,7 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, De
         }
         let per_round = time_rounds(iters, rounds, &mut kernels);
         let mut times: Vec<f64> = per_round.iter().map(|t| best(t)).collect();
-        if phase == "decode" {
-            decode_rounds = kernels.iter().map(|(kernel, _)| kernel.clone()).zip(per_round).collect();
-        }
+        round_times.extend(kernels.iter().map(|(kernel, _)| (phase, m, kernel.clone())).zip(per_round));
         let peak_gflops = match phase {
             "prefill" => {
                 kernels.pop();
@@ -511,7 +551,7 @@ fn gemm_suite(quick: bool, mem_bw_gbs: f64, rows: &mut Vec<GemmRow>) -> (f64, De
             });
         }
     }
-    (peak, decode_rounds)
+    (peak, round_times)
 }
 
 /// STREAM-style triad over 64 MB (three `f64` arrays): best of five
@@ -539,13 +579,28 @@ fn mem_bw_gbs() -> f64 {
 /// and the two short blocks a stacked decode or a prefill tail adds.
 const LIST_M: [usize; 3] = [1, 2, 3];
 
+/// A fused `m = 1` pass over the `ref256x4` GEMM list as a fraction of
+/// the FMA peak probed in the same rounds: the best round of each, and
+/// the min and max of the per-round quotients. (The median of per-round
+/// quotients hardly moved when the zero point's subtract went, under
+/// AVX-512: over ten quick runs each, 0.139 against 0.141 for int8,
+/// while the list ran 12 % faster.)
+#[derive(Serialize)]
+struct ListPeakFrac {
+    kernel: String,
+    frac: f64,
+    rounds: [f64; 2],
+}
+
 /// The `ref256x4` serving model's per-token GEMM list (hidden 256, FFN
 /// 1024, four layers, a dense 512-row logits projection) replayed at
 /// each of [`LIST_M`]: what one decode step spends in the kernel, at
 /// shapes that sit in L2 rather than stream from memory. The logits
 /// projection runs from the k-major copy a serving `ModelHead` keeps, and
-/// is timed alone from both forms.
-fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> (Vec<ListRow>, Vec<HeadRow>) {
+/// is timed alone from both forms. The FMA peak probe runs as one more
+/// kernel in the list's rounds, so each fused `m = 1` pass also comes as
+/// a fraction of it.
+fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> (Vec<ListRow>, Vec<HeadRow>, Vec<ListPeakFrac>) {
     const LAYER: [(usize, usize); 6] = [(256, 256), (256, 256), (256, 256), (256, 256), (1024, 256), (256, 1024)];
     let dense: Vec<Matrix> = (0..4 * LAYER.len())
         .map(|i| {
@@ -592,8 +647,31 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> (Vec<ListRow>, Vec<HeadRow
             ));
         }
     }
+    kernels.push((
+        "fma-peak".into(),
+        Box::new(|| {
+            black_box(llmpq_kernels::dispatch::fma_peak_probe(black_box(PROBE_STEPS)));
+        }),
+    ));
     let (iters, rounds) = if quick { (20, 5) } else { (50, 9) };
-    let times = time_interleaved(iters, rounds, &mut kernels);
+    let mut per_round = time_rounds(iters, rounds, &mut kernels);
+    kernels.pop();
+    let probe = per_round.pop().expect("the probe was timed");
+    let probe_flops = llmpq_kernels::dispatch::fma_peak_probe(PROBE_STEPS) as f64;
+    let peak_frac = kernels
+        .iter()
+        .zip(&per_round)
+        .zip(&shape)
+        .filter(|(((kernel, _), _), (m, _))| *m == 1 && kernel.starts_with("fused-"))
+        .map(|(((kernel, _), list), _)| {
+            // (2·weights / list time) / (probe flops / probe time): the
+            // best rounds of each, as the prefill rows' `roofline_frac`.
+            let frac = |list: f64, probe: f64| probe / list * (2 * weights) as f64 / probe_flops;
+            let per_round: Vec<f64> = list.iter().zip(&probe).map(|(&l, &p)| frac(l, p)).collect();
+            ListPeakFrac { kernel: kernel.clone(), rounds: round_range(&per_round), frac: frac(best(list), best(&probe)) }
+        })
+        .collect();
+    let times: Vec<f64> = per_round.iter().map(|t| best(t)).collect();
     let x1 = &inputs[0][0];
     let mut head_kernels: Vec<TimedKernel<'_>> = vec![
         ("row-major".into(), Box::new(|| drop(black_box(x1.matmul_t(black_box(head)))))),
@@ -620,7 +698,7 @@ fn decode_list_suite(quick: bool, mem_bw_gbs: f64) -> (Vec<ListRow>, Vec<HeadRow
             }
         })
         .collect();
-    (list, head_rows)
+    (list, head_rows, peak_frac)
 }
 
 /// The non-GEMM half of an int4 `ref256x4` layer: GELU, attention, and
@@ -890,7 +968,7 @@ fn solver_suite() -> SolverRow {
 fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     say!(out, "== kernel isa: {} ==\n", isa.name());
     let mut gemm = Vec::new();
-    let (fma_peak_gflops, decode_rounds) = gemm_suite(quick, mem_bw_gbs, &mut gemm);
+    let (fma_peak_gflops, round_times) = gemm_suite(quick, mem_bw_gbs, &mut gemm);
     say!(out, "FMA peak (independent chains): {fma_peak_gflops:.1} GFLOP/s");
 
     let mut t = TextTable::new(&["phase", "kernel", "m", "n=k", "ms", "eff GB/s (fp16-eq)", "GFLOP/s", "roofline"]);
@@ -908,7 +986,7 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     }
     out.table(&t);
 
-    let (decode_list, head) = decode_list_suite(quick, mem_bw_gbs);
+    let (decode_list, head, decode_list_peak_frac) = decode_list_suite(quick, mem_bw_gbs);
     let mut t = TextTable::new(&["ref256x4 GEMM list", "m", "us/call", "ns/weight", "weight KB", "roofline"]);
     for r in &decode_list {
         t.row(vec![
@@ -923,6 +1001,10 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     out.table(&t);
     for r in &head {
         say!(out, "logits projection (512 x 256, dense), m = {}, {}: {:.1} us", r.m, r.form, r.us_per_call);
+    }
+    for r in &decode_list_peak_frac {
+        let [lo, hi] = r.rounds;
+        say!(out, "{} ref256x4 GEMM list, m = 1: {:.3} of the FMA peak (rounds {lo:.3}-{hi:.3})", r.kernel, r.frac);
     }
 
     let (gelu_ns_per_elem, attention, layer) = layer_suite(quick);
@@ -965,8 +1047,8 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
     // one kernel's fast round against the other's slow one.
     // Each comes with the min and max of its per-round quotients.
     let decode_quotient = |num: &str, den: &str| {
-        let rounds = |kernel: &str| &decode_rounds.iter().find(|(k, _)| k == kernel).expect("decode kernel timed").1;
-        let per_round: Vec<f64> = rounds(num).iter().zip(rounds(den)).map(|(n, d)| n / d).collect();
+        let rounds = |kernel: &str| rounds_of(&round_times, "decode", 1, kernel);
+        let per_round = quotients(rounds(num), rounds(den));
         let range = round_range(&per_round);
         (median(per_round), range)
     };
@@ -1001,15 +1083,24 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
             .map(|r| r.ms)
             .expect("prefill row present")
     };
-    let prefill_amortisation: Vec<(String, f64)> = [Bitwidth::Int8, Bitwidth::Int4]
-        .iter()
-        .map(|b| {
-            let kernel = format!("fused-{b}");
-            let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
-            say!(out, "{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call");
-            (kernel, ratio)
-        })
-        .collect();
+    // Its range pairs the two shapes' rounds by index: they are timed in
+    // rounds of their own, one shape after the other.
+    let mut prefill_amortisation = Vec::new();
+    let mut prefill_amortisation_rounds = Vec::new();
+    for b in [Bitwidth::Int8, Bitwidth::Int4] {
+        let kernel = format!("fused-{b}");
+        let ratio = prefill_ms(&kernel, CHUNK_M) / CHUNK_M as f64 / prefill_ms(&kernel, 1);
+        let per_round = quotients(
+            rounds_of(&round_times, "prefill", CHUNK_M, &kernel),
+            rounds_of(&round_times, "prefill", 1, &kernel),
+        );
+        let [lo, hi] = round_range(&per_round).map(|q| q / CHUNK_M as f64);
+        say!(out,
+            "{kernel}: one row of an m = {CHUNK_M} prefill costs {ratio:.2} of an m = 1 call (rounds {lo:.2}-{hi:.2})"
+        );
+        prefill_amortisation.push((kernel.clone(), ratio));
+        prefill_amortisation_rounds.push((kernel, [lo, hi]));
+    }
     say!(out);
     Section {
         isa: isa.name(),
@@ -1017,6 +1108,7 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         gemm,
         decode_list,
         head,
+        decode_list_peak_frac,
         gelu_ns_per_elem,
         attention,
         layer,
@@ -1027,6 +1119,7 @@ fn section(out: &mut Out, isa: Isa, quick: bool, mem_bw_gbs: f64) -> Section {
         int4_over_int8_decode,
         int4_over_int8_decode_rounds,
         prefill_amortisation,
+        prefill_amortisation_rounds,
     }
 }
 
@@ -1122,11 +1215,26 @@ fn check_ordering(out: &mut Out, s: &Section, gates: &mut Gates) {
             ">=",
             MIN_INT4_OVER_INT8_VECTOR,
         );
-        for (kernel, ratio) in &s.prefill_amortisation {
-            gates.at_most(
+        for ((kernel, ratio), (_, rounds)) in s.prefill_amortisation.iter().zip(&s.prefill_amortisation_rounds) {
+            gates.record(
+                *ratio <= MAX_PREFILL_AMORTISATION,
                 format!("{isa} {kernel}: one row of an m = {CHUNK_M} prefill over an m = 1 call"),
                 *ratio,
+                Some(*rounds),
+                "<=",
                 MAX_PREFILL_AMORTISATION,
+            );
+        }
+        for r in &s.decode_list_peak_frac {
+            let bar = MIN_DECODE_LIST_PEAK_FRAC.iter().find(|(i, k, _)| (*i, *k) == (isa, r.kernel.as_str()));
+            let Some(&(_, _, bar)) = bar else { continue };
+            gates.record(
+                r.frac >= bar,
+                format!("{isa} {}: ref256x4 GEMM list at m = 1 fraction of the FMA peak", r.kernel),
+                r.frac,
+                Some(r.rounds),
+                ">=",
+                bar,
             );
         }
         for past in [64, 128] {

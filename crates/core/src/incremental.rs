@@ -656,7 +656,7 @@ mod tests {
         let ind = synthetic_indicator(spec.n_layers);
         let cfg = quick_cfg();
         let cold = assign(&cluster, &spec, &job, &db, &ind, &cfg).expect("cold");
-        let mut planner = IncrementalPlanner::new(spec.clone(), job, cfg.clone());
+        let mut planner = IncrementalPlanner::new(spec.clone(), job, cfg);
         let first = planner.plan(&cluster, &db, &ind).expect("first plan");
         assert_eq!(first.origin, PlanOrigin::Ilp, "no previous plan to warm from");
         assert!(
@@ -681,7 +681,7 @@ mod tests {
         let job = BatchJob::paper_default();
         let ind = synthetic_indicator(spec.n_layers);
         let cfg = quick_cfg();
-        let mut planner = IncrementalPlanner::new(spec.clone(), job, cfg.clone());
+        let mut planner = IncrementalPlanner::new(spec.clone(), job, cfg);
         planner.plan(&cluster, &db, &ind).expect("initial plan");
         let (survivors, _) = cluster.without_devices(&[1]);
         let warm = planner.plan(&survivors, &db, &ind).expect("warm replan");

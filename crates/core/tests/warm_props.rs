@@ -97,7 +97,7 @@ fn clamp_delta(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// After a small delta (±1–2 devices), the warm-started planner
     /// finds exactly the cold objective on the new fleet — the warm
@@ -123,7 +123,7 @@ proptest! {
         devices.extend_from_slice(&added);
         let new = cluster_of("new", &devices);
 
-        let mut warm = IncrementalPlanner::new(spec.clone(), job(), cfg.clone());
+        let mut warm = IncrementalPlanner::new(spec.clone(), job(), cfg);
         warm.plan(&old, &db, &indicator).expect("base fleet plans");
 
         let mut cold = IncrementalPlanner::new(spec, job(), cfg);
@@ -276,7 +276,7 @@ proptest! {
         let old = cluster_of("cls-a", &vec![GpuModel::T4_16G; n]);
         let new = cluster_of("cls-b", &vec![GpuModel::A100_40G; n]);
 
-        let mut warm = IncrementalPlanner::new(spec.clone(), job(), cfg.clone());
+        let mut warm = IncrementalPlanner::new(spec.clone(), job(), cfg);
         warm.plan(&old, &db, &indicator).expect("plan on the T4 fleet");
         let switched = warm.plan(&new, &db, &indicator).expect("plan on the A100 fleet");
 

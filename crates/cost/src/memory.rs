@@ -50,8 +50,9 @@ impl MemoryBreakdown {
     }
 }
 
-/// Group-wise quantization scale/zero storage of one decoder layer,
-/// matching the packed layout the serving kernels hold resident.
+/// Group-wise quantization metadata of one decoder layer as the planner
+/// charges it (`ModelSpec::quant_scale_bytes`: 5 B per (row, group),
+/// one byte above the scale the serving kernels hold resident).
 fn scale_overhead(spec: &ModelSpec, bits: Bitwidth) -> f64 {
     if bits.is_quantized() {
         spec.quant_scale_bytes(llmpq_model::QUANT_GROUP)

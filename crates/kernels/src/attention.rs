@@ -389,7 +389,7 @@ impl<K: KvBlocks> TileSource for HeadKeys<'_, K> {
     }
 
     #[inline(always)]
-    fn fill(&self, panel: usize, k_lo: usize, tile: &mut [f32]) {
+    fn fill(&self, _: Isa, panel: usize, k_lo: usize, tile: &mut [f32]) {
         tile.copy_from_slice(&self.kv.key_block(panel)[(self.lo + k_lo) * LANES..][..tile.len()]);
     }
 }

@@ -1,5 +1,5 @@
 //! Packed low-bit weight storage: group-wise int8 and nibble-packed
-//! int4/int3 with per-group scales and zero points.
+//! int4/int3 on symmetric grids with per-group scales.
 //!
 //! ## Layout
 //!
@@ -29,13 +29,11 @@
 //!          `b >> 4` is k-steps 4u+2, 4u+3, each already in tile order.
 //!          K is padded to a multiple of 4 with grid zeros.
 //! scales   `[panel][group][lane]`, one f32 per (row, group)
-//! zeros    `[panel][group][lane]`, one i8  per (row, group)
 //! ```
 //!
 //! The layout is private to this crate: everything outside addresses a
 //! weight by `(row, col)` through [`PackedMatrix::get_q`],
-//! [`PackedMatrix::scale`], [`PackedMatrix::zero`] and
-//! [`PackedMatrix::unpack`]. A serialized matrix carries its panel width
+//! [`PackedMatrix::scale`] and [`PackedMatrix::unpack`]. A serialized matrix carries its panel width
 //! (`lanes`; absent means 8, the width before the field existed) and the
 //! kernels refuse one laid out at another width: when `rows` is a
 //! multiple of both widths every buffer has the same length under
@@ -43,11 +41,10 @@
 //!
 //! Each row is divided into `ceil(cols / group)` groups of `group`
 //! consecutive `k` positions (the last group may be short). A stored
-//! grid value `q` dequantizes as `((q − zero) as f32) * scale`; the
-//! symmetric packers set every zero point to 0, which makes the
-//! dequantized value bit-identical to the repo's row-wise
-//! `quantize→dequantize` reference (`q as f32 * scale` — the i8→i32→f32
-//! and i8→f32 conversions are both exact).
+//! grid value `q` dequantizes as `q as f32 * scale` (the conversion is
+//! exact, so that is one rounding), bit-identical to the repo's row-wise
+//! `quantize→dequantize` reference. Every grid is symmetric, so there is
+//! no zero point: the kernels read what they multiply, and nothing more.
 //!
 //! Int3 shares the nibble layout with int4 (a 3-bit value fits in a
 //! nibble); it spends 4 payload bits per weight instead of the ideal 3,
@@ -57,7 +54,7 @@ use serde::{Deserialize, Serialize};
 
 /// Default quantization group length along `k` (input features).
 ///
-/// 64 keeps per-group metadata (4 B scale + 1 B zero) under 2 % of an
+/// 64 keeps per-group metadata (one 4 B scale) under 2 % of an
 /// int4 group's payload while the group's packed bytes (32) still fit
 /// in a single cache line.
 pub const DEFAULT_GROUP: usize = 64;
@@ -129,8 +126,8 @@ pub(crate) const UNIT_BYTES: usize = UNIT_K * LANES / 2;
 /// `u = q + 8 ∈ [0, 15]`.
 pub(crate) const NIBBLE_BIAS: u8 = 8;
 
-/// A weight matrix stored on its integer grid: packed payload plus
-/// per-group scales and zero points. See the module docs for layout.
+/// A weight matrix stored on its symmetric integer grid: packed payload
+/// plus per-group scales. See the module docs for layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedMatrix {
     /// Output features (rows of the logical `(out, in)` matrix).
@@ -149,9 +146,6 @@ pub struct PackedMatrix {
     payload: Vec<u8>,
     /// One scale per `(row, group)`, `[panel][group][lane]`.
     scales: Vec<f32>,
-    /// One zero point per `(row, group)`, `[panel][group][lane]`. All
-    /// zero for the symmetric packers.
-    zeros: Vec<i8>,
 }
 
 impl PackedMatrix {
@@ -160,24 +154,15 @@ impl PackedMatrix {
         self.cols.div_ceil(self.group)
     }
 
-    /// Pack raw grid values with explicit per-group scales and zeros.
+    /// Pack raw grid values with explicit per-group scales.
     ///
     /// `q` is row-major `rows × cols` on the signed grid of `bits`;
-    /// `scales`/`zeros` are row-major `rows × ceil(cols/group)`.
-    pub fn from_i8(
-        rows: usize,
-        cols: usize,
-        bits: PackBits,
-        group: usize,
-        q: &[i8],
-        scales: &[f32],
-        zeros: &[i8],
-    ) -> Self {
+    /// `scales` is row-major `rows × ceil(cols/group)`.
+    pub fn from_i8(rows: usize, cols: usize, bits: PackBits, group: usize, q: &[i8], scales: &[f32]) -> Self {
         assert!(group > 0, "group must be at least 1");
         assert_eq!(q.len(), rows * cols, "grid shape mismatch");
         let gpr = cols.div_ceil(group);
         assert_eq!(scales.len(), rows * gpr, "one scale per (row, group)");
-        assert_eq!(zeros.len(), rows * gpr, "one zero per (row, group)");
         let qmax = bits.qmax();
         if bits.is_nibble() {
             for &v in q {
@@ -215,21 +200,18 @@ impl PackedMatrix {
             }
         }
         let mut panel_scales = vec![0.0f32; panels * gpr * LANES];
-        let mut panel_zeros = vec![0i8; panels * gpr * LANES];
         for r in 0..rows {
             for g in 0..gpr {
-                let i = meta_index(r, g, gpr);
-                panel_scales[i] = scales[r * gpr + g];
-                panel_zeros[i] = zeros[r * gpr + g];
+                panel_scales[meta_index(r, g, gpr)] = scales[r * gpr + g];
             }
         }
-        Self { rows, cols, bits, group, lanes: LANES, payload, scales: panel_scales, zeros: panel_zeros }
+        Self { rows, cols, bits, group, lanes: LANES, payload, scales: panel_scales }
     }
 
     /// Pack raw grid values that carry one scale per *row* (the repo's
     /// symmetric per-output-channel quantizer): the row scale is
-    /// replicated into every group and all zero points are 0, so
-    /// `unpack()` reproduces the row-wise dequantization bit-for-bit.
+    /// replicated into every group, so `unpack()` reproduces the row-wise
+    /// dequantization bit-for-bit.
     pub fn from_rowwise(
         rows: usize,
         cols: usize,
@@ -244,8 +226,7 @@ impl PackedMatrix {
         for &s in row_scales {
             scales.extend(std::iter::repeat_n(s, gpr));
         }
-        let zeros = vec![0i8; rows * gpr];
-        Self::from_i8(rows, cols, bits, group, q, &scales, &zeros)
+        Self::from_i8(rows, cols, bits, group, q, &scales)
     }
 
     /// Raw grid value at `(r, c)`.
@@ -266,18 +247,14 @@ impl PackedMatrix {
 
     /// Scale of `(row, group)`.
     pub fn scale(&self, r: usize, g: usize) -> f32 {
-        self.scales[self.meta_index(r, g)]
+        let gpr = self.groups_per_row();
+        assert!(r < self.rows && g < gpr, "index out of bounds");
+        self.scales[meta_index(r, g, gpr)]
     }
 
-    /// Zero point of `(row, group)`.
-    pub fn zero(&self, r: usize, g: usize) -> i8 {
-        self.zeros[self.meta_index(r, g)]
-    }
-
-    /// Dequantized value at `(r, c)`: `((q − zero) as f32) * scale`.
+    /// Dequantized value at `(r, c)`: `q as f32 * scale`.
     pub fn dequant(&self, r: usize, c: usize) -> f32 {
-        let g = c / self.group;
-        ((self.get_q(r, c) as i32 - self.zero(r, g) as i32) as f32) * self.scale(r, g)
+        self.get_q(r, c) as f32 * self.scale(r, c / self.group)
     }
 
     /// Dequantize the whole matrix to row-major `f32`, value-identical
@@ -293,10 +270,10 @@ impl PackedMatrix {
         out
     }
 
-    /// Resident bytes of this matrix: payload + scales + zeros, padding
-    /// of the last panel (at most `LANES − 1` rows) included.
+    /// Resident bytes of this matrix: payload + scales, padding of the
+    /// last panel (at most `LANES − 1` rows) included.
     pub fn resident_bytes(&self) -> usize {
-        self.payload.len() + self.scales.len() * 4 + self.zeros.len()
+        self.payload.len() + self.scales.len() * 4
     }
 
     /// Bytes the same matrix occupies dequantized to `f32` — what the
@@ -321,7 +298,6 @@ impl PackedMatrix {
         let fields = [
             ("payload", self.payload.len(), panel_stride(self.cols, self.bits)),
             ("scales", self.scales.len(), self.groups_per_row() * LANES),
-            ("zeros", self.zeros.len(), self.groups_per_row() * LANES),
         ];
         for (field, len, per_panel) in fields {
             assert!(
@@ -342,19 +318,11 @@ impl PackedMatrix {
         &self.payload[p * stride..][..stride]
     }
 
-    /// Per-lane scales and zero points of panel `p` in group `g`.
+    /// Per-lane scales of panel `p` in group `g`.
     #[inline(always)]
-    pub(crate) fn panel_meta(&self, p: usize, g: usize) -> (&[f32; LANES], &[i8; LANES]) {
+    pub(crate) fn panel_scales(&self, p: usize, g: usize) -> &[f32; LANES] {
         let i = (p * self.groups_per_row() + g) * LANES;
-        let scales = self.scales[i..].first_chunk().expect("one scale per lane");
-        let zeros = self.zeros[i..].first_chunk().expect("one zero per lane");
-        (scales, zeros)
-    }
-
-    fn meta_index(&self, r: usize, g: usize) -> usize {
-        let gpr = self.groups_per_row();
-        assert!(r < self.rows && g < gpr, "index out of bounds");
-        meta_index(r, g, gpr)
+        self.scales[i..].first_chunk().expect("one scale per lane")
     }
 }
 
@@ -372,8 +340,8 @@ fn meta_index(r: usize, g: usize, gpr: usize) -> usize {
 }
 
 /// Quantize a row-major `f32` matrix directly to the packed format with
-/// *native group-wise* scales: each `(row, group)` gets `absmax/qmax`
-/// (zero point 0), round-to-nearest onto the grid.
+/// *native group-wise* scales: each `(row, group)` gets `absmax/qmax`,
+/// round-to-nearest onto the grid.
 ///
 /// This is the standalone entry the benches and property tests use; the
 /// model path instead packs the output of the repo's row-wise quantizer
@@ -398,8 +366,7 @@ pub fn quantize_packed(data: &[f32], rows: usize, cols: usize, bits: PackBits, g
             }
         }
     }
-    let zeros = vec![0i8; rows * gpr];
-    PackedMatrix::from_i8(rows, cols, bits, group, &q, &scales, &zeros)
+    PackedMatrix::from_i8(rows, cols, bits, group, &q, &scales)
 }
 
 #[cfg(test)]
@@ -466,8 +433,8 @@ mod tests {
         assert_eq!(p8.payload.len(), 64 * 128);
         assert_eq!(p4.payload.len(), 64 * 64);
         assert!(p8.resident_bytes() < p8.f32_bytes() / 3);
-        // ~4 bits/weight payload + per-group scale/zero metadata lands
-        // just above f32/7 at group 64; f32/6 is the honest bound.
+        // ~4 bits/weight payload + one scale per group lands just above
+        // f32/7 at group 64; f32/6 is the honest bound.
         assert!(p4.resident_bytes() < p4.f32_bytes() / 6);
         assert!(p4.resident_bytes() < p8.resident_bytes() * 6 / 10);
     }
@@ -507,10 +474,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_points_shift_dequant() {
-        let p = PackedMatrix::from_i8(1, 2, PackBits::Int4, 2, &[1, 3], &[0.5], &[1]);
-        assert_eq!(p.dequant(0, 0), 0.0);
-        assert_eq!(p.dequant(0, 1), 1.0);
+    fn dequant_is_grid_times_group_scale() {
+        let p = PackedMatrix::from_i8(1, 3, PackBits::Int4, 2, &[-7, 3, 7], &[0.5, -0.25]);
+        assert_eq!(p.dequant(0, 0), -3.5);
+        assert_eq!(p.dequant(0, 1), 1.5);
+        assert_eq!(p.dequant(0, 2), -1.75);
+        assert_eq!(p.resident_bytes(), UNIT_BYTES + 2 * LANES * 4, "one nibble unit and one scale per (row, group)");
     }
 
     #[test]
@@ -533,8 +502,7 @@ mod tests {
             }
         }
         for g in 0..p.groups_per_row() {
-            let (scales, zeros) = p.panel_meta(1, g);
-            assert!(scales[live..].iter().all(|&s| s == 0.0) && zeros[live..].iter().all(|&z| z == 0));
+            assert!(p.panel_scales(1, g)[live..].iter().all(|&s| s == 0.0));
         }
         let p8 = PackedMatrix::from_rowwise(rows, 9, PackBits::Int8, 4, &q, &vec![0.3f32; rows]);
         for step in p8.panel(1).chunks_exact(LANES) {

@@ -4,7 +4,8 @@
 //! dequantize-then-`matmul_t` reference, and its defined behaviour on
 //! numeric edge cases.
 
-use llmpq_kernels::{gemm_t, qgemm_t, qgemm_t_into, quantize_packed, DensePanels, PackBits, PackedMatrix};
+use llmpq_kernels::dispatch::with_cap;
+use llmpq_kernels::{gemm_t, qgemm_t, qgemm_t_into, quantize_packed, DensePanels, Isa, PackBits, PackedMatrix};
 use proptest::prelude::*;
 
 fn any_pack_bits() -> impl Strategy<Value = PackBits> {
@@ -52,14 +53,14 @@ fn dequant_then_matmul_t(x: &[f32], m: usize, w: &PackedMatrix) -> Vec<f32> {
     scalar_matmul_t(x, m, &w.unpack(), w.rows, w.cols)
 }
 
-/// A packed matrix on an asymmetric grid: random grid values, positive
-/// scales and zero points over the whole `i8` range, one per `(row, group)`.
-fn asymmetric(n: usize, k: usize, bits: PackBits, group: usize, seed: u64) -> PackedMatrix {
+/// A packed matrix with random grid values over the whole grid and
+/// random positive scales, one per `(row, group)` — not the absmax scales
+/// of a quantizer, so that no group's scale follows from its values.
+fn random_scales(n: usize, k: usize, bits: PackBits, group: usize, seed: u64) -> PackedMatrix {
     let gpr = k.div_ceil(group);
     let q = pseudo_grid(n * k, bits.qmax(), seed);
     let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v.abs() + 1e-3).collect();
-    let zeros = pseudo_grid(n * gpr, 127, seed ^ 0xB2);
-    PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros)
+    PackedMatrix::from_i8(n, k, bits, group, &q, &scales)
 }
 
 /// Group lengths the blocked kernel must cross cleanly for a given `k`:
@@ -113,13 +114,13 @@ proptest! {
         }
     }
 
-    /// Pack → `get_q` / `scale` / `zero` / `dequant` / `unpack` read back
-    /// what went in, at `(row, col)` addresses, whatever the storage
-    /// order: `n` leaves a padded last panel, odd `k` ends inside a nibble
-    /// unit, zero points are nonzero, and the group set includes lengths
-    /// that split units and one longer than a tile. The JSON form
-    /// round-trips to an equal matrix, and the GEMM agrees with the
-    /// reference on the asymmetric grid.
+    /// Pack → `get_q` / `scale` / `dequant` / `unpack` read back what
+    /// went in, at `(row, col)` addresses, whatever the storage order: `n`
+    /// leaves a padded last panel, odd `k` ends inside a nibble unit, the
+    /// scales are random per group and of either sign, and the group set
+    /// includes lengths that split units and one longer than a tile. A
+    /// value dequantizes as `q as f32 * s`. The JSON form round-trips to
+    /// an equal matrix, and the GEMM agrees with the reference on it.
     #[test]
     fn pack_round_trips_through_accessors_and_json(
         bits in any_pack_bits(),
@@ -133,21 +134,19 @@ proptest! {
         let group = group_for(group_choice, k);
         let gpr = k.div_ceil(group);
         let q = pseudo_grid(n * k, bits.qmax(), seed);
-        let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v.abs() + 1e-3).collect();
-        let zeros = pseudo_grid(n * gpr, 5, seed ^ 0xB2);
-        let p = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &zeros);
+        let scales: Vec<f32> = pseudo(n * gpr, seed ^ 0xA1).iter().map(|v| v + v.signum() * 1e-3).collect();
+        let p = PackedMatrix::from_i8(n, k, bits, group, &q, &scales);
         prop_assert_eq!(p.groups_per_row(), gpr);
         let dq = p.unpack();
         prop_assert_eq!(dq.len(), n * k);
         for r in 0..n {
             for g in 0..gpr {
                 prop_assert_eq!(p.scale(r, g).to_bits(), scales[r * gpr + g].to_bits(), "scale ({}, {})", r, g);
-                prop_assert_eq!(p.zero(r, g), zeros[r * gpr + g], "zero ({}, {})", r, g);
             }
             for c in 0..k {
                 let g = c / group;
                 prop_assert_eq!(p.get_q(r, c), q[r * k + c], "grid value at ({}, {})", r, c);
-                let want = ((q[r * k + c] as i32 - zeros[r * gpr + g] as i32) as f32) * scales[r * gpr + g];
+                let want = q[r * k + c] as f32 * scales[r * gpr + g];
                 prop_assert_eq!(dq[r * k + c].to_bits(), want.to_bits(), "unpack at ({}, {})", r, c);
                 prop_assert_eq!(p.dequant(r, c).to_bits(), want.to_bits(), "dequant at ({}, {})", r, c);
             }
@@ -184,8 +183,8 @@ proptest! {
     }
 
     /// Blocks of fewer than four rows over a packed weight take the
-    /// register-resident decode body, and this reaches all of it: zero
-    /// points are nonzero, `n` runs to several multi-panel sweeps, then
+    /// register-resident decode body, and this reaches all of it: scales
+    /// are random per group, `n` runs to several multi-panel sweeps, then
     /// single panels, then a partial last one, `k` is odd or even, and
     /// the groups split payload loads (3), align with nibble units only
     /// (4), or run longer than a staged tile (192). `m` of 4 to 6 is the
@@ -193,7 +192,7 @@ proptest! {
     /// dequantize-then-dot product, and a row's outputs do not depend on
     /// the rows it shares the call with.
     #[test]
-    fn asymmetric_grids_match_reference_through_both_bodies(
+    fn random_scales_match_reference_through_both_bodies(
         bits in any_pack_bits(),
         m in 1usize..=6,
         n in 1usize..=220,
@@ -201,7 +200,7 @@ proptest! {
         group_choice in 0usize..6,
         seed in 0u64..1000,
     ) {
-        let w = asymmetric(n, k, bits, [3, 4, 16, 64, 192, k][group_choice], seed);
+        let w = random_scales(n, k, bits, [3, 4, 16, 64, 192, k][group_choice], seed);
         let x = pseudo(m * k, seed ^ 0xC3);
         let fused = qgemm_t(&x, m, &w);
         let reference = dequant_then_matmul_t(&x, m, &w);
@@ -378,7 +377,7 @@ fn zero_and_constant_weight_rows_match_reference() {
         let q = pseudo_grid(n * k, bits.qmax(), 3);
         let mut scales = vec![0.02f32; n * gpr];
         scales[..gpr].fill(0.0);
-        let w0 = PackedMatrix::from_i8(n, k, bits, group, &q, &scales, &vec![0i8; n * gpr]);
+        let w0 = PackedMatrix::from_i8(n, k, bits, group, &q, &scales);
         assert_same_or_both_nan(&qgemm_t(&x, m, &w0), &dequant_then_matmul_t(&x, m, &w0));
     }
     let mut dense = pseudo(n * k, 4);
@@ -418,6 +417,51 @@ fn non_finite_activations_propagate_like_the_reference() {
     // The zero-weight column turns row 3's +inf into NaN on every output.
     let w = quantize_packed(&zeroed, n, k, PackBits::Int8, group);
     assert!(qgemm_t(&x, m, &w)[3 * n..4 * n].iter().all(|v| v.is_nan()));
+}
+
+/// The edges of the nibble conversion, int4 and int3, in every
+/// instantiation the host has, through the decode body (`m` of 1 to 3)
+/// and the staged blocks (`m` of 4 and 9): groups whose scale is
+/// `f32::MAX / 8` (the largest the fused form takes), one step above it
+/// and `f32::MAX / 4` (`8·s` overflows), `+inf`, NaN (every weight of the
+/// group NaN), zero, negative and subnormal, beside ordinary groups in the
+/// same multi-panel sweep and in the padded last panel. Every output
+/// equals, `to_bits()`, the scalar fused dot product against
+/// `q as f32 * s`.
+#[test]
+fn nibble_conversion_edges_match_the_reference_in_every_instantiation() {
+    let (n, k, group) = (70, 96, 32);
+    let gpr = k / group;
+    let edges = [
+        (2, 0, f32::MAX / 8.0),
+        (3, 1, (f32::MAX / 8.0).next_up()),
+        (5, 2, f32::MAX / 4.0),
+        (17, 0, f32::INFINITY),
+        (20, 1, 1e-40),
+        (33, 2, f32::NAN),
+        (40, 0, 0.0),
+        (50, 1, -0.03),
+        (66, 2, f32::INFINITY),
+        (69, 0, 1e-44),
+    ];
+    for bits in [PackBits::Int3, PackBits::Int4] {
+        let q = pseudo_grid(n * k, bits.qmax(), 61);
+        let mut scales: Vec<f32> = pseudo(n * gpr, 62).iter().map(|v| v.abs() + 1e-3).collect();
+        for (r, g, s) in edges {
+            scales[r * gpr + g] = s;
+        }
+        let w = PackedMatrix::from_i8(n, k, bits, group, &q, &scales);
+        for m in [1, 2, 3, 4, 9] {
+            let x = pseudo(m * k, 63 + m as u64);
+            let want = dequant_then_matmul_t(&x, m, &w);
+            for isa in Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected()) {
+                let got = with_cap(isa, || qgemm_t(&x, m, &w));
+                for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), r.to_bits(), "{bits} {isa:?} m {m} output ({}, {}): {g} vs {r}", i / n, i % n);
+                }
+            }
+        }
+    }
 }
 
 #[test]

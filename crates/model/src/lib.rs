@@ -44,7 +44,7 @@ pub use spec::{ModelFamily, ModelSpec};
 pub use tensor::Matrix;
 
 /// Group length of the packed quantized layout the serving path uses;
-/// re-exported so planners can account scale/zero metadata without
+/// re-exported so planners can account per-group scale metadata without
 /// depending on `llmpq-kernels` directly.
 pub use llmpq_kernels::DEFAULT_GROUP as QUANT_GROUP;
 

@@ -91,7 +91,7 @@ impl LinearOp {
         }
     }
 
-    /// Bytes this operator keeps resident: packed payload + scales/zeros
+    /// Bytes this operator keeps resident: packed payload + scales
     /// for the quantized path, `4 · rows · cols` for the dense path.
     pub fn resident_bytes(&self) -> usize {
         match self {

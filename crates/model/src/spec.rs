@@ -137,10 +137,13 @@ impl ModelSpec {
     }
 
     /// Bytes of group-wise quantization metadata for one decoder layer's
-    /// linear weights: one FP32 scale plus one INT8 zero-point per
-    /// `group` input elements of every output row, mirroring the packed
-    /// layout `llmpq-kernels` serves. Four attention projections are
-    /// `hidden × hidden`, W1 is `ffn × hidden`, W2 is `hidden × ffn`.
+    /// linear weights, as the planner charges them: 5 B per `group` input
+    /// elements of every output row. The packed layout `llmpq-kernels`
+    /// serves holds 4 B there (one FP32 scale: every grid is symmetric,
+    /// and the INT8 zero point this charge once mirrored is gone); the
+    /// fifth byte is kept as a conservative margin, and dropping it moves
+    /// plans. Four attention projections are `hidden × hidden`, W1 is
+    /// `ffn × hidden`, W2 is `hidden × ffn`.
     pub fn quant_scale_bytes(&self, group: usize) -> f64 {
         let h = self.hidden as f64;
         let f = self.ffn_hidden as f64;

@@ -65,8 +65,8 @@ impl QuantizedMatrix {
 
     /// Convert to the kernel crate's packed layout for fused serving.
     ///
-    /// The per-row scale is replicated into every `group`-length group
-    /// (zero points 0), so `PackedMatrix::unpack()` — and therefore the
+    /// The per-row scale is replicated into every `group`-length group,
+    /// so `PackedMatrix::unpack()` — and therefore the
     /// fused `qgemm_t` — reproduces [`QuantizedMatrix::dequantize`]
     /// bit-for-bit.
     pub fn to_packed(&self, group: usize) -> PackedMatrix {

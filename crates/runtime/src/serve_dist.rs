@@ -1114,10 +1114,13 @@ mod tests {
         }
     }
 
-    /// A ring whose first attempt passes every echo through `mangle`.
-    struct MangledEchoRing(ChannelRing, fn(&mut WorkItem));
+    /// What a misbehaving peer does to an echo.
+    type Mangle = fn(&mut WorkItem);
 
-    struct MangleEchoes(Box<dyn Transport + Send>, fn(&mut WorkItem));
+    /// A ring whose first attempt passes every echo through `mangle`.
+    struct MangledEchoRing(ChannelRing, Mangle);
+
+    struct MangleEchoes(Box<dyn Transport + Send>, Mangle);
 
     impl Transport for MangleEchoes {
         fn recv_msg(&self, timeout: Duration) -> Result<WorkerMsg, TransportRecvError> {
@@ -1161,7 +1164,7 @@ mod tests {
         // What a TCP peer could send back instead of one `1 × hidden` row
         // for the slot sent: the master must not index into it, but take
         // the ring as lost — the scheduler requeues, the restart serves.
-        let mangles: [(&str, fn(&mut WorkItem)); 4] = [
+        let mangles: [(&str, Mangle); 4] = [
             ("zero rows", |i| i.seqs[0].1 = Matrix::zeros(0, 0)),
             ("every row", |i| i.seqs[0].1 = Matrix::zeros(3, i.seqs[0].1.cols)),
             ("another slot", |i| i.seqs[0].0 += 1),

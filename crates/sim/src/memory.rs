@@ -82,7 +82,8 @@ pub fn measured_peak_memory(
     for &bits in layer_bits {
         let base = spec.layer_weight_bytes(bits.bits_f64());
         let scale_overhead = if bits.is_quantized() {
-            // group-wise scale + zero-point per (row, group), as packed
+            // group-wise metadata per (row, group), charged at 5 B
+            // (`ModelSpec::quant_scale_bytes`; the packed layout holds 4)
             spec.quant_scale_bytes(llmpq_model::QUANT_GROUP)
         } else {
             0.0
@@ -153,8 +154,8 @@ mod tests {
     fn opt13b_int8_fits_v100_but_fp16_does_not() {
         // The cluster-1 story (Table 4): OPT-13b FP16 ≈ 26 GB of weights
         // + KV + embeddings exceeds a 32 GB V100, while INT8 fits.
-        // Batch 28: group-wise scale/zero metadata (~1 GB at group 64,
-        // now counted faithfully to the packed layout) eats the slack the
+        // Batch 28: group-wise metadata (~1 GB at group 64, charged at
+        // 5 B per group) eats the slack the
         // old per-channel approximation left at batch 32.
         let spec = zoo::opt_13b();
         let v100 = 32e9;
