@@ -14,15 +14,14 @@
 //! between calls.
 
 use crate::config::{AssignerConfig, SolverChoice};
-use crate::evaluate::{representative_past, PlanReport};
+use crate::evaluate::{memory_job, representative_past, PlanReport};
 use crate::incremental::{repair_hint, CostCache, EvalCache, PlannerStats};
 use crate::plan::{ExecutionPlan, StagePlan};
 use crate::transfer::heuristic_solve;
 use llmpq_cluster::Cluster;
-use llmpq_cost::{round_block, CostDb, FRAMEWORK_BYTES};
-use llmpq_model::{flops, ModelSpec, Phase, PhaseWorkload};
+use llmpq_cost::{device_charge, layer_charge, CostDb};
+use llmpq_model::{flops, ModelSpec, PhaseWorkload};
 use llmpq_quant::{Bitwidth, IndicatorTable};
-use llmpq_sim::layer_workspace_bytes;
 use llmpq_solver::{solve_partition_warm_stats, PartitionProblem, PartitionSolution};
 use llmpq_workload::{microbatch_counts, BatchJob, MicrobatchPlan};
 use serde::{Deserialize, Serialize};
@@ -192,9 +191,6 @@ fn build_problem_cached(
     let mut lin = tensors.take(size);
     let mut quality = tensors.take(size);
 
-    let kv_per_layer =
-        round_block(spec.kv_bytes_per_layer(job.global_batch, job.max_seq(), kv_bits));
-
     // Per-layer latency depends only on the device *class* (GPU and TP
     // width, plus phase and bits), per-layer bytes only on bits, and the
     // ω group sum only on (group, bits) — so hoist all three out of the
@@ -229,17 +225,9 @@ fn build_problem_cached(
             classes.iter().position(|&c| c == class).expect("class collected above")
         })
         .collect();
-    let bytes_per_layer: Vec<f64> = bits_set
-        .iter()
-        .map(|&bits| {
-            let scale_overhead = if bits.is_quantized() {
-                spec.quant_scale_bytes(llmpq_model::QUANT_GROUP)
-            } else {
-                0.0
-            };
-            round_block(spec.layer_weight_bytes(bits.bits_f64()) + scale_overhead) + kv_per_layer
-        })
-        .collect();
+    let mem_job = memory_job(job, mb, kv_bits);
+    let bytes_per_layer: Vec<f64> =
+        bits_set.iter().map(|&bits| layer_charge(spec, bits, &mem_job).total()).collect();
 
     let mut layer0 = 0usize;
     for (g, &gsz) in sizes.iter().enumerate() {
@@ -262,24 +250,15 @@ fn build_problem_cached(
         layer0 += gsz;
     }
 
-    // Fixed per-device memory: one framework context per GPU (a
-    // tensor-parallel group holds `tp_width`) + one workspace arena
-    // (worst case over precisions and phases at this micro-batch sizing;
-    // a group splits it between its members) + embeddings on the
-    // master's device (pipeline position 0).
-    let workspace = bits_set
+    // Fixed per-device memory, its workspace arena the worst case over
+    // the whole menu; embeddings on the master's device (position 0).
+    let fixed_mem: Vec<f64> = ordering
         .iter()
-        .map(|&b| {
-            let pw = layer_workspace_bytes(spec, Phase::Prefill, mb.prefill_size, job.prompt_len, b);
-            let dw = layer_workspace_bytes(spec, Phase::Decode, mb.decode_size, job.prompt_len, b);
-            pw.max(dw)
+        .enumerate()
+        .map(|(j, &i)| {
+            device_charge(spec, bits_set, &mem_job, j == 0, cluster.devices[i].tp_width).total()
         })
-        .fold(0.0f64, f64::max);
-    let mut fixed_mem: Vec<f64> = ordering
-        .iter()
-        .map(|&i| FRAMEWORK_BYTES * cluster.devices[i].tp_width as f64 + round_block(workspace))
         .collect();
-    fixed_mem[0] += round_block(spec.embedding_bytes());
 
     let capacity: Vec<f64> =
         ordering.iter().map(|&i| cluster.devices[i].mem_bytes()).collect();

@@ -8,10 +8,10 @@
 
 use crate::plan::ExecutionPlan;
 use llmpq_cluster::Cluster;
-use llmpq_cost::{stage_memory_bytes, CostDb};
+use llmpq_cost::{stage_memory, CostDb, MemoryJob};
 use llmpq_model::{flops, ModelSpec, PhaseWorkload};
 use llmpq_sim::{simulate_pipeline, PipelineWorkload, StageLoad};
-use llmpq_workload::BatchJob;
+use llmpq_workload::{BatchJob, MicrobatchPlan};
 use serde::{Deserialize, Serialize};
 
 /// Evaluation failure.
@@ -148,6 +148,20 @@ pub fn batch_latency(
     simulate_pipeline(&loads, &wl).total_latency
 }
 
+/// The shape `job` run in `mb`'s micro-batches is charged memory under:
+/// KV for the whole batch at `kv_bits`, each phase's workspace at its
+/// own micro-batch.
+pub(crate) fn memory_job(job: &BatchJob, mb: &MicrobatchPlan, kv_bits: f64) -> MemoryJob {
+    MemoryJob {
+        kv_batch: job.global_batch,
+        prefill_size: mb.prefill_size.max(1),
+        decode_size: mb.decode_size.max(1),
+        prompt_len: job.prompt_len,
+        n_generate: job.n_generate,
+        kv_bits,
+    }
+}
+
 /// Predicted peak memory per stage on `cluster`'s devices (embedding
 /// charged to stage 0, which co-hosts the master engine; one framework
 /// context per GPU of a tensor-parallel group).
@@ -157,21 +171,12 @@ pub fn stage_memories(
     spec: &ModelSpec,
     job: &BatchJob,
 ) -> Vec<f64> {
+    let mj = memory_job(job, &plan.microbatch, plan.kv_bits as f64);
     plan.stages
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            stage_memory_bytes(
-                spec,
-                &s.bits,
-                job.global_batch,
-                plan.microbatch.prefill_size.max(1),
-                job.prompt_len,
-                job.n_generate,
-                plan.kv_bits as f64,
-                i == 0,
-                cluster.devices[s.device].tp_width,
-            )
+            stage_memory(spec, &s.bits, &mj, i == 0, cluster.devices[s.device].tp_width).total()
         })
         .collect()
 }

@@ -12,7 +12,7 @@
 //! traced pipeline run doubles as a cost-model validation experiment.
 
 use crate::latency::CostDb;
-use crate::memory::stage_memory_bytes;
+use crate::memory::{stage_memory, MemoryJob};
 use llmpq_cluster::GpuModel;
 use llmpq_model::{ModelSpec, PhaseWorkload};
 use llmpq_quant::Bitwidth;
@@ -58,7 +58,7 @@ pub fn memory_fidelity(spec: &ModelSpec, cases: usize, seed: u64) -> FidelityRep
             .map(|_| Bitwidth::ALL[rng.gen_range(0..4)])
             .collect();
         let with_embed = rng.gen_bool(0.3);
-        let pred = stage_memory_bytes(spec, &bits, batch, batch, s, n, 16.0, with_embed, 1);
+        let pred = stage_memory(spec, &bits, &MemoryJob::unsplit(batch, s, n, 16.0), with_embed, 1).total();
         let meas = measured_peak_memory(spec, &bits, batch, batch, s, n, 16.0, with_embed);
         errs.push((pred - meas).abs() / meas);
     }

@@ -36,7 +36,7 @@ pub use fidelity::{
 };
 pub use latency::{CostDb, LatencyModel};
 pub use memory::{
-    round_block, stage_memory, stage_memory_bytes, MemoryBreakdown, FRAMEWORK_BYTES,
+    device_charge, layer_charge, stage_memory, MemoryBreakdown, MemoryJob, FRAMEWORK_BYTES,
 };
 pub use profiler::{profile_device, ProfileSample, ProfilerConfig};
 pub use store::ProfileFile;

@@ -70,4 +70,4 @@ pub use attention::{attention, KvBlocks, RowKv, KV_BLOCK};
 pub use dispatch::{isa, Isa};
 pub use elementwise::{exp, gelu, softmax_rows};
 pub use gemm::{gemm_t, qgemm_t, qgemm_t_into, DensePanels};
-pub use pack::{quantize_packed, PackBits, PackedMatrix, DEFAULT_GROUP};
+pub use pack::{quantize_packed, PackBits, PackedMatrix, DEFAULT_GROUP, SCALE_BYTES};

@@ -59,6 +59,12 @@ use serde::{Deserialize, Serialize};
 /// in a single cache line.
 pub const DEFAULT_GROUP: usize = 64;
 
+/// Bytes the layout holds per `(row, group)`: one `f32` scale. The
+/// memory model charges a quantized weight's metadata at this rate
+/// (`ModelSpec::quant_scale_bytes`), so the planner prices what the
+/// kernels store.
+pub const SCALE_BYTES: usize = std::mem::size_of::<f32>();
+
 /// Integer grids the packed format supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PackBits {
@@ -273,7 +279,7 @@ impl PackedMatrix {
     /// Resident bytes of this matrix: payload + scales, padding of the
     /// last panel (at most `LANES − 1` rows) included.
     pub fn resident_bytes(&self) -> usize {
-        self.payload.len() + self.scales.len() * 4
+        self.payload.len() + self.scales.len() * SCALE_BYTES
     }
 
     /// Bytes the same matrix occupies dequantized to `f32` — what the

@@ -43,10 +43,11 @@ pub use reference::{
 pub use spec::{ModelFamily, ModelSpec};
 pub use tensor::Matrix;
 
-/// Group length of the packed quantized layout the serving path uses;
-/// re-exported so planners can account per-group scale metadata without
-/// depending on `llmpq-kernels` directly.
-pub use llmpq_kernels::DEFAULT_GROUP as QUANT_GROUP;
+/// Group length of the packed quantized layout the serving path uses,
+/// and the bytes that layout holds per `(row, group)`; re-exported so
+/// the memory model and the allocator walk charge scale metadata
+/// without depending on `llmpq-kernels` directly.
+pub use llmpq_kernels::{DEFAULT_GROUP as QUANT_GROUP, SCALE_BYTES};
 
 /// How [`KvSeq`] hands K/V to attention — 16-position blocks, keys
 /// k-major — re-exported so that a KV store implements the contract

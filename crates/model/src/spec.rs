@@ -136,19 +136,22 @@ impl ModelSpec {
         self.embedding_params() as f64 * 2.0
     }
 
-    /// Bytes of group-wise quantization metadata for one decoder layer's
-    /// linear weights, as the planner charges them: 5 B per `group` input
-    /// elements of every output row. The packed layout `llmpq-kernels`
-    /// serves holds 4 B there (one FP32 scale: every grid is symmetric,
-    /// and the INT8 zero point this charge once mirrored is gone); the
-    /// fifth byte is kept as a conservative margin, and dropping it moves
-    /// plans. Four attention projections are `hidden × hidden`, W1 is
-    /// `ffn × hidden`, W2 is `hidden × ffn`.
-    pub fn quant_scale_bytes(&self, group: usize) -> f64 {
+    /// `(row, group)` pairs of one decoder layer's linear weights split
+    /// into groups of `group` input elements per output row: four
+    /// attention projections are `hidden × hidden`, W1 is `ffn × hidden`,
+    /// W2 is `hidden × ffn`.
+    pub fn quant_groups(&self, group: usize) -> f64 {
         let h = self.hidden as f64;
         let f = self.ffn_hidden as f64;
         let gpr = |cols: f64| (cols / group as f64).ceil();
-        5.0 * (4.0 * h * gpr(h) + f * gpr(h) + h * gpr(f))
+        4.0 * h * gpr(h) + f * gpr(h) + h * gpr(f)
+    }
+
+    /// Bytes of group-wise quantization metadata for one decoder layer's
+    /// linear weights: what the packed layout holds, one
+    /// [`crate::SCALE_BYTES`] scale per `(row, group)`.
+    pub fn quant_scale_bytes(&self, group: usize) -> f64 {
+        self.quant_groups(group) * crate::SCALE_BYTES as f64
     }
 
     /// KV-cache bytes for **one decoder layer**, for `batch` sequences of

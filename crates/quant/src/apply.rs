@@ -76,6 +76,28 @@ mod tests {
     }
 
     #[test]
+    fn the_memory_model_charges_what_a_packed_layer_holds() {
+        // One decoder layer of a model shaped like the `ref256x4` serving
+        // model: the planner's weight bytes (payload at `bits` plus
+        // `quant_scale_bytes`) are the loaded layer's resident bytes, to
+        // the byte. Two gaps stay open and are not asserted: int3 is
+        // packed in nibbles (4 bits held, 3 charged), and FP16 weights
+        // and KV are held as `f32` where the model charges 16 bits.
+        use llmpq_model::{ModelFamily, ModelSpec, QUANT_GROUP};
+        let (n_layers, hidden, n_heads, ffn, vocab, max_seq) = (4, 256, 4, 1024, 512, 512);
+        let cfg = RefConfig { n_layers, hidden, n_heads, ffn, vocab, max_seq, seed: 11, alibi: false };
+        let spec = ModelSpec::new(ModelFamily::Opt, "ref256x4", n_layers, hidden, n_heads, vocab, max_seq);
+        assert_eq!(spec.ffn_hidden, cfg.ffn);
+        let model = RefModel::new(cfg);
+        for bits in [Bitwidth::Int8, Bitwidth::Int4] {
+            let q = quantize_model_uniform(&model, bits, Rounding::Deterministic, 0);
+            let charged = spec.linear_params_per_layer() as f64 * bits.bits_f64() / 8.0
+                + spec.quant_scale_bytes(QUANT_GROUP);
+            assert_eq!(charged, q.layers[0].resident_weight_bytes() as f64, "{bits}");
+        }
+    }
+
+    #[test]
     fn packed_forward_matches_fake_quantize_forward() {
         // The bit-exactness contract end-to-end: serving from packed
         // weights generates the same tokens as the dequantize-everything

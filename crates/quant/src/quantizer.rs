@@ -57,12 +57,6 @@ impl QuantizedMatrix {
         out
     }
 
-    /// Storage bytes of this quantized matrix: payload at `bits` plus
-    /// per-row FP16 scales.
-    pub fn storage_bytes(&self) -> f64 {
-        self.bits.payload_bytes((self.rows * self.cols) as u64) + self.rows as f64 * 2.0
-    }
-
     /// Convert to the kernel crate's packed layout for fused serving.
     ///
     /// The per-row scale is replicated into every `group`-length group,
@@ -306,13 +300,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn storage_accounts_scales() {
-        let m = sample();
-        let qm = quantize_matrix(&m, Bitwidth::Int8, Rounding::Deterministic, 0);
-        assert_eq!(qm.storage_bytes(), 16.0 * 32.0 + 16.0 * 2.0);
     }
 
     #[test]

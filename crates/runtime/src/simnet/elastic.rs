@@ -42,9 +42,10 @@ use std::collections::BTreeSet;
 /// Simulated horizon, µs (churn stops at ¾ of it; the run gets a settle
 /// grace period past it).
 const HORIZON_US: u64 = 60_000_000;
-/// Layers of the simulated model.
-const N_LAYERS: usize = 8;
-/// Hidden width of the simulated model: a lone T4 cannot hold it at any rung.
+/// Layers of the simulated model: with [`HIDDEN`], enough that a lone
+/// T4 misses it by more than 5 % of its memory at the lowest rung.
+const N_LAYERS: usize = 9;
+/// Hidden width of the simulated model.
 const HIDDEN: usize = 16_384;
 /// Controller debounce window, µs.
 const DEBOUNCE_US: u64 = 20_000;
@@ -543,6 +544,20 @@ impl SimScenario for ElasticSimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_lone_t4_misses_the_model_by_five_percent() {
+        // The cheapest stage there is — every layer at int3, 8-bit KV,
+        // one-sequence micro-batches — still overflows a T4 by more than
+        // 5 % of its memory, so the infeasible-fleet path is not a
+        // rounding accident of the memory model.
+        use llmpq_cost::{stage_memory, MemoryJob};
+        use llmpq_quant::Bitwidth;
+        let job = MemoryJob { prefill_size: 1, decode_size: 1, ..MemoryJob::unsplit(MAX_BATCH, 8, 4, 8.0) };
+        let need = stage_memory(&spec(), &[Bitwidth::Int3; N_LAYERS], &job, true, 1).total();
+        let t4 = GpuModel::T4_16G.spec().mem_bytes();
+        assert!(need > 1.05 * t4, "needs {:.2} GB of {:.2} GB", need / 1e9, t4 / 1e9);
+    }
 
     #[test]
     fn churn_plans_are_deterministic_and_round_trip_json() {

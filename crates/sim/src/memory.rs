@@ -6,7 +6,7 @@
 //! rounding, workspace reuse), which the analytical cost model in
 //! `llmpq-cost` then has to predict.
 
-use llmpq_model::{ModelSpec, Phase};
+use llmpq_model::{ModelSpec, Phase, QUANT_GROUP, SCALE_BYTES};
 use llmpq_quant::Bitwidth;
 
 /// CUDA caching allocators hand out memory in 2 MiB blocks. This and
@@ -77,18 +77,16 @@ pub fn measured_peak_memory(
     assert!(!layer_bits.is_empty(), "stage must own at least one layer");
     let seq = prompt_len + n_generate;
 
-    // Weights: payload + per-channel scales for quantized layers.
+    // Weights: payload + the packed layout's scales for quantized layers.
     let mut weights = 0.0;
     for &bits in layer_bits {
         let base = spec.layer_weight_bytes(bits.bits_f64());
-        let scale_overhead = if bits.is_quantized() {
-            // group-wise metadata per (row, group), charged at 5 B
-            // (`ModelSpec::quant_scale_bytes`; the packed layout holds 4)
-            spec.quant_scale_bytes(llmpq_model::QUANT_GROUP)
+        let scales = if bits.is_quantized() {
+            spec.quant_groups(QUANT_GROUP) * SCALE_BYTES as f64
         } else {
             0.0
         };
-        weights += round_block(base + scale_overhead);
+        weights += round_block(base + scales);
     }
     if with_embedding {
         weights += round_block(spec.embedding_bytes());
@@ -154,9 +152,9 @@ mod tests {
     fn opt13b_int8_fits_v100_but_fp16_does_not() {
         // The cluster-1 story (Table 4): OPT-13b FP16 ≈ 26 GB of weights
         // + KV + embeddings exceeds a 32 GB V100, while INT8 fits.
-        // Batch 28: group-wise metadata (~1 GB at group 64, charged at
-        // 5 B per group) eats the slack the
-        // old per-channel approximation left at batch 32.
+        // Batch 28: group-wise metadata (~0.8 GB at group 64, 4 B per
+        // group) eats the slack the old per-channel approximation left
+        // at batch 32.
         let spec = zoo::opt_13b();
         let v100 = 32e9;
         let all = spec.n_layers;
